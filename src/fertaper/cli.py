@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fertaper.codeword import (
+    MATERIALIZE_QUBIT_CAP,
     CodeEncoding,
     apply_frames_to_isometry,
     build_simulator_hamiltonian,
@@ -345,8 +346,8 @@ def _cmd_codesim(args) -> int:
             "weight": frame.weight,
             "flip_qubits": list(frame.flips),
         }
-        if enc.qubits <= 24:
-            entry["diagonal"] = [float(v) for v in frame.materialize()]
+        if enc.qubits <= MATERIALIZE_QUBIT_CAP:
+            entry["diagonal"] = frame.materialize().tolist()
         else:
             entry["diagonal"] = "lazy"
         payload.append(entry)

@@ -8,6 +8,14 @@ that sign function splits the simulator into few terms, each diagonal in a
 single tensor-product basis (an X/Y "frame" on the flipped qubits times a
 computational-basis diagonal elsewhere).
 
+Diagonals are numpy arrays.  Each encoding decodes its 2^Q syndromes once
+into a cached preimage array (codeword number, or -1 off the codespace);
+an observable's transition signs are then one sign per codeword spread
+over that array, transposed to a (rest bits, frame bits) matrix, and
+Walsh-Hadamard transformed along the frame axis.  Above
+MATERIALIZE_QUBIT_CAP no 2^Q array is built: frames carry their flips,
+Z-patterns and weights, and their diagonal is None.
+
 When the rows split into two classes that every column meets an odd number
 of times, the codespace is stabilized by the two all-Z row-class products,
 and multiplying frames by those stabilizers zeroes the frame's Z-pattern
@@ -19,7 +27,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
-from typing import Callable
 
 import numpy as np
 
@@ -32,8 +39,14 @@ from fertaper.fermion import (
     weight_n_states,
 )
 from fertaper.graphs import BipartiteGraph, girth
-from fertaper.mitm import SyndromeTables, build_tables, full_decode_table, mitm_decode
-from fertaper.pauli import PauliOperator
+from fertaper.mitm import (
+    SyndromeTables,
+    build_tables,
+    codewords_from_tables,
+    full_decode_table,
+    mitm_decode,
+)
+from fertaper.pauli import PauliOperator, _check_dense_size
 
 INJECTIVITY_BRUTE_CAP = 24
 MATERIALIZE_QUBIT_CAP = 24
@@ -162,8 +175,40 @@ class CodeEncoding:
         hit = mitm_decode(self._mitm_tables(), s)
         return None if hit is None else FockState(tuple(hit))
 
+    def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
+        cached = self.__dict__.get("_syndrome_arrays")
+        if cached is None:
+            if self.qubits > MATERIALIZE_QUBIT_CAP:
+                raise ValueError(f"syndrome arrays capped at {MATERIALIZE_QUBIT_CAP} qubits")
+            if comb(self.modes, self.particles) <= DECODE_TABLE_CAP:
+                table = self._decode_table()
+                syndromes = np.fromiter(table, dtype=np.int64, count=len(table))
+                occupations = np.array(
+                    [gf2.int_to_bits(mask, self.modes) for mask in table.values()]
+                )
+            else:
+                syndromes, occupations = codewords_from_tables(self._mitm_tables())
+            preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
+            preimage[syndromes] = np.arange(len(syndromes))
+            cached = (preimage, occupations)
+            self.__dict__["_syndrome_arrays"] = cached
+        return cached
+
+    def preimage(self) -> np.ndarray:
+        """Codeword number of every syndrome index, -1 off the codespace.
+
+        Built once per encoding from the decode table, or past
+        DECODE_TABLE_CAP from the meet-in-the-middle half tables.
+        """
+        return self._codespace()[0]
+
+    def codewords(self) -> np.ndarray:
+        """C(M,N) x M occupation rows, numbered as preimage() numbers them."""
+        return self._codespace()[1]
+
     def isometry(self) -> np.ndarray:
         """Dense 2^Q x C(M,N) isometry with columns |Ax> (oracle use)."""
+        _check_dense_size(self.qubits)
         states = weight_n_states(self.modes, self.particles)
         iso = np.zeros((1 << self.qubits, len(states)))
         for k, st in enumerate(states):
@@ -179,8 +224,11 @@ def transition_sign(enc: CodeEncoding, obs: FermionObservable, s) -> int:
     stripped, so the result is always -1, 0, or +1.
     """
     x = enc.decode(gf2.asbits(s))
-    if x is None:
-        return 0
+    return 0 if x is None else _stripped_sign(obs, x)
+
+
+def _stripped_sign(obs: FermionObservable, x: FockState) -> int:
+    """Transition sign out of one occupation state, with the i stripped."""
     hits = observable_action(obs, x)
     if not hits:
         return 0
@@ -193,21 +241,21 @@ def transition_sign(enc: CodeEncoding, obs: FermionObservable, s) -> int:
     return int(value.real)
 
 
-@dataclass
+@dataclass(eq=False)
 class FramedDiagonal:
     """One simulator term: i^phase * X(flips)Z(pattern) times a diagonal.
 
     flips / z_pattern are 1-based qubit tuples (z_pattern a subset of
-    flips); the diagonal is a function of the bits on the remaining
-    qubits, materializable to a dense vector indexed by those bits packed
-    most-significant-first.  weight scales the whole term.
+    flips); the diagonal is a read-only vector over the remaining qubits,
+    indexed by their bits packed most-significant-first, or None when the
+    encoding is past MATERIALIZE_QUBIT_CAP.  weight scales the whole term.
     """
 
     qubits: int
     flips: tuple[int, ...]
     z_pattern: tuple[int, ...]
     phase: int
-    diagonal: Callable[[int], float]
+    diagonal: np.ndarray | None
     weight: float = 1.0
 
     def __post_init__(self):
@@ -217,6 +265,12 @@ class FramedDiagonal:
             raise ValueError("phase power must be 0 or 1")
         if (len(self.z_pattern) % 2) != self.phase:
             raise ValueError("phase must match the z-pattern parity for Hermiticity")
+        if self.diagonal is not None:
+            diag = np.asarray(self.diagonal, dtype=float)
+            if diag.shape != (1 << (self.qubits - len(self.flips)),):
+                raise ValueError("diagonal length must be 2^(qubits - flipped qubits)")
+            diag.flags.writeable = False
+            self.diagonal = diag
 
     @property
     def frame_size(self) -> int:
@@ -262,18 +316,18 @@ class FramedDiagonal:
         flip_mask, z_mask = self._masks()
         sign = -1.0 if bin(state & z_mask).count("1") % 2 else 1.0
         value = self.weight * (1j if self.phase else 1.0) * sign
-        value *= self.diagonal(self.rest_bits(state))
+        value *= float(self.materialize()[self.rest_bits(state)])
         return state ^ flip_mask, value
 
     def materialize(self) -> np.ndarray:
         """Dense diagonal over the non-flipped qubits."""
-        rest = self.qubits - len(self.flips)
-        if self.qubits > MATERIALIZE_QUBIT_CAP:
+        if self.diagonal is None:
             raise ValueError(f"materialization capped at {MATERIALIZE_QUBIT_CAP} qubits")
-        return np.array([self.diagonal(i) for i in range(1 << rest)])
+        return self.diagonal
 
     def to_dense(self) -> np.ndarray:
         """Full 2^Q matrix (oracle use)."""
+        _check_dense_size(self.qubits)
         dim = 1 << self.qubits
         mat = np.zeros((dim, dim), dtype=complex)
         for col in range(dim):
@@ -312,6 +366,8 @@ class SimulatorOp:
         return target, total
 
     def to_dense(self) -> np.ndarray:
+        if self.frames:
+            _check_dense_size(self.frames[0].qubits)
         return sum(frame.to_dense() for frame in self.frames)
 
 
@@ -324,35 +380,46 @@ def _flip_support(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, ...]:
     return tuple(int(i + 1) for i in np.nonzero(acc)[0])
 
 
+def _materialized(enc: CodeEncoding) -> bool:
+    return enc.qubits <= MATERIALIZE_QUBIT_CAP
+
+
+def _over_syndromes(enc: CodeEncoding, per_codeword) -> np.ndarray:
+    """Per-codeword values spread over all 2^Q syndromes, 0.0 off the codespace."""
+    return np.append(np.asarray(per_codeword, dtype=float), 0.0)[enc.preimage()]
+
+
+def _sign_matrix(enc: CodeEncoding, obs: FermionObservable,
+                 support: tuple[int, ...]) -> np.ndarray:
+    """Transition signs as a (rest, frame) matrix.
+
+    Entry [r, u] is the sign at the syndrome whose non-flipped bits pack to
+    r and whose flipped bits pack to u, both most-significant-first.
+    """
+    q = enc.qubits
+    signs = _over_syndromes(
+        enc, [_stripped_sign(obs, FockState(tuple(row))) for row in enc.codewords().tolist()]
+    )
+    rest = [i for i in range(1, q + 1) if i not in set(support)]
+    axes = [i - 1 for i in rest + list(support)]
+    return signs.reshape((2,) * q).transpose(axes).reshape(1 << len(rest), 1 << len(support))
+
+
 def _signs_over_frame(enc: CodeEncoding, obs: FermionObservable,
                       support: tuple[int, ...], rest_bits: int) -> np.ndarray:
     """Transition signs g(u) for all 2^k frame patterns u at fixed rest bits."""
-    q = enc.qubits
-    k = len(support)
-    rest = [i for i in range(1, q + 1) if i not in set(support)]
-    base = np.zeros(q, dtype=np.uint8)
-    for pos, qubit in enumerate(rest):
-        base[qubit - 1] = (rest_bits >> (len(rest) - 1 - pos)) & 1
-    out = np.zeros(1 << k)
-    s = base.copy()
-    for u in range(1 << k):
-        for pos, qubit in enumerate(support):
-            s[qubit - 1] = (u >> (k - 1 - pos)) & 1
-        out[u] = transition_sign(enc, obs, s)
-    return out
+    return _sign_matrix(enc, obs, support)[rest_bits]
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """In-place fast transform; output[t] = 2^-k sum_u (-1)^{t.u} input[u]."""
-    vec = values.astype(float).copy()
-    size = vec.shape[0]
+    """Fast transform along the last axis; output[t] = 2^-k sum_u (-1)^{t.u} input[u]."""
+    vec = np.array(values, dtype=float)
+    size = vec.shape[-1]
     h = 1
     while h < size:
-        for start in range(0, size, 2 * h):
-            a = vec[start : start + h].copy()
-            b = vec[start + h : start + 2 * h].copy()
-            vec[start : start + h] = a + b
-            vec[start + h : start + 2 * h] = a - b
+        blocks = vec.reshape(-1, size // (2 * h), 2, h)
+        a, b = blocks[:, :, 0], blocks[:, :, 1]
+        vec = np.stack((a + b, a - b), axis=2).reshape(vec.shape)
         h *= 2
     return vec / size
 
@@ -372,37 +439,25 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable,
     k = len(support)
     q = enc.qubits
     want_parity = obs.epsilon
-    cache: dict[int, np.ndarray] = {}
+    spectra = None
+    if _materialized(enc):
+        spectra = _walsh_hadamard(_sign_matrix(enc, obs, support))
 
-    def transformed(rest_bits: int) -> np.ndarray:
-        vec = cache.get(rest_bits)
-        if vec is None:
-            vec = _walsh_hadamard(_signs_over_frame(enc, obs, support, rest_bits))
-            cache[rest_bits] = vec
-        return vec
+    def column(t_mask: int) -> np.ndarray | None:
+        return None if spectra is None else spectra[:, t_mask].copy()
 
-    def make_diag(t_mask: int) -> Callable[[int], float]:
-        def diag(rest_bits: int, _t=t_mask) -> float:
-            return float(transformed(rest_bits)[_t])
-
-        return diag
-
-    frames = []
     if k == 0:
         # diagonal observable: single identity frame with the raw signs
-        def diag0(rest_bits: int) -> float:
-            return float(transition_sign(enc, obs, gf2.int_to_bits(rest_bits, q)))
+        return SimulatorOp(obs, [FramedDiagonal(q, (), (), 0, column(0))])
 
-        frames.append(FramedDiagonal(q, (), (), 0, diag0))
-        return SimulatorOp(obs, frames)
-
+    frames = []
     for t_mask in range(1 << k):
         if bin(t_mask).count("1") % 2 != want_parity:
             continue
         pattern = tuple(
             support[pos] for pos in range(k) if (t_mask >> (k - 1 - pos)) & 1
         )
-        frames.append(FramedDiagonal(q, support, pattern, want_parity, make_diag(t_mask)))
+        frames.append(FramedDiagonal(q, support, pattern, want_parity, column(t_mask)))
     sim = SimulatorOp(obs, frames)
     if improve and enc.bipartition is not None:
         left, right = enc.bipartition
@@ -500,13 +555,13 @@ def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding, i: int, j: int) -> Si
 
     out = []
     for pattern, parts in sorted(merged.items()):
-        def diag(rest_bits: int, _parts=tuple(parts)) -> float:
-            total = 0.0
-            for frame, factor, mask in _parts:
-                sign = -1.0 if bin(rest_bits & mask).count("1") % 2 else 1.0
-                total += factor * sign * frame.diagonal(rest_bits)
-            return total
-
+        diag = None
+        if parts[0][0].diagonal is not None:
+            rest_index = np.arange(1 << len(rest), dtype=np.int64)
+            diag = np.zeros(len(rest_index))
+            for frame, factor, mask in parts:
+                sign = 1.0 - 2.0 * (np.bitwise_count(rest_index & mask) & 1)
+                diag += factor * sign * frame.diagonal
         phase = len(pattern) % 2
         out.append(FramedDiagonal(sim.frames[0].qubits, support, pattern, phase, diag))
     improved = SimulatorOp(sim.observable, out)
@@ -516,35 +571,26 @@ def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding, i: int, j: int) -> Si
     return improved
 
 
+def _identity_frame(enc: CodeEncoding, per_codeword) -> FramedDiagonal:
+    """Identity-frame diagonal from a function of the codeword occupation rows."""
+    diag = None
+    if _materialized(enc):
+        diag = _over_syndromes(enc, per_codeword(enc.codewords()))
+    return FramedDiagonal(enc.qubits, (), (), 0, diag)
+
+
 def codespace_projector_diag(enc: CodeEncoding) -> FramedDiagonal:
     """Identity-frame diagonal that is 1 exactly on encoded basis states."""
-    q = enc.qubits
-
-    def diag(bits: int) -> float:
-        return 1.0 if enc.decode(gf2.int_to_bits(bits, q)) is not None else 0.0
-
-    return FramedDiagonal(q, (), (), 0, diag)
+    return _identity_frame(enc, lambda occ: np.ones(len(occ)))
 
 
 def mode_occupation_diag(enc: CodeEncoding, alpha: int) -> FramedDiagonal:
-    """Identity-frame diagonal reading occupation of one mode off the decoder."""
-    q = enc.qubits
-
-    def diag(bits: int) -> float:
-        x = enc.decode(gf2.int_to_bits(bits, q))
-        return 0.0 if x is None else float(x.bit(alpha))
-
-    return FramedDiagonal(q, (), (), 0, diag)
+    """Identity-frame diagonal reading occupation of one mode off the preimage array."""
+    return _identity_frame(enc, lambda occ: occ[:, alpha - 1])
 
 
 def pair_occupation_diag(enc: CodeEncoding, alpha: int, beta: int) -> FramedDiagonal:
-    q = enc.qubits
-
-    def diag(bits: int) -> float:
-        x = enc.decode(gf2.int_to_bits(bits, q))
-        return 0.0 if x is None else float(x.bit(alpha) * x.bit(beta))
-
-    return FramedDiagonal(q, (), (), 0, diag)
+    return _identity_frame(enc, lambda occ: occ[:, alpha - 1] & occ[:, beta - 1])
 
 
 def default_penalty(h: FermionHamiltonian) -> float:
@@ -606,13 +652,9 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
             frames.extend(f.scaled(coeff.imag) for f in sim.frames)
 
     if penalty:
-        proj = codespace_projector_diag(enc)
-        q = enc.qubits
-
-        def anti_diag(bits: int, _p=proj) -> float:
-            return 1.0 - _p.diagonal(bits)
-
-        frames.append(FramedDiagonal(q, (), (), 0, anti_diag, weight=penalty))
+        proj = codespace_projector_diag(enc).diagonal
+        anti = None if proj is None else 1.0 - proj
+        frames.append(FramedDiagonal(enc.qubits, (), (), 0, anti, weight=penalty))
     return frames
 
 
@@ -631,7 +673,11 @@ def load_pcm(path: str) -> np.ndarray:
     with open(path, encoding="utf-8") as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in lines if ln]
+    if not lines:
+        raise ValueError(f"parity-check file {path} is empty")
     q, m = (int(t) for t in lines[0].split())
+    if len(lines) == 1:
+        raise ValueError(f"parity-check file {path} has a header but no rows")
     rows = []
     for ln in lines[1 : q + 1]:
         digits = ln.split() if " " in ln else list(ln)
@@ -654,11 +700,3 @@ def apply_frames_to_isometry(frames, enc: CodeEncoding) -> np.ndarray:
             if val != 0:
                 out[row, col] += val
     return out
-
-
-def simulator_dense(frames, qubits: int) -> np.ndarray:
-    dim = 1 << qubits
-    mat = np.zeros((dim, dim), dtype=complex)
-    for frame in frames:
-        mat += frame.to_dense()
-    return mat

@@ -11,12 +11,11 @@ permutation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from fertaper import gf2
-from fertaper.fermion import FermionHamiltonian, weight_n_states
+from fertaper.fermion import FermionHamiltonian
 from fertaper.pauli import PauliOperator, QubitHamiltonian
 
 ENCODING_KINDS = ("jordan_wigner", "parity", "binary_tree")
@@ -161,19 +160,3 @@ def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHam
         part = encoded_observable(enc, (("c", a), ("c", b), ("a", g), ("a", d)))
         total = total + part.scaled(coeff)
     return total.canonicalize()
-
-
-@lru_cache(maxsize=None)
-def _encoding_cached(kind: str, m: int) -> StandardEncoding:
-    return build_encoding(kind, m)
-
-
-def encoding_isometry(enc: StandardEncoding, n_particles: int) -> np.ndarray:
-    """Columns |Ax> over weight-n states x (lexicographic), as a dense isometry."""
-    states = weight_n_states(enc.modes, n_particles)
-    dim = 1 << enc.modes
-    iso = np.zeros((dim, len(states)))
-    for k, st in enumerate(states):
-        row = gf2.bits_to_int(enc.encode_bits(st.occ))
-        iso[row, k] = 1.0
-    return iso

@@ -289,14 +289,6 @@ def taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitH
     return QubitHamiltonian(h_transformed.qubit_count - plan.size, tuple(terms)).canonicalize()
 
 
-def taper_with_symmetries(h: QubitHamiltonian):
-    """Convenience: detect, transform, and return (plan, transformed, group)."""
-    group = find_symmetries(h)
-    plan = build_plan(group, h)
-    transformed = clifford_transform(h, plan)
-    return plan, transformed, group
-
-
 def all_sectors(k: int):
     return list(itertools.product((1, -1), repeat=k))
 

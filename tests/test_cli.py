@@ -147,6 +147,77 @@ class TestCodesim:
         # materialized diagonals at this size
         assert all(isinstance(t["diagonal"], list) for t in data["terms"])
 
+    @staticmethod
+    def banded_json(path, modes):
+        from fertaper.fermion import FermionHamiltonian
+
+        t = np.zeros((modes, modes), dtype=complex)
+        for a in range(modes):
+            t[a, a] = 0.1 * (a % 7)
+        for a in range(modes - 1):
+            t[a, a + 1] = 0.5 + 0.25j
+            t[a + 1, a] = 0.5 - 0.25j
+        u = {(1, 2, 4, 3): 0.3, (3, 4, 2, 1): 0.3}
+        path.write_text(FermionHamiltonian(modes, 2, t, u).to_json())
+        return str(path)
+
+    def test_lazy_frames_past_materialize_cap(self, tmp_path):
+        import tracemalloc
+
+        from fertaper.codeword import MATERIALIZE_QUBIT_CAP
+        from fertaper.graphs import load_graph
+
+        q = 28
+        assert q > MATERIALIZE_QUBIT_CAP
+        graph = tmp_path / "g.graph"
+        assert main(["graphgen", "--qubits", str(q), "--particles", "2",
+                     "--trials", "2", "--seed", "3", "--out", str(graph)]) == 0
+        modes = load_graph(str(graph)).incidence_matrix().shape[1]
+        h_json = self.banded_json(tmp_path / "h.json", modes)
+        out = tmp_path / "framed.json"
+        tracemalloc.start()
+        try:
+            rc = main(["codesim", "--graph", str(graph), "--input", h_json,
+                       "--output", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        # no per-syndrome array: even one byte per syndrome is 2^28 bytes
+        assert peak < 1 << (q - 4)
+        data = json.loads(out.read_text())
+        assert data["qubits"] == q
+        assert data["terms"] and all(t["diagonal"] == "lazy" for t in data["terms"])
+
+    def test_lazy_frames_keep_the_materialized_structure(self, tmp_path, monkeypatch):
+        import fertaper.codeword as cw
+
+        graph = tmp_path / "g.graph"
+        save_graph(cycle_chord_graph(8, 2), str(graph))
+        h_json = self.banded_json(tmp_path / "h.json", 16)
+        full = cw.MATERIALIZE_QUBIT_CAP
+        runs = {}
+        for cap in (full, 11):
+            monkeypatch.setattr(cw, "MATERIALIZE_QUBIT_CAP", cap)
+            monkeypatch.setattr("fertaper.cli.MATERIALIZE_QUBIT_CAP", cap)
+            out = tmp_path / f"framed{cap}.json"
+            assert main(["codesim", "--graph", str(graph), "--input", h_json,
+                         "--output", str(out)]) == 0
+            runs[cap] = json.loads(out.read_text())["terms"]
+        eager, lazy = runs[full], runs[11]
+        assert all(isinstance(t["diagonal"], list) for t in eager)
+        assert all(t["diagonal"] == "lazy" for t in lazy)
+        strip = lambda terms: [{k: v for k, v in t.items() if k != "diagonal"} for t in terms]
+        assert strip(lazy) == strip(eager)
+
+    def test_empty_check_file_is_an_error_line(self, tmp_path, subcode_json, capsys):
+        check = tmp_path / "empty.pcm"
+        check.write_text("")
+        rc = main(["codesim", "--check", str(check), "--input", subcode_json,
+                   "--output", str(tmp_path / "framed.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestGraphCommands:
     def test_graphgen(self, tmp_path):

@@ -379,7 +379,7 @@ class TestCodespaceProjector:
         proj = codespace_projector_diag(fig3_encoding)
         for st in weight_n_states(16, 2)[:20]:
             bits = gf2.bits_to_int(fig3_encoding.encode_state(st))
-            assert proj.diagonal(bits) == 1.0
+            assert proj.diagonal[bits] == 1.0
 
     def test_zero_syndrome_blocked_for_odd_weight(self):
         # odd particle number: the all-zero syndrome has even class parity
@@ -387,7 +387,7 @@ class TestCodespaceProjector:
         g = cycle_chord_graph(10, 3)
         enc = CodeEncoding.from_graph(g, 3)
         proj = codespace_projector_diag(enc)
-        assert proj.diagonal(0) == 0.0
+        assert proj.diagonal[0] == 0.0
 
 
 class TestBuildSimulator:
@@ -471,6 +471,153 @@ class TestBuildSimulator:
         assert np.allclose(iso.T @ applied, sector_matrix(h), atol=1e-12)
 
 
+def _bit_count(v: int) -> int:
+    return bin(v).count("1")
+
+
+def oracle_frames(enc, obs, improve):
+    """(z_pattern, diagonal) pairs rebuilt index by index from transition_sign.
+
+    Per-syndrome signs, an explicit +/-1 sum for the transform, and the
+    stabilizer merge written out one rest index at a time.
+    """
+    q = enc.qubits
+    flips = set()
+    for alpha in range(1, enc.modes + 1):
+        if obs.flip_mask(enc.modes)[alpha - 1]:
+            flips ^= set(np.nonzero(enc.column(alpha))[0] + 1)
+    support = sorted(int(v) for v in flips)
+    rest = [v for v in range(1, q + 1) if v not in flips]
+    k = len(support)
+
+    def syndrome(r: int, u: int) -> np.ndarray:
+        s = np.zeros(q, dtype=np.uint8)
+        for pos, qubit in enumerate(rest):
+            s[qubit - 1] = (r >> (len(rest) - 1 - pos)) & 1
+        for pos, qubit in enumerate(support):
+            s[qubit - 1] = (u >> (k - 1 - pos)) & 1
+        return s
+
+    def z_of(t: int) -> tuple[int, ...]:
+        return tuple(support[pos] for pos in range(k) if (t >> (k - 1 - pos)) & 1)
+
+    signs = [[transition_sign(enc, obs, syndrome(r, u)) for u in range(1 << k)]
+             for r in range(1 << len(rest))]
+    raw = {}
+    for t in range(1 << k):
+        if k and _bit_count(t) % 2 != obs.epsilon:
+            continue
+        raw[z_of(t)] = [
+            sum((-1) ** _bit_count(t & u) * row[u] for u in range(1 << k)) / (1 << k)
+            for row in signs
+        ]
+    left, right = enc.bipartition if enc.bipartition else (set(), set())
+    if not (improve and set(support) & left and set(support) & right):
+        return list(raw.items())
+    i, j = min(set(support) & left), min(set(support) & right)
+    merged = {}
+    for pattern, diag in raw.items():
+        new, factor, classes = set(pattern), 1, []
+        for pick, rows in ((i, left), (j, right)):
+            if pick in pattern:
+                classes.append(rows)
+                new ^= set(support) & rows
+                factor *= (-1) ** enc.particles
+        out = merged.setdefault(tuple(sorted(new)), [0.0] * len(diag))
+        for r, value in enumerate(diag):
+            z_rest = sum(
+                (r >> (len(rest) - 1 - pos)) & 1
+                for rows in classes for pos, qubit in enumerate(rest) if qubit in rows
+            )
+            out[r] += factor * (-1) ** z_rest * value
+    return sorted(merged.items())
+
+
+class TestArrayDiagonals:
+    """Frame diagonals built as arrays against per-syndrome oracles."""
+
+    def hamiltonian(self):
+        from fertaper.fermion import FermionHamiltonian
+
+        t = np.zeros((16, 16), dtype=complex)
+        t[0, 8], t[8, 0] = 0.5 + 0.25j, 0.5 - 0.25j
+        t[3, 3] = 0.7
+        u = {(1, 5, 9, 13): 0.375 - 0.125j, (13, 9, 5, 1): 0.375 + 0.125j,
+             (2, 6, 6, 2): 0.625}
+        return FermionHamiltonian(16, 2, t, u)
+
+    @pytest.mark.parametrize("improve", [False, True])
+    def test_frames_are_transforms_of_transition_signs(self, fig3_encoding, improve):
+        enc = fig3_encoding
+        frames = build_simulator_hamiltonian(self.hamiltonian(), enc, penalty=1.5,
+                                             improve=improve)
+        blocks = [
+            (0.5, FermionObservable.hop(1, 9, "plus")),
+            (0.25, FermionObservable.hop(1, 9, "minus")),
+            (0.375, FermionObservable.pair_hop(1, 5, 9, 13, "plus")),
+            (-0.125, FermionObservable.pair_hop(1, 5, 9, 13, "minus")),
+        ]
+        # diagonal blocks first: occupation of mode 4, then the hop and
+        # pair-hop frames, then the occupation product and the penalty
+        occ, rest_frames = frames[0], frames[1:]
+        syndromes = [gf2.int_to_bits(s, 12) for s in range(1 << 12)]
+        decoded = [enc.decode(s) for s in syndromes]
+        assert occ.weight == 0.7
+        assert occ.diagonal.tolist() == [0.0 if x is None else float(x.bit(4))
+                                         for x in decoded]
+        for weight, obs in blocks:
+            want = oracle_frames(enc, obs, improve)
+            got, rest_frames = rest_frames[:len(want)], rest_frames[len(want):]
+            for frame, (pattern, diag) in zip(got, want):
+                assert frame.weight == weight
+                assert frame.z_pattern == pattern
+                assert frame.diagonal.tolist() == diag
+        pair, penalty = rest_frames
+        assert pair.weight == 0.625
+        assert pair.diagonal.tolist() == [0.0 if x is None else float(x.bit(2) * x.bit(6))
+                                          for x in decoded]
+        assert penalty.weight == 1.5
+        assert penalty.diagonal.tolist() == [float(x is None) for x in decoded]
+
+    def test_preimage_marks_exactly_the_codespace(self, fig3_encoding):
+        pre = fig3_encoding.preimage()
+        occ = fig3_encoding.codewords()
+        assert pre.dtype == np.int64 and pre.shape == (1 << 12,)
+        for s in range(1 << 12):
+            x = fig3_encoding.decode(gf2.int_to_bits(s, 12))
+            if x is None:
+                assert pre[s] == -1
+            else:
+                assert tuple(occ[pre[s]]) == x.occ
+
+    def test_mitm_codespace_gives_identical_frames(self, fig3_encoding, monkeypatch):
+        import fertaper.codeword as cw
+
+        h = random_hamiltonian(16, 2, np.random.default_rng(89), interaction_pairs=3)
+        in_cap = build_simulator_hamiltonian(h, CodeEncoding.from_graph(fig3_encoding.graph, 2))
+        monkeypatch.setattr(cw, "DECODE_TABLE_CAP", 1)
+        enc = CodeEncoding.from_graph(fig3_encoding.graph, 2)
+        past_cap = build_simulator_hamiltonian(h, enc)
+        assert "_table" not in enc.__dict__  # the dict table was never built
+        assert len(past_cap) == len(in_cap)
+        for a, b in zip(past_cap, in_cap):
+            assert (a.flips, a.z_pattern, a.phase, a.weight) == (b.flips, b.z_pattern,
+                                                                b.phase, b.weight)
+            assert np.array_equal(a.diagonal, b.diagonal)
+
+    def test_diagonals_are_read_only(self, fig3_encoding):
+        frame = two_body_simulator(fig3_encoding, 1, 9).frames[0]
+        with pytest.raises(ValueError):
+            frame.diagonal[0] = 1.0
+
+    def test_dense_builders_guarded(self, fig3_encoding, monkeypatch):
+        monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "11")
+        sim = two_body_simulator(fig3_encoding, 1, 9)
+        for build in (sim.frames[0].to_dense, sim.to_dense, fig3_encoding.isometry):
+            with pytest.raises(ValueError, match="exceeds the cap"):
+                build()
+
+
 class TestDecoderSelection:
     def test_mitm_path_when_table_too_large(self, fig3_encoding, monkeypatch):
         import fertaper.codeword as cw
@@ -501,4 +648,12 @@ class TestPcmFile:
         path = tmp_path / "bad.pcm"
         path.write_text("2 3\n101\n")
         with pytest.raises((ValueError, IndexError)):
+            load_pcm(str(path))
+
+    @pytest.mark.parametrize("text", ["", "# comment only\n", "2 3\n"],
+                             ids=["empty", "comment-only", "header-only"])
+    def test_empty_or_header_only(self, tmp_path, text):
+        path = tmp_path / "bad.pcm"
+        path.write_text(text)
+        with pytest.raises(ValueError):
             load_pcm(str(path))
