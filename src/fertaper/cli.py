@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fertaper.codeword import (
-    MATERIALIZE_QUBIT_CAP,
     CodeEncoding,
     apply_frames_to_isometry,
     build_simulator_hamiltonian,
@@ -346,10 +345,7 @@ def _cmd_codesim(args) -> int:
             "weight": frame.weight,
             "flip_qubits": list(frame.flips),
         }
-        if enc.qubits <= MATERIALIZE_QUBIT_CAP:
-            entry["diagonal"] = frame.materialize().tolist()
-        else:
-            entry["diagonal"] = "lazy"
+        entry["diagonal"] = "lazy" if frame.diagonal is None else frame.materialize().tolist()
         payload.append(entry)
     with open(args.output, "w", encoding="utf-8") as fh:
         json.dump({"qubits": enc.qubits, "terms": payload}, fh, indent=1)

@@ -39,13 +39,7 @@ from fertaper.fermion import (
     weight_n_states,
 )
 from fertaper.graphs import BipartiteGraph, girth
-from fertaper.mitm import (
-    SyndromeTables,
-    build_tables,
-    codewords_from_tables,
-    full_decode_table,
-    mitm_decode,
-)
+from fertaper.mitm import SyndromeTables, build_tables, full_decode_table, mitm_decode
 from fertaper.pauli import PauliOperator, _check_dense_size
 
 INJECTIVITY_BRUTE_CAP = 24
@@ -180,14 +174,11 @@ class CodeEncoding:
         if cached is None:
             if self.qubits > MATERIALIZE_QUBIT_CAP:
                 raise ValueError(f"syndrome arrays capped at {MATERIALIZE_QUBIT_CAP} qubits")
-            if comb(self.modes, self.particles) <= DECODE_TABLE_CAP:
-                table = self._decode_table()
-                syndromes = np.fromiter(table, dtype=np.int64, count=len(table))
-                occupations = np.array(
-                    [gf2.int_to_bits(mask, self.modes) for mask in table.values()]
-                )
-            else:
-                syndromes, occupations = codewords_from_tables(self._mitm_tables())
+            table = self._decode_table()
+            syndromes = np.fromiter(table, dtype=np.int64, count=len(table))
+            occupations = np.array(
+                [gf2.int_to_bits(mask, self.modes) for mask in table.values()]
+            )
             preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
             preimage[syndromes] = np.arange(len(syndromes))
             cached = (preimage, occupations)
@@ -197,8 +188,9 @@ class CodeEncoding:
     def preimage(self) -> np.ndarray:
         """Codeword number of every syndrome index, -1 off the codespace.
 
-        Built once per encoding from the decode table, or past
-        DECODE_TABLE_CAP from the meet-in-the-middle half tables.
+        Built once per encoding from the decode table.  Syndrome arrays
+        exist only up to MATERIALIZE_QUBIT_CAP qubits, where every code this
+        class accepts has at most C(24, 12) codewords, inside DECODE_TABLE_CAP.
         """
         return self._codespace()[0]
 
@@ -269,7 +261,10 @@ class FramedDiagonal:
             diag = np.asarray(self.diagonal, dtype=float)
             if diag.shape != (1 << (self.qubits - len(self.flips)),):
                 raise ValueError("diagonal length must be 2^(qubits - flipped qubits)")
-            diag.flags.writeable = False
+            if diag.flags.writeable:
+                # a read-only private copy: the caller's array stays writeable
+                diag = diag.copy()
+                diag.flags.writeable = False
             self.diagonal = diag
 
     @property
@@ -405,12 +400,6 @@ def _sign_matrix(enc: CodeEncoding, obs: FermionObservable,
     return signs.reshape((2,) * q).transpose(axes).reshape(1 << len(rest), 1 << len(support))
 
 
-def _signs_over_frame(enc: CodeEncoding, obs: FermionObservable,
-                      support: tuple[int, ...], rest_bits: int) -> np.ndarray:
-    """Transition signs g(u) for all 2^k frame patterns u at fixed rest bits."""
-    return _sign_matrix(enc, obs, support)[rest_bits]
-
-
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     """Fast transform along the last axis; output[t] = 2^-k sum_u (-1)^{t.u} input[u]."""
     vec = np.array(values, dtype=float)
@@ -444,7 +433,7 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable,
         spectra = _walsh_hadamard(_sign_matrix(enc, obs, support))
 
     def column(t_mask: int) -> np.ndarray | None:
-        return None if spectra is None else spectra[:, t_mask].copy()
+        return None if spectra is None else spectra[:, t_mask]
 
     if k == 0:
         # diagonal observable: single identity frame with the raw signs

@@ -100,34 +100,6 @@ def build_tables(a: np.ndarray, n: int, entry_budget: int = TABLE_ENTRY_BUDGET) 
     return SyndromeTables(m, q, n, (n1, n2), (tables[0], tables[1]), (lookups[0], lookups[1]))
 
 
-def codewords_from_tables(tables: SyndromeTables) -> tuple[np.ndarray, np.ndarray]:
-    """Every weight-N syndrome and its preimage, composed from the half tables.
-
-    Each pair of half-weight entries with disjoint supports meets at the
-    syndrome of their union, which by injectivity is that syndrome's only
-    weight-N preimage.  Returns the sorted syndromes and a K x M occupation
-    matrix whose row k is the preimage of syndromes[k].  Uses one array of
-    2^rows entries.
-    """
-    m = tables.modes
-    supports = [
-        np.array([[c for c in range(m) if (v >> (m - 1 - c)) & 1] for v in vecs], dtype=np.int64)
-        for vecs in tables.preimages
-    ]
-    t2 = np.array(tables.syndromes[1], dtype=np.int64)
-    pair = np.full(1 << tables.rows, -1, dtype=np.int64)
-    for i, (syn1, cols1) in enumerate(zip(tables.syndromes[0], supports[0])):
-        disjoint = np.flatnonzero(~np.isin(supports[1], cols1).any(axis=1))
-        pair[t2[disjoint] ^ syn1] = i * len(t2) + disjoint
-    syndromes = np.flatnonzero(pair >= 0)
-    first, second = np.divmod(pair[syndromes], len(t2))
-    occupations = np.zeros((len(syndromes), m), dtype=np.uint8)
-    rows = np.arange(len(syndromes))[:, None]
-    occupations[rows, supports[0][first]] = 1
-    occupations[rows, supports[1][second]] = 1
-    return syndromes, occupations
-
-
 def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
     """Unique weight-N preimage of a syndrome, or None.
 

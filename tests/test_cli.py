@@ -199,7 +199,6 @@ class TestCodesim:
         runs = {}
         for cap in (full, 11):
             monkeypatch.setattr(cw, "MATERIALIZE_QUBIT_CAP", cap)
-            monkeypatch.setattr("fertaper.cli.MATERIALIZE_QUBIT_CAP", cap)
             out = tmp_path / f"framed{cap}.json"
             assert main(["codesim", "--graph", str(graph), "--input", h_json,
                          "--output", str(out)]) == 0

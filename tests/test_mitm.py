@@ -6,7 +6,6 @@ from fertaper.mitm import (
     InjectivityViolation,
     brute_force_decode,
     build_tables,
-    codewords_from_tables,
     full_decode_table,
     mitm_decode,
 )
@@ -125,16 +124,3 @@ class TestDecode:
             x = np.zeros(m, dtype=np.uint8)
             x[cols] = 1
             assert np.array_equal(mitm_decode(tables, gf2.matvec(a, x)), x)
-
-
-class TestCodewordsFromTables:
-    @pytest.mark.parametrize("m,n", [(8, 0), (8, 1), (10, 2), (11, 3), (12, 4)])
-    def test_matches_full_table(self, m, n):
-        rng = np.random.default_rng(200 + m)
-        a = random_injective_matrix(rng, m - 1, m, n)
-        syndromes, occupations = codewords_from_tables(build_tables(a, n))
-        reference = full_decode_table(a, n)
-        assert syndromes.tolist() == sorted(reference)
-        assert [gf2.bits_to_int(row) for row in occupations] == [
-            reference[s] for s in syndromes.tolist()
-        ]
