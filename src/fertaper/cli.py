@@ -287,6 +287,12 @@ def _cmd_encode(args) -> int:
 def _cmd_taper(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         h = hamiltonian_from_text(fh.read())
+    if not h.is_hermitian():
+        worst = max(range(len(h)), key=lambda k: abs(h.coeffs[k].imag))
+        raise ValueError(
+            f"{args.input}: Hamiltonian is not Hermitian (term {h.terms[worst][1].label} "
+            f"has coefficient {h.coeffs[worst]}); sector energies would be meaningless"
+        )
     group = find_symmetries(h)
     plan = build_plan(group, h)
     transformed = clifford_transform(h, plan)

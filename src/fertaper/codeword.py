@@ -40,7 +40,7 @@ from fertaper.fermion import (
 )
 from fertaper.graphs import BipartiteGraph, girth
 from fertaper.mitm import SyndromeTables, build_tables, full_decode_table, mitm_decode
-from fertaper.pauli import PauliOperator, _check_dense_size
+from fertaper.pauli import PauliOperator, _check_dense_size, qubit_mask
 
 INJECTIVITY_BRUTE_CAP = 24
 MATERIALIZE_QUBIT_CAP = 24
@@ -60,7 +60,7 @@ def is_n_injective(a: np.ndarray, n: int) -> bool:
             f"brute-force injectivity check capped at {INJECTIVITY_BRUTE_CAP} columns; "
             "certify structurally (girth) instead"
         )
-    cols = [gf2.bits_to_int(a[:, c]) for c in range(m)]
+    cols = gf2.pack_rows(a.T)
     for w in range(2, 2 * n + 1, 2):
         for combo in itertools.combinations(range(m), w):
             acc = 0
@@ -277,23 +277,8 @@ class FramedDiagonal:
 
     def frame_pauli(self) -> PauliOperator:
         """The X/Y flip part as a Hermitian Pauli operator."""
-        x = [0] * self.qubits
-        z = [0] * self.qubits
-        for q in self.flips:
-            x[q - 1] = 1
-        for q in self.z_pattern:
-            z[q - 1] = 1
-        return PauliOperator(tuple(x), tuple(z), self.phase)
-
-    def _masks(self) -> tuple[int, int]:
-        q = self.qubits
-        flip_mask = 0
-        for i in self.flips:
-            flip_mask |= 1 << (q - i)
-        z_mask = 0
-        for i in self.z_pattern:
-            z_mask |= 1 << (q - i)
-        return flip_mask, z_mask
+        return PauliOperator.from_masks(self.qubits, qubit_mask(self.qubits, self.flips),
+                                        qubit_mask(self.qubits, self.z_pattern), self.phase)
 
     def rest_bits(self, state: int) -> int:
         """Pack the non-flipped qubits of a basis index, preserving order."""
@@ -307,12 +292,25 @@ class FramedDiagonal:
         return out
 
     def apply_to_index(self, state: int) -> tuple[int, complex]:
-        """Image basis index and amplitude of |state> under this term."""
-        flip_mask, z_mask = self._masks()
-        sign = -1.0 if bin(state & z_mask).count("1") % 2 else 1.0
+        """Image basis index and amplitude of |state> under this term.
+
+        The one-index oracle for apply_to_indices.
+        """
+        frame = self.frame_pauli()
+        sign = -1.0 if (state & frame.z_mask).bit_count() % 2 else 1.0
         value = self.weight * (1j if self.phase else 1.0) * sign
         value *= float(self.materialize()[self.rest_bits(state)])
-        return state ^ flip_mask, value
+        return state ^ frame.x_mask, value
+
+    def apply_to_indices(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """apply_to_index over an int64 array of basis indices at once."""
+        frame = self.frame_pauli()
+        rest = np.zeros_like(states)
+        for q in self.rest_qubits():
+            rest = (rest << 1) | ((states >> (self.qubits - q)) & 1)
+        signs = 1.0 - 2.0 * (np.bitwise_count(states & frame.z_mask) & 1)
+        values = self.weight * (1j if self.phase else 1.0) * signs
+        return states ^ frame.x_mask, values * self.materialize()[rest]
 
     def materialize(self) -> np.ndarray:
         """Dense diagonal over the non-flipped qubits."""
@@ -323,11 +321,10 @@ class FramedDiagonal:
     def to_dense(self) -> np.ndarray:
         """Full 2^Q matrix (oracle use)."""
         _check_dense_size(self.qubits)
-        dim = 1 << self.qubits
-        mat = np.zeros((dim, dim), dtype=complex)
-        for col in range(dim):
-            row, val = self.apply_to_index(col)
-            mat[row, col] += val
+        cols = np.arange(1 << self.qubits, dtype=np.int64)
+        rows, values = self.apply_to_indices(cols)
+        mat = np.zeros((len(cols), len(cols)), dtype=complex)
+        mat[rows, cols] += values
         return mat
 
     def scaled(self, factor: float) -> "FramedDiagonal":
@@ -679,13 +676,11 @@ def load_pcm(path: str) -> np.ndarray:
 
 def apply_frames_to_isometry(frames, enc: CodeEncoding) -> np.ndarray:
     """Columns of (sum of framed terms) applied to each encoded basis state."""
-    states = weight_n_states(enc.modes, enc.particles)
-    dim = 1 << enc.qubits
-    out = np.zeros((dim, len(states)), dtype=complex)
-    for col, st in enumerate(states):
-        s_index = gf2.bits_to_int(enc.encode_state(st))
-        for frame in frames:
-            row, val = frame.apply_to_index(s_index)
-            if val != 0:
-                out[row, col] += val
+    codes = np.array([gf2.bits_to_int(enc.encode_state(st))
+                      for st in weight_n_states(enc.modes, enc.particles)], dtype=np.int64)
+    cols = np.arange(len(codes))
+    out = np.zeros((1 << enc.qubits, len(codes)), dtype=complex)
+    for frame in frames:
+        rows, values = frame.apply_to_indices(codes)
+        out[rows, cols] += values
     return out

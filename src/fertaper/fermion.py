@@ -236,6 +236,11 @@ class FermionHamiltonian:
     @classmethod
     def from_json(cls, text: str) -> "FermionHamiltonian":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("Hamiltonian JSON must be an object")
+        for key in ("modes", "particles"):
+            if key not in data:
+                raise ValueError(f"Hamiltonian JSON lacks the required key {key!r}")
         m = int(data["modes"])
         t = np.zeros((m, m), dtype=complex)
         for a, b, re, im in data.get("t", []):

@@ -393,6 +393,12 @@ def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
     lexicographically smallest matching row is chosen.  Returns a list of
     (row letters, [(coeff, op), ...]) groups, at most 9^m of them.
     """
+    rows = sorted(oa.rows)
+    # (column, word) -> positions in sorted order of the rows holding it
+    holding: dict[tuple[int, str], set[int]] = {}
+    for pos, row in enumerate(rows):
+        for col, word in enumerate(row):
+            holding.setdefault((col, word), set()).add(pos)
     groups: dict[tuple[str, ...], list] = {}
     for coeff, op in h.canonicalize().terms:
         words = required_words(op, enc)
@@ -400,14 +406,11 @@ def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
             raise UnassignableTerm(
                 f"term {op.label} touches {len(words)} registers"
             )
-        match = None
-        for row in sorted(oa.rows):
-            if all(row[reg - 1] == w for reg, w in words.items()):
-                match = row
-                break
-        if match is None:
+        held = [holding.get((reg - 1, w), set()) for reg, w in words.items()]
+        matches = set.intersection(*held) if held else {0}  # no word: every row fits
+        if not matches:
             raise UnassignableTerm(f"no array row diagonalizes {op.label}")
-        groups.setdefault(match, []).append((coeff, op))
+        groups.setdefault(rows[min(matches)], []).append((coeff, op))
     return sorted(groups.items())
 
 

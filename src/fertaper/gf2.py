@@ -28,6 +28,34 @@ def int_to_bits(value: int, length: int) -> np.ndarray:
     return np.array([(value >> (length - 1 - i)) & 1 for i in range(length)], dtype=np.uint8)
 
 
+def pack_rows(mat) -> list[int]:
+    """Pack each row of a bit matrix into an int, first column most significant."""
+    rows = asbits(mat)
+    width = rows.shape[1]
+    pad = -width % 8
+    padded = np.zeros((rows.shape[0], width + pad), dtype=np.uint8)
+    padded[:, pad:] = rows
+    packed = np.packbits(padded, axis=1)
+    return [int.from_bytes(row.tobytes(), "big") for row in packed]
+
+
+def unpack_ints(values, length: int) -> np.ndarray:
+    """Bit matrix with one row per int, MSB first: the inverse of pack_rows."""
+    nbytes = (length + 7) // 8
+    if nbytes == 0:
+        return np.zeros((len(values), 0), dtype=np.uint8)
+    buf = b"".join(v.to_bytes(nbytes, "big") for v in values)
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
+    return np.unpackbits(rows, axis=1)[:, 8 * nbytes - length:]
+
+
+def drop_bits(value: int, positions) -> int:
+    """Delete bit positions (counted from bit 0, in decreasing order) from an int."""
+    for p in positions:
+        value = ((value >> (p + 1)) << p) | (value & ((1 << p) - 1))
+    return value
+
+
 def matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """Matrix-vector product modulo two."""
     mat = asbits(mat)

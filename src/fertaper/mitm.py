@@ -32,13 +32,6 @@ class InjectivityViolation(ValueError):
         self.witness = witness
 
 
-def _column_masks(a: np.ndarray) -> list[int]:
-    """Column syndromes packed as ints (row 1 = most significant bit)."""
-    a = gf2.asbits(a)
-    q = a.shape[0]
-    return [sum(int(a[r, c]) << (q - 1 - r) for r in range(q)) for c in range(a.shape[1])]
-
-
 def _weight_masks(m: int):
     """Mode-set masks (mode 1 = most significant bit of an M-bit mask)."""
     return [1 << (m - 1 - i) for i in range(m)]
@@ -75,7 +68,7 @@ def build_tables(a: np.ndarray, n: int, entry_budget: int = TABLE_ENTRY_BUDGET) 
         raise MemoryError(
             f"syndrome tables need {total} entries, over the budget of {entry_budget}"
         )
-    cols = _column_masks(a)
+    cols = gf2.pack_rows(a.T)
     mode_masks = _weight_masks(m)
     tables = []
     lookups = []
@@ -144,7 +137,7 @@ def brute_force_decode(a: np.ndarray, n: int, s) -> np.ndarray | None:
     if s.shape[0] != q:
         raise ValueError(f"syndrome length {s.shape[0]} != {q}")
     target = gf2.bits_to_int(s)
-    cols = _column_masks(a)
+    cols = gf2.pack_rows(a.T)
     mode_masks = _weight_masks(m)
     found = None
     for combo in itertools.combinations(range(m), n):
@@ -166,7 +159,7 @@ def full_decode_table(a: np.ndarray, n: int) -> dict[int, int]:
     """Map every achievable syndrome (as int) to its weight-N preimage mask."""
     a = gf2.asbits(a)
     q, m = a.shape
-    cols = _column_masks(a)
+    cols = gf2.pack_rows(a.T)
     mode_masks = _weight_masks(m)
     table: dict[int, int] = {}
     for combo in itertools.combinations(range(m), n):

@@ -1,21 +1,41 @@
-"""Exact symplectic Pauli algebra.
+"""Exact symplectic Pauli algebra on packed (x|z) bit masks.
 
-A Pauli operator on n qubits is stored as ``i**phase_power * X(x) * Z(z)``
-where x and z are n-bit vectors and X(x), Z(z) are products of single-qubit
-X / Z over the supports of x and z.  The phase power is tracked modulo 4,
-which is closed under multiplication, so products are exact including sign.
+A Pauli operator on n qubits is ``i**phase_power * X(x) * Z(z)`` where x
+and z are n-bit vectors and X(x), Z(z) are products of single-qubit X / Z
+over their supports.  The phase power is tracked modulo 4, which is
+closed under multiplication, so products are exact including sign.
 
 Qubits are numbered 1..n with qubit 1 the leftmost letter of a label such
 as "ZZII" and the most significant tensor factor of the dense matrix.
+
+Mask layout.  ``PauliOperator`` stores ``(n, x_mask, z_mask, phase_power)``
+as Python ints, with qubit 1 as the most significant bit (bit n-1) and
+qubit n as bit 0.  A mask therefore reads like the label, and X(x) sends
+the dense basis index s to ``s ^ x_mask``.  Products are an XOR of masks
+plus a popcount for the sign, and commutation is a popcount parity: the
+symplectic representation of Aaronson & Gottesman (PRA 70, 052328, 2004),
+bit-packed as in Stim (Gidney, Quantum 5, 497, 2021).  ``.x`` and ``.z``
+are bit-tuple views of the masks.
+
+A ``QubitHamiltonian`` stores parallel tuples ``x_masks``, ``z_masks`` and
+``coeffs``.  Each term is its coefficient times the Hermitian letter Pauli
+of its masks (phase power = number of Y letters): the phase of any
+operator a sum is built from is folded into the coefficient on entry.  A
+sum is canonical when its masks are distinct, ordered by (x, z), and no
+coefficient is below the pruning tolerance.  ``canonicalize`` reaches that
+form with one ordered dict merge and sets the ``canonical`` flag on the
+result, so canonicalizing it again returns the same object.  ``.terms``
+is a ``(coeff, PauliOperator)`` view built on first use.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
+
+from fertaper import gf2
 
 DEFAULT_PRUNE_TOL = 1e-12
 _DEFAULT_DENSE_CAP = 14
@@ -30,6 +50,11 @@ _SINGLE = {
 _PHASE = (1, 1j, -1, -1j)
 
 _PREFIXES = {"": 0, "+": 0, "+1": 0, "+i": 1, "i": 1, "-1": 2, "-": 2, "-i": 3}
+
+# letter codes x + 2z, and the label characters that carry an x or z bit
+_LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
+_X_BITS = str.maketrans("IXYZ", "0110")
+_Z_BITS = str.maketrans("IXYZ", "0011")
 
 
 def dense_qubit_cap() -> int:
@@ -47,43 +72,70 @@ def _check_dense_size(n: int) -> None:
         )
 
 
-@dataclass(frozen=True)
+def _split_label(label: str) -> tuple[int, str]:
+    """(phase power of the prefix, letter string) of a label like "-iXY"."""
+    text = label.strip()
+    letters = text.lstrip("+-1i")
+    prefix = text[: len(text) - len(letters)]
+    if prefix not in _PREFIXES:
+        raise ValueError(f"unknown phase prefix {prefix!r} in {label!r}")
+    if not letters or letters.strip("IXYZ"):
+        raise ValueError(f"invalid Pauli label {label!r}")
+    return _PREFIXES[prefix], letters
+
+
+def _letter_masks(letters: str) -> tuple[int, int]:
+    return int(letters.translate(_X_BITS), 2), int(letters.translate(_Z_BITS), 2)
+
+
+def _letter(x_mask: int, z_mask: int, shift: int) -> str:
+    """Letter of the qubit stored at bit position shift."""
+    return "IXZY"[(x_mask >> shift & 1) | (z_mask >> shift & 1) << 1]
+
+
+def _labels(n: int, x_masks, z_masks) -> list[str]:
+    """Letter strings (no phase prefix) of many mask pairs at once."""
+    codes = gf2.unpack_ints(x_masks, n) + 2 * gf2.unpack_ints(z_masks, n)
+    text = _LETTERS[codes].tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)] if n else [""] * len(x_masks)
+
+
 class PauliOperator:
-    """n-qubit Pauli ``i**phase_power * X(x) * Z(z)`` with exact phase."""
+    """n-qubit Pauli ``i**phase_power * X(x) * Z(z)`` with exact phase.
 
-    x: tuple[int, ...]
-    z: tuple[int, ...]
-    phase_power: int = 0
+    ``PauliOperator(x_bits, z_bits, phase_power)`` packs bit sequences;
+    ``from_masks`` takes the packed ints directly.
+    """
 
-    def __post_init__(self):
-        if len(self.x) != len(self.z):
+    __slots__ = ("n", "x_mask", "z_mask", "phase_power")
+
+    def __init__(self, x, z, phase_power: int = 0):
+        if len(x) != len(z):
             raise ValueError("x and z bit vectors differ in length")
-        object.__setattr__(self, "x", tuple(int(b) & 1 for b in self.x))
-        object.__setattr__(self, "z", tuple(int(b) & 1 for b in self.z))
-        object.__setattr__(self, "phase_power", int(self.phase_power) % 4)
+        _fill_slots(self, len(x), gf2.bits_to_int(int(b) & 1 for b in x),
+                    gf2.bits_to_int(int(b) & 1 for b in z), int(phase_power) % 4)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PauliOperator is immutable")
 
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def from_masks(cls, n: int, x_mask: int, z_mask: int, phase_power: int = 0) -> "PauliOperator":
+        op = object.__new__(cls)
+        _fill_slots(op, n, x_mask, z_mask, phase_power % 4)
+        return op
+
+    @classmethod
     def identity(cls, n: int) -> "PauliOperator":
-        return cls((0,) * n, (0,) * n, 0)
+        return cls.from_masks(n, 0, 0)
 
     @classmethod
     def from_label(cls, label: str) -> "PauliOperator":
         """Parse e.g. "ZZII", "-i" + "XY", "+1YZ".  Qubit 1 is leftmost."""
-        text = label.strip()
-        prefix = ""
-        while text and text[0] not in "IXYZ":
-            prefix += text[0]
-            text = text[1:]
-        if prefix not in _PREFIXES:
-            raise ValueError(f"unknown phase prefix {prefix!r} in {label!r}")
-        if not text or any(c not in "IXYZ" for c in text):
-            raise ValueError(f"invalid Pauli label {label!r}")
-        x = tuple(1 if c in "XY" else 0 for c in text)
-        z = tuple(1 if c in "ZY" else 0 for c in text)
-        n_y = text.count("Y")
-        return cls(x, z, (_PREFIXES[prefix] + n_y) % 4)
+        prefix, letters = _split_label(label)
+        x, z = _letter_masks(letters)
+        return cls.from_masks(len(letters), x, z, prefix + letters.count("Y"))
 
     @classmethod
     def single(cls, n: int, qubit: int, letter: str) -> "PauliOperator":
@@ -94,74 +146,51 @@ class PauliOperator:
 
     @classmethod
     def z_string(cls, n: int, qubits) -> "PauliOperator":
-        z = [0] * n
-        for q in qubits:
-            z[_check_index(q, n) - 1] = 1
-        return cls((0,) * n, tuple(z), 0)
+        return cls.from_masks(n, 0, qubit_mask(n, qubits))
 
     @classmethod
     def x_string(cls, n: int, qubits) -> "PauliOperator":
-        x = [0] * n
-        for q in qubits:
-            x[_check_index(q, n) - 1] = 1
-        return cls(tuple(x), (0,) * n, 0)
-
-    @classmethod
-    def from_xz(cls, x, z, phase_power: int = 0) -> "PauliOperator":
-        return cls(tuple(int(b) for b in x), tuple(int(b) for b in z), phase_power)
+        return cls.from_masks(n, qubit_mask(n, qubits), 0)
 
     # -- structure ---------------------------------------------------
 
     @property
-    def n(self) -> int:
-        return len(self.x)
+    def x(self) -> tuple[int, ...]:
+        return _bit_tuple(self.x_mask, self.n)
+
+    @property
+    def z(self) -> tuple[int, ...]:
+        return _bit_tuple(self.z_mask, self.n)
 
     @property
     def y_count(self) -> int:
-        return sum(a & b for a, b in zip(self.x, self.z))
+        return (self.x_mask & self.z_mask).bit_count()
 
     @property
     def weight(self) -> int:
-        return sum(a | b for a, b in zip(self.x, self.z))
+        return (self.x_mask | self.z_mask).bit_count()
 
     def support(self) -> tuple[int, ...]:
         """1-based qubits on which the operator acts non-trivially."""
-        return tuple(i + 1 for i, (a, b) in enumerate(zip(self.x, self.z)) if a | b)
+        acting = self.x_mask | self.z_mask
+        return tuple(q for q in range(1, self.n + 1) if acting >> (self.n - q) & 1)
 
     def letter_at(self, qubit: int) -> str:
-        i = _check_index(qubit, self.n) - 1
-        return "IXZY"[self.x[i] + 2 * self.z[i]]
+        return _letter(self.x_mask, self.z_mask, self.n - _check_index(qubit, self.n))
 
     @property
     def label(self) -> str:
         """Letter string with a phase prefix, inverse of from_label."""
-        letters = ["IXZY"[a + 2 * b] for a, b in zip(self.x, self.z)]
         head = ("", "+i", "-1", "-i")[(self.phase_power - self.y_count) % 4]
-        return head + "".join(letters)
+        return head + "".join(_letter(self.x_mask, self.z_mask, shift)
+                              for shift in range(self.n - 1, -1, -1))
 
     def is_hermitian(self) -> bool:
         return (self.phase_power - self.y_count) % 2 == 0
 
-    def hermitian_canonical(self) -> tuple[complex, "PauliOperator"]:
-        """Split into (scalar, plain letter Pauli with +1 prefix).
-
-        The returned Pauli is Hermitian and the scalar carries whatever
-        power of i the original phase contributed.
-        """
-        base = PauliOperator(self.x, self.z, self.y_count)
-        return _PHASE[(self.phase_power - self.y_count) % 4], base
-
     def adjoint(self) -> "PauliOperator":
-        xz = sum(a & b for a, b in zip(self.x, self.z))
-        return PauliOperator(self.x, self.z, (-self.phase_power + 2 * xz) % 4)
-
-    def delete_qubits(self, qubits) -> "PauliOperator":
-        """Drop the given 1-based qubit positions (they must act as I or have
-        been accounted for by the caller)."""
-        drop = {_check_index(q, self.n) - 1 for q in qubits}
-        x = tuple(b for i, b in enumerate(self.x) if i not in drop)
-        z = tuple(b for i, b in enumerate(self.z) if i not in drop)
-        return PauliOperator(x, z, self.phase_power)
+        return PauliOperator.from_masks(self.n, self.x_mask, self.z_mask,
+                                        -self.phase_power + 2 * self.y_count)
 
     # -- dense oracle ------------------------------------------------
 
@@ -170,24 +199,28 @@ class PauliOperator:
         n = self.n
         _check_dense_size(n)
         dim = 1 << n
-        xm = bits_int(self.x)
-        zm = bits_int(self.z)
         cols = np.arange(dim, dtype=np.int64)
-        rows = cols ^ xm
-        signs = 1 - 2 * (np.bitwise_count(cols & zm).astype(np.int64) & 1)
         mat = np.zeros((dim, dim), dtype=complex)
-        mat[rows, cols] = _PHASE[self.phase_power] * signs
+        mat[cols ^ self.x_mask, cols] = _PHASE[self.phase_power] * _signs(cols, self.z_mask)
         return mat
 
-    def apply_to_index(self, state: int) -> tuple[int, complex]:
-        """Image basis index and amplitude of |state> under the operator."""
-        xm = bits_int(self.x)
-        zm = bits_int(self.z)
-        sign = -1 if bin(state & zm).count("1") & 1 else 1
-        return state ^ xm, _PHASE[self.phase_power] * sign
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PauliOperator):
+            return NotImplemented
+        return (self.n, self.x_mask, self.z_mask, self.phase_power) == \
+            (other.n, other.x_mask, other.z_mask, other.phase_power)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.x_mask, self.z_mask, self.phase_power))
 
     def __repr__(self) -> str:
         return f"PauliOperator({self.label!r})"
+
+
+def _fill_slots(obj, *values) -> None:
+    """Set the slots of an immutable object, whose own __setattr__ refuses."""
+    for name, value in zip(type(obj).__slots__, values):
+        object.__setattr__(obj, name, value)
 
 
 def _check_index(q: int, n: int) -> int:
@@ -196,12 +229,21 @@ def _check_index(q: int, n: int) -> int:
     return q
 
 
-def bits_int(bits) -> int:
-    """Pack bits (first = most significant) into an int."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
+def qubit_mask(n: int, qubits) -> int:
+    """Mask with the bits of the given 1-based qubits set (qubit 1 most significant)."""
+    mask = 0
+    for q in qubits:
+        mask |= 1 << (n - _check_index(q, n))
+    return mask
+
+
+def _bit_tuple(mask: int, n: int) -> tuple[int, ...]:
+    return tuple(mask >> shift & 1 for shift in range(n - 1, -1, -1))
+
+
+def _signs(cols: np.ndarray, z_mask: int) -> np.ndarray:
+    """(-1)^popcount(col & z) over basis indices."""
+    return 1 - 2 * (np.bitwise_count(cols & z_mask).astype(np.int64) & 1)
 
 
 def pauli_multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -209,60 +251,92 @@ def pauli_multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     if a.n != b.n:
         raise ValueError("length mismatch in Pauli product")
     # Z(z_a) X(x_b) = (-1)^(z_a . x_b) X(x_b) Z(z_a)
-    swap = sum(p & q for p, q in zip(a.z, b.x))
-    x = tuple(p ^ q for p, q in zip(a.x, b.x))
-    z = tuple(p ^ q for p, q in zip(a.z, b.z))
-    return PauliOperator(x, z, (a.phase_power + b.phase_power + 2 * swap) % 4)
+    swap = (a.z_mask & b.x_mask).bit_count()
+    return PauliOperator.from_masks(a.n, a.x_mask ^ b.x_mask, a.z_mask ^ b.z_mask,
+                                    a.phase_power + b.phase_power + 2 * swap)
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     """Symplectic commutation test: a_x.b_z + a_z.b_x = 0 mod 2."""
     if a.n != b.n:
         raise ValueError("length mismatch in commutation test")
-    acc = sum((p & q) for p, q in zip(a.x, b.z)) + sum((p & q) for p, q in zip(a.z, b.x))
-    return acc % 2 == 0
+    return not ((a.x_mask & b.z_mask) ^ (a.z_mask & b.x_mask)).bit_count() & 1
 
 
-@dataclass(frozen=True)
 class QubitHamiltonian:
-    """Weighted sum of Pauli operators on a fixed number of qubits."""
+    """Weighted sum of Pauli operators on a fixed number of qubits.
 
-    qubit_count: int
-    terms: tuple[tuple[complex, PauliOperator], ...]
+    ``QubitHamiltonian(n, terms)`` takes ``(coeff, PauliOperator)`` pairs
+    and folds each operator's phase into its coefficient; ``from_masks``
+    takes the packed sequences directly.
+    """
 
-    def __post_init__(self):
-        for _, op in self.terms:
-            if op.n != self.qubit_count:
+    __slots__ = ("qubit_count", "x_masks", "z_masks", "coeffs", "canonical", "_terms")
+
+    def __init__(self, qubit_count: int, terms):
+        xs, zs, cs = [], [], []
+        for coeff, op in terms:
+            if op.n != qubit_count:
                 raise ValueError("term length does not match qubit count")
-        object.__setattr__(
-            self, "terms", tuple((complex(c), op) for c, op in self.terms)
-        )
+            xs.append(op.x_mask)
+            zs.append(op.z_mask)
+            shift = (op.phase_power - op.y_count) % 4
+            cs.append(complex(coeff) * _PHASE[shift])
+        _fill_slots(self, qubit_count, tuple(xs), tuple(zs), tuple(cs), False, None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QubitHamiltonian is immutable")
 
     @classmethod
-    def from_terms(cls, n: int, terms) -> "QubitHamiltonian":
-        return cls(n, tuple(terms))
+    def from_masks(cls, n: int, x_masks, z_masks, coeffs,
+                   canonical: bool = False) -> "QubitHamiltonian":
+        """Sum of coeffs[k] times the Hermitian letter Pauli of (x_masks[k], z_masks[k]).
+
+        ``canonical`` asserts the caller already holds the canonical form.
+        """
+        h = object.__new__(cls)
+        _fill_slots(h, n, tuple(x_masks), tuple(z_masks), tuple(coeffs), canonical, None)
+        return h
 
     @classmethod
     def zero(cls, n: int) -> "QubitHamiltonian":
-        return cls(n, ())
+        return cls.from_masks(n, (), (), (), canonical=True)
+
+    @property
+    def terms(self) -> tuple[tuple[complex, PauliOperator], ...]:
+        """(coeff, Hermitian letter Pauli) pairs, built once per sum."""
+        if self._terms is None:
+            n = self.qubit_count
+            object.__setattr__(self, "_terms", tuple(
+                (c, PauliOperator.from_masks(n, x, z, (x & z).bit_count()))
+                for x, z, c in zip(self.x_masks, self.z_masks, self.coeffs)
+            ))
+        return self._terms
 
     def canonicalize(self, tol: float = DEFAULT_PRUNE_TOL) -> "QubitHamiltonian":
         """Merge equal Pauli strings, prune tiny coefficients, sort terms.
 
-        Phases are folded into coefficients so every surviving Pauli is the
-        plain Hermitian letter form; term order is lexicographic on (x|z).
+        Every surviving Pauli is the plain Hermitian letter form; term
+        order is lexicographic on (x|z).  A sum already marked canonical
+        is returned as it is.
         """
-        acc: dict[tuple, complex] = {}
-        for coeff, op in self.terms:
-            factor, base = op.hermitian_canonical()
-            key = (base.x, base.z)
-            acc[key] = acc.get(key, 0.0) + coeff * factor
-        merged = []
-        for (x, z) in sorted(acc):
-            c = acc[(x, z)]
+        if self.canonical and tol <= DEFAULT_PRUNE_TOL:
+            return self
+        n = self.qubit_count
+        acc: dict[int, complex] = {}
+        get = acc.get
+        for x, z, c in zip(self.x_masks, self.z_masks, self.coeffs):
+            key = (x << n) | z  # integer order of the key is (x, z) order
+            acc[key] = get(key, 0.0) + c
+        low = (1 << n) - 1
+        xs, zs, cs = [], [], []
+        for key in sorted(acc):
+            c = acc[key]
             if abs(c) >= tol:
-                merged.append((c, PauliOperator(x, z, sum(a & b for a, b in zip(x, z)))))
-        return QubitHamiltonian(self.qubit_count, tuple(merged))
+                xs.append(key >> n)
+                zs.append(key & low)
+                cs.append(c)
+        return QubitHamiltonian.from_masks(n, xs, zs, cs, canonical=tol >= DEFAULT_PRUNE_TOL)
 
     def dense(self) -> np.ndarray:
         """Exact dense matrix of the sum (guarded by the qubit cap)."""
@@ -271,67 +345,81 @@ class QubitHamiltonian:
         dim = 1 << n
         mat = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim, dtype=np.int64)
-        for coeff, op in self.terms:
-            xm = bits_int(op.x)
-            zm = bits_int(op.z)
-            signs = 1 - 2 * (np.bitwise_count(cols & zm).astype(np.int64) & 1)
-            mat[cols ^ xm, cols] += coeff * _PHASE[op.phase_power] * signs
+        for x, z, c in zip(self.x_masks, self.z_masks, self.coeffs):
+            mat[cols ^ x, cols] += c * _PHASE[(x & z).bit_count() % 4] * _signs(cols, z)
         return mat
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
-        for coeff, op in self.canonicalize().terms:
-            if abs(coeff.imag) > tol:  # canonical Paulis are Hermitian
-                return False
-        return True
+        # canonical Paulis are Hermitian, so only the coefficients can fail
+        return all(abs(c.imag) <= tol for c in self.canonicalize().coeffs)
 
     def term_map(self) -> dict[tuple, complex]:
-        """Canonical (x, z) -> coefficient mapping."""
+        """Canonical (x, z) bit tuples -> coefficient mapping."""
         return {(op.x, op.z): c for c, op in self.canonicalize().terms}
 
     def operator_set(self, include_identity: bool = False) -> set[str]:
         """Labels of the distinct canonical Paulis (identity optional)."""
-        out = set()
-        for _, op in self.canonicalize().terms:
-            if op.weight == 0 and not include_identity:
-                continue
-            out.add(op.label)
-        return out
+        h = self.canonicalize()
+        pairs = [(x, z) for x, z in zip(h.x_masks, h.z_masks) if include_identity or x | z]
+        return set(_labels(h.qubit_count, [x for x, _ in pairs], [z for _, z in pairs]))
 
     def __add__(self, other: "QubitHamiltonian") -> "QubitHamiltonian":
         if other.qubit_count != self.qubit_count:
             raise ValueError("qubit count mismatch")
-        return QubitHamiltonian(self.qubit_count, self.terms + other.terms)
+        return QubitHamiltonian.from_masks(self.qubit_count, self.x_masks + other.x_masks,
+                                           self.z_masks + other.z_masks,
+                                           self.coeffs + other.coeffs)
 
     def scaled(self, factor: complex) -> "QubitHamiltonian":
-        return QubitHamiltonian(
-            self.qubit_count, tuple((factor * c, op) for c, op in self.terms)
-        )
+        return QubitHamiltonian.from_masks(self.qubit_count, self.x_masks, self.z_masks,
+                                           [complex(factor * c) for c in self.coeffs])
 
     def product(self, other: "QubitHamiltonian") -> "QubitHamiltonian":
         """Term-by-term operator product, merged eagerly."""
         if other.qubit_count != self.qubit_count:
             raise ValueError("qubit count mismatch")
-        out = []
-        for ca, opa in self.terms:
-            for cb, opb in other.terms:
-                out.append((ca * cb, pauli_multiply(opa, opb)))
-        return QubitHamiltonian(self.qubit_count, tuple(out)).canonicalize()
+        xs, zs, cs = [], [], []
+        right = [(xb, zb, (xb & zb).bit_count(), cb)
+                 for xb, zb, cb in zip(other.x_masks, other.z_masks, other.coeffs)]
+        for xa, za, ca in zip(self.x_masks, self.z_masks, self.coeffs):
+            ya = (xa & za).bit_count()
+            for xb, zb, yb, cb in right:
+                x, z = xa ^ xb, za ^ zb
+                # letter phases i^ya, i^yb, the swap sign, minus the product's own Y count
+                shift = (ya + yb + 2 * (za & xb).bit_count() - (x & z).bit_count()) % 4
+                xs.append(x)
+                zs.append(z)
+                cs.append(ca * cb * _PHASE[shift])
+        return QubitHamiltonian.from_masks(self.qubit_count, xs, zs, cs).canonicalize()
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.coeffs)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QubitHamiltonian):
+            return NotImplemented
+        return (self.qubit_count, self.x_masks, self.z_masks, self.coeffs) == \
+            (other.qubit_count, other.x_masks, other.z_masks, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.qubit_count, self.x_masks, self.z_masks, self.coeffs))
+
+    def __repr__(self) -> str:
+        return f"QubitHamiltonian({self.qubit_count}, {len(self)} terms)"
 
 
 def hamiltonian_to_text(h: QubitHamiltonian) -> str:
     """Serialize as lines "re im PAULISTRING" (canonical order)."""
+    h = h.canonicalize()
     lines = [f"# qubits {h.qubit_count}"]
-    for coeff, op in h.canonicalize().terms:
-        lines.append(f"{coeff.real:.17g} {coeff.imag:.17g} {op.label}")
+    for coeff, label in zip(h.coeffs, _labels(h.qubit_count, h.x_masks, h.z_masks)):
+        lines.append(f"{coeff.real:.17g} {coeff.imag:.17g} {label}")
     return "\n".join(lines) + "\n"
 
 
 def hamiltonian_from_text(text: str) -> QubitHamiltonian:
     """Parse the line format produced by :func:`hamiltonian_to_text`."""
-    terms = []
+    xs, zs, cs = [], [], []
     n = None
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -341,15 +429,19 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
         if len(parts) != 3:
             raise ValueError(f"malformed Hamiltonian line: {raw!r}")
         re_c, im_c, label = parts
-        op = PauliOperator.from_label(label)
+        prefix, letters = _split_label(label)
         if n is None:
-            n = op.n
-        elif op.n != n:
+            n = len(letters)
+        elif len(letters) != n:
             raise ValueError("inconsistent Pauli lengths in file")
-        terms.append((complex(float(re_c), float(im_c)), op))
+        x, z = _letter_masks(letters)
+        coeff = complex(float(re_c), float(im_c))
+        xs.append(x)
+        zs.append(z)
+        cs.append(coeff * _PHASE[prefix])
     if n is None:
         raise ValueError("no Pauli terms found")
-    return QubitHamiltonian(n, tuple(terms)).canonicalize()
+    return QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize()
 
 
 def kron_chain(mats) -> np.ndarray:
@@ -358,9 +450,5 @@ def kron_chain(mats) -> np.ndarray:
 
 def pauli_matrix_naive(label: str) -> np.ndarray:
     """Independent dense oracle: literal Kronecker product of letters."""
-    text = label.strip()
-    prefix = ""
-    while text and text[0] not in "IXYZ":
-        prefix += text[0]
-        text = text[1:]
-    return _PHASE[_PREFIXES[prefix]] * kron_chain([_SINGLE[c] for c in text])
+    prefix, letters = _split_label(label)
+    return _PHASE[prefix] * kron_chain([_SINGLE[c] for c in letters])

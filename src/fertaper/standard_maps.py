@@ -128,35 +128,52 @@ def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamilt
     m = enc.modes
     if not 1 <= j <= m:
         raise IndexError(f"mode {j} out of range 1..{m}")
-    col = tuple(int(b) for b in enc.matrix[:, j - 1])
-    z_parity = tuple(int(b) for b in (enc.inverse[: j - 1].sum(axis=0) % 2))
-    z_flip = tuple(int(b) for b in enc.inverse[j - 1])
-    z_both = tuple(a ^ b for a, b in zip(z_parity, z_flip))
-    first = PauliOperator(col, z_parity, 0)
-    second = PauliOperator(col, z_both, 0)
+    col = gf2.bits_to_int(enc.matrix[:, j - 1])
+    z_parity = gf2.bits_to_int(enc.inverse[: j - 1].sum(axis=0) % 2)
+    z_both = z_parity ^ gf2.bits_to_int(enc.inverse[j - 1])
+    first = PauliOperator.from_masks(m, col, z_parity)
+    second = PauliOperator.from_masks(m, col, z_both)
     sign = 1.0 if dagger else -1.0
     return QubitHamiltonian(m, ((0.5, first), (0.5 * sign, second)))
 
 
-def encoded_observable(enc: StandardEncoding, ops) -> QubitHamiltonian:
-    """Product of encoded ladder operators, merged after each factor."""
+def encoded_observable(enc: StandardEncoding, ops, ladders: dict | None = None) -> QubitHamiltonian:
+    """Product of encoded ladder operators, merged after each factor.
+
+    ``ladders`` caches the ladder operators per (mode, dagger) across calls.
+    """
+    ladders = {} if ladders is None else ladders
     out = None
     for kind, mode in ops:
-        factor = mode_op_to_pauli(enc, mode, dagger=(kind == "c"))
+        key = (mode, kind == "c")
+        factor = ladders.get(key)
+        if factor is None:
+            factor = ladders[key] = mode_op_to_pauli(enc, mode, dagger=key[1])
         out = factor if out is None else out.product(factor)
     return out if out is not None else QubitHamiltonian.zero(enc.modes)
 
 
 def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHamiltonian:
-    """Qubit image of the full Hamiltonian under the encoding."""
+    """Qubit image of the full Hamiltonian under the encoding.
+
+    Every scaled part goes into one term list, which is merged once.
+    """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch between Hamiltonian and encoding")
-    total = QubitHamiltonian.zero(enc.modes)
+    ladders: dict = {}
+    xs: list[int] = []
+    zs: list[int] = []
+    cs: list[complex] = []
+
+    def add(ops, factor) -> None:
+        part = encoded_observable(enc, ops, ladders)
+        xs.extend(part.x_masks)
+        zs.extend(part.z_masks)
+        cs.extend(complex(factor * c) for c in part.coeffs)
+
     rows, cols = np.nonzero(h.t)
-    for a, b in zip(rows, cols):
-        part = encoded_observable(enc, (("c", a + 1), ("a", b + 1)))
-        total = total + part.scaled(h.t[a, b])
+    for a, b in zip(rows.tolist(), cols.tolist()):
+        add((("c", a + 1), ("a", b + 1)), h.t[a, b])
     for (a, b, g, d), coeff in h.u.items():
-        part = encoded_observable(enc, (("c", a), ("c", b), ("a", g), ("a", d)))
-        total = total + part.scaled(coeff)
-    return total.canonicalize()
+        add((("c", a), ("c", b), ("a", g), ("a", d)), coeff)
+    return QubitHamiltonian.from_masks(enc.modes, xs, zs, cs).canonicalize()

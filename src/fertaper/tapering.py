@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from fertaper import gf2
-from fertaper.pauli import PauliOperator, QubitHamiltonian, commutes, pauli_multiply
+from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
 from fertaper.standard_maps import StandardEncoding
 
 
@@ -44,16 +44,11 @@ def check_matrix(h: QubitHamiltonian) -> CheckMatrix:
     and vice versa, so that (row . candidate) mod 2 is exactly the
     symplectic product deciding commutation.
     """
-    n = h.qubit_count
-    terms = h.canonicalize().terms
-    g = np.zeros((2 * n, len(terms)), dtype=np.uint8)
-    e = np.zeros((len(terms), 2 * n), dtype=np.uint8)
-    for j, (_, op) in enumerate(terms):
-        g[:n, j] = op.x
-        g[n:, j] = op.z
-        e[j, :n] = op.z
-        e[j, n:] = op.x
-    return CheckMatrix(e, g)
+    h = h.canonicalize()
+    x = gf2.unpack_ints(h.x_masks, h.qubit_count)
+    z = gf2.unpack_ints(h.z_masks, h.qubit_count)
+    return CheckMatrix(np.concatenate([z, x], axis=1),
+                       np.ascontiguousarray(np.concatenate([x, z], axis=1).T))
 
 
 def symplectic_product(a: np.ndarray, b: np.ndarray) -> int:
@@ -101,26 +96,22 @@ class SymmetryGroup:
         return len(self.generators)
 
     def vectors(self) -> np.ndarray:
-        out = np.zeros((len(self.generators), 2 * self.qubit_count), dtype=np.uint8)
-        for i, g in enumerate(self.generators):
-            out[i, : self.qubit_count] = g.x
-            out[i, self.qubit_count :] = g.z
-        return out
+        return _xz_rows(self.generators, self.qubit_count)
 
     def same_group(self, others) -> bool:
         """Group equality against another generator collection."""
-        mat = np.zeros((len(others), 2 * self.qubit_count), dtype=np.uint8)
-        for i, g in enumerate(others):
-            mat[i, : self.qubit_count] = g.x
-            mat[i, self.qubit_count :] = g.z
-        return gf2.same_span(self.vectors(), mat)
+        return gf2.same_span(self.vectors(), _xz_rows(others, self.qubit_count))
+
+
+def _xz_rows(ops, n: int) -> np.ndarray:
+    """One (x|z) bit row per Pauli operator."""
+    return np.concatenate([gf2.unpack_ints([op.x_mask for op in ops], n),
+                           gf2.unpack_ints([op.z_mask for op in ops], n)], axis=1)
 
 
 def _vector_to_pauli(vec: np.ndarray, n: int) -> PauliOperator:
-    x = tuple(int(b) for b in vec[:n])
-    z = tuple(int(b) for b in vec[n:])
-    n_y = sum(a & b for a, b in zip(x, z))
-    return PauliOperator(x, z, n_y)  # Hermitian, +1 prefix
+    x, z = gf2.pack_rows(np.reshape(vec, (2, n)))
+    return PauliOperator.from_masks(n, x, z, (x & z).bit_count())  # Hermitian, +1 prefix
 
 
 def find_symmetries(h: QubitHamiltonian) -> SymmetryGroup:
@@ -144,24 +135,32 @@ def find_symmetries(h: QubitHamiltonian) -> SymmetryGroup:
 
 # -- Z-type normalization ---------------------------------------------------
 
-# Single-qubit letter exchanges used to normalize generators.  Each maps
-# (x, z) bits of one qubit and adds a phase power; both are involutions
-# realized by Clifford rotations, so spectra are unchanged.
-_ROT_XZ = {(0, 0): (0, 0, 0), (1, 0): (0, 1, 0), (0, 1): (1, 0, 0), (1, 1): (1, 1, 2)}
-_ROT_YZ = {(0, 0): (0, 0, 0), (1, 0): (1, 0, 0), (0, 1): (1, 1, 3), (1, 1): (0, 1, 3)}
+# Single-qubit letter exchanges used to normalize generators: X <-> Z (with
+# Y -> -Y) on the qubits of one mask, Y <-> Z on those of the other.  Both
+# are involutions realized by Clifford rotations, so spectra are unchanged.
+
+
+def _rotation_masks(rotations: dict[int, str], n: int) -> tuple[int, int]:
+    """(X-exchange mask, Y-exchange mask) of a plan's rotations."""
+    rx = ry = 0
+    for qubit, which in rotations.items():
+        if which == "X":
+            rx |= 1 << (n - qubit)
+        else:
+            ry |= 1 << (n - qubit)
+    return rx, ry
+
+
+def _rotate(x: int, z: int, rx: int, ry: int) -> tuple[int, int, int]:
+    """Exchanged masks and the phase power the exchange adds."""
+    swap = (x ^ z) & rx
+    x, z, phase = x ^ swap, z ^ swap, 2 * (x & z & rx).bit_count()
+    return x ^ (z & ry), z, phase + 3 * (z & ry).bit_count()
 
 
 def _apply_rotations(op: PauliOperator, rotations: dict[int, str]) -> PauliOperator:
-    x = list(op.x)
-    z = list(op.z)
-    phase = op.phase_power
-    for qubit, which in rotations.items():
-        table = _ROT_XZ if which == "X" else _ROT_YZ
-        nx, nz, dp = table[(x[qubit - 1], z[qubit - 1])]
-        x[qubit - 1] = nx
-        z[qubit - 1] = nz
-        phase += dp
-    return PauliOperator(tuple(x), tuple(z), phase % 4)
+    x, z, phase = _rotate(op.x_mask, op.z_mask, *_rotation_masks(rotations, op.n))
+    return PauliOperator.from_masks(op.n, x, z, op.phase_power + phase)
 
 
 @dataclass(frozen=True)
@@ -210,56 +209,54 @@ def build_plan(group: SymmetryGroup, h: QubitHamiltonian | None = None) -> Taper
     if len(pivots) != len(rotated):
         raise ValueError("symmetry generators are not independent")
     order = np.argsort(pivots)
-    gens = tuple(
-        PauliOperator((0,) * n, tuple(int(b) for b in reduced[i]), 0) for i in order
-    )
+    z_masks = gf2.pack_rows(reduced)
+    gens = tuple(PauliOperator.from_masks(n, 0, z_masks[i]) for i in order)
     paired = tuple(int(pivots[i]) + 1 for i in order)
     return TaperingPlan(n, dict(rotations), gens, paired)
-
-
-def _conjugate_by_reflection(coeff: complex, op: PauliOperator,
-                             x_op: PauliOperator, tau: PauliOperator):
-    """Image of coeff*op under the reflection (x_op + tau)/sqrt(2).
-
-    The reflection is Hermitian and squares to one, so conjugation sends a
-    Pauli that commutes with both fixed points to itself, one that
-    anticommutes with both to minus itself, and otherwise multiplies by
-    the product tau*x_op (or x_op*tau) of the fixed points.
-    """
-    cx = commutes(op, x_op)
-    ct = commutes(op, tau)
-    if cx and ct:
-        return coeff, op
-    if not cx and not ct:
-        return -coeff, op
-    if cx:  # commutes with x_op, anticommutes with tau
-        new = pauli_multiply(pauli_multiply(tau, x_op), op)
-    else:  # anticommutes with x_op, commutes with tau
-        new = pauli_multiply(pauli_multiply(x_op, tau), op)
-    return coeff, new
 
 
 def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamiltonian:
     """Rotate the Hamiltonian so each symmetry becomes a single-qubit X.
 
-    Applies the per-qubit exchanges, then each reflection in turn.  The
-    result has the same spectrum and the same number of Pauli terms, and
-    acts on every paired qubit by I or X only.
+    Applies the per-qubit exchanges, then each reflection
+    (X_q + tau)/sqrt(2) in turn.  The reflection is Hermitian and squares
+    to one, so conjugation keeps a Pauli that commutes with both X_q and
+    tau, negates one that anticommutes with both, and otherwise multiplies
+    it by tau*X_q (anticommutes with tau) or X_q*tau (with X_q): an XOR of
+    the masks with (X_q | tau) and a phase update.  The result has the
+    same spectrum and the same number of Pauli terms, and acts on every
+    paired qubit by I or X only.
     """
+    h = h.canonicalize()
     if plan.size == 0 and not plan.rotations:
-        return h.canonicalize()
+        return h
     n = h.qubit_count
-    reflections = [
-        (PauliOperator.single(n, q, "X"), tau)
-        for q, tau in zip(plan.paired_qubits, plan.generators)
-    ]
-    terms = []
-    for coeff, op in h.canonicalize().terms:
-        op = _apply_rotations(op, plan.rotations)
-        for x_op, tau in reflections:
-            coeff, op = _conjugate_by_reflection(coeff, op, x_op, tau)
-        terms.append((coeff, op))
-    return QubitHamiltonian(n, tuple(terms)).canonicalize()
+    rx, ry = _rotation_masks(plan.rotations, n)
+    # (X_q mask, tau's z mask, phase power of tau*X_q); X_q*tau has power 0
+    reflections = [(1 << (n - q), tau.z_mask, 2 * (tau.z_mask >> (n - q) & 1))
+                   for q, tau in zip(plan.paired_qubits, plan.generators)]
+    xs, zs, cs = [], [], []
+    for x, z, c in zip(h.x_masks, h.z_masks, h.coeffs):
+        phase = (x & z).bit_count()  # letter form: i per Y
+        if rx or ry:
+            x, z, turn = _rotate(x, z, rx, ry)
+            phase += turn
+        for xq, tz, tau_xq in reflections:
+            anti_x = bool(z & xq)
+            anti_tau = (x & tz).bit_count() & 1
+            if anti_x == anti_tau:
+                if anti_x:
+                    c = -c
+                continue
+            if anti_tau:  # tau*X_q times the term; the odd swap sign adds 2
+                phase += tau_xq + 2
+            x ^= xq
+            z ^= tz
+        shift = (phase - (x & z).bit_count()) % 4
+        xs.append(x)
+        zs.append(z)
+        cs.append(c * _PHASE[shift])
+    return QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize()
 
 
 def taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitHamiltonian:
@@ -273,20 +270,27 @@ def taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitH
         raise ValueError(f"sector needs {plan.size} entries")
     if any(s not in (1, -1) for s in sector):
         raise ValueError("sector entries must be +1 or -1")
-    terms = []
-    for coeff, op in h_transformed.canonicalize().terms:
-        factor = 1
-        for q, s in zip(plan.paired_qubits, sector):
-            letter = op.letter_at(q)
-            if letter == "X":
-                factor *= s
-            elif letter != "I":
-                raise ValueError(
-                    f"term {op.label} acts on paired qubit {q} by {letter}; "
-                    "run clifford_transform first"
-                )
-        terms.append((coeff * factor, op.delete_qubits(plan.paired_qubits)))
-    return QubitHamiltonian(h_transformed.qubit_count - plan.size, tuple(terms)).canonicalize()
+    h = h_transformed.canonicalize()
+    n = h.qubit_count
+    paired = negative = 0
+    for q, s in zip(plan.paired_qubits, sector):
+        paired |= 1 << (n - q)
+        if s < 0:
+            negative |= 1 << (n - q)
+    drop = sorted((n - q for q in plan.paired_qubits), reverse=True)
+    xs, zs, cs = [], [], []
+    for x, z, c in zip(h.x_masks, h.z_masks, h.coeffs):
+        if z & paired:
+            op = PauliOperator.from_masks(n, x, z, (x & z).bit_count())
+            q = next(q for q in plan.paired_qubits if op.letter_at(q) not in "IX")
+            raise ValueError(
+                f"term {op.label} acts on paired qubit {q} by {op.letter_at(q)}; "
+                "run clifford_transform first"
+            )
+        xs.append(gf2.drop_bits(x, drop))
+        zs.append(gf2.drop_bits(z, drop))
+        cs.append(-c if (x & negative).bit_count() & 1 else c)
+    return QubitHamiltonian.from_masks(n - plan.size, xs, zs, cs).canonicalize()
 
 
 def all_sectors(k: int):

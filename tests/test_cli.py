@@ -64,6 +64,27 @@ class TestEncodeTaper:
         assert main(["encode", "--input", h2_json, "--map", mapping,
                      "--output", str(out)]) == 0
 
+    def test_non_hermitian_input_is_an_error_line(self, tmp_path, capsys):
+        # ZZ carries the imaginary coefficient 1j, so no sector has real energies
+        pauli = tmp_path / "nh.txt"
+        pauli.write_text("# qubits 2\n0 1 ZZ\n1 0 ZI\n")
+        report = tmp_path / "r.json"
+        rc = main(["taper", "--input", str(pauli), "--output", str(tmp_path / "t.txt"),
+                   "--report", str(report)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "not Hermitian" in err and "ZZ" in err
+        assert not report.exists()
+
+    def test_missing_modes_key_is_an_error_line(self, tmp_path, capsys):
+        source = tmp_path / "h.json"
+        source.write_text(json.dumps({"particles": 1, "t": [[1, 1, 1.0, 0.0]]}))
+        rc = main(["encode", "--input", str(source), "--map", "jw",
+                   "--output", str(tmp_path / "q.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'modes'" in err
+
 
 class TestPipeline:
     def test_h2_pipeline_report(self, h2_json):

@@ -225,6 +225,18 @@ class TestTwoBodySimulator:
                 dense = frame.to_dense()
                 assert np.allclose(dense, dense.conj().T)
 
+    def test_dense_frames_match_the_per_index_oracle(self, fig3_encoding):
+        # every frame of hop (1, 9), both variants: the vectorized to_dense
+        # equals the matrix built one basis index at a time
+        dim = 1 << fig3_encoding.qubits
+        for variant in ("plus", "minus"):
+            for frame in two_body_simulator(fig3_encoding, 1, 9, variant).frames:
+                want = np.zeros((dim, dim), dtype=complex)
+                for col in range(dim):
+                    row, val = frame.apply_to_index(col)
+                    want[row, col] += val
+                assert np.array_equal(frame.to_dense(), want)
+
     def test_all_pairs_exact_on_subcode(self, fig3_graph):
         # exhaustive simulation-condition sweep on a 12-qubit instance
         a = fig3_graph.incidence_matrix()[:, :6]

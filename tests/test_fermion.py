@@ -194,6 +194,17 @@ class TestValidation:
         assert again.u == pytest.approx(h.u)
         assert (again.modes, again.particles) == (4, 2)
 
+    @pytest.mark.parametrize("key", ["modes", "particles"])
+    def test_json_missing_key_names_it(self, key):
+        data = json.loads(FermionHamiltonian(2, 1, np.eye(2) * 0.5).to_json())
+        del data[key]
+        with pytest.raises(ValueError, match=repr(key)):
+            FermionHamiltonian.from_json(json.dumps(data))
+
+    def test_json_must_be_an_object(self):
+        with pytest.raises(ValueError):
+            FermionHamiltonian.from_json("[2, 1]")
+
     def test_json_matches_documented_shape(self):
         h = FermionHamiltonian(2, 1, np.eye(2) * 0.5, {(1, 2, 2, 1): 0.25})
         data = json.loads(h.to_json())

@@ -18,6 +18,23 @@ def labels(n, max_size=None):
     return st.text(alphabet="IXYZ", min_size=n, max_size=max_size or n)
 
 
+PREFIXES = ["", "+", "+1", "+i", "i", "-1", "-", "-i"]
+
+
+def phased_labels(n):
+    return st.tuples(st.sampled_from(PREFIXES), labels(n)).map("".join)
+
+
+def phased_pairs():
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(phased_labels(n), phased_labels(n)))
+
+
+def weighted_sums():
+    coeff = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+    return st.integers(1, 3).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.tuples(coeff, phased_labels(n)), max_size=8)))
+
+
 class TestMultiply:
     def test_x_times_z_is_minus_i_y(self):
         p = pauli_multiply(PauliOperator.from_label("X"), PauliOperator.from_label("Z"))
@@ -211,3 +228,54 @@ class TestTextFormat:
     def test_malformed(self):
         with pytest.raises(ValueError):
             hamiltonian_from_text("1.0 ZZ\n")
+
+
+class TestPackedAgainstNaive:
+    """Mask arithmetic against literal Kronecker products, phase prefixes included."""
+
+    @given(phased_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_multiply_commutes_adjoint(self, pair):
+        la, lb = pair
+        a, b = PauliOperator.from_label(la), PauliOperator.from_label(lb)
+        da, db = pauli_matrix_naive(la), pauli_matrix_naive(lb)
+        assert np.array_equal(pauli_matrix_naive(pauli_multiply(a, b).label), da @ db)
+        assert commutes(a, b) == np.array_equal(da @ db, db @ da)
+        assert np.array_equal(pauli_matrix_naive(a.adjoint().label), da.conj().T)
+
+    @given(weighted_sums())
+    @settings(max_examples=100, deadline=None)
+    def test_canonicalize(self, case):
+        n, terms = case
+        h = QubitHamiltonian(n, [(c, PauliOperator.from_label(l)) for c, l in terms])
+        want = sum((c * pauli_matrix_naive(l) for c, l in terms), np.zeros((2**n, 2**n)))
+        canon = h.canonicalize()
+        got = sum((c * pauli_matrix_naive(op.label) for c, op in canon.terms),
+                  np.zeros((2**n, 2**n)))
+        assert np.allclose(got, want, atol=1e-9)
+        keys = [(op.x_mask, op.z_mask) for _, op in canon.terms]
+        assert keys == sorted(set(keys))
+        assert all(op.label[0] in "IXYZ" and abs(c) >= 1e-12 for c, op in canon.terms)
+        assert canon.canonical and canon.canonicalize() is canon
+
+
+class TestMaskLayout:
+    def test_qubit_one_is_the_most_significant_bit(self):
+        op = PauliOperator.from_label("XIZY")
+        assert (op.n, op.x_mask, op.z_mask) == (4, 0b1001, 0b0011)
+        assert op.x == (1, 0, 0, 1) and op.z == (0, 0, 1, 1)
+        assert PauliOperator(op.x, op.z, op.phase_power) == op
+
+    def test_views_of_a_packed_sum(self):
+        h = QubitHamiltonian.from_masks(2, [0b10, 0b01], [0b10, 0], [0.5, 2.0])
+        assert [(c, op.label) for c, op in h.terms] == [(0.5, "YI"), (2.0, "IX")]
+        assert not h.canonical
+        canon = h.canonicalize()
+        assert [op.label for _, op in canon.terms] == ["IX", "YI"]
+
+    def test_operators_are_immutable(self):
+        op = PauliOperator.from_label("XZ")
+        with pytest.raises(AttributeError):
+            op.x_mask = 0
+        with pytest.raises(AttributeError):
+            QubitHamiltonian.zero(1).coeffs = ()

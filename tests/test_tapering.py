@@ -1,9 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from fertaper import gf2
 from fertaper.fermion import dense_fock_matrix, random_hamiltonian
-from fertaper.pauli import PauliOperator, QubitHamiltonian, commutes
+from fertaper.pauli import PauliOperator, QubitHamiltonian, commutes, pauli_matrix_naive
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
     NotZReducible,
@@ -242,6 +244,55 @@ class TestTaper:
             )
             ref = np.sort(np.linalg.eigvalsh(dense_fock_matrix(h)))
             assert np.abs(union - ref).max() < 1e-9
+
+    def test_rotated_generators_taper_exactly(self):
+        # conjugate qubit 1 by (X+Z)/sqrt2 and qubit 2 by (Y+Z)/sqrt2: the
+        # Z-type symmetries turn X-type there, so the plan needs both exchanges
+        hadamard = {"I": (1, "I"), "X": (1, "Z"), "Y": (-1, "Y"), "Z": (1, "X")}
+        y_z = {"I": (1, "I"), "X": (-1, "X"), "Y": (1, "Z"), "Z": (1, "Y")}
+        rng = np.random.default_rng(67)
+        for m in (4, 5):
+            h = random_hamiltonian(m, 2, rng)
+            terms = []
+            for c, op in encode_hamiltonian(h, build_encoding("jordan_wigner", m)).terms:
+                letters = list(op.label)
+                sign = 1
+                for q, table in ((1, hadamard), (2, y_z)):
+                    flip, letters[q - 1] = table[letters[q - 1]]
+                    sign *= flip
+                terms.append((sign * c, PauliOperator.from_label("".join(letters))))
+            q = QubitHamiltonian(m, terms)
+            plan = build_plan(find_symmetries(q), q)
+            assert plan.rotations == {1: "X", 2: "Y"}
+            transformed = clifford_transform(q, plan)
+            assert all(op.letter_at(p) in "IX" for _, op in transformed.terms
+                       for p in plan.paired_qubits)
+            union = np.sort(
+                np.concatenate(list(sector_spectra(q, plan, transformed).values()))
+            )
+            ref = np.sort(np.linalg.eigvalsh(dense_fock_matrix(h)))
+            assert np.abs(union - ref).max() < 1e-9
+
+    def test_transform_is_conjugation_by_the_plan_unitary(self):
+        # every 4-qubit Pauli, symmetric or not, against the dense
+        # U = U_2 U_1 R: R exchanges X<->Z on qubit 1 and Y->Z on qubit 2,
+        # U_i = (X_q + tau_i)/sqrt2 are the reflections in plan order
+        from fertaper.tapering import SymmetryGroup
+
+        group = SymmetryGroup(4, tuple(pauli_group(("XYZI", "IIZZ"))))
+        plan = build_plan(group)
+        assert plan.rotations == {1: "X", 2: "Y"}
+        one = {letter: pauli_matrix_naive(letter) for letter in "IXYZ"}
+        hadamard = (one["X"] + one["Z"]) / np.sqrt(2)
+        y_to_z = (one["I"] - 1j * one["X"]) / np.sqrt(2)
+        u = np.kron(np.kron(hadamard, y_to_z), np.eye(4))
+        for q, tau in zip(plan.paired_qubits, plan.generators):
+            u = (PauliOperator.single(4, q, "X").dense() + tau.dense()) / np.sqrt(2) @ u
+        for letters in itertools.product("IXYZ", repeat=4):
+            p = QubitHamiltonian(4, ((0.5, PauliOperator.from_label("".join(letters))),))
+            image = clifford_transform(p, plan)
+            assert len(image) == 1
+            assert np.allclose(image.dense(), u @ p.dense() @ u.conj().T, atol=1e-12)
 
     def test_bad_sector_length(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
