@@ -17,20 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fertaper.codeword import (
-    CodeEncoding,
-    apply_frames_to_isometry,
-    build_simulator_hamiltonian,
-    four_body_simulator,
-    load_pcm,
-    two_body_simulator,
-)
-from fertaper.fermion import (
-    FermionHamiltonian,
-    dense_fock_matrix,
-    random_hamiltonian,
-    sector_matrix_direct,
-)
+from fertaper.codeword import CodeEncoding, build_simulator_hamiltonian, load_pcm
+from fertaper.fermion import FermionHamiltonian, dense_fock_matrix, random_hamiltonian
 from fertaper.firstq import (
     RegisterEncoding,
     bin_terms,
@@ -39,14 +27,8 @@ from fertaper.firstq import (
     rao_hamming_oa,
     spectrum_matches_partitions,
 )
-from fertaper.graphs import (
-    girth,
-    graph_decode,
-    greedy_high_girth,
-    load_graph,
-    save_graph,
-)
-from fertaper.mitm import brute_force_decode, build_tables, mitm_decode
+from fertaper.graphs import girth, greedy_high_girth, load_graph, save_graph
+from fertaper.mitm import build_tables, mitm_decode
 from fertaper.pauli import (
     PauliOperator,
     QubitHamiltonian,
@@ -55,31 +37,17 @@ from fertaper.pauli import (
 )
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
-    all_sectors,
     build_plan,
     clifford_transform,
     find_symmetries,
+    sector_spectra,
     taper,
 )
 
 MAP_NAMES = {"jw": "jordan_wigner", "parity": "parity", "bintree": "binary_tree"}
 
-
-@dataclass
-class PipelineConfig:
-    """Settings of one end-to-end run; defaults mirror the CLI flags."""
-
-    input_path: str
-    encoding: str = "jw"
-    sector: tuple[int, ...] | None = None
-    enumerate_sectors: bool = True
-    penalty: float | None = None
-    verification: str = "structural"  # none | structural | dense-oracle
-    seed: int = 0
-    graph_path: str | None = None
-    check_path: str | None = None
-    output_path: str | None = None
-    report_path: str | None = None
+# Most qubits left after tapering for which `taper` diagonalizes the sectors
+SECTOR_QUBIT_CAP = 12
 
 
 @dataclass
@@ -133,143 +101,6 @@ def _parse_sector(text: str) -> tuple[int, ...]:
     return tuple(1 if c == "+" else -1 for c in text)
 
 
-def run_pipeline(cfg: PipelineConfig) -> RunReport:
-    """Encode, detect symmetries, taper, and report sector energies.
-
-    With encoding "graph" the run instead builds a codeword simulator from
-    the graph or parity-check file and reports sparsity and decoder
-    cross-checks.
-    """
-    report = RunReport(config={k: str(v) for k, v in vars(cfg).items()})
-    if cfg.encoding == "graph":
-        return _run_graph_pipeline(cfg, report)
-    with open(cfg.input_path, encoding="utf-8") as fh:
-        h_fermi = FermionHamiltonian.from_json(fh.read())
-    enc = build_encoding(MAP_NAMES.get(cfg.encoding, cfg.encoding), h_fermi.modes)
-    h_qubit = encode_hamiltonian(h_fermi, enc)
-    report.qubits_before = h_qubit.qubit_count
-
-    group = find_symmetries(h_qubit)
-    plan = build_plan(group, h_qubit)
-    report.generators = [g.label for g in group.generators]
-    report.paired_qubits = list(plan.paired_qubits)
-    if group.size == h_qubit.qubit_count and len(h_qubit.canonicalize().terms) <= 1:
-        report.add_check("degenerate_hamiltonian_flagged", True)
-    transformed = clifford_transform(h_qubit, plan)
-    report.qubits_after = h_qubit.qubit_count - plan.size
-
-    reduced_cap = h_qubit.qubit_count - plan.size
-    if cfg.sector is not None:
-        sectors = [tuple(cfg.sector)]
-    elif cfg.enumerate_sectors and reduced_cap <= 12:
-        sectors = all_sectors(plan.size)
-    else:
-        raise ValueError(
-            f"{reduced_cap} qubits remain after tapering; sector enumeration "
-            "is capped at 12, pass an explicit sector"
-        )
-    best = None
-    for sector in sectors:
-        reduced = taper(transformed, plan, sector)
-        if reduced.qubit_count and reduced_cap <= 12:
-            energy = float(np.linalg.eigvalsh(reduced.dense())[0])
-        elif reduced.qubit_count == 0:
-            energy = float(sum(c.real for c, _ in reduced.terms))
-        else:
-            continue
-        report.sector_energies[_sector_label(sector)] = energy
-        if best is None or energy < best[1]:
-            best = (sector, energy)
-    if best is not None:
-        report.best_sector = _sector_label(best[0])
-
-    if cfg.verification == "dense-oracle" and h_qubit.qubit_count <= 10:
-        full = np.sort(np.linalg.eigvalsh(h_qubit.dense()))
-        trans = np.sort(np.linalg.eigvalsh(transformed.dense()))
-        report.add_check("transform_isospectral", np.allclose(full, trans, atol=1e-9),
-                         float(np.abs(full - trans).max()))
-        if cfg.enumerate_sectors and cfg.sector is None:
-            union = np.sort(np.concatenate(
-                [np.linalg.eigvalsh(taper(transformed, plan, s).dense())
-                 if (h_qubit.qubit_count - plan.size) else
-                 [sum(c.real for c, _ in taper(transformed, plan, s).terms)]
-                 for s in sectors]))
-            report.add_check("sector_union_isospectral",
-                             np.allclose(union, full, atol=1e-9),
-                             float(np.abs(union - full).max()))
-        # tapered sectors cover the whole Fock space, so their minimum is
-        # the global ground energy, not the N-sector one
-        want = float(np.linalg.eigvalsh(dense_fock_matrix(h_fermi))[0])
-        got = min(report.sector_energies.values())
-        report.add_check("global_ground_energy", abs(got - want) < 1e-9, abs(got - want))
-    elif cfg.verification != "none":
-        report.add_check("terms_i_or_x_on_paired_qubits", all(
-            op.letter_at(q) in "IX"
-            for _, op in transformed.terms for q in plan.paired_qubits
-        ))
-
-    if cfg.output_path:
-        sector = best[0] if best is not None else (cfg.sector or (1,) * plan.size)
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(hamiltonian_to_text(taper(transformed, plan, sector)))
-    return report
-
-
-def _run_graph_pipeline(cfg: PipelineConfig, report: RunReport) -> RunReport:
-    with open(cfg.input_path, encoding="utf-8") as fh:
-        h_fermi = FermionHamiltonian.from_json(fh.read())
-    if cfg.graph_path:
-        graph = load_graph(cfg.graph_path)
-        enc = CodeEncoding.from_graph(graph, h_fermi.particles)
-    elif cfg.check_path:
-        enc = CodeEncoding(load_pcm(cfg.check_path), h_fermi.particles)
-        graph = None
-    else:
-        raise ValueError("graph pipeline needs --graph or --check")
-    report.qubits_before = h_fermi.modes
-    report.qubits_after = enc.qubits
-
-    rng = np.random.default_rng(cfg.seed)
-    modes = enc.modes
-    r2 = 0
-    for _ in range(4):
-        a, b = rng.choice(modes, size=2, replace=False) + 1
-        r2 = max(r2, two_body_simulator(enc, int(a), int(b)).sparsity)
-    r4 = 0
-    for _ in range(4):
-        picks = rng.choice(modes, size=4, replace=False) + 1
-        r4 = max(r4, four_body_simulator(enc, *(int(v) for v in picks)).sparsity)
-    report.sparsity = {"r2_max_seen": r2, "r4_max_seen": r4}
-    weight = enc.max_column_weight
-    drop = 3 if enc.bipartition else 1
-    report.add_check("two_body_sparsity", r2 <= 1 << max(2 * weight - drop, 0), r2)
-    report.add_check("four_body_sparsity", r4 <= 1 << max(4 * weight - drop, 0), r4)
-
-    if graph is not None:
-        ok = True
-        for _ in range(64):
-            syndrome = rng.integers(0, 2, size=enc.qubits).astype(np.uint8)
-            via_graph = graph_decode(graph, syndrome, enc.particles)
-            via_brute = brute_force_decode(enc.matrix, enc.particles, syndrome)
-            if (via_graph is None) != (via_brute is None):
-                ok = False
-            elif via_graph is not None and not np.array_equal(via_graph, via_brute):
-                ok = False
-        report.add_check("decode_cross_check", ok)
-    if cfg.verification == "dense-oracle" and enc.qubits <= 14:
-        frames = build_simulator_hamiltonian(h_fermi, enc, cfg.penalty)
-        iso = enc.isometry()
-        app = apply_frames_to_isometry(frames, enc)
-        leak = float(np.abs(app - iso @ (iso.T @ app)).max())
-        block = iso.T @ app
-        sec = sector_matrix_direct(h_fermi)
-        report.add_check("codespace_preserved", leak < 1e-9, leak)
-        report.add_check("codespace_block_matches_sector",
-                         np.allclose(block, sec, atol=1e-9),
-                         float(np.abs(block - sec).max()))
-    return report
-
-
 # -- subcommand handlers ------------------------------------------------------
 
 
@@ -302,29 +133,20 @@ def _cmd_taper(args) -> int:
     report.generators = [g.label for g in group.generators]
     report.paired_qubits = list(plan.paired_qubits)
 
-    if args.sector:
-        sectors = [_parse_sector(args.sector)]
-    elif h.qubit_count - plan.size <= 12:
-        sectors = all_sectors(plan.size)
+    sectors = [_parse_sector(args.sector)] if args.sector else None
+    if report.qubits_after <= SECTOR_QUBIT_CAP:
+        spectra = sector_spectra(h, plan, transformed, sectors)
+        for sector, spectrum in spectra.items():
+            report.sector_energies[_sector_label(sector)] = float(spectrum[0])
+        chosen = min(spectra, key=lambda sector: spectra[sector][0])
+        report.best_sector = _sector_label(chosen)
+    elif sectors:
+        chosen = sectors[0]  # too large to diagonalize; still written below
     else:
         raise ValueError(
-            f"{h.qubit_count - plan.size} qubits remain; enumeration is "
-            "capped at 12, pass --sector"
+            f"{report.qubits_after} qubits remain; enumeration is "
+            f"capped at {SECTOR_QUBIT_CAP}, pass --sector"
         )
-    best = None
-    for sector in sectors:
-        reduced = taper(transformed, plan, sector)
-        if reduced.qubit_count > 12:
-            continue  # too large to diagonalize; still written below
-        energy = (float(np.linalg.eigvalsh(reduced.dense())[0])
-                  if reduced.qubit_count else
-                  float(sum(c.real for c, _ in reduced.terms)))
-        report.sector_energies[_sector_label(sector)] = energy
-        if best is None or energy < best[1]:
-            best = (sector, energy)
-    chosen = best[0] if best is not None else sectors[0]
-    if best is not None:
-        report.best_sector = _sector_label(chosen)
     reduced = taper(transformed, plan, chosen)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(hamiltonian_to_text(reduced))
@@ -447,12 +269,15 @@ def _cmd_hperp(args) -> int:
 
 # -- verify suites ------------------------------------------------------------
 
+# The 14 Pauli strings of the four-qubit minimal-basis hydrogen Hamiltonian.
 H2_TABLE = (
     "ZIII", "IZII", "IIZI", "IIIZ",
     "ZZII", "ZIZI", "ZIIZ", "IZZI", "IZIZ", "IIZZ",
     "YYXX", "XYYX", "YXXY", "XXYY",
 )
 
+# Images of the table after the three symmetry reflections (paired qubits
+# 2, 3, 4 act by I or X only; signs live in the coefficients).
 H2_TRANSFORMED = (
     "ZIII", "ZXII", "ZIXI", "ZIIX",
     "IXII", "IIXI", "IIIX", "IXXI", "IXIX", "IIXX",
@@ -499,15 +324,8 @@ def verify_suite(suite: str, modes: int = 5, particles: int = 2, seed: int = 7,
             full = np.sort(np.linalg.eigvalsh(q.dense()))
             report.add_check(f"{kind}_spectrum", bool(np.allclose(full, ref, atol=1e-9)),
                              float(np.abs(full - ref).max()))
-            plan_, transformed_, _ = _taper_triplet(q)
-            union = []
-            for sector in all_sectors(plan_.size):
-                red = taper(transformed_, plan_, sector)
-                union.extend(
-                    np.linalg.eigvalsh(red.dense()) if red.qubit_count
-                    else [sum(c.real for c, _ in red.terms)]
-                )
-            union = np.sort(np.asarray(union, dtype=float))
+            plan = build_plan(find_symmetries(q), q)
+            union = np.sort(np.concatenate(list(sector_spectra(q, plan).values())))
             report.add_check(f"{kind}_sector_union", bool(np.allclose(union, ref, atol=1e-9)),
                              float(np.abs(union - ref).max()))
     elif suite == "oa":
@@ -518,12 +336,6 @@ def verify_suite(suite: str, modes: int = 5, particles: int = 2, seed: int = 7,
     else:
         raise ValueError(f"unknown suite {suite!r}; choose h2, spectra, or oa")
     return report
-
-
-def _taper_triplet(h: QubitHamiltonian):
-    group = find_symmetries(h)
-    plan = build_plan(group, h)
-    return plan, clifford_transform(h, plan), group
 
 
 def _cmd_verify(args) -> int:
@@ -557,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("taper", help="detect symmetries and remove qubits")
     p.add_argument("--input", required=True, help="Pauli text file")
     p.add_argument("--sector", help="sector signs, e.g. ++-")
-    p.add_argument("--enumerate", action="store_true",
-                   help="enumerate all sectors (default)")
     p.add_argument("--output", required=True)
     p.add_argument("--report", help="JSON report path")
     p.set_defaults(func=_cmd_taper)

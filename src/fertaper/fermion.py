@@ -235,6 +235,12 @@ class FermionHamiltonian:
 
     @classmethod
     def from_json(cls, text: str) -> "FermionHamiltonian":
+        """Read the format of :meth:`to_json`.
+
+        A ``t`` row ``(a, b)`` or ``u`` row ``(a, b, g, d)`` given twice is
+        rejected with a ValueError naming it: summing the two, or keeping the
+        last, would silently change what the file means.
+        """
         data = json.loads(text)
         if not isinstance(data, dict):
             raise ValueError("Hamiltonian JSON must be an object")
@@ -242,12 +248,15 @@ class FermionHamiltonian:
             if key not in data:
                 raise ValueError(f"Hamiltonian JSON lacks the required key {key!r}")
         m = int(data["modes"])
-        t = np.zeros((m, m), dtype=complex)
+        rows = {}
         for a, b, re, im in data.get("t", []):
-            t[int(a) - 1, int(b) - 1] = complex(re, im)
+            _add_row(rows, "t", (int(a), int(b)), complex(re, im))
+        t = np.zeros((m, m), dtype=complex)
+        for (a, b), value in rows.items():
+            t[a - 1, b - 1] = value
         u = {}
         for a, b, g, d, re, im in data.get("u", []):
-            u[(int(a), int(b), int(g), int(d))] = complex(re, im)
+            _add_row(u, "u", (int(a), int(b), int(g), int(d)), complex(re, im))
         return cls(m, int(data["particles"]), t, u)
 
     def to_json(self) -> str:
@@ -282,6 +291,12 @@ class FermionHamiltonian:
             sign, state = hit
             out[state.occ] = out.get(state.occ, 0.0) + coeff * sign
         return out
+
+
+def _add_row(rows: dict, name: str, key: tuple, value: complex) -> None:
+    if key in rows:
+        raise ValueError(f"Hamiltonian JSON repeats the {name} row {list(key)}")
+    rows[key] = value
 
 
 def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:

@@ -85,7 +85,8 @@ def _split_label(label: str) -> tuple[int, str]:
 
 
 def _letter_masks(letters: str) -> tuple[int, int]:
-    return int(letters.translate(_X_BITS), 2), int(letters.translate(_Z_BITS), 2)
+    # the leading 0 lets the empty (zero-qubit) string parse too
+    return int("0" + letters.translate(_X_BITS), 2), int("0" + letters.translate(_Z_BITS), 2)
 
 
 def _letter(x_mask: int, z_mask: int, shift: int) -> str:
@@ -418,22 +419,29 @@ def hamiltonian_to_text(h: QubitHamiltonian) -> str:
 
 
 def hamiltonian_from_text(text: str) -> QubitHamiltonian:
-    """Parse the line format produced by :func:`hamiltonian_to_text`."""
+    """Parse the line format produced by :func:`hamiltonian_to_text`.
+
+    The qubit count comes from the ``# qubits N`` header, so a sum with no
+    terms reads back; without a header it is the first label's length.  On
+    zero qubits the label is empty and a term line is just ``re im``.
+    """
     xs, zs, cs = [], [], []
     n = None
     for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        line, _, comment = raw.partition("#")
         parts = line.split()
+        if not parts:
+            words = comment.split()
+            if len(words) == 2 and words[0] == "qubits" and words[1].isdigit():
+                n = _same_length(n, int(words[1]))
+            continue
+        if len(parts) == 2 and n == 0:
+            parts.append("")
         if len(parts) != 3:
             raise ValueError(f"malformed Hamiltonian line: {raw!r}")
         re_c, im_c, label = parts
-        prefix, letters = _split_label(label)
-        if n is None:
-            n = len(letters)
-        elif len(letters) != n:
-            raise ValueError("inconsistent Pauli lengths in file")
+        prefix, letters = _split_label(label) if label else (0, "")
+        n = _same_length(n, len(letters))
         x, z = _letter_masks(letters)
         coeff = complex(float(re_c), float(im_c))
         xs.append(x)
@@ -442,6 +450,12 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
     if n is None:
         raise ValueError("no Pauli terms found")
     return QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize()
+
+
+def _same_length(n: int | None, length: int) -> int:
+    if n is not None and length != n:
+        raise ValueError("inconsistent Pauli lengths in file")
+    return length
 
 
 def kron_chain(mats) -> np.ndarray:

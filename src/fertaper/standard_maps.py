@@ -16,7 +16,7 @@ import numpy as np
 
 from fertaper import gf2
 from fertaper.fermion import FermionHamiltonian
-from fertaper.pauli import PauliOperator, QubitHamiltonian
+from fertaper.pauli import PauliOperator, QubitHamiltonian, _check_dense_size
 
 ENCODING_KINDS = ("jordan_wigner", "parity", "binary_tree")
 
@@ -67,6 +67,7 @@ class StandardEncoding:
     def permutation_matrix(self) -> np.ndarray:
         """Dense basis permutation |x> -> |Ax| (oracle use only)."""
         m = self.modes
+        _check_dense_size(m)
         dim = 1 << m
         perm = np.zeros((dim, dim))
         for col in range(dim):

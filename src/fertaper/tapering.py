@@ -298,16 +298,19 @@ def all_sectors(k: int):
 
 
 def sector_spectra(h: QubitHamiltonian, plan: TaperingPlan,
-                   transformed: QubitHamiltonian | None = None) -> dict[tuple, np.ndarray]:
-    """Dense spectrum of every sector's tapered Hamiltonian."""
+                   transformed: QubitHamiltonian | None = None,
+                   sectors=None) -> dict[tuple, np.ndarray]:
+    """Ascending dense spectrum of each sector's tapered Hamiltonian.
+
+    sectors defaults to all 2^k sign choices; the result keeps their order.
+    A sector with no qubits left is a 1x1 matrix, its one coefficient.
+    """
     if transformed is None:
         transformed = clifford_transform(h, plan)
-    out = {}
-    for sector in all_sectors(plan.size):
-        reduced = taper(transformed, plan, sector)
-        out[sector] = np.linalg.eigvalsh(reduced.dense()) if reduced.qubit_count else \
-            np.array([sum(c.real for c, _ in reduced.terms)])
-    return out
+    if sectors is None:
+        sectors = all_sectors(plan.size)
+    return {tuple(sector): np.linalg.eigvalsh(taper(transformed, plan, sector).dense())
+            for sector in sectors}
 
 
 def spin_sector_signs(n_up: int, n_down: int, enc: StandardEncoding) -> tuple[int, int]:

@@ -1,33 +1,19 @@
 import numpy as np
 import pytest
 
+from fertaper.cli import H2_TABLE
 from fertaper.fermion import FermionHamiltonian
 from fertaper.graphs import cycle_chord_graph
 from fertaper.pauli import PauliOperator, QubitHamiltonian
-
-# The 14 Pauli strings of the four-qubit minimal-basis hydrogen Hamiltonian.
-H2_OPERATORS = (
-    "ZIII", "IZII", "IIZI", "IIIZ",
-    "ZZII", "ZIZI", "ZIIZ", "IZZI", "IZIZ", "IIZZ",
-    "YYXX", "XYYX", "YXXY", "XXYY",
-)
-
-# Images of the table after the three symmetry reflections (paired qubits
-# 2, 3, 4 act by I or X only; signs live in the coefficients).
-H2_TRANSFORMED = (
-    "ZIII", "ZXII", "ZIXI", "ZIIX",
-    "IXII", "IIXI", "IIIX", "IXXI", "IXIX", "IIXX",
-    "XIXX", "XIIX", "XXXI", "XXII",
-)
 
 
 @pytest.fixture
 def h2_table() -> QubitHamiltonian:
     """The hydrogen operator table with generic distinct coefficients."""
-    coeffs = [0.31 + 0.07 * i for i in range(len(H2_OPERATORS))]
+    coeffs = [0.31 + 0.07 * i for i in range(len(H2_TABLE))]
     return QubitHamiltonian(
         4,
-        tuple((c, PauliOperator.from_label(l)) for c, l in zip(coeffs, H2_OPERATORS)),
+        tuple((c, PauliOperator.from_label(l)) for c, l in zip(coeffs, H2_TABLE)),
     )
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 
 from fertaper import gf2
+from fertaper.cli import H2_TABLE, H2_TRANSFORMED
 from fertaper.codeword import (
     CodeEncoding,
     apply_frames_to_isometry,
@@ -52,7 +53,6 @@ from fertaper.tapering import (
     find_symmetries,
     taper,
 )
-from tests.conftest import H2_OPERATORS, H2_TRANSFORMED
 
 
 class Stopwatch:
@@ -68,9 +68,9 @@ class Stopwatch:
 
 
 def h2_table_hamiltonian() -> QubitHamiltonian:
-    coeffs = [0.31 + 0.07 * i for i in range(len(H2_OPERATORS))]
+    coeffs = [0.31 + 0.07 * i for i in range(len(H2_TABLE))]
     return QubitHamiltonian(
-        4, tuple((c, PauliOperator.from_label(l)) for c, l in zip(coeffs, H2_OPERATORS))
+        4, tuple((c, PauliOperator.from_label(l)) for c, l in zip(coeffs, H2_TABLE))
     )
 
 

@@ -3,10 +3,12 @@ import json
 import numpy as np
 import pytest
 
-from fertaper.cli import PipelineConfig, build_parser, main, run_pipeline
+from fertaper.cli import build_parser, main
 from fertaper.codeword import save_pcm
+from fertaper.fermion import FermionHamiltonian, dense_fock_matrix
 from fertaper.graphs import cycle_chord_graph, save_graph
 from fertaper.pauli import hamiltonian_from_text
+from fertaper.tapering import build_plan, clifford_transform, find_symmetries, sector_spectra
 from tests.conftest import minimal_basis_hydrogen
 
 
@@ -39,7 +41,7 @@ class TestEncodeTaper:
 
         tapered = tmp_path / "tapered.txt"
         report = tmp_path / "report.json"
-        assert main(["taper", "--input", str(encoded), "--enumerate",
+        assert main(["taper", "--input", str(encoded),
                      "--output", str(tapered), "--report", str(report)]) == 0
         reduced = hamiltonian_from_text(tapered.read_text())
         assert reduced.qubit_count == 1
@@ -86,72 +88,66 @@ class TestEncodeTaper:
         assert err.startswith("error:") and "'modes'" in err
 
 
-class TestPipeline:
-    def test_h2_pipeline_report(self, h2_json):
-        cfg = PipelineConfig(input_path=h2_json, encoding="jw",
-                             verification="dense-oracle")
-        report = run_pipeline(cfg)
-        assert report.qubits_before == 4
-        assert report.qubits_after == 1
-        assert sorted(report.generators) == ["ZIIZ", "ZIZI", "ZZII"]
-        assert report.all_passed
-        assert len(report.sector_energies) == 8
+def encode_and_taper(tmp_path, h_json):
+    """CLI encode (Jordan-Wigner) then taper; returns the encoded, tapered and report paths."""
+    encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
+    assert main(["encode", "--input", h_json, "--map", "jw", "--output", str(encoded)]) == 0
+    assert main(["taper", "--input", str(encoded), "--output", str(tapered),
+                 "--report", str(report)]) == 0
+    return encoded, tapered, report
 
-    def test_graph_pipeline(self, tmp_path):
-        import warnings
 
-        from fertaper.fermion import FermionHamiltonian
+class TestTaperReport:
+    def test_h2_report(self, tmp_path, h2_json):
+        encoded, _, report = encode_and_taper(tmp_path, h2_json)
+        data = json.loads(report.read_text())
+        assert data["qubits_before"] == 4
+        assert data["qubits_after"] == 1
+        assert sorted(data["generators"]) == ["ZIIZ", "ZIZI", "ZZII"]
+        assert all(check["passed"] for check in data["checks"])
+        assert len(data["sector_energies"]) == 8
+        # dense oracles: the transform is isospectral, the sectors together
+        # hold the whole spectrum, and the lowest sector is the global
+        # (Fock-space, not N-particle) ground energy
+        q = hamiltonian_from_text(encoded.read_text())
+        plan = build_plan(find_symmetries(q), q)
+        transformed = clifford_transform(q, plan)
+        full = np.sort(np.linalg.eigvalsh(q.dense()))
+        assert np.allclose(np.sort(np.linalg.eigvalsh(transformed.dense())), full, atol=1e-9)
+        union = np.sort(np.concatenate(list(sector_spectra(q, plan, transformed).values())))
+        assert np.allclose(union, full, atol=1e-9)
+        want = np.linalg.eigvalsh(dense_fock_matrix(minimal_basis_hydrogen()))[0]
+        assert abs(min(data["sector_energies"].values()) - want) < 1e-9
 
-        g = cycle_chord_graph(8, 2)
-        graph_path = tmp_path / "g.graph"
-        save_graph(g, str(graph_path))
-        t = np.zeros((16, 16), dtype=complex)
-        for a, b, v in ((1, 1, -0.4), (2, 2, 0.3), (1, 5, 0.2), (3, 9, -0.15)):
-            t[a - 1, b - 1] = v
-            t[b - 1, a - 1] = np.conj(v)
-        u = {(1, 2, 2, 1): 0.3 + 0j, (2, 1, 6, 11): 0.1 + 0.05j,
-             (11, 6, 1, 2): 0.1 - 0.05j}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            h = FermionHamiltonian(16, 2, t, u)
-        hpath = tmp_path / "h16.json"
-        hpath.write_text(h.to_json())
-        cfg = PipelineConfig(input_path=str(hpath), encoding="graph",
-                             graph_path=str(graph_path), penalty=3.0,
-                             verification="dense-oracle")
-        report = run_pipeline(cfg)
-        assert report.sparsity["r2_max_seen"] <= 2
-        assert report.sparsity["r4_max_seen"] <= 32
-        assert report.all_passed
+    def test_byte_identical_reports(self, tmp_path, h2_json):
+        # same paths both times: the report records its input path
+        runs = []
+        for _ in range(2):
+            _, tapered, report = encode_and_taper(tmp_path, h2_json)
+            runs.append((tapered.read_bytes(), report.read_bytes()))
+        assert runs[0] == runs[1]
 
-    def test_pcm_pipeline_without_bipartition(self, tmp_path, subcode_json):
-        a = cycle_chord_graph(8, 2).incidence_matrix()[:, :6]
-        check_path = tmp_path / "a.pcm"
-        save_pcm(a, str(check_path))
-        cfg = PipelineConfig(input_path=subcode_json, encoding="graph",
-                             check_path=str(check_path), verification="dense-oracle")
-        report = run_pipeline(cfg)
-        # no row classes in the file, so only the generic bounds apply
-        assert report.sparsity["r2_max_seen"] <= 8
-        assert report.sparsity["r4_max_seen"] <= 128
-        assert report.all_passed
-
-    def test_byte_identical_reports(self, h2_json):
-        cfg = PipelineConfig(input_path=h2_json, encoding="jw", seed=3)
-        a = run_pipeline(cfg).to_json()
-        b = run_pipeline(cfg).to_json()
-        assert a == b
-
-    def test_empty_hamiltonian_flagged_degenerate(self, tmp_path):
-        from fertaper.fermion import FermionHamiltonian
-
-        h = FermionHamiltonian(3, 1, np.zeros((3, 3)))
+    def test_empty_hamiltonian_tapers_every_qubit(self, tmp_path):
         path = tmp_path / "empty.json"
-        path.write_text(h.to_json())
-        report = run_pipeline(PipelineConfig(input_path=str(path), encoding="jw"))
-        assert any(c["name"] == "degenerate_hamiltonian_flagged" for c in report.checks)
+        path.write_text(FermionHamiltonian(3, 1, np.zeros((3, 3))).to_json())
+        encoded, tapered, report = encode_and_taper(tmp_path, str(path))
+        assert encoded.read_text() == "# qubits 3\n"
+        data = json.loads(report.read_text())
         # the whole single-letter group survives, one symmetry per qubit
-        assert len(report.generators) == 3
+        assert len(data["generators"]) == 3
+        assert data["qubits_after"] == 0
+        assert set(data["sector_energies"].values()) == {0.0}
+        assert hamiltonian_from_text(tapered.read_text()).qubit_count == 0
+
+    def test_repeated_json_row_is_an_error_line(self, tmp_path, capsys):
+        source = tmp_path / "h.json"
+        source.write_text(json.dumps({"modes": 2, "particles": 1,
+                                      "t": [[1, 1, 0.5, 0.0], [1, 1, 0.25, 0.0]]}))
+        rc = main(["encode", "--input", str(source), "--map", "jw",
+                   "--output", str(tmp_path / "q.txt")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "t row [1, 1]" in err
 
 
 class TestCodesim:
@@ -170,8 +166,6 @@ class TestCodesim:
 
     @staticmethod
     def banded_json(path, modes):
-        from fertaper.fermion import FermionHamiltonian
-
         t = np.zeros((modes, modes), dtype=complex)
         for a in range(modes):
             t[a, a] = 0.1 * (a % 7)

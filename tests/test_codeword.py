@@ -19,14 +19,17 @@ from fertaper.codeword import (
     two_body_simulator,
 )
 from fertaper.fermion import (
+    FermionHamiltonian,
     FermionObservable,
     FockState,
     observable_action,
     random_hamiltonian,
     sector_matrix,
+    sector_matrix_direct,
     weight_n_states,
 )
-from fertaper.graphs import cycle_chord_graph
+from fertaper.graphs import cycle_chord_graph, graph_decode, load_graph, save_graph
+from fertaper.mitm import brute_force_decode
 
 
 @pytest.fixture
@@ -661,3 +664,69 @@ class TestPcmFile:
         path.write_text(text)
         with pytest.raises(ValueError):
             load_pcm(str(path))
+
+
+def sampled_sparsity_checks(h, enc, graph=None, penalty=None, seed=0):
+    """Seeded r2/r4 sparsity, decoder cross-check and dense codespace checks.
+
+    Four random hops and four random pair hops give the largest sparsity
+    seen; each must meet the column-weight bound (two lower with a
+    bipartition).  With a graph, 64 random syndromes decode the same by
+    graph_decode and brute force.  The frames of the whole Hamiltonian keep
+    the codespace and equal the direct N-particle sector matrix on it.
+    Returns (r2, r4).
+    """
+    rng = np.random.default_rng(seed)
+    r2 = max(two_body_simulator(enc, *(int(v) for v in rng.choice(
+        enc.modes, size=2, replace=False) + 1)).sparsity for _ in range(4))
+    r4 = max(four_body_simulator(enc, *(int(v) for v in rng.choice(
+        enc.modes, size=4, replace=False) + 1)).sparsity for _ in range(4))
+    weight = enc.max_column_weight
+    drop = 3 if enc.bipartition else 1
+    assert r2 <= 1 << max(2 * weight - drop, 0)
+    assert r4 <= 1 << max(4 * weight - drop, 0)
+    if graph is not None:
+        for _ in range(64):
+            syndrome = rng.integers(0, 2, size=enc.qubits).astype(np.uint8)
+            via_graph = graph_decode(graph, syndrome, enc.particles)
+            via_brute = brute_force_decode(enc.matrix, enc.particles, syndrome)
+            assert (via_graph is None) == (via_brute is None)
+            assert via_graph is None or np.array_equal(via_graph, via_brute)
+    frames = build_simulator_hamiltonian(h, enc, penalty)
+    iso = enc.isometry()
+    app = apply_frames_to_isometry(frames, enc)
+    assert np.abs(app - iso @ (iso.T @ app)).max() < 1e-9
+    assert np.allclose(iso.T @ app, sector_matrix_direct(h), atol=1e-9)
+    return r2, r4
+
+
+class TestSampledSparsity:
+    def test_graph_code(self, tmp_path):
+        import warnings
+
+        path = tmp_path / "g.graph"
+        save_graph(cycle_chord_graph(8, 2), str(path))
+        graph = load_graph(str(path))
+        t = np.zeros((16, 16), dtype=complex)
+        for a, b, v in ((1, 1, -0.4), (2, 2, 0.3), (1, 5, 0.2), (3, 9, -0.15)):
+            t[a - 1, b - 1] = v
+            t[b - 1, a - 1] = np.conj(v)
+        u = {(1, 2, 2, 1): 0.3 + 0j, (2, 1, 6, 11): 0.1 + 0.05j,
+             (11, 6, 1, 2): 0.1 - 0.05j}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            h = FermionHamiltonian(16, 2, t, u)
+        enc = CodeEncoding.from_graph(graph, h.particles)
+        r2, r4 = sampled_sparsity_checks(h, enc, graph, penalty=3.0)
+        assert r2 <= 2
+        assert r4 <= 32
+
+    def test_pcm_code_without_bipartition(self, tmp_path):
+        path = tmp_path / "a.pcm"
+        save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(path))
+        h = random_hamiltonian(6, 2, np.random.default_rng(5))
+        enc = CodeEncoding(load_pcm(str(path)), h.particles)
+        r2, r4 = sampled_sparsity_checks(h, enc)
+        # no row classes in the file, so only the generic bounds apply
+        assert r2 <= 8
+        assert r4 <= 128

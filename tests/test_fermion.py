@@ -201,6 +201,18 @@ class TestValidation:
         with pytest.raises(ValueError, match=repr(key)):
             FermionHamiltonian.from_json(json.dumps(data))
 
+    @pytest.mark.parametrize("key, row", [("t", [1, 2, 0.1, 0.0]),
+                                          ("u", [1, 2, 2, 1, 0.25, 0.0])])
+    def test_json_repeated_row_is_rejected(self, key, row):
+        h = FermionHamiltonian(2, 1, [[0.5, 0.1], [0.1, 0.5]], {(1, 2, 2, 1): 0.25})
+        data = json.loads(h.to_json())
+        assert row in data[key]
+        index = row[:-2]
+        data[key].append(index + [0.3, 0.0])
+        with pytest.raises(ValueError) as err:
+            FermionHamiltonian.from_json(json.dumps(data))
+        assert f"repeats the {key} row {index}" in str(err.value)
+
     def test_json_must_be_an_object(self):
         with pytest.raises(ValueError):
             FermionHamiltonian.from_json("[2, 1]")

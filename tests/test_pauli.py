@@ -229,6 +229,26 @@ class TestTextFormat:
         with pytest.raises(ValueError):
             hamiltonian_from_text("1.0 ZZ\n")
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_zero_sum_round_trip(self, n):
+        text = hamiltonian_to_text(QubitHamiltonian.zero(n))
+        assert text == f"# qubits {n}\n"
+        again = hamiltonian_from_text(text)
+        assert again.qubit_count == n and len(again) == 0
+
+    def test_zero_qubit_identity_round_trip(self):
+        h = QubitHamiltonian(0, ((-0.75, PauliOperator.identity(0)),))
+        again = hamiltonian_from_text(hamiltonian_to_text(h))
+        assert again.qubit_count == 0
+        assert again.coeffs == (-0.75 + 0j,)
+        assert again.dense().tolist() == [[-0.75 + 0j]]
+
+    def test_header_must_match_the_labels(self):
+        with pytest.raises(ValueError, match="inconsistent"):
+            hamiltonian_from_text("# qubits 3\n1.0 0.0 ZZ\n")
+        with pytest.raises(ValueError, match="malformed"):
+            hamiltonian_from_text("1.0 0.0\n")  # an empty label needs "# qubits 0"
+
 
 class TestPackedAgainstNaive:
     """Mask arithmetic against literal Kronecker products, phase prefixes included."""

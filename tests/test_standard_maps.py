@@ -74,6 +74,14 @@ class TestMatrices:
         enc = build_encoding("binary_tree", 4)
         assert gf2.matvec(enc.matrix, [0, 1, 0, 0]).tolist() == [0, 1, 0, 1]
 
+    def test_permutation_matrix_guarded(self, monkeypatch):
+        enc = build_encoding("parity", 4)
+        monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "3")
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            enc.permutation_matrix()
+        monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "4")
+        assert enc.permutation_matrix().shape == (16, 16)
+
 
 def recursive_tree_sets(m: int):
     """Independent route: the doubling recursions for the tree sets.
@@ -247,12 +255,12 @@ class TestEncodeHamiltonian:
                 assert np.abs(vals - ref).max() < 1e-9
 
     def test_hydrogen_term_set(self, h2_fermionic):
-        from tests.conftest import H2_OPERATORS
+        from fertaper.cli import H2_TABLE
 
         out = encode_hamiltonian(h2_fermionic, build_encoding("jordan_wigner", 4))
-        assert out.operator_set() == set(H2_OPERATORS)
+        assert out.operator_set() == set(H2_TABLE)
         # identity carries the scalar part
-        assert out.operator_set(include_identity=True) == set(H2_OPERATORS) | {"IIII"}
+        assert out.operator_set(include_identity=True) == set(H2_TABLE) | {"IIII"}
 
     def test_hydrogen_ground_energy(self, h2_fermionic):
         from fertaper.fermion import sector_matrix

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fertaper import gf2
+from fertaper.cli import H2_TRANSFORMED
 from fertaper.fermion import dense_fock_matrix, random_hamiltonian
 from fertaper.pauli import PauliOperator, QubitHamiltonian, commutes, pauli_matrix_naive
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
@@ -19,7 +20,6 @@ from fertaper.tapering import (
     symplectic_gram_schmidt,
     taper,
 )
-from tests.conftest import H2_TRANSFORMED
 
 
 def pauli_group(labels):
@@ -313,6 +313,28 @@ class TestTaper:
             assert reduced.qubit_count == 0
             value = sum(c.real for c, _ in reduced.terms)
             assert value == pytest.approx(sector[0])
+
+    def test_zero_qubit_sector_spectra(self):
+        # 0.5 I + 0.3 Z: Z is the symmetry, each sector leaves one number
+        h = QubitHamiltonian(1, ((0.5, PauliOperator.from_label("I")),
+                                 (0.3, PauliOperator.from_label("Z"))))
+        plan = build_plan(find_symmetries(h), h)
+        spectra = sector_spectra(h, plan)
+        assert {s: v.tolist() for s, v in spectra.items()} == \
+            {(1,): [pytest.approx(0.8)], (-1,): [pytest.approx(0.2)]}
+        empty = QubitHamiltonian.zero(1)
+        plan = build_plan(find_symmetries(empty), empty)
+        assert all(v.tolist() == [0.0] for v in sector_spectra(empty, plan).values())
+
+    def test_chosen_sectors_keep_their_order(self, h2_table):
+        plan = build_plan(find_symmetries(h2_table), h2_table)
+        every = sector_spectra(h2_table, plan)
+        picked = [(-1, 1, -1), (1, 1, 1)]
+        some = sector_spectra(h2_table, plan, sectors=picked)
+        assert list(some) == picked
+        for sector in picked:
+            assert np.array_equal(some[sector], every[sector])
+        assert all(np.all(np.diff(v) >= 0) for v in every.values())
 
 
 class TestSpinSectorSigns:
