@@ -154,7 +154,7 @@ def _cmd_taper(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
     print(f"tapered {h.qubit_count} -> {reduced.qubit_count} qubits "
-          f"({plan.size} symmetries), sector {report.best_sector}")
+          f"({plan.size} symmetries), sector {_sector_label(chosen)}")
     return 0
 
 

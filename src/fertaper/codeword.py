@@ -267,10 +267,6 @@ class FramedDiagonal:
                 diag.flags.writeable = False
             self.diagonal = diag
 
-    @property
-    def frame_size(self) -> int:
-        return len(self.flips)
-
     def rest_qubits(self) -> tuple[int, ...]:
         support = set(self.flips)
         return tuple(q for q in range(1, self.qubits + 1) if q not in support)

@@ -227,10 +227,6 @@ class FermionHamiltonian:
                 stacklevel=2,
             )
 
-    @property
-    def filling_fraction(self) -> float:
-        return self.particles / self.modes
-
     # -- JSON interchange ---------------------------------------------------
 
     @classmethod

@@ -3,10 +3,12 @@
 Workflow: collect the (x|z) rows of a Hamiltonian's Pauli terms into a
 check matrix, compute its GF(2) kernel (every commuting Pauli lives
 there), extract a maximal pairwise-commuting independent subset with a
-symplectic Gram-Schmidt pass, normalize the generators to Z-type with
-single-qubit basis exchanges, and conjugate the Hamiltonian by the
-product of (X_q + generator)/sqrt(2) reflections.  Afterwards each chosen
-qubit carries only I or X and can be replaced by a sector sign.
+symplectic Gram-Schmidt pass, pair each generator tau_i with a qubit and
+a single-qubit Pauli sigma_i that anticommutes with tau_i alone (symplectic
+elimination), and conjugate the Hamiltonian by the product of
+(sigma_i + tau_i)/sqrt(2) reflections, plus a Hadamard where sigma_i is Z.
+Afterwards each paired qubit carries only I or X and can be replaced by
+a sector sign, the eigenvalue of tau_i on the input Hamiltonian.
 """
 
 from __future__ import annotations
@@ -17,12 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from fertaper import gf2
-from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
+from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian, commutes
 from fertaper.standard_maps import StandardEncoding
-
-
-class NotZReducible(ValueError):
-    """Symmetry group cannot be turned into Z-strings by per-qubit exchanges."""
 
 
 @dataclass(frozen=True)
@@ -133,47 +131,20 @@ def find_symmetries(h: QubitHamiltonian) -> SymmetryGroup:
     return SymmetryGroup(n, tuple(_vector_to_pauli(v, n) for v in chosen))
 
 
-# -- Z-type normalization ---------------------------------------------------
-
-# Single-qubit letter exchanges used to normalize generators: X <-> Z (with
-# Y -> -Y) on the qubits of one mask, Y <-> Z on those of the other.  Both
-# are involutions realized by Clifford rotations, so spectra are unchanged.
-
-
-def _rotation_masks(rotations: dict[int, str], n: int) -> tuple[int, int]:
-    """(X-exchange mask, Y-exchange mask) of a plan's rotations."""
-    rx = ry = 0
-    for qubit, which in rotations.items():
-        if which == "X":
-            rx |= 1 << (n - qubit)
-        else:
-            ry |= 1 << (n - qubit)
-    return rx, ry
-
-
-def _rotate(x: int, z: int, rx: int, ry: int) -> tuple[int, int, int]:
-    """Exchanged masks and the phase power the exchange adds."""
-    swap = (x ^ z) & rx
-    x, z, phase = x ^ swap, z ^ swap, 2 * (x & z & rx).bit_count()
-    return x ^ (z & ry), z, phase + 3 * (z & ry).bit_count()
-
-
-def _apply_rotations(op: PauliOperator, rotations: dict[int, str]) -> PauliOperator:
-    x, z, phase = _rotate(op.x_mask, op.z_mask, *_rotation_masks(rotations, op.n))
-    return PauliOperator.from_masks(op.n, x, z, op.phase_power + phase)
+# -- pairing and reflections ------------------------------------------------
 
 
 @dataclass(frozen=True)
 class TaperingPlan:
     """Everything needed to rewrite a Hamiltonian with its symmetries fixed.
 
-    rotations: per-qubit letter exchanged with Z before anything else.
-    generators: Z-type Pauli generators after rotation, recombined so that
-    generator i is the only one acting on qubit paired_qubits[i].
+    generators: symmetries of the input Hamiltonian, recombined so that
+    generator i is the only one anticommuting with sigma_i, the single-qubit
+    X on qubit paired_qubits[i] (Z where the generator's letter there is X).
+    Sector sign i is the eigenvalue of generators[i].
     """
 
     qubit_count: int
-    rotations: dict[int, str]
     generators: tuple[PauliOperator, ...]
     paired_qubits: tuple[int, ...]
 
@@ -181,77 +152,92 @@ class TaperingPlan:
     def size(self) -> int:
         return len(self.generators)
 
+    def reflections(self) -> list[tuple[PauliOperator, PauliOperator]]:
+        """(a, b) of each reflection (a + b)/sqrt(2), in the order applied.
+
+        (sigma_i, generator i) maps the generator to sigma_i; a Hadamard
+        (X_q, Z_q) then turns each sigma_i = Z_q into X_q.
+        """
+        n = self.qubit_count
+        pairs, hadamards = [], []
+        for q, tau in zip(self.paired_qubits, self.generators):
+            sigma = PauliOperator.single(n, q, "Z" if tau.letter_at(q) == "X" else "X")
+            pairs.append((sigma, tau))
+            if sigma.z_mask:
+                hadamards.append((PauliOperator.single(n, q, "X"), sigma))
+        return pairs + hadamards
+
 
 def build_plan(group: SymmetryGroup, h: QubitHamiltonian | None = None) -> TaperingPlan:
-    """Choose paired qubits and Z-type generators for tapering.
+    """Pair every generator with a qubit and a single-qubit Pauli sigma there.
 
-    Per-qubit exchanges normalize X- or Y-type columns to Z; a qubit where
-    different generators use different letters admits no such exchange and
-    raises NotZReducible.  Pivots for the paired qubits are taken from the
-    highest qubit index downward, which reproduces the published generator
-    choices for the worked molecular examples.
+    Qubits are visited from n down to 1.  The first unpaired generator
+    acting on qubit q is paired with it, sigma = X_q (Z_q where its letter
+    is X), and every other generator anticommuting with sigma is multiplied
+    by it, so that sigma anticommutes with its own generator only: the
+    destabilizer elimination of Aaronson and Gottesman (PRA 70, 052328).
+    On Z-type generators this is the reduced row echelon form of the
+    z-block with qubit n first, which reproduces the published generator
+    choices for the worked molecular examples.  h is not used.
     """
     n = group.qubit_count
-    if group.size == 0:
-        return TaperingPlan(n, {}, (), ())
-    rotations: dict[int, str] = {}
-    for qubit in range(1, n + 1):
-        letters = {g.letter_at(qubit) for g in group.generators} - {"I"}
-        if len(letters) > 1:
-            raise NotZReducible(
-                f"generators act on qubit {qubit} with distinct letters {sorted(letters)}"
-            )
-        if letters and letters != {"Z"}:
-            rotations[qubit] = letters.pop()
-    rotated = [_apply_rotations(g, rotations) for g in group.generators]
-    zblock = np.array([g.z for g in rotated], dtype=np.uint8)
-    reduced, pivots = gf2.rref(zblock, column_order=range(n - 1, -1, -1))
-    if len(pivots) != len(rotated):
+    if not all(commutes(a, b) for a, b in itertools.combinations(group.generators, 2)):
+        raise ValueError("symmetry generators do not commute")
+    gens = [[g.x_mask, g.z_mask] for g in group.generators]
+    paired: dict[int, int] = {}  # generator index -> qubit
+    for q in range(n, 0, -1):
+        bit = 1 << (n - q)
+        i = next((i for i, (x, z) in enumerate(gens)
+                  if i not in paired and (x | z) & bit), None)
+        if i is None:
+            continue
+        paired[i] = q
+        anti = 1 if gens[i][1] & bit else 0  # sigma = X_q meets z bits, Z_q x bits
+        for j, g in enumerate(gens):
+            if j != i and g[anti] & bit:
+                g[0] ^= gens[i][0]
+                g[1] ^= gens[i][1]
+    if len(paired) != len(gens):
         raise ValueError("symmetry generators are not independent")
-    order = np.argsort(pivots)
-    z_masks = gf2.pack_rows(reduced)
-    gens = tuple(PauliOperator.from_masks(n, 0, z_masks[i]) for i in order)
-    paired = tuple(int(pivots[i]) + 1 for i in order)
-    return TaperingPlan(n, dict(rotations), gens, paired)
+    order = sorted(paired, key=paired.get)
+    return TaperingPlan(
+        n, tuple(PauliOperator.from_masks(n, x, z, (x & z).bit_count())
+                 for x, z in (gens[i] for i in order)),
+        tuple(paired[i] for i in order))
 
 
 def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamiltonian:
     """Rotate the Hamiltonian so each symmetry becomes a single-qubit X.
 
-    Applies the per-qubit exchanges, then each reflection
-    (X_q + tau)/sqrt(2) in turn.  The reflection is Hermitian and squares
-    to one, so conjugation keeps a Pauli that commutes with both X_q and
-    tau, negates one that anticommutes with both, and otherwise multiplies
-    it by tau*X_q (anticommutes with tau) or X_q*tau (with X_q): an XOR of
-    the masks with (X_q | tau) and a phase update.  The result has the
-    same spectrum and the same number of Pauli terms, and acts on every
-    paired qubit by I or X only.
+    Applies the plan's reflections (a + b)/sqrt(2) in turn.  Each is
+    Hermitian and squares to one, so conjugation keeps a Pauli that
+    commutes with both a and b, negates one that anticommutes with both,
+    and otherwise multiplies it by a*b (anticommutes with a) or b*a =
+    -a*b (with b): an XOR of the masks with those of a*b and a phase
+    update.  The result has the same spectrum and the same number of
+    Pauli terms, and acts on every paired qubit by I or X only.
     """
     h = h.canonicalize()
-    if plan.size == 0 and not plan.rotations:
+    if plan.size == 0:
         return h
     n = h.qubit_count
-    rx, ry = _rotation_masks(plan.rotations, n)
-    # (X_q mask, tau's z mask, phase power of tau*X_q); X_q*tau has power 0
-    reflections = [(1 << (n - q), tau.z_mask, 2 * (tau.z_mask >> (n - q) & 1))
-                   for q, tau in zip(plan.paired_qubits, plan.generators)]
+    # masks of a and b, and the phase power of a*b in X^x Z^z form
+    reflections = [(a.x_mask, a.z_mask, b.x_mask, b.z_mask,
+                    a.phase_power + b.phase_power + 2 * (a.z_mask & b.x_mask).bit_count())
+                   for a, b in plan.reflections()]
     xs, zs, cs = [], [], []
     for x, z, c in zip(h.x_masks, h.z_masks, h.coeffs):
         phase = (x & z).bit_count()  # letter form: i per Y
-        if rx or ry:
-            x, z, turn = _rotate(x, z, rx, ry)
-            phase += turn
-        for xq, tz, tau_xq in reflections:
-            anti_x = bool(z & xq)
-            anti_tau = (x & tz).bit_count() & 1
-            if anti_x == anti_tau:
-                if anti_x:
+        for ax, az, bx, bz, ab_phase in reflections:
+            anti_a = ((x & az) ^ (z & ax)).bit_count() & 1
+            anti_b = ((x & bz) ^ (z & bx)).bit_count() & 1
+            if anti_a == anti_b:
+                if anti_a:
                     c = -c
                 continue
-            if anti_tau:  # tau*X_q times the term; the odd swap sign adds 2
-                phase += tau_xq + 2
-            x ^= xq
-            z ^= tz
+            phase += ab_phase + 2 * ((x & (az ^ bz)).bit_count() + anti_b)
+            x ^= ax ^ bx
+            z ^= az ^ bz
         shift = (phase - (x & z).bit_count()) % 4
         xs.append(x)
         zs.append(z)

@@ -8,7 +8,13 @@ from fertaper.codeword import save_pcm
 from fertaper.fermion import FermionHamiltonian, dense_fock_matrix
 from fertaper.graphs import cycle_chord_graph, save_graph
 from fertaper.pauli import hamiltonian_from_text
-from fertaper.tapering import build_plan, clifford_transform, find_symmetries, sector_spectra
+from fertaper.tapering import (
+    build_plan,
+    clifford_transform,
+    find_symmetries,
+    sector_spectra,
+    taper,
+)
 from tests.conftest import minimal_basis_hydrogen
 
 
@@ -138,6 +144,27 @@ class TestTaperReport:
         assert data["qubits_after"] == 0
         assert set(data["sector_energies"].values()) == {0.0}
         assert hamiltonian_from_text(tapered.read_text()).qubit_count == 0
+
+    def test_fixed_sector_past_the_cap_names_the_written_sector(self, tmp_path, capsys):
+        # transverse-field Ising chain on 14 qubits: the one symmetry is
+        # X...X, so 13 qubits remain, too many to diagonalize the sectors
+        n = 14
+        lines = [f"# qubits {n}"]
+        lines += ["1 0 " + "I" * q + "ZZ" + "I" * (n - q - 2) for q in range(n - 1)]
+        lines += ["0.5 0 " + "I" * q + "X" + "I" * (n - q - 1) for q in range(n)]
+        pauli = tmp_path / "ising.txt"
+        pauli.write_text("\n".join(lines) + "\n")
+        tapered, report = tmp_path / "t.txt", tmp_path / "r.json"
+        assert main(["taper", "--input", str(pauli), "--sector=-",
+                     "--output", str(tapered), "--report", str(report)]) == 0
+        assert capsys.readouterr().out == "tapered 14 -> 13 qubits (1 symmetries), sector -\n"
+        q = hamiltonian_from_text(pauli.read_text())
+        plan = build_plan(find_symmetries(q), q)
+        assert hamiltonian_from_text(tapered.read_text()) == \
+            taper(clifford_transform(q, plan), plan, (-1,))
+        # the report keeps its pinned fields: nothing was diagonalized
+        data = json.loads(report.read_text())
+        assert data["best_sector"] is None and data["sector_energies"] == {}
 
     def test_repeated_json_row_is_an_error_line(self, tmp_path, capsys):
         source = tmp_path / "h.json"

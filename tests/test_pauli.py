@@ -243,6 +243,14 @@ class TestTextFormat:
         assert again.coeffs == (-0.75 + 0j,)
         assert again.dense().tolist() == [[-0.75 + 0j]]
 
+    def test_zero_qubit_line_has_no_trailing_space(self):
+        h = QubitHamiltonian(0, ((1.5, PauliOperator.identity(0)),))
+        assert hamiltonian_to_text(h) == "# qubits 0\n1.5 0\n"
+        x = QubitHamiltonian(1, ((1.5, PauliOperator.from_label("X")),))
+        assert hamiltonian_to_text(x) == "# qubits 1\n1.5 0 X\n"
+        # the older form with a trailing separator still reads back
+        assert hamiltonian_from_text("# qubits 0\n1.5 0 \n") == h
+
     def test_header_must_match_the_labels(self):
         with pytest.raises(ValueError, match="inconsistent"):
             hamiltonian_from_text("# qubits 3\n1.0 0.0 ZZ\n")

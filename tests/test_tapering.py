@@ -1,15 +1,25 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fertaper import gf2
-from fertaper.cli import H2_TRANSFORMED
-from fertaper.fermion import dense_fock_matrix, random_hamiltonian
-from fertaper.pauli import PauliOperator, QubitHamiltonian, commutes, pauli_matrix_naive
+from fertaper.cli import H2_TRANSFORMED, main
+from fertaper.fermion import FermionHamiltonian, dense_fock_matrix, random_hamiltonian
+from fertaper.pauli import (
+    PauliOperator,
+    QubitHamiltonian,
+    commutes,
+    hamiltonian_from_text,
+    pauli_multiply,
+)
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
-    NotZReducible,
+    SymmetryGroup,
+    TaperingPlan,
     all_sectors,
     build_plan,
     check_matrix,
@@ -128,31 +138,39 @@ class TestBuildPlan:
         assert [g.label for g in plan.generators] == ["ZZII", "ZIZI", "ZIIZ"]
 
     def test_single_z_on_two_qubits(self):
-        from fertaper.tapering import SymmetryGroup
-
         group = SymmetryGroup(2, (PauliOperator.from_label("ZI"),))
         plan = build_plan(group)
         assert plan.paired_qubits == (1,)
 
     def test_highest_index_pivot(self):
-        from fertaper.tapering import SymmetryGroup
-
         group = SymmetryGroup(2, (PauliOperator.from_label("ZZ"),))
         plan = build_plan(group)
         assert plan.paired_qubits == (2,)
 
-    def test_x_generator_gets_rotated(self):
+    def test_x_generator_pairs_with_z(self):
         plan = build_plan(find_symmetries(single_term(1, "X")))
-        assert plan.rotations == {1: "X"}
-        assert [g.label for g in plan.generators] == ["Z"]
+        assert [g.label for g in plan.generators] == ["X"]
+        assert [(a.label, b.label) for a, b in plan.reflections()] == [("Z", "X"), ("X", "Z")]
 
-    def test_not_z_reducible(self):
-        from fertaper.tapering import SymmetryGroup
+    def test_xx_plus_zz_tapers(self, tmp_path):
+        # XX and ZZ use two letters on each qubit; both are symmetries
+        pauli = tmp_path / "xxzz.txt"
+        pauli.write_text("# qubits 2\n1 0 XX\n1 0 ZZ\n")
+        out, report = tmp_path / "t.txt", tmp_path / "r.json"
+        assert main(["taper", "--input", str(pauli), "--output", str(out),
+                     "--report", str(report)]) == 0
+        assert hamiltonian_from_text(out.read_text()).qubit_count == 0
+        energies = json.loads(report.read_text())["sector_energies"]
+        assert sorted(energies.values()) == pytest.approx([-2, 0, 0, 2])
 
-        group = SymmetryGroup(
-            2, (PauliOperator.from_label("XX"), PauliOperator.from_label("ZZ"))
-        )
-        with pytest.raises(NotZReducible):
+    def test_generators_that_do_not_commute_are_rejected(self):
+        for labels in (("XI", "ZZ"), ("XXII", "IYYI", "IIZX")):
+            with pytest.raises(ValueError, match="do not commute"):
+                build_plan(SymmetryGroup(len(labels[0]), tuple(pauli_group(labels))))
+
+    def test_dependent_generators_are_rejected(self):
+        group = SymmetryGroup(2, tuple(pauli_group(("XX", "ZZ", "YY"))))
+        with pytest.raises(ValueError, match="not independent"):
             build_plan(group)
 
     def test_plan_generators_anticommute_only_with_their_x(self, h2_table):
@@ -187,9 +205,7 @@ class TestCliffordTransform:
             ]
 
     def test_trivial_plan_is_identity(self, h2_table):
-        from fertaper.tapering import TaperingPlan
-
-        plan = TaperingPlan(4, {}, (), ())
+        plan = TaperingPlan(4, (), ())
         out = clifford_transform(h2_table, plan)
         assert out.term_map() == pytest.approx(h2_table.canonicalize().term_map())
 
@@ -214,8 +230,6 @@ class TestTaper:
             assert reduced.qubit_count == 1
 
     def test_identity_action_keeps_coefficients(self):
-        from fertaper.tapering import SymmetryGroup
-
         h = QubitHamiltonian(
             2,
             (
@@ -247,7 +261,7 @@ class TestTaper:
 
     def test_rotated_generators_taper_exactly(self):
         # conjugate qubit 1 by (X+Z)/sqrt2 and qubit 2 by (Y+Z)/sqrt2: the
-        # Z-type symmetries turn X-type there, so the plan needs both exchanges
+        # Z-type symmetries turn X- and Y-type there
         hadamard = {"I": (1, "I"), "X": (1, "Z"), "Y": (-1, "Y"), "Z": (1, "X")}
         y_z = {"I": (1, "I"), "X": (-1, "X"), "Y": (1, "Z"), "Z": (1, "Y")}
         rng = np.random.default_rng(67)
@@ -263,7 +277,6 @@ class TestTaper:
                 terms.append((sign * c, PauliOperator.from_label("".join(letters))))
             q = QubitHamiltonian(m, terms)
             plan = build_plan(find_symmetries(q), q)
-            assert plan.rotations == {1: "X", 2: "Y"}
             transformed = clifford_transform(q, plan)
             assert all(op.letter_at(p) in "IX" for _, op in transformed.terms
                        for p in plan.paired_qubits)
@@ -274,25 +287,22 @@ class TestTaper:
             assert np.abs(union - ref).max() < 1e-9
 
     def test_transform_is_conjugation_by_the_plan_unitary(self):
-        # every 4-qubit Pauli, symmetric or not, against the dense
-        # U = U_2 U_1 R: R exchanges X<->Z on qubit 1 and Y->Z on qubit 2,
-        # U_i = (X_q + tau_i)/sqrt2 are the reflections in plan order
-        from fertaper.tapering import SymmetryGroup
-
-        group = SymmetryGroup(4, tuple(pauli_group(("XYZI", "IIZZ"))))
-        plan = build_plan(group)
-        assert plan.rotations == {1: "X", 2: "Y"}
-        one = {letter: pauli_matrix_naive(letter) for letter in "IXYZ"}
-        hadamard = (one["X"] + one["Z"]) / np.sqrt(2)
-        y_to_z = (one["I"] - 1j * one["X"]) / np.sqrt(2)
-        u = np.kron(np.kron(hadamard, y_to_z), np.eye(4))
-        for q, tau in zip(plan.paired_qubits, plan.generators):
-            u = (PauliOperator.single(4, q, "X").dense() + tau.dense()) / np.sqrt(2) @ u
-        for letters in itertools.product("IXYZ", repeat=4):
-            p = QubitHamiltonian(4, ((0.5, PauliOperator.from_label("".join(letters))),))
-            image = clifford_transform(p, plan)
-            assert len(image) == 1
-            assert np.allclose(image.dense(), u @ p.dense() @ u.conj().T, atol=1e-12)
+        # every Pauli, symmetric or not, against the dense U = ... U_2 U_1
+        # with U_k = (a_k + b_k)/sqrt2 over the plan's reflections in order
+        for labels in (("XYZI", "IIZZ"), ("XX", "ZZ"), ("XXII", "ZZYY", "IIZX")):
+            n = len(labels[0])
+            plan = build_plan(SymmetryGroup(n, tuple(pauli_group(labels))))
+            u = np.eye(1 << n)
+            for a, b in plan.reflections():
+                u = (a.dense() + b.dense()) / np.sqrt(2) @ u
+            for q, tau in zip(plan.paired_qubits, plan.generators):
+                x_q = PauliOperator.single(n, q, "X").dense()
+                assert np.allclose(u @ tau.dense() @ u.conj().T, x_q, atol=1e-12)
+            for letters in itertools.product("IXYZ", repeat=n):
+                p = QubitHamiltonian(n, ((0.5, PauliOperator.from_label("".join(letters))),))
+                image = clifford_transform(p, plan)
+                assert len(image) == 1
+                assert np.allclose(image.dense(), u @ p.dense() @ u.conj().T, atol=1e-12)
 
     def test_bad_sector_length(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
@@ -448,3 +458,91 @@ class TestEndToEndHydrogen:
         ground = min(v.min() for v in spectra.values())
         ref = np.linalg.eigvalsh(q.dense())[0]
         assert ground == pytest.approx(ref, abs=1e-10)
+
+
+# -- Clifford-scrambled oracle --------------------------------------------
+
+
+def spin_conserving_hamiltonian(m: int, seed: int) -> FermionHamiltonian:
+    """Random Hamiltonian keeping both spin numbers (odd modes spin up)."""
+    rng = np.random.default_rng(seed)
+    spin = np.arange(m + 1) % 2
+    raw = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    t = (raw + raw.conj().T) / 4
+    t[spin[1:, None] != spin[None, 1:]] = 0
+    u: dict[tuple[int, int, int, int], complex] = {}
+    while len(u) < 4:
+        a, b, g, d = (int(v) for v in rng.integers(1, m + 1, size=4))
+        if a == b or g == d or sorted((spin[a], spin[b])) != sorted((spin[g], spin[d])):
+            continue
+        val = complex(rng.normal(), rng.normal()) / 4
+        u[(a, b, g, d)] = val.real if (a, b) == (d, g) else val
+        u[(d, g, b, a)] = np.conj(u[(a, b, g, d)])
+    return FermionHamiltonian(m, m // 2, t / max(1.0, np.abs(t).max()), u)
+
+
+def clifford_image(op: PauliOperator, xs, zs) -> PauliOperator:
+    """Image of i^p X^x Z^z given the images xs, zs of every X_q and Z_q."""
+    out = PauliOperator.from_masks(op.n, 0, 0, op.phase_power)
+    for masks, images in ((op.x_mask, xs), (op.z_mask, zs)):
+        for q in range(1, op.n + 1):
+            if masks >> (op.n - q) & 1:
+                out = pauli_multiply(out, images[q - 1])
+    return out
+
+
+def circuit_images(n: int, gates):
+    """Images of X_q and Z_q under a circuit of H, S and CNOT gates."""
+    def single(q, letter):
+        return PauliOperator.single(n, q, letter)
+
+    xs = [single(q, "X") for q in range(1, n + 1)]
+    zs = [single(q, "Z") for q in range(1, n + 1)]
+    for name, a, b in gates:
+        a, b = a % n + 1, b % n + 1
+        gate_xs = [single(q, "X") for q in range(1, n + 1)]
+        gate_zs = [single(q, "Z") for q in range(1, n + 1)]
+        if name == "H":
+            gate_xs[a - 1], gate_zs[a - 1] = single(a, "Z"), single(a, "X")
+        elif name == "S":
+            gate_xs[a - 1] = single(a, "Y")
+        elif a != b:  # CNOT, control a, target b
+            gate_xs[a - 1] = pauli_multiply(single(a, "X"), single(b, "X"))
+            gate_zs[b - 1] = pauli_multiply(single(a, "Z"), single(b, "Z"))
+        xs = [clifford_image(p, gate_xs, gate_zs) for p in xs]
+        zs = [clifford_image(p, gate_xs, gate_zs) for p in zs]
+    return xs, zs
+
+
+GATES = st.lists(st.tuples(st.sampled_from("HSC"), st.integers(0, 5), st.integers(0, 5)),
+                 max_size=24)
+
+
+@given(st.sampled_from([4, 6]), st.integers(0, 2**16), GATES)
+@settings(max_examples=30, deadline=None)
+def test_clifford_scrambled_spin_hamiltonians_taper_exactly(m, seed, gates):
+    # a random Clifford mixes the two spin-parity Z strings into generators
+    # with several letters per qubit; tapering must stay exact regardless
+    h = spin_conserving_hamiltonian(m, seed)
+    xs, zs = circuit_images(m, gates)
+    q = QubitHamiltonian(m, [(c, clifford_image(op, xs, zs)) for c, op in
+                             encode_hamiltonian(h, build_encoding("jordan_wigner", m)).terms])
+    plan = build_plan(find_symmetries(q), q)
+    assert plan.size >= 2
+    assert all(commutes(g, op) for g in plan.generators for _, op in q.terms)
+    transformed = clifford_transform(q, plan)
+    assert all(op.letter_at(p) in "IX" for _, op in transformed.terms
+               for p in plan.paired_qubits)
+    spectra = sector_spectra(q, plan, transformed)
+    union = np.sort(np.concatenate(list(spectra.values())))
+    assert np.allclose(union, np.linalg.eigvalsh(dense_fock_matrix(h)), atol=1e-9)
+    # sector s is H on the joint eigenspace where generator i has eigenvalue s_i
+    dense, eye = q.dense(), np.eye(1 << m)
+    for sector, spectrum in spectra.items():
+        projector = eye
+        for s, g in zip(sector, plan.generators):
+            projector = projector @ (eye + s * g.dense()) / 2
+        weights, vectors = np.linalg.eigh(projector)
+        basis = vectors[:, weights > 0.5]
+        want = np.linalg.eigvalsh(basis.conj().T @ dense @ basis)
+        assert np.allclose(spectrum, want, atol=1e-9)
