@@ -139,9 +139,9 @@ class TaperingPlan:
     """Everything needed to rewrite a Hamiltonian with its symmetries fixed.
 
     generators: symmetries of the input Hamiltonian, recombined so that
-    generator i is the only one anticommuting with sigma_i, the single-qubit
-    X on qubit paired_qubits[i] (Z where the generator's letter there is X).
-    Sector sign i is the eigenvalue of generators[i].
+    generator i is the only one anticommuting with sigma_i, a single-qubit
+    X or Z on qubit paired_qubits[i].  Sector sign i is the eigenvalue of
+    generators[i].
     """
 
     qubit_count: int
@@ -156,12 +156,18 @@ class TaperingPlan:
         """(a, b) of each reflection (a + b)/sqrt(2), in the order applied.
 
         (sigma_i, generator i) maps the generator to sigma_i; a Hadamard
-        (X_q, Z_q) then turns each sigma_i = Z_q into X_q.
+        (X_q, Z_q) then turns each sigma_i = Z_q into X_q.  sigma_i is X_q
+        when generator i is the only one with a Z or Y on q, else Z_q: one
+        of the two anticommutes with generator i alone (build_plan), but
+        generator i's own letter does not say which, since a later
+        elimination step can turn its X on q into Y.
         """
         n = self.qubit_count
         pairs, hadamards = [], []
-        for q, tau in zip(self.paired_qubits, self.generators):
-            sigma = PauliOperator.single(n, q, "Z" if tau.letter_at(q) == "X" else "X")
+        for i, (q, tau) in enumerate(zip(self.paired_qubits, self.generators)):
+            bit = 1 << (n - q)
+            alone = not any(g.z_mask & bit for j, g in enumerate(self.generators) if j != i)
+            sigma = PauliOperator.single(n, q, "X" if tau.z_mask & bit and alone else "Z")
             pairs.append((sigma, tau))
             if sigma.z_mask:
                 hadamards.append((PauliOperator.single(n, q, "X"), sigma))
@@ -176,6 +182,8 @@ def build_plan(group: SymmetryGroup, h: QubitHamiltonian | None = None) -> Taper
     is X), and every other generator anticommuting with sigma is multiplied
     by it, so that sigma anticommutes with its own generator only: the
     destabilizer elimination of Aaronson and Gottesman (PRA 70, 052328).
+    Later steps multiply by generators that commute with sigma, so this
+    holds at the end, though they can turn the generator's X on q into Y.
     On Z-type generators this is the reduced row echelon form of the
     z-block with qubit n first, which reproduces the published generator
     choices for the worked molecular examples.  h is not used.

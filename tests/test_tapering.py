@@ -3,11 +3,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fertaper import gf2
-from fertaper.cli import H2_TRANSFORMED, main
+from fertaper.cli import H2_TABLE, H2_TRANSFORMED, main
 from fertaper.fermion import FermionHamiltonian, dense_fock_matrix, random_hamiltonian
 from fertaper.pauli import (
     PauliOperator,
@@ -289,7 +289,9 @@ class TestTaper:
     def test_transform_is_conjugation_by_the_plan_unitary(self):
         # every Pauli, symmetric or not, against the dense U = ... U_2 U_1
         # with U_k = (a_k + b_k)/sqrt2 over the plan's reflections in order
-        for labels in (("XYZI", "IIZZ"), ("XX", "ZZ"), ("XXII", "ZZYY", "IIZX")):
+        # in IZZ,YXX,ZZI the qubit-1 step turns YXX (paired with Z_2) into XYX
+        for labels in (("XYZI", "IIZZ"), ("XX", "ZZ"), ("XXII", "ZZYY", "IIZX"),
+                       ("IZZ", "YXX", "ZZI")):
             n = len(labels[0])
             plan = build_plan(SymmetryGroup(n, tuple(pauli_group(labels))))
             u = np.eye(1 << n)
@@ -303,6 +305,26 @@ class TestTaper:
                 image = clifford_transform(p, plan)
                 assert len(image) == 1
                 assert np.allclose(image.dense(), u @ p.dense() @ u.conj().T, atol=1e-12)
+
+    def test_every_three_qubit_group_maps_to_single_x(self):
+        # every independent commuting triple of 3-qubit Paulis: generator i
+        # (coefficient i + 1) must come out as +X on its paired qubit
+        paulis = [PauliOperator.from_label("".join(l))
+                  for l in itertools.product("IXYZ", repeat=3)][1:]
+        count = 0
+        for group in itertools.combinations(paulis, 3):
+            if not all(commutes(a, b) for a, b in itertools.combinations(group, 2)):
+                continue
+            if gf2.rank(SymmetryGroup(3, group).vectors()) < 3:
+                continue
+            plan = build_plan(SymmetryGroup(3, group))
+            h = QubitHamiltonian(3, [(i + 1.0, g) for i, g in enumerate(plan.generators)])
+            want = {PauliOperator.single(3, q, "X").label: i + 1.0
+                    for i, q in enumerate(plan.paired_qubits)}
+            got = {op.label: c for c, op in clifford_transform(h, plan).terms}
+            assert got == pytest.approx(want), [g.label for g in group]
+            count += 1
+        assert count > 1000
 
     def test_bad_sector_length(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
@@ -518,31 +540,52 @@ GATES = st.lists(st.tuples(st.sampled_from("HSC"), st.integers(0, 5), st.integer
                  max_size=24)
 
 
-@given(st.sampled_from([4, 6]), st.integers(0, 2**16), GATES)
-@settings(max_examples=30, deadline=None)
-def test_clifford_scrambled_spin_hamiltonians_taper_exactly(m, seed, gates):
-    # a random Clifford mixes the two spin-parity Z strings into generators
-    # with several letters per qubit; tapering must stay exact regardless
-    h = spin_conserving_hamiltonian(m, seed)
-    xs, zs = circuit_images(m, gates)
-    q = QubitHamiltonian(m, [(c, clifford_image(op, xs, zs)) for c, op in
-                             encode_hamiltonian(h, build_encoding("jordan_wigner", m)).terms])
+def scramble(h: QubitHamiltonian, gates) -> QubitHamiltonian:
+    xs, zs = circuit_images(h.qubit_count, gates)
+    return QubitHamiltonian(h.qubit_count, [(c, clifford_image(op, xs, zs)) for c, op in h.terms])
+
+
+def assert_tapers_exactly(q: QubitHamiltonian, spectrum: np.ndarray) -> TaperingPlan:
+    """Sector spectra of q against its full spectrum and its symmetry projectors."""
     plan = build_plan(find_symmetries(q), q)
-    assert plan.size >= 2
     assert all(commutes(g, op) for g in plan.generators for _, op in q.terms)
     transformed = clifford_transform(q, plan)
     assert all(op.letter_at(p) in "IX" for _, op in transformed.terms
                for p in plan.paired_qubits)
     spectra = sector_spectra(q, plan, transformed)
     union = np.sort(np.concatenate(list(spectra.values())))
-    assert np.allclose(union, np.linalg.eigvalsh(dense_fock_matrix(h)), atol=1e-9)
+    assert np.allclose(union, spectrum, atol=1e-9)
     # sector s is H on the joint eigenspace where generator i has eigenvalue s_i
-    dense, eye = q.dense(), np.eye(1 << m)
-    for sector, spectrum in spectra.items():
+    dense, eye = q.dense(), np.eye(1 << q.qubit_count)
+    for sector, sector_spectrum in spectra.items():
         projector = eye
         for s, g in zip(sector, plan.generators):
             projector = projector @ (eye + s * g.dense()) / 2
         weights, vectors = np.linalg.eigh(projector)
         basis = vectors[:, weights > 0.5]
         want = np.linalg.eigvalsh(basis.conj().T @ dense @ basis)
-        assert np.allclose(spectrum, want, atol=1e-9)
+        assert np.allclose(sector_spectrum, want, atol=1e-9)
+    return plan
+
+
+@given(st.sampled_from([4, 6]), st.integers(0, 2**16), GATES)
+@settings(max_examples=30, deadline=None)
+def test_clifford_scrambled_spin_hamiltonians_taper_exactly(m, seed, gates):
+    # a random Clifford mixes the two spin-parity Z strings into generators
+    # with several letters per qubit; tapering must stay exact regardless
+    h = spin_conserving_hamiltonian(m, seed)
+    q = scramble(encode_hamiltonian(h, build_encoding("jordan_wigner", m)), gates)
+    plan = assert_tapers_exactly(q, np.linalg.eigvalsh(dense_fock_matrix(h)))
+    assert plan.size >= 2
+
+
+@given(st.integers(0, 2**16), GATES)
+@example(seed=0, gates=[("H", 0, 0), ("C", 0, 2)])
+@settings(max_examples=30, deadline=None)
+def test_clifford_scrambled_h2_table_tapers_exactly(seed, gates):
+    # three generators: a later elimination step can turn the X a generator
+    # has on its paired qubit into Y, as H on qubit 1 then CNOT 1->3 does
+    coeffs = np.random.default_rng(seed).normal(size=len(H2_TABLE))
+    h = QubitHamiltonian(4, [(c, PauliOperator.from_label(l)) for c, l in zip(coeffs, H2_TABLE)])
+    plan = assert_tapers_exactly(scramble(h, gates), np.linalg.eigvalsh(h.dense()))
+    assert plan.size == 3
