@@ -27,7 +27,15 @@ from fertaper.firstq import (
     rao_hamming_oa,
     spectrum_matches_partitions,
 )
-from fertaper.graphs import girth, greedy_high_girth, load_graph, save_graph
+from fertaper.graphs import (
+    girth,
+    graph_decode,
+    graph_from_incidence,
+    greedy_high_girth,
+    injectivity_from_girth,
+    load_graph,
+    save_graph,
+)
 from fertaper.mitm import build_tables, mitm_decode
 from fertaper.pauli import (
     PauliOperator,
@@ -130,7 +138,8 @@ def _cmd_taper(args) -> int:
     report = RunReport(config={"input": args.input, "sector": args.sector or "enumerate"})
     report.qubits_before = h.qubit_count
     report.qubits_after = h.qubit_count - plan.size
-    report.generators = [g.label for g in group.generators]
+    # the plan's order: sector sign i is the eigenvalue of generator i
+    report.generators = [g.label for g in plan.generators]
     report.paired_qubits = list(plan.paired_qubits)
 
     sectors = [_parse_sector(args.sector)] if args.sector else None
@@ -207,9 +216,21 @@ def _cmd_graphtable(args) -> int:
 
 def _cmd_decode(args) -> int:
     a = load_pcm(args.check)
+    q, m = a.shape
+    bad = next(((i, c) for i, c in enumerate(args.syndrome, 1) if c not in "01"), None)
+    if bad:
+        raise ValueError(f"--syndrome has {bad[1]!r} at position {bad[0]}; bits must be 0 or 1")
+    if len(args.syndrome) != q:
+        raise ValueError(f"--syndrome has {len(args.syndrome)} bits, {args.check} has {q} rows")
+    if not 0 <= args.particles <= m:
+        raise ValueError(f"--particles {args.particles} is outside 0..{m}, the column count")
     syndrome = np.array([int(c) for c in args.syndrome], dtype=np.uint8)
-    tables = build_tables(a, args.particles)
-    hit = mitm_decode(tables, syndrome)
+    # a graph's incidence matrix with girth >= 2N+2 decodes by matching
+    g = graph_from_incidence(a)
+    if g is not None and injectivity_from_girth(g, args.particles):
+        hit = graph_decode(g, syndrome, args.particles)
+    else:
+        hit = mitm_decode(build_tables(a, args.particles), syndrome)
     if hit is None:
         print("no weight-matching preimage")
         return 1
@@ -397,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_graphtable)
 
-    p = sub.add_parser("decode", help="meet-in-the-middle syndrome decode")
+    p = sub.add_parser("decode", help="syndrome decode: matching on a graph's incidence "
+                       "matrix with girth >= 2N+2, else meet-in-the-middle")
     p.add_argument("--check", required=True)
     p.add_argument("--particles", type=int, required=True)
     p.add_argument("--syndrome", required=True, help="bit string, qubit 1 first")

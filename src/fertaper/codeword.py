@@ -38,7 +38,7 @@ from fertaper.fermion import (
     observable_action,
     weight_n_states,
 )
-from fertaper.graphs import BipartiteGraph, girth
+from fertaper.graphs import BipartiteGraph, GraphDecoder, injectivity_from_girth
 from fertaper.mitm import SyndromeTables, build_tables, full_decode_table, mitm_decode
 from fertaper.pauli import PauliOperator, _check_dense_size, qubit_mask
 
@@ -100,7 +100,9 @@ class CodeEncoding:
                 self, "bipartition", (frozenset(left), frozenset(right))
             )
         if self.graph is not None:
-            if girth(self.graph) < 2 * self.particles + 2:
+            if not np.array_equal(a, self.graph.incidence_matrix()):
+                raise ValueError("matrix is not the graph's incidence matrix")
+            if not injectivity_from_girth(self.graph, self.particles):
                 raise ValueError("graph girth too small for this particle count")
         elif m <= INJECTIVITY_BRUTE_CAP:
             if not is_n_injective(a, self.particles):
@@ -156,11 +158,25 @@ class CodeEncoding:
             self.__dict__["_mitm"] = cached
         return cached
 
+    def _graph_decoder(self) -> GraphDecoder:
+        cached = self.__dict__.get("_matching")
+        if cached is None:
+            cached = GraphDecoder(self.graph, self.particles)
+            self.__dict__["_matching"] = cached
+        return cached
+
     def decode(self, s: np.ndarray) -> FockState | None:
-        """Unique weight-N preimage of a syndrome, or None."""
+        """Unique weight-N preimage of a syndrome, or None.
+
+        A graph code decodes by matching on the graph; any other code by
+        the full decode table, or meet-in-the-middle past DECODE_TABLE_CAP.
+        """
         s = gf2.asbits(s)
         if s.shape[0] != self.qubits:
             raise ValueError(f"syndrome length {s.shape[0]} != {self.qubits}")
+        if self.graph is not None:
+            hit = self._graph_decoder().decode(s)
+            return None if hit is None else FockState(tuple(hit))
         if comb(self.modes, self.particles) <= DECODE_TABLE_CAP:
             mask = self._decode_table().get(gf2.bits_to_int(s))
             if mask is None:
@@ -651,18 +667,35 @@ def save_pcm(a: np.ndarray, path: str) -> None:
 
 
 def load_pcm(path: str) -> np.ndarray:
-    """Read the parity-check format; rows may be contiguous or spaced digits."""
+    """Read the parity-check format; rows may be contiguous or spaced digits.
+
+    Every entry must be 0 or 1 and the row and column counts must match
+    the header; anything else is a ValueError naming the position.
+    """
     with open(path, encoding="utf-8") as fh:
         lines = [ln.split("#", 1)[0].strip() for ln in fh]
     lines = [ln for ln in lines if ln]
     if not lines:
         raise ValueError(f"parity-check file {path} is empty")
-    q, m = (int(t) for t in lines[0].split())
+    header = lines[0].split()
+    if len(header) != 2 or not all(t.isdigit() for t in header):
+        raise ValueError(f"parity-check file {path}: header {lines[0]!r} is not \"Q M\"")
+    q, m = (int(t) for t in header)
     if len(lines) == 1:
         raise ValueError(f"parity-check file {path} has a header but no rows")
+    if len(lines) - 1 > q:
+        raise ValueError(f"parity-check file {path} has {len(lines) - 1} rows; "
+                         f"its header says {q}")
     rows = []
-    for ln in lines[1 : q + 1]:
+    for r, ln in enumerate(lines[1:], 1):
         digits = ln.split() if " " in ln else list(ln)
+        bad = next((c for c, d in enumerate(digits, 1) if d not in ("0", "1")), None)
+        if bad is not None:
+            raise ValueError(f"parity-check file {path}: row {r}, column {bad} is "
+                             f"{digits[bad - 1]!r}; entries must be 0 or 1")
+        if len(digits) != m:
+            raise ValueError(f"parity-check file {path}: row {r} has {len(digits)} "
+                             f"entries; its header says {m}")
         rows.append([int(d) for d in digits])
     a = np.array(rows, dtype=np.uint8)
     if a.shape != (q, m):

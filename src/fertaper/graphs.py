@@ -5,7 +5,8 @@ endpoint on each side, so it encodes weight-N occupation vectors whenever
 the girth is at least 2N+2.  This module generates such graphs (a
 cycle-with-chords family and a randomized greedy search), measures girth,
 and decodes syndromes by pairing syndrome vertices with shortest paths
-through a minimum-weight perfect matching.
+through a minimum-weight perfect matching.  Generation and decoding share
+one data structure, the all-pairs distance matrix capped at 2N+1.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import random
 from collections import deque
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
 from fertaper import gf2
@@ -58,11 +58,7 @@ class BipartiteGraph:
         return len(self.edges)
 
     def adjacency(self) -> dict[int, set]:
-        adj: dict[int, set] = {v: set() for v in range(1, self.vertex_count + 1)}
-        for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
+        return _adjacency(self.vertex_count, self.edges)
 
     def incidence_matrix(self) -> np.ndarray:
         mat = np.zeros((self.vertex_count, self.edge_count), dtype=np.uint8)
@@ -71,19 +67,50 @@ class BipartiteGraph:
             mat[v - 1, col] = 1
         return mat
 
-    def edge_index(self) -> dict[frozenset, int]:
-        return {frozenset(e): i for i, e in enumerate(self.edges)}
+
+def _adjacency(q: int, edges) -> dict[int, set]:
+    adj: dict[int, set] = {v: set() for v in range(1, q + 1)}
+    for u, v in edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
-def _bfs_distances(adj: dict[int, set], source: int) -> dict[int, int]:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+def _far(n: int) -> int:
+    """Distance cap for weight-n codes, 2n+1: joining vertices that far apart
+    closes no cycle shorter than 2n+2.  At n = 0 the cap is 2, so that edges
+    still differ from non-edges."""
+    return max(2 * n + 1, 2)
+
+
+def _unlinked(q: int, cap: int) -> np.ndarray:
+    dist = np.full((q, q), cap, dtype=np.int16)
+    np.fill_diagonal(dist, 0)
+    return dist
+
+
+def _link(dist: np.ndarray, a: int, b: int) -> None:
+    """Add edge (a, b), 0-based, to a capped distance matrix in place.
+
+    A shortest x-y path that uses the new edge runs x..a-b..y or x..b-a..y;
+    by symmetry the second length is the transpose of the first.  Taking
+    the minimum with the old entries keeps every entry within the cap.
+    """
+    through = dist[:, a, None] + dist[b]
+    np.minimum(dist, np.minimum(through, through.T) + 1, out=dist)
+
+
+def distance_matrix(g: BipartiteGraph, n: int) -> np.ndarray:
+    """Q x Q int16 path lengths, vertex v at index v-1, capped at 2n+1.
+
+    An entry at the cap means "at least 2n+1 apart, or not connected":
+    all that greedy generation (may an edge join these two?) and weight-n
+    decoding (paths of length at most n) ever ask.
+    """
+    cap = _far(n)
+    dist = _unlinked(g.vertex_count, cap)
+    for u, v in g.edges:
+        _link(dist, u - 1, v - 1)
     return dist
 
 
@@ -115,8 +142,20 @@ def girth(g: BipartiteGraph) -> float:
 
 
 def injectivity_from_girth(g: BipartiteGraph, n: int) -> bool:
-    """Incidence-matrix injectivity at weight n follows from girth >= 2n+2."""
-    return girth(g) >= 2 * n + 2
+    """Incidence-matrix injectivity at weight n follows from girth >= 2n+2.
+
+    Checked while the capped distance matrix is built: every cycle closes
+    when its last edge is added, at one more than the distance that edge
+    then spans, so the girth is >= 2n+2 exactly when no edge joins two
+    vertices fewer than 2n+1 apart.
+    """
+    cap = _far(n)
+    dist = _unlinked(g.vertex_count, cap)
+    for u, v in g.edges:
+        if dist[u - 1, v - 1] < cap:
+            return False
+        _link(dist, u - 1, v - 1)
+    return True
 
 
 def two_coloring(adj: dict[int, set]) -> tuple[set, set] | None:
@@ -136,6 +175,28 @@ def two_coloring(adj: dict[int, set]) -> tuple[set, set] | None:
                 elif color[w] == color[u]:
                     return None
     return ({v for v, c in color.items() if c == 0}, {v for v, c in color.items() if c == 1})
+
+
+def graph_from_incidence(a) -> BipartiteGraph | None:
+    """The bipartite graph whose incidence matrix is a, or None if there is none.
+
+    a qualifies when every column has weight two, no two columns repeat
+    and the rows two-colour.  Row r is vertex r+1 and column order is edge
+    order, so incidence_matrix() gives a back.
+    """
+    a = gf2.asbits(a)
+    q, m = a.shape
+    if not (a.sum(axis=0) == 2).all():
+        return None
+    ends = np.nonzero(a.T)[1].reshape(m, 2) + 1  # each column's two rows, ascending
+    edges = tuple((int(u), int(v)) for u, v in ends)
+    if len(set(edges)) != m:
+        return None
+    coloring = two_coloring(_adjacency(q, edges))
+    if coloring is None:
+        return None
+    left, right = coloring
+    return BipartiteGraph(frozenset(left), frozenset(right), edges)
 
 
 def cycle_chord_graph(cycle_length: int, n: int) -> BipartiteGraph:
@@ -160,11 +221,7 @@ def cycle_chord_graph(cycle_length: int, n: int) -> BipartiteGraph:
         path = [a] + list(range(next_vertex, next_vertex + n - 1)) + [b]
         next_vertex += n - 1
         edges.extend((path[i], path[i + 1]) for i in range(n))
-    adj: dict[int, set] = {v: set() for v in range(1, next_vertex)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    coloring = two_coloring(adj)
+    coloring = two_coloring(_adjacency(next_vertex - 1, edges))
     if coloring is None:
         raise ValueError(
             f"cycle length {L} with chord length {n} creates odd cycles; "
@@ -186,129 +243,170 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0,
 
     Each trial fixes a bipartition size, then repeatedly adds a uniformly
     random cross edge whose endpoints are at distance >= 2n+1 (new cycles
-    stay at length >= 2n+2) until no edge can be added.  The densest graph
-    over all trials wins; ties keep the earlier trial, so a fixed seed
-    gives a reproducible result.
+    stay at length >= 2n+2) until no edge can be added.  The candidates
+    are read off the capped distance matrix, which each added edge updates
+    in place.  The densest graph over all trials wins; ties keep the
+    earlier trial, so a fixed seed gives a reproducible result.
     """
     if q < 2:
         raise ValueError("need at least two vertices")
+    if n < 0:
+        raise ValueError("particle count must be non-negative")
     rng = random.Random(seed)
     if splits is None:
         base = q // 2
         spread = sorted({max(1, base + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
         splits = [s for s in spread if 1 <= s <= q - 1]
-    min_dist = 2 * n + 1
+    far = _far(n)
     best: BipartiteGraph | None = None
     for trial in range(trials):
         left_size = splits[trial % len(splits)]
-        left = list(range(1, left_size + 1))
-        right = list(range(left_size + 1, q + 1))
-        adj: dict[int, set] = {v: set() for v in range(1, q + 1)}
+        dist = _unlinked(q, far)
         edges: list[tuple[int, int]] = []
         while True:
-            candidates = []
-            for u in left:
-                dist = _bfs_distances(adj, u)
-                for v in right:
-                    if v in adj[u]:
-                        continue
-                    if dist.get(v, math.inf) >= min_dist:
-                        candidates.append((u, v))
-            if not candidates:
+            # row-major (u, v) order, so a seed always draws the same edges
+            candidates = np.flatnonzero(dist[:left_size, left_size:] >= far)
+            if not len(candidates):
                 break
-            u, v = candidates[rng.randrange(len(candidates))]
-            adj[u].add(v)
-            adj[v].add(u)
-            edges.append((u, v))
+            a, b = divmod(int(candidates[rng.randrange(len(candidates))]), q - left_size)
+            _link(dist, a, left_size + b)
+            edges.append((a + 1, left_size + b + 1))
         if best is None or len(edges) > best.edge_count:
             best = BipartiteGraph(
-                frozenset(left), frozenset(right), tuple(sorted(edges))
+                frozenset(range(1, left_size + 1)), frozenset(range(left_size + 1, q + 1)),
+                tuple(sorted(edges)),
             )
     return best
 
 
 def no_edge_addable(g: BipartiteGraph, n: int) -> bool:
     """Maximality witness: every absent cross edge would close a short cycle."""
-    adj = g.adjacency()
-    for u in sorted(g.left):
-        dist = _bfs_distances(adj, u)
-        for v in sorted(g.right):
-            if v in adj[u]:
-                continue
-            if dist.get(v, math.inf) >= 2 * n + 1:
-                return False
-    return True
+    left, right = (np.array(sorted(side), dtype=np.intp) - 1 for side in (g.left, g.right))
+    return not (distance_matrix(g, n)[np.ix_(left, right)] >= _far(n)).any()
 
 
-def _bfs_path(adj: dict[int, set], source: int, target: int) -> list[int] | None:
-    if source == target:
-        return [source]
-    parent = {source: None}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in sorted(adj[u]):
-            if w in parent:
+def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
+    """Exact minimum-weight perfect matching of k vertices, or None if none exists.
+
+    weights[i][j] is the cost of pairing i with j, None where the two
+    cannot be paired.  A top-down memo over the bitmask of unpaired
+    vertices pairs the lowest one with each other j in turn.  Only the
+    masks reached that way are visited, at most F(k+1) (Fibonacci): 233,
+    1,597 and 10,946 at k = 12, 16 and 20, against the 2^k masks of a
+    bottom-up subset DP.  Decoding a weight-N graph code matches at most
+    2N vertices, so this stays small wherever girth >= 2N+2 is reachable.
+    Returns the total and the pairs (i, j), i < j, lowest i first.
+    """
+    k = len(weights)
+    if k % 2:
+        return None
+    memo: dict[int, tuple[float, int]] = {0: (0, -1)}
+
+    def best(mask: int) -> tuple[float, int]:
+        hit = memo.get(mask)
+        if hit is not None:
+            return hit
+        i = (mask & -mask).bit_length() - 1
+        rest = mask ^ (1 << i)
+        choice = (math.inf, -1)
+        row = weights[i]
+        others = rest
+        while others:
+            j = (others & -others).bit_length() - 1
+            others ^= 1 << j
+            if row[j] is None:
                 continue
-            parent[w] = u
-            if w == target:
-                path = [w]
-                while parent[path[-1]] is not None:
-                    path.append(parent[path[-1]])
-                return path[::-1]
-            queue.append(w)
-    return None
+            total = row[j] + best(rest ^ (1 << j))[0]
+            if total < choice[0]:
+                choice = (total, j)
+        memo[mask] = choice
+        return choice
+
+    mask = (1 << k) - 1
+    total = best(mask)[0]
+    if total == math.inf:
+        return None
+    pairs = []
+    while mask:
+        i = (mask & -mask).bit_length() - 1
+        j = memo[mask][1]
+        pairs.append((i, j))
+        mask ^= (1 << i) | (1 << j)
+    return total, pairs
+
+
+class GraphDecoder:
+    """Weight-n syndrome decoder of one graph, built once and reused.
+
+    Holds the distance matrix capped at 2n+1, each vertex's neighbours and
+    a Q x Q table of edge columns: everything decode() reads per syndrome.
+    """
+
+    def __init__(self, g: BipartiteGraph, n: int):
+        q = g.vertex_count
+        self.graph = g
+        self.particles = n
+        self.distances = distance_matrix(g, n)
+        self.columns = np.full((q, q), -1, dtype=np.intp)
+        self.neighbours: list[list[int]] = [[] for _ in range(q)]
+        for col, (u, v) in enumerate(g.edges):
+            self.columns[u - 1, v - 1] = self.columns[v - 1, u - 1] = col
+            self.neighbours[u - 1].append(v - 1)
+            self.neighbours[v - 1].append(u - 1)
+        self.incidence = g.incidence_matrix()
+
+    def _path(self, a: int, b: int) -> list[int]:
+        """Edge columns of a shortest a-b path (0-based ends), read off the
+        distance matrix by stepping to a neighbour one closer to b.  A path
+        of length <= n is the only one when the girth is >= 2n+2: two would
+        close a cycle of length <= 2n."""
+        dist = self.distances
+        cols = []
+        while a != b:
+            step = next(w for w in self.neighbours[a] if dist[w, b] == dist[a, b] - 1)
+            cols.append(self.columns[a, step])
+            a = step
+        return cols
+
+    def decode(self, syndrome) -> np.ndarray | None:
+        """Weight-n edge set whose boundary is the given vertex subset.
+
+        The minimum-weight solution pairs up the syndrome vertices with
+        edge-disjoint shortest paths, so a minimum-weight perfect matching
+        under the path metric finds it (the T-join / matching equivalence
+        of Edmonds and Johnson, Math. Programming 5, 1973); the unique
+        weight-n preimage exists exactly when that minimum equals n.  The
+        reconstruction is verified against the syndrome before returning,
+        making wrong answers impossible regardless of matching internals.
+        """
+        syndrome = gf2.asbits(syndrome)
+        n = self.particles
+        if syndrome.shape != (self.graph.vertex_count,):
+            raise ValueError("syndrome length does not match vertex count")
+        marked = np.flatnonzero(syndrome)
+        if len(marked) > 2 * n:
+            return None
+        # pairs further apart than n cannot sit in a weight-n matching
+        weights = [[d if d <= n else None for d in row]
+                   for row in self.distances[np.ix_(marked, marked)].tolist()]
+        matched = min_weight_matching(weights)
+        if matched is None or matched[0] != n:
+            return None
+        x = np.zeros(self.graph.edge_count, dtype=np.uint8)
+        for i, j in matched[1]:
+            x[self._path(marked[i], marked[j])] ^= 1
+        # confirm weight and boundary; mismatches cannot happen at a true optimum
+        if int(x.sum()) != n:
+            return None
+        if not np.array_equal(gf2.matvec(self.incidence, x), syndrome):
+            return None
+        return x
 
 
 def graph_decode(g: BipartiteGraph, syndrome, n: int) -> np.ndarray | None:
-    """Weight-n edge set whose boundary is the given vertex subset.
-
-    The minimum-weight solution pairs up the syndrome vertices with
-    edge-disjoint shortest paths, so a minimum-weight perfect matching
-    under the path metric finds it; the unique weight-n preimage exists
-    exactly when that minimum equals n.  The reconstruction is verified
-    against the syndrome before returning, making wrong answers
-    impossible regardless of matching internals.
-    """
-    syndrome = gf2.asbits(syndrome)
-    if syndrome.shape[0] != g.vertex_count:
-        raise ValueError("syndrome length does not match vertex count")
-    marked = [i + 1 for i, b in enumerate(syndrome) if b]
-    m = g.edge_count
-    if len(marked) % 2 or len(marked) > 2 * n:
-        return None
-    if not marked:
-        return np.zeros(m, dtype=np.uint8) if n == 0 else None
-    if n == 0:
-        return None
-    adj = g.adjacency()
-    dists = {u: _bfs_distances(adj, u) for u in marked}
-    helper = nx.Graph()
-    for i, u in enumerate(marked):
-        for v in marked[i + 1 :]:
-            d = dists[u].get(v)
-            if d is not None:
-                helper.add_edge(u, v, weight=d)
-    if helper.number_of_nodes() < len(marked):
-        return None
-    matching = nx.min_weight_matching(helper)
-    if 2 * len(matching) != len(marked):
-        return None
-    total = sum(dists[min(u, v)][max(u, v)] for u, v in matching)
-    if total != n:
-        return None
-    eidx = g.edge_index()
-    x = np.zeros(m, dtype=np.uint8)
-    for u, v in matching:
-        path = _bfs_path(adj, u, v)
-        for a, b in zip(path, path[1:]):
-            x[eidx[frozenset((a, b))]] ^= 1
-    # confirm weight and boundary; mismatches cannot happen at a true optimum
-    if int(x.sum()) != n:
-        return None
-    if not np.array_equal(gf2.matvec(g.incidence_matrix(), x), syndrome):
-        return None
-    return x
+    """One-off GraphDecoder(g, n).decode(syndrome); build the decoder once to
+    decode many syndromes of one graph."""
+    return GraphDecoder(g, n).decode(syndrome)
 
 
 def save_graph(g: BipartiteGraph, path: str) -> None:

@@ -1,13 +1,19 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fertaper import gf2
 from fertaper.cli import build_parser, main
 from fertaper.codeword import save_pcm
 from fertaper.fermion import FermionHamiltonian, dense_fock_matrix
-from fertaper.graphs import cycle_chord_graph, save_graph
-from fertaper.pauli import hamiltonian_from_text
+from fertaper.graphs import cycle_chord_graph, girth, greedy_high_girth, save_graph
+from fertaper.mitm import brute_force_decode, build_tables, mitm_decode
+from fertaper.pauli import PauliOperator, hamiltonian_from_text
 from fertaper.tapering import (
     build_plan,
     clifford_transform,
@@ -124,6 +130,33 @@ class TestTaperReport:
         assert np.allclose(union, full, atol=1e-9)
         want = np.linalg.eigvalsh(dense_fock_matrix(minimal_basis_hydrogen()))[0]
         assert abs(min(data["sector_energies"].values()) - want) < 1e-9
+
+    def test_sector_signs_are_the_report_generators_eigenvalues(self, tmp_path):
+        # generator i of the report has eigenvalue sign i on the sector's
+        # states: the tapered spectrum is H on that joint eigenspace
+        from tests.test_output_digests import spin_conserving
+
+        h_json = tmp_path / "h.json"
+        h_json.write_text(spin_conserving(0).to_json())
+        encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
+        assert main(["encode", "--input", str(h_json), "--map", "jw",
+                     "--output", str(encoded)]) == 0
+        assert main(["taper", "--input", str(encoded), "--sector=+-",
+                     "--output", str(tapered), "--report", str(report)]) == 0
+        data = json.loads(report.read_text())
+        q = hamiltonian_from_text(encoded.read_text())
+        assert data["generators"] == [g.label for g in
+                                      build_plan(find_symmetries(q), q).generators]
+        projector = np.eye(1 << q.qubit_count)
+        for label, sign in zip(data["generators"], (1, -1)):
+            projector = projector @ (np.eye(len(projector))
+                                     + sign * PauliOperator.from_label(label).dense()) / 2
+        values, vectors = np.linalg.eigh(projector)
+        space = vectors[:, values > 0.5]
+        want = np.linalg.eigvalsh(space.conj().T @ q.dense() @ space)
+        got = np.linalg.eigvalsh(hamiltonian_from_text(tapered.read_text()).dense())
+        assert np.allclose(got, want, atol=1e-9)
+        assert data["sector_energies"]["+-"] == pytest.approx(want[0], abs=1e-9)
 
     def test_byte_identical_reports(self, tmp_path, h2_json):
         # same paths both times: the report records its input path
@@ -302,6 +335,86 @@ class TestDecodeCommand:
         assert main(["decode", "--check", str(check), "--particles", "2",
                      "--syndrome", "1000"]) == 1
 
+    @staticmethod
+    def run_decode(parser, check, n, bits, capsys):
+        """One decode through the parser: (exit code, printed preimage or None)."""
+        args = parser.parse_args(["decode", "--check", str(check), "--particles", str(n),
+                                  "--syndrome", "".join(str(int(b)) for b in bits)])
+        rc = args.func(args)
+        out = capsys.readouterr().out.strip()
+        return rc, (np.array([int(c) for c in out], dtype=np.uint8) if rc == 0 else None)
+
+    def test_graph_matrix_matches_brute_force_on_every_syndrome(self, tmp_path, capsys,
+                                                                monkeypatch):
+        import fertaper.cli as cli
+
+        def no_tables(*args):
+            raise AssertionError("a graph incidence matrix built meet-in-the-middle tables")
+
+        monkeypatch.setattr(cli, "build_tables", no_tables)
+        a = cycle_chord_graph(8, 2).incidence_matrix()
+        check = tmp_path / "fig3.pcm"
+        save_pcm(a, str(check))
+        parser = build_parser()
+        for syndrome in range(1 << 12):
+            bits = [(syndrome >> (11 - i)) & 1 for i in range(12)]
+            rc, got = self.run_decode(parser, check, 2, bits, capsys)
+            want = brute_force_decode(a, 2, bits)
+            assert rc == (1 if want is None else 0)
+            assert want is None or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", ["weight-3 columns", "girth too small"])
+    def test_other_matrices_keep_the_mitm_route(self, tmp_path, capsys, monkeypatch, kind):
+        import fertaper.cli as cli
+
+        def no_matching(*args):
+            raise AssertionError("a non-graph matrix took the matching route")
+
+        monkeypatch.setattr(cli, "graph_decode", no_matching)
+        rng = np.random.default_rng(3)
+        if kind == "weight-3 columns":
+            a = np.zeros((10, 14), dtype=np.uint8)
+            for col in range(14):
+                a[rng.choice(10, size=3, replace=False), col] = 1
+        else:
+            g = greedy_high_girth(10, 1, trials=5, seed=2)
+            assert girth(g) < 6
+            a = g.incidence_matrix()
+        check = tmp_path / "a.pcm"
+        save_pcm(a, str(check))
+        tables = build_tables(a, 2)
+        parser = build_parser()
+        for k in range(40):
+            if k % 2:
+                bits = rng.integers(0, 2, size=10).astype(np.uint8)
+            else:
+                x = np.zeros(a.shape[1], dtype=np.uint8)
+                x[rng.choice(a.shape[1], size=2, replace=False)] = 1
+                bits = gf2.matvec(a, x)
+            rc, got = self.run_decode(parser, check, 2, bits, capsys)
+            want = mitm_decode(tables, bits)
+            assert rc == (1 if want is None else 0)
+            assert want is None or np.array_equal(got, want)
+
+    @pytest.mark.parametrize("body,argv,where", [
+        ("2 3\n101\n012\n", ["--syndrome", "11"], "row 2, column 3 is '2'"),
+        ("2 3\n101\n011\n110\n", ["--syndrome", "11"], "has 3 rows; its header says 2"),
+        ("2 3\n101\n011\n", ["--syndrome", "12"], "'2' at position 2"),
+        ("2 3\n101\n011\n", ["--syndrome", "110"], "3 bits"),
+        ("2 3\n101\n011\n", ["--syndrome", "11", "--particles=-1"], "-1 is outside 0..3"),
+        ("2 3\n101\n011\n", ["--syndrome", "11", "--particles", "4"], "4 is outside 0..3"),
+    ], ids=["entry-2", "extra-row", "syndrome-2", "syndrome-length", "particles-low",
+            "particles-high"])
+    def test_bad_input_is_an_error_line(self, tmp_path, capsys, body, argv, where):
+        check = tmp_path / "a.pcm"
+        check.write_text(body)
+        if "--particles" not in " ".join(argv):
+            argv = argv + ["--particles", "1"]
+        assert main(["decode", "--check", str(check)] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and where in captured.err
+
 
 class TestFirstqCommand:
     def test_bins_output(self, tmp_path):
@@ -350,3 +463,14 @@ class TestParser:
     def test_oa_and_hperp(self):
         assert main(["oa", "--m", "1", "--verify"]) == 0
         assert main(["hperp", "--N", "2", "--M", "2"]) == 0
+
+
+def test_cli_import_leaves_networkx_unloaded():
+    # a fresh interpreter: graph decoding needs no graph library at import
+    import fertaper
+
+    src = str(Path(fertaper.__file__).resolve().parent.parent)
+    code = "import sys, fertaper.cli; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+    assert out.strip() == "False"

@@ -28,8 +28,14 @@ from fertaper.fermion import (
     sector_matrix_direct,
     weight_n_states,
 )
-from fertaper.graphs import cycle_chord_graph, graph_decode, load_graph, save_graph
-from fertaper.mitm import brute_force_decode
+from fertaper.graphs import (
+    cycle_chord_graph,
+    graph_decode,
+    greedy_high_girth,
+    load_graph,
+    save_graph,
+)
+from fertaper.mitm import brute_force_decode, build_tables, mitm_decode
 
 
 @pytest.fixture
@@ -97,7 +103,6 @@ class TestCodeEncoding:
         assert enc.encode_state(x).tolist() == [1, 0, 1, 0]
 
     def test_encode_shared_vertex_cancels(self, fig3_encoding, fig3_graph):
-        index = fig3_graph.edge_index()
         adjacent = [None, None]
         for e1, (u1, v1) in enumerate(fig3_graph.edges):
             for e2, (u2, v2) in enumerate(fig3_graph.edges):
@@ -643,6 +648,40 @@ class TestDecoderSelection:
         assert enc.decode(miss) is None
 
 
+    def test_graph_codes_decode_by_matching(self, monkeypatch):
+        import fertaper.codeword as cw
+
+        def no_tables(*args):
+            raise AssertionError("a graph code built a syndrome table")
+
+        g = greedy_high_girth(48, 4, trials=3, seed=6)
+        enc = CodeEncoding.from_graph(g, 4)
+        tables = build_tables(enc.matrix, 4)  # the oracle, built before the patch
+        monkeypatch.setattr(cw, "full_decode_table", no_tables)
+        monkeypatch.setattr(cw, "build_tables", no_tables)
+        rng = np.random.default_rng(6)
+        for k in range(120):
+            if k % 2:
+                s = rng.integers(0, 2, size=48).astype(np.uint8)
+            else:
+                x = np.zeros(enc.modes, dtype=np.uint8)
+                x[rng.choice(enc.modes, size=4, replace=False)] = 1
+                s = gf2.matvec(enc.matrix, x)
+            got = enc.decode(s)
+            want = mitm_decode(tables, s)
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.occ == tuple(int(b) for b in want)
+            if not k % 2:
+                assert got.occ == tuple(int(b) for b in x)
+
+    def test_graph_must_match_the_matrix(self, fig3_graph):
+        a = fig3_graph.incidence_matrix()
+        with pytest.raises(ValueError, match="incidence matrix"):
+            CodeEncoding(a[:, ::-1], 2, (fig3_graph.left, fig3_graph.right), fig3_graph)
+
+
 class TestPcmFile:
     def test_round_trip(self, tmp_path, fig3_graph):
         a = fig3_graph.incidence_matrix()
@@ -659,6 +698,20 @@ class TestPcmFile:
         path = tmp_path / "bad.pcm"
         path.write_text("2 3\n101\n")
         with pytest.raises((ValueError, IndexError)):
+            load_pcm(str(path))
+
+    @pytest.mark.parametrize("text,where", [
+        ("2 3\n101\n012\n", "row 2, column 3 is '2'"),
+        ("2 3\n1 0 1\n0 x 1\n", "row 2, column 2 is 'x'"),
+        ("2 3\n101\n011\n110\n", "has 3 rows; its header says 2"),
+        ("2 3\n101\n0110\n", "row 2 has 4 entries; its header says 3"),
+        ("2\n101\n011\n", "header '2' is not \"Q M\""),
+        ("2 x\n101\n011\n", "header '2 x' is not \"Q M\""),
+    ], ids=["digit-2", "letter", "extra-row", "long-row", "short-header", "bad-header"])
+    def test_bad_body_names_the_position(self, tmp_path, text, where):
+        path = tmp_path / "bad.pcm"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=where):
             load_pcm(str(path))
 
     @pytest.mark.parametrize("text", ["", "# comment only\n", "2 3\n"],

@@ -1,18 +1,26 @@
+import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fertaper import gf2
 from fertaper.codeword import is_n_injective
 from fertaper.graphs import (
     BipartiteGraph,
+    GraphDecoder,
     cycle_chord_graph,
+    distance_matrix,
     girth,
     graph_decode,
+    graph_from_incidence,
     greedy_high_girth,
     injectivity_from_girth,
     load_graph,
+    min_weight_matching,
     no_edge_addable,
     save_graph,
     two_coloring,
@@ -65,6 +73,20 @@ class TestInjectivityFromGirth:
             if g.edge_count == 0 or g.edge_count > 20:
                 continue
             assert injectivity_from_girth(g, n) == is_n_injective(g.incidence_matrix(), n)
+
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_agrees_with_bfs_girth(self, seed):
+        # random cross-edge subsets: short cycles in any order of the edges
+        rng = np.random.default_rng(seed)
+        left, right = range(1, 6), range(6, 12)
+        cross = [(u, v) for u in left for v in right]
+        for _ in range(20):
+            keep = rng.random(len(cross)) < rng.uniform(0.1, 0.5)
+            edges = tuple(e for e, k in zip(cross, keep) if k)
+            g = BipartiteGraph(frozenset(left), frozenset(right), edges)
+            for n in (0, 1, 2, 3):
+                assert injectivity_from_girth(g, n) == (girth(g) >= 2 * n + 2)
 
 
 class TestCycleChord:
@@ -132,6 +154,108 @@ class TestGreedy:
         assert girth(g) >= 6
 
 
+def bfs_distances(g, source):
+    adj = g.adjacency()
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_capped_bfs_distances(self, n, fig3_graph):
+        cap = max(2 * n + 1, 2)
+        for g in (fig3_graph, path_graph(), greedy_high_girth(15, 2, trials=3, seed=n),
+                  BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3),))):
+            dist = distance_matrix(g, n)
+            assert dist.dtype == np.int16
+            for u in range(1, g.vertex_count + 1):
+                reach = bfs_distances(g, u)
+                want = [min(reach.get(v, cap), cap) for v in range(1, g.vertex_count + 1)]
+                assert dist[u - 1].tolist() == want
+
+    def test_particle_count_must_be_non_negative(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            greedy_high_girth(6, -1, trials=1)
+
+    def test_zero_particles_gives_the_complete_bipartite_graph(self):
+        g = greedy_high_girth(7, 0, trials=3, seed=1)
+        assert g.edge_count == len(g.left) * len(g.right)
+
+
+def brute_force_matching(weights):
+    """Cheapest perfect matching by listing every one (the oracle)."""
+    def matchings(rest):
+        if not rest:
+            yield []
+            return
+        i, others = rest[0], rest[1:]
+        for j in others:
+            if weights[i][j] is not None:
+                for tail in matchings([v for v in others if v != j]):
+                    yield [(i, j)] + tail
+
+    totals = [sum(weights[i][j] for i, j in m) for m in matchings(list(range(len(weights))))]
+    return min(totals, default=None)
+
+
+@st.composite
+def pair_weights(draw):
+    k = draw(st.integers(0, 10))
+    weights = [[None] * k for _ in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        w = draw(st.one_of(st.none(), st.integers(1, 9)))
+        weights[i][j] = weights[j][i] = w
+    return weights
+
+
+class TestMinWeightMatching:
+    @settings(max_examples=150, deadline=None)
+    @given(pair_weights())
+    def test_agrees_with_enumeration(self, weights):
+        got = min_weight_matching(weights)
+        want = brute_force_matching(weights)
+        if want is None:
+            assert got is None
+            return
+        total, pairs = got
+        assert total == want
+        assert sorted(v for pair in pairs for v in pair) == list(range(len(weights)))
+        assert all(i < j for i, j in pairs)
+        assert sum(weights[i][j] for i, j in pairs) == total
+
+    def test_empty_and_odd(self):
+        assert min_weight_matching([]) == (0, [])
+        assert min_weight_matching([[0]]) is None
+
+
+class TestGraphFromIncidence:
+    def test_round_trip(self, fig3_graph):
+        a = fig3_graph.incidence_matrix()
+        g = graph_from_incidence(a)
+        assert np.array_equal(g.incidence_matrix(), a)
+        assert girth(g) == 6
+
+    def test_isolated_vertex(self):
+        a = np.array([[1], [1], [0]], dtype=np.uint8)
+        g = graph_from_incidence(a)
+        assert g.vertex_count == 3 and g.edges == ((1, 2),)
+
+    @pytest.mark.parametrize("a", [
+        [[1, 0], [1, 1], [1, 1]],                 # a weight-3 column
+        [[1, 1], [1, 1], [0, 0]],                 # a repeated column
+        [[1, 0, 1], [1, 1, 0], [0, 1, 1]],        # a triangle: odd cycle
+    ], ids=["weight-3", "repeated", "odd-cycle"])
+    def test_not_a_bipartite_graph(self, a):
+        assert graph_from_incidence(np.array(a, dtype=np.uint8)) is None
+
+
 class TestDecode:
     def test_single_edge_boundary(self):
         g = four_cycle()
@@ -182,6 +306,21 @@ class TestDecode:
                 assert got is None
             else:
                 assert gf2.bits_to_int(got) == want
+
+
+    def test_decoder_reuse_matches_one_off_calls(self):
+        g = greedy_high_girth(20, 3, trials=5, seed=7)
+        decoder = GraphDecoder(g, 3)
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            bits = rng.integers(0, 2, size=20).astype(np.uint8)
+            got, want = decoder.decode(bits), graph_decode(g, bits, 3)
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+
+    def test_wrong_syndrome_length(self, fig3_graph):
+        with pytest.raises(ValueError, match="syndrome length"):
+            GraphDecoder(fig3_graph, 2).decode(np.zeros(11, dtype=np.uint8))
 
 
 class TestFileFormat:

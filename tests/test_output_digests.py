@@ -4,6 +4,12 @@ The SHA-256 digests below were recorded from the tuple-based Pauli
 implementation that the packed (x|z) masks replaced.  Any change to term
 order, coefficient arithmetic (including signed zeros) or number
 formatting in ``encode``, ``taper`` or ``firstq`` changes a digest.
+The ``graphgen`` digests were recorded from the breadth-first-search
+generator that the capped distance matrix replaced, so a seed must keep
+drawing the same edges.
+The ``taper --report`` digests were re-recorded once, when the report
+switched from listing the generators in ``find_symmetries`` order to the
+plan's order, the order its sector signs follow.
 """
 
 import hashlib
@@ -36,22 +42,30 @@ def digest(path: Path) -> str:
 ENCODE_TAPER_DIGESTS = {
     ("jw", 11): ("16b2ce3cafed28bfb16a1c8c92ffdb67fa4ded93c4b34a84b3689e75214dd860",
                  "40cc9719699f3deed6856e9c9367e1184a40bb07db9bf48b7b42f8a346ad90c1",
-                 "0d50e9f2565ed01a8940ebeeb78a735741d482041d23c1c03ab6be2643fc941a"),
+                 "a64054ae5619323fd763684cec06ad50a8cd5a7f43df8a1085a541c57b5e4bc9"),
     ("jw", 12): ("5d22ca2e2ac6169cf60d817b2ed85a9fb0cc659de2c4fb8d916fbd18b397c437",
                  "f294318f263da645eedd9c72995dcf6c7e462aaa0c099678d553c726cd02daab",
-                 "54e8549d4485c57c1ebc3f4ee9341fcb270d0f88e8bf8fba4d80e4c775d39849"),
+                 "d07b262b80478e0a7a145ab092a090ef0088920f676b0127f11289321547cb5e"),
     ("parity", 11): ("ae011e2b850b8d8c54cf11e0f83b3fffd0d1d2ea2746227cb55a441f1ff8e26d",
                      "05290631991bf9cc0ad084bd1dca312616d8b68ffe3ed776b3188789eb98c209",
-                     "8c4f111070cb85476e476f6c89d4ce57fbd50e1686c9c337a7a19daf924dea1b"),
+                     "97c741aaf1e6fb8880521ef31b83023eedb50965baa30ce80d12d1cda1ab00df"),
     ("parity", 12): ("b237270722c425612530e13badee4aff0e37d18d6bcd1b8974180e16c17419e8",
                      "3e70d8d8a3b88700749d14eb17942571c7d0c3fd2b4a3530743fc1a2d1b6068b",
-                     "804a3b85cb15b0a1bfb75cc6fa61bced14aeca5bffcd03c58b1f8c6b4d8fc573"),
+                     "32650eda1d2d0dc2a6a9b6271682c6f51e0dc3ed88102d36a6252ed4b36221b4"),
     ("bintree", 11): ("2cb83dfedac873d898ab8f6b8280fd4eeed965e6ff9df2e3250339dc01b9e69a",
                       "9b5d29c7685b509f145c23865806b6422ebef3756deef592fa70b5c7a17d1fda",
-                      "8d75908e38e1bceb7e68fe2211d5fa09eac476a08989f31555fe9d03ef77c7ac"),
+                      "86ec11db82238ce27e2667dbf1a51d109ba3aaaee6ed85ca9f0815d6c8768d10"),
     ("bintree", 12): ("b71f31e0851c94d50682f5caf62531f8ab0b1b23c31ea4e0e79032a8577e3d48",
                       "f0c2027990fbae9c64c4fbac31b8fc6504e083f68f20ac7457420ecaf9feb6be",
-                      "2fd7996487cc11743cebfeb11eaa11565594f85bc0d408c19861deaf6801b212"),
+                      "70299a6fbbd0b00df5c3c64b59d2c9018502b8fb16b60e00de8e359c4ae69e9a"),
+}
+
+# (qubits, particles, trials, seed) -> graphgen output file
+GRAPHGEN_DIGESTS = {
+    (24, 3, 200, 11): "cdfe00fe02729ca0281f65b8de68f83871ace2c05c9712fc61231451ab41b8f0",
+    (48, 4, 30, 12): "0ed6b8a97fec2f7562b2c9e6064338cf673a623400e55075f0a251b3c799d1e4",
+    (96, 6, 4, 13): "d8b0d63bfb8e10909f3902008dc77f7f484d64770c1634426d2f89fc5321f24e",
+    (12, 2, 1000, 0): "caa7ec40a67d31a311deef37d0e616d1fb273be0ddc51fede88b1d8e0c49f7f9",
 }
 
 FIRSTQ_DIGEST = "768f115da945cc9f52ecd675ad6781d95388a3424bbf665f066db8e5ceb497a8"
@@ -74,3 +88,13 @@ def test_firstq_bins_bytes(tmp_path):
     out = tmp_path / "b.json"
     assert main(["firstq", "--input", str(tmp_path / "h.json"), "--emit-bins", str(out)]) == 0
     assert digest(out) == FIRSTQ_DIGEST
+
+
+@pytest.mark.parametrize("spec", sorted(GRAPHGEN_DIGESTS))
+def test_graphgen_bytes(tmp_path, spec):
+    out = tmp_path / "g.graph"
+    argv = ["graphgen", "--out", str(out)]
+    for flag, value in zip(("--qubits", "--particles", "--trials", "--seed"), spec):
+        argv += [flag, str(value)]
+    assert main(argv) == 0
+    assert digest(out) == GRAPHGEN_DIGESTS[spec]
