@@ -10,6 +10,7 @@ fails.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -374,6 +375,7 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache  # built on first use, then shared by every main() call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fertaper",

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
+from functools import cached_property
 
 import numpy as np
 
@@ -39,19 +39,19 @@ from fertaper.fermion import (
     weight_n_states,
 )
 from fertaper.graphs import BipartiteGraph, GraphDecoder, injectivity_from_girth
-from fertaper.mitm import SyndromeTables, build_tables, full_decode_table, mitm_decode
+from fertaper.mitm import SyndromeTables, build_tables, mitm_decode, occupations
 from fertaper.pauli import PauliOperator, _check_dense_size, qubit_mask
 
 INJECTIVITY_BRUTE_CAP = 24
 MATERIALIZE_QUBIT_CAP = 24
-DECODE_TABLE_CAP = 1 << 22
 
 
 def is_n_injective(a: np.ndarray, n: int) -> bool:
     """Whether distinct weight-n vectors always get distinct syndromes.
 
-    Equivalent to the kernel containing no vector of even weight between
-    2 and 2n, which is what gets enumerated here.
+    Two weight-n vectors differ in an even number of places, at most
+    2*min(n, m-n), so this holds exactly when the kernel has no vector of
+    even weight from 2 to that bound, which is what gets enumerated here.
     """
     a = gf2.asbits(a)
     q, m = a.shape
@@ -61,7 +61,7 @@ def is_n_injective(a: np.ndarray, n: int) -> bool:
             "certify structurally (girth) instead"
         )
     cols = gf2.pack_rows(a.T)
-    for w in range(2, 2 * n + 1, 2):
+    for w in range(2, 2 * min(n, m - n) + 1, 2):
         for combo in itertools.combinations(range(m), w):
             acc = 0
             for c in combo:
@@ -105,8 +105,7 @@ class CodeEncoding:
             if not injectivity_from_girth(self.graph, self.particles):
                 raise ValueError("graph girth too small for this particle count")
         elif m <= INJECTIVITY_BRUTE_CAP:
-            if not is_n_injective(a, self.particles):
-                raise ValueError("matrix is not injective at this weight")
+            self._table  # its build rejects two weight-N vectors with one syndrome
         else:
             raise ValueError(
                 "matrices this wide need a girth certificate (pass the graph)"
@@ -142,77 +141,50 @@ class CodeEncoding:
 
     # -- decoding -----------------------------------------------------------
 
-    def _decode_table(self) -> dict[int, int]:
-        cached = self.__dict__.get("_table")
-        if cached is None:
-            if comb(self.modes, self.particles) > DECODE_TABLE_CAP:
-                raise MemoryError("decode table too large; use the streaming decoders")
-            cached = full_decode_table(self.matrix, self.particles)
-            self.__dict__["_table"] = cached
-        return cached
+    @cached_property
+    def _table(self) -> SyndromeTables:
+        """The full decode table, split (0, N), built once per encoding."""
+        return build_tables(self.matrix, self.particles, split=(0, self.particles))
 
-    def _mitm_tables(self) -> SyndromeTables:
-        cached = self.__dict__.get("_mitm")
-        if cached is None:
-            cached = build_tables(self.matrix, self.particles)
-            self.__dict__["_mitm"] = cached
-        return cached
-
+    @cached_property
     def _graph_decoder(self) -> GraphDecoder:
-        cached = self.__dict__.get("_matching")
-        if cached is None:
-            cached = GraphDecoder(self.graph, self.particles)
-            self.__dict__["_matching"] = cached
-        return cached
+        return GraphDecoder(self.graph, self.particles)
 
     def decode(self, s: np.ndarray) -> FockState | None:
         """Unique weight-N preimage of a syndrome, or None.
 
-        A graph code decodes by matching on the graph; any other code by
-        the full decode table, or meet-in-the-middle past DECODE_TABLE_CAP.
+        A graph code decodes by matching on the graph; any other code by a
+        search of the full decode table.  Both check the syndrome length.
         """
-        s = gf2.asbits(s)
-        if s.shape[0] != self.qubits:
-            raise ValueError(f"syndrome length {s.shape[0]} != {self.qubits}")
         if self.graph is not None:
-            hit = self._graph_decoder().decode(s)
-            return None if hit is None else FockState(tuple(hit))
-        if comb(self.modes, self.particles) <= DECODE_TABLE_CAP:
-            mask = self._decode_table().get(gf2.bits_to_int(s))
-            if mask is None:
-                return None
-            return FockState(tuple(gf2.int_to_bits(mask, self.modes)))
-        hit = mitm_decode(self._mitm_tables(), s)
+            hit = self._graph_decoder.decode(s)
+        else:
+            hit = mitm_decode(self._table, s)
         return None if hit is None else FockState(tuple(hit))
 
+    @cached_property
     def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
-        cached = self.__dict__.get("_syndrome_arrays")
-        if cached is None:
-            if self.qubits > MATERIALIZE_QUBIT_CAP:
-                raise ValueError(f"syndrome arrays capped at {MATERIALIZE_QUBIT_CAP} qubits")
-            table = self._decode_table()
-            syndromes = np.fromiter(table, dtype=np.int64, count=len(table))
-            occupations = np.array(
-                [gf2.int_to_bits(mask, self.modes) for mask in table.values()]
-            )
-            preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
-            preimage[syndromes] = np.arange(len(syndromes))
-            cached = (preimage, occupations)
-            self.__dict__["_syndrome_arrays"] = cached
-        return cached
+        if self.qubits > MATERIALIZE_QUBIT_CAP:
+            raise ValueError(f"syndrome arrays capped at {MATERIALIZE_QUBIT_CAP} qubits")
+        # one key word holds every syndrome up to 64 qubits
+        syndromes = self._table.keys[1].view(">u8").astype(np.int64)
+        preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
+        preimage[syndromes] = np.arange(len(syndromes))
+        return preimage, occupations(self._table.combos[1], self.modes)
 
     def preimage(self) -> np.ndarray:
         """Codeword number of every syndrome index, -1 off the codespace.
 
-        Built once per encoding from the decode table.  Syndrome arrays
-        exist only up to MATERIALIZE_QUBIT_CAP qubits, where every code this
-        class accepts has at most C(24, 12) codewords, inside DECODE_TABLE_CAP.
+        Built once per encoding from the full decode table, whose key order
+        numbers the codewords.  Syndrome arrays exist only up to
+        MATERIALIZE_QUBIT_CAP qubits, where an injective code has at most
+        2^24 codewords, inside TABLE_ENTRY_BUDGET.
         """
-        return self._codespace()[0]
+        return self._codespace[0]
 
     def codewords(self) -> np.ndarray:
         """C(M,N) x M occupation rows, numbered as preimage() numbers them."""
-        return self._codespace()[1]
+        return self._codespace[1]
 
     def isometry(self) -> np.ndarray:
         """Dense 2^Q x C(M,N) isometry with columns |Ax> (oracle use)."""

@@ -30,13 +30,21 @@ def int_to_bits(value: int, length: int) -> np.ndarray:
 
 def pack_rows(mat) -> list[int]:
     """Pack each row of a bit matrix into an int, first column most significant."""
+    return [int.from_bytes(row.tobytes(), "big") for row in pack_words(mat)]
+
+
+def pack_words(mat) -> np.ndarray:
+    """Pack each row of a bit matrix into big-endian uint64 words.
+
+    Rows are padded on the left to whole words, so the words of a row,
+    first to last, read as the integer pack_rows gives.
+    """
     rows = asbits(mat)
     width = rows.shape[1]
-    pad = -width % 8
-    padded = np.zeros((rows.shape[0], width + pad), dtype=np.uint8)
-    padded[:, pad:] = rows
-    packed = np.packbits(padded, axis=1)
-    return [int.from_bytes(row.tobytes(), "big") for row in packed]
+    bits = 64 * max(1, -(-width // 64))
+    padded = np.zeros((rows.shape[0], bits), dtype=np.uint8)
+    padded[:, bits - width:] = rows
+    return np.packbits(padded, axis=1).view(">u8")
 
 
 def unpack_ints(values, length: int) -> np.ndarray:

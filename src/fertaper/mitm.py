@@ -1,24 +1,23 @@
-"""Meet-in-the-middle syndrome decoding for N-injective binary matrices.
+"""Syndrome tables and meet-in-the-middle decoding for N-injective binary matrices.
 
-Preimages A^{-1}s of weight N are found by splitting N into two halves,
-tabulating the syndromes of all half-weight vectors offline, and scanning
-one table while binary-searching the other.  A brute-force enumerator is
-kept alongside as the reference oracle.
+A table for weight k holds the syndrome Ax of every weight-k vector x as a
+sorted key, next to x's column indices.  Keys are syndromes packed into
+big-endian uint64 words and viewed as byte strings, so they sort and
+binary-search as numbers at any Q.  Decoding splits N = N1 + N2 and
+searches every first-half key XOR the syndrome in the second half at once;
+the split (0, N) is the full decode table, decoded by one search.  A
+brute-force enumerator is kept alongside as the reference oracle.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
 from fertaper import gf2
-
-log = logging.getLogger(__name__)
 
 TABLE_ENTRY_BUDGET = 1 << 26
 BRUTE_FORCE_MODE_CAP = 24
@@ -32,101 +31,133 @@ class InjectivityViolation(ValueError):
         self.witness = witness
 
 
-def _weight_masks(m: int):
-    """Mode-set masks (mode 1 = most significant bit of an M-bit mask)."""
-    return [1 << (m - 1 - i) for i in range(m)]
+def combinations(m: int, k: int) -> np.ndarray:
+    """Every k-subset of range(m) as a row of ascending indices, in lexicographic order."""
+    dtype = np.min_scalar_type(max(m - 1, 0))
+    rows = np.zeros((1, 0), dtype=dtype)
+    for t in range(k):
+        # entry t runs from one past entry t-1 up to m-k+t, leaving room for the rest
+        start = rows[:, -1].astype(np.intp) + 1 if t else np.zeros(1, dtype=np.intp)
+        counts = np.maximum(m - k + t + 1 - start, 0)
+        parent = np.repeat(np.arange(len(rows)), counts)
+        offset = np.arange(parent.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        rows = np.column_stack([rows[parent], (start[parent] + offset).astype(dtype)])
+    return rows
+
+
+def occupations(combos: np.ndarray, m: int) -> np.ndarray:
+    """0/1 occupation rows over M modes, one per row of column indices."""
+    occ = np.zeros((len(combos), m), dtype=np.uint8)
+    occ[np.arange(len(combos))[:, None], combos] = 1
+    return occ
+
+
+def _mode_set(row) -> tuple[int, ...]:
+    """1-based modes of a row of 0-based column indices."""
+    return tuple(int(c) + 1 for c in row)
+
+
+def _as_keys(words: np.ndarray) -> np.ndarray:
+    """One byte-string key per row of uint64 words, ordered as the words' integers."""
+    words = np.ascontiguousarray(words, dtype=">u8")
+    return words.view(f"S{8 * words.shape[1]}").ravel()
 
 
 @dataclass(frozen=True)
 class SyndromeTables:
-    """Sorted offline tables of half-weight syndromes and their preimages."""
+    """Sorted keys of all weight-split[i] syndromes, and combos[i] their column indices."""
 
     modes: int
     rows: int
     particles: int
     split: tuple[int, int]
-    syndromes: tuple[tuple[int, ...], tuple[int, ...]]
-    preimages: tuple[tuple[int, ...], tuple[int, ...]]
+    keys: tuple[np.ndarray, np.ndarray]
+    combos: tuple[np.ndarray, np.ndarray]
 
     @property
     def sizes(self) -> tuple[int, int]:
-        return len(self.syndromes[0]), len(self.syndromes[1])
+        return len(self.keys[0]), len(self.keys[1])
 
 
-def build_tables(a: np.ndarray, n: int, entry_budget: int = TABLE_ENTRY_BUDGET) -> SyndromeTables:
+def build_tables(a: np.ndarray, n: int, split: tuple[int, int] | None = None,
+                 entry_budget: int = TABLE_ENTRY_BUDGET) -> SyndromeTables:
     """Tabulate syndromes of all weight-N1 and weight-N2 vectors.
 
-    Duplicate syndromes inside a table contradict injectivity of the
-    matrix and abort the build with a witness pair.
+    The split (N1, N2) defaults to ((N+1)//2, N//2); (0, N) gives the full
+    decode table.  Duplicate syndromes inside a table contradict
+    injectivity of the matrix and abort the build with the two mode sets
+    as the witness.
     """
     a = gf2.asbits(a)
     q, m = a.shape
-    n1 = (n + 1) // 2
-    n2 = n - n1
+    n1, n2 = ((n + 1) // 2, n // 2) if split is None else split
+    if n1 < 0 or n2 < 0 or n1 + n2 != n:
+        raise ValueError(f"split {(n1, n2)} does not add up to {n} particles")
     total = comb(m, n1) + comb(m, n2)
     if total > entry_budget:
         raise MemoryError(
             f"syndrome tables need {total} entries, over the budget of {entry_budget}"
         )
-    cols = gf2.pack_rows(a.T)
-    mode_masks = _weight_masks(m)
-    tables = []
-    lookups = []
-    for ni in (n1, n2):
-        pairs = []
-        for combo in itertools.combinations(range(m), ni):
-            syn = 0
-            vec = 0
-            for c in combo:
-                syn ^= cols[c]
-                vec ^= mode_masks[c]
-            pairs.append((syn, vec))
-        pairs.sort()
-        for (s1, v1), (s2, v2) in zip(pairs, pairs[1:]):
-            if s1 == s2:
-                raise InjectivityViolation(
-                    f"two weight-{ni} vectors share syndrome {s1:0{q}b}",
-                    witness=(v1, v2),
-                )
-        tables.append(tuple(s for s, _ in pairs))
-        lookups.append(tuple(v for _, v in pairs))
-    return SyndromeTables(m, q, n, (n1, n2), (tables[0], tables[1]), (lookups[0], lookups[1]))
+    cols = gf2.pack_words(a.T).astype(np.uint64)
+    keys, combos = [], []
+    for k in (n1, n2):
+        rows = combinations(m, k)
+        acc = np.zeros((len(rows), cols.shape[1]), dtype=np.uint64)
+        for j in range(k):
+            acc ^= cols[rows[:, j]]
+        key = _as_keys(acc)
+        order = np.argsort(key, kind="stable")
+        key, rows = key[order], rows[order]
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            i = int(dup[0])
+            bits = np.unpackbits(key[i:i + 1].view(np.uint8))[8 * key.itemsize - q:]
+            raise InjectivityViolation(
+                f"two weight-{k} vectors share syndrome {''.join(map(str, bits))}",
+                witness=(_mode_set(rows[i]), _mode_set(rows[i + 1])),
+            )
+        keys.append(key)
+        combos.append(rows)
+    return SyndromeTables(m, q, n, (n1, n2), (keys[0], keys[1]), (combos[0], combos[1]))
 
 
 def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
     """Unique weight-N preimage of a syndrome, or None.
 
-    Scans the first table; for each entry the complementary syndrome is
-    binary-searched in the second.  A hit whose combined weight is not N
-    (overlapping halves) is skipped and logged; injectivity implies such a
-    hit never hides a real solution.
+    XORs the syndrome against every first-half key and searches all of the
+    results in the second half.  Hits whose halves overlap have weight
+    below N and are dropped.  A preimage is found once per way of
+    splitting it, so the rest are deduplicated; two distinct preimages
+    raise InjectivityViolation.
     """
     s = gf2.asbits(s)
-    if s.shape[0] != tables.rows:
-        raise ValueError(f"syndrome length {s.shape[0]} != {tables.rows}")
-    s_mask = gf2.bits_to_int(s)
-    t1, t2 = tables.syndromes
-    u1s, u2s = tables.preimages
-    n = tables.particles
-    for syn1, vec1 in zip(t1, u1s):
-        want = syn1 ^ s_mask
-        pos = bisect_left(t2, want)
-        if pos == len(t2) or t2[pos] != want:
-            continue
-        x = vec1 ^ u2s[pos]
-        if bin(x).count("1") != n:
-            log.debug(
-                "half-weight preimages overlap at syndrome %s; continuing scan", s_mask
-            )
-            continue
-        return gf2.int_to_bits(x, tables.modes)
-    return None
+    if s.shape != (tables.rows,):
+        raise ValueError(f"syndrome length {s.size} != {tables.rows}")
+    first, second = tables.keys
+    if not len(second):  # N2 > M: no weight-N2 vector to search for
+        return None
+    words = first.view(">u8").reshape(len(first), first.itemsize // 8)
+    want = _as_keys(words ^ gf2.pack_words(s[None, :]))
+    pos = np.minimum(np.searchsorted(second, want), len(second) - 1)
+    hit = np.flatnonzero(second[pos] == want)
+    x = (occupations(tables.combos[0][hit], tables.modes)
+         ^ occupations(tables.combos[1][pos[hit]], tables.modes))
+    x = x[x.sum(axis=1) == tables.particles]
+    if not len(x):
+        return None
+    other = np.flatnonzero((x != x[0]).any(axis=1))
+    if other.size:
+        raise InjectivityViolation(
+            "syndrome has more than one weight-N preimage",
+            witness=(_mode_set(np.flatnonzero(x[0])), _mode_set(np.flatnonzero(x[other[0]]))),
+        )
+    return x[0]
 
 
 def brute_force_decode(a: np.ndarray, n: int, s) -> np.ndarray | None:
     """Exhaustive reference decoder over all weight-N vectors.
 
-    Raises InjectivityViolation with the two colliding vectors if more
+    Raises InjectivityViolation with the two colliding mode sets if more
     than one preimage exists.
     """
     a = gf2.asbits(a)
@@ -138,39 +169,16 @@ def brute_force_decode(a: np.ndarray, n: int, s) -> np.ndarray | None:
         raise ValueError(f"syndrome length {s.shape[0]} != {q}")
     target = gf2.bits_to_int(s)
     cols = gf2.pack_rows(a.T)
-    mode_masks = _weight_masks(m)
     found = None
     for combo in itertools.combinations(range(m), n):
         syn = 0
-        vec = 0
         for c in combo:
             syn ^= cols[c]
-            vec ^= mode_masks[c]
         if syn == target:
             if found is not None:
                 raise InjectivityViolation(
-                    "matrix is not injective at this weight", witness=(found, vec)
+                    "matrix is not injective at this weight",
+                    witness=(_mode_set(found), _mode_set(combo)),
                 )
-            found = vec
-    return None if found is None else gf2.int_to_bits(found, m)
-
-
-def full_decode_table(a: np.ndarray, n: int) -> dict[int, int]:
-    """Map every achievable syndrome (as int) to its weight-N preimage mask."""
-    a = gf2.asbits(a)
-    q, m = a.shape
-    cols = gf2.pack_rows(a.T)
-    mode_masks = _weight_masks(m)
-    table: dict[int, int] = {}
-    for combo in itertools.combinations(range(m), n):
-        syn = 0
-        vec = 0
-        for c in combo:
-            syn ^= cols[c]
-            vec ^= mode_masks[c]
-        if syn in table:
-            raise InjectivityViolation(
-                "matrix is not injective at this weight", witness=(table[syn], vec)
-            )
-        table[syn] = vec
-    return table
+            found = combo
+    return None if found is None else occupations(np.array([found], dtype=np.intp), m)[0]

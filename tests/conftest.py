@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from fertaper import gf2
 from fertaper.cli import H2_TABLE
 from fertaper.fermion import FermionHamiltonian
 from fertaper.graphs import cycle_chord_graph
@@ -15,6 +18,24 @@ def h2_table() -> QubitHamiltonian:
         4,
         tuple((c, PauliOperator.from_label(l)) for c, l in zip(coeffs, H2_TABLE)),
     )
+
+
+def syndrome_map(a, n) -> dict[int, int]:
+    """Every achievable syndrome of a weight-n vector -> its preimage, both as ints.
+
+    Plain enumeration with Python ints, the reference for table decoders;
+    a syndrome reached twice fails the calling test.
+    """
+    cols = gf2.pack_rows(np.asarray(a).T)
+    m = len(cols)
+    table: dict[int, int] = {}
+    for combo in itertools.combinations(range(m), n):
+        syn = 0
+        for c in combo:
+            syn ^= cols[c]
+        assert syn not in table, "matrix is not injective at this weight"
+        table[syn] = sum(1 << (m - 1 - c) for c in combo)
+    return table
 
 
 def minimal_basis_hydrogen() -> FermionHamiltonian:

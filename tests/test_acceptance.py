@@ -43,7 +43,7 @@ from fertaper.graphs import (
     greedy_high_girth,
     injectivity_from_girth,
 )
-from fertaper.mitm import brute_force_decode, build_tables, full_decode_table, mitm_decode
+from fertaper.mitm import brute_force_decode, build_tables, mitm_decode
 from fertaper.pauli import PauliOperator, QubitHamiltonian
 from fertaper.standard_maps import ENCODING_KINDS, build_encoding, encode_hamiltonian
 from fertaper.tapering import (
@@ -53,6 +53,7 @@ from fertaper.tapering import (
     find_symmetries,
     taper,
 )
+from tests.conftest import syndrome_map
 
 
 class Stopwatch:
@@ -229,7 +230,7 @@ def test_a8_decoder_equivalence():
     fig3 = cycle_chord_graph(8, 2)
     a = fig3.incidence_matrix()
     tables = build_tables(a, 2)
-    reference = full_decode_table(a, 2)
+    reference = syndrome_map(a, 2)
     for syndrome_int in range(1 << 12):
         bits = gf2.int_to_bits(syndrome_int, 12)
         want = reference.get(syndrome_int)

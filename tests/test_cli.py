@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from fertaper.cli import build_parser, main
 from fertaper.codeword import save_pcm
 from fertaper.fermion import FermionHamiltonian, dense_fock_matrix
 from fertaper.graphs import cycle_chord_graph, girth, greedy_high_girth, save_graph
-from fertaper.mitm import brute_force_decode, build_tables, mitm_decode
+from fertaper.mitm import InjectivityViolation, brute_force_decode
 from fertaper.pauli import PauliOperator, hamiltonian_from_text
 from fertaper.tapering import (
     build_plan,
@@ -382,7 +383,6 @@ class TestDecodeCommand:
             a = g.incidence_matrix()
         check = tmp_path / "a.pcm"
         save_pcm(a, str(check))
-        tables = build_tables(a, 2)
         parser = build_parser()
         for k in range(40):
             if k % 2:
@@ -391,10 +391,36 @@ class TestDecodeCommand:
                 x = np.zeros(a.shape[1], dtype=np.uint8)
                 x[rng.choice(a.shape[1], size=2, replace=False)] = 1
                 bits = gf2.matvec(a, x)
+            # every weight-2 preimage (brute_force_decode stops at 24 modes)
+            found = [x for x in np.eye(a.shape[1], dtype=np.uint8)[
+                list(itertools.combinations(range(a.shape[1]), 2))].sum(axis=1)
+                if np.array_equal(gf2.matvec(a, x), bits)]
+            if len(found) > 1:  # never print just one of two preimages
+                with pytest.raises(InjectivityViolation):
+                    self.run_decode(parser, check, 2, bits, capsys)
+                continue
+            want = found[0] if found else None
             rc, got = self.run_decode(parser, check, 2, bits, capsys)
-            want = mitm_decode(tables, bits)
             assert rc == (1 if want is None else 0)
             assert want is None or np.array_equal(got, want)
+
+    def test_two_preimages_are_an_error_line(self, tmp_path, capsys):
+        # the weight-3-column matrix above: 0000010010 is the syndrome of
+        # both 01000010000000 and 00001100000000
+        rng = np.random.default_rng(3)
+        a = np.zeros((10, 14), dtype=np.uint8)
+        for col in range(14):
+            a[rng.choice(10, size=3, replace=False), col] = 1
+        check = tmp_path / "a.pcm"
+        save_pcm(a, str(check))
+        for x in ("01000010000000", "00001100000000"):
+            syndrome = gf2.matvec(a, np.array([int(c) for c in x]))
+            assert "".join(str(int(b)) for b in syndrome) == "0000010010"
+        rc = main(["decode", "--check", str(check), "--particles", "2",
+                   "--syndrome", "0000010010"])
+        out, err = capsys.readouterr()
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and "more than one" in err
 
     @pytest.mark.parametrize("body,argv,where", [
         ("2 3\n101\n012\n", ["--syndrome", "11"], "row 2, column 3 is '2'"),
@@ -459,6 +485,17 @@ class TestParser:
         for name in ("encode", "taper", "codesim", "graphgen", "graphtable",
                      "decode", "firstq", "oa", "hperp", "verify"):
             assert name in text
+
+    def test_parser_is_built_once_on_first_use(self):
+        import fertaper
+
+        code = ("import fertaper.cli as cli; before = cli.build_parser.cache_info().currsize; "
+                "cli.main(['oa', '--m', '1']); cli.main(['oa', '--m', '1']); "
+                "print(before, cli.build_parser.cache_info().misses)")
+        src = str(Path(fertaper.__file__).resolve().parent.parent)
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True).stdout
+        assert out.split()[-2:] == ["0", "1"]
 
     def test_oa_and_hperp(self):
         assert main(["oa", "--m", "1", "--verify"]) == 0

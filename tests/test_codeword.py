@@ -35,7 +35,7 @@ from fertaper.graphs import (
     load_graph,
     save_graph,
 )
-from fertaper.mitm import brute_force_decode, build_tables, mitm_decode
+from fertaper.mitm import InjectivityViolation, brute_force_decode, build_tables, mitm_decode
 
 
 @pytest.fixture
@@ -83,6 +83,36 @@ class TestInjectivity:
     def test_width_guard(self):
         with pytest.raises(ValueError):
             is_n_injective(np.eye(30, dtype=np.uint8), 2)
+
+    def test_kernel_weight_bound_is_twice_min_n_m_minus_n(self):
+        # the kernel vector 1111 has weight 4 <= 2N, but two weight-3 vectors
+        # on 4 modes differ in only 2 places: all 4 syndromes are distinct
+        a = np.array([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.uint8)
+        assert is_n_injective(a, 3)
+        assert CodeEncoding(a, 3).preimage().tolist().count(-1) == 4
+
+    def test_agrees_with_brute_force_on_every_syndrome(self):
+        rng = np.random.default_rng(2024)
+        verdicts = set()
+        for _ in range(300):
+            q, m = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            n = int(rng.integers(0, m + 1))
+            a = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
+            try:
+                for s in range(1 << q):
+                    brute_force_decode(a, n, gf2.int_to_bits(s, q))
+                want = True
+            except InjectivityViolation:
+                want = False
+            assert is_n_injective(a, n) == want, (a.tolist(), n)
+            try:
+                CodeEncoding(a, n)
+                built = True
+            except InjectivityViolation:
+                built = False
+            assert built == want, (a.tolist(), n)
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
 
 class TestCodeEncoding:
@@ -635,18 +665,27 @@ class TestArrayDiagonals:
 
 
 class TestDecoderSelection:
-    def test_mitm_path_when_table_too_large(self, fig3_encoding, monkeypatch):
-        import fertaper.codeword as cw
-
-        monkeypatch.setattr(cw, "DECODE_TABLE_CAP", 1)
+    def test_mitm_path_when_table_too_large(self, fig3_encoding):
+        # a code that outgrows one table decodes through the default split;
+        # it must agree with the full (0, N) table on every syndrome
         enc = CodeEncoding(fig3_encoding.matrix, 2)
-        for st in weight_n_states(16, 2)[:10]:
-            s = enc.encode_state(st)
-            assert enc.decode(s) == st
-        miss = np.zeros(12, dtype=np.uint8)
-        miss[0] = 1
-        assert enc.decode(miss) is None
-
+        split = build_tables(enc.matrix, 2)
+        full = build_tables(enc.matrix, 2, split=(0, 2))
+        assert split.split == (1, 1) and full.sizes == (1, 120)
+        pre, occ = enc.preimage(), enc.codewords()
+        hits = 0
+        for s in range(1 << 12):
+            bits = gf2.int_to_bits(s, 12)
+            want = mitm_decode(full, bits)
+            got = mitm_decode(split, bits)
+            assert (got is None) == (want is None)
+            if want is None:
+                assert enc.decode(bits) is None and pre[s] == -1
+            else:
+                hits += 1
+                assert np.array_equal(got, want)
+                assert enc.decode(bits).occ == tuple(occ[pre[s]]) == tuple(int(b) for b in want)
+        assert hits == 120
 
     def test_graph_codes_decode_by_matching(self, monkeypatch):
         import fertaper.codeword as cw
@@ -657,7 +696,7 @@ class TestDecoderSelection:
         g = greedy_high_girth(48, 4, trials=3, seed=6)
         enc = CodeEncoding.from_graph(g, 4)
         tables = build_tables(enc.matrix, 4)  # the oracle, built before the patch
-        monkeypatch.setattr(cw, "full_decode_table", no_tables)
+        monkeypatch.setattr(cw.CodeEncoding, "_table", property(no_tables))
         monkeypatch.setattr(cw, "build_tables", no_tables)
         rng = np.random.default_rng(6)
         for k in range(120):

@@ -25,7 +25,7 @@ from fertaper.graphs import (
     save_graph,
     two_coloring,
 )
-from fertaper.mitm import full_decode_table
+from tests.conftest import syndrome_map
 
 
 def four_cycle():
@@ -72,7 +72,11 @@ class TestInjectivityFromGirth:
         for g in graphs:
             if g.edge_count == 0 or g.edge_count > 20:
                 continue
-            assert injectivity_from_girth(g, n) == is_n_injective(g.incidence_matrix(), n)
+            injective = is_n_injective(g.incidence_matrix(), n)
+            # girth >= 2N+2 suffices; exactly, no cycle may be as short as
+            # 2*min(N, M-N), the most two weight-N vectors can differ by
+            assert injectivity_from_girth(g, n) <= injective
+            assert injective == (girth(g) > 2 * min(n, g.edge_count - n))
 
 
     @pytest.mark.parametrize("seed", range(6))
@@ -277,7 +281,7 @@ class TestDecode:
 
     def test_all_syndromes_match_brute_force(self, fig3_graph):
         a = fig3_graph.incidence_matrix()
-        reference = full_decode_table(a, 2)
+        reference = syndrome_map(a, 2)
         for syn in range(1 << 12):
             bits = gf2.int_to_bits(syn, 12)
             got = graph_decode(fig3_graph, bits, 2)
@@ -291,7 +295,7 @@ class TestDecode:
     def test_random_graphs_match_brute_force(self, q, n, seed):
         g = greedy_high_girth(q, n, trials=10, seed=seed)
         a = g.incidence_matrix()
-        reference = full_decode_table(a, n)
+        reference = syndrome_map(a, n)
         rng = np.random.default_rng(seed)
         # all achievable syndromes plus random unachievable ones
         for syn, mask in list(reference.items())[:200]:

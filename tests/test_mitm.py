@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,10 @@ from fertaper.mitm import (
     InjectivityViolation,
     brute_force_decode,
     build_tables,
-    full_decode_table,
+    combinations,
     mitm_decode,
 )
+from tests.conftest import syndrome_map
 
 
 def random_injective_matrix(rng, q, m, n):
@@ -31,12 +34,13 @@ class TestBuildTables:
         a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         tables = build_tables(a, 1)
         assert tables.split == (1, 0)
-        assert sorted(tables.syndromes[0]) == sorted(
-            gf2.bits_to_int(a[:, c]) for c in range(3)
-        )
+        # keys are sorted big-endian words; combos give each key's columns
+        keys = tables.keys[0].view(">u8").tolist()
+        assert keys == sorted(gf2.bits_to_int(a[:, c]) for c in range(3))
+        assert [gf2.bits_to_int(a[:, c]) for c in tables.combos[0][:, 0]] == keys
         # the empty half: one zero syndrome with an empty preimage
-        assert tables.syndromes[1] == (0,)
-        assert tables.preimages[1] == (0,)
+        assert tables.keys[1].view(">u8").tolist() == [0]
+        assert tables.combos[1].shape == (1, 0)
 
     def test_identity_sizes(self):
         tables = build_tables(np.eye(4, dtype=np.uint8), 2)
@@ -51,6 +55,27 @@ class TestBuildTables:
         with pytest.raises(InjectivityViolation) as err:
             build_tables(a, 1)
         assert err.value.witness is not None
+
+    def test_duplicate_witness_names_both_mode_sets(self):
+        a = np.array([[1, 0, 1, 0], [0, 1, 0, 0]], dtype=np.uint8)  # columns 1, 3 equal
+        with pytest.raises(InjectivityViolation, match="share syndrome 10") as err:
+            build_tables(a, 1, split=(0, 1))
+        assert err.value.witness == ((1,), (3,))
+
+    @pytest.mark.parametrize("split", [(3, 1), (-1, 3), (2, 1)])
+    def test_split_must_add_up(self, split):
+        with pytest.raises(ValueError, match="does not add up"):
+            build_tables(np.eye(5, dtype=np.uint8), 2, split=split)
+
+    def test_full_table_has_every_weight_n_vector(self, fig3_graph):
+        a = fig3_graph.incidence_matrix()
+        tables = build_tables(a, 2, split=(0, 2))
+        assert tables.sizes == (1, 120)
+        want = syndrome_map(a, 2)
+        keys = tables.keys[1].view(">u8").tolist()
+        assert keys == sorted(want)
+        for key, combo in zip(keys, tables.combos[1]):
+            assert want[key] == sum(1 << (15 - int(c)) for c in combo)
 
     def test_entry_budget(self):
         with pytest.raises(MemoryError):
@@ -94,7 +119,7 @@ class TestDecode:
     def test_all_syndromes_match_brute_force(self, fig3_graph):
         a = fig3_graph.incidence_matrix()
         tables = build_tables(a, 2)
-        reference = full_decode_table(a, 2)
+        reference = syndrome_map(a, 2)
         for syn in range(1 << 12):
             bits = gf2.int_to_bits(syn, 12)
             got = mitm_decode(tables, bits)
@@ -124,3 +149,69 @@ class TestDecode:
             x = np.zeros(m, dtype=np.uint8)
             x[cols] = 1
             assert np.array_equal(mitm_decode(tables, gf2.matvec(a, x)), x)
+
+    @pytest.mark.parametrize("split", [None, (0, 3), (3, 0)])
+    def test_more_particles_than_modes_has_no_preimage(self, split):
+        tables = build_tables(np.eye(2, dtype=np.uint8), 3, split=split)
+        assert mitm_decode(tables, [1, 1]) is None
+
+    def test_zero_particles(self):
+        tables = build_tables(np.eye(2, dtype=np.uint8), 0)
+        assert mitm_decode(tables, [0, 0]).tolist() == [0, 0]
+        assert mitm_decode(tables, [1, 0]) is None
+
+    def test_two_preimages_raise(self):
+        # columns 1+2 and 3+4 share a syndrome; each weight-1 half is distinct
+        a = np.array([[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 1, 0],
+                      [0, 0, 0, 0, 1]], dtype=np.uint8)
+        s = gf2.matvec(a, np.array([1, 1, 0, 0, 0]))
+        with pytest.raises(InjectivityViolation):
+            brute_force_decode(a, 2, s)
+        with pytest.raises(InjectivityViolation) as err:
+            mitm_decode(build_tables(a, 2), s)
+        assert set(err.value.witness) == {(1, 2), (3, 4)}
+
+
+class TestCombinations:
+    @pytest.mark.parametrize("m", range(7))
+    def test_lexicographic_like_itertools(self, m):
+        for k in range(m + 2):
+            want = [list(c) for c in itertools.combinations(range(m), k)]
+            assert combinations(m, k).tolist() == want
+
+    def test_index_dtype_fits_the_modes(self):
+        assert combinations(255, 1).dtype == np.uint8
+        assert combinations(300, 1).max() == 299
+
+
+class TestWideSyndromes:
+    """Non-graph codes whose syndromes span one, two or three key words."""
+
+    @pytest.mark.parametrize("q,m,n", [(63, 20, 3), (64, 18, 4), (65, 20, 3), (130, 16, 4)])
+    def test_default_and_full_split_match_brute_force(self, q, m, n):
+        rng = np.random.default_rng(q)
+        a = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
+        split_tables = build_tables(a, n)
+        full_tables = build_tables(a, n, split=(0, n))
+        assert full_tables.keys[1].dtype.itemsize == 8 * ((q + 63) // 64)
+        for k in range(40):
+            if k % 2:
+                s = rng.integers(0, 2, size=q).astype(np.uint8)
+                # a syndrome one bit away from a codeword, in the top or bottom word
+                x = np.zeros(m, dtype=np.uint8)
+                x[rng.choice(m, size=n, replace=False)] = 1
+                near = gf2.matvec(a, x)
+                near[0 if k % 4 == 1 else q - 1] ^= 1
+                syndromes = (s, near)
+            else:
+                x = np.zeros(m, dtype=np.uint8)
+                x[rng.choice(m, size=n, replace=False)] = 1
+                syndromes = (gf2.matvec(a, x),)
+            for s in syndromes:
+                want = brute_force_decode(a, n, s)
+                for tables in (split_tables, full_tables):
+                    got = mitm_decode(tables, s)
+                    assert (got is None) == (want is None)
+                    assert want is None or np.array_equal(got, want)
+            if not k % 2:
+                assert np.array_equal(want, x)

@@ -7,6 +7,9 @@ formatting in ``encode``, ``taper`` or ``firstq`` changes a digest.
 The ``graphgen`` digests were recorded from the breadth-first-search
 generator that the capped distance matrix replaced, so a seed must keep
 drawing the same edges.
+The ``codesim`` digests were recorded from the dict decode table that the
+sorted array table replaced; codeword numbering may change, the written
+frames may not.
 The ``taper --report`` digests were re-recorded once, when the report
 switched from listing the generators in ``find_symmetries`` order to the
 plan's order, the order its sector signs follow.
@@ -19,7 +22,9 @@ import numpy as np
 import pytest
 
 from fertaper.cli import main
+from fertaper.codeword import save_pcm
 from fertaper.fermion import FermionHamiltonian, random_hamiltonian
+from fertaper.graphs import cycle_chord_graph, greedy_high_girth, save_graph
 
 MODES = 8
 
@@ -68,6 +73,12 @@ GRAPHGEN_DIGESTS = {
     (12, 2, 1000, 0): "caa7ec40a67d31a311deef37d0e616d1fb273be0ddc51fede88b1d8e0c49f7f9",
 }
 
+# codesim JSON: the Fig-3 code by --graph, a seeded Q=10 greedy code by --check
+CODESIM_DIGESTS = {
+    "graph": "dd30f8eb98030f58b1f73d4ed121f469da23d603c2e1cbaad9696a4e2a311f91",
+    "check": "68818a4175a1d9b7176f2e4b5e69a947a135b9670084ca8a9fd28e9ba277e244",
+}
+
 FIRSTQ_DIGEST = "768f115da945cc9f52ecd675ad6781d95388a3424bbf665f066db8e5ceb497a8"
 
 
@@ -98,3 +109,22 @@ def test_graphgen_bytes(tmp_path, spec):
         argv += [flag, str(value)]
     assert main(argv) == 0
     assert digest(out) == GRAPHGEN_DIGESTS[spec]
+
+
+@pytest.mark.parametrize("kind", sorted(CODESIM_DIGESTS))
+def test_codesim_bytes(tmp_path, kind):
+    if kind == "graph":
+        code = tmp_path / "g.graph"
+        save_graph(cycle_chord_graph(8, 2), str(code))
+        modes, seed = 16, 21
+    else:
+        a = greedy_high_girth(10, 2, 50, 22).incidence_matrix()
+        code = tmp_path / "a.pcm"
+        save_pcm(a, str(code))
+        modes, seed = a.shape[1], 23
+    h = random_hamiltonian(modes, 2, np.random.default_rng(seed), interaction_pairs=6)
+    (tmp_path / "h.json").write_text(h.to_json())
+    out = tmp_path / "o.json"
+    assert main(["codesim", f"--{kind}", str(code), "--input", str(tmp_path / "h.json"),
+                 "--output", str(out)]) == 0
+    assert digest(out) == CODESIM_DIGESTS[kind]
