@@ -243,10 +243,10 @@ def _cmd_firstq(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         h = FermionHamiltonian.from_json(fh.read())
     enc = RegisterEncoding(h.modes, h.particles)
+    oa = rao_hamming_oa(enc.register_bits)  # first: it rejects an unsupported register size
     parts = first_quantized_parts(h, enc)
     scale = args.penalty if args.penalty is not None else default_penalty_scale(h)
     total = parts.total(scale)
-    oa = rao_hamming_oa(enc.register_bits)
     groups = bin_terms(total, oa, enc)
     payload = {
         "qubits": enc.qubits,

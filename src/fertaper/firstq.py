@@ -9,6 +9,15 @@ registers, are grouped into measurement bases by a strength-two
 orthogonal array over the 3^m per-register letter words, so the number of
 groups never exceeds 9^m.
 
+The pipeline runs on arrays.  The three parts are built as mask and
+coefficient arrays and merged once.  GF(3^m) addition and multiplication
+are 3^m x 3^m lookup tables, and the Rao-Hamming array (Hedayat, Sloane &
+Stufken, Orthogonal Arrays, 1999, ch. 3) is one broadcast over them into
+an array of word values, X, Y, Z = 0, 1, 2 as base-3 digits.  Binning
+reads each register's word value off a term's masks and finds its row by
+table lookup: the first row holding the word for a term on one register,
+the unique row holding the word pair, by strength two, for a term on two.
+
 The penalty spectrum is fully determined by integer partitions: the
 eigenvalue attached to column lengths (l_1 >= ... >= l_d) is
 (C(N,2) - sum_a C(l_a,2) + sum_{a<b} l_b) / 2, with eigenvectors built as
@@ -24,8 +33,9 @@ from math import comb, factorial
 
 import numpy as np
 
+from fertaper import gf2
 from fertaper.fermion import FermionHamiltonian, FockState
-from fertaper.pauli import PauliOperator, QubitHamiltonian
+from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
 
 STATE_DIM_CAP = 1 << 14
 
@@ -115,44 +125,27 @@ def codespace_isometry(enc: RegisterEncoding) -> np.ndarray:
 # -- Pauli assembly ----------------------------------------------------------
 
 
-def _matrix_unit_terms(m_bits: int, a: int, b: int):
-    """m-qubit |a-1><b-1| as a list of (coeff, x bits, z bits) triples.
+def _unit_coeffs(m_bits: int, b: int) -> list[complex]:
+    """Coefficients of the m-qubit |a><b| by z mask, first qubit most significant.
 
     Per qubit: |0><0| and |1><1| are (identity +/- Z)/2, while |0><1| and
-    |1><0| are (X +/- iY)/2 = X(1)(identity -/+ Z)/2.
+    |1><0| are (X +/- iY)/2 = X(1)(identity -/+ Z)/2.  So |a><b| is X(a^b)
+    times the sum over z masks k of (-1)^popcount(b & k) Z(k) / 2^m.
     """
-    abits = [(a - 1) >> (m_bits - 1 - i) & 1 for i in range(m_bits)]
-    bbits = [(b - 1) >> (m_bits - 1 - i) & 1 for i in range(m_bits)]
-    terms = [(1.0 + 0.0j, [], [])]
+    coeffs = [1.0 + 0.0j]
     for i in range(m_bits):
-        x_bit = abits[i] ^ bbits[i]
-        new_terms = []
-        for coeff, xs, zs in terms:
-            # (I + (-1)^{b_i} Z)/2 after an X applied when bits differ
-            new_terms.append((coeff * 0.5, xs + [x_bit], zs + [0]))
-            sign = -1.0 if bbits[i] else 1.0
-            new_terms.append((coeff * 0.5 * sign, xs + [x_bit], zs + [1]))
-        terms = new_terms
-    return terms
+        sign = -1.0 if b >> (m_bits - 1 - i) & 1 else 1.0
+        coeffs = [c for coeff in coeffs for c in (coeff * 0.5, coeff * 0.5 * sign)]
+    return coeffs
 
 
-def _embed(enc: RegisterEncoding, placements) -> list[tuple[complex, PauliOperator]]:
-    """Tensor together per-register (coeff, x, z) term lists into full Paulis."""
-    q = enc.qubits
-    m = enc.register_bits
-    out = [(1.0 + 0.0j, [0] * q, [0] * q)]
-    for register, terms in placements:
-        offset = (register - 1) * m
-        new_out = []
-        for coeff0, x0, z0 in out:
-            for coeff, xs, zs in terms:
-                x1 = list(x0)
-                z1 = list(z0)
-                x1[offset : offset + m] = xs
-                z1[offset : offset + m] = zs
-                new_out.append((coeff0 * coeff, x1, z1))
-        out = new_out
-    return [(c, PauliOperator(tuple(x), tuple(z), 0)) for c, x, z in out]
+def _hermitian_coeff(coeff, x_mask: int, z_mask: int) -> complex:
+    """Coefficient on the Hermitian letter Pauli of coeff * X(x) Z(z).
+
+    The same multiply ``QubitHamiltonian`` folds a phase with, so signed
+    zeros come out as they do there.
+    """
+    return complex(coeff) * _PHASE[-(x_mask & z_mask).bit_count() % 4]
 
 
 @dataclass(frozen=True)
@@ -175,52 +168,66 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     relative to the two-register matrix unit.  The penalty is the sum over
     register pairs of (identity + register swap)/2, whose expansion is
     the uniform sum of matched Pauli letters on the two registers.
+
+    Each part is built as parallel mask and coefficient arrays, register
+    words shifted into place by broadcasting, and merged once by
+    ``canonicalize``.  Terms come in (matrix unit, register, z mask)
+    order, so repeated Paulis sum in a fixed order.
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
     n, m, q = enc.particles, enc.register_bits, enc.qubits
-    one_terms: list[tuple[complex, PauliOperator]] = []
+    dtype = np.uint64 if q <= 64 else object  # object arrays hold wider Python ints
+    shift = (q - m * np.arange(1, n + 1)).astype(dtype)  # register i sits at shift[i - 1]
+    local = np.arange(1 << m).astype(dtype)  # register z masks, in term order
+    unit = [_unit_coeffs(m, b) for b in range(1 << m)]  # of |a><b|, by column label b
+
+    def merged(x_masks, z_masks, coeffs) -> QubitHamiltonian:
+        shape = np.broadcast_shapes(x_masks.shape, z_masks.shape, coeffs.shape)
+        return QubitHamiltonian.from_masks(
+            q, *(np.broadcast_to(a, shape).ravel().tolist() for a in (x_masks, z_masks, coeffs))
+        ).canonicalize()
+
+    # One-body: (a, b) entry x register x z mask.  Register factors go into
+    # a running product that starts at 1+0j; that multiply can flip the
+    # sign of a zero imaginary part, and the written bytes keep the sign.
     rows, cols = np.nonzero(h.t)
-    for a, b in zip(rows, cols):
-        units = _matrix_unit_terms(m, a + 1, b + 1)
-        for i in range(1, n + 1):
-            one_terms.extend(
-                (h.t[a, b] * c, op) for c, op in _embed(enc, [(i, units)])
-            )
-    one_body = QubitHamiltonian(q, tuple(one_terms)).canonicalize()
+    x_local = (rows ^ cols).astype(dtype)
+    coeffs = np.array([[_hermitian_coeff(h.t[a, b] * ((1.0 + 0.0j) * c), a ^ b, k)
+                        for k, c in enumerate(unit[b])]
+                       for a, b in zip(rows.tolist(), cols.tolist())],
+                      dtype=complex).reshape(-1, 1, 1 << m)
+    one_body = merged((x_local[:, None] << shift)[:, :, None],
+                      local[None, None, :] << shift[None, :, None], coeffs)
 
-    two_terms: list[tuple[complex, PauliOperator]] = []
-    for (a, b, g, d), coeff in h.u.items():
-        unit_ag = _matrix_unit_terms(m, a, g)
-        unit_bd = _matrix_unit_terms(m, b, d)
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                placed = _embed(enc, [(i, unit_ag), (j, unit_bd)])
-                two_terms.extend((-coeff * c, op) for c, op in placed)
-    two_body = QubitHamiltonian(q, tuple(two_terms)).canonicalize()
+    # Two-body: (a, b, g, d) entry x register pair i != j x z mask on i x z mask on j
+    ordered = np.array([(i, j) for i in range(n) for j in range(n) if i != j],
+                       dtype=np.intp).reshape(-1, 2)
+    s_i, s_j = shift[ordered[:, 0], None, None], shift[ordered[:, 1], None, None]
+    x_ag, x_bd = (np.array([(k[r] - 1) ^ (k[r + 2] - 1) for k in h.u], dtype=np.int64)
+                  .astype(dtype).reshape(-1, 1, 1, 1) for r in (0, 1))
+    coeffs = np.array([
+        [[_hermitian_coeff(-coeff * (((1.0 + 0.0j) * c1) * c2),
+                           (a - 1) ^ (g - 1) | ((b - 1) ^ (d - 1)) << m, k1 | k2 << m)
+          for k2, c2 in enumerate(unit[d - 1])]
+         for k1, c1 in enumerate(unit[g - 1])]
+        for (a, b, g, d), coeff in h.u.items()], dtype=complex).reshape(-1, 1, 1 << m, 1 << m)
+    two_body = merged((x_ag << s_i) | (x_bd << s_j),
+                      (local[:, None] << s_i) | (local[None, :] << s_j), coeffs)
 
-    swap_terms: list[tuple[complex, PauliOperator]] = []
-    single = [("I", (0, 0)), ("X", (1, 0)), ("Y", (1, 1)), ("Z", (0, 1))]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            # (identity + swap)/2 with swap = 2^-m sum over matched letter words
-            swap_terms.append((0.5, PauliOperator.identity(q)))
-            for word in itertools.product(single, repeat=m):
-                x = [0] * q
-                z = [0] * q
-                phase = 0
-                for reg in (i, j):
-                    offset = (reg - 1) * m
-                    for pos, (_, (xb, zb)) in enumerate(word):
-                        x[offset + pos] = xb
-                        z[offset + pos] = zb
-                        phase += xb & zb
-                swap_terms.append(
-                    (0.5 / enc.padded_modes, PauliOperator(tuple(x), tuple(z), phase % 4))
-                )
-    exchange = QubitHamiltonian(q, tuple(swap_terms)).canonicalize()
+    # Exchange: register pair i < j x (identity, then each matched letter word).
+    upper = np.array([(i, j) for i in range(n) for j in range(i + 1, n)],
+                     dtype=np.intp).reshape(-1, 2)
+    letters = np.arange(4 ** m)[:, None] >> 2 * np.arange(m - 1, -1, -1) & 3  # I, X, Y, Z
+    bit = 1 << np.arange(m - 1, -1, -1)  # first qubit most significant
+    x_word = np.concatenate([[0], ((letters ^ letters >> 1) & 1) @ bit]).astype(dtype)
+    z_word = np.concatenate([[0], (letters >> 1) @ bit]).astype(dtype)
+    s_i, s_j = shift[upper[:, 0], None], shift[upper[:, 1], None]
+    # (identity + swap)/2 with swap = 2^-m sum over matched letter words
+    coeffs = np.array([_hermitian_coeff(0.5, 0, 0)]
+                      + [_hermitian_coeff(0.5 / enc.padded_modes, 0, 0)] * 4 ** m)
+    exchange = merged((x_word << s_i) | (x_word << s_j), (z_word << s_i) | (z_word << s_j),
+                      coeffs)
     return FirstQuantizedParts(one_body, two_body, exchange)
 
 
@@ -233,11 +240,14 @@ def default_penalty_scale(h: FermionHamiltonian) -> float:
 
 
 class TernaryField:
-    """GF(3^m) arithmetic over a fixed irreducible polynomial.
+    """GF(3^m) arithmetic over a fixed irreducible polynomial, by table lookup.
 
     Elements are integers whose base-3 digits are polynomial coefficients
     (constant digit first).  The tabulated polynomials are re-verified
     irreducible at construction time by an exhaustive factor check.
+    Construction also fills 3^m x 3^m ``add_table`` and ``mul_table``
+    arrays from digit arithmetic on every pair at once, the product
+    reduced by the polynomial; ``add`` and ``mul`` read them.
     """
 
     # x^2+1, x^3+2x+1, x^4+x+2 as coefficient tuples (constant first, monic)
@@ -251,6 +261,16 @@ class TernaryField:
         self.poly = self.POLYS[m]
         if m > 1 and not self._is_irreducible(self.poly):
             raise AssertionError(f"tabulated polynomial for degree {m} is reducible")
+        power = 3 ** np.arange(m)
+        digits = np.arange(self.size)[:, None] // power % 3  # constant digit first
+        da, db = digits[:, None, :], digits[None, :, :]
+        self.add_table = (da + db) % 3 @ power
+        prod = np.zeros((self.size, self.size, 2 * m - 1), dtype=np.int64)
+        for i in range(m):
+            prod[..., i : i + m] += da[..., i : i + 1] * db
+        for top in range(2 * m - 2, m - 1, -1):  # cancel x^top with the monic polynomial
+            prod[..., top - m : top + 1] -= prod[..., top : top + 1] % 3 * self.poly
+        self.mul_table = prod[..., :m] % 3 @ power
 
     @staticmethod
     def _poly_mul(a: tuple, b: tuple) -> tuple:
@@ -290,82 +310,89 @@ class TernaryField:
     def _poly_divides(cls, small: tuple, big: tuple) -> bool:
         return all(c == 0 for c in cls._poly_mod(big, small))
 
-    def _digits(self, value: int) -> tuple:
-        out = []
-        for _ in range(self.m):
-            out.append(value % 3)
-            value //= 3
-        return tuple(out)
-
-    def _value(self, digits) -> int:
-        out = 0
-        for d in reversed(list(digits)):
-            out = out * 3 + d
-        return out
-
     def add(self, a: int, b: int) -> int:
-        da, db = self._digits(a), self._digits(b)
-        return self._value((x + y) % 3 for x, y in zip(da, db))
+        return int(self.add_table[a, b])
 
     def mul(self, a: int, b: int) -> int:
-        prod = self._poly_mul(self._digits(a), self._digits(b))
-        return self._value(self._poly_mod(prod, self.poly))
+        return int(self.mul_table[a, b])
 
 
 LETTERS = "XYZ"  # digit 0 -> X basis, 1 -> Y, 2 -> Z (fixed labeling)
 
 
-@dataclass(frozen=True)
+def _letter_words(m: int) -> list[str]:
+    """The 3^m m-letter words by value, first letter the most significant digit."""
+    return ["".join(w) for w in itertools.product(LETTERS, repeat=m)]
+
+
+@dataclass(frozen=True, eq=False)
 class OrthogonalArray:
-    """Strength-two index-one array over m-letter X/Y/Z words."""
+    """Strength-two index-one array over m-letter X/Y/Z words.
+
+    ``values`` is a read-only int array with one row per array row and one
+    entry per column: the value of that column's word, read as base-3
+    digits with X, Y, Z = 0, 1, 2 and the first letter most significant.
+    Value order is therefore word order.  ``rows`` spells the words out.
+    """
 
     register_bits: int
-    rows: tuple[tuple[str, ...], ...]
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.array(self.values, dtype=np.int64)
+        if values.ndim != 2:
+            raise ValueError("array values must be a 2-D table")
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+
+    @property
+    def rows(self) -> tuple[tuple[str, ...], ...]:
+        words = _letter_words(self.register_bits)
+        return tuple(tuple(words[v] for v in row) for row in self.values.tolist())
 
     @property
     def row_count(self) -> int:
-        return len(self.rows)
+        return self.values.shape[0]
 
     @property
     def column_count(self) -> int:
-        return len(self.rows[0])
+        return self.values.shape[1]
 
     def verify_strength_two(self) -> bool:
-        """Exhaustive check: every column pair sees every word pair once."""
-        k = self.column_count
-        for c1 in range(k):
-            for c2 in range(c1 + 1, k):
-                seen = {(row[c1], row[c2]) for row in self.rows}
-                if len(seen) != len(self.rows):
-                    return False
+        """Exhaustive check: every column pair sees every word pair exactly once.
+
+        There must be 9^m rows of word values in 0..3^m - 1, and for each
+        column pair the codes v1 * 3^m + v2 must all differ; one sort per
+        first column checks that column against every later one.
+        """
+        size = 3 ** self.register_bits
+        values = self.values
+        if (self.row_count != size * size or values.min(initial=0) < 0
+                or values.max(initial=0) >= size):
+            return False
+        for c1 in range(self.column_count - 1):
+            codes = np.sort(values[:, c1] * size + values[:, c1 + 1 :].T, axis=1)
+            if (codes[:, 1:] == codes[:, :-1]).any():
+                return False
         return True
 
 
 def rao_hamming_oa(m: int) -> OrthogonalArray:
     """9^m x (3^m + 1) array from affine evaluations over GF(3^m).
 
-    Row (a, b) holds the word of a*c + b at the column labeled by the
-    field element c, plus a final column holding a itself; any two
-    evaluation points determine (a, b), so each word pair appears exactly
-    once per column pair.
+    Row (a, b), at index a * 3^m + b, holds the word of a*c + b at the
+    column labeled by the field element c, plus a final column holding a
+    itself; any two evaluation points determine (a, b), so each word pair
+    appears exactly once per column pair.  One broadcast over the field
+    tables fills every entry.
     """
     field = TernaryField(m)
-    size = field.size
-
-    def word(value: int) -> str:
-        digits = []
-        for _ in range(m):
-            digits.append(value % 3)
-            value //= 3
-        return "".join(LETTERS[d] for d in reversed(digits))
-
-    rows = []
-    for a in range(size):
-        for b in range(size):
-            row = [word(field.add(field.mul(a, c), b)) for c in range(size)]
-            row.append(word(a))
-            rows.append(tuple(row))
-    return OrthogonalArray(m, tuple(rows))
+    e = np.arange(field.size)
+    evaluations = field.add_table[field.mul_table[e[:, None, None], e[None, None, :]],
+                                  e[None, :, None]]  # [a, b, c]
+    return OrthogonalArray(m, np.column_stack([
+        evaluations.reshape(field.size ** 2, field.size), np.repeat(e, field.size),
+    ]))
 
 
 class UnassignableTerm(RuntimeError):
@@ -385,6 +412,28 @@ def required_words(op: PauliOperator, enc: RegisterEncoding) -> dict[int, str]:
     return words
 
 
+def _register_words(h: QubitHamiltonian, enc: RegisterEncoding):
+    """(word values, touched) per term and register, both terms x registers.
+
+    A qubit's digit is X, Y, Z = 0, 1, 2 with identity read as Z, the
+    register's first qubit the most significant digit: the values of the
+    words ``required_words`` spells.
+    """
+    shape = (len(h), enc.particles, enc.register_bits)
+    x = gf2.unpack_ints(h.x_masks, enc.qubits).reshape(shape)
+    z = gf2.unpack_ints(h.z_masks, enc.qubits).reshape(shape)
+    digits = np.where(x, z, 2)
+    return digits @ 3 ** np.arange(enc.register_bits - 1, -1, -1), (x | z).any(axis=2)
+
+
+def _first_holding(codes: np.ndarray, span: int) -> np.ndarray:
+    """Index ``code -> smallest row holding it`` over 0..span-1, -1 where none does."""
+    index = np.full(span, -1, dtype=np.int64)
+    held, first = np.unique(codes, return_index=True)
+    index[held] = first
+    return index
+
+
 def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
     """Group terms into rows of the array that diagonalize them.
 
@@ -392,26 +441,53 @@ def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
     property at least one row matches its register words, and the
     lexicographically smallest matching row is chosen.  Returns a list of
     (row letters, [(coeff, op), ...]) groups, at most 9^m of them.
+
+    Each register word is read off the term's masks as a value.  Rows are
+    sorted by value, which is word order; a term on no register takes the
+    first row, a term on one register the first row holding its word in
+    that column, and a term on two registers the row an index of the
+    column pair's codes v1 * 3^m + v2 names.
     """
-    rows = sorted(oa.rows)
-    # (column, word) -> positions in sorted order of the rows holding it
-    holding: dict[tuple[int, str], set[int]] = {}
-    for pos, row in enumerate(rows):
-        for col, word in enumerate(row):
-            holding.setdefault((col, word), set()).add(pos)
-    groups: dict[tuple[str, ...], list] = {}
-    for coeff, op in h.canonicalize().terms:
-        words = required_words(op, enc)
-        if len(words) > 2:
-            raise UnassignableTerm(
-                f"term {op.label} touches {len(words)} registers"
-            )
-        held = [holding.get((reg - 1, w), set()) for reg, w in words.items()]
-        matches = set.intersection(*held) if held else {0}  # no word: every row fits
-        if not matches:
-            raise UnassignableTerm(f"no array row diagonalizes {op.label}")
-        groups.setdefault(rows[min(matches)], []).append((coeff, op))
-    return sorted(groups.items())
+    if oa.register_bits != enc.register_bits:
+        raise ValueError(f"array words have {oa.register_bits} letters, "
+                         f"registers {enc.register_bits} qubits")
+    h = h.canonicalize()
+    size = 3 ** enc.register_bits
+    values = oa.values[np.lexsort(oa.values.T[::-1])]  # the order of sorted(oa.rows)
+    words, touched = _register_words(h, enc)
+    count = touched.sum(axis=1)
+    wide = np.flatnonzero(count > 2)
+    if wide.size:
+        raise UnassignableTerm(
+            f"term {h.terms[wide[0]][1].label} touches {count[wide[0]]} registers"
+        )
+    n = enc.particles
+    terms = np.arange(len(h))
+    first = np.argmax(touched, axis=1)  # first and last touched register
+    last = n - 1 - np.argmax(touched[:, ::-1], axis=1)
+    codes = words[terms, first] * size + words[terms, last]
+    pair = np.where(count > 0, first * n + last, -1)
+    position = np.where(count == 0, 0, -1)
+    for c1, c2 in (divmod(p, n) for p in np.unique(pair[pair >= 0]).tolist()):
+        if c2 >= oa.column_count:
+            continue  # left at -1: no row has the column
+        pick = pair == c1 * n + c2
+        if c1 == c2:
+            position[pick] = _first_holding(values[:, c1], size)[words[pick, c1]]
+        else:
+            position[pick] = _first_holding(values[:, c1] * size + values[:, c2],
+                                            size * size)[codes[pick]]
+    lost = np.flatnonzero(position < 0)
+    if lost.size:
+        raise UnassignableTerm(f"no array row diagonalizes {h.terms[lost[0]][1].label}")
+    order = np.argsort(position, kind="stable")
+    used, starts = np.unique(position[order], return_index=True)
+    letters = _letter_words(enc.register_bits)
+    listed = h.terms
+    return [
+        (tuple(letters[v] for v in values[row].tolist()), [listed[k] for k in chunk.tolist()])
+        for row, chunk in zip(used.tolist(), np.split(order, starts[1:]))
+    ]
 
 
 # -- penalty spectrum via partitions ----------------------------------------

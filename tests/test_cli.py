@@ -456,6 +456,24 @@ class TestFirstqCommand:
         assert data["qubits"] == 4
         assert 0 < len(data["groups"]) <= 81
 
+    def test_unsupported_register_size_fails_before_building_terms(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # M=17 needs 5-qubit registers, past the tabulated GF(3^m) degrees
+        from fertaper import cli
+        from fertaper.fermion import random_hamiltonian
+
+        def unreachable(*args):
+            raise AssertionError("register parts built before the array")
+
+        monkeypatch.setattr(cli, "first_quantized_parts", unreachable)
+        h = random_hamiltonian(17, 2, np.random.default_rng(3))
+        hpath = tmp_path / "h.json"
+        hpath.write_text(h.to_json())
+        out = tmp_path / "bins.json"
+        assert main(["firstq", "--input", str(hpath), "--emit-bins", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: unsupported extension degree 5")
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     @pytest.mark.parametrize("suite", ["h2", "oa"])
@@ -500,6 +518,11 @@ class TestParser:
     def test_oa_and_hperp(self):
         assert main(["oa", "--m", "1", "--verify"]) == 0
         assert main(["hperp", "--N", "2", "--M", "2"]) == 0
+
+    def test_oa_verify_at_m4(self, capsys):
+        assert main(["oa", "--m", "4", "--verify"]) == 0
+        assert capsys.readouterr().out == ("array: 6561 rows x 82 columns\n"
+                                           "strength-2 index-1: pass\n")
 
 
 def test_cli_import_leaves_networkx_unloaded():

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fertaper.fermion import FermionHamiltonian, FockState, random_hamiltonian, sector_matrix
 from fertaper.firstq import (
@@ -70,6 +72,30 @@ class TestSimulatorParts:
         parts = first_quantized_parts(h, RegisterEncoding(4, 2))
         dense = parts.one_body.dense()
         assert np.allclose(dense, np.diag(np.diag(dense)))
+
+    @pytest.mark.parametrize("modes, particles", [(16, 16), (32, 13)])
+    def test_registers_reach_the_top_mask_bits(self, modes, particles):
+        # 64 and 65 qubits: the one-body part is one register's sum placed
+        # on each register in turn, register 1 on the top bits of the masks
+        t = np.zeros((modes, modes), dtype=complex)
+        half = modes // 2
+        t[0, half], t[half, 0], t[5, 5] = 0.3 + 0.1j, 0.3 - 0.1j, 0.2
+        enc = RegisterEncoding(modes, particles)
+        m, n = enc.register_bits, particles
+        single = first_quantized_parts(FermionHamiltonian(modes, 1, t), RegisterEncoding(modes, 1))
+        parts = first_quantized_parts(FermionHamiltonian(modes, n, t), enc)
+        want: dict[str, complex] = {}
+        for i in range(n):
+            for c, op in single.one_body.terms:
+                label = "I" * m * i + op.label + "I" * m * (n - 1 - i)
+                want[label] = want.get(label, 0) + c
+        got = {op.label: c for c, op in parts.one_body.terms}
+        assert got.keys() == want.keys()
+        assert all(got[k] == pytest.approx(want[k]) for k in want)
+        # identity once, then 4^m - 1 matched words per register pair
+        assert len(parts.exchange_penalty) == 1 + n * (n - 1) // 2 * (4 ** m - 1)
+        word = "X" + "I" * (m - 1)
+        assert word + "I" * m * (n - 2) + word in parts.exchange_penalty.operator_set()
 
     def test_exchange_penalty_two_registers(self):
         h = FermionHamiltonian(4, 2, np.zeros((4, 4)))
@@ -144,6 +170,24 @@ class TestSwapExpansion:
         assert np.allclose(total, swap)
 
 
+def digits(value: int, m: int) -> tuple:
+    """Base-3 digits, constant digit first."""
+    return tuple(value // 3 ** i % 3 for i in range(m))
+
+
+def from_digits(ds) -> int:
+    return sum(d * 3 ** i for i, d in enumerate(ds))
+
+
+def oracle_add(field: TernaryField, a: int, b: int) -> int:
+    return from_digits((x + y) % 3 for x, y in zip(digits(a, field.m), digits(b, field.m)))
+
+
+def oracle_mul(field: TernaryField, a: int, b: int) -> int:
+    prod = field._poly_mul(digits(a, field.m), digits(b, field.m))
+    return from_digits(field._poly_mod(prod, field.poly))
+
+
 class TestTernaryField:
     @pytest.mark.parametrize("m", [1, 2, 3, 4])
     def test_field_axioms_spot_checks(self, m):
@@ -169,6 +213,17 @@ class TestTernaryField:
         with pytest.raises(ValueError):
             TernaryField(5)
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_tables_match_polynomial_arithmetic(self, m):
+        field = TernaryField(m)
+        if m <= 3:
+            pairs = [(a, b) for a in range(field.size) for b in range(field.size)]
+        else:
+            pairs = np.random.default_rng(40).integers(0, field.size, size=(2000, 2)).tolist()
+        for a, b in pairs:
+            assert field.add_table[a, b] == oracle_add(field, a, b)
+            assert field.mul_table[a, b] == oracle_mul(field, a, b)
+
 
 class TestOrthogonalArray:
     def test_m1_shape_and_strength(self):
@@ -182,6 +237,26 @@ class TestOrthogonalArray:
         assert (oa.row_count, oa.column_count) == (81, 10)
         assert oa.verify_strength_two()
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_entries_are_affine_evaluations(self, m):
+        field = TernaryField(m)
+        values = rao_hamming_oa(m).values
+        for a in range(field.size):
+            for b in range(field.size):
+                row = values[a * field.size + b].tolist()
+                assert row[-1] == a
+                assert row[:-1] == [oracle_add(field, oracle_mul(field, a, c), b)
+                                    for c in range(field.size)]
+
+    def test_values_are_read_only(self):
+        with pytest.raises(ValueError):
+            rao_hamming_oa(1).values[0, 0] = 1
+
+    def test_strength_checker_catches_a_repeated_pair_in_a_full_size_array(self):
+        values = rao_hamming_oa(1).values.copy()
+        values[0, 0] = values[1, 0]  # rows 0 and 1 now agree in columns 0 and 3
+        assert not OrthogonalArray(1, values).verify_strength_two()
+
     def test_columns_never_equal(self):
         oa = rao_hamming_oa(1)
         for c1 in range(oa.column_count):
@@ -189,8 +264,20 @@ class TestOrthogonalArray:
                 assert any(row[c1] != row[c2] for row in oa.rows)
 
     def test_strength_checker_catches_violation(self):
-        bad = OrthogonalArray(1, (("X", "X"), ("X", "X"), ("Y", "Y"), ("Z", "Z")))
+        # word values X, Y, Z = 0, 1, 2: the pair (X, X) appears twice
+        bad = OrthogonalArray(1, [[0, 0], [0, 0], [1, 1], [2, 2]])
         assert not bad.verify_strength_two()
+
+
+def linear_scan_bins(h, oa, enc):
+    """Oracle binning: each term in the smallest sorted row holding every required word."""
+    rows = sorted(oa.rows)
+    groups: dict[tuple, list] = {}
+    for coeff, op in h.canonicalize().terms:
+        words = required_words(op, enc)
+        row = next(r for r in rows if all(r[reg - 1] == w for reg, w in words.items()))
+        groups.setdefault(row, []).append((coeff, op))
+    return sorted(groups.items())
 
 
 class TestBinning:
@@ -267,6 +354,46 @@ class TestBinning:
         term = QubitHamiltonian(3, ((1.0, PauliOperator.from_label("XYZ")),))
         with pytest.raises(UnassignableTerm):
             bin_terms(term, rao_hamming_oa(1), enc)
+
+    def test_three_register_term_rejected_with_its_label(self):
+        enc = RegisterEncoding(4, 3)
+        from fertaper.pauli import PauliOperator, QubitHamiltonian
+
+        terms = ((1.0, PauliOperator.from_label("ZIIIII")),
+                 (1.0, PauliOperator.from_label("XIIYZI")))
+        with pytest.raises(UnassignableTerm, match="term XIIYZI touches 3 registers"):
+            bin_terms(QubitHamiltonian(6, terms), rao_hamming_oa(2), enc)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_a_linear_scan_of_the_sorted_rows(self, data):
+        # the oracle: the smallest sorted row holding every required word
+        from fertaper.pauli import PauliOperator, QubitHamiltonian
+
+        m = data.draw(st.integers(1, 3))
+        n = data.draw(st.integers(1, 4))
+        enc = RegisterEncoding(1 << m, n)
+        word = st.text("IXYZ", min_size=m, max_size=m).filter(lambda w: w.strip("I"))
+        terms = []
+        for k in range(data.draw(st.integers(1, 8))):
+            touched = data.draw(st.sets(st.integers(0, n - 1), max_size=min(2, n)))
+            label = "".join(data.draw(word) if r in touched else "I" * m for r in range(n))
+            terms.append((complex(k + 1), PauliOperator.from_label(label)))
+        h = QubitHamiltonian(enc.qubits, terms)
+        oa = rao_hamming_oa(m)
+        assert bin_terms(h, oa, enc) == linear_scan_bins(h, oa, enc)
+
+    def test_terms_on_the_top_mask_bits_at_64_qubits(self):
+        # M=16, N=16: register 1 holds bits 63..60 of each mask
+        from fertaper.pauli import PauliOperator, QubitHamiltonian
+
+        enc = RegisterEncoding(16, 16)
+        labels = ["YIII" + "I" * 56 + "IIIZ", "XYZI" + "I" * 60, "I" * 60 + "ZZXY", "I" * 64]
+        h = QubitHamiltonian(64, [(1.0, PauliOperator.from_label(x)) for x in labels])
+        oa = rao_hamming_oa(4)
+        groups = bin_terms(h, oa, enc)
+        assert groups == linear_scan_bins(h, oa, enc)
+        assert sum(len(terms) for _, terms in groups) == 4
 
     def test_required_words(self):
         enc = RegisterEncoding(4, 2)

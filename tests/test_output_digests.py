@@ -10,6 +10,9 @@ drawing the same edges.
 The ``codesim`` digests were recorded from the dict decode table that the
 sorted array table replaced; codeword numbering may change, the written
 frames may not.
+The per-shape ``firstq`` digests were recorded from the pure-Python
+field arithmetic, orthogonal array and term binning that the lookup
+tables and value arrays replaced.
 The ``taper --report`` digests were re-recorded once, when the report
 switched from listing the generators in ``find_symmetries`` order to the
 plan's order, the order its sector signs follow.
@@ -81,6 +84,17 @@ CODESIM_DIGESTS = {
 
 FIRSTQ_DIGEST = "768f115da945cc9f52ecd675ad6781d95388a3424bbf665f066db8e5ceb497a8"
 
+# firstq --emit-bins per (modes, particles, seed), six interaction pairs each;
+# M=5 pads to eight labels and M=16 needs GF(81)
+FIRSTQ_SHAPE_DIGESTS = {
+    (2, 2, 31): "b733fc457b7ab6e5185754e7295e28656b870b8a79009a1362091513776d20f8",
+    (4, 3, 32): "795841bed2f7cc1297e16e83c4c895c6425fbeea77455db605078f1ae1bc6f41",
+    (5, 2, 33): "6d3c0581eeed008f4ca97d0630a4e954bd9d09d74c640ff446a56f0748cce25f",
+    (8, 3, 34): "d6bab60f56040bad99ffe789d080373740c84be10469b426fa3bf85f44e6a9d1",
+    (8, 4, 35): "a790164b1a2d465f52aaf17235275bf0497f0d339ea0b57c3265c2cf4dc47f6f",
+    (16, 3, 36): "5d44b1958f5aa9540a2dc277d17cd150b10390b8d6b941262b63dd1e21e26ce5",
+}
+
 
 @pytest.mark.parametrize("seed", [11, 12])
 @pytest.mark.parametrize("mapping", ["jw", "parity", "bintree"])
@@ -99,6 +113,16 @@ def test_firstq_bins_bytes(tmp_path):
     out = tmp_path / "b.json"
     assert main(["firstq", "--input", str(tmp_path / "h.json"), "--emit-bins", str(out)]) == 0
     assert digest(out) == FIRSTQ_DIGEST
+
+
+@pytest.mark.parametrize("spec", sorted(FIRSTQ_SHAPE_DIGESTS))
+def test_firstq_shape_bytes(tmp_path, spec):
+    modes, particles, seed = spec
+    h = random_hamiltonian(modes, particles, np.random.default_rng(seed), interaction_pairs=6)
+    (tmp_path / "h.json").write_text(h.to_json())
+    out = tmp_path / "b.json"
+    assert main(["firstq", "--input", str(tmp_path / "h.json"), "--emit-bins", str(out)]) == 0
+    assert digest(out) == FIRSTQ_SHAPE_DIGESTS[spec]
 
 
 @pytest.mark.parametrize("spec", sorted(GRAPHGEN_DIGESTS))
