@@ -19,11 +19,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from fertaper.codeword import CodeEncoding, build_simulator_hamiltonian, load_pcm
-from fertaper.fermion import FermionHamiltonian, dense_fock_matrix, random_hamiltonian
+from fertaper.fermion import (
+    FermionHamiltonian,
+    default_penalty_scale,
+    dense_fock_matrix,
+    random_hamiltonian,
+)
 from fertaper.firstq import (
     RegisterEncoding,
     bin_terms,
-    default_penalty_scale,
     first_quantized_parts,
     rao_hamming_oa,
     spectrum_matches_partitions,
@@ -179,9 +183,9 @@ def _cmd_codesim(args) -> int:
     payload = []
     for frame in frames:
         entry = {
-            "frame": frame.frame_pauli().label,
+            "frame": frame.pauli.label,
             "weight": frame.weight,
-            "flip_qubits": list(frame.flips),
+            "flip_qubits": list(frame.pauli.support()),
         }
         entry["diagonal"] = "lazy" if frame.diagonal is None else frame.materialize().tolist()
         payload.append(entry)

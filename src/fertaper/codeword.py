@@ -8,13 +8,19 @@ that sign function splits the simulator into few terms, each diagonal in a
 single tensor-product basis (an X/Y "frame" on the flipped qubits times a
 computational-basis diagonal elsewhere).
 
+A frame is a packed PauliOperator, as everywhere else in the package: its
+x mask is the flip mask, the XOR of the flipped modes' packed columns, and
+its z mask, a submask of it, is the Z-pattern.  All bit work here is mask
+arithmetic; a diagonal is indexed by the bits outside the flip mask, packed
+by gf2.drop_bits.
+
 Diagonals are numpy arrays.  Each encoding decodes its 2^Q syndromes once
 into a cached preimage array (codeword number, or -1 off the codespace);
 an observable's transition signs are then one sign per codeword spread
 over that array, transposed to a (rest bits, frame bits) matrix, and
 Walsh-Hadamard transformed along the frame axis.  Above
-MATERIALIZE_QUBIT_CAP no 2^Q array is built: frames carry their flips,
-Z-patterns and weights, and their diagonal is None.
+MATERIALIZE_QUBIT_CAP no 2^Q array is built: frames carry their Pauli and
+weight, and their diagonal is None.
 
 When the rows split into two classes that every column meets an odd number
 of times, the codespace is stabilized by the two all-Z row-class products,
@@ -35,6 +41,7 @@ from fertaper.fermion import (
     FermionHamiltonian,
     FermionObservable,
     FockState,
+    default_penalty_scale,
     observable_action,
     weight_n_states,
 )
@@ -125,6 +132,16 @@ class CodeEncoding:
 
     def column(self, alpha: int) -> np.ndarray:
         return self.matrix[:, alpha - 1]
+
+    @cached_property
+    def column_masks(self) -> list[int]:
+        """Each column packed as a qubit mask, row 1 most significant."""
+        return gf2.pack_rows(self.matrix.T)
+
+    @cached_property
+    def class_masks(self) -> tuple[int, int]:
+        """The two row classes of the bipartition as qubit masks."""
+        return tuple(qubit_mask(self.qubits, rows) for rows in self.bipartition)
 
     def column_weights(self) -> np.ndarray:
         return self.matrix.sum(axis=0)
@@ -223,31 +240,29 @@ def _stripped_sign(obs: FermionObservable, x: FockState) -> int:
 
 @dataclass(eq=False)
 class FramedDiagonal:
-    """One simulator term: i^phase * X(flips)Z(pattern) times a diagonal.
+    """One simulator term: weight * pauli * diag(diagonal).
 
-    flips / z_pattern are 1-based qubit tuples (z_pattern a subset of
-    flips); the diagonal is a read-only vector over the remaining qubits,
-    indexed by their bits packed most-significant-first, or None when the
-    encoding is past MATERIALIZE_QUBIT_CAP.  weight scales the whole term.
+    pauli is the frame, the Hermitian Pauli i^|z| X(x) Z(z) with z a
+    submask of x: x marks the flipped qubits and z the frame's Z-pattern.
+    The diagonal is a read-only vector over the other qubits, indexed by
+    their bits packed most-significant-first (gf2.drop_bits of a basis
+    index at the flipped positions), or None when the encoding is past
+    MATERIALIZE_QUBIT_CAP.  weight scales the whole term.
     """
 
-    qubits: int
-    flips: tuple[int, ...]
-    z_pattern: tuple[int, ...]
-    phase: int
+    pauli: PauliOperator
     diagonal: np.ndarray | None
     weight: float = 1.0
 
     def __post_init__(self):
-        if not set(self.z_pattern) <= set(self.flips):
+        x, z = self.pauli.x_mask, self.pauli.z_mask
+        if z & ~x:
             raise ValueError("z pattern must live on the flipped qubits")
-        if self.phase not in (0, 1):
-            raise ValueError("phase power must be 0 or 1")
-        if (len(self.z_pattern) % 2) != self.phase:
+        if self.pauli.phase_power != z.bit_count() % 2:
             raise ValueError("phase must match the z-pattern parity for Hermiticity")
         if self.diagonal is not None:
             diag = np.asarray(self.diagonal, dtype=float)
-            if diag.shape != (1 << (self.qubits - len(self.flips)),):
+            if diag.shape != (1 << (self.pauli.n - x.bit_count()),):
                 raise ValueError("diagonal length must be 2^(qubits - flipped qubits)")
             if diag.flags.writeable:
                 # a read-only private copy: the caller's array stays writeable
@@ -255,45 +270,28 @@ class FramedDiagonal:
                 diag.flags.writeable = False
             self.diagonal = diag
 
-    def rest_qubits(self) -> tuple[int, ...]:
-        support = set(self.flips)
-        return tuple(q for q in range(1, self.qubits + 1) if q not in support)
-
-    def frame_pauli(self) -> PauliOperator:
-        """The X/Y flip part as a Hermitian Pauli operator."""
-        return PauliOperator.from_masks(self.qubits, qubit_mask(self.qubits, self.flips),
-                                        qubit_mask(self.qubits, self.z_pattern), self.phase)
-
-    def rest_bits(self, state: int) -> int:
-        """Pack the non-flipped qubits of a basis index, preserving order."""
-        q = self.qubits
-        support = set(self.flips)
-        out = 0
-        for i in range(1, q + 1):
-            if i in support:
-                continue
-            out = (out << 1) | ((state >> (q - i)) & 1)
-        return out
-
     def apply_to_index(self, state: int) -> tuple[int, complex]:
         """Image basis index and amplitude of |state> under this term.
 
-        The one-index oracle for apply_to_indices.
+        The one-index oracle for apply_to_indices, packing the rest index
+        bit by bit.
         """
-        frame = self.frame_pauli()
+        frame = self.pauli
+        rest = 0
+        for shift in range(frame.n - 1, -1, -1):
+            if not frame.x_mask >> shift & 1:
+                rest = (rest << 1) | (state >> shift & 1)
         sign = -1.0 if (state & frame.z_mask).bit_count() % 2 else 1.0
-        value = self.weight * (1j if self.phase else 1.0) * sign
-        value *= float(self.materialize()[self.rest_bits(state)])
+        value = self.weight * (1j if frame.phase_power else 1.0) * sign
+        value *= float(self.materialize()[rest])
         return state ^ frame.x_mask, value
 
     def apply_to_indices(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """apply_to_index over an int64 array of basis indices at once."""
-        frame = self.frame_pauli()
-        rest = np.zeros_like(states)
-        for q in self.rest_qubits():
-            rest = (rest << 1) | ((states >> (self.qubits - q)) & 1)
+        frame = self.pauli
+        rest = gf2.drop_bits(states, _positions(frame.x_mask))
         signs = 1.0 - 2.0 * (np.bitwise_count(states & frame.z_mask) & 1)
-        values = self.weight * (1j if self.phase else 1.0) * signs
+        values = self.weight * (1j if frame.phase_power else 1.0) * signs
         return states ^ frame.x_mask, values * self.materialize()[rest]
 
     def materialize(self) -> np.ndarray:
@@ -304,18 +302,15 @@ class FramedDiagonal:
 
     def to_dense(self) -> np.ndarray:
         """Full 2^Q matrix (oracle use)."""
-        _check_dense_size(self.qubits)
-        cols = np.arange(1 << self.qubits, dtype=np.int64)
+        _check_dense_size(self.pauli.n)
+        cols = np.arange(1 << self.pauli.n, dtype=np.int64)
         rows, values = self.apply_to_indices(cols)
         mat = np.zeros((len(cols), len(cols)), dtype=complex)
         mat[rows, cols] += values
         return mat
 
     def scaled(self, factor: float) -> "FramedDiagonal":
-        return FramedDiagonal(
-            self.qubits, self.flips, self.z_pattern, self.phase,
-            self.diagonal, self.weight * factor,
-        )
+        return FramedDiagonal(self.pauli, self.diagonal, self.weight * factor)
 
 
 @dataclass
@@ -329,31 +324,20 @@ class SimulatorOp:
     def sparsity(self) -> int:
         return len(self.frames)
 
-    def apply_to_index(self, state: int) -> tuple[int, complex]:
-        """All frames share one flip pattern, so the image is one basis state."""
-        if not self.frames:
-            return state, 0.0
-        target = None
-        total = 0.0 + 0.0j
-        for frame in self.frames:
-            row, val = frame.apply_to_index(state)
-            target = row if target is None else target
-            total += val
-        return target, total
-
     def to_dense(self) -> np.ndarray:
         if self.frames:
-            _check_dense_size(self.frames[0].qubits)
+            _check_dense_size(self.frames[0].pauli.n)
         return sum(frame.to_dense() for frame in self.frames)
 
 
-def _flip_support(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, ...]:
-    acc = np.zeros(enc.qubits, dtype=np.uint8)
-    mode_flips = obs.flip_mask(enc.modes)
-    for alpha, bit in enumerate(mode_flips, start=1):
-        if bit:
-            acc ^= enc.column(alpha)
-    return tuple(int(i + 1) for i in np.nonzero(acc)[0])
+def _positions(mask: int) -> list[int]:
+    """Set bit positions of a mask, highest first, as gf2.drop_bits takes them."""
+    return [p for p in range(mask.bit_length() - 1, -1, -1) if mask >> p & 1]
+
+
+def _qubit_order(mask: int) -> list[int]:
+    """Sort key ordering masks as the ascending tuples of their 1-based qubits."""
+    return [-p for p in _positions(mask)]
 
 
 def _materialized(enc: CodeEncoding) -> bool:
@@ -365,20 +349,20 @@ def _over_syndromes(enc: CodeEncoding, per_codeword) -> np.ndarray:
     return np.append(np.asarray(per_codeword, dtype=float), 0.0)[enc.preimage()]
 
 
-def _sign_matrix(enc: CodeEncoding, obs: FermionObservable,
-                 support: tuple[int, ...]) -> np.ndarray:
+def _sign_matrix(enc: CodeEncoding, obs: FermionObservable, flips: int) -> np.ndarray:
     """Transition signs as a (rest, frame) matrix.
 
-    Entry [r, u] is the sign at the syndrome whose non-flipped bits pack to
-    r and whose flipped bits pack to u, both most-significant-first.
+    Entry [r, u] is the sign at the syndrome whose bits outside the flip
+    mask pack to r and whose bits inside it pack to u, both
+    most-significant-first.
     """
-    q = enc.qubits
+    q, k = enc.qubits, flips.bit_count()
     signs = _over_syndromes(
         enc, [_stripped_sign(obs, FockState(tuple(row))) for row in enc.codewords().tolist()]
     )
-    rest = [i for i in range(1, q + 1) if i not in set(support)]
-    axes = [i - 1 for i in rest + list(support)]
-    return signs.reshape((2,) * q).transpose(axes).reshape(1 << len(rest), 1 << len(support))
+    # a stable sort of the qubit axes by flip bit: rest axes first, each part in order
+    axes = np.argsort(flips >> np.arange(q - 1, -1, -1) & 1, kind="stable")
+    return signs.reshape((2,) * q).transpose(axes).reshape(1 << (q - k), 1 << k)
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
@@ -398,43 +382,38 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable,
                          improve: bool = True) -> SimulatorOp:
     """Framed decomposition of the encoded observable.
 
-    One frame per Z-pattern of the right parity on the flip support (even
-    patterns for the plus variant, odd for the i*(minus) variant); the
-    frame's diagonal is the Walsh-Hadamard transform of the transition
-    signs over the flipped bits.  With a bipartition available and both
-    row classes represented on the support, the stabilizer trick merges
-    frames four to one.
+    The flip mask is the XOR of the observable's packed columns, so a mode
+    named twice cancels.  One frame per Z-pattern of the right parity
+    inside it (even patterns for the plus variant, odd for the i*(minus)
+    variant); the frame's diagonal is the Walsh-Hadamard transform of the
+    transition signs over the flipped bits.  With a bipartition available
+    and both row classes represented on the flip mask, the stabilizer
+    trick merges frames four to one.
     """
-    support = _flip_support(enc, obs)
-    k = len(support)
     q = enc.qubits
-    want_parity = obs.epsilon
+    flips = 0
+    for alpha in obs.indices:
+        flips ^= enc.column_masks[alpha - 1]
     spectra = None
     if _materialized(enc):
-        spectra = _walsh_hadamard(_sign_matrix(enc, obs, support))
-
-    def column(t_mask: int) -> np.ndarray | None:
-        return None if spectra is None else spectra[:, t_mask]
-
-    if k == 0:
-        # diagonal observable: single identity frame with the raw signs
-        return SimulatorOp(obs, [FramedDiagonal(q, (), (), 0, column(0))])
-
+        spectra = _walsh_hadamard(_sign_matrix(enc, obs, flips))
     frames = []
-    for t_mask in range(1 << k):
-        if bin(t_mask).count("1") % 2 != want_parity:
-            continue
-        pattern = tuple(
-            support[pos] for pos in range(k) if (t_mask >> (k - 1 - pos)) & 1
-        )
-        frames.append(FramedDiagonal(q, support, pattern, want_parity, column(t_mask)))
+    z = 0
+    for t in range(1 << flips.bit_count()):
+        # z walks the submasks of flips upwards, so it is spectrum column t's
+        # Z-pattern; a diagonal observable keeps its one identity frame
+        parity = z.bit_count() % 2
+        if not flips or parity == obs.epsilon:
+            frames.append(FramedDiagonal(PauliOperator.from_masks(q, flips, z, parity),
+                                         None if spectra is None else spectra[:, t]))
+        z = (z - flips) & flips
     sim = SimulatorOp(obs, frames)
     if improve and enc.bipartition is not None:
-        left, right = enc.bipartition
-        in_left = sorted(set(support) & left)
-        in_right = sorted(set(support) & right)
+        in_left, in_right = (flips & rows for rows in enc.class_masks)
         if in_left and in_right:
-            sim = bipartite_improve(sim, enc, in_left[0], in_right[0])
+            # the first qubit of each class, from the mask's highest bit
+            sim = bipartite_improve(sim, enc, q + 1 - in_left.bit_length(),
+                                    q + 1 - in_right.bit_length())
     return sim
 
 
@@ -443,7 +422,7 @@ def two_body_simulator(enc: CodeEncoding, alpha: int, beta: int,
     """Simulator of the Hermitian hop between two distinct modes."""
     if alpha == beta:
         raise ValueError("two-body simulator needs distinct modes")
-    if np.array_equal(enc.column(alpha), enc.column(beta)):
+    if enc.column_masks[alpha - 1] == enc.column_masks[beta - 1]:
         raise ValueError("equal columns contradict injectivity")
     sim = observable_simulator(enc, FermionObservable.hop(alpha, beta, variant), improve)
     cap = 1 << (2 * enc.max_column_weight - 1)
@@ -475,98 +454,78 @@ def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding, i: int, j: int) -> Si
     """Merge frames by multiplying with codespace stabilizers.
 
     Frames with a Z at qubit i (row class one) or j (row class two) are
-    multiplied by (-1)^N Z(class); the Z-patterns then cancel at i and j,
-    the classes' Z action moves into the diagonals, and frames that land
-    on the same pattern merge.  The codespace action is unchanged because
-    the stabilizers act there as identity.
+    multiplied by (-1)^N Z(class): the class's rows on the flip mask XOR
+    into the frame's Z mask, which clears i and j, and its rows on the rest
+    index become a sign mask on the diagonal.  Frames that land on the same
+    Z mask merge.  The codespace action is unchanged because the
+    stabilizers act there as identity.
     """
     if enc.bipartition is None:
         raise ValueError("encoding carries no bipartition")
-    left, right = enc.bipartition
     if not sim.frames:
         return sim
-    support = sim.frames[0].flips
-    if i not in support or i not in left:
-        raise ValueError(f"qubit {i} is not a left-class support qubit")
-    if j not in support or j not in right:
-        raise ValueError(f"qubit {j} is not a right-class support qubit")
     q = enc.qubits
+    flips = sim.frames[0].pauli.x_mask
+    for qubit, rows, side in ((i, enc.bipartition[0], "left"), (j, enc.bipartition[1], "right")):
+        if qubit not in rows or not flips >> (q - qubit) & 1:
+            raise ValueError(f"qubit {qubit} is not a {side}-class support qubit")
     n_sign = -1.0 if enc.particles % 2 else 1.0
-    rest = [v for v in range(1, q + 1) if v not in set(support)]
+    drop = _positions(flips)
+    # per class: the chosen qubit's bit, its rows on the frame, its rows on the rest index
+    classes = [(1 << (q - pick), rows & flips, gf2.drop_bits(rows, drop))
+               for pick, rows in zip((i, j), enc.class_masks)]
 
-    def rest_mask(rows: frozenset) -> int:
-        mask = 0
-        for pos, qubit in enumerate(rest):
-            if qubit in rows:
-                mask |= 1 << (len(rest) - 1 - pos)
-        return mask
-
-    merged: dict[tuple[int, ...], list] = {}
+    merged: dict[int, list] = {}
     for frame in sim.frames:
-        pattern = set(frame.z_pattern)
-        hit_i, hit_j = i in pattern, j in pattern
-        prefactor = 1.0
-        row_sets: list[frozenset] = []
-        if hit_i and not hit_j:
-            row_sets, prefactor = [left], n_sign
-        elif hit_j and not hit_i:
-            row_sets, prefactor = [right], n_sign
-        elif hit_i and hit_j:
-            row_sets, prefactor = [left, right], 1.0
-        for rows in row_sets:
-            pattern ^= set(support) & rows
-        new_pattern = tuple(sorted(pattern))
-        sign_mask = 0
-        for rows in row_sets:
-            sign_mask ^= rest_mask(rows)
-        merged.setdefault(new_pattern, []).append(
-            (frame, prefactor * frame.weight, sign_mask)
-        )
+        z, factor, sign_mask = frame.pauli.z_mask, frame.weight, 0
+        for pick, on_frame, on_rest in classes:
+            if frame.pauli.z_mask & pick:
+                z ^= on_frame
+                sign_mask ^= on_rest
+                factor *= n_sign
+        merged.setdefault(z, []).append((frame, factor, sign_mask))
 
     out = []
-    for pattern, parts in sorted(merged.items()):
+    for z in sorted(merged, key=_qubit_order):
+        parts = merged[z]
         diag = None
         if parts[0][0].diagonal is not None:
-            rest_index = np.arange(1 << len(rest), dtype=np.int64)
+            rest_index = np.arange(1 << (q - len(drop)), dtype=np.int64)
             diag = np.zeros(len(rest_index))
             for frame, factor, mask in parts:
                 sign = 1.0 - 2.0 * (np.bitwise_count(rest_index & mask) & 1)
                 diag += factor * sign * frame.diagonal
-        phase = len(pattern) % 2
-        out.append(FramedDiagonal(sim.frames[0].qubits, support, pattern, phase, diag))
-    improved = SimulatorOp(sim.observable, out)
-    for frame in improved.frames:
-        if i in frame.z_pattern or j in frame.z_pattern:
-            raise AssertionError("improvement left a Z on the chosen qubits")
-    return improved
+        out.append(FramedDiagonal(PauliOperator.from_masks(q, flips, z, z.bit_count() % 2),
+                                  diag))
+    picked = classes[0][0] | classes[1][0]
+    if any(frame.pauli.z_mask & picked for frame in out):
+        raise AssertionError("improvement left a Z on the chosen qubits")
+    return SimulatorOp(sim.observable, out)
 
 
-def _identity_frame(enc: CodeEncoding, per_codeword) -> FramedDiagonal:
-    """Identity-frame diagonal from a function of the codeword occupation rows."""
+def occupation_diag(enc: CodeEncoding, modes) -> FramedDiagonal:
+    """Identity frame whose diagonal is the product of the listed modes' occupations.
+
+    The product is read off each codeword and is 0 off the codespace, so
+    modes=() gives the codespace projector.
+    """
     diag = None
     if _materialized(enc):
-        diag = _over_syndromes(enc, per_codeword(enc.codewords()))
-    return FramedDiagonal(enc.qubits, (), (), 0, diag)
+        occ = enc.codewords()[:, [alpha - 1 for alpha in modes]]
+        diag = _over_syndromes(enc, occ.prod(axis=1))
+    return FramedDiagonal(PauliOperator.identity(enc.qubits), diag)
 
 
-def codespace_projector_diag(enc: CodeEncoding) -> FramedDiagonal:
-    """Identity-frame diagonal that is 1 exactly on encoded basis states."""
-    return _identity_frame(enc, lambda occ: np.ones(len(occ)))
-
-
-def mode_occupation_diag(enc: CodeEncoding, alpha: int) -> FramedDiagonal:
-    """Identity-frame diagonal reading occupation of one mode off the preimage array."""
-    return _identity_frame(enc, lambda occ: occ[:, alpha - 1])
-
-
-def pair_occupation_diag(enc: CodeEncoding, alpha: int, beta: int) -> FramedDiagonal:
-    return _identity_frame(enc, lambda occ: occ[:, alpha - 1] & occ[:, beta - 1])
-
-
-def default_penalty(h: FermionHamiltonian) -> float:
-    """Computable stand-in for the operator-norm bound on the penalty scale."""
-    total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.u.values())
-    return 4.0 * total / max(1, h.particles)
+def _block_frames(enc: CodeEncoding, modes: tuple[int, ...], coeff: complex,
+                  improve: bool) -> list[FramedDiagonal]:
+    """Frames of one Hermitian-paired block: the real part weights the plus
+    observable, the imaginary part the i*(minus) one."""
+    simulate = two_body_simulator if len(modes) == 2 else four_body_simulator
+    frames = []
+    for part, variant in ((coeff.real, "plus"), (coeff.imag, "minus")):
+        if part:
+            frames += [f.scaled(part) for f in simulate(enc, *modes, variant, improve).frames]
+    return frames
 
 
 def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
@@ -576,31 +535,25 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
 
     Every Hermitian-paired coefficient block becomes a plus/minus pair of
     observable simulators weighted by its real and imaginary parts;
-    diagonal blocks become decoder-backed occupation diagonals.  The
-    penalty term is g*(identity - codespace projector), which vanishes on
-    the codespace and raises everything orthogonal to it by g.
+    diagonal blocks become decoder-backed occupation diagonals, and
+    interaction entries with a repeated creator or annihilator index,
+    which are the zero operator, are skipped.  The penalty term is
+    g*(identity - codespace projector), which vanishes on the codespace
+    and raises everything orthogonal to it by g.
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
     if penalty is None:
-        penalty = default_penalty(h)
+        penalty = default_penalty_scale(h)
     frames: list[FramedDiagonal] = []
 
     for alpha in range(1, h.modes + 1):
         coeff = h.t[alpha - 1, alpha - 1]
         if coeff != 0:
-            frames.append(mode_occupation_diag(enc, alpha).scaled(coeff.real))
+            frames.append(occupation_diag(enc, (alpha,)).scaled(coeff.real))
     for alpha in range(1, h.modes + 1):
         for beta in range(alpha + 1, h.modes + 1):
-            coeff = h.t[alpha - 1, beta - 1]
-            if coeff == 0:
-                continue
-            if coeff.real:
-                sim = two_body_simulator(enc, alpha, beta, "plus", improve)
-                frames.extend(f.scaled(coeff.real) for f in sim.frames)
-            if coeff.imag:
-                sim = two_body_simulator(enc, alpha, beta, "minus", improve)
-                frames.extend(f.scaled(coeff.imag) for f in sim.frames)
+            frames += _block_frames(enc, (alpha, beta), h.t[alpha - 1, beta - 1], improve)
 
     done = set()
     for key, coeff in sorted(h.u.items()):
@@ -610,21 +563,18 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
         done.add(key)
         done.add(partner)
         a, b, g_, d = key
+        if a == b or g_ == d:
+            continue
         if partner == key:
             # self-adjoint block: a'_a a'_b a_b a_a = occupation product
-            frames.append(pair_occupation_diag(enc, a, b).scaled(coeff.real))
-            continue
-        if coeff.real:
-            sim = four_body_simulator(enc, a, b, g_, d, "plus", improve)
-            frames.extend(f.scaled(coeff.real) for f in sim.frames)
-        if coeff.imag:
-            sim = four_body_simulator(enc, a, b, g_, d, "minus", improve)
-            frames.extend(f.scaled(coeff.imag) for f in sim.frames)
+            frames.append(occupation_diag(enc, (a, b)).scaled(coeff.real))
+        else:
+            frames += _block_frames(enc, key, coeff, improve)
 
     if penalty:
-        proj = codespace_projector_diag(enc).diagonal
+        proj = occupation_diag(enc, ()).diagonal
         anti = None if proj is None else 1.0 - proj
-        frames.append(FramedDiagonal(enc.qubits, (), (), 0, anti, weight=penalty))
+        frames.append(FramedDiagonal(PauliOperator.identity(enc.qubits), anti, weight=penalty))
     return frames
 
 

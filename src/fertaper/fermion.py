@@ -364,6 +364,12 @@ def sector_matrix_direct(h: FermionHamiltonian, n: int | None = None) -> np.ndar
     return mat
 
 
+def default_penalty_scale(h: FermionHamiltonian) -> float:
+    """Computable stand-in for the operator-norm bound on a codespace penalty."""
+    total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.u.values())
+    return 4.0 * total / max(1, h.particles)
+
+
 def random_hamiltonian(m: int, n: int, rng: np.random.Generator,
                        interaction_pairs: int = 2) -> FermionHamiltonian:
     """Random Hermitian instance with a generic dense t and a few u entries."""

@@ -35,6 +35,7 @@ import numpy as np
 
 from fertaper import gf2
 from fertaper.fermion import FermionHamiltonian, FockState
+from fertaper.fermion import default_penalty_scale  # noqa: F401  (re-exported)
 from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
 
 STATE_DIM_CAP = 1 << 14
@@ -229,11 +230,6 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     exchange = merged((x_word << s_i) | (x_word << s_j), (z_word << s_i) | (z_word << s_j),
                       coeffs)
     return FirstQuantizedParts(one_body, two_body, exchange)
-
-
-def default_penalty_scale(h: FermionHamiltonian) -> float:
-    total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.u.values())
-    return 4.0 * total / max(1, h.particles)
 
 
 # -- orthogonal array --------------------------------------------------------

@@ -57,8 +57,14 @@ def unpack_ints(values, length: int) -> np.ndarray:
     return np.unpackbits(rows, axis=1)[:, 8 * nbytes - length:]
 
 
-def drop_bits(value: int, positions) -> int:
-    """Delete bit positions (counted from bit 0, in decreasing order) from an int."""
+def drop_bits(value, positions):
+    """Delete bit positions (counted from bit 0, in decreasing order) from an int.
+
+    The bits above each deleted position move down one place, so the kept
+    bits stay in order.  value may also be an int64 array, each element of
+    which is packed the same way (positions then below 63); a Python int
+    may be of any width.
+    """
     for p in positions:
         value = ((value >> (p + 1)) << p) | (value & ((1 << p) - 1))
     return value

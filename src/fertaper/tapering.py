@@ -28,7 +28,6 @@ class CheckMatrix:
     """Commutation constraints of a term list, rows = [x-block | z-block]."""
 
     matrix: np.ndarray
-    generator_matrix: np.ndarray  # provenance: columns are the (x|z) of terms
 
     @property
     def qubit_count(self) -> int:
@@ -45,8 +44,7 @@ def check_matrix(h: QubitHamiltonian) -> CheckMatrix:
     h = h.canonicalize()
     x = gf2.unpack_ints(h.x_masks, h.qubit_count)
     z = gf2.unpack_ints(h.z_masks, h.qubit_count)
-    return CheckMatrix(np.concatenate([z, x], axis=1),
-                       np.ascontiguousarray(np.concatenate([x, z], axis=1).T))
+    return CheckMatrix(np.concatenate([z, x], axis=1))
 
 
 def symplectic_product(a: np.ndarray, b: np.ndarray) -> int:

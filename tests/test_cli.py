@@ -10,8 +10,13 @@ import pytest
 
 from fertaper import gf2
 from fertaper.cli import build_parser, main
-from fertaper.codeword import save_pcm
-from fertaper.fermion import FermionHamiltonian, dense_fock_matrix
+from fertaper.codeword import (
+    CodeEncoding,
+    FramedDiagonal,
+    apply_frames_to_isometry,
+    save_pcm,
+)
+from fertaper.fermion import FermionHamiltonian, dense_fock_matrix, sector_matrix_direct
 from fertaper.graphs import cycle_chord_graph, girth, greedy_high_girth, save_graph
 from fertaper.mitm import InjectivityViolation, brute_force_decode
 from fertaper.pauli import PauliOperator, hamiltonian_from_text
@@ -284,6 +289,27 @@ class TestCodesim:
         assert all(t["diagonal"] == "lazy" for t in lazy)
         strip = lambda terms: [{k: v for k, v in t.items() if k != "diagonal"} for t in terms]
         assert strip(lazy) == strip(eager)
+
+    @pytest.mark.parametrize("u", [
+        [[1, 1, 1, 1, 0.5, 0.0]],
+        [[1, 1, 2, 3, 0.25, 0.0], [3, 2, 1, 1, 0.25, 0.0]],
+    ], ids=["self-adjoint", "paired"])
+    def test_zero_operator_interaction_entries(self, tmp_path, u):
+        # a'_a a'_b a_g a_d with a == b or g == d is the zero operator
+        check = tmp_path / "a.pcm"
+        save_pcm(np.eye(4, dtype=np.uint8), str(check))
+        source = tmp_path / "h.json"
+        source.write_text(json.dumps({"modes": 4, "particles": 2,
+                                      "t": [[1, 2, 0.3, 0.0], [2, 1, 0.3, 0.0]], "u": u}))
+        out = tmp_path / "framed.json"
+        assert main(["codesim", "--check", str(check), "--input", str(source),
+                     "--output", str(out)]) == 0
+        frames = [FramedDiagonal(PauliOperator.from_label(t["frame"]), t["diagonal"], t["weight"])
+                  for t in json.loads(out.read_text())["terms"]]
+        enc = CodeEncoding(np.eye(4, dtype=np.uint8), 2)
+        block = enc.isometry().T @ apply_frames_to_isometry(frames, enc)
+        h = FermionHamiltonian.from_json(source.read_text())
+        assert np.allclose(block, sector_matrix_direct(h), atol=1e-12)
 
     def test_empty_check_file_is_an_error_line(self, tmp_path, subcode_json, capsys):
         check = tmp_path / "empty.pcm"

@@ -8,12 +8,11 @@ from fertaper.codeword import (
     apply_frames_to_isometry,
     bipartite_improve,
     build_simulator_hamiltonian,
-    codespace_projector_diag,
-    default_penalty,
     four_body_simulator,
     is_n_injective,
     load_pcm,
     observable_simulator,
+    occupation_diag,
     save_pcm,
     transition_sign,
     two_body_simulator,
@@ -22,6 +21,7 @@ from fertaper.fermion import (
     FermionHamiltonian,
     FermionObservable,
     FockState,
+    default_penalty_scale,
     observable_action,
     random_hamiltonian,
     sector_matrix,
@@ -36,6 +36,7 @@ from fertaper.graphs import (
     save_graph,
 )
 from fertaper.mitm import InjectivityViolation, brute_force_decode, build_tables, mitm_decode
+from fertaper.pauli import PauliOperator, qubit_mask
 
 
 @pytest.fixture
@@ -207,9 +208,9 @@ class TestTwoBodySimulator:
 
         obs = FermionObservable.hop(1, 6)
         sim = observable_simulator(fig3_encoding, obs, improve=False)
-        support = sim.frames[0].flips
-        k = len(support)
-        matrix = _sign_matrix(fig3_encoding, obs, support)
+        flips = sim.frames[0].pauli.x_mask
+        k = flips.bit_count()
+        matrix = _sign_matrix(fig3_encoding, obs, flips)
         for rest_bits in (0, 5, 77):
             signs = matrix[rest_bits]
             spectrum = _walsh_hadamard(signs)
@@ -231,9 +232,9 @@ class TestTwoBodySimulator:
 
         obs = FermionObservable.hop(2, 10)
         sim = observable_simulator(fig3_encoding, obs, improve=False)
-        support = sim.frames[0].flips
-        k = len(support)
-        matrix = _sign_matrix(fig3_encoding, obs, support)
+        flips = sim.frames[0].pauli.x_mask
+        k = flips.bit_count()
+        matrix = _sign_matrix(fig3_encoding, obs, flips)
         for rest_bits in range(0, 1 << (12 - k), 17):
             spectrum = _walsh_hadamard(matrix[rest_bits])
             for t in range(1 << k):
@@ -252,8 +253,7 @@ class TestTwoBodySimulator:
 
         obs = FermionObservable.hop(1, 2)
         sim = observable_simulator(fig3_encoding, obs, improve=False)
-        support = sim.frames[0].flips
-        signs = _sign_matrix(fig3_encoding, obs, support)[13]
+        signs = _sign_matrix(fig3_encoding, obs, sim.frames[0].pauli.x_mask)[13]
         assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
 
     def test_frames_hermitian(self, fig3_encoding):
@@ -306,11 +306,10 @@ class TestFourBodySimulator:
     def test_repeated_index_reduces_flip_set(self, fig3_encoding):
         # a'_1 a'_2 a_2 a_5 flips only modes 1 and 5
         sim = four_body_simulator(fig3_encoding, 1, 2, 2, 5)
-        flips = sim.frames[0].flips
         want = set()
         for mode in (1, 5):
             want ^= set(np.nonzero(fig3_encoding.column(mode))[0] + 1)
-        assert set(flips) == want
+        assert sim.frames[0].pauli.x_mask == qubit_mask(12, want)
         assert simulation_condition_exact(sim, fig3_encoding)
 
     def test_within_pair_repeat_rejected(self, fig3_encoding):
@@ -404,21 +403,22 @@ class TestBipartiteImprove:
     def test_already_clear_patterns_unchanged(self, fig3_encoding):
         sim = two_body_simulator(fig3_encoding, 1, 3, improve=False)
         left, right = fig3_encoding.bipartition
-        support = set(sim.frames[0].flips)
+        support = set(sim.frames[0].pauli.support())
         i = min(support & left)
         j = min(support & right)
         improved = bipartite_improve(sim, fig3_encoding, i, j)
-        kept = [f for f in sim.frames if i not in f.z_pattern and j not in f.z_pattern]
-        assert {f.z_pattern for f in kept} <= {f.z_pattern for f in improved.frames}
+        kept = [f for f in sim.frames if not f.pauli.z_mask & qubit_mask(12, (i, j))]
+        assert {f.pauli.z_mask for f in kept} <= {f.pauli.z_mask for f in improved.frames}
 
     def test_bad_choice_rejected(self, fig3_encoding):
         sim = two_body_simulator(fig3_encoding, 1, 2, improve=False)
         left, right = fig3_encoding.bipartition
-        off_support = min(set(range(1, 13)) - set(sim.frames[0].flips))
+        support = set(sim.frames[0].pauli.support())
+        off_support = min(set(range(1, 13)) - support)
         with pytest.raises(ValueError):
             side = left if off_support in left else right
-            i = off_support if off_support in left else min(set(sim.frames[0].flips) & left)
-            j = off_support if off_support in right else min(set(sim.frames[0].flips) & right)
+            i = off_support if off_support in left else min(support & left)
+            j = off_support if off_support in right else min(support & right)
             bipartite_improve(sim, fig3_encoding, i, j)
 
 
@@ -426,12 +426,12 @@ class TestCodespaceProjector:
     def test_trace_counts_codewords(self, fig3_encoding):
         from math import comb
 
-        diag = codespace_projector_diag(fig3_encoding).materialize()
+        diag = occupation_diag(fig3_encoding, ()).materialize()
         assert diag.sum() == comb(16, 2)
         assert set(np.unique(diag)) <= {0.0, 1.0}
 
     def test_encoded_states_pass(self, fig3_encoding):
-        proj = codespace_projector_diag(fig3_encoding)
+        proj = occupation_diag(fig3_encoding, ())
         for st in weight_n_states(16, 2)[:20]:
             bits = gf2.bits_to_int(fig3_encoding.encode_state(st))
             assert proj.diagonal[bits] == 1.0
@@ -441,7 +441,7 @@ class TestCodespaceProjector:
         # and cannot be a codeword
         g = cycle_chord_graph(10, 3)
         enc = CodeEncoding.from_graph(g, 3)
-        proj = codespace_projector_diag(enc)
+        proj = occupation_diag(enc, ())
         assert proj.diagonal[0] == 0.0
 
 
@@ -483,7 +483,7 @@ class TestBuildSimulator:
         rng = np.random.default_rng(83)
         h = random_hamiltonian(6, 2, rng)
         frames = build_simulator_hamiltonian(h, enc)
-        assert default_penalty(h) > 0
+        assert default_penalty_scale(h) > 0
         dim = 1 << enc.qubits
         images = {}
         for base in range(dim):
@@ -511,6 +511,14 @@ class TestBuildSimulator:
         perp = np.linalg.norm(ground - iso @ (iso.T @ ground))
         assert perp < 1e-8
         assert vals[0] == pytest.approx(np.linalg.eigvalsh(sector_matrix(h))[0], abs=1e-8)
+
+    def test_zero_operator_interaction_entries_add_no_frames(self):
+        # a repeated creator or annihilator index makes u's product zero
+        enc = CodeEncoding(np.eye(4, dtype=np.uint8), 2)
+        for u in ({(1, 1, 1, 1): 0.5}, {(1, 1, 2, 3): 0.25, (3, 2, 1, 1): 0.25}):
+            h = FermionHamiltonian(4, 2, np.zeros((4, 4)), u)
+            assert build_simulator_hamiltonian(h, enc, penalty=0.0) == []
+            assert not sector_matrix_direct(h).any()
 
     def test_hermitian_pairs_validated(self, fig3_graph):
         enc = self.subcode(fig3_graph)
@@ -588,6 +596,25 @@ def oracle_frames(enc, obs, improve):
     return sorted(merged.items())
 
 
+class TestFramedDiagonal:
+    @pytest.mark.parametrize("x,z,phase,length,message", [
+        (0b100, 0b010, 1, 4, "flipped qubits"),
+        (0b110, 0b110, 1, 2, "parity"),
+        (0b110, 0b100, 0, 2, "parity"),
+        (0b100, 0, 2, 4, "parity"),
+        (0b100, 0, 0, 8, "diagonal length"),
+    ], ids=["z-off-flips", "odd-phase-even-z", "even-phase-odd-z", "phase-minus-one",
+            "long-diagonal"])
+    def test_invalid_frames_rejected(self, x, z, phase, length, message):
+        with pytest.raises(ValueError, match=message):
+            FramedDiagonal(PauliOperator.from_masks(3, x, z, phase), np.zeros(length))
+
+    def test_fields_are_pauli_diagonal_weight(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(FramedDiagonal)] == ["pauli", "diagonal", "weight"]
+
+
 class TestArrayDiagonals:
     """Frame diagonals built as arrays against per-syndrome oracles."""
 
@@ -625,7 +652,7 @@ class TestArrayDiagonals:
             got, rest_frames = rest_frames[:len(want)], rest_frames[len(want):]
             for frame, (pattern, diag) in zip(got, want):
                 assert frame.weight == weight
-                assert frame.z_pattern == pattern
+                assert frame.pauli.z_mask == qubit_mask(enc.qubits, pattern)
                 assert frame.diagonal.tolist() == diag
         pair, penalty = rest_frames
         assert pair.weight == 0.625
@@ -652,7 +679,7 @@ class TestArrayDiagonals:
 
     def test_caller_array_stays_writeable(self):
         mine = np.zeros(4)
-        frame = FramedDiagonal(3, (1,), (), 0, mine)
+        frame = FramedDiagonal(PauliOperator.from_masks(3, 0b100, 0), mine)
         mine[0] = 1.0
         assert frame.diagonal[0] == 0.0
 

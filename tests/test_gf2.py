@@ -106,3 +106,26 @@ def test_span_helpers():
 def test_bits_int_round_trip(length, a, b):
     a %= 1 << length
     assert gf2.bits_to_int(gf2.int_to_bits(a, length)) == a
+
+
+def _drop_oracle(value: int, positions) -> int:
+    """drop_bits spelled out on the binary string, least significant bit first."""
+    low_first = bin(value)[2:][::-1]
+    kept = [bit for pos, bit in enumerate(low_first) if pos not in set(positions)]
+    return int("".join(reversed(kept)) or "0", 2)
+
+
+def test_drop_bits_on_int64_arrays_matches_python_ints():
+    rng = np.random.default_rng(9)
+    values = rng.integers(0, 1 << 62, size=200, dtype=np.int64)
+    for positions in ([], [0], [61, 40, 3, 2, 0], list(range(61, -1, -3))):
+        got = gf2.drop_bits(values, positions)
+        assert got.dtype == np.int64
+        want = [gf2.drop_bits(int(v), positions) for v in values]
+        assert got.tolist() == want == [_drop_oracle(int(v), positions) for v in values]
+
+
+def test_drop_bits_on_a_wide_python_int():
+    value = (1 << 100) | (1 << 70) | (1 << 64) | 0b1011
+    got = gf2.drop_bits(value, [70, 1])
+    assert got == (1 << 98) | (1 << 63) | 0b101 == _drop_oracle(value, [70, 1])
