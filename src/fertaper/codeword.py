@@ -556,15 +556,13 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
             frames += _block_frames(enc, (alpha, beta), h.t[alpha - 1, beta - 1], improve)
 
     done = set()
-    for key, coeff in sorted(h.u.items()):
+    for key, coeff in sorted(h.interactions.items()):
         if key in done:
             continue
         partner = (key[3], key[2], key[1], key[0])
         done.add(key)
         done.add(partner)
-        a, b, g_, d = key
-        if a == b or g_ == d:
-            continue
+        a, b = key[:2]
         if partner == key:
             # self-adjoint block: a'_a a'_b a_b a_a = occupation product
             frames.append(occupation_diag(enc, (a, b)).scaled(coeff.real))

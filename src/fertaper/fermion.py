@@ -227,6 +227,16 @@ class FermionHamiltonian:
                 stacklevel=2,
             )
 
+    @property
+    def interactions(self) -> dict:
+        """The u entries that are not the zero operator.
+
+        An entry with a repeated creator (a == b) or annihilator (g == d)
+        index is zero, because the ladder operator squares to zero; its
+        conjugate partner repeats the other pair, so both go together.
+        """
+        return {k: v for k, v in self.u.items() if k[0] != k[1] and k[2] != k[3]}
+
     # -- JSON interchange ---------------------------------------------------
 
     @classmethod
@@ -366,7 +376,7 @@ def sector_matrix_direct(h: FermionHamiltonian, n: int | None = None) -> np.ndar
 
 def default_penalty_scale(h: FermionHamiltonian) -> float:
     """Computable stand-in for the operator-norm bound on a codespace penalty."""
-    total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.u.values())
+    total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.interactions.values())
     return 4.0 * total / max(1, h.particles)
 
 

@@ -173,7 +173,8 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     Each part is built as parallel mask and coefficient arrays, register
     words shifted into place by broadcasting, and merged once by
     ``canonicalize``.  Terms come in (matrix unit, register, z mask)
-    order, so repeated Paulis sum in a fixed order.
+    order, so repeated Paulis sum in a fixed order.  Interaction entries
+    that are the zero operator are skipped (``h.interactions``).
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
@@ -202,17 +203,18 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
                       local[None, None, :] << shift[None, :, None], coeffs)
 
     # Two-body: (a, b, g, d) entry x register pair i != j x z mask on i x z mask on j
+    u = h.interactions
     ordered = np.array([(i, j) for i in range(n) for j in range(n) if i != j],
                        dtype=np.intp).reshape(-1, 2)
     s_i, s_j = shift[ordered[:, 0], None, None], shift[ordered[:, 1], None, None]
-    x_ag, x_bd = (np.array([(k[r] - 1) ^ (k[r + 2] - 1) for k in h.u], dtype=np.int64)
+    x_ag, x_bd = (np.array([(k[r] - 1) ^ (k[r + 2] - 1) for k in u], dtype=np.int64)
                   .astype(dtype).reshape(-1, 1, 1, 1) for r in (0, 1))
     coeffs = np.array([
         [[_hermitian_coeff(-coeff * (((1.0 + 0.0j) * c1) * c2),
                            (a - 1) ^ (g - 1) | ((b - 1) ^ (d - 1)) << m, k1 | k2 << m)
           for k2, c2 in enumerate(unit[d - 1])]
          for k1, c1 in enumerate(unit[g - 1])]
-        for (a, b, g, d), coeff in h.u.items()], dtype=complex).reshape(-1, 1, 1 << m, 1 << m)
+        for (a, b, g, d), coeff in u.items()], dtype=complex).reshape(-1, 1, 1 << m, 1 << m)
     two_body = merged((x_ag << s_i) | (x_bd << s_j),
                       (local[:, None] << s_i) | (local[None, :] << s_j), coeffs)
 

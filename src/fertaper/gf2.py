@@ -1,8 +1,13 @@
 """Linear algebra over GF(2).
 
-Vectors and matrices are numpy arrays with 0/1 entries (dtype uint8).
-Row/column indices at this level are 0-based; the 1-based mode/qubit
-convention of the public API lives in the callers.
+Elimination works on rows packed into Python ints: column c of a row of
+the given width is bit width-1-c, the layout of pack_rows and of the
+Pauli (x|z) masks, so a row XOR is one int XOR.  The numpy helpers
+(asbits, matvec, pack_rows, pack_words, unpack_ints, bits_to_int,
+int_to_bits, drop_bits) convert between that layout and 0/1 uint8
+arrays, on which the decoders work.  Row/column indices at this level
+are 0-based; the 1-based mode/qubit convention of the public API lives
+in the callers.
 """
 
 from __future__ import annotations
@@ -79,120 +84,86 @@ def matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return (mat @ vec.astype(np.int64)) % 2
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix-matrix product modulo two."""
-    a = asbits(a)
-    b = asbits(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} @ {b.shape}")
-    return np.asarray((a.astype(np.int64) @ b.astype(np.int64)) % 2, dtype=np.uint8)
+def _echelon(rows) -> dict[int, int]:
+    """Row echelon basis of the span, keyed by each row's leading bit."""
+    basis: dict[int, int] = {}
+    for row in rows:
+        while row:
+            top = row.bit_length() - 1
+            pivot = basis.get(top)
+            if pivot is None:
+                basis[top] = row
+                break
+            row ^= pivot
+    return basis
 
 
-def rref(mat: np.ndarray, column_order=None) -> tuple[np.ndarray, list[int]]:
-    """Reduced row-echelon form over GF(2).
+def rref(rows, width: int) -> tuple[list[int], list[int]]:
+    """Reduced row-echelon form over GF(2) of int rows of the given width.
 
-    Args:
-        mat: binary matrix.
-        column_order: sequence of column indices giving the order in which
-            pivots are sought.  Defaults to left-to-right.
+    Column c is bit width-1-c, so pivots are sought left to right.
 
     Returns:
-        (reduced matrix, list of pivot columns in elimination order).
+        (nonzero reduced rows, their pivot columns), both in ascending
+        pivot column order.
     """
-    r = asbits(mat).copy()
-    rows, cols = r.shape
-    if column_order is None:
-        column_order = range(cols)
-    pivots: list[int] = []
-    row = 0
-    for col in column_order:
-        if row >= rows:
-            break
-        hits = np.nonzero(r[row:, col])[0]
-        if hits.size == 0:
-            continue
-        k = row + hits[0]
-        if k != row:
-            r[[row, k]] = r[[k, row]]
-        # clear the pivot column everywhere else
-        others = np.nonzero(r[:, col])[0]
-        for i in others:
-            if i != row:
-                r[i] ^= r[row]
-        pivots.append(col)
-        row += 1
-    return r, pivots
+    basis = _echelon(rows)
+    if basis and max(basis) >= width:
+        raise ValueError(f"row wider than {width} bits")
+    tops = sorted(basis)  # lowest pivot first: rows are cleared by reduced rows
+    for k, top in enumerate(tops):
+        for low in tops[:k]:
+            if basis[top] >> low & 1:
+                basis[top] ^= basis[low]
+    tops.reverse()
+    return [basis[t] for t in tops], [width - 1 - t for t in tops]
 
 
-def rank(mat: np.ndarray) -> int:
-    _, pivots = rref(mat)
-    return len(pivots)
+def rank(rows) -> int:
+    return len(_echelon(rows))
 
 
-def kernel_basis(mat: np.ndarray) -> np.ndarray:
-    """Basis of the right kernel, one vector per row.
+def kernel_basis(rows, width: int) -> list[int]:
+    """Basis of the right kernel {v : every popcount(row & v) is even}.
 
     Pivots are taken left to right, and basis vectors are emitted in
     ascending order of their free column, which makes the output
     deterministic.
     """
-    mat = asbits(mat)
-    rows, cols = mat.shape
-    if rows == 0:
-        return np.eye(cols, dtype=np.uint8)
-    r, pivots = rref(mat)
+    reduced, pivots = rref(rows, width)
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for i, fc in enumerate(free):
-        basis[i, fc] = 1
-        for prow, pcol in enumerate(pivots):
-            if r[prow, fc]:
-                basis[i, pcol] = 1
+    basis = []
+    for fc in range(width):
+        if fc in pivot_set:
+            continue
+        bit = width - 1 - fc
+        vec = 1 << bit
+        for row, pc in zip(reduced, pivots):
+            if row >> bit & 1:
+                vec |= 1 << (width - 1 - pc)
+        basis.append(vec)
     return basis
 
 
-def solve(mat: np.ndarray, rhs: np.ndarray):
-    """One solution of mat @ x = rhs over GF(2), or None if inconsistent."""
-    mat = asbits(mat)
-    rhs = asbits(rhs)
-    rows, cols = mat.shape
-    aug = np.concatenate([mat, rhs.reshape(rows, 1)], axis=1)
-    r, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = np.zeros(cols, dtype=np.uint8)
-    for prow, pcol in enumerate(pivots):
-        x[pcol] = r[prow, cols]
-    return x
-
-
-def inverse(mat: np.ndarray) -> np.ndarray:
-    """Inverse of a square invertible matrix over GF(2)."""
-    mat = asbits(mat)
-    n, m = mat.shape
-    if n != m:
+def inverse(rows, n: int) -> list[int]:
+    """Inverse of a square invertible n x n matrix given as n int rows."""
+    if len(rows) != n:
         raise ValueError("matrix is not square")
-    aug = np.concatenate([mat, np.eye(n, dtype=np.uint8)], axis=1)
-    r, pivots = rref(aug, column_order=range(n))
-    if len(pivots) != n:
+    augmented = [(r << n) | (1 << (n - 1 - i)) for i, r in enumerate(rows)]
+    reduced, pivots = rref(augmented, 2 * n)
+    if pivots != list(range(n)):
         raise ValueError("matrix is singular over GF(2)")
-    return r[:, n:]
+    low = (1 << n) - 1
+    return [r & low for r in reduced]
 
 
-def in_span(vectors: np.ndarray, target: np.ndarray) -> bool:
-    """Whether target lies in the GF(2) row span of the given vectors."""
-    vectors = np.atleast_2d(asbits(vectors))
-    if vectors.shape[0] == 0:
-        return not np.any(asbits(target))
-    return rank(vectors) == rank(np.vstack([vectors, asbits(target)]))
+def in_span(rows, target: int) -> bool:
+    """Whether target lies in the GF(2) span of the int rows."""
+    rows = list(rows)
+    return rank(rows) == rank(rows + [target])
 
 
-def same_span(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether two sets of row vectors span the same GF(2) subspace."""
-    a = np.atleast_2d(asbits(a))
-    b = np.atleast_2d(asbits(b))
-    if a.shape[1] != b.shape[1]:
-        return False
-    ra, rb = rank(a), rank(b)
-    return ra == rb == rank(np.vstack([a, b]))
+def same_span(a, b) -> bool:
+    """Whether two lists of int rows span the same GF(2) subspace."""
+    a, b = list(a), list(b)
+    return rank(a) == rank(b) == rank(a + b)

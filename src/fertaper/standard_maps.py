@@ -11,6 +11,7 @@ permutation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,16 @@ class StandardEncoding:
     def qubits(self) -> int:
         return self.modes
 
+    @cached_property
+    def column_masks(self) -> list[int]:
+        """Each column of the matrix packed as a qubit mask, row 1 most significant."""
+        return gf2.pack_rows(self.matrix.T)
+
+    @cached_property
+    def inverse_rows(self) -> list[int]:
+        """Each row of the inverse packed as a qubit mask, column 1 most significant."""
+        return gf2.pack_rows(self.inverse)
+
     def encode_bits(self, occ) -> np.ndarray:
         """Qubit basis label Ax of an occupation vector x."""
         return gf2.matvec(self.matrix, np.asarray(occ, dtype=np.uint8))
@@ -88,7 +99,8 @@ def build_encoding(kind: str, m_modes: int) -> StandardEncoding:
         mat = binary_tree_matrix(m_modes)
     else:
         raise ValueError(f"unknown encoding kind {kind!r}; choose from {ENCODING_KINDS}")
-    return StandardEncoding(kind, m_modes, mat, gf2.inverse(mat))
+    inverse = gf2.unpack_ints(gf2.inverse(gf2.pack_rows(mat), m_modes), m_modes)
+    return StandardEncoding(kind, m_modes, mat, inverse)
 
 
 def update_parity_flip_sets(m_modes: int, j: int, kind: str = "binary_tree"):
@@ -129,9 +141,11 @@ def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamilt
     m = enc.modes
     if not 1 <= j <= m:
         raise IndexError(f"mode {j} out of range 1..{m}")
-    col = gf2.bits_to_int(enc.matrix[:, j - 1])
-    z_parity = gf2.bits_to_int(enc.inverse[: j - 1].sum(axis=0) % 2)
-    z_both = z_parity ^ gf2.bits_to_int(enc.inverse[j - 1])
+    col = enc.column_masks[j - 1]
+    z_parity = 0
+    for row in enc.inverse_rows[: j - 1]:
+        z_parity ^= row
+    z_both = z_parity ^ enc.inverse_rows[j - 1]
     first = PauliOperator.from_masks(m, col, z_parity)
     second = PauliOperator.from_masks(m, col, z_both)
     sign = 1.0 if dagger else -1.0
@@ -175,6 +189,6 @@ def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHam
     rows, cols = np.nonzero(h.t)
     for a, b in zip(rows.tolist(), cols.tolist()):
         add((("c", a + 1), ("a", b + 1)), h.t[a, b])
-    for (a, b, g, d), coeff in h.u.items():
+    for (a, b, g, d), coeff in h.interactions.items():
         add((("c", a), ("c", b), ("a", g), ("a", d)), coeff)
     return QubitHamiltonian.from_masks(enc.modes, xs, zs, cs).canonicalize()

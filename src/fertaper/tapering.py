@@ -1,9 +1,10 @@
 """Pauli symmetry detection and qubit tapering.
 
-Workflow: collect the (x|z) rows of a Hamiltonian's Pauli terms into a
-check matrix, compute its GF(2) kernel (every commuting Pauli lives
-there), extract a maximal pairwise-commuting independent subset with a
-symplectic Gram-Schmidt pass, pair each generator tau_i with a qubit and
+Workflow: turn each Pauli term's packed masks into a check-matrix row
+(z << n) | x, compute its GF(2) kernel with the packed-row eliminator
+(every commuting Pauli (x << n) | z lives there), extract a maximal
+pairwise-commuting independent subset with a symplectic Gram-Schmidt
+pass on the same ints, pair each generator tau_i with a qubit and
 a single-qubit Pauli sigma_i that anticommutes with tau_i alone (symplectic
 elimination), and conjugate the Hamiltonian by the product of
 (sigma_i + tau_i)/sqrt(2) reflections, plus a Hadamard where sigma_i is Z.
@@ -23,59 +24,48 @@ from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian, commutes
 from fertaper.standard_maps import StandardEncoding
 
 
-@dataclass(frozen=True)
-class CheckMatrix:
-    """Commutation constraints of a term list, rows = [x-block | z-block]."""
+def check_matrix(h: QubitHamiltonian) -> list[int]:
+    """Rows (z << n) | x of the canonical terms, whose GF(2) kernel is the commutant.
 
-    matrix: np.ndarray
-
-    @property
-    def qubit_count(self) -> int:
-        return self.matrix.shape[1] // 2
-
-
-def check_matrix(h: QubitHamiltonian) -> CheckMatrix:
-    """Build the constraint matrix whose kernel is the commutant.
-
-    A row per term: the x-block of the constraints is the term's z-vector
-    and vice versa, so that (row . candidate) mod 2 is exactly the
-    symplectic product deciding commutation.
+    A candidate Pauli is the vector v = (x' << n) | z', so popcount(row & v)
+    is x.z' + z.x', the symplectic product deciding commutation.
     """
     h = h.canonicalize()
-    x = gf2.unpack_ints(h.x_masks, h.qubit_count)
-    z = gf2.unpack_ints(h.z_masks, h.qubit_count)
-    return CheckMatrix(np.concatenate([z, x], axis=1))
+    n = h.qubit_count
+    return [(z << n) | x for x, z in zip(h.x_masks, h.z_masks)]
 
 
-def symplectic_product(a: np.ndarray, b: np.ndarray) -> int:
-    n = a.shape[0] // 2
-    return int((a[:n] @ b[n:] + a[n:] @ b[:n]) % 2)
+def _anticommute(u: int, v: int, n: int) -> int:
+    """Symplectic product of two (x << n) | z vectors: 1 if they anticommute.
+
+    A shifted-down x block meets only the z block of the other vector.
+    """
+    return (((u >> n) & v) ^ (u & (v >> n))).bit_count() & 1
 
 
-def symplectic_gram_schmidt(vectors: np.ndarray) -> tuple[list[np.ndarray], list[tuple]]:
-    """Split a basis into commuting vectors and anticommuting pairs.
+def symplectic_gram_schmidt(vectors, n: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """Split a basis of (x << n) | z vectors into commuting ones and anticommuting pairs.
 
     Processes vectors in the given order; whenever a vector anticommutes
     with a later one the two are paired off and removed from the rest,
     keeping the output deterministic.
     """
-    pool = [v.copy() for v in np.atleast_2d(vectors)]
-    commuting: list[np.ndarray] = []
-    pairs: list[tuple] = []
+    pool = list(vectors)
+    commuting: list[int] = []
+    pairs: list[tuple[int, int]] = []
     while pool:
         v = pool.pop(0)
-        partner_idx = next(
-            (i for i, w in enumerate(pool) if symplectic_product(v, w) == 1), None
-        )
+        partner_idx = next((i for i, w in enumerate(pool) if _anticommute(v, w, n)), None)
         if partner_idx is None:
             commuting.append(v)
             continue
         w = pool.pop(partner_idx)
-        for u in pool:
-            if symplectic_product(u, w):
+        for i, u in enumerate(pool):
+            if _anticommute(u, w, n):
                 u ^= v
-            if symplectic_product(u, v):
+            if _anticommute(u, v, n):
                 u ^= w
+            pool[i] = u
         pairs.append((v, w))
     return commuting, pairs
 
@@ -91,23 +81,16 @@ class SymmetryGroup:
     def size(self) -> int:
         return len(self.generators)
 
-    def vectors(self) -> np.ndarray:
-        return _xz_rows(self.generators, self.qubit_count)
+    def vectors(self) -> list[int]:
+        """One (x << n) | z row per generator."""
+        return [(g.x_mask << self.qubit_count) | g.z_mask for g in self.generators]
 
     def same_group(self, others) -> bool:
-        """Group equality against another generator collection."""
-        return gf2.same_span(self.vectors(), _xz_rows(others, self.qubit_count))
-
-
-def _xz_rows(ops, n: int) -> np.ndarray:
-    """One (x|z) bit row per Pauli operator."""
-    return np.concatenate([gf2.unpack_ints([op.x_mask for op in ops], n),
-                           gf2.unpack_ints([op.z_mask for op in ops], n)], axis=1)
-
-
-def _vector_to_pauli(vec: np.ndarray, n: int) -> PauliOperator:
-    x, z = gf2.pack_rows(np.reshape(vec, (2, n)))
-    return PauliOperator.from_masks(n, x, z, (x & z).bit_count())  # Hermitian, +1 prefix
+        """Group equality against another generator collection on as many qubits."""
+        others = SymmetryGroup(self.qubit_count, tuple(others))
+        if any(op.n != self.qubit_count for op in others.generators):
+            raise ValueError("qubit count mismatch in group comparison")
+        return gf2.same_span(self.vectors(), others.vectors())
 
 
 def find_symmetries(h: QubitHamiltonian) -> SymmetryGroup:
@@ -119,14 +102,14 @@ def find_symmetries(h: QubitHamiltonian) -> SymmetryGroup:
     guarantees the group never contains -identity.
     """
     n = h.qubit_count
-    e = check_matrix(h)
-    basis = gf2.kernel_basis(e.matrix)
-    if basis.shape[0] == 0:
-        return SymmetryGroup(n, ())
-    commuting, pairs = symplectic_gram_schmidt(basis)
-    chosen = commuting + [v for v, _ in pairs]
-    chosen.sort(key=lambda v: tuple(v))
-    return SymmetryGroup(n, tuple(_vector_to_pauli(v, n) for v in chosen))
+    basis = gf2.kernel_basis(check_matrix(h), 2 * n)
+    commuting, pairs = symplectic_gram_schmidt(basis, n)
+    low = (1 << n) - 1
+    generators = []
+    for v in sorted(commuting + [v for v, _ in pairs]):
+        x, z = v >> n, v & low
+        generators.append(PauliOperator.from_masks(n, x, z, (x & z).bit_count()))  # Hermitian
+    return SymmetryGroup(n, tuple(generators))
 
 
 # -- pairing and reflections ------------------------------------------------

@@ -134,6 +134,19 @@ class TestSimulatorParts:
         block = iso.T @ (parts.one_body + parts.two_body).dense() @ iso
         assert np.allclose(block, sector_matrix(h), atol=1e-12)
 
+    def test_repeated_index_entries_are_the_zero_operator(self):
+        # c'_a c'_a and c_g c_g vanish: entries with either repeat change nothing
+        t = np.zeros((4, 4))
+        t[0, 1] = t[1, 0] = 0.3
+        plain = FermionHamiltonian(4, 2, t, {(1, 2, 3, 4): 0.2, (4, 3, 2, 1): 0.2})
+        padded = FermionHamiltonian(4, 2, t, {**plain.u, (1, 1, 1, 1): 0.5,
+                                              (1, 1, 2, 3): 0.1j, (3, 2, 1, 1): -0.1j})
+        enc = RegisterEncoding(4, 2)
+        want, got = first_quantized_parts(plain, enc), first_quantized_parts(padded, enc)
+        for part in ("one_body", "two_body", "exchange_penalty"):
+            assert getattr(got, part).term_map() == getattr(want, part).term_map()
+        assert default_penalty_scale(padded) == default_penalty_scale(plain)
+
     def test_ground_state_in_codespace_with_default_penalty(self):
         rng = np.random.default_rng(300)
         h = random_hamiltonian(4, 2, rng)

@@ -22,83 +22,173 @@ def test_matvec_dimension_mismatch():
         gf2.matvec(np.eye(3), [1, 0])
 
 
+def _rows(mat) -> list[int]:
+    return gf2.pack_rows(np.atleast_2d(np.asarray(mat, dtype=np.uint8)))
+
+
+def _random_rows(rng, rows: int, width: int) -> list[int]:
+    return [int(v) for v in rng.integers(0, 1 << width, size=rows)]
+
+
 def test_kernel_identity_is_empty():
-    assert gf2.kernel_basis(np.eye(3)).shape[0] == 0
+    assert gf2.kernel_basis(_rows(np.eye(3)), 3) == []
 
 
 def test_kernel_single_row():
-    basis = gf2.kernel_basis(np.array([[1, 1]]))
-    assert basis.tolist() == [[1, 1]]
+    assert gf2.kernel_basis([0b11], 2) == [0b11]
+
+
+def test_kernel_of_no_rows_is_every_unit_vector():
+    assert gf2.kernel_basis([], 3) == [0b100, 0b010, 0b001]
+    assert gf2.kernel_basis([0, 0], 2) == [0b10, 0b01]
+    assert gf2.kernel_basis([], 0) == []
 
 
 def test_kernel_vectors_annihilate():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        rows = rng.integers(1, 8)
-        cols = rng.integers(1, 10)
-        mat = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
-        for vec in gf2.kernel_basis(mat):
-            assert not gf2.matvec(mat, vec).any()
+        width = int(rng.integers(1, 10))
+        rows = _random_rows(rng, int(rng.integers(1, 8)), width)
+        for vec in gf2.kernel_basis(rows, width):
+            assert all((row & vec).bit_count() % 2 == 0 for row in rows)
 
 
 def test_rank_plus_kernel_dimension():
     # 200 random matrices up to 32 x 64
     rng = np.random.default_rng(11)
     for _ in range(200):
-        rows = int(rng.integers(1, 33))
-        cols = int(rng.integers(1, 65))
-        mat = rng.integers(0, 2, size=(rows, cols)).astype(np.uint8)
-        assert gf2.rank(mat) + gf2.kernel_basis(mat).shape[0] == cols
+        width = int(rng.integers(1, 65))
+        rows = [int.from_bytes(rng.bytes(8), "big") >> (64 - width)
+                for _ in range(int(rng.integers(1, 33)))]
+        assert gf2.rank(rows) + len(gf2.kernel_basis(rows, width)) == width
 
 
 def test_kernel_basis_independent():
     rng = np.random.default_rng(3)
-    mat = rng.integers(0, 2, size=(4, 9)).astype(np.uint8)
-    basis = gf2.kernel_basis(mat)
-    assert gf2.rank(basis) == basis.shape[0]
+    basis = gf2.kernel_basis(_random_rows(rng, 4, 9), 9)
+    assert gf2.rank(basis) == len(basis)
 
 
-def test_solve_round_trip():
-    rng = np.random.default_rng(9)
-    for _ in range(25):
-        mat = rng.integers(0, 2, size=(6, 8)).astype(np.uint8)
-        x = rng.integers(0, 2, size=8).astype(np.uint8)
-        rhs = gf2.matvec(mat, x)
-        got = gf2.solve(mat, rhs)
-        assert got is not None
-        assert np.array_equal(gf2.matvec(mat, got), rhs)
+def test_kernel_matches_the_uint8_layout():
+    # column c is bit width-1-c: the kernel of the packed rows, unpacked,
+    # annihilates the uint8 matrix under matvec
+    rng = np.random.default_rng(17)
+    mat = rng.integers(0, 2, size=(6, 11)).astype(np.uint8)
+    kernel = gf2.unpack_ints(gf2.kernel_basis(gf2.pack_rows(mat), 11), 11)
+    assert kernel.shape == (11 - gf2.rank(gf2.pack_rows(mat)), 11)
+    for vec in kernel:
+        assert not gf2.matvec(mat, vec).any()
 
 
-def test_solve_inconsistent():
-    assert gf2.solve(np.zeros((2, 3)), [1, 0]) is None
+def test_rref_is_reduced():
+    rows = [0b1100, 0b1010, 0b1001]
+    reduced, pivots = gf2.rref(rows, 4)
+    assert pivots == [0, 1, 2]
+    assert reduced == [0b1001, 0b0101, 0b0011]
+    assert gf2.rref([0, 0], 3) == ([], [])
+
+
+def test_rref_rejects_a_row_wider_than_width():
+    with pytest.raises(ValueError):
+        gf2.rref([0b100], 2)
 
 
 def test_inverse_round_trip():
-    mat = np.array([[1, 0, 0], [1, 1, 0], [1, 1, 1]], dtype=np.uint8)
-    inv = gf2.inverse(mat)
-    assert np.array_equal(gf2.matmul(mat, inv), np.eye(3, dtype=np.uint8))
+    mat = [0b100, 0b110, 0b111]
+    assert _product(mat, gf2.inverse(mat, 3), 3) == [0b100, 0b010, 0b001]
 
 
 def test_inverse_singular():
-    with pytest.raises(ValueError):
-        gf2.inverse(np.array([[1, 1], [1, 1]]))
-
-
-def test_rref_rightmost_pivots():
-    mat = np.array([[1, 1, 0, 0], [1, 0, 1, 0], [1, 0, 0, 1]], dtype=np.uint8)
-    reduced, pivots = gf2.rref(mat, column_order=range(3, -1, -1))
-    assert sorted(pivots) == [1, 2, 3]
-    # rows keep the paper's generator structure: each touches column 0 and a pivot
-    assert sorted(tuple(r) for r in reduced) == [
-        (1, 0, 0, 1), (1, 0, 1, 0), (1, 1, 0, 0)]
+    with pytest.raises(ValueError, match="singular"):
+        gf2.inverse([0b11, 0b11], 2)
+    with pytest.raises(ValueError, match="square"):
+        gf2.inverse([0b11], 2)
 
 
 def test_span_helpers():
-    a = np.array([[1, 1, 0], [0, 1, 1]])
-    b = np.array([[1, 0, 1], [0, 1, 1]])
+    a = [0b110, 0b011]
+    b = [0b101, 0b011]
     assert gf2.same_span(a, b)
-    assert gf2.in_span(a, [1, 0, 1])
-    assert not gf2.in_span(a, [1, 0, 0])
+    assert not gf2.same_span(a, [0b110])
+    assert gf2.in_span(a, 0b101)
+    assert not gf2.in_span(a, 0b100)
+    assert gf2.in_span([], 0) and not gf2.in_span([], 1)
+
+
+# -- brute-force oracles for the packed eliminator ---------------------------
+
+
+def _product(a: list[int], b: list[int], width: int) -> list[int]:
+    """Row i of a*b over GF(2): the XOR of the rows of b that row i of a selects."""
+    out = []
+    for row in a:
+        acc = 0
+        for k, b_row in enumerate(b):
+            if row >> (width - 1 - k) & 1:
+                acc ^= b_row
+        out.append(acc)
+    return out
+
+
+def _span(rows) -> set[int]:
+    span = {0}
+    for row in rows:
+        span |= {v ^ row for v in span}
+    return span
+
+
+_matrices = st.integers(0, 10).flatmap(
+    lambda width: st.tuples(st.just(width),
+                            st.lists(st.integers(0, (1 << width) - 1), max_size=12)))
+
+
+@given(_matrices)
+@settings(max_examples=150, deadline=None)
+def test_kernel_spans_exactly_the_annihilated_vectors(matrix):
+    width, rows = matrix
+    want = {v for v in range(1 << width)
+            if all((row & v).bit_count() % 2 == 0 for row in rows)}
+    kernel = gf2.kernel_basis(rows, width)
+    assert _span(kernel) == want
+    assert len(_span(kernel)) == 1 << len(kernel)  # independent
+    assert gf2.rank(rows) + len(kernel) == width
+    assert gf2.rank(rows) == len(_span(rows)).bit_length() - 1
+
+
+@given(_matrices)
+@settings(max_examples=100, deadline=None)
+def test_rref_keeps_the_row_span(matrix):
+    width, rows = matrix
+    reduced, pivots = gf2.rref(rows, width)
+    assert _span(reduced) == _span(rows)
+    assert pivots == sorted(pivots) and len(pivots) == len(reduced)
+    for row, pc in zip(reduced, pivots):
+        assert row.bit_length() == width - pc  # the pivot is the leading bit
+        for other in reduced:  # and no other row has it
+            assert (other >> (width - 1 - pc) & 1) == (other == row)
+
+
+@given(st.integers(1, 10).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1),
+                                             min_size=n, max_size=n))))
+@settings(max_examples=150, deadline=None)
+def test_inverse_round_trips_or_reports_singular(square):
+    n, rows = square
+    identity = [1 << (n - 1 - i) for i in range(n)]
+    if len(_span(rows)) < 1 << n:
+        with pytest.raises(ValueError, match="singular"):
+            gf2.inverse(rows, n)
+        return
+    inv = gf2.inverse(rows, n)
+    assert _product(rows, inv, n) == identity == _product(inv, rows, n)
+
+
+@given(_matrices, st.integers(0, (1 << 10) - 1))
+@settings(max_examples=100, deadline=None)
+def test_in_span_matches_the_enumerated_span(matrix, target):
+    width, rows = matrix
+    target &= (1 << width) - 1
+    assert gf2.in_span(rows, target) == (target in _span(rows))
 
 
 @given(st.integers(2, 16), st.integers(0, 2**20), st.integers(0, 2**20))

@@ -40,57 +40,59 @@ def single_term(n, label):
     return QubitHamiltonian(n, ((1.0, PauliOperator.from_label(label)),))
 
 
+def _xz(op: PauliOperator) -> int:
+    """The (x << n) | z vector of a Pauli."""
+    return (op.x_mask << op.n) | op.z_mask
+
+
+def _anticommute(u: int, v: int, n: int) -> int:
+    return 0 if commutes(*(PauliOperator.from_masks(n, w >> n, w & ((1 << n) - 1))
+                           for w in (u, v))) else 1
+
+
 class TestCheckMatrix:
     def test_blocks_are_swapped(self, h2_table):
-        e = check_matrix(h2_table)
-        # the row of the YYXX term: x-block holds its z-vector and vice versa
+        rows = check_matrix(h2_table)
+        # the row of each term: its z-vector in the high bits, its x-vector below
         terms = h2_table.canonicalize().terms
-        for row, (_, op) in zip(e.matrix, terms):
-            assert tuple(row[:4]) == op.z
-            assert tuple(row[4:]) == op.x
+        assert len(rows) == len(terms)
+        for row, (_, op) in zip(rows, terms):
+            assert row >> 4 == op.z_mask and row & 0b1111 == op.x_mask
+            assert [int(b) for b in format(row, "08b")] == list(op.z + op.x)
 
     def test_h2_kernel_is_the_three_z_pairs(self, h2_table):
-        e = check_matrix(h2_table)
-        kernel = gf2.kernel_basis(e.matrix)
-        want = np.array(
-            [
-                [0, 0, 0, 0, 1, 1, 0, 0],
-                [0, 0, 0, 0, 1, 0, 1, 0],
-                [0, 0, 0, 0, 1, 0, 0, 1],
-            ],
-            dtype=np.uint8,
-        )
+        kernel = gf2.kernel_basis(check_matrix(h2_table), 8)
+        want = [0b0000_1100, 0b0000_1010, 0b0000_1001]
         assert gf2.same_span(kernel, want)
-        assert kernel.shape == (3, 8)
+        assert len(kernel) == 3
+
+    def test_zero_qubits(self):
+        h = QubitHamiltonian(0, ((2.0, PauliOperator.identity(0)),))
+        assert check_matrix(h) == [0]
+        assert find_symmetries(h).size == 0
 
 
 class TestSymplecticGramSchmidt:
     def test_anticommuting_pair_collapses(self):
         # X and Z on one qubit: one survives
-        vecs = np.array([[1, 0], [0, 1]], dtype=np.uint8)
-        commuting, pairs = symplectic_gram_schmidt(vecs)
-        assert len(commuting) == 0 and len(pairs) == 1
+        commuting, pairs = symplectic_gram_schmidt([0b10, 0b01], 1)
+        assert len(commuting) == 0 and pairs == [(0b10, 0b01)]
 
     def test_maximality(self):
         rng = np.random.default_rng(51)
+        n = 4
         for _ in range(20):
-            n = 4
-            vecs = rng.integers(0, 2, size=(5, 2 * n)).astype(np.uint8)
-            vecs = vecs[[bool(v.any()) for v in vecs]]
-            commuting, pairs = symplectic_gram_schmidt(vecs)
+            vecs = [int(v) for v in rng.integers(1, 1 << 2 * n, size=5)]
+            commuting, pairs = symplectic_gram_schmidt(vecs, n)
             chosen = commuting + [v for v, _ in pairs]
-            from fertaper.tapering import symplectic_product
-
             # pairwise commuting
             for i, a in enumerate(chosen):
                 for b in chosen[i + 1 :]:
-                    assert symplectic_product(a, b) == 0
+                    assert _anticommute(a, b, n) == 0
             # no original vector commutes with all chosen yet sits outside the span
-            if chosen:
-                span = np.array(chosen)
-                for v in vecs:
-                    if all(symplectic_product(v, c) == 0 for c in chosen):
-                        assert gf2.in_span(span, v)
+            for v in vecs:
+                if all(_anticommute(v, c, n) == 0 for c in chosen):
+                    assert gf2.in_span(chosen, v)
 
 
 class TestFindSymmetries:
@@ -101,6 +103,14 @@ class TestFindSymmetries:
         for g in group.generators:
             assert all(commutes(g, op) for _, op in h2_table.terms)
             assert g.is_hermitian()
+
+    def test_same_group_rejects_another_qubit_count(self):
+        group = SymmetryGroup(4, tuple(pauli_group(["IZZI"])))
+        assert group.same_group(pauli_group(["IZZI"]))
+        assert not group.same_group(pauli_group(["ZIIZ"]))
+        for labels in (["ZZI"], ["IIZZI"]):
+            with pytest.raises(ValueError, match="qubit count"):
+                group.same_group(pauli_group(labels))
 
     def test_single_x_is_its_own_symmetry(self):
         group = find_symmetries(single_term(1, "X"))
@@ -121,9 +131,7 @@ class TestFindSymmetries:
         group = find_symmetries(q)
         vectors = group.vectors()
         for qubit in (2, 4):  # M/2 and M
-            z = PauliOperator.single(4, qubit, "Z")
-            vec = np.array(z.x + z.z, dtype=np.uint8)
-            assert gf2.in_span(vectors, vec)
+            assert gf2.in_span(vectors, _xz(PauliOperator.single(4, qubit, "Z")))
 
     def test_deterministic(self, h2_table):
         a = find_symmetries(h2_table)
