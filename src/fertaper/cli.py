@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from fertaper import limits
 from fertaper.codeword import CodeEncoding, build_simulator_hamiltonian, load_pcm
 from fertaper.fermion import (
     FermionHamiltonian,
@@ -58,9 +59,6 @@ from fertaper.tapering import (
 )
 
 MAP_NAMES = {"jw": "jordan_wigner", "parity": "parity", "bintree": "binary_tree"}
-
-# Most qubits left after tapering for which `taper` diagonalizes the sectors
-SECTOR_QUBIT_CAP = 12
 
 
 @dataclass
@@ -148,7 +146,7 @@ def _cmd_taper(args) -> int:
     report.paired_qubits = list(plan.paired_qubits)
 
     sectors = [_parse_sector(args.sector)] if args.sector else None
-    if report.qubits_after <= SECTOR_QUBIT_CAP:
+    if report.qubits_after <= limits.SECTOR_QUBIT_CAP:
         spectra = sector_spectra(h, plan, transformed, sectors)
         for sector, spectrum in spectra.items():
             report.sector_energies[_sector_label(sector)] = float(spectrum[0])
@@ -159,7 +157,7 @@ def _cmd_taper(args) -> int:
     else:
         raise ValueError(
             f"{report.qubits_after} qubits remain; enumeration is "
-            f"capped at {SECTOR_QUBIT_CAP}, pass --sector"
+            f"capped at {limits.SECTOR_QUBIT_CAP}, pass --sector"
         )
     reduced = taper(transformed, plan, chosen)
     with open(args.output, "w", encoding="utf-8") as fh:

@@ -19,7 +19,7 @@ into a cached preimage array (codeword number, or -1 off the codespace);
 an observable's transition signs are then one sign per codeword spread
 over that array, transposed to a (rest bits, frame bits) matrix, and
 Walsh-Hadamard transformed along the frame axis.  Above
-MATERIALIZE_QUBIT_CAP no 2^Q array is built: frames carry their Pauli and
+limits.MATERIALIZE_QUBIT_CAP no 2^Q array is built: frames carry their Pauli and
 weight, and their diagonal is None.
 
 When the rows split into two classes that every column meets an odd number
@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from fertaper import gf2
+from fertaper import gf2, limits
 from fertaper.fermion import (
     FermionHamiltonian,
     FermionObservable,
@@ -47,10 +47,7 @@ from fertaper.fermion import (
 )
 from fertaper.graphs import BipartiteGraph, GraphDecoder, injectivity_from_girth
 from fertaper.mitm import SyndromeTables, build_tables, mitm_decode, occupations
-from fertaper.pauli import PauliOperator, _check_dense_size, qubit_mask
-
-INJECTIVITY_BRUTE_CAP = 24
-MATERIALIZE_QUBIT_CAP = 24
+from fertaper.pauli import PauliOperator, qubit_mask
 
 
 def is_n_injective(a: np.ndarray, n: int) -> bool:
@@ -62,9 +59,9 @@ def is_n_injective(a: np.ndarray, n: int) -> bool:
     """
     a = gf2.asbits(a)
     q, m = a.shape
-    if m > INJECTIVITY_BRUTE_CAP:
+    if m > limits.BRUTE_FORCE_COLUMN_CAP:
         raise ValueError(
-            f"brute-force injectivity check capped at {INJECTIVITY_BRUTE_CAP} columns; "
+            f"brute-force injectivity check capped at {limits.BRUTE_FORCE_COLUMN_CAP} columns; "
             "certify structurally (girth) instead"
         )
     cols = gf2.pack_rows(a.T)
@@ -111,7 +108,7 @@ class CodeEncoding:
                 raise ValueError("matrix is not the graph's incidence matrix")
             if not injectivity_from_girth(self.graph, self.particles):
                 raise ValueError("graph girth too small for this particle count")
-        elif m <= INJECTIVITY_BRUTE_CAP:
+        elif m <= limits.BRUTE_FORCE_COLUMN_CAP:
             self._table  # its build rejects two weight-N vectors with one syndrome
         else:
             raise ValueError(
@@ -181,8 +178,8 @@ class CodeEncoding:
 
     @cached_property
     def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.qubits > MATERIALIZE_QUBIT_CAP:
-            raise ValueError(f"syndrome arrays capped at {MATERIALIZE_QUBIT_CAP} qubits")
+        if self.qubits > limits.MATERIALIZE_QUBIT_CAP:
+            raise ValueError(f"syndrome arrays capped at {limits.MATERIALIZE_QUBIT_CAP} qubits")
         # one key word holds every syndrome up to 64 qubits
         syndromes = self._table.keys[1].view(">u8").astype(np.int64)
         preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
@@ -194,8 +191,8 @@ class CodeEncoding:
 
         Built once per encoding from the full decode table, whose key order
         numbers the codewords.  Syndrome arrays exist only up to
-        MATERIALIZE_QUBIT_CAP qubits, where an injective code has at most
-        2^24 codewords, inside TABLE_ENTRY_BUDGET.
+        limits.MATERIALIZE_QUBIT_CAP qubits, where an injective code has at
+        most 2^24 codewords, inside limits.TABLE_ENTRY_BUDGET.
         """
         return self._codespace[0]
 
@@ -205,7 +202,7 @@ class CodeEncoding:
 
     def isometry(self) -> np.ndarray:
         """Dense 2^Q x C(M,N) isometry with columns |Ax> (oracle use)."""
-        _check_dense_size(self.qubits)
+        limits.check_dense(1 << self.qubits)
         states = weight_n_states(self.modes, self.particles)
         iso = np.zeros((1 << self.qubits, len(states)))
         for k, st in enumerate(states):
@@ -247,7 +244,7 @@ class FramedDiagonal:
     The diagonal is a read-only vector over the other qubits, indexed by
     their bits packed most-significant-first (gf2.drop_bits of a basis
     index at the flipped positions), or None when the encoding is past
-    MATERIALIZE_QUBIT_CAP.  weight scales the whole term.
+    limits.MATERIALIZE_QUBIT_CAP.  weight scales the whole term.
     """
 
     pauli: PauliOperator
@@ -297,12 +294,12 @@ class FramedDiagonal:
     def materialize(self) -> np.ndarray:
         """Dense diagonal over the non-flipped qubits."""
         if self.diagonal is None:
-            raise ValueError(f"materialization capped at {MATERIALIZE_QUBIT_CAP} qubits")
+            raise ValueError(f"materialization capped at {limits.MATERIALIZE_QUBIT_CAP} qubits")
         return self.diagonal
 
     def to_dense(self) -> np.ndarray:
         """Full 2^Q matrix (oracle use)."""
-        _check_dense_size(self.pauli.n)
+        limits.check_dense(1 << self.pauli.n)
         cols = np.arange(1 << self.pauli.n, dtype=np.int64)
         rows, values = self.apply_to_indices(cols)
         mat = np.zeros((len(cols), len(cols)), dtype=complex)
@@ -325,8 +322,6 @@ class SimulatorOp:
         return len(self.frames)
 
     def to_dense(self) -> np.ndarray:
-        if self.frames:
-            _check_dense_size(self.frames[0].pauli.n)
         return sum(frame.to_dense() for frame in self.frames)
 
 
@@ -341,7 +336,7 @@ def _qubit_order(mask: int) -> list[int]:
 
 
 def _materialized(enc: CodeEncoding) -> bool:
-    return enc.qubits <= MATERIALIZE_QUBIT_CAP
+    return enc.qubits <= limits.MATERIALIZE_QUBIT_CAP
 
 
 def _over_syndromes(enc: CodeEncoding, per_codeword) -> np.ndarray:
@@ -625,6 +620,7 @@ def load_pcm(path: str) -> np.ndarray:
 
 def apply_frames_to_isometry(frames, enc: CodeEncoding) -> np.ndarray:
     """Columns of (sum of framed terms) applied to each encoded basis state."""
+    limits.check_dense(1 << enc.qubits)
     codes = np.array([gf2.bits_to_int(enc.encode_state(st))
                       for st in weight_n_states(enc.modes, enc.particles)], dtype=np.int64)
     cols = np.arange(len(codes))

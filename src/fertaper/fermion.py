@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-FOCK_MODE_CAP = 12
+from fertaper import limits
 
 
 @dataclass(frozen=True)
@@ -308,9 +308,8 @@ def _add_row(rows: dict, name: str, key: tuple, value: complex) -> None:
 def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:
     """Exact 2^M x 2^M matrix of the Hamiltonian on Fock space."""
     m = h.modes
-    if m > FOCK_MODE_CAP:
-        raise ValueError(f"dense Fock oracle capped at {FOCK_MODE_CAP} modes, got {m}")
     dim = 1 << m
+    limits.check_dense(dim)
     mat = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
         x = FockState.from_index(m, col)
@@ -321,9 +320,8 @@ def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:
 
 def observable_matrix(obs: FermionObservable, m: int) -> np.ndarray:
     """Dense Fock-space matrix of a single observable."""
-    if m > FOCK_MODE_CAP:
-        raise ValueError(f"dense Fock oracle capped at {FOCK_MODE_CAP} modes, got {m}")
     dim = 1 << m
+    limits.check_dense(dim)
     mat = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
         for amp, state in observable_action(obs, FockState.from_index(m, col)):

@@ -33,12 +33,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from fertaper import gf2
+from fertaper import gf2, limits
 from fertaper.fermion import FermionHamiltonian, FockState
 from fertaper.fermion import default_penalty_scale  # noqa: F401  (re-exported)
 from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
-
-STATE_DIM_CAP = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,8 @@ def encode_first_quantized(x: FockState, enc: RegisterEncoding) -> np.ndarray:
         raise ValueError("mode count mismatch")
     n = enc.particles
     dim = enc.padded_modes ** n
-    if dim > STATE_DIM_CAP or factorial(n) > 10_000:
+    limits.check_dense(dim)
+    if factorial(n) > limits.PERMUTATION_CAP:
         raise ValueError("first-quantized state too large to materialize")
     occupied = x.occupied_modes()
     vec = np.zeros(dim)
@@ -526,8 +525,7 @@ def partition_eigenvector(partition, modes: int) -> np.ndarray:
     if parts and parts[0] > modes:
         raise ValueError("longest column exceeds the mode count")
     dim = modes ** n
-    if dim > STATE_DIM_CAP:
-        raise ValueError("eigenvector too large to materialize")
+    limits.check_dense(dim)
     vec = np.zeros(dim, dtype=np.int64)
     pieces = []
     for u in parts:
@@ -563,8 +561,7 @@ def apply_exchange_penalty_doubled(vec: np.ndarray, n: int, modes: int) -> np.nd
 def exchange_penalty_dense(n: int, modes: int) -> np.ndarray:
     """Dense penalty matrix on the label space (modes^n dimensions)."""
     dim = modes ** n
-    if dim > STATE_DIM_CAP:
-        raise ValueError("penalty matrix too large")
+    limits.check_dense(dim)
     eye = np.eye(dim)
     total = np.zeros((dim, dim))
     for col in range(dim):

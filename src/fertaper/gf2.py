@@ -3,11 +3,12 @@
 Elimination works on rows packed into Python ints: column c of a row of
 the given width is bit width-1-c, the layout of pack_rows and of the
 Pauli (x|z) masks, so a row XOR is one int XOR.  The numpy helpers
-(asbits, matvec, pack_rows, pack_words, unpack_ints, bits_to_int,
-int_to_bits, drop_bits) convert between that layout and 0/1 uint8
-arrays, on which the decoders work.  Row/column indices at this level
-are 0-based; the 1-based mode/qubit convention of the public API lives
-in the callers.
+convert between that layout and 0/1 uint8 arrays: asbits, matvec,
+pack_rows and pack_words for the decoders' parity-check matrices;
+bits_to_int, int_to_bits and unpack_ints for bit-vector views of masks;
+drop_bits deletes bit positions from ints or int64 arrays.  Row/column
+indices at this level are 0-based; the 1-based mode/qubit convention of
+the public API lives in the callers.
 """
 
 from __future__ import annotations

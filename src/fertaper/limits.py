@@ -1,0 +1,27 @@
+"""Every size cap of the package, read as ``limits.NAME`` at call time.
+
+Dense oracles share one ceiling: check_dense refuses an array over more
+than 2^DENSE_QUBIT_CAP basis states, or 2^FERTAPER_MAX_DENSE_QUBITS when
+that environment variable is set, so label spaces of modes ** n states
+obey it too.
+"""
+
+import os
+
+DENSE_QUBIT_CAP = 14
+BRUTE_FORCE_COLUMN_CAP = 24  # columns the brute-force injectivity check and decoder enumerate
+MATERIALIZE_QUBIT_CAP = 24  # qubits up to which codeword simulators build 2^Q arrays
+TABLE_ENTRY_BUDGET = 1 << 26  # entries in one pair of syndrome tables
+SECTOR_QUBIT_CAP = 12  # qubits left after tapering for which `taper` diagonalizes sectors
+PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register state
+
+
+def check_dense(dim: int) -> None:
+    """Refuse a dense vector or matrix over more than 2^cap basis states."""
+    env = os.environ.get("FERTAPER_MAX_DENSE_QUBITS", "")
+    if env and not env.strip().isdecimal():
+        raise ValueError(f"FERTAPER_MAX_DENSE_QUBITS must be a non-negative integer, got {env!r}")
+    cap = int(env) if env else DENSE_QUBIT_CAP
+    if dim > 1 << cap:
+        raise ValueError(f"dense array on {(dim - 1).bit_length()} qubits exceeds the cap of "
+                         f"{cap}; set FERTAPER_MAX_DENSE_QUBITS to override")

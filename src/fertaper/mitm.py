@@ -17,10 +17,7 @@ from math import comb
 
 import numpy as np
 
-from fertaper import gf2
-
-TABLE_ENTRY_BUDGET = 1 << 26
-BRUTE_FORCE_MODE_CAP = 24
+from fertaper import gf2, limits
 
 
 class InjectivityViolation(ValueError):
@@ -79,8 +76,7 @@ class SyndromeTables:
         return len(self.keys[0]), len(self.keys[1])
 
 
-def build_tables(a: np.ndarray, n: int, split: tuple[int, int] | None = None,
-                 entry_budget: int = TABLE_ENTRY_BUDGET) -> SyndromeTables:
+def build_tables(a: np.ndarray, n: int, split: tuple[int, int] | None = None) -> SyndromeTables:
     """Tabulate syndromes of all weight-N1 and weight-N2 vectors.
 
     The split (N1, N2) defaults to ((N+1)//2, N//2); (0, N) gives the full
@@ -94,10 +90,9 @@ def build_tables(a: np.ndarray, n: int, split: tuple[int, int] | None = None,
     if n1 < 0 or n2 < 0 or n1 + n2 != n:
         raise ValueError(f"split {(n1, n2)} does not add up to {n} particles")
     total = comb(m, n1) + comb(m, n2)
-    if total > entry_budget:
-        raise MemoryError(
-            f"syndrome tables need {total} entries, over the budget of {entry_budget}"
-        )
+    if total > limits.TABLE_ENTRY_BUDGET:
+        raise MemoryError(f"syndrome tables need {total} entries, "
+                          f"over the budget of {limits.TABLE_ENTRY_BUDGET}")
     cols = gf2.pack_words(a.T).astype(np.uint64)
     keys, combos = [], []
     for k in (n1, n2):
@@ -162,8 +157,8 @@ def brute_force_decode(a: np.ndarray, n: int, s) -> np.ndarray | None:
     """
     a = gf2.asbits(a)
     q, m = a.shape
-    if m > BRUTE_FORCE_MODE_CAP:
-        raise ValueError(f"brute-force decode capped at {BRUTE_FORCE_MODE_CAP} modes")
+    if m > limits.BRUTE_FORCE_COLUMN_CAP:
+        raise ValueError(f"brute-force decode capped at {limits.BRUTE_FORCE_COLUMN_CAP} modes")
     s = gf2.asbits(s)
     if s.shape[0] != q:
         raise ValueError(f"syndrome length {s.shape[0]} != {q}")

@@ -30,15 +30,13 @@ is a ``(coeff, PauliOperator)`` view built on first use.
 
 from __future__ import annotations
 
-import os
 from functools import reduce
 
 import numpy as np
 
-from fertaper import gf2
+from fertaper import gf2, limits
 
 DEFAULT_PRUNE_TOL = 1e-12
-_DEFAULT_DENSE_CAP = 14
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -55,21 +53,6 @@ _PREFIXES = {"": 0, "+": 0, "+1": 0, "+i": 1, "i": 1, "-1": 2, "-": 2, "-i": 3}
 _LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
-
-
-def dense_qubit_cap() -> int:
-    """Qubit ceiling for dense-matrix oracles; FERTAPER_MAX_DENSE_QUBITS overrides."""
-    env = os.environ.get("FERTAPER_MAX_DENSE_QUBITS")
-    return int(env) if env else _DEFAULT_DENSE_CAP
-
-
-def _check_dense_size(n: int) -> None:
-    cap = dense_qubit_cap()
-    if n > cap:
-        raise ValueError(
-            f"dense matrix on {n} qubits exceeds the cap of {cap}; "
-            "set FERTAPER_MAX_DENSE_QUBITS to override"
-        )
 
 
 def _split_label(label: str) -> tuple[int, str]:
@@ -197,9 +180,8 @@ class PauliOperator:
 
     def dense(self) -> np.ndarray:
         """Exact 2^n x 2^n matrix; qubit 1 is the most significant factor."""
-        n = self.n
-        _check_dense_size(n)
-        dim = 1 << n
+        dim = 1 << self.n
+        limits.check_dense(dim)
         cols = np.arange(dim, dtype=np.int64)
         mat = np.zeros((dim, dim), dtype=complex)
         mat[cols ^ self.x_mask, cols] = _PHASE[self.phase_power] * _signs(cols, self.z_mask)
@@ -341,9 +323,8 @@ class QubitHamiltonian:
 
     def dense(self) -> np.ndarray:
         """Exact dense matrix of the sum (guarded by the qubit cap)."""
-        n = self.qubit_count
-        _check_dense_size(n)
-        dim = 1 << n
+        dim = 1 << self.qubit_count
+        limits.check_dense(dim)
         mat = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim, dtype=np.int64)
         for x, z, c in zip(self.x_masks, self.z_masks, self.coeffs):

@@ -2,8 +2,10 @@
 
 Each encoding relabels basis states |x> -> |Ax> with an invertible binary
 matrix A: the identity (Jordan-Wigner), the lower-triangular all-ones
-matrix (parity), or the recursively built binary-tree matrix.  Ladder
-operators map to two-term Pauli sums derived directly from A, so a single
+matrix (parity), or the recursively built binary-tree matrix.  A is kept
+only as qubit masks, the Pauli mask layout (row or column 1 most
+significant): its columns are the X masks of the ladder operators and the
+rows of its inverse the Z masks that read occupations, so a single
 construction covers all three encodings and is checked against the dense
 permutation oracle.
 """
@@ -11,96 +13,107 @@ permutation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from fertaper import gf2
+from fertaper import gf2, limits
 from fertaper.fermion import FermionHamiltonian
-from fertaper.pauli import PauliOperator, QubitHamiltonian, _check_dense_size
+from fertaper.pauli import PauliOperator, QubitHamiltonian
 
 ENCODING_KINDS = ("jordan_wigner", "parity", "binary_tree")
 
 
-def binary_tree_matrix(m_modes: int) -> np.ndarray:
-    """Binary-tree encoding matrix, truncated to the leading m_modes block.
-
-    The power-of-two matrices follow the doubling recursion: the lower-left
-    block repeats only its last row (all ones).  Truncation keeps the matrix
-    invertible because it is unit lower-triangular.
-    """
-    size = 1
-    mat = np.ones((1, 1), dtype=np.uint8)
-    while size < m_modes:
-        top = np.concatenate([mat, np.zeros((size, size), dtype=np.uint8)], axis=1)
-        lower_left = np.zeros((size, size), dtype=np.uint8)
-        lower_left[-1, :] = 1
-        bottom = np.concatenate([lower_left, mat], axis=1)
-        mat = np.concatenate([top, bottom], axis=0)
-        size *= 2
-    return mat[:m_modes, :m_modes].copy()
-
-
-def parity_matrix(m_modes: int) -> np.ndarray:
-    return np.tril(np.ones((m_modes, m_modes), dtype=np.uint8))
-
-
 @dataclass(frozen=True)
 class StandardEncoding:
-    """One of the three named invertible encodings plus derived data."""
+    """One of the three named invertible encodings, as qubit masks.
+
+    column_masks[j - 1] is column j of A (the qubits mode j's ladder
+    operators flip); inverse_rows[j - 1] is row j of A^-1 (the qubits whose
+    parity is mode j's occupation).
+    """
 
     kind: str
     modes: int
-    matrix: np.ndarray
-    inverse: np.ndarray
+    column_masks: tuple[int, ...]
+    inverse_rows: tuple[int, ...]
 
     @property
-    def qubits(self) -> int:
-        return self.modes
-
-    @cached_property
-    def column_masks(self) -> list[int]:
-        """Each column of the matrix packed as a qubit mask, row 1 most significant."""
-        return gf2.pack_rows(self.matrix.T)
-
-    @cached_property
-    def inverse_rows(self) -> list[int]:
-        """Each row of the inverse packed as a qubit mask, column 1 most significant."""
-        return gf2.pack_rows(self.inverse)
+    def matrix(self) -> np.ndarray:
+        """A as a 0/1 uint8 array, derived from the column masks."""
+        return gf2.unpack_ints(self.column_masks, self.modes).T
 
     def encode_bits(self, occ) -> np.ndarray:
         """Qubit basis label Ax of an occupation vector x."""
-        return gf2.matvec(self.matrix, np.asarray(occ, dtype=np.uint8))
+        return gf2.int_to_bits(_image(self.column_masks, _pack(occ, self.modes)), self.modes)
 
     def decode_bits(self, s) -> np.ndarray:
-        return gf2.matvec(self.inverse, np.asarray(s, dtype=np.uint8))
+        """Occupation vector A^-1 s of a qubit basis label s."""
+        label = _pack(s, self.modes)
+        return np.array([(row & label).bit_count() & 1 for row in self.inverse_rows],
+                        dtype=np.uint8)
 
     def permutation_matrix(self) -> np.ndarray:
-        """Dense basis permutation |x> -> |Ax| (oracle use only)."""
-        m = self.modes
-        _check_dense_size(m)
-        dim = 1 << m
+        """Dense basis permutation |x> -> |Ax> (oracle use only)."""
+        dim = 1 << self.modes
+        limits.check_dense(dim)
+        cols = np.arange(dim, dtype=np.int64)
         perm = np.zeros((dim, dim))
-        for col in range(dim):
-            bits = gf2.int_to_bits(col, m)
-            row = gf2.bits_to_int(gf2.matvec(self.matrix, bits))
-            perm[row, col] = 1.0
+        perm[_image(self.column_masks, cols), cols] = 1.0
         return perm
+
+
+def _pack(bits, m: int) -> int:
+    bits = gf2.asbits(bits)
+    if bits.shape != (m,):
+        raise ValueError(f"expected {m} bits, got shape {bits.shape}")
+    return gf2.bits_to_int(bits)
+
+
+def _image(column_masks, x):
+    """Ax packed, for x an int or an int64 array of them (mode 1 most significant)."""
+    m = len(column_masks)
+    out = 0
+    for c, col in enumerate(column_masks):
+        out ^= (x >> (m - 1 - c) & 1) * col
+    return out
+
+
+def _matrix_rows(kind: str, m: int) -> list[int]:
+    """Rows of A, column 1 most significant."""
+    if kind == "jordan_wigner":
+        return [1 << (m - j) for j in range(1, m + 1)]
+    if kind == "parity":
+        return [((1 << j) - 1) << (m - j) for j in range(1, m + 1)]
+    if kind == "binary_tree":
+        # doubling recursion: [[B, 0], [L, B]] where L's last row is all ones;
+        # the leading m x m block stays invertible, being unit lower-triangular
+        rows, size = [1], 1
+        while size < m:
+            rows = ([r << size for r in rows] + rows[:-1]
+                    + [rows[-1] | ((1 << size) - 1) << size])
+            size *= 2
+        return [r >> (size - m) for r in rows[:m]]
+    raise ValueError(f"unknown encoding kind {kind!r}; choose from {ENCODING_KINDS}")
 
 
 def build_encoding(kind: str, m_modes: int) -> StandardEncoding:
     if m_modes < 1:
         raise ValueError("need at least one mode")
-    if kind == "jordan_wigner":
-        mat = np.eye(m_modes, dtype=np.uint8)
-    elif kind == "parity":
-        mat = parity_matrix(m_modes)
-    elif kind == "binary_tree":
-        mat = binary_tree_matrix(m_modes)
-    else:
-        raise ValueError(f"unknown encoding kind {kind!r}; choose from {ENCODING_KINDS}")
-    inverse = gf2.unpack_ints(gf2.inverse(gf2.pack_rows(mat), m_modes), m_modes)
-    return StandardEncoding(kind, m_modes, mat, inverse)
+    m = m_modes
+    rows = _matrix_rows(kind, m)
+    columns = tuple(sum((r >> (m - c) & 1) << (m - 1 - i) for i, r in enumerate(rows))
+                    for c in range(1, m + 1))
+    return StandardEncoding(kind, m, columns, tuple(gf2.inverse(rows, m)))
+
+
+def _ladder_masks(enc: StandardEncoding, j: int) -> tuple[int, int, int]:
+    """(column j of A, parity Z mask of modes 1..j-1, occupation Z mask of mode j)."""
+    if not 1 <= j <= enc.modes:
+        raise IndexError(f"mode {j} out of range 1..{enc.modes}")
+    z_parity = 0
+    for row in enc.inverse_rows[: j - 1]:
+        z_parity ^= row
+    return enc.column_masks[j - 1], z_parity, enc.inverse_rows[j - 1]
 
 
 def update_parity_flip_sets(m_modes: int, j: int, kind: str = "binary_tree"):
@@ -112,22 +125,15 @@ def update_parity_flip_sets(m_modes: int, j: int, kind: str = "binary_tree"):
     1..j-1.  flip: qubits other than j that determine the occupation of
     mode j.  remainder = parity minus flip.
     """
-    enc = build_encoding(kind, m_modes)
-    return _sets_from_matrix(enc, j)
+    column, z_parity, row = _ladder_masks(build_encoding(kind, m_modes), j)
 
+    def qubits(mask: int) -> frozenset:
+        return frozenset(q for q in range(1, m_modes + 1) if mask >> (m_modes - q) & 1)
 
-def _sets_from_matrix(enc: StandardEncoding, j: int):
-    m = enc.modes
-    if not 1 <= j <= m:
-        raise IndexError(f"mode {j} out of range 1..{m}")
-    col = enc.matrix[:, j - 1]
-    update = frozenset(i + 1 for i in range(m) if col[i] and i + 1 != j)
-    parity_vec = enc.inverse[: j - 1].sum(axis=0) % 2
-    parity = frozenset(i + 1 for i in range(m) if parity_vec[i])
-    row = enc.inverse[j - 1]
-    flip = frozenset(i + 1 for i in range(m) if row[i] and i + 1 != j)
-    remainder = parity - flip
-    return update, parity, flip, remainder
+    update = qubits(column) - {j}
+    parity = qubits(z_parity)
+    flip = qubits(row) - {j}
+    return update, parity, flip, parity - flip
 
 
 def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamiltonian:
@@ -139,15 +145,9 @@ def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamilt
     difference of two Pauli strings.  The creator flips the projector sign.
     """
     m = enc.modes
-    if not 1 <= j <= m:
-        raise IndexError(f"mode {j} out of range 1..{m}")
-    col = enc.column_masks[j - 1]
-    z_parity = 0
-    for row in enc.inverse_rows[: j - 1]:
-        z_parity ^= row
-    z_both = z_parity ^ enc.inverse_rows[j - 1]
+    col, z_parity, row = _ladder_masks(enc, j)
     first = PauliOperator.from_masks(m, col, z_parity)
-    second = PauliOperator.from_masks(m, col, z_both)
+    second = PauliOperator.from_masks(m, col, z_parity ^ row)
     sign = 1.0 if dagger else -1.0
     return QubitHamiltonian(m, ((0.5, first), (0.5 * sign, second)))
 

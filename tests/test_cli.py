@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fertaper import gf2
+from fertaper import gf2, limits
 from fertaper.cli import build_parser, main
 from fertaper.codeword import (
     CodeEncoding,
@@ -245,11 +245,10 @@ class TestCodesim:
     def test_lazy_frames_past_materialize_cap(self, tmp_path):
         import tracemalloc
 
-        from fertaper.codeword import MATERIALIZE_QUBIT_CAP
         from fertaper.graphs import load_graph
 
         q = 28
-        assert q > MATERIALIZE_QUBIT_CAP
+        assert q > limits.MATERIALIZE_QUBIT_CAP
         graph = tmp_path / "g.graph"
         assert main(["graphgen", "--qubits", str(q), "--particles", "2",
                      "--trials", "2", "--seed", "3", "--out", str(graph)]) == 0
@@ -271,15 +270,13 @@ class TestCodesim:
         assert data["terms"] and all(t["diagonal"] == "lazy" for t in data["terms"])
 
     def test_lazy_frames_keep_the_materialized_structure(self, tmp_path, monkeypatch):
-        import fertaper.codeword as cw
-
         graph = tmp_path / "g.graph"
         save_graph(cycle_chord_graph(8, 2), str(graph))
         h_json = self.banded_json(tmp_path / "h.json", 16)
-        full = cw.MATERIALIZE_QUBIT_CAP
+        full = limits.MATERIALIZE_QUBIT_CAP
         runs = {}
         for cap in (full, 11):
-            monkeypatch.setattr(cw, "MATERIALIZE_QUBIT_CAP", cap)
+            monkeypatch.setattr(limits, "MATERIALIZE_QUBIT_CAP", cap)
             out = tmp_path / f"framed{cap}.json"
             assert main(["codesim", "--graph", str(graph), "--input", h_json,
                          "--output", str(out)]) == 0
@@ -520,6 +517,15 @@ class TestVerifyCommand:
     def test_exit_code_nonzero_on_error(self, tmp_path):
         assert main(["encode", "--input", str(tmp_path / "missing.json"),
                      "--map", "jw", "--output", str(tmp_path / "o.txt")]) == 2
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_invalid_dense_cap_override_is_an_error_line(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", value)
+        assert main(["verify", "--suite", "h2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: FERTAPER_MAX_DENSE_QUBITS must be a non-negative "
+                                f"integer, got {value!r}\n")
 
 
 class TestParser:

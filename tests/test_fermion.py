@@ -140,8 +140,12 @@ class TestDenseFock:
                 if wi != wj:
                     assert mat[i, j] == 0
 
-    def test_mode_cap(self):
-        with pytest.raises(ValueError):
+    def test_mode_cap(self, monkeypatch):
+        monkeypatch.delenv("FERTAPER_MAX_DENSE_QUBITS", raising=False)
+        with pytest.raises(ValueError, match="exceeds the cap of 14"):
+            dense_fock_matrix(FermionHamiltonian(15, 1, np.eye(15) * 0.1))
+        monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "12")
+        with pytest.raises(ValueError, match="exceeds the cap of 12"):
             dense_fock_matrix(FermionHamiltonian(13, 1, np.eye(13) * 0.1))
 
 

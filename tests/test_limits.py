@@ -1,0 +1,81 @@
+import importlib
+import pkgutil
+
+import numpy as np
+import pytest
+
+import fertaper
+from fertaper import limits
+from fertaper.codeword import CodeEncoding, FramedDiagonal, apply_frames_to_isometry
+from fertaper.fermion import (
+    FermionHamiltonian,
+    FermionObservable,
+    FockState,
+    dense_fock_matrix,
+    observable_matrix,
+)
+from fertaper.firstq import (
+    RegisterEncoding,
+    encode_first_quantized,
+    exchange_penalty_dense,
+    partition_eigenvector,
+)
+from fertaper.pauli import PauliOperator, QubitHamiltonian
+from fertaper.standard_maps import build_encoding
+
+# every dense builder, each on a basis of 16 to 81 states
+DENSE_BUILDERS = {
+    "QubitHamiltonian.dense":
+        lambda: QubitHamiltonian(4, ((1.0, PauliOperator.from_label("XZIY")),)).dense(),
+    "PauliOperator.dense": lambda: PauliOperator.from_label("XZIY").dense(),
+    "permutation_matrix": lambda: build_encoding("parity", 4).permutation_matrix(),
+    "CodeEncoding.isometry": lambda: CodeEncoding(np.eye(4, dtype=np.uint8), 1).isometry(),
+    "apply_frames_to_isometry":
+        lambda: apply_frames_to_isometry([], CodeEncoding(np.eye(4, dtype=np.uint8), 1)),
+    "FramedDiagonal.to_dense":
+        lambda: FramedDiagonal(PauliOperator.from_masks(4, 0b1000, 0), np.ones(8)).to_dense(),
+    "dense_fock_matrix": lambda: dense_fock_matrix(FermionHamiltonian(4, 1, np.eye(4))),
+    "observable_matrix": lambda: observable_matrix(FermionObservable.hop(1, 2), 4),
+    "exchange_penalty_dense": lambda: exchange_penalty_dense(3, 4),
+    "encode_first_quantized":
+        lambda: encode_first_quantized(FockState((1, 1, 0, 0)), RegisterEncoding(4, 2)),
+    "partition_eigenvector": lambda: partition_eigenvector((2, 1), 3),
+}
+
+
+@pytest.mark.parametrize("lower", ["environment", "attribute"])
+@pytest.mark.parametrize("name", sorted(DENSE_BUILDERS))
+def test_one_dense_cap_guards_every_dense_builder(monkeypatch, name, lower):
+    build = DENSE_BUILDERS[name]
+    monkeypatch.delenv("FERTAPER_MAX_DENSE_QUBITS", raising=False)
+    assert build().size >= 16
+    if lower == "environment":
+        monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "3")
+    else:
+        monkeypatch.setattr(limits, "DENSE_QUBIT_CAP", 3)
+    with pytest.raises(ValueError, match="exceeds the cap of 3; set FERTAPER_MAX_DENSE_QUBITS"):
+        build()
+
+
+@pytest.mark.parametrize("value,cap", [("0", 0), ("7", 7), (" 20 ", 20), ("", 14)])
+def test_dense_cap_override_values(monkeypatch, value, cap):
+    monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", value)
+    limits.check_dense(1 << cap)
+    with pytest.raises(ValueError, match=f"on {cap + 1} qubits exceeds the cap of {cap};"):
+        limits.check_dense((1 << cap) + 1)
+
+
+@pytest.mark.parametrize("value", ["abc", "-3", "3.5", "+4", "²"])
+def test_dense_cap_override_rejects_non_integers(monkeypatch, value):
+    monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", value)
+    with pytest.raises(ValueError, match="FERTAPER_MAX_DENSE_QUBITS must be a non-negative"):
+        limits.check_dense(2)
+
+
+def test_caps_are_defined_only_in_limits():
+    modules = [fertaper] + [importlib.import_module(f"fertaper.{info.name}")
+                            for info in pkgutil.iter_modules(fertaper.__path__)]
+    assert limits in modules
+    found = [f"{module.__name__}.{attr}" for module in modules if module is not limits
+             for attr in vars(module) if attr.endswith(("_CAP", "_BUDGET"))]
+    assert found == []

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from fertaper import gf2
+from fertaper import gf2, limits
 from fertaper.mitm import (
     InjectivityViolation,
     brute_force_decode,
@@ -77,9 +77,10 @@ class TestBuildTables:
         for key, combo in zip(keys, tables.combos[1]):
             assert want[key] == sum(1 << (15 - int(c)) for c in combo)
 
-    def test_entry_budget(self):
+    def test_entry_budget(self, monkeypatch):
+        monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", 100)
         with pytest.raises(MemoryError):
-            build_tables(np.eye(24, dtype=np.uint8), 12, entry_budget=100)
+            build_tables(np.eye(24, dtype=np.uint8), 12)
 
 
 class TestDecode:

@@ -62,10 +62,18 @@ class TestMatrices:
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 8])
     def test_truncated_tree_invertible(self, m):
         enc = build_encoding("binary_tree", m)
-        assert enc.inverse.dtype == np.uint8
-        assert np.array_equal(
-            enc.matrix.astype(int) @ enc.inverse % 2, np.eye(m, dtype=np.uint8)
-        )
+        # entry (i, c) of A^-1 A is the parity of inverse row i on column c
+        product = [[(row & col).bit_count() & 1 for col in enc.column_masks]
+                   for row in enc.inverse_rows]
+        assert product == np.eye(m, dtype=int).tolist()
+
+    @pytest.mark.parametrize("kind", ENCODING_KINDS)
+    def test_encodings_compare_and_hash_by_value(self, kind):
+        enc = build_encoding(kind, 4)
+        assert enc == build_encoding(kind, 4)
+        assert hash(enc) == hash(build_encoding(kind, 4))
+        assert enc != build_encoding(kind, 5)
+        assert all(isinstance(v, int) for v in enc.column_masks + enc.inverse_rows)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
