@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fertaper import limits
+from fertaper import gf2, limits
 from fertaper.codeword import CodeEncoding, build_simulator_hamiltonian, load_pcm
 from fertaper.fermion import (
     FermionHamiltonian,
@@ -176,7 +176,7 @@ def _cmd_codesim(args) -> int:
     if args.graph:
         enc = CodeEncoding.from_graph(load_graph(args.graph), h.particles)
     else:
-        enc = CodeEncoding(load_pcm(args.check), h.particles)
+        enc = CodeEncoding.from_matrix(load_pcm(args.check), h.particles)
     frames = build_simulator_hamiltonian(h, enc, args.penalty)
     payload = []
     for frame in frames:
@@ -233,7 +233,7 @@ def _cmd_decode(args) -> int:
     if g is not None and injectivity_from_girth(g, args.particles):
         hit = graph_decode(g, syndrome, args.particles)
     else:
-        hit = mitm_decode(build_tables(a, args.particles), syndrome)
+        hit = mitm_decode(build_tables(gf2.pack_rows(a.T), q, args.particles), syndrome)
     if hit is None:
         print("no weight-matching preimage")
         return 1
@@ -399,8 +399,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_taper)
 
     p = sub.add_parser("codesim", help="framed simulator from a parity-check code")
-    p.add_argument("--check", help="parity-check matrix file")
-    p.add_argument("--graph", help="bipartite graph file (alternative to --check)")
+    code = p.add_mutually_exclusive_group(required=True)
+    code.add_argument("--check", help="parity-check matrix file")
+    code.add_argument("--graph", help="bipartite graph file")
     p.add_argument("--input", required=True, help="Hamiltonian JSON file")
     p.add_argument("--penalty", type=float, default=None)
     p.add_argument("--output", required=True, help="framed-terms JSON")

@@ -77,34 +77,36 @@ def is_n_injective(a: np.ndarray, n: int) -> bool:
 
 @dataclass(frozen=True)
 class CodeEncoding:
-    """Parity-check matrix A with injectivity metadata and decoder hooks."""
+    """Parity-check matrix A with injectivity metadata and decoder hooks.
 
-    matrix: np.ndarray
+    columns[j - 1] is column j of A as a mask on the qubits, row 1 most
+    significant (the qubits mode j's occupation flips), the layout of the
+    Pauli masks.
+    """
+
+    columns: tuple[int, ...]
+    qubits: int
     particles: int
     bipartition: tuple[frozenset, frozenset] | None = None
     graph: BipartiteGraph | None = None
 
     def __post_init__(self):
-        a = gf2.asbits(self.matrix)
-        object.__setattr__(self, "matrix", a)
-        q, m = a.shape
+        q, m = self.qubits, len(self.columns)
+        object.__setattr__(self, "columns", tuple(map(int, self.columns)))
+        if q < 0 or any(c < 0 or c >> q for c in self.columns):
+            raise ValueError(f"columns must be masks on {q} qubits")
         if not 0 <= self.particles <= m:
             raise ValueError("particle count out of range")
         if self.bipartition is not None:
-            left, right = self.bipartition
-            if set(left) & set(right) or (set(left) | set(right)) != set(range(1, q + 1)):
+            left, right = (frozenset(rows) for rows in self.bipartition)
+            if left & right or left | right != set(range(1, q + 1)):
                 raise ValueError("bipartition must partition rows 1..Q")
-            for c in range(m):
-                col = set(np.nonzero(a[:, c])[0] + 1)
-                if len(col & set(left)) % 2 == 0 or len(col & set(right)) % 2 == 0:
-                    raise ValueError(
-                        f"column {c + 1} meets a row class an even number of times"
-                    )
-            object.__setattr__(
-                self, "bipartition", (frozenset(left), frozenset(right))
-            )
+            object.__setattr__(self, "bipartition", (left, right))
+            for c, col in enumerate(self.columns, 1):
+                if not all((col & rows).bit_count() % 2 for rows in self.class_masks):
+                    raise ValueError(f"column {c} meets a row class an even number of times")
         if self.graph is not None:
-            if not np.array_equal(a, self.graph.incidence_matrix()):
+            if (self.graph.vertex_count, self.graph.edge_masks()) != (q, self.columns):
                 raise ValueError("matrix is not the graph's incidence matrix")
             if not injectivity_from_girth(self.graph, self.particles):
                 raise ValueError("graph girth too small for this particle count")
@@ -116,49 +118,49 @@ class CodeEncoding:
             )
 
     @classmethod
-    def from_graph(cls, g: BipartiteGraph, n: int) -> "CodeEncoding":
-        return cls(g.incidence_matrix(), n, (g.left, g.right), g)
+    def from_matrix(cls, a, n: int) -> "CodeEncoding":
+        """Encoding of a Q x M 0/1 matrix, packed column by column."""
+        a = gf2.asbits(a)
+        return cls(tuple(gf2.pack_rows(a.T)), a.shape[0], n)
 
-    @property
-    def qubits(self) -> int:
-        return self.matrix.shape[0]
+    @classmethod
+    def from_graph(cls, g: BipartiteGraph, n: int) -> "CodeEncoding":
+        return cls(g.edge_masks(), g.vertex_count, n, (g.left, g.right), g)
 
     @property
     def modes(self) -> int:
-        return self.matrix.shape[1]
+        return len(self.columns)
 
-    def column(self, alpha: int) -> np.ndarray:
-        return self.matrix[:, alpha - 1]
-
-    @cached_property
-    def column_masks(self) -> list[int]:
-        """Each column packed as a qubit mask, row 1 most significant."""
-        return gf2.pack_rows(self.matrix.T)
+    @property
+    def matrix(self) -> np.ndarray:
+        """A as a 0/1 uint8 array, derived from the column masks (oracle use)."""
+        return gf2.unpack_ints(self.columns, self.qubits).T
 
     @cached_property
     def class_masks(self) -> tuple[int, int]:
         """The two row classes of the bipartition as qubit masks."""
         return tuple(qubit_mask(self.qubits, rows) for rows in self.bipartition)
 
-    def column_weights(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
-
     @property
     def max_column_weight(self) -> int:
-        return int(self.column_weights().max())
+        return max((col.bit_count() for col in self.columns), default=0)
 
-    def encode_state(self, x: FockState) -> np.ndarray:
-        """Syndrome label of a weight-N occupation vector."""
+    def encode_state(self, x: FockState) -> int:
+        """Syndrome mask of a weight-N occupation vector: the XOR of its modes' columns."""
         if x.weight != self.particles:
             raise ValueError(f"state weight {x.weight} != {self.particles}")
-        return gf2.matvec(self.matrix, np.array(x.occ, dtype=np.uint8))
+        syndrome = 0
+        for col, occupied in zip(self.columns, x.occ):
+            if occupied:
+                syndrome ^= col
+        return syndrome
 
     # -- decoding -----------------------------------------------------------
 
     @cached_property
     def _table(self) -> SyndromeTables:
         """The full decode table, split (0, N), built once per encoding."""
-        return build_tables(self.matrix, self.particles, split=(0, self.particles))
+        return build_tables(self.columns, self.qubits, self.particles, split=(0, self.particles))
 
     @cached_property
     def _graph_decoder(self) -> GraphDecoder:
@@ -206,7 +208,7 @@ class CodeEncoding:
         states = weight_n_states(self.modes, self.particles)
         iso = np.zeros((1 << self.qubits, len(states)))
         for k, st in enumerate(states):
-            iso[gf2.bits_to_int(self.encode_state(st)), k] = 1.0
+            iso[self.encode_state(st), k] = 1.0
         return iso
 
 
@@ -217,7 +219,7 @@ def transition_sign(enc: CodeEncoding, obs: FermionObservable, s) -> int:
     pattern blocks the transition.  For the i*(minus) variants the i is
     stripped, so the result is always -1, 0, or +1.
     """
-    x = enc.decode(gf2.asbits(s))
+    x = enc.decode(s)
     return 0 if x is None else _stripped_sign(obs, x)
 
 
@@ -388,7 +390,7 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable,
     q = enc.qubits
     flips = 0
     for alpha in obs.indices:
-        flips ^= enc.column_masks[alpha - 1]
+        flips ^= enc.columns[alpha - 1]
     spectra = None
     if _materialized(enc):
         spectra = _walsh_hadamard(_sign_matrix(enc, obs, flips))
@@ -417,7 +419,7 @@ def two_body_simulator(enc: CodeEncoding, alpha: int, beta: int,
     """Simulator of the Hermitian hop between two distinct modes."""
     if alpha == beta:
         raise ValueError("two-body simulator needs distinct modes")
-    if enc.column_masks[alpha - 1] == enc.column_masks[beta - 1]:
+    if enc.columns[alpha - 1] == enc.columns[beta - 1]:
         raise ValueError("equal columns contradict injectivity")
     sim = observable_simulator(enc, FermionObservable.hop(alpha, beta, variant), improve)
     cap = 1 << (2 * enc.max_column_weight - 1)
@@ -621,8 +623,8 @@ def load_pcm(path: str) -> np.ndarray:
 def apply_frames_to_isometry(frames, enc: CodeEncoding) -> np.ndarray:
     """Columns of (sum of framed terms) applied to each encoded basis state."""
     limits.check_dense(1 << enc.qubits)
-    codes = np.array([gf2.bits_to_int(enc.encode_state(st))
-                      for st in weight_n_states(enc.modes, enc.particles)], dtype=np.int64)
+    codes = np.array([enc.encode_state(st) for st in weight_n_states(enc.modes, enc.particles)],
+                     dtype=np.int64)
     cols = np.arange(len(codes))
     out = np.zeros((1 << enc.qubits, len(codes)), dtype=complex)
     for frame in frames:

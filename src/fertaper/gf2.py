@@ -2,13 +2,15 @@
 
 Elimination works on rows packed into Python ints: column c of a row of
 the given width is bit width-1-c, the layout of pack_rows and of the
-Pauli (x|z) masks, so a row XOR is one int XOR.  The numpy helpers
-convert between that layout and 0/1 uint8 arrays: asbits, matvec,
-pack_rows and pack_words for the decoders' parity-check matrices;
-bits_to_int, int_to_bits and unpack_ints for bit-vector views of masks;
-drop_bits deletes bit positions from ints or int64 arrays.  Row/column
-indices at this level are 0-based; the 1-based mode/qubit convention of
-the public API lives in the callers.
+Pauli (x|z) masks, so a row XOR is one int XOR.  A parity-check matrix
+A is held the same way, as its columns packed into qubit masks
+(pack_rows(A.T)), so a syndrome is an XOR of columns.  The numpy helpers
+convert between that layout and the 0/1 uint8 arrays that enter and leave
+the program: asbits and pack_rows on the way in; bits_to_int, int_to_bits
+and unpack_ints for bit-vector views of masks; drop_bits deletes bit
+positions from ints or int64 arrays.  Row/column indices at this level
+are 0-based; the 1-based mode/qubit convention of the public API lives in
+the callers.
 """
 
 from __future__ import annotations
@@ -35,22 +37,16 @@ def int_to_bits(value: int, length: int) -> np.ndarray:
 
 
 def pack_rows(mat) -> list[int]:
-    """Pack each row of a bit matrix into an int, first column most significant."""
-    return [int.from_bytes(row.tobytes(), "big") for row in pack_words(mat)]
+    """Pack each row of a bit matrix into an int, first column most significant.
 
-
-def pack_words(mat) -> np.ndarray:
-    """Pack each row of a bit matrix into big-endian uint64 words.
-
-    Rows are padded on the left to whole words, so the words of a row,
-    first to last, read as the integer pack_rows gives.
+    Packing the columns (pack_rows(a.T)) gives a parity-check matrix's
+    columns as qubit masks, the form the codes and decoders hold.
     """
     rows = asbits(mat)
     width = rows.shape[1]
-    bits = 64 * max(1, -(-width // 64))
-    padded = np.zeros((rows.shape[0], bits), dtype=np.uint8)
-    padded[:, bits - width:] = rows
-    return np.packbits(padded, axis=1).view(">u8")
+    padded = np.zeros((rows.shape[0], -(-width // 8) * 8), dtype=np.uint8)
+    padded[:, padded.shape[1] - width:] = rows
+    return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(padded, axis=1)]
 
 
 def unpack_ints(values, length: int) -> np.ndarray:
@@ -74,15 +70,6 @@ def drop_bits(value, positions):
     for p in positions:
         value = ((value >> (p + 1)) << p) | (value & ((1 << p) - 1))
     return value
-
-
-def matvec(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Matrix-vector product modulo two."""
-    mat = asbits(mat)
-    vec = asbits(vec)
-    if mat.shape[1] != vec.shape[0]:
-        raise ValueError(f"dimension mismatch: {mat.shape} @ {vec.shape}")
-    return (mat @ vec.astype(np.int64)) % 2
 
 
 def _echelon(rows) -> dict[int, int]:

@@ -5,8 +5,10 @@ endpoint on each side, so it encodes weight-N occupation vectors whenever
 the girth is at least 2N+2.  This module generates such graphs (a
 cycle-with-chords family and a randomized greedy search), measures girth,
 and decodes syndromes by pairing syndrome vertices with shortest paths
-through a minimum-weight perfect matching.  Generation and decoding share
-one data structure, the all-pairs distance matrix capped at 2N+1.
+through a minimum-weight perfect matching.  Generation, girth and
+decoding share one data structure, the all-pairs distance matrix updated
+in place per added edge (capped at 2N+1 for weight-N work).  The incidence
+matrix's columns are the edges' vertex masks, vertex 1 most significant.
 """
 
 from __future__ import annotations
@@ -60,12 +62,14 @@ class BipartiteGraph:
     def adjacency(self) -> dict[int, set]:
         return _adjacency(self.vertex_count, self.edges)
 
+    def edge_masks(self) -> tuple[int, ...]:
+        """Each edge's two endpoints as a vertex mask, vertex 1 most significant:
+        the incidence matrix's columns, packed as the Pauli masks are."""
+        q = self.vertex_count
+        return tuple((1 << (q - u)) | (1 << (q - v)) for u, v in self.edges)
+
     def incidence_matrix(self) -> np.ndarray:
-        mat = np.zeros((self.vertex_count, self.edge_count), dtype=np.uint8)
-        for col, (u, v) in enumerate(self.edges):
-            mat[u - 1, col] = 1
-            mat[v - 1, col] = 1
-        return mat
+        return gf2.unpack_ints(self.edge_masks(), self.vertex_count).T
 
 
 def _adjacency(q: int, edges) -> dict[int, set]:
@@ -117,45 +121,25 @@ def distance_matrix(g: BipartiteGraph, n: int) -> np.ndarray:
 def girth(g: BipartiteGraph) -> float:
     """Length of the shortest cycle, or math.inf for a forest.
 
-    BFS from every vertex; a non-tree edge seen at depths (d1, d2) closes a
-    walk of length d1+d2+1 that contains a cycle no longer than that, and
-    a shortest cycle is always found exactly from one of its vertices.
+    Every cycle closes when the last of its edges is added, at one more
+    than the distance that edge then spans, and that distance plus one is
+    itself a cycle's length; so the girth is the least such value as the
+    edges are added in order to a distance matrix.  Q stands for "not
+    connected": no path on Q vertices is that long.
     """
-    adj = g.adjacency()
+    q = g.vertex_count
+    dist = _unlinked(q, q)
     best = math.inf
-    for source in adj:
-        dist = {source: 0}
-        parent = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            if 2 * dist[u] >= best:
-                continue
-            for w in adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w:
-                    best = min(best, dist[u] + dist[w] + 1)
+    for u, v in g.edges:
+        if dist[u - 1, v - 1] < q:
+            best = min(best, int(dist[u - 1, v - 1]) + 1)
+        _link(dist, u - 1, v - 1)
     return best
 
 
 def injectivity_from_girth(g: BipartiteGraph, n: int) -> bool:
-    """Incidence-matrix injectivity at weight n follows from girth >= 2n+2.
-
-    Checked while the capped distance matrix is built: every cycle closes
-    when its last edge is added, at one more than the distance that edge
-    then spans, so the girth is >= 2n+2 exactly when no edge joins two
-    vertices fewer than 2n+1 apart.
-    """
-    cap = _far(n)
-    dist = _unlinked(g.vertex_count, cap)
-    for u, v in g.edges:
-        if dist[u - 1, v - 1] < cap:
-            return False
-        _link(dist, u - 1, v - 1)
-    return True
+    """Incidence-matrix injectivity at weight n follows from girth >= 2n+2."""
+    return girth(g) >= 2 * n + 2
 
 
 def two_coloring(adj: dict[int, set]) -> tuple[set, set] | None:
@@ -252,6 +236,8 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0,
         raise ValueError("need at least two vertices")
     if n < 0:
         raise ValueError("particle count must be non-negative")
+    if trials < 1:
+        raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
     if splits is None:
         base = q // 2
@@ -338,8 +324,9 @@ def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
 class GraphDecoder:
     """Weight-n syndrome decoder of one graph, built once and reused.
 
-    Holds the distance matrix capped at 2n+1, each vertex's neighbours and
-    a Q x Q table of edge columns: everything decode() reads per syndrome.
+    Holds the distance matrix capped at 2n+1, each vertex's neighbours, a
+    Q x Q table of edge columns and the edges' vertex masks: everything
+    decode() reads per syndrome.
     """
 
     def __init__(self, g: BipartiteGraph, n: int):
@@ -353,7 +340,7 @@ class GraphDecoder:
             self.columns[u - 1, v - 1] = self.columns[v - 1, u - 1] = col
             self.neighbours[u - 1].append(v - 1)
             self.neighbours[v - 1].append(u - 1)
-        self.incidence = g.incidence_matrix()
+        self.edge_masks = g.edge_masks()
 
     def _path(self, a: int, b: int) -> list[int]:
         """Edge columns of a shortest a-b path (0-based ends), read off the
@@ -396,9 +383,13 @@ class GraphDecoder:
         for i, j in matched[1]:
             x[self._path(marked[i], marked[j])] ^= 1
         # confirm weight and boundary; mismatches cannot happen at a true optimum
-        if int(x.sum()) != n:
+        chosen = np.flatnonzero(x)
+        if len(chosen) != n:
             return None
-        if not np.array_equal(gf2.matvec(self.incidence, x), syndrome):
+        boundary = 0
+        for col in chosen:
+            boundary ^= self.edge_masks[col]
+        if boundary != gf2.bits_to_int(syndrome):
             return None
         return x
 

@@ -76,16 +76,24 @@ class SyndromeTables:
         return len(self.keys[0]), len(self.keys[1])
 
 
-def build_tables(a: np.ndarray, n: int, split: tuple[int, int] | None = None) -> SyndromeTables:
+def _words(masks, q: int) -> np.ndarray:
+    """Masks on q bits as rows of big-endian uint64 words, most significant word first."""
+    width = max(1, -(-q // 64))
+    buf = b"".join(mask.to_bytes(8 * width, "big") for mask in masks)
+    return np.frombuffer(buf, dtype=">u8").reshape(len(masks), width)
+
+
+def build_tables(columns, q: int, n: int,
+                 split: tuple[int, int] | None = None) -> SyndromeTables:
     """Tabulate syndromes of all weight-N1 and weight-N2 vectors.
 
-    The split (N1, N2) defaults to ((N+1)//2, N//2); (0, N) gives the full
-    decode table.  Duplicate syndromes inside a table contradict
-    injectivity of the matrix and abort the build with the two mode sets
-    as the witness.
+    columns are the matrix's Q x M columns as qubit masks, row 1 most
+    significant.  The split (N1, N2) defaults to ((N+1)//2, N//2); (0, N)
+    gives the full decode table.  Duplicate syndromes inside a table
+    contradict injectivity of the matrix and abort the build with the two
+    mode sets as the witness.
     """
-    a = gf2.asbits(a)
-    q, m = a.shape
+    m = len(columns)
     n1, n2 = ((n + 1) // 2, n // 2) if split is None else split
     if n1 < 0 or n2 < 0 or n1 + n2 != n:
         raise ValueError(f"split {(n1, n2)} does not add up to {n} particles")
@@ -93,7 +101,7 @@ def build_tables(a: np.ndarray, n: int, split: tuple[int, int] | None = None) ->
     if total > limits.TABLE_ENTRY_BUDGET:
         raise MemoryError(f"syndrome tables need {total} entries, "
                           f"over the budget of {limits.TABLE_ENTRY_BUDGET}")
-    cols = gf2.pack_words(a.T).astype(np.uint64)
+    cols = _words(columns, q).astype(np.uint64)
     keys, combos = [], []
     for k in (n1, n2):
         rows = combinations(m, k)
@@ -132,7 +140,7 @@ def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
     if not len(second):  # N2 > M: no weight-N2 vector to search for
         return None
     words = first.view(">u8").reshape(len(first), first.itemsize // 8)
-    want = _as_keys(words ^ gf2.pack_words(s[None, :]))
+    want = _as_keys(words ^ _words([gf2.bits_to_int(s)], tables.rows))
     pos = np.minimum(np.searchsorted(second, want), len(second) - 1)
     hit = np.flatnonzero(second[pos] == want)
     x = (occupations(tables.combos[0][hit], tables.modes)

@@ -180,12 +180,7 @@ class PauliOperator:
 
     def dense(self) -> np.ndarray:
         """Exact 2^n x 2^n matrix; qubit 1 is the most significant factor."""
-        dim = 1 << self.n
-        limits.check_dense(dim)
-        cols = np.arange(dim, dtype=np.int64)
-        mat = np.zeros((dim, dim), dtype=complex)
-        mat[cols ^ self.x_mask, cols] = _PHASE[self.phase_power] * _signs(cols, self.z_mask)
-        return mat
+        return QubitHamiltonian(self.n, ((1, self),)).dense()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PauliOperator):
@@ -222,11 +217,6 @@ def qubit_mask(n: int, qubits) -> int:
 
 def _bit_tuple(mask: int, n: int) -> tuple[int, ...]:
     return tuple(mask >> shift & 1 for shift in range(n - 1, -1, -1))
-
-
-def _signs(cols: np.ndarray, z_mask: int) -> np.ndarray:
-    """(-1)^popcount(col & z) over basis indices."""
-    return 1 - 2 * (np.bitwise_count(cols & z_mask).astype(np.int64) & 1)
 
 
 def pauli_multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
@@ -328,7 +318,8 @@ class QubitHamiltonian:
         mat = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim, dtype=np.int64)
         for x, z, c in zip(self.x_masks, self.z_masks, self.coeffs):
-            mat[cols ^ x, cols] += c * _PHASE[(x & z).bit_count() % 4] * _signs(cols, z)
+            signs = 1 - 2 * (np.bitwise_count(cols & z).astype(np.int64) & 1)
+            mat[cols ^ x, cols] += c * _PHASE[(x & z).bit_count() % 4] * signs
         return mat
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:

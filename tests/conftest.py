@@ -20,6 +20,17 @@ def h2_table() -> QubitHamiltonian:
     )
 
 
+def packed(a) -> tuple[list[int], int]:
+    """A 0/1 matrix's columns as qubit masks, and its row count."""
+    a = np.asarray(a)
+    return gf2.pack_rows(a.T), a.shape[0]
+
+
+def syndrome(a, x) -> np.ndarray:
+    """Ax mod 2 as a 0/1 uint8 vector, by integer matrix product."""
+    return (np.asarray(a, dtype=np.int64) @ np.asarray(x, dtype=np.int64) % 2).astype(np.uint8)
+
+
 def syndrome_map(a, n) -> dict[int, int]:
     """Every achievable syndrome of a weight-n vector -> its preimage, both as ints.
 

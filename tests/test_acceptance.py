@@ -53,7 +53,7 @@ from fertaper.tapering import (
     find_symmetries,
     taper,
 )
-from tests.conftest import syndrome_map
+from tests.conftest import packed, syndrome_map
 
 
 class Stopwatch:
@@ -187,7 +187,7 @@ def _simulation_condition_exact(sim, enc) -> bool:
     states = weight_n_states(enc.modes, enc.particles)
     for col, st in enumerate(states):
         for amp, out in observable_action(sim.observable, st):
-            want[gf2.bits_to_int(enc.encode_state(out)), col] += amp
+            want[enc.encode_state(out), col] += amp
     return np.array_equal(got, want)
 
 
@@ -229,7 +229,7 @@ def test_a8_decoder_equivalence():
     watch = Stopwatch(120.0)
     fig3 = cycle_chord_graph(8, 2)
     a = fig3.incidence_matrix()
-    tables = build_tables(a, 2)
+    tables = build_tables(*packed(a), 2)
     reference = syndrome_map(a, 2)
     for syndrome_int in range(1 << 12):
         bits = gf2.int_to_bits(syndrome_int, 12)
@@ -250,7 +250,7 @@ def test_a8_decoder_equivalence():
             mat = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
             if is_n_injective(mat, n):
                 break
-        mat_tables = build_tables(mat, n)
+        mat_tables = build_tables(*packed(mat), n)
         for _ in range(150):
             s = rng.integers(0, 2, size=q).astype(np.uint8)
             got = mitm_decode(mat_tables, s)

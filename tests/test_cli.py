@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fertaper import gf2, limits
+from fertaper import limits
 from fertaper.cli import build_parser, main
 from fertaper.codeword import (
     CodeEncoding,
@@ -27,7 +27,7 @@ from fertaper.tapering import (
     sector_spectra,
     taper,
 )
-from tests.conftest import minimal_basis_hydrogen
+from tests.conftest import minimal_basis_hydrogen, syndrome
 
 
 @pytest.fixture
@@ -303,7 +303,7 @@ class TestCodesim:
                      "--output", str(out)]) == 0
         frames = [FramedDiagonal(PauliOperator.from_label(t["frame"]), t["diagonal"], t["weight"])
                   for t in json.loads(out.read_text())["terms"]]
-        enc = CodeEncoding(np.eye(4, dtype=np.uint8), 2)
+        enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
         block = enc.isometry().T @ apply_frames_to_isometry(frames, enc)
         h = FermionHamiltonian.from_json(source.read_text())
         assert np.allclose(block, sector_matrix_direct(h), atol=1e-12)
@@ -316,6 +316,16 @@ class TestCodesim:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("codes", [[], ["--check", "a.pcm", "--graph", "g.graph"]],
+                             ids=["neither", "both"])
+    def test_exactly_one_code_flag(self, tmp_path, subcode_json, capsys, codes):
+        with pytest.raises(SystemExit) as exit_:
+            main(["codesim", *codes, "--input", subcode_json,
+                  "--output", str(tmp_path / "framed.json")])
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--check" in err and "--graph" in err
+
 
 class TestGraphCommands:
     def test_graphgen(self, tmp_path):
@@ -326,6 +336,12 @@ class TestGraphCommands:
 
         g = load_graph(str(out))
         assert girth(g) >= 6
+
+    def test_graphgen_without_trials_is_an_error_line(self, tmp_path, capsys):
+        rc = main(["graphgen", "--qubits", "10", "--particles", "2", "--trials", "0",
+                   "--out", str(tmp_path / "g.graph")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: need at least one trial")
 
     def test_graphtable(self, tmp_path):
         out = tmp_path / "table.csv"
@@ -344,12 +360,9 @@ class TestDecodeCommand:
         save_pcm(a, str(check))
         x = np.zeros(16, dtype=np.uint8)
         x[[0, 7]] = 1
-        from fertaper import gf2
-
-        s = gf2.matvec(a, x)
-        syndrome = "".join(str(int(b)) for b in s)
+        bits = "".join(str(int(b)) for b in syndrome(a, x))
         assert main(["decode", "--check", str(check), "--particles", "2",
-                     "--syndrome", syndrome]) == 0
+                     "--syndrome", bits]) == 0
         out = capsys.readouterr().out.strip().splitlines()[-1]
         assert out == "".join(str(int(b)) for b in x)
 
@@ -380,8 +393,8 @@ class TestDecodeCommand:
         check = tmp_path / "fig3.pcm"
         save_pcm(a, str(check))
         parser = build_parser()
-        for syndrome in range(1 << 12):
-            bits = [(syndrome >> (11 - i)) & 1 for i in range(12)]
+        for s in range(1 << 12):
+            bits = [(s >> (11 - i)) & 1 for i in range(12)]
             rc, got = self.run_decode(parser, check, 2, bits, capsys)
             want = brute_force_decode(a, 2, bits)
             assert rc == (1 if want is None else 0)
@@ -413,11 +426,11 @@ class TestDecodeCommand:
             else:
                 x = np.zeros(a.shape[1], dtype=np.uint8)
                 x[rng.choice(a.shape[1], size=2, replace=False)] = 1
-                bits = gf2.matvec(a, x)
+                bits = syndrome(a, x)
             # every weight-2 preimage (brute_force_decode stops at 24 modes)
             found = [x for x in np.eye(a.shape[1], dtype=np.uint8)[
                 list(itertools.combinations(range(a.shape[1]), 2))].sum(axis=1)
-                if np.array_equal(gf2.matvec(a, x), bits)]
+                if np.array_equal(syndrome(a, x), bits)]
             if len(found) > 1:  # never print just one of two preimages
                 with pytest.raises(InjectivityViolation):
                     self.run_decode(parser, check, 2, bits, capsys)
@@ -437,8 +450,8 @@ class TestDecodeCommand:
         check = tmp_path / "a.pcm"
         save_pcm(a, str(check))
         for x in ("01000010000000", "00001100000000"):
-            syndrome = gf2.matvec(a, np.array([int(c) for c in x]))
-            assert "".join(str(int(b)) for b in syndrome) == "0000010010"
+            s = syndrome(a, np.array([int(c) for c in x]))
+            assert "".join(str(int(b)) for b in s) == "0000010010"
         rc = main(["decode", "--check", str(check), "--particles", "2",
                    "--syndrome", "0000010010"])
         out, err = capsys.readouterr()

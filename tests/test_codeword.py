@@ -37,6 +37,7 @@ from fertaper.graphs import (
 )
 from fertaper.mitm import InjectivityViolation, brute_force_decode, build_tables, mitm_decode
 from fertaper.pauli import PauliOperator, qubit_mask
+from tests.conftest import packed, syndrome
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ def simulation_condition_exact(sim, enc) -> bool:
     want = np.zeros_like(got)
     for col, st in enumerate(states):
         for amp, out_state in observable_action(sim.observable, st):
-            want[gf2.bits_to_int(enc.encode_state(out_state)), col] += amp
+            want[enc.encode_state(out_state), col] += amp
     return np.array_equal(got, want)
 
 
@@ -90,7 +91,7 @@ class TestInjectivity:
         # on 4 modes differ in only 2 places: all 4 syndromes are distinct
         a = np.array([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 1]], dtype=np.uint8)
         assert is_n_injective(a, 3)
-        assert CodeEncoding(a, 3).preimage().tolist().count(-1) == 4
+        assert CodeEncoding.from_matrix(a, 3).preimage().tolist().count(-1) == 4
 
     def test_agrees_with_brute_force_on_every_syndrome(self):
         rng = np.random.default_rng(2024)
@@ -107,7 +108,7 @@ class TestInjectivity:
                 want = False
             assert is_n_injective(a, n) == want, (a.tolist(), n)
             try:
-                CodeEncoding(a, n)
+                CodeEncoding.from_matrix(a, n)
                 built = True
             except InjectivityViolation:
                 built = False
@@ -120,18 +121,18 @@ class TestCodeEncoding:
     def test_rejects_noninjective(self):
         a = np.array([[1, 1], [0, 0]], dtype=np.uint8)
         with pytest.raises(ValueError):
-            CodeEncoding(a, 1)
+            CodeEncoding.from_matrix(a, 1)
 
     def test_bipartition_odd_overlap_enforced(self):
         a = np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=np.uint8)
         # column 1 hits rows {1,2}: putting both in one class breaks the rule
         with pytest.raises(ValueError):
-            CodeEncoding(a, 1, (frozenset({1, 2}), frozenset({3, 4})))
+            CodeEncoding(*packed(a), 1, (frozenset({1, 2}), frozenset({3, 4})))
 
     def test_encode_state_identity_matrix(self):
-        enc = CodeEncoding(np.eye(4, dtype=np.uint8), 2)
+        enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
         x = FockState((1, 0, 1, 0))
-        assert enc.encode_state(x).tolist() == [1, 0, 1, 0]
+        assert enc.encode_state(x) == 0b1010
 
     def test_encode_shared_vertex_cancels(self, fig3_encoding, fig3_graph):
         adjacent = [None, None]
@@ -141,15 +142,32 @@ class TestCodeEncoding:
                     adjacent = [e1, e2]
         x = np.zeros(16, dtype=np.uint8)
         x[adjacent] = 1
-        s = gf2.matvec(fig3_encoding.matrix, x)
+        s = syndrome(fig3_encoding.matrix, x)
         assert s.sum() == 2  # shared endpoint cancels
 
     def test_distinct_states_distinct_syndromes(self, fig3_encoding):
         seen = set()
         for st in weight_n_states(16, 2):
-            key = gf2.bits_to_int(fig3_encoding.encode_state(st))
+            key = fig3_encoding.encode_state(st)
             assert key not in seen
             seen.add(key)
+
+    def test_encodings_compare_and_hash_by_value(self, fig3_graph):
+        a = fig3_graph.incidence_matrix()
+        for build in (lambda: CodeEncoding.from_graph(fig3_graph, 2),
+                      lambda: CodeEncoding.from_matrix(a, 2),
+                      lambda: CodeEncoding(*packed(a), 2, (fig3_graph.left, fig3_graph.right))):
+            one, two = build(), build()
+            assert one == two and hash(one) == hash(two)
+            assert len({one, two}) == 1
+            assert np.array_equal(one.matrix, a)
+        assert CodeEncoding.from_graph(fig3_graph, 2) != CodeEncoding.from_matrix(a, 2)
+        assert CodeEncoding.from_matrix(a, 2) != CodeEncoding.from_matrix(a, 1)
+        assert CodeEncoding.from_matrix(a, 2).columns == fig3_graph.edge_masks()
+
+    def test_columns_must_fit_the_qubits(self):
+        with pytest.raises(ValueError, match="masks on 2 qubits"):
+            CodeEncoding((0b01, 0b100), 2, 1)
 
     def test_wrong_weight_rejected(self, fig3_encoding):
         with pytest.raises(ValueError):
@@ -164,7 +182,7 @@ class TestTransitionSign:
         assert transition_sign(fig3_encoding, obs, s) == 0
 
     def test_adjacent_modes_positive(self):
-        enc = CodeEncoding(np.eye(4, dtype=np.uint8), 2)
+        enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
         obs = FermionObservable.hop(1, 2)
         s = np.array([0, 1, 1, 0], dtype=np.uint8)  # modes 2, 3 occupied
         assert transition_sign(enc, obs, s) == 1
@@ -191,9 +209,8 @@ class TestTwoBodySimulator:
     def test_equal_columns_guard(self):
         # equal columns can never pass encoding validation, so the guard is
         # defense in depth; bypass the constructor to reach it
-        enc = CodeEncoding(np.eye(4, dtype=np.uint8), 1)
-        object.__setattr__(enc, "matrix", np.array(
-            [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]], dtype=np.uint8))
+        enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 1)
+        object.__setattr__(enc, "columns", (0b1000, 0b1000, 0b0100, 0b0010))
         with pytest.raises(ValueError):
             two_body_simulator(enc, 1, 2)
 
@@ -281,8 +298,8 @@ class TestTwoBodySimulator:
 
     def test_all_pairs_exact_on_subcode(self, fig3_graph):
         # exhaustive simulation-condition sweep on a 12-qubit instance
-        a = fig3_graph.incidence_matrix()[:, :6]
-        enc = CodeEncoding(a, 2, (fig3_graph.left, fig3_graph.right))
+        columns = fig3_graph.edge_masks()[:6]
+        enc = CodeEncoding(columns, 12, 2, (fig3_graph.left, fig3_graph.right))
         for alpha in range(1, 7):
             for beta in range(alpha + 1, 7):
                 sim = two_body_simulator(enc, alpha, beta)
@@ -308,7 +325,7 @@ class TestFourBodySimulator:
         sim = four_body_simulator(fig3_encoding, 1, 2, 2, 5)
         want = set()
         for mode in (1, 5):
-            want ^= set(np.nonzero(fig3_encoding.column(mode))[0] + 1)
+            want ^= set(np.nonzero(fig3_encoding.matrix[:, mode - 1])[0] + 1)
         assert sim.frames[0].pauli.x_mask == qubit_mask(12, want)
         assert simulation_condition_exact(sim, fig3_encoding)
 
@@ -351,7 +368,7 @@ class TestGenericCodes:
         while True:
             a = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
             if is_n_injective(a, n):
-                return CodeEncoding(a, n), rng
+                return CodeEncoding.from_matrix(a, n), rng
 
     def test_two_body_exact_and_bounded(self):
         enc, rng = self.random_code(314)
@@ -433,7 +450,7 @@ class TestCodespaceProjector:
     def test_encoded_states_pass(self, fig3_encoding):
         proj = occupation_diag(fig3_encoding, ())
         for st in weight_n_states(16, 2)[:20]:
-            bits = gf2.bits_to_int(fig3_encoding.encode_state(st))
+            bits = fig3_encoding.encode_state(st)
             assert proj.diagonal[bits] == 1.0
 
     def test_zero_syndrome_blocked_for_odd_weight(self):
@@ -447,8 +464,8 @@ class TestCodespaceProjector:
 
 class TestBuildSimulator:
     def subcode(self, fig3_graph, columns=6):
-        a = fig3_graph.incidence_matrix()[:, :columns]
-        return CodeEncoding(a, 2, (fig3_graph.left, fig3_graph.right))
+        return CodeEncoding(fig3_graph.edge_masks()[:columns], 12, 2,
+                            (fig3_graph.left, fig3_graph.right))
 
     def test_zero_hamiltonian_penalty_only(self, fig3_graph):
         enc = self.subcode(fig3_graph)
@@ -514,7 +531,7 @@ class TestBuildSimulator:
 
     def test_zero_operator_interaction_entries_add_no_frames(self):
         # a repeated creator or annihilator index makes u's product zero
-        enc = CodeEncoding(np.eye(4, dtype=np.uint8), 2)
+        enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
         for u in ({(1, 1, 1, 1): 0.5}, {(1, 1, 2, 3): 0.25, (3, 2, 1, 1): 0.25}):
             h = FermionHamiltonian(4, 2, np.zeros((4, 4)), u)
             assert build_simulator_hamiltonian(h, enc, penalty=0.0) == []
@@ -548,7 +565,7 @@ def oracle_frames(enc, obs, improve):
     flips = set()
     for alpha in range(1, enc.modes + 1):
         if obs.flip_mask(enc.modes)[alpha - 1]:
-            flips ^= set(np.nonzero(enc.column(alpha))[0] + 1)
+            flips ^= set(np.nonzero(enc.matrix[:, alpha - 1])[0] + 1)
     support = sorted(int(v) for v in flips)
     rest = [v for v in range(1, q + 1) if v not in flips]
     k = len(support)
@@ -695,9 +712,9 @@ class TestDecoderSelection:
     def test_mitm_path_when_table_too_large(self, fig3_encoding):
         # a code that outgrows one table decodes through the default split;
         # it must agree with the full (0, N) table on every syndrome
-        enc = CodeEncoding(fig3_encoding.matrix, 2)
-        split = build_tables(enc.matrix, 2)
-        full = build_tables(enc.matrix, 2, split=(0, 2))
+        enc = CodeEncoding.from_matrix(fig3_encoding.matrix, 2)
+        split = build_tables(enc.columns, enc.qubits, 2)
+        full = build_tables(enc.columns, enc.qubits, 2, split=(0, 2))
         assert split.split == (1, 1) and full.sizes == (1, 120)
         pre, occ = enc.preimage(), enc.codewords()
         hits = 0
@@ -722,7 +739,7 @@ class TestDecoderSelection:
 
         g = greedy_high_girth(48, 4, trials=3, seed=6)
         enc = CodeEncoding.from_graph(g, 4)
-        tables = build_tables(enc.matrix, 4)  # the oracle, built before the patch
+        tables = build_tables(enc.columns, enc.qubits, 4)  # the oracle, built before the patch
         monkeypatch.setattr(cw.CodeEncoding, "_table", property(no_tables))
         monkeypatch.setattr(cw, "build_tables", no_tables)
         rng = np.random.default_rng(6)
@@ -732,7 +749,7 @@ class TestDecoderSelection:
             else:
                 x = np.zeros(enc.modes, dtype=np.uint8)
                 x[rng.choice(enc.modes, size=4, replace=False)] = 1
-                s = gf2.matvec(enc.matrix, x)
+                s = syndrome(enc.matrix, x)
             got = enc.decode(s)
             want = mitm_decode(tables, s)
             if want is None:
@@ -743,9 +760,9 @@ class TestDecoderSelection:
                 assert got.occ == tuple(int(b) for b in x)
 
     def test_graph_must_match_the_matrix(self, fig3_graph):
-        a = fig3_graph.incidence_matrix()
+        columns = fig3_graph.edge_masks()[::-1]
         with pytest.raises(ValueError, match="incidence matrix"):
-            CodeEncoding(a[:, ::-1], 2, (fig3_graph.left, fig3_graph.right), fig3_graph)
+            CodeEncoding(columns, 12, 2, (fig3_graph.left, fig3_graph.right), fig3_graph)
 
 
 class TestPcmFile:
@@ -848,7 +865,7 @@ class TestSampledSparsity:
         path = tmp_path / "a.pcm"
         save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(path))
         h = random_hamiltonian(6, 2, np.random.default_rng(5))
-        enc = CodeEncoding(load_pcm(str(path)), h.particles)
+        enc = CodeEncoding.from_matrix(load_pcm(str(path)), h.particles)
         r2, r4 = sampled_sparsity_checks(h, enc)
         # no row classes in the file, so only the generic bounds apply
         assert r2 <= 8

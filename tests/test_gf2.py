@@ -4,22 +4,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fertaper import gf2
+from tests.conftest import syndrome
 
 
-def test_matvec_parity_matrix_first_column():
-    parity = np.tril(np.ones((4, 4), dtype=np.uint8))
-    assert gf2.matvec(parity, [1, 0, 0, 0]).tolist() == [1, 1, 1, 1]
-
-
-def test_matvec_zero_vector():
-    rng = np.random.default_rng(0)
-    mat = rng.integers(0, 2, size=(5, 7))
-    assert gf2.matvec(mat, np.zeros(7)).tolist() == [0] * 5
-
-
-def test_matvec_dimension_mismatch():
-    with pytest.raises(ValueError):
-        gf2.matvec(np.eye(3), [1, 0])
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 130), st.randoms(use_true_random=False))
+def test_pack_rows_reads_each_row_most_significant_first(rows, width, rnd):
+    mat = np.array([[rnd.getrandbits(1) for _ in range(width)] for _ in range(rows)],
+                   dtype=np.uint8).reshape(rows, width)
+    packed = gf2.pack_rows(mat)
+    assert packed == [gf2.bits_to_int(row) for row in mat]
+    assert np.array_equal(gf2.unpack_ints(packed, width), mat)
 
 
 def _rows(mat) -> list[int]:
@@ -71,13 +66,13 @@ def test_kernel_basis_independent():
 
 def test_kernel_matches_the_uint8_layout():
     # column c is bit width-1-c: the kernel of the packed rows, unpacked,
-    # annihilates the uint8 matrix under matvec
+    # annihilates the uint8 matrix
     rng = np.random.default_rng(17)
     mat = rng.integers(0, 2, size=(6, 11)).astype(np.uint8)
     kernel = gf2.unpack_ints(gf2.kernel_basis(gf2.pack_rows(mat), 11), 11)
     assert kernel.shape == (11 - gf2.rank(gf2.pack_rows(mat)), 11)
     for vec in kernel:
-        assert not gf2.matvec(mat, vec).any()
+        assert not syndrome(mat, vec).any()
 
 
 def test_rref_is_reduced():

@@ -38,6 +38,28 @@ def path_graph():
     return BipartiteGraph(frozenset({1, 2}), frozenset({3}), ((1, 3), (2, 3)))
 
 
+def brute_force_girth(g):
+    """Shortest cycle, edge by edge: one plus the distance between the edge's
+    ends once the edge itself is taken out (the oracle for girth)."""
+    best = math.inf
+    for k, (u, v) in enumerate(g.edges):
+        rest = BipartiteGraph(g.left, g.right, g.edges[:k] + g.edges[k + 1:])
+        d = bfs_distances(rest, u).get(v)
+        if d is not None:
+            best = min(best, d + 1)
+    return best
+
+
+@st.composite
+def bipartite_graphs(draw):
+    """Up to 5 + 5 vertices, any set of cross edges in any order."""
+    nl, nr = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    left, right = range(1, nl + 1), range(nl + 1, nl + nr + 1)
+    cross = [(u, v) for u in left for v in right]
+    edges = draw(st.lists(st.sampled_from(cross), unique=True))
+    return BipartiteGraph(frozenset(left), frozenset(right), tuple(edges))
+
+
 class TestGirth:
     def test_four_cycle(self):
         assert girth(four_cycle()) == 4
@@ -49,6 +71,27 @@ class TestGirth:
         assert fig3_graph.vertex_count == 12
         assert fig3_graph.edge_count == 16
         assert girth(fig3_graph) == 6
+
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_graphs())
+    def test_matches_brute_force_on_random_bipartite_graphs(self, g):
+        got = girth(g)
+        assert got == brute_force_girth(g)
+        assert got == math.inf or type(got) is int
+
+    @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
+    def test_long_cycles_in_any_edge_order(self, length):
+        # a bare even cycle, then a chord graph of the same girth
+        rng = np.random.default_rng(length)
+        ring = BipartiteGraph(frozenset(range(1, length + 1, 2)),
+                              frozenset(range(2, length + 1, 2)),
+                              tuple((i, i % length + 1) for i in range(1, length + 1)))
+        chords = cycle_chord_graph(length + 2, length // 2 - 1)
+        for g, want in ((ring, length), (chords, length)):
+            for _ in range(3):
+                order = tuple(g.edges[i] for i in rng.permutation(g.edge_count))
+                shuffled = BipartiteGraph(g.left, g.right, order)
+                assert girth(shuffled) == brute_force_girth(shuffled) == want
 
 
 class TestInjectivityFromGirth:
@@ -90,7 +133,7 @@ class TestInjectivityFromGirth:
             edges = tuple(e for e, k in zip(cross, keep) if k)
             g = BipartiteGraph(frozenset(left), frozenset(right), edges)
             for n in (0, 1, 2, 3):
-                assert injectivity_from_girth(g, n) == (girth(g) >= 2 * n + 2)
+                assert injectivity_from_girth(g, n) == (brute_force_girth(g) >= 2 * n + 2)
 
 
 class TestCycleChord:
@@ -187,6 +230,10 @@ class TestDistanceMatrix:
     def test_particle_count_must_be_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
             greedy_high_girth(6, -1, trials=1)
+
+    def test_needs_at_least_one_trial(self):
+        with pytest.raises(ValueError, match="at least one trial"):
+            greedy_high_girth(6, 1, trials=0)
 
     def test_zero_particles_gives_the_complete_bipartite_graph(self):
         g = greedy_high_girth(7, 0, trials=3, seed=1)

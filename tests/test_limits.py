@@ -29,9 +29,9 @@ DENSE_BUILDERS = {
         lambda: QubitHamiltonian(4, ((1.0, PauliOperator.from_label("XZIY")),)).dense(),
     "PauliOperator.dense": lambda: PauliOperator.from_label("XZIY").dense(),
     "permutation_matrix": lambda: build_encoding("parity", 4).permutation_matrix(),
-    "CodeEncoding.isometry": lambda: CodeEncoding(np.eye(4, dtype=np.uint8), 1).isometry(),
+    "CodeEncoding.isometry": lambda: CodeEncoding.from_matrix(np.eye(4), 1).isometry(),
     "apply_frames_to_isometry":
-        lambda: apply_frames_to_isometry([], CodeEncoding(np.eye(4, dtype=np.uint8), 1)),
+        lambda: apply_frames_to_isometry([], CodeEncoding.from_matrix(np.eye(4), 1)),
     "FramedDiagonal.to_dense":
         lambda: FramedDiagonal(PauliOperator.from_masks(4, 0b1000, 0), np.ones(8)).to_dense(),
     "dense_fock_matrix": lambda: dense_fock_matrix(FermionHamiltonian(4, 1, np.eye(4))),

@@ -1,4 +1,6 @@
 import itertools
+from functools import reduce
+from operator import xor
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from fertaper.mitm import (
     combinations,
     mitm_decode,
 )
-from tests.conftest import syndrome_map
+from tests.conftest import packed, syndrome, syndrome_map
 
 
 def random_injective_matrix(rng, q, m, n):
@@ -27,12 +29,12 @@ def random_injective_matrix(rng, q, m, n):
 class TestBuildTables:
     def test_odd_split(self):
         a = np.eye(5, dtype=np.uint8)
-        tables = build_tables(a, 3)
+        tables = build_tables(*packed(a), 3)
         assert tables.split == (2, 1)
 
     def test_single_particle_tables_are_columns(self):
         a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
-        tables = build_tables(a, 1)
+        tables = build_tables(*packed(a), 1)
         assert tables.split == (1, 0)
         # keys are sorted big-endian words; combos give each key's columns
         keys = tables.keys[0].view(">u8").tolist()
@@ -43,33 +45,33 @@ class TestBuildTables:
         assert tables.combos[1].shape == (1, 0)
 
     def test_identity_sizes(self):
-        tables = build_tables(np.eye(4, dtype=np.uint8), 2)
+        tables = build_tables(*packed(np.eye(4)), 2)
         assert tables.sizes == (4, 4)
 
     def test_figure_graph_sizes(self, fig3_graph):
-        tables = build_tables(fig3_graph.incidence_matrix(), 2)
+        tables = build_tables(*packed(fig3_graph.incidence_matrix()), 2)
         assert tables.sizes == (16, 16)
 
     def test_duplicate_syndrome_rejected(self):
         a = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8)  # equal columns 1, 2
         with pytest.raises(InjectivityViolation) as err:
-            build_tables(a, 1)
+            build_tables(*packed(a), 1)
         assert err.value.witness is not None
 
     def test_duplicate_witness_names_both_mode_sets(self):
         a = np.array([[1, 0, 1, 0], [0, 1, 0, 0]], dtype=np.uint8)  # columns 1, 3 equal
         with pytest.raises(InjectivityViolation, match="share syndrome 10") as err:
-            build_tables(a, 1, split=(0, 1))
+            build_tables(*packed(a), 1, split=(0, 1))
         assert err.value.witness == ((1,), (3,))
 
     @pytest.mark.parametrize("split", [(3, 1), (-1, 3), (2, 1)])
     def test_split_must_add_up(self, split):
         with pytest.raises(ValueError, match="does not add up"):
-            build_tables(np.eye(5, dtype=np.uint8), 2, split=split)
+            build_tables(*packed(np.eye(5)), 2, split=split)
 
     def test_full_table_has_every_weight_n_vector(self, fig3_graph):
         a = fig3_graph.incidence_matrix()
-        tables = build_tables(a, 2, split=(0, 2))
+        tables = build_tables(*packed(a), 2, split=(0, 2))
         assert tables.sizes == (1, 120)
         want = syndrome_map(a, 2)
         keys = tables.keys[1].view(">u8").tolist()
@@ -80,24 +82,24 @@ class TestBuildTables:
     def test_entry_budget(self, monkeypatch):
         monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", 100)
         with pytest.raises(MemoryError):
-            build_tables(np.eye(24, dtype=np.uint8), 12)
+            build_tables(*packed(np.eye(24)), 12)
 
 
 class TestDecode:
     def test_round_trip(self, fig3_graph):
         a = fig3_graph.incidence_matrix()
-        tables = build_tables(a, 2)
+        tables = build_tables(*packed(a), 2)
         x = np.zeros(16, dtype=np.uint8)
         x[[2, 9]] = 1
-        s = gf2.matvec(a, x)
+        s = syndrome(a, x)
         assert np.array_equal(mitm_decode(tables, s), x)
 
     def test_no_preimage(self):
-        tables = build_tables(np.eye(4, dtype=np.uint8), 2)
+        tables = build_tables(*packed(np.eye(4)), 2)
         assert mitm_decode(tables, [1, 0, 0, 0]) is None
 
     def test_syndrome_length_guard(self):
-        tables = build_tables(np.eye(4, dtype=np.uint8), 2)
+        tables = build_tables(*packed(np.eye(4)), 2)
         with pytest.raises(ValueError):
             mitm_decode(tables, [1, 0, 0])
         with pytest.raises(ValueError):
@@ -119,7 +121,7 @@ class TestDecode:
 
     def test_all_syndromes_match_brute_force(self, fig3_graph):
         a = fig3_graph.incidence_matrix()
-        tables = build_tables(a, 2)
+        tables = build_tables(*packed(a), 2)
         reference = syndrome_map(a, 2)
         for syn in range(1 << 12):
             bits = gf2.int_to_bits(syn, 12)
@@ -135,7 +137,7 @@ class TestDecode:
         rng = np.random.default_rng(100 + m)
         q = m - 3
         a = random_injective_matrix(rng, q, m, n)
-        tables = build_tables(a, n)
+        tables = build_tables(*packed(a), n)
         for _ in range(300):
             s = rng.integers(0, 2, size=q).astype(np.uint8)
             got = mitm_decode(tables, s)
@@ -149,15 +151,15 @@ class TestDecode:
             cols = rng.choice(m, size=n, replace=False)
             x = np.zeros(m, dtype=np.uint8)
             x[cols] = 1
-            assert np.array_equal(mitm_decode(tables, gf2.matvec(a, x)), x)
+            assert np.array_equal(mitm_decode(tables, syndrome(a, x)), x)
 
     @pytest.mark.parametrize("split", [None, (0, 3), (3, 0)])
     def test_more_particles_than_modes_has_no_preimage(self, split):
-        tables = build_tables(np.eye(2, dtype=np.uint8), 3, split=split)
+        tables = build_tables(*packed(np.eye(2)), 3, split=split)
         assert mitm_decode(tables, [1, 1]) is None
 
     def test_zero_particles(self):
-        tables = build_tables(np.eye(2, dtype=np.uint8), 0)
+        tables = build_tables(*packed(np.eye(2)), 0)
         assert mitm_decode(tables, [0, 0]).tolist() == [0, 0]
         assert mitm_decode(tables, [1, 0]) is None
 
@@ -165,11 +167,11 @@ class TestDecode:
         # columns 1+2 and 3+4 share a syndrome; each weight-1 half is distinct
         a = np.array([[1, 0, 0, 1, 0], [0, 1, 0, 1, 0], [0, 0, 1, 1, 0],
                       [0, 0, 0, 0, 1]], dtype=np.uint8)
-        s = gf2.matvec(a, np.array([1, 1, 0, 0, 0]))
+        s = syndrome(a, np.array([1, 1, 0, 0, 0]))
         with pytest.raises(InjectivityViolation):
             brute_force_decode(a, 2, s)
         with pytest.raises(InjectivityViolation) as err:
-            mitm_decode(build_tables(a, 2), s)
+            mitm_decode(build_tables(*packed(a), 2), s)
         assert set(err.value.witness) == {(1, 2), (3, 4)}
 
 
@@ -192,22 +194,29 @@ class TestWideSyndromes:
     def test_default_and_full_split_match_brute_force(self, q, m, n):
         rng = np.random.default_rng(q)
         a = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
-        split_tables = build_tables(a, n)
-        full_tables = build_tables(a, n, split=(0, n))
+        split_tables = build_tables(*packed(a), n)
+        full_tables = build_tables(*packed(a), n, split=(0, n))
         assert full_tables.keys[1].dtype.itemsize == 8 * ((q + 63) // 64)
+        # keys read as big-endian numbers are the sorted syndromes of their combos
+        cols, keys = packed(a)[0], full_tables.keys[1]
+        numbers = [int.from_bytes(row.tobytes(), "big")
+                   for row in keys.view(np.uint8).reshape(len(keys), -1)]
+        assert numbers == sorted(numbers)
+        assert numbers == [reduce(xor, (cols[c] for c in combo), 0)
+                           for combo in full_tables.combos[1]]
         for k in range(40):
             if k % 2:
                 s = rng.integers(0, 2, size=q).astype(np.uint8)
                 # a syndrome one bit away from a codeword, in the top or bottom word
                 x = np.zeros(m, dtype=np.uint8)
                 x[rng.choice(m, size=n, replace=False)] = 1
-                near = gf2.matvec(a, x)
+                near = syndrome(a, x)
                 near[0 if k % 4 == 1 else q - 1] ^= 1
                 syndromes = (s, near)
             else:
                 x = np.zeros(m, dtype=np.uint8)
                 x[rng.choice(m, size=n, replace=False)] = 1
-                syndromes = (gf2.matvec(a, x),)
+                syndromes = (syndrome(a, x),)
             for s in syndromes:
                 want = brute_force_decode(a, n, s)
                 for tables in (split_tables, full_tables):

@@ -81,7 +81,7 @@ class TestMatrices:
 
     def test_matvec_reads_tree_column(self):
         enc = build_encoding("binary_tree", 4)
-        assert gf2.matvec(enc.matrix, [0, 1, 0, 0]).tolist() == [0, 1, 0, 1]
+        assert enc.encode_bits([0, 1, 0, 0]).tolist() == [0, 1, 0, 1]
 
     def test_permutation_matrix_guarded(self, monkeypatch):
         enc = build_encoding("parity", 4)
