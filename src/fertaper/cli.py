@@ -34,11 +34,10 @@ from fertaper.firstq import (
     spectrum_matches_partitions,
 )
 from fertaper.graphs import (
+    GraphDecoder,
     girth,
-    graph_decode,
     graph_from_incidence,
     greedy_high_girth,
-    injectivity_from_girth,
     load_graph,
     save_graph,
 )
@@ -51,7 +50,11 @@ from fertaper.pauli import (
 )
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
+    InputBlocks,
+    SymmetryGroup,
+    all_sectors,
     build_plan,
+    check_matrix,
     clifford_transform,
     find_symmetries,
     sector_spectra,
@@ -139,26 +142,44 @@ def _cmd_taper(args) -> int:
     plan = build_plan(group, h)
     transformed = clifford_transform(h, plan)
     report = RunReport(config={"input": args.input, "sector": args.sector or "enumerate"})
-    report.qubits_before = h.qubit_count
-    report.qubits_after = h.qubit_count - plan.size
+    n = report.qubits_before = h.qubit_count
+    report.qubits_after = n - plan.size
     # the plan's order: sector sign i is the eigenvalue of generator i
     report.generators = [g.label for g in plan.generators]
     report.paired_qubits = list(plan.paired_qubits)
 
-    sectors = [_parse_sector(args.sector)] if args.sector else None
-    if report.qubits_after <= limits.SECTOR_QUBIT_CAP:
-        spectra = sector_spectra(h, plan, transformed, sectors)
+    rows = check_matrix(h)
+    report.add_check("generators_commute", not any(
+        (row & v).bit_count() & 1 for v in SymmetryGroup(n, plan.generators).vectors()
+        for row in rows))
+
+    sectors = [_parse_sector(args.sector)] if args.sector else all_sectors(plan.size)
+    # caps are decided before any 2^n array is built
+    blocks, refusal = None, None
+    if not plan.z_type:
+        if report.qubits_after > limits.SECTOR_QUBIT_CAP:
+            refusal = (f"{report.qubits_after} qubits remain; enumeration is "
+                       f"capped at {limits.SECTOR_QUBIT_CAP}")
+    elif n > limits.dense_cap():
+        refusal = f"{n} input qubits exceed the dense cap of {limits.dense_cap()}"
+    else:
+        blocks = InputBlocks(h)
+        largest = blocks.largest(plan, sectors)
+        if largest > 1 << limits.SECTOR_QUBIT_CAP:
+            refusal = (f"the largest sector block has {largest} states; diagonalization "
+                       f"is capped at 2^{limits.SECTOR_QUBIT_CAP}")
+    if refusal is None:
+        spectra = sector_spectra(h, plan, transformed, sectors, blocks)
         for sector, spectrum in spectra.items():
             report.sector_energies[_sector_label(sector)] = float(spectrum[0])
-        chosen = min(spectra, key=lambda sector: spectra[sector][0])
+        # the first sector at the minimum, so last-bit noise cannot change the choice
+        lowest = min(spectrum[0] for spectrum in spectra.values())
+        chosen = next(s for s, spectrum in spectra.items() if spectrum[0] <= lowest + 1e-10)
         report.best_sector = _sector_label(chosen)
-    elif sectors:
+    elif args.sector:
         chosen = sectors[0]  # too large to diagonalize; still written below
     else:
-        raise ValueError(
-            f"{report.qubits_after} qubits remain; enumeration is "
-            f"capped at {limits.SECTOR_QUBIT_CAP}, pass --sector"
-        )
+        raise ValueError(f"{refusal}; pass --sector")
     reduced = taper(transformed, plan, chosen)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(hamiltonian_to_text(reduced))
@@ -230,8 +251,9 @@ def _cmd_decode(args) -> int:
     syndrome = np.array([int(c) for c in args.syndrome], dtype=np.uint8)
     # a graph's incidence matrix with girth >= 2N+2 decodes by matching
     g = graph_from_incidence(a)
-    if g is not None and injectivity_from_girth(g, args.particles):
-        hit = graph_decode(g, syndrome, args.particles)
+    decoder = None if g is None else GraphDecoder.certified(g, args.particles)
+    if decoder is not None:
+        hit = decoder.decode(syndrome)
     else:
         hit = mitm_decode(build_tables(gf2.pack_rows(a.T), q, args.particles), syndrome)
     if hit is None:

@@ -45,7 +45,7 @@ from fertaper.fermion import (
     observable_action,
     weight_n_states,
 )
-from fertaper.graphs import BipartiteGraph, GraphDecoder, injectivity_from_girth
+from fertaper.graphs import BipartiteGraph, GraphDecoder
 from fertaper.mitm import SyndromeTables, build_tables, mitm_decode, occupations
 from fertaper.pauli import PauliOperator, qubit_mask
 
@@ -108,8 +108,10 @@ class CodeEncoding:
         if self.graph is not None:
             if (self.graph.vertex_count, self.graph.edge_masks()) != (q, self.columns):
                 raise ValueError("matrix is not the graph's incidence matrix")
-            if not injectivity_from_girth(self.graph, self.particles):
+            decoder = GraphDecoder.certified(self.graph, self.particles)
+            if decoder is None:
                 raise ValueError("graph girth too small for this particle count")
+            object.__setattr__(self, "_graph_decoder", decoder)
         elif m <= limits.BRUTE_FORCE_COLUMN_CAP:
             self._table  # its build rejects two weight-N vectors with one syndrome
         else:
@@ -161,10 +163,6 @@ class CodeEncoding:
     def _table(self) -> SyndromeTables:
         """The full decode table, split (0, N), built once per encoding."""
         return build_tables(self.columns, self.qubits, self.particles, split=(0, self.particles))
-
-    @cached_property
-    def _graph_decoder(self) -> GraphDecoder:
-        return GraphDecoder(self.graph, self.particles)
 
     def decode(self, s: np.ndarray) -> FockState | None:
         """Unique weight-N preimage of a syndrome, or None.

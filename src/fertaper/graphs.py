@@ -104,28 +104,33 @@ def _link(dist: np.ndarray, a: int, b: int) -> None:
     np.minimum(dist, np.minimum(through, through.T) + 1, out=dist)
 
 
-def distance_matrix(g: BipartiteGraph, n: int) -> np.ndarray:
+def distance_matrix(g: BipartiteGraph, n: int, lengths: np.ndarray | None = None) -> np.ndarray:
     """Q x Q int16 path lengths, vertex v at index v-1, capped at 2n+1.
 
     An entry at the cap means "at least 2n+1 apart, or not connected":
     all that greedy generation (may an edge join these two?) and weight-n
-    decoding (paths of length at most n) ever ask.
+    decoding (paths of length at most n) ever ask.  lengths, when given,
+    is path_lengths(g)'s matrix; capping it gives the same matrix without
+    walking the edges again.
     """
     cap = _far(n)
+    if lengths is not None:
+        return np.where(lengths < g.vertex_count, np.minimum(lengths, cap), cap).astype(np.int16)
     dist = _unlinked(g.vertex_count, cap)
     for u, v in g.edges:
         _link(dist, u - 1, v - 1)
     return dist
 
 
-def girth(g: BipartiteGraph) -> float:
-    """Length of the shortest cycle, or math.inf for a forest.
+def path_lengths(g: BipartiteGraph) -> tuple[np.ndarray, float]:
+    """Uncapped Q x Q int16 path lengths (Q where not connected) and the girth.
 
-    Every cycle closes when the last of its edges is added, at one more
-    than the distance that edge then spans, and that distance plus one is
-    itself a cycle's length; so the girth is the least such value as the
-    edges are added in order to a distance matrix.  Q stands for "not
-    connected": no path on Q vertices is that long.
+    The girth is the length of the shortest cycle, or math.inf for a
+    forest.  Every cycle closes when the last of its edges is added, at
+    one more than the distance that edge then spans, and that distance
+    plus one is itself a cycle's length; so the girth is the least such
+    value as the edges are added in order to a distance matrix.  Q stands
+    for "not connected": no path on Q vertices is that long.
     """
     q = g.vertex_count
     dist = _unlinked(q, q)
@@ -134,7 +139,12 @@ def girth(g: BipartiteGraph) -> float:
         if dist[u - 1, v - 1] < q:
             best = min(best, int(dist[u - 1, v - 1]) + 1)
         _link(dist, u - 1, v - 1)
-    return best
+    return dist, best
+
+
+def girth(g: BipartiteGraph) -> float:
+    """Length of the shortest cycle, or math.inf for a forest."""
+    return path_lengths(g)[1]
 
 
 def injectivity_from_girth(g: BipartiteGraph, n: int) -> bool:
@@ -329,11 +339,11 @@ class GraphDecoder:
     decode() reads per syndrome.
     """
 
-    def __init__(self, g: BipartiteGraph, n: int):
+    def __init__(self, g: BipartiteGraph, n: int, lengths: np.ndarray | None = None):
         q = g.vertex_count
         self.graph = g
         self.particles = n
-        self.distances = distance_matrix(g, n)
+        self.distances = distance_matrix(g, n, lengths)
         self.columns = np.full((q, q), -1, dtype=np.intp)
         self.neighbours: list[list[int]] = [[] for _ in range(q)]
         for col, (u, v) in enumerate(g.edges):
@@ -341,6 +351,16 @@ class GraphDecoder:
             self.neighbours[u - 1].append(v - 1)
             self.neighbours[v - 1].append(u - 1)
         self.edge_masks = g.edge_masks()
+
+    @classmethod
+    def certified(cls, g: BipartiteGraph, n: int) -> "GraphDecoder | None":
+        """The decoder, when girth >= 2n+2 certifies weight-n injectivity, else None.
+
+        The girth walk's distance matrix, capped, is the decoder's, so the
+        edges are walked once.
+        """
+        lengths, shortest = path_lengths(g)
+        return cls(g, n, lengths) if shortest >= 2 * n + 2 else None
 
     def _path(self, a: int, b: int) -> list[int]:
         """Edge columns of a shortest a-b path (0-based ends), read off the

@@ -17,9 +17,15 @@ from fertaper.codeword import (
     save_pcm,
 )
 from fertaper.fermion import FermionHamiltonian, dense_fock_matrix, sector_matrix_direct
-from fertaper.graphs import cycle_chord_graph, girth, greedy_high_girth, save_graph
+from fertaper.graphs import (
+    GraphDecoder,
+    cycle_chord_graph,
+    girth,
+    greedy_high_girth,
+    save_graph,
+)
 from fertaper.mitm import InjectivityViolation, brute_force_decode
-from fertaper.pauli import PauliOperator, hamiltonian_from_text
+from fertaper.pauli import PauliOperator, commutes, hamiltonian_from_text
 from fertaper.tapering import (
     build_plan,
     clifford_transform,
@@ -46,6 +52,41 @@ def subcode_json(tmp_path):
     path = tmp_path / "h6.json"
     path.write_text(h.to_json())
     return str(path)
+
+
+def two_species_json(tmp_path) -> str:
+    """M=8 input conserving the numbers on modes 1-5 and on modes 6-8 apart.
+
+    Its spin-parity-like sectors hold 64 states, its largest block
+    C(5,2) * C(3,1) = 30.
+    """
+    rng = np.random.default_rng(0)
+    group = np.array([0] * 5 + [1] * 3)
+    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    t = (raw + raw.conj().T) / 8
+    t[group[:, None] != group[None, :]] = 0
+    u: dict[tuple[int, int, int, int], complex] = {}
+    while len(u) < 12:
+        a, b, g, d = (int(v) for v in rng.integers(1, 9, size=4))
+        if a == b or g == d or sorted(group[[a - 1, b - 1]]) != sorted(group[[g - 1, d - 1]]):
+            continue
+        val = complex(rng.normal(), rng.normal()) / 4
+        u[(a, b, g, d)] = val.real if (a, b) == (d, g) else val
+        u[(d, g, b, a)] = np.conj(u[(a, b, g, d)])
+    path = tmp_path / "two_species.json"
+    path.write_text(FermionHamiltonian(8, 1, t, u).to_json())
+    return str(path)
+
+
+def open_shell_hubbard() -> FermionHamiltonian:
+    """Three spatial orbitals, spins interleaved, whose lowest Fock state has three electrons."""
+    rng = np.random.default_rng(5)
+    raw = rng.normal(size=(3, 3)) / 4
+    spatial = (raw + raw.T) / 2 - 0.5 * np.eye(3)
+    t = np.zeros((6, 6))
+    t[0::2, 0::2] = t[1::2, 1::2] = spatial
+    u = {(2 * i + 1, 2 * i + 2, 2 * i + 2, 2 * i + 1): 0.9 for i in range(3)}
+    return FermionHamiltonian(6, 3, t, u)
 
 
 class TestEncodeTaper:
@@ -204,6 +245,116 @@ class TestTaperReport:
         # the report keeps its pinned fields: nothing was diagonalized
         data = json.loads(report.read_text())
         assert data["best_sector"] is None and data["sector_energies"] == {}
+
+    def test_x_plan_past_the_qubit_cap_is_an_error_line(self, tmp_path, capsys):
+        # the X...X plan keeps the whole-sector route and its 12-qubit cap
+        n = 14
+        lines = [f"# qubits {n}"]
+        lines += ["1 0 " + "I" * q + "ZZ" + "I" * (n - q - 2) for q in range(n - 1)]
+        lines += ["0.5 0 " + "I" * q + "X" + "I" * (n - q - 1) for q in range(n)]
+        pauli = tmp_path / "ising.txt"
+        pauli.write_text("\n".join(lines) + "\n")
+        assert main(["taper", "--input", str(pauli), "--output", str(tmp_path / "t.txt")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "13 qubits remain; enumeration is capped at 12" in err
+
+    def test_generators_commute_check(self, tmp_path, h2_json):
+        encoded, _, report = encode_and_taper(tmp_path, h2_json)
+        data = json.loads(report.read_text())
+        assert {"name": "generators_commute", "passed": True} in data["checks"]
+        q = hamiltonian_from_text(encoded.read_text())
+        gens = [PauliOperator.from_label(label) for label in data["generators"]]
+        assert all(commutes(g, op) for g in gens for _, op in q.terms)
+
+    def test_sector_cap_limits_blocks_not_qubits(self, tmp_path, monkeypatch):
+        # 6 qubits remain, but the largest block is C(5,2) * C(3,1) = 30 states
+        monkeypatch.setattr(limits, "SECTOR_QUBIT_CAP", 5)
+        encoded, _, report = encode_and_taper(tmp_path, two_species_json(tmp_path))
+        data = json.loads(report.read_text())
+        assert data["qubits_after"] == 6 > limits.SECTOR_QUBIT_CAP
+        assert list(data["sector_energies"]) == ["++", "+-", "-+", "--"]
+        q = hamiltonian_from_text(encoded.read_text())
+        plan = build_plan(find_symmetries(q), q)
+        transformed = clifford_transform(q, plan)
+        for label, energy in data["sector_energies"].items():
+            sector = tuple(1 if c == "+" else -1 for c in label)
+            want = np.linalg.eigvalsh(taper(transformed, plan, sector).dense())[0]
+            assert energy == pytest.approx(want, abs=1e-10)
+
+    def test_block_over_the_sector_cap(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(limits, "SECTOR_QUBIT_CAP", 4)
+        h_json = two_species_json(tmp_path)
+        encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
+        assert main(["encode", "--input", h_json, "--map", "jw", "--output", str(encoded)]) == 0
+        argv = ["taper", "--input", str(encoded), "--output", str(tapered),
+                "--report", str(report)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "30 states" in err and "capped at 2^4" in err
+        assert not report.exists()
+        assert main(argv + ["--sector=+-"]) == 0
+        data = json.loads(report.read_text())
+        assert data["best_sector"] is None and data["sector_energies"] == {}
+        assert hamiltonian_from_text(tapered.read_text()).qubit_count == 6
+
+    def test_input_over_the_dense_cap_builds_no_blocks(self, tmp_path, monkeypatch, capsys):
+        # as the 16-qubit input with --sector: refused before any 2^n array
+        import fertaper.cli as cli
+
+        def no_blocks(h):
+            raise AssertionError("built the input register's blocks")
+
+        h_json = two_species_json(tmp_path)
+        encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
+        assert main(["encode", "--input", h_json, "--map", "parity",
+                     "--output", str(encoded)]) == 0
+        monkeypatch.setattr(cli, "InputBlocks", no_blocks)
+        monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "7")
+        argv = ["taper", "--input", str(encoded), "--output", str(tapered),
+                "--report", str(report)]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceed the dense cap of 7" in err
+        assert main(argv + ["--sector=++"]) == 0
+        assert capsys.readouterr().out == "tapered 8 -> 6 qubits (2 symmetries), sector ++\n"
+        data = json.loads(report.read_text())
+        assert data["best_sector"] is None and data["sector_energies"] == {}
+
+    @pytest.mark.parametrize("mapping", ["jw", "parity"])
+    def test_open_shell_best_sector_is_the_first_at_the_minimum(self, tmp_path, mapping):
+        # three electrons: the two spin-flipped ground states have one energy
+        # in two sectors, whose last bits may differ
+        h_json = tmp_path / "h.json"
+        h_json.write_text(open_shell_hubbard().to_json())
+        encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
+        assert main(["encode", "--input", str(h_json), "--map", mapping,
+                     "--output", str(encoded)]) == 0
+        assert main(["taper", "--input", str(encoded), "--output", str(tapered),
+                     "--report", str(report)]) == 0
+        energies = json.loads(report.read_text())["sector_energies"]
+        lowest = min(energies.values())
+        ground = [label for label, e in energies.items() if e <= lowest + 1e-10]
+        assert len(ground) == 2
+        assert json.loads(report.read_text())["best_sector"] == ground[0]
+        assert list(energies).index(ground[0]) < list(energies).index(ground[1])
+
+    def test_best_sector_ignores_differences_below_the_tolerance(self, tmp_path, monkeypatch):
+        # lower each later sector by 1e-13: a bare minimum would pick the last
+        import fertaper.cli as cli
+
+        def nudged(*args):
+            spectra = sector_spectra(*args)
+            return {s: v - 1e-13 * k for k, (s, v) in enumerate(spectra.items())}
+
+        monkeypatch.setattr(cli, "sector_spectra", nudged)
+        path = tmp_path / "h.json"
+        path.write_text(FermionHamiltonian(3, 1, np.zeros((3, 3))).to_json())
+        _, _, report = encode_and_taper(tmp_path, str(path))
+        data = json.loads(report.read_text())
+        assert len(set(data["sector_energies"].values())) == 8
+        assert data["best_sector"] == "+++"
 
     def test_repeated_json_row_is_an_error_line(self, tmp_path, capsys):
         source = tmp_path / "h.json"
@@ -402,12 +553,10 @@ class TestDecodeCommand:
 
     @pytest.mark.parametrize("kind", ["weight-3 columns", "girth too small"])
     def test_other_matrices_keep_the_mitm_route(self, tmp_path, capsys, monkeypatch, kind):
-        import fertaper.cli as cli
-
         def no_matching(*args):
             raise AssertionError("a non-graph matrix took the matching route")
 
-        monkeypatch.setattr(cli, "graph_decode", no_matching)
+        monkeypatch.setattr(GraphDecoder, "decode", no_matching)
         rng = np.random.default_rng(3)
         if kind == "weight-3 columns":
             a = np.zeros((10, 14), dtype=np.uint8)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fertaper import gf2
-from fertaper.codeword import is_n_injective
+from fertaper.codeword import CodeEncoding, is_n_injective
 from fertaper.graphs import (
     BipartiteGraph,
     GraphDecoder,
@@ -22,10 +22,11 @@ from fertaper.graphs import (
     load_graph,
     min_weight_matching,
     no_edge_addable,
+    path_lengths,
     save_graph,
     two_coloring,
 )
-from tests.conftest import syndrome_map
+from tests.conftest import syndrome, syndrome_map
 
 
 def four_cycle():
@@ -226,6 +227,35 @@ class TestDistanceMatrix:
                 reach = bfs_distances(g, u)
                 want = [min(reach.get(v, cap), cap) for v in range(1, g.vertex_count + 1)]
                 assert dist[u - 1].tolist() == want
+
+    def test_capped_girth_walk_is_the_decoder_matrix(self, fig3_graph):
+        # capping path_lengths' matrix gives distance_matrix's, also where
+        # 2n+1 exceeds Q and "not connected" must read as the cap
+        single_edge = BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3),))
+        for g in (fig3_graph, greedy_high_girth(48, 4, trials=3, seed=6), path_graph(),
+                  single_edge):
+            lengths, shortest = path_lengths(g)
+            assert shortest == brute_force_girth(g)
+            for n in range(5):
+                capped = distance_matrix(g, n, lengths)
+                assert capped.dtype == np.int16
+                assert np.array_equal(capped, distance_matrix(g, n))
+
+    @pytest.mark.parametrize("which", ["fig3", "greedy48"])
+    def test_graph_encoding_walks_its_edges_once(self, monkeypatch, fig3_graph, which):
+        import fertaper.graphs as graphs
+
+        g, n = ((fig3_graph, 2) if which == "fig3"
+                else (greedy_high_girth(48, 4, trials=3, seed=6), 4))
+        links = []
+        link = graphs._link
+        monkeypatch.setattr(graphs, "_link", lambda dist, a, b: links.append(a) or link(dist, a, b))
+        enc = CodeEncoding.from_graph(g, n)
+        occ = np.zeros(g.edge_count, dtype=np.uint8)
+        occ[:n] = 1
+        assert enc.decode(syndrome(enc.matrix, occ)).occ == tuple(occ)
+        assert len(links) == g.edge_count
+        assert np.array_equal(enc._graph_decoder.distances, distance_matrix(g, n))
 
     def test_particle_count_must_be_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fertaper.pauli import (
 )
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
+    InputBlocks,
     SymmetryGroup,
     TaperingPlan,
     all_sectors,
@@ -377,6 +379,92 @@ class TestTaper:
         assert all(np.all(np.diff(v) >= 0) for v in every.values())
 
 
+def whole_sector_spectra(q: QubitHamiltonian, plan: TaperingPlan) -> dict:
+    """The oracle: eigvalsh of every whole tapered sector matrix."""
+    transformed = clifford_transform(q, plan)
+    return {s: np.linalg.eigvalsh(taper(transformed, plan, s).dense())
+            for s in all_sectors(plan.size)}
+
+
+def assert_matches_the_oracle(q: QubitHamiltonian, plan: TaperingPlan) -> bool:
+    """sector_spectra(q, plan) against the oracle; returns whether it called taper.
+
+    It must taper exactly when some generator has an X or Y letter: a
+    Z-type plan never builds, so never diagonalizes, a whole sector matrix.
+    """
+    with mock.patch("fertaper.tapering.taper", wraps=taper) as spy:
+        spectra = sector_spectra(q, plan)
+    oracle = whole_sector_spectra(q, plan)
+    assert list(spectra) == list(oracle)
+    for sector, spectrum in oracle.items():
+        assert spectra[sector].shape == spectrum.shape
+        assert np.abs(spectra[sector] - spectrum).max() <= 1e-10
+    assert spy.called == (not plan.z_type)
+    return spy.called
+
+
+class TestInputBlocks:
+    @pytest.mark.parametrize("kind", ["jordan_wigner", "parity", "binary_tree"])
+    @pytest.mark.parametrize("m", [4, 8])
+    def test_spin_conserving_inputs_match_the_oracle(self, kind, m):
+        q = encode_hamiltonian(spin_conserving_hamiltonian(m, m), build_encoding(kind, m))
+        plan = build_plan(find_symmetries(q), q)
+        assert plan.size == 2
+        assert not assert_matches_the_oracle(q, plan)
+
+    def test_h2_matches_the_oracle(self, h2_table, h2_fermionic):
+        for q in (h2_table, encode_hamiltonian(h2_fermionic, build_encoding("parity", 4))):
+            plan = build_plan(find_symmetries(q), q)
+            assert not assert_matches_the_oracle(q, plan)
+
+    def test_zero_qubit_sectors_match_the_oracle(self):
+        # plans that taper every qubit: Z-type ones, the empty sum's (it has
+        # X letters), no generators on zero qubits, and a single X's
+        cases = [QubitHamiltonian(1, ((0.5, PauliOperator.from_label("I")),
+                                      (0.3, PauliOperator.from_label("Z")))),
+                 QubitHamiltonian.zero(2),
+                 QubitHamiltonian(0, ((2.0, PauliOperator.identity(0)),)),
+                 single_term(1, "X")]
+        routes = []
+        for q in cases:
+            plan = build_plan(find_symmetries(q), q)
+            assert plan.size == q.qubit_count
+            routes.append(assert_matches_the_oracle(q, plan))
+        assert routes == [False, True, False, True]
+
+    def test_blocks_join_states_by_summed_values(self):
+        # XX + YY hops |01> <-> |10> but cancels on |00> <-> |11>, which XX alone joins
+        hop = QubitHamiltonian(2, ((0.5, PauliOperator.from_label("XX")),
+                                   (0.5, PauliOperator.from_label("YY"))))
+        plan = build_plan(SymmetryGroup(2, (PauliOperator.from_label("ZZ"),)))
+        blocks = InputBlocks(hop)
+        assert [b.tolist() for b in blocks.blocks(plan, (1,))] == [[0], [3]]
+        assert [b.tolist() for b in blocks.blocks(plan, (-1,))] == [[1, 2]]
+        assert blocks.largest(plan, all_sectors(1)) == 2
+        assert sector_spectra(hop, plan)[(-1,)].tolist() == pytest.approx([-1, 1])
+        xx = QubitHamiltonian(2, ((1.0, PauliOperator.from_label("XX")),))
+        assert [b.tolist() for b in InputBlocks(xx).blocks(plan, (1,))] == [[0, 3]]
+
+    def test_blocks_partition_each_sector(self):
+        q = encode_hamiltonian(spin_conserving_hamiltonian(6, 3), build_encoding("parity", 6))
+        plan = build_plan(find_symmetries(q), q)
+        blocks = InputBlocks(q)
+        states = np.concatenate([b for s in all_sectors(plan.size)
+                                 for b in blocks.blocks(plan, s)])
+        assert sorted(states.tolist()) == list(range(1 << 6))
+        # spin-up and spin-down numbers label the blocks: C(3, a) * C(3, b) states
+        sizes = sorted(len(b) for s in all_sectors(plan.size) for b in blocks.blocks(plan, s))
+        want = sorted(len(list(itertools.combinations(range(3), a)))
+                      * len(list(itertools.combinations(range(3), b)))
+                      for a in range(4) for b in range(4))
+        assert sizes == want
+
+    def test_blocks_need_z_type_generators(self, h2_table):
+        plan = build_plan(SymmetryGroup(1, (PauliOperator.from_label("X"),)))
+        with pytest.raises(ValueError, match="Z-type"):
+            InputBlocks(single_term(1, "X")).blocks(plan, (1,))
+
+
 class TestSpinSectorSigns:
     def test_singlet(self):
         enc = build_encoding("parity", 4)
@@ -563,6 +651,7 @@ def assert_tapers_exactly(q: QubitHamiltonian, spectrum: np.ndarray) -> Tapering
     spectra = sector_spectra(q, plan, transformed)
     union = np.sort(np.concatenate(list(spectra.values())))
     assert np.allclose(union, spectrum, atol=1e-9)
+    assert_matches_the_oracle(q, plan)
     # sector s is H on the joint eigenspace where generator i has eigenvalue s_i
     dense, eye = q.dense(), np.eye(1 << q.qubit_count)
     for sector, sector_spectrum in spectra.items():
