@@ -50,11 +50,7 @@ from fertaper.pauli import (
 )
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
-    InputBlocks,
-    SymmetryGroup,
-    all_sectors,
     build_plan,
-    check_matrix,
     clifford_transform,
     find_symmetries,
     sector_spectra,
@@ -142,44 +138,33 @@ def _cmd_taper(args) -> int:
     plan = build_plan(group, h)
     transformed = clifford_transform(h, plan)
     report = RunReport(config={"input": args.input, "sector": args.sector or "enumerate"})
-    n = report.qubits_before = h.qubit_count
-    report.qubits_after = n - plan.size
+    report.qubits_before = h.qubit_count
+    report.qubits_after = h.qubit_count - plan.size
     # the plan's order: sector sign i is the eigenvalue of generator i
     report.generators = [g.label for g in plan.generators]
     report.paired_qubits = list(plan.paired_qubits)
 
-    rows = check_matrix(h)
+    # pauli.commutes on the packed masks: no PauliOperator per input term
     report.add_check("generators_commute", not any(
-        (row & v).bit_count() & 1 for v in SymmetryGroup(n, plan.generators).vectors()
-        for row in rows))
+        ((g.x_mask & z) ^ (g.z_mask & x)).bit_count() & 1
+        for g in plan.generators for x, z in zip(h.x_masks, h.z_masks)))
 
-    sectors = [_parse_sector(args.sector)] if args.sector else all_sectors(plan.size)
-    # caps are decided before any 2^n array is built
-    blocks, refusal = None, None
-    if not plan.z_type:
-        if report.qubits_after > limits.SECTOR_QUBIT_CAP:
-            refusal = (f"{report.qubits_after} qubits remain; enumeration is "
-                       f"capped at {limits.SECTOR_QUBIT_CAP}")
-    elif n > limits.dense_cap():
-        refusal = f"{n} input qubits exceed the dense cap of {limits.dense_cap()}"
-    else:
-        blocks = InputBlocks(h)
-        largest = blocks.largest(plan, sectors)
-        if largest > 1 << limits.SECTOR_QUBIT_CAP:
-            refusal = (f"the largest sector block has {largest} states; diagonalization "
-                       f"is capped at 2^{limits.SECTOR_QUBIT_CAP}")
-    if refusal is None:
-        spectra = sector_spectra(h, plan, transformed, sectors, blocks)
+    sectors = [_parse_sector(args.sector)] if args.sector else None
+    if report.qubits_after <= limits.SECTOR_QUBIT_CAP:
+        spectra = sector_spectra(h, plan, transformed, sectors)
         for sector, spectrum in spectra.items():
             report.sector_energies[_sector_label(sector)] = float(spectrum[0])
         # the first sector at the minimum, so last-bit noise cannot change the choice
         lowest = min(spectrum[0] for spectrum in spectra.values())
         chosen = next(s for s, spectrum in spectra.items() if spectrum[0] <= lowest + 1e-10)
         report.best_sector = _sector_label(chosen)
-    elif args.sector:
+    elif sectors:
         chosen = sectors[0]  # too large to diagonalize; still written below
     else:
-        raise ValueError(f"{refusal}; pass --sector")
+        raise ValueError(
+            f"{report.qubits_after} qubits remain; enumeration is "
+            f"capped at {limits.SECTOR_QUBIT_CAP}, pass --sector"
+        )
     reduced = taper(transformed, plan, chosen)
     with open(args.output, "w", encoding="utf-8") as fh:
         fh.write(hamiltonian_to_text(reduced))

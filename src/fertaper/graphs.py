@@ -104,22 +104,21 @@ def _link(dist: np.ndarray, a: int, b: int) -> None:
     np.minimum(dist, np.minimum(through, through.T) + 1, out=dist)
 
 
-def distance_matrix(g: BipartiteGraph, n: int, lengths: np.ndarray | None = None) -> np.ndarray:
+def distance_matrix(g: BipartiteGraph, n: int) -> np.ndarray:
     """Q x Q int16 path lengths, vertex v at index v-1, capped at 2n+1.
 
     An entry at the cap means "at least 2n+1 apart, or not connected":
     all that greedy generation (may an edge join these two?) and weight-n
-    decoding (paths of length at most n) ever ask.  lengths, when given,
-    is path_lengths(g)'s matrix; capping it gives the same matrix without
-    walking the edges again.
+    decoding (paths of length at most n) ever ask.
     """
+    return _capped(path_lengths(g)[0], n)
+
+
+def _capped(lengths: np.ndarray, n: int) -> np.ndarray:
+    """path_lengths' matrix capped at 2n+1; "not connected" (Q) reads as the
+    cap also where 2n+1 exceeds Q."""
     cap = _far(n)
-    if lengths is not None:
-        return np.where(lengths < g.vertex_count, np.minimum(lengths, cap), cap).astype(np.int16)
-    dist = _unlinked(g.vertex_count, cap)
-    for u, v in g.edges:
-        _link(dist, u - 1, v - 1)
-    return dist
+    return np.where(lengths < len(lengths), np.minimum(lengths, cap), cap).astype(np.int16)
 
 
 def path_lengths(g: BipartiteGraph) -> tuple[np.ndarray, float]:
@@ -336,14 +335,16 @@ class GraphDecoder:
 
     Holds the distance matrix capped at 2n+1, each vertex's neighbours, a
     Q x Q table of edge columns and the edges' vertex masks: everything
-    decode() reads per syndrome.
+    decode() reads per syndrome.  The girth comes from the same walk over
+    the edges.
     """
 
-    def __init__(self, g: BipartiteGraph, n: int, lengths: np.ndarray | None = None):
+    def __init__(self, g: BipartiteGraph, n: int):
         q = g.vertex_count
         self.graph = g
         self.particles = n
-        self.distances = distance_matrix(g, n, lengths)
+        lengths, self.girth = path_lengths(g)
+        self.distances = _capped(lengths, n)
         self.columns = np.full((q, q), -1, dtype=np.intp)
         self.neighbours: list[list[int]] = [[] for _ in range(q)]
         for col, (u, v) in enumerate(g.edges):
@@ -354,13 +355,9 @@ class GraphDecoder:
 
     @classmethod
     def certified(cls, g: BipartiteGraph, n: int) -> "GraphDecoder | None":
-        """The decoder, when girth >= 2n+2 certifies weight-n injectivity, else None.
-
-        The girth walk's distance matrix, capped, is the decoder's, so the
-        edges are walked once.
-        """
-        lengths, shortest = path_lengths(g)
-        return cls(g, n, lengths) if shortest >= 2 * n + 2 else None
+        """The decoder, when girth >= 2n+2 certifies weight-n injectivity, else None."""
+        decoder = cls(g, n)
+        return decoder if decoder.girth >= 2 * n + 2 else None
 
     def _path(self, a: int, b: int) -> list[int]:
         """Edge columns of a shortest a-b path (0-based ends), read off the

@@ -12,23 +12,18 @@ DENSE_QUBIT_CAP = 14
 BRUTE_FORCE_COLUMN_CAP = 24  # columns the brute-force injectivity check and decoder enumerate
 MATERIALIZE_QUBIT_CAP = 24  # qubits up to which codeword simulators build 2^Q arrays
 TABLE_ENTRY_BUDGET = 1 << 26  # entries in one pair of syndrome tables
-# `taper` diagonalizes at most 2^SECTOR_QUBIT_CAP states at once: one block of the
-# input register's basis under Z-type symmetries, else one whole tapered sector
+# qubits left after tapering for which `taper` finds sector energies: it labels
+# each sector's 2^k basis states by connected block, then diagonalizes every block
 SECTOR_QUBIT_CAP = 12
 PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register state
 
 
-def dense_cap() -> int:
-    """Qubits a dense array may span: FERTAPER_MAX_DENSE_QUBITS, else DENSE_QUBIT_CAP."""
+def check_dense(dim: int) -> None:
+    """Refuse a dense vector or matrix over more than 2^cap basis states."""
     env = os.environ.get("FERTAPER_MAX_DENSE_QUBITS", "")
     if env and not env.strip().isdecimal():
         raise ValueError(f"FERTAPER_MAX_DENSE_QUBITS must be a non-negative integer, got {env!r}")
-    return int(env) if env else DENSE_QUBIT_CAP
-
-
-def check_dense(dim: int) -> None:
-    """Refuse a dense vector or matrix over more than 2^cap basis states."""
-    cap = dense_cap()
+    cap = int(env) if env else DENSE_QUBIT_CAP
     if dim > 1 << cap:
         raise ValueError(f"dense array on {(dim - 1).bit_length()} qubits exceeds the cap of "
                          f"{cap}; set FERTAPER_MAX_DENSE_QUBITS to override")

@@ -133,11 +133,6 @@ class TaperingPlan:
     def size(self) -> int:
         return len(self.generators)
 
-    @property
-    def z_type(self) -> bool:
-        """Every generator is a Z string, so sectors are sets of input basis states."""
-        return not any(g.x_mask for g in self.generators)
-
     def reflections(self) -> list[tuple[PauliOperator, PauliOperator]]:
         """(a, b) of each reflection (a + b)/sqrt(2), in the order applied.
 
@@ -277,8 +272,8 @@ def all_sectors(k: int):
     return list(itertools.product((1, -1), repeat=k))
 
 
-class InputBlocks:
-    """The input Hamiltonian over its 2^n basis states, split into connected blocks.
+class BasisBlocks:
+    """A Hamiltonian over its 2^n basis states, split into connected blocks.
 
     The canonical terms sharing an x mask sum to one value per state s,
     the matrix element <s^x|H|s>, built one x mask at a time.  Every
@@ -286,109 +281,83 @@ class InputBlocks:
     pair of modes whose occupation number would change, XX and YY cancel,
     so the x masks alone would join particle numbers.  Min-label
     propagation over the edges labels each state by the least state of its
-    component.  A Z-type symmetry is diagonal here and commutes with H, so
-    each block lies inside one sector: these are the particle-number and
-    spin blocks of a molecular Hamiltonian, found from the matrix alone.
+    component.  On a tapered molecular sector these are its particle-number
+    and spin blocks, found from the matrix alone.
     """
 
     def __init__(self, h: QubitHamiltonian):
         h = h.canonicalize()
         limits.check_dense(1 << h.qubit_count)
-        self.states = states = np.arange(1 << h.qubit_count, dtype=np.int64)
-        groups: dict[int, list[tuple[int, complex]]] = {0: []}  # never empty
-        for x, z, c in zip(h.x_masks, h.z_masks, h.coeffs):
-            groups.setdefault(x, []).append((z, c * _PHASE[(x & z).bit_count() % 4]))
-        # (x, states s with a nonzero <s^x|H|s>, those values)
-        self.entries: list[tuple[int, np.ndarray, np.ndarray]] = []
-        for x, terms in groups.items():
-            values = np.zeros(len(states), dtype=complex)
-            for z, c in terms:
-                values += np.where(np.bitwise_count(states & z) & 1, -c, c)
-            sources = np.flatnonzero(np.abs(values) > DEFAULT_PRUNE_TOL)
-            self.entries.append((x, sources, values[sources]))
-        labels = states.copy()
+        states = np.arange(1 << h.qubit_count, dtype=np.int64)
+        xs = np.array(h.x_masks, dtype=np.int64)
+        zs = np.array(h.z_masks, dtype=np.int64)
+        cs = np.array(h.coeffs, dtype=complex) * np.array(_PHASE)[np.bitwise_count(xs & zs) % 4]
+        starts = np.flatnonzero(np.diff(xs, prepend=-1))  # canonical terms are sorted by x
+        rows = max(1, (1 << 16) >> h.qubit_count)  # terms summed at once
+        sources, targets, values = [states[:0]], [states[:0]], [cs[:0]]
+        for lo, hi in zip(starts, [*starts[1:], len(xs)]):
+            summed = np.zeros(len(states), dtype=complex)
+            for a in range(lo, hi, rows):
+                odd = np.bitwise_count(states & zs[a:min(a + rows, hi), None]) & 1
+                summed += cs[a:a + len(odd)] @ np.where(odd, -1.0, 1.0)
+            s = np.flatnonzero(np.abs(summed) > DEFAULT_PRUNE_TOL)
+            sources.append(s)
+            targets.append(s ^ xs[lo])
+            values.append(summed[s])
+        # every nonzero <t|H|s>: edges s - t, with t = s ^ x
+        self.sources, self.targets, self.values = map(np.concatenate, (sources, targets, values))
+        labels = states
         while True:
             before = labels.copy()
-            for x, sources, _ in self.entries:
-                low = np.minimum(labels[sources], labels[sources ^ x])
-                labels[sources] = low
-                labels[sources ^ x] = low
+            np.minimum.at(labels, self.sources, labels[self.targets])  # H is Hermitian
             labels = labels[labels]  # a label's own label is in the same component
             if np.array_equal(labels, before):
                 break
         self.labels = labels
 
-    def blocks(self, plan: TaperingPlan, sector) -> list[np.ndarray]:
-        """Ascending states of each block in the sector, ordered by least state.
-
-        A state is in the sector when generator i, a Z string, has
-        eigenvalue sector[i] on it.
-        """
-        if not plan.z_type:
-            raise ValueError("input-basis blocks need Z-type generators")
-        inside = np.ones(len(self.states), dtype=bool)
-        for g, s in zip(plan.generators, sector):
-            odd = s * _PHASE[g.phase_power % 4].real < 0  # the Z string's eigenvalue is -1
-            inside &= (np.bitwise_count(self.states & g.z_mask) & 1) == odd
-        states = np.flatnonzero(inside)
-        states = states[np.argsort(self.labels[states], kind="stable")]
+    def blocks(self) -> list[np.ndarray]:
+        """Ascending states of each block, ordered by least state."""
+        states = np.argsort(self.labels, kind="stable")
         return np.split(states, np.flatnonzero(np.diff(self.labels[states])) + 1)
 
-    def spectrum(self, plan: TaperingPlan, sector) -> np.ndarray:
-        """Ascending union of the spectra of the sector's blocks.
+    def spectrum(self) -> np.ndarray:
+        """Ascending union of the block spectra, one small eigvalsh per block.
 
-        The blocks together span the sector, so this is the spectrum of
-        the sector's tapered Hamiltonian, one small eigvalsh per block.
+        The blocks together span the register, so this is H's spectrum.
         """
-        blocks = self.blocks(plan, sector)
-        owner = np.full(len(self.states), -1, dtype=np.int64)
-        local = np.zeros(len(self.states), dtype=np.int64)
+        blocks = self.blocks()
+        owner = np.empty(len(self.labels), dtype=np.int64)
+        local = np.empty(len(self.labels), dtype=np.int64)
         for b, states in enumerate(blocks):
             owner[states] = b
             local[states] = np.arange(len(states))
-        rows, cols, values, owners = [], [], [], []
-        for x, sources, vals in self.entries:
-            keep = owner[sources] >= 0
-            s = sources[keep]
-            owners.append(owner[s])
-            rows.append(local[s ^ x])
-            cols.append(local[s])
-            values.append(vals[keep])
-        owners, rows, cols, values = map(np.concatenate, (owners, rows, cols, values))
-        order = np.argsort(owners, kind="stable")
-        cuts = np.cumsum(np.bincount(owners, minlength=len(blocks)))[:-1]
+        order = np.argsort(owner[self.sources], kind="stable")
+        cuts = np.cumsum(np.bincount(owner[self.sources], minlength=len(blocks)))[:-1]
+        rows, cols = local[self.targets], local[self.sources]
         spectra = []
         for states, part in zip(blocks, np.split(order, cuts)):
             mat = np.zeros((len(states), len(states)), dtype=complex)
-            mat[rows[part], cols[part]] = values[part]
+            mat[rows[part], cols[part]] = self.values[part]
             spectra.append(np.linalg.eigvalsh(mat))
         return np.sort(np.concatenate(spectra))
-
-    def largest(self, plan: TaperingPlan, sectors) -> int:
-        """States in the largest block of any of the sectors."""
-        return max((len(b) for s in sectors for b in self.blocks(plan, s)), default=0)
 
 
 def sector_spectra(h: QubitHamiltonian, plan: TaperingPlan,
                    transformed: QubitHamiltonian | None = None,
-                   sectors=None, blocks: InputBlocks | None = None) -> dict[tuple, np.ndarray]:
+                   sectors=None) -> dict[tuple, np.ndarray]:
     """Ascending dense spectrum of each sector's tapered Hamiltonian.
 
     sectors defaults to all 2^k sign choices; the result keeps their order.
-    When every generator is a Z string, each spectrum is the union of the
-    sector's input-basis blocks (blocks, if given, are h's InputBlocks).
-    Otherwise each tapered sector matrix is diagonalized whole; a sector
-    with no qubits left is a 1x1 matrix, its one coefficient.
+    Each spectrum is the union of the tapered sector's BasisBlocks: the
+    reflections send the basis states of a Z-string sector to tapered basis
+    states, so a molecular sector keeps its particle-number blocks.  A
+    sector with no qubits left is a 1x1 matrix, its one coefficient.
     """
-    if sectors is None:
-        sectors = all_sectors(plan.size)
-    if plan.z_type:
-        if blocks is None:
-            blocks = InputBlocks(h)
-        return {tuple(sector): blocks.spectrum(plan, sector) for sector in sectors}
     if transformed is None:
         transformed = clifford_transform(h, plan)
-    return {tuple(sector): np.linalg.eigvalsh(taper(transformed, plan, sector).dense())
+    if sectors is None:
+        sectors = all_sectors(plan.size)
+    return {tuple(sector): BasisBlocks(taper(transformed, plan, sector)).spectrum()
             for sector in sectors}
 
 

@@ -54,28 +54,21 @@ def subcode_json(tmp_path):
     return str(path)
 
 
-def two_species_json(tmp_path) -> str:
-    """M=8 input conserving the numbers on modes 1-5 and on modes 6-8 apart.
+def number_chain(size: int, rng) -> list[tuple[float, str]]:
+    """(coefficient, label) terms of a particle-conserving chain on size qubits.
 
-    Its spin-parity-like sectors hold 64 states, its largest block
-    C(5,2) * C(3,1) = 30.
+    Z and ZZ energies plus XX + YY hops between neighbours: the chain's
+    parity is its one symmetry.
     """
-    rng = np.random.default_rng(0)
-    group = np.array([0] * 5 + [1] * 3)
-    raw = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
-    t = (raw + raw.conj().T) / 8
-    t[group[:, None] != group[None, :]] = 0
-    u: dict[tuple[int, int, int, int], complex] = {}
-    while len(u) < 12:
-        a, b, g, d = (int(v) for v in rng.integers(1, 9, size=4))
-        if a == b or g == d or sorted(group[[a - 1, b - 1]]) != sorted(group[[g - 1, d - 1]]):
-            continue
-        val = complex(rng.normal(), rng.normal()) / 4
-        u[(a, b, g, d)] = val.real if (a, b) == (d, g) else val
-        u[(d, g, b, a)] = np.conj(u[(a, b, g, d)])
-    path = tmp_path / "two_species.json"
-    path.write_text(FermionHamiltonian(8, 1, t, u).to_json())
-    return str(path)
+    def label(letters: dict[int, str]) -> str:
+        return "".join(letters.get(q, "I") for q in range(size))
+
+    terms = [(rng.normal(), label({q: "Z"})) for q in range(size)]
+    for q in range(size - 1):
+        hop = rng.normal()
+        terms += [(hop, label({q: "X", q + 1: "X"})), (hop, label({q: "Y", q + 1: "Y"})),
+                  (rng.normal(), label({q: "Z", q + 1: "Z"}))]
+    return terms
 
 
 def open_shell_hubbard() -> FermionHamiltonian:
@@ -246,8 +239,8 @@ class TestTaperReport:
         data = json.loads(report.read_text())
         assert data["best_sector"] is None and data["sector_energies"] == {}
 
-    def test_x_plan_past_the_qubit_cap_is_an_error_line(self, tmp_path, capsys):
-        # the X...X plan keeps the whole-sector route and its 12-qubit cap
+    def test_past_the_qubit_cap_is_an_error_line(self, tmp_path, capsys):
+        # the X...X symmetry of the Ising chain leaves 13 qubits, past the cap of 12
         n = 14
         lines = [f"# qubits {n}"]
         lines += ["1 0 " + "I" * q + "ZZ" + "I" * (n - q - 2) for q in range(n - 1)]
@@ -266,59 +259,58 @@ class TestTaperReport:
         gens = [PauliOperator.from_label(label) for label in data["generators"]]
         assert all(commutes(g, op) for g in gens for _, op in q.terms)
 
-    def test_sector_cap_limits_blocks_not_qubits(self, tmp_path, monkeypatch):
-        # 6 qubits remain, but the largest block is C(5,2) * C(3,1) = 30 states
-        monkeypatch.setattr(limits, "SECTOR_QUBIT_CAP", 5)
-        encoded, _, report = encode_and_taper(tmp_path, two_species_json(tmp_path))
+    def test_enumerates_past_the_dense_cap_when_few_qubits_remain(self, tmp_path):
+        # 15 input qubits, one past the dense cap; four chain parities leave 11
+        sizes = (4, 4, 4, 3)
+        rng = np.random.default_rng(3)
+        chains = [number_chain(size, rng) for size in sizes]
+        n = sum(sizes)
+        assert n > limits.DENSE_QUBIT_CAP and n - len(sizes) <= limits.SECTOR_QUBIT_CAP
+        lines, offset = [f"# qubits {n}"], 0
+        for size, terms in zip(sizes, chains):
+            lines += [f"{c} 0 {'I' * offset}{label}{'I' * (n - offset - size)}"
+                      for c, label in terms]
+            offset += size
+        pauli, report = tmp_path / "chains.txt", tmp_path / "r.json"
+        pauli.write_text("\n".join(lines) + "\n")
+        assert main(["taper", "--input", str(pauli), "--output", str(tmp_path / "t.txt"),
+                     "--report", str(report)]) == 0
         data = json.loads(report.read_text())
-        assert data["qubits_after"] == 6 > limits.SECTOR_QUBIT_CAP
-        assert list(data["sector_energies"]) == ["++", "+-", "-+", "--"]
-        q = hamiltonian_from_text(encoded.read_text())
-        plan = build_plan(find_symmetries(q), q)
-        transformed = clifford_transform(q, plan)
+        assert data["generators"] == ["ZZZZIIIIIIIIIII", "IIIIZZZZIIIIIII",
+                                      "IIIIIIIIZZZZIII", "IIIIIIIIIIIIZZZ"]
+        assert len(data["sector_energies"]) == 16
+        # the chains are independent: a sector's energy is the sum over chains
+        # of each one's least energy at the parity its sign fixes
+        lowest = []
+        for terms in chains:
+            dense = hamiltonian_from_text("".join(f"{c} 0 {label}\n" for c, label in terms)).dense()
+            odd = np.bitwise_count(np.arange(len(dense))) & 1
+            lowest.append({sign: np.linalg.eigvalsh(dense[np.ix_(odd == bit, odd == bit)])[0]
+                           for sign, bit in (("+", 0), ("-", 1))})
         for label, energy in data["sector_energies"].items():
-            sector = tuple(1 if c == "+" else -1 for c in label)
-            want = np.linalg.eigvalsh(taper(transformed, plan, sector).dense())[0]
+            want = sum(chain[sign] for chain, sign in zip(lowest, label))
             assert energy == pytest.approx(want, abs=1e-10)
 
-    def test_block_over_the_sector_cap(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(limits, "SECTOR_QUBIT_CAP", 4)
-        h_json = two_species_json(tmp_path)
-        encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
-        assert main(["encode", "--input", h_json, "--map", "jw", "--output", str(encoded)]) == 0
-        argv = ["taper", "--input", str(encoded), "--output", str(tapered),
-                "--report", str(report)]
-        capsys.readouterr()
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and "30 states" in err and "capped at 2^4" in err
-        assert not report.exists()
-        assert main(argv + ["--sector=+-"]) == 0
-        data = json.loads(report.read_text())
-        assert data["best_sector"] is None and data["sector_energies"] == {}
-        assert hamiltonian_from_text(tapered.read_text()).qubit_count == 6
-
-    def test_input_over_the_dense_cap_builds_no_blocks(self, tmp_path, monkeypatch, capsys):
-        # as the 16-qubit input with --sector: refused before any 2^n array
-        import fertaper.cli as cli
+    def test_sector_past_the_qubit_cap_builds_no_blocks(self, tmp_path, h2_json, monkeypatch,
+                                                        capsys):
+        # as the benchmark's 16-qubit input with --sector: refused before any 2^k array
+        import fertaper.tapering as tapering
 
         def no_blocks(h):
-            raise AssertionError("built the input register's blocks")
+            raise AssertionError("built a sector's blocks")
 
-        h_json = two_species_json(tmp_path)
         encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
-        assert main(["encode", "--input", h_json, "--map", "parity",
-                     "--output", str(encoded)]) == 0
-        monkeypatch.setattr(cli, "InputBlocks", no_blocks)
-        monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "7")
+        assert main(["encode", "--input", h2_json, "--map", "jw", "--output", str(encoded)]) == 0
+        monkeypatch.setattr(tapering, "BasisBlocks", no_blocks)
+        monkeypatch.setattr(limits, "SECTOR_QUBIT_CAP", 0)
         argv = ["taper", "--input", str(encoded), "--output", str(tapered),
                 "--report", str(report)]
         capsys.readouterr()
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "exceed the dense cap of 7" in err
-        assert main(argv + ["--sector=++"]) == 0
-        assert capsys.readouterr().out == "tapered 8 -> 6 qubits (2 symmetries), sector ++\n"
+        assert err.startswith("error:") and "1 qubits remain; enumeration is capped at 0" in err
+        assert main(argv + ["--sector=+-+"]) == 0
+        assert capsys.readouterr().out == "tapered 4 -> 1 qubits (3 symmetries), sector +-+\n"
         data = json.loads(report.read_text())
         assert data["best_sector"] is None and data["sector_energies"] == {}
 

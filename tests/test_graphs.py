@@ -22,7 +22,6 @@ from fertaper.graphs import (
     load_graph,
     min_weight_matching,
     no_edge_addable,
-    path_lengths,
     save_graph,
     two_coloring,
 )
@@ -228,18 +227,15 @@ class TestDistanceMatrix:
                 want = [min(reach.get(v, cap), cap) for v in range(1, g.vertex_count + 1)]
                 assert dist[u - 1].tolist() == want
 
-    def test_capped_girth_walk_is_the_decoder_matrix(self, fig3_graph):
-        # capping path_lengths' matrix gives distance_matrix's, also where
-        # 2n+1 exceeds Q and "not connected" must read as the cap
-        single_edge = BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3),))
-        for g in (fig3_graph, greedy_high_girth(48, 4, trials=3, seed=6), path_graph(),
-                  single_edge):
-            lengths, shortest = path_lengths(g)
-            assert shortest == brute_force_girth(g)
-            for n in range(5):
-                capped = distance_matrix(g, n, lengths)
-                assert capped.dtype == np.int16
-                assert np.array_equal(capped, distance_matrix(g, n))
+    def test_decoder_keeps_the_girth_and_capped_distances_of_one_walk(self, fig3_graph):
+        for g, n in ((fig3_graph, 2), (greedy_high_girth(48, 4, trials=3, seed=6), 4)):
+            decoder = GraphDecoder(g, n)
+            assert decoder.girth == brute_force_girth(g)
+            cap = 2 * n + 1
+            for u in range(1, g.vertex_count + 1):
+                reach = bfs_distances(g, u)
+                want = [min(reach.get(v, cap), cap) for v in range(1, g.vertex_count + 1)]
+                assert decoder.distances[u - 1].tolist() == want
 
     @pytest.mark.parametrize("which", ["fig3", "greedy48"])
     def test_graph_encoding_walks_its_edges_once(self, monkeypatch, fig3_graph, which):

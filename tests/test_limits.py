@@ -22,7 +22,7 @@ from fertaper.firstq import (
 )
 from fertaper.pauli import PauliOperator, QubitHamiltonian
 from fertaper.standard_maps import build_encoding
-from fertaper.tapering import InputBlocks
+from fertaper.tapering import BasisBlocks
 
 # every dense builder, each on a basis of 16 to 81 states
 DENSE_BUILDERS = {
@@ -41,8 +41,8 @@ DENSE_BUILDERS = {
     "encode_first_quantized":
         lambda: encode_first_quantized(FockState((1, 1, 0, 0)), RegisterEncoding(4, 2)),
     "partition_eigenvector": lambda: partition_eigenvector((2, 1), 3),
-    "InputBlocks":
-        lambda: InputBlocks(QubitHamiltonian(4, ((1.0, PauliOperator.from_label("XZIY")),))).labels,
+    "BasisBlocks":
+        lambda: BasisBlocks(QubitHamiltonian(4, ((1.0, PauliOperator.from_label("XZIY")),))).labels,
 }
 
 

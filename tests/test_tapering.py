@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from fertaper.pauli import (
 )
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
-    InputBlocks,
+    BasisBlocks,
     SymmetryGroup,
     TaperingPlan,
     all_sectors,
@@ -386,36 +387,35 @@ def whole_sector_spectra(q: QubitHamiltonian, plan: TaperingPlan) -> dict:
             for s in all_sectors(plan.size)}
 
 
-def assert_matches_the_oracle(q: QubitHamiltonian, plan: TaperingPlan) -> bool:
-    """sector_spectra(q, plan) against the oracle; returns whether it called taper.
-
-    It must taper exactly when some generator has an X or Y letter: a
-    Z-type plan never builds, so never diagonalizes, a whole sector matrix.
-    """
-    with mock.patch("fertaper.tapering.taper", wraps=taper) as spy:
+def assert_matches_the_oracle(q: QubitHamiltonian, plan: TaperingPlan) -> int:
+    """sector_spectra(q, plan) against the oracle; returns the largest matrix it diagonalized."""
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    with mock.patch("numpy.linalg.eigvalsh", lambda mat: sizes.append(len(mat)) or eigvalsh(mat)):
         spectra = sector_spectra(q, plan)
     oracle = whole_sector_spectra(q, plan)
     assert list(spectra) == list(oracle)
     for sector, spectrum in oracle.items():
         assert spectra[sector].shape == spectrum.shape
         assert np.abs(spectra[sector] - spectrum).max() <= 1e-10
-    assert spy.called == (not plan.z_type)
-    return spy.called
+    return max(sizes)
 
 
-class TestInputBlocks:
+class TestBasisBlocks:
     @pytest.mark.parametrize("kind", ["jordan_wigner", "parity", "binary_tree"])
     @pytest.mark.parametrize("m", [4, 8])
     def test_spin_conserving_inputs_match_the_oracle(self, kind, m):
+        # the largest matrix is the half-filled spin block, C(m/2, m/4)^2
+        # states: at m = 8 that is 36 of a sector's 64, so no whole tapered
+        # sector matrix is diagonalized
         q = encode_hamiltonian(spin_conserving_hamiltonian(m, m), build_encoding(kind, m))
         plan = build_plan(find_symmetries(q), q)
-        assert plan.size == 2
-        assert not assert_matches_the_oracle(q, plan)
+        assert plan.size == 2 and not any(g.x_mask for g in plan.generators)
+        assert assert_matches_the_oracle(q, plan) == math.comb(m // 2, m // 4) ** 2
 
     def test_h2_matches_the_oracle(self, h2_table, h2_fermionic):
         for q in (h2_table, encode_hamiltonian(h2_fermionic, build_encoding("parity", 4))):
-            plan = build_plan(find_symmetries(q), q)
-            assert not assert_matches_the_oracle(q, plan)
+            assert_matches_the_oracle(q, build_plan(find_symmetries(q), q))
 
     def test_zero_qubit_sectors_match_the_oracle(self):
         # plans that taper every qubit: Z-type ones, the empty sum's (it has
@@ -425,44 +425,40 @@ class TestInputBlocks:
                  QubitHamiltonian.zero(2),
                  QubitHamiltonian(0, ((2.0, PauliOperator.identity(0)),)),
                  single_term(1, "X")]
-        routes = []
         for q in cases:
             plan = build_plan(find_symmetries(q), q)
             assert plan.size == q.qubit_count
-            routes.append(assert_matches_the_oracle(q, plan))
-        assert routes == [False, True, False, True]
+            assert assert_matches_the_oracle(q, plan) == 1
 
     def test_blocks_join_states_by_summed_values(self):
         # XX + YY hops |01> <-> |10> but cancels on |00> <-> |11>, which XX alone joins
         hop = QubitHamiltonian(2, ((0.5, PauliOperator.from_label("XX")),
                                    (0.5, PauliOperator.from_label("YY"))))
-        plan = build_plan(SymmetryGroup(2, (PauliOperator.from_label("ZZ"),)))
-        blocks = InputBlocks(hop)
-        assert [b.tolist() for b in blocks.blocks(plan, (1,))] == [[0], [3]]
-        assert [b.tolist() for b in blocks.blocks(plan, (-1,))] == [[1, 2]]
-        assert blocks.largest(plan, all_sectors(1)) == 2
-        assert sector_spectra(hop, plan)[(-1,)].tolist() == pytest.approx([-1, 1])
+        blocks = BasisBlocks(hop)
+        assert [b.tolist() for b in blocks.blocks()] == [[0], [1, 2], [3]]
+        assert blocks.spectrum().tolist() == pytest.approx([-1, 0, 0, 1])
         xx = QubitHamiltonian(2, ((1.0, PauliOperator.from_label("XX")),))
-        assert [b.tolist() for b in InputBlocks(xx).blocks(plan, (1,))] == [[0, 3]]
+        assert [b.tolist() for b in BasisBlocks(xx).blocks()] == [[0, 3], [1, 2]]
 
-    def test_blocks_partition_each_sector(self):
+    def test_sector_blocks_are_particle_number_blocks(self):
+        # the reflections send each sector's input basis states to tapered
+        # basis states, so the blocks keep C(3, a) * C(3, b) states
         q = encode_hamiltonian(spin_conserving_hamiltonian(6, 3), build_encoding("parity", 6))
         plan = build_plan(find_symmetries(q), q)
-        blocks = InputBlocks(q)
-        states = np.concatenate([b for s in all_sectors(plan.size)
-                                 for b in blocks.blocks(plan, s)])
-        assert sorted(states.tolist()) == list(range(1 << 6))
-        # spin-up and spin-down numbers label the blocks: C(3, a) * C(3, b) states
-        sizes = sorted(len(b) for s in all_sectors(plan.size) for b in blocks.blocks(plan, s))
+        transformed = clifford_transform(q, plan)
+        sizes = sorted(len(b) for s in all_sectors(plan.size)
+                       for b in BasisBlocks(taper(transformed, plan, s)).blocks())
         want = sorted(len(list(itertools.combinations(range(3), a)))
                       * len(list(itertools.combinations(range(3), b)))
                       for a in range(4) for b in range(4))
         assert sizes == want
 
-    def test_blocks_need_z_type_generators(self, h2_table):
-        plan = build_plan(SymmetryGroup(1, (PauliOperator.from_label("X"),)))
-        with pytest.raises(ValueError, match="Z-type"):
-            InputBlocks(single_term(1, "X")).blocks(plan, (1,))
+    def test_sectors_are_checked(self, h2_table):
+        plan = build_plan(find_symmetries(h2_table), h2_table)
+        with pytest.raises(ValueError, match="sector needs 3 entries"):
+            sector_spectra(h2_table, plan, sectors=[(1,)])
+        with pytest.raises(ValueError, match=r"\+1 or -1"):
+            sector_spectra(h2_table, plan, sectors=[(1, 0, 1)])
 
 
 class TestSpinSectorSigns:
