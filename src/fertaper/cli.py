@@ -12,13 +12,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from fertaper import gf2, limits
+from fertaper import gf2, jsonout, limits
 from fertaper.codeword import CodeEncoding, build_simulator_hamiltonian, load_pcm
 from fertaper.fermion import (
     FermionHamiltonian,
@@ -45,6 +46,7 @@ from fertaper.mitm import build_tables, mitm_decode
 from fertaper.pauli import (
     PauliOperator,
     QubitHamiltonian,
+    _labels,
     hamiltonian_from_text,
     hamiltonian_to_text,
 )
@@ -103,6 +105,13 @@ class RunReport:
 
 def _sector_label(sector) -> str:
     return "".join("+" if s == 1 else "-" for s in sector)
+
+
+def _checked_penalty(value: float | None) -> float | None:
+    """The --penalty value, which must be finite and >= 0 when given."""
+    if value is not None and not 0 <= value < math.inf:
+        raise ValueError(f"--penalty must be a finite number >= 0, got {value}")
+    return value
 
 
 def _parse_sector(text: str) -> tuple[int, ...]:
@@ -173,7 +182,7 @@ def _cmd_taper(args) -> int:
             fh.write(report.to_json())
     print(f"tapered {h.qubit_count} -> {reduced.qubit_count} qubits "
           f"({plan.size} symmetries), sector {_sector_label(chosen)}")
-    return 0
+    return 0 if report.all_passed else 1
 
 
 def _cmd_codesim(args) -> int:
@@ -183,18 +192,18 @@ def _cmd_codesim(args) -> int:
         enc = CodeEncoding.from_graph(load_graph(args.graph), h.particles)
     else:
         enc = CodeEncoding.from_matrix(load_pcm(args.check), h.particles)
-    frames = build_simulator_hamiltonian(h, enc, args.penalty)
-    payload = []
-    for frame in frames:
-        entry = {
+    frames = build_simulator_hamiltonian(h, enc, _checked_penalty(args.penalty))
+    payload = [
+        {
             "frame": frame.pauli.label,
             "weight": frame.weight,
             "flip_qubits": list(frame.pauli.support()),
+            "diagonal": "lazy" if frame.diagonal is None else frame.materialize(),
         }
-        entry["diagonal"] = "lazy" if frame.diagonal is None else frame.materialize().tolist()
-        payload.append(entry)
+        for frame in frames
+    ]
     with open(args.output, "w", encoding="utf-8") as fh:
-        json.dump({"qubits": enc.qubits, "terms": payload}, fh, indent=1)
+        jsonout.dump({"qubits": enc.qubits, "terms": payload}, fh)
     print(f"wrote {len(frames)} framed terms on {enc.qubits} qubits")
     return 0
 
@@ -254,7 +263,9 @@ def _cmd_firstq(args) -> int:
     enc = RegisterEncoding(h.modes, h.particles)
     oa = rao_hamming_oa(enc.register_bits)  # first: it rejects an unsupported register size
     parts = first_quantized_parts(h, enc)
-    scale = args.penalty if args.penalty is not None else default_penalty_scale(h)
+    scale = _checked_penalty(args.penalty)
+    if scale is None:
+        scale = default_penalty_scale(h)
     total = parts.total(scale)
     groups = bin_terms(total, oa, enc)
     payload = {
@@ -265,18 +276,22 @@ def _cmd_firstq(args) -> int:
         "groups": [
             {
                 "basis": list(row),
-                "terms": [
-                    {"re": c.real, "im": c.imag, "pauli": op.label} for c, op in terms
-                ],
+                "terms": _term_entries(enc.qubits, terms),
             }
             for row, terms in groups
         ],
     }
     with open(args.emit_bins, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1)
+        jsonout.dump(payload, fh)
     print(f"{len(groups)} measurement groups for {len(total)} terms "
           f"on {enc.qubits} qubits (cap {9 ** enc.register_bits})")
     return 0
+
+
+def _term_entries(n: int, terms) -> list[dict]:
+    """JSON entries of one group's (coeff, op) terms, their labels spelled in bulk."""
+    labels = _labels(n, [op.x_mask for _, op in terms], [op.z_mask for _, op in terms])
+    return [{"re": c.real, "im": c.imag, "pauli": label} for (c, _), label in zip(terms, labels)]
 
 
 def _cmd_oa(args) -> int:

@@ -41,6 +41,7 @@ from fertaper.fermion import (
     FermionHamiltonian,
     FermionObservable,
     FockState,
+    apply_op_string_rows,
     default_penalty_scale,
     observable_action,
     weight_n_states,
@@ -222,7 +223,10 @@ def transition_sign(enc: CodeEncoding, obs: FermionObservable, s) -> int:
 
 
 def _stripped_sign(obs: FermionObservable, x: FockState) -> int:
-    """Transition sign out of one occupation state, with the i stripped."""
+    """Transition sign out of one occupation state, with the i stripped.
+
+    The one-state oracle of _codeword_signs, which simulators use.
+    """
     hits = observable_action(obs, x)
     if not hits:
         return 0
@@ -233,6 +237,21 @@ def _stripped_sign(obs: FermionObservable, x: FockState) -> int:
     if value.imag != 0 or value.real not in (-1.0, 1.0, -2.0, 2.0):
         raise AssertionError(f"unexpected transition amplitude {amp}")
     return int(value.real)
+
+
+def _codeword_signs(words: np.ndarray, obs: FermionObservable) -> np.ndarray:
+    """_stripped_sign of every occupation row at once.
+
+    The forward and reversed products act on all rows together; where both
+    reach the same state their amplitudes add (to +/-2 or 0), as in
+    observable_action, and the i of the minus variant is never applied.
+    """
+    forward, fwd_image = apply_op_string_rows(words, obs.forward_ops())
+    reverse, rev_image = apply_op_string_rows(words, obs.reversed_ops())
+    both = (forward != 0) & (reverse != 0)
+    if (fwd_image[both] != rev_image[both]).any():
+        raise ValueError("observable is not a pure transition on this state")
+    return forward + obs.sign_choice * reverse
 
 
 @dataclass(eq=False)
@@ -352,9 +371,7 @@ def _sign_matrix(enc: CodeEncoding, obs: FermionObservable, flips: int) -> np.nd
     most-significant-first.
     """
     q, k = enc.qubits, flips.bit_count()
-    signs = _over_syndromes(
-        enc, [_stripped_sign(obs, FockState(tuple(row))) for row in enc.codewords().tolist()]
-    )
+    signs = _over_syndromes(enc, _codeword_signs(enc.codewords(), obs))
     # a stable sort of the qubit axes by flip bit: rest axes first, each part in order
     axes = np.argsort(flips >> np.arange(q - 1, -1, -1) & 1, kind="stable")
     return signs.reshape((2,) * q).transpose(axes).reshape(1 << (q - k), 1 << k)

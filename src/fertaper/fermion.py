@@ -9,8 +9,10 @@ the most significant bit of a basis index.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -116,6 +118,26 @@ def apply_op_string(x: FockState, ops) -> tuple[int, FockState] | None:
     return sign, state
 
 
+def apply_op_string_rows(occ: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    """apply_op_string on every row of a (states, M) 0/1 occupation array.
+
+    Returns the signs, 0 where the product annihilates the row, and the
+    image rows, which are meaningful only where the sign is nonzero.
+    Each ladder operator checks its mode's column, multiplies in
+    (-1)**(occupied modes before it) and flips the column.
+    """
+    occ = np.array(occ, dtype=np.int8)
+    signs = np.ones(len(occ), dtype=np.int8)
+    for kind, mode in reversed(list(ops)):
+        if not 1 <= mode <= occ.shape[1]:
+            raise IndexError(f"mode {mode} out of range 1..{occ.shape[1]}")
+        col = occ[:, mode - 1]
+        signs[col == (kind == "c")] = 0  # a creator needs the mode empty, an annihilator full
+        signs *= 1 - 2 * (occ[:, : mode - 1].sum(axis=1, dtype=np.int8) & 1)
+        col ^= 1
+    return signs, occ
+
+
 @dataclass(frozen=True)
 class FermionObservable:
     """Hermitian one- or two-pair observable i**eps (T +/- T_reversed).
@@ -202,6 +224,10 @@ class FermionHamiltonian:
         t = np.asarray(self.t, dtype=complex)
         if t.shape != (self.modes, self.modes):
             raise ValueError(f"t must be {self.modes}x{self.modes}")
+        bad = np.argwhere(~np.isfinite(t))
+        if len(bad):
+            a, b = bad[0] + 1
+            raise ValueError(f"one-body entry ({a}, {b}) is {t[a - 1, b - 1]}, not finite")
         if not np.allclose(t, t.conj().T, atol=1e-12):
             raise ValueError("one-body tensor is not Hermitian")
         object.__setattr__(self, "t", t)
@@ -209,6 +235,8 @@ class FermionHamiltonian:
         for key, value in u.items():
             if len(key) != 4 or not all(1 <= i <= self.modes for i in key):
                 raise ValueError(f"bad interaction index tuple {key}")
+            if not cmath.isfinite(value):
+                raise ValueError(f"interaction entry {key} is {value}, not finite")
             partner = (key[3], key[2], key[1], key[0])
             if partner not in u or abs(u[partner] - value.conjugate()) > 1e-12:
                 raise ValueError(
@@ -373,9 +401,17 @@ def sector_matrix_direct(h: FermionHamiltonian, n: int | None = None) -> np.ndar
 
 
 def default_penalty_scale(h: FermionHamiltonian) -> float:
-    """Computable stand-in for the operator-norm bound on a codespace penalty."""
-    total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.interactions.values())
-    return 4.0 * total / max(1, h.particles)
+    """Computable stand-in for the operator-norm bound on a codespace penalty.
+
+    Finite coefficients near the float limit can sum past it; that is a
+    ValueError rather than an infinite penalty.
+    """
+    with np.errstate(over="ignore"):
+        total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.interactions.values())
+    scale = 4.0 * total / max(1, h.particles)
+    if not math.isfinite(scale):
+        raise ValueError("coefficients too large: the default penalty scale is not finite")
+    return scale
 
 
 def random_hamiltonian(m: int, n: int, rng: np.random.Generator,

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import os
@@ -140,6 +141,15 @@ class TestEncodeTaper:
         assert err.startswith("error:") and "'modes'" in err
 
 
+def forbid_indented_json(monkeypatch):
+    """Make json.dump and json.dumps fail when asked to indent."""
+    for name in ("dump", "dumps"):
+        def call(*args, real=getattr(json, name), **kwargs):
+            assert kwargs.get("indent") is None, "indented stdlib JSON on the hot path"
+            return real(*args, **kwargs)
+        monkeypatch.setattr(json, name, call)
+
+
 def encode_and_taper(tmp_path, h_json):
     """CLI encode (Jordan-Wigner) then taper; returns the encoded, tapered and report paths."""
     encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
@@ -258,6 +268,34 @@ class TestTaperReport:
         q = hamiltonian_from_text(encoded.read_text())
         gens = [PauliOperator.from_label(label) for label in data["generators"]]
         assert all(commutes(g, op) for g in gens for _, op in q.terms)
+
+    def test_failed_check_exits_one_with_outputs_written(self, tmp_path, h2_json, monkeypatch):
+        from fertaper import cli
+
+        # the plan reports a generator that anticommutes with the input's ZIII
+        # term; every later stage still gets the real plan
+        real = {}
+
+        def broken_plan(group, h=None):
+            plan = build_plan(group, h)
+            bad = dataclasses.replace(
+                plan, generators=(PauliOperator.from_label("XIII"),) + plan.generators[1:])
+            real[id(bad)] = plan
+            return bad
+
+        monkeypatch.setattr(cli, "build_plan", broken_plan)
+        for name in ("clifford_transform", "sector_spectra", "taper"):
+            stage = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, stage=stage: stage(
+                *(real.get(id(a), a) for a in args)))
+        encoded, tapered, report = (tmp_path / name for name in ("q.txt", "t.txt", "r.json"))
+        assert main(["encode", "--input", h2_json, "--map", "jw", "--output", str(encoded)]) == 0
+        assert main(["taper", "--input", str(encoded), "--output", str(tapered),
+                     "--report", str(report)]) == 1
+        data = json.loads(report.read_text())
+        assert {"name": "generators_commute", "passed": False} in data["checks"]
+        assert data["generators"][0] == "XIII" and data["best_sector"]
+        assert hamiltonian_from_text(tapered.read_text()).qubit_count == 1
 
     def test_enumerates_past_the_dense_cap_when_few_qubits_remain(self, tmp_path):
         # 15 input qubits, one past the dense cap; four chain parities leave 11
@@ -451,6 +489,59 @@ class TestCodesim:
         h = FermionHamiltonian.from_json(source.read_text())
         assert np.allclose(block, sector_matrix_direct(h), atol=1e-12)
 
+    def test_non_finite_interaction_is_an_error_line(self, tmp_path, subcode_json, capsys):
+        data = json.loads(Path(subcode_json).read_text())
+        key = data["u"][0][:4]
+        for row in data["u"]:
+            if row[:4] in (key, key[::-1]):
+                row[4] = float("nan")
+        source = tmp_path / "nan.json"
+        source.write_text(json.dumps(data))  # json writes the NaN token; json.loads reads it
+        check = tmp_path / "a.pcm"
+        save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(check))
+        out = tmp_path / "framed.json"
+        assert main(["codesim", "--check", str(check), "--input", str(source),
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: interaction entry") and "not finite" in err
+        assert not out.exists()
+
+    def test_overflowing_default_penalty_is_an_error_line(self, tmp_path, capsys):
+        source = tmp_path / "big.json"
+        source.write_text(json.dumps({"modes": 4, "particles": 2, "u": [],
+                                      "t": [[1, 1, 1e308, 0.0], [2, 2, 1e308, 0.0]]}))
+        check = tmp_path / "eye.pcm"
+        save_pcm(np.eye(4, dtype=np.uint8), str(check))
+        out = tmp_path / "framed.json"
+        with pytest.warns(UserWarning, match="exceeds 1"):
+            rc = main(["codesim", "--check", str(check), "--input", str(source),
+                       "--output", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: coefficients too large")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("penalty", ["nan", "inf", "-inf", "-2"])
+    def test_bad_penalty_is_an_error_line(self, tmp_path, subcode_json, capsys, penalty):
+        check = tmp_path / "a.pcm"
+        save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(check))
+        out = tmp_path / "framed.json"
+        assert main(["codesim", "--check", str(check), "--input", subcode_json,
+                     f"--penalty={penalty}", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --penalty must be a finite number >= 0")
+        assert not out.exists()
+
+    def test_output_is_the_indented_json_of_its_content(self, tmp_path, subcode_json,
+                                                        monkeypatch):
+        check = tmp_path / "a.pcm"
+        save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(check))
+        out = tmp_path / "framed.json"
+        forbid_indented_json(monkeypatch)
+        assert main(["codesim", "--check", str(check), "--input", subcode_json,
+                     "--penalty", "0", "--output", str(out)]) == 0
+        monkeypatch.undo()
+        text = out.read_text()
+        assert text == json.dumps(json.loads(text), indent=1)
+
     def test_empty_check_file_is_an_error_line(self, tmp_path, subcode_json, capsys):
         check = tmp_path / "empty.pcm"
         check.write_text("")
@@ -632,6 +723,33 @@ class TestFirstqCommand:
         data = json.loads(out.read_text())
         assert data["qubits"] == 4
         assert 0 < len(data["groups"]) <= 81
+
+    @pytest.mark.parametrize("penalty", ["nan", "inf", "-2"])
+    def test_bad_penalty_is_an_error_line(self, tmp_path, capsys, penalty):
+        from fertaper.fermion import random_hamiltonian
+
+        hpath = tmp_path / "h.json"
+        hpath.write_text(random_hamiltonian(4, 2, np.random.default_rng(9)).to_json())
+        out = tmp_path / "bins.json"
+        assert main(["firstq", "--input", str(hpath), f"--penalty={penalty}",
+                     "--emit-bins", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: --penalty must be a finite number >= 0")
+        assert not out.exists()
+
+    def test_bins_are_the_indented_json_of_their_content(self, tmp_path, monkeypatch):
+        from fertaper.fermion import random_hamiltonian
+
+        hpath = tmp_path / "h.json"
+        hpath.write_text(random_hamiltonian(4, 3, np.random.default_rng(4)).to_json())
+        out = tmp_path / "bins.json"
+        forbid_indented_json(monkeypatch)
+        assert main(["firstq", "--input", str(hpath), "--penalty", "0",
+                     "--emit-bins", str(out)]) == 0
+        monkeypatch.undo()
+        text = out.read_text()
+        data = json.loads(text)
+        assert text == json.dumps(data, indent=1)
+        assert data["penalty_scale"] == 0.0
 
     def test_unsupported_register_size_fails_before_building_terms(self, tmp_path, capsys,
                                                                    monkeypatch):

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ from fertaper import gf2
 from fertaper.codeword import (
     CodeEncoding,
     FramedDiagonal,
+    _codeword_signs,
+    _stripped_sign,
     apply_frames_to_isometry,
     bipartite_improve,
     build_simulator_hamiltonian,
@@ -198,6 +202,80 @@ class TestTransitionSign:
                 hits = observable_action(obs, x)
                 want = int(hits[0][0].real) if hits else 0
             assert transition_sign(fig3_encoding, obs, s) == want
+
+
+class _Skewed(FermionObservable):
+    """A hop whose reversed product moves two other modes: not a pure transition."""
+
+    def reversed_ops(self):
+        return (("c", 3), ("a", 4))
+
+
+class TestCodewordSigns:
+    """The array signs of _sign_matrix against transition_sign, codeword by codeword."""
+
+    @pytest.fixture(params=["fig3", "greedy-8", "greedy-10"])
+    def encoding(self, request, fig3_graph):
+        graph = {"fig3": lambda: fig3_graph,
+                 "greedy-8": lambda: greedy_high_girth(8, 2, trials=50, seed=3),
+                 "greedy-10": lambda: greedy_high_girth(10, 2, trials=50, seed=4)}
+        return CodeEncoding.from_graph(graph[request.param](), 2)
+
+    @staticmethod
+    def observables(m: int, rng):
+        """Every hop, a == b included, and pair hops: every a < b, g < d pair
+        up to 9 modes, else 150 of them drawn, plus the coincident forms
+        (a, b, b, a), (a, b, a, b) and (a, b, b, d)."""
+        quads = [p + r for p, r in itertools.product(itertools.combinations(range(1, m + 1), 2),
+                                                     repeat=2)]
+        if m > 9:
+            quads = [quads[k] for k in rng.choice(len(quads), 150, replace=False)]
+        for a, b, d in rng.integers(1, m + 1, size=(12, 3)).tolist():
+            if a != b:
+                quads += [(a, b, b, a), (a, b, a, b)] + [(a, b, b, d)] * (b != d)
+        for variant in ("plus", "minus"):
+            for a, b in itertools.product(range(1, m + 1), repeat=2):
+                yield FermionObservable.hop(a, b, variant)
+            for quad in quads:
+                yield FermionObservable.pair_hop(*quad, variant)
+
+    def test_every_hop_and_pair_hop(self, encoding):
+        enc = encoding
+        words = enc.codewords()
+        # transition_sign decodes its syndrome, then takes _stripped_sign of
+        # the preimage: decode each codeword's syndrome once, here
+        states = []
+        for row in words.tolist():
+            s = np.array(gf2.unpack_ints([enc.encode_state(FockState(tuple(row)))], enc.qubits)[0],
+                         dtype=np.uint8)
+            states.append(enc.decode(s))
+            assert states[-1].occ == tuple(row)
+        seen = set()
+        for obs in self.observables(enc.modes, np.random.default_rng(enc.qubits)):
+            got = _codeword_signs(words, obs).tolist()
+            assert got == [_stripped_sign(obs, x) for x in states], obs
+            seen.update(got)
+        assert seen == {-2, -1, 0, 1, 2}
+
+    def test_transition_sign_itself_on_a_hop_and_a_pair_hop(self, fig3_encoding):
+        enc = fig3_encoding
+        preimage = enc.preimage()
+        for obs in (FermionObservable.hop(3, 9, "minus"),
+                    FermionObservable.pair_hop(2, 5, 5, 14)):
+            signs = np.append(_codeword_signs(enc.codewords(), obs), 0)[preimage]
+            for index in range(0, 1 << enc.qubits, 7):
+                s = np.array(gf2.unpack_ints([index], enc.qubits)[0], dtype=np.uint8)
+                assert transition_sign(enc, obs, s) == signs[index]
+
+    def test_non_pure_transition_raises(self):
+        enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
+        obs = _Skewed.hop(1, 2)
+        with pytest.raises(ValueError, match="not a pure transition"):
+            _codeword_signs(enc.codewords(), obs)
+        with pytest.raises(ValueError, match="not a pure transition"):
+            transition_sign(enc, obs, np.array([0, 1, 0, 1], dtype=np.uint8))
+        with pytest.raises(ValueError, match="not a pure transition"):
+            observable_simulator(enc, obs)
 
 
 class TestTwoBodySimulator:

@@ -10,6 +10,9 @@ from fertaper.fermion import (
     FockState,
     apply_annihilate,
     apply_create,
+    apply_op_string,
+    apply_op_string_rows,
+    default_penalty_scale,
     dense_fock_matrix,
     number_operator_matrix,
     observable_action,
@@ -56,6 +59,43 @@ class TestLadderOps:
                     s2, _ = r2
                     acc += s1 * s2
                 assert acc == 0
+
+
+class TestOpStringRows:
+    """apply_op_string_rows against the one-state apply_op_string."""
+
+    @staticmethod
+    def assert_matches(ops, m=4):
+        states = [FockState.from_index(m, i) for i in range(1 << m)]
+        signs, images = apply_op_string_rows(np.array([x.occ for x in states]), ops)
+        for x, sign, image in zip(states, signs.tolist(), images.tolist()):
+            hit = apply_op_string(x, ops)
+            if hit is None:
+                assert sign == 0
+            else:
+                assert (sign, tuple(image)) == (hit[0], hit[1].occ)
+
+    def test_every_string_up_to_three_operators(self):
+        letters = [(kind, mode) for kind in "ca" for mode in range(1, 5)]
+        for length in range(4):
+            for ops in itertools.product(letters, repeat=length):
+                self.assert_matches(ops)
+
+    def test_sampled_four_operator_strings(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            ops = [("ca"[k], int(mode)) for k, mode in zip(rng.integers(0, 2, 4),
+                                                            rng.integers(1, 7, 4))]
+            self.assert_matches(ops, m=6)
+
+    def test_input_rows_are_not_modified(self):
+        occ = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
+        apply_op_string_rows(occ, (("c", 2), ("a", 1)))
+        assert occ.tolist() == [[1, 0, 1], [0, 1, 1]]
+
+    def test_index_out_of_range(self):
+        with pytest.raises(IndexError):
+            apply_op_string_rows(np.zeros((1, 2), dtype=np.uint8), (("c", 3),))
 
 
 class TestObservableAction:
@@ -185,6 +225,26 @@ class TestValidation:
     def test_missing_conjugate_partner(self):
         with pytest.raises(ValueError):
             FermionHamiltonian(4, 2, np.zeros((4, 4)), {(1, 2, 3, 4): 0.5})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_one_body_entry_is_named(self, value):
+        t = np.eye(3, dtype=complex) * 0.5
+        t[1, 1] = value
+        with pytest.raises(ValueError, match=r"one-body entry \(2, 2\) .* not finite"):
+            FermionHamiltonian(3, 1, t)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       complex(0.1, float("nan"))])
+    def test_non_finite_interaction_entry_is_named(self, value):
+        u = {(1, 2, 3, 4): value, (4, 3, 2, 1): value}
+        with pytest.raises(ValueError, match=r"interaction entry \(1, 2, 3, 4\) .* not finite"):
+            FermionHamiltonian(4, 2, np.zeros((4, 4)), u)
+
+    def test_default_penalty_scale_that_overflows_raises(self):
+        with pytest.warns(UserWarning):
+            h = FermionHamiltonian(2, 1, np.diag([1e308, 1e308]))
+        with pytest.raises(ValueError, match="default penalty scale is not finite"):
+            default_penalty_scale(h)
 
     def test_magnitude_warning(self):
         with pytest.warns(UserWarning):
