@@ -82,10 +82,11 @@ def encode_first_quantized(x: FockState, enc: RegisterEncoding) -> np.ndarray:
     if x.modes != enc.modes:
         raise ValueError("mode count mismatch")
     n = enc.particles
+    if factorial(n) > limits.PERMUTATION_CAP:
+        raise ValueError(f"antisymmetrizing {n} particles sums {n}! = {factorial(n)} orderings, "
+                         f"over the cap of {limits.PERMUTATION_CAP}")
     dim = enc.padded_modes ** n
     limits.check_dense(dim)
-    if factorial(n) > limits.PERMUTATION_CAP:
-        raise ValueError("first-quantized state too large to materialize")
     occupied = x.occupied_modes()
     vec = np.zeros(dim)
     norm = 1.0 / np.sqrt(factorial(n))

@@ -18,7 +18,7 @@ import numpy as np
 
 from fertaper import gf2, limits
 from fertaper.fermion import FermionHamiltonian
-from fertaper.pauli import PauliOperator, QubitHamiltonian
+from fertaper.pauli import DEFAULT_PRUNE_TOL, _PHASE, PauliOperator, QubitHamiltonian
 
 ENCODING_KINDS = ("jordan_wigner", "parity", "binary_tree")
 
@@ -152,20 +152,57 @@ def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamilt
     return QubitHamiltonian(m, ((0.5, first), (0.5 * sign, second)))
 
 
-def encoded_observable(enc: StandardEncoding, ops, ladders: dict | None = None) -> QubitHamiltonian:
-    """Product of encoded ladder operators, merged after each factor.
+def _ladder_product(enc: StandardEncoding, ops, ladders: dict) -> tuple[int, list, list]:
+    """(x mask, z masks, coefficients) of a product of encoded ladder operators.
 
-    ``ladders`` caches the ladder operators per (mode, dagger) across calls.
+    Ladder operator j is X(col) Z(zpar) (1 +/- Z(row)) / 2, + for a creator,
+    so a product of k of them has the one x mask XOR(col) and a term for
+    each of the 2^k choices of the row factors.  Moving X(col) of each
+    factor left past the Z's before it gives (-1)^popcount(z_so_far & col);
+    the letter phase i^-popcount(x & z) comes last.  Equal z masks are
+    merged, sorted and pruned as ``canonicalize`` does: the coefficients
+    are sums of +/-2^-k times 1 or i, exact in any order, so this equals
+    the factor-by-factor product bit for bit.
     """
-    ladders = {} if ladders is None else ladders
-    out = None
+    x = 0
+    branches = [(0, 1)]  # (z mask so far, sign) of each term
     for kind, mode in ops:
-        key = (mode, kind == "c")
-        factor = ladders.get(key)
-        if factor is None:
-            factor = ladders[key] = mode_op_to_pauli(enc, mode, dagger=key[1])
-        out = factor if out is None else out.product(factor)
-    return out if out is not None else QubitHamiltonian.zero(enc.modes)
+        masks = ladders.get(mode)
+        if masks is None:
+            masks = ladders[mode] = _ladder_masks(enc, mode)
+        col, zpar, row = masks
+        flip = 1 if kind == "c" else -1
+        grown = []
+        for z, sign in branches:
+            if (z & col).bit_count() & 1:
+                sign = -sign
+            grown.append((z ^ zpar, sign))
+            grown.append((z ^ zpar ^ row, sign * flip))
+        branches = grown
+        x ^= col
+    total: dict[int, int] = {}
+    for z, sign in branches:
+        total[z] = total.get(z, 0) + sign
+    scale = 0.5 ** len(ops)
+    zs, cs = [], []
+    for z in sorted(total):
+        c = total[z] * scale
+        if abs(c) >= DEFAULT_PRUNE_TOL:
+            zs.append(z)
+            # 0.0 + turns a -0.0 part into 0.0, as canonicalize's merge does
+            cs.append(0.0 + complex(c) * _PHASE[-(x & z).bit_count() % 4])
+    return x, zs, cs
+
+
+def encoded_observable(enc: StandardEncoding, ops, ladders: dict | None = None) -> QubitHamiltonian:
+    """Canonical product of encoded ladder operators, in closed form.
+
+    ``ladders`` caches the ladder masks per mode across calls.
+    """
+    if not ops:
+        return QubitHamiltonian.zero(enc.modes)
+    x, zs, cs = _ladder_product(enc, ops, {} if ladders is None else ladders)
+    return QubitHamiltonian.from_masks(enc.modes, [x] * len(zs), zs, cs, canonical=True)
 
 
 def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHamiltonian:
@@ -181,10 +218,10 @@ def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHam
     cs: list[complex] = []
 
     def add(ops, factor) -> None:
-        part = encoded_observable(enc, ops, ladders)
-        xs.extend(part.x_masks)
-        zs.extend(part.z_masks)
-        cs.extend(complex(factor * c) for c in part.coeffs)
+        x, part_zs, part_cs = _ladder_product(enc, ops, ladders)
+        xs.extend([x] * len(part_zs))
+        zs.extend(part_zs)
+        cs.extend(complex(factor * c) for c in part_cs)
 
     rows, cols = np.nonzero(h.t)
     for a, b in zip(rows.tolist(), cols.tolist()):

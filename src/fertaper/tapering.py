@@ -241,20 +241,32 @@ def taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitH
     by I or X).  sector is a +/-1 sequence, one entry per generator.
     """
     sector = tuple(int(s) for s in sector)
-    if len(sector) != plan.size:
-        raise ValueError(f"sector needs {plan.size} entries")
-    if any(s not in (1, -1) for s in sector):
-        raise ValueError("sector entries must be +1 or -1")
+    return taper_sectors(h_transformed, plan, [sector])[sector]
+
+
+def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
+                  sectors) -> dict[tuple, QubitHamiltonian]:
+    """The tapered Hamiltonian of each sector, from one walk over the terms.
+
+    The walk splits each term's X's into those on paired qubits and the
+    rest; a sector negates the terms whose paired X's meet its -1 entries
+    an odd number of times.  The paired bits are dropped once per distinct
+    key, for all sectors.  np.add.at sums each sector's coefficients in
+    term order, the left-to-right sum that canonicalize forms, so the
+    result equals a merge of that sector alone.
+    """
+    sectors = [tuple(int(s) for s in sector) for sector in sectors]
+    for sector in sectors:
+        if len(sector) != plan.size:
+            raise ValueError(f"sector needs {plan.size} entries")
+        if any(s not in (1, -1) for s in sector):
+            raise ValueError("sector entries must be +1 or -1")
     h = h_transformed.canonicalize()
     n = h.qubit_count
-    paired = negative = 0
-    for q, s in zip(plan.paired_qubits, sector):
-        paired |= 1 << (n - q)
-        if s < 0:
-            negative |= 1 << (n - q)
-    drop = sorted((n - q for q in plan.paired_qubits), reverse=True)
-    xs, zs, cs = [], [], []
-    for x, z, c in zip(h.x_masks, h.z_masks, h.coeffs):
+    m = n - plan.size
+    paired = sum(1 << (n - q) for q in plan.paired_qubits)
+    keys, flips = [], []
+    for x, z in zip(h.x_masks, h.z_masks):
         if z & paired:
             op = PauliOperator.from_masks(n, x, z, (x & z).bit_count())
             q = next(q for q in plan.paired_qubits if op.letter_at(q) not in "IX")
@@ -262,10 +274,38 @@ def taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitH
                 f"term {op.label} acts on paired qubit {q} by {op.letter_at(q)}; "
                 "run clifford_transform first"
             )
-        xs.append(gf2.drop_bits(x, drop))
-        zs.append(gf2.drop_bits(z, drop))
-        cs.append(-c if (x & negative).bit_count() & 1 else c)
-    return QubitHamiltonian.from_masks(n - plan.size, xs, zs, cs).canonicalize()
+        keys.append((x & ~paired) << n | z)
+        flips.append(x & paired)
+    # the sign of each (sector, term): the parity of the term's X's on the
+    # sector's -1 qubits, found once per distinct pattern of X's
+    negative = [sum(1 << (n - q) for q, s in zip(plan.paired_qubits, sector) if s < 0)
+                for sector in sectors]
+    patterns, pattern_of = _ranks(flips)
+    odd = np.array([[(p & neg).bit_count() & 1 for p in patterns] for neg in negative],
+                   dtype=bool).reshape(len(sectors), len(patterns))[:, pattern_of]
+    distinct, column = _ranks(keys)
+    # the paired bits of the distinct keys are 0, so dropping them keeps the order
+    drop = sorted((n - q for q in plan.paired_qubits), reverse=True)
+    drop = [n + p for p in drop] + drop
+    distinct = [gf2.drop_bits(key, drop) for key in distinct]
+    cs = np.array(h.coeffs, dtype=complex)
+    sums = np.zeros((len(sectors), len(distinct)), dtype=complex)
+    np.add.at(sums, (np.arange(len(sectors))[:, None], column), np.where(odd, -cs, cs))
+    low = (1 << m) - 1
+    out = {}
+    for sector, row in zip(sectors, sums):
+        kept = np.flatnonzero(np.abs(row) >= DEFAULT_PRUNE_TOL).tolist()
+        out[sector] = QubitHamiltonian.from_masks(
+            m, [distinct[i] >> m for i in kept], [distinct[i] & low for i in kept],
+            row[kept].tolist(), canonical=True)
+    return out
+
+
+def _ranks(values) -> tuple[list, np.ndarray]:
+    """Ascending distinct ints of a sequence, and the place of each entry among them."""
+    distinct = sorted(set(values))
+    place = {v: i for i, v in enumerate(distinct)}
+    return distinct, np.array([place[v] for v in values], dtype=np.intp)
 
 
 def all_sectors(k: int):
@@ -273,43 +313,62 @@ def all_sectors(k: int):
 
 
 class BasisBlocks:
-    """A Hamiltonian over its 2^n basis states, split into connected blocks.
+    """Sums on one register over their 2^n basis states, split into connected blocks.
 
-    The canonical terms sharing an x mask sum to one value per state s,
-    the matrix element <s^x|H|s>, built one x mask at a time.  Every
-    nonzero value is an edge s - s^x.  It must be the summed value: on a
-    pair of modes whose occupation number would change, XX and YY cancel,
-    so the x masks alone would join particle numbers.  Min-label
-    propagation over the edges labels each state by the least state of its
-    component.  On a tapered molecular sector these are its particle-number
-    and spin blocks, found from the matrix alone.
+    Sum i's states are offset by i * 2^n, so one labelling covers every
+    sum and no block crosses from one sum to another.  The canonical terms
+    of a sum sharing an x mask sum to one value per state s, the matrix
+    element <s^x|H|s>, built one x mask at a time: the mask's sign matrix
+    is built once, for the z masks of every sum, and freed before the
+    next mask.  Every nonzero value is an edge s - s^x.  It must be the
+    summed value: on a pair of modes whose occupation number would change,
+    XX and YY cancel, so the x masks alone would join particle numbers.
+    Only edges with s^x >= s are kept, the lower triangle that eigvalsh
+    reads, and min-label propagation runs along them both ways, labelling
+    each state by the least state of its component.  On tapered molecular
+    sectors these are their particle-number and spin blocks, found from
+    the matrices alone.
     """
 
-    def __init__(self, h: QubitHamiltonian):
-        h = h.canonicalize()
-        limits.check_dense(1 << h.qubit_count)
-        states = np.arange(1 << h.qubit_count, dtype=np.int64)
-        xs = np.array(h.x_masks, dtype=np.int64)
-        zs = np.array(h.z_masks, dtype=np.int64)
-        cs = np.array(h.coeffs, dtype=complex) * np.array(_PHASE)[np.bitwise_count(xs & zs) % 4]
-        starts = np.flatnonzero(np.diff(xs, prepend=-1))  # canonical terms are sorted by x
-        rows = max(1, (1 << 16) >> h.qubit_count)  # terms summed at once
-        sources, targets, values = [states[:0]], [states[:0]], [cs[:0]]
-        for lo, hi in zip(starts, [*starts[1:], len(xs)]):
-            summed = np.zeros(len(states), dtype=complex)
-            for a in range(lo, hi, rows):
-                odd = np.bitwise_count(states & zs[a:min(a + rows, hi), None]) & 1
-                summed += cs[a:a + len(odd)] @ np.where(odd, -1.0, 1.0)
-            s = np.flatnonzero(np.abs(summed) > DEFAULT_PRUNE_TOL)
-            sources.append(s)
-            targets.append(s ^ xs[lo])
-            values.append(summed[s])
-        # every nonzero <t|H|s>: edges s - t, with t = s ^ x
+    def __init__(self, sums):
+        sums = [h.canonicalize() for h in sums]
+        n = self.qubit_count = sums[0].qubit_count if sums else 0
+        if any(h.qubit_count != n for h in sums):
+            raise ValueError("qubit count mismatch between sums")
+        limits.check_dense(1 << n)
+        size = 1 << n
+        states = np.arange(size, dtype=np.int64)
+        rows = max(1, (1 << 16) >> n)  # terms summed at once
+        groups: dict[int, list] = {}  # x mask -> (sum, its z masks, coefficients)
+        for i, h in enumerate(sums):
+            xs = np.array(h.x_masks, dtype=np.int64)
+            zs = np.array(h.z_masks, dtype=np.int64)
+            cs = np.array(h.coeffs, dtype=complex) * np.array(_PHASE)[np.bitwise_count(xs & zs) % 4]
+            starts = np.flatnonzero(np.diff(xs, prepend=-1)).tolist()  # sorted by x
+            for lo, hi in zip(starts, [*starts[1:], len(xs)]):
+                groups.setdefault(int(xs[lo]), []).append((i, zs[lo:hi], cs[lo:hi]))
+        sources, targets, values = [states[:0]], [states[:0]], [np.zeros(0, dtype=complex)]
+        for x, parts in groups.items():
+            every_z = np.array(sorted(set().union(*(zs.tolist() for _, zs, _ in parts))))
+            signs = np.where(np.bitwise_count(states & every_z[:, None]) & 1, -1 + 0j, 1 + 0j)
+            summed = np.zeros((len(sums), size), dtype=complex)
+            for i, zs, cs in parts:
+                own = signs if len(zs) == len(every_z) else signs[np.searchsorted(every_z, zs)]
+                for a in range(0, len(zs), rows):
+                    summed[i] += cs[a:a + rows] @ own[a:a + rows]
+            del signs, own
+            which, s = np.nonzero((np.abs(summed) > DEFAULT_PRUNE_TOL) & (states ^ x >= states))
+            sources.append(which * size + s)
+            targets.append(which * size + (s ^ x))
+            values.append(summed[which, s])
+        # every nonzero <t|H|s> with t = s ^ x >= s
         self.sources, self.targets, self.values = map(np.concatenate, (sources, targets, values))
-        labels = states
+        del sources, targets, values, groups  # before the propagation's temporaries
+        labels = np.arange(len(sums) * size, dtype=np.int64)
         while True:
             before = labels.copy()
-            np.minimum.at(labels, self.sources, labels[self.targets])  # H is Hermitian
+            np.minimum.at(labels, self.sources, labels[self.targets])
+            np.minimum.at(labels, self.targets, labels[self.sources])
             labels = labels[labels]  # a label's own label is in the same component
             if np.array_equal(labels, before):
                 break
@@ -320,10 +379,11 @@ class BasisBlocks:
         states = np.argsort(self.labels, kind="stable")
         return np.split(states, np.flatnonzero(np.diff(self.labels[states])) + 1)
 
-    def spectrum(self) -> np.ndarray:
-        """Ascending union of the block spectra, one small eigvalsh per block.
+    def spectra(self) -> list[np.ndarray]:
+        """Each sum's spectrum: the ascending union of its block spectra.
 
-        The blocks together span the register, so this is H's spectrum.
+        One small eigvalsh per block; a sum's blocks together span its
+        register.
         """
         blocks = self.blocks()
         owner = np.empty(len(self.labels), dtype=np.int64)
@@ -331,15 +391,16 @@ class BasisBlocks:
         for b, states in enumerate(blocks):
             owner[states] = b
             local[states] = np.arange(len(states))
-        order = np.argsort(owner[self.sources], kind="stable")
-        cuts = np.cumsum(np.bincount(owner[self.sources], minlength=len(blocks)))[:-1]
-        rows, cols = local[self.targets], local[self.sources]
-        spectra = []
+        edge_owner = owner[self.sources]
+        order = np.argsort(edge_owner, kind="stable")
+        cuts = np.cumsum(np.bincount(edge_owner, minlength=len(blocks)))[:-1]
+        del edge_owner
+        spectra = [[] for _ in range(len(self.labels) >> self.qubit_count)]
         for states, part in zip(blocks, np.split(order, cuts)):
             mat = np.zeros((len(states), len(states)), dtype=complex)
-            mat[rows[part], cols[part]] = self.values[part]
-            spectra.append(np.linalg.eigvalsh(mat))
-        return np.sort(np.concatenate(spectra))
+            mat[local[self.targets[part]], local[self.sources[part]]] = self.values[part]
+            spectra[states[0] >> self.qubit_count].append(np.linalg.eigvalsh(mat))
+        return [np.sort(np.concatenate(parts)) for parts in spectra]
 
 
 def sector_spectra(h: QubitHamiltonian, plan: TaperingPlan,
@@ -348,17 +409,18 @@ def sector_spectra(h: QubitHamiltonian, plan: TaperingPlan,
     """Ascending dense spectrum of each sector's tapered Hamiltonian.
 
     sectors defaults to all 2^k sign choices; the result keeps their order.
-    Each spectrum is the union of the tapered sector's BasisBlocks: the
+    Each spectrum is the union of the tapered sector's blocks: the
     reflections send the basis states of a Z-string sector to tapered basis
-    states, so a molecular sector keeps its particle-number blocks.  A
-    sector with no qubits left is a 1x1 matrix, its one coefficient.
+    states, so a molecular sector keeps its particle-number blocks.  One
+    taper_sectors walk and one BasisBlocks serve every sector.  A sector
+    with no qubits left is a 1x1 matrix, its one coefficient.
     """
     if transformed is None:
         transformed = clifford_transform(h, plan)
     if sectors is None:
         sectors = all_sectors(plan.size)
-    return {tuple(sector): BasisBlocks(taper(transformed, plan, sector)).spectrum()
-            for sector in sectors}
+    tapered = taper_sectors(transformed, plan, sectors)
+    return dict(zip(tapered, BasisBlocks(tapered.values()).spectra()))
 
 
 def spin_sector_signs(n_up: int, n_down: int, enc: StandardEncoding) -> tuple[int, int]:

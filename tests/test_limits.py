@@ -42,7 +42,7 @@ DENSE_BUILDERS = {
         lambda: encode_first_quantized(FockState((1, 1, 0, 0)), RegisterEncoding(4, 2)),
     "partition_eigenvector": lambda: partition_eigenvector((2, 1), 3),
     "BasisBlocks":
-        lambda: BasisBlocks(QubitHamiltonian(4, ((1.0, PauliOperator.from_label("XZIY")),))).labels,
+        lambda: BasisBlocks([QubitHamiltonian(4, ((1.0, PauliOperator.from_label("XZIY")),))]).labels,
 }
 
 
@@ -82,3 +82,14 @@ def test_caps_are_defined_only_in_limits():
     found = [f"{module.__name__}.{attr}" for module in modules if module is not limits
              for attr in vars(module) if attr.endswith(("_CAP", "_BUDGET"))]
     assert found == []
+
+
+def test_permutation_cap_refuses_before_the_dense_cap(monkeypatch):
+    # 8 particles on 8 modes: 8! = 40320 orderings, and an 8^8-state register
+    # that the dense cap would refuse too; the ordering count is named first
+    monkeypatch.delenv("FERTAPER_MAX_DENSE_QUBITS", raising=False)
+    with pytest.raises(ValueError, match=r"sums 8! = 40320 orderings, over the cap of 10000"):
+        encode_first_quantized(FockState((1,) * 8), RegisterEncoding(8, 8))
+    monkeypatch.setattr(limits, "PERMUTATION_CAP", 40320)
+    with pytest.raises(ValueError, match="exceeds the cap of 14"):
+        encode_first_quantized(FockState((1,) * 8), RegisterEncoding(8, 8))

@@ -1,3 +1,6 @@
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from fertaper.fermion import (
     random_hamiltonian,
     weight_n_states,
 )
+from fertaper.pauli import QubitHamiltonian
 from fertaper.pauli import pauli_multiply as pauli_mul
 from fertaper.standard_maps import (
     ENCODING_KINDS,
@@ -234,6 +238,61 @@ class TestModeOperators:
                 expected = np.zeros(1 << m)
                 expected[s] = x.bit(j)
                 assert np.allclose(col, expected)
+
+
+def factor_by_factor(enc, ops) -> QubitHamiltonian:
+    """The oracle: encoded ladder operators multiplied one factor at a time."""
+    out = None
+    for kind, mode in ops:
+        factor = mode_op_to_pauli(enc, mode, dagger=kind == "c")
+        out = factor if out is None else out.product(factor)
+    return out
+
+
+def assert_same_terms(got: QubitHamiltonian, want: QubitHamiltonian) -> None:
+    assert got == want
+    # repr tells 0.0 from -0.0, which == does not
+    assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+
+
+class TestClosedFormProducts:
+    @pytest.mark.parametrize("kind", ENCODING_KINDS)
+    @pytest.mark.parametrize("m", range(1, 10))
+    def test_hops_and_pair_hops_match_the_factor_chain(self, kind, m):
+        # every index pattern up to 4 modes; on more, every (a, b, g, d) over
+        # five modes, so coincident indices (zero and number operators) and
+        # the truncated binary trees of m = 3, 5, 6, 7, 9 are all covered
+        enc = build_encoding(kind, m)
+        modes = sorted({1, 2, (m + 1) // 2, m - 1, m} & set(range(1, m + 1)))
+        ladders: dict = {}
+        for a, b in itertools.product(range(1, m + 1), repeat=2):
+            ops = (("c", a), ("a", b))
+            assert_same_terms(encoded_observable(enc, ops, ladders), factor_by_factor(enc, ops))
+        for a, b, g, d in itertools.product(modes, repeat=4):
+            ops = (("c", a), ("c", b), ("a", g), ("a", d))
+            assert_same_terms(encoded_observable(enc, ops, ladders), factor_by_factor(enc, ops))
+
+    @pytest.mark.parametrize("kind", ENCODING_KINDS)
+    def test_masks_wider_than_64_bits(self, kind):
+        enc = build_encoding(kind, 70)
+        for ops in ((("c", 70), ("a", 1)), (("c", 3), ("c", 70), ("a", 65), ("a", 1)),
+                    (("c", 69), ("c", 2), ("a", 2), ("a", 69))):
+            got = encoded_observable(enc, ops)
+            assert_same_terms(got, factor_by_factor(enc, ops))
+            assert max(got.x_masks + got.z_masks).bit_length() > 64
+
+    def test_empty_product_is_zero(self):
+        assert encoded_observable(build_encoding("parity", 3), ()) == QubitHamiltonian.zero(3)
+
+    def test_encode_hamiltonian_multiplies_no_sums(self, h2_fermionic):
+        # one merge of every part, and no factor-by-factor product
+        calls = []
+        canonicalize = QubitHamiltonian.canonicalize
+        with mock.patch.object(QubitHamiltonian, "product", side_effect=AssertionError), \
+                mock.patch.object(QubitHamiltonian, "canonicalize",
+                                  lambda h, *a: calls.append(len(h)) or canonicalize(h, *a)):
+            out = encode_hamiltonian(h2_fermionic, build_encoding("binary_tree", 4))
+        assert len(calls) == 1 and len(out) == 15
 
 
 class TestEncodeHamiltonian:

@@ -32,6 +32,7 @@ from fertaper.tapering import (
     spin_sector_signs,
     symplectic_gram_schmidt,
     taper,
+    taper_sectors,
 )
 
 
@@ -434,11 +435,11 @@ class TestBasisBlocks:
         # XX + YY hops |01> <-> |10> but cancels on |00> <-> |11>, which XX alone joins
         hop = QubitHamiltonian(2, ((0.5, PauliOperator.from_label("XX")),
                                    (0.5, PauliOperator.from_label("YY"))))
-        blocks = BasisBlocks(hop)
+        blocks = BasisBlocks([hop])
         assert [b.tolist() for b in blocks.blocks()] == [[0], [1, 2], [3]]
-        assert blocks.spectrum().tolist() == pytest.approx([-1, 0, 0, 1])
+        assert blocks.spectra()[0].tolist() == pytest.approx([-1, 0, 0, 1])
         xx = QubitHamiltonian(2, ((1.0, PauliOperator.from_label("XX")),))
-        assert [b.tolist() for b in BasisBlocks(xx).blocks()] == [[0, 3], [1, 2]]
+        assert [b.tolist() for b in BasisBlocks([xx]).blocks()] == [[0, 3], [1, 2]]
 
     def test_sector_blocks_are_particle_number_blocks(self):
         # the reflections send each sector's input basis states to tapered
@@ -447,11 +448,26 @@ class TestBasisBlocks:
         plan = build_plan(find_symmetries(q), q)
         transformed = clifford_transform(q, plan)
         sizes = sorted(len(b) for s in all_sectors(plan.size)
-                       for b in BasisBlocks(taper(transformed, plan, s)).blocks())
+                       for b in BasisBlocks([taper(transformed, plan, s)]).blocks())
         want = sorted(len(list(itertools.combinations(range(3), a)))
                       * len(list(itertools.combinations(range(3), b)))
                       for a in range(4) for b in range(4))
         assert sizes == want
+
+    def test_several_sums_keep_their_own_blocks(self):
+        # the four tapered sectors on one offset register: no block crosses
+        # from one sum to the next, and each sum's spectrum is its own
+        q = encode_hamiltonian(spin_conserving_hamiltonian(6, 3), build_encoding("parity", 6))
+        plan = build_plan(find_symmetries(q), q)
+        sums = list(taper_sectors(clifford_transform(q, plan), plan, all_sectors(2)).values())
+        n = sums[0].qubit_count
+        together = BasisBlocks(sums)
+        assert len(together.labels) == len(sums) << n
+        assert all(len(set((b >> n).tolist())) == 1 for b in together.blocks())
+        for h, spectrum in zip(sums, together.spectra()):
+            assert np.array_equal(spectrum, BasisBlocks([h]).spectra()[0])
+        with pytest.raises(ValueError, match="qubit count mismatch"):
+            BasisBlocks([sums[0], QubitHamiltonian.zero(n + 1)])
 
     def test_sectors_are_checked(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
@@ -459,6 +475,115 @@ class TestBasisBlocks:
             sector_spectra(h2_table, plan, sectors=[(1,)])
         with pytest.raises(ValueError, match=r"\+1 or -1"):
             sector_spectra(h2_table, plan, sectors=[(1, 0, 1)])
+
+
+def per_term_taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitHamiltonian:
+    """The oracle: one sector's walk over every term, then one merge."""
+    sector = tuple(int(s) for s in sector)
+    if len(sector) != plan.size:
+        raise ValueError(f"sector needs {plan.size} entries")
+    if any(s not in (1, -1) for s in sector):
+        raise ValueError("sector entries must be +1 or -1")
+    h = h_transformed.canonicalize()
+    n = h.qubit_count
+    paired = negative = 0
+    for q, s in zip(plan.paired_qubits, sector):
+        paired |= 1 << (n - q)
+        if s < 0:
+            negative |= 1 << (n - q)
+    drop = sorted((n - q for q in plan.paired_qubits), reverse=True)
+    xs, zs, cs = [], [], []
+    for x, z, c in zip(h.x_masks, h.z_masks, h.coeffs):
+        if z & paired:
+            op = PauliOperator.from_masks(n, x, z, (x & z).bit_count())
+            q = next(q for q in plan.paired_qubits if op.letter_at(q) not in "IX")
+            raise ValueError(
+                f"term {op.label} acts on paired qubit {q} by {op.letter_at(q)}; "
+                "run clifford_transform first"
+            )
+        xs.append(gf2.drop_bits(x, drop))
+        zs.append(gf2.drop_bits(z, drop))
+        cs.append(-c if (x & negative).bit_count() & 1 else c)
+    return QubitHamiltonian.from_masks(n - plan.size, xs, zs, cs).canonicalize()
+
+
+def assert_sectors_match_the_walk(transformed: QubitHamiltonian, plan: TaperingPlan) -> None:
+    """taper_sectors over every sector against the per-term walk, bit for bit."""
+    sectors = all_sectors(plan.size)
+    tapered = taper_sectors(transformed, plan, sectors)
+    assert list(tapered) == sectors
+    for sector, got in tapered.items():
+        want = per_term_taper(transformed, plan, sector)
+        assert got == want and got.canonical
+        assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+        assert taper(transformed, plan, sector) == want
+
+
+class TestTaperSectors:
+    def test_h2_matches_the_walk(self, h2_table, h2_fermionic):
+        cases = [h2_table] + [encode_hamiltonian(h2_fermionic, build_encoding(kind, 4))
+                              for kind in ("jordan_wigner", "parity", "binary_tree")]
+        for q in cases:
+            plan = build_plan(find_symmetries(q), q)
+            assert plan.size == 3
+            assert_sectors_match_the_walk(clifford_transform(q, plan), plan)
+
+    def test_spin_conserving_sums_match_the_walk(self):
+        for kind in ("jordan_wigner", "parity", "binary_tree"):
+            q = encode_hamiltonian(spin_conserving_hamiltonian(8, 5), build_encoding(kind, 8))
+            plan = build_plan(find_symmetries(q), q)
+            assert_sectors_match_the_walk(clifford_transform(q, plan), plan)
+
+    def test_zero_generator_plans_match_the_walk(self):
+        # no symmetry at all, and an empty plan on a sum that has some
+        xz = QubitHamiltonian(1, ((0.5, PauliOperator.from_label("X")),
+                                  (0.25, PauliOperator.from_label("Z"))))
+        assert find_symmetries(xz).size == 0
+        for q in (xz, QubitHamiltonian.zero(2), encode_hamiltonian(
+                spin_conserving_hamiltonian(4, 3), build_encoding("parity", 4))):
+            plan = build_plan(SymmetryGroup(q.qubit_count, ()))
+            tapered = taper_sectors(clifford_transform(q, plan), plan, [()])
+            assert list(tapered) == [()] and tapered[()] == q.canonicalize()
+            assert_sectors_match_the_walk(clifford_transform(q, plan), plan)
+
+    def test_errors_match_the_walk(self, h2_table):
+        plan = build_plan(find_symmetries(h2_table), h2_table)
+        transformed = clifford_transform(h2_table, plan)
+        cases = [(h2_table, (1, 1, 1)), (transformed, (1,)), (transformed, (1, 0, 1)),
+                 (transformed, (1, 1, 1, 1))]
+        messages = []
+        for h, sector in cases:
+            with pytest.raises(ValueError) as want:
+                per_term_taper(h, plan, sector)
+            with pytest.raises(ValueError) as got:
+                taper_sectors(h, plan, [(1, 1, 1), sector])
+            assert str(got.value) == str(want.value)
+            messages.append(str(got.value))
+        assert messages[0].endswith("run clifford_transform first")
+        assert messages[1:] == ["sector needs 3 entries", "sector entries must be +1 or -1",
+                                "sector needs 3 entries"]
+
+    def test_sector_spectra_walk_the_terms_once(self):
+        # one drop of the paired bits per distinct tapered key, for all four
+        # sectors, and one sign matrix per x mask of the tapered sums
+        q = encode_hamiltonian(spin_conserving_hamiltonian(6, 2), build_encoding("parity", 6))
+        plan = build_plan(find_symmetries(q), q)
+        transformed = clifford_transform(q, plan)
+        x_masks = {x for h in taper_sectors(transformed, plan, all_sectors(2)).values()
+                   for x in h.x_masks}
+        drops, sign_matrices = [], []
+        drop_bits, bitwise_count = gf2.drop_bits, np.bitwise_count
+
+        def count_2d(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                sign_matrices.append(a.shape)
+            return bitwise_count(a, *args, **kwargs)
+
+        with mock.patch.object(gf2, "drop_bits", lambda *a: drops.append(1) or drop_bits(*a)), \
+                mock.patch("numpy.bitwise_count", count_2d):
+            sector_spectra(q, plan, transformed)
+        assert 0 < len(drops) <= len(transformed)
+        assert len(sign_matrices) == len(x_masks)
 
 
 class TestSpinSectorSigns:
@@ -648,6 +773,7 @@ def assert_tapers_exactly(q: QubitHamiltonian, spectrum: np.ndarray) -> Tapering
     union = np.sort(np.concatenate(list(spectra.values())))
     assert np.allclose(union, spectrum, atol=1e-9)
     assert_matches_the_oracle(q, plan)
+    assert_sectors_match_the_walk(transformed, plan)
     # sector s is H on the joint eigenspace where generator i has eigenvalue s_i
     dense, eye = q.dense(), np.eye(1 << q.qubit_count)
     for sector, sector_spectrum in spectra.items():
