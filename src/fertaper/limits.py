@@ -18,12 +18,17 @@ SECTOR_QUBIT_CAP = 12
 PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register state
 
 
-def check_dense(dim: int) -> None:
-    """Refuse a dense vector or matrix over more than 2^cap basis states."""
+def dense_cap() -> int:
+    """The dense cap in qubits: FERTAPER_MAX_DENSE_QUBITS if set, else DENSE_QUBIT_CAP."""
     env = os.environ.get("FERTAPER_MAX_DENSE_QUBITS", "")
     if env and not env.strip().isdecimal():
         raise ValueError(f"FERTAPER_MAX_DENSE_QUBITS must be a non-negative integer, got {env!r}")
-    cap = int(env) if env else DENSE_QUBIT_CAP
+    return int(env) if env else DENSE_QUBIT_CAP
+
+
+def check_dense(dim: int) -> None:
+    """Refuse a dense vector or matrix over more than 2^cap basis states."""
+    cap = dense_cap()
     if dim > 1 << cap:
         raise ValueError(f"dense array on {(dim - 1).bit_length()} qubits exceeds the cap of "
                          f"{cap}; set FERTAPER_MAX_DENSE_QUBITS to override")

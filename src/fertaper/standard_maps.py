@@ -152,8 +152,8 @@ def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamilt
     return QubitHamiltonian(m, ((0.5, first), (0.5 * sign, second)))
 
 
-def _ladder_product(enc: StandardEncoding, ops, ladders: dict) -> tuple[int, list, list]:
-    """(x mask, z masks, coefficients) of a product of encoded ladder operators.
+def encoded_observable(enc: StandardEncoding, ops, ladders: dict | None = None) -> QubitHamiltonian:
+    """Canonical product of encoded ladder operators, in closed form.
 
     Ladder operator j is X(col) Z(zpar) (1 +/- Z(row)) / 2, + for a creator,
     so a product of k of them has the one x mask XOR(col) and a term for
@@ -162,8 +162,12 @@ def _ladder_product(enc: StandardEncoding, ops, ladders: dict) -> tuple[int, lis
     the letter phase i^-popcount(x & z) comes last.  Equal z masks are
     merged, sorted and pruned as ``canonicalize`` does: the coefficients
     are sums of +/-2^-k times 1 or i, exact in any order, so this equals
-    the factor-by-factor product bit for bit.
+    the factor-by-factor product bit for bit.  ``ladders`` caches the
+    ladder masks per mode across calls.
     """
+    if not ops:
+        return QubitHamiltonian.zero(enc.modes)
+    ladders = {} if ladders is None else ladders
     x = 0
     branches = [(0, 1)]  # (z mask so far, sign) of each term
     for kind, mode in ops:
@@ -191,17 +195,6 @@ def _ladder_product(enc: StandardEncoding, ops, ladders: dict) -> tuple[int, lis
             zs.append(z)
             # 0.0 + turns a -0.0 part into 0.0, as canonicalize's merge does
             cs.append(0.0 + complex(c) * _PHASE[-(x & z).bit_count() % 4])
-    return x, zs, cs
-
-
-def encoded_observable(enc: StandardEncoding, ops, ladders: dict | None = None) -> QubitHamiltonian:
-    """Canonical product of encoded ladder operators, in closed form.
-
-    ``ladders`` caches the ladder masks per mode across calls.
-    """
-    if not ops:
-        return QubitHamiltonian.zero(enc.modes)
-    x, zs, cs = _ladder_product(enc, ops, {} if ladders is None else ladders)
     return QubitHamiltonian.from_masks(enc.modes, [x] * len(zs), zs, cs, canonical=True)
 
 
@@ -218,10 +211,10 @@ def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHam
     cs: list[complex] = []
 
     def add(ops, factor) -> None:
-        x, part_zs, part_cs = _ladder_product(enc, ops, ladders)
-        xs.extend([x] * len(part_zs))
-        zs.extend(part_zs)
-        cs.extend(complex(factor * c) for c in part_cs)
+        part = encoded_observable(enc, ops, ladders)
+        xs.extend(part.x_masks)
+        zs.extend(part.z_masks)
+        cs.extend(complex(factor * c) for c in part.coeffs)
 
     rows, cols = np.nonzero(h.t)
     for a, b in zip(rows.tolist(), cols.tolist()):

@@ -316,18 +316,17 @@ class BasisBlocks:
     """Sums on one register over their 2^n basis states, split into connected blocks.
 
     Sum i's states are offset by i * 2^n, so one labelling covers every
-    sum and no block crosses from one sum to another.  The canonical terms
-    of a sum sharing an x mask sum to one value per state s, the matrix
-    element <s^x|H|s>, built one x mask at a time: the mask's sign matrix
-    is built once, for the z masks of every sum, and freed before the
-    next mask.  Every nonzero value is an edge s - s^x.  It must be the
-    summed value: on a pair of modes whose occupation number would change,
-    XX and YY cancel, so the x masks alone would join particle numbers.
-    Only edges with s^x >= s are kept, the lower triangle that eigvalsh
-    reads, and min-label propagation runs along them both ways, labelling
-    each state by the least state of its component.  On tapered molecular
-    sectors these are their particle-number and spin blocks, found from
-    the matrices alone.
+    sum and no block crosses from one sum to another; the dense cap holds
+    for all of them together.  The canonical terms of a sum sharing an x
+    mask sum to one value per state s, the matrix element <s^x|H|s>, built
+    one x mask at a time.  Every nonzero value is an edge s - s^x.  It
+    must be the summed value: on a pair of modes whose occupation number
+    would change, XX and YY cancel, so the x masks alone would join
+    particle numbers.  Only edges with s^x >= s are kept, the lower
+    triangle that eigvalsh reads, and min-label propagation runs along
+    them both ways, labelling each state by the least state of its
+    component.  On tapered molecular sectors these are their
+    particle-number and spin blocks, found from the matrices alone.
     """
 
     def __init__(self, sums):
@@ -335,10 +334,14 @@ class BasisBlocks:
         n = self.qubit_count = sums[0].qubit_count if sums else 0
         if any(h.qubit_count != n for h in sums):
             raise ValueError("qubit count mismatch between sums")
-        limits.check_dense(1 << n)
+        limits.check_dense(max(1, len(sums)) << n)
         size = 1 << n
         states = np.arange(size, dtype=np.int64)
-        rows = max(1, (1 << 16) >> n)  # terms summed at once
+        rows = max(1, (1 << 16) >> n)  # sign rows built at once
+
+        def signs_of(zs):
+            return np.where(np.bitwise_count(states & zs[:, None]) & 1, -1 + 0j, 1 + 0j)
+
         groups: dict[int, list] = {}  # x mask -> (sum, its z masks, coefficients)
         for i, h in enumerate(sums):
             xs = np.array(h.x_masks, dtype=np.int64)
@@ -349,14 +352,22 @@ class BasisBlocks:
                 groups.setdefault(int(xs[lo]), []).append((i, zs[lo:hi], cs[lo:hi]))
         sources, targets, values = [states[:0]], [states[:0]], [np.zeros(0, dtype=complex)]
         for x, parts in groups.items():
-            every_z = np.array(sorted(set().union(*(zs.tolist() for _, zs, _ in parts))))
-            signs = np.where(np.bitwise_count(states & every_z[:, None]) & 1, -1 + 0j, 1 + 0j)
+            # the sign rows of every sum's z masks, built once if they fit
+            every_z = np.array(sorted(set().union(*(zs.tolist() for _, zs, _ in parts))),
+                               dtype=np.int64)
+            shared = signs_of(every_z) if len(every_z) <= rows else None
             summed = np.zeros((len(sums), size), dtype=complex)
             for i, zs, cs in parts:
-                own = signs if len(zs) == len(every_z) else signs[np.searchsorted(every_z, zs)]
                 for a in range(0, len(zs), rows):
-                    summed[i] += cs[a:a + rows] @ own[a:a + rows]
-            del signs, own
+                    chunk = zs[a:a + rows]
+                    if shared is None:
+                        own = signs_of(chunk)
+                    elif len(zs) == len(every_z):
+                        own = shared
+                    else:
+                        own = shared[np.searchsorted(every_z, chunk)]
+                    summed[i] += cs[a:a + rows] @ own
+            del shared, own
             which, s = np.nonzero((np.abs(summed) > DEFAULT_PRUNE_TOL) & (states ^ x >= states))
             sources.append(which * size + s)
             targets.append(which * size + (s ^ x))
@@ -412,15 +423,19 @@ def sector_spectra(h: QubitHamiltonian, plan: TaperingPlan,
     Each spectrum is the union of the tapered sector's blocks: the
     reflections send the basis states of a Z-string sector to tapered basis
     states, so a molecular sector keeps its particle-number blocks.  One
-    taper_sectors walk and one BasisBlocks serve every sector.  A sector
-    with no qubits left is a 1x1 matrix, its one coefficient.
+    taper_sectors walk and one BasisBlocks serve as many sectors as the
+    dense cap holds together.  A sector with no qubits left is a 1x1
+    matrix, its one coefficient.
     """
     if transformed is None:
         transformed = clifford_transform(h, plan)
-    if sectors is None:
-        sectors = all_sectors(plan.size)
-    tapered = taper_sectors(transformed, plan, sectors)
-    return dict(zip(tapered, BasisBlocks(tapered.values()).spectra()))
+    sectors = all_sectors(plan.size) if sectors is None else list(sectors)
+    batch = max(1, (1 << limits.dense_cap()) >> (transformed.qubit_count - plan.size))
+    spectra = {}
+    for lo in range(0, len(sectors), batch):
+        tapered = taper_sectors(transformed, plan, sectors[lo:lo + batch])
+        spectra.update(zip(tapered, BasisBlocks(tapered.values()).spectra()))
+    return spectra
 
 
 def spin_sector_signs(n_up: int, n_down: int, enc: StandardEncoding) -> tuple[int, int]:

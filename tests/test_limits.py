@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import fertaper
-from fertaper import limits
+from fertaper import limits, tapering
 from fertaper.codeword import CodeEncoding, FramedDiagonal, apply_frames_to_isometry
 from fertaper.fermion import (
     FermionHamiltonian,
@@ -21,8 +21,9 @@ from fertaper.firstq import (
     partition_eigenvector,
 )
 from fertaper.pauli import PauliOperator, QubitHamiltonian
-from fertaper.standard_maps import build_encoding
-from fertaper.tapering import BasisBlocks
+from fertaper.standard_maps import build_encoding, encode_hamiltonian
+from fertaper.tapering import BasisBlocks, build_plan, find_symmetries, sector_spectra
+from tests.test_tapering import spin_conserving_hamiltonian
 
 # every dense builder, each on a basis of 16 to 81 states
 DENSE_BUILDERS = {
@@ -93,3 +94,36 @@ def test_permutation_cap_refuses_before_the_dense_cap(monkeypatch):
     monkeypatch.setattr(limits, "PERMUTATION_CAP", 40320)
     with pytest.raises(ValueError, match="exceeds the cap of 14"):
         encode_first_quantized(FockState((1,) * 8), RegisterEncoding(8, 8))
+
+
+def test_several_sums_share_one_dense_cap(monkeypatch):
+    # two 3-qubit sums on one offset register span 16 states
+    sums = [QubitHamiltonian(3, ((1.0, PauliOperator.from_label(label)),)) for label in ("XZI", "ZZY")]
+    monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "3")
+    BasisBlocks(sums[:1])
+    with pytest.raises(ValueError, match="on 4 qubits exceeds the cap of 3"):
+        BasisBlocks(sums)
+
+
+@pytest.mark.parametrize("cap", [4, 5])
+def test_sector_spectra_take_as_many_sectors_as_the_cap_holds(monkeypatch, cap):
+    # 6 spin orbitals, 2 generators: four 4-qubit sectors, 64 states together
+    q = encode_hamiltonian(spin_conserving_hamiltonian(6, 3), build_encoding("parity", 6))
+    plan = build_plan(find_symmetries(q), q)
+    assert (plan.size, q.qubit_count - plan.size) == (2, 4)
+    monkeypatch.delenv("FERTAPER_MAX_DENSE_QUBITS", raising=False)
+    whole = sector_spectra(q, plan)
+    batches = []
+    blocks = tapering.BasisBlocks
+
+    def counted(sums):
+        sums = list(sums)
+        batches.append(len(sums))
+        return blocks(sums)
+
+    monkeypatch.setattr(tapering, "BasisBlocks", counted)
+    monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", str(cap))
+    spectra = sector_spectra(q, plan)
+    assert batches == [1 << (cap - 4)] * (4 >> (cap - 4))
+    assert list(spectra) == list(whole)
+    assert all(np.array_equal(spectra[s], whole[s]) for s in whole)

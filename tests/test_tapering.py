@@ -469,6 +469,37 @@ class TestBasisBlocks:
         with pytest.raises(ValueError, match="qubit count mismatch"):
             BasisBlocks([sums[0], QubitHamiltonian.zero(n + 1)])
 
+    def test_wide_x_groups_build_their_signs_in_chunks(self):
+        # 9 qubits: at most 2^16 / 2^9 = 128 sign rows at once.  An x mask
+        # with 300 z masks in each of two sums is built in chunks of each
+        # sum; one with 50 in each is built once for both sums
+        n, x_narrow, x_wide = 9, 0b011000000, 0b100100001
+
+        def random_sum(seed):
+            rng = np.random.default_rng(seed)
+            narrow = rng.choice(1 << n, 50, replace=False).tolist()
+            wide = rng.choice(1 << n, 300, replace=False).tolist()
+            xs = [x_narrow] * len(narrow) + [x_wide] * len(wide)
+            return QubitHamiltonian.from_masks(n, xs, narrow + wide,
+                                               rng.normal(size=len(xs)).tolist()).canonicalize()
+
+        sums = [random_sum(1), random_sum(2)]
+        narrow = {z for h in sums for x, z in zip(h.x_masks, h.z_masks) if x == x_narrow}
+        shapes = []
+        bitwise_count = np.bitwise_count
+
+        def count_2d(a, *args, **kwargs):
+            if np.ndim(a) == 2:
+                shapes.append(a.shape)
+            return bitwise_count(a, *args, **kwargs)
+
+        with mock.patch("numpy.bitwise_count", count_2d):
+            together = BasisBlocks(sums).spectra()
+        assert sorted(shapes) == sorted([(len(narrow), 512)] + [(128, 512), (128, 512), (44, 512)] * 2)
+        for h, spectrum in zip(sums, together):
+            assert np.array_equal(spectrum, BasisBlocks([h]).spectra()[0])
+            assert np.abs(spectrum - np.linalg.eigvalsh(h.dense())).max() <= 1e-10
+
     def test_sectors_are_checked(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
         with pytest.raises(ValueError, match="sector needs 3 entries"):
