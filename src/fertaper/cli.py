@@ -361,6 +361,8 @@ def verify_suite(suite: str, modes: int = 5, particles: int = 2, seed: int = 7,
         report.add_check("isospectral", bool(np.allclose(full, trans, atol=1e-12)),
                          float(np.abs(full - trans).max()))
     elif suite == "spectra":
+        if modes < 1:
+            raise ValueError(f"--M {modes}: the spectra suite needs at least one mode")
         rng = np.random.default_rng(seed)
         h = random_hamiltonian(modes, particles, rng)
         ref = np.sort(np.linalg.eigvalsh(dense_fock_matrix(h)))

@@ -390,17 +390,18 @@ def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
     return vec / size
 
 
-def observable_simulator(enc: CodeEncoding, obs: FermionObservable,
-                         improve: bool = True) -> SimulatorOp:
+def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> SimulatorOp:
     """Framed decomposition of the encoded observable.
 
     The flip mask is the XOR of the observable's packed columns, so a mode
     named twice cancels.  One frame per Z-pattern of the right parity
     inside it (even patterns for the plus variant, odd for the i*(minus)
     variant); the frame's diagonal is the Walsh-Hadamard transform of the
-    transition signs over the flipped bits.  With a bipartition available
-    and both row classes represented on the flip mask, the stabilizer
-    trick merges frames four to one.
+    transition signs over the flipped bits.  When the encoding has a
+    bipartition, bipartite_improve merges the frames.  A product of k
+    ladder operators on columns of weight at most w flips at most k*w
+    qubits, so it never takes more than 2^(k*w - 1) frames; more raises
+    AssertionError.
     """
     q = enc.qubits
     flips = 0
@@ -420,32 +421,26 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable,
                                          None if spectra is None else spectra[:, t]))
         z = (z - flips) & flips
     sim = SimulatorOp(obs, frames)
-    if improve and enc.bipartition is not None:
-        in_left, in_right = (flips & rows for rows in enc.class_masks)
-        if in_left and in_right:
-            # the first qubit of each class, from the mask's highest bit
-            sim = bipartite_improve(sim, enc, q + 1 - in_left.bit_length(),
-                                    q + 1 - in_right.bit_length())
+    if enc.bipartition is not None:
+        sim = bipartite_improve(sim, enc)
+    cap = 1 << (len(obs.indices) * enc.max_column_weight - 1)
+    if sim.sparsity > cap:
+        raise AssertionError(f"{obs.kind} sparsity {sim.sparsity} over the bound {cap}")
     return sim
 
 
 def two_body_simulator(enc: CodeEncoding, alpha: int, beta: int,
-                       variant: str = "plus", improve: bool = True) -> SimulatorOp:
+                       variant: str = "plus") -> SimulatorOp:
     """Simulator of the Hermitian hop between two distinct modes."""
     if alpha == beta:
         raise ValueError("two-body simulator needs distinct modes")
     if enc.columns[alpha - 1] == enc.columns[beta - 1]:
         raise ValueError("equal columns contradict injectivity")
-    sim = observable_simulator(enc, FermionObservable.hop(alpha, beta, variant), improve)
-    cap = 1 << (2 * enc.max_column_weight - 1)
-    if sim.sparsity > cap:
-        raise AssertionError(f"two-body sparsity {sim.sparsity} over the bound {cap}")
-    return sim
+    return observable_simulator(enc, FermionObservable.hop(alpha, beta, variant))
 
 
 def four_body_simulator(enc: CodeEncoding, alpha: int, beta: int, gamma: int,
-                        delta: int, variant: str = "plus",
-                        improve: bool = True) -> SimulatorOp:
+                        delta: int, variant: str = "plus") -> SimulatorOp:
     """Simulator of the Hermitian two-pair transition.
 
     Coincident creator/annihilator indices cancel out of the flip pattern,
@@ -454,23 +449,20 @@ def four_body_simulator(enc: CodeEncoding, alpha: int, beta: int, gamma: int,
     """
     if alpha == beta or gamma == delta:
         raise ValueError("pair indices must be distinct within each pair")
-    obs = FermionObservable.pair_hop(alpha, beta, gamma, delta, variant)
-    sim = observable_simulator(enc, obs, improve)
-    cap = 1 << (4 * enc.max_column_weight - 1)
-    if sim.sparsity > cap:
-        raise AssertionError(f"four-body sparsity {sim.sparsity} over the bound {cap}")
-    return sim
+    return observable_simulator(enc, FermionObservable.pair_hop(alpha, beta, gamma, delta,
+                                                                variant))
 
 
-def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding, i: int, j: int) -> SimulatorOp:
+def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding) -> SimulatorOp:
     """Merge frames by multiplying with codespace stabilizers.
 
-    Frames with a Z at qubit i (row class one) or j (row class two) are
-    multiplied by (-1)^N Z(class): the class's rows on the flip mask XOR
-    into the frame's Z mask, which clears i and j, and its rows on the rest
-    index become a sign mask on the diagonal.  Frames that land on the same
-    Z mask merge.  The codespace action is unchanged because the
-    stabilizers act there as identity.
+    The chosen qubits are the first flipped qubit of each row class.
+    Frames with a Z at either are multiplied by (-1)^N Z(class): the
+    class's rows on the flip mask XOR into the frame's Z mask, which
+    clears the chosen qubit, and its rows on the rest index become a sign
+    mask on the diagonal.  Frames that land on the same Z mask merge.  The
+    codespace action is unchanged because the stabilizers act there as
+    identity.  A flip mask that misses a row class is returned unmerged.
     """
     if enc.bipartition is None:
         raise ValueError("encoding carries no bipartition")
@@ -478,14 +470,15 @@ def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding, i: int, j: int) -> Si
         return sim
     q = enc.qubits
     flips = sim.frames[0].pauli.x_mask
-    for qubit, rows, side in ((i, enc.bipartition[0], "left"), (j, enc.bipartition[1], "right")):
-        if qubit not in rows or not flips >> (q - qubit) & 1:
-            raise ValueError(f"qubit {qubit} is not a {side}-class support qubit")
+    on_frames = [rows & flips for rows in enc.class_masks]
+    if not all(on_frames):
+        return sim
     n_sign = -1.0 if enc.particles % 2 else 1.0
     drop = _positions(flips)
-    # per class: the chosen qubit's bit, its rows on the frame, its rows on the rest index
-    classes = [(1 << (q - pick), rows & flips, gf2.drop_bits(rows, drop))
-               for pick, rows in zip((i, j), enc.class_masks)]
+    # per class: the chosen qubit's bit (its highest on the frame), its rows on
+    # the frame, its rows on the rest index
+    classes = [(1 << (on_frame.bit_length() - 1), on_frame, gf2.drop_bits(rows, drop))
+               for on_frame, rows in zip(on_frames, enc.class_masks)]
 
     merged: dict[int, list] = {}
     for frame in sim.frames:
@@ -528,21 +521,20 @@ def occupation_diag(enc: CodeEncoding, modes) -> FramedDiagonal:
     return FramedDiagonal(PauliOperator.identity(enc.qubits), diag)
 
 
-def _block_frames(enc: CodeEncoding, modes: tuple[int, ...], coeff: complex,
-                  improve: bool) -> list[FramedDiagonal]:
+def _block_frames(enc: CodeEncoding, modes: tuple[int, ...],
+                  coeff: complex) -> list[FramedDiagonal]:
     """Frames of one Hermitian-paired block: the real part weights the plus
     observable, the imaginary part the i*(minus) one."""
     simulate = two_body_simulator if len(modes) == 2 else four_body_simulator
     frames = []
     for part, variant in ((coeff.real, "plus"), (coeff.imag, "minus")):
         if part:
-            frames += [f.scaled(part) for f in simulate(enc, *modes, variant, improve).frames]
+            frames += [f.scaled(part) for f in simulate(enc, *modes, variant).frames]
     return frames
 
 
 def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
-                                penalty: float | None = None,
-                                improve: bool = True) -> list[FramedDiagonal]:
+                                penalty: float | None = None) -> list[FramedDiagonal]:
     """Framed-term simulator of the full Hamiltonian plus codespace penalty.
 
     Every Hermitian-paired coefficient block becomes a plus/minus pair of
@@ -565,7 +557,7 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
             frames.append(occupation_diag(enc, (alpha,)).scaled(coeff.real))
     for alpha in range(1, h.modes + 1):
         for beta in range(alpha + 1, h.modes + 1):
-            frames += _block_frames(enc, (alpha, beta), h.t[alpha - 1, beta - 1], improve)
+            frames += _block_frames(enc, (alpha, beta), h.t[alpha - 1, beta - 1])
 
     done = set()
     for key, coeff in sorted(h.interactions.items()):
@@ -579,7 +571,7 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
             # self-adjoint block: a'_a a'_b a_b a_a = occupation product
             frames.append(occupation_diag(enc, (a, b)).scaled(coeff.real))
         else:
-            frames += _block_frames(enc, key, coeff, improve)
+            frames += _block_frames(enc, key, coeff)
 
     if penalty:
         proj = occupation_diag(enc, ()).diagonal
@@ -588,18 +580,8 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
     return frames
 
 
-def save_pcm(a: np.ndarray, path: str) -> None:
-    """Write "Q M" then Q rows of 0/1 digits."""
-    a = gf2.asbits(a)
-    q, m = a.shape
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{q} {m}\n")
-        for r in range(q):
-            fh.write("".join(str(int(b)) for b in a[r]) + "\n")
-
-
 def load_pcm(path: str) -> np.ndarray:
-    """Read the parity-check format; rows may be contiguous or spaced digits.
+    """Read "Q M", then Q rows of 0/1 digits, contiguous or spaced.
 
     Every entry must be 0 or 1 and the row and column counts must match
     the header; anything else is a ValueError naming the position.

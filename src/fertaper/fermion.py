@@ -13,6 +13,7 @@ import cmath
 import itertools
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -55,9 +56,6 @@ class FockState:
         for b in self.occ:
             value = (value << 1) | b
         return value
-
-    def bit(self, alpha: int) -> int:
-        return self.occ[alpha - 1]
 
     def occupied_modes(self) -> tuple[int, ...]:
         return tuple(i + 1 for i, b in enumerate(self.occ) if b)
@@ -190,13 +188,6 @@ class FermionObservable:
         a, b, g, d = self.indices
         return (("c", d), ("c", g), ("a", b), ("a", a))
 
-    def flip_mask(self, m: int) -> tuple[int, ...]:
-        """Modes flipped by the observable (odd-multiplicity indices)."""
-        bits = [0] * m
-        for a in self.indices:
-            bits[a - 1] ^= 1
-        return tuple(bits)
-
 
 def observable_action(obs: FermionObservable, x: FockState) -> list[tuple[complex, FockState]]:
     """Exact sparse action: list of (amplitude, state) with distinct states."""
@@ -271,9 +262,11 @@ class FermionHamiltonian:
     def from_json(cls, text: str) -> "FermionHamiltonian":
         """Read the format of :meth:`to_json`.
 
-        A ``t`` row ``(a, b)`` or ``u`` row ``(a, b, g, d)`` given twice is
-        rejected with a ValueError naming it: summing the two, or keeping the
-        last, would silently change what the file means.
+        A ``t`` row is ``[a, b, re, im]`` and a ``u`` row ``[a, b, g, d, re,
+        im]``, with integer counts and mode indices in 1..modes.  Any other
+        row is a ValueError naming it, as is one whose indices repeat an
+        earlier row's: summing the two, or keeping the last, would silently
+        change what the file means.
         """
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -281,17 +274,15 @@ class FermionHamiltonian:
         for key in ("modes", "particles"):
             if key not in data:
                 raise ValueError(f"Hamiltonian JSON lacks the required key {key!r}")
-        m = int(data["modes"])
-        rows = {}
-        for a, b, re, im in data.get("t", []):
-            _add_row(rows, "t", (int(a), int(b)), complex(re, im))
+            if type(data[key]) is not int or data[key] < 0:
+                raise ValueError(f"Hamiltonian JSON {key!r} is {json.dumps(data[key])}, "
+                                 "not a non-negative integer")
+        m = data["modes"]
         t = np.zeros((m, m), dtype=complex)
-        for (a, b), value in rows.items():
+        for (a, b), value in _json_rows(data, "t", "[a, b, re, im]", m).items():
             t[a - 1, b - 1] = value
-        u = {}
-        for a, b, g, d, re, im in data.get("u", []):
-            _add_row(u, "u", (int(a), int(b), int(g), int(d)), complex(re, im))
-        return cls(m, int(data["particles"]), t, u)
+        u = _json_rows(data, "u", "[a, b, g, d, re, im]", m)
+        return cls(m, data["particles"], t, u)
 
     def to_json(self) -> str:
         t_rows = [
@@ -327,10 +318,28 @@ class FermionHamiltonian:
         return out
 
 
-def _add_row(rows: dict, name: str, key: tuple, value: complex) -> None:
-    if key in rows:
-        raise ValueError(f"Hamiltonian JSON repeats the {name} row {list(key)}")
-    rows[key] = value
+def _json_rows(data: dict, name: str, shape: str, modes: int) -> dict[tuple, complex]:
+    """The t or u rows as mode indices -> coefficient; JSON integers load as type int."""
+    rows = data.get(name, [])
+    if not isinstance(rows, list):
+        raise ValueError(f"Hamiltonian JSON {name!r} is not a list of {shape} rows")
+    out: dict[tuple, complex] = {}
+    for row in rows:
+        problem = None
+        if not isinstance(row, list) or len(row) != shape.count(",") + 1:
+            problem = f"is not {shape}"
+        elif not all(type(i) is int and 1 <= i <= modes for i in row[:-2]):
+            problem = f"has a mode index that is not an integer in 1..{modes}"
+        elif not all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+                     for v in row[-2:]):
+            problem = "has an re or im that is not a real number in the float range"
+        if problem:
+            raise ValueError(f"Hamiltonian JSON {name} row {json.dumps(row)} {problem}")
+        key = tuple(row[:-2])
+        if key in out:
+            raise ValueError(f"Hamiltonian JSON repeats the {name} row {list(key)}")
+        out[key] = complex(*row[-2:])
+    return out
 
 
 def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:

@@ -245,7 +245,7 @@ class TernaryField:
     irreducible at construction time by an exhaustive factor check.
     Construction also fills 3^m x 3^m ``add_table`` and ``mul_table``
     arrays from digit arithmetic on every pair at once, the product
-    reduced by the polynomial; ``add`` and ``mul`` read them.
+    reduced by the polynomial.
     """
 
     # x^2+1, x^3+2x+1, x^4+x+2 as coefficient tuples (constant first, monic)
@@ -307,12 +307,6 @@ class TernaryField:
     @classmethod
     def _poly_divides(cls, small: tuple, big: tuple) -> bool:
         return all(c == 0 for c in cls._poly_mod(big, small))
-
-    def add(self, a: int, b: int) -> int:
-        return int(self.add_table[a, b])
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self.mul_table[a, b])
 
 
 LETTERS = "XYZ"  # digit 0 -> X basis, 1 -> Y, 2 -> Z (fixed labeling)
@@ -575,8 +569,11 @@ def spectrum_matches_partitions(n: int, modes: int, tol: float = 1e-9):
 
     Returns (bool, sorted eigenvalue set, expected Fractions).  The
     smallest nonzero value equals n/2 whenever the (n-1, 1) shape fits,
-    i.e. n - 1 <= modes.
+    i.e. n - 1 <= modes.  It needs n >= 0 and modes >= 1.
     """
+    if n < 0 or modes < 1:
+        raise ValueError(f"the penalty spectrum needs N >= 0 particles and M >= 1 modes, "
+                         f"got N={n}, M={modes}")
     dense = exchange_penalty_dense(n, modes)
     values = np.linalg.eigvalsh(dense)
     expected = sorted({partition_eigenvalue(p) for p in column_partitions(n, modes)})

@@ -6,8 +6,8 @@ Pauli (x|z) masks, so a row XOR is one int XOR.  A parity-check matrix
 A is held the same way, as its columns packed into qubit masks
 (pack_rows(A.T)), so a syndrome is an XOR of columns.  The numpy helpers
 convert between that layout and the 0/1 uint8 arrays that enter and leave
-the program: asbits and pack_rows on the way in; bits_to_int, int_to_bits
-and unpack_ints for bit-vector views of masks; drop_bits deletes bit
+the program: asbits and pack_rows on the way in; bits_to_int and
+unpack_ints for bit-vector views of masks; drop_bits deletes bit
 positions from ints or int64 arrays.  Row/column indices at this level
 are 0-based; the 1-based mode/qubit convention of the public API lives in
 the callers.
@@ -29,11 +29,6 @@ def bits_to_int(bits) -> int:
     for b in bits:
         value = (value << 1) | int(b)
     return value
-
-
-def int_to_bits(value: int, length: int) -> np.ndarray:
-    """Unpack an integer into a bit vector of the given length, MSB first."""
-    return np.array([(value >> (length - 1 - i)) & 1 for i in range(length)], dtype=np.uint8)
 
 
 def pack_rows(mat) -> list[int]:
@@ -143,12 +138,6 @@ def inverse(rows, n: int) -> list[int]:
         raise ValueError("matrix is singular over GF(2)")
     low = (1 << n) - 1
     return [r & low for r in reduced]
-
-
-def in_span(rows, target: int) -> bool:
-    """Whether target lies in the GF(2) span of the int rows."""
-    rows = list(rows)
-    return rank(rows) == rank(rows + [target])
 
 
 def same_span(a, b) -> bool:

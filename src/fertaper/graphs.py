@@ -59,9 +59,6 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> dict[int, set]:
-        return _adjacency(self.vertex_count, self.edges)
-
     def edge_masks(self) -> tuple[int, ...]:
         """Each edge's two endpoints as a vertex mask, vertex 1 most significant:
         the incidence matrix's columns, packed as the Pauli masks are."""
@@ -146,11 +143,6 @@ def girth(g: BipartiteGraph) -> float:
     return path_lengths(g)[1]
 
 
-def injectivity_from_girth(g: BipartiteGraph, n: int) -> bool:
-    """Incidence-matrix injectivity at weight n follows from girth >= 2n+2."""
-    return girth(g) >= 2 * n + 2
-
-
 def two_coloring(adj: dict[int, set]) -> tuple[set, set] | None:
     """Color classes of a bipartition, or None when an odd cycle exists."""
     color: dict[int, int] = {}
@@ -230,8 +222,7 @@ def cycle_chord_graph(cycle_length: int, n: int) -> BipartiteGraph:
     return g
 
 
-def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0,
-                      splits=None) -> BipartiteGraph:
+def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0) -> BipartiteGraph:
     """Best-of-many randomized greedy graphs with girth >= 2n+2.
 
     Each trial fixes a bipartition size, then repeatedly adds a uniformly
@@ -248,10 +239,9 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0,
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
     rng = random.Random(seed)
-    if splits is None:
-        base = q // 2
-        spread = sorted({max(1, base + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
-        splits = [s for s in spread if 1 <= s <= q - 1]
+    base = q // 2
+    spread = sorted({max(1, base + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
+    splits = [s for s in spread if 1 <= s <= q - 1]
     far = _far(n)
     best: BipartiteGraph | None = None
     for trial in range(trials):
@@ -433,13 +423,28 @@ def save_graph(g: BipartiteGraph, path: str) -> None:
 
 
 def load_graph(path: str) -> BipartiteGraph:
+    """Read save_graph's format: "Q_left Q_right M", then M lines "u v".
+
+    The counts must be non-negative integers and the vertices lie in
+    1..Q_left+Q_right; anything else is a ValueError naming the file and line.
+    """
     with open(path, encoding="utf-8") as fh:
-        tokens = fh.read().split()
-    ql, qr, m = (int(t) for t in tokens[:3])
-    flat = [int(t) for t in tokens[3:]]
-    if len(flat) != 2 * m:
-        raise ValueError("edge list length does not match header")
-    edges = tuple((flat[2 * i], flat[2 * i + 1]) for i in range(m))
-    return BipartiteGraph(
-        frozenset(range(1, ql + 1)), frozenset(range(ql + 1, ql + qr + 1)), edges
-    )
+        lines = [(k, ln.split()) for k, ln in enumerate(fh, 1) if ln.strip()]
+    k, header = lines[0] if lines else (1, [])
+    if len(header) != 3 or not all(t.isdecimal() for t in header):
+        raise ValueError(f"graph file {path}, line {k}: the header must be "
+                         "\"Q_left Q_right M\" in non-negative integers")
+    ql, qr, m = map(int, header)
+    if len(lines) - 1 != m:
+        raise ValueError(f"graph file {path} has {len(lines) - 1} edge lines; "
+                         f"its header says {m}")
+    for k, ends in lines[1:]:
+        if len(ends) != 2 or not all(t.isdecimal() and 1 <= int(t) <= ql + qr for t in ends):
+            raise ValueError(f"graph file {path}, line {k}: an edge must be \"u v\" "
+                             f"with vertices in 1..{ql + qr}")
+    edges = tuple((int(u), int(v)) for _, (u, v) in lines[1:])
+    try:
+        return BipartiteGraph(frozenset(range(1, ql + 1)),
+                              frozenset(range(ql + 1, ql + qr + 1)), edges)
+    except ValueError as err:
+        raise ValueError(f"graph file {path}: {err}") from None

@@ -128,14 +128,6 @@ class PauliOperator:
         letters[_check_index(qubit, n) - 1] = letter
         return cls.from_label("".join(letters))
 
-    @classmethod
-    def z_string(cls, n: int, qubits) -> "PauliOperator":
-        return cls.from_masks(n, 0, qubit_mask(n, qubits))
-
-    @classmethod
-    def x_string(cls, n: int, qubits) -> "PauliOperator":
-        return cls.from_masks(n, qubit_mask(n, qubits), 0)
-
     # -- structure ---------------------------------------------------
 
     @property
@@ -171,10 +163,6 @@ class PauliOperator:
 
     def is_hermitian(self) -> bool:
         return (self.phase_power - self.y_count) % 2 == 0
-
-    def adjoint(self) -> "PauliOperator":
-        return PauliOperator.from_masks(self.n, self.x_mask, self.z_mask,
-                                        -self.phase_power + 2 * self.y_count)
 
     # -- dense oracle ------------------------------------------------
 
@@ -326,10 +314,6 @@ class QubitHamiltonian:
         # canonical Paulis are Hermitian, so only the coefficients can fail
         return all(abs(c.imag) <= tol for c in self.canonicalize().coeffs)
 
-    def term_map(self) -> dict[tuple, complex]:
-        """Canonical (x, z) bit tuples -> coefficient mapping."""
-        return {(op.x, op.z): c for c, op in self.canonicalize().terms}
-
     def operator_set(self, include_identity: bool = False) -> set[str]:
         """Labels of the distinct canonical Paulis (identity optional)."""
         h = self.canonicalize()
@@ -431,11 +415,7 @@ def _same_length(n: int | None, length: int) -> int:
     return length
 
 
-def kron_chain(mats) -> np.ndarray:
-    return reduce(np.kron, mats)
-
-
 def pauli_matrix_naive(label: str) -> np.ndarray:
     """Independent dense oracle: literal Kronecker product of letters."""
     prefix, letters = _split_label(label)
-    return _PHASE[prefix] * kron_chain([_SINGLE[c] for c in letters])
+    return _PHASE[prefix] * reduce(np.kron, [_SINGLE[c] for c in letters])

@@ -42,40 +42,17 @@ class StandardEncoding:
         """A as a 0/1 uint8 array, derived from the column masks."""
         return gf2.unpack_ints(self.column_masks, self.modes).T
 
-    def encode_bits(self, occ) -> np.ndarray:
-        """Qubit basis label Ax of an occupation vector x."""
-        return gf2.int_to_bits(_image(self.column_masks, _pack(occ, self.modes)), self.modes)
-
-    def decode_bits(self, s) -> np.ndarray:
-        """Occupation vector A^-1 s of a qubit basis label s."""
-        label = _pack(s, self.modes)
-        return np.array([(row & label).bit_count() & 1 for row in self.inverse_rows],
-                        dtype=np.uint8)
-
     def permutation_matrix(self) -> np.ndarray:
         """Dense basis permutation |x> -> |Ax> (oracle use only)."""
         dim = 1 << self.modes
         limits.check_dense(dim)
         cols = np.arange(dim, dtype=np.int64)
+        images = 0  # A x packed, the XOR of the columns of x's occupied modes
+        for c, col in enumerate(self.column_masks):
+            images ^= (cols >> (self.modes - 1 - c) & 1) * col
         perm = np.zeros((dim, dim))
-        perm[_image(self.column_masks, cols), cols] = 1.0
+        perm[images, cols] = 1.0
         return perm
-
-
-def _pack(bits, m: int) -> int:
-    bits = gf2.asbits(bits)
-    if bits.shape != (m,):
-        raise ValueError(f"expected {m} bits, got shape {bits.shape}")
-    return gf2.bits_to_int(bits)
-
-
-def _image(column_masks, x):
-    """Ax packed, for x an int or an int64 array of them (mode 1 most significant)."""
-    m = len(column_masks)
-    out = 0
-    for c, col in enumerate(column_masks):
-        out ^= (x >> (m - 1 - c) & 1) * col
-    return out
 
 
 def _matrix_rows(kind: str, m: int) -> list[int]:
@@ -114,26 +91,6 @@ def _ladder_masks(enc: StandardEncoding, j: int) -> tuple[int, int, int]:
     for row in enc.inverse_rows[: j - 1]:
         z_parity ^= row
     return enc.column_masks[j - 1], z_parity, enc.inverse_rows[j - 1]
-
-
-def update_parity_flip_sets(m_modes: int, j: int, kind: str = "binary_tree"):
-    """(update, parity, flip, remainder) qubit sets for mode j.
-
-    update: qubits below j in the encoding matrix column (their stored
-    partial sums include mode j, so they flip together with it).
-    parity: qubits whose values add up to the occupation parity of modes
-    1..j-1.  flip: qubits other than j that determine the occupation of
-    mode j.  remainder = parity minus flip.
-    """
-    column, z_parity, row = _ladder_masks(build_encoding(kind, m_modes), j)
-
-    def qubits(mask: int) -> frozenset:
-        return frozenset(q for q in range(1, m_modes + 1) if mask >> (m_modes - q) & 1)
-
-    update = qubits(column) - {j}
-    parity = qubits(z_parity)
-    flip = qubits(row) - {j}
-    return update, parity, flip, parity - flip
 
 
 def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamiltonian:

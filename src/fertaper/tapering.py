@@ -21,7 +21,6 @@ import numpy as np
 
 from fertaper import gf2, limits
 from fertaper.pauli import DEFAULT_PRUNE_TOL, _PHASE, PauliOperator, QubitHamiltonian, commutes
-from fertaper.standard_maps import StandardEncoding
 
 
 def check_matrix(h: QubitHamiltonian) -> list[int]:
@@ -437,24 +436,3 @@ def sector_spectra(h: QubitHamiltonian, plan: TaperingPlan,
         spectra.update(zip(tapered, BasisBlocks(tapered.values()).spectra()))
     return spectra
 
-
-def spin_sector_signs(n_up: int, n_down: int, enc: StandardEncoding) -> tuple[int, int]:
-    """Sector eigenvalues of the two spin-parity Z symmetries.
-
-    For the parity and binary-tree encodings with an even number of modes
-    (power of two for binary-tree), rows M/2 and M of the encoding matrix
-    sum the spin-up and all occupations, so qubits M/2 and M carry the
-    spin-up parity and the total parity.
-    """
-    m = enc.modes
-    if enc.kind == "parity":
-        if m % 2:
-            raise ValueError("parity spin symmetries need an even mode count")
-    elif enc.kind == "binary_tree":
-        if m & (m - 1) or m < 2:
-            raise ValueError("binary-tree spin symmetries need a power-of-two mode count")
-    else:
-        raise ValueError(f"spin sector signs unsupported for {enc.kind!r}")
-    up = -1 if n_up % 2 else 1
-    total = -1 if (n_up + n_down) % 2 else 1
-    return up, total

@@ -37,11 +37,11 @@ from fertaper.firstq import (
     rao_hamming_oa,
 )
 from fertaper.graphs import (
+    GraphDecoder,
     cycle_chord_graph,
     girth,
     graph_decode,
     greedy_high_girth,
-    injectivity_from_girth,
 )
 from fertaper.mitm import brute_force_decode, build_tables, mitm_decode
 from fertaper.pauli import PauliOperator, QubitHamiltonian
@@ -176,7 +176,7 @@ def _random_certified_encodings(rng):
     for q in (10, 12, 14):
         seed = int(rng.integers(0, 10_000))
         g = greedy_high_girth(q, 2, trials=30, seed=seed)
-        assert injectivity_from_girth(g, 2)
+        assert GraphDecoder.certified(g, 2) is not None
         encodings.append(CodeEncoding.from_graph(g, 2))
     return encodings
 
@@ -232,7 +232,7 @@ def test_a8_decoder_equivalence():
     tables = build_tables(*packed(a), 2)
     reference = syndrome_map(a, 2)
     for syndrome_int in range(1 << 12):
-        bits = gf2.int_to_bits(syndrome_int, 12)
+        bits = gf2.unpack_ints([syndrome_int], 12)[0]
         want = reference.get(syndrome_int)
         via_mitm = mitm_decode(tables, bits)
         via_graph = graph_decode(fig3, bits, 2)

@@ -15,7 +15,6 @@ from fertaper.codeword import (
     CodeEncoding,
     FramedDiagonal,
     apply_frames_to_isometry,
-    save_pcm,
 )
 from fertaper.fermion import FermionHamiltonian, dense_fock_matrix, sector_matrix_direct
 from fertaper.graphs import (
@@ -139,6 +138,26 @@ class TestEncodeTaper:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'modes'" in err
+
+    @pytest.mark.parametrize("text", [
+        '{"modes": 2, "particles": 1, "t": [[0, 1, 0.5, 0], [1, 0, 0.5, 0]]}',
+        '{"modes": 2, "particles": 1, "t": [[5, 1, 0.5, 0]]}',
+        '{"modes": 2, "particles": 1, "t": [[1, 2, "a", 0]]}',
+        '{"modes": 2, "particles": 1, "u": [[1, 2, 2, 1, "a", 0]]}',
+        '{"modes": 2, "particles": 1, "t": 5}',
+        '{"modes": 2.7, "particles": 1}',
+        '{"modes": 2, "particles": 1, "t": [[1.9, 1, 0.5, 0]]}',
+    ], ids=["index-zero", "index-past-modes", "t-string", "u-string", "t-not-a-list",
+            "float-modes", "float-index"])
+    def test_malformed_json_is_an_error_line(self, tmp_path, capsys, text):
+        source = tmp_path / "h.json"
+        source.write_text(text)
+        out = tmp_path / "q.txt"
+        rc = main(["encode", "--input", str(source), "--map", "jw", "--output", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Hamiltonian JSON") and captured.out == ""
+        assert not out.exists()
 
 
 def forbid_indented_json(monkeypatch):
@@ -401,7 +420,7 @@ class TestCodesim:
     def test_framed_output(self, tmp_path, subcode_json):
         a = cycle_chord_graph(8, 2).incidence_matrix()[:, :6]
         check = tmp_path / "a.pcm"
-        save_pcm(a, str(check))
+        np.savetxt(check, a, fmt="%d", header="%d %d" % a.shape, comments="")
         out = tmp_path / "framed.json"
         assert main(["codesim", "--check", str(check), "--input", subcode_json,
                      "--penalty", "2.0", "--output", str(out)]) == 0
@@ -475,7 +494,7 @@ class TestCodesim:
     def test_zero_operator_interaction_entries(self, tmp_path, u):
         # a'_a a'_b a_g a_d with a == b or g == d is the zero operator
         check = tmp_path / "a.pcm"
-        save_pcm(np.eye(4, dtype=np.uint8), str(check))
+        check.write_text("4 4\n1000\n0100\n0010\n0001\n")
         source = tmp_path / "h.json"
         source.write_text(json.dumps({"modes": 4, "particles": 2,
                                       "t": [[1, 2, 0.3, 0.0], [2, 1, 0.3, 0.0]], "u": u}))
@@ -498,7 +517,8 @@ class TestCodesim:
         source = tmp_path / "nan.json"
         source.write_text(json.dumps(data))  # json writes the NaN token; json.loads reads it
         check = tmp_path / "a.pcm"
-        save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(check))
+        sub = cycle_chord_graph(8, 2).incidence_matrix()[:, :6]
+        np.savetxt(check, sub, fmt="%d", header="%d %d" % sub.shape, comments="")
         out = tmp_path / "framed.json"
         assert main(["codesim", "--check", str(check), "--input", str(source),
                      "--output", str(out)]) == 2
@@ -511,7 +531,7 @@ class TestCodesim:
         source.write_text(json.dumps({"modes": 4, "particles": 2, "u": [],
                                       "t": [[1, 1, 1e308, 0.0], [2, 2, 1e308, 0.0]]}))
         check = tmp_path / "eye.pcm"
-        save_pcm(np.eye(4, dtype=np.uint8), str(check))
+        check.write_text("4 4\n1000\n0100\n0010\n0001\n")
         out = tmp_path / "framed.json"
         with pytest.warns(UserWarning, match="exceeds 1"):
             rc = main(["codesim", "--check", str(check), "--input", str(source),
@@ -523,7 +543,8 @@ class TestCodesim:
     @pytest.mark.parametrize("penalty", ["nan", "inf", "-inf", "-2"])
     def test_bad_penalty_is_an_error_line(self, tmp_path, subcode_json, capsys, penalty):
         check = tmp_path / "a.pcm"
-        save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(check))
+        sub = cycle_chord_graph(8, 2).incidence_matrix()[:, :6]
+        np.savetxt(check, sub, fmt="%d", header="%d %d" % sub.shape, comments="")
         out = tmp_path / "framed.json"
         assert main(["codesim", "--check", str(check), "--input", subcode_json,
                      f"--penalty={penalty}", "--output", str(out)]) == 2
@@ -533,7 +554,8 @@ class TestCodesim:
     def test_output_is_the_indented_json_of_its_content(self, tmp_path, subcode_json,
                                                         monkeypatch):
         check = tmp_path / "a.pcm"
-        save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(check))
+        sub = cycle_chord_graph(8, 2).incidence_matrix()[:, :6]
+        np.savetxt(check, sub, fmt="%d", header="%d %d" % sub.shape, comments="")
         out = tmp_path / "framed.json"
         forbid_indented_json(monkeypatch)
         assert main(["codesim", "--check", str(check), "--input", subcode_json,
@@ -571,6 +593,29 @@ class TestGraphCommands:
         g = load_graph(str(out))
         assert girth(g) >= 6
 
+    @pytest.mark.parametrize("body, message", [
+        ("2\n", "line 1: the header must be"),
+        ("1 1 x\n", "line 1: the header must be"),
+        ("-1 2 0\n", "line 1: the header must be"),
+        ("", "line 1: the header must be"),
+        ("1 1 2\n1 2\n", "has 1 edge lines; its header says 2"),
+        ("1 1 1\n1 5\n", "line 2: an edge must be \"u v\" with vertices in 1..2"),
+        ("1 1 1\n1 x\n", "line 2: an edge must be"),
+        ("2 1 1\n1 2\n", "edge 1-2 does not cross the bipartition"),
+    ], ids=["one-token", "non-integer", "negative", "empty", "short", "vertex-past-q",
+            "non-integer-vertex", "same-side"])
+    def test_bad_graph_file_is_an_error_line(self, tmp_path, subcode_json, capsys,
+                                             body, message):
+        graph = tmp_path / "bad.graph"
+        graph.write_text(body)
+        out = tmp_path / "framed.json"
+        rc = main(["codesim", "--graph", str(graph), "--input", subcode_json,
+                   "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: graph file {graph}") and message in err
+        assert not out.exists()
+
     def test_graphgen_without_trials_is_an_error_line(self, tmp_path, capsys):
         rc = main(["graphgen", "--qubits", "10", "--particles", "2", "--trials", "0",
                    "--out", str(tmp_path / "g.graph")])
@@ -591,7 +636,7 @@ class TestDecodeCommand:
         g = cycle_chord_graph(8, 2)
         a = g.incidence_matrix()
         check = tmp_path / "a.pcm"
-        save_pcm(a, str(check))
+        np.savetxt(check, a, fmt="%d", header="%d %d" % a.shape, comments="")
         x = np.zeros(16, dtype=np.uint8)
         x[[0, 7]] = 1
         bits = "".join(str(int(b)) for b in syndrome(a, x))
@@ -602,7 +647,7 @@ class TestDecodeCommand:
 
     def test_no_preimage_exit_code(self, tmp_path, capsys):
         check = tmp_path / "a.pcm"
-        save_pcm(np.eye(4, dtype=np.uint8), str(check))
+        check.write_text("4 4\n1000\n0100\n0010\n0001\n")
         assert main(["decode", "--check", str(check), "--particles", "2",
                      "--syndrome", "1000"]) == 1
 
@@ -625,7 +670,7 @@ class TestDecodeCommand:
         monkeypatch.setattr(cli, "build_tables", no_tables)
         a = cycle_chord_graph(8, 2).incidence_matrix()
         check = tmp_path / "fig3.pcm"
-        save_pcm(a, str(check))
+        np.savetxt(check, a, fmt="%d", header="%d %d" % a.shape, comments="")
         parser = build_parser()
         for s in range(1 << 12):
             bits = [(s >> (11 - i)) & 1 for i in range(12)]
@@ -650,7 +695,7 @@ class TestDecodeCommand:
             assert girth(g) < 6
             a = g.incidence_matrix()
         check = tmp_path / "a.pcm"
-        save_pcm(a, str(check))
+        np.savetxt(check, a, fmt="%d", header="%d %d" % a.shape, comments="")
         parser = build_parser()
         for k in range(40):
             if k % 2:
@@ -680,7 +725,7 @@ class TestDecodeCommand:
         for col in range(14):
             a[rng.choice(10, size=3, replace=False), col] = 1
         check = tmp_path / "a.pcm"
-        save_pcm(a, str(check))
+        np.savetxt(check, a, fmt="%d", header="%d %d" % a.shape, comments="")
         for x in ("01000010000000", "00001100000000"):
             s = syndrome(a, np.array([int(c) for c in x]))
             assert "".join(str(int(b)) for b in s) == "0000010010"
@@ -786,6 +831,12 @@ class TestVerifyCommand:
         main(["verify", "--suite", "h2", "--report", str(r2)])
         assert r1.read_text() == r2.read_text()
 
+    def test_spectra_suite_without_modes_is_an_error_line(self, capsys):
+        assert main(["verify", "--suite", "spectra", "--M", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --M 0: the spectra suite needs at least one mode\n"
+
     def test_exit_code_nonzero_on_error(self, tmp_path):
         assert main(["encode", "--input", str(tmp_path / "missing.json"),
                      "--map", "jw", "--output", str(tmp_path / "o.txt")]) == 2
@@ -822,6 +873,18 @@ class TestParser:
     def test_oa_and_hperp(self):
         assert main(["oa", "--m", "1", "--verify"]) == 0
         assert main(["hperp", "--N", "2", "--M", "2"]) == 0
+
+    @pytest.mark.parametrize("n, m", [(3, 0), (-1, 2), (2, -1)])
+    def test_hperp_sizes_out_of_range_are_an_error_line(self, capsys, n, m):
+        assert main(["hperp", "--N", str(n), "--M", str(m)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # no "pass" on an empty spectrum
+        assert captured.err == ("error: the penalty spectrum needs N >= 0 particles and "
+                                f"M >= 1 modes, got N={n}, M={m}\n")
+
+    def test_hperp_without_particles_passes(self, capsys):
+        assert main(["hperp", "--N", "0", "--M", "1"]) == 0
+        assert capsys.readouterr().out == "spectrum matches partitions: pass\n"
 
     def test_oa_verify_at_m4(self, capsys):
         assert main(["oa", "--m", "4", "--verify"]) == 0

@@ -17,7 +17,6 @@ from fertaper.codeword import (
     load_pcm,
     observable_simulator,
     occupation_diag,
-    save_pcm,
     transition_sign,
     two_body_simulator,
 )
@@ -47,6 +46,13 @@ from tests.conftest import packed, syndrome
 @pytest.fixture
 def fig3_encoding(fig3_graph):
     return CodeEncoding.from_graph(fig3_graph, 2)
+
+
+@pytest.fixture
+def raw_fig3(fig3_encoding):
+    """The Fig-3 code without its bipartition, so its frames stay unmerged."""
+    enc = fig3_encoding
+    return CodeEncoding(enc.columns, enc.qubits, enc.particles)
 
 
 def simulation_condition_exact(sim, enc) -> bool:
@@ -106,7 +112,7 @@ class TestInjectivity:
             a = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
             try:
                 for s in range(1 << q):
-                    brute_force_decode(a, n, gf2.int_to_bits(s, q))
+                    brute_force_decode(a, n, gf2.unpack_ints([s], q)[0])
                 want = True
             except InjectivityViolation:
                 want = False
@@ -298,11 +304,11 @@ class TestTwoBodySimulator:
         sim = two_body_simulator(fig3_encoding, *pair, variant)
         assert simulation_condition_exact(sim, fig3_encoding)
 
-    def test_walsh_hadamard_inverts_exactly(self, fig3_encoding):
+    def test_walsh_hadamard_inverts_exactly(self, fig3_encoding, raw_fig3):
         from fertaper.codeword import _sign_matrix, _walsh_hadamard
 
         obs = FermionObservable.hop(1, 6)
-        sim = observable_simulator(fig3_encoding, obs, improve=False)
+        sim = observable_simulator(raw_fig3, obs)
         flips = sim.frames[0].pauli.x_mask
         k = flips.bit_count()
         matrix = _sign_matrix(fig3_encoding, obs, flips)
@@ -320,13 +326,13 @@ class TestTwoBodySimulator:
             )
             assert np.array_equal(back, signs)
 
-    def test_odd_patterns_vanish_for_plus_variant(self, fig3_encoding):
+    def test_odd_patterns_vanish_for_plus_variant(self, fig3_encoding, raw_fig3):
         # plus-variant frames all have even Z-patterns by construction; check
         # that the odd-pattern coefficients really are zero
         from fertaper.codeword import _sign_matrix, _walsh_hadamard
 
         obs = FermionObservable.hop(2, 10)
-        sim = observable_simulator(fig3_encoding, obs, improve=False)
+        sim = observable_simulator(raw_fig3, obs)
         flips = sim.frames[0].pauli.x_mask
         k = flips.bit_count()
         matrix = _sign_matrix(fig3_encoding, obs, flips)
@@ -343,11 +349,11 @@ class TestTwoBodySimulator:
                 diag = frame.materialize()
                 assert np.all(np.abs(diag) <= 1.0)
 
-    def test_raw_signs_are_ternary(self, fig3_encoding):
+    def test_raw_signs_are_ternary(self, fig3_encoding, raw_fig3):
         from fertaper.codeword import _sign_matrix
 
         obs = FermionObservable.hop(1, 2)
-        sim = observable_simulator(fig3_encoding, obs, improve=False)
+        sim = observable_simulator(raw_fig3, obs)
         signs = _sign_matrix(fig3_encoding, obs, sim.frames[0].pauli.x_mask)[13]
         assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
 
@@ -411,7 +417,8 @@ class TestFourBodySimulator:
         with pytest.raises(ValueError):
             four_body_simulator(fig3_encoding, 1, 1, 2, 3)
 
-    def test_improvement_counts_and_codespace_equality(self, fig3_encoding, fig3_graph):
+    def test_improvement_counts_and_codespace_equality(self, fig3_encoding, raw_fig3,
+                                                       fig3_graph):
         # four vertex-disjoint edges: support 8, 128 raw frames merge to 32
         chosen = []
         used = set()
@@ -421,8 +428,8 @@ class TestFourBodySimulator:
                 used |= set(edge)
             if len(chosen) == 4:
                 break
-        raw = four_body_simulator(fig3_encoding, *chosen, improve=False)
-        improved = four_body_simulator(fig3_encoding, *chosen, improve=True)
+        raw = four_body_simulator(raw_fig3, *chosen)
+        improved = four_body_simulator(fig3_encoding, *chosen)
         assert raw.sparsity == 128
         assert improved.sparsity == 32
         a = apply_frames_to_isometry(raw.frames, fig3_encoding)
@@ -472,7 +479,7 @@ class TestGenericCodes:
 
 
 class TestBipartiteImprove:
-    def test_eight_to_two(self, fig3_encoding, fig3_graph):
+    def test_eight_to_two(self, fig3_encoding, raw_fig3, fig3_graph):
         # vertex-disjoint edges: support of size 4, eight frames merge to two
         edges = fig3_graph.edges
         alpha = 1
@@ -481,9 +488,9 @@ class TestBipartiteImprove:
             for i, e in enumerate(edges)
             if not (set(edges[0]) & set(e))
         )
-        raw = two_body_simulator(fig3_encoding, alpha, beta, improve=False)
+        raw = two_body_simulator(raw_fig3, alpha, beta)
         assert raw.sparsity == 8
-        improved = two_body_simulator(fig3_encoding, alpha, beta, improve=True)
+        improved = two_body_simulator(fig3_encoding, alpha, beta)
         assert improved.sparsity == 2
         a = apply_frames_to_isometry(raw.frames, fig3_encoding)
         b = apply_frames_to_isometry(improved.frames, fig3_encoding)
@@ -491,30 +498,33 @@ class TestBipartiteImprove:
         assert simulation_condition_exact(improved, fig3_encoding)
 
     def test_entries_still_bounded(self, fig3_encoding):
-        sim = two_body_simulator(fig3_encoding, 1, 3, improve=True)
+        sim = two_body_simulator(fig3_encoding, 1, 3)
         for frame in sim.frames:
             assert np.all(np.abs(frame.materialize()) <= 1.0)
 
-    def test_already_clear_patterns_unchanged(self, fig3_encoding):
-        sim = two_body_simulator(fig3_encoding, 1, 3, improve=False)
+    def test_already_clear_patterns_unchanged(self, fig3_encoding, raw_fig3):
+        sim = two_body_simulator(raw_fig3, 1, 3)
         left, right = fig3_encoding.bipartition
         support = set(sim.frames[0].pauli.support())
+        # the merge clears the first flipped qubit of each row class
         i = min(support & left)
         j = min(support & right)
-        improved = bipartite_improve(sim, fig3_encoding, i, j)
+        improved = bipartite_improve(sim, fig3_encoding)
+        assert not any(f.pauli.z_mask & qubit_mask(12, (i, j)) for f in improved.frames)
         kept = [f for f in sim.frames if not f.pauli.z_mask & qubit_mask(12, (i, j))]
         assert {f.pauli.z_mask for f in kept} <= {f.pauli.z_mask for f in improved.frames}
 
-    def test_bad_choice_rejected(self, fig3_encoding):
-        sim = two_body_simulator(fig3_encoding, 1, 2, improve=False)
-        left, right = fig3_encoding.bipartition
-        support = set(sim.frames[0].pauli.support())
-        off_support = min(set(range(1, 13)) - support)
-        with pytest.raises(ValueError):
-            side = left if off_support in left else right
-            i = off_support if off_support in left else min(support & left)
-            j = off_support if off_support in right else min(support & right)
-            bipartite_improve(sim, fig3_encoding, i, j)
+    def test_flip_mask_missing_a_row_class_stays_unmerged(self, fig3_encoding, raw_fig3,
+                                                          fig3_graph):
+        # two edges sharing a vertex flip two qubits of one side only
+        edges = fig3_graph.edges
+        beta = next(i + 1 for i, e in enumerate(edges) if i and e[0] == edges[0][0])
+        raw = two_body_simulator(raw_fig3, 1, beta)
+        sim = two_body_simulator(fig3_encoding, 1, beta)
+        assert [f.pauli for f in sim.frames] == [f.pauli for f in raw.frames]
+        assert bipartite_improve(raw, fig3_encoding) is raw
+        with pytest.raises(ValueError, match="no bipartition"):
+            bipartite_improve(raw, raw_fig3)
 
 
 class TestCodespaceProjector:
@@ -633,17 +643,17 @@ def _bit_count(v: int) -> int:
     return bin(v).count("1")
 
 
-def oracle_frames(enc, obs, improve):
+def oracle_frames(enc, obs):
     """(z_pattern, diagonal) pairs rebuilt index by index from transition_sign.
 
-    Per-syndrome signs, an explicit +/-1 sum for the transform, and the
-    stabilizer merge written out one rest index at a time.
+    Per-syndrome signs, an explicit +/-1 sum for the transform, and, when
+    the encoding has a bipartition, the stabilizer merge written out one
+    rest index at a time.  A mode named twice flips nothing.
     """
     q = enc.qubits
     flips = set()
-    for alpha in range(1, enc.modes + 1):
-        if obs.flip_mask(enc.modes)[alpha - 1]:
-            flips ^= set(np.nonzero(enc.matrix[:, alpha - 1])[0] + 1)
+    for alpha in obs.indices:
+        flips ^= set(np.nonzero(enc.matrix[:, alpha - 1])[0] + 1)
     support = sorted(int(v) for v in flips)
     rest = [v for v in range(1, q + 1) if v not in flips]
     k = len(support)
@@ -670,7 +680,7 @@ def oracle_frames(enc, obs, improve):
             for row in signs
         ]
     left, right = enc.bipartition if enc.bipartition else (set(), set())
-    if not (improve and set(support) & left and set(support) & right):
+    if not (set(support) & left and set(support) & right):
         return list(raw.items())
     i, j = min(set(support) & left), min(set(support) & right)
     merged = {}
@@ -723,11 +733,10 @@ class TestArrayDiagonals:
              (2, 6, 6, 2): 0.625}
         return FermionHamiltonian(16, 2, t, u)
 
-    @pytest.mark.parametrize("improve", [False, True])
-    def test_frames_are_transforms_of_transition_signs(self, fig3_encoding, improve):
-        enc = fig3_encoding
-        frames = build_simulator_hamiltonian(self.hamiltonian(), enc, penalty=1.5,
-                                             improve=improve)
+    @pytest.mark.parametrize("merged", [False, True])
+    def test_frames_are_transforms_of_transition_signs(self, fig3_encoding, raw_fig3, merged):
+        enc = fig3_encoding if merged else raw_fig3
+        frames = build_simulator_hamiltonian(self.hamiltonian(), enc, penalty=1.5)
         blocks = [
             (0.5, FermionObservable.hop(1, 9, "plus")),
             (0.25, FermionObservable.hop(1, 9, "minus")),
@@ -737,13 +746,13 @@ class TestArrayDiagonals:
         # diagonal blocks first: occupation of mode 4, then the hop and
         # pair-hop frames, then the occupation product and the penalty
         occ, rest_frames = frames[0], frames[1:]
-        syndromes = [gf2.int_to_bits(s, 12) for s in range(1 << 12)]
+        syndromes = gf2.unpack_ints(range(1 << 12), 12)
         decoded = [enc.decode(s) for s in syndromes]
         assert occ.weight == 0.7
-        assert occ.diagonal.tolist() == [0.0 if x is None else float(x.bit(4))
+        assert occ.diagonal.tolist() == [0.0 if x is None else float(x.occ[3])
                                          for x in decoded]
         for weight, obs in blocks:
-            want = oracle_frames(enc, obs, improve)
+            want = oracle_frames(enc, obs)
             got, rest_frames = rest_frames[:len(want)], rest_frames[len(want):]
             for frame, (pattern, diag) in zip(got, want):
                 assert frame.weight == weight
@@ -751,7 +760,7 @@ class TestArrayDiagonals:
                 assert frame.diagonal.tolist() == diag
         pair, penalty = rest_frames
         assert pair.weight == 0.625
-        assert pair.diagonal.tolist() == [0.0 if x is None else float(x.bit(2) * x.bit(6))
+        assert pair.diagonal.tolist() == [0.0 if x is None else float(x.occ[1] * x.occ[5])
                                           for x in decoded]
         assert penalty.weight == 1.5
         assert penalty.diagonal.tolist() == [float(x is None) for x in decoded]
@@ -761,7 +770,7 @@ class TestArrayDiagonals:
         occ = fig3_encoding.codewords()
         assert pre.dtype == np.int64 and pre.shape == (1 << 12,)
         for s in range(1 << 12):
-            x = fig3_encoding.decode(gf2.int_to_bits(s, 12))
+            x = fig3_encoding.decode(gf2.unpack_ints([s], 12)[0])
             if x is None:
                 assert pre[s] == -1
             else:
@@ -797,7 +806,7 @@ class TestDecoderSelection:
         pre, occ = enc.preimage(), enc.codewords()
         hits = 0
         for s in range(1 << 12):
-            bits = gf2.int_to_bits(s, 12)
+            bits = gf2.unpack_ints([s], 12)[0]
             want = mitm_decode(full, bits)
             got = mitm_decode(split, bits)
             assert (got is None) == (want is None)
@@ -847,7 +856,7 @@ class TestPcmFile:
     def test_round_trip(self, tmp_path, fig3_graph):
         a = fig3_graph.incidence_matrix()
         path = tmp_path / "code.pcm"
-        save_pcm(a, str(path))
+        path.write_text("%d %d\n" % a.shape + "".join("".join(map(str, row)) + "\n" for row in a))
         assert np.array_equal(load_pcm(str(path)), a)
 
     def test_spaced_digits(self, tmp_path):
@@ -941,7 +950,8 @@ class TestSampledSparsity:
 
     def test_pcm_code_without_bipartition(self, tmp_path):
         path = tmp_path / "a.pcm"
-        save_pcm(cycle_chord_graph(8, 2).incidence_matrix()[:, :6], str(path))
+        sub = cycle_chord_graph(8, 2).incidence_matrix()[:, :6]
+        np.savetxt(path, sub, fmt="%d", header="%d %d" % sub.shape, comments="")
         h = random_hamiltonian(6, 2, np.random.default_rng(5))
         enc = CodeEncoding.from_matrix(load_pcm(str(path)), h.particles)
         r2, r4 = sampled_sparsity_checks(h, enc)

@@ -281,6 +281,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             FermionHamiltonian.from_json("[2, 1]")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"t": [[0, 1, 0.5, 0], [1, 0, 0.5, 0]]},
+         r"t row \[0, 1, 0.5, 0\] has a mode index that is not an integer in 1..2"),
+        ({"t": [[5, 1, 0.5, 0]]}, r"t row \[5, 1, 0.5, 0\] has a mode index"),
+        ({"t": [[1, 2, "a", 0]]}, r't row \[1, 2, "a", 0\] has an re or im'),
+        ({"u": [[1, 2, 2, 1, "a", 0]]}, r'u row \[1, 2, 2, 1, "a", 0\] has an re or im'),
+        ({"t": [[1, 1, 10**400, 0]]}, r"t row .* not a real number in the float range"),
+        ({"t": 5}, r"'t' is not a list of \[a, b, re, im\] rows"),
+        ({"u": [[1, 2, 0.5, 0]]}, r"u row \[1, 2, 0.5, 0\] is not \[a, b, g, d, re, im\]"),
+        ({"t": [[1.9, 1, 0.5, 0]]}, r"t row \[1.9, 1, 0.5, 0\] has a mode index"),
+        ({"t": [[True, 1, 0.5, 0]]}, r"t row \[true, 1, 0.5, 0\] has a mode index"),
+        ({"modes": 2.7}, r"'modes' is 2.7, not a non-negative integer"),
+        ({"modes": -1}, r"'modes' is -1, not a non-negative integer"),
+        ({"particles": True}, r"'particles' is true, not a non-negative integer"),
+    ], ids=["index-zero", "index-past-modes", "t-string-coefficient",
+            "u-string-coefficient", "coefficient-past-float", "t-not-a-list", "short-u-row",
+            "float-index", "bool-index", "float-modes", "negative-modes", "bool-particles"])
+    def test_json_malformed_field_is_named(self, fields, message):
+        data = {"modes": 2, "particles": 1, **fields}
+        with pytest.raises(ValueError, match=message):
+            FermionHamiltonian.from_json(json.dumps(data))
+
     def test_json_matches_documented_shape(self):
         h = FermionHamiltonian(2, 1, np.eye(2) * 0.5, {(1, 2, 2, 1): 0.25})
         data = json.loads(h.to_json())

@@ -105,9 +105,6 @@ def test_span_helpers():
     b = [0b101, 0b011]
     assert gf2.same_span(a, b)
     assert not gf2.same_span(a, [0b110])
-    assert gf2.in_span(a, 0b101)
-    assert not gf2.in_span(a, 0b100)
-    assert gf2.in_span([], 0) and not gf2.in_span([], 1)
 
 
 # -- brute-force oracles for the packed eliminator ---------------------------
@@ -178,19 +175,11 @@ def test_inverse_round_trips_or_reports_singular(square):
     assert _product(rows, inv, n) == identity == _product(inv, rows, n)
 
 
-@given(_matrices, st.integers(0, (1 << 10) - 1))
-@settings(max_examples=100, deadline=None)
-def test_in_span_matches_the_enumerated_span(matrix, target):
-    width, rows = matrix
-    target &= (1 << width) - 1
-    assert gf2.in_span(rows, target) == (target in _span(rows))
-
-
 @given(st.integers(2, 16), st.integers(0, 2**20), st.integers(0, 2**20))
 @settings(max_examples=60, deadline=None)
 def test_bits_int_round_trip(length, a, b):
     a %= 1 << length
-    assert gf2.bits_to_int(gf2.int_to_bits(a, length)) == a
+    assert gf2.bits_to_int(gf2.unpack_ints([a], length)[0]) == a
 
 
 def _drop_oracle(value: int, positions) -> int:

@@ -12,13 +12,13 @@ from fertaper.codeword import CodeEncoding, is_n_injective
 from fertaper.graphs import (
     BipartiteGraph,
     GraphDecoder,
+    _adjacency,
     cycle_chord_graph,
     distance_matrix,
     girth,
     graph_decode,
     graph_from_incidence,
     greedy_high_girth,
-    injectivity_from_girth,
     load_graph,
     min_weight_matching,
     no_edge_addable,
@@ -96,13 +96,13 @@ class TestGirth:
 
 class TestInjectivityFromGirth:
     def test_figure_graph_two_particles(self, fig3_graph):
-        assert injectivity_from_girth(fig3_graph, 2)
+        assert GraphDecoder.certified(fig3_graph, 2) is not None
 
     def test_figure_graph_three_particles(self, fig3_graph):
-        assert not injectivity_from_girth(fig3_graph, 3)
+        assert GraphDecoder.certified(fig3_graph, 3) is None
 
     def test_forest_any_weight(self):
-        assert injectivity_from_girth(path_graph(), 2)
+        assert GraphDecoder.certified(path_graph(), 2) is not None
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_agrees_with_brute_force(self, n):
@@ -118,7 +118,7 @@ class TestInjectivityFromGirth:
             injective = is_n_injective(g.incidence_matrix(), n)
             # girth >= 2N+2 suffices; exactly, no cycle may be as short as
             # 2*min(N, M-N), the most two weight-N vectors can differ by
-            assert injectivity_from_girth(g, n) <= injective
+            assert (GraphDecoder.certified(g, n) is not None) <= injective
             assert injective == (girth(g) > 2 * min(n, g.edge_count - n))
 
 
@@ -133,7 +133,8 @@ class TestInjectivityFromGirth:
             edges = tuple(e for e, k in zip(cross, keep) if k)
             g = BipartiteGraph(frozenset(left), frozenset(right), edges)
             for n in (0, 1, 2, 3):
-                assert injectivity_from_girth(g, n) == (brute_force_girth(g) >= 2 * n + 2)
+                certified = GraphDecoder.certified(g, n) is not None
+                assert certified == (brute_force_girth(g) >= 2 * n + 2)
 
 
 class TestCycleChord:
@@ -192,7 +193,7 @@ class TestGreedy:
         g = greedy_high_girth(9, 2, trials=10, seed=8)
         a = g.incidence_matrix()
         assert (a.sum(axis=0) == 2).all()
-        left, right = two_coloring(g.adjacency())
+        left, right = two_coloring(_adjacency(g.vertex_count, g.edges))
         assert left | right == set(range(1, 10))
 
     def test_first_data_point(self):
@@ -202,7 +203,7 @@ class TestGreedy:
 
 
 def bfs_distances(g, source):
-    adj = g.adjacency()
+    adj = _adjacency(g.vertex_count, g.edges)
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -356,7 +357,7 @@ class TestDecode:
         a = fig3_graph.incidence_matrix()
         reference = syndrome_map(a, 2)
         for syn in range(1 << 12):
-            bits = gf2.int_to_bits(syn, 12)
+            bits = gf2.unpack_ints([syn], 12)[0]
             got = graph_decode(fig3_graph, bits, 2)
             want = reference.get(syn)
             if want is None:
@@ -372,7 +373,7 @@ class TestDecode:
         rng = np.random.default_rng(seed)
         # all achievable syndromes plus random unachievable ones
         for syn, mask in list(reference.items())[:200]:
-            bits = gf2.int_to_bits(syn, q)
+            bits = gf2.unpack_ints([syn], q)[0]
             got = graph_decode(g, bits, n)
             assert got is not None and gf2.bits_to_int(got) == mask
         for _ in range(200):
@@ -414,6 +415,24 @@ class TestFileFormat:
         path.write_text("1 1 2\n1 2\n")
         with pytest.raises(ValueError):
             load_graph(str(path))
+
+    @pytest.mark.parametrize("body, message", [
+        ("2\n", "line 1: the header must be \"Q_left Q_right M\" in non-negative integers"),
+        ("1 1 x\n", "line 1: the header must be"),
+        ("\n1 -1 0\n", "line 2: the header must be"),
+        ("1 1 1\n\n1 3\n", "line 3: an edge must be \"u v\" with vertices in 1..2"),
+        ("1 1 1\n1 2 2\n", "line 2: an edge must be"),
+        ("1 1 1\n0 2\n", "line 2: an edge must be"),
+        ("1 2 1\n2 3\n", "edge 2-3 does not cross the bipartition"),
+    ], ids=["one-token", "non-integer", "negative", "vertex-past-q", "three-ends",
+            "vertex-zero", "same-side"])
+    def test_bad_file_names_the_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "bad.graph"
+        path.write_text(body)
+        with pytest.raises(ValueError) as err:
+            load_graph(str(path))
+        assert str(err.value).startswith(f"graph file {path}")
+        assert message in str(err.value)
 
     def test_isolated_vertices_survive(self, tmp_path):
         g = BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3),))

@@ -124,7 +124,7 @@ class TestDecode:
         tables = build_tables(*packed(a), 2)
         reference = syndrome_map(a, 2)
         for syn in range(1 << 12):
-            bits = gf2.int_to_bits(syn, 12)
+            bits = gf2.unpack_ints([syn], 12)[0]
             got = mitm_decode(tables, bits)
             want = reference.get(syn)
             if want is None:

@@ -30,7 +30,6 @@ import numpy as np
 import pytest
 
 from fertaper.cli import main
-from fertaper.codeword import save_pcm
 from fertaper.fermion import FermionHamiltonian, random_hamiltonian
 from fertaper.graphs import cycle_chord_graph, greedy_high_girth, save_graph
 
@@ -149,7 +148,7 @@ def test_codesim_bytes(tmp_path, kind):
     else:
         a = greedy_high_girth(10, 2, 50, 22).incidence_matrix()
         code = tmp_path / "a.pcm"
-        save_pcm(a, str(code))
+        np.savetxt(code, a, fmt="%d", header="%d %d" % a.shape, comments="")
         modes, seed = a.shape[1], 23
     h = random_hamiltonian(modes, 2, np.random.default_rng(seed), interaction_pairs=6)
     (tmp_path / "h.json").write_text(h.to_json())

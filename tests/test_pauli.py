@@ -212,7 +212,7 @@ class TestTextFormat:
             ),
         )
         again = hamiltonian_from_text(hamiltonian_to_text(h))
-        assert again.term_map() == pytest.approx(h.term_map())
+        assert again == h.canonicalize()
 
     def test_comments_ignored(self):
         text = "# heading\n1.0 0.0 ZZ\n# trailing\n"
@@ -263,13 +263,12 @@ class TestPackedAgainstNaive:
 
     @given(phased_pairs())
     @settings(max_examples=150, deadline=None)
-    def test_multiply_commutes_adjoint(self, pair):
+    def test_multiply_commutes(self, pair):
         la, lb = pair
         a, b = PauliOperator.from_label(la), PauliOperator.from_label(lb)
         da, db = pauli_matrix_naive(la), pauli_matrix_naive(lb)
         assert np.array_equal(pauli_matrix_naive(pauli_multiply(a, b).label), da @ db)
         assert commutes(a, b) == np.array_equal(da @ db, db @ da)
-        assert np.array_equal(pauli_matrix_naive(a.adjoint().label), da.conj().T)
 
     @given(weighted_sums())
     @settings(max_examples=100, deadline=None)

@@ -14,15 +14,15 @@ from fertaper.fermion import (
     random_hamiltonian,
     weight_n_states,
 )
-from fertaper.pauli import QubitHamiltonian
+from fertaper.pauli import PauliOperator, QubitHamiltonian, qubit_mask
 from fertaper.pauli import pauli_multiply as pauli_mul
 from fertaper.standard_maps import (
     ENCODING_KINDS,
+    _ladder_masks,
     build_encoding,
     encode_hamiltonian,
     encoded_observable,
     mode_op_to_pauli,
-    update_parity_flip_sets,
 )
 
 BINARY_TREE_4 = [
@@ -85,7 +85,8 @@ class TestMatrices:
 
     def test_matvec_reads_tree_column(self):
         enc = build_encoding("binary_tree", 4)
-        assert enc.encode_bits([0, 1, 0, 0]).tolist() == [0, 1, 0, 1]
+        assert enc.column_masks[1] == 0b0101
+        assert (enc.matrix @ [0, 1, 0, 0]).tolist() == [0, 1, 0, 1]
 
     def test_permutation_matrix_guarded(self, monkeypatch):
         enc = build_encoding("parity", 4)
@@ -135,9 +136,18 @@ def recursive_tree_sets(m: int):
 
 
 class TestUpdateParityFlip:
+    """The update, parity and flip sets of a mode, read off its ladder masks.
+
+    _ladder_masks(enc, j) is (column j of A, the parity Z mask of modes
+    1..j-1, row j of A^-1): the column is the update set plus qubit j, and
+    the row the flip set plus qubit j.
+    """
+
     def test_two_modes(self):
-        assert update_parity_flip_sets(2, 1) == (frozenset({2}), frozenset(), frozenset(), frozenset())
-        assert update_parity_flip_sets(2, 2) == (frozenset(), frozenset({1}), frozenset({1}), frozenset())
+        enc = build_encoding("binary_tree", 2)
+        assert _ladder_masks(enc, 1) == (qubit_mask(2, {1, 2}), 0, qubit_mask(2, {1}))
+        assert _ladder_masks(enc, 2) == (qubit_mask(2, {2}), qubit_mask(2, {1}),
+                                         qubit_mask(2, {1, 2}))
 
     def test_four_modes_classic_table(self):
         # the well-known update/parity/flip table for four modes
@@ -147,32 +157,39 @@ class TestUpdateParityFlip:
             3: ({4}, {2}, set()),
             4: (set(), {2, 3}, {2, 3}),
         }
+        enc = build_encoding("binary_tree", 4)
         for j, (u, p, f) in want.items():
-            got = update_parity_flip_sets(4, j)
-            assert got[:3] == (frozenset(u), frozenset(p), frozenset(f)), j
+            assert _ladder_masks(enc, j) == (qubit_mask(4, u | {j}), qubit_mask(4, p),
+                                             qubit_mask(4, f | {j})), j
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
     def test_recursion_route_agrees_with_matrix_route(self, m):
         recursive = recursive_tree_sets(m)
+        enc = build_encoding("binary_tree", m)
         for j in range(1, m + 1):
-            u, p, f, _ = update_parity_flip_sets(m, j)
-            assert recursive[j] == (u, p, f), (m, j)
+            u, p, f = recursive[j]
+            assert _ladder_masks(enc, j) == (qubit_mask(m, u | {j}), qubit_mask(m, p),
+                                             qubit_mask(m, f | {j})), (m, j)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_remainder_is_set_difference(self, m):
+        enc = build_encoding("binary_tree", m)
         for j in range(1, m + 1):
-            update, parity, flip, remainder = update_parity_flip_sets(m, j)
-            assert remainder == parity - flip
-            # flip sets sit inside parity sets, so difference = symmetric difference
-            assert flip <= parity
+            _, parity, row = _ladder_masks(enc, j)
+            flip = row & ~qubit_mask(m, {j})
+            # flip sets sit inside parity sets, so the remainder parity - flip
+            # is also their symmetric difference
+            assert flip & ~parity == 0
+            assert parity & ~flip == parity ^ flip
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_parity_encoding_sets(self, m):
+        enc = build_encoding("parity", m)
         for j in range(2, m + 1):
-            update, parity, flip, remainder = update_parity_flip_sets(m, j, "parity")
-            assert parity == {j - 1}
-            assert flip == {j - 1}
-            assert update == set(range(j + 1, m + 1))
+            column, parity, row = _ladder_masks(enc, j)
+            assert parity == qubit_mask(m, {j - 1})
+            assert row == qubit_mask(m, {j - 1, j})
+            assert column == qubit_mask(m, range(j, m + 1))
 
 
 class TestModeOperators:
@@ -189,27 +206,19 @@ class TestModeOperators:
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_published_set_formula_matches(self, m):
-        # independent construction from the update/parity/flip sets:
-        # annihilator = X(update) [X_j Z(parity) + i Y_j Z(remainder)] / 2
-        from fertaper.pauli import PauliOperator, QubitHamiltonian
-
+        # independent construction from the recursively built update/parity/flip
+        # sets: annihilator = X(update) [X_j Z(parity) + i Y_j Z(remainder)] / 2
         enc = build_encoding("binary_tree", m)
-        for j in range(1, m + 1):
-            update, parity, flip, remainder = update_parity_flip_sets(m, j)
-            x_part = PauliOperator.x_string(m, update | {j})
-            first = pauli_mul(x_part, PauliOperator.z_string(m, parity))
-            y_only = PauliOperator.from_label(
-                "".join("Y" if i == j else "I" for i in range(1, m + 1))
-            )
+        for j, (update, parity, flip) in recursive_tree_sets(m).items():
+            x_part = PauliOperator.from_masks(m, qubit_mask(m, update | {j}), 0)
+            first = pauli_mul(x_part, PauliOperator.from_masks(m, 0, qubit_mask(m, parity)))
             second = pauli_mul(
-                pauli_mul(PauliOperator.x_string(m, update), y_only),
-                PauliOperator.z_string(m, remainder),
+                pauli_mul(PauliOperator.from_masks(m, qubit_mask(m, update), 0),
+                          PauliOperator.single(m, j, "Y")),
+                PauliOperator.from_masks(m, 0, qubit_mask(m, parity - flip)),
             )
             built = QubitHamiltonian(m, ((0.5, first), (0.5j, second)))
-            direct = mode_op_to_pauli(enc, j, dagger=False)
-            assert built.canonicalize().term_map() == pytest.approx(
-                direct.canonicalize().term_map()
-            )
+            assert built.canonicalize() == mode_op_to_pauli(enc, j, dagger=False).canonicalize()
 
     @pytest.mark.parametrize("kind", ENCODING_KINDS)
     def test_two_terms_half_coefficients(self, kind):
@@ -233,10 +242,10 @@ class TestModeOperators:
             number = encoded_observable(enc, (("c", j), ("a", j)))
             dense = number.dense()
             for x in weight_n_states(m, m // 2) + weight_n_states(m, 1):
-                s = gf2.bits_to_int(enc.encode_bits(x.occ))
+                s = gf2.bits_to_int(enc.matrix @ x.occ % 2)
                 col = dense[:, s]
                 expected = np.zeros(1 << m)
-                expected[s] = x.bit(j)
+                expected[s] = x.occ[j - 1]
                 assert np.allclose(col, expected)
 
 
@@ -352,5 +361,6 @@ class TestEncodedStates:
         enc = build_encoding(kind, m)
         for n in range(m + 1):
             for x in weight_n_states(m, n):
-                s_bits = enc.encode_bits(x.occ)
-                assert np.array_equal(enc.decode_bits(s_bits), np.array(x.occ))
+                s_bits = enc.matrix @ x.occ % 2
+                inverse = gf2.unpack_ints(enc.inverse_rows, m)
+                assert np.array_equal(inverse @ s_bits % 2, np.array(x.occ))
