@@ -266,19 +266,22 @@ def _cmd_firstq(args) -> int:
     scale = _checked_penalty(args.penalty)
     if scale is None:
         scale = default_penalty_scale(h)
-    total = parts.total(scale)
+    total = parts.total(scale)  # canonical, so bin_terms indexes its terms
     groups = bin_terms(total, oa, enc)
+    coeffs = np.array(total.coeffs, dtype=complex)
+    terms = jsonout.Table({
+        "re": coeffs.real.copy(),
+        "im": coeffs.imag.copy(),
+        "pauli": _labels(enc.qubits, total.x_masks, total.z_masks),
+    })
     payload = {
         "qubits": enc.qubits,
         "registers": enc.particles,
         "register_bits": enc.register_bits,
         "penalty_scale": scale,
         "groups": [
-            {
-                "basis": list(row),
-                "terms": _term_entries(enc.qubits, terms),
-            }
-            for row, terms in groups
+            {"basis": list(row), "terms": terms.take(rows)}
+            for row, rows in groups
         ],
     }
     with open(args.emit_bins, "w", encoding="utf-8") as fh:
@@ -286,12 +289,6 @@ def _cmd_firstq(args) -> int:
     print(f"{len(groups)} measurement groups for {len(total)} terms "
           f"on {enc.qubits} qubits (cap {9 ** enc.register_bits})")
     return 0
-
-
-def _term_entries(n: int, terms) -> list[dict]:
-    """JSON entries of one group's (coeff, op) terms, their labels spelled in bulk."""
-    labels = _labels(n, [op.x_mask for _, op in terms], [op.z_mask for _, op in terms])
-    return [{"re": c.real, "im": c.imag, "pauli": label} for (c, _), label in zip(terms, labels)]
 
 
 def _cmd_oa(args) -> int:

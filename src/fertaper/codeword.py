@@ -400,8 +400,8 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> Simulator
     transition signs over the flipped bits.  When the encoding has a
     bipartition, bipartite_improve merges the frames.  A product of k
     ladder operators on columns of weight at most w flips at most k*w
-    qubits, so it never takes more than 2^(k*w - 1) frames; more raises
-    AssertionError.
+    qubits, so it never takes more than 2^(k*w - 1) frames, or its one
+    identity frame when k*w = 0; more raises AssertionError.
     """
     q = enc.qubits
     flips = 0
@@ -423,7 +423,8 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> Simulator
     sim = SimulatorOp(obs, frames)
     if enc.bipartition is not None:
         sim = bipartite_improve(sim, enc)
-    cap = 1 << (len(obs.indices) * enc.max_column_weight - 1)
+    flipped = len(obs.indices) * enc.max_column_weight
+    cap = 1 << (flipped - 1) if flipped else 1
     if sim.sparsity > cap:
         raise AssertionError(f"{obs.kind} sparsity {sim.sparsity} over the bound {cap}")
     return sim

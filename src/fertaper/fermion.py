@@ -278,6 +278,9 @@ class FermionHamiltonian:
                 raise ValueError(f"Hamiltonian JSON {key!r} is {json.dumps(data[key])}, "
                                  "not a non-negative integer")
         m = data["modes"]
+        if m > limits.MODE_CAP:
+            raise ValueError(f"Hamiltonian JSON 'modes' is {m}, over the cap of "
+                             f"{limits.MODE_CAP} modes")
         t = np.zeros((m, m), dtype=complex)
         for (a, b), value in _json_rows(data, "t", "[a, b, re, im]", m).items():
             t[a - 1, b - 1] = value

@@ -432,7 +432,9 @@ def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
     Every term must touch at most two registers; by the strength-two
     property at least one row matches its register words, and the
     lexicographically smallest matching row is chosen.  Returns a list of
-    (row letters, [(coeff, op), ...]) groups, at most 9^m of them.
+    (row letters, term indices) groups, at most 9^m of them, in row order:
+    the indices are an ascending int array into ``h.canonicalize()``, so a
+    caller reads each group's masks and coefficients off that one sum.
 
     Each register word is read off the term's masks as a value.  Rows are
     sorted by value, which is word order; a term on no register takes the
@@ -474,12 +476,8 @@ def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
         raise UnassignableTerm(f"no array row diagonalizes {h.terms[lost[0]][1].label}")
     order = np.argsort(position, kind="stable")
     used, starts = np.unique(position[order], return_index=True)
-    letters = _letter_words(enc.register_bits)
-    listed = h.terms
-    return [
-        (tuple(letters[v] for v in values[row].tolist()), [listed[k] for k in chunk.tolist()])
-        for row, chunk in zip(used.tolist(), np.split(order, starts[1:]))
-    ]
+    words = np.array(_letter_words(enc.register_bits), dtype=object)[values[used]]
+    return [(tuple(row), chunk) for row, chunk in zip(words.tolist(), np.split(order, starts[1:]))]
 
 
 # -- penalty spectrum via partitions ----------------------------------------

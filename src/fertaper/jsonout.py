@@ -3,10 +3,13 @@
 The standard library encodes every value in Python once it indents, which
 is most of the time codesim spends on its frame diagonals.  This writer
 emits the same text for dicts with str keys, lists, tuples, str, int,
-bool, None and float, and it also takes a 1-D float64 ndarray in place of
-its ``.tolist()``.  An array is formatted once per distinct bit pattern
-(``np.unique`` of its int64 view, which keeps 0.0 and -0.0 apart) and
-joined in C.
+bool, None and float, and it also takes two column-wise values:
+
+- a 1-D float64 ndarray, written as its ``.tolist()``;
+- a :class:`Table`, written as the list of dicts its rows stand for.
+
+A float column is formatted once per distinct bit pattern (``np.unique``
+of its int64 view, which keeps 0.0 and -0.0 apart) and joined in C.
 
 Non-finite floats raise ValueError: NaN and Infinity are not JSON.
 """
@@ -17,6 +20,54 @@ import math
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
+
+
+class Table:
+    """A list of dicts held as columns: ``[{key: column[r], ...} for r in rows]``.
+
+    Each column is a 1-D float64 ndarray or a sequence of str, int, bool,
+    None or float, all of one length; every dict has the columns' keys in
+    their order.  The cells are formatted once, when the table is built;
+    ``take`` selects rows of it (in any order, repeats allowed) and shares
+    that text, so a payload that holds many row subsets of one table
+    formats each column once.
+    """
+
+    __slots__ = ("_rows", "_keys", "_cells", "_texts")
+
+    def __init__(self, columns: dict):
+        lengths = {len(column) for column in columns.values()}
+        if len(lengths) > 1:
+            raise ValueError(f"table columns differ in length: {sorted(lengths)}")
+        self._rows = np.arange(lengths.pop() if lengths else 0)
+        self._keys = [encode_basestring_ascii(key) for key in columns]  # TypeError if not str
+        self._cells = [_cell_texts(column) for column in columns.values()]
+        self._texts: dict[str, np.ndarray] = {}  # row texts per indent, shared by take()
+
+    def take(self, rows) -> "Table":
+        """The table of the given rows of this one, in that order."""
+        sub = object.__new__(Table)
+        sub._keys, sub._cells, sub._texts = self._keys, self._cells, self._texts
+        sub._rows = self._rows[np.asarray(rows, dtype=np.intp)]
+        return sub
+
+    def _text(self, newline: str) -> str:
+        """The indented list text of the rows; newline is the line break and indent."""
+        if not len(self._rows):
+            return "[]"
+        inner = newline + " "
+        texts = self._texts.get(inner)
+        if texts is None:
+            texts = self._texts[inner] = self._row_texts(inner)
+        return "[" + inner + ("," + inner).join(texts[self._rows].tolist()) + newline + "]"
+
+    def _row_texts(self, newline: str) -> np.ndarray:
+        """Every row's dict text at the depth newline names."""
+        inner = newline + " "
+        texts = "{" + inner + self._keys[0] + ": " + self._cells[0]
+        for key, cells in zip(self._keys[1:], self._cells[1:]):
+            texts = texts + ("," + inner + key + ": ") + cells
+        return texts + (newline + "}")
 
 
 def dump(obj, fh) -> None:
@@ -53,9 +104,12 @@ def _encode(obj, write, newline: str) -> None:
             write("[]")
             return
         inner = newline + " "
+        texts = [_scalar(item) for item in obj]
+        if None not in texts:
+            write("[" + inner + ("," + inner).join(texts) + newline + "]")
+            return
         lead = "[" + inner
-        for item in obj:
-            text = _scalar(item)
+        for item, text in zip(obj, texts):
             if text is None:
                 write(lead)
                 _encode(item, write, inner)
@@ -80,6 +134,8 @@ def _encode(obj, write, newline: str) -> None:
                 write(lead + encode_basestring_ascii(key) + ": " + text)
             lead = "," + inner
         write(newline + "}")
+    elif isinstance(obj, Table):
+        write(obj._text(newline))
     elif isinstance(obj, np.ndarray):
         write(_array_text(obj, newline))
     else:
@@ -88,14 +144,31 @@ def _encode(obj, write, newline: str) -> None:
 
 def _array_text(values: np.ndarray, newline: str) -> str:
     """A 1-D float64 array as the indented list of its float reprs."""
+    texts = _float_texts(values)
+    if not len(texts):
+        return "[]"
+    inner = newline + " "
+    return "[" + inner + ("," + inner).join(texts.tolist()) + newline + "]"
+
+
+def _float_texts(values: np.ndarray) -> np.ndarray:
+    """The float reprs of a 1-D float64 array, as an object array."""
     if values.dtype != np.float64 or values.ndim != 1:
         raise TypeError(f"only 1-D float64 arrays are written, not {values.dtype} "
                         f"of shape {values.shape}")
-    if not len(values):
-        return "[]"
     if not np.isfinite(values).all():
         raise ValueError("array holds a value that is not a JSON number")
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
     texts = np.array([float.__repr__(v) for v in bits.view(np.float64).tolist()], dtype=object)
-    inner = newline + " "
-    return "[" + inner + ("," + inner).join(texts[where].tolist()) + newline + "]"
+    return texts[where]
+
+
+def _cell_texts(column) -> np.ndarray:
+    """The JSON texts of a table column, as an object array."""
+    if isinstance(column, np.ndarray):
+        return _float_texts(column)
+    texts = [_scalar(value) for value in column]
+    if None in texts:
+        bad = column[texts.index(None)]
+        raise TypeError(f"Object of type {type(bad).__name__} is not JSON serializable")
+    return np.array(texts, dtype=object)

@@ -16,6 +16,10 @@ TABLE_ENTRY_BUDGET = 1 << 26  # entries in one pair of syndrome tables
 # each sector's 2^k basis states by connected block, then diagonalizes every block
 SECTOR_QUBIT_CAP = 12
 PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register state
+# modes a Hamiltonian file may declare: reading one allocates its M x M complex
+# hop matrix (16 MiB at this cap), and Jordan-Wigner would need M qubits, far
+# past anything the encoders here can simulate
+MODE_CAP = 1024
 
 
 def dense_cap() -> int:

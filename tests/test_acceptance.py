@@ -320,5 +320,7 @@ def test_a11_orthogonal_array_and_binning():
         oa = rao_hamming_oa(enc.register_bits)
         groups = bin_terms(total, oa, enc)
         assert len(groups) <= 9 ** enc.register_bits
-        assert sum(len(terms) for _, terms in groups) == len(total)
+        binned = [total.terms[k] for _, rows in groups for k in rows.tolist()]
+        assert len(binned) == len(total)
+        assert sorted(binned, key=lambda t: (t[1].x_mask, t[1].z_mask)) == list(total.terms)
     watch.done("A11", "strength-2 exhaustive for m in {1,2}; every term binned")

@@ -139,6 +139,19 @@ class TestEncodeTaper:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "'modes'" in err
 
+    @pytest.mark.parametrize("modes", [limits.MODE_CAP + 1, 100_000, 10 ** 29])
+    def test_too_many_modes_is_an_error_line_before_any_allocation(self, tmp_path, capsys,
+                                                                   modes):
+        source = tmp_path / "h.json"
+        source.write_text(json.dumps({"modes": modes, "particles": 1}))
+        out = tmp_path / "q.txt"
+        rc = main(["encode", "--input", str(source), "--map", "jw", "--output", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: Hamiltonian JSON 'modes' is {modes}, over the cap of "
+                       f"{limits.MODE_CAP} modes\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("text", [
         '{"modes": 2, "particles": 1, "t": [[0, 1, 0.5, 0], [1, 0, 0.5, 0]]}',
         '{"modes": 2, "particles": 1, "t": [[5, 1, 0.5, 0]]}',
@@ -508,6 +521,27 @@ class TestCodesim:
         h = FermionHamiltonian.from_json(source.read_text())
         assert np.allclose(block, sector_matrix_direct(h), atol=1e-12)
 
+    def test_zero_columns_take_one_identity_frame(self, tmp_path):
+        # an all-zero check matrix: the pair hop flips nothing, so it is one
+        # identity frame whose diagonal is the sector block
+        check = tmp_path / "a.pcm"
+        check.write_text("1 2\n00\n")
+        source = tmp_path / "h.json"
+        source.write_text(json.dumps({"modes": 2, "particles": 2, "t": [],
+                                      "u": [[1, 2, 1, 2, 0.5, 0.0], [2, 1, 2, 1, 0.5, 0.0]]}))
+        out = tmp_path / "framed.json"
+        assert main(["codesim", "--check", str(check), "--input", str(source),
+                     "--output", str(out)]) == 0
+        terms = json.loads(out.read_text())["terms"]
+        assert {t["frame"] for t in terms} == {"I"}
+        frames = [FramedDiagonal(PauliOperator.from_label(t["frame"]), t["diagonal"], t["weight"])
+                  for t in terms]
+        enc = CodeEncoding.from_matrix(np.zeros((1, 2), dtype=np.uint8), 2)
+        block = enc.isometry().T @ apply_frames_to_isometry(frames, enc)
+        h = FermionHamiltonian.from_json(source.read_text())
+        assert np.allclose(block, sector_matrix_direct(h), atol=1e-12)
+        assert sector_matrix_direct(h).any()
+
     def test_non_finite_interaction_is_an_error_line(self, tmp_path, subcode_json, capsys):
         data = json.loads(Path(subcode_json).read_text())
         key = data["u"][0][:4]
@@ -795,6 +829,34 @@ class TestFirstqCommand:
         data = json.loads(text)
         assert text == json.dumps(data, indent=1)
         assert data["penalty_scale"] == 0.0
+
+    def test_bins_build_no_pauli_operator_and_spell_labels_once(self, tmp_path, monkeypatch):
+        # the groups are index arrays into one sum: its labels are spelled by
+        # one _labels call and no per-term PauliOperator is built
+        from fertaper import cli, pauli
+        from fertaper.fermion import random_hamiltonian
+
+        calls = {"from_masks": 0, "__init__": 0, "_labels": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        real_from_masks = PauliOperator.from_masks.__func__
+        monkeypatch.setattr(PauliOperator, "from_masks",
+                            classmethod(counted("from_masks", real_from_masks)))
+        monkeypatch.setattr(PauliOperator, "__init__", counted("__init__", PauliOperator.__init__))
+        labels = counted("_labels", pauli._labels)
+        monkeypatch.setattr(pauli, "_labels", labels)
+        monkeypatch.setattr(cli, "_labels", labels)
+        hpath = tmp_path / "h.json"
+        hpath.write_text(random_hamiltonian(8, 3, np.random.default_rng(5)).to_json())
+        out = tmp_path / "bins.json"
+        assert main(["firstq", "--input", str(hpath), "--emit-bins", str(out)]) == 0
+        assert calls == {"from_masks": 0, "__init__": 0, "_labels": 1}
+        assert len(json.loads(out.read_text())["groups"]) > 1
 
     def test_unsupported_register_size_fails_before_building_terms(self, tmp_path, capsys,
                                                                    monkeypatch):

@@ -467,6 +467,14 @@ class TestGenericCodes:
             for frame in sim.frames:
                 assert np.all(np.abs(frame.materialize()) <= 1.0)
 
+    def test_zero_columns_keep_the_one_identity_frame(self):
+        # both columns are zero (w = 0): the pair hop flips no qubit, so its
+        # simulator is one identity frame, within the bound
+        enc = CodeEncoding((0, 0), 1, 2)
+        sim = four_body_simulator(enc, 1, 2, 1, 2)
+        assert [frame.pauli.label for frame in sim.frames] == ["I"]
+        assert simulation_condition_exact(sim, enc)
+
     def test_four_body_exact_and_bounded(self):
         enc, rng = self.random_code(2718)
         cap = 1 << (4 * enc.max_column_weight - 1)

@@ -292,6 +292,12 @@ def linear_scan_bins(h, oa, enc):
     return sorted(groups.items())
 
 
+def resolved(h, groups):
+    """bin_terms groups with each term index replaced by its (coeff, op) term."""
+    listed = h.canonicalize().terms
+    return [(row, [listed[k] for k in rows.tolist()]) for row, rows in groups]
+
+
 class TestBinning:
     def test_matched_z_pair(self):
         # single-qubit registers: a Z(x)Z on registers 1, 2 must land in a
@@ -352,12 +358,26 @@ class TestBinning:
         h = random_hamiltonian(4, 2, rng)
         enc = RegisterEncoding(4, 2)
         total = first_quantized_parts(h, enc).total(1.0)
-        for row, terms in bin_terms(total, rao_hamming_oa(2), enc):
+        for row, terms in resolved(total, bin_terms(total, rao_hamming_oa(2), enc)):
             letters = "".join(row)
             for _, op in terms:
                 for qubit in range(1, enc.qubits + 1):
                     letter = op.letter_at(qubit)
                     assert letter in ("I", letters[qubit - 1])
+
+    def test_group_indices_ascend_and_cover_every_term_once(self):
+        # each group lists its terms in canonical order, and the groups
+        # partition the canonical sum
+        rng = np.random.default_rng(403)
+        h = random_hamiltonian(8, 3, rng)
+        enc = RegisterEncoding(8, 3)
+        total = first_quantized_parts(h, enc).total(default_penalty_scale(h))
+        groups = bin_terms(total, rao_hamming_oa(3), enc)
+        assert len(groups) > 1
+        for _, rows in groups:
+            assert len(rows) and (np.diff(rows) > 0).all()
+        assert sorted(np.concatenate([rows for _, rows in groups]).tolist()) == \
+            list(range(len(total)))
 
     def test_three_register_term_rejected(self):
         enc = RegisterEncoding(2, 3)
@@ -393,7 +413,7 @@ class TestBinning:
             terms.append((complex(k + 1), PauliOperator.from_label(label)))
         h = QubitHamiltonian(enc.qubits, terms)
         oa = rao_hamming_oa(m)
-        assert bin_terms(h, oa, enc) == linear_scan_bins(h, oa, enc)
+        assert resolved(h, bin_terms(h, oa, enc)) == linear_scan_bins(h, oa, enc)
 
     def test_terms_on_the_top_mask_bits_at_64_qubits(self):
         # M=16, N=16: register 1 holds bits 63..60 of each mask
@@ -404,7 +424,7 @@ class TestBinning:
         h = QubitHamiltonian(64, [(1.0, PauliOperator.from_label(x)) for x in labels])
         oa = rao_hamming_oa(4)
         groups = bin_terms(h, oa, enc)
-        assert groups == linear_scan_bins(h, oa, enc)
+        assert resolved(h, groups) == linear_scan_bins(h, oa, enc)
         assert sum(len(terms) for _, terms in groups) == 4
 
     def test_required_words(self):
