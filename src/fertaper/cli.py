@@ -31,7 +31,9 @@ from fertaper.firstq import (
     RegisterEncoding,
     bin_terms,
     first_quantized_parts,
+    letter_words,
     rao_hamming_oa,
+    register_field,
     spectrum_matches_partitions,
 )
 from fertaper.graphs import (
@@ -146,7 +148,10 @@ def _cmd_taper(args) -> int:
     group = find_symmetries(h)
     plan = build_plan(group, h)
     transformed = clifford_transform(h, plan)
-    report = RunReport(config={"input": args.input, "sector": args.sector or "enumerate"})
+    # "" is a sector too: the one of a plan with no generators
+    enumerate_all = args.sector is None
+    report = RunReport(config={"input": args.input,
+                               "sector": "enumerate" if enumerate_all else args.sector})
     report.qubits_before = h.qubit_count
     report.qubits_after = h.qubit_count - plan.size
     # the plan's order: sector sign i is the eigenvalue of generator i
@@ -158,7 +163,7 @@ def _cmd_taper(args) -> int:
         ((g.x_mask & z) ^ (g.z_mask & x)).bit_count() & 1
         for g in plan.generators for x, z in zip(h.x_masks, h.z_masks)))
 
-    sectors = [_parse_sector(args.sector)] if args.sector else None
+    sectors = None if enumerate_all else [_parse_sector(args.sector)]
     if report.qubits_after <= limits.SECTOR_QUBIT_CAP:
         spectra = sector_spectra(h, plan, transformed, sectors)
         for sector, spectrum in spectra.items():
@@ -261,26 +266,27 @@ def _cmd_firstq(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         h = FermionHamiltonian.from_json(fh.read())
     enc = RegisterEncoding(h.modes, h.particles)
-    oa = rao_hamming_oa(enc.register_bits)  # first: it rejects an unsupported register size
+    register_field(enc)  # first: it rejects an unsupported register size
     parts = first_quantized_parts(h, enc)
     scale = _checked_penalty(args.penalty)
     if scale is None:
         scale = default_penalty_scale(h)
     total = parts.total(scale)  # canonical, so bin_terms indexes its terms
-    groups = bin_terms(total, oa, enc)
+    groups = bin_terms(total, enc)
     coeffs = np.array(total.coeffs, dtype=complex)
     terms = jsonout.Table({
         "re": coeffs.real.copy(),
         "im": coeffs.imag.copy(),
         "pauli": _labels(enc.qubits, total.x_masks, total.z_masks),
     })
+    basis = jsonout.Words(letter_words(enc.register_bits))  # each word encoded once
     payload = {
         "qubits": enc.qubits,
         "registers": enc.particles,
         "register_bits": enc.register_bits,
         "penalty_scale": scale,
         "groups": [
-            {"basis": list(row), "terms": terms.take(rows)}
+            {"basis": basis.take(row), "terms": terms.take(rows)}
             for row, rows in groups
         ],
     }

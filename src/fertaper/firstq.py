@@ -9,14 +9,19 @@ registers, are grouped into measurement bases by a strength-two
 orthogonal array over the 3^m per-register letter words, so the number of
 groups never exceeds 9^m.
 
-The pipeline runs on arrays.  The three parts are built as mask and
-coefficient arrays and merged once.  GF(3^m) addition and multiplication
-are 3^m x 3^m lookup tables, and the Rao-Hamming array (Hedayat, Sloane &
-Stufken, Orthogonal Arrays, 1999, ch. 3) is one broadcast over them into
-an array of word values, X, Y, Z = 0, 1, 2 as base-3 digits.  Binning
-reads each register's word value off a term's masks and finds its row by
-table lookup: the first row holding the word for a term on one register,
-the unique row holding the word pair, by strength two, for a term on two.
+The pipeline runs on arrays from the parts to the bins.  Each part is
+built as mask and coefficient arrays, its phases and register factors
+multiplied by numpy, and handed to the one array merge,
+``QubitHamiltonian.merged``.  GF(3^m) addition, multiplication,
+negation and inversion are lookup tables.  The Rao-Hamming array
+(Hedayat, Sloane & Stufken, Orthogonal Arrays, 1999, ch. 3) is never
+built to bin terms: binning reads each register's word value off a
+term's masks (X, Y, Z = 0, 1, 2 as base-3 digits) and computes its row
+(a, b) in the field, the first row holding the word for a term on one
+register, the unique row holding the word pair, by strength two, for a
+term on two.  ``rao_hamming_oa`` builds the whole array for ``fertaper
+oa`` and as the binning oracle.  The field tables go up to m = 5, so
+M <= 32 modes (MAX_MODES).
 
 The penalty spectrum is fully determined by integer partitions: the
 eigenvalue attached to column lengths (l_1 >= ... >= l_d) is
@@ -26,6 +31,7 @@ tensor products of fully antisymmetric column states.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,10 +39,10 @@ from math import comb, factorial
 
 import numpy as np
 
-from fertaper import gf2, limits
+from fertaper import limits
 from fertaper.fermion import FermionHamiltonian, FockState
 from fertaper.fermion import default_penalty_scale  # noqa: F401  (re-exported)
-from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
+from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian, mask_array
 
 
 @dataclass(frozen=True)
@@ -126,27 +132,35 @@ def codespace_isometry(enc: RegisterEncoding) -> np.ndarray:
 # -- Pauli assembly ----------------------------------------------------------
 
 
-def _unit_coeffs(m_bits: int, b: int) -> list[complex]:
-    """Coefficients of the m-qubit |a><b| by z mask, first qubit most significant.
+def _unit_coeffs(m_bits: int) -> np.ndarray:
+    """Coefficients of the m-qubit |a><b|, indexed [b, z mask], first qubit most significant.
 
     Per qubit: |0><0| and |1><1| are (identity +/- Z)/2, while |0><1| and
     |1><0| are (X +/- iY)/2 = X(1)(identity -/+ Z)/2.  So |a><b| is X(a^b)
-    times the sum over z masks k of (-1)^popcount(b & k) Z(k) / 2^m.
+    times the sum over z masks k of (-1)^popcount(b & k) Z(k) / 2^m.  Each
+    qubit halves every coefficient and then negates the ones whose z bit
+    meets a set bit of b, complex multiplies that fix the signed zeros.
     """
-    coeffs = [1.0 + 0.0j]
+    labels = np.arange(1 << m_bits)
+    coeffs = np.ones((1 << m_bits, 1), dtype=complex)
     for i in range(m_bits):
-        sign = -1.0 if b >> (m_bits - 1 - i) & 1 else 1.0
-        coeffs = [c for coeff in coeffs for c in (coeff * 0.5, coeff * 0.5 * sign)]
+        half = coeffs * 0.5
+        sign = np.where(labels >> (m_bits - 1 - i) & 1, -1.0, 1.0)[:, None]
+        coeffs = np.stack([half, half * sign], axis=2).reshape(len(labels), -1)
     return coeffs
 
 
-def _hermitian_coeff(coeff, x_mask: int, z_mask: int) -> complex:
-    """Coefficient on the Hermitian letter Pauli of coeff * X(x) Z(z).
+_PHASES = np.array(_PHASE, dtype=complex)
 
-    The same multiply ``QubitHamiltonian`` folds a phase with, so signed
-    zeros come out as they do there.
+
+def _hermitian_coeff(coeffs, x_masks, z_masks) -> np.ndarray:
+    """Coefficients on the Hermitian letter Paulis of coeffs * X(x) Z(z), broadcast.
+
+    The same complex multiply ``QubitHamiltonian`` folds a phase with, so
+    signed zeros come out as they do there.
     """
-    return complex(coeff) * _PHASE[-(x_mask & z_mask).bit_count() % 4]
+    count = np.bitwise_count(np.bitwise_and(x_masks, z_masks)).astype(np.intp)
+    return coeffs * _PHASES[-count % 4]
 
 
 @dataclass(frozen=True)
@@ -170,53 +184,54 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     register pairs of (identity + register swap)/2, whose expansion is
     the uniform sum of matched Pauli letters on the two registers.
 
-    Each part is built as parallel mask and coefficient arrays, register
-    words shifted into place by broadcasting, and merged once by
-    ``canonicalize``.  Terms come in (matrix unit, register, z mask)
-    order, so repeated Paulis sum in a fixed order.  Interaction entries
-    that are the zero operator are skipped (``h.interactions``).
+    Each part is built as mask and coefficient arrays, register words
+    shifted into place and coefficients multiplied by broadcasting, and
+    handed to ``QubitHamiltonian.merged``.  Terms come in (matrix unit,
+    register, z mask) order, so repeated Paulis sum in a fixed order.
+    Interaction entries that are the zero operator are skipped
+    (``h.interactions``).
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
     n, m, q = enc.particles, enc.register_bits, enc.qubits
     dtype = np.uint64 if q <= 64 else object  # object arrays hold wider Python ints
     shift = (q - m * np.arange(1, n + 1)).astype(dtype)  # register i sits at shift[i - 1]
-    local = np.arange(1 << m).astype(dtype)  # register z masks, in term order
-    unit = [_unit_coeffs(m, b) for b in range(1 << m)]  # of |a><b|, by column label b
+    local = np.arange(1 << m)  # register z masks, in term order
+    local_masks = local.astype(dtype)
+    unit = _unit_coeffs(m)  # of |a><b|, [b, z mask]
+    # register factors go into a running product that starts at 1+0j; that
+    # multiply can flip the sign of a zero imaginary part, and the written
+    # bytes keep the sign
+    first = (1.0 + 0.0j) * unit
 
     def merged(x_masks, z_masks, coeffs) -> QubitHamiltonian:
         shape = np.broadcast_shapes(x_masks.shape, z_masks.shape, coeffs.shape)
-        return QubitHamiltonian.from_masks(
-            q, *(np.broadcast_to(a, shape).ravel().tolist() for a in (x_masks, z_masks, coeffs))
-        ).canonicalize()
+        return QubitHamiltonian.merged(
+            q, *(np.broadcast_to(a, shape).ravel() for a in (x_masks, z_masks, coeffs)))
 
-    # One-body: (a, b) entry x register x z mask.  Register factors go into
-    # a running product that starts at 1+0j; that multiply can flip the
-    # sign of a zero imaginary part, and the written bytes keep the sign.
+    # One-body: (a, b) entry x register x z mask
     rows, cols = np.nonzero(h.t)
-    x_local = (rows ^ cols).astype(dtype)
-    coeffs = np.array([[_hermitian_coeff(h.t[a, b] * ((1.0 + 0.0j) * c), a ^ b, k)
-                        for k, c in enumerate(unit[b])]
-                       for a, b in zip(rows.tolist(), cols.tolist())],
-                      dtype=complex).reshape(-1, 1, 1 << m)
-    one_body = merged((x_local[:, None] << shift)[:, :, None],
-                      local[None, None, :] << shift[None, :, None], coeffs)
+    x_local = rows ^ cols
+    coeffs = _hermitian_coeff(h.t[rows, cols][:, None] * first[cols],
+                              x_local[:, None], local[None, :])[:, None, :]
+    one_body = merged((x_local.astype(dtype)[:, None] << shift)[:, :, None],
+                      local_masks[None, None, :] << shift[None, :, None], coeffs)
 
     # Two-body: (a, b, g, d) entry x register pair i != j x z mask on i x z mask on j
     u = h.interactions
+    keys = np.array(list(u), dtype=np.int64).reshape(-1, 4) - 1
     ordered = np.array([(i, j) for i in range(n) for j in range(n) if i != j],
                        dtype=np.intp).reshape(-1, 2)
     s_i, s_j = shift[ordered[:, 0], None, None], shift[ordered[:, 1], None, None]
-    x_ag, x_bd = (np.array([(k[r] - 1) ^ (k[r + 2] - 1) for k in u], dtype=np.int64)
-                  .astype(dtype).reshape(-1, 1, 1, 1) for r in (0, 1))
-    coeffs = np.array([
-        [[_hermitian_coeff(-coeff * (((1.0 + 0.0j) * c1) * c2),
-                           (a - 1) ^ (g - 1) | ((b - 1) ^ (d - 1)) << m, k1 | k2 << m)
-          for k2, c2 in enumerate(unit[d - 1])]
-         for k1, c1 in enumerate(unit[g - 1])]
-        for (a, b, g, d), coeff in u.items()], dtype=complex).reshape(-1, 1, 1 << m, 1 << m)
+    x_ag, x_bd = keys[:, 0] ^ keys[:, 2], keys[:, 1] ^ keys[:, 3]
+    pair = first[keys[:, 2], :, None] * unit[keys[:, 3], None, :]  # [entry, z on i, z on j]
+    coeffs = _hermitian_coeff(
+        -np.array(list(u.values()), dtype=complex)[:, None, None] * pair,
+        (x_ag | x_bd << m)[:, None, None], local[None, :, None] | local[None, None, :] << m,
+    )[:, None]
+    x_ag, x_bd = (v.astype(dtype).reshape(-1, 1, 1, 1) for v in (x_ag, x_bd))
     two_body = merged((x_ag << s_i) | (x_bd << s_j),
-                      (local[:, None] << s_i) | (local[None, :] << s_j), coeffs)
+                      (local_masks[:, None] << s_i) | (local_masks[None, :] << s_j), coeffs)
 
     # Exchange: register pair i < j x (identity, then each matched letter word).
     upper = np.array([(i, j) for i in range(n) for j in range(i + 1, n)],
@@ -227,8 +242,7 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     z_word = np.concatenate([[0], (letters >> 1) @ bit]).astype(dtype)
     s_i, s_j = shift[upper[:, 0], None], shift[upper[:, 1], None]
     # (identity + swap)/2 with swap = 2^-m sum over matched letter words
-    coeffs = np.array([_hermitian_coeff(0.5, 0, 0)]
-                      + [_hermitian_coeff(0.5 / enc.padded_modes, 0, 0)] * 4 ** m)
+    coeffs = np.array([0.5] + [0.5 / enc.padded_modes] * 4 ** m, dtype=complex)
     exchange = merged((x_word << s_i) | (x_word << s_j), (z_word << s_i) | (z_word << s_j),
                       coeffs)
     return FirstQuantizedParts(one_body, two_body, exchange)
@@ -245,11 +259,13 @@ class TernaryField:
     irreducible at construction time by an exhaustive factor check.
     Construction also fills 3^m x 3^m ``add_table`` and ``mul_table``
     arrays from digit arithmetic on every pair at once, the product
-    reduced by the polynomial.
+    reduced by the polynomial, and the 3^m-entry ``neg_table`` and
+    ``inv_table`` (the inverse of 0 reads 0).  The tables are read-only,
+    so one field can be shared.
     """
 
-    # x^2+1, x^3+2x+1, x^4+x+2 as coefficient tuples (constant first, monic)
-    POLYS = {1: (0, 1), 2: (1, 0, 1), 3: (1, 2, 0, 1), 4: (2, 1, 0, 0, 1)}
+    # x, x^2+1, x^3+2x+1, x^4+x+2, x^5+2x+1 as coefficient tuples (constant first, monic)
+    POLYS = {1: (0, 1), 2: (1, 0, 1), 3: (1, 2, 0, 1), 4: (2, 1, 0, 0, 1), 5: (1, 2, 0, 0, 0, 1)}
 
     def __init__(self, m: int):
         if m not in self.POLYS:
@@ -269,6 +285,10 @@ class TernaryField:
         for top in range(2 * m - 2, m - 1, -1):  # cancel x^top with the monic polynomial
             prod[..., top - m : top + 1] -= prod[..., top : top + 1] % 3 * self.poly
         self.mul_table = prod[..., :m] % 3 @ power
+        self.neg_table = (-digits) % 3 @ power
+        self.inv_table = np.argmax(self.mul_table == 1, axis=1)  # 0 has none; reads 0
+        for table in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
+            table.flags.writeable = False
 
     @staticmethod
     def _poly_mul(a: tuple, b: tuple) -> tuple:
@@ -309,10 +329,28 @@ class TernaryField:
         return all(c == 0 for c in cls._poly_mod(big, small))
 
 
+MAX_MODES = 2 ** max(TernaryField.POLYS)  # modes the array grouping covers
+
+
+def register_field(enc: RegisterEncoding) -> TernaryField:
+    """GF(3^m) for m-qubit registers, whose elements label the array columns.
+
+    Built once per m.  Past MAX_MODES modes there is no tabulated
+    polynomial, and the ValueError names that limit.
+    """
+    if enc.register_bits not in TernaryField.POLYS:
+        raise ValueError(f"firstq groups terms for at most {MAX_MODES} modes, "
+                         f"got {enc.modes}")
+    return _field(enc.register_bits)
+
+
+_field = functools.cache(TernaryField)
+
+
 LETTERS = "XYZ"  # digit 0 -> X basis, 1 -> Y, 2 -> Z (fixed labeling)
 
 
-def _letter_words(m: int) -> list[str]:
+def letter_words(m: int) -> list[str]:
     """The 3^m m-letter words by value, first letter the most significant digit."""
     return ["".join(w) for w in itertools.product(LETTERS, repeat=m)]
 
@@ -339,7 +377,7 @@ class OrthogonalArray:
 
     @property
     def rows(self) -> tuple[tuple[str, ...], ...]:
-        words = _letter_words(self.register_bits)
+        words = letter_words(self.register_bits)
         return tuple(tuple(words[v] for v in row) for row in self.values.tolist())
 
     @property
@@ -377,6 +415,9 @@ def rao_hamming_oa(m: int) -> OrthogonalArray:
     itself; any two evaluation points determine (a, b), so each word pair
     appears exactly once per column pair.  One broadcast over the field
     tables fills every entry.
+
+    ``bin_terms`` computes the rows it needs in the field; the whole array
+    serves ``fertaper oa`` and the binning oracle of the tests.
     """
     field = TernaryField(m)
     e = np.arange(field.size)
@@ -409,25 +450,21 @@ def _register_words(h: QubitHamiltonian, enc: RegisterEncoding):
 
     A qubit's digit is X, Y, Z = 0, 1, 2 with identity read as Z, the
     register's first qubit the most significant digit: the values of the
-    words ``required_words`` spells.
+    words ``required_words`` spells.  Each register's x and z fields are
+    shifted out of the masks and looked up in a 2^m x 2^m table.
     """
-    shape = (len(h), enc.particles, enc.register_bits)
-    x = gf2.unpack_ints(h.x_masks, enc.qubits).reshape(shape)
-    z = gf2.unpack_ints(h.z_masks, enc.qubits).reshape(shape)
-    digits = np.where(x, z, 2)
-    return digits @ 3 ** np.arange(enc.register_bits - 1, -1, -1), (x | z).any(axis=2)
+    m, q = enc.register_bits, enc.qubits
+    bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1  # [mask, qubit]
+    value = np.where(bits[:, None, :], bits[None, :, :], 2) @ 3 ** np.arange(m - 1, -1, -1)
+    x, z = (mask_array(masks, q) for masks in (h.x_masks, h.z_masks))
+    shift = (q - m * np.arange(1, enc.particles + 1)).astype(x.dtype)
+    low = np.asarray((1 << m) - 1, dtype=x.dtype)
+    x, z = ((v[:, None] >> shift & low).astype(np.intp) for v in (x, z))
+    return value[x, z], (x | z) != 0
 
 
-def _first_holding(codes: np.ndarray, span: int) -> np.ndarray:
-    """Index ``code -> smallest row holding it`` over 0..span-1, -1 where none does."""
-    index = np.full(span, -1, dtype=np.int64)
-    held, first = np.unique(codes, return_index=True)
-    index[held] = first
-    return index
-
-
-def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
-    """Group terms into rows of the array that diagonalize them.
+def bin_terms(h: QubitHamiltonian, enc: RegisterEncoding):
+    """Group terms into rows of the Rao-Hamming array that diagonalize them.
 
     Every term must touch at most two registers; by the strength-two
     property at least one row matches its register words, and the
@@ -436,18 +473,22 @@ def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
     the indices are an ascending int array into ``h.canonicalize()``, so a
     caller reads each group's masks and coefficients off that one sum.
 
-    Each register word is read off the term's masks as a value.  Rows are
-    sorted by value, which is word order; a term on no register takes the
-    first row, a term on one register the first row holding its word in
-    that column, and a term on two registers the row an index of the
-    column pair's codes v1 * 3^m + v2 names.
+    No array is built: each term's row comes from GF(3^m) arithmetic on
+    its register words (``rao_hamming_oa`` is the oracle).  Row (a, b)
+    holds a*c + b in the column of field element c, register c + 1, and a
+    in the last column, and its rank in row order is that of the key
+    b * 3^m + (a + b), its first two columns.  The smallest row holding
+    - no word is (0, 0);
+    - word v on register c + 1 is (-v, v) for c = 0, (v/c, 0) for another
+      element and (v, 0) in the last column;
+    - words v1, v2 on registers c1 + 1 < c2 + 1 is the one row with
+      a = (v1 - v2)/(c1 - c2), or a = v2 in the last column, and
+      b = v1 - a*c1.
     """
-    if oa.register_bits != enc.register_bits:
-        raise ValueError(f"array words have {oa.register_bits} letters, "
-                         f"registers {enc.register_bits} qubits")
     h = h.canonicalize()
-    size = 3 ** enc.register_bits
-    values = oa.values[np.lexsort(oa.values.T[::-1])]  # the order of sorted(oa.rows)
+    field = register_field(enc)
+    size, add, mul = field.size, field.add_table, field.mul_table
+    neg, inv = field.neg_table, field.inv_table
     words, touched = _register_words(h, enc)
     count = touched.sum(axis=1)
     wide = np.flatnonzero(count > 2)
@@ -457,27 +498,31 @@ def bin_terms(h: QubitHamiltonian, oa: OrthogonalArray, enc: RegisterEncoding):
         )
     n = enc.particles
     terms = np.arange(len(h))
-    first = np.argmax(touched, axis=1)  # first and last touched register
-    last = n - 1 - np.argmax(touched[:, ::-1], axis=1)
-    codes = words[terms, first] * size + words[terms, last]
-    pair = np.where(count > 0, first * n + last, -1)
-    position = np.where(count == 0, 0, -1)
-    for c1, c2 in (divmod(p, n) for p in np.unique(pair[pair >= 0]).tolist()):
-        if c2 >= oa.column_count:
-            continue  # left at -1: no row has the column
-        pick = pair == c1 * n + c2
-        if c1 == c2:
-            position[pick] = _first_holding(values[:, c1], size)[words[pick, c1]]
-        else:
-            position[pick] = _first_holding(values[:, c1] * size + values[:, c2],
-                                            size * size)[codes[pick]]
-    lost = np.flatnonzero(position < 0)
-    if lost.size:
+    c1 = np.argmax(touched, axis=1)  # first and last touched register, 0-based
+    c2 = n - 1 - np.argmax(touched[:, ::-1], axis=1)
+    lost = np.flatnonzero((count > 0) & (c2 > size))
+    if lost.size:  # a register past the last column
         raise UnassignableTerm(f"no array row diagonalizes {h.terms[lost[0]][1].label}")
-    order = np.argsort(position, kind="stable")
-    used, starts = np.unique(position[order], return_index=True)
-    words = np.array(_letter_words(enc.register_bits), dtype=object)[values[used]]
-    return [(tuple(row), chunk) for row, chunk in zip(words.tolist(), np.split(order, starts[1:]))]
+    v1, v2 = words[terms, c1], words[terms, c2]
+    a, b = np.zeros((2, len(h)), dtype=np.intp)
+    one = np.flatnonzero(count == 1)
+    c, v = c1[one], v1[one]
+    a[one] = np.where(c == 0, neg[v], np.where(c == size, v, mul[v, inv[c % size]]))
+    b[one] = np.where(c == 0, v, 0)
+    two = np.flatnonzero(count == 2)
+    c, d, v, w = c1[two], c2[two], v1[two], v2[two]
+    a[two] = np.where(d == size, w, mul[add[v, neg[w]], inv[add[c, neg[d % size]]]])
+    b[two] = add[v, neg[mul[a[two], c]]]
+    key = b * size + add[a, b]
+    order = np.argsort(key, kind="stable")
+    used, starts = np.unique(key[order], return_index=True)
+    b, a_plus_b = divmod(used, size)
+    a = add[a_plus_b, neg[b]]
+    values = np.column_stack([add[mul[a[:, None], np.arange(size)], b[:, None]], a])
+    words = np.array(letter_words(enc.register_bits), dtype=object)[values]
+    ends = [*starts[1:].tolist(), len(order)]
+    return [(tuple(row), order[start:end])
+            for row, start, end in zip(words.tolist(), starts.tolist(), ends)]
 
 
 # -- penalty spectrum via partitions ----------------------------------------

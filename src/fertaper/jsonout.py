@@ -3,10 +3,12 @@
 The standard library encodes every value in Python once it indents, which
 is most of the time codesim spends on its frame diagonals.  This writer
 emits the same text for dicts with str keys, lists, tuples, str, int,
-bool, None and float, and it also takes two column-wise values:
+bool, None and float, and it also takes three values whose text is
+built in bulk:
 
 - a 1-D float64 ndarray, written as its ``.tolist()``;
-- a :class:`Table`, written as the list of dicts its rows stand for.
+- a :class:`Table`, written as the list of dicts its rows stand for;
+- a :class:`Words`, a list of str from a vocabulary encoded once.
 
 A float column is formatted once per distinct bit pattern (``np.unique``
 of its int64 view, which keeps 0.0 and -0.0 apart) and joined in C.
@@ -68,6 +70,36 @@ class Table:
         for key, cells in zip(self._keys[1:], self._cells[1:]):
             texts = texts + ("," + inner + key + ": ") + cells
         return texts + (newline + "}")
+
+
+class Words:
+    """A list of str drawn from a fixed vocabulary, written from shared texts.
+
+    ``Words(vocabulary)`` encodes every word of the vocabulary once and is
+    the empty list; ``take(items)`` is the list of the given words, each
+    of which must be in the vocabulary.  Many lists over one vocabulary
+    then encode no word twice.
+    """
+
+    __slots__ = ("_texts", "_items")
+
+    def __init__(self, vocabulary):
+        self._texts = {word: encode_basestring_ascii(word) for word in vocabulary}
+        self._items = ()
+
+    def take(self, items) -> "Words":
+        """The list of the given words, over this vocabulary's texts."""
+        sub = object.__new__(Words)
+        sub._texts, sub._items = self._texts, items
+        return sub
+
+    def _text(self, newline: str) -> str:
+        """The indented list text; newline is the line break and indent."""
+        if not self._items:
+            return "[]"
+        inner = newline + " "
+        return ("[" + inner + ("," + inner).join(map(self._texts.__getitem__, self._items))
+                + newline + "]")
 
 
 def dump(obj, fh) -> None:
@@ -134,7 +166,7 @@ def _encode(obj, write, newline: str) -> None:
                 write(lead + encode_basestring_ascii(key) + ": " + text)
             lead = "," + inner
         write(newline + "}")
-    elif isinstance(obj, Table):
+    elif isinstance(obj, (Table, Words)):
         write(obj._text(newline))
     elif isinstance(obj, np.ndarray):
         write(_array_text(obj, newline))

@@ -22,10 +22,13 @@ A ``QubitHamiltonian`` stores parallel tuples ``x_masks``, ``z_masks`` and
 of its masks (phase power = number of Y letters): the phase of any
 operator a sum is built from is folded into the coefficient on entry.  A
 sum is canonical when its masks are distinct, ordered by (x, z), and no
-coefficient is below the pruning tolerance.  ``canonicalize`` reaches that
-form with one ordered dict merge and sets the ``canonical`` flag on the
-result, so canonicalizing it again returns the same object.  ``.terms``
-is a ``(coeff, PauliOperator)`` view built on first use.
+coefficient is below the pruning tolerance.  ``QubitHamiltonian.merged``
+reaches that form from mask and coefficient arrays: one stable sort of
+the (x, z) keys ranks the distinct Paulis, and ``np.add.at`` adds each
+one's coefficients from 0 in the order given.  ``canonicalize`` is that
+merge on a sum's own terms; it sets the ``canonical`` flag on the result,
+so canonicalizing it again returns the same object.  ``.terms`` is a
+``(coeff, PauliOperator)`` view built on first use.
 """
 
 from __future__ import annotations
@@ -82,6 +85,20 @@ def _labels(n: int, x_masks, z_masks) -> list[str]:
     codes = gf2.unpack_ints(x_masks, n) + 2 * gf2.unpack_ints(z_masks, n)
     text = _LETTERS[codes].tobytes().decode("ascii")
     return [text[i : i + n] for i in range(0, len(text), n)] if n else [""] * len(x_masks)
+
+
+def mask_array(masks, n: int) -> np.ndarray:
+    """n-bit masks as an array: uint64 up to 64 qubits, Python ints (object) past that."""
+    return np.asarray(masks, dtype=np.uint64 if n <= 64 else object).reshape(-1)
+
+
+def _words(masks: np.ndarray, n: int) -> list[np.ndarray]:
+    """A ``mask_array`` array as uint64 words, the least significant first."""
+    if masks.dtype != object:
+        return [masks]
+    width = -(-n // 64)
+    buf = b"".join(v.to_bytes(8 * width, "big") for v in masks.tolist())
+    return list(np.frombuffer(buf, dtype=">u8").reshape(-1, width).T[::-1])
 
 
 class PauliOperator:
@@ -274,30 +291,55 @@ class QubitHamiltonian:
             ))
         return self._terms
 
+    @classmethod
+    def merged(cls, n: int, x_masks, z_masks, coeffs,
+               tol: float = DEFAULT_PRUNE_TOL) -> "QubitHamiltonian":
+        """The canonical sum of coeffs[k] times the letter Pauli of (x_masks[k], z_masks[k]).
+
+        Masks are sequences of ints or ``mask_array`` arrays; coefficients
+        any complex sequence or array.  A stable sort of the (x, z) keys
+        ranks the distinct Paulis, and ``np.add.at`` adds each one's
+        coefficients to 0+0j in the order given, as a running sum would:
+        a lone term's -0.0 parts come out 0.0.  A sum that is not finite
+        raises ValueError naming its Pauli; sums below tol are pruned.
+        """
+        x, z = mask_array(x_masks, n), mask_array(z_masks, n)
+        coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
+        if not len(x) == len(z) == len(coeffs):
+            raise ValueError("masks and coefficients differ in length")
+        if not len(coeffs):
+            return cls.from_masks(n, (), (), (), canonical=tol >= DEFAULT_PRUNE_TOL)
+        order = np.lexsort([*_words(z, n), *_words(x, n)])  # by (x, z), stable
+        xs, zs = x[order], z[order]
+        new = np.ones(len(order), dtype=bool)  # first of its key in sorted order
+        new[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+        rank = np.empty(len(order), dtype=np.intp)
+        rank[order] = np.cumsum(new) - 1
+        sums = np.zeros(int(rank[order[-1]]) + 1, dtype=complex)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+            np.add.at(sums, rank, coeffs)
+        first = order[new]  # a term of each distinct Pauli, in key order
+        bad = np.flatnonzero(~np.isfinite(sums))
+        if bad.size:
+            k = first[bad[:1]]
+            label = _labels(n, x[k].tolist(), z[k].tolist())[0]
+            raise ValueError(f"the coefficient of {label!r} sums to {complex(sums[bad[0]])}, "
+                             "which is not finite")
+        kept = np.abs(sums) >= tol
+        return cls.from_masks(n, x[first[kept]].tolist(), z[first[kept]].tolist(),
+                              sums[kept].tolist(), canonical=tol >= DEFAULT_PRUNE_TOL)
+
     def canonicalize(self, tol: float = DEFAULT_PRUNE_TOL) -> "QubitHamiltonian":
         """Merge equal Pauli strings, prune tiny coefficients, sort terms.
 
         Every surviving Pauli is the plain Hermitian letter form; term
-        order is lexicographic on (x|z).  A sum already marked canonical
-        is returned as it is.
+        order is lexicographic on (x|z).  This is ``merged`` on the sum's
+        own terms, and a sum already marked canonical is returned as it is.
         """
         if self.canonical and tol <= DEFAULT_PRUNE_TOL:
             return self
-        n = self.qubit_count
-        acc: dict[int, complex] = {}
-        get = acc.get
-        for x, z, c in zip(self.x_masks, self.z_masks, self.coeffs):
-            key = (x << n) | z  # integer order of the key is (x, z) order
-            acc[key] = get(key, 0.0) + c
-        low = (1 << n) - 1
-        xs, zs, cs = [], [], []
-        for key in sorted(acc):
-            c = acc[key]
-            if abs(c) >= tol:
-                xs.append(key >> n)
-                zs.append(key & low)
-                cs.append(c)
-        return QubitHamiltonian.from_masks(n, xs, zs, cs, canonical=tol >= DEFAULT_PRUNE_TOL)
+        return QubitHamiltonian.merged(self.qubit_count, self.x_masks, self.z_masks,
+                                       self.coeffs, tol)
 
     def dense(self) -> np.ndarray:
         """Exact dense matrix of the sum (guarded by the qubit cap)."""
@@ -329,7 +371,8 @@ class QubitHamiltonian:
 
     def scaled(self, factor: complex) -> "QubitHamiltonian":
         return QubitHamiltonian.from_masks(self.qubit_count, self.x_masks, self.z_masks,
-                                           [complex(factor * c) for c in self.coeffs])
+                                           (np.asarray(self.coeffs, dtype=complex) * factor)
+                                           .tolist())
 
     def product(self, other: "QubitHamiltonian") -> "QubitHamiltonian":
         """Term-by-term operator product, merged eagerly."""

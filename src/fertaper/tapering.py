@@ -20,7 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from fertaper import gf2, limits
-from fertaper.pauli import DEFAULT_PRUNE_TOL, _PHASE, PauliOperator, QubitHamiltonian, commutes
+from fertaper.pauli import (
+    DEFAULT_PRUNE_TOL,
+    _PHASE,
+    PauliOperator,
+    QubitHamiltonian,
+    _labels,
+    commutes,
+)
 
 
 def check_matrix(h: QubitHamiltonian) -> list[int]:
@@ -289,8 +296,16 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
     distinct = [gf2.drop_bits(key, drop) for key in distinct]
     cs = np.array(h.coeffs, dtype=complex)
     sums = np.zeros((len(sectors), len(distinct)), dtype=complex)
-    np.add.at(sums, (np.arange(len(sectors))[:, None], column), np.where(odd, -cs, cs))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        np.add.at(sums, (np.arange(len(sectors))[:, None], column), np.where(odd, -cs, cs))
     low = (1 << m) - 1
+    bad = np.argwhere(~np.isfinite(sums))
+    if len(bad):
+        s, i = bad[0].tolist()
+        signs = "".join("+" if v > 0 else "-" for v in sectors[s])
+        label = _labels(m, [distinct[i] >> m], [distinct[i] & low])[0]
+        raise ValueError(f"in sector {signs} the coefficient of {label!r} "
+                         f"sums to {complex(sums[s, i])}, which is not finite")
     out = {}
     for sector, row in zip(sectors, sums):
         kept = np.flatnonzero(np.abs(row) >= DEFAULT_PRUNE_TOL).tolist()

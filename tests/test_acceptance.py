@@ -317,8 +317,7 @@ def test_a11_orthogonal_array_and_binning():
         h = random_hamiltonian(modes, particles, rng)
         enc = RegisterEncoding(modes, particles)
         total = first_quantized_parts(h, enc).total(default_penalty_scale(h))
-        oa = rao_hamming_oa(enc.register_bits)
-        groups = bin_terms(total, oa, enc)
+        groups = bin_terms(total, enc)
         assert len(groups) <= 9 ** enc.register_bits
         binned = [total.terms[k] for _, rows in groups for k in rows.tolist()]
         assert len(binned) == len(total)

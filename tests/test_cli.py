@@ -130,6 +130,57 @@ class TestEncodeTaper:
         assert err.startswith("error:") and "not Hermitian" in err and "ZZ" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("lines, want", [
+        (["nan 0 ZZ", "1 0 XX"], "'ZZ' sums to (nan+nanj)"),
+        (["1e308 0 ZZ", "1e308 0 ZZ"], "'ZZ' sums to (inf+0j)"),
+    ])
+    def test_non_finite_coefficient_is_an_error_line(self, tmp_path, capsys, lines, want):
+        pauli = tmp_path / "in.txt"
+        pauli.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out.txt"
+        assert main(["taper", "--input", str(pauli), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: the coefficient of {want}, which is not finite\n"
+        assert not out.exists()
+
+    def test_overflowing_tapered_sum_is_an_error_line(self, tmp_path, capsys):
+        # both terms taper to the identity on no qubits, in every sector
+        pauli = tmp_path / "in.txt"
+        pauli.write_text("1e308 0 ZI\n1e308 0 ZZ\n")
+        out = tmp_path / "out.txt"
+        assert main(["taper", "--input", str(pauli), "--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: in sector ++ the coefficient of '' sums to (inf+0j), which is not finite\n"
+        assert not out.exists()
+
+    def test_overflowing_encoded_coefficient_is_an_error_line(self, tmp_path, capsys):
+        # three occupation numbers of 1.5e308 put 2.25e308 on the identity
+        source = tmp_path / "big.json"
+        source.write_text(json.dumps({"modes": 4, "particles": 2, "u": [],
+                                      "t": [[k, k, 1.5e308, 0.0] for k in (1, 2, 3)]}))
+        out = tmp_path / "out.txt"
+        assert main(["encode", "--input", str(source), "--map", "jw",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            "error: the coefficient of 'IIII' sums to (inf+0j), which is not finite\n"
+        assert not out.exists()
+
+    def test_empty_sector_is_a_sector(self, tmp_path, capsys):
+        # "" names the sector of a plan with no generators; with two it is too short
+        pauli = tmp_path / "in.txt"
+        out = tmp_path / "out.txt"
+        pauli.write_text("1 0 ZZ\n0.5 0 ZI\n")
+        assert main(["taper", "--input", str(pauli), "--sector=", "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: sector needs 2 entries\n"
+        assert not out.exists()
+        pauli.write_text("1 0 X\n0.5 0 Z\n")
+        report = tmp_path / "report.json"
+        assert main(["taper", "--input", str(pauli), "--sector=", "--output", str(out),
+                     "--report", str(report)]) == 0
+        assert capsys.readouterr().out == "tapered 1 -> 1 qubits (0 symmetries), sector \n"
+        data = json.loads(report.read_text())
+        assert data["config"]["sector"] == "" and list(data["sector_energies"]) == [""]
+
     def test_missing_modes_key_is_an_error_line(self, tmp_path, capsys):
         source = tmp_path / "h.json"
         source.write_text(json.dumps({"particles": 1, "t": [[1, 1, 1.0, 0.0]]}))
@@ -860,7 +911,7 @@ class TestFirstqCommand:
 
     def test_unsupported_register_size_fails_before_building_terms(self, tmp_path, capsys,
                                                                    monkeypatch):
-        # M=17 needs 5-qubit registers, past the tabulated GF(3^m) degrees
+        # past M=32 the registers need 6 qubits, past the tabulated GF(3^m) degrees
         from fertaper import cli
         from fertaper.fermion import random_hamiltonian
 
@@ -868,13 +919,42 @@ class TestFirstqCommand:
             raise AssertionError("register parts built before the array")
 
         monkeypatch.setattr(cli, "first_quantized_parts", unreachable)
-        h = random_hamiltonian(17, 2, np.random.default_rng(3))
+        for modes in (33, 64):
+            h = random_hamiltonian(modes, 2, np.random.default_rng(3))
+            hpath = tmp_path / "h.json"
+            hpath.write_text(h.to_json())
+            out = tmp_path / "bins.json"
+            assert main(["firstq", "--input", str(hpath), "--emit-bins", str(out)]) == 2
+            assert capsys.readouterr().err == \
+                f"error: firstq groups terms for at most 32 modes, got {modes}\n"
+            assert not out.exists()
+
+    def test_builds_no_array_and_no_phase_per_term(self, tmp_path, monkeypatch):
+        # rows come from field arithmetic and phases from one numpy multiply
+        # per one- and two-body part, so neither count grows with the terms
+        from fertaper import firstq
+        from fertaper.fermion import random_hamiltonian
+
+        calls = {"array": 0, "phase": 0}
+        post_init, phase = firstq.OrthogonalArray.__post_init__, firstq._hermitian_coeff
+
+        def counted_post_init(oa):
+            calls["array"] += 1
+            post_init(oa)
+
+        def counted_phase(*args):
+            calls["phase"] += 1
+            return phase(*args)
+
+        monkeypatch.setattr(firstq.OrthogonalArray, "__post_init__", counted_post_init)
+        monkeypatch.setattr(firstq, "_hermitian_coeff", counted_phase)
         hpath = tmp_path / "h.json"
-        hpath.write_text(h.to_json())
+        hpath.write_text(random_hamiltonian(8, 3, np.random.default_rng(5)).to_json())
         out = tmp_path / "bins.json"
-        assert main(["firstq", "--input", str(hpath), "--emit-bins", str(out)]) == 2
-        assert capsys.readouterr().err.startswith("error: unsupported extension degree 5")
-        assert not out.exists()
+        assert main(["firstq", "--input", str(hpath), "--emit-bins", str(out)]) == 0
+        terms = sum(len(group["terms"]) for group in json.loads(out.read_text())["groups"])
+        assert terms > 500
+        assert calls == {"array": 0, "phase": 2}
 
 
 class TestVerifyCommand:

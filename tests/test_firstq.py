@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -202,7 +203,7 @@ def oracle_mul(field: TernaryField, a: int, b: int) -> int:
 
 
 class TestTernaryField:
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_field_axioms_spot_checks(self, m):
         field = TernaryField(m)
         add, mul = field.add_table, field.mul_table
@@ -214,18 +215,25 @@ class TestTernaryField:
             assert mul[a, add[b, c]] == add[mul[a, b], mul[a, c]]
             assert mul[a, 1] == a
 
-    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
     def test_no_zero_divisors(self, m):
         field = TernaryField(m)
         for a in range(1, min(field.size, 30)):
             for b in range(1, min(field.size, 30)):
                 assert field.mul_table[a, b] != 0
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_negation_and_inverse_tables(self, m):
+        field = TernaryField(m)
+        e = np.arange(field.size)
+        assert (field.add_table[e, field.neg_table] == 0).all()
+        assert (field.mul_table[e[1:], field.inv_table[1:]] == 1).all()
+
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
-            TernaryField(5)
+            TernaryField(6)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_tables_match_polynomial_arithmetic(self, m):
         field = TernaryField(m)
         if m <= 3:
@@ -281,9 +289,14 @@ class TestOrthogonalArray:
         assert not bad.verify_strength_two()
 
 
-def linear_scan_bins(h, oa, enc):
+@functools.cache
+def sorted_rows(m):
+    return sorted(rao_hamming_oa(m).rows)
+
+
+def linear_scan_bins(h, m, enc):
     """Oracle binning: each term in the smallest sorted row holding every required word."""
-    rows = sorted(oa.rows)
+    rows = sorted_rows(m)
     groups: dict[tuple, list] = {}
     for coeff, op in h.canonicalize().terms:
         words = required_words(op, enc)
@@ -306,8 +319,7 @@ class TestBinning:
         from fertaper.pauli import PauliOperator, QubitHamiltonian
 
         term = QubitHamiltonian(2, ((1.0, PauliOperator.from_label("ZZ")),))
-        oa = rao_hamming_oa(1)
-        groups = bin_terms(term, oa, enc)
+        groups = bin_terms(term, enc)
         assert len(groups) == 1
         row = groups[0][0]
         assert row[0] == "Z" and row[1] == "Z"
@@ -318,7 +330,7 @@ class TestBinning:
         from fertaper.pauli import PauliOperator, QubitHamiltonian
 
         term = QubitHamiltonian(4, ((1.0, PauliOperator.from_label("XIZY")),))
-        groups = bin_terms(term, rao_hamming_oa(2), enc)
+        groups = bin_terms(term, enc)
         row = groups[0][0]
         assert row[0] == "XZ" and row[1] == "ZY"
 
@@ -329,7 +341,7 @@ class TestBinning:
         from fertaper.pauli import PauliOperator, QubitHamiltonian
 
         term = QubitHamiltonian(2, ((1.0, PauliOperator.from_label("XI")),))
-        groups = bin_terms(term, rao_hamming_oa(1), enc)
+        groups = bin_terms(term, enc)
         assert groups[0][0] == ("X", "X", "X", "X")
 
     def test_full_simulator_m1(self):
@@ -338,8 +350,7 @@ class TestBinning:
         enc = RegisterEncoding(2, 2)
         parts = first_quantized_parts(h, enc)
         total = parts.total(default_penalty_scale(h))
-        oa = rao_hamming_oa(enc.register_bits)
-        groups = bin_terms(total, oa, enc)
+        groups = bin_terms(total, enc)
         assert len(groups) <= 9
         assert sum(len(terms) for _, terms in groups) == len(total)
 
@@ -349,7 +360,7 @@ class TestBinning:
         enc = RegisterEncoding(4, 2)
         parts = first_quantized_parts(h, enc)
         total = parts.total(default_penalty_scale(h))
-        groups = bin_terms(total, rao_hamming_oa(2), enc)
+        groups = bin_terms(total, enc)
         assert len(groups) <= 81
         assert sum(len(terms) for _, terms in groups) == len(total)
 
@@ -358,7 +369,7 @@ class TestBinning:
         h = random_hamiltonian(4, 2, rng)
         enc = RegisterEncoding(4, 2)
         total = first_quantized_parts(h, enc).total(1.0)
-        for row, terms in resolved(total, bin_terms(total, rao_hamming_oa(2), enc)):
+        for row, terms in resolved(total, bin_terms(total, enc)):
             letters = "".join(row)
             for _, op in terms:
                 for qubit in range(1, enc.qubits + 1):
@@ -372,7 +383,7 @@ class TestBinning:
         h = random_hamiltonian(8, 3, rng)
         enc = RegisterEncoding(8, 3)
         total = first_quantized_parts(h, enc).total(default_penalty_scale(h))
-        groups = bin_terms(total, rao_hamming_oa(3), enc)
+        groups = bin_terms(total, enc)
         assert len(groups) > 1
         for _, rows in groups:
             assert len(rows) and (np.diff(rows) > 0).all()
@@ -385,7 +396,7 @@ class TestBinning:
 
         term = QubitHamiltonian(3, ((1.0, PauliOperator.from_label("XYZ")),))
         with pytest.raises(UnassignableTerm):
-            bin_terms(term, rao_hamming_oa(1), enc)
+            bin_terms(term, enc)
 
     def test_three_register_term_rejected_with_its_label(self):
         enc = RegisterEncoding(4, 3)
@@ -394,7 +405,7 @@ class TestBinning:
         terms = ((1.0, PauliOperator.from_label("ZIIIII")),
                  (1.0, PauliOperator.from_label("XIIYZI")))
         with pytest.raises(UnassignableTerm, match="term XIIYZI touches 3 registers"):
-            bin_terms(QubitHamiltonian(6, terms), rao_hamming_oa(2), enc)
+            bin_terms(QubitHamiltonian(6, terms), enc)
 
     @given(st.data())
     @settings(max_examples=60, deadline=None)
@@ -412,8 +423,7 @@ class TestBinning:
             label = "".join(data.draw(word) if r in touched else "I" * m for r in range(n))
             terms.append((complex(k + 1), PauliOperator.from_label(label)))
         h = QubitHamiltonian(enc.qubits, terms)
-        oa = rao_hamming_oa(m)
-        assert resolved(h, bin_terms(h, oa, enc)) == linear_scan_bins(h, oa, enc)
+        assert resolved(h, bin_terms(h, enc)) == linear_scan_bins(h, m, enc)
 
     def test_terms_on_the_top_mask_bits_at_64_qubits(self):
         # M=16, N=16: register 1 holds bits 63..60 of each mask
@@ -422,10 +432,60 @@ class TestBinning:
         enc = RegisterEncoding(16, 16)
         labels = ["YIII" + "I" * 56 + "IIIZ", "XYZI" + "I" * 60, "I" * 60 + "ZZXY", "I" * 64]
         h = QubitHamiltonian(64, [(1.0, PauliOperator.from_label(x)) for x in labels])
-        oa = rao_hamming_oa(4)
-        groups = bin_terms(h, oa, enc)
-        assert resolved(h, groups) == linear_scan_bins(h, oa, enc)
+        groups = bin_terms(h, enc)
+        assert resolved(h, groups) == linear_scan_bins(h, 4, enc)
         assert sum(len(terms) for _, terms in groups) == 4
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_formula_rows_match_a_linear_scan(self, m):
+        # up to 3^m + 1 registers at m <= 2, so the last column (a itself) is used
+        from fertaper.pauli import PauliOperator, QubitHamiltonian
+
+        n = 3 ** m + 1 if m <= 2 else 5
+        enc = RegisterEncoding(1 << m, n)
+        rng = np.random.default_rng(70 + m)
+        terms = []
+        for k in range(60):
+            touched = rng.choice(n, size=rng.integers(0, 3), replace=False)
+            letters = ["I" * m] * n
+            for r in touched:
+                word = "I" * m
+                while not word.strip("I"):
+                    word = "".join(rng.choice(list("IXYZ"), size=m))
+                letters[r] = word
+            terms.append((complex(k + 1), PauliOperator.from_label("".join(letters))))
+        h = QubitHamiltonian(enc.qubits, terms)
+        assert resolved(h, bin_terms(h, enc)) == linear_scan_bins(h, m, enc)
+
+    def test_register_past_the_last_column_rejected(self):
+        # m = 1 has 3 + 1 columns, so a fifth register has none
+        from fertaper.pauli import PauliOperator, QubitHamiltonian
+
+        enc = RegisterEncoding(2, 5)
+        term = QubitHamiltonian(5, ((1.0, PauliOperator.from_label("XIIIZ")),))
+        with pytest.raises(UnassignableTerm, match="no array row diagonalizes XIIIZ"):
+            bin_terms(term, enc)
+
+    def test_m32_groups_are_diagonal_on_masks(self):
+        # 15 qubits: no 59,049-row array is built; each group's basis is
+        # checked against its terms' masks, qubit by qubit
+        rng = np.random.default_rng(32)
+        h = random_hamiltonian(32, 3, rng)
+        enc = RegisterEncoding(32, 3)
+        total = first_quantized_parts(h, enc).total(default_penalty_scale(h))
+        groups = bin_terms(total, enc)
+        assert 1 < len(groups) <= 9 ** 5
+        xs, zs = np.array(total.x_masks), np.array(total.z_masks)
+        for row, rows in groups:
+            assert len(row) == 3 ** 5 + 1
+            basis = "".join(row[:3])
+            on = {letter: sum(1 << (14 - q) for q, b in enumerate(basis) if b == letter)
+                  for letter in "XYZ"}
+            x, z = xs[rows], zs[rows]
+            assert not (z & on["X"]).any() and not (x & on["Z"]).any()
+            assert not ((x ^ z) & on["Y"]).any()
+        assert np.array_equal(np.sort(np.concatenate([rows for _, rows in groups])),
+                              np.arange(len(total)))
 
     def test_required_words(self):
         enc = RegisterEncoding(4, 2)

@@ -156,3 +156,25 @@ def test_table_other_cell_types_raise_type_error(columns):
 def test_table_columns_of_different_lengths_raise():
     with pytest.raises(ValueError, match="differ in length"):
         jsonout.Table({"a": np.zeros(2), "b": ["x"]})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True), st.data())
+def test_words_match_indented_json_dumps_of_their_lists(vocabulary, data):
+    # lists over one vocabulary, empty ones and repeats too, nested 0 to 2 deep
+    words = jsonout.Words(vocabulary)
+    pick = st.lists(st.sampled_from(vocabulary), max_size=6).map(tuple)
+    items = data.draw(pick)
+    ours, theirs = words.take(items), list(items)
+    for _ in range(data.draw(st.integers(0, 2))):
+        items = data.draw(pick)
+        ours = {"basis": words.take(items), "inner": [ours, words]}
+        theirs = {"basis": list(items), "inner": [theirs, []]}
+    assert dumps(ours) == json.dumps(theirs, indent=1)
+
+
+def test_words_outside_the_vocabulary_raise():
+    with pytest.raises(KeyError):
+        dumps(jsonout.Words(["XY", "ZZ"]).take(("XY", "YX")))
+    with pytest.raises(TypeError):
+        jsonout.Words([b"XY"])

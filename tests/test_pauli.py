@@ -9,6 +9,7 @@ from fertaper.pauli import (
     commutes,
     hamiltonian_from_text,
     hamiltonian_to_text,
+    mask_array,
     pauli_matrix_naive,
     pauli_multiply,
 )
@@ -177,6 +178,72 @@ class TestCanonicalize:
         )
         order = [op.label for _, op in h.canonicalize().terms]
         assert order == sorted(order, key=lambda l: PauliOperator.from_label(l).x + PauliOperator.from_label(l).z)
+
+
+def dict_merge(n, xs, zs, cs, tol=1e-12):
+    """Oracle: a running sum per (x, z) key in an ordered dict, from 0j, sorted and pruned."""
+    acc = {}
+    for x, z, c in zip(xs, zs, cs):
+        key = (x << n) | z  # integer order of the key is (x, z) order
+        acc[key] = acc.get(key, 0j) + c
+    kept = [key for key in sorted(acc) if abs(acc[key]) >= tol]
+    low = (1 << n) - 1
+    return [key >> n for key in kept], [key & low for key in kept], [acc[key] for key in kept]
+
+
+def bits(coeffs):
+    """Coefficients by the reprs of their parts, so -0.0 and 0.0 differ."""
+    return [(repr(c.real), repr(c.imag)) for c in coeffs]
+
+
+PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.25, 1e-13, -4e-13]) | st.floats(-4, 4)
+
+
+@st.composite
+def repeated_terms(draw):
+    """(n, xs, zs, cs): a few distinct keys, each repeated, in shuffled order."""
+    n = draw(st.sampled_from([0, 1, 31, 32, 33, 64, 65, 128, 1024]))
+    mask = st.sampled_from([0, (1 << n) - 1, (1 << n) >> 1]) | st.integers(0, (1 << n) - 1)
+    keys = draw(st.lists(st.tuples(mask, mask), min_size=1, max_size=6, unique=True))
+    terms = [(x, z, complex(draw(PARTS), draw(PARTS)))
+             for x, z in keys for _ in range(draw(st.integers(1, 4)))]
+    # a key whose terms cancel to below the tolerance
+    x, z = keys[0]
+    terms += [(x, z, 0.5 + 0j), (x, z, -0.5 + 2e-13j)]
+    terms = draw(st.permutations(terms))
+    return n, *(list(column) for column in zip(*terms))
+
+
+class TestArrayMerge:
+    @given(repeated_terms())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_a_dict_merge_bit_for_bit(self, case):
+        n, xs, zs, cs = case
+        want_x, want_z, want_c = dict_merge(n, xs, zs, cs)
+        for got in (QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize(),
+                    QubitHamiltonian.merged(n, mask_array(xs, n), mask_array(zs, n),
+                                            np.array(cs))):
+            assert (list(got.x_masks), list(got.z_masks)) == (want_x, want_z)
+            assert all(type(x) is int for x in got.x_masks + got.z_masks)
+            assert bits(got.coeffs) == bits(want_c)
+            assert got.canonical and got.canonicalize() is got
+
+    @pytest.mark.parametrize("n", [2, 40, 70])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_sum_names_its_pauli(self, n, bad):
+        label = "Y" + "I" * (n - 2) + "X"
+        x, z = (1 << (n - 1)) | 1, 1 << (n - 1)
+        with pytest.raises(ValueError, match=f"coefficient of '{label}' sums to .*not finite"):
+            QubitHamiltonian.merged(n, [0, x, 0], [1, z, 1], [1.0, bad, 2.0])
+
+    def test_overflowing_sum_names_its_pauli(self):
+        h = hamiltonian_from_text("1e308 0 XZ\n1 0 ZZ\n")
+        with pytest.raises(ValueError, match=r"coefficient of 'XZ' sums to \(inf\+0j\)"):
+            (h + h).canonicalize()
+
+    def test_lengths_must_agree(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            QubitHamiltonian.merged(2, [0, 1], [0, 1], [1.0])
 
 
 class TestLabels:
