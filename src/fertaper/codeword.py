@@ -15,17 +15,23 @@ arithmetic; a diagonal is indexed by the bits outside the flip mask, packed
 by gf2.drop_bits.
 
 Diagonals are numpy arrays.  Each encoding decodes its 2^Q syndromes once
-into a cached preimage array (codeword number, or -1 off the codespace);
-an observable's transition signs are then one sign per codeword spread
-over that array, transposed to a (rest bits, frame bits) matrix, and
-Walsh-Hadamard transformed along the frame axis.  Above
-limits.MATERIALIZE_QUBIT_CAP no 2^Q array is built: frames carry their Pauli and
-weight, and their diagonal is None.
+into a cached preimage array (codeword number, or -1 off the codespace)
+and keeps its codewords' occupation rows and syndromes.  A whole
+Hamiltonian is framed in one pass: the transition signs of all its
+observables at once, as an (observables, codewords) array from the rows'
+prefix parities; frames planned on masks; and every diagonal, the
+Walsh-Hadamard transform of one observable's signs over its flipped bits,
+written by np.bincount into one read-only buffer that the frames view.
+The pass works in chunks, so no intermediate array outgrows a fixed
+multiple of 2^Q entries.  Above limits.MATERIALIZE_QUBIT_CAP no 2^Q array
+is built: frames carry their Pauli and weight, and their diagonal is None.
 
 When the rows split into two classes that every column meets an odd number
 of times, the codespace is stabilized by the two all-Z row-class products,
 and multiplying frames by those stabilizers zeroes the frame's Z-pattern
-on one chosen qubit per class, merging the frames four to one.
+on one chosen qubit per class, merging the frames four to one.  Each
+stabilizer is (-1)^N on every codeword, so a merged frame's diagonal is
+its part count times its own transform, and the merge is mask arithmetic.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ from fertaper.fermion import (
     FermionHamiltonian,
     FermionObservable,
     FockState,
-    apply_op_string_rows,
     default_penalty_scale,
     observable_action,
     weight_n_states,
@@ -144,7 +149,7 @@ class CodeEncoding:
         """The two row classes of the bipartition as qubit masks."""
         return tuple(qubit_mask(self.qubits, rows) for rows in self.bipartition)
 
-    @property
+    @cached_property
     def max_column_weight(self) -> int:
         return max((col.bit_count() for col in self.columns), default=0)
 
@@ -178,14 +183,14 @@ class CodeEncoding:
         return None if hit is None else FockState(tuple(hit))
 
     @cached_property
-    def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
+    def _codespace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self.qubits > limits.MATERIALIZE_QUBIT_CAP:
             raise ValueError(f"syndrome arrays capped at {limits.MATERIALIZE_QUBIT_CAP} qubits")
         # one key word holds every syndrome up to 64 qubits
         syndromes = self._table.keys[1].view(">u8").astype(np.int64)
         preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
         preimage[syndromes] = np.arange(len(syndromes))
-        return preimage, occupations(self._table.combos[1], self.modes)
+        return preimage, occupations(self._table.combos[1], self.modes), syndromes
 
     def preimage(self) -> np.ndarray:
         """Codeword number of every syndrome index, -1 off the codespace.
@@ -200,6 +205,10 @@ class CodeEncoding:
     def codewords(self) -> np.ndarray:
         """C(M,N) x M occupation rows, numbered as preimage() numbers them."""
         return self._codespace[1]
+
+    def syndromes(self) -> np.ndarray:
+        """The int64 syndrome of every codeword, numbered as preimage() numbers them."""
+        return self._codespace[2]
 
     def isometry(self) -> np.ndarray:
         """Dense 2^Q x C(M,N) isometry with columns |Ax> (oracle use)."""
@@ -239,19 +248,70 @@ def _stripped_sign(obs: FermionObservable, x: FockState) -> int:
     return int(value.real)
 
 
-def _codeword_signs(words: np.ndarray, obs: FermionObservable) -> np.ndarray:
-    """_stripped_sign of every occupation row at once.
+def _codeword_signs(words: np.ndarray, observables) -> np.ndarray:
+    """_stripped_sign of every observable on every occupation row.
 
-    The forward and reversed products act on all rows together; where both
-    reach the same state their amplitudes add (to +/-2 or 0), as in
-    observable_action, and the i of the minus variant is never applied.
+    Returns an (observables, rows) int8 array.  The forward and reversed
+    products act on all rows together; where both reach the same state
+    their amplitudes add (to +/-2 or 0), as in observable_action, and the i
+    of the minus variant is never applied.
     """
-    forward, fwd_image = apply_op_string_rows(words, obs.forward_ops())
-    reverse, rev_image = apply_op_string_rows(words, obs.reversed_ops())
-    both = (forward != 0) & (reverse != 0)
-    if (fwd_image[both] != rev_image[both]).any():
+    words = np.asarray(words, dtype=np.int8)
+    # row j of either array is mode j + 1: its occupations, and the parity of
+    # the occupied modes before it
+    cols = np.ascontiguousarray(words.T)
+    prefix = np.ascontiguousarray((np.cumsum(words, axis=1) - words).T & 1, dtype=np.int8)
+    forward = [obs.forward_ops() for obs in observables]
+    reverse = [obs.reversed_ops() for obs in observables]
+    # the two products reach different states when they flip different modes
+    differ = np.array([_flipped_modes(f) != _flipped_modes(r) for f, r in zip(forward, reverse)],
+                      dtype=bool)
+    forward, reverse = np.split(_ladder_signs(cols, prefix, forward + reverse), 2)
+    if (differ[:, None] & (forward != 0) & (reverse != 0)).any():
         raise ValueError("observable is not a pure transition on this state")
-    return forward + obs.sign_choice * reverse
+    choice = np.array([obs.sign_choice for obs in observables], dtype=np.int8)
+    return forward + choice[:, None] * reverse
+
+
+def _flipped_modes(ops) -> int:
+    """The modes a ladder string flips an odd number of times, as a bit mask."""
+    mask = 0
+    for _, mode in ops:
+        mask ^= 1 << mode
+    return mask
+
+
+def _ladder_signs(cols: np.ndarray, prefix: np.ndarray, strings) -> np.ndarray:
+    """apply_op_string_rows's signs of each ladder string, on all rows at once.
+
+    cols and prefix hold, per mode, its occupation and the parity of the
+    occupied modes before it, one entry per row.  Applied right to left,
+    an operator on mode j needs j full (annihilator) or empty (creator),
+    the need toggled by each earlier operator on j, and multiplies in
+    (-1)**(prefix at j + earlier operators on modes below j).  Returns a
+    (strings, rows) int8 array.
+    """
+    m = len(cols)
+    signs = np.zeros((len(strings), cols.shape[1]), dtype=np.int8)
+    by_length: dict[int, list[int]] = {}
+    for i, ops in enumerate(strings):
+        by_length.setdefault(len(ops), []).append(i)
+    for length, rows in by_length.items():
+        ops = [strings[i] for i in rows]
+        modes = np.array([[mode for _, mode in s] for s in ops], dtype=np.intp) - 1
+        bad = (modes < 0) | (modes >= m)
+        if bad.any():
+            raise IndexError(f"mode {modes[bad][0] + 1} out of range 1..{m}")
+        full = np.array([[kind == "a" for kind, _ in s] for s in ops], dtype=np.int8)
+        below = np.zeros(len(rows), dtype=np.int8)
+        for i in range(length):
+            earlier, mode = modes[:, i + 1:], modes[:, i:i + 1]
+            full[:, i] ^= (earlier == mode).sum(axis=1, dtype=np.int8) & 1
+            below += (earlier < mode).sum(axis=1, dtype=np.int8)
+        ok = (cols[modes] == full[:, :, None]).all(axis=1)
+        odd = (prefix[modes].sum(axis=1, dtype=np.int8) + below[:, None]) & 1
+        signs[rows] = ok * (1 - 2 * odd)
+    return signs
 
 
 @dataclass(eq=False)
@@ -363,81 +423,180 @@ def _over_syndromes(enc: CodeEncoding, per_codeword) -> np.ndarray:
     return np.append(np.asarray(per_codeword, dtype=float), 0.0)[enc.preimage()]
 
 
-def _sign_matrix(enc: CodeEncoding, obs: FermionObservable, flips: int) -> np.ndarray:
-    """Transition signs as a (rest, frame) matrix.
-
-    Entry [r, u] is the sign at the syndrome whose bits outside the flip
-    mask pack to r and whose bits inside it pack to u, both
-    most-significant-first.
-    """
-    q, k = enc.qubits, flips.bit_count()
-    signs = _over_syndromes(enc, _codeword_signs(enc.codewords(), obs))
-    # a stable sort of the qubit axes by flip bit: rest axes first, each part in order
-    axes = np.argsort(flips >> np.arange(q - 1, -1, -1) & 1, kind="stable")
-    return signs.reshape((2,) * q).transpose(axes).reshape(1 << (q - k), 1 << k)
+# Every intermediate array of one simulator pass takes at most this many
+# times 2^Q * 8 bytes, as many float arrays over the syndromes: terms are
+# taken in chunks, and their frames in pieces.  Only the per-frame
+# bookkeeping grows with the output.
+_PASS_ENTRIES = 4
 
 
-def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    """Fast transform along the last axis; output[t] = 2^-k sum_u (-1)^{t.u} input[u]."""
-    vec = np.array(values, dtype=float)
-    size = vec.shape[-1]
-    h = 1
-    while h < size:
-        blocks = vec.reshape(-1, size // (2 * h), 2, h)
-        a, b = blocks[:, :, 0], blocks[:, :, 1]
-        vec = np.stack((a + b, a - b), axis=2).reshape(vec.shape)
-        h *= 2
-    return vec / size
-
-
-def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> SimulatorOp:
-    """Framed decomposition of the encoded observable.
+def _frame_plan(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, list[int], list[int]]:
+    """Flip mask of one observable, its frames' Z masks, and each frame's part count.
 
     The flip mask is the XOR of the observable's packed columns, so a mode
     named twice cancels.  One frame per Z-pattern of the right parity
-    inside it (even patterns for the plus variant, odd for the i*(minus)
-    variant); the frame's diagonal is the Walsh-Hadamard transform of the
-    transition signs over the flipped bits.  When the encoding has a
-    bipartition, bipartite_improve merges the frames.  A product of k
-    ladder operators on columns of weight at most w flips at most k*w
-    qubits, so it never takes more than 2^(k*w - 1) frames, or its one
-    identity frame when k*w = 0; more raises AssertionError.
+    inside it (even for the plus variant, odd for the i*(minus) variant),
+    in ascending mask order; a diagonal observable keeps its one identity
+    frame.  When the code has a bipartition and the flip mask meets both
+    row classes, the frames merge as bipartite_improve merges them: the
+    patterns clear on the chosen qubits remain, in qubit order, each
+    counting the frames that land on it.  A product of k ladder operators
+    on columns of weight at most w never takes more than 2^(k*w - 1)
+    frames, or its one identity frame when k*w = 0; more raises
+    AssertionError.
     """
-    q = enc.qubits
     flips = 0
     for alpha in obs.indices:
         flips ^= enc.columns[alpha - 1]
-    spectra = None
-    if _materialized(enc):
-        spectra = _walsh_hadamard(_sign_matrix(enc, obs, flips))
-    frames = []
+    on_frames = [rows & flips for rows in enc.class_masks] if enc.bipartition else []
+    if not all(on_frames):
+        on_frames = []  # a flip mask that misses a row class stays unmerged
+    # the chosen qubits are the first flipped qubit of each row class
+    picked = sum(1 << (rows.bit_length() - 1) for rows in on_frames)
+    stabilizers = [0]
+    for rows in on_frames:
+        stabilizers += [s ^ rows for s in stabilizers]
+    # the frames landing on z are its products z ^ s of the variant's parity
+    by_parity = [sum(s.bit_count() % 2 == p for s in stabilizers) for p in (0, 1)]
+    free = flips & ~picked
+    counts: dict[int, int] = {}
     z = 0
-    for t in range(1 << flips.bit_count()):
-        # z walks the submasks of flips upwards, so it is spectrum column t's
-        # Z-pattern; a diagonal observable keeps its one identity frame
-        parity = z.bit_count() % 2
-        if not flips or parity == obs.epsilon:
-            frames.append(FramedDiagonal(PauliOperator.from_masks(q, flips, z, parity),
-                                         None if spectra is None else spectra[:, t]))
-        z = (z - flips) & flips
-    sim = SimulatorOp(obs, frames)
-    if enc.bipartition is not None:
-        sim = bipartite_improve(sim, enc)
+    while True:
+        # z walks the submasks of free upwards
+        count = by_parity[(z.bit_count() + obs.epsilon) % 2]
+        if count or not flips:
+            counts[z] = count or 1
+        if z == free:
+            break
+        z = (z - free) & free
+    zs = sorted(counts, key=_qubit_order) if on_frames else list(counts)
+    if any(z & picked for z in zs):
+        raise AssertionError("improvement left a Z on the chosen qubits")
     flipped = len(obs.indices) * enc.max_column_weight
     cap = 1 << (flipped - 1) if flipped else 1
-    if sim.sparsity > cap:
-        raise AssertionError(f"{obs.kind} sparsity {sim.sparsity} over the bound {cap}")
-    return sim
+    if len(zs) > cap:
+        raise AssertionError(f"{obs.kind} sparsity {len(zs)} over the bound {cap}")
+    return flips, zs, [counts[z] for z in zs]
+
+
+def _term_values(words: np.ndarray, terms) -> np.ndarray:
+    """(terms, codewords) int8 values: an observable's transition signs, or
+    the occupation product of a tuple of modes."""
+    values = np.empty((len(terms), len(words)), dtype=np.int8)
+    observed = [i for i, term in enumerate(terms) if isinstance(term, FermionObservable)]
+    values[observed] = _codeword_signs(words, [terms[i] for i in observed])
+    for i, term in enumerate(terms):
+        if not isinstance(term, FermionObservable):
+            values[i] = words[:, [alpha - 1 for alpha in term]].prod(axis=1)
+    return values
+
+
+def _rest_index(states: np.ndarray, flips: np.ndarray, q: int) -> np.ndarray:
+    """gf2.drop_bits of each state at the set bits of its own flip mask."""
+    rest = np.zeros_like(states)
+    keep = ~flips
+    for p in range(q - 1, -1, -1):
+        bit = keep >> p & 1
+        rest = (rest << bit) | (states >> p & bit)
+    return rest
+
+
+def _simulate(enc: CodeEncoding, terms, weights) -> list[FramedDiagonal]:
+    """Frames of weighted terms, in term order, from one pass over the codewords.
+
+    A term is a FermionObservable, framed as _frame_plan says, or a tuple
+    of modes, one identity frame of their occupation product.  Frame z of
+    a flip mask with k bits has the diagonal
+
+        count * 2^-k * sum_c v_c (-1)^{|z & s_c|}   at the rest index of s_c,
+
+    over the codewords c, with v_c the term's value there and s_c the
+    syndrome: the Walsh-Hadamard transform of the values over the flipped
+    bits, times the part count (each merged part equals that transform on
+    the codespace, where a class stabilizer is (-1)^N).  The entries are
+    dyadic rationals with small numerators, so no summation order changes
+    a bit.
+    """
+    q = enc.qubits
+    plans = [_frame_plan(enc, term) if isinstance(term, FermionObservable) else (0, [0], [1])
+             for term in terms]
+    diagonals = iter(_diagonals(enc, terms, plans) if _materialized(enc) else ())
+    return [FramedDiagonal(PauliOperator.from_masks(q, flips, z, z.bit_count() % 2),
+                           next(diagonals, None), weight)
+            for (flips, zs, _), weight in zip(plans, weights) for z in zs]
+
+
+def _diagonals(enc: CodeEncoding, terms, plans) -> list[np.ndarray]:
+    """Every frame's diagonal for _simulate, as views of one read-only buffer."""
+    q = enc.qubits
+    per_term = np.array([len(zs) for _, zs, _ in plans], dtype=np.intp)
+    flipped = np.array([flips.bit_count() for flips, _, _ in plans], dtype=np.intp)
+    term_flips = np.array([flips for flips, _, _ in plans], dtype=np.int64)
+    term_of = np.repeat(np.arange(len(terms)), per_term)
+    frame_count = len(term_of)
+    z_of = np.fromiter(itertools.chain.from_iterable(zs for _, zs, _ in plans),
+                       np.int64, frame_count)
+    scale_of = np.fromiter(itertools.chain.from_iterable(parts for _, _, parts in plans),
+                           float, frame_count) / (1 << flipped[term_of])
+    start = np.concatenate(([0], np.cumsum(1 << (q - flipped[term_of]))))
+    first_frame = np.concatenate(([0], np.cumsum(per_term)))
+    flat = np.empty(start[-1])
+
+    words, syndromes = enc.codewords(), enc.syndromes()
+    budget = _PASS_ENTRIES << q
+    per_chunk = budget // len(words)  # at least _PASS_ENTRIES: C(M, N) <= 2^Q
+    for lo in range(0, len(terms), per_chunk):
+        hi = min(lo + per_chunk, len(terms))
+        values = _term_values(words, terms[lo:hi])
+        row, word = np.nonzero(values)  # grouped by term
+        value, state = values[row, word], syndromes[word]
+        rest = _rest_index(state, term_flips[lo + row], q)
+        nonzero = np.bincount(row, minlength=hi - lo)
+        first = np.cumsum(nonzero) - nonzero
+        # the chunk's frames, cut into pieces of at most budget pairs plus
+        # entries; one frame has at most C(M, N) pairs and 2^Q entries
+        chunk = np.arange(first_frame[lo], first_frame[hi])
+        pairs = np.concatenate(([0], np.cumsum(nonzero[term_of[chunk] - lo])))
+        ends = start[first_frame[lo]:first_frame[hi] + 1]
+        load = pairs + ends
+        a = 0
+        while a < len(chunk):
+            b = max(a + 1, np.searchsorted(load, load[a] + budget, "right") - 1)
+            piece = chunk[a:b]
+            count = nonzero[term_of[piece] - lo]
+            pick = (np.repeat(first[term_of[piece] - lo] - pairs[a:b] + pairs[a], count)
+                    + np.arange(pairs[b] - pairs[a]))
+            odd = np.bitwise_count(state[pick] & np.repeat(z_of[piece], count)) & 1
+            weight = np.where(odd, -value[pick], value[pick]) * np.repeat(scale_of[piece], count)
+            bins = np.repeat(start[piece] - ends[a], count) + rest[pick]
+            flat[ends[a]:ends[b]] = np.bincount(bins, weight, minlength=ends[b] - ends[a])
+            a = b
+    flat.flags.writeable = False
+    return np.split(flat, start[1:-1])
+
+
+def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> SimulatorOp:
+    """Framed decomposition of the encoded observable: the one-term pass.
+
+    _frame_plan lists its frames and bounds their number; _simulate
+    computes their diagonals.
+    """
+    return SimulatorOp(obs, _simulate(enc, [obs], [1.0]))
+
+
+def _hop(enc: CodeEncoding, alpha: int, beta: int, variant: str) -> FermionObservable:
+    """The hop's observable; two equal columns are a weight-N collision unless N is 0 or M."""
+    if alpha == beta:
+        raise ValueError("two-body simulator needs distinct modes")
+    if enc.columns[alpha - 1] == enc.columns[beta - 1] and 0 < enc.particles < enc.modes:
+        raise ValueError("equal columns contradict injectivity")
+    return FermionObservable.hop(alpha, beta, variant)
 
 
 def two_body_simulator(enc: CodeEncoding, alpha: int, beta: int,
                        variant: str = "plus") -> SimulatorOp:
     """Simulator of the Hermitian hop between two distinct modes."""
-    if alpha == beta:
-        raise ValueError("two-body simulator needs distinct modes")
-    if enc.columns[alpha - 1] == enc.columns[beta - 1]:
-        raise ValueError("equal columns contradict injectivity")
-    return observable_simulator(enc, FermionObservable.hop(alpha, beta, variant))
+    return observable_simulator(enc, _hop(enc, alpha, beta, variant))
 
 
 def four_body_simulator(enc: CodeEncoding, alpha: int, beta: int, gamma: int,
@@ -455,7 +614,9 @@ def four_body_simulator(enc: CodeEncoding, alpha: int, beta: int, gamma: int,
 
 
 def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding) -> SimulatorOp:
-    """Merge frames by multiplying with codespace stabilizers.
+    """Merge frames by multiplying with codespace stabilizers (oracle use).
+
+    The reference for the merge that _frame_plan does by counting parts.
 
     The chosen qubits are the first flipped qubit of each row class.
     Frames with a Z at either are multiplied by (-1)^N Z(class): the
@@ -522,16 +683,16 @@ def occupation_diag(enc: CodeEncoding, modes) -> FramedDiagonal:
     return FramedDiagonal(PauliOperator.identity(enc.qubits), diag)
 
 
-def _block_frames(enc: CodeEncoding, modes: tuple[int, ...],
-                  coeff: complex) -> list[FramedDiagonal]:
-    """Frames of one Hermitian-paired block: the real part weights the plus
+def _block_terms(enc: CodeEncoding, modes: tuple[int, ...], coeff: complex) -> list[tuple]:
+    """Terms of one Hermitian-paired block: the real part weights the plus
     observable, the imaginary part the i*(minus) one."""
-    simulate = two_body_simulator if len(modes) == 2 else four_body_simulator
-    frames = []
+    out = []
     for part, variant in ((coeff.real, "plus"), (coeff.imag, "minus")):
         if part:
-            frames += [f.scaled(part) for f in simulate(enc, *modes, variant).frames]
-    return frames
+            obs = (_hop(enc, *modes, variant) if len(modes) == 2
+                   else FermionObservable.pair_hop(*modes, variant))
+            out.append((obs, part))
+    return out
 
 
 def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
@@ -539,26 +700,25 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
     """Framed-term simulator of the full Hamiltonian plus codespace penalty.
 
     Every Hermitian-paired coefficient block becomes a plus/minus pair of
-    observable simulators weighted by its real and imaginary parts;
-    diagonal blocks become decoder-backed occupation diagonals, and
-    interaction entries with a repeated creator or annihilator index,
-    which are the zero operator, are skipped.  The penalty term is
-    g*(identity - codespace projector), which vanishes on the codespace
-    and raises everything orthogonal to it by g.
+    observables weighted by its real and imaginary parts; diagonal blocks
+    become occupation products, and interaction entries with a repeated
+    creator or annihilator index, which are the zero operator, are
+    skipped.  All of them are framed in one pass (_simulate).  The penalty
+    term is g*(identity - codespace projector), which vanishes on the
+    codespace and raises everything orthogonal to it by g.
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
     if penalty is None:
         penalty = default_penalty_scale(h)
-    frames: list[FramedDiagonal] = []
+    blocks: list[tuple] = []
 
     for alpha in range(1, h.modes + 1):
         coeff = h.t[alpha - 1, alpha - 1]
         if coeff != 0:
-            frames.append(occupation_diag(enc, (alpha,)).scaled(coeff.real))
-    for alpha in range(1, h.modes + 1):
-        for beta in range(alpha + 1, h.modes + 1):
-            frames += _block_frames(enc, (alpha, beta), h.t[alpha - 1, beta - 1])
+            blocks.append(((alpha,), coeff.real))
+    for alpha, beta in zip(*(np.nonzero(np.triu(h.t, 1)))):
+        blocks += _block_terms(enc, (int(alpha) + 1, int(beta) + 1), h.t[alpha, beta])
 
     done = set()
     for key, coeff in sorted(h.interactions.items()):
@@ -570,10 +730,11 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
         a, b = key[:2]
         if partner == key:
             # self-adjoint block: a'_a a'_b a_b a_a = occupation product
-            frames.append(occupation_diag(enc, (a, b)).scaled(coeff.real))
+            blocks.append(((a, b), coeff.real))
         else:
-            frames += _block_frames(enc, key, coeff)
+            blocks += _block_terms(enc, key, coeff)
 
+    frames = _simulate(enc, [term for term, _ in blocks], [weight for _, weight in blocks])
     if penalty:
         proj = occupation_diag(enc, ()).diagonal
         anti = None if proj is None else 1.0 - proj
@@ -601,8 +762,34 @@ def load_pcm(path: str) -> np.ndarray:
     if len(lines) - 1 > q:
         raise ValueError(f"parity-check file {path} has {len(lines) - 1} rows; "
                          f"its header says {q}")
-    rows = []
-    for r, ln in enumerate(lines[1:], 1):
+    a = _pcm_digits(lines[1:], m)
+    if a is None:
+        _raise_first_bad_row(path, lines[1:], m)
+    if a.shape != (q, m):
+        raise ValueError(f"parity-check body {a.shape} does not match header ({q}, {m})")
+    return a
+
+
+def _pcm_digits(rows: list[str], m: int) -> np.ndarray | None:
+    """The rows as a uint8 matrix, read by numpy in one pass, or None unless
+    every row is m one-character entries 0 or 1."""
+    digits = []
+    for ln in rows:
+        entries = ln.split() if " " in ln else ln
+        joined = entries if isinstance(entries, str) else "".join(entries)
+        if len(entries) != m or len(joined) != m:
+            return None
+        digits.append(joined)
+    a = np.frombuffer("".join(digits).encode(), dtype=np.uint8) - ord("0")
+    if a.size != len(rows) * m or (a > 1).any():
+        return None
+    return a.reshape(len(rows), m)
+
+
+def _raise_first_bad_row(path: str, rows: list[str], m: int) -> None:
+    """The ValueError naming the first entry that is not 0 or 1, or the
+    first row whose entry count is not m."""
+    for r, ln in enumerate(rows, 1):
         digits = ln.split() if " " in ln else list(ln)
         bad = next((c for c, d in enumerate(digits, 1) if d not in ("0", "1")), None)
         if bad is not None:
@@ -611,11 +798,7 @@ def load_pcm(path: str) -> np.ndarray:
         if len(digits) != m:
             raise ValueError(f"parity-check file {path}: row {r} has {len(digits)} "
                              f"entries; its header says {m}")
-        rows.append([int(d) for d in digits])
-    a = np.array(rows, dtype=np.uint8)
-    if a.shape != (q, m):
-        raise ValueError(f"parity-check body {a.shape} does not match header ({q}, {m})")
-    return a
+    raise ValueError(f"parity-check file {path}: rows are not {m} entries 0 or 1")
 
 
 def apply_frames_to_isometry(frames, enc: CodeEncoding) -> np.ndarray:

@@ -33,6 +33,7 @@ so canonicalizing it again returns the same object.  ``.terms`` is a
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 
 import numpy as np
@@ -423,7 +424,8 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
 
     The qubit count comes from the ``# qubits N`` header, so a sum with no
     terms reads back; without a header it is the first label's length.  On
-    zero qubits the label is empty and a term line is just ``re im``.
+    zero qubits the label is empty and a term line is just ``re im``.  A
+    NaN or infinite ``re`` or ``im`` is a ValueError naming the line.
     """
     xs, zs, cs = [], [], []
     n = None
@@ -443,7 +445,10 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
         prefix, letters = _split_label(label) if label else (0, "")
         n = _same_length(n, len(letters))
         x, z = _letter_masks(letters)
-        coeff = complex(float(re_c), float(im_c))
+        re_v, im_v = float(re_c), float(im_c)
+        if not (math.isfinite(re_v) and math.isfinite(im_v)):
+            raise ValueError(f"Hamiltonian line {raw!r} has a coefficient that is not finite")
+        coeff = complex(re_v, im_v)
         xs.append(x)
         zs.append(z)
         cs.append(coeff * _PHASE[prefix])

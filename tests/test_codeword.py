@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from fertaper import gf2
 from fertaper.codeword import (
     CodeEncoding,
     FramedDiagonal,
+    SimulatorOp,
     _codeword_signs,
     _stripped_sign,
     apply_frames_to_isometry,
@@ -24,6 +26,7 @@ from fertaper.fermion import (
     FermionHamiltonian,
     FermionObservable,
     FockState,
+    apply_op_string_rows,
     default_penalty_scale,
     observable_action,
     random_hamiltonian,
@@ -65,6 +68,97 @@ def simulation_condition_exact(sim, enc) -> bool:
         for amp, out_state in observable_action(sim.observable, st):
             want[enc.encode_state(out_state), col] += amp
     return np.array_equal(got, want)
+
+
+def reference_signs(words, obs):
+    """Transition signs row by row: apply_op_string_rows on the forward and
+    reversed products, added where both reach the same state."""
+    forward, fwd_image = apply_op_string_rows(words, obs.forward_ops())
+    reverse, rev_image = apply_op_string_rows(words, obs.reversed_ops())
+    both = (forward != 0) & (reverse != 0)
+    assert np.array_equal(fwd_image[both], rev_image[both])
+    return forward + obs.sign_choice * reverse
+
+
+def sign_matrix(enc, obs, flips):
+    """Transition signs over every syndrome as a (rest, frame) matrix.
+
+    Entry [r, u] is the sign at the syndrome whose bits outside the flip
+    mask pack to r and whose bits inside it pack to u, both
+    most-significant-first.
+    """
+    q, k = enc.qubits, flips.bit_count()
+    signs = np.append(reference_signs(enc.codewords(), obs).astype(float), 0.0)[enc.preimage()]
+    # a stable sort of the qubit axes by flip bit: rest axes first, each part in order
+    axes = np.argsort(flips >> np.arange(q - 1, -1, -1) & 1, kind="stable")
+    return signs.reshape((2,) * q).transpose(axes).reshape(1 << (q - k), 1 << k)
+
+
+def walsh_hadamard(values):
+    """Fast transform along the last axis; output[t] = 2^-k sum_u (-1)^{t.u} input[u]."""
+    vec = np.array(values, dtype=float)
+    size = vec.shape[-1]
+    h = 1
+    while h < size:
+        blocks = vec.reshape(-1, size // (2 * h), 2, h)
+        a, b = blocks[:, :, 0], blocks[:, :, 1]
+        vec = np.stack((a + b, a - b), axis=2).reshape(vec.shape)
+        h *= 2
+    return vec / size
+
+
+def reference_simulator(enc, obs):
+    """One observable's frames the per-observable way: its signs spread over
+    the syndromes, transposed to (rest, frame) bits and transformed along
+    the frame bits, one frame per Z-pattern of the variant's parity, then
+    merged by bipartite_improve when the code has a bipartition."""
+    q = enc.qubits
+    flips = 0
+    for alpha in obs.indices:
+        flips ^= enc.columns[alpha - 1]
+    spectra = walsh_hadamard(sign_matrix(enc, obs, flips))
+    frames, z = [], 0
+    for t in range(1 << flips.bit_count()):
+        # z walks the submasks of flips upwards, so it is column t's Z-pattern
+        parity = z.bit_count() % 2
+        if not flips or parity == obs.epsilon:
+            frames.append(FramedDiagonal(PauliOperator.from_masks(q, flips, z, parity),
+                                         spectra[:, t]))
+        z = (z - flips) & flips
+    sim = SimulatorOp(obs, frames)
+    return sim if enc.bipartition is None else bipartite_improve(sim, enc)
+
+
+def reference_hamiltonian(h, enc, penalty):
+    """The frames of build_simulator_hamiltonian, one observable at a time."""
+    frames = []
+
+    def block(modes, coeff):
+        for part, variant in ((coeff.real, "plus"), (coeff.imag, "minus")):
+            if part:
+                obs = (FermionObservable.hop(*modes, variant) if len(modes) == 2
+                       else FermionObservable.pair_hop(*modes, variant))
+                frames.extend(f.scaled(part) for f in reference_simulator(enc, obs).frames)
+
+    for alpha in range(1, h.modes + 1):
+        if h.t[alpha - 1, alpha - 1] != 0:
+            frames.append(occupation_diag(enc, (alpha,)).scaled(h.t[alpha - 1, alpha - 1].real))
+    for alpha, beta in itertools.combinations(range(1, h.modes + 1), 2):
+        block((alpha, beta), h.t[alpha - 1, beta - 1])
+    done = set()
+    for key, coeff in sorted(h.interactions.items()):
+        partner = (key[3], key[2], key[1], key[0])
+        if key in done:
+            continue
+        done |= {key, partner}
+        if partner == key:
+            frames.append(occupation_diag(enc, key[:2]).scaled(coeff.real))
+        else:
+            block(key, coeff)
+    if penalty:
+        anti = 1.0 - occupation_diag(enc, ()).diagonal
+        frames.append(FramedDiagonal(PauliOperator.identity(enc.qubits), anti, weight=penalty))
+    return frames
 
 
 class TestInjectivity:
@@ -218,7 +312,7 @@ class _Skewed(FermionObservable):
 
 
 class TestCodewordSigns:
-    """The array signs of _sign_matrix against transition_sign, codeword by codeword."""
+    """The array signs of _codeword_signs against transition_sign, codeword by codeword."""
 
     @pytest.fixture(params=["fig3", "greedy-8", "greedy-10"])
     def encoding(self, request, fig3_graph):
@@ -256,19 +350,19 @@ class TestCodewordSigns:
                          dtype=np.uint8)
             states.append(enc.decode(s))
             assert states[-1].occ == tuple(row)
-        seen = set()
-        for obs in self.observables(enc.modes, np.random.default_rng(enc.qubits)):
-            got = _codeword_signs(words, obs).tolist()
+        observables = list(self.observables(enc.modes, np.random.default_rng(enc.qubits)))
+        signs = _codeword_signs(words, observables)
+        assert signs.shape == (len(observables), len(words))
+        for obs, got in zip(observables, signs.tolist()):
             assert got == [_stripped_sign(obs, x) for x in states], obs
-            seen.update(got)
-        assert seen == {-2, -1, 0, 1, 2}
+        assert set(np.unique(signs)) == {-2, -1, 0, 1, 2}
 
     def test_transition_sign_itself_on_a_hop_and_a_pair_hop(self, fig3_encoding):
         enc = fig3_encoding
         preimage = enc.preimage()
         for obs in (FermionObservable.hop(3, 9, "minus"),
                     FermionObservable.pair_hop(2, 5, 5, 14)):
-            signs = np.append(_codeword_signs(enc.codewords(), obs), 0)[preimage]
+            signs = np.append(_codeword_signs(enc.codewords(), [obs])[0], 0)[preimage]
             for index in range(0, 1 << enc.qubits, 7):
                 s = np.array(gf2.unpack_ints([index], enc.qubits)[0], dtype=np.uint8)
                 assert transition_sign(enc, obs, s) == signs[index]
@@ -277,7 +371,7 @@ class TestCodewordSigns:
         enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
         obs = _Skewed.hop(1, 2)
         with pytest.raises(ValueError, match="not a pure transition"):
-            _codeword_signs(enc.codewords(), obs)
+            _codeword_signs(enc.codewords(), [FermionObservable.hop(3, 4), obs])
         with pytest.raises(ValueError, match="not a pure transition"):
             transition_sign(enc, obs, np.array([0, 1, 0, 1], dtype=np.uint8))
         with pytest.raises(ValueError, match="not a pure transition"):
@@ -298,6 +392,12 @@ class TestTwoBodySimulator:
         with pytest.raises(ValueError):
             two_body_simulator(enc, 1, 2)
 
+    def test_equal_columns_allowed_at_full_filling(self):
+        # N = M leaves one codeword, so two equal columns collide with nothing
+        enc = CodeEncoding((0, 0), 1, 2)
+        for variant in ("plus", "minus"):
+            assert simulation_condition_exact(two_body_simulator(enc, 1, 2, variant), enc)
+
     @pytest.mark.parametrize("pair", [(1, 2), (3, 9), (7, 14)])
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     def test_simulation_condition_exact(self, fig3_encoding, pair, variant):
@@ -305,16 +405,14 @@ class TestTwoBodySimulator:
         assert simulation_condition_exact(sim, fig3_encoding)
 
     def test_walsh_hadamard_inverts_exactly(self, fig3_encoding, raw_fig3):
-        from fertaper.codeword import _sign_matrix, _walsh_hadamard
-
         obs = FermionObservable.hop(1, 6)
         sim = observable_simulator(raw_fig3, obs)
         flips = sim.frames[0].pauli.x_mask
         k = flips.bit_count()
-        matrix = _sign_matrix(fig3_encoding, obs, flips)
+        matrix = sign_matrix(fig3_encoding, obs, flips)
         for rest_bits in (0, 5, 77):
             signs = matrix[rest_bits]
-            spectrum = _walsh_hadamard(signs)
+            spectrum = walsh_hadamard(signs)
             back = np.array(
                 [
                     sum(
@@ -329,15 +427,13 @@ class TestTwoBodySimulator:
     def test_odd_patterns_vanish_for_plus_variant(self, fig3_encoding, raw_fig3):
         # plus-variant frames all have even Z-patterns by construction; check
         # that the odd-pattern coefficients really are zero
-        from fertaper.codeword import _sign_matrix, _walsh_hadamard
-
         obs = FermionObservable.hop(2, 10)
         sim = observable_simulator(raw_fig3, obs)
         flips = sim.frames[0].pauli.x_mask
         k = flips.bit_count()
-        matrix = _sign_matrix(fig3_encoding, obs, flips)
+        matrix = sign_matrix(fig3_encoding, obs, flips)
         for rest_bits in range(0, 1 << (12 - k), 17):
-            spectrum = _walsh_hadamard(matrix[rest_bits])
+            spectrum = walsh_hadamard(matrix[rest_bits])
             for t in range(1 << k):
                 if bin(t).count("1") % 2 == 1:
                     assert spectrum[t] == 0.0
@@ -350,11 +446,9 @@ class TestTwoBodySimulator:
                 assert np.all(np.abs(diag) <= 1.0)
 
     def test_raw_signs_are_ternary(self, fig3_encoding, raw_fig3):
-        from fertaper.codeword import _sign_matrix
-
         obs = FermionObservable.hop(1, 2)
         sim = observable_simulator(raw_fig3, obs)
-        signs = _sign_matrix(fig3_encoding, obs, sim.frames[0].pauli.x_mask)[13]
+        signs = sign_matrix(fig3_encoding, obs, sim.frames[0].pauli.x_mask)[13]
         assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
 
     def test_frames_hermitian(self, fig3_encoding):
@@ -966,3 +1060,109 @@ class TestSampledSparsity:
         # no row classes in the file, so only the generic bounds apply
         assert r2 <= 8
         assert r4 <= 128
+
+
+def varied_hamiltonian(m: int, n: int, seed: int) -> FermionHamiltonian:
+    """A dense random Hamiltonian plus self-adjoint (a, b, b, a) entries and
+    the coincident pair hops (a, b, a, b) and (a, b, b, d), each with its
+    conjugate partner."""
+    rng = np.random.default_rng(seed)
+    h = random_hamiltonian(m, n, rng, interaction_pairs=6)
+    u = dict(h.u)
+    for _ in range(4):
+        a, b, *d = (int(v) + 1 for v in rng.choice(m, size=min(m, 3), replace=False))  # no d if m = 2
+        value = complex(rng.normal(), rng.normal()) / 4
+        u[(a, b, b, a)] = complex(value.real, 0.0)
+        for key in [(a, b, a, b)] + [(a, b, b, x) for x in d]:
+            u[key] = value
+            u[(key[3], key[2], key[1], key[0])] = value.conjugate()
+    return FermionHamiltonian(m, n, h.t, u)
+
+
+class TestOnePassFrames:
+    """build_simulator_hamiltonian against reference_hamiltonian, frame by
+    frame and bit for bit, on graph codes, a code without its bipartition
+    and codes with zero columns."""
+
+    @pytest.fixture(params=["fig3", "greedy-8", "greedy-10", "check-10", "zero-column",
+                            "zero-columns"])
+    def encoding(self, request, fig3_graph):
+        greedy = {8: greedy_high_girth(8, 2, trials=50, seed=3),
+                  10: greedy_high_girth(10, 2, trials=50, seed=4)}
+        build = {
+            "fig3": lambda: CodeEncoding.from_graph(fig3_graph, 2),
+            "greedy-8": lambda: CodeEncoding.from_graph(greedy[8], 2),
+            "greedy-10": lambda: CodeEncoding.from_graph(greedy[10], 2),
+            "check-10": lambda: CodeEncoding.from_matrix(greedy[10].incidence_matrix(), 2),
+            "zero-column": lambda: CodeEncoding.from_matrix(
+                np.hstack([np.zeros((6, 1), dtype=np.uint8), np.eye(6, dtype=np.uint8)]), 2),
+            "zero-columns": lambda: CodeEncoding((0, 0), 1, 2),
+        }
+        return build[request.param]()
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_frames_equal_the_per_observable_reference(self, encoding, seed):
+        enc = encoding
+        for h, penalty in ((random_hamiltonian(enc.modes, 2, np.random.default_rng(seed),
+                                               interaction_pairs=8), None),
+                           (varied_hamiltonian(enc.modes, 2, seed), 1.5)):
+            got = build_simulator_hamiltonian(h, enc, penalty)
+            want = reference_hamiltonian(h, enc, default_penalty_scale(h)
+                                         if penalty is None else penalty)
+            assert len(got) == len(want)
+            for mine, theirs in zip(got, want):
+                assert (mine.pauli.x_mask, mine.pauli.z_mask, mine.pauli.phase_power) == \
+                    (theirs.pauli.x_mask, theirs.pauli.z_mask, theirs.pauli.phase_power)
+                assert np.float64(mine.weight).tobytes() == np.float64(theirs.weight).tobytes()
+                assert mine.diagonal.tobytes() == theirs.diagonal.tobytes()
+            # every diagonal but the penalty's is a read-only view of one buffer
+            assert all(frame.diagonal.base is got[0].diagonal.base is not None
+                       for frame in got[:-1])
+            assert not any(frame.diagonal.flags.writeable for frame in got)
+
+    def test_each_observable_alone_equals_the_reference(self, fig3_encoding, raw_fig3):
+        for enc in (fig3_encoding, raw_fig3):
+            for obs in (FermionObservable.hop(1, 9, "minus"),
+                        FermionObservable.pair_hop(1, 5, 9, 13),
+                        FermionObservable.pair_hop(2, 6, 6, 11, "minus"),
+                        FermionObservable.pair_hop(3, 7, 3, 7)):
+                got = observable_simulator(enc, obs).frames
+                want = reference_simulator(enc, obs).frames
+                assert [f.pauli.z_mask for f in got] == [f.pauli.z_mask for f in want]
+                assert [f.diagonal.tobytes() for f in got] == [f.diagonal.tobytes() for f in want]
+
+
+class TestOddParticleNumber:
+    """On a graph code each row-class stabilizer is (-1)^N on the codespace;
+    with N odd the merged frames must still give the sector matrix."""
+
+    @pytest.mark.parametrize("q, n, seed", [(8, 1, 5), (10, 1, 6), (12, 3, 7)])
+    def test_codespace_block_is_the_sector_matrix(self, q, n, seed):
+        g = greedy_high_girth(q, n, trials=30, seed=seed)
+        enc = CodeEncoding.from_graph(g, n)
+        h = random_hamiltonian(enc.modes, n, np.random.default_rng(seed), interaction_pairs=4)
+        frames = build_simulator_hamiltonian(h, enc, penalty=0.0)
+        assert any(f.pauli.x_mask & enc.class_masks[0] and f.pauli.x_mask & enc.class_masks[1]
+                   for f in frames)  # some frames merged
+        iso = enc.isometry()
+        applied = apply_frames_to_isometry(frames, enc)
+        assert np.abs(applied - iso @ (iso.T @ applied)).max() < 1e-9
+        assert np.allclose(iso.T @ applied, sector_matrix_direct(h), atol=1e-9)
+
+
+def test_pass_memory_stays_within_its_chunk_bound(fig3_encoding):
+    # about 1,300 frames over 120 codewords, some 38 times 2^Q frame-codeword
+    # pairs, yet the build's peak above what it returns (the frames and their
+    # diagonals) stays within 8 * 2^Q * 8 bytes, twice the pass's per-array
+    # bound (codeword._PASS_ENTRIES = 4); one unchunked pass takes about 96
+    enc = fig3_encoding
+    h = random_hamiltonian(16, 2, np.random.default_rng(3), interaction_pairs=40)
+    build_simulator_hamiltonian(h, enc)  # the decode table and codewords are cached
+    tracemalloc.start()
+    try:
+        frames = build_simulator_hamiltonian(h, enc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(frames) * len(enc.codewords()) > 32 << enc.qubits
+    assert peak - kept < 8 * (8 << enc.qubits)

@@ -21,12 +21,14 @@ ORACLES = (
     "pauli_matrix_naive",
     "mode_op_to_pauli",
     "StandardEncoding.permutation_matrix",
+    "apply_op_string_rows",
     "transition_sign",
     "FramedDiagonal.apply_to_index",
     "FramedDiagonal.to_dense",
     "SimulatorOp.to_dense",
     "CodeEncoding.isometry",
     "apply_frames_to_isometry",
+    "bipartite_improve",
     "is_n_injective",
     "observable_matrix",
     "number_operator_matrix",
@@ -38,6 +40,11 @@ ORACLES = (
     "codespace_isometry",
     "partition_eigenvector",
 )
+
+# The paper's one-observable simulators, r2 and r4 of a hop and a pair hop.
+# The program frames a whole Hamiltonian in one pass; the tests check the
+# simulation condition and the sparsity bounds on these, one term at a time.
+PER_OBSERVABLE = ("two_body_simulator", "four_body_simulator")
 
 
 def _public_definitions(tree: ast.Module):
@@ -95,13 +102,14 @@ def _unreached() -> list[str]:
 
 def test_every_unreached_name_is_an_oracle_or_benchmarked():
     bench = _benchmark_names()
-    stray = [q for q in _unreached() if q not in ORACLES and q.split(".")[-1] not in bench]
+    stray = [q for q in _unreached()
+             if q not in ORACLES + PER_OBSERVABLE and q.split(".")[-1] not in bench]
     assert stray == [], f"public names no program path reaches: {stray}"
 
 
 def test_every_listed_oracle_is_defined_and_unreached():
     # an oracle the program starts to call, or deletes, leaves the list
-    assert set(ORACLES) <= set(_unreached())
+    assert set(ORACLES + PER_OBSERVABLE) <= set(_unreached())
 
 
 def test_the_scan_sees_a_stray_name():
