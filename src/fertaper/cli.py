@@ -198,17 +198,18 @@ def _cmd_codesim(args) -> int:
     else:
         enc = CodeEncoding.from_matrix(load_pcm(args.check), h.particles)
     frames = build_simulator_hamiltonian(h, enc, _checked_penalty(args.penalty))
-    payload = [
-        {
-            "frame": frame.pauli.label,
-            "weight": frame.weight,
-            "flip_qubits": list(frame.pauli.support()),
-            "diagonal": "lazy" if frame.diagonal is None else frame.materialize(),
-        }
-        for frame in frames
-    ]
+    flips = gf2.unpack_ints([frame.pauli.x_mask for frame in frames], enc.qubits)
+    diagonals = [frame.diagonal for frame in frames]
+    if any(diagonal is None for diagonal in diagonals):  # past limits.MATERIALIZE_QUBIT_CAP
+        diagonals = ["lazy"] * len(frames)
+    terms = jsonout.Table({  # built before the file opens: it rejects NaN and inf
+        "frame": [frame.pauli.label for frame in frames],
+        "weight": np.array([frame.weight for frame in frames], dtype=np.float64),
+        "flip_qubits": [np.flatnonzero(row) + 1 for row in flips],  # 1-based qubits
+        "diagonal": diagonals,
+    })
     with open(args.output, "w", encoding="utf-8") as fh:
-        jsonout.dump({"qubits": enc.qubits, "terms": payload}, fh)
+        jsonout.dump({"qubits": enc.qubits, "terms": terms}, fh)
     print(f"wrote {len(frames)} framed terms on {enc.qubits} qubits")
     return 0
 
@@ -221,6 +222,10 @@ def _cmd_graphgen(args) -> int:
 
 
 def _cmd_graphtable(args) -> int:
+    if args.qmax < 4:
+        raise ValueError(f"--qmax {args.qmax} leaves no rows; the table starts at Q=4")
+    if args.nmax < 1:
+        raise ValueError(f"--nmax {args.nmax} leaves no columns; it must be at least 1")
     lines = ["Q," + ",".join(f"N={n}" for n in range(1, args.nmax + 1))]
     for q in range(4, args.qmax + 1):
         row = [str(q)]

@@ -7,10 +7,10 @@ A is held the same way, as its columns packed into qubit masks
 (pack_rows(A.T)), so a syndrome is an XOR of columns.  The numpy helpers
 convert between that layout and the 0/1 uint8 arrays that enter and leave
 the program: asbits and pack_rows on the way in; bits_to_int and
-unpack_ints for bit-vector views of masks; drop_bits deletes bit
-positions from ints or int64 arrays.  Row/column indices at this level
-are 0-based; the 1-based mode/qubit convention of the public API lives in
-the callers.
+unpack_ints for bit-vector views of masks, which uint64_words cuts into
+numpy words; drop_bits deletes bit positions from ints or int64 arrays.
+Row/column indices at this level are 0-based; the 1-based mode/qubit
+convention of the public API lives in the callers.
 """
 
 from __future__ import annotations
@@ -44,14 +44,25 @@ def pack_rows(mat) -> list[int]:
     return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(padded, axis=1)]
 
 
+def uint64_words(values, length: int) -> np.ndarray:
+    """length-bit ints as a (count, words) array of big-endian uint64 words,
+    the most significant word first: one word per 64 bits, rounded up.
+
+    Up to 64 bits the ints go into one uint64 array; wider ones are shifted
+    and masked as a numpy object array, a word at a time.
+    """
+    width = -(-length // 64)
+    masks = np.asarray(values, dtype=np.uint64 if width == 1 else object).reshape(-1)
+    words = np.empty((len(masks), width), dtype=">u8")
+    for k in range(width):
+        words[:, k] = (masks >> 64 * (width - 1 - k)) & 0xFFFF_FFFF_FFFF_FFFF
+    return words
+
+
 def unpack_ints(values, length: int) -> np.ndarray:
     """Bit matrix with one row per int, MSB first: the inverse of pack_rows."""
-    nbytes = (length + 7) // 8
-    if nbytes == 0:
-        return np.zeros((len(values), 0), dtype=np.uint8)
-    buf = b"".join(v.to_bytes(nbytes, "big") for v in values)
-    rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
-    return np.unpackbits(rows, axis=1)[:, 8 * nbytes - length:]
+    words = uint64_words(values, length)
+    return np.unpackbits(words.view(np.uint8), axis=1)[:, 64 * words.shape[1] - length:]
 
 
 def drop_bits(value, positions):

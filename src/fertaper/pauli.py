@@ -97,9 +97,7 @@ def _words(masks: np.ndarray, n: int) -> list[np.ndarray]:
     """A ``mask_array`` array as uint64 words, the least significant first."""
     if masks.dtype != object:
         return [masks]
-    width = -(-n // 64)
-    buf = b"".join(v.to_bytes(8 * width, "big") for v in masks.tolist())
-    return list(np.frombuffer(buf, dtype=">u8").reshape(-1, width).T[::-1])
+    return list(gf2.uint64_words(masks, n).T[::-1])
 
 
 class PauliOperator:
@@ -163,11 +161,6 @@ class PauliOperator:
     @property
     def weight(self) -> int:
         return (self.x_mask | self.z_mask).bit_count()
-
-    def support(self) -> tuple[int, ...]:
-        """1-based qubits on which the operator acts non-trivially."""
-        acting = self.x_mask | self.z_mask
-        return tuple(q for q in range(1, self.n + 1) if acting >> (self.n - q) & 1)
 
     def letter_at(self, qubit: int) -> str:
         return _letter(self.x_mask, self.z_mask, self.n - _check_index(qubit, self.n))

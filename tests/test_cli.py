@@ -723,6 +723,20 @@ class TestGraphCommands:
         assert lines[0] == "Q,N=1,N=2"
         assert len(lines) == 4  # Q = 4, 5, 6
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--qmax", "3", "--nmax", "2"], "--qmax 3 leaves no rows"),
+        (["--qmax", "-1", "--nmax", "2"], "--qmax -1 leaves no rows"),
+        (["--qmax", "6", "--nmax", "0"], "--nmax 0 leaves no columns"),
+        (["--qmax", "6", "--nmax", "-2"], "--nmax -2 leaves no columns"),
+    ])
+    def test_graphtable_without_rows_or_columns_is_an_error_line(self, tmp_path, capsys,
+                                                               flags, message):
+        out = tmp_path / "table.csv"
+        assert main(["graphtable", *flags, "--trials", "5", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {message}") and not captured.out
+        assert not out.exists()
+
 
 class TestDecodeCommand:
     def test_round_trip(self, tmp_path, capsys):

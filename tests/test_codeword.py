@@ -607,7 +607,8 @@ class TestBipartiteImprove:
     def test_already_clear_patterns_unchanged(self, fig3_encoding, raw_fig3):
         sim = two_body_simulator(raw_fig3, 1, 3)
         left, right = fig3_encoding.bipartition
-        support = set(sim.frames[0].pauli.support())
+        flips = sim.frames[0].pauli.x_mask  # frames act on their flipped qubits only
+        support = {q for q in range(1, 13) if flips >> (12 - q) & 1}
         # the merge clears the first flipped qubit of each row class
         i = min(support & left)
         j = min(support & right)

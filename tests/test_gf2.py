@@ -17,6 +17,40 @@ def test_pack_rows_reads_each_row_most_significant_first(rows, width, rnd):
     assert np.array_equal(gf2.unpack_ints(packed, width), mat)
 
 
+def _unpack_by_to_bytes(values, length: int) -> np.ndarray:
+    """unpack_ints one mask at a time, through int.to_bytes."""
+    nbytes = (length + 7) // 8
+    if nbytes == 0:
+        return np.zeros((len(values), 0), dtype=np.uint8)
+    buf = b"".join(v.to_bytes(nbytes, "big") for v in values)
+    rows = np.frombuffer(buf, dtype=np.uint8).reshape(-1, nbytes)
+    return np.unpackbits(rows, axis=1)[:, 8 * nbytes - length:]
+
+
+@pytest.mark.parametrize("length", [0, 1, 8, 63, 64, 65, 128])
+def test_unpack_ints_matches_one_to_bytes_per_mask(length):
+    rng = np.random.default_rng(length)
+    top = (1 << length) - 1
+    values = [0, top, top >> 1, 1 << max(length - 1, 0) & top]
+    values += [int.from_bytes(rng.bytes(17), "big") & top for _ in range(40)]
+    for masks in ([], values[:1], values):
+        got = gf2.unpack_ints(masks, length)
+        want = _unpack_by_to_bytes(masks, length)
+        assert got.dtype == np.uint8 and got.shape == (len(masks), length)
+        assert np.array_equal(got, want)
+    if length <= 64:  # uint64 arrays, as mask_array holds narrow masks
+        assert np.array_equal(gf2.unpack_ints(np.array(values, dtype=np.uint64), length),
+                              _unpack_by_to_bytes(values, length))
+
+
+@pytest.mark.parametrize("length", [1, 64, 65, 130])
+def test_uint64_words_cut_most_significant_first(length):
+    value = (1 << length) - 1 ^ 1 << (length - 1) // 2
+    words = gf2.uint64_words([value, 0], length)
+    assert words.shape == (2, -(-length // 64)) and not words[1].any()
+    assert sum(int(w) << 64 * k for k, w in enumerate(words[0][::-1])) == value
+
+
 def _rows(mat) -> list[int]:
     return gf2.pack_rows(np.atleast_2d(np.asarray(mat, dtype=np.uint8)))
 

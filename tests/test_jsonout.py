@@ -6,18 +6,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fertaper import jsonout
+from fertaper import cli, jsonout
+from fertaper.cli import main
+from fertaper.codeword import FramedDiagonal
+from fertaper.fermion import random_hamiltonian
+from fertaper.graphs import cycle_chord_graph, save_graph
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7, 0.1, -2.5]
 
 floats = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
 arrays = st.lists(floats, max_size=12).map(lambda v: np.array(v, dtype=np.float64))
+int64s = st.integers(-(2**63), 2**63 - 1)
+int_arrays = st.lists(int64s, max_size=6).map(lambda v: np.array(v, dtype=np.int64))
 scalars = (st.none() | st.booleans() | st.integers() | floats
            | floats.map(np.float64) | st.text(max_size=8))
+
+
+def containers(inner):
+    """Lists, tuples and dicts of (ours, theirs) pairs, as such pairs."""
+    def split(pairs):
+        return [o for o, _ in pairs], [t for _, t in pairs]
+
+    return (st.lists(inner, max_size=4).map(split)
+            | st.lists(inner, max_size=3).map(split).map(lambda p: (tuple(p[0]), p[1]))
+            | st.dictionaries(st.text(max_size=6), inner, max_size=4).map(
+                lambda d: ({k: o for k, (o, _) in d.items()}, {k: t for k, (_, t) in d.items()})))
+
+
+# (what dump is given, what json.dumps is given): nested containers whose
+# leaves are scalars and one-row tables of an array column
 payloads = st.recursive(
-    scalars | arrays,
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(st.text(max_size=6), inner, max_size=4)),
+    scalars.map(lambda v: (v, v))
+    | arrays.map(lambda a: (jsonout.Table({"v": [a]}), [{"v": a.tolist()}])),
+    containers,
     max_leaves=30,
 )
 
@@ -28,39 +49,35 @@ def dumps(obj) -> str:
     return fh.getvalue()
 
 
-def plain(obj):
-    """The payload with every array replaced by its .tolist(), as json takes it."""
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (list, tuple)):
-        return [plain(v) for v in obj]
-    if isinstance(obj, dict):
-        return {k: plain(v) for k, v in obj.items()}
-    return obj
-
-
 @settings(max_examples=300, deadline=None)
 @given(payloads)
-def test_matches_indented_json_dumps(obj):
-    assert dumps(obj) == json.dumps(plain(obj), indent=1)
+def test_matches_indented_json_dumps(pair):
+    ours, theirs = pair
+    assert dumps(ours) == json.dumps(theirs, indent=1)
 
 
 def test_signed_zeros_and_edge_floats_in_one_array():
     values = np.array([-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7, -0.0, 1e16])
-    payload = {"a": values, "b": [np.float64(0.1), True, None, "é\n\x01"], "c": [], "d": {}}
+    payload = {"a": jsonout.Table({"d": [values]}),
+               "b": [np.float64(0.1), True, None, "é\n\x01"], "c": [], "d": {}}
     text = dumps(payload)
-    assert text == json.dumps(plain(payload), indent=1)
-    assert "-0.0,\n  0.0,\n  5e-324" in text
+    assert text == json.dumps({**payload, "a": [{"d": values.tolist()}]}, indent=1)
+    assert "-0.0,\n    0.0,\n    5e-324" in text
 
 
 def test_dump_writes_the_bytes_of_json_dump(tmp_path):
-    payload = {"qubits": 3, "terms": [{"weight": np.float64(-1.5),
-                                       "diagonal": np.linspace(-1, 1, 9)}, {"diagonal": "lazy"}]}
+    diagonals = [np.linspace(-1, 1, 9), np.array([0.25, -0.0])]
+    payload = {"qubits": 3, "terms": jsonout.Table({"weight": np.array([-1.5, 2.0]),
+                                                     "diagonal": diagonals}),
+               "lazy": jsonout.Table({"diagonal": ["lazy"]})}
+    plain = {"qubits": 3, "terms": [{"weight": -1.5, "diagonal": diagonals[0].tolist()},
+                                    {"weight": 2.0, "diagonal": diagonals[1].tolist()}],
+             "lazy": [{"diagonal": "lazy"}]}
     ours, theirs = tmp_path / "ours.json", tmp_path / "theirs.json"
     with open(ours, "w", encoding="utf-8") as fh:
         jsonout.dump(payload, fh)
     with open(theirs, "w", encoding="utf-8") as fh:
-        json.dump(plain(payload), fh, indent=1)
+        json.dump(plain, fh, indent=1)
     assert ours.read_bytes() == theirs.read_bytes()
 
 
@@ -69,12 +86,13 @@ def test_non_finite_floats_raise(bad):
     with pytest.raises(ValueError, match="not a JSON number"):
         dumps({"x": [1.0, bad]})
     with pytest.raises(ValueError, match="not a JSON number"):
-        dumps([np.array([0.0, bad])])
+        jsonout.Table({"d": [np.zeros(3), np.array([0.0, bad])]})
 
 
-@pytest.mark.parametrize("bad", [np.int64(3), np.zeros((2, 2)), np.zeros(3, dtype=np.int64),
-                                 {1: "int key"}, {"set"}])
+@pytest.mark.parametrize("bad", [np.int64(3), np.zeros(3), np.zeros((2, 2)),
+                                 np.zeros(3, dtype=np.int64), {1: "int key"}, {"set"}])
 def test_other_types_raise_type_error(bad):
+    # arrays are written only as Table columns
     with pytest.raises(TypeError):
         dumps({"x": bad})
 
@@ -84,16 +102,28 @@ cells = st.none() | st.booleans() | st.integers() | floats | st.text(max_size=8)
 
 @st.composite
 def tables(draw):
-    """(columns, row count): float64 array columns and columns of JSON scalars."""
+    """(columns, row count): float64 array columns, columns of JSON scalars and
+    columns of float64 or int64 arrays of any lengths, empty ones too."""
     n = draw(st.integers(0, 6))
     columns = {}
-    for key in draw(st.lists(st.text(max_size=5), min_size=1, max_size=3, unique=True)):
-        if draw(st.booleans()):
+    for key in draw(st.lists(st.text(max_size=5), min_size=1, max_size=4, unique=True)):
+        kind = draw(st.sampled_from(["floats", "cells", "float lists", "int lists"]))
+        if kind == "floats":
             columns[key] = np.array(draw(st.lists(floats, min_size=n, max_size=n)),
                                     dtype=np.float64)
-        else:
+        elif kind == "cells":
             columns[key] = draw(st.lists(cells, min_size=n, max_size=n))
+        else:
+            lists = arrays if kind == "float lists" else int_arrays
+            columns[key] = draw(st.lists(lists, min_size=n, max_size=n))
     return columns, n
+
+
+def plain(column) -> list:
+    """A Table column as json takes it: arrays become lists."""
+    if isinstance(column, np.ndarray):
+        return column.tolist()
+    return [v.tolist() if isinstance(v, np.ndarray) else v for v in column]
 
 
 def table_rows(columns, rows):
@@ -146,6 +176,47 @@ def test_table_non_finite_floats_raise(bad):
         jsonout.Table({"re": np.zeros(2), "x": [1.0, bad]})
 
 
+@pytest.mark.parametrize("run", [None, 1, 4])
+def test_table_list_cells_share_one_distinct_set(monkeypatch, run):
+    # -0.0 and 0.0 in different rows, empty lists, and an int column beside;
+    # the distinct pass over the whole column, or in runs of about 1 or 4 entries
+    if run:
+        monkeypatch.setattr(jsonout, "_RUN_ENTRIES", run)
+    columns = {"flip": [np.array([1, 3]), np.array([], dtype=np.int64), np.array([2**62, -7]),
+                        np.array([5])],
+               "weight": np.array([0.1, -0.0, 1e16, 2.0]),
+               "diagonal": [np.array([-0.0, 0.1, 5e-324]), np.array([0.0, 1e16, 0.0]),
+                            np.array([]), np.array([1e16, -0.0, -5e-324, 0.1])]}
+    table = jsonout.Table(columns)
+    text = dumps({"terms": table, "again": table.take([3, 0, 1])})
+    want = {"terms": table_rows(columns, range(4)), "again": table_rows(columns, [3, 0, 1])}
+    assert text == json.dumps(want, indent=1)
+    assert '"diagonal": [\n    -0.0,' in text and '"diagonal": [\n    0.0,' in text
+    assert '"flip": [],' in text and '"diagonal": []\n' in text
+
+
+def test_table_of_zero_rows():
+    table = jsonout.Table({"frame": [], "flip": [], "diagonal": []})
+    assert dumps({"qubits": 8, "terms": table}) == json.dumps({"qubits": 8, "terms": []},
+                                                              indent=1)
+    assert dumps(jsonout.Table({})) == "[]"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_table_non_finite_list_cells_raise(bad):
+    with pytest.raises(ValueError, match="not a JSON number"):
+        jsonout.Table({"x": ["a", "b"], "d": [np.array([]), np.array([0.0, bad, 1.0])]})
+
+
+@pytest.mark.parametrize("column", [[np.zeros(2), np.zeros(2, dtype=np.int64)],
+                                    [np.zeros(2), "lazy"], [np.zeros((2, 2))],
+                                    [np.zeros(2, dtype=np.float32)], ["lazy", np.zeros(2)],
+                                    [np.zeros(2), [0.0, 1.0]]])
+def test_table_mixed_or_unsupported_list_cells_raise_type_error(column):
+    with pytest.raises(TypeError):
+        jsonout.Table({"d": column})
+
+
 @pytest.mark.parametrize("columns", [{"x": np.zeros(2, dtype=np.int64)}, {"x": [np.int64(3)]},
                                      {"x": [[1.0]]}, {1: [1.0]}])
 def test_table_other_cell_types_raise_type_error(columns):
@@ -178,3 +249,54 @@ def test_words_outside_the_vocabulary_raise():
         dumps(jsonout.Words(["XY", "ZZ"]).take(("XY", "YX")))
     with pytest.raises(TypeError):
         jsonout.Words([b"XY"])
+
+
+# -- codesim writes its frames as one Table -------------------------------------
+
+
+def fig3_codesim(tmp_path) -> list[str]:
+    """codesim arguments for a banded M=16 Hamiltonian on the Fig-3 code."""
+    graph = tmp_path / "g.graph"
+    save_graph(cycle_chord_graph(8, 2), str(graph))
+    h = random_hamiltonian(16, 2, np.random.default_rng(5), interaction_pairs=4)
+    (tmp_path / "h.json").write_text(h.to_json())
+    return ["codesim", "--graph", str(graph), "--input", str(tmp_path / "h.json"),
+            "--output", str(tmp_path / "o.json")]
+
+
+@pytest.mark.parametrize("where", ["diagonal", "weight"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_codesim_rejects_non_finite_values_before_opening_its_output(tmp_path, monkeypatch,
+                                                                     capsys, where, bad):
+    build = cli.build_simulator_hamiltonian
+
+    def spoiled(*args):
+        frames = build(*args)
+        frame = frames[-1]
+        diagonal = frame.diagonal.copy()
+        if where == "diagonal":
+            diagonal[-1] = bad
+        frames[-1] = FramedDiagonal(frame.pauli, diagonal,
+                                    bad if where == "weight" else frame.weight)
+        return frames
+
+    monkeypatch.setattr(cli, "build_simulator_hamiltonian", spoiled)
+    assert main(fig3_codesim(tmp_path)) == 2
+    assert "not a JSON number" in capsys.readouterr().err
+    assert not (tmp_path / "o.json").exists()
+
+
+def test_codesim_formats_each_float_column_in_one_pass(tmp_path, monkeypatch):
+    # one distinct-value pass for the weights and one for every diagonal at
+    # once, however many frames there are
+    passes = []
+    float_texts = jsonout._float_texts
+
+    def counted(*args):
+        passes.append(args)
+        return float_texts(*args)
+
+    monkeypatch.setattr(jsonout, "_float_texts", counted)
+    assert main(fig3_codesim(tmp_path)) == 0
+    assert len(json.loads((tmp_path / "o.json").read_text())["terms"]) > 20
+    assert len(passes) == 2

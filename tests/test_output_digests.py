@@ -24,11 +24,13 @@ move.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from fertaper import limits
 from fertaper.cli import main
 from fertaper.fermion import FermionHamiltonian, random_hamiltonian
 from fertaper.graphs import cycle_chord_graph, greedy_high_girth, save_graph
@@ -86,6 +88,17 @@ CODESIM_DIGESTS = {
     "check": "68818a4175a1d9b7176f2e4b5e69a947a135b9670084ca8a9fd28e9ba277e244",
 }
 
+# codesim JSON the digests above do not reach: the Fig-3 run of "graph" with the
+# materialize cap at 11 (every diagonal "lazy"), a Hamiltonian with no terms
+# on a Q=8 greedy code with --penalty 0 ("terms": []), and the "check" run
+# with --penalty 2 (weight 2.0); recorded before codesim wrote its frames as
+# one table
+CODESIM_EDGE_DIGESTS = {
+    "lazy": "8a888e9c53d0d32837709783a1bd489e8af8b5be7a6b544b150cfe15c3948057",
+    "empty": "dcca858e0ddbf7f71830e4cb313fac49ce8e9d1ac5af9d2e057fb3ad9d3707e1",
+    "penalty": "beb59e4bd1a718e1a94125945375822d879bd9fbf24c53144567aab7f7c117b2",
+}
+
 FIRSTQ_DIGEST = "768f115da945cc9f52ecd675ad6781d95388a3424bbf665f066db8e5ceb497a8"
 
 # firstq --emit-bins per (modes, particles, seed), six interaction pairs each;
@@ -139,8 +152,8 @@ def test_graphgen_bytes(tmp_path, spec):
     assert digest(out) == GRAPHGEN_DIGESTS[spec]
 
 
-@pytest.mark.parametrize("kind", sorted(CODESIM_DIGESTS))
-def test_codesim_bytes(tmp_path, kind):
+def codesim_inputs(tmp_path, kind: str) -> list[str]:
+    """codesim arguments for the seeded "graph" and "check" runs, output o.json."""
     if kind == "graph":
         code = tmp_path / "g.graph"
         save_graph(cycle_chord_graph(8, 2), str(code))
@@ -152,7 +165,34 @@ def test_codesim_bytes(tmp_path, kind):
         modes, seed = a.shape[1], 23
     h = random_hamiltonian(modes, 2, np.random.default_rng(seed), interaction_pairs=6)
     (tmp_path / "h.json").write_text(h.to_json())
+    return ["codesim", f"--{kind}", str(code), "--input", str(tmp_path / "h.json"),
+            "--output", str(tmp_path / "o.json")]
+
+
+@pytest.mark.parametrize("kind", sorted(CODESIM_DIGESTS))
+def test_codesim_bytes(tmp_path, kind):
+    assert main(codesim_inputs(tmp_path, kind)) == 0
+    assert digest(tmp_path / "o.json") == CODESIM_DIGESTS[kind]
+
+
+def test_codesim_lazy_bytes(tmp_path, monkeypatch):
+    monkeypatch.setattr(limits, "MATERIALIZE_QUBIT_CAP", 11)
+    assert main(codesim_inputs(tmp_path, "graph")) == 0
+    assert digest(tmp_path / "o.json") == CODESIM_EDGE_DIGESTS["lazy"]
+
+
+def test_codesim_empty_bytes(tmp_path):
+    code = tmp_path / "g.graph"
+    save_graph(greedy_high_girth(8, 2, 50, 0), str(code))
+    (tmp_path / "h.json").write_text(json.dumps({"modes": 9, "particles": 2}))
     out = tmp_path / "o.json"
-    assert main(["codesim", f"--{kind}", str(code), "--input", str(tmp_path / "h.json"),
-                 "--output", str(out)]) == 0
-    assert digest(out) == CODESIM_DIGESTS[kind]
+    assert main(["codesim", "--graph", str(code), "--input", str(tmp_path / "h.json"),
+                 "--penalty", "0", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["terms"] == []
+    assert digest(out) == CODESIM_EDGE_DIGESTS["empty"]
+
+
+def test_codesim_penalty_bytes(tmp_path):
+    assert main(codesim_inputs(tmp_path, "check") + ["--penalty", "2"]) == 0
+    assert 2.0 in [t["weight"] for t in json.loads((tmp_path / "o.json").read_text())["terms"]]
+    assert digest(tmp_path / "o.json") == CODESIM_EDGE_DIGESTS["penalty"]
