@@ -31,7 +31,6 @@ from fertaper.firstq import (
     RegisterEncoding,
     bin_terms,
     first_quantized_parts,
-    letter_words,
     rao_hamming_oa,
     register_field,
     spectrum_matches_partitions,
@@ -198,14 +197,17 @@ def _cmd_codesim(args) -> int:
     else:
         enc = CodeEncoding.from_matrix(load_pcm(args.check), h.particles)
     frames = build_simulator_hamiltonian(h, enc, _checked_penalty(args.penalty))
-    flips = gf2.unpack_ints([frame.pauli.x_mask for frame in frames], enc.qubits)
-    diagonals = [frame.diagonal for frame in frames]
-    if any(diagonal is None for diagonal in diagonals):  # past limits.MATERIALIZE_QUBIT_CAP
-        diagonals = ["lazy"] * len(frames)
+    flips = gf2.unpack_ints(frames.x_masks, enc.qubits)
+    _, qubit = np.nonzero(flips)
+    # np.split gives one piece more than there are cuts: the last one is empty
+    diagonals = (["lazy"] * len(frames) if frames.buffer is None  # past MATERIALIZE_QUBIT_CAP
+                 else np.split(frames.buffer, frames.offsets[1:])[:-1])
     terms = jsonout.Table({  # built before the file opens: it rejects NaN and inf
-        "frame": [frame.pauli.label for frame in frames],
-        "weight": np.array([frame.weight for frame in frames], dtype=np.float64),
-        "flip_qubits": [np.flatnonzero(row) + 1 for row in flips],  # 1-based qubits
+        # frame i^|z| X(x) Z(z) is spelled -1 when |z|, its Y count, is 2 or 3 mod 4
+        "frame": ["-1" + label if label.count("Y") & 2 else label
+                  for label in _labels(enc.qubits, frames.x_masks, frames.z_masks)],
+        "weight": frames.weights,
+        "flip_qubits": np.split(qubit + 1, np.cumsum(flips.sum(axis=1)))[:-1],  # 1-based
         "diagonal": diagonals,
     })
     with open(args.output, "w", encoding="utf-8") as fh:
@@ -284,16 +286,15 @@ def _cmd_firstq(args) -> int:
         "im": coeffs.imag.copy(),
         "pauli": _labels(enc.qubits, total.x_masks, total.z_masks),
     })
-    basis = jsonout.Words(letter_words(enc.register_bits))  # each word encoded once
     payload = {
         "qubits": enc.qubits,
         "registers": enc.particles,
         "register_bits": enc.register_bits,
         "penalty_scale": scale,
-        "groups": [
-            {"basis": basis.take(row), "terms": terms.take(rows)}
-            for row, rows in groups
-        ],
+        "groups": jsonout.Table({
+            "basis": [row for row, _ in groups],
+            "terms": [terms.take(rows) for _, rows in groups],
+        }),
     }
     with open(args.emit_bins, "w", encoding="utf-8") as fh:
         jsonout.dump(payload, fh)

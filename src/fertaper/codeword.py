@@ -8,8 +8,8 @@ that sign function splits the simulator into few terms, each diagonal in a
 single tensor-product basis (an X/Y "frame" on the flipped qubits times a
 computational-basis diagonal elsewhere).
 
-A frame is a packed PauliOperator, as everywhere else in the package: its
-x mask is the flip mask, the XOR of the flipped modes' packed columns, and
+A frame is a pair of packed Pauli masks, as everywhere else in the package:
+its x mask is the flip mask, the XOR of the flipped modes' packed columns, and
 its z mask, a submask of it, is the Z-pattern.  All bit work here is mask
 arithmetic; a diagonal is indexed by the bits outside the flip mask, packed
 by gf2.drop_bits.
@@ -17,14 +17,14 @@ by gf2.drop_bits.
 Diagonals are numpy arrays.  Each encoding decodes its 2^Q syndromes once
 into a cached preimage array (codeword number, or -1 off the codespace)
 and keeps its codewords' occupation rows and syndromes.  A whole
-Hamiltonian is framed in one pass: the transition signs of all its
-observables at once, as an (observables, codewords) array from the rows'
-prefix parities; frames planned on masks; and every diagonal, the
-Walsh-Hadamard transform of one observable's signs over its flipped bits,
-written by np.bincount into one read-only buffer that the frames view.
-The pass works in chunks, so no intermediate array outgrows a fixed
-multiple of 2^Q entries.  Above limits.MATERIALIZE_QUBIT_CAP no 2^Q array
-is built: frames carry their Pauli and weight, and their diagonal is None.
+Hamiltonian is framed in one pass into a Frames table: the transition
+signs of all its observables at once from the rows' prefix parities; the
+frames planned on masks, as x mask, z mask and weight columns; and every
+diagonal, the Walsh-Hadamard transform of one observable's signs over its
+flipped bits, added by np.add.at into one read-only buffer at the frame's
+offset.  The pass works in chunks, so no intermediate array outgrows a
+fixed multiple of 2^Q entries.  Above limits.MATERIALIZE_QUBIT_CAP no 2^Q
+array is built: the table has its columns but no buffer.
 
 When the rows split into two classes that every column meets an odd number
 of times, the codespace is stabilized by the two all-Z row-class products,
@@ -53,7 +53,7 @@ from fertaper.fermion import (
 )
 from fertaper.graphs import BipartiteGraph, GraphDecoder
 from fertaper.mitm import SyndromeTables, build_tables, mitm_decode, occupations
-from fertaper.pauli import PauliOperator, qubit_mask
+from fertaper.pauli import PauliOperator, mask_array, qubit_mask
 
 
 def is_n_injective(a: np.ndarray, n: int) -> bool:
@@ -266,7 +266,7 @@ def _codeword_signs(words: np.ndarray, observables) -> np.ndarray:
     # the two products reach different states when they flip different modes
     differ = np.array([_flipped_modes(f) != _flipped_modes(r) for f, r in zip(forward, reverse)],
                       dtype=bool)
-    forward, reverse = np.split(_ladder_signs(cols, prefix, forward + reverse), 2)
+    forward, reverse = _ladder_signs(cols, prefix, forward), _ladder_signs(cols, prefix, reverse)
     if (differ[:, None] & (forward != 0) & (reverse != 0)).any():
         raise ValueError("observable is not a pure transition on this state")
     choice = np.array([obs.sign_choice for obs in observables], dtype=np.int8)
@@ -385,9 +385,6 @@ class FramedDiagonal:
         mat[rows, cols] += values
         return mat
 
-    def scaled(self, factor: float) -> "FramedDiagonal":
-        return FramedDiagonal(self.pauli, self.diagonal, self.weight * factor)
-
 
 @dataclass
 class SimulatorOp:
@@ -404,6 +401,34 @@ class SimulatorOp:
         return sum(frame.to_dense() for frame in self.frames)
 
 
+@dataclass(frozen=True, eq=False)
+class Frames:
+    """Framed terms as columns: term i is weights[i] * P_i * diag(d_i).
+
+    P_i is the frame of x_masks[i] and z_masks[i] (pauli.mask_array
+    columns), as in FramedDiagonal.  d_i is buffer[offsets[i]:offsets[i + 1]]
+    of one read-only buffer; past limits.MATERIALIZE_QUBIT_CAP both are
+    None.  Indexing gives term i as a FramedDiagonal (oracle use).
+    """
+
+    qubits: int
+    x_masks: np.ndarray
+    z_masks: np.ndarray
+    weights: np.ndarray
+    buffer: np.ndarray | None
+    offsets: np.ndarray | None
+
+    def __len__(self) -> int:
+        return len(self.weights)
+
+    def __getitem__(self, i: int) -> FramedDiagonal:
+        i = range(len(self))[i]
+        x, z = int(self.x_masks[i]), int(self.z_masks[i])
+        diag = None if self.buffer is None else self.buffer[self.offsets[i]:self.offsets[i + 1]]
+        return FramedDiagonal(PauliOperator.from_masks(self.qubits, x, z, z.bit_count() % 2),
+                              diag, float(self.weights[i]))
+
+
 def _positions(mask: int) -> list[int]:
     """Set bit positions of a mask, highest first, as gf2.drop_bits takes them."""
     return [p for p in range(mask.bit_length() - 1, -1, -1) if mask >> p & 1]
@@ -414,19 +439,11 @@ def _qubit_order(mask: int) -> list[int]:
     return [-p for p in _positions(mask)]
 
 
-def _materialized(enc: CodeEncoding) -> bool:
-    return enc.qubits <= limits.MATERIALIZE_QUBIT_CAP
-
-
-def _over_syndromes(enc: CodeEncoding, per_codeword) -> np.ndarray:
-    """Per-codeword values spread over all 2^Q syndromes, 0.0 off the codespace."""
-    return np.append(np.asarray(per_codeword, dtype=float), 0.0)[enc.preimage()]
-
-
-# Every intermediate array of one simulator pass takes at most this many
-# times 2^Q * 8 bytes, as many float arrays over the syndromes: terms are
-# taken in chunks, and their frames in pieces.  Only the per-frame
-# bookkeeping grows with the output.
+# A pass takes terms in chunks of at most this many times 2^Q term-codeword
+# values, and a chunk's frames in pieces of at most as many pairs plus
+# entries, so apart from per-frame columns none of its arrays takes more than
+# _PASS_ENTRIES * 2^Q * 8 bytes.  Measured on the Fig-3 code (1,281 frames),
+# the peak above the table it returns is 0.24 MB, within twice that bound.
 _PASS_ENTRIES = 4
 
 
@@ -494,19 +511,21 @@ def _term_values(words: np.ndarray, terms) -> np.ndarray:
 def _rest_index(states: np.ndarray, flips: np.ndarray, q: int) -> np.ndarray:
     """gf2.drop_bits of each state at the set bits of its own flip mask."""
     rest = np.zeros_like(states)
-    keep = ~flips
     for p in range(q - 1, -1, -1):
-        bit = keep >> p & 1
-        rest = (rest << bit) | (states >> p & bit)
+        keep = ~flips >> p & 1
+        rest <<= keep  # in place: the pass keeps few arrays of the states' size
+        rest |= states >> p & keep
     return rest
 
 
-def _simulate(enc: CodeEncoding, terms, weights) -> list[FramedDiagonal]:
+def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames:
     """Frames of weighted terms, in term order, from one pass over the codewords.
 
     A term is a FermionObservable, framed as _frame_plan says, or a tuple
-    of modes, one identity frame of their occupation product.  Frame z of
-    a flip mask with k bits has the diagonal
+    of modes, one identity frame of their occupation product.  A nonzero
+    penalty g adds a last identity frame, g*(identity - codespace
+    projector), the projector being the occupation product of no modes.
+    Frame z of a flip mask with k bits has the diagonal
 
         count * 2^-k * sum_c v_c (-1)^{|z & s_c|}   at the rest index of s_c,
 
@@ -518,61 +537,72 @@ def _simulate(enc: CodeEncoding, terms, weights) -> list[FramedDiagonal]:
     a bit.
     """
     q = enc.qubits
+    if penalty:
+        terms, weights = [*terms, ()], [*weights, penalty]
     plans = [_frame_plan(enc, term) if isinstance(term, FermionObservable) else (0, [0], [1])
              for term in terms]
-    diagonals = iter(_diagonals(enc, terms, plans) if _materialized(enc) else ())
-    return [FramedDiagonal(PauliOperator.from_masks(q, flips, z, z.bit_count() % 2),
-                           next(diagonals, None), weight)
-            for (flips, zs, _), weight in zip(plans, weights) for z in zs]
-
-
-def _diagonals(enc: CodeEncoding, terms, plans) -> list[np.ndarray]:
-    """Every frame's diagonal for _simulate, as views of one read-only buffer."""
-    q = enc.qubits
     per_term = np.array([len(zs) for _, zs, _ in plans], dtype=np.intp)
-    flipped = np.array([flips.bit_count() for flips, _, _ in plans], dtype=np.intp)
-    term_flips = np.array([flips for flips, _, _ in plans], dtype=np.int64)
-    term_of = np.repeat(np.arange(len(terms)), per_term)
-    frame_count = len(term_of)
-    z_of = np.fromiter(itertools.chain.from_iterable(zs for _, zs, _ in plans),
-                       np.int64, frame_count)
-    scale_of = np.fromiter(itertools.chain.from_iterable(parts for _, _, parts in plans),
-                           float, frame_count) / (1 << flipped[term_of])
-    start = np.concatenate(([0], np.cumsum(1 << (q - flipped[term_of]))))
-    first_frame = np.concatenate(([0], np.cumsum(per_term)))
-    flat = np.empty(start[-1])
+    term_x = mask_array([flips for flips, _, _ in plans], q)
+    z_masks = mask_array([z for _, zs, _ in plans for z in zs], q)
+    parts = np.array([count for _, _, counts in plans for count in counts], dtype=float)
+    del plans  # the pass holds columns only
+    diagonals = (_diagonals(enc, terms, term_x, per_term, z_masks, parts, bool(penalty))
+                 if q <= limits.MATERIALIZE_QUBIT_CAP else (None, None))
+    return Frames(q, np.repeat(term_x, per_term), z_masks,
+                  np.repeat(np.array(weights, dtype=float), per_term), *diagonals)
 
+
+def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
+               complement: bool) -> tuple[np.ndarray, np.ndarray]:
+    """_simulate's diagonals: one read-only buffer, and the frames' offsets in
+    it followed by its length.  complement turns the last diagonal d into 1 - d."""
+    q = enc.qubits
+    flips = term_x.astype(np.int64)
+    flipped = np.bitwise_count(flips).astype(np.intp)
+    start = np.concatenate(([0], np.cumsum(np.repeat(1 << (q - flipped), per_term))))
+    first_frame = np.concatenate(([0], np.cumsum(per_term)))
+    flat = np.zeros(start[-1])
     words, syndromes = enc.codewords(), enc.syndromes()
     budget = _PASS_ENTRIES << q
-    per_chunk = budget // len(words)  # at least _PASS_ENTRIES: C(M, N) <= 2^Q
-    for lo in range(0, len(terms), per_chunk):
-        hi = min(lo + per_chunk, len(terms))
+
+    def add_chunk(lo: int, hi: int) -> None:
+        """Add the frames of terms lo..hi-1 to flat; the chunk's arrays go on return."""
         values = _term_values(words, terms[lo:hi])
-        row, word = np.nonzero(values)  # grouped by term
-        value, state = values[row, word], syndromes[word]
-        rest = _rest_index(state, term_flips[lo + row], q)
-        nonzero = np.bincount(row, minlength=hi - lo)
+        hit = values != 0
+        nonzero = hit.sum(axis=1)
+        # each term's nonzero values and their syndromes, grouped by term
+        value, state = values[hit], np.broadcast_to(syndromes, hit.shape)[hit]
+        del values, hit
+        rest = _rest_index(state, np.repeat(flips[lo:hi], nonzero), q)
         first = np.cumsum(nonzero) - nonzero
         # the chunk's frames, cut into pieces of at most budget pairs plus
         # entries; one frame has at most C(M, N) pairs and 2^Q entries
-        chunk = np.arange(first_frame[lo], first_frame[hi])
-        pairs = np.concatenate(([0], np.cumsum(nonzero[term_of[chunk] - lo])))
+        frames = slice(first_frame[lo], first_frame[hi])
+        term = np.repeat(np.arange(hi - lo), per_term[lo:hi])
+        z, scale = z_masks[frames].astype(np.int64), parts[frames] / (1 << flipped[lo + term])
+        count = nonzero[term]
+        pairs = np.concatenate(([0], np.cumsum(count)))
         ends = start[first_frame[lo]:first_frame[hi] + 1]
         load = pairs + ends
         a = 0
-        while a < len(chunk):
+        while a < len(term):
             b = max(a + 1, np.searchsorted(load, load[a] + budget, "right") - 1)
-            piece = chunk[a:b]
-            count = nonzero[term_of[piece] - lo]
-            pick = (np.repeat(first[term_of[piece] - lo] - pairs[a:b] + pairs[a], count)
+            n = count[a:b]
+            pick = (np.repeat(first[term[a:b]] - pairs[a:b] + pairs[a], n)
                     + np.arange(pairs[b] - pairs[a]))
-            odd = np.bitwise_count(state[pick] & np.repeat(z_of[piece], count)) & 1
-            weight = np.where(odd, -value[pick], value[pick]) * np.repeat(scale_of[piece], count)
-            bins = np.repeat(start[piece] - ends[a], count) + rest[pick]
-            flat[ends[a]:ends[b]] = np.bincount(bins, weight, minlength=ends[b] - ends[a])
+            odd = np.bitwise_count(state[pick] & np.repeat(z[a:b], n)) & 1
+            weight = np.where(odd, -value[pick], value[pick]) * np.repeat(scale[a:b], n)
+            np.add.at(flat, np.repeat(ends[a:b], n) + rest[pick], weight)
             a = b
+
+    per_chunk = budget // len(words)  # at least _PASS_ENTRIES: C(M, N) <= 2^Q
+    for lo in range(0, len(terms), per_chunk):
+        add_chunk(lo, min(lo + per_chunk, len(terms)))
+    if complement:
+        last = flat[start[-2]:]
+        np.subtract(1.0, last, out=last)
     flat.flags.writeable = False
-    return np.split(flat, start[1:-1])
+    return flat, start
 
 
 def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> SimulatorOp:
@@ -581,7 +611,7 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> Simulator
     _frame_plan lists its frames and bounds their number; _simulate
     computes their diagonals.
     """
-    return SimulatorOp(obs, _simulate(enc, [obs], [1.0]))
+    return SimulatorOp(obs, list(_simulate(enc, [obs], [1.0])))
 
 
 def _hop(enc: CodeEncoding, alpha: int, beta: int, variant: str) -> FermionObservable:
@@ -677,9 +707,9 @@ def occupation_diag(enc: CodeEncoding, modes) -> FramedDiagonal:
     modes=() gives the codespace projector.
     """
     diag = None
-    if _materialized(enc):
+    if enc.qubits <= limits.MATERIALIZE_QUBIT_CAP:
         occ = enc.codewords()[:, [alpha - 1 for alpha in modes]]
-        diag = _over_syndromes(enc, occ.prod(axis=1))
+        diag = np.append(occ.prod(axis=1).astype(float), 0.0)[enc.preimage()]
     return FramedDiagonal(PauliOperator.identity(enc.qubits), diag)
 
 
@@ -696,7 +726,7 @@ def _block_terms(enc: CodeEncoding, modes: tuple[int, ...], coeff: complex) -> l
 
 
 def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
-                                penalty: float | None = None) -> list[FramedDiagonal]:
+                                penalty: float | None = None) -> Frames:
     """Framed-term simulator of the full Hamiltonian plus codespace penalty.
 
     Every Hermitian-paired coefficient block becomes a plus/minus pair of
@@ -734,12 +764,7 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
         else:
             blocks += _block_terms(enc, key, coeff)
 
-    frames = _simulate(enc, [term for term, _ in blocks], [weight for _, weight in blocks])
-    if penalty:
-        proj = occupation_diag(enc, ()).diagonal
-        anti = None if proj is None else 1.0 - proj
-        frames.append(FramedDiagonal(PauliOperator.identity(enc.qubits), anti, weight=penalty))
-    return frames
+    return _simulate(enc, [term for term, _ in blocks], [weight for _, weight in blocks], penalty)
 
 
 def load_pcm(path: str) -> np.ndarray:

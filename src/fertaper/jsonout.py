@@ -1,23 +1,20 @@
 """JSON output with the bytes of ``json.dump(obj, fh, indent=1)``.
 
 This writer emits the same text for dicts with str keys, lists, tuples,
-str, int, bool, None and float, and it also takes two values whose text is
-built in bulk:
-
-- a :class:`Table`, written as the list of dicts its rows stand for; a
-  column is a sequence of those scalars, a 1-D float64 ndarray, or a
-  sequence of 1-D float64 or int64 ndarrays, each cell of which is written
-  as a JSON list;
-- a :class:`Words`, a list of str from a vocabulary encoded once.
+str, int, bool, None and float, and for a :class:`Table`, whose text is
+built in bulk: it is written as the list of dicts its rows stand for, and
+a column is a sequence of those scalars, a 1-D float64 ndarray, or a
+sequence of cells each written as a JSON list: 1-D float64 or int64
+ndarrays, lists of str, or Tables.
 
 A float column is formatted once per distinct bit pattern, found by one
 pass over the whole column: ``np.sort`` of its int64 view (which keeps 0.0
 and -0.0 apart) and a mask of where adjacent entries differ give the
 distinct values, and ``np.searchsorted`` finds each entry's text among
 theirs.  A column of float arrays takes that pass over their
-concatenation, copied and sorted in runs of bounded size, and the list
-text of each row is built from the distinct texts only when the row is
-written.
+concatenation, copied and sorted in runs of bounded size; a column of str
+lists encodes each distinct str once; and the list text of each row is
+built from those texts only when the row is written.
 
 Non-finite floats raise ValueError, a Table's when it is built: NaN and
 Infinity are not JSON.
@@ -25,6 +22,7 @@ Infinity are not JSON.
 
 from __future__ import annotations
 
+import itertools
 import math
 from json.encoder import encode_basestring_ascii
 
@@ -37,14 +35,12 @@ class Table:
     """A list of dicts held as columns: ``[{key: column[r], ...} for r in rows]``.
 
     Each column is a 1-D float64 ndarray, a sequence of str, int, bool,
-    None or float, or a sequence of 1-D ndarrays, all float64 or all
-    int64, each written as a JSON list; the columns have one length, and
-    every dict has their keys in their order.  The cells are formatted
-    when the table is built, except each row's lists, which are built from
-    their column's distinct texts when the row is written.  ``take``
-    selects rows (in any order, repeats allowed) and shares that text, so
-    a payload that holds many row subsets of one table formats each column
-    once.
+    None or float, or a sequence of list cells (see _Lists); the columns
+    have one length, and every dict has their keys in their order.  The
+    cells are formatted when the table is built, list cells from their
+    column's distinct texts when their row is written.  ``take`` selects
+    rows (in any order, repeats allowed) and shares that text, so a payload
+    that holds many row subsets of one table formats each column once.
     """
 
     __slots__ = ("_rows", "_keys", "_cells", "_parts")
@@ -84,7 +80,7 @@ class Table:
         for r in self._rows.tolist():
             write(lead + parts[0][r])
             for cells, part in zip(lists, parts[1:]):
-                write(cells.text(r, deeper))
+                cells.write(r, write, deeper)
                 write(part[r])
             lead = "," + inner
         write(newline + "]")
@@ -108,64 +104,44 @@ class Table:
 
 
 class _Lists:
-    """A Table column of 1-D arrays: each row's list text, built when asked."""
+    """A Table column whose cells are written as JSON lists, each when its row is.
 
-    __slots__ = ("_arrays", "_keys", "_texts")
-
-    def __init__(self, arrays):
-        kinds = {(v.dtype, v.ndim) if isinstance(v, np.ndarray) else type(v) for v in arrays}
-        if kinds == {(np.dtype(np.float64), 1)}:
-            self._keys, self._texts = _float_texts(arrays)
-        elif kinds == {(np.dtype(np.int64), 1)}:
-            self._keys = self._texts = None  # ints: formatted as written
-        else:
-            raise TypeError("list cells must be 1-D arrays, all float64 or all int64")
-        self._arrays = arrays
-
-    def __len__(self) -> int:
-        return len(self._arrays)
-
-    def text(self, row: int, newline: str) -> str:
-        """The indented list text of one row; newline is the line break and indent."""
-        values = self._arrays[row]
-        if not len(values):
-            return "[]"
-        if self._keys is None:
-            items = map(int.__repr__, values.tolist())
-        else:
-            items = self._texts[np.searchsorted(self._keys, values.view(np.int64))].tolist()
-        inner = newline + " "
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-
-
-class Words:
-    """A list of str drawn from a fixed vocabulary, written from shared texts.
-
-    ``Words(vocabulary)`` encodes every word of the vocabulary once and is
-    the empty list; ``take(items)`` is the list of the given words, each
-    of which must be in the vocabulary.  Many lists over one vocabulary
-    then encode no word twice.
+    The cells are 1-D ndarrays, all float64 or all int64; lists or tuples
+    of str, each distinct str encoded once; or Tables.
     """
 
-    __slots__ = ("_texts", "_items")
+    __slots__ = ("_cells", "_items")
 
-    def __init__(self, vocabulary):
-        self._texts = {word: encode_basestring_ascii(word) for word in vocabulary}
-        self._items = ()
+    def __init__(self, cells):
+        kinds = {(v.dtype, v.ndim) if isinstance(v, np.ndarray) else type(v) for v in cells}
+        if kinds == {(np.dtype(np.float64), 1)}:
+            keys, texts = _float_texts(cells)
+            self._items = lambda v: texts[np.searchsorted(keys, v.view(np.int64))].tolist()
+        elif kinds == {(np.dtype(np.int64), 1)}:
+            self._items = lambda v: map(int.__repr__, v.tolist())
+        elif kinds <= {list, tuple}:
+            words = dict.fromkeys(itertools.chain.from_iterable(cells))
+            texts = {word: encode_basestring_ascii(word) for word in words}  # TypeError if not str
+            self._items = lambda v: map(texts.__getitem__, v)
+        elif kinds == {Table}:
+            self._items = None
+        else:
+            raise TypeError("list cells must be float64 arrays, int64 arrays, str lists or Tables")
+        self._cells = cells
 
-    def take(self, items) -> "Words":
-        """The list of the given words, over this vocabulary's texts."""
-        sub = object.__new__(Words)
-        sub._texts, sub._items = self._texts, items
-        return sub
+    def __len__(self) -> int:
+        return len(self._cells)
 
-    def _text(self, newline: str) -> str:
-        """The indented list text; newline is the line break and indent."""
-        if not self._items:
-            return "[]"
-        inner = newline + " "
-        return ("[" + inner + ("," + inner).join(map(self._texts.__getitem__, self._items))
-                + newline + "]")
+    def write(self, row: int, write, newline: str) -> None:
+        """Pass the list text of one row to write; newline is the line break and indent."""
+        cell = self._cells[row]
+        if self._items is None:
+            cell._write(write, newline)
+        elif not len(cell):
+            write("[]")
+        else:
+            inner = newline + " "
+            write("[" + inner + ("," + inner).join(self._items(cell)) + newline + "]")
 
 
 def dump(obj, fh) -> None:
@@ -234,8 +210,6 @@ def _encode(obj, write, newline: str) -> None:
         write(newline + "}")
     elif isinstance(obj, Table):
         obj._write(write, newline)
-    elif isinstance(obj, Words):
-        write(obj._text(newline))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
@@ -281,7 +255,7 @@ def _cell_texts(column) -> np.ndarray | _Lists:
     if isinstance(column, np.ndarray):
         keys, texts = _float_texts([column])
         return texts[np.searchsorted(keys, column.view(np.int64))]
-    if len(column) and isinstance(column[0], np.ndarray):
+    if len(column) and isinstance(column[0], (np.ndarray, list, tuple, Table)):
         return _Lists(column)
     texts = [_scalar(value) for value in column]
     if None in texts:

@@ -601,6 +601,63 @@ class TestCodesim:
         assert np.allclose(block, sector_matrix_direct(h), atol=1e-12)
         assert sector_matrix_direct(h).any()
 
+    def test_frames_build_no_pauli_operator_or_framed_diagonal(self, tmp_path, monkeypatch):
+        # the frames table reaches the writer as columns: one _labels call
+        # spells every frame, and no per-frame object is built
+        from fertaper import cli, pauli
+
+        calls = {"from_masks": 0, "__init__": 0, "FramedDiagonal": 0, "_labels": 0}
+
+        def counted(name, real):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        real_from_masks = PauliOperator.from_masks.__func__
+        monkeypatch.setattr(PauliOperator, "from_masks",
+                            classmethod(counted("from_masks", real_from_masks)))
+        monkeypatch.setattr(PauliOperator, "__init__", counted("__init__", PauliOperator.__init__))
+        monkeypatch.setattr(FramedDiagonal, "__post_init__",
+                            counted("FramedDiagonal", FramedDiagonal.__post_init__))
+        labels = counted("_labels", pauli._labels)
+        monkeypatch.setattr(pauli, "_labels", labels)
+        monkeypatch.setattr(cli, "_labels", labels)
+        graph = tmp_path / "g.graph"
+        save_graph(cycle_chord_graph(8, 2), str(graph))
+        h_json = self.banded_json(tmp_path / "h.json", 16)
+        out = tmp_path / "framed.json"
+        assert main(["codesim", "--graph", str(graph), "--input", h_json,
+                     "--output", str(out)]) == 0
+        assert calls == {"from_masks": 0, "__init__": 0, "FramedDiagonal": 0, "_labels": 1}
+        terms = json.loads(out.read_text())["terms"]
+        assert len(terms) > 20 and any(t["frame"].startswith("-1") for t in terms)
+
+    @pytest.mark.parametrize("cap", [None, 3], ids=["materialized", "lazy"])
+    def test_zero_frames_write_an_empty_list(self, tmp_path, monkeypatch, cap):
+        # only zero-operator entries and no penalty: a table of no rows, whose
+        # empty buffer and flip columns split into no cells
+        from fertaper.codeword import build_simulator_hamiltonian
+
+        if cap is not None:
+            monkeypatch.setattr(limits, "MATERIALIZE_QUBIT_CAP", cap)
+        check = tmp_path / "a.pcm"
+        check.write_text("4 4\n1000\n0100\n0010\n0001\n")
+        source = tmp_path / "h.json"
+        source.write_text(json.dumps({"modes": 4, "particles": 2, "t": [],
+                                      "u": [[1, 1, 1, 1, 0.5, 0.0]]}))
+        h = FermionHamiltonian.from_json(source.read_text())
+        frames = build_simulator_hamiltonian(h, CodeEncoding.from_matrix(np.eye(4), 2), 0.0)
+        assert len(frames) == 0 and list(frames) == []
+        if cap is None:
+            assert frames.buffer.size == 0 and frames.offsets.tolist() == [0]
+        else:
+            assert frames.buffer is None and frames.offsets is None
+        out = tmp_path / "framed.json"
+        assert main(["codesim", "--check", str(check), "--input", str(source),
+                     "--penalty", "0", "--output", str(out)]) == 0
+        assert out.read_text() == json.dumps({"qubits": 4, "terms": []}, indent=1)
+
     def test_non_finite_interaction_is_an_error_line(self, tmp_path, subcode_json, capsys):
         data = json.loads(Path(subcode_json).read_text())
         key = data["u"][0][:4]
@@ -930,6 +987,31 @@ class TestFirstqCommand:
         assert main(["firstq", "--input", str(hpath), "--emit-bins", str(out)]) == 0
         assert calls == {"from_masks": 0, "__init__": 0, "_labels": 1}
         assert len(json.loads(out.read_text())["groups"]) > 1
+
+    def test_writer_calls_do_not_grow_with_the_group_count(self, tmp_path, monkeypatch):
+        # the groups are one jsonout.Table: no _encode call per group or per
+        # basis list
+        from fertaper import jsonout
+        from fertaper.fermion import random_hamiltonian
+
+        encode, calls = jsonout._encode, []
+
+        def counted(*args):
+            calls.append(args)
+            return encode(*args)
+
+        monkeypatch.setattr(jsonout, "_encode", counted)
+        counts, groups = [], []
+        for modes in (4, 8):
+            hpath = tmp_path / f"h{modes}.json"
+            hpath.write_text(random_hamiltonian(modes, 3, np.random.default_rng(5)).to_json())
+            out = tmp_path / f"bins{modes}.json"
+            calls.clear()
+            assert main(["firstq", "--input", str(hpath), "--emit-bins", str(out)]) == 0
+            counts.append(len(calls))
+            groups.append(len(json.loads(out.read_text())["groups"]))
+        assert counts[0] == counts[1]
+        assert groups[0] < groups[1]
 
     def test_unsupported_register_size_fails_before_building_terms(self, tmp_path, capsys,
                                                                    monkeypatch):

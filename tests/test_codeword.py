@@ -133,16 +133,19 @@ def reference_hamiltonian(h, enc, penalty):
     """The frames of build_simulator_hamiltonian, one observable at a time."""
     frames = []
 
+    def scaled(frame, factor):
+        return FramedDiagonal(frame.pauli, frame.diagonal, frame.weight * factor)
+
     def block(modes, coeff):
         for part, variant in ((coeff.real, "plus"), (coeff.imag, "minus")):
             if part:
                 obs = (FermionObservable.hop(*modes, variant) if len(modes) == 2
                        else FermionObservable.pair_hop(*modes, variant))
-                frames.extend(f.scaled(part) for f in reference_simulator(enc, obs).frames)
+                frames.extend(scaled(f, part) for f in reference_simulator(enc, obs).frames)
 
     for alpha in range(1, h.modes + 1):
         if h.t[alpha - 1, alpha - 1] != 0:
-            frames.append(occupation_diag(enc, (alpha,)).scaled(h.t[alpha - 1, alpha - 1].real))
+            frames.append(scaled(occupation_diag(enc, (alpha,)), h.t[alpha - 1, alpha - 1].real))
     for alpha, beta in itertools.combinations(range(1, h.modes + 1), 2):
         block((alpha, beta), h.t[alpha - 1, beta - 1])
     done = set()
@@ -152,7 +155,7 @@ def reference_hamiltonian(h, enc, penalty):
             continue
         done |= {key, partner}
         if partner == key:
-            frames.append(occupation_diag(enc, key[:2]).scaled(coeff.real))
+            frames.append(scaled(occupation_diag(enc, key[:2]), coeff.real))
         else:
             block(key, coeff)
     if penalty:
@@ -725,7 +728,7 @@ class TestBuildSimulator:
         enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
         for u in ({(1, 1, 1, 1): 0.5}, {(1, 1, 2, 3): 0.25, (3, 2, 1, 1): 0.25}):
             h = FermionHamiltonian(4, 2, np.zeros((4, 4)), u)
-            assert build_simulator_hamiltonian(h, enc, penalty=0.0) == []
+            assert list(build_simulator_hamiltonian(h, enc, penalty=0.0)) == []
             assert not sector_matrix_direct(h).any()
 
     def test_hermitian_pairs_validated(self, fig3_graph):
@@ -848,7 +851,7 @@ class TestArrayDiagonals:
         ]
         # diagonal blocks first: occupation of mode 4, then the hop and
         # pair-hop frames, then the occupation product and the penalty
-        occ, rest_frames = frames[0], frames[1:]
+        occ, *rest_frames = frames
         syndromes = gf2.unpack_ints(range(1 << 12), 12)
         decoded = [enc.decode(s) for s in syndromes]
         assert occ.weight == 0.7
@@ -1107,19 +1110,20 @@ class TestOnePassFrames:
         for h, penalty in ((random_hamiltonian(enc.modes, 2, np.random.default_rng(seed),
                                                interaction_pairs=8), None),
                            (varied_hamiltonian(enc.modes, 2, seed), 1.5)):
-            got = build_simulator_hamiltonian(h, enc, penalty)
+            table = build_simulator_hamiltonian(h, enc, penalty)
+            got = list(table)
             want = reference_hamiltonian(h, enc, default_penalty_scale(h)
                                          if penalty is None else penalty)
-            assert len(got) == len(want)
+            assert len(table) == len(got) == len(want)
             for mine, theirs in zip(got, want):
                 assert (mine.pauli.x_mask, mine.pauli.z_mask, mine.pauli.phase_power) == \
                     (theirs.pauli.x_mask, theirs.pauli.z_mask, theirs.pauli.phase_power)
                 assert np.float64(mine.weight).tobytes() == np.float64(theirs.weight).tobytes()
                 assert mine.diagonal.tobytes() == theirs.diagonal.tobytes()
-            # every diagonal but the penalty's is a read-only view of one buffer
-            assert all(frame.diagonal.base is got[0].diagonal.base is not None
-                       for frame in got[:-1])
+            # every diagonal, the penalty's too, is a read-only view of one buffer
+            assert all(frame.diagonal.base is table.buffer is not None for frame in got)
             assert not any(frame.diagonal.flags.writeable for frame in got)
+            assert not table.buffer.flags.writeable
 
     def test_each_observable_alone_equals_the_reference(self, fig3_encoding, raw_fig3):
         for enc in (fig3_encoding, raw_fig3):

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 
 from fertaper import cli, jsonout
 from fertaper.cli import main
-from fertaper.codeword import FramedDiagonal
 from fertaper.fermion import random_hamiltonian
 from fertaper.graphs import cycle_chord_graph, save_graph
 
@@ -102,17 +102,21 @@ cells = st.none() | st.booleans() | st.integers() | floats | st.text(max_size=8)
 
 @st.composite
 def tables(draw):
-    """(columns, row count): float64 array columns, columns of JSON scalars and
-    columns of float64 or int64 arrays of any lengths, empty ones too."""
+    """(columns, row count): float64 array columns, columns of JSON scalars,
+    columns of float64 or int64 arrays of any lengths and columns of str
+    lists, empty ones too."""
     n = draw(st.integers(0, 6))
     columns = {}
     for key in draw(st.lists(st.text(max_size=5), min_size=1, max_size=4, unique=True)):
-        kind = draw(st.sampled_from(["floats", "cells", "float lists", "int lists"]))
+        kind = draw(st.sampled_from(["floats", "cells", "float lists", "int lists", "words"]))
         if kind == "floats":
             columns[key] = np.array(draw(st.lists(floats, min_size=n, max_size=n)),
                                     dtype=np.float64)
         elif kind == "cells":
             columns[key] = draw(st.lists(cells, min_size=n, max_size=n))
+        elif kind == "words":
+            words = st.lists(st.text(max_size=3), max_size=3)
+            columns[key] = draw(st.lists(words, min_size=n, max_size=n))
         else:
             lists = arrays if kind == "float lists" else int_arrays
             columns[key] = draw(st.lists(lists, min_size=n, max_size=n))
@@ -232,23 +236,47 @@ def test_table_columns_of_different_lengths_raise():
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.text(max_size=4), min_size=1, max_size=6, unique=True), st.data())
 def test_words_match_indented_json_dumps_of_their_lists(vocabulary, data):
-    # lists over one vocabulary, empty ones and repeats too, nested 0 to 2 deep
-    words = jsonout.Words(vocabulary)
-    pick = st.lists(st.sampled_from(vocabulary), max_size=6).map(tuple)
-    items = data.draw(pick)
-    ours, theirs = words.take(items), list(items)
+    # str-list cells, lists and tuples, empty ones and repeated words too, in
+    # tables nested 0 to 2 deep as Table cells
+    pick = st.lists(st.sampled_from(vocabulary), max_size=6)
+    pick = pick | pick.map(tuple)
+    rows = data.draw(st.lists(pick, max_size=4))
+    ours, theirs = jsonout.Table({"basis": rows}), [{"basis": list(row)} for row in rows]
     for _ in range(data.draw(st.integers(0, 2))):
-        items = data.draw(pick)
-        ours = {"basis": words.take(items), "inner": [ours, words]}
-        theirs = {"basis": list(items), "inner": [theirs, []]}
+        rows = data.draw(st.lists(pick, min_size=1, max_size=4))
+        ours = jsonout.Table({"basis": rows, "inner": [ours] * len(rows)})
+        theirs = [{"basis": list(row), "inner": theirs} for row in rows]
     assert dumps(ours) == json.dumps(theirs, indent=1)
 
 
-def test_words_outside_the_vocabulary_raise():
-    with pytest.raises(KeyError):
-        dumps(jsonout.Words(["XY", "ZZ"]).take(("XY", "YX")))
+def test_each_distinct_word_is_encoded_once(monkeypatch):
+    encoded = []
+    real = jsonout.encode_basestring_ascii
+
+    def counted(word):
+        encoded.append(word)
+        return real(word)
+
+    monkeypatch.setattr(jsonout, "encode_basestring_ascii", counted)
+    rows = [("XY", "ZZ"), ("ZZ", "XY"), (), ("é", "XY")]
+    text = dumps(jsonout.Table({"basis": rows}))
+    assert text == json.dumps([{"basis": list(row)} for row in rows], indent=1)
+    assert sorted(encoded) == sorted(["basis", "XY", "ZZ", "é"])
+
+
+@pytest.mark.parametrize("column", [[["XY", b"ZZ"]], [("XY",), (1.0,)], [["XY"], "ZZ"],
+                                    [["XY"], jsonout.Table({})], [[["XY"]]]])
+def test_str_list_cells_of_other_types_raise_type_error(column):
     with pytest.raises(TypeError):
-        jsonout.Words([b"XY"])
+        jsonout.Table({"basis": column})
+
+
+def test_table_cells_are_written_at_their_depth():
+    terms = jsonout.Table({"re": np.array([0.5, -0.0]), "pauli": ["XX", "ZI"]})
+    groups = jsonout.Table({"basis": [["XY"], []], "terms": [terms.take([1, 0]), terms.take([])]})
+    want = [{"basis": ["XY"], "terms": [{"re": -0.0, "pauli": "ZI"}, {"re": 0.5, "pauli": "XX"}]},
+            {"basis": [], "terms": []}]
+    assert dumps({"n": 2, "groups": groups}) == json.dumps({"n": 2, "groups": want}, indent=1)
 
 
 # -- codesim writes its frames as one Table -------------------------------------
@@ -271,14 +299,14 @@ def test_codesim_rejects_non_finite_values_before_opening_its_output(tmp_path, m
     build = cli.build_simulator_hamiltonian
 
     def spoiled(*args):
+        # the last entry of the last frame's diagonal, or the last frame's weight
         frames = build(*args)
-        frame = frames[-1]
-        diagonal = frame.diagonal.copy()
+        buffer, weights = frames.buffer.copy(), frames.weights.copy()
         if where == "diagonal":
-            diagonal[-1] = bad
-        frames[-1] = FramedDiagonal(frame.pauli, diagonal,
-                                    bad if where == "weight" else frame.weight)
-        return frames
+            buffer[-1] = bad
+        else:
+            weights[-1] = bad
+        return dataclasses.replace(frames, buffer=buffer, weights=weights)
 
     monkeypatch.setattr(cli, "build_simulator_hamiltonian", spoiled)
     assert main(fig3_codesim(tmp_path)) == 2

@@ -29,6 +29,7 @@ ORACLES = (
     "CodeEncoding.isometry",
     "apply_frames_to_isometry",
     "bipartite_improve",
+    "occupation_diag",
     "is_n_injective",
     "observable_matrix",
     "number_operator_matrix",
