@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -89,19 +89,7 @@ class RunReport:
         return all(c["passed"] for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "config": self.config,
-            "qubits_before": self.qubits_before,
-            "qubits_after": self.qubits_after,
-            "generators": self.generators,
-            "paired_qubits": self.paired_qubits,
-            "sector_energies": self.sector_energies,
-            "best_sector": self.best_sector,
-            "sparsity": self.sparsity,
-            "checks": self.checks,
-            "timings": self.timings,
-        }
-        return json.dumps(payload, indent=1, sort_keys=True)
+        return json.dumps(asdict(self), indent=1, sort_keys=True)
 
 
 def _sector_label(sector) -> str:

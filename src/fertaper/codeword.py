@@ -14,9 +14,9 @@ its z mask, a submask of it, is the Z-pattern.  All bit work here is mask
 arithmetic; a diagonal is indexed by the bits outside the flip mask, packed
 by gf2.drop_bits.
 
-Diagonals are numpy arrays.  Each encoding decodes its 2^Q syndromes once
-into a cached preimage array (codeword number, or -1 off the codespace)
-and keeps its codewords' occupation rows and syndromes.  A whole
+Diagonals are numpy arrays.  Each encoding keeps its codewords'
+occupation rows and syndromes, in the order of its full decode table, and
+builds no 2^Q array of its own.  A whole
 Hamiltonian is framed in one pass into a Frames table: the transition
 signs of all its observables at once from the rows' prefix parities; the
 frames planned on masks, as x mask, z mask and weight columns; and every
@@ -26,10 +26,10 @@ offset.  The pass works in chunks, so no intermediate array outgrows a
 fixed multiple of 2^Q entries.  Above limits.MATERIALIZE_QUBIT_CAP no 2^Q
 array is built: the table has its columns but no buffer.
 
-When the rows split into two classes that every column meets an odd number
-of times, the codespace is stabilized by the two all-Z row-class products,
-and multiplying frames by those stabilizers zeroes the frame's Z-pattern
-on one chosen qubit per class, merging the frames four to one.  Each
+For a graph's code every column meets each of the graph's two sides once,
+so the codespace is stabilized by the two all-Z products over a side, and
+multiplying frames by those stabilizers zeroes the frame's Z-pattern on
+one chosen qubit per side, merging the frames four to one.  Each
 stabilizer is (-1)^N on every codeword, so a merged frame's diagonal is
 its part count times its own transform, and the merge is mask arithmetic.
 """
@@ -93,7 +93,6 @@ class CodeEncoding:
     columns: tuple[int, ...]
     qubits: int
     particles: int
-    bipartition: tuple[frozenset, frozenset] | None = None
     graph: BipartiteGraph | None = None
 
     def __post_init__(self):
@@ -103,14 +102,6 @@ class CodeEncoding:
             raise ValueError(f"columns must be masks on {q} qubits")
         if not 0 <= self.particles <= m:
             raise ValueError("particle count out of range")
-        if self.bipartition is not None:
-            left, right = (frozenset(rows) for rows in self.bipartition)
-            if left & right or left | right != set(range(1, q + 1)):
-                raise ValueError("bipartition must partition rows 1..Q")
-            object.__setattr__(self, "bipartition", (left, right))
-            for c, col in enumerate(self.columns, 1):
-                if not all((col & rows).bit_count() % 2 for rows in self.class_masks):
-                    raise ValueError(f"column {c} meets a row class an even number of times")
         if self.graph is not None:
             if (self.graph.vertex_count, self.graph.edge_masks()) != (q, self.columns):
                 raise ValueError("matrix is not the graph's incidence matrix")
@@ -133,7 +124,7 @@ class CodeEncoding:
 
     @classmethod
     def from_graph(cls, g: BipartiteGraph, n: int) -> "CodeEncoding":
-        return cls(g.edge_masks(), g.vertex_count, n, (g.left, g.right), g)
+        return cls(g.edge_masks(), g.vertex_count, n, g)
 
     @property
     def modes(self) -> int:
@@ -145,9 +136,12 @@ class CodeEncoding:
         return gf2.unpack_ints(self.columns, self.qubits).T
 
     @cached_property
-    def class_masks(self) -> tuple[int, int]:
-        """The two row classes of the bipartition as qubit masks."""
-        return tuple(qubit_mask(self.qubits, rows) for rows in self.bipartition)
+    def class_masks(self) -> tuple[int, ...]:
+        """The graph's two sides as qubit masks: the row classes every column
+        meets once.  Empty without a graph."""
+        if self.graph is None:
+            return ()
+        return tuple(qubit_mask(self.qubits, side) for side in (self.graph.left, self.graph.right))
 
     @cached_property
     def max_column_weight(self) -> int:
@@ -183,32 +177,37 @@ class CodeEncoding:
         return None if hit is None else FockState(tuple(hit))
 
     @cached_property
-    def _codespace(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
+        """The codewords in the full decode table's key order, as occupation
+        rows and as syndromes, each the XOR of its modes' columns."""
         if self.qubits > limits.MATERIALIZE_QUBIT_CAP:
             raise ValueError(f"syndrome arrays capped at {limits.MATERIALIZE_QUBIT_CAP} qubits")
-        # one key word holds every syndrome up to 64 qubits
-        syndromes = self._table.keys[1].view(">u8").astype(np.int64)
-        preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
-        preimage[syndromes] = np.arange(len(syndromes))
-        return preimage, occupations(self._table.combos[1], self.modes), syndromes
+        combos = self._table.combos[1]
+        columns = np.array(self.columns, dtype=np.int64)
+        return (occupations(combos, self.modes),
+                np.bitwise_xor.reduce(columns[combos], axis=1, dtype=np.int64))
+
+    def codewords(self) -> np.ndarray:
+        """C(M,N) x M occupation rows, in the order of the full decode table's
+        keys.  Codeword arrays exist only up to limits.MATERIALIZE_QUBIT_CAP
+        qubits, where an injective code has at most 2^24 codewords, inside
+        limits.TABLE_ENTRY_BUDGET."""
+        return self._codespace[0]
+
+    def syndromes(self) -> np.ndarray:
+        """The int64 syndrome of every codeword, numbered as codewords() numbers them."""
+        return self._codespace[1]
 
     def preimage(self) -> np.ndarray:
         """Codeword number of every syndrome index, -1 off the codespace.
 
-        Built once per encoding from the full decode table, whose key order
-        numbers the codewords.  Syndrome arrays exist only up to
-        limits.MATERIALIZE_QUBIT_CAP qubits, where an injective code has at
-        most 2^24 codewords, inside limits.TABLE_ENTRY_BUDGET.
+        A 2^Q array, built on each call (oracle use): the simulators index
+        codewords by number and never need it.
         """
-        return self._codespace[0]
-
-    def codewords(self) -> np.ndarray:
-        """C(M,N) x M occupation rows, numbered as preimage() numbers them."""
-        return self._codespace[1]
-
-    def syndromes(self) -> np.ndarray:
-        """The int64 syndrome of every codeword, numbered as preimage() numbers them."""
-        return self._codespace[2]
+        syndromes = self.syndromes()
+        preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
+        preimage[syndromes] = np.arange(len(syndromes))
+        return preimage
 
     def isometry(self) -> np.ndarray:
         """Dense 2^Q x C(M,N) isometry with columns |Ax> (oracle use)."""
@@ -388,14 +387,11 @@ class FramedDiagonal:
 
 @dataclass
 class SimulatorOp:
-    """Framed-term decomposition of one encoded observable."""
+    """Framed-term decomposition of one encoded observable; its sparsity is
+    len(frames)."""
 
     observable: FermionObservable
     frames: list[FramedDiagonal]
-
-    @property
-    def sparsity(self) -> int:
-        return len(self.frames)
 
     def to_dense(self) -> np.ndarray:
         return sum(frame.to_dense() for frame in self.frames)
@@ -454,7 +450,7 @@ def _frame_plan(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, list[in
     named twice cancels.  One frame per Z-pattern of the right parity
     inside it (even for the plus variant, odd for the i*(minus) variant),
     in ascending mask order; a diagonal observable keeps its one identity
-    frame.  When the code has a bipartition and the flip mask meets both
+    frame.  When the code is a graph's and the flip mask meets both of its
     row classes, the frames merge as bipartite_improve merges them: the
     patterns clear on the chosen qubits remain, in qubit order, each
     counting the frames that land on it.  A product of k ladder operators
@@ -465,7 +461,7 @@ def _frame_plan(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, list[in
     flips = 0
     for alpha in obs.indices:
         flips ^= enc.columns[alpha - 1]
-    on_frames = [rows & flips for rows in enc.class_masks] if enc.bipartition else []
+    on_frames = [rows & flips for rows in enc.class_masks]  # none without a graph
     if not all(on_frames):
         on_frames = []  # a flip mask that misses a row class stays unmerged
     # the chosen qubits are the first flipped qubit of each row class
@@ -477,10 +473,11 @@ def _frame_plan(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, list[in
     by_parity = [sum(s.bit_count() % 2 == p for s in stabilizers) for p in (0, 1)]
     free = flips & ~picked
     counts: dict[int, int] = {}
+    epsilon = obs.epsilon
     z = 0
     while True:
         # z walks the submasks of free upwards
-        count = by_parity[(z.bit_count() + obs.epsilon) % 2]
+        count = by_parity[(z.bit_count() + epsilon) % 2]
         if count or not flips:
             counts[z] = count or 1
         if z == free:
@@ -656,8 +653,8 @@ def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding) -> SimulatorOp:
     codespace action is unchanged because the stabilizers act there as
     identity.  A flip mask that misses a row class is returned unmerged.
     """
-    if enc.bipartition is None:
-        raise ValueError("encoding carries no bipartition")
+    if enc.graph is None:
+        raise ValueError("encoding has no graph, so no bipartition")
     if not sim.frames:
         return sim
     q = enc.qubits

@@ -140,49 +140,46 @@ def apply_op_string_rows(occ: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
 class FermionObservable:
     """Hermitian one- or two-pair observable i**eps (T +/- T_reversed).
 
-    kind "two_body" uses T = a'_a a_b; kind "four_body" uses
+    Two indices give kind "two_body", T = a'_a a_b; four give "four_body",
     T = a'_a a'_b a_g a_d.  The reversed product conjugate-transposes T, and
-    eps in {0, 1} supplies the i that makes the minus combination Hermitian.
+    eps, 1 exactly for the minus combination, supplies the i that makes it
+    Hermitian.
     """
 
-    kind: str
     indices: tuple[int, ...]
     sign_choice: int  # +1 or -1
-    epsilon: int
 
     def __post_init__(self):
-        if self.kind not in ("two_body", "four_body"):
-            raise ValueError(f"unknown observable kind {self.kind!r}")
-        want = 2 if self.kind == "two_body" else 4
-        if len(self.indices) != want:
-            raise ValueError(f"{self.kind} observable needs {want} indices")
+        if len(self.indices) not in (2, 4):
+            raise ValueError("an observable needs 2 or 4 indices")
         if self.sign_choice not in (1, -1):
             raise ValueError("sign_choice must be +1 or -1")
-        if self.epsilon not in (0, 1):
-            raise ValueError("epsilon must be 0 or 1")
-        hermitian_eps = 0 if self.sign_choice == 1 else 1
-        if self.epsilon != hermitian_eps:
-            raise ValueError("epsilon does not make the observable Hermitian")
+
+    @property
+    def kind(self) -> str:
+        return "two_body" if len(self.indices) == 2 else "four_body"
+
+    @property
+    def epsilon(self) -> int:
+        return int(self.sign_choice == -1)
 
     @classmethod
     def hop(cls, alpha: int, beta: int, variant: str = "plus") -> "FermionObservable":
-        sign = 1 if variant == "plus" else -1
-        return cls("two_body", (alpha, beta), sign, 0 if sign == 1 else 1)
+        return cls((alpha, beta), 1 if variant == "plus" else -1)
 
     @classmethod
     def pair_hop(cls, alpha, beta, gamma, delta, variant: str = "plus") -> "FermionObservable":
-        sign = 1 if variant == "plus" else -1
-        return cls("four_body", (alpha, beta, gamma, delta), sign, 0 if sign == 1 else 1)
+        return cls((alpha, beta, gamma, delta), 1 if variant == "plus" else -1)
 
     def forward_ops(self):
-        if self.kind == "two_body":
+        if len(self.indices) == 2:
             a, b = self.indices
             return (("c", a), ("a", b))
         a, b, g, d = self.indices
         return (("c", a), ("c", b), ("a", g), ("a", d))
 
     def reversed_ops(self):
-        if self.kind == "two_body":
+        if len(self.indices) == 2:
             a, b = self.indices
             return (("c", b), ("a", a))
         a, b, g, d = self.indices

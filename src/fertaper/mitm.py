@@ -76,13 +76,6 @@ class SyndromeTables:
         return len(self.keys[0]), len(self.keys[1])
 
 
-def _words(masks, q: int) -> np.ndarray:
-    """Masks on q bits as rows of big-endian uint64 words, most significant word first."""
-    width = max(1, -(-q // 64))
-    buf = b"".join(mask.to_bytes(8 * width, "big") for mask in masks)
-    return np.frombuffer(buf, dtype=">u8").reshape(len(masks), width)
-
-
 def build_tables(columns, q: int, n: int,
                  split: tuple[int, int] | None = None) -> SyndromeTables:
     """Tabulate syndromes of all weight-N1 and weight-N2 vectors.
@@ -101,7 +94,8 @@ def build_tables(columns, q: int, n: int,
     if total > limits.TABLE_ENTRY_BUDGET:
         raise MemoryError(f"syndrome tables need {total} entries, "
                           f"over the budget of {limits.TABLE_ENTRY_BUDGET}")
-    cols = _words(columns, q).astype(np.uint64)
+    # at least one word, so that keys are never empty byte strings
+    cols = gf2.uint64_words(columns, max(q, 1)).astype(np.uint64)
     keys, combos = [], []
     for k in (n1, n2):
         rows = combinations(m, k)
@@ -114,7 +108,10 @@ def build_tables(columns, q: int, n: int,
         dup = np.flatnonzero(key[1:] == key[:-1])
         if dup.size:
             i = int(dup[0])
-            bits = np.unpackbits(key[i:i + 1].view(np.uint8))[8 * key.itemsize - q:]
+            shared = 0
+            for c in rows[i]:
+                shared ^= columns[c]
+            bits = gf2.unpack_ints([shared], q)[0]
             raise InjectivityViolation(
                 f"two weight-{k} vectors share syndrome {''.join(map(str, bits))}",
                 witness=(_mode_set(rows[i]), _mode_set(rows[i + 1])),
@@ -140,7 +137,7 @@ def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
     if not len(second):  # N2 > M: no weight-N2 vector to search for
         return None
     words = first.view(">u8").reshape(len(first), first.itemsize // 8)
-    want = _as_keys(words ^ _words([gf2.bits_to_int(s)], tables.rows))
+    want = _as_keys(words ^ gf2.uint64_words([gf2.bits_to_int(s)], 64 * words.shape[1]))
     pos = np.minimum(np.searchsorted(second, want), len(second) - 1)
     hit = np.flatnonzero(second[pos] == want)
     x = (occupations(tables.combos[0][hit], tables.modes)

@@ -286,8 +286,7 @@ class QubitHamiltonian:
         return self._terms
 
     @classmethod
-    def merged(cls, n: int, x_masks, z_masks, coeffs,
-               tol: float = DEFAULT_PRUNE_TOL) -> "QubitHamiltonian":
+    def merged(cls, n: int, x_masks, z_masks, coeffs) -> "QubitHamiltonian":
         """The canonical sum of coeffs[k] times the letter Pauli of (x_masks[k], z_masks[k]).
 
         Masks are sequences of ints or ``mask_array`` arrays; coefficients
@@ -295,14 +294,15 @@ class QubitHamiltonian:
         ranks the distinct Paulis, and ``np.add.at`` adds each one's
         coefficients to 0+0j in the order given, as a running sum would:
         a lone term's -0.0 parts come out 0.0.  A sum that is not finite
-        raises ValueError naming its Pauli; sums below tol are pruned.
+        raises ValueError naming its Pauli; sums below DEFAULT_PRUNE_TOL are
+        pruned.
         """
         x, z = mask_array(x_masks, n), mask_array(z_masks, n)
         coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
         if not len(x) == len(z) == len(coeffs):
             raise ValueError("masks and coefficients differ in length")
         if not len(coeffs):
-            return cls.from_masks(n, (), (), (), canonical=tol >= DEFAULT_PRUNE_TOL)
+            return cls.zero(n)
         order = np.lexsort([*_words(z, n), *_words(x, n)])  # by (x, z), stable
         xs, zs = x[order], z[order]
         new = np.ones(len(order), dtype=bool)  # first of its key in sorted order
@@ -319,21 +319,20 @@ class QubitHamiltonian:
             label = _labels(n, x[k].tolist(), z[k].tolist())[0]
             raise ValueError(f"the coefficient of {label!r} sums to {complex(sums[bad[0]])}, "
                              "which is not finite")
-        kept = np.abs(sums) >= tol
+        kept = np.abs(sums) >= DEFAULT_PRUNE_TOL
         return cls.from_masks(n, x[first[kept]].tolist(), z[first[kept]].tolist(),
-                              sums[kept].tolist(), canonical=tol >= DEFAULT_PRUNE_TOL)
+                              sums[kept].tolist(), canonical=True)
 
-    def canonicalize(self, tol: float = DEFAULT_PRUNE_TOL) -> "QubitHamiltonian":
+    def canonicalize(self) -> "QubitHamiltonian":
         """Merge equal Pauli strings, prune tiny coefficients, sort terms.
 
         Every surviving Pauli is the plain Hermitian letter form; term
         order is lexicographic on (x|z).  This is ``merged`` on the sum's
         own terms, and a sum already marked canonical is returned as it is.
         """
-        if self.canonical and tol <= DEFAULT_PRUNE_TOL:
+        if self.canonical:
             return self
-        return QubitHamiltonian.merged(self.qubit_count, self.x_masks, self.z_masks,
-                                       self.coeffs, tol)
+        return QubitHamiltonian.merged(self.qubit_count, self.x_masks, self.z_masks, self.coeffs)
 
     def dense(self) -> np.ndarray:
         """Exact dense matrix of the sum (guarded by the qubit cap)."""
@@ -346,9 +345,9 @@ class QubitHamiltonian:
             mat[cols ^ x, cols] += c * _PHASE[(x & z).bit_count() % 4] * signs
         return mat
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
+    def is_hermitian(self) -> bool:
         # canonical Paulis are Hermitian, so only the coefficients can fail
-        return all(abs(c.imag) <= tol for c in self.canonicalize().coeffs)
+        return all(abs(c.imag) <= 1e-10 for c in self.canonicalize().coeffs)
 
     def operator_set(self, include_identity: bool = False) -> set[str]:
         """Labels of the distinct canonical Paulis (identity optional)."""

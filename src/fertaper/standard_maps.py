@@ -13,6 +13,7 @@ permutation oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -36,6 +37,16 @@ class StandardEncoding:
     modes: int
     column_masks: tuple[int, ...]
     inverse_rows: tuple[int, ...]
+
+    @cached_property
+    def ladder_masks(self) -> dict[int, tuple[int, int, int]]:
+        """Mode j -> (column j of A, parity Z mask of modes 1..j-1, occupation
+        Z mask of mode j), the parity mask being the XOR of rows 1..j-1 of A^-1."""
+        masks, parity = {}, 0
+        for j, (col, row) in enumerate(zip(self.column_masks, self.inverse_rows), 1):
+            masks[j] = (col, parity, row)
+            parity ^= row
+        return masks
 
     @property
     def matrix(self) -> np.ndarray:
@@ -84,13 +95,11 @@ def build_encoding(kind: str, m_modes: int) -> StandardEncoding:
 
 
 def _ladder_masks(enc: StandardEncoding, j: int) -> tuple[int, int, int]:
-    """(column j of A, parity Z mask of modes 1..j-1, occupation Z mask of mode j)."""
-    if not 1 <= j <= enc.modes:
+    """enc.ladder_masks[j], or IndexError naming a mode outside 1..M."""
+    masks = enc.ladder_masks.get(j)
+    if masks is None:
         raise IndexError(f"mode {j} out of range 1..{enc.modes}")
-    z_parity = 0
-    for row in enc.inverse_rows[: j - 1]:
-        z_parity ^= row
-    return enc.column_masks[j - 1], z_parity, enc.inverse_rows[j - 1]
+    return masks
 
 
 def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamiltonian:
@@ -109,7 +118,7 @@ def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamilt
     return QubitHamiltonian(m, ((0.5, first), (0.5 * sign, second)))
 
 
-def encoded_observable(enc: StandardEncoding, ops, ladders: dict | None = None) -> QubitHamiltonian:
+def encoded_observable(enc: StandardEncoding, ops) -> QubitHamiltonian:
     """Canonical product of encoded ladder operators, in closed form.
 
     Ladder operator j is X(col) Z(zpar) (1 +/- Z(row)) / 2, + for a creator,
@@ -119,19 +128,16 @@ def encoded_observable(enc: StandardEncoding, ops, ladders: dict | None = None) 
     the letter phase i^-popcount(x & z) comes last.  Equal z masks are
     merged, sorted and pruned as ``canonicalize`` does: the coefficients
     are sums of +/-2^-k times 1 or i, exact in any order, so this equals
-    the factor-by-factor product bit for bit.  ``ladders`` caches the
-    ladder masks per mode across calls.
+    the factor-by-factor product bit for bit.
     """
     if not ops:
         return QubitHamiltonian.zero(enc.modes)
-    ladders = {} if ladders is None else ladders
+    ladders = enc.ladder_masks
     x = 0
     branches = [(0, 1)]  # (z mask so far, sign) of each term
     for kind, mode in ops:
-        masks = ladders.get(mode)
-        if masks is None:
-            masks = ladders[mode] = _ladder_masks(enc, mode)
-        col, zpar, row = masks
+        masks = ladders.get(mode)  # one dict lookup per operator, not a call
+        col, zpar, row = masks if masks is not None else _ladder_masks(enc, mode)
         flip = 1 if kind == "c" else -1
         grown = []
         for z, sign in branches:
@@ -162,13 +168,12 @@ def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHam
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch between Hamiltonian and encoding")
-    ladders: dict = {}
     xs: list[int] = []
     zs: list[int] = []
     cs: list[complex] = []
 
     def add(ops, factor) -> None:
-        part = encoded_observable(enc, ops, ladders)
+        part = encoded_observable(enc, ops)
         xs.extend(part.x_masks)
         zs.extend(part.z_masks)
         cs.extend(complex(factor * c) for c in part.coeffs)

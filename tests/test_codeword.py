@@ -35,6 +35,7 @@ from fertaper.fermion import (
     weight_n_states,
 )
 from fertaper.graphs import (
+    BipartiteGraph,
     cycle_chord_graph,
     graph_decode,
     greedy_high_girth,
@@ -53,9 +54,15 @@ def fig3_encoding(fig3_graph):
 
 @pytest.fixture
 def raw_fig3(fig3_encoding):
-    """The Fig-3 code without its bipartition, so its frames stay unmerged."""
+    """The Fig-3 code without its graph, so its frames stay unmerged."""
     enc = fig3_encoding
     return CodeEncoding(enc.columns, enc.qubits, enc.particles)
+
+
+def fig3_subcode(fig3_graph):
+    """The code of the Fig-3 graph's first six edges, on all 12 of its vertices."""
+    return CodeEncoding.from_graph(
+        BipartiteGraph(fig3_graph.left, fig3_graph.right, fig3_graph.edges[:6]), 2)
 
 
 def simulation_condition_exact(sim, enc) -> bool:
@@ -111,7 +118,7 @@ def reference_simulator(enc, obs):
     """One observable's frames the per-observable way: its signs spread over
     the syndromes, transposed to (rest, frame) bits and transformed along
     the frame bits, one frame per Z-pattern of the variant's parity, then
-    merged by bipartite_improve when the code has a bipartition."""
+    merged by bipartite_improve when the code is a graph's."""
     q = enc.qubits
     flips = 0
     for alpha in obs.indices:
@@ -126,7 +133,7 @@ def reference_simulator(enc, obs):
                                          spectra[:, t]))
         z = (z - flips) & flips
     sim = SimulatorOp(obs, frames)
-    return sim if enc.bipartition is None else bipartite_improve(sim, enc)
+    return sim if enc.graph is None else bipartite_improve(sim, enc)
 
 
 def reference_hamiltonian(h, enc, penalty):
@@ -225,16 +232,21 @@ class TestInjectivity:
 
 
 class TestCodeEncoding:
+    def test_fields_are_columns_qubits_particles_graph(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(CodeEncoding)] == ["columns", "qubits", "particles",
+                                                          "graph"]
+
+    def test_class_masks_are_the_graphs_sides(self, fig3_graph):
+        sides = (qubit_mask(12, fig3_graph.left), qubit_mask(12, fig3_graph.right))
+        assert CodeEncoding.from_graph(fig3_graph, 2).class_masks == sides
+        assert CodeEncoding.from_matrix(fig3_graph.incidence_matrix(), 2).class_masks == ()
+
     def test_rejects_noninjective(self):
         a = np.array([[1, 1], [0, 0]], dtype=np.uint8)
         with pytest.raises(ValueError):
             CodeEncoding.from_matrix(a, 1)
-
-    def test_bipartition_odd_overlap_enforced(self):
-        a = np.array([[1, 1], [1, 0], [0, 1], [0, 0]], dtype=np.uint8)
-        # column 1 hits rows {1,2}: putting both in one class breaks the rule
-        with pytest.raises(ValueError):
-            CodeEncoding(*packed(a), 1, (frozenset({1, 2}), frozenset({3, 4})))
 
     def test_encode_state_identity_matrix(self):
         enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
@@ -263,7 +275,7 @@ class TestCodeEncoding:
         a = fig3_graph.incidence_matrix()
         for build in (lambda: CodeEncoding.from_graph(fig3_graph, 2),
                       lambda: CodeEncoding.from_matrix(a, 2),
-                      lambda: CodeEncoding(*packed(a), 2, (fig3_graph.left, fig3_graph.right))):
+                      lambda: CodeEncoding(*packed(a), 2, fig3_graph)):
             one, two = build(), build()
             assert one == two and hash(one) == hash(two)
             assert len({one, two}) == 1
@@ -385,7 +397,7 @@ class TestTwoBodySimulator:
     def test_graph_code_sparsity(self, fig3_encoding):
         for alpha, beta in ((1, 2), (1, 3), (5, 12), (2, 16)):
             sim = two_body_simulator(fig3_encoding, alpha, beta)
-            assert sim.sparsity <= 2
+            assert len(sim.frames) <= 2
 
     def test_equal_columns_guard(self):
         # equal columns can never pass encoding validation, so the guard is
@@ -479,8 +491,7 @@ class TestTwoBodySimulator:
 
     def test_all_pairs_exact_on_subcode(self, fig3_graph):
         # exhaustive simulation-condition sweep on a 12-qubit instance
-        columns = fig3_graph.edge_masks()[:6]
-        enc = CodeEncoding(columns, 12, 2, (fig3_graph.left, fig3_graph.right))
+        enc = fig3_subcode(fig3_graph)
         for alpha in range(1, 7):
             for beta in range(alpha + 1, 7):
                 sim = two_body_simulator(enc, alpha, beta)
@@ -493,7 +504,7 @@ class TestFourBodySimulator:
         for _ in range(5):
             picks = rng.choice(16, size=4, replace=False) + 1
             sim = four_body_simulator(fig3_encoding, *(int(v) for v in picks))
-            assert sim.sparsity <= 32
+            assert len(sim.frames) <= 32
 
     def test_simulation_condition_exact(self, fig3_encoding):
         sim = four_body_simulator(fig3_encoding, 1, 5, 9, 13)
@@ -527,8 +538,8 @@ class TestFourBodySimulator:
                 break
         raw = four_body_simulator(raw_fig3, *chosen)
         improved = four_body_simulator(fig3_encoding, *chosen)
-        assert raw.sparsity == 128
-        assert improved.sparsity == 32
+        assert len(raw.frames) == 128
+        assert len(improved.frames) == 32
         a = apply_frames_to_isometry(raw.frames, fig3_encoding)
         b = apply_frames_to_isometry(improved.frames, fig3_encoding)
         assert np.array_equal(a, b)
@@ -559,7 +570,7 @@ class TestGenericCodes:
             a, b = (int(v) + 1 for v in rng.choice(enc.modes, size=2, replace=False))
             variant = "plus" if rng.integers(2) else "minus"
             sim = two_body_simulator(enc, a, b, variant)
-            assert sim.sparsity <= cap
+            assert len(sim.frames) <= cap
             assert simulation_condition_exact(sim, enc)
             for frame in sim.frames:
                 assert np.all(np.abs(frame.materialize()) <= 1.0)
@@ -579,7 +590,7 @@ class TestGenericCodes:
             picks = [int(v) + 1 for v in rng.choice(enc.modes, size=4, replace=False)]
             variant = "plus" if rng.integers(2) else "minus"
             sim = four_body_simulator(enc, *picks, variant)
-            assert sim.sparsity <= cap
+            assert len(sim.frames) <= cap
             assert simulation_condition_exact(sim, enc)
 
 
@@ -594,9 +605,9 @@ class TestBipartiteImprove:
             if not (set(edges[0]) & set(e))
         )
         raw = two_body_simulator(raw_fig3, alpha, beta)
-        assert raw.sparsity == 8
+        assert len(raw.frames) == 8
         improved = two_body_simulator(fig3_encoding, alpha, beta)
-        assert improved.sparsity == 2
+        assert len(improved.frames) == 2
         a = apply_frames_to_isometry(raw.frames, fig3_encoding)
         b = apply_frames_to_isometry(improved.frames, fig3_encoding)
         assert np.array_equal(a, b)
@@ -607,9 +618,9 @@ class TestBipartiteImprove:
         for frame in sim.frames:
             assert np.all(np.abs(frame.materialize()) <= 1.0)
 
-    def test_already_clear_patterns_unchanged(self, fig3_encoding, raw_fig3):
+    def test_already_clear_patterns_unchanged(self, fig3_encoding, raw_fig3, fig3_graph):
         sim = two_body_simulator(raw_fig3, 1, 3)
-        left, right = fig3_encoding.bipartition
+        left, right = fig3_graph.left, fig3_graph.right
         flips = sim.frames[0].pauli.x_mask  # frames act on their flipped qubits only
         support = {q for q in range(1, 13) if flips >> (12 - q) & 1}
         # the merge clears the first flipped qubit of each row class
@@ -657,12 +668,8 @@ class TestCodespaceProjector:
 
 
 class TestBuildSimulator:
-    def subcode(self, fig3_graph, columns=6):
-        return CodeEncoding(fig3_graph.edge_masks()[:columns], 12, 2,
-                            (fig3_graph.left, fig3_graph.right))
-
     def test_zero_hamiltonian_penalty_only(self, fig3_graph):
-        enc = self.subcode(fig3_graph)
+        enc = fig3_subcode(fig3_graph)
         from fertaper.fermion import FermionHamiltonian
 
         h = FermionHamiltonian(6, 2, np.zeros((6, 6)))
@@ -676,7 +683,7 @@ class TestBuildSimulator:
         assert diag.sum() == (1 << 12) - 15  # everything else is raised
 
     def test_codespace_block_matches_sector(self, fig3_graph):
-        enc = self.subcode(fig3_graph)
+        enc = fig3_subcode(fig3_graph)
         rng = np.random.default_rng(79)
         h = random_hamiltonian(6, 2, rng)
         frames = build_simulator_hamiltonian(h, enc, penalty=0.0)
@@ -690,7 +697,7 @@ class TestBuildSimulator:
     def test_default_penalty_keeps_ground_state_encoded(self, fig3_graph):
         import scipy.sparse.linalg as spla
 
-        enc = self.subcode(fig3_graph)
+        enc = fig3_subcode(fig3_graph)
         rng = np.random.default_rng(83)
         h = random_hamiltonian(6, 2, rng)
         frames = build_simulator_hamiltonian(h, enc)
@@ -732,7 +739,7 @@ class TestBuildSimulator:
             assert not sector_matrix_direct(h).any()
 
     def test_hermitian_pairs_validated(self, fig3_graph):
-        enc = self.subcode(fig3_graph)
+        enc = fig3_subcode(fig3_graph)
         from fertaper.fermion import FermionHamiltonian
 
         h = FermionHamiltonian(
@@ -753,7 +760,7 @@ def oracle_frames(enc, obs):
     """(z_pattern, diagonal) pairs rebuilt index by index from transition_sign.
 
     Per-syndrome signs, an explicit +/-1 sum for the transform, and, when
-    the encoding has a bipartition, the stabilizer merge written out one
+    the encoding is a graph's, the stabilizer merge written out one
     rest index at a time.  A mode named twice flips nothing.
     """
     q = enc.qubits
@@ -785,7 +792,7 @@ def oracle_frames(enc, obs):
             sum((-1) ** _bit_count(t & u) * row[u] for u in range(1 << k)) / (1 << k)
             for row in signs
         ]
-    left, right = enc.bipartition if enc.bipartition else (set(), set())
+    left, right = (enc.graph.left, enc.graph.right) if enc.graph else (set(), set())
     if not (set(support) & left and set(support) & right):
         return list(raw.items())
     i, j = min(set(support) & left), min(set(support) & right)
@@ -955,7 +962,7 @@ class TestDecoderSelection:
     def test_graph_must_match_the_matrix(self, fig3_graph):
         columns = fig3_graph.edge_masks()[::-1]
         with pytest.raises(ValueError, match="incidence matrix"):
-            CodeEncoding(columns, 12, 2, (fig3_graph.left, fig3_graph.right), fig3_graph)
+            CodeEncoding(columns, 12, 2, fig3_graph)
 
 
 class TestPcmFile:
@@ -1003,19 +1010,19 @@ def sampled_sparsity_checks(h, enc, graph=None, penalty=None, seed=0):
     """Seeded r2/r4 sparsity, decoder cross-check and dense codespace checks.
 
     Four random hops and four random pair hops give the largest sparsity
-    seen; each must meet the column-weight bound (two lower with a
-    bipartition).  With a graph, 64 random syndromes decode the same by
+    seen; each must meet the column-weight bound (two lower on a graph's
+    code).  With a graph, 64 random syndromes decode the same by
     graph_decode and brute force.  The frames of the whole Hamiltonian keep
     the codespace and equal the direct N-particle sector matrix on it.
     Returns (r2, r4).
     """
     rng = np.random.default_rng(seed)
-    r2 = max(two_body_simulator(enc, *(int(v) for v in rng.choice(
-        enc.modes, size=2, replace=False) + 1)).sparsity for _ in range(4))
-    r4 = max(four_body_simulator(enc, *(int(v) for v in rng.choice(
-        enc.modes, size=4, replace=False) + 1)).sparsity for _ in range(4))
+    r2 = max(len(two_body_simulator(enc, *(int(v) for v in rng.choice(
+        enc.modes, size=2, replace=False) + 1)).frames) for _ in range(4))
+    r4 = max(len(four_body_simulator(enc, *(int(v) for v in rng.choice(
+        enc.modes, size=4, replace=False) + 1)).frames) for _ in range(4))
     weight = enc.max_column_weight
-    drop = 3 if enc.bipartition else 1
+    drop = 3 if enc.graph else 1
     assert r2 <= 1 << max(2 * weight - drop, 0)
     assert r4 <= 1 << max(4 * weight - drop, 0)
     if graph is not None:
@@ -1153,6 +1160,30 @@ class TestOddParticleNumber:
         applied = apply_frames_to_isometry(frames, enc)
         assert np.abs(applied - iso @ (iso.T @ applied)).max() < 1e-9
         assert np.allclose(iso.T @ applied, sector_matrix_direct(h), atol=1e-9)
+
+
+def _arrays(value, seen):
+    """Every numpy array reachable from value through containers and instance
+    attributes."""
+    if id(value) in seen:
+        return
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list, dict)):
+        for item in value.values() if isinstance(value, dict) else value:
+            yield from _arrays(item, seen)
+    elif hasattr(value, "__dict__") and not isinstance(value, type):
+        yield from _arrays(vars(value), seen)
+
+
+def test_a_graph_code_keeps_no_array_of_2_to_the_q_entries(fig3_encoding):
+    enc = fig3_encoding
+    frames = build_simulator_hamiltonian(random_hamiltonian(16, 2, np.random.default_rng(4)), enc)
+    assert frames.buffer is not None  # the diagonals were built
+    arrays = list(_arrays(enc, set()))
+    assert any(a is enc.codewords() for a in arrays)  # the walk reaches the cached arrays
+    assert max(a.size for a in arrays) < 1 << enc.qubits
 
 
 def test_pass_memory_stays_within_its_chunk_bound(fig3_encoding):

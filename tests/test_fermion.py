@@ -119,9 +119,15 @@ class TestObservableAction:
         hits = observable_action(obs, FockState((0, 0, 1, 0)))
         assert len(hits) == 1 and hits[0][0] in (1j, -1j)
 
-    def test_epsilon_validation(self):
-        with pytest.raises(ValueError):
-            FermionObservable("two_body", (1, 2), -1, 0)
+    def test_fields_are_indices_and_sign_choice(self):
+        from dataclasses import fields
+
+        assert [f.name for f in fields(FermionObservable)] == ["indices", "sign_choice"]
+        hop, pair = FermionObservable.hop(1, 2, "minus"), FermionObservable.pair_hop(1, 2, 3, 4)
+        assert (hop.kind, hop.epsilon, pair.kind, pair.epsilon) == ("two_body", 1, "four_body", 0)
+        for indices, sign in (((1, 2, 3), 1), ((1, 2), 0)):
+            with pytest.raises(ValueError):
+                FermionObservable(indices, sign)
 
     @pytest.mark.parametrize("variant", ["plus", "minus"])
     def test_matches_dense_observable(self, variant):

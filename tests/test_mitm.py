@@ -27,6 +27,11 @@ def random_injective_matrix(rng, q, m, n):
 
 
 class TestBuildTables:
+    def test_zero_qubits_keep_one_key_word(self):
+        tables = build_tables((0,), 0, 1)
+        assert tables.keys[0].itemsize == tables.keys[1].itemsize == 8
+        assert mitm_decode(tables, []).tolist() == [1]
+
     def test_odd_split(self):
         a = np.eye(5, dtype=np.uint8)
         tables = build_tables(*packed(a), 3)

@@ -136,6 +136,13 @@ class TestDense:
 
 
 class TestCanonicalize:
+    def test_pruning_takes_no_tolerance(self):
+        import inspect
+
+        for method in (QubitHamiltonian.canonicalize, QubitHamiltonian.merged,
+                       QubitHamiltonian.is_hermitian):
+            assert "tol" not in inspect.signature(method).parameters
+
     def test_cancellation(self):
         h = QubitHamiltonian(
             1, ((1.0, PauliOperator.from_label("X")), (-1.0, PauliOperator.from_label("X")))

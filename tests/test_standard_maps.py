@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 from unittest import mock
 
 import numpy as np
@@ -265,6 +267,20 @@ def assert_same_terms(got: QubitHamiltonian, want: QubitHamiltonian) -> None:
 
 
 class TestClosedFormProducts:
+    def test_ladder_masks_are_derived_once_per_encoding(self):
+        import inspect
+
+        assert list(inspect.signature(encoded_observable).parameters) == ["enc", "ops"]
+        enc = build_encoding("binary_tree", 5)
+        assert enc.ladder_masks is enc.ladder_masks
+        assert list(enc.ladder_masks) == [1, 2, 3, 4, 5]
+        for j, (col, parity, row) in enc.ladder_masks.items():
+            assert (col, row) == (enc.column_masks[j - 1], enc.inverse_rows[j - 1])
+            assert parity == functools.reduce(operator.xor, enc.inverse_rows[:j - 1], 0)
+        for mode in (0, 6):
+            with pytest.raises(IndexError, match="out of range"):
+                encoded_observable(enc, (("c", mode), ("a", 1)))
+
     @pytest.mark.parametrize("kind", ENCODING_KINDS)
     @pytest.mark.parametrize("m", range(1, 10))
     def test_hops_and_pair_hops_match_the_factor_chain(self, kind, m):
@@ -273,13 +289,12 @@ class TestClosedFormProducts:
         # the truncated binary trees of m = 3, 5, 6, 7, 9 are all covered
         enc = build_encoding(kind, m)
         modes = sorted({1, 2, (m + 1) // 2, m - 1, m} & set(range(1, m + 1)))
-        ladders: dict = {}
         for a, b in itertools.product(range(1, m + 1), repeat=2):
             ops = (("c", a), ("a", b))
-            assert_same_terms(encoded_observable(enc, ops, ladders), factor_by_factor(enc, ops))
+            assert_same_terms(encoded_observable(enc, ops), factor_by_factor(enc, ops))
         for a, b, g, d in itertools.product(modes, repeat=4):
             ops = (("c", a), ("c", b), ("a", g), ("a", d))
-            assert_same_terms(encoded_observable(enc, ops, ladders), factor_by_factor(enc, ops))
+            assert_same_terms(encoded_observable(enc, ops), factor_by_factor(enc, ops))
 
     @pytest.mark.parametrize("kind", ENCODING_KINDS)
     def test_masks_wider_than_64_bits(self, kind):

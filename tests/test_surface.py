@@ -1,16 +1,22 @@
 """The program modules keep no surface that only the tests reach.
 
 An AST scan of src/fertaper lists every public function, class, method
-and property.  One that nothing under src/ names outside its own
+and property.  One that nothing under src/ reads outside its own
 definition must be a dense or brute-force oracle the tests judge the
 program by (listed below), or a name the benchmark under perfbench/ uses.
-Names are matched bare, so a method counts as used when any attribute of
-that name is read; the scan can miss an unused name but never flags a
-used one.
+Only reads count, not assignments.  A read of self.x or cls.x inside
+class C counts toward C's own member x only; any other name or attribute
+read counts toward every definition of that name, except an attribute
+read on an imported module from outside the package (np.product,
+itertools.product).  The scan can miss an unused name.  It would flag a
+used one only if a subclass read an inherited member through self, and no
+class in the package subclasses another.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fertaper"
@@ -19,6 +25,7 @@ BENCH = ROOT / "perfbench"
 # Reference implementations that tests compare the program against.
 ORACLES = (
     "pauli_matrix_naive",
+    "QubitHamiltonian.product",
     "mode_op_to_pauli",
     "StandardEncoding.permutation_matrix",
     "apply_op_string_rows",
@@ -60,21 +67,48 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item
 
 
-def _names_outside_own_definition(node: ast.AST, enclosing=()) -> set[str]:
-    """Names read or imported under node, except inside the definition they name."""
+def _external_modules(tree: ast.Module) -> set[str]:
+    """Names bound by importing a module from outside the package."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for alias in node.names if not alias.name.startswith("fertaper")}
+
+
+def _root(node: ast.AST) -> ast.AST:
+    """The expression an attribute chain a.b.c starts from."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return node
+
+
+def _reads(node: ast.AST, external: set[str], owner=None, enclosing=()) -> set[str]:
+    """Names read or imported under node, except inside the definition they
+    name: bare names, and "C.x" for a read of self.x or cls.x in class C."""
+    if isinstance(node, ast.ClassDef) and not enclosing:
+        owner = node.name
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
         enclosing = (*enclosing, node.name)
     found = set()
-    if isinstance(node, ast.Name):
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         found.add(node.id)
-    elif isinstance(node, ast.Attribute):
-        found.add(node.attr)
+    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        if owner and isinstance(node.value, ast.Name) and node.value.id in ("self", "cls"):
+            if enclosing[1:2] != (node.attr,):  # enclosing[0] is the class
+                found.add(f"{owner}.{node.attr}")
+        elif not (isinstance(_root(node), ast.Name) and _root(node).id in external):
+            found.add(node.attr)
     elif isinstance(node, ast.alias):
         found.add(node.name.split(".")[-1])
     found -= set(enclosing)
     for child in ast.iter_child_nodes(node):
-        found |= _names_outside_own_definition(child, enclosing)
+        found |= _reads(child, external, owner, enclosing)
     return found
+
+
+def _unreached_in(trees) -> list[str]:
+    used = set().union(*(_reads(tree, _external_modules(tree)) for tree in trees))
+    return [qualified for tree in trees for qualified, node in _public_definitions(tree)
+            if node.name not in used and qualified not in used]
 
 
 def _benchmark_names() -> set[str]:
@@ -95,10 +129,8 @@ def _benchmark_names() -> set[str]:
 
 
 def _unreached() -> list[str]:
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
-    used = set().union(*(_names_outside_own_definition(tree) for tree in trees))
-    return [qualified for tree in trees for qualified, node in _public_definitions(tree)
-            if node.name not in used]
+    return _unreached_in([ast.parse(path.read_text(encoding="utf-8"))
+                          for path in sorted(SRC.glob("*.py"))])
 
 
 def test_every_unreached_name_is_an_oracle_or_benchmarked():
@@ -117,6 +149,26 @@ def test_the_scan_sees_a_stray_name():
     tree = ast.parse("def kept():\n    return helper()\n\n"
                      "def helper():\n    return helper\n\n"
                      "class Box:\n    def spare(self):\n        return self.spare\n")
-    used = _names_outside_own_definition(tree)
-    unreached = [q for q, node in _public_definitions(tree) if node.name not in used]
-    assert unreached == ["kept", "Box", "Box.spare"]
+    assert _unreached_in([tree]) == ["kept", "Box", "Box.spare"]
+
+
+@pytest.mark.parametrize("use, reached", [
+    ("Box().spare", True),
+    ("Box.spare", True),
+    ("thing.spare = 1", False),  # an assignment is no read
+    ("del thing.spare", False),
+    ("np.spare", False),  # an attribute of an outside module
+    ("np.linalg.spare", False),
+    ("gf2.spare", True),  # a package module's attribute is read
+    ("Box().other.spare", True),
+    ("class Crate:\n    def f(self):\n        return self.spare", False),
+    ("class Crate:\n    @classmethod\n    def f(cls):\n        return cls.spare", False),
+    ("class Crate:\n    def f(self):\n        return self.box.spare", True),
+])
+def test_reads_of_a_member_count_by_their_owner_and_context(use, reached):
+    source = ("import numpy as np\nimport numpy.linalg\nfrom fertaper import gf2\n\n"
+              "class Box:\n    def spare(self):\n        return self.other()\n\n"
+              "    def other(self):\n        return 0\n\n" + use + "\n")
+    unreached = _unreached_in([ast.parse(source)])
+    assert ("Box.spare" not in unreached) == reached
+    assert "Box.other" not in unreached
