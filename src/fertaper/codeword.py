@@ -15,16 +15,19 @@ arithmetic; a diagonal is indexed by the bits outside the flip mask, packed
 by gf2.drop_bits.
 
 Diagonals are numpy arrays.  Each encoding keeps its codewords'
-occupation rows and syndromes, in the order of its full decode table, and
-builds no 2^Q array of its own.  A whole
-Hamiltonian is framed in one pass into a Frames table: the transition
-signs of all its observables at once from the rows' prefix parities; the
-frames planned on masks, as x mask, z mask and weight columns; and every
-diagonal, the Walsh-Hadamard transform of one observable's signs over its
-flipped bits, added by np.add.at into one read-only buffer at the frame's
-offset.  The pass works in chunks, so no intermediate array outgrows a
-fixed multiple of 2^Q entries.  Above limits.MATERIALIZE_QUBIT_CAP no 2^Q
-array is built: the table has its columns but no buffer.
+occupation rows and syndromes, in syndrome order, and builds no 2^Q array
+of its own.  A whole Hamiltonian is framed in one pass into a Frames
+table.  The pass knows one kind of term: a coefficient block's indices,
+creators then annihilators, and a sign choice, +1 or -1 for the plus or
+i*(minus) observable and 0 for a self-adjoint product such as an
+occupation.  It takes the values of all terms at once from the rows'
+prefix parities; plans the frames on masks, as x mask, z mask and weight
+columns; and adds every diagonal, the Walsh-Hadamard transform of one
+term's values over its flipped bits, by np.add.at into one read-only
+buffer at the frame's offset.  It works in chunks, so no intermediate
+array outgrows a fixed multiple of 2^Q entries.  Above
+limits.MATERIALIZE_QUBIT_CAP no 2^Q array is built: the table has its
+columns but no buffer.
 
 For a graph's code every column meets each of the graph's two sides once,
 so the codespace is stabilized by the two all-Z products over a side, and
@@ -52,7 +55,7 @@ from fertaper.fermion import (
     weight_n_states,
 )
 from fertaper.graphs import BipartiteGraph, GraphDecoder
-from fertaper.mitm import SyndromeTables, build_tables, mitm_decode, occupations
+from fertaper.mitm import SyndromeTables, build_tables, combinations, mitm_decode, occupations
 from fertaper.pauli import PauliOperator, mask_array, qubit_mask
 
 
@@ -178,14 +181,16 @@ class CodeEncoding:
 
     @cached_property
     def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
-        """The codewords in the full decode table's key order, as occupation
-        rows and as syndromes, each the XOR of its modes' columns."""
+        """The codewords in syndrome order, the full decode table's key order,
+        as occupation rows and as syndromes, each the XOR of its modes'
+        columns.  No decode table is built for them."""
         if self.qubits > limits.MATERIALIZE_QUBIT_CAP:
             raise ValueError(f"syndrome arrays capped at {limits.MATERIALIZE_QUBIT_CAP} qubits")
-        combos = self._table.combos[1]
+        combos = combinations(self.modes, self.particles)
         columns = np.array(self.columns, dtype=np.int64)
-        return (occupations(combos, self.modes),
-                np.bitwise_xor.reduce(columns[combos], axis=1, dtype=np.int64))
+        syndromes = np.bitwise_xor.reduce(columns[combos], axis=1, dtype=np.int64)
+        order = np.argsort(syndromes, kind="stable")
+        return occupations(combos[order], self.modes), syndromes[order]
 
     def codewords(self) -> np.ndarray:
         """C(M,N) x M occupation rows, in the order of the full decode table's
@@ -224,7 +229,8 @@ def transition_sign(enc: CodeEncoding, obs: FermionObservable, s) -> int:
 
     Zero when the syndrome has no weight-N preimage or the occupation
     pattern blocks the transition.  For the i*(minus) variants the i is
-    stripped, so the result is always -1, 0, or +1.
+    stripped, so the result is -1, 0 or +1, or +/-2 where the forward and
+    reversed products reach the same state (the hop (a, a)).
     """
     x = enc.decode(s)
     return 0 if x is None else _stripped_sign(obs, x)
@@ -247,70 +253,60 @@ def _stripped_sign(obs: FermionObservable, x: FockState) -> int:
     return int(value.real)
 
 
-def _codeword_signs(words: np.ndarray, observables) -> np.ndarray:
-    """_stripped_sign of every observable on every occupation row.
+def _codeword_signs(words: np.ndarray, terms) -> np.ndarray:
+    """Values of (indices, choice) terms on every occupation row.
 
-    Returns an (observables, rows) int8 array.  The forward and reversed
-    products act on all rows together; where both reach the same state
-    their amplitudes add (to +/-2 or 0), as in observable_action, and the i
-    of the minus variant is never applied.
+    A term's value is the sign of its product, creators on the first half
+    of indices and annihilators on the second, plus choice times the sign
+    of the reversed indices, its conjugate transpose, which flips the same
+    modes.  Where both reach a state their signs add (to +/-2 or 0), as in
+    observable_action, and the i of the minus variant (choice -1) is never
+    applied; choice 0 takes the product alone.  Returns a (terms, rows)
+    int8 array.
     """
     words = np.asarray(words, dtype=np.int8)
+    m = words.shape[1]
     # row j of either array is mode j + 1: its occupations, and the parity of
     # the occupied modes before it
     cols = np.ascontiguousarray(words.T)
     prefix = np.ascontiguousarray((np.cumsum(words, axis=1) - words).T & 1, dtype=np.int8)
-    forward = [obs.forward_ops() for obs in observables]
-    reverse = [obs.reversed_ops() for obs in observables]
-    # the two products reach different states when they flip different modes
-    differ = np.array([_flipped_modes(f) != _flipped_modes(r) for f, r in zip(forward, reverse)],
-                      dtype=bool)
-    forward, reverse = _ladder_signs(cols, prefix, forward), _ladder_signs(cols, prefix, reverse)
-    if (differ[:, None] & (forward != 0) & (reverse != 0)).any():
-        raise ValueError("observable is not a pure transition on this state")
-    choice = np.array([obs.sign_choice for obs in observables], dtype=np.int8)
-    return forward + choice[:, None] * reverse
-
-
-def _flipped_modes(ops) -> int:
-    """The modes a ladder string flips an odd number of times, as a bit mask."""
-    mask = 0
-    for _, mode in ops:
-        mask ^= 1 << mode
-    return mask
-
-
-def _ladder_signs(cols: np.ndarray, prefix: np.ndarray, strings) -> np.ndarray:
-    """apply_op_string_rows's signs of each ladder string, on all rows at once.
-
-    cols and prefix hold, per mode, its occupation and the parity of the
-    occupied modes before it, one entry per row.  Applied right to left,
-    an operator on mode j needs j full (annihilator) or empty (creator),
-    the need toggled by each earlier operator on j, and multiplies in
-    (-1)**(prefix at j + earlier operators on modes below j).  Returns a
-    (strings, rows) int8 array.
-    """
-    m = len(cols)
-    signs = np.zeros((len(strings), cols.shape[1]), dtype=np.int8)
+    values = np.empty((len(terms), len(words)), dtype=np.int8)
     by_length: dict[int, list[int]] = {}
-    for i, ops in enumerate(strings):
-        by_length.setdefault(len(ops), []).append(i)
-    for length, rows in by_length.items():
-        ops = [strings[i] for i in rows]
-        modes = np.array([[mode for _, mode in s] for s in ops], dtype=np.intp) - 1
+    for i, (indices, _) in enumerate(terms):
+        by_length.setdefault(len(indices), []).append(i)
+    for rows in by_length.values():
+        modes = np.array([terms[i][0] for i in rows], dtype=np.intp) - 1
         bad = (modes < 0) | (modes >= m)
         if bad.any():
             raise IndexError(f"mode {modes[bad][0] + 1} out of range 1..{m}")
-        full = np.array([[kind == "a" for kind, _ in s] for s in ops], dtype=np.int8)
-        below = np.zeros(len(rows), dtype=np.int8)
-        for i in range(length):
-            earlier, mode = modes[:, i + 1:], modes[:, i:i + 1]
-            full[:, i] ^= (earlier == mode).sum(axis=1, dtype=np.int8) & 1
-            below += (earlier < mode).sum(axis=1, dtype=np.int8)
-        ok = (cols[modes] == full[:, :, None]).all(axis=1)
-        odd = (prefix[modes].sum(axis=1, dtype=np.int8) + below[:, None]) & 1
-        signs[rows] = ok * (1 - 2 * odd)
-    return signs
+        choice = np.array([terms[i][1] for i in rows], dtype=np.int8)
+        values[rows] = (_ladder_signs(cols, prefix, modes)
+                        + choice[:, None] * _ladder_signs(cols, prefix, modes[:, ::-1]))
+    return values
+
+
+def _ladder_signs(cols: np.ndarray, prefix: np.ndarray, modes: np.ndarray) -> np.ndarray:
+    """apply_op_string_rows's signs of ladder products, on all rows at once.
+
+    Each row of modes (0-based) is one product, creators on its first half
+    and annihilators on its second.  cols and prefix hold, per mode, its
+    occupation and the parity of the occupied modes before it, one entry
+    per row.  Applied right to left, an operator on mode j needs j full
+    (annihilator) or empty (creator), the need toggled by each earlier
+    operator on j, and multiplies in (-1)**(prefix at j + earlier operators
+    on modes below j).  Returns a (products, rows) int8 array.
+    """
+    length = modes.shape[1]
+    full = np.zeros(modes.shape, dtype=np.int8)
+    full[:, length // 2:] = 1
+    below = np.zeros(len(modes), dtype=np.int8)
+    for i in range(length):
+        earlier, mode = modes[:, i + 1:], modes[:, i:i + 1]
+        full[:, i] ^= (earlier == mode).sum(axis=1, dtype=np.int8) & 1
+        below += (earlier < mode).sum(axis=1, dtype=np.int8)
+    ok = (cols[modes] == full[:, :, None]).all(axis=1)
+    odd = (prefix[modes].sum(axis=1, dtype=np.int8) + below[:, None]) & 1
+    return ok * (1 - 2 * odd)
 
 
 @dataclass(eq=False)
@@ -439,27 +435,27 @@ def _qubit_order(mask: int) -> list[int]:
 # values, and a chunk's frames in pieces of at most as many pairs plus
 # entries, so apart from per-frame columns none of its arrays takes more than
 # _PASS_ENTRIES * 2^Q * 8 bytes.  Measured on the Fig-3 code (1,281 frames),
-# the peak above the table it returns is 0.24 MB, within twice that bound.
+# the peak above the table it returns is 0.21 MB, within twice that bound.
 _PASS_ENTRIES = 4
 
 
-def _frame_plan(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, list[int], list[int]]:
-    """Flip mask of one observable, its frames' Z masks, and each frame's part count.
+def _frame_plan(enc: CodeEncoding, indices: tuple[int, ...],
+                choice: int) -> tuple[int, list[int], list[int]]:
+    """Flip mask of one term, its frames' Z masks, and each frame's part count.
 
-    The flip mask is the XOR of the observable's packed columns, so a mode
-    named twice cancels.  One frame per Z-pattern of the right parity
-    inside it (even for the plus variant, odd for the i*(minus) variant),
-    in ascending mask order; a diagonal observable keeps its one identity
-    frame.  When the code is a graph's and the flip mask meets both of its
-    row classes, the frames merge as bipartite_improve merges them: the
-    patterns clear on the chosen qubits remain, in qubit order, each
-    counting the frames that land on it.  A product of k ladder operators
-    on columns of weight at most w never takes more than 2^(k*w - 1)
-    frames, or its one identity frame when k*w = 0; more raises
-    AssertionError.
+    The flip mask is the XOR of the term's packed columns, so a mode named
+    twice cancels.  One frame per Z-pattern of the right parity inside it
+    (odd for the i*(minus) variant, choice -1, else even), in ascending
+    mask order; a diagonal term keeps its one identity frame.  When the
+    code is a graph's and the flip mask meets both of its row classes, the
+    frames merge as bipartite_improve merges them: the patterns clear on
+    the chosen qubits remain, in qubit order, each counting the frames
+    that land on it.  A product of k ladder operators on columns of weight
+    at most w never takes more than 2^(k*w - 1) frames, or its one
+    identity frame when k*w = 0; more raises AssertionError.
     """
     flips = 0
-    for alpha in obs.indices:
+    for alpha in indices:
         flips ^= enc.columns[alpha - 1]
     on_frames = [rows & flips for rows in enc.class_masks]  # none without a graph
     if not all(on_frames):
@@ -473,7 +469,7 @@ def _frame_plan(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, list[in
     by_parity = [sum(s.bit_count() % 2 == p for s in stabilizers) for p in (0, 1)]
     free = flips & ~picked
     counts: dict[int, int] = {}
-    epsilon = obs.epsilon
+    epsilon = choice == -1
     z = 0
     while True:
         # z walks the submasks of free upwards
@@ -486,23 +482,11 @@ def _frame_plan(enc: CodeEncoding, obs: FermionObservable) -> tuple[int, list[in
     zs = sorted(counts, key=_qubit_order) if on_frames else list(counts)
     if any(z & picked for z in zs):
         raise AssertionError("improvement left a Z on the chosen qubits")
-    flipped = len(obs.indices) * enc.max_column_weight
+    flipped = len(indices) * enc.max_column_weight
     cap = 1 << (flipped - 1) if flipped else 1
     if len(zs) > cap:
-        raise AssertionError(f"{obs.kind} sparsity {len(zs)} over the bound {cap}")
+        raise AssertionError(f"{len(indices)}-index sparsity {len(zs)} over the bound {cap}")
     return flips, zs, [counts[z] for z in zs]
-
-
-def _term_values(words: np.ndarray, terms) -> np.ndarray:
-    """(terms, codewords) int8 values: an observable's transition signs, or
-    the occupation product of a tuple of modes."""
-    values = np.empty((len(terms), len(words)), dtype=np.int8)
-    observed = [i for i, term in enumerate(terms) if isinstance(term, FermionObservable)]
-    values[observed] = _codeword_signs(words, [terms[i] for i in observed])
-    for i, term in enumerate(terms):
-        if not isinstance(term, FermionObservable):
-            values[i] = words[:, [alpha - 1 for alpha in term]].prod(axis=1)
-    return values
 
 
 def _rest_index(states: np.ndarray, flips: np.ndarray, q: int) -> np.ndarray:
@@ -518,10 +502,12 @@ def _rest_index(states: np.ndarray, flips: np.ndarray, q: int) -> np.ndarray:
 def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames:
     """Frames of weighted terms, in term order, from one pass over the codewords.
 
-    A term is a FermionObservable, framed as _frame_plan says, or a tuple
-    of modes, one identity frame of their occupation product.  A nonzero
+    A term is (indices, choice), framed as _frame_plan says, with the
+    values _codeword_signs gives it: a hop or pair hop with choice +1 or
+    -1, or with choice 0 a self-adjoint product such as (a, a) or
+    (a, b, b, a), an occupation product on one identity frame.  A nonzero
     penalty g adds a last identity frame, g*(identity - codespace
-    projector), the projector being the occupation product of no modes.
+    projector), the projector being the empty product ((), 0).
     Frame z of a flip mask with k bits has the diagonal
 
         count * 2^-k * sum_c v_c (-1)^{|z & s_c|}   at the rest index of s_c,
@@ -535,9 +521,8 @@ def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames
     """
     q = enc.qubits
     if penalty:
-        terms, weights = [*terms, ()], [*weights, penalty]
-    plans = [_frame_plan(enc, term) if isinstance(term, FermionObservable) else (0, [0], [1])
-             for term in terms]
+        terms, weights = [*terms, ((), 0)], [*weights, penalty]
+    plans = [_frame_plan(enc, *term) for term in terms]
     per_term = np.array([len(zs) for _, zs, _ in plans], dtype=np.intp)
     term_x = mask_array([flips for flips, _, _ in plans], q)
     z_masks = mask_array([z for _, zs, _ in plans for z in zs], q)
@@ -564,7 +549,7 @@ def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
 
     def add_chunk(lo: int, hi: int) -> None:
         """Add the frames of terms lo..hi-1 to flat; the chunk's arrays go on return."""
-        values = _term_values(words, terms[lo:hi])
+        values = _codeword_signs(words, terms[lo:hi])
         hit = values != 0
         nonzero = hit.sum(axis=1)
         # each term's nonzero values and their syndromes, grouped by term
@@ -608,7 +593,7 @@ def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> Simulator
     _frame_plan lists its frames and bounds their number; _simulate
     computes their diagonals.
     """
-    return SimulatorOp(obs, list(_simulate(enc, [obs], [1.0])))
+    return SimulatorOp(obs, list(_simulate(enc, [(obs.indices, obs.sign_choice)], [1.0])))
 
 
 def _hop(enc: CodeEncoding, alpha: int, beta: int, variant: str) -> FermionObservable:
@@ -710,58 +695,40 @@ def occupation_diag(enc: CodeEncoding, modes) -> FramedDiagonal:
     return FramedDiagonal(PauliOperator.identity(enc.qubits), diag)
 
 
-def _block_terms(enc: CodeEncoding, modes: tuple[int, ...], coeff: complex) -> list[tuple]:
-    """Terms of one Hermitian-paired block: the real part weights the plus
-    observable, the imaginary part the i*(minus) one."""
-    out = []
-    for part, variant in ((coeff.real, "plus"), (coeff.imag, "minus")):
-        if part:
-            obs = (_hop(enc, *modes, variant) if len(modes) == 2
-                   else FermionObservable.pair_hop(*modes, variant))
-            out.append((obs, part))
-    return out
-
-
 def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
                                 penalty: float | None = None) -> Frames:
     """Framed-term simulator of the full Hamiltonian plus codespace penalty.
 
-    Every Hermitian-paired coefficient block becomes a plus/minus pair of
-    observables weighted by its real and imaginary parts; diagonal blocks
-    become occupation products, and interaction entries with a repeated
-    creator or annihilator index, which are the zero operator, are
-    skipped.  All of them are framed in one pass (_simulate).  The penalty
-    term is g*(identity - codespace projector), which vanishes on the
-    codespace and raises everything orthogonal to it by g.
+    Every term is a coefficient block's key and a sign choice: (a, b) of
+    the one-body tensor or (a, b, g, d) of the interactions, one key of
+    each Hermitian pair.  A self-adjoint block, (a, a) or (a, b, b, a), is
+    an occupation product, choice 0, weighted by its real part; any other
+    gives the plus and i*(minus) terms, choice +1 and -1, weighted by its
+    real and imaginary parts.  Interaction entries with a repeated creator
+    or annihilator index, which are the zero operator, are skipped.  All
+    terms are framed in one pass (_simulate).  The penalty term is
+    g*(identity - codespace projector), which vanishes on the codespace
+    and raises everything orthogonal to it by g.
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
     if penalty is None:
         penalty = default_penalty_scale(h)
-    blocks: list[tuple] = []
-
-    for alpha in range(1, h.modes + 1):
-        coeff = h.t[alpha - 1, alpha - 1]
-        if coeff != 0:
-            blocks.append(((alpha,), coeff.real))
-    for alpha, beta in zip(*(np.nonzero(np.triu(h.t, 1)))):
-        blocks += _block_terms(enc, (int(alpha) + 1, int(beta) + 1), h.t[alpha, beta])
-
-    done = set()
-    for key, coeff in sorted(h.interactions.items()):
-        if key in done:
-            continue
-        partner = (key[3], key[2], key[1], key[0])
-        done.add(key)
-        done.add(partner)
-        a, b = key[:2]
-        if partner == key:
-            # self-adjoint block: a'_a a'_b a_b a_a = occupation product
-            blocks.append(((a, b), coeff.real))
+    t = h.t
+    blocks = [((int(a) + 1,) * 2, t[a, a]) for a in np.flatnonzero(np.diag(t))]
+    blocks += [((int(a) + 1, int(b) + 1), t[a, b]) for a, b in zip(*np.nonzero(np.triu(t, 1)))]
+    # a block and its partner key[::-1] are one Hermitian pair: take the lesser
+    blocks += [(key, coeff) for key, coeff in sorted(h.interactions.items()) if key[::-1] >= key]
+    terms, weights = [], []
+    for indices, coeff in blocks:
+        if indices == indices[::-1]:  # self-adjoint: an occupation product
+            parts = [(0, coeff.real)]
         else:
-            blocks += _block_terms(enc, key, coeff)
-
-    return _simulate(enc, [term for term, _ in blocks], [weight for _, weight in blocks], penalty)
+            parts = [(choice, part) for choice, part in ((1, coeff.real), (-1, coeff.imag)) if part]
+        for choice, part in parts:
+            terms.append((indices, choice))
+            weights.append(part)
+    return _simulate(enc, terms, weights, penalty)
 
 
 def load_pcm(path: str) -> np.ndarray:

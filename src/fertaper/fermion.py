@@ -140,7 +140,7 @@ def apply_op_string_rows(occ: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
 class FermionObservable:
     """Hermitian one- or two-pair observable i**eps (T +/- T_reversed).
 
-    Two indices give kind "two_body", T = a'_a a_b; four give "four_body",
+    Two indices give the hop T = a'_a a_b, four the pair hop
     T = a'_a a'_b a_g a_d.  The reversed product conjugate-transposes T, and
     eps, 1 exactly for the minus combination, supplies the i that makes it
     Hermitian.
@@ -154,10 +154,6 @@ class FermionObservable:
             raise ValueError("an observable needs 2 or 4 indices")
         if self.sign_choice not in (1, -1):
             raise ValueError("sign_choice must be +1 or -1")
-
-    @property
-    def kind(self) -> str:
-        return "two_body" if len(self.indices) == 2 else "four_body"
 
     @property
     def epsilon(self) -> int:
@@ -238,7 +234,7 @@ class FermionHamiltonian:
         )
         if top > 1 + 1e-9:
             warnings.warn(
-                f"coefficient magnitude {top:.3g} exceeds 1; the usual energy-scale "
+                f"coefficient magnitude {float(top)!r} exceeds 1; the usual energy-scale "
                 "convention keeps all coefficients within [-1, 1]",
                 stacklevel=2,
             )

@@ -290,14 +290,6 @@ class TernaryField:
         for table in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
             table.flags.writeable = False
 
-    @staticmethod
-    def _poly_mul(a: tuple, b: tuple) -> tuple:
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % 3
-        return tuple(out)
-
     @classmethod
     def _poly_mod(cls, a: tuple, mod: tuple) -> tuple:
         a = list(a)

@@ -42,7 +42,13 @@ from fertaper.graphs import (
     load_graph,
     save_graph,
 )
-from fertaper.mitm import InjectivityViolation, brute_force_decode, build_tables, mitm_decode
+from fertaper.mitm import (
+    InjectivityViolation,
+    brute_force_decode,
+    build_tables,
+    mitm_decode,
+    occupations,
+)
 from fertaper.pauli import PauliOperator, qubit_mask
 from tests.conftest import packed, syndrome
 
@@ -366,7 +372,7 @@ class TestCodewordSigns:
             states.append(enc.decode(s))
             assert states[-1].occ == tuple(row)
         observables = list(self.observables(enc.modes, np.random.default_rng(enc.qubits)))
-        signs = _codeword_signs(words, observables)
+        signs = _codeword_signs(words, [(o.indices, o.sign_choice) for o in observables])
         assert signs.shape == (len(observables), len(words))
         for obs, got in zip(observables, signs.tolist()):
             assert got == [_stripped_sign(obs, x) for x in states], obs
@@ -377,7 +383,8 @@ class TestCodewordSigns:
         preimage = enc.preimage()
         for obs in (FermionObservable.hop(3, 9, "minus"),
                     FermionObservable.pair_hop(2, 5, 5, 14)):
-            signs = np.append(_codeword_signs(enc.codewords(), [obs])[0], 0)[preimage]
+            signs = np.append(_codeword_signs(enc.codewords(), [(obs.indices, obs.sign_choice)])[0],
+                              0)[preimage]
             for index in range(0, 1 << enc.qubits, 7):
                 s = np.array(gf2.unpack_ints([index], enc.qubits)[0], dtype=np.uint8)
                 assert transition_sign(enc, obs, s) == signs[index]
@@ -386,11 +393,20 @@ class TestCodewordSigns:
         enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
         obs = _Skewed.hop(1, 2)
         with pytest.raises(ValueError, match="not a pure transition"):
-            _codeword_signs(enc.codewords(), [FermionObservable.hop(3, 4), obs])
-        with pytest.raises(ValueError, match="not a pure transition"):
             transition_sign(enc, obs, np.array([0, 1, 0, 1], dtype=np.uint8))
-        with pytest.raises(ValueError, match="not a pure transition"):
-            observable_simulator(enc, obs)
+
+    def test_self_adjoint_products_are_occupations(self, encoding):
+        """Choice 0 takes the product alone: (a, a) is n_a, (a, b, b, a) is
+        n_a n_b, and the empty product () is 1 on every codeword."""
+        words = encoding.codewords()
+        pairs = [(a, b) for a in range(1, encoding.modes + 1)
+                 for b in range(1, encoding.modes + 1) if a != b]
+        terms = ([((a, a), 0) for a in range(1, encoding.modes + 1)]
+                 + [((a, b, b, a), 0) for a, b in pairs] + [((), 0)])
+        signs = _codeword_signs(words, terms)
+        want = ([words[:, a - 1] for a in range(1, encoding.modes + 1)]
+                + [words[:, a - 1] * words[:, b - 1] for a, b in pairs] + [np.ones(len(words))])
+        assert np.array_equal(signs, np.array(want))
 
 
 class TestTwoBodySimulator:
@@ -737,6 +753,19 @@ class TestBuildSimulator:
             h = FermionHamiltonian(4, 2, np.zeros((4, 4)), u)
             assert list(build_simulator_hamiltonian(h, enc, penalty=0.0)) == []
             assert not sector_matrix_direct(h).any()
+
+    def test_builds_no_observable(self, fig3_encoding, monkeypatch):
+        # every term is a coefficient block's indices and a sign choice
+        h = random_hamiltonian(16, 2, np.random.default_rng(5), interaction_pairs=8)
+        want = build_simulator_hamiltonian(h, fig3_encoding)
+
+        def refuse(self, *args):
+            raise AssertionError("the whole-Hamiltonian pass built a FermionObservable")
+
+        monkeypatch.setattr(FermionObservable, "__init__", refuse)
+        got = build_simulator_hamiltonian(h, fig3_encoding)
+        assert got.buffer.tobytes() == want.buffer.tobytes()
+        assert got.weights.tobytes() == want.weights.tobytes()
 
     def test_hermitian_pairs_validated(self, fig3_graph):
         enc = fig3_subcode(fig3_graph)
@@ -1184,6 +1213,20 @@ def test_a_graph_code_keeps_no_array_of_2_to_the_q_entries(fig3_encoding):
     arrays = list(_arrays(enc, set()))
     assert any(a is enc.codewords() for a in arrays)  # the walk reaches the cached arrays
     assert max(a.size for a in arrays) < 1 << enc.qubits
+
+
+def test_a_graph_code_builds_no_decode_table(fig3_encoding):
+    enc = fig3_encoding
+    build_simulator_hamiltonian(random_hamiltonian(16, 2, np.random.default_rng(4)), enc)
+    assert "_table" not in vars(enc)  # it decodes by matching on the graph
+
+
+def test_codewords_are_in_decode_table_order(fig3_graph):
+    # a code without its graph builds the full table, and lists its
+    # codewords in that table's key order
+    enc = CodeEncoding.from_matrix(fig3_graph.incidence_matrix(), 2)
+    assert np.array_equal(enc.codewords(), occupations(enc._table.combos[1], enc.modes))
+    assert (np.diff(enc.syndromes()) > 0).all()
 
 
 def test_pass_memory_stays_within_its_chunk_bound(fig3_encoding):

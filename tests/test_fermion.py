@@ -124,7 +124,8 @@ class TestObservableAction:
 
         assert [f.name for f in fields(FermionObservable)] == ["indices", "sign_choice"]
         hop, pair = FermionObservable.hop(1, 2, "minus"), FermionObservable.pair_hop(1, 2, 3, 4)
-        assert (hop.kind, hop.epsilon, pair.kind, pair.epsilon) == ("two_body", 1, "four_body", 0)
+        assert (hop.epsilon, pair.epsilon) == (1, 0)
+        assert not hasattr(hop, "kind")  # the index count says it
         for indices, sign in (((1, 2, 3), 1), ((1, 2), 0)):
             with pytest.raises(ValueError):
                 FermionObservable(indices, sign)
@@ -255,6 +256,11 @@ class TestValidation:
     def test_magnitude_warning(self):
         with pytest.warns(UserWarning):
             FermionHamiltonian(2, 1, 2.0 * np.eye(2))
+
+    def test_magnitude_warning_names_the_value(self):
+        # the largest magnitude is 1.0017296...; rounded to 3 digits it read "1"
+        with pytest.warns(UserWarning, match=r"magnitude 1\.00172\d* exceeds 1"):
+            random_hamiltonian(16, 2, np.random.default_rng(3), interaction_pairs=40)
 
     def test_json_round_trip(self):
         rng = np.random.default_rng(37)

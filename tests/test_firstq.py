@@ -197,8 +197,17 @@ def oracle_add(field: TernaryField, a: int, b: int) -> int:
     return from_digits((x + y) % 3 for x, y in zip(digits(a, field.m), digits(b, field.m)))
 
 
+def poly_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two GF(3) coefficient tuples, constant first."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % 3
+    return tuple(out)
+
+
 def oracle_mul(field: TernaryField, a: int, b: int) -> int:
-    prod = field._poly_mul(digits(a, field.m), digits(b, field.m))
+    prod = poly_mul(digits(a, field.m), digits(b, field.m))
     return from_digits(field._poly_mod(prod, field.poly))
 
 

@@ -1,16 +1,22 @@
 """The program modules keep no surface that only the tests reach.
 
-An AST scan of src/fertaper lists every public function, class, method
-and property.  One that nothing under src/ reads outside its own
+An AST scan of src/fertaper lists every top-level function and class, and
+every method and property of a top-level class, private ones included
+(dunders aside).  One that nothing under src/ reads outside its own
 definition must be a dense or brute-force oracle the tests judge the
 program by (listed below), or a name the benchmark under perfbench/ uses.
-Only reads count, not assignments.  A read of self.x or cls.x inside
-class C counts toward C's own member x only; any other name or attribute
-read counts toward every definition of that name, except an attribute
-read on an imported module from outside the package (np.product,
-itertools.product).  The scan can miss an unused name.  It would flag a
-used one only if a subclass read an inherited member through self, and no
-class in the package subclasses another.
+Only reads count, not assignments.  A top-level name f is reached by a
+bare name f, an import of f, or an attribute read .f (gf2.drop_bits).  A
+member C.x is reached by an attribute read .x or an import of x, or by
+self.x or cls.x inside C; a bare name x, such as a local or a parameter,
+does not reach it.  An attribute read on an imported module from outside
+the package (np.product, itertools.product) reaches nothing.  The
+benchmark's reads follow the same rules, and a dotted string there (the
+tracer's "QubitHamiltonian.canonicalize") reads each of its parts as an
+attribute; a plain string such as a dict key reads nothing.  The scan can
+miss an unused member that shares its name with some other attribute
+read.  It would flag a used one only if a subclass read an inherited
+member through self, and no class in the package subclasses another.
 """
 
 import ast
@@ -27,12 +33,14 @@ ORACLES = (
     "pauli_matrix_naive",
     "QubitHamiltonian.product",
     "mode_op_to_pauli",
+    "StandardEncoding.matrix",
     "StandardEncoding.permutation_matrix",
     "apply_op_string_rows",
     "transition_sign",
     "FramedDiagonal.apply_to_index",
     "FramedDiagonal.to_dense",
     "SimulatorOp.to_dense",
+    "CodeEncoding.matrix",
     "CodeEncoding.isometry",
     "apply_frames_to_isometry",
     "bipartite_improve",
@@ -55,15 +63,19 @@ ORACLES = (
 PER_OBSERVABLE = ("two_body_simulator", "four_body_simulator")
 
 
-def _public_definitions(tree: ast.Module):
-    """(qualified name, node) of each public top-level def and class, and of
-    each public method or property of a top-level class."""
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level def and class, and of each
+    method or property of a top-level class, dunders aside."""
+    def scanned(node):
+        return (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                and not (node.name.startswith("__") and node.name.endswith("__")))
+
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if scanned(node):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                if scanned(item) and isinstance(item, ast.FunctionDef):
                     yield f"{node.name}.{item.name}", item
 
 
@@ -82,8 +94,9 @@ def _root(node: ast.AST) -> ast.AST:
 
 
 def _reads(node: ast.AST, external: set[str], owner=None, enclosing=()) -> set[str]:
-    """Names read or imported under node, except inside the definition they
-    name: bare names, and "C.x" for a read of self.x or cls.x in class C."""
+    """Reads under node, except inside the definition they name: "x" for a
+    bare name x, ".x" for an attribute read or an import of x, and "C.x"
+    for a read of self.x or cls.x in class C."""
     if isinstance(node, ast.ClassDef) and not enclosing:
         owner = node.name
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -96,36 +109,44 @@ def _reads(node: ast.AST, external: set[str], owner=None, enclosing=()) -> set[s
             if enclosing[1:2] != (node.attr,):  # enclosing[0] is the class
                 found.add(f"{owner}.{node.attr}")
         elif not (isinstance(_root(node), ast.Name) and _root(node).id in external):
-            found.add(node.attr)
+            found.add(f".{node.attr}")
     elif isinstance(node, ast.alias):
-        found.add(node.name.split(".")[-1])
-    found -= set(enclosing)
+        found.add("." + node.name.split(".")[-1])
+    found -= {read for name in enclosing for read in (name, f".{name}")}
     for child in ast.iter_child_nodes(node):
         found |= _reads(child, external, owner, enclosing)
     return found
 
 
+def _reached(qualified: str, reads: set[str]) -> bool:
+    """Whether reads reach a definition: a top-level f by "f" or ".f", a
+    member C.x by ".x" or "C.x"."""
+    return qualified in reads or "." + qualified.split(".")[-1] in reads
+
+
 def _unreached_in(trees) -> list[str]:
-    used = set().union(*(_reads(tree, _external_modules(tree)) for tree in trees))
-    return [qualified for tree in trees for qualified, node in _public_definitions(tree)
-            if node.name not in used and qualified not in used]
+    reads = set().union(*(_reads(tree, _external_modules(tree)) for tree in trees))
+    return [qualified for tree in trees for qualified, _ in _definitions(tree)
+            if not _reached(qualified, reads)]
+
+
+def _benchmark_reads(trees) -> set[str]:
+    """_reads of the benchmark's sources, plus ".x" for each part x of a
+    dotted string constant (the tracer's targets)."""
+    reads = set()
+    for tree in trees:
+        reads |= _reads(tree, _external_modules(tree))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                parts = node.value.split(".")
+                if len(parts) > 1 and all(part.isidentifier() for part in parts):
+                    reads.update(f".{part}" for part in parts)
+    return reads
 
 
 def _benchmark_names() -> set[str]:
-    """Every identifier perfbench/ reads, imports or names in a dotted string
-    (the tracer's targets, such as "QubitHamiltonian.canonicalize")."""
-    names = set()
-    for path in BENCH.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                names.add(node.attr)
-            elif isinstance(node, ast.alias):
-                names.add(node.name.split(".")[-1])
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                names.update(part for part in node.value.split(".") if part.isidentifier())
-    return names
+    return _benchmark_reads([ast.parse(path.read_text(encoding="utf-8"))
+                             for path in sorted(BENCH.glob("*.py"))])
 
 
 def _unreached() -> list[str]:
@@ -136,8 +157,8 @@ def _unreached() -> list[str]:
 def test_every_unreached_name_is_an_oracle_or_benchmarked():
     bench = _benchmark_names()
     stray = [q for q in _unreached()
-             if q not in ORACLES + PER_OBSERVABLE and q.split(".")[-1] not in bench]
-    assert stray == [], f"public names no program path reaches: {stray}"
+             if q not in ORACLES + PER_OBSERVABLE and not _reached(q, bench)]
+    assert stray == [], f"names no program path reaches: {stray}"
 
 
 def test_every_listed_oracle_is_defined_and_unreached():
@@ -148,8 +169,13 @@ def test_every_listed_oracle_is_defined_and_unreached():
 def test_the_scan_sees_a_stray_name():
     tree = ast.parse("def kept():\n    return helper()\n\n"
                      "def helper():\n    return helper\n\n"
-                     "class Box:\n    def spare(self):\n        return self.spare\n")
-    assert _unreached_in([tree]) == ["kept", "Box", "Box.spare"]
+                     "class Box:\n    def spare(self):\n        return self.spare\n\n"
+                     "def _idle():\n    return 0\n\n"  # private names are scanned, dunders not
+                     "class _Crate:\n    def __init__(self):\n        self._used()\n\n"
+                     "    def _used(self):\n        return 0\n\n"
+                     "    def _spare(self):\n        return 0\n")
+    assert _unreached_in([tree]) == ["kept", "Box", "Box.spare", "_idle", "_Crate",
+                                     "_Crate._spare"]
 
 
 @pytest.mark.parametrize("use, reached", [
@@ -164,6 +190,9 @@ def test_the_scan_sees_a_stray_name():
     ("class Crate:\n    def f(self):\n        return self.spare", False),
     ("class Crate:\n    @classmethod\n    def f(cls):\n        return cls.spare", False),
     ("class Crate:\n    def f(self):\n        return self.box.spare", True),
+    ("spare = Box()\nprint(spare)", False),  # a bare name, such as a local, is no member read
+    ("def f(spare):\n    return spare", False),  # nor is a parameter
+    ('print("spare")', False),
 ])
 def test_reads_of_a_member_count_by_their_owner_and_context(use, reached):
     source = ("import numpy as np\nimport numpy.linalg\nfrom fertaper import gf2\n\n"
@@ -172,3 +201,15 @@ def test_reads_of_a_member_count_by_their_owner_and_context(use, reached):
     unreached = _unreached_in([ast.parse(source)])
     assert ("Box.spare" not in unreached) == reached
     assert "Box.other" not in unreached
+
+
+@pytest.mark.parametrize("bench, qualified, reached", [
+    ("def f(enc):\n    return enc.spare", "Box.spare", True),
+    ("from fertaper.box import spare", "Box.spare", True),
+    ('TARGETS = ("box.Box.spare",)', "Box.spare", True),  # a dotted string names its parts
+    ("def f(spare):\n    return spare", "Box.spare", False),  # a local
+    ('ROW = {"spare": 1}', "Box.spare", False),  # a plain string is no reference
+    ("def f(spare):\n    return spare", "spare", True),  # a bare name reaches a function
+])
+def test_benchmark_reads_follow_the_same_rules(bench, qualified, reached):
+    assert _reached(qualified, _benchmark_reads([ast.parse(bench)])) == reached
