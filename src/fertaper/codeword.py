@@ -183,14 +183,17 @@ class CodeEncoding:
     def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
         """The codewords in syndrome order, the full decode table's key order,
         as occupation rows and as syndromes, each the XOR of its modes'
-        columns.  No decode table is built for them."""
+        columns: a non-graph code's table rows, a graph code's sorted list."""
         if self.qubits > limits.MATERIALIZE_QUBIT_CAP:
             raise ValueError(f"syndrome arrays capped at {limits.MATERIALIZE_QUBIT_CAP} qubits")
-        combos = combinations(self.modes, self.particles)
+        combos = (self._table.combos[1] if self.graph is None
+                  else combinations(self.modes, self.particles))
         columns = np.array(self.columns, dtype=np.int64)
         syndromes = np.bitwise_xor.reduce(columns[combos], axis=1, dtype=np.int64)
-        order = np.argsort(syndromes, kind="stable")
-        return occupations(combos[order], self.modes), syndromes[order]
+        if self.graph is not None:  # the table's rows are in key order already
+            order = np.argsort(syndromes, kind="stable")
+            combos, syndromes = combos[order], syndromes[order]
+        return occupations(combos, self.modes), syndromes
 
     def codewords(self) -> np.ndarray:
         """C(M,N) x M occupation rows, in the order of the full decode table's

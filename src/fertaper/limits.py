@@ -12,8 +12,8 @@ DENSE_QUBIT_CAP = 14
 BRUTE_FORCE_COLUMN_CAP = 24  # columns the brute-force injectivity check and decoder enumerate
 MATERIALIZE_QUBIT_CAP = 24  # qubits up to which codeword simulators build 2^Q arrays
 TABLE_ENTRY_BUDGET = 1 << 26  # entries in one pair of syndrome tables
-# qubits left after tapering for which `taper` finds sector energies: it labels
-# each sector's 2^k basis states by connected block, then diagonalizes every block
+# qubits left after tapering for which `taper` finds sector energies: it labels each sector's
+# 2^k basis states by connected block, then diagonalizes the blocks that can hold its minimum
 SECTOR_QUBIT_CAP = 12
 PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register state
 # modes a Hamiltonian file may declare: reading one allocates its M x M complex

@@ -404,11 +404,16 @@ class BasisBlocks:
         states = np.argsort(self.labels, kind="stable")
         return np.split(states, np.flatnonzero(np.diff(self.labels[states])) + 1)
 
-    def spectra(self) -> list[np.ndarray]:
-        """Each sum's spectrum: the ascending union of its block spectra.
+    def lowest(self) -> list[float]:
+        """Each sum's lowest energy: the least first eigvalsh value over its blocks.
 
-        One small eigvalsh per block; a sum's blocks together span its
-        register.
+        Blocks are built one at a time, largest first, ties by least diagonal
+        entry (an upper bound on the lowest eigenvalue).  A sum's first block
+        runs eigvalsh.  A later block B is skipped when B - (E + delta) I, E
+        the sum's lowest so far, has a Cholesky factor: delta = 2 (n+1)^2 eps
+        (|B|_F + |E|), |B|_F at most sqrt 2 times the stored lower triangle's
+        norm, covers the backward errors of both factorizations (Higham,
+        Accuracy and Stability, ch. 10), so eigvalsh of B would exceed E.
         """
         blocks = self.blocks()
         owner = np.empty(len(self.labels), dtype=np.int64)
@@ -418,23 +423,42 @@ class BasisBlocks:
             local[states] = np.arange(len(states))
         edge_owner = owner[self.sources]
         order = np.argsort(edge_owner, kind="stable")
-        cuts = np.cumsum(np.bincount(edge_owner, minlength=len(blocks)))[:-1]
-        del edge_owner
-        spectra = [[] for _ in range(len(self.labels) >> self.qubit_count)]
-        for states, part in zip(blocks, np.split(order, cuts)):
-            mat = np.zeros((len(states), len(states)), dtype=complex)
-            mat[local[self.targets[part]], local[self.sources[part]]] = self.values[part]
-            spectra[states[0] >> self.qubit_count].append(np.linalg.eigvalsh(mat))
-        return [np.sort(np.concatenate(parts)) for parts in spectra]
+        bounds = [0, *np.cumsum(np.bincount(edge_owner, minlength=len(blocks))).tolist()]
+        sizes = np.array([len(states) for states in blocks])
+        on_diagonal = self.sources == self.targets
+        diagonal = np.zeros(len(self.labels))  # 0 where a state has no diagonal edge
+        diagonal[self.sources[on_diagonal]] = self.values[on_diagonal].real
+        least = np.minimum.reduceat(diagonal[np.concatenate(blocks)], np.cumsum(sizes) - sizes)
+        scale = 2 * (sizes + 1.0) ** 2 * np.finfo(float).eps  # delta / (|B|_F + |E|)
+        del edge_owner, on_diagonal  # before the eigvalsh workspaces
+        energies = [np.inf] * (len(self.labels) >> self.qubit_count)
+        for b in np.lexsort((least, -sizes)).tolist():
+            size, i = sizes[b], blocks[b][0] >> self.qubit_count
+            part = order[bounds[b]:bounds[b + 1]]
+            at, values = (local[self.targets[part]], local[self.sources[part]]), self.values[part]
+            mat = np.zeros((size, size), dtype=complex)
+            mat[at] = values
+            if energies[i] < np.inf:
+                frobenius = np.sqrt(2 * np.vdot(values, values).real)  # at least |B|_F
+                shift = energies[i] + scale[b] * (frobenius + abs(energies[i]))
+                mat.reshape(-1)[::size + 1] -= shift
+                try:
+                    np.linalg.cholesky(mat)
+                    continue
+                except np.linalg.LinAlgError:
+                    mat[:] = 0
+                    mat[at] = values
+            energies[i] = min(energies[i], np.linalg.eigvalsh(mat)[0])
+        return energies
 
 
-def sector_spectra(h: QubitHamiltonian, plan: TaperingPlan,
-                   transformed: QubitHamiltonian | None = None,
-                   sectors=None) -> dict[tuple, np.ndarray]:
-    """Ascending dense spectrum of each sector's tapered Hamiltonian.
+def sector_energies(h: QubitHamiltonian, plan: TaperingPlan,
+                    transformed: QubitHamiltonian | None = None,
+                    sectors=None) -> dict[tuple, float]:
+    """Lowest energy of each sector's tapered Hamiltonian.
 
     sectors defaults to all 2^k sign choices; the result keeps their order.
-    Each spectrum is the union of the tapered sector's blocks: the
+    Each energy is the least over the tapered sector's blocks: the
     reflections send the basis states of a Z-string sector to tapered basis
     states, so a molecular sector keeps its particle-number blocks.  One
     taper_sectors walk and one BasisBlocks serve as many sectors as the
@@ -445,9 +469,8 @@ def sector_spectra(h: QubitHamiltonian, plan: TaperingPlan,
         transformed = clifford_transform(h, plan)
     sectors = all_sectors(plan.size) if sectors is None else list(sectors)
     batch = max(1, (1 << limits.dense_cap()) >> (transformed.qubit_count - plan.size))
-    spectra = {}
+    energies = {}
     for lo in range(0, len(sectors), batch):
         tapered = taper_sectors(transformed, plan, sectors[lo:lo + batch])
-        spectra.update(zip(tapered, BasisBlocks(tapered.values()).spectra()))
-    return spectra
-
+        energies.update(zip(tapered, BasisBlocks(tapered.values()).lowest()))
+    return energies

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
@@ -30,10 +31,11 @@ from fertaper.tapering import (
     build_plan,
     clifford_transform,
     find_symmetries,
-    sector_spectra,
+    sector_energies,
     taper,
 )
 from tests.conftest import minimal_basis_hydrogen, syndrome
+from tests.test_tapering import all_block_sector_spectra
 
 
 @pytest.fixture
@@ -267,7 +269,8 @@ class TestTaperReport:
         transformed = clifford_transform(q, plan)
         full = np.sort(np.linalg.eigvalsh(q.dense()))
         assert np.allclose(np.sort(np.linalg.eigvalsh(transformed.dense())), full, atol=1e-9)
-        union = np.sort(np.concatenate(list(sector_spectra(q, plan, transformed).values())))
+        union = np.sort(np.concatenate(list(
+            all_block_sector_spectra(q, plan, transformed).values())))
         assert np.allclose(union, full, atol=1e-9)
         want = np.linalg.eigvalsh(dense_fock_matrix(minimal_basis_hydrogen()))[0]
         assert abs(min(data["sector_energies"].values()) - want) < 1e-9
@@ -375,7 +378,7 @@ class TestTaperReport:
             return bad
 
         monkeypatch.setattr(cli, "build_plan", broken_plan)
-        for name in ("clifford_transform", "sector_spectra", "taper"):
+        for name in ("clifford_transform", "sector_energies", "taper"):
             stage = getattr(cli, name)
             monkeypatch.setattr(cli, name, lambda *args, stage=stage: stage(
                 *(real.get(id(a), a) for a in args)))
@@ -466,10 +469,10 @@ class TestTaperReport:
         import fertaper.cli as cli
 
         def nudged(*args):
-            spectra = sector_spectra(*args)
-            return {s: v - 1e-13 * k for k, (s, v) in enumerate(spectra.items())}
+            energies = sector_energies(*args)
+            return {s: e - 1e-13 * k for k, (s, e) in enumerate(energies.items())}
 
-        monkeypatch.setattr(cli, "sector_spectra", nudged)
+        monkeypatch.setattr(cli, "sector_energies", nudged)
         path = tmp_path / "h.json"
         path.write_text(FermionHamiltonian(3, 1, np.zeros((3, 3))).to_json())
         _, _, report = encode_and_taper(tmp_path, str(path))
@@ -1066,9 +1069,30 @@ class TestVerifyCommand:
     def test_suites_pass(self, suite):
         assert main(["verify", "--suite", suite]) == 0
 
-    def test_spectra_suite(self):
+    def test_spectra_suite(self, tmp_path):
+        report = tmp_path / "r.json"
         assert main(["verify", "--suite", "spectra", "--M", "4", "--N", "2",
-                     "--seed", "7"]) == 0
+                     "--seed", "7", "--report", str(report)]) == 0
+        checks = json.loads(report.read_text())["checks"]
+        assert [c["name"] for c in checks] == [
+            f"{kind}_{check}" for kind in ("jordan_wigner", "parity", "binary_tree")
+            for check in ("spectrum", "sector_union", "sector_energies")]
+        assert all(c["passed"] and c["residual"] <= 1e-9 for c in checks)
+
+    def test_timings_read_a_monotonic_clock(self, tmp_path, monkeypatch):
+        # a wall clock can step back between two reads; perf_counter cannot
+        import time
+
+        import fertaper.cli as cli
+
+        def wall_clock():
+            raise AssertionError("verify read time.time")
+
+        monkeypatch.setattr(cli, "time", SimpleNamespace(perf_counter=time.perf_counter,
+                                                         time=wall_clock))
+        report = tmp_path / "r.json"
+        assert main(["verify", "--suite", "h2", "--timings", "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["timings"]["wall_seconds"] >= 0
 
     def test_report_deterministic(self, tmp_path):
         r1 = tmp_path / "a.json"

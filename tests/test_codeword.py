@@ -249,6 +249,33 @@ class TestCodeEncoding:
         assert CodeEncoding.from_graph(fig3_graph, 2).class_masks == sides
         assert CodeEncoding.from_matrix(fig3_graph.incidence_matrix(), 2).class_masks == ()
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_a_matrix_code_lists_its_codewords_once(self, fig3_graph, n, monkeypatch):
+        # the decode table's weight-N rows are the codewords in syndrome
+        # order; a graph code, which has no table, lists and sorts them
+        from fertaper import codeword, mitm
+
+        listed = []
+        combinations = mitm.combinations
+
+        def counted(m, k):
+            listed.append(k)
+            return combinations(m, k)
+
+        monkeypatch.setattr(mitm, "combinations", counted)
+        monkeypatch.setattr(codeword, "combinations", counted)
+        codes = []
+        for build, source in ((CodeEncoding.from_matrix, fig3_graph.incidence_matrix()),
+                              (CodeEncoding.from_graph, fig3_graph)):
+            listed.clear()
+            enc = build(source, n)
+            words, syndromes = enc.codewords(), enc.syndromes()
+            assert listed.count(n) == 1
+            assert np.all(np.diff(syndromes) > 0)
+            assert np.array_equal(syndromes, [enc.encode_state(FockState(tuple(w))) for w in words])
+            codes.append(words)
+        assert np.array_equal(*codes)
+
     def test_rejects_noninjective(self):
         a = np.array([[1, 1], [0, 0]], dtype=np.uint8)
         with pytest.raises(ValueError):

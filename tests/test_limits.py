@@ -22,7 +22,7 @@ from fertaper.firstq import (
 )
 from fertaper.pauli import PauliOperator, QubitHamiltonian
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
-from fertaper.tapering import BasisBlocks, build_plan, find_symmetries, sector_spectra
+from fertaper.tapering import BasisBlocks, build_plan, find_symmetries, sector_energies
 from tests.test_tapering import spin_conserving_hamiltonian
 
 # every dense builder, each on a basis of 16 to 81 states
@@ -112,7 +112,7 @@ def test_sector_spectra_take_as_many_sectors_as_the_cap_holds(monkeypatch, cap):
     plan = build_plan(find_symmetries(q), q)
     assert (plan.size, q.qubit_count - plan.size) == (2, 4)
     monkeypatch.delenv("FERTAPER_MAX_DENSE_QUBITS", raising=False)
-    whole = sector_spectra(q, plan)
+    whole = sector_energies(q, plan)
     batches = []
     blocks = tapering.BasisBlocks
 
@@ -123,7 +123,7 @@ def test_sector_spectra_take_as_many_sectors_as_the_cap_holds(monkeypatch, cap):
 
     monkeypatch.setattr(tapering, "BasisBlocks", counted)
     monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", str(cap))
-    spectra = sector_spectra(q, plan)
+    energies = sector_energies(q, plan)
     assert batches == [1 << (cap - 4)] * (4 >> (cap - 4))
-    assert list(spectra) == list(whole)
-    assert all(np.array_equal(spectra[s], whole[s]) for s in whole)
+    assert list(energies) == list(whole)
+    assert all(energies[s] == whole[s] for s in whole)

@@ -28,7 +28,7 @@ from fertaper.tapering import (
     check_matrix,
     clifford_transform,
     find_symmetries,
-    sector_spectra,
+    sector_energies,
     symplectic_gram_schmidt,
     taper,
     taper_sectors,
@@ -267,7 +267,7 @@ class TestTaper:
             plan = build_plan(group, q)
             transformed = clifford_transform(q, plan)
             union = np.sort(
-                np.concatenate(list(sector_spectra(q, plan, transformed).values()))
+                np.concatenate(list(all_block_sector_spectra(q, plan, transformed).values()))
             )
             ref = np.sort(np.linalg.eigvalsh(dense_fock_matrix(h)))
             assert np.abs(union - ref).max() < 1e-9
@@ -294,7 +294,7 @@ class TestTaper:
             assert all(op.letter_at(p) in "IX" for _, op in transformed.terms
                        for p in plan.paired_qubits)
             union = np.sort(
-                np.concatenate(list(sector_spectra(q, plan, transformed).values()))
+                np.concatenate(list(all_block_sector_spectra(q, plan, transformed).values()))
             )
             ref = np.sort(np.linalg.eigvalsh(dense_fock_matrix(h)))
             assert np.abs(union - ref).max() < 1e-9
@@ -364,18 +364,18 @@ class TestTaper:
         h = QubitHamiltonian(1, ((0.5, PauliOperator.from_label("I")),
                                  (0.3, PauliOperator.from_label("Z"))))
         plan = build_plan(find_symmetries(h), h)
-        spectra = sector_spectra(h, plan)
+        spectra = all_block_sector_spectra(h, plan)
         assert {s: v.tolist() for s, v in spectra.items()} == \
             {(1,): [pytest.approx(0.8)], (-1,): [pytest.approx(0.2)]}
         empty = QubitHamiltonian.zero(1)
         plan = build_plan(find_symmetries(empty), empty)
-        assert all(v.tolist() == [0.0] for v in sector_spectra(empty, plan).values())
+        assert all(v.tolist() == [0.0] for v in all_block_sector_spectra(empty, plan).values())
 
     def test_chosen_sectors_keep_their_order(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
-        every = sector_spectra(h2_table, plan)
+        every = all_block_sector_spectra(h2_table, plan)
         picked = [(-1, 1, -1), (1, 1, 1)]
-        some = sector_spectra(h2_table, plan, sectors=picked)
+        some = all_block_sector_spectra(h2_table, plan, sectors=picked)
         assert list(some) == picked
         for sector in picked:
             assert np.array_equal(some[sector], every[sector])
@@ -389,17 +389,48 @@ def whole_sector_spectra(q: QubitHamiltonian, plan: TaperingPlan) -> dict:
             for s in all_sectors(plan.size)}
 
 
+def all_block_spectra(blocks: BasisBlocks) -> list[np.ndarray]:
+    """The all-blocks oracle: each sum's ascending spectrum, one eigvalsh per block."""
+    n = blocks.qubit_count
+    parts = [[] for _ in range(len(blocks.labels) >> n)]
+    for states in blocks.blocks():
+        inside = blocks.labels[blocks.sources] == states[0]
+        mat = np.zeros((len(states), len(states)), dtype=complex)
+        mat[np.searchsorted(states, blocks.targets[inside]),
+            np.searchsorted(states, blocks.sources[inside])] = blocks.values[inside]
+        parts[states[0] >> n].append(np.linalg.eigvalsh(mat))
+    return [np.sort(np.concatenate(spectra)) for spectra in parts]
+
+
+def all_block_sector_spectra(q: QubitHamiltonian, plan: TaperingPlan,
+                             transformed: QubitHamiltonian | None = None, sectors=None) -> dict:
+    """Each sector's spectrum from the all-blocks oracle, whose least entries
+    sector_energies must equal bit for bit."""
+    if transformed is None:
+        transformed = clifford_transform(q, plan)
+    sectors = all_sectors(plan.size) if sectors is None else list(sectors)
+    tapered = taper_sectors(transformed, plan, sectors)
+    spectra = dict(zip(tapered, all_block_spectra(BasisBlocks(tapered.values()))))
+    energies = sector_energies(q, plan, transformed, sectors)
+    assert list(energies) == list(spectra)
+    assert all(energies[s] == spectrum[0] for s, spectrum in spectra.items())
+    return spectra
+
+
 def assert_matches_the_oracle(q: QubitHamiltonian, plan: TaperingPlan) -> int:
-    """sector_spectra(q, plan) against the oracle; returns the largest matrix it diagonalized."""
+    """sector_energies(q, plan) and the all-blocks spectra against the oracle;
+    returns the largest matrix sector_energies diagonalized."""
     sizes = []
     eigvalsh = np.linalg.eigvalsh
     with mock.patch("numpy.linalg.eigvalsh", lambda mat: sizes.append(len(mat)) or eigvalsh(mat)):
-        spectra = sector_spectra(q, plan)
+        energies = sector_energies(q, plan)
+    spectra = all_block_sector_spectra(q, plan)
     oracle = whole_sector_spectra(q, plan)
-    assert list(spectra) == list(oracle)
+    assert list(energies) == list(spectra) == list(oracle)
     for sector, spectrum in oracle.items():
         assert spectra[sector].shape == spectrum.shape
         assert np.abs(spectra[sector] - spectrum).max() <= 1e-10
+        assert abs(energies[sector] - spectrum[0]) <= 1e-10
     return max(sizes)
 
 
@@ -438,7 +469,8 @@ class TestBasisBlocks:
                                    (0.5, PauliOperator.from_label("YY"))))
         blocks = BasisBlocks([hop])
         assert [b.tolist() for b in blocks.blocks()] == [[0], [1, 2], [3]]
-        assert blocks.spectra()[0].tolist() == pytest.approx([-1, 0, 0, 1])
+        assert all_block_spectra(blocks)[0].tolist() == pytest.approx([-1, 0, 0, 1])
+        assert blocks.lowest() == [pytest.approx(-1)]
         xx = QubitHamiltonian(2, ((1.0, PauliOperator.from_label("XX")),))
         assert [b.tolist() for b in BasisBlocks([xx]).blocks()] == [[0, 3], [1, 2]]
 
@@ -465,8 +497,10 @@ class TestBasisBlocks:
         together = BasisBlocks(sums)
         assert len(together.labels) == len(sums) << n
         assert all(len(set((b >> n).tolist())) == 1 for b in together.blocks())
-        for h, spectrum in zip(sums, together.spectra()):
-            assert np.array_equal(spectrum, BasisBlocks([h]).spectra()[0])
+        spectra = all_block_spectra(together)
+        assert together.lowest() == [spectrum[0] for spectrum in spectra]
+        for h, spectrum in zip(sums, spectra):
+            assert np.array_equal(spectrum, all_block_spectra(BasisBlocks([h]))[0])
         with pytest.raises(ValueError, match="qubit count mismatch"):
             BasisBlocks([sums[0], QubitHamiltonian.zero(n + 1)])
 
@@ -495,18 +529,101 @@ class TestBasisBlocks:
             return bitwise_count(a, *args, **kwargs)
 
         with mock.patch("numpy.bitwise_count", count_2d):
-            together = BasisBlocks(sums).spectra()
+            blocks = BasisBlocks(sums)
         assert sorted(shapes) == sorted([(len(narrow), 512)] + [(128, 512), (128, 512), (44, 512)] * 2)
+        together = all_block_spectra(blocks)
+        assert blocks.lowest() == [spectrum[0] for spectrum in together]
         for h, spectrum in zip(sums, together):
-            assert np.array_equal(spectrum, BasisBlocks([h]).spectra()[0])
+            assert np.array_equal(spectrum, all_block_spectra(BasisBlocks([h]))[0])
             assert np.abs(spectrum - np.linalg.eigvalsh(h.dense())).max() <= 1e-10
 
     def test_sectors_are_checked(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
         with pytest.raises(ValueError, match="sector needs 3 entries"):
-            sector_spectra(h2_table, plan, sectors=[(1,)])
+            sector_energies(h2_table, plan, sectors=[(1,)])
         with pytest.raises(ValueError, match=r"\+1 or -1"):
-            sector_spectra(h2_table, plan, sectors=[(1, 0, 1)])
+            sector_energies(h2_table, plan, sectors=[(1, 0, 1)])
+
+    @pytest.mark.parametrize("kind", ["jordan_wigner", "parity", "binary_tree"])
+    @pytest.mark.parametrize("m", [4, 6, 8, 10])
+    def test_spin_symmetric_inputs_match_every_block(self, kind, m):
+        # swapping the spins maps the (a, b) block onto the (b, a) one, so a
+        # sector's lowest energy can sit in two blocks: the certificate must
+        # not skip the second
+        q = encode_hamiltonian(spin_symmetric_hamiltonian(m, m), build_encoding(kind, m))
+        plan = build_plan(find_symmetries(q), q)
+        assert plan.size == 2
+        assert_matches_the_oracle(q, plan)
+
+    def test_blocks_above_the_lowest_skip_eigvalsh(self):
+        # spin-conserving M=10: each sum's first block runs eigvalsh, every
+        # later one a Cholesky test, and most of those pass
+        q = encode_hamiltonian(spin_conserving_hamiltonian(10, 10),
+                               build_encoding("jordan_wigner", 10))
+        plan = build_plan(find_symmetries(q), q)
+        tapered = taper_sectors(clifford_transform(q, plan), plan, all_sectors(plan.size))
+        blocks = BasisBlocks(tapered.values())
+        calls = {"eigvalsh": [], "cholesky": []}
+        real = {name: getattr(np.linalg, name) for name in calls}
+
+        def counted(name):
+            return lambda mat: calls[name].append(len(mat)) or real[name](mat)
+
+        with mock.patch("numpy.linalg.eigvalsh", counted("eigvalsh")), \
+                mock.patch("numpy.linalg.cholesky", counted("cholesky")):
+            lowest = blocks.lowest()
+        sizes = [len(states) for states in blocks.blocks()]
+        assert lowest == [spectrum[0] for spectrum in all_block_spectra(blocks)]
+        assert len(calls["cholesky"]) == len(sizes) - len(tapered)
+        assert len(tapered) <= len(calls["eigvalsh"]) < len(sizes)
+        assert sum(n ** 3 for n in calls["eigvalsh"]) < sum(n ** 3 for n in sizes)
+
+
+def planted_blocks(sums: list[list[np.ndarray]]) -> BasisBlocks:
+    """A BasisBlocks whose sum i holds the given Hermitian blocks on its
+    first states, one after another, and 1x1 zero blocks on the rest: the
+    edge arrays and labels the constructor leaves, set directly."""
+    n = max(sum(len(mat) for mat in mats) - 1 for mats in sums).bit_length()
+    labels = np.arange(len(sums) << n)
+    sources, targets, values = [labels[:0]], [labels[:0]], [np.zeros(0, dtype=complex)]
+    for i, mats in enumerate(sums):
+        start = i << n
+        for mat in mats:
+            t, s = np.nonzero(np.tril(mat))
+            sources.append(start + s)
+            targets.append(start + t)
+            values.append(mat[t, s])
+            labels[start:start + len(mat)] = start
+            start += len(mat)
+    blocks = object.__new__(BasisBlocks)
+    blocks.qubit_count, blocks.labels = n, labels
+    blocks.sources, blocks.targets, blocks.values = map(np.concatenate, (sources, targets, values))
+    return blocks
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(-4, 4))
+@settings(max_examples=60, deadline=None)
+def test_lowest_is_the_least_block_eigenvalue(seed, sum_count, ulps):
+    # ties planted in every sum: an exact copy of its largest block, and a
+    # copy shifted by ulps units in the last place of that block's minimum
+    rng = np.random.default_rng(seed)
+
+    def hermitian(size):
+        raw = rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size))
+        mat = (raw + raw.conj().T) / 2
+        mat[np.tril(rng.random((size, size)) < 0.3, -1)] = 0  # sparse lower triangle
+        return mat
+
+    sums = []
+    for _ in range(sum_count):
+        mats = [hermitian(int(size)) for size in rng.integers(1, 10, size=rng.integers(1, 5))]
+        largest = max(mats, key=len)
+        shift = ulps * np.spacing(abs(np.linalg.eigvalsh(largest)[0]))
+        mats += [largest.copy(), largest + shift * np.eye(len(largest))]
+        sums.append([mats[k] for k in rng.permutation(len(mats))])
+    blocks = planted_blocks(sums)
+    assert len(blocks.blocks()) >= sum(len(mats) for mats in sums)
+    assert blocks.lowest() == [spectrum[0] for spectrum in all_block_spectra(blocks)]
 
 
 def per_term_taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitHamiltonian:
@@ -613,7 +730,7 @@ class TestTaperSectors:
 
         with mock.patch.object(gf2, "drop_bits", lambda *a: drops.append(1) or drop_bits(*a)), \
                 mock.patch("numpy.bitwise_count", count_2d):
-            sector_spectra(q, plan, transformed)
+            sector_energies(q, plan, transformed)
         assert 0 < len(drops) <= len(transformed)
         assert len(sign_matrices) == len(x_masks)
 
@@ -736,8 +853,7 @@ class TestEndToEndHydrogen:
         assert group.same_group(pauli_group(["ZZII", "ZIZI", "ZIIZ"]))
         plan = build_plan(group, q)
         transformed = clifford_transform(q, plan)
-        spectra = sector_spectra(q, plan, transformed)
-        ground = min(v.min() for v in spectra.values())
+        ground = min(sector_energies(q, plan, transformed).values())
         ref = np.linalg.eigvalsh(q.dense())[0]
         assert ground == pytest.approx(ref, abs=1e-10)
 
@@ -761,6 +877,30 @@ def spin_conserving_hamiltonian(m: int, seed: int) -> FermionHamiltonian:
         u[(a, b, g, d)] = val.real if (a, b) == (d, g) else val
         u[(d, g, b, a)] = np.conj(u[(a, b, g, d)])
     return FermionHamiltonian(m, m // 2, t / max(1.0, np.abs(t).max()), u)
+
+
+def spin_symmetric_hamiltonian(m: int, seed: int) -> FermionHamiltonian:
+    """Random Hamiltonian unchanged when the spins swap (odd modes up).
+
+    Both spins hop alike between spatial orbitals, each interaction comes
+    with every assignment of spins to its outer and inner pair, and each
+    orbital has a Hubbard term.
+    """
+    rng = np.random.default_rng(seed)
+    k = m // 2
+    raw = rng.normal(size=(k, k)) + 1j * rng.normal(size=(k, k))
+    t = np.zeros((m, m), dtype=complex)
+    t[0::2, 0::2] = t[1::2, 1::2] = (raw + raw.conj().T) / 4
+    u = {(2 * p + 1, 2 * p + 2, 2 * p + 2, 2 * p + 1): 0.9 for p in range(k)}
+    for _ in range(3):
+        p, q, r, s = (int(v) for v in rng.integers(0, k, size=4))
+        val = complex(rng.normal(), rng.normal()) / 4
+        for outer, inner in itertools.product((1, 2), repeat=2):
+            a, b, g, d = 2 * p + outer, 2 * q + inner, 2 * r + inner, 2 * s + outer
+            if a != b and g != d:
+                u[(a, b, g, d)] = val.real if (a, b) == (d, g) else val
+                u[(d, g, b, a)] = np.conj(u[(a, b, g, d)])
+    return FermionHamiltonian(m, k, t, u)
 
 
 def clifford_image(op: PauliOperator, xs, zs) -> PauliOperator:
@@ -812,7 +952,7 @@ def assert_tapers_exactly(q: QubitHamiltonian, spectrum: np.ndarray) -> Tapering
     transformed = clifford_transform(q, plan)
     assert all(op.letter_at(p) in "IX" for _, op in transformed.terms
                for p in plan.paired_qubits)
-    spectra = sector_spectra(q, plan, transformed)
+    spectra = all_block_sector_spectra(q, plan, transformed)
     union = np.sort(np.concatenate(list(spectra.values())))
     assert np.allclose(union, spectrum, atol=1e-9)
     assert_matches_the_oracle(q, plan)
