@@ -48,8 +48,8 @@ import numpy as np
 from fertaper import gf2, limits
 from fertaper.fermion import (
     FermionHamiltonian,
-    FermionObservable,
     FockState,
+    check_term,
     default_penalty_scale,
     observable_action,
     weight_n_states,
@@ -227,30 +227,29 @@ class CodeEncoding:
         return iso
 
 
-def transition_sign(enc: CodeEncoding, obs: FermionObservable, s) -> int:
-    """Sign of the observable's transition out of the decoded preimage of s.
+def transition_sign(enc: CodeEncoding, term, s) -> int:
+    """Sign of the (indices, choice) term's transition out of the decoded preimage of s.
 
     Zero when the syndrome has no weight-N preimage or the occupation
-    pattern blocks the transition.  For the i*(minus) variants the i is
-    stripped, so the result is -1, 0 or +1, or +/-2 where the forward and
-    reversed products reach the same state (the hop (a, a)).
+    pattern blocks the transition.  For choice -1 the i is stripped, so the
+    result is -1, 0 or +1, or +/-2 where the forward and reversed products
+    reach the same state (the hop (a, a)).
     """
     x = enc.decode(s)
-    return 0 if x is None else _stripped_sign(obs, x)
+    return 0 if x is None else _stripped_sign(term, x)
 
 
-def _stripped_sign(obs: FermionObservable, x: FockState) -> int:
+def _stripped_sign(term, x: FockState) -> int:
     """Transition sign out of one occupation state, with the i stripped.
 
-    The one-state oracle of _codeword_signs, which simulators use.
+    The one-state oracle of _codeword_signs, which simulators use.  A term
+    reaches at most one state: its product and the reversed one flip the same modes.
     """
-    hits = observable_action(obs, x)
+    hits = observable_action(term, x)
     if not hits:
         return 0
-    if len(hits) != 1:
-        raise ValueError("observable is not a pure transition on this state")
     amp, _ = hits[0]
-    value = amp / (1j if obs.epsilon else 1.0)
+    value = amp / (1j if term[1] == -1 else 1.0)
     if value.imag != 0 or value.real not in (-1.0, 1.0, -2.0, 2.0):
         raise AssertionError(f"unexpected transition amplitude {amp}")
     return int(value.real)
@@ -263,9 +262,9 @@ def _codeword_signs(words: np.ndarray, terms) -> np.ndarray:
     of indices and annihilators on the second, plus choice times the sign
     of the reversed indices, its conjugate transpose, which flips the same
     modes.  Where both reach a state their signs add (to +/-2 or 0), as in
-    observable_action, and the i of the minus variant (choice -1) is never
-    applied; choice 0 takes the product alone.  Returns a (terms, rows)
-    int8 array.
+    observable_action, and the i of the i*(minus) observable (choice -1)
+    is never applied; choice 0 takes the product alone.  Returns a
+    (terms, rows) int8 array.
     """
     words = np.asarray(words, dtype=np.int8)
     m = words.shape[1]
@@ -384,18 +383,6 @@ class FramedDiagonal:
         return mat
 
 
-@dataclass
-class SimulatorOp:
-    """Framed-term decomposition of one encoded observable; its sparsity is
-    len(frames)."""
-
-    observable: FermionObservable
-    frames: list[FramedDiagonal]
-
-    def to_dense(self) -> np.ndarray:
-        return sum(frame.to_dense() for frame in self.frames)
-
-
 @dataclass(frozen=True, eq=False)
 class Frames:
     """Framed terms as columns: term i is weights[i] * P_i * diag(d_i).
@@ -448,7 +435,7 @@ def _frame_plan(enc: CodeEncoding, indices: tuple[int, ...],
 
     The flip mask is the XOR of the term's packed columns, so a mode named
     twice cancels.  One frame per Z-pattern of the right parity inside it
-    (odd for the i*(minus) variant, choice -1, else even), in ascending
+    (odd for the i*(minus) observable, choice -1, else even), in ascending
     mask order; a diagonal term keeps its one identity frame.  When the
     code is a graph's and the flip mask meets both of its row classes, the
     frames merge as bipartite_improve merges them: the patterns clear on
@@ -468,7 +455,7 @@ def _frame_plan(enc: CodeEncoding, indices: tuple[int, ...],
     stabilizers = [0]
     for rows in on_frames:
         stabilizers += [s ^ rows for s in stabilizers]
-    # the frames landing on z are its products z ^ s of the variant's parity
+    # the frames landing on z are its products z ^ s of the term's parity
     by_parity = [sum(s.bit_count() % 2 == p for s in stabilizers) for p in (0, 1)]
     free = flips & ~picked
     counts: dict[int, int] = {}
@@ -590,32 +577,29 @@ def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
     return flat, start
 
 
-def observable_simulator(enc: CodeEncoding, obs: FermionObservable) -> SimulatorOp:
-    """Framed decomposition of the encoded observable: the one-term pass.
+def observable_simulator(enc: CodeEncoding, term) -> list[FramedDiagonal]:
+    """Framed decomposition of one encoded term (indices, choice): the one-term pass.
 
     _frame_plan lists its frames and bounds their number; _simulate
     computes their diagonals.
     """
-    return SimulatorOp(obs, list(_simulate(enc, [(obs.indices, obs.sign_choice)], [1.0])))
+    check_term(term)
+    return list(_simulate(enc, [term], [1.0]))
 
 
-def _hop(enc: CodeEncoding, alpha: int, beta: int, variant: str) -> FermionObservable:
-    """The hop's observable; two equal columns are a weight-N collision unless N is 0 or M."""
+def two_body_simulator(enc: CodeEncoding, alpha: int, beta: int,
+                       choice: int = 1) -> list[FramedDiagonal]:
+    """Simulator of the Hermitian hop between two distinct modes, whose two
+    columns, if equal, are a weight-N collision unless N is 0 or M."""
     if alpha == beta:
         raise ValueError("two-body simulator needs distinct modes")
     if enc.columns[alpha - 1] == enc.columns[beta - 1] and 0 < enc.particles < enc.modes:
         raise ValueError("equal columns contradict injectivity")
-    return FermionObservable.hop(alpha, beta, variant)
-
-
-def two_body_simulator(enc: CodeEncoding, alpha: int, beta: int,
-                       variant: str = "plus") -> SimulatorOp:
-    """Simulator of the Hermitian hop between two distinct modes."""
-    return observable_simulator(enc, _hop(enc, alpha, beta, variant))
+    return observable_simulator(enc, ((alpha, beta), choice))
 
 
 def four_body_simulator(enc: CodeEncoding, alpha: int, beta: int, gamma: int,
-                        delta: int, variant: str = "plus") -> SimulatorOp:
+                        delta: int, choice: int = 1) -> list[FramedDiagonal]:
     """Simulator of the Hermitian two-pair transition.
 
     Coincident creator/annihilator indices cancel out of the flip pattern,
@@ -624,11 +608,10 @@ def four_body_simulator(enc: CodeEncoding, alpha: int, beta: int, gamma: int,
     """
     if alpha == beta or gamma == delta:
         raise ValueError("pair indices must be distinct within each pair")
-    return observable_simulator(enc, FermionObservable.pair_hop(alpha, beta, gamma, delta,
-                                                                variant))
+    return observable_simulator(enc, ((alpha, beta, gamma, delta), choice))
 
 
-def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding) -> SimulatorOp:
+def bipartite_improve(frames: list[FramedDiagonal], enc: CodeEncoding) -> list[FramedDiagonal]:
     """Merge frames by multiplying with codespace stabilizers (oracle use).
 
     The reference for the merge that _frame_plan does by counting parts.
@@ -639,17 +622,17 @@ def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding) -> SimulatorOp:
     clears the chosen qubit, and its rows on the rest index become a sign
     mask on the diagonal.  Frames that land on the same Z mask merge.  The
     codespace action is unchanged because the stabilizers act there as
-    identity.  A flip mask that misses a row class is returned unmerged.
+    identity.  One term's frames whose flip mask misses a row class are returned unmerged.
     """
     if enc.graph is None:
         raise ValueError("encoding has no graph, so no bipartition")
-    if not sim.frames:
-        return sim
+    if not frames:
+        return frames
     q = enc.qubits
-    flips = sim.frames[0].pauli.x_mask
+    flips = frames[0].pauli.x_mask
     on_frames = [rows & flips for rows in enc.class_masks]
     if not all(on_frames):
-        return sim
+        return frames
     n_sign = -1.0 if enc.particles % 2 else 1.0
     drop = _positions(flips)
     # per class: the chosen qubit's bit (its highest on the frame), its rows on
@@ -658,7 +641,7 @@ def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding) -> SimulatorOp:
                for on_frame, rows in zip(on_frames, enc.class_masks)]
 
     merged: dict[int, list] = {}
-    for frame in sim.frames:
+    for frame in frames:
         z, factor, sign_mask = frame.pauli.z_mask, frame.weight, 0
         for pick, on_frame, on_rest in classes:
             if frame.pauli.z_mask & pick:
@@ -682,20 +665,7 @@ def bipartite_improve(sim: SimulatorOp, enc: CodeEncoding) -> SimulatorOp:
     picked = classes[0][0] | classes[1][0]
     if any(frame.pauli.z_mask & picked for frame in out):
         raise AssertionError("improvement left a Z on the chosen qubits")
-    return SimulatorOp(sim.observable, out)
-
-
-def occupation_diag(enc: CodeEncoding, modes) -> FramedDiagonal:
-    """Identity frame whose diagonal is the product of the listed modes' occupations.
-
-    The product is read off each codeword and is 0 off the codespace, so
-    modes=() gives the codespace projector.
-    """
-    diag = None
-    if enc.qubits <= limits.MATERIALIZE_QUBIT_CAP:
-        occ = enc.codewords()[:, [alpha - 1 for alpha in modes]]
-        diag = np.append(occ.prod(axis=1).astype(float), 0.0)[enc.preimage()]
-    return FramedDiagonal(PauliOperator.identity(enc.qubits), diag)
+    return out
 
 
 def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,

@@ -136,58 +136,36 @@ def apply_op_string_rows(occ: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
     return signs, occ
 
 
-@dataclass(frozen=True)
-class FermionObservable:
-    """Hermitian one- or two-pair observable i**eps (T +/- T_reversed).
-
-    Two indices give the hop T = a'_a a_b, four the pair hop
-    T = a'_a a'_b a_g a_d.  The reversed product conjugate-transposes T, and
-    eps, 1 exactly for the minus combination, supplies the i that makes it
-    Hermitian.
-    """
-
-    indices: tuple[int, ...]
-    sign_choice: int  # +1 or -1
-
-    def __post_init__(self):
-        if len(self.indices) not in (2, 4):
-            raise ValueError("an observable needs 2 or 4 indices")
-        if self.sign_choice not in (1, -1):
-            raise ValueError("sign_choice must be +1 or -1")
-
-    @property
-    def epsilon(self) -> int:
-        return int(self.sign_choice == -1)
-
-    @classmethod
-    def hop(cls, alpha: int, beta: int, variant: str = "plus") -> "FermionObservable":
-        return cls((alpha, beta), 1 if variant == "plus" else -1)
-
-    @classmethod
-    def pair_hop(cls, alpha, beta, gamma, delta, variant: str = "plus") -> "FermionObservable":
-        return cls((alpha, beta, gamma, delta), 1 if variant == "plus" else -1)
-
-    def forward_ops(self):
-        if len(self.indices) == 2:
-            a, b = self.indices
-            return (("c", a), ("a", b))
-        a, b, g, d = self.indices
-        return (("c", a), ("c", b), ("a", g), ("a", d))
-
-    def reversed_ops(self):
-        if len(self.indices) == 2:
-            a, b = self.indices
-            return (("c", b), ("a", a))
-        a, b, g, d = self.indices
-        return (("c", d), ("c", g), ("a", b), ("a", a))
+def check_term(term) -> None:
+    """ValueError unless term = (indices, choice) is the Hermitian observable
+    i**eps (T + choice T_reversed), T the product of creators on the first
+    half of indices and annihilators on the second, eps 1 exactly for choice
+    -1; choice 0 takes a self-adjoint T alone, its indices a palindrome."""
+    indices, choice = term
+    if len(indices) % 2:
+        raise ValueError(f"a term needs an even number of indices, not {len(indices)}")
+    if choice not in (1, -1, 0):
+        raise ValueError(f"a term's choice must be 1, -1 or 0, not {choice!r}")
+    if choice == 0 and tuple(indices) != tuple(indices[::-1]):
+        raise ValueError(f"choice 0 needs a self-adjoint product, not {tuple(indices)}")
 
 
-def observable_action(obs: FermionObservable, x: FockState) -> list[tuple[complex, FockState]]:
-    """Exact sparse action: list of (amplitude, state) with distinct states."""
-    phase = 1j if obs.epsilon else 1.0
+def product_ops(indices) -> tuple:
+    """The ladder operators of a product, creators on the first half of indices."""
+    half = len(indices) // 2
+    return tuple(("c" if i < half else "a", mode) for i, mode in enumerate(indices))
+
+
+def observable_action(term, x: FockState) -> list[tuple[complex, FockState]]:
+    """Exact sparse action of a check_term term: (amplitude, state) pairs with
+    distinct states.  T_reversed is the product of indices[::-1]."""
+    check_term(term)
+    indices, choice = term
+    phase = 1j if choice == -1 else 1.0
+    products = [(indices, 1), (indices[::-1], choice)] if choice else [(indices, 1)]
     acc: dict[tuple[int, ...], complex] = {}
-    for ops, pref in ((obs.forward_ops(), 1), (obs.reversed_ops(), obs.sign_choice)):
-        hit = apply_op_string(x, ops)
+    for product, pref in products:
+        hit = apply_op_string(x, product_ops(product))
         if hit is None:
             continue
         sign, state = hit
@@ -351,13 +329,13 @@ def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:
     return mat
 
 
-def observable_matrix(obs: FermionObservable, m: int) -> np.ndarray:
-    """Dense Fock-space matrix of a single observable."""
+def observable_matrix(term, m: int) -> np.ndarray:
+    """Dense Fock-space matrix of a single term (see check_term)."""
     dim = 1 << m
     limits.check_dense(dim)
     mat = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        for amp, state in observable_action(obs, FockState.from_index(m, col)):
+        for amp, state in observable_action(term, FockState.from_index(m, col)):
             mat[state.index, col] += amp
     return mat
 

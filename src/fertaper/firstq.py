@@ -255,13 +255,13 @@ class TernaryField:
     """GF(3^m) arithmetic over a fixed irreducible polynomial, by table lookup.
 
     Elements are integers whose base-3 digits are polynomial coefficients
-    (constant digit first).  The tabulated polynomials are re-verified
-    irreducible at construction time by an exhaustive factor check.
-    Construction also fills 3^m x 3^m ``add_table`` and ``mul_table``
-    arrays from digit arithmetic on every pair at once, the product
-    reduced by the polynomial, and the 3^m-entry ``neg_table`` and
-    ``inv_table`` (the inverse of 0 reads 0).  The tables are read-only,
-    so one field can be shared.
+    (constant digit first).  Construction fills 3^m x 3^m ``add_table``
+    and ``mul_table`` arrays from digit arithmetic on every pair at once,
+    the product reduced by the polynomial, and the 3^m-entry ``neg_table``
+    and ``inv_table`` (the inverse of 0 reads 0).  It checks the field
+    axiom on the product table, every nonzero element having an inverse,
+    which holds exactly when the polynomial is irreducible.  The tables are
+    read-only, so one field can be shared.
     """
 
     # x, x^2+1, x^3+2x+1, x^4+x+2, x^5+2x+1 as coefficient tuples (constant first, monic)
@@ -273,8 +273,6 @@ class TernaryField:
         self.m = m
         self.size = 3 ** m
         self.poly = self.POLYS[m]
-        if m > 1 and not self._is_irreducible(self.poly):
-            raise AssertionError(f"tabulated polynomial for degree {m} is reducible")
         power = 3 ** np.arange(m)
         digits = np.arange(self.size)[:, None] // power % 3  # constant digit first
         da, db = digits[:, None, :], digits[None, :, :]
@@ -286,39 +284,12 @@ class TernaryField:
             prod[..., top - m : top + 1] -= prod[..., top : top + 1] % 3 * self.poly
         self.mul_table = prod[..., :m] % 3 @ power
         self.neg_table = (-digits) % 3 @ power
-        self.inv_table = np.argmax(self.mul_table == 1, axis=1)  # 0 has none; reads 0
+        ones = self.mul_table == 1
+        if not ones[1:].any(axis=1).all():
+            raise AssertionError(f"tabulated polynomial for degree {m} is reducible")
+        self.inv_table = np.argmax(ones, axis=1)  # 0 has none; reads 0
         for table in (self.add_table, self.mul_table, self.neg_table, self.inv_table):
             table.flags.writeable = False
-
-    @classmethod
-    def _poly_mod(cls, a: tuple, mod: tuple) -> tuple:
-        a = list(a)
-        deg_mod = len(mod) - 1
-        while len(a) > deg_mod:
-            lead = a[-1] % 3
-            if lead:
-                shift = len(a) - 1 - deg_mod
-                for i, c in enumerate(mod):
-                    a[shift + i] = (a[shift + i] - lead * c) % 3
-            a.pop()
-        while len(a) < deg_mod:
-            a.append(0)
-        return tuple(c % 3 for c in a)
-
-    @classmethod
-    def _is_irreducible(cls, poly: tuple) -> bool:
-        deg = len(poly) - 1
-        # no factor of degree 1..deg//2; enumerate monic candidates
-        for d in range(1, deg // 2 + 1):
-            for coeffs in itertools.product(range(3), repeat=d):
-                candidate = tuple(coeffs) + (1,)
-                if cls._poly_divides(candidate, poly):
-                    return False
-        return True
-
-    @classmethod
-    def _poly_divides(cls, small: tuple, big: tuple) -> bool:
-        return all(c == 0 for c in cls._poly_mod(big, small))
 
 
 MAX_MODES = 2 ** max(TernaryField.POLYS)  # modes the array grouping covers

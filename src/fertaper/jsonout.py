@@ -107,25 +107,22 @@ class _Lists:
     """A Table column whose cells are written as JSON lists, each when its row is.
 
     The cells are 1-D ndarrays, all float64 or all int64; lists or tuples
-    of str, each distinct str encoded once; or Tables.
+    of str, each distinct str encoded once; or Tables.  A float column keeps
+    its distinct bit patterns, sorted, with their texts; a str column keeps
+    each str's text.
     """
 
-    __slots__ = ("_cells", "_items")
+    __slots__ = ("_cells", "_keys", "_texts")
 
     def __init__(self, cells):
         kinds = {(v.dtype, v.ndim) if isinstance(v, np.ndarray) else type(v) for v in cells}
+        self._keys = self._texts = None
         if kinds == {(np.dtype(np.float64), 1)}:
-            keys, texts = _float_texts(cells)
-            self._items = lambda v: texts[np.searchsorted(keys, v.view(np.int64))].tolist()
-        elif kinds == {(np.dtype(np.int64), 1)}:
-            self._items = lambda v: map(int.__repr__, v.tolist())
+            self._keys, self._texts = _float_texts(cells)
         elif kinds <= {list, tuple}:
             words = dict.fromkeys(itertools.chain.from_iterable(cells))
-            texts = {word: encode_basestring_ascii(word) for word in words}  # TypeError if not str
-            self._items = lambda v: map(texts.__getitem__, v)
-        elif kinds == {Table}:
-            self._items = None
-        else:
+            self._texts = {w: encode_basestring_ascii(w) for w in words}  # TypeError if not str
+        elif kinds not in ({(np.dtype(np.int64), 1)}, {Table}):
             raise TypeError("list cells must be float64 arrays, int64 arrays, str lists or Tables")
         self._cells = cells
 
@@ -135,13 +132,20 @@ class _Lists:
     def write(self, row: int, write, newline: str) -> None:
         """Pass the list text of one row to write; newline is the line break and indent."""
         cell = self._cells[row]
-        if self._items is None:
+        if isinstance(cell, Table):
             cell._write(write, newline)
-        elif not len(cell):
+            return
+        if not len(cell):
             write("[]")
+            return
+        if self._keys is not None:
+            items = self._texts[np.searchsorted(self._keys, cell.view(np.int64))].tolist()
+        elif self._texts is not None:
+            items = map(self._texts.__getitem__, cell)
         else:
-            inner = newline + " "
-            write("[" + inner + ("," + inner).join(self._items(cell)) + newline + "]")
+            items = map(int.__repr__, cell.tolist())
+        inner = newline + " "
+        write("[" + inner + ("," + inner).join(items) + newline + "]")
 
 
 def dump(obj, fh) -> None:

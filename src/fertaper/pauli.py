@@ -127,10 +127,6 @@ class PauliOperator:
         return op
 
     @classmethod
-    def identity(cls, n: int) -> "PauliOperator":
-        return cls.from_masks(n, 0, 0)
-
-    @classmethod
     def from_label(cls, label: str) -> "PauliOperator":
         """Parse e.g. "ZZII", "-i" + "XY", "+1YZ".  Qubit 1 is leftmost."""
         prefix, letters = _split_label(label)
@@ -157,10 +153,6 @@ class PauliOperator:
     @property
     def y_count(self) -> int:
         return (self.x_mask & self.z_mask).bit_count()
-
-    @property
-    def weight(self) -> int:
-        return (self.x_mask | self.z_mask).bit_count()
 
     def letter_at(self, qubit: int) -> str:
         return _letter(self.x_mask, self.z_mask, self.n - _check_index(qubit, self.n))

@@ -181,12 +181,12 @@ def _random_certified_encodings(rng):
     return encodings
 
 
-def _simulation_condition_exact(sim, enc) -> bool:
-    got = apply_frames_to_isometry(sim.frames, enc)
+def _simulation_condition_exact(frames, term, enc) -> bool:
+    got = apply_frames_to_isometry(frames, enc)
     want = np.zeros_like(got)
     states = weight_n_states(enc.modes, enc.particles)
     for col, st in enumerate(states):
-        for amp, out in observable_action(sim.observable, st):
+        for amp, out in observable_action(term, st):
             want[enc.encode_state(out), col] += amp
     return np.array_equal(got, want)
 
@@ -201,20 +201,20 @@ def test_a7_codeword_simulation_condition():
         m = enc.modes
         for _ in range(10):
             a, b = (int(v) + 1 for v in rng.choice(m, size=2, replace=False))
-            variant = "plus" if rng.integers(2) else "minus"
-            sim = two_body_simulator(enc, a, b, variant)
-            r2_seen = max(r2_seen, len(sim.frames))
-            assert _simulation_condition_exact(sim, enc)
-            for frame in sim.frames:
+            choice = 1 if rng.integers(2) else -1
+            frames = two_body_simulator(enc, a, b, choice)
+            r2_seen = max(r2_seen, len(frames))
+            assert _simulation_condition_exact(frames, ((a, b), choice), enc)
+            for frame in frames:
                 diag = frame.materialize()
                 assert np.all(np.abs(diag) <= 1.0)
         for _ in range(5):
             picks = [int(v) + 1 for v in rng.choice(m, size=4, replace=False)]
-            variant = "plus" if rng.integers(2) else "minus"
-            sim = four_body_simulator(enc, *picks, variant)
-            r4_seen = max(r4_seen, len(sim.frames))
-            assert _simulation_condition_exact(sim, enc)
-            for frame in sim.frames:
+            choice = 1 if rng.integers(2) else -1
+            frames = four_body_simulator(enc, *picks, choice)
+            r4_seen = max(r4_seen, len(frames))
+            assert _simulation_condition_exact(frames, (tuple(picks), choice), enc)
+            for frame in frames:
                 diag = frame.materialize()
                 assert np.all(np.abs(diag) <= 1.0)
     assert r2_seen <= 2

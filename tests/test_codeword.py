@@ -8,7 +8,6 @@ from fertaper import gf2
 from fertaper.codeword import (
     CodeEncoding,
     FramedDiagonal,
-    SimulatorOp,
     _codeword_signs,
     _stripped_sign,
     apply_frames_to_isometry,
@@ -18,13 +17,11 @@ from fertaper.codeword import (
     is_n_injective,
     load_pcm,
     observable_simulator,
-    occupation_diag,
     transition_sign,
     two_body_simulator,
 )
 from fertaper.fermion import (
     FermionHamiltonian,
-    FermionObservable,
     FockState,
     apply_op_string_rows,
     default_penalty_scale,
@@ -71,29 +68,34 @@ def fig3_subcode(fig3_graph):
         BipartiteGraph(fig3_graph.left, fig3_graph.right, fig3_graph.edges[:6]), 2)
 
 
-def simulation_condition_exact(sim, enc) -> bool:
-    """Column-by-column identity: simulator applied to encoded states equals
-    the encoding applied to the target action."""
+def simulation_condition_exact(frames, term, enc) -> bool:
+    """Column-by-column identity: a term's frames applied to encoded states
+    equal the encoding applied to the term's action."""
     states = weight_n_states(enc.modes, enc.particles)
-    got = apply_frames_to_isometry(sim.frames, enc)
+    got = apply_frames_to_isometry(frames, enc)
     want = np.zeros_like(got)
     for col, st in enumerate(states):
-        for amp, out_state in observable_action(sim.observable, st):
+        for amp, out_state in observable_action(term, st):
             want[enc.encode_state(out_state), col] += amp
     return np.array_equal(got, want)
 
 
-def reference_signs(words, obs):
+def reference_signs(words, term):
     """Transition signs row by row: apply_op_string_rows on the forward and
-    reversed products, added where both reach the same state."""
-    forward, fwd_image = apply_op_string_rows(words, obs.forward_ops())
-    reverse, rev_image = apply_op_string_rows(words, obs.reversed_ops())
+    reversed products, added where both reach the same state; choice 0
+    takes the forward product alone."""
+    indices, choice = term
+    half = len(indices) // 2
+    (forward, fwd_image), (reverse, rev_image) = (
+        apply_op_string_rows(words, [("c" if i < half else "a", mode)
+                                     for i, mode in enumerate(product)])
+        for product in (indices, indices[::-1]))
     both = (forward != 0) & (reverse != 0)
     assert np.array_equal(fwd_image[both], rev_image[both])
-    return forward + obs.sign_choice * reverse
+    return forward + choice * reverse
 
 
-def sign_matrix(enc, obs, flips):
+def sign_matrix(enc, term, flips):
     """Transition signs over every syndrome as a (rest, frame) matrix.
 
     Entry [r, u] is the sign at the syndrome whose bits outside the flip
@@ -101,7 +103,7 @@ def sign_matrix(enc, obs, flips):
     most-significant-first.
     """
     q, k = enc.qubits, flips.bit_count()
-    signs = np.append(reference_signs(enc.codewords(), obs).astype(float), 0.0)[enc.preimage()]
+    signs = np.append(reference_signs(enc.codewords(), term).astype(float), 0.0)[enc.preimage()]
     # a stable sort of the qubit axes by flip bit: rest axes first, each part in order
     axes = np.argsort(flips >> np.arange(q - 1, -1, -1) & 1, kind="stable")
     return signs.reshape((2,) * q).transpose(axes).reshape(1 << (q - k), 1 << k)
@@ -120,26 +122,27 @@ def walsh_hadamard(values):
     return vec / size
 
 
-def reference_simulator(enc, obs):
-    """One observable's frames the per-observable way: its signs spread over
-    the syndromes, transposed to (rest, frame) bits and transformed along
-    the frame bits, one frame per Z-pattern of the variant's parity, then
-    merged by bipartite_improve when the code is a graph's."""
+def reference_simulator(enc, term):
+    """One term's frames the per-observable way: its signs spread over the
+    syndromes, transposed to (rest, frame) bits and transformed along the
+    frame bits, one frame per Z-pattern of the term's parity (odd exactly
+    for choice -1), then merged by bipartite_improve when the code is a
+    graph's."""
     q = enc.qubits
+    indices, choice = term
     flips = 0
-    for alpha in obs.indices:
+    for alpha in indices:
         flips ^= enc.columns[alpha - 1]
-    spectra = walsh_hadamard(sign_matrix(enc, obs, flips))
+    spectra = walsh_hadamard(sign_matrix(enc, term, flips))
     frames, z = [], 0
     for t in range(1 << flips.bit_count()):
         # z walks the submasks of flips upwards, so it is column t's Z-pattern
         parity = z.bit_count() % 2
-        if not flips or parity == obs.epsilon:
+        if not flips or parity == (choice == -1):
             frames.append(FramedDiagonal(PauliOperator.from_masks(q, flips, z, parity),
                                          spectra[:, t]))
         z = (z - flips) & flips
-    sim = SimulatorOp(obs, frames)
-    return sim if enc.graph is None else bipartite_improve(sim, enc)
+    return frames if enc.graph is None else bipartite_improve(frames, enc)
 
 
 def reference_hamiltonian(h, enc, penalty):
@@ -150,15 +153,18 @@ def reference_hamiltonian(h, enc, penalty):
         return FramedDiagonal(frame.pauli, frame.diagonal, frame.weight * factor)
 
     def block(modes, coeff):
-        for part, variant in ((coeff.real, "plus"), (coeff.imag, "minus")):
+        for part, choice in ((coeff.real, 1), (coeff.imag, -1)):
             if part:
-                obs = (FermionObservable.hop(*modes, variant) if len(modes) == 2
-                       else FermionObservable.pair_hop(*modes, variant))
-                frames.extend(scaled(f, part) for f in reference_simulator(enc, obs).frames)
+                frames.extend(scaled(f, part) for f in reference_simulator(enc, (modes, choice)))
+
+    def occupation(modes, coeff):
+        # a self-adjoint product, choice 0: one identity frame
+        frame, = reference_simulator(enc, (modes, 0))
+        frames.append(scaled(frame, coeff))
 
     for alpha in range(1, h.modes + 1):
         if h.t[alpha - 1, alpha - 1] != 0:
-            frames.append(scaled(occupation_diag(enc, (alpha,)), h.t[alpha - 1, alpha - 1].real))
+            occupation((alpha, alpha), h.t[alpha - 1, alpha - 1].real)
     for alpha, beta in itertools.combinations(range(1, h.modes + 1), 2):
         block((alpha, beta), h.t[alpha - 1, beta - 1])
     done = set()
@@ -168,12 +174,13 @@ def reference_hamiltonian(h, enc, penalty):
             continue
         done |= {key, partner}
         if partner == key:
-            frames.append(scaled(occupation_diag(enc, key[:2]), coeff.real))
+            occupation(key, coeff.real)
         else:
             block(key, coeff)
     if penalty:
-        anti = 1.0 - occupation_diag(enc, ()).diagonal
-        frames.append(FramedDiagonal(PauliOperator.identity(enc.qubits), anti, weight=penalty))
+        # identity - the codespace projector, the empty product ((), 0)
+        projector, = reference_simulator(enc, ((), 0))
+        frames.append(FramedDiagonal(projector.pauli, 1.0 - projector.diagonal, penalty))
     return frames
 
 
@@ -328,35 +335,26 @@ class TestCodeEncoding:
 
 class TestTransitionSign:
     def test_unreachable_syndrome(self, fig3_encoding):
-        obs = FermionObservable.hop(1, 2)
         s = np.zeros(12, dtype=np.uint8)
         s[0] = 1
-        assert transition_sign(fig3_encoding, obs, s) == 0
+        assert transition_sign(fig3_encoding, ((1, 2), 1), s) == 0
 
     def test_adjacent_modes_positive(self):
         enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
-        obs = FermionObservable.hop(1, 2)
         s = np.array([0, 1, 1, 0], dtype=np.uint8)  # modes 2, 3 occupied
-        assert transition_sign(enc, obs, s) == 1
+        assert transition_sign(enc, ((1, 2), 1), s) == 1
 
     def test_matches_brute_force_table(self, fig3_encoding):
         rng = np.random.default_rng(71)
-        obs = FermionObservable.hop(4, 11)
+        term = ((4, 11), 1)
         for _ in range(200):
             s = rng.integers(0, 2, size=12).astype(np.uint8)
             x = fig3_encoding.decode(s)
             want = 0
             if x is not None:
-                hits = observable_action(obs, x)
+                hits = observable_action(term, x)
                 want = int(hits[0][0].real) if hits else 0
-            assert transition_sign(fig3_encoding, obs, s) == want
-
-
-class _Skewed(FermionObservable):
-    """A hop whose reversed product moves two other modes: not a pure transition."""
-
-    def reversed_ops(self):
-        return (("c", 3), ("a", 4))
+            assert transition_sign(fig3_encoding, term, s) == want
 
 
 class TestCodewordSigns:
@@ -370,10 +368,12 @@ class TestCodewordSigns:
         return CodeEncoding.from_graph(graph[request.param](), 2)
 
     @staticmethod
-    def observables(m: int, rng):
+    def terms(m: int, rng):
         """Every hop, a == b included, and pair hops: every a < b, g < d pair
         up to 9 modes, else 150 of them drawn, plus the coincident forms
-        (a, b, b, a), (a, b, a, b) and (a, b, b, d)."""
+        (a, b, b, a), (a, b, a, b) and (a, b, b, d); each with choice +1 and
+        -1.  Then the self-adjoint products with choice 0: every (a, a) and
+        (a, b, b, a), a == b included, and the empty product ()."""
         quads = [p + r for p, r in itertools.product(itertools.combinations(range(1, m + 1), 2),
                                                      repeat=2)]
         if m > 9:
@@ -381,11 +381,16 @@ class TestCodewordSigns:
         for a, b, d in rng.integers(1, m + 1, size=(12, 3)).tolist():
             if a != b:
                 quads += [(a, b, b, a), (a, b, a, b)] + [(a, b, b, d)] * (b != d)
-        for variant in ("plus", "minus"):
+        for choice in (1, -1):
             for a, b in itertools.product(range(1, m + 1), repeat=2):
-                yield FermionObservable.hop(a, b, variant)
+                yield (a, b), choice
             for quad in quads:
-                yield FermionObservable.pair_hop(*quad, variant)
+                yield quad, choice
+        for a in range(1, m + 1):
+            yield (a, a), 0
+        for a, b in itertools.product(range(1, m + 1), repeat=2):
+            yield (a, b, b, a), 0
+        yield (), 0
 
     def test_every_hop_and_pair_hop(self, encoding):
         enc = encoding
@@ -398,29 +403,21 @@ class TestCodewordSigns:
                          dtype=np.uint8)
             states.append(enc.decode(s))
             assert states[-1].occ == tuple(row)
-        observables = list(self.observables(enc.modes, np.random.default_rng(enc.qubits)))
-        signs = _codeword_signs(words, [(o.indices, o.sign_choice) for o in observables])
-        assert signs.shape == (len(observables), len(words))
-        for obs, got in zip(observables, signs.tolist()):
-            assert got == [_stripped_sign(obs, x) for x in states], obs
+        terms = list(self.terms(enc.modes, np.random.default_rng(enc.qubits)))
+        signs = _codeword_signs(words, terms)
+        assert signs.shape == (len(terms), len(words))
+        for term, got in zip(terms, signs.tolist()):
+            assert got == [_stripped_sign(term, x) for x in states], term
         assert set(np.unique(signs)) == {-2, -1, 0, 1, 2}
 
     def test_transition_sign_itself_on_a_hop_and_a_pair_hop(self, fig3_encoding):
         enc = fig3_encoding
         preimage = enc.preimage()
-        for obs in (FermionObservable.hop(3, 9, "minus"),
-                    FermionObservable.pair_hop(2, 5, 5, 14)):
-            signs = np.append(_codeword_signs(enc.codewords(), [(obs.indices, obs.sign_choice)])[0],
-                              0)[preimage]
+        for term in (((3, 9), -1), ((2, 5, 5, 14), 1)):
+            signs = np.append(_codeword_signs(enc.codewords(), [term])[0], 0)[preimage]
             for index in range(0, 1 << enc.qubits, 7):
                 s = np.array(gf2.unpack_ints([index], enc.qubits)[0], dtype=np.uint8)
-                assert transition_sign(enc, obs, s) == signs[index]
-
-    def test_non_pure_transition_raises(self):
-        enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 2)
-        obs = _Skewed.hop(1, 2)
-        with pytest.raises(ValueError, match="not a pure transition"):
-            transition_sign(enc, obs, np.array([0, 1, 0, 1], dtype=np.uint8))
+                assert transition_sign(enc, term, s) == signs[index]
 
     def test_self_adjoint_products_are_occupations(self, encoding):
         """Choice 0 takes the product alone: (a, a) is n_a, (a, b, b, a) is
@@ -439,8 +436,7 @@ class TestCodewordSigns:
 class TestTwoBodySimulator:
     def test_graph_code_sparsity(self, fig3_encoding):
         for alpha, beta in ((1, 2), (1, 3), (5, 12), (2, 16)):
-            sim = two_body_simulator(fig3_encoding, alpha, beta)
-            assert len(sim.frames) <= 2
+            assert len(two_body_simulator(fig3_encoding, alpha, beta)) <= 2
 
     def test_equal_columns_guard(self):
         # equal columns can never pass encoding validation, so the guard is
@@ -453,21 +449,21 @@ class TestTwoBodySimulator:
     def test_equal_columns_allowed_at_full_filling(self):
         # N = M leaves one codeword, so two equal columns collide with nothing
         enc = CodeEncoding((0, 0), 1, 2)
-        for variant in ("plus", "minus"):
-            assert simulation_condition_exact(two_body_simulator(enc, 1, 2, variant), enc)
+        for choice in (1, -1):
+            frames = two_body_simulator(enc, 1, 2, choice)
+            assert simulation_condition_exact(frames, ((1, 2), choice), enc)
 
     @pytest.mark.parametrize("pair", [(1, 2), (3, 9), (7, 14)])
-    @pytest.mark.parametrize("variant", ["plus", "minus"])
-    def test_simulation_condition_exact(self, fig3_encoding, pair, variant):
-        sim = two_body_simulator(fig3_encoding, *pair, variant)
-        assert simulation_condition_exact(sim, fig3_encoding)
+    @pytest.mark.parametrize("choice", [1, -1], ids=["plus", "minus"])
+    def test_simulation_condition_exact(self, fig3_encoding, pair, choice):
+        frames = two_body_simulator(fig3_encoding, *pair, choice)
+        assert simulation_condition_exact(frames, (pair, choice), fig3_encoding)
 
     def test_walsh_hadamard_inverts_exactly(self, fig3_encoding, raw_fig3):
-        obs = FermionObservable.hop(1, 6)
-        sim = observable_simulator(raw_fig3, obs)
-        flips = sim.frames[0].pauli.x_mask
+        term = ((1, 6), 1)
+        flips = observable_simulator(raw_fig3, term)[0].pauli.x_mask
         k = flips.bit_count()
-        matrix = sign_matrix(fig3_encoding, obs, flips)
+        matrix = sign_matrix(fig3_encoding, term, flips)
         for rest_bits in (0, 5, 77):
             signs = matrix[rest_bits]
             spectrum = walsh_hadamard(signs)
@@ -483,13 +479,12 @@ class TestTwoBodySimulator:
             assert np.array_equal(back, signs)
 
     def test_odd_patterns_vanish_for_plus_variant(self, fig3_encoding, raw_fig3):
-        # plus-variant frames all have even Z-patterns by construction; check
+        # choice +1 frames all have even Z-patterns by construction; check
         # that the odd-pattern coefficients really are zero
-        obs = FermionObservable.hop(2, 10)
-        sim = observable_simulator(raw_fig3, obs)
-        flips = sim.frames[0].pauli.x_mask
+        term = ((2, 10), 1)
+        flips = observable_simulator(raw_fig3, term)[0].pauli.x_mask
         k = flips.bit_count()
-        matrix = sign_matrix(fig3_encoding, obs, flips)
+        matrix = sign_matrix(fig3_encoding, term, flips)
         for rest_bits in range(0, 1 << (12 - k), 17):
             spectrum = walsh_hadamard(matrix[rest_bits])
             for t in range(1 << k):
@@ -497,35 +492,33 @@ class TestTwoBodySimulator:
                     assert spectrum[t] == 0.0
 
     def test_diagonal_entries_in_range(self, fig3_encoding):
-        for variant in ("plus", "minus"):
-            sim = two_body_simulator(fig3_encoding, 4, 13, variant)
-            for frame in sim.frames:
+        for choice in (1, -1):
+            for frame in two_body_simulator(fig3_encoding, 4, 13, choice):
                 diag = frame.materialize()
                 assert np.all(np.abs(diag) <= 1.0)
 
     def test_raw_signs_are_ternary(self, fig3_encoding, raw_fig3):
-        obs = FermionObservable.hop(1, 2)
-        sim = observable_simulator(raw_fig3, obs)
-        signs = sign_matrix(fig3_encoding, obs, sim.frames[0].pauli.x_mask)[13]
+        term = ((1, 2), 1)
+        flips = observable_simulator(raw_fig3, term)[0].pauli.x_mask
+        signs = sign_matrix(fig3_encoding, term, flips)[13]
         assert set(np.unique(signs)) <= {-1.0, 0.0, 1.0}
 
     def test_frames_hermitian(self, fig3_encoding):
         # a frame maps column c to row rows[c] with value vals[c]; it is
         # Hermitian when rows is an involution and vals[rows[c]] = conj(vals[c])
         cols = np.arange(1 << fig3_encoding.qubits, dtype=np.int64)
-        for variant in ("plus", "minus"):
-            sim = two_body_simulator(fig3_encoding, 1, 9, variant)
-            for frame in sim.frames:
+        for choice in (1, -1):
+            for frame in two_body_simulator(fig3_encoding, 1, 9, choice):
                 rows, vals = frame.apply_to_indices(cols)
                 assert np.array_equal(rows[rows], cols)
                 assert np.allclose(vals[rows], vals.conj())
 
     def test_dense_frames_match_the_per_index_oracle(self, fig3_encoding):
-        # every frame of hop (1, 9), both variants: the vectorized to_dense
+        # every frame of hop (1, 9), both choices: the vectorized to_dense
         # equals the matrix built one basis index at a time
         dim = 1 << fig3_encoding.qubits
-        for variant in ("plus", "minus"):
-            for frame in two_body_simulator(fig3_encoding, 1, 9, variant).frames:
+        for choice in (1, -1):
+            for frame in two_body_simulator(fig3_encoding, 1, 9, choice):
                 want = np.zeros((dim, dim), dtype=complex)
                 for col in range(dim):
                     row, val = frame.apply_to_index(col)
@@ -537,8 +530,8 @@ class TestTwoBodySimulator:
         enc = fig3_subcode(fig3_graph)
         for alpha in range(1, 7):
             for beta in range(alpha + 1, 7):
-                sim = two_body_simulator(enc, alpha, beta)
-                assert simulation_condition_exact(sim, enc), (alpha, beta)
+                frames = two_body_simulator(enc, alpha, beta)
+                assert simulation_condition_exact(frames, ((alpha, beta), 1), enc), (alpha, beta)
 
 
 class TestFourBodySimulator:
@@ -546,27 +539,34 @@ class TestFourBodySimulator:
         rng = np.random.default_rng(73)
         for _ in range(5):
             picks = rng.choice(16, size=4, replace=False) + 1
-            sim = four_body_simulator(fig3_encoding, *(int(v) for v in picks))
-            assert len(sim.frames) <= 32
+            assert len(four_body_simulator(fig3_encoding, *(int(v) for v in picks))) <= 32
 
     def test_simulation_condition_exact(self, fig3_encoding):
-        sim = four_body_simulator(fig3_encoding, 1, 5, 9, 13)
-        assert simulation_condition_exact(sim, fig3_encoding)
-        sim = four_body_simulator(fig3_encoding, 2, 6, 10, 14, "minus")
-        assert simulation_condition_exact(sim, fig3_encoding)
+        frames = four_body_simulator(fig3_encoding, 1, 5, 9, 13)
+        assert simulation_condition_exact(frames, ((1, 5, 9, 13), 1), fig3_encoding)
+        frames = four_body_simulator(fig3_encoding, 2, 6, 10, 14, -1)
+        assert simulation_condition_exact(frames, ((2, 6, 10, 14), -1), fig3_encoding)
 
     def test_repeated_index_reduces_flip_set(self, fig3_encoding):
         # a'_1 a'_2 a_2 a_5 flips only modes 1 and 5
-        sim = four_body_simulator(fig3_encoding, 1, 2, 2, 5)
+        frames = four_body_simulator(fig3_encoding, 1, 2, 2, 5)
         want = set()
         for mode in (1, 5):
             want ^= set(np.nonzero(fig3_encoding.matrix[:, mode - 1])[0] + 1)
-        assert sim.frames[0].pauli.x_mask == qubit_mask(12, want)
-        assert simulation_condition_exact(sim, fig3_encoding)
+        assert frames[0].pauli.x_mask == qubit_mask(12, want)
+        assert simulation_condition_exact(frames, ((1, 2, 2, 5), 1), fig3_encoding)
 
     def test_within_pair_repeat_rejected(self, fig3_encoding):
         with pytest.raises(ValueError):
             four_body_simulator(fig3_encoding, 1, 1, 2, 3)
+
+    def test_terms_are_checked(self, fig3_encoding):
+        # the one-term pass refuses what fermion.check_term refuses
+        for bad in (lambda: four_body_simulator(fig3_encoding, 1, 2, 3, 4, 0),
+                    lambda: two_body_simulator(fig3_encoding, 1, 2, 2),
+                    lambda: observable_simulator(fig3_encoding, ((1, 2, 3), 1))):
+            with pytest.raises(ValueError):
+                bad()
 
     def test_improvement_counts_and_codespace_equality(self, fig3_encoding, raw_fig3,
                                                        fig3_graph):
@@ -581,18 +581,18 @@ class TestFourBodySimulator:
                 break
         raw = four_body_simulator(raw_fig3, *chosen)
         improved = four_body_simulator(fig3_encoding, *chosen)
-        assert len(raw.frames) == 128
-        assert len(improved.frames) == 32
-        a = apply_frames_to_isometry(raw.frames, fig3_encoding)
-        b = apply_frames_to_isometry(improved.frames, fig3_encoding)
+        assert len(raw) == 128
+        assert len(improved) == 32
+        a = apply_frames_to_isometry(raw, fig3_encoding)
+        b = apply_frames_to_isometry(improved, fig3_encoding)
         assert np.array_equal(a, b)
 
     def test_descending_index_order(self, fig3_encoding):
         # the observable menu allows either index order
-        sim = two_body_simulator(fig3_encoding, 9, 2, "minus")
-        assert simulation_condition_exact(sim, fig3_encoding)
-        sim4 = four_body_simulator(fig3_encoding, 14, 3, 16, 1)
-        assert simulation_condition_exact(sim4, fig3_encoding)
+        frames = two_body_simulator(fig3_encoding, 9, 2, -1)
+        assert simulation_condition_exact(frames, ((9, 2), -1), fig3_encoding)
+        frames4 = four_body_simulator(fig3_encoding, 14, 3, 16, 1)
+        assert simulation_condition_exact(frames4, ((14, 3, 16, 1), 1), fig3_encoding)
 
 
 class TestGenericCodes:
@@ -611,30 +611,30 @@ class TestGenericCodes:
         cap = 1 << (2 * enc.max_column_weight - 1)
         for _ in range(6):
             a, b = (int(v) + 1 for v in rng.choice(enc.modes, size=2, replace=False))
-            variant = "plus" if rng.integers(2) else "minus"
-            sim = two_body_simulator(enc, a, b, variant)
-            assert len(sim.frames) <= cap
-            assert simulation_condition_exact(sim, enc)
-            for frame in sim.frames:
+            choice = 1 if rng.integers(2) else -1
+            frames = two_body_simulator(enc, a, b, choice)
+            assert len(frames) <= cap
+            assert simulation_condition_exact(frames, ((a, b), choice), enc)
+            for frame in frames:
                 assert np.all(np.abs(frame.materialize()) <= 1.0)
 
     def test_zero_columns_keep_the_one_identity_frame(self):
         # both columns are zero (w = 0): the pair hop flips no qubit, so its
         # simulator is one identity frame, within the bound
         enc = CodeEncoding((0, 0), 1, 2)
-        sim = four_body_simulator(enc, 1, 2, 1, 2)
-        assert [frame.pauli.label for frame in sim.frames] == ["I"]
-        assert simulation_condition_exact(sim, enc)
+        frames = four_body_simulator(enc, 1, 2, 1, 2)
+        assert [frame.pauli.label for frame in frames] == ["I"]
+        assert simulation_condition_exact(frames, ((1, 2, 1, 2), 1), enc)
 
     def test_four_body_exact_and_bounded(self):
         enc, rng = self.random_code(2718)
         cap = 1 << (4 * enc.max_column_weight - 1)
         for _ in range(3):
             picks = [int(v) + 1 for v in rng.choice(enc.modes, size=4, replace=False)]
-            variant = "plus" if rng.integers(2) else "minus"
-            sim = four_body_simulator(enc, *picks, variant)
-            assert len(sim.frames) <= cap
-            assert simulation_condition_exact(sim, enc)
+            choice = 1 if rng.integers(2) else -1
+            frames = four_body_simulator(enc, *picks, choice)
+            assert len(frames) <= cap
+            assert simulation_condition_exact(frames, (tuple(picks), choice), enc)
 
 
 class TestBipartiteImprove:
@@ -648,31 +648,30 @@ class TestBipartiteImprove:
             if not (set(edges[0]) & set(e))
         )
         raw = two_body_simulator(raw_fig3, alpha, beta)
-        assert len(raw.frames) == 8
+        assert len(raw) == 8
         improved = two_body_simulator(fig3_encoding, alpha, beta)
-        assert len(improved.frames) == 2
-        a = apply_frames_to_isometry(raw.frames, fig3_encoding)
-        b = apply_frames_to_isometry(improved.frames, fig3_encoding)
+        assert len(improved) == 2
+        a = apply_frames_to_isometry(raw, fig3_encoding)
+        b = apply_frames_to_isometry(improved, fig3_encoding)
         assert np.array_equal(a, b)
-        assert simulation_condition_exact(improved, fig3_encoding)
+        assert simulation_condition_exact(improved, ((alpha, beta), 1), fig3_encoding)
 
     def test_entries_still_bounded(self, fig3_encoding):
-        sim = two_body_simulator(fig3_encoding, 1, 3)
-        for frame in sim.frames:
+        for frame in two_body_simulator(fig3_encoding, 1, 3):
             assert np.all(np.abs(frame.materialize()) <= 1.0)
 
     def test_already_clear_patterns_unchanged(self, fig3_encoding, raw_fig3, fig3_graph):
-        sim = two_body_simulator(raw_fig3, 1, 3)
+        frames = two_body_simulator(raw_fig3, 1, 3)
         left, right = fig3_graph.left, fig3_graph.right
-        flips = sim.frames[0].pauli.x_mask  # frames act on their flipped qubits only
+        flips = frames[0].pauli.x_mask  # frames act on their flipped qubits only
         support = {q for q in range(1, 13) if flips >> (12 - q) & 1}
         # the merge clears the first flipped qubit of each row class
         i = min(support & left)
         j = min(support & right)
-        improved = bipartite_improve(sim, fig3_encoding)
-        assert not any(f.pauli.z_mask & qubit_mask(12, (i, j)) for f in improved.frames)
-        kept = [f for f in sim.frames if not f.pauli.z_mask & qubit_mask(12, (i, j))]
-        assert {f.pauli.z_mask for f in kept} <= {f.pauli.z_mask for f in improved.frames}
+        improved = bipartite_improve(frames, fig3_encoding)
+        assert not any(f.pauli.z_mask & qubit_mask(12, (i, j)) for f in improved)
+        kept = [f for f in frames if not f.pauli.z_mask & qubit_mask(12, (i, j))]
+        assert {f.pauli.z_mask for f in kept} <= {f.pauli.z_mask for f in improved}
 
     def test_flip_mask_missing_a_row_class_stays_unmerged(self, fig3_encoding, raw_fig3,
                                                           fig3_graph):
@@ -680,8 +679,8 @@ class TestBipartiteImprove:
         edges = fig3_graph.edges
         beta = next(i + 1 for i, e in enumerate(edges) if i and e[0] == edges[0][0])
         raw = two_body_simulator(raw_fig3, 1, beta)
-        sim = two_body_simulator(fig3_encoding, 1, beta)
-        assert [f.pauli for f in sim.frames] == [f.pauli for f in raw.frames]
+        on_graph = two_body_simulator(fig3_encoding, 1, beta)
+        assert [f.pauli for f in on_graph] == [f.pauli for f in raw]
         assert bipartite_improve(raw, fig3_encoding) is raw
         with pytest.raises(ValueError, match="no bipartition"):
             bipartite_improve(raw, raw_fig3)
@@ -691,12 +690,12 @@ class TestCodespaceProjector:
     def test_trace_counts_codewords(self, fig3_encoding):
         from math import comb
 
-        diag = occupation_diag(fig3_encoding, ()).materialize()
+        diag = observable_simulator(fig3_encoding, ((), 0))[0].materialize()
         assert diag.sum() == comb(16, 2)
         assert set(np.unique(diag)) <= {0.0, 1.0}
 
     def test_encoded_states_pass(self, fig3_encoding):
-        proj = occupation_diag(fig3_encoding, ())
+        proj, = observable_simulator(fig3_encoding, ((), 0))
         for st in weight_n_states(16, 2)[:20]:
             bits = fig3_encoding.encode_state(st)
             assert proj.diagonal[bits] == 1.0
@@ -706,7 +705,7 @@ class TestCodespaceProjector:
         # and cannot be a codeword
         g = cycle_chord_graph(10, 3)
         enc = CodeEncoding.from_graph(g, 3)
-        proj = occupation_diag(enc, ())
+        proj, = observable_simulator(enc, ((), 0))
         assert proj.diagonal[0] == 0.0
 
 
@@ -781,19 +780,6 @@ class TestBuildSimulator:
             assert list(build_simulator_hamiltonian(h, enc, penalty=0.0)) == []
             assert not sector_matrix_direct(h).any()
 
-    def test_builds_no_observable(self, fig3_encoding, monkeypatch):
-        # every term is a coefficient block's indices and a sign choice
-        h = random_hamiltonian(16, 2, np.random.default_rng(5), interaction_pairs=8)
-        want = build_simulator_hamiltonian(h, fig3_encoding)
-
-        def refuse(self, *args):
-            raise AssertionError("the whole-Hamiltonian pass built a FermionObservable")
-
-        monkeypatch.setattr(FermionObservable, "__init__", refuse)
-        got = build_simulator_hamiltonian(h, fig3_encoding)
-        assert got.buffer.tobytes() == want.buffer.tobytes()
-        assert got.weights.tobytes() == want.weights.tobytes()
-
     def test_hermitian_pairs_validated(self, fig3_graph):
         enc = fig3_subcode(fig3_graph)
         from fertaper.fermion import FermionHamiltonian
@@ -812,7 +798,7 @@ def _bit_count(v: int) -> int:
     return bin(v).count("1")
 
 
-def oracle_frames(enc, obs):
+def oracle_frames(enc, term):
     """(z_pattern, diagonal) pairs rebuilt index by index from transition_sign.
 
     Per-syndrome signs, an explicit +/-1 sum for the transform, and, when
@@ -821,7 +807,8 @@ def oracle_frames(enc, obs):
     """
     q = enc.qubits
     flips = set()
-    for alpha in obs.indices:
+    indices, choice = term
+    for alpha in indices:
         flips ^= set(np.nonzero(enc.matrix[:, alpha - 1])[0] + 1)
     support = sorted(int(v) for v in flips)
     rest = [v for v in range(1, q + 1) if v not in flips]
@@ -838,11 +825,11 @@ def oracle_frames(enc, obs):
     def z_of(t: int) -> tuple[int, ...]:
         return tuple(support[pos] for pos in range(k) if (t >> (k - 1 - pos)) & 1)
 
-    signs = [[transition_sign(enc, obs, syndrome(r, u)) for u in range(1 << k)]
+    signs = [[transition_sign(enc, term, syndrome(r, u)) for u in range(1 << k)]
              for r in range(1 << len(rest))]
     raw = {}
     for t in range(1 << k):
-        if k and _bit_count(t) % 2 != obs.epsilon:
+        if k and _bit_count(t) % 2 != (choice == -1):
             continue
         raw[z_of(t)] = [
             sum((-1) ** _bit_count(t & u) * row[u] for u in range(1 << k)) / (1 << k)
@@ -907,10 +894,10 @@ class TestArrayDiagonals:
         enc = fig3_encoding if merged else raw_fig3
         frames = build_simulator_hamiltonian(self.hamiltonian(), enc, penalty=1.5)
         blocks = [
-            (0.5, FermionObservable.hop(1, 9, "plus")),
-            (0.25, FermionObservable.hop(1, 9, "minus")),
-            (0.375, FermionObservable.pair_hop(1, 5, 9, 13, "plus")),
-            (-0.125, FermionObservable.pair_hop(1, 5, 9, 13, "minus")),
+            (0.5, ((1, 9), 1)),
+            (0.25, ((1, 9), -1)),
+            (0.375, ((1, 5, 9, 13), 1)),
+            (-0.125, ((1, 5, 9, 13), -1)),
         ]
         # diagonal blocks first: occupation of mode 4, then the hop and
         # pair-hop frames, then the occupation product and the penalty
@@ -920,8 +907,8 @@ class TestArrayDiagonals:
         assert occ.weight == 0.7
         assert occ.diagonal.tolist() == [0.0 if x is None else float(x.occ[3])
                                          for x in decoded]
-        for weight, obs in blocks:
-            want = oracle_frames(enc, obs)
+        for weight, term in blocks:
+            want = oracle_frames(enc, term)
             got, rest_frames = rest_frames[:len(want)], rest_frames[len(want):]
             for frame, (pattern, diag) in zip(got, want):
                 assert frame.weight == weight
@@ -946,7 +933,7 @@ class TestArrayDiagonals:
                 assert tuple(occ[pre[s]]) == x.occ
 
     def test_diagonals_are_read_only(self, fig3_encoding):
-        frame = two_body_simulator(fig3_encoding, 1, 9).frames[0]
+        frame = two_body_simulator(fig3_encoding, 1, 9)[0]
         with pytest.raises(ValueError):
             frame.diagonal[0] = 1.0
 
@@ -958,8 +945,9 @@ class TestArrayDiagonals:
 
     def test_dense_builders_guarded(self, fig3_encoding, monkeypatch):
         monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "11")
-        sim = two_body_simulator(fig3_encoding, 1, 9)
-        for build in (sim.frames[0].to_dense, sim.to_dense, fig3_encoding.isometry):
+        frames = two_body_simulator(fig3_encoding, 1, 9)
+        for build in (frames[0].to_dense, lambda: apply_frames_to_isometry(frames, fig3_encoding),
+                      fig3_encoding.isometry):
             with pytest.raises(ValueError, match="exceeds the cap"):
                 build()
 
@@ -1074,9 +1062,9 @@ def sampled_sparsity_checks(h, enc, graph=None, penalty=None, seed=0):
     """
     rng = np.random.default_rng(seed)
     r2 = max(len(two_body_simulator(enc, *(int(v) for v in rng.choice(
-        enc.modes, size=2, replace=False) + 1)).frames) for _ in range(4))
+        enc.modes, size=2, replace=False) + 1))) for _ in range(4))
     r4 = max(len(four_body_simulator(enc, *(int(v) for v in rng.choice(
-        enc.modes, size=4, replace=False) + 1)).frames) for _ in range(4))
+        enc.modes, size=4, replace=False) + 1))) for _ in range(4))
     weight = enc.max_column_weight
     drop = 3 if enc.graph else 1
     assert r2 <= 1 << max(2 * weight - drop, 0)
@@ -1190,14 +1178,18 @@ class TestOnePassFrames:
 
     def test_each_observable_alone_equals_the_reference(self, fig3_encoding, raw_fig3):
         for enc in (fig3_encoding, raw_fig3):
-            for obs in (FermionObservable.hop(1, 9, "minus"),
-                        FermionObservable.pair_hop(1, 5, 9, 13),
-                        FermionObservable.pair_hop(2, 6, 6, 11, "minus"),
-                        FermionObservable.pair_hop(3, 7, 3, 7)):
-                got = observable_simulator(enc, obs).frames
-                want = reference_simulator(enc, obs).frames
+            for term in (((1, 9), -1), ((1, 5, 9, 13), 1), ((2, 6, 6, 11), -1),
+                         ((3, 7, 3, 7), 1), ((4, 4), 0), ((2, 6, 6, 2), 0), ((), 0)):
+                got = observable_simulator(enc, term)
+                want = reference_simulator(enc, term)
                 assert [f.pauli.z_mask for f in got] == [f.pauli.z_mask for f in want]
                 assert [f.diagonal.tobytes() for f in got] == [f.diagonal.tobytes() for f in want]
+
+    def test_self_adjoint_terms_meet_the_simulation_condition(self, fig3_graph):
+        # choice 0 against the Fock-space action of the product alone
+        enc = fig3_subcode(fig3_graph)
+        for term in (((2, 2), 0), ((1, 4, 4, 1), 0), ((3, 3, 3, 3), 0), ((), 0)):
+            assert simulation_condition_exact(observable_simulator(enc, term), term, enc), term
 
 
 class TestOddParticleNumber:

@@ -6,12 +6,12 @@ import pytest
 
 from fertaper.fermion import (
     FermionHamiltonian,
-    FermionObservable,
     FockState,
     apply_annihilate,
     apply_create,
     apply_op_string,
     apply_op_string_rows,
+    check_term,
     default_penalty_scale,
     dense_fock_matrix,
     number_operator_matrix,
@@ -100,49 +100,59 @@ class TestOpStringRows:
 
 class TestObservableAction:
     def test_hop_fires(self):
-        obs = FermionObservable.hop(1, 2)
-        assert observable_action(obs, FockState((0, 1))) == [(1.0, FockState((1, 0)))]
+        assert observable_action(((1, 2), 1), FockState((0, 1))) == [(1.0, FockState((1, 0)))]
 
     def test_hop_blocked_on_double_occupation(self):
-        obs = FermionObservable.hop(1, 2)
-        assert observable_action(obs, FockState((1, 1))) == []
+        assert observable_action(((1, 2), 1), FockState((1, 1))) == []
 
     def test_hop_blocked_on_empty(self):
         # both modes empty: no transition (frozen from the dense oracle)
-        obs = FermionObservable.hop(1, 4)
-        assert observable_action(obs, FockState((0, 1, 1, 0))) == []
+        assert observable_action(((1, 4), 1), FockState((0, 1, 1, 0))) == []
 
     def test_minus_variant_is_hermitian_and_imaginary(self):
-        obs = FermionObservable.hop(2, 3, "minus")
-        mat = observable_matrix(obs, 4)
+        term = ((2, 3), -1)
+        mat = observable_matrix(term, 4)
         assert np.allclose(mat, mat.conj().T)
-        hits = observable_action(obs, FockState((0, 0, 1, 0)))
+        hits = observable_action(term, FockState((0, 0, 1, 0)))
         assert len(hits) == 1 and hits[0][0] in (1j, -1j)
 
-    def test_fields_are_indices_and_sign_choice(self):
-        from dataclasses import fields
+    @pytest.mark.parametrize("term, message", [
+        (((1, 2, 3), 1), "even number of indices"),
+        (((1, 2), 2), "1, -1 or 0"),
+        (((1, 2), 0), "self-adjoint"),
+    ], ids=["odd-count", "choice-two", "choice-zero-hop"])
+    def test_check_term_refuses(self, term, message):
+        with pytest.raises(ValueError, match=message):
+            check_term(term)
+        with pytest.raises(ValueError, match=message):
+            observable_action(term, FockState((0, 1, 1, 0)))
 
-        assert [f.name for f in fields(FermionObservable)] == ["indices", "sign_choice"]
-        hop, pair = FermionObservable.hop(1, 2, "minus"), FermionObservable.pair_hop(1, 2, 3, 4)
-        assert (hop.epsilon, pair.epsilon) == (1, 0)
-        assert not hasattr(hop, "kind")  # the index count says it
-        for indices, sign in (((1, 2, 3), 1), ((1, 2), 0)):
-            with pytest.raises(ValueError):
-                FermionObservable(indices, sign)
+    def test_self_adjoint_products_are_occupations(self):
+        # choice 0 applies the product alone: (a, a) is n_a, (a, b, b, a)
+        # is n_a n_b, and () the identity
+        m = 4
+        occupation = [np.diag([float(FockState.from_index(m, i).occ[a]) for i in range(1 << m)])
+                      for a in range(m)]
+        for a in range(1, m + 1):
+            assert np.array_equal(observable_matrix(((a, a), 0), m), occupation[a - 1])
+            for b in range(1, m + 1):
+                want = occupation[a - 1] @ occupation[b - 1] if a != b else 0 * occupation[0]
+                assert np.array_equal(observable_matrix(((a, b, b, a), 0), m), want)
+        assert np.array_equal(observable_matrix(((), 0), m), np.eye(1 << m))
 
-    @pytest.mark.parametrize("variant", ["plus", "minus"])
-    def test_matches_dense_observable(self, variant):
+    @pytest.mark.parametrize("choice", [1, -1], ids=["plus", "minus"])
+    def test_matches_dense_observable(self, choice):
         m = 6
         rng = np.random.default_rng(17)
         for _ in range(6):
             idx = rng.choice(m, size=4, replace=False) + 1
-            obs = FermionObservable.pair_hop(*(int(i) for i in idx), variant)
-            mat = observable_matrix(obs, m)
+            term = (tuple(int(i) for i in idx), choice)
+            mat = observable_matrix(term, m)
             assert np.allclose(mat, mat.conj().T)
             for state_idx in range(1 << m):
                 x = FockState.from_index(m, state_idx)
                 col = np.zeros(1 << m, dtype=complex)
-                for amp, y in observable_action(obs, x):
+                for amp, y in observable_action(term, x):
                     col[y.index] += amp
                 assert np.array_equal(col, mat[:, state_idx])
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -206,9 +207,20 @@ def poly_mul(a: tuple, b: tuple) -> tuple:
     return tuple(out)
 
 
+def poly_mod(a: tuple, mod: tuple) -> tuple:
+    """Remainder of a GF(3) coefficient tuple by a monic polynomial, both
+    constant first, padded to the polynomial's degree."""
+    a, deg = list(a), len(mod) - 1
+    while len(a) > deg:
+        lead, shift = a.pop(), len(a) - deg
+        for i, c in enumerate(mod[:-1]):
+            a[shift + i] = (a[shift + i] - lead * c) % 3
+    return tuple(a + [0] * (deg - len(a)))
+
+
 def oracle_mul(field: TernaryField, a: int, b: int) -> int:
     prod = poly_mul(digits(a, field.m), digits(b, field.m))
-    return from_digits(field._poly_mod(prod, field.poly))
+    return from_digits(poly_mod(prod, field.poly))
 
 
 class TestTernaryField:
@@ -241,6 +253,35 @@ class TestTernaryField:
     def test_unsupported_degree(self):
         with pytest.raises(ValueError):
             TernaryField(6)
+
+    def test_a_reducible_polynomial_is_refused(self):
+        class Reducible(TernaryField):
+            POLYS = {**TernaryField.POLYS, 2: (2, 0, 1)}  # x^2 + 2 = (x + 1)(x + 2)
+
+        with pytest.raises(AssertionError, match="degree 2 is reducible"):
+            Reducible(2)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_the_field_check_agrees_with_a_factor_search(self, m):
+        # every monic polynomial of degree m: the table check refuses it
+        # exactly when a monic polynomial of degree 1..m/2 divides it
+        factors = [(*f, 1) for d in range(1, m // 2 + 1)
+                   for f in itertools.product(range(3), repeat=d)]
+        refused = 0
+        for low in itertools.product(range(3), repeat=m):
+            poly = (*low, 1)
+
+            class Field(TernaryField):
+                POLYS = {m: poly}
+
+            if any(not any(poly_mod(poly, f)) for f in factors):
+                refused += 1
+                with pytest.raises(AssertionError, match="reducible"):
+                    Field(m)
+            else:
+                field, e = Field(m), np.arange(1, 3 ** m)
+                assert (field.mul_table[e, field.inv_table[e]] == 1).all()
+        assert refused == {2: 6, 3: 19, 4: 63}[m]  # 3^m minus the irreducible count
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_tables_match_polynomial_arithmetic(self, m):

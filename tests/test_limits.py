@@ -9,7 +9,6 @@ from fertaper import limits, tapering
 from fertaper.codeword import CodeEncoding, FramedDiagonal, apply_frames_to_isometry
 from fertaper.fermion import (
     FermionHamiltonian,
-    FermionObservable,
     FockState,
     dense_fock_matrix,
     observable_matrix,
@@ -37,7 +36,7 @@ DENSE_BUILDERS = {
     "FramedDiagonal.to_dense":
         lambda: FramedDiagonal(PauliOperator.from_masks(4, 0b1000, 0), np.ones(8)).to_dense(),
     "dense_fock_matrix": lambda: dense_fock_matrix(FermionHamiltonian(4, 1, np.eye(4))),
-    "observable_matrix": lambda: observable_matrix(FermionObservable.hop(1, 2), 4),
+    "observable_matrix": lambda: observable_matrix(((1, 2), 1), 4),
     "exchange_penalty_dense": lambda: exchange_penalty_dense(3, 4),
     "encode_first_quantized":
         lambda: encode_first_quantized(FockState((1, 1, 0, 0)), RegisterEncoding(4, 2)),

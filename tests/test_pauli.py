@@ -123,9 +123,9 @@ class TestDense:
     def test_size_guard(self, monkeypatch):
         monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "3")
         with pytest.raises(ValueError):
-            PauliOperator.identity(4).dense()
+            PauliOperator.from_masks(4, 0, 0).dense()
         monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "4")
-        PauliOperator.identity(4).dense()
+        PauliOperator.from_masks(4, 0, 0).dense()
 
     @given(labels(1, 5))
     @settings(max_examples=80, deadline=None)
@@ -311,14 +311,14 @@ class TestTextFormat:
         assert again.qubit_count == n and len(again) == 0
 
     def test_zero_qubit_identity_round_trip(self):
-        h = QubitHamiltonian(0, ((-0.75, PauliOperator.identity(0)),))
+        h = QubitHamiltonian(0, ((-0.75, PauliOperator.from_masks(0, 0, 0)),))
         again = hamiltonian_from_text(hamiltonian_to_text(h))
         assert again.qubit_count == 0
         assert again.coeffs == (-0.75 + 0j,)
         assert again.dense().tolist() == [[-0.75 + 0j]]
 
     def test_zero_qubit_line_has_no_trailing_space(self):
-        h = QubitHamiltonian(0, ((1.5, PauliOperator.identity(0)),))
+        h = QubitHamiltonian(0, ((1.5, PauliOperator.from_masks(0, 0, 0)),))
         assert hamiltonian_to_text(h) == "# qubits 0\n1.5 0\n"
         x = QubitHamiltonian(1, ((1.5, PauliOperator.from_label("X")),))
         assert hamiltonian_to_text(x) == "# qubits 1\n1.5 0 X\n"

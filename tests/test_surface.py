@@ -39,12 +39,11 @@ ORACLES = (
     "transition_sign",
     "FramedDiagonal.apply_to_index",
     "FramedDiagonal.to_dense",
-    "SimulatorOp.to_dense",
     "CodeEncoding.matrix",
     "CodeEncoding.isometry",
+    "CodeEncoding.preimage",
     "apply_frames_to_isometry",
     "bipartite_improve",
-    "occupation_diag",
     "is_n_injective",
     "observable_matrix",
     "number_operator_matrix",
@@ -152,6 +151,66 @@ def _benchmark_names() -> set[str]:
 def _unreached() -> list[str]:
     return _unreached_in([ast.parse(path.read_text(encoding="utf-8"))
                           for path in sorted(SRC.glob("*.py"))])
+
+
+def _assigned(target, value):
+    """(target, value) pairs of one assignment, tuples unpacked element by element."""
+    if (isinstance(target, (ast.Tuple, ast.List)) and isinstance(value, (ast.Tuple, ast.List))
+            and len(target.elts) == len(value.elts)):
+        for pair in zip(target.elts, value.elts):
+            yield from _assigned(*pair)
+    else:
+        yield target, value
+
+
+def _stored_functions(node: ast.AST, local=frozenset()) -> list[str]:
+    """Attributes under node assigned a lambda or a function defined in the
+    function around the assignment, as "line: attribute".  An assignment is
+    x.a = v, x.a: T = v, setattr(x, "a", v) or object.__setattr__(x, "a", v)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        local = {inner.name for inner in ast.walk(node) if inner is not node
+                 and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    pairs = []
+    if isinstance(node, ast.Assign):
+        pairs = [pair for target in node.targets for pair in _assigned(target, node.value)]
+    elif isinstance(node, ast.AnnAssign) and node.value is not None:
+        pairs = [(node.target, node.value)]
+    elif (isinstance(node, ast.Call) and len(node.args) == 3
+          and ast.unparse(node.func) in ("setattr", "object.__setattr__")):
+        pairs = [(node, node.args[2])]
+    found = [f"{node.lineno}: {ast.unparse(target)}" for target, value in pairs
+             if isinstance(target, (ast.Attribute, ast.Call))
+             and (isinstance(value, ast.Lambda) or isinstance(value, ast.Name) and value.id in local)]
+    for child in ast.iter_child_nodes(node):
+        found += _stored_functions(child, local)
+    return found
+
+
+def test_no_attribute_stores_a_function():
+    # data, not closures: an object keeps values and its methods choose
+    # what to do with them
+    stored = {path.name: _stored_functions(ast.parse(path.read_text(encoding="utf-8")))
+              for path in sorted(SRC.glob("*.py"))}
+    assert {name: lines for name, lines in stored.items() if lines} == {}
+
+
+def test_the_function_scan_sees_stored_functions():
+    tree = ast.parse("class Column:\n"
+                     "    def __init__(self, texts, keys):\n"
+                     "        self._items = lambda v: texts[keys.searchsorted(v)]\n"
+                     "        def spell(v):\n"
+                     "            return texts[v]\n"
+                     "        self._spell = spell\n"
+                     "        self._keys, self._join = keys, lambda v: v\n"
+                     "        object.__setattr__(self, '_frozen', spell)\n"
+                     "        setattr(self, '_set', lambda: 0)\n"
+                     "        self._size: int = len(texts)\n"  # not stored: a call's value
+                     "        self._texts = texts\n"
+                     "        self._len = len\n"  # a global function is not defined here
+                     "        items = lambda v: v\n")  # a local name, not an attribute
+    assert [line.split(": ", 1)[1] for line in _stored_functions(tree)] == [
+        "self._items", "self._spell", "self._join",
+        "object.__setattr__(self, '_frozen', spell)", "setattr(self, '_set', lambda: 0)"]
 
 
 def test_every_unreached_name_is_an_oracle_or_benchmarked():

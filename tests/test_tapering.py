@@ -70,7 +70,7 @@ class TestCheckMatrix:
         assert len(kernel) == 3
 
     def test_zero_qubits(self):
-        h = QubitHamiltonian(0, ((2.0, PauliOperator.identity(0)),))
+        h = QubitHamiltonian(0, ((2.0, PauliOperator.from_masks(0, 0, 0)),))
         assert check_matrix(h) == [0]
         assert find_symmetries(h).size == 0
 
@@ -456,7 +456,7 @@ class TestBasisBlocks:
         cases = [QubitHamiltonian(1, ((0.5, PauliOperator.from_label("I")),
                                       (0.3, PauliOperator.from_label("Z")))),
                  QubitHamiltonian.zero(2),
-                 QubitHamiltonian(0, ((2.0, PauliOperator.identity(0)),)),
+                 QubitHamiltonian(0, ((2.0, PauliOperator.from_masks(0, 0, 0)),)),
                  single_term(1, "X")]
         for q in cases:
             plan = build_plan(find_symmetries(q), q)
