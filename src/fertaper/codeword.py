@@ -14,16 +14,16 @@ its z mask, a submask of it, is the Z-pattern.  All bit work here is mask
 arithmetic; a diagonal is indexed by the bits outside the flip mask, packed
 by gf2.drop_bits.
 
-Diagonals are numpy arrays.  Each encoding keeps its codewords'
-occupation rows and syndromes, in syndrome order, and builds no 2^Q array
-of its own.  A whole Hamiltonian is framed in one pass into a Frames
-table.  The pass knows one kind of term: a coefficient block's indices,
-creators then annihilators, and a sign choice, +1 or -1 for the plus or
-i*(minus) observable and 0 for a self-adjoint product such as an
-occupation.  It takes the values of all terms at once from the rows'
-prefix parities; plans the frames on masks, as x mask, z mask and weight
-columns; and adds every diagonal, the Walsh-Hadamard transform of one
-term's values over its flipped bits, by np.add.at into one read-only
+Diagonals are numpy arrays.  Each encoding lists its codewords once, by
+ascending syndrome, which certifies and decodes a code without a graph,
+and builds no 2^Q array of its own.  A whole Hamiltonian is framed in one
+pass into a Frames table.  The pass knows one kind of term: a coefficient
+block's indices, creators then annihilators, and a sign choice, +1 or -1
+for the plus or i*(minus) observable and 0 for a self-adjoint product
+such as an occupation.  It takes the values of all terms at once from the
+rows' prefix parities; plans the frames on masks, as x mask, z mask and
+weight columns; and adds every diagonal, the Walsh-Hadamard transform of
+one term's values over its flipped bits, by np.add.at into one read-only
 buffer at the frame's offset.  It works in chunks, so no intermediate
 array outgrows a fixed multiple of 2^Q entries.  Above
 limits.MATERIALIZE_QUBIT_CAP no 2^Q array is built: the table has its
@@ -42,6 +42,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
+from math import comb
 
 import numpy as np
 
@@ -55,7 +56,7 @@ from fertaper.fermion import (
     weight_n_states,
 )
 from fertaper.graphs import BipartiteGraph, GraphDecoder
-from fertaper.mitm import SyndromeTables, build_tables, combinations, mitm_decode, occupations
+from fertaper.mitm import combinations, occupations, refuse_shared_syndromes
 from fertaper.pauli import PauliOperator, mask_array, qubit_mask
 
 
@@ -113,7 +114,7 @@ class CodeEncoding:
                 raise ValueError("graph girth too small for this particle count")
             object.__setattr__(self, "_graph_decoder", decoder)
         elif m <= limits.BRUTE_FORCE_COLUMN_CAP:
-            self._table  # its build rejects two weight-N vectors with one syndrome
+            refuse_shared_syndromes(*self._codespace, self.columns, q)
         else:
             raise ValueError(
                 "matrices this wide need a girth certificate (pass the graph)"
@@ -162,48 +163,45 @@ class CodeEncoding:
 
     # -- decoding -----------------------------------------------------------
 
-    @cached_property
-    def _table(self) -> SyndromeTables:
-        """The full decode table, split (0, N), built once per encoding."""
-        return build_tables(self.columns, self.qubits, self.particles, split=(0, self.particles))
-
     def decode(self, s: np.ndarray) -> FockState | None:
         """Unique weight-N preimage of a syndrome, or None.
 
         A graph code decodes by matching on the graph; any other code by a
-        search of the full decode table.  Both check the syndrome length.
+        binary search of its sorted syndromes.  Both check the syndrome length.
         """
         if self.graph is not None:
             hit = self._graph_decoder.decode(s)
-        else:
-            hit = mitm_decode(self._table, s)
-        return None if hit is None else FockState(tuple(hit))
+            return None if hit is None else FockState(tuple(hit))
+        s = gf2.asbits(s)
+        if s.shape != (self.qubits,):
+            raise ValueError(f"syndrome length {s.size} != {self.qubits}")
+        rows, syndromes = self._codespace
+        target = gf2.bits_to_int(s)
+        i = int(np.searchsorted(syndromes, target))
+        if i == len(syndromes) or syndromes[i] != target:
+            return None
+        return FockState(tuple(occupations(rows[i:i + 1], self.modes)[0]))
 
     @cached_property
     def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
-        """The codewords in syndrome order, the full decode table's key order,
-        as occupation rows and as syndromes, each the XOR of its modes'
-        columns: a non-graph code's table rows, a graph code's sorted list."""
-        if self.qubits > limits.MATERIALIZE_QUBIT_CAP:
-            raise ValueError(f"syndrome arrays capped at {limits.MATERIALIZE_QUBIT_CAP} qubits")
-        combos = (self._table.combos[1] if self.graph is None
-                  else combinations(self.modes, self.particles))
-        columns = np.array(self.columns, dtype=np.int64)
-        syndromes = np.bitwise_xor.reduce(columns[combos], axis=1, dtype=np.int64)
-        if self.graph is not None:  # the table's rows are in key order already
-            order = np.argsort(syndromes, kind="stable")
-            combos, syndromes = combos[order], syndromes[order]
-        return occupations(combos, self.modes), syndromes
+        """The codewords as rows of their modes' column indices, and their
+        syndromes, stably sorted by syndrome from lexicographic order."""
+        count = comb(self.modes, self.particles)
+        if count > limits.TABLE_ENTRY_BUDGET:
+            raise MemoryError(f"the codeword list needs {count} entries, "
+                              f"over the budget of {limits.TABLE_ENTRY_BUDGET}")
+        combos = combinations(self.modes, self.particles)
+        syndromes = np.bitwise_xor.reduce(mask_array(self.columns, self.qubits)[combos], axis=1)
+        order = np.argsort(syndromes, kind="stable")
+        return combos[order], syndromes[order]
 
     def codewords(self) -> np.ndarray:
-        """C(M,N) x M occupation rows, in the order of the full decode table's
-        keys.  Codeword arrays exist only up to limits.MATERIALIZE_QUBIT_CAP
-        qubits, where an injective code has at most 2^24 codewords, inside
-        limits.TABLE_ENTRY_BUDGET."""
-        return self._codespace[0]
+        """C(M,N) x M occupation rows in ascending syndrome order, built on
+        each call.  MemoryError past limits.TABLE_ENTRY_BUDGET codewords."""
+        return occupations(self._codespace[0], self.modes)
 
     def syndromes(self) -> np.ndarray:
-        """The int64 syndrome of every codeword, numbered as codewords() numbers them."""
+        """Every codeword's syndrome as a pauli.mask_array, numbered as codewords()."""
         return self._codespace[1]
 
     def preimage(self) -> np.ndarray:
@@ -212,6 +210,7 @@ class CodeEncoding:
         A 2^Q array, built on each call (oracle use): the simulators index
         codewords by number and never need it.
         """
+        limits.check_dense(1 << self.qubits)
         syndromes = self.syndromes()
         preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
         preimage[syndromes] = np.arange(len(syndromes))
@@ -534,7 +533,7 @@ def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
     start = np.concatenate(([0], np.cumsum(np.repeat(1 << (q - flipped), per_term))))
     first_frame = np.concatenate(([0], np.cumsum(per_term)))
     flat = np.zeros(start[-1])
-    words, syndromes = enc.codewords(), enc.syndromes()
+    words, syndromes = enc.codewords(), enc.syndromes().astype(np.int64)
     budget = _PASS_ENTRIES << q
 
     def add_chunk(lo: int, hi: int) -> None:
@@ -589,12 +588,9 @@ def observable_simulator(enc: CodeEncoding, term) -> list[FramedDiagonal]:
 
 def two_body_simulator(enc: CodeEncoding, alpha: int, beta: int,
                        choice: int = 1) -> list[FramedDiagonal]:
-    """Simulator of the Hermitian hop between two distinct modes, whose two
-    columns, if equal, are a weight-N collision unless N is 0 or M."""
+    """Simulator of the Hermitian hop between two distinct modes."""
     if alpha == beta:
         raise ValueError("two-body simulator needs distinct modes")
-    if enc.columns[alpha - 1] == enc.columns[beta - 1] and 0 < enc.particles < enc.modes:
-        raise ValueError("equal columns contradict injectivity")
     return observable_simulator(enc, ((alpha, beta), choice))
 
 

@@ -11,7 +11,7 @@ import os
 DENSE_QUBIT_CAP = 14
 BRUTE_FORCE_COLUMN_CAP = 24  # columns the brute-force injectivity check and decoder enumerate
 MATERIALIZE_QUBIT_CAP = 24  # qubits up to which codeword simulators build 2^Q arrays
-TABLE_ENTRY_BUDGET = 1 << 26  # entries in one pair of syndrome tables
+TABLE_ENTRY_BUDGET = 1 << 26  # entries in one pair of syndrome tables or one codeword list
 # qubits left after tapering for which `taper` finds sector energies: it labels each sector's
 # 2^k basis states by connected block, then diagonalizes the blocks that can hold its minimum
 SECTOR_QUBIT_CAP = 12

@@ -3,10 +3,10 @@
 A table for weight k holds the syndrome Ax of every weight-k vector x as a
 sorted key, next to x's column indices.  Keys are syndromes packed into
 big-endian uint64 words and viewed as byte strings, so they sort and
-binary-search as numbers at any Q.  Decoding splits N = N1 + N2 and
-searches every first-half key XOR the syndrome in the second half at once;
-the split (0, N) is the full decode table, decoded by one search.  A
-brute-force enumerator is kept alongside as the reference oracle.
+binary-search as numbers at any Q.  Decoding splits N into halves
+((N+1)//2, N//2) and searches every first-half key XOR the syndrome in the
+second half at once.  A brute-force enumerator is kept alongside as the
+reference oracle.
 """
 
 from __future__ import annotations
@@ -60,14 +60,29 @@ def _as_keys(words: np.ndarray) -> np.ndarray:
     return words.view(f"S{8 * words.shape[1]}").ravel()
 
 
+def refuse_shared_syndromes(rows: np.ndarray, syndromes: np.ndarray, columns, q: int) -> None:
+    """Raise InjectivityViolation at the first equal neighbours of sorted syndromes,
+    with the mode sets of their rows of indices into columns as the witness."""
+    dup = np.flatnonzero(syndromes[1:] == syndromes[:-1])
+    if dup.size:
+        i = int(dup[0])
+        shared = 0
+        for c in rows[i]:
+            shared ^= columns[c]
+        bits = gf2.unpack_ints([shared], q)[0]
+        raise InjectivityViolation(
+            f"two weight-{rows.shape[1]} vectors share syndrome {''.join(map(str, bits))}",
+            witness=(_mode_set(rows[i]), _mode_set(rows[i + 1])),
+        )
+
+
 @dataclass(frozen=True)
 class SyndromeTables:
-    """Sorted keys of all weight-split[i] syndromes, and combos[i] their column indices."""
+    """Sorted keys of each half-weight's syndromes, and combos[i] their column indices."""
 
     modes: int
     rows: int
     particles: int
-    split: tuple[int, int]
     keys: tuple[np.ndarray, np.ndarray]
     combos: tuple[np.ndarray, np.ndarray]
 
@@ -76,20 +91,15 @@ class SyndromeTables:
         return len(self.keys[0]), len(self.keys[1])
 
 
-def build_tables(columns, q: int, n: int,
-                 split: tuple[int, int] | None = None) -> SyndromeTables:
-    """Tabulate syndromes of all weight-N1 and weight-N2 vectors.
+def build_tables(columns, q: int, n: int) -> SyndromeTables:
+    """Tabulate syndromes of all weight-(N+1)//2 and weight-N//2 vectors.
 
     columns are the matrix's Q x M columns as qubit masks, row 1 most
-    significant.  The split (N1, N2) defaults to ((N+1)//2, N//2); (0, N)
-    gives the full decode table.  Duplicate syndromes inside a table
-    contradict injectivity of the matrix and abort the build with the two
-    mode sets as the witness.
+    significant.  Duplicate syndromes inside a table contradict injectivity
+    of the matrix and abort the build with the two mode sets as the witness.
     """
     m = len(columns)
-    n1, n2 = ((n + 1) // 2, n // 2) if split is None else split
-    if n1 < 0 or n2 < 0 or n1 + n2 != n:
-        raise ValueError(f"split {(n1, n2)} does not add up to {n} particles")
+    n1, n2 = (n + 1) // 2, n // 2
     total = comb(m, n1) + comb(m, n2)
     if total > limits.TABLE_ENTRY_BUDGET:
         raise MemoryError(f"syndrome tables need {total} entries, "
@@ -105,20 +115,10 @@ def build_tables(columns, q: int, n: int,
         key = _as_keys(acc)
         order = np.argsort(key, kind="stable")
         key, rows = key[order], rows[order]
-        dup = np.flatnonzero(key[1:] == key[:-1])
-        if dup.size:
-            i = int(dup[0])
-            shared = 0
-            for c in rows[i]:
-                shared ^= columns[c]
-            bits = gf2.unpack_ints([shared], q)[0]
-            raise InjectivityViolation(
-                f"two weight-{k} vectors share syndrome {''.join(map(str, bits))}",
-                witness=(_mode_set(rows[i]), _mode_set(rows[i + 1])),
-            )
+        refuse_shared_syndromes(rows, key, columns, q)
         keys.append(key)
         combos.append(rows)
-    return SyndromeTables(m, q, n, (n1, n2), (keys[0], keys[1]), (combos[0], combos[1]))
+    return SyndromeTables(m, q, n, (keys[0], keys[1]), (combos[0], combos[1]))
 
 
 def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:

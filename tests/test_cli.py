@@ -505,6 +505,19 @@ class TestCodesim:
         # materialized diagonals at this size
         assert all(isinstance(t["diagonal"], list) for t in data["terms"])
 
+    def test_codeword_list_over_the_entry_budget_is_an_error_line(
+            self, tmp_path, subcode_json, monkeypatch, capsys):
+        a = cycle_chord_graph(8, 2).incidence_matrix()[:, :6]
+        check = tmp_path / "a.pcm"
+        np.savetxt(check, a, fmt="%d", header="%d %d" % a.shape, comments="")
+        monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", 14)  # C(6, 2) = 15 codewords
+        out = tmp_path / "framed.json"
+        assert main(["codesim", "--check", str(check), "--input", subcode_json,
+                     "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "needs 15 entries" in err
+        assert not out.exists()
+
     @staticmethod
     def banded_json(path, modes):
         t = np.zeros((modes, modes), dtype=complex)

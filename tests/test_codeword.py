@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fertaper import gf2
+from fertaper import gf2, limits
 from fertaper.codeword import (
     CodeEncoding,
     FramedDiagonal,
@@ -44,10 +44,9 @@ from fertaper.mitm import (
     brute_force_decode,
     build_tables,
     mitm_decode,
-    occupations,
 )
 from fertaper.pauli import PauliOperator, qubit_mask
-from tests.conftest import packed, syndrome
+from tests.conftest import packed, syndrome, syndrome_map
 
 
 @pytest.fixture
@@ -258,8 +257,7 @@ class TestCodeEncoding:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_a_matrix_code_lists_its_codewords_once(self, fig3_graph, n, monkeypatch):
-        # the decode table's weight-N rows are the codewords in syndrome
-        # order; a graph code, which has no table, lists and sorts them
+        # either kind of code lists its codewords once, in syndrome order
         from fertaper import codeword, mitm
 
         listed = []
@@ -439,12 +437,12 @@ class TestTwoBodySimulator:
             assert len(two_body_simulator(fig3_encoding, alpha, beta)) <= 2
 
     def test_equal_columns_guard(self):
-        # equal columns can never pass encoding validation, so the guard is
-        # defense in depth; bypass the constructor to reach it
-        enc = CodeEncoding.from_matrix(np.eye(4, dtype=np.uint8), 1)
-        object.__setattr__(enc, "columns", (0b1000, 0b1000, 0b0100, 0b0010))
-        with pytest.raises(ValueError):
-            two_body_simulator(enc, 1, 2)
+        # equal columns never reach a simulator: with 0 < N < M they give two
+        # weight-N vectors one syndrome, which the encoding's certificate
+        # refuses (and a graph refuses parallel edges)
+        for n in (1, 2, 3):
+            with pytest.raises(InjectivityViolation, match=f"two weight-{n} vectors"):
+                CodeEncoding((0b1000, 0b1000, 0b0100, 0b0010), 4, n)
 
     def test_equal_columns_allowed_at_full_filling(self):
         # N = M leaves one codeword, so two equal columns collide with nothing
@@ -954,38 +952,33 @@ class TestArrayDiagonals:
 
 class TestDecoderSelection:
     def test_mitm_path_when_table_too_large(self, fig3_encoding):
-        # a code that outgrows one table decodes through the default split;
-        # it must agree with the full (0, N) table on every syndrome
+        # the meet-in-the-middle decoder, which decode --check uses, agrees
+        # with a matrix code's search of its codeword list on every syndrome
         enc = CodeEncoding.from_matrix(fig3_encoding.matrix, 2)
-        split = build_tables(enc.columns, enc.qubits, 2)
-        full = build_tables(enc.columns, enc.qubits, 2, split=(0, 2))
-        assert split.split == (1, 1) and full.sizes == (1, 120)
+        tables = build_tables(enc.columns, enc.qubits, 2)
+        assert tables.sizes == (16, 16)
         pre, occ = enc.preimage(), enc.codewords()
         hits = 0
         for s in range(1 << 12):
             bits = gf2.unpack_ints([s], 12)[0]
-            want = mitm_decode(full, bits)
-            got = mitm_decode(split, bits)
-            assert (got is None) == (want is None)
+            want = mitm_decode(tables, bits)
             if want is None:
                 assert enc.decode(bits) is None and pre[s] == -1
             else:
                 hits += 1
-                assert np.array_equal(got, want)
                 assert enc.decode(bits).occ == tuple(occ[pre[s]]) == tuple(int(b) for b in want)
         assert hits == 120
 
     def test_graph_codes_decode_by_matching(self, monkeypatch):
         import fertaper.codeword as cw
 
-        def no_tables(*args):
-            raise AssertionError("a graph code built a syndrome table")
+        def no_list(*args):
+            raise AssertionError("a graph code listed its codewords to decode")
 
         g = greedy_high_girth(48, 4, trials=3, seed=6)
         enc = CodeEncoding.from_graph(g, 4)
-        tables = build_tables(enc.columns, enc.qubits, 4)  # the oracle, built before the patch
-        monkeypatch.setattr(cw.CodeEncoding, "_table", property(no_tables))
-        monkeypatch.setattr(cw, "build_tables", no_tables)
+        tables = build_tables(enc.columns, enc.qubits, 4)  # the oracle
+        monkeypatch.setattr(cw.CodeEncoding, "_codespace", property(no_list))
         rng = np.random.default_rng(6)
         for k in range(120):
             if k % 2:
@@ -1230,22 +1223,33 @@ def test_a_graph_code_keeps_no_array_of_2_to_the_q_entries(fig3_encoding):
     frames = build_simulator_hamiltonian(random_hamiltonian(16, 2, np.random.default_rng(4)), enc)
     assert frames.buffer is not None  # the diagonals were built
     arrays = list(_arrays(enc, set()))
-    assert any(a is enc.codewords() for a in arrays)  # the walk reaches the cached arrays
+    assert any(a is enc.syndromes() for a in arrays)  # the walk reaches the cached arrays
     assert max(a.size for a in arrays) < 1 << enc.qubits
 
 
 def test_a_graph_code_builds_no_decode_table(fig3_encoding):
     enc = fig3_encoding
-    build_simulator_hamiltonian(random_hamiltonian(16, 2, np.random.default_rng(4)), enc)
-    assert "_table" not in vars(enc)  # it decodes by matching on the graph
+    for s in range(0, 1 << 12, 7):
+        enc.decode(gf2.unpack_ints([s], 12)[0])
+    assert "_codespace" not in vars(enc)  # it decodes by matching on the graph
 
 
 def test_codewords_are_in_decode_table_order(fig3_graph):
-    # a code without its graph builds the full table, and lists its
-    # codewords in that table's key order
+    # a code without its graph lists its codewords by ascending syndrome,
+    # the order in which it searches them to decode
     enc = CodeEncoding.from_matrix(fig3_graph.incidence_matrix(), 2)
-    assert np.array_equal(enc.codewords(), occupations(enc._table.combos[1], enc.modes))
-    assert (np.diff(enc.syndromes()) > 0).all()
+    want = syndrome_map(enc.matrix, 2)
+    assert enc.syndromes().tolist() == sorted(want)
+    assert [gf2.bits_to_int(w) for w in enc.codewords()] == [want[s] for s in sorted(want)]
+
+
+def test_the_codeword_list_is_bounded_by_the_entry_budget(fig3_graph, monkeypatch):
+    monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", 119)  # C(16, 2) = 120 codewords
+    enc = CodeEncoding.from_graph(fig3_graph, 2)  # certified by its girth, no list yet
+    with pytest.raises(MemoryError, match="needs 120 entries"):
+        enc.codewords()
+    with pytest.raises(MemoryError):
+        CodeEncoding.from_matrix(fig3_graph.incidence_matrix(), 2)
 
 
 def test_pass_memory_stays_within_its_chunk_bound(fig3_encoding):

@@ -31,6 +31,7 @@ DENSE_BUILDERS = {
     "PauliOperator.dense": lambda: PauliOperator.from_label("XZIY").dense(),
     "permutation_matrix": lambda: build_encoding("parity", 4).permutation_matrix(),
     "CodeEncoding.isometry": lambda: CodeEncoding.from_matrix(np.eye(4), 1).isometry(),
+    "CodeEncoding.preimage": lambda: CodeEncoding.from_matrix(np.eye(4), 1).preimage(),
     "apply_frames_to_isometry":
         lambda: apply_frames_to_isometry([], CodeEncoding.from_matrix(np.eye(4), 1)),
     "FramedDiagonal.to_dense":

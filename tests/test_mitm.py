@@ -1,11 +1,13 @@
 import itertools
 from functools import reduce
+from math import comb
 from operator import xor
 
 import numpy as np
 import pytest
 
 from fertaper import gf2, limits
+from fertaper.codeword import CodeEncoding
 from fertaper.mitm import (
     InjectivityViolation,
     brute_force_decode,
@@ -35,12 +37,12 @@ class TestBuildTables:
     def test_odd_split(self):
         a = np.eye(5, dtype=np.uint8)
         tables = build_tables(*packed(a), 3)
-        assert tables.split == (2, 1)
+        assert tables.sizes == (10, 5)  # weights 2 and 1
 
     def test_single_particle_tables_are_columns(self):
         a = np.array([[1, 0, 1], [0, 1, 1]], dtype=np.uint8)
         tables = build_tables(*packed(a), 1)
-        assert tables.split == (1, 0)
+        assert tables.sizes == (3, 1)  # weights 1 and 0
         # keys are sorted big-endian words; combos give each key's columns
         keys = tables.keys[0].view(">u8").tolist()
         assert keys == sorted(gf2.bits_to_int(a[:, c]) for c in range(3))
@@ -65,24 +67,21 @@ class TestBuildTables:
 
     def test_duplicate_witness_names_both_mode_sets(self):
         a = np.array([[1, 0, 1, 0], [0, 1, 0, 0]], dtype=np.uint8)  # columns 1, 3 equal
-        with pytest.raises(InjectivityViolation, match="share syndrome 10") as err:
-            build_tables(*packed(a), 1, split=(0, 1))
-        assert err.value.witness == ((1,), (3,))
-
-    @pytest.mark.parametrize("split", [(3, 1), (-1, 3), (2, 1)])
-    def test_split_must_add_up(self, split):
-        with pytest.raises(ValueError, match="does not add up"):
-            build_tables(*packed(np.eye(5)), 2, split=split)
+        # the tables and a matrix code's sorted codeword list share one check
+        for build in (lambda: build_tables(*packed(a), 1), lambda: CodeEncoding.from_matrix(a, 1)):
+            with pytest.raises(InjectivityViolation, match="share syndrome 10") as err:
+                build()
+            assert err.value.witness == ((1,), (3,))
 
     def test_full_table_has_every_weight_n_vector(self, fig3_graph):
+        # the full table is a matrix code's codeword list
         a = fig3_graph.incidence_matrix()
-        tables = build_tables(*packed(a), 2, split=(0, 2))
-        assert tables.sizes == (1, 120)
+        enc = CodeEncoding.from_matrix(a, 2)
         want = syndrome_map(a, 2)
-        keys = tables.keys[1].view(">u8").tolist()
+        keys = enc.syndromes().tolist()
         assert keys == sorted(want)
-        for key, combo in zip(keys, tables.combos[1]):
-            assert want[key] == sum(1 << (15 - int(c)) for c in combo)
+        for key, word in zip(keys, enc.codewords()):
+            assert want[key] == gf2.bits_to_int(word)
 
     def test_entry_budget(self, monkeypatch):
         monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", 100)
@@ -158,9 +157,11 @@ class TestDecode:
             x[cols] = 1
             assert np.array_equal(mitm_decode(tables, syndrome(a, x)), x)
 
-    @pytest.mark.parametrize("split", [None, (0, 3), (3, 0)])
-    def test_more_particles_than_modes_has_no_preimage(self, split):
-        tables = build_tables(*packed(np.eye(2)), 3, split=split)
+    @pytest.mark.parametrize("n", [3, 5, 6])
+    def test_more_particles_than_modes_has_no_preimage(self, n):
+        # halves (2, 1) both hold keys; (3, 2) has no first-half key and
+        # (3, 3) no second-half key
+        tables = build_tables(*packed(np.eye(2)), n)
         assert mitm_decode(tables, [1, 1]) is None
 
     def test_zero_particles(self):
@@ -195,20 +196,25 @@ class TestCombinations:
 class TestWideSyndromes:
     """Non-graph codes whose syndromes span one, two or three key words."""
 
-    @pytest.mark.parametrize("q,m,n", [(63, 20, 3), (64, 18, 4), (65, 20, 3), (130, 16, 4)])
+    @pytest.mark.parametrize("q,m,n", [(63, 20, 3), (64, 18, 4), (65, 20, 3), (130, 16, 4),
+                                       (30, 24, 3)])
     def test_default_and_full_split_match_brute_force(self, q, m, n):
+        # the full list is CodeEncoding's: every codeword, by ascending syndrome
         rng = np.random.default_rng(q)
         a = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
-        split_tables = build_tables(*packed(a), n)
-        full_tables = build_tables(*packed(a), n, split=(0, n))
-        assert full_tables.keys[1].dtype.itemsize == 8 * ((q + 63) // 64)
+        tables = build_tables(*packed(a), n)
+        enc = CodeEncoding.from_matrix(a, n)
+        assert tables.keys[0].dtype.itemsize == 8 * ((q + 63) // 64)
         # keys read as big-endian numbers are the sorted syndromes of their combos
-        cols, keys = packed(a)[0], full_tables.keys[1]
+        cols, keys = packed(a)[0], tables.keys[0]
         numbers = [int.from_bytes(row.tobytes(), "big")
                    for row in keys.view(np.uint8).reshape(len(keys), -1)]
         assert numbers == sorted(numbers)
-        assert numbers == [reduce(xor, (cols[c] for c in combo), 0)
-                           for combo in full_tables.combos[1]]
+        assert numbers == [reduce(xor, (cols[c] for c in combo), 0) for combo in tables.combos[0]]
+        words, listed = enc.codewords(), [int(s) for s in enc.syndromes()]
+        assert words.shape == (comb(m, n), m) and (words.sum(axis=1) == n).all()
+        assert listed == sorted(listed)
+        assert listed == [reduce(xor, (cols[c] for c in np.flatnonzero(w)), 0) for w in words]
         for k in range(40):
             if k % 2:
                 s = rng.integers(0, 2, size=q).astype(np.uint8)
@@ -224,9 +230,11 @@ class TestWideSyndromes:
                 syndromes = (syndrome(a, x),)
             for s in syndromes:
                 want = brute_force_decode(a, n, s)
-                for tables in (split_tables, full_tables):
-                    got = mitm_decode(tables, s)
-                    assert (got is None) == (want is None)
-                    assert want is None or np.array_equal(got, want)
+                got = mitm_decode(tables, s)
+                assert (got is None) == (want is None)
+                assert want is None or np.array_equal(got, want)
+                hit = enc.decode(s)
+                assert (hit is None) == (want is None)
+                assert want is None or hit.occ == tuple(want)
             if not k % 2:
                 assert np.array_equal(want, x)
