@@ -215,6 +215,7 @@ def _cmd_graphtable(args) -> int:
         raise ValueError(f"--qmax {args.qmax} leaves no rows; the table starts at Q=4")
     if args.nmax < 1:
         raise ValueError(f"--nmax {args.nmax} leaves no columns; it must be at least 1")
+    limits.check_graph_vertices(args.qmax)  # before the first row, not at the last
     lines = ["Q," + ",".join(f"N={n}" for n in range(1, args.nmax + 1))]
     for q in range(4, args.qmax + 1):
         row = [str(q)]

@@ -7,7 +7,8 @@ cycle-with-chords family and a randomized greedy search), measures girth,
 and decodes syndromes by pairing syndrome vertices with shortest paths
 through a minimum-weight perfect matching.  Generation, girth and
 decoding share one data structure, the all-pairs distance matrix updated
-in place per added edge (capped at 2N+1 for weight-N work).  The incidence
+in place per added edge (capped at 2N+1 for weight-N work; the greedy
+search's trials update a stack of them together).  The incidence
 matrix's columns are the edges' vertex masks, vertex 1 most significant.
 """
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fertaper import gf2
+from fertaper import gf2, limits
 
 
 @dataclass(frozen=True)
@@ -90,15 +91,22 @@ def _unlinked(q: int, cap: int) -> np.ndarray:
     return dist
 
 
-def _link(dist: np.ndarray, a: int, b: int) -> None:
-    """Add edge (a, b), 0-based, to a capped distance matrix in place.
+def _link(dist: np.ndarray, a, b) -> None:
+    """Add edge (a, b), 0-based, to a capped distance matrix in place; on a
+    (T, Q, Q) stack, add edge (a[t], b[t]) to each matrix dist[t].
 
-    A shortest x-y path that uses the new edge runs x..a-b..y or x..b-a..y;
-    by symmetry the second length is the transpose of the first.  Taking
-    the minimum with the old entries keeps every entry within the cap.
+    A shortest x-y path that uses the new edge runs x..a-b..y or x..b-a..y,
+    one pass each.  Row a is copied first, as the first pass can shorten
+    it; row b it leaves as it was.  Taking the minimum with the old
+    entries keeps every entry within the cap.
     """
-    through = dist[:, a, None] + dist[b]
-    np.minimum(dist, np.minimum(through, through.T) + 1, out=dist)
+    if dist.ndim == 3:
+        t = np.arange(len(dist))
+        via_a, via_b = dist[t, a] + 1, dist[t, b]
+    else:
+        via_a, via_b = dist[a] + 1, dist[b]
+    np.minimum(dist, via_a[..., :, None] + via_b[..., None, :], out=dist)
+    np.minimum(dist, via_b[..., :, None] + via_a[..., None, :], out=dist)
 
 
 def distance_matrix(g: BipartiteGraph, n: int) -> np.ndarray:
@@ -227,10 +235,15 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0) -> Bipa
 
     Each trial fixes a bipartition size, then repeatedly adds a uniformly
     random cross edge whose endpoints are at distance >= 2n+1 (new cycles
-    stay at length >= 2n+2) until no edge can be added.  The candidates
-    are read off the capped distance matrix, which each added edge updates
-    in place.  The densest graph over all trials wins; ties keep the
-    earlier trial, so a fixed seed gives a reproducible result.
+    stay at length >= 2n+2) until no edge can be added.  The trials run in
+    lockstep on one (trials, Q, Q) stack of capped distance matrices, in
+    consecutive stacks of at most limits.GREEDY_STACK_BUDGET entries: each
+    step draws one candidate per unfinished trial, in trial order, from one
+    random.Random(seed), and one broadcast update adds every drawn edge.
+    A trial's candidates are listed in row-major (u, v) order, so a single
+    trial draws what a trial run alone would.  The densest graph over all
+    trials wins; ties keep the earlier trial, so a fixed seed gives a
+    reproducible result.
     """
     if q < 2:
         raise ValueError("need at least two vertices")
@@ -238,30 +251,64 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0) -> Bipa
         raise ValueError("particle count must be non-negative")
     if trials < 1:
         raise ValueError(f"need at least one trial, got {trials}")
+    limits.check_graph_vertices(q)
     rng = random.Random(seed)
     base = q // 2
     spread = sorted({max(1, base + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
-    splits = [s for s in spread if 1 <= s <= q - 1]
-    far = _far(n)
-    best: BipartiteGraph | None = None
-    for trial in range(trials):
-        left_size = splits[trial % len(splits)]
-        dist = _unlinked(q, far)
-        edges: list[tuple[int, int]] = []
-        while True:
-            # row-major (u, v) order, so a seed always draws the same edges
-            candidates = np.flatnonzero(dist[:left_size, left_size:] >= far)
-            if not len(candidates):
-                break
-            a, b = divmod(int(candidates[rng.randrange(len(candidates))]), q - left_size)
-            _link(dist, a, left_size + b)
-            edges.append((a + 1, left_size + b + 1))
-        if best is None or len(edges) > best.edge_count:
-            best = BipartiteGraph(
-                frozenset(range(1, left_size + 1)), frozenset(range(left_size + 1, q + 1)),
-                tuple(sorted(edges)),
-            )
-    return best
+    splits = np.array([s for s in spread if 1 <= s <= q - 1])
+    left = splits[np.arange(trials) % len(splits)]
+    # no path on q vertices is q long, so a cap past q changes no candidate
+    far = min(_far(n), q)
+    chunk = max(1, limits.GREEDY_STACK_BUDGET // (q * q))
+    best_left, best_edges = 0, []
+    for start in range(0, trials, chunk):
+        size, edges = _lockstep(q, far, left[start:start + chunk], rng)
+        if len(edges) > len(best_edges):
+            best_left, best_edges = size, edges
+    return BipartiteGraph(frozenset(range(1, best_left + 1)),
+                          frozenset(range(best_left + 1, q + 1)), tuple(sorted(best_edges)))
+
+
+def _lockstep(q: int, far: int, left: np.ndarray, rng: random.Random):
+    """Grow one greedy graph per entry of left, its left side's size, in
+    lockstep; the densest one's left size and 1-based edges, the earliest
+    on a tie.
+
+    Each step reads the box of rows below the largest left size and columns
+    from the smallest up, and each trial's cross mask cuts the box to its
+    own left x right block.  A trial with no candidate leaves the stack.
+    The steps record (trial, a, b) only, and the winner's edges are read
+    back from those records.
+    """
+    # _link adds two entries and one: int8 holds that sum up to a cap of 63
+    dtype = np.int8 if 2 * far + 1 <= np.iinfo(np.int8).max else np.int16
+    dist = np.empty((len(left), q, q), dtype=dtype)
+    dist[:] = _unlinked(q, far)
+    trial = np.arange(len(left))  # each stacked matrix's index into left
+    cross = None
+    steps = []
+    while len(trial):
+        if cross is None or len(cross) != len(trial):  # (re)cut the box to the trials left
+            sizes = left[trial]
+            lo, hi = int(sizes.min()), int(sizes.max())
+            cross = ((np.arange(hi)[:, None] < sizes[:, None, None])
+                     & (np.arange(lo, q) >= sizes[:, None, None]))
+            offsets = np.arange(len(trial) + 1) * (hi * (q - lo))  # each trial's box in hits
+        hits = np.flatnonzero((dist[:, :hi, lo:] >= far) & cross)
+        starts = np.searchsorted(hits, offsets)
+        counts = starts[1:] - starts[:-1]
+        going = np.flatnonzero(counts)
+        draws = np.array([rng.randrange(c) for c in counts[going].tolist()], dtype=np.intp)
+        a, b = np.divmod(hits[starts[going] + draws] - offsets[going], q - lo)
+        b += lo
+        if len(going) < len(trial):
+            dist, trial = dist[going], trial[going]
+        _link(dist, a, b)
+        steps.append((trial, a, b))
+    trial, a, b = (np.concatenate(column) for column in zip(*steps))
+    win = int(np.argmax(np.bincount(trial, minlength=len(left))))
+    mine = trial == win
+    return int(left[win]), list(zip((a[mine] + 1).tolist(), (b[mine] + 1).tolist()))
 
 
 def no_edge_addable(g: BipartiteGraph, n: int) -> bool:

@@ -20,6 +20,12 @@ PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register s
 # hop matrix (16 MiB at this cap), and Jordan-Wigner would need M qubits, far
 # past anything the encoders here can simulate
 MODE_CAP = 1024
+# vertices of a generated graph: the greedy search holds a Q x Q distance matrix per
+# trial (8 MiB of int16 at this cap) and each added edge builds a few temporaries that size
+GRAPH_VERTEX_CAP = 2048
+# entries in the (trials, Q, Q) distance stack the greedy search's trials share; more
+# trials run in consecutive stacks, and one trial runs alone past it
+GREEDY_STACK_BUDGET = 1 << 17
 
 
 def dense_cap() -> int:
@@ -36,3 +42,10 @@ def check_dense(dim: int) -> None:
     if dim > 1 << cap:
         raise ValueError(f"dense array on {(dim - 1).bit_length()} qubits exceeds the cap of "
                          f"{cap}; set FERTAPER_MAX_DENSE_QUBITS to override")
+
+
+def check_graph_vertices(q: int) -> None:
+    """Refuse a graph search over more than GRAPH_VERTEX_CAP vertices."""
+    if q > GRAPH_VERTEX_CAP:
+        raise ValueError(f"graph on {q} vertices exceeds the cap of {GRAPH_VERTEX_CAP}; "
+                         "its search holds a Q x Q distance matrix per trial")

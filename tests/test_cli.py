@@ -788,6 +788,25 @@ class TestGraphCommands:
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: need at least one trial")
 
+    def test_graph_commands_refuse_a_vertex_count_over_the_cap(self, tmp_path, capsys,
+                                                               monkeypatch):
+        monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", 9)
+        out = tmp_path / "g"
+        for argv in (["graphgen", "--qubits", "10", "--particles", "2", "--trials", "2"],
+                     ["graphtable", "--qmax", "10", "--nmax", "2", "--trials", "2"]):
+            assert main(argv + ["--out", str(out)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: graph on 10 vertices exceeds the cap of 9")
+            assert not captured.out and not out.exists()
+        assert main(["graphgen", "--qubits", "9", "--particles", "2", "--trials", "2",
+                     "--out", str(out)]) == 0
+
+    def test_graphgen_with_more_particles_than_any_path(self, tmp_path, capsys):
+        out = tmp_path / "g.graph"
+        assert main(["graphgen", "--qubits", "10", "--particles", "40000", "--trials", "2",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == "graph: 10 vertices, 9 edges, girth inf\n"
+
     def test_graphtable(self, tmp_path):
         out = tmp_path / "table.csv"
         assert main(["graphtable", "--qmax", "6", "--nmax", "2",

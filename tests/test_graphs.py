@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from collections import deque
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fertaper import gf2
+from fertaper import gf2, limits
 from fertaper.codeword import CodeEncoding, is_n_injective
 from fertaper.graphs import (
     BipartiteGraph,
@@ -173,11 +174,102 @@ class TestCycleChord:
             cycle_chord_graph(7, 2)
 
 
+def sequential_greedy(q, n, trials, seed):
+    """The greedy search one trial at a time, each trial's draws before the
+    next trial's (the reference for the lockstep stack): the same splits,
+    candidates in row-major (u, v) order and one shared random.Random."""
+    rng = random.Random(seed)
+    spread = sorted({max(1, q // 2 + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
+    splits = [s for s in spread if 1 <= s <= q - 1]
+    cap = max(2 * n + 1, 2)
+    best = None
+    for trial in range(trials):
+        left = splits[trial % len(splits)]
+        dist = np.full((q, q), cap, dtype=np.int64)
+        np.fill_diagonal(dist, 0)
+        edges = []
+        while True:
+            candidates = np.flatnonzero(dist[:left, left:] >= cap)
+            if not len(candidates):
+                break
+            a, b = divmod(int(candidates[rng.randrange(len(candidates))]), q - left)
+            b += left
+            through = dist[:, a, None] + dist[b]
+            dist = np.minimum(dist, np.minimum(through, through.T) + 1)
+            edges.append((a + 1, b + 1))
+        if best is None or len(edges) > best.edge_count:
+            best = BipartiteGraph(frozenset(range(1, left + 1)),
+                                  frozenset(range(left + 1, q + 1)), tuple(sorted(edges)))
+    return best
+
+
+# Median best edge count of sequential_greedy over seeds 0..19 at 100 trials,
+# for Q = 4..18 in turn, per N
+SEQUENTIAL_MEDIANS = {
+    1: (4, 6, 9, 12, 16, 20, 25, 30, 36, 42, 49, 56, 64, 72, 81),
+    2: (3, 4, 6, 7, 9, 10, 12, 14, 16, 18, 19, 22, 24, 26, 28),
+    3: (3, 4, 5, 6, 8, 9, 10, 12, 13, 14, 16, 17, 19, 20, 21),
+}
+
+
+def assert_valid(g, n):
+    assert girth(g) >= 2 * n + 2
+    assert no_edge_addable(g, n)
+
+
 class TestGreedy:
     def test_deterministic(self):
         a = greedy_high_girth(10, 2, trials=15, seed=9)
         b = greedy_high_girth(10, 2, trials=15, seed=9)
         assert a == b
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8, 13, 21, 34, 48])
+    def test_one_trial_draws_the_sequential_graph(self, q):
+        for n, seed in itertools.product(range(5), range(3)):
+            assert greedy_high_girth(q, n, trials=1, seed=seed) == sequential_greedy(q, n, 1, seed)
+
+    @pytest.mark.parametrize("q", [5, 9, 14, 20, 27])
+    def test_lockstep_graphs_are_valid_and_reproducible(self, q):
+        for n, seed in itertools.product(range(4), range(2)):
+            g = greedy_high_girth(q, n, trials=25, seed=seed)
+            assert_valid(g, n)
+            assert g == greedy_high_girth(q, n, trials=25, seed=seed)
+
+    @pytest.mark.parametrize("n", sorted(SEQUENTIAL_MEDIANS))
+    def test_median_edge_count_no_worse_than_sequential(self, n):
+        got = [np.median([greedy_high_girth(q, n, trials=100, seed=s).edge_count
+                          for s in range(20)]) for q in range(4, 19)]
+        assert all(np.array(got) >= SEQUENTIAL_MEDIANS[n])
+
+    @pytest.mark.parametrize("q,n", [(9, 2), (7, 3)])
+    def test_sequential_medians_come_from_the_reference(self, q, n):
+        got = np.median([sequential_greedy(q, n, 100, s).edge_count for s in range(20)])
+        assert got == SEQUENTIAL_MEDIANS[n][q - 4]
+
+    @pytest.mark.parametrize("budget", [1, 3 * 11 * 11, 7 * 11 * 11])
+    def test_trials_in_consecutive_stacks(self, monkeypatch, budget):
+        """Stacks of one, three and seven trials; with one trial per stack
+        the search is the sequential one, draw for draw."""
+        monkeypatch.setattr(limits, "GREEDY_STACK_BUDGET", budget)
+        for n, seed in itertools.product((1, 2, 3), (0, 1)):
+            g = greedy_high_girth(11, n, trials=17, seed=seed)
+            assert_valid(g, n)
+            assert g == greedy_high_girth(11, n, trials=17, seed=seed)
+            if budget == 1:
+                assert g == sequential_greedy(11, n, 17, seed)
+
+    def test_vertex_cap(self, monkeypatch):
+        monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", 9)
+        assert greedy_high_girth(9, 2, trials=2).vertex_count == 9
+        with pytest.raises(ValueError, match="graph on 10 vertices exceeds the cap of 9"):
+            greedy_high_girth(10, 2, trials=2)
+
+    def test_particle_count_past_any_path_gives_a_spanning_tree(self):
+        # every pair is at least 2n+1 apart or unconnected, so each edge joins two
+        # components; at n = 40,000, 2n+1 does not fit an int16 distance matrix
+        for n in (20, 40_000):
+            g = greedy_high_girth(10, n, trials=3, seed=1)
+            assert g.edge_count == 9 and girth(g) == math.inf
 
     def test_girth_bound_and_maximality(self):
         for n in (1, 2, 3):

@@ -4,9 +4,13 @@ The SHA-256 digests below were recorded from the tuple-based Pauli
 implementation that the packed (x|z) masks replaced.  Any change to term
 order, coefficient arithmetic (including signed zeros) or number
 formatting in ``encode``, ``taper`` or ``firstq`` changes a digest.
-The ``graphgen`` digests were recorded from the breadth-first-search
-generator that the capped distance matrix replaced, so a seed must keep
-drawing the same edges.
+The ``graphgen`` digests were re-recorded once, when the greedy search
+came to run its trials in lockstep on one stack of distance matrices: the
+trials then share one random stream draw by draw, not trial after trial,
+so a seed draws other graphs (31, 59, 111 and 16 edges here, against 31,
+59, 107 and 16 before).  They were first recorded from the breadth-first
+search generator that the capped distance matrix replaced; a seed must
+keep drawing the same edges.
 The ``codesim`` digests were recorded from the dict decode table that the
 sorted array table replaced; codeword numbering may change, the written
 frames may not.
@@ -33,9 +37,21 @@ import pytest
 from fertaper import limits
 from fertaper.cli import main
 from fertaper.fermion import FermionHamiltonian, random_hamiltonian
-from fertaper.graphs import cycle_chord_graph, greedy_high_girth, save_graph
+from fertaper.graphs import BipartiteGraph, cycle_chord_graph, save_graph
 
 MODES = 8
+
+# The greedy codes the codesim digests were recorded on, frozen as edge lists
+# so that the digests pin simulator bytes, not the generator's draws:
+# greedy_high_girth(10, 2, 50, 22) and greedy_high_girth(8, 2, 50, 0) as the
+# one-trial-at-a-time search drew them.
+CHECK_CODE = BipartiteGraph(
+    frozenset(range(1, 6)), frozenset(range(6, 11)),
+    ((1, 6), (1, 7), (2, 7), (2, 8), (2, 9), (3, 6), (3, 8), (3, 10), (4, 6), (4, 9),
+     (5, 9), (5, 10)))
+EMPTY_CODE = BipartiteGraph(
+    frozenset(range(1, 5)), frozenset(range(5, 9)),
+    ((1, 6), (1, 7), (1, 8), (2, 5), (2, 6), (3, 5), (3, 7), (4, 5), (4, 8)))
 
 
 def spin_conserving(seed: int) -> FermionHamiltonian:
@@ -76,10 +92,10 @@ ENCODE_TAPER_DIGESTS = {
 
 # (qubits, particles, trials, seed) -> graphgen output file
 GRAPHGEN_DIGESTS = {
-    (24, 3, 200, 11): "cdfe00fe02729ca0281f65b8de68f83871ace2c05c9712fc61231451ab41b8f0",
-    (48, 4, 30, 12): "0ed6b8a97fec2f7562b2c9e6064338cf673a623400e55075f0a251b3c799d1e4",
-    (96, 6, 4, 13): "d8b0d63bfb8e10909f3902008dc77f7f484d64770c1634426d2f89fc5321f24e",
-    (12, 2, 1000, 0): "caa7ec40a67d31a311deef37d0e616d1fb273be0ddc51fede88b1d8e0c49f7f9",
+    (24, 3, 200, 11): "5659e3398f3dc4c6151b5d164accc85386892febc4e91dcf12c1575f1cb4e4cf",
+    (48, 4, 30, 12): "b5babbe180e95b0eca10e3be81abc9b8d8576b4eb73418a8da7df0129b918495",
+    (96, 6, 4, 13): "659d1d6e0a8dcafdd62b5f78516214ad2d2eeb35a957ac1ced970200ea5e1db2",
+    (12, 2, 1000, 0): "925049d3b51526ba99156d6771c19c6e5a20ed484d880a367bc21f7c3705638b",
 }
 
 # codesim JSON: the Fig-3 code by --graph, a seeded Q=10 greedy code by --check
@@ -159,7 +175,7 @@ def codesim_inputs(tmp_path, kind: str) -> list[str]:
         save_graph(cycle_chord_graph(8, 2), str(code))
         modes, seed = 16, 21
     else:
-        a = greedy_high_girth(10, 2, 50, 22).incidence_matrix()
+        a = CHECK_CODE.incidence_matrix()
         code = tmp_path / "a.pcm"
         np.savetxt(code, a, fmt="%d", header="%d %d" % a.shape, comments="")
         modes, seed = a.shape[1], 23
@@ -183,7 +199,7 @@ def test_codesim_lazy_bytes(tmp_path, monkeypatch):
 
 def test_codesim_empty_bytes(tmp_path):
     code = tmp_path / "g.graph"
-    save_graph(greedy_high_girth(8, 2, 50, 0), str(code))
+    save_graph(EMPTY_CODE, str(code))
     (tmp_path / "h.json").write_text(json.dumps({"modes": 9, "particles": 2}))
     out = tmp_path / "o.json"
     assert main(["codesim", "--graph", str(code), "--input", str(tmp_path / "h.json"),
