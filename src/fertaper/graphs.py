@@ -269,7 +269,8 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0) -> Bipa
                           frozenset(range(best_left + 1, q + 1)), tuple(sorted(best_edges)))
 
 
-def _lockstep(q: int, far: int, left: np.ndarray, rng: random.Random):
+def _lockstep(q: int, far: int, left: np.ndarray,
+              rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
     """Grow one greedy graph per entry of left, its left side's size, in
     lockstep; the densest one's left size and 1-based edges, the earliest
     on a tie.
