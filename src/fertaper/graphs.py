@@ -110,7 +110,7 @@ def _link(dist: np.ndarray, a, b) -> None:
 
 
 def distance_matrix(g: BipartiteGraph, n: int) -> np.ndarray:
-    """Q x Q int16 path lengths, vertex v at index v-1, capped at 2n+1.
+    """Q x Q path lengths, vertex v at index v-1, capped at 2n+1 (see _capped).
 
     An entry at the cap means "at least 2n+1 apart, or not connected":
     all that greedy generation (may an edge join these two?) and weight-n
@@ -121,9 +121,10 @@ def distance_matrix(g: BipartiteGraph, n: int) -> np.ndarray:
 
 def _capped(lengths: np.ndarray, n: int) -> np.ndarray:
     """path_lengths' matrix capped at 2n+1; "not connected" (Q) reads as the
-    cap also where 2n+1 exceeds Q."""
+    cap also where 2n+1 exceeds Q.  It is int16 while the cap fits, else int64."""
     cap = _far(n)
-    return np.where(lengths < len(lengths), np.minimum(lengths, cap), cap).astype(np.int16)
+    lengths = lengths.astype(np.int16 if cap <= np.iinfo(np.int16).max else np.int64, copy=False)
+    return np.where(lengths < len(lengths), np.minimum(lengths, cap), cap)
 
 
 def path_lengths(g: BipartiteGraph) -> tuple[np.ndarray, float]:

@@ -8,13 +8,14 @@ sequence of cells each written as a JSON list: 1-D float64 or int64
 ndarrays, lists of str, or Tables.
 
 A float column is formatted once per distinct bit pattern, found by one
-pass over the whole column: ``np.sort`` of its int64 view (which keeps 0.0
-and -0.0 apart) and a mask of where adjacent entries differ give the
-distinct values, and ``np.searchsorted`` finds each entry's text among
-theirs.  A column of float arrays takes that pass over their
-concatenation, copied and sorted in runs of bounded size; a column of str
-lists encodes each distinct str once; and the list text of each row is
-built from those texts only when the row is written.
+pass over the whole column that cuts it into runs of equal int64 patterns
+(so 0.0 and -0.0 stay apart), also at every cell's start: the run heads
+alone give the distinct values, and each run keeps the index of its text
+and its length.  Cells of a column of float arrays are read in chunks of
+at most _RUN_ENTRIES entries, copied together, and a larger cell in place.
+A float cell's list text is built from its runs, one string repetition
+each, when its row is written, and a scalar float column is expanded from
+them; a column of str lists encodes each distinct str once.
 
 Non-finite floats raise ValueError, a Table's when it is built: NaN and
 Infinity are not JSON.
@@ -28,7 +29,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-_RUN_ENTRIES = 1 << 14  # floats a distinct-value pass sorts at once: 128 KiB
+_RUN_ENTRIES = 1 << 14  # floats a run pass copies together at most: 128 KiB
 
 
 class Table:
@@ -38,7 +39,7 @@ class Table:
     None or float, or a sequence of list cells (see _Lists); the columns
     have one length, and every dict has their keys in their order.  The
     cells are formatted when the table is built, list cells from their
-    column's distinct texts when their row is written.  ``take`` selects
+    column's texts and runs when their row is written.  ``take`` selects
     rows (in any order, repeats allowed) and shares that text, so a payload
     that holds many row subsets of one table formats each column once.
     """
@@ -108,17 +109,19 @@ class _Lists:
 
     The cells are 1-D ndarrays, all float64 or all int64; lists or tuples
     of str, each distinct str encoded once; or Tables.  A float column keeps
-    its distinct bit patterns, sorted, with their texts; a str column keeps
-    each str's text.
+    its distinct texts and its runs (see _float_texts): a cell's list is its
+    runs' texts, each repeated as often as its run is long, so writing it
+    costs one string repetition per run and none per entry.  A str column
+    keeps each str's text.
     """
 
-    __slots__ = ("_cells", "_keys", "_texts")
+    __slots__ = ("_cells", "_runs", "_texts")
 
     def __init__(self, cells):
         kinds = {(v.dtype, v.ndim) if isinstance(v, np.ndarray) else type(v) for v in cells}
-        self._keys = self._texts = None
+        self._runs = self._texts = None
         if kinds == {(np.dtype(np.float64), 1)}:
-            self._keys, self._texts = _float_texts(cells)
+            self._texts, *self._runs = _float_texts(cells)
         elif kinds <= {list, tuple}:
             words = dict.fromkeys(itertools.chain.from_iterable(cells))
             self._texts = {w: encode_basestring_ascii(w) for w in words}  # TypeError if not str
@@ -138,13 +141,22 @@ class _Lists:
         if not len(cell):
             write("[]")
             return
-        if self._keys is not None:
-            items = self._texts[np.searchsorted(self._keys, cell.view(np.int64))].tolist()
-        elif self._texts is not None:
+        inner = newline + " "
+        if self._runs is not None:
+            which, counts, firsts = self._runs
+            runs = slice(firsts[row], firsts[row + 1])
+            texts = self._texts[which[runs]].tolist()
+            counts = counts[runs].tolist()
+            counts[0] -= 1  # the first entry follows "[", not a comma
+            sep = "," + inner
+            write("".join(["[", inner, texts[0],
+                           *[(sep + text) * count for text, count in zip(texts, counts)],
+                           newline, "]"]))
+            return
+        if self._texts is not None:
             items = map(self._texts.__getitem__, cell)
         else:
             items = map(int.__repr__, cell.tolist())
-        inner = newline + " "
         write("[" + inner + ("," + inner).join(items) + newline + "]")
 
 
@@ -218,36 +230,56 @@ def _encode(obj, write, newline: str) -> None:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _float_texts(arrays) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct int64 bit patterns of a sequence of 1-D float64 arrays,
-    sorted, and their float reprs as an object array.
+def _float_texts(arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+    """The runs of equal int64 bit patterns in a sequence of 1-D float64 arrays.
 
-    The arrays are copied and sorted in runs of about _RUN_ENTRIES entries,
-    so the pass holds at most one run's copy beside them.
+    Gives the float reprs of the distinct patterns, ascending, as an object
+    array; each run's index into them and its length; and each array's
+    first run, with the run count appended.  A run breaks where adjacent
+    patterns differ and at every array's start.  Arrays are read together
+    in chunks of at most _RUN_ENTRIES entries, so the pass copies at most
+    that many beside them; a larger array is read in place.
     """
-    runs, run, size = [], [], 0
+    starts, heads, keys = [], [], []  # each array's first entry; each chunk's run heads
+    chunk, begin, end = [], 0, 0  # the arrays not yet read, their entries begin:end
     for values in arrays:
         if values.dtype != np.float64 or values.ndim != 1:
             raise TypeError(f"only 1-D float64 arrays are written, not {values.dtype} "
                             f"of shape {values.shape}")
-        run.append(values)
-        size += len(values)
-        if size >= _RUN_ENTRIES:
-            runs.append(_distinct_bits(np.concatenate(run)))
-            run, size = [], 0
-    runs.append(_distinct_bits(np.concatenate(run or [np.empty(0)])))
-    keys = _distinct_bits(np.concatenate(runs))
-    numbers = keys.view(np.float64)
+        if chunk and end - begin + len(values) > _RUN_ENTRIES:
+            _chunk_runs(chunk, starts, begin, heads, keys)
+            chunk, begin = [], end
+        chunk.append(values)
+        starts.append(end)
+        end += len(values)
+    _chunk_runs(chunk or [np.empty(0)], starts or [0], begin, heads, keys)
+    heads, keys = np.concatenate([*heads, [end]]), np.concatenate(keys)
+    distinct = _distinct_bits(keys)
+    numbers = distinct.view(np.float64)
     if not np.isfinite(numbers).all():
         raise ValueError("array holds a value that is not a JSON number")
-    return keys, np.array([float.__repr__(v) for v in numbers.tolist()], dtype=object)
+    texts = np.array([float.__repr__(v) for v in numbers.tolist()], dtype=object)
+    starts.append(end)
+    return (texts, np.searchsorted(distinct, keys), heads[1:] - heads[:-1],
+            np.searchsorted(heads, starts).tolist())
+
+
+def _chunk_runs(chunk, starts: list, begin: int, heads: list, keys: list) -> None:
+    """Append the run heads of the arrays in chunk to heads, as positions in
+    the column, and their bit patterns to keys; the chunk's entries start at
+    begin, and its arrays' starts end the list starts."""
+    bits = (np.concatenate(chunk) if len(chunk) > 1 else chunk[0]).view(np.int64)
+    head = np.empty(len(bits) + 1, dtype=bool)  # the last slot takes empty arrays' starts
+    np.not_equal(bits[1:], bits[:-1], out=head[1:-1])
+    head[[start - begin for start in starts[-len(chunk):]]] = True
+    where = head[:-1].nonzero()[0]
+    heads.append(where + begin)
+    keys.append(bits[where])
 
 
 def _distinct_bits(values: np.ndarray) -> np.ndarray:
-    """The distinct int64 bit patterns of a 1-D 8-byte array, sorted; the
-    array is sorted in place."""
-    bits = values.view(np.int64)
-    bits.sort()
+    """The distinct int64 bit patterns of a 1-D 8-byte array, sorted."""
+    bits = np.sort(values.view(np.int64))
     first = np.empty(len(bits), dtype=bool)  # first of its run of equal patterns
     first[:1] = True
     np.not_equal(bits[1:], bits[:-1], out=first[1:])
@@ -257,8 +289,8 @@ def _distinct_bits(values: np.ndarray) -> np.ndarray:
 def _cell_texts(column) -> np.ndarray | _Lists:
     """The JSON texts of a table column, as an object array, or its list cells."""
     if isinstance(column, np.ndarray):
-        keys, texts = _float_texts([column])
-        return texts[np.searchsorted(keys, column.view(np.int64))]
+        texts, which, counts, _ = _float_texts([column])
+        return texts[which].repeat(counts)
     if len(column) and isinstance(column[0], (np.ndarray, list, tuple, Table)):
         return _Lists(column)
     texts = [_scalar(value) for value in column]

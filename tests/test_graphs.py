@@ -330,6 +330,21 @@ class TestDistanceMatrix:
                 want = [min(reach.get(v, cap), cap) for v in range(1, g.vertex_count + 1)]
                 assert decoder.distances[u - 1].tolist() == want
 
+    def test_a_cap_past_int16_widens_the_distances(self, fig3_graph):
+        # N = 20000 caps at 40001, which int16 does not hold
+        cap = 2 * 20000 + 1
+        decoder = GraphDecoder(fig3_graph, 20000)
+        assert decoder.distances.dtype == np.int64
+        assert np.array_equal(decoder.distances, distance_matrix(fig3_graph, 20000))
+        for u in range(1, fig3_graph.vertex_count + 1):
+            reach = bfs_distances(fig3_graph, u)
+            want = [reach.get(v, cap) for v in range(1, fig3_graph.vertex_count + 1)]
+            assert decoder.distances[u - 1].tolist() == want
+        occ = np.zeros(fig3_graph.edge_count, dtype=np.uint8)
+        occ[:2] = 1
+        assert decoder.decode(syndrome(fig3_graph.incidence_matrix(), occ)) is None
+        assert GraphDecoder.certified(fig3_graph, 20000) is None
+
     @pytest.mark.parametrize("which", ["fig3", "greedy48"])
     def test_graph_encoding_walks_its_edges_once(self, monkeypatch, fig3_graph, which):
         import fertaper.graphs as graphs

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from fertaper import cli, jsonout
 from fertaper.cli import main
 from fertaper.fermion import random_hamiltonian
-from fertaper.graphs import cycle_chord_graph, save_graph
+from fertaper.graphs import cycle_chord_graph, greedy_high_girth, save_graph
 
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, 1e16, 1e-7, 0.1, -2.5]
 
@@ -279,6 +279,76 @@ def test_table_cells_are_written_at_their_depth():
     assert dumps({"n": 2, "groups": groups}) == json.dumps({"n": 2, "groups": want}, indent=1)
 
 
+# -- float list cells are held and written as runs of equal entries ------------
+
+DEFAULT_RUN_ENTRIES = jsonout._RUN_ENTRIES
+RUN_VALUES = [0.0, -0.0, 1.0, -2.5, 5e-324, 0.1]
+
+
+@st.composite
+def run_cells(draw):
+    """Float64 list cells made of runs: long runs of a few values (so runs
+    go on across cell boundaries), 0.0 and -0.0 alternating, empty and
+    one-entry cells, and at times one cell longer than a default chunk."""
+    value = st.sampled_from(RUN_VALUES) | floats
+    cells = []
+    for kind in draw(st.lists(st.sampled_from(["runs", "signed zeros", "one", "empty"]),
+                              max_size=6)):
+        if kind == "runs":
+            runs = draw(st.lists(st.tuples(value, st.integers(1, 40)), max_size=5))
+            cells.append(np.repeat(np.array([v for v, _ in runs], dtype=np.float64),
+                                   [n for _, n in runs]))
+        elif kind == "signed zeros":
+            cells.append(np.array([0.0, -0.0] * draw(st.integers(1, 6)))[draw(st.integers(0, 1)):])
+        elif kind == "one":
+            cells.append(np.array([draw(value)]))
+        else:
+            cells.append(np.array([]))
+    if draw(st.booleans()):
+        big = DEFAULT_RUN_ENTRIES + draw(st.integers(1, 3))
+        cut = draw(st.integers(0, big))
+        cells.insert(draw(st.integers(0, len(cells))),
+                     np.concatenate([np.full(cut, draw(value)), np.full(big - cut, -0.0)]))
+    return cells
+
+
+@pytest.mark.parametrize("run", [1, 4, DEFAULT_RUN_ENTRIES])
+@settings(max_examples=60, deadline=None)
+@given(run_cells(), st.data())
+def test_run_heavy_float_cells_match_indented_json_dumps(run, cells, data):
+    # rows written in order and in reverse, beside a scalar float column of runs
+    weights = np.array(data.draw(st.lists(st.sampled_from(RUN_VALUES), min_size=len(cells),
+                                          max_size=len(cells))), dtype=np.float64)
+    columns = {"weight": weights, "diagonal": cells}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(jsonout, "_RUN_ENTRIES", run)
+        table = jsonout.Table(columns)
+    rows = list(range(len(cells)))
+    text = dumps({"terms": table, "back": table.take(rows[::-1])})
+    assert text == json.dumps({"terms": table_rows(columns, rows),
+                               "back": table_rows(columns, rows[::-1])}, indent=1)
+
+
+class CountedLookups:
+    """A text store that counts the texts read from it."""
+
+    def __init__(self, texts):
+        self.texts, self.looked_up = texts, 0
+
+    def __getitem__(self, key):
+        self.looked_up += np.size(key)
+        return self.texts[key]
+
+
+def test_a_cell_of_three_runs_looks_up_three_texts():
+    cell = np.repeat([0.0, -0.0, 0.5], [1 << 15, 1 << 14, 1 << 14])
+    table = jsonout.Table({"diagonal": [cell]})
+    cells = table._cells[0]
+    cells._texts = CountedLookups(cells._texts)
+    assert dumps(table) == json.dumps([{"diagonal": cell.tolist()}], indent=1)
+    assert 0 < cells._texts.looked_up <= 3
+
+
 # -- codesim writes its frames as one Table -------------------------------------
 
 
@@ -328,3 +398,16 @@ def test_codesim_formats_each_float_column_in_one_pass(tmp_path, monkeypatch):
     assert main(fig3_codesim(tmp_path)) == 0
     assert len(json.loads((tmp_path / "o.json").read_text())["terms"]) > 20
     assert len(passes) == 2
+
+
+def test_codesim_output_is_json_dumps_of_itself(tmp_path):
+    # a greedy Q=14, N=3 code: its output reads back and writes again byte for byte
+    graph = tmp_path / "g.graph"
+    g = greedy_high_girth(14, 3, 20, 1)
+    save_graph(g, str(graph))
+    h = random_hamiltonian(g.edge_count, 3, np.random.default_rng(7), interaction_pairs=2)
+    (tmp_path / "h.json").write_text(h.to_json())
+    assert main(["codesim", "--graph", str(graph), "--input", str(tmp_path / "h.json"),
+                 "--output", str(tmp_path / "o.json")]) == 0
+    text = (tmp_path / "o.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=1)
