@@ -57,6 +57,7 @@ from fertaper.tapering import (
     clifford_transform,
     find_symmetries,
     sector_energies,
+    sector_label,
     taper,
 )
 
@@ -90,10 +91,6 @@ class RunReport:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=1, sort_keys=True)
-
-
-def _sector_label(sector) -> str:
-    return "".join("+" if s == 1 else "-" for s in sector)
 
 
 def _checked_penalty(value: float | None) -> float | None:
@@ -153,11 +150,11 @@ def _cmd_taper(args) -> int:
     sectors = None if enumerate_all else [_parse_sector(args.sector)]
     if report.qubits_after <= limits.SECTOR_QUBIT_CAP:
         energies = sector_energies(h, plan, transformed, sectors)
-        report.sector_energies = {_sector_label(s): float(e) for s, e in energies.items()}
+        report.sector_energies = {sector_label(s): float(e) for s, e in energies.items()}
         # the first sector at the minimum, so last-bit noise cannot change the choice
         lowest = min(energies.values())
         chosen = next(s for s, energy in energies.items() if energy <= lowest + 1e-10)
-        report.best_sector = _sector_label(chosen)
+        report.best_sector = sector_label(chosen)
     elif sectors:
         chosen = sectors[0]  # too large to diagonalize; still written below
     else:
@@ -172,7 +169,7 @@ def _cmd_taper(args) -> int:
         with open(args.report, "w", encoding="utf-8") as fh:
             fh.write(report.to_json())
     print(f"tapered {h.qubit_count} -> {reduced.qubit_count} qubits "
-          f"({plan.size} symmetries), sector {_sector_label(chosen)}")
+          f"({plan.size} symmetries), sector {sector_label(chosen)}")
     return 0 if report.all_passed else 1
 
 
@@ -243,9 +240,10 @@ def _cmd_decode(args) -> int:
     if not 0 <= args.particles <= m:
         raise ValueError(f"--particles {args.particles} is outside 0..{m}, the column count")
     syndrome = np.array([int(c) for c in args.syndrome], dtype=np.uint8)
-    # a graph's incidence matrix with girth >= 2N+2 decodes by matching
+    # a graph's incidence matrix with girth >= 2N+2 decodes by matching, up to the vertex cap
     g = graph_from_incidence(a)
-    decoder = None if g is None else GraphDecoder.certified(g, args.particles)
+    decoder = (None if g is None or g.vertex_count > limits.GRAPH_VERTEX_CAP
+               else GraphDecoder.certified(g, args.particles))
     if decoder is not None:
         hit = decoder.decode(syndrome)
     else:

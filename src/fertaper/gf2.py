@@ -8,7 +8,7 @@ A is held the same way, as its columns packed into qubit masks
 convert between that layout and the 0/1 uint8 arrays that enter and leave
 the program: asbits and pack_rows on the way in; bits_to_int and
 unpack_ints for bit-vector views of masks, which uint64_words cuts into
-numpy words; drop_bits deletes bit positions from ints or int64 arrays.
+numpy words; drop_bits deletes bit positions from ints or integer arrays.
 Row/column indices at this level are 0-based; the 1-based mode/qubit
 convention of the public API lives in the callers.
 """
@@ -69,9 +69,10 @@ def drop_bits(value, positions):
     """Delete bit positions (counted from bit 0, in decreasing order) from an int.
 
     The bits above each deleted position move down one place, so the kept
-    bits stay in order.  value may also be an int64 array, each element of
-    which is packed the same way (positions then below 63); a Python int
-    may be of any width.
+    bits stay in order.  value may also be an array, each element of which
+    is packed the same way: int64 (positions below 63), uint64 (numpy
+    shifts a uint64 by 64 to 0, so position 63 drops too) or an object
+    array of Python ints, which like a Python int may be of any width.
     """
     for p in positions:
         value = ((value >> (p + 1)) << p) | (value & ((1 << p) - 1))

@@ -135,9 +135,11 @@ def path_lengths(g: BipartiteGraph) -> tuple[np.ndarray, float]:
     one more than the distance that edge then spans, and that distance
     plus one is itself a cycle's length; so the girth is the least such
     value as the edges are added in order to a distance matrix.  Q stands
-    for "not connected": no path on Q vertices is that long.
+    for "not connected": no path on Q vertices is that long.  A graph over
+    limits.GRAPH_VERTEX_CAP vertices is refused before the matrix is built.
     """
     q = g.vertex_count
+    limits.check_graph_vertices(q)
     dist = _unlinked(q, q)
     best = math.inf
     for u, v in g.edges:
@@ -257,13 +259,13 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0) -> Bipa
     base = q // 2
     spread = sorted({max(1, base + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
     splits = np.array([s for s in spread if 1 <= s <= q - 1])
-    left = splits[np.arange(trials) % len(splits)]
     # no path on q vertices is q long, so a cap past q changes no candidate
     far = min(_far(n), q)
     chunk = max(1, limits.GREEDY_STACK_BUDGET // (q * q))
     best_left, best_edges = 0, []
     for start in range(0, trials, chunk):
-        size, edges = _lockstep(q, far, left[start:start + chunk], rng)
+        left = splits[np.arange(start, min(start + chunk, trials)) % len(splits)]
+        size, edges = _lockstep(q, far, left, rng)
         if len(edges) > len(best_edges):
             best_left, best_edges = size, edges
     return BipartiteGraph(frozenset(range(1, best_left + 1)),
@@ -474,8 +476,10 @@ def save_graph(g: BipartiteGraph, path: str) -> None:
 def load_graph(path: str) -> BipartiteGraph:
     """Read save_graph's format: "Q_left Q_right M", then M lines "u v".
 
-    The counts must be non-negative integers and the vertices lie in
-    1..Q_left+Q_right; anything else is a ValueError naming the file and line.
+    The counts must be non-negative integers, Q_left+Q_right at most
+    limits.GRAPH_VERTEX_CAP (checked before any vertex set is built), and
+    the vertices lie in 1..Q_left+Q_right; anything else is a ValueError
+    naming the file and line.
     """
     with open(path, encoding="utf-8") as fh:
         lines = [(k, ln.split()) for k, ln in enumerate(fh, 1) if ln.strip()]
@@ -484,6 +488,10 @@ def load_graph(path: str) -> BipartiteGraph:
         raise ValueError(f"graph file {path}, line {k}: the header must be "
                          "\"Q_left Q_right M\" in non-negative integers")
     ql, qr, m = map(int, header)
+    try:
+        limits.check_graph_vertices(ql + qr)
+    except ValueError as err:
+        raise ValueError(f"graph file {path}, line {k}: {err}") from None
     if len(lines) - 1 != m:
         raise ValueError(f"graph file {path} has {len(lines) - 1} edge lines; "
                          f"its header says {m}")

@@ -15,13 +15,16 @@ TABLE_ENTRY_BUDGET = 1 << 26  # entries in one pair of syndrome tables or one co
 # qubits left after tapering for which `taper` finds sector energies: it labels each sector's
 # 2^k basis states by connected block, then diagonalizes the blocks that can hold its minimum
 SECTOR_QUBIT_CAP = 12
+# sectors of k symmetries enumerated at once, 2^k of them: each is a tapered sum and an energy
+SECTOR_COUNT_CAP = 1 << 10
 PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register state
 # modes a Hamiltonian file may declare: reading one allocates its M x M complex
 # hop matrix (16 MiB at this cap), and Jordan-Wigner would need M qubits, far
 # past anything the encoders here can simulate
 MODE_CAP = 1024
-# vertices of a generated graph: the greedy search holds a Q x Q distance matrix per
-# trial (8 MiB of int16 at this cap) and each added edge builds a few temporaries that size
+# vertices of a graph that is generated, loaded or read off a parity-check matrix: its
+# girth and decoder hold a Q x Q distance matrix (8 MiB of int16 at this cap), the greedy
+# search one per trial, and each added edge builds a few temporaries that size
 GRAPH_VERTEX_CAP = 2048
 # entries in the (trials, Q, Q) distance stack the greedy search's trials share; more
 # trials run in consecutive stacks, and one trial runs alone past it
@@ -45,7 +48,7 @@ def check_dense(dim: int) -> None:
 
 
 def check_graph_vertices(q: int) -> None:
-    """Refuse a graph search over more than GRAPH_VERTEX_CAP vertices."""
+    """Refuse a graph over more than GRAPH_VERTEX_CAP vertices."""
     if q > GRAPH_VERTEX_CAP:
         raise ValueError(f"graph on {q} vertices exceeds the cap of {GRAPH_VERTEX_CAP}; "
-                         "its search holds a Q x Q distance matrix per trial")
+                         "its girth, decoding and search hold Q x Q distance matrices")

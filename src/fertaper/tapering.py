@@ -9,7 +9,9 @@ a single-qubit Pauli sigma_i that anticommutes with tau_i alone (symplectic
 elimination), and conjugate the Hamiltonian by the product of
 (sigma_i + tau_i)/sqrt(2) reflections, plus a Hadamard where sigma_i is Z.
 Afterwards each paired qubit carries only I or X and can be replaced by
-a sector sign, the eigenvalue of tau_i on the input Hamiltonian.
+a sector sign, the eigenvalue of tau_i on the input Hamiltonian: a
+sector's tapered Hamiltonian is the signed transformed terms with the
+paired qubits dropped, merged by QubitHamiltonian.merged.
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from fertaper.pauli import (
     _PHASE,
     PauliOperator,
     QubitHamiltonian,
-    _labels,
     commutes,
+    mask_array,
+    qubit_mask,
 )
 
 
@@ -252,14 +255,12 @@ def taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitH
 
 def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
                   sectors) -> dict[tuple, QubitHamiltonian]:
-    """The tapered Hamiltonian of each sector, from one walk over the terms.
+    """The tapered Hamiltonian of each sector, one QubitHamiltonian.merged each.
 
-    The walk splits each term's X's into those on paired qubits and the
-    rest; a sector negates the terms whose paired X's meet its -1 entries
-    an odd number of times.  The paired bits are dropped once per distinct
-    key, for all sectors.  np.add.at sums each sector's coefficients in
-    term order, the left-to-right sum that canonicalize forms, so the
-    result equals a merge of that sector alone.
+    The paired bits of every canonical term are dropped once, for all
+    sectors.  A sector negates the terms whose X's on paired qubits meet
+    its -1 entries an odd number of times, and merged sums the signed terms
+    of each tapered Pauli in term order.
     """
     sectors = [tuple(int(s) for s in sector) for sector in sectors]
     for sector in sectors:
@@ -270,59 +271,44 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
     h = h_transformed.canonicalize()
     n = h.qubit_count
     m = n - plan.size
-    paired = sum(1 << (n - q) for q in plan.paired_qubits)
-    keys, flips = [], []
-    for x, z in zip(h.x_masks, h.z_masks):
-        if z & paired:
-            op = PauliOperator.from_masks(n, x, z, (x & z).bit_count())
-            q = next(q for q in plan.paired_qubits if op.letter_at(q) not in "IX")
-            raise ValueError(
-                f"term {op.label} acts on paired qubit {q} by {op.letter_at(q)}; "
-                "run clifford_transform first"
-            )
-        keys.append((x & ~paired) << n | z)
-        flips.append(x & paired)
-    # the sign of each (sector, term): the parity of the term's X's on the
-    # sector's -1 qubits, found once per distinct pattern of X's
-    negative = [sum(1 << (n - q) for q, s in zip(plan.paired_qubits, sector) if s < 0)
-                for sector in sectors]
-    patterns, pattern_of = _ranks(flips)
-    odd = np.array([[(p & neg).bit_count() & 1 for p in patterns] for neg in negative],
-                   dtype=bool).reshape(len(sectors), len(patterns))[:, pattern_of]
-    distinct, column = _ranks(keys)
-    # the paired bits of the distinct keys are 0, so dropping them keeps the order
+    x, z = mask_array(h.x_masks, n), mask_array(h.z_masks, n)
+    paired = qubit_mask(n, plan.paired_qubits)
+    bad = np.flatnonzero((z & paired) != 0)
+    if len(bad):  # the first such term: its own PauliOperator, not a view of every term
+        x_k, z_k = h.x_masks[bad[0]], h.z_masks[bad[0]]
+        op = PauliOperator.from_masks(n, x_k, z_k, (x_k & z_k).bit_count())
+        q = next(q for q in plan.paired_qubits if op.letter_at(q) not in "IX")
+        raise ValueError(
+            f"term {op.label} acts on paired qubit {q} by {op.letter_at(q)}; "
+            "run clifford_transform first"
+        )
+    flips = gf2.uint64_words(x & paired, n)  # each term's X's on paired qubits
     drop = sorted((n - q for q in plan.paired_qubits), reverse=True)
-    drop = [n + p for p in drop] + drop
-    distinct = [gf2.drop_bits(key, drop) for key in distinct]
+    xs, zs = (mask_array(gf2.drop_bits(masks, drop), m) for masks in (x, z))
+    negatives = gf2.uint64_words([qubit_mask(n, (q for q, s in zip(plan.paired_qubits, sector)
+                                                 if s < 0)) for sector in sectors], n)
     cs = np.array(h.coeffs, dtype=complex)
-    sums = np.zeros((len(sectors), len(distinct)), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
-        np.add.at(sums, (np.arange(len(sectors))[:, None], column), np.where(odd, -cs, cs))
-    low = (1 << m) - 1
-    bad = np.argwhere(~np.isfinite(sums))
-    if len(bad):
-        s, i = bad[0].tolist()
-        signs = "".join("+" if v > 0 else "-" for v in sectors[s])
-        label = _labels(m, [distinct[i] >> m], [distinct[i] & low])[0]
-        raise ValueError(f"in sector {signs} the coefficient of {label!r} "
-                         f"sums to {complex(sums[s, i])}, which is not finite")
     out = {}
-    for sector, row in zip(sectors, sums):
-        kept = np.flatnonzero(np.abs(row) >= DEFAULT_PRUNE_TOL).tolist()
-        out[sector] = QubitHamiltonian.from_masks(
-            m, [distinct[i] >> m for i in kept], [distinct[i] & low for i in kept],
-            row[kept].tolist(), canonical=True)
+    for sector, negative in zip(sectors, negatives):
+        odd = np.bitwise_count(np.bitwise_xor.reduce(flips & negative, axis=1)) & 1
+        try:
+            out[sector] = QubitHamiltonian.merged(m, xs, zs, np.where(odd, -cs, cs))
+        except ValueError as err:
+            raise ValueError(f"in sector {sector_label(sector)} {err}") from None
     return out
 
 
-def _ranks(values) -> tuple[list, np.ndarray]:
-    """Ascending distinct ints of a sequence, and the place of each entry among them."""
-    distinct = sorted(set(values))
-    place = {v: i for i, v in enumerate(distinct)}
-    return distinct, np.array([place[v] for v in values], dtype=np.intp)
+def sector_label(sector) -> str:
+    """A sector's signs spelled as a string over +/-."""
+    return "".join("+" if s == 1 else "-" for s in sector)
 
 
 def all_sectors(k: int):
+    """Every sign choice of k generators, +1 first; refused past limits.SECTOR_COUNT_CAP."""
+    if 1 << k > limits.SECTOR_COUNT_CAP:
+        raise ValueError(f"{k} symmetries give 2^{k} sectors, over the cap of "
+                         f"{limits.SECTOR_COUNT_CAP} enumerated at once; name the sectors "
+                         "instead (taper --sector)")
     return list(itertools.product((1, -1), repeat=k))
 
 
@@ -461,7 +447,7 @@ def sector_energies(h: QubitHamiltonian, plan: TaperingPlan,
     Each energy is the least over the tapered sector's blocks: the
     reflections send the basis states of a Z-string sector to tapered basis
     states, so a molecular sector keeps its particle-number blocks.  One
-    taper_sectors walk and one BasisBlocks serve as many sectors as the
+    taper_sectors call and one BasisBlocks serve as many sectors as the
     dense cap holds together.  A sector with no qubits left is a 1x1
     matrix, its one coefficient.
     """

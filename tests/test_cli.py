@@ -446,6 +446,25 @@ class TestTaperReport:
         data = json.loads(report.read_text())
         assert data["best_sector"] is None and data["sector_energies"] == {}
 
+    @pytest.mark.parametrize("n", [11, 30])
+    def test_sector_count_past_the_cap_is_an_error_line(self, tmp_path, capsys, n):
+        # one Z on n qubits: n symmetries and 2^n sectors, each on no qubit
+        pauli, tapered = tmp_path / "z.txt", tmp_path / "t.txt"
+        pauli.write_text(f"# qubits {n}\n1 0 Z{'I' * (n - 1)}\n")
+        assert 1 << n > limits.SECTOR_COUNT_CAP
+        assert main(["taper", "--input", str(pauli), "--output", str(tapered)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not tapered.exists()
+        assert captured.err == (f"error: {n} symmetries give 2^{n} sectors, over the cap of "
+                                f"{limits.SECTOR_COUNT_CAP} enumerated at once; name the "
+                                "sectors instead (taper --sector)\n")
+        sector = "-" + "+" * (n - 1)
+        assert main(["taper", "--input", str(pauli), "--output", str(tapered),
+                     f"--sector={sector}"]) == 0
+        assert capsys.readouterr().out == (f"tapered {n} -> 0 qubits ({n} symmetries), "
+                                           f"sector {sector}\n")
+        assert tapered.read_text() == "# qubits 0\n-1 0\n"
+
     @pytest.mark.parametrize("mapping", ["jw", "parity"])
     def test_open_shell_best_sector_is_the_first_at_the_minimum(self, tmp_path, mapping):
         # three electrons: the two spin-flipped ground states have one energy
@@ -768,8 +787,9 @@ class TestGraphCommands:
         ("1 1 1\n1 5\n", "line 2: an edge must be \"u v\" with vertices in 1..2"),
         ("1 1 1\n1 x\n", "line 2: an edge must be"),
         ("2 1 1\n1 2\n", "edge 1-2 does not cross the bipartition"),
+        ("20000 20000 1\n1 20001\n", "line 1: graph on 40000 vertices exceeds the cap of 2048"),
     ], ids=["one-token", "non-integer", "negative", "empty", "short", "vertex-past-q",
-            "non-integer-vertex", "same-side"])
+            "non-integer-vertex", "same-side", "vertices-past-the-cap"])
     def test_bad_graph_file_is_an_error_line(self, tmp_path, subcode_json, capsys,
                                              body, message):
         graph = tmp_path / "bad.graph"
@@ -915,6 +935,37 @@ class TestDecodeCommand:
             rc, got = self.run_decode(parser, check, 2, bits, capsys)
             assert rc == (1 if want is None else 0)
             assert want is None or np.array_equal(got, want)
+
+    def test_incidence_matrix_past_the_vertex_cap_takes_the_mitm_route(self, tmp_path, capsys,
+                                                                        monkeypatch):
+        # one edge on 6,000 vertices: no 6,000 x 6,000 distance matrix is built
+        def no_decoder(*args):
+            raise AssertionError("built a graph decoder past the vertex cap")
+
+        monkeypatch.setattr(GraphDecoder, "__init__", no_decoder)
+        q = 6000
+        assert q > limits.GRAPH_VERTEX_CAP
+        check = tmp_path / "edge.pcm"
+        check.write_text(f"{q} 1\n1\n1\n" + "0\n" * (q - 2))
+        assert main(["decode", "--check", str(check), "--particles", "1",
+                     "--syndrome", "11" + "0" * (q - 2)]) == 0
+        assert capsys.readouterr().out == "1\n"
+        # a Fig-3 pcm just past a lowered cap prints what matching prints under it
+        monkeypatch.undo()
+        a = cycle_chord_graph(8, 2).incidence_matrix()
+        np.savetxt(check, a, fmt="%d", header="%d %d" % a.shape, comments="")
+        x = np.zeros(16, dtype=np.uint8)
+        x[[0, 7]] = 1
+        argv = ["decode", "--check", str(check), "--particles", "2",
+                "--syndrome", "".join(str(int(b)) for b in syndrome(a, x))]
+        outs = []
+        for cap in (12, 11):
+            monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", cap)
+            if cap == 11:
+                monkeypatch.setattr(GraphDecoder, "__init__", no_decoder)
+            assert main(argv) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs == ["".join(str(int(b)) for b in x) + "\n"] * 2
 
     def test_two_preimages_are_an_error_line(self, tmp_path, capsys):
         # the weight-3-column matrix above: 0000010010 is the syndrome of

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -264,6 +265,19 @@ class TestGreedy:
         with pytest.raises(ValueError, match="graph on 10 vertices exceeds the cap of 9"):
             greedy_high_girth(10, 2, trials=2)
 
+    def test_many_trials_hold_no_per_trial_array(self):
+        # each stack takes its left sizes from its own trials, so 300,000 trials
+        # allocate no array of that length (4.6 MiB when every size was built first)
+        tracemalloc.start()
+        try:
+            g = greedy_high_girth(4, 1, trials=300_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g == BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}),
+                                   ((1, 3), (1, 4), (2, 3), (2, 4)))
+        assert peak < 2 << 20
+
     def test_particle_count_past_any_path_gives_a_spanning_tree(self):
         # every pair is at least 2n+1 apart or unconnected, so each edge joins two
         # components; at n = 40,000, 2n+1 does not fit an int16 distance matrix
@@ -308,6 +322,16 @@ def bfs_distances(g, source):
 
 
 class TestDistanceMatrix:
+    def test_vertex_cap_before_the_matrix(self, monkeypatch):
+        # girth, distance_matrix and GraphDecoder all start from path_lengths
+        monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", 9)
+        g = BipartiteGraph(frozenset(range(1, 6)), frozenset(range(6, 11)), ((1, 6),))
+        for build in (girth, lambda g: distance_matrix(g, 1), lambda g: GraphDecoder(g, 1)):
+            with pytest.raises(ValueError, match="graph on 10 vertices exceeds the cap of 9"):
+                build(g)
+        monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", 10)
+        assert girth(g) == math.inf
+
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_capped_bfs_distances(self, n, fig3_graph):
         cap = max(2 * n + 1, 2)
@@ -540,6 +564,24 @@ class TestFileFormat:
             load_graph(str(path))
         assert str(err.value).startswith(f"graph file {path}")
         assert message in str(err.value)
+
+    @pytest.mark.parametrize("body", ["1000000 1000000 0\n", "20000 20000 1\n1 20001\n"],
+                             ids=["header-only", "one-edge"])
+    def test_vertex_count_past_the_cap_is_refused_before_any_set(self, tmp_path, body):
+        path = tmp_path / "big.graph"
+        path.write_text(body)
+        q = sum(map(int, body.split()[:2]))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                load_graph(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (f"graph file {path}, line 1: graph on {q} vertices exceeds "
+                                  f"the cap of {limits.GRAPH_VERTEX_CAP}; its girth, decoding "
+                                  "and search hold Q x Q distance matrices")
+        assert peak < 1 << 20  # no vertex set of the header's size
 
     def test_isolated_vertices_survive(self, tmp_path):
         g = BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3),))

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fertaper import gf2
+from fertaper import gf2, limits, tapering
 from fertaper.cli import H2_TABLE, H2_TRANSFORMED, main
 from fertaper.fermion import FermionHamiltonian, dense_fock_matrix, random_hamiltonian
 from fertaper.pauli import (
@@ -668,6 +668,34 @@ def assert_sectors_match_the_walk(transformed: QubitHamiltonian, plan: TaperingP
         assert taper(transformed, plan, sector) == want
 
 
+def wide_sum(n: int, seed: int, base: int = 150) -> QubitHamiltonian:
+    """Random weight-6 Paulis on n qubits that keep Z_1, Z_2 Z_n and X_3 X_4, and
+    each of them also times some of those three, so tapered terms merge."""
+    rng = np.random.default_rng(seed)
+
+    def bit(q):
+        return 1 << (n - q)
+
+    symmetries = [(0, bit(1)), (0, bit(2) | bit(n)), (bit(3) | bit(4), 0)]
+    xs, zs, cs = [], [], []
+    for _ in range(base):
+        x = z = 0
+        for q in rng.choice(np.arange(1, n + 1), 6, replace=False).tolist():
+            letter = int(rng.integers(4))
+            x |= (letter & 1) * bit(q)
+            z |= (letter >> 1) * bit(q)
+        x &= ~bit(1)  # I or Z on qubit 1
+        if (x >> (n - 2) ^ x) & 1:  # an even number of X's or Y's on qubits 2 and n
+            x ^= bit(n)
+        if (z >> (n - 4) ^ z >> (n - 3)) & 1:  # and of Z's or Y's on qubits 3 and 4
+            z ^= bit(4)
+        for sx, sz in [(0, 0)] + [s for s in symmetries if rng.random() < 0.5]:
+            xs.append(x ^ sx)
+            zs.append(z ^ sz)
+            cs.append(complex(rng.normal(), 0.0))
+    return QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize()
+
+
 class TestTaperSectors:
     def test_h2_matches_the_walk(self, h2_table, h2_fermionic):
         cases = [h2_table] + [encode_hamiltonian(h2_fermionic, build_encoding(kind, 4))
@@ -694,6 +722,42 @@ class TestTaperSectors:
             tapered = taper_sectors(clifford_transform(q, plan), plan, [()])
             assert list(tapered) == [()] and tapered[()] == q.canonicalize()
             assert_sectors_match_the_walk(clifford_transform(q, plan), plan)
+
+    @pytest.mark.parametrize("n", [64, 66, 70])
+    def test_wide_sums_match_the_walk(self, n):
+        # past 64 qubits the masks are Python ints in object arrays; at 64 the
+        # plan pairs qubit 1, so the paired bits are dropped at bit 63 of uint64
+        q = wide_sum(n, n)
+        plan = build_plan(find_symmetries(q), q)
+        assert plan.size == 3 and plan.paired_qubits[0] == 1
+        transformed = clifford_transform(q, plan)
+        assert_sectors_match_the_walk(transformed, plan)
+        tapered = taper_sectors(transformed, plan, all_sectors(3))
+        assert sum(map(len, tapered.values())) < len(all_sectors(3)) * len(transformed)
+
+    def test_each_sector_is_one_merge(self):
+        q = encode_hamiltonian(spin_conserving_hamiltonian(8, 5), build_encoding("parity", 8))
+        plan = build_plan(find_symmetries(q), q)
+        transformed = clifford_transform(q, plan)
+        assert transformed.canonical
+        sectors = all_sectors(plan.size)
+        merged, calls = QubitHamiltonian.merged, []
+
+        def counted(*args):
+            calls.append(args[0])
+            return merged(*args)
+
+        with mock.patch.object(QubitHamiltonian, "merged", counted):
+            tapered = taper_sectors(transformed, plan, sectors)
+        assert calls == [q.qubit_count - plan.size] * len(sectors)
+        assert list(tapered) == sectors
+        assert not hasattr(tapering, "_ranks")
+
+    def test_sector_count_cap(self):
+        assert len(all_sectors(10)) == limits.SECTOR_COUNT_CAP == 1 << 10
+        with pytest.raises(ValueError, match=r"^11 symmetries give 2\^11 sectors, over the cap "
+                                             r"of 1024 enumerated at once"):
+            all_sectors(11)
 
     def test_errors_match_the_walk(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
