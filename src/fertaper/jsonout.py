@@ -1,7 +1,8 @@
-"""JSON output with the bytes of ``json.dump(obj, fh, indent=1)``.
+"""JSON output with the bytes of ``json.dump(payload, fh, indent=1)``.
 
-This writer emits the same text for dicts with str keys, lists, tuples,
-str, int, bool, None and float, and for a :class:`Table`, whose text is
+:func:`dump` writes one payload shape: a dict with str keys whose values
+are JSON scalars (str, int, bool, None, float) or :class:`Table`s; any
+other value, or any other payload, is a TypeError.  A Table's text is
 built in bulk: it is written as the list of dicts its rows stand for, and
 a column is a sequence of those scalars, a 1-D float64 ndarray, or a
 sequence of cells each written as a JSON list: 1-D float64 or int64
@@ -160,9 +161,26 @@ class _Lists:
         write("[" + inner + ("," + inner).join(items) + newline + "]")
 
 
-def dump(obj, fh) -> None:
-    """Write obj to a text file as json.dump(obj, fh, indent=1) would, piece by piece."""
-    _encode(obj, fh.write, "\n")
+def dump(payload: dict, fh) -> None:
+    """Write payload, a dict of str keys to JSON scalars and Tables, to a text
+    file as json.dump(payload, fh, indent=1) would, piece by piece."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"payload must be a dict, not {type(payload).__name__}")
+    write, lead = fh.write, "{\n "
+    for key, value in payload.items():
+        if not isinstance(key, str):
+            raise TypeError(f"keys must be str, not {type(key).__name__}")
+        head = lead + encode_basestring_ascii(key) + ": "
+        text = _scalar(value)
+        if text is not None:
+            write(head + text)
+        elif isinstance(value, Table):
+            write(head)
+            value._write(write, "\n ")
+        else:
+            raise TypeError(f"payload values are JSON scalars or Tables, not {type(value).__name__}")
+        lead = ",\n "
+    write("\n}" if payload else "{}")
 
 
 def _scalar(obj) -> str | None:
@@ -182,52 +200,6 @@ def _scalar(obj) -> str | None:
             raise ValueError(f"{obj!r} is not a JSON number")
         return float.__repr__(obj)
     return None
-
-
-def _encode(obj, write, newline: str) -> None:
-    """Pass obj's text to write in pieces; newline is the line break and indent at its depth."""
-    text = _scalar(obj)
-    if text is not None:
-        write(text)
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            write("[]")
-            return
-        inner = newline + " "
-        texts = [_scalar(item) for item in obj]
-        if None not in texts:
-            write("[" + inner + ("," + inner).join(texts) + newline + "]")
-            return
-        lead = "[" + inner
-        for item, text in zip(obj, texts):
-            if text is None:
-                write(lead)
-                _encode(item, write, inner)
-            else:
-                write(lead + text)
-            lead = "," + inner
-        write(newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner = newline + " "
-        lead = "{" + inner
-        for key, value in obj.items():
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            text = _scalar(value)
-            if text is None:
-                write(lead + encode_basestring_ascii(key) + ": ")
-                _encode(value, write, inner)
-            else:
-                write(lead + encode_basestring_ascii(key) + ": " + text)
-            lead = "," + inner
-        write(newline + "}")
-    elif isinstance(obj, Table):
-        obj._write(write, newline)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _float_texts(arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:

@@ -20,7 +20,9 @@ SECTOR_COUNT_CAP = 1 << 10
 PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register state
 # modes a Hamiltonian file may declare: reading one allocates its M x M complex
 # hop matrix (16 MiB at this cap), and Jordan-Wigner would need M qubits, far
-# past anything the encoders here can simulate
+# past anything the encoders here can simulate.  It is also the widest Pauli sum
+# a file may declare or spell, the widest that `encode` writes, since `taper`'s
+# symmetry search is quadratic or worse in the qubit count
 MODE_CAP = 1024
 # vertices of a graph that is generated, loaded or read off a parity-check matrix: its
 # girth and decoder hold a Q x Q distance matrix (8 MiB of int16 at this cap), the greedy

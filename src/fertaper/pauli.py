@@ -409,7 +409,8 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
     The qubit count comes from the ``# qubits N`` header, so a sum with no
     terms reads back; without a header it is the first label's length.  On
     zero qubits the label is empty and a term line is just ``re im``.  A
-    NaN or infinite ``re`` or ``im`` is a ValueError naming the line.
+    NaN or infinite ``re`` or ``im`` is a ValueError naming the line; a header
+    or label over ``limits.MODE_CAP`` qubits is refused before any later line.
     """
     xs, zs, cs = [], [], []
     n = None
@@ -442,6 +443,8 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
 
 
 def _same_length(n: int | None, length: int) -> int:
+    if length > limits.MODE_CAP:
+        raise ValueError(f"Pauli file has {length} qubits, over the cap of {limits.MODE_CAP}")
     if n is not None and length != n:
         raise ValueError("inconsistent Pauli lengths in file")
     return length

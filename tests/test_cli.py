@@ -465,6 +465,16 @@ class TestTaperReport:
                                            f"sector {sector}\n")
         assert tapered.read_text() == "# qubits 0\n-1 0\n"
 
+    def test_qubit_count_past_the_cap_is_an_error_line(self, tmp_path, capsys):
+        # a 16-byte header would otherwise start a symmetry search over 100,000 qubits
+        pauli, tapered = tmp_path / "wide.txt", tmp_path / "t.txt"
+        pauli.write_text("# qubits 100000\n")
+        assert main(["taper", "--input", str(pauli), "--output", str(tapered)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not tapered.exists()
+        assert captured.err == ("error: Pauli file has 100000 qubits, over the cap of "
+                                f"{limits.MODE_CAP}\n")
+
     @pytest.mark.parametrize("mapping", ["jw", "parity"])
     def test_open_shell_best_sector_is_the_first_at_the_minimum(self, tmp_path, mapping):
         # three electrons: the two spin-flipped ground states have one energy
@@ -1075,18 +1085,27 @@ class TestFirstqCommand:
         assert len(json.loads(out.read_text())["groups"]) > 1
 
     def test_writer_calls_do_not_grow_with_the_group_count(self, tmp_path, monkeypatch):
-        # the groups are one jsonout.Table: no _encode call per group or per
-        # basis list
+        # the groups are one jsonout.Table: dump formats no scalar per group
+        # or per basis list
         from fertaper import jsonout
         from fertaper.fermion import random_hamiltonian
 
-        encode, calls = jsonout._encode, []
+        dump, scalar, calls, dumping = jsonout.dump, jsonout._scalar, [], []
 
-        def counted(*args):
-            calls.append(args)
-            return encode(*args)
+        def counted_scalar(value):
+            if dumping:
+                calls.append(value)
+            return scalar(value)
 
-        monkeypatch.setattr(jsonout, "_encode", counted)
+        def counted_dump(*args):
+            dumping.append(True)
+            try:
+                return dump(*args)
+            finally:
+                dumping.pop()
+
+        monkeypatch.setattr(jsonout, "_scalar", counted_scalar)
+        monkeypatch.setattr(jsonout, "dump", counted_dump)
         counts, groups = [], []
         for modes in (4, 8):
             hpath = tmp_path / f"h{modes}.json"
@@ -1096,7 +1115,7 @@ class TestFirstqCommand:
             assert main(["firstq", "--input", str(hpath), "--emit-bins", str(out)]) == 0
             counts.append(len(calls))
             groups.append(len(json.loads(out.read_text())["groups"]))
-        assert counts[0] == counts[1]
+        assert 0 < counts[0] == counts[1]
         assert groups[0] < groups[1]
 
     def test_unsupported_register_size_fails_before_building_terms(self, tmp_path, capsys,

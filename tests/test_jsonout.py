@@ -22,25 +22,12 @@ scalars = (st.none() | st.booleans() | st.integers() | floats
            | floats.map(np.float64) | st.text(max_size=8))
 
 
-def containers(inner):
-    """Lists, tuples and dicts of (ours, theirs) pairs, as such pairs."""
-    def split(pairs):
-        return [o for o, _ in pairs], [t for _, t in pairs]
-
-    return (st.lists(inner, max_size=4).map(split)
-            | st.lists(inner, max_size=3).map(split).map(lambda p: (tuple(p[0]), p[1]))
-            | st.dictionaries(st.text(max_size=6), inner, max_size=4).map(
-                lambda d: ({k: o for k, (o, _) in d.items()}, {k: t for k, (_, t) in d.items()})))
-
-
-# (what dump is given, what json.dumps is given): nested containers whose
-# leaves are scalars and one-row tables of an array column
-payloads = st.recursive(
-    scalars.map(lambda v: (v, v))
-    | arrays.map(lambda a: (jsonout.Table({"v": [a]}), [{"v": a.tolist()}])),
-    containers,
-    max_leaves=30,
-)
+# (what dump is given, what json.dumps is given): dicts whose values are
+# scalars and one-row tables of an array column
+values = (scalars.map(lambda v: (v, v))
+          | arrays.map(lambda a: (jsonout.Table({"v": [a]}), [{"v": a.tolist()}])))
+payloads = st.dictionaries(st.text(max_size=6), values, max_size=8).map(
+    lambda d: ({k: o for k, (o, _) in d.items()}, {k: t for k, (_, t) in d.items()}))
 
 
 def dumps(obj) -> str:
@@ -59,7 +46,7 @@ def test_matches_indented_json_dumps(pair):
 def test_signed_zeros_and_edge_floats_in_one_array():
     values = np.array([-0.0, 0.0, 5e-324, 1.7976931348623157e308, 1e16, 1e-7, -0.0, 1e16])
     payload = {"a": jsonout.Table({"d": [values]}),
-               "b": [np.float64(0.1), True, None, "é\n\x01"], "c": [], "d": {}}
+               "b": np.float64(0.1), "c": True, "d": None, "e": "é\n\x01", "f": -0.0}
     text = dumps(payload)
     assert text == json.dumps({**payload, "a": [{"d": values.tolist()}]}, indent=1)
     assert "-0.0,\n    0.0,\n    5e-324" in text
@@ -84,7 +71,7 @@ def test_dump_writes_the_bytes_of_json_dump(tmp_path):
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")])
 def test_non_finite_floats_raise(bad):
     with pytest.raises(ValueError, match="not a JSON number"):
-        dumps({"x": [1.0, bad]})
+        dumps({"x": bad})
     with pytest.raises(ValueError, match="not a JSON number"):
         jsonout.Table({"d": [np.zeros(3), np.array([0.0, bad])]})
 
@@ -95,6 +82,14 @@ def test_other_types_raise_type_error(bad):
     # arrays are written only as Table columns
     with pytest.raises(TypeError):
         dumps({"x": bad})
+
+
+@pytest.mark.parametrize("payload", [{"x": [1.0]}, {"x": ()}, {"x": (1, "a")}, {"x": {}},
+                                     {"x": {"y": 1}}, {1: 1.0}, jsonout.Table({"v": [1.0]}),
+                                     [{"x": 1}], None])
+def test_only_a_dict_of_scalars_and_tables_is_written(payload):
+    with pytest.raises(TypeError):
+        dumps(payload)
 
 
 cells = st.none() | st.booleans() | st.integers() | floats | st.text(max_size=8)
@@ -139,21 +134,15 @@ def table_rows(columns, rows):
 @settings(max_examples=200, deadline=None)
 @given(tables(), st.data())
 def test_table_matches_indented_json_dumps_of_its_rows(table, data):
-    # row subsets of one table (empty ones and repeated rows too), nested
-    # 0 to 3 containers deep, next to the whole table
+    # row subsets of one table (empty ones and repeated rows too) as values
+    # of one dict, next to the whole table and a scalar
     columns, n = table
     subset = st.lists(st.integers(0, n - 1), max_size=8) if n else st.just([])
     whole = jsonout.Table(columns)
-    rows = data.draw(subset)
-    ours, theirs = whole.take(rows), table_rows(columns, rows)
-    for depth in range(data.draw(st.integers(0, 3))):
-        rows = data.draw(subset)
-        if depth % 2:
-            ours = {"terms": ours, "more": whole.take(rows), "all": whole}
-            theirs = {"terms": theirs, "more": table_rows(columns, rows),
-                      "all": table_rows(columns, range(n))}
-        else:
-            ours, theirs = [ours, whole.take(rows), 1.5], [theirs, table_rows(columns, rows), 1.5]
+    ours, theirs = {"all": whole}, {"all": table_rows(columns, range(n))}
+    for i, rows in enumerate(data.draw(st.lists(subset, min_size=1, max_size=4))):
+        ours[f"take{i}"], theirs[f"take{i}"] = whole.take(rows), table_rows(columns, rows)
+    ours["n"] = theirs["n"] = 1.5
     assert dumps(ours) == json.dumps(theirs, indent=1)
 
 
@@ -161,9 +150,9 @@ def test_table_edge_values_repeated_rows_and_empty_subsets():
     columns = {"re": np.array([-0.0, 5e-324, 1e16, 0.1, 0.0]),
                "pauli": ["XYZ", "é", "☃\n", "", "XYZ"], "n": [1, None, True, 2.5, -0.0]}
     table = jsonout.Table(columns)
-    payload = {"groups": [{"basis": ["X", "Y"], "terms": table.take([4, 0, 0, 3])},
-                          {"basis": [], "terms": table.take([])},
-                          {"basis": ["Z"], "terms": table.take(np.arange(5))}]}
+    payload = {"groups": jsonout.Table({
+        "basis": [["X", "Y"], [], ["Z"]],
+        "terms": [table.take([4, 0, 0, 3]), table.take([]), table.take(np.arange(5))]})}
     want = {"groups": [{"basis": ["X", "Y"], "terms": table_rows(columns, [4, 0, 0, 3])},
                        {"basis": [], "terms": []},
                        {"basis": ["Z"], "terms": table_rows(columns, range(5))}]}
@@ -203,7 +192,7 @@ def test_table_of_zero_rows():
     table = jsonout.Table({"frame": [], "flip": [], "diagonal": []})
     assert dumps({"qubits": 8, "terms": table}) == json.dumps({"qubits": 8, "terms": []},
                                                               indent=1)
-    assert dumps(jsonout.Table({})) == "[]"
+    assert dumps({"none": jsonout.Table({})}) == '{\n "none": []\n}'
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -246,7 +235,7 @@ def test_words_match_indented_json_dumps_of_their_lists(vocabulary, data):
         rows = data.draw(st.lists(pick, min_size=1, max_size=4))
         ours = jsonout.Table({"basis": rows, "inner": [ours] * len(rows)})
         theirs = [{"basis": list(row), "inner": theirs} for row in rows]
-    assert dumps(ours) == json.dumps(theirs, indent=1)
+    assert dumps({"groups": ours}) == json.dumps({"groups": theirs}, indent=1)
 
 
 def test_each_distinct_word_is_encoded_once(monkeypatch):
@@ -259,9 +248,9 @@ def test_each_distinct_word_is_encoded_once(monkeypatch):
 
     monkeypatch.setattr(jsonout, "encode_basestring_ascii", counted)
     rows = [("XY", "ZZ"), ("ZZ", "XY"), (), ("é", "XY")]
-    text = dumps(jsonout.Table({"basis": rows}))
-    assert text == json.dumps([{"basis": list(row)} for row in rows], indent=1)
-    assert sorted(encoded) == sorted(["basis", "XY", "ZZ", "é"])
+    text = dumps({"groups": jsonout.Table({"basis": rows})})
+    assert text == json.dumps({"groups": [{"basis": list(row)} for row in rows]}, indent=1)
+    assert sorted(encoded) == sorted(["groups", "basis", "XY", "ZZ", "é"])
 
 
 @pytest.mark.parametrize("column", [[["XY", b"ZZ"]], [("XY",), (1.0,)], [["XY"], "ZZ"],
@@ -345,7 +334,8 @@ def test_a_cell_of_three_runs_looks_up_three_texts():
     table = jsonout.Table({"diagonal": [cell]})
     cells = table._cells[0]
     cells._texts = CountedLookups(cells._texts)
-    assert dumps(table) == json.dumps([{"diagonal": cell.tolist()}], indent=1)
+    assert dumps({"terms": table}) == json.dumps({"terms": [{"diagonal": cell.tolist()}]},
+                                                 indent=1)
     assert 0 < cells._texts.looked_up <= 3
 
 

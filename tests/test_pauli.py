@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fertaper import limits
 from fertaper.pauli import (
     PauliOperator,
     QubitHamiltonian,
@@ -330,6 +331,18 @@ class TestTextFormat:
             hamiltonian_from_text("# qubits 3\n1.0 0.0 ZZ\n")
         with pytest.raises(ValueError, match="malformed"):
             hamiltonian_from_text("1.0 0.0\n")  # an empty label needs "# qubits 0"
+
+    def test_qubit_count_is_capped_at_the_widest_encoded_sum(self):
+        # encode writes at most limits.MODE_CAP qubits, so that many read back
+        cap = limits.MODE_CAP
+        assert hamiltonian_from_text(f"# qubits {cap}\n").qubit_count == cap
+        refused = f"Pauli file has {cap + 1} qubits, over the cap of {cap}"
+        with pytest.raises(ValueError, match=refused):
+            hamiltonian_from_text(f"# qubits {cap + 1}\n")
+        with pytest.raises(ValueError, match=refused):  # refused before the next line
+            hamiltonian_from_text(f"# qubits {cap + 1}\nnot a term\n")
+        with pytest.raises(ValueError, match=refused):  # a label with no header
+            hamiltonian_from_text(f"1 0 {'Z' * (cap + 1)}\n")
 
 
 class TestPackedAgainstNaive:
