@@ -184,7 +184,7 @@ def _cmd_codesim(args) -> int:
     flips = gf2.unpack_ints(frames.x_masks, enc.qubits)
     _, qubit = np.nonzero(flips)
     # np.split gives one piece more than there are cuts: the last one is empty
-    diagonals = (["lazy"] * len(frames) if frames.buffer is None  # past MATERIALIZE_QUBIT_CAP
+    diagonals = (["lazy"] * len(frames) if frames.buffer is None  # past the entry budget (Frames)
                  else np.split(frames.buffer, frames.offsets[1:])[:-1])
     terms = jsonout.Table({  # built before the file opens: it rejects NaN and inf
         # frame i^|z| X(x) Z(z) is spelled -1 when |z|, its Y count, is 2 or 3 mod 4

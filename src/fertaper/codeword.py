@@ -25,9 +25,10 @@ rows' prefix parities; plans the frames on masks, as x mask, z mask and
 weight columns; and adds every diagonal, the Walsh-Hadamard transform of
 one term's values over its flipped bits, by np.add.at into one read-only
 buffer at the frame's offset.  It works in chunks, so no intermediate
-array outgrows a fixed multiple of 2^Q entries.  Above
-limits.MATERIALIZE_QUBIT_CAP no 2^Q array is built: the table has its
-columns but no buffer.
+array outgrows a fixed multiple of 2^Q entries.  The buffer's size,
+2^(Q - flipped qubits) entries per frame, is summed from the frame plans
+before anything is allocated: past limits.TABLE_ENTRY_BUDGET entries, or
+past 63 qubits, the table has its columns but no buffer.
 
 For a graph's code every column meets each of the graph's two sides once,
 so the codespace is stabilized by the two all-Z products over a side, and
@@ -113,12 +114,8 @@ class CodeEncoding:
             if decoder is None:
                 raise ValueError("graph girth too small for this particle count")
             object.__setattr__(self, "_graph_decoder", decoder)
-        elif m <= limits.BRUTE_FORCE_COLUMN_CAP:
-            refuse_shared_syndromes(*self._codespace, self.columns, q)
         else:
-            raise ValueError(
-                "matrices this wide need a girth certificate (pass the graph)"
-            )
+            refuse_shared_syndromes(*self._codespace, self.columns, q)
 
     @classmethod
     def from_matrix(cls, a, n: int) -> "CodeEncoding":
@@ -318,8 +315,8 @@ class FramedDiagonal:
     submask of x: x marks the flipped qubits and z the frame's Z-pattern.
     The diagonal is a read-only vector over the other qubits, indexed by
     their bits packed most-significant-first (gf2.drop_bits of a basis
-    index at the flipped positions), or None when the encoding is past
-    limits.MATERIALIZE_QUBIT_CAP.  weight scales the whole term.
+    index at the flipped positions), or None when the table it came from
+    has no buffer (see Frames).  weight scales the whole term.
     """
 
     pauli: PauliOperator
@@ -369,7 +366,8 @@ class FramedDiagonal:
     def materialize(self) -> np.ndarray:
         """Dense diagonal over the non-flipped qubits."""
         if self.diagonal is None:
-            raise ValueError(f"materialization capped at {limits.MATERIALIZE_QUBIT_CAP} qubits")
+            raise ValueError("no diagonal buffer past the entry budget of "
+                             f"{limits.TABLE_ENTRY_BUDGET} or 63 qubits")
         return self.diagonal
 
     def to_dense(self) -> np.ndarray:
@@ -388,8 +386,8 @@ class Frames:
 
     P_i is the frame of x_masks[i] and z_masks[i] (pauli.mask_array
     columns), as in FramedDiagonal.  d_i is buffer[offsets[i]:offsets[i + 1]]
-    of one read-only buffer; past limits.MATERIALIZE_QUBIT_CAP both are
-    None.  Indexing gives term i as a FramedDiagonal (oracle use).
+    of one read-only buffer; both are None past limits.TABLE_ENTRY_BUDGET
+    entries or 63 qubits.  Indexing gives term i as a FramedDiagonal (oracle use).
     """
 
     qubits: int
@@ -513,12 +511,14 @@ def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames
         terms, weights = [*terms, ((), 0)], [*weights, penalty]
     plans = [_frame_plan(enc, *term) for term in terms]
     per_term = np.array([len(zs) for _, zs, _ in plans], dtype=np.intp)
+    entries = sum(len(zs) << (q - flips.bit_count()) for flips, zs, _ in plans)
     term_x = mask_array([flips for flips, _, _ in plans], q)
     z_masks = mask_array([z for _, zs, _ in plans for z in zs], q)
     parts = np.array([count for _, _, counts in plans for count in counts], dtype=float)
     del plans  # the pass holds columns only
+    # the pass indexes the basis with int64 arrays, which hold 63 qubits
     diagonals = (_diagonals(enc, terms, term_x, per_term, z_masks, parts, bool(penalty))
-                 if q <= limits.MATERIALIZE_QUBIT_CAP else (None, None))
+                 if q <= 63 and entries <= limits.TABLE_ENTRY_BUDGET else (None, None))
     return Frames(q, np.repeat(term_x, per_term), z_masks,
                   np.repeat(np.array(weights, dtype=float), per_term), *diagonals)
 

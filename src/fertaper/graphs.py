@@ -329,9 +329,11 @@ def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
     vertices pairs the lowest one with each other j in turn.  Only the
     masks reached that way are visited, at most F(k+1) (Fibonacci): 233,
     1,597 and 10,946 at k = 12, 16 and 20, against the 2^k masks of a
-    bottom-up subset DP.  Decoding a weight-N graph code matches at most
-    2N vertices, so this stays small wherever girth >= 2N+2 is reachable.
-    Returns the total and the pairs (i, j), i < j, lowest i first.
+    bottom-up subset DP.  That is still exponential: a weight-N graph code
+    matches up to 2N vertices, and on a 100-cycle the memo took 0.026 / 1.07
+    / 6.6 s at k = 24 / 32 / 36 (F(k+1) = 75,025 / 3.5M / 24M), `decode
+    --check` 0.22 / 1.16 / 14.3 s at N = 12 / 16 / 18 (ROADMAP direction
+    10).  Returns the total and the pairs (i, j), i < j, lowest i first.
     """
     k = len(weights)
     if k % 2:
@@ -374,24 +376,21 @@ def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
 class GraphDecoder:
     """Weight-n syndrome decoder of one graph, built once and reused.
 
-    Holds the distance matrix capped at 2n+1, each vertex's neighbours, a
-    Q x Q table of edge columns and the edges' vertex masks: everything
-    decode() reads per syndrome.  The girth comes from the same walk over
-    the edges.
+    Holds the distance matrix capped at 2n+1, each vertex's neighbours as
+    (vertex, edge column) pairs and the edges' vertex masks: everything
+    decode() reads per syndrome.  The distance matrix is the one Q x Q
+    table.  The girth comes from the same walk over the edges.
     """
 
     def __init__(self, g: BipartiteGraph, n: int):
-        q = g.vertex_count
         self.graph = g
         self.particles = n
         lengths, self.girth = path_lengths(g)
         self.distances = _capped(lengths, n)
-        self.columns = np.full((q, q), -1, dtype=np.intp)
-        self.neighbours: list[list[int]] = [[] for _ in range(q)]
+        self.neighbours: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
         for col, (u, v) in enumerate(g.edges):
-            self.columns[u - 1, v - 1] = self.columns[v - 1, u - 1] = col
-            self.neighbours[u - 1].append(v - 1)
-            self.neighbours[v - 1].append(u - 1)
+            self.neighbours[u - 1].append((v - 1, col))
+            self.neighbours[v - 1].append((u - 1, col))
         self.edge_masks = g.edge_masks()
 
     @classmethod
@@ -408,9 +407,8 @@ class GraphDecoder:
         dist = self.distances
         cols = []
         while a != b:
-            step = next(w for w in self.neighbours[a] if dist[w, b] == dist[a, b] - 1)
-            cols.append(self.columns[a, step])
-            a = step
+            a, col = next(step for step in self.neighbours[a] if dist[step[0], b] < dist[a, b])
+            cols.append(col)
         return cols
 
     def decode(self, syndrome) -> np.ndarray | None:

@@ -10,8 +10,7 @@ import os
 
 DENSE_QUBIT_CAP = 14
 BRUTE_FORCE_COLUMN_CAP = 24  # columns the brute-force injectivity check and decoder enumerate
-MATERIALIZE_QUBIT_CAP = 24  # qubits up to which codeword simulators build 2^Q arrays
-TABLE_ENTRY_BUDGET = 1 << 26  # entries in one pair of syndrome tables or one codeword list
+TABLE_ENTRY_BUDGET = 1 << 26  # entries of one mitm table pair, codeword list or diagonal buffer
 # qubits left after tapering for which `taper` finds sector energies: it labels each sector's
 # 2^k basis states by connected block, then diagonalizes the blocks that can hold its minimum
 SECTOR_QUBIT_CAP = 12
@@ -25,8 +24,9 @@ PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register s
 # symmetry search is quadratic or worse in the qubit count
 MODE_CAP = 1024
 # vertices of a graph that is generated, loaded or read off a parity-check matrix: its
-# girth and decoder hold a Q x Q distance matrix (8 MiB of int16 at this cap), the greedy
-# search one per trial, and each added edge builds a few temporaries that size
+# girth and decoder hold one Q x Q distance matrix each (8 MiB of int16 at this cap; a
+# 2048-cycle's decoder holds 9 MiB in all), the greedy search one per trial, and each
+# added edge builds a few temporaries that size
 GRAPH_VERTEX_CAP = 2048
 # entries in the (trials, Q, Q) distance stack the greedy search's trials share; more
 # trials run in consecutive stacks, and one trial runs alone past it

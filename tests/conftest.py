@@ -5,8 +5,10 @@ import pytest
 
 from fertaper import gf2
 from fertaper.cli import H2_TABLE
+from fertaper.codeword import CodeEncoding
 from fertaper.fermion import FermionHamiltonian
 from fertaper.graphs import cycle_chord_graph
+from fertaper.mitm import InjectivityViolation
 from fertaper.pauli import PauliOperator, QubitHamiltonian
 
 
@@ -47,6 +49,33 @@ def syndrome_map(a, n) -> dict[int, int]:
         assert syn not in table, "matrix is not injective at this weight"
         table[syn] = sum(1 << (m - 1 - c) for c in combo)
     return table
+
+
+def weight3_column(q: int, rng: np.random.Generator) -> int:
+    """A qubit mask of three distinct qubits drawn by rng.choice(q, 3)."""
+    return sum(1 << int(r) for r in rng.choice(q, 3, replace=False))
+
+
+def grown_weight3_code(q: int, n: int, m: int, seed: int) -> CodeEncoding:
+    """An N-injective code of m weight-3 columns without a graph.
+
+    Columns are drawn from np.random.default_rng(seed) by weight3_column;
+    a repeat is skipped, and a column is kept only while the codeword list
+    still certifies the code.
+    """
+    rng = np.random.default_rng(seed)
+    cols: list[int] = []
+    while len(cols) < m:
+        col = weight3_column(q, rng)
+        if col in cols:
+            continue
+        try:
+            if len(cols) >= n:
+                CodeEncoding((*cols, col), q, n)
+        except InjectivityViolation:
+            continue
+        cols.append(col)
+    return CodeEncoding(tuple(cols), q, n)
 
 
 def minimal_basis_hydrogen() -> FermionHamiltonian:

@@ -34,7 +34,7 @@ from fertaper.tapering import (
     sector_energies,
     taper,
 )
-from tests.conftest import minimal_basis_hydrogen, syndrome
+from tests.conftest import grown_weight3_code, minimal_basis_hydrogen, syndrome
 from tests.test_tapering import all_block_sector_spectra
 
 
@@ -547,6 +547,26 @@ class TestCodesim:
         assert err.startswith("error:") and "needs 15 entries" in err
         assert not out.exists()
 
+    def test_a_code_past_24_columns_without_a_graph(self, tmp_path):
+        # 26 weight-3 columns on 14 qubits, certified by the codeword list:
+        # the codespace block is the sector matrix and nothing leaks out of it
+        enc = grown_weight3_code(14, 2, 26, 1)
+        check = tmp_path / "a.pcm"
+        np.savetxt(check, enc.matrix, fmt="%d", header="%d %d" % enc.matrix.shape, comments="")
+        source = self.banded_json(tmp_path / "h.json", 26)
+        out = tmp_path / "framed.json"
+        assert main(["codesim", "--check", str(check), "--input", source,
+                     "--output", str(out)]) == 0
+        terms = json.loads(out.read_text())["terms"]
+        assert len(terms) > 500 and all(isinstance(t["diagonal"], list) for t in terms)
+        frames = [FramedDiagonal(PauliOperator.from_label(t["frame"]), t["diagonal"], t["weight"])
+                  for t in terms]
+        image = apply_frames_to_isometry(frames, enc)
+        h = FermionHamiltonian.from_json(Path(source).read_text())
+        assert np.allclose(enc.isometry().T @ image, sector_matrix_direct(h), atol=1e-12)
+        image[enc.syndromes().astype(np.intp)] = 0  # what is left leaks out of the codespace
+        assert np.abs(image).max() < 1e-12
+
     @staticmethod
     def banded_json(path, modes):
         t = np.zeros((modes, modes), dtype=complex)
@@ -565,7 +585,7 @@ class TestCodesim:
         from fertaper.graphs import load_graph
 
         q = 28
-        assert q > limits.MATERIALIZE_QUBIT_CAP
+        assert 1 << q > limits.TABLE_ENTRY_BUDGET  # the penalty diagonal alone passes it
         graph = tmp_path / "g.graph"
         assert main(["graphgen", "--qubits", str(q), "--particles", "2",
                      "--trials", "2", "--seed", "3", "--out", str(graph)]) == 0
@@ -590,15 +610,16 @@ class TestCodesim:
         graph = tmp_path / "g.graph"
         save_graph(cycle_chord_graph(8, 2), str(graph))
         h_json = self.banded_json(tmp_path / "h.json", 16)
-        full = limits.MATERIALIZE_QUBIT_CAP
+        full = limits.TABLE_ENTRY_BUDGET
         runs = {}
-        for cap in (full, 11):
-            monkeypatch.setattr(limits, "MATERIALIZE_QUBIT_CAP", cap)
-            out = tmp_path / f"framed{cap}.json"
+        # 1000 entries hold Fig-3's 120 codewords but not its 123,904 diagonal entries
+        for budget in (full, 1000):
+            monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", budget)
+            out = tmp_path / f"framed{budget}.json"
             assert main(["codesim", "--graph", str(graph), "--input", h_json,
                          "--output", str(out)]) == 0
-            runs[cap] = json.loads(out.read_text())["terms"]
-        eager, lazy = runs[full], runs[11]
+            runs[budget] = json.loads(out.read_text())["terms"]
+        eager, lazy = runs[full], runs[1000]
         assert all(isinstance(t["diagonal"], list) for t in eager)
         assert all(t["diagonal"] == "lazy" for t in lazy)
         strip = lambda terms: [{k: v for k, v in t.items() if k != "diagonal"} for t in terms]
@@ -678,14 +699,11 @@ class TestCodesim:
         terms = json.loads(out.read_text())["terms"]
         assert len(terms) > 20 and any(t["frame"].startswith("-1") for t in terms)
 
-    @pytest.mark.parametrize("cap", [None, 3], ids=["materialized", "lazy"])
-    def test_zero_frames_write_an_empty_list(self, tmp_path, monkeypatch, cap):
+    def test_zero_frames_write_an_empty_list(self, tmp_path):
         # only zero-operator entries and no penalty: a table of no rows, whose
         # empty buffer and flip columns split into no cells
         from fertaper.codeword import build_simulator_hamiltonian
 
-        if cap is not None:
-            monkeypatch.setattr(limits, "MATERIALIZE_QUBIT_CAP", cap)
         check = tmp_path / "a.pcm"
         check.write_text("4 4\n1000\n0100\n0010\n0001\n")
         source = tmp_path / "h.json"
@@ -694,10 +712,7 @@ class TestCodesim:
         h = FermionHamiltonian.from_json(source.read_text())
         frames = build_simulator_hamiltonian(h, CodeEncoding.from_matrix(np.eye(4), 2), 0.0)
         assert len(frames) == 0 and list(frames) == []
-        if cap is None:
-            assert frames.buffer.size == 0 and frames.offsets.tolist() == [0]
-        else:
-            assert frames.buffer is None and frames.offsets is None
+        assert frames.buffer.size == 0 and frames.offsets.tolist() == [0]
         out = tmp_path / "framed.json"
         assert main(["codesim", "--check", str(check), "--input", str(source),
                      "--penalty", "0", "--output", str(out)]) == 0

@@ -46,7 +46,13 @@ from fertaper.mitm import (
     mitm_decode,
 )
 from fertaper.pauli import PauliOperator, qubit_mask
-from tests.conftest import packed, syndrome, syndrome_map
+from tests.conftest import (
+    grown_weight3_code,
+    packed,
+    syndrome,
+    syndrome_map,
+    weight3_column,
+)
 
 
 @pytest.fixture
@@ -241,6 +247,64 @@ class TestInjectivity:
             assert built == want, (a.tolist(), n)
             verdicts.add(want)
         assert verdicts == {True, False}
+
+    def test_the_list_agrees_with_brute_force_up_to_its_cap(self):
+        # from 7 columns, where the test above stops, to the brute-force cap
+        rng = np.random.default_rng(2026)
+        wide = set()
+        for m in range(7, limits.BRUTE_FORCE_COLUMN_CAP + 1):
+            for n in (1, 2, 3):
+                q = int(rng.integers(2 * n + 4, 5 * n + 10))
+                a = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
+                want = is_n_injective(a, n)
+                try:
+                    CodeEncoding.from_matrix(a, n)
+                    built = True
+                except InjectivityViolation:
+                    built = False
+                assert built == want, (a.tolist(), n)
+                if m > 20 and n > 1:
+                    wide.add(want)
+        assert wide == {True, False}
+
+    def test_wide_codes_without_a_graph_are_certified_by_their_list(self):
+        # 25 to 40 weight-3 columns: a code builds exactly when a test-side
+        # enumeration finds no shared syndrome, and a refusal's two mode sets
+        # share one
+        rng = np.random.default_rng(2027)
+        built = refused = 0
+        for m in range(25, 41):
+            for n in (2, 3):
+                q = int(rng.integers(18, 27))
+                cols = []
+                while len(cols) < m:
+                    col = weight3_column(q, rng)
+                    if col not in cols:
+                        cols.append(col)
+
+                def shared(modes):
+                    acc = 0
+                    for mode in modes:
+                        acc ^= cols[mode - 1]
+                    return acc
+
+                syndromes = [shared(c) for c in itertools.combinations(range(1, m + 1), n)]
+                injective = len(set(syndromes)) == len(syndromes)
+                try:
+                    enc = CodeEncoding(tuple(cols), q, n)
+                except InjectivityViolation as err:
+                    first, second = err.witness
+                    assert not injective
+                    assert first != second and len(first) == len(second) == n
+                    assert shared(first) == shared(second)
+                    refused += 1
+                else:
+                    assert injective
+                    assert sorted(enc.syndromes().tolist()) == sorted(syndromes)
+                    built += 1
+        assert built >= 5 and refused >= 5
+        # the seeded Q=14 code the CLI tests use grows past 24 columns too
+        assert grown_weight3_code(14, 2, 30, 1).modes == 30
 
 
 class TestCodeEncoding:
@@ -1268,3 +1332,39 @@ def test_pass_memory_stays_within_its_chunk_bound(fig3_encoding):
         tracemalloc.stop()
     assert len(frames) * len(enc.codewords()) > 32 << enc.qubits
     assert peak - kept < 8 * (8 << enc.qubits)
+
+
+def test_a_table_past_the_entry_budget_has_no_buffer(fig3_encoding):
+    # greedy Q=20, N=3: its diagonals would hold 130,023,424 entries, about
+    # 1 GiB of float64, counted from the frames before anything is allocated
+    enc = CodeEncoding.from_graph(greedy_high_girth(20, 3, 50, 1), 3)
+    h = random_hamiltonian(enc.modes, 3, np.random.default_rng(2), interaction_pairs=6)
+    tracemalloc.start()
+    try:
+        frames = build_simulator_hamiltonian(h, enc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert frames.buffer is None and frames.offsets is None
+    entries = sum(1 << (enc.qubits - int(x).bit_count()) for x in frames.x_masks)
+    assert entries == 130_023_424 > limits.TABLE_ENTRY_BUDGET
+    assert peak < 64 << 20
+    with pytest.raises(ValueError, match=f"entry budget of {limits.TABLE_ENTRY_BUDGET}"):
+        frames[0].materialize()
+    # Fig-3's 123,904 entries fit: its table keeps its buffer
+    fig3 = build_simulator_hamiltonian(random_hamiltonian(16, 2, np.random.default_rng(5)),
+                                       fig3_encoding)
+    assert fig3.buffer is not None and fig3.buffer.size == fig3.offsets[-1]
+
+
+@pytest.mark.parametrize("q", [63, 64])
+def test_no_buffer_past_63_qubits(q):
+    # no terms and no penalty hold no entries, but past 63 qubits basis
+    # indices do not fit the pass's int64 arrays
+    enc = CodeEncoding.from_matrix(np.eye(q, dtype=np.uint8), 1)
+    frames = build_simulator_hamiltonian(FermionHamiltonian(q, 1, np.zeros((q, q))), enc, 0.0)
+    assert len(frames) == 0
+    if q == 63:
+        assert frames.buffer.size == 0 and frames.offsets.tolist() == [0]
+    else:
+        assert frames.buffer is None and frames.offsets is None
