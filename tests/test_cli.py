@@ -612,7 +612,7 @@ class TestCodesim:
         h_json = self.banded_json(tmp_path / "h.json", 16)
         full = limits.TABLE_ENTRY_BUDGET
         runs = {}
-        # 1000 entries hold Fig-3's 120 codewords but not its 123,904 diagonal entries
+        # 1000 entries hold Fig-3's 120 codewords but not its 111,616 diagonal entries
         for budget in (full, 1000):
             monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", budget)
             out = tmp_path / f"framed{budget}.json"

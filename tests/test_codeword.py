@@ -1351,7 +1351,7 @@ def test_a_table_past_the_entry_budget_has_no_buffer(fig3_encoding):
     assert peak < 64 << 20
     with pytest.raises(ValueError, match=f"entry budget of {limits.TABLE_ENTRY_BUDGET}"):
         frames[0].materialize()
-    # Fig-3's 123,904 entries fit: its table keeps its buffer
+    # Fig-3's 280,576 entries fit: its table keeps its buffer
     fig3 = build_simulator_hamiltonian(random_hamiltonian(16, 2, np.random.default_rng(5)),
                                        fig3_encoding)
     assert fig3.buffer is not None and fig3.buffer.size == fig3.offsets[-1]

@@ -192,7 +192,7 @@ def test_codesim_bytes(tmp_path, kind):
 
 
 def test_codesim_lazy_bytes(tmp_path, monkeypatch):
-    # 1000 entries hold Fig-3's 120 codewords but not its 123,904 diagonal entries
+    # 1000 entries hold Fig-3's 120 codewords but not its diagonals
     monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", 1000)
     assert main(codesim_inputs(tmp_path, "graph")) == 0
     assert digest(tmp_path / "o.json") == CODESIM_EDGE_DIGESTS["lazy"]
