@@ -98,11 +98,16 @@ def _link(dist: np.ndarray, a, b) -> None:
     A shortest x-y path that uses the new edge runs x..a-b..y or x..b-a..y,
     one pass each.  Row a is copied first, as the first pass can shorten
     it; row b it leaves as it was.  Taking the minimum with the old
-    entries keeps every entry within the cap.
+    entries keeps every entry within the cap.  A stack laid out with the
+    trial axis innermost (see _lockstep) gets its rows copied trial-
+    innermost too, so that the outer sums and minima run over Q^2 rows of
+    T contiguous entries, not T*Q rows of Q.
     """
     if dist.ndim == 3:
         t = np.arange(len(dist))
         via_a, via_b = dist[t, a] + 1, dist[t, b]
+        if dist.strides[0] < dist.strides[2]:
+            via_a, via_b = np.asfortranarray(via_a), np.asfortranarray(via_b)
     else:
         via_a, via_b = dist[a] + 1, dist[b]
     np.minimum(dist, via_a[..., :, None] + via_b[..., None, :], out=dist)
@@ -244,9 +249,11 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0) -> Bipa
     step draws one candidate per unfinished trial, in trial order, from one
     random.Random(seed), and one broadcast update adds every drawn edge.
     A trial's candidates are listed in row-major (u, v) order, so a single
-    trial draws what a trial run alone would.  The densest graph over all
-    trials wins; ties keep the earlier trial, so a fixed seed gives a
-    reproducible result.
+    trial draws what a trial run alone would.  A stack that starts with at
+    least 2Q trials keeps its trial axis innermost in memory, others their
+    vertex axis (see _lockstep); the graphs do not depend on the order.
+    The densest graph over all trials wins; ties keep the earlier trial, so
+    a fixed seed gives a reproducible result.
     """
     if q < 2:
         raise ValueError("need at least two vertices")
@@ -265,15 +272,19 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0) -> Bipa
     best_left, best_edges = 0, []
     for start in range(0, trials, chunk):
         left = splits[np.arange(start, min(start + chunk, trials)) % len(splits)]
-        size, edges = _lockstep(q, far, left, rng)
+        # trial-innermost against vertex-innermost, (Q, N, T), medians on a 2-core x86_64
+        # VM: about even at T = 2Q ((30, 3, 60) 6.34 -> 6.16 ms, (16, 2, 32) 1.43 -> 1.51),
+        # faster beyond ((30, 3, 90) 7.07 -> 6.26, (24, 3, 200) 8.04 -> 6.79), slower
+        # below ((36, 3, 36) 5.35 -> 6.12, (48, 4, 30) 7.16 -> 9.70, (96, 6, 4) 5.9 -> 29.4)
+        size, edges = _lockstep(q, far, left, rng, trials_inner=len(left) >= 2 * q)
         if len(edges) > len(best_edges):
             best_left, best_edges = size, edges
     return BipartiteGraph(frozenset(range(1, best_left + 1)),
                           frozenset(range(best_left + 1, q + 1)), tuple(sorted(best_edges)))
 
 
-def _lockstep(q: int, far: int, left: np.ndarray,
-              rng: random.Random) -> tuple[int, list[tuple[int, int]]]:
+def _lockstep(q: int, far: int, left: np.ndarray, rng: random.Random,
+              trials_inner: bool) -> tuple[int, list[tuple[int, int]]]:
     """Grow one greedy graph per entry of left, its left side's size, in
     lockstep; the densest one's left size and 1-based edges, the earliest
     on a tie.
@@ -283,10 +294,20 @@ def _lockstep(q: int, far: int, left: np.ndarray,
     own left x right block.  A trial with no candidate leaves the stack.
     The steps record (trial, a, b) only, and the winner's edges are read
     back from those records.
+
+    The stack is indexed (trial, row, column) either way.  With trials_inner
+    it is laid out (row, column, trial) in memory, and it is laid out so
+    again when trials leave it: _link's broadcasts then step through Q^2
+    runs of T entries, which is faster while T is large against Q, and
+    slower when it is not.  The candidate box is copied into a C-ordered
+    buffer, so hits come in (trial, u, v) order either way.
     """
     # _link adds two entries and one: int8 holds that sum up to a cap of 63
     dtype = np.int8 if 2 * far + 1 <= np.iinfo(np.int8).max else np.int16
-    dist = np.empty((len(left), q, q), dtype=dtype)
+    if trials_inner:
+        dist = np.empty((q, q, len(left)), dtype=dtype).transpose(2, 0, 1)
+    else:
+        dist = np.empty((len(left), q, q), dtype=dtype)
     dist[:] = _unlinked(q, far)
     trial = np.arange(len(left))  # each stacked matrix's index into left
     cross = None
@@ -297,22 +318,44 @@ def _lockstep(q: int, far: int, left: np.ndarray,
             lo, hi = int(sizes.min()), int(sizes.max())
             cross = ((np.arange(hi)[:, None] < sizes[:, None, None])
                      & (np.arange(lo, q) >= sizes[:, None, None]))
+            box = np.empty_like(cross)
             offsets = np.arange(len(trial) + 1) * (hi * (q - lo))  # each trial's box in hits
-        hits = np.flatnonzero((dist[:, :hi, lo:] >= far) & cross)
+        np.greater_equal(dist[:, :hi, lo:], far, out=box)
+        box &= cross
+        hits = np.flatnonzero(box)
         starts = np.searchsorted(hits, offsets)
         counts = starts[1:] - starts[:-1]
         going = np.flatnonzero(counts)
-        draws = np.array([rng.randrange(c) for c in counts[going].tolist()], dtype=np.intp)
+        draws = np.array(_randbelow(rng, counts[going].tolist()), dtype=np.intp)
         a, b = np.divmod(hits[starts[going] + draws] - offsets[going], q - lo)
         b += lo
         if len(going) < len(trial):
-            dist, trial = dist[going], trial[going]
+            trial = trial[going]
+            if trials_inner:  # take() returns the kept trials C-ordered in (row, column, trial)
+                dist = dist.transpose(1, 2, 0).take(going, axis=2).transpose(2, 0, 1)
+            else:
+                dist = dist[going]
         _link(dist, a, b)
         steps.append((trial, a, b))
     trial, a, b = (np.concatenate(column) for column in zip(*steps))
     win = int(np.argmax(np.bincount(trial, minlength=len(left))))
     mine = trial == win
     return int(left[win]), list(zip((a[mine] + 1).tolist(), (b[mine] + 1).tolist()))
+
+
+def _randbelow(rng: random.Random, counts: list[int]) -> list[int]:
+    """rng.randrange(c) for each c in counts, in turn, without its per-call
+    argument checks: CPython's randrange(c) draws getrandbits(k), k the bit
+    length of c, until the value is below c, and so does this loop."""
+    getrandbits = rng.getrandbits
+    draws = []
+    for c in counts:
+        k = c.bit_length()
+        r = getrandbits(k)
+        while r >= c:
+            r = getrandbits(k)
+        draws.append(r)
+    return draws
 
 
 def no_edge_addable(g: BipartiteGraph, n: int) -> bool:

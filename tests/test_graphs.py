@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fertaper import gf2, limits
+from fertaper import gf2, graphs, limits
 from fertaper.codeword import CodeEncoding, is_n_injective
 from fertaper.graphs import (
     BipartiteGraph,
     GraphDecoder,
     _adjacency,
+    _far,
+    _lockstep,
+    _randbelow,
     cycle_chord_graph,
     distance_matrix,
     girth,
@@ -175,13 +178,18 @@ class TestCycleChord:
             cycle_chord_graph(7, 2)
 
 
+def greedy_splits(q):
+    """The left side sizes greedy_high_girth gives its trials in turn."""
+    spread = sorted({max(1, q // 2 + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
+    return [s for s in spread if 1 <= s <= q - 1]
+
+
 def sequential_greedy(q, n, trials, seed):
     """The greedy search one trial at a time, each trial's draws before the
     next trial's (the reference for the lockstep stack): the same splits,
     candidates in row-major (u, v) order and one shared random.Random."""
     rng = random.Random(seed)
-    spread = sorted({max(1, q // 2 + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
-    splits = [s for s in spread if 1 <= s <= q - 1]
+    splits = greedy_splits(q)
     cap = max(2 * n + 1, 2)
     best = None
     for trial in range(trials):
@@ -258,6 +266,57 @@ class TestGreedy:
             assert g == greedy_high_girth(11, n, trials=17, seed=seed)
             if budget == 1:
                 assert g == sequential_greedy(11, n, 17, seed)
+
+    @pytest.mark.parametrize("q", [5, 9, 14, 20, 27])
+    def test_both_memory_orders_draw_the_same_graphs(self, q):
+        """A stack laid out trial-innermost grows the graphs, and consumes the
+        random stream, as the vertex-innermost one does, at trial counts on
+        both sides of greedy_high_girth's switch at 2Q."""
+        splits = np.array(greedy_splits(q))
+        for n, trials, seed in itertools.product(range(4), (1, q, 2 * q, 3 * q + 1), (0, 1)):
+            left = splits[np.arange(trials) % len(splits)]
+            far = min(_far(n), q)
+            rngs = random.Random(seed), random.Random(seed)
+            got = [_lockstep(q, far, left, rng, trials_inner=inner)
+                   for rng, inner in zip(rngs, (False, True))]
+            assert got[0] == got[1]
+            assert rngs[0].getstate() == rngs[1].getstate()
+
+    @pytest.mark.parametrize("budget", [25 * 11 * 11, 40 * 11 * 11])
+    def test_stacks_in_either_order_draw_the_same_graph(self, monkeypatch, budget):
+        """60 trials in stacks of 25, 25 and 10, or 40 and 20: the stacks of
+        at least 2Q = 22 trials run trial-innermost, the last one not; forcing
+        either order on every stack draws the same graph."""
+        monkeypatch.setattr(limits, "GREEDY_STACK_BUDGET", budget)
+        lockstep = graphs._lockstep
+        orders, forced = [], []
+
+        def spy(q, far, left, rng, trials_inner):
+            orders.append(trials_inner)
+            return lockstep(q, far, left, rng, trials_inner=forced[0] if forced else trials_inner)
+
+        monkeypatch.setattr(graphs, "_lockstep", spy)
+        for n, seed in itertools.product((1, 2, 3), (0, 1)):
+            forced.clear()
+            orders.clear()
+            g = greedy_high_girth(11, n, trials=60, seed=seed)
+            assert orders == ([True, True, False] if budget == 25 * 11 * 11 else [True, False])
+            assert_valid(g, n)
+            for inner in (False, True):
+                forced[:] = [inner]
+                assert greedy_high_girth(11, n, trials=60, seed=seed) == g
+
+    def test_inline_draws_are_randrange_draws(self):
+        """_randbelow draws what randrange draws, and leaves the stream where
+        randrange leaves it, at counts around every power of two up to 2^20."""
+        counts = [1, 2, 3, 10**6] + [2**k + d for k in range(1, 21) for d in (-1, 0, 1)]
+        mixed = random.Random(7)
+        counts += [mixed.randint(1, 10**6) for _ in range(500)]
+        mixed.shuffle(counts)
+        for seed in range(3):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            assert _randbelow(ours, counts) == [theirs.randrange(c) for c in counts]
+            assert ours.getstate() == theirs.getstate()
 
     def test_vertex_cap(self, monkeypatch):
         monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", 9)

@@ -11,6 +11,11 @@ so a seed draws other graphs (31, 59, 111 and 16 edges here, against 31,
 59, 107 and 16 before).  They were first recorded from the breadth-first
 search generator that the capped distance matrix replaced; a seed must
 keep drawing the same edges.
+The ``graphtable`` digest was recorded before the greedy search's stacks of
+at least 2Q trials came to be laid out trial-innermost in memory; every
+stack of its 81 cells starts with 100 >= 2Q trials, so it pins that
+layout, as the (48, 4, 30) and (96, 6, 4) ``graphgen`` digests pin the
+vertex-innermost one.
 The ``codesim`` digests were recorded from the dict decode table that the
 sorted array table replaced; codeword numbering may change, the written
 frames may not.
@@ -98,6 +103,9 @@ GRAPHGEN_DIGESTS = {
     (12, 2, 1000, 0): "925049d3b51526ba99156d6771c19c6e5a20ed484d880a367bc21f7c3705638b",
 }
 
+# graphtable --qmax 30 --nmax 3 --trials 100 --seed 0
+GRAPHTABLE_DIGEST = "78345797cf1dba7b7dedd2b469486d6721185b0e7cda636c306149b8adbed7c6"
+
 # codesim JSON: the Fig-3 code by --graph, a seeded Q=10 greedy code by --check
 CODESIM_DIGESTS = {
     "graph": "dd30f8eb98030f58b1f73d4ed121f469da23d603c2e1cbaad9696a4e2a311f91",
@@ -166,6 +174,13 @@ def test_graphgen_bytes(tmp_path, spec):
         argv += [flag, str(value)]
     assert main(argv) == 0
     assert digest(out) == GRAPHGEN_DIGESTS[spec]
+
+
+def test_graphtable_bytes(tmp_path):
+    out = tmp_path / "t.csv"
+    assert main(["graphtable", "--qmax", "30", "--nmax", "3", "--trials", "100", "--seed", "0",
+                 "--out", str(out)]) == 0
+    assert digest(out) == GRAPHTABLE_DIGEST
 
 
 def codesim_inputs(tmp_path, kind: str) -> list[str]:
