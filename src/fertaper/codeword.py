@@ -57,7 +57,7 @@ from fertaper.fermion import (
     weight_n_states,
 )
 from fertaper.graphs import BipartiteGraph, GraphDecoder
-from fertaper.mitm import combinations, occupations, refuse_shared_syndromes
+from fertaper.mitm import occupations, syndrome_key, syndrome_table
 from fertaper.pauli import PauliOperator, mask_array, qubit_mask
 
 
@@ -115,7 +115,7 @@ class CodeEncoding:
                 raise ValueError("graph girth too small for this particle count")
             object.__setattr__(self, "_graph_decoder", decoder)
         else:
-            refuse_shared_syndromes(*self._codespace, self.columns, q)
+            self._codespace  # listing the codewords certifies the code
 
     @classmethod
     def from_matrix(cls, a, n: int) -> "CodeEncoding":
@@ -163,34 +163,28 @@ class CodeEncoding:
     def decode(self, s: np.ndarray) -> FockState | None:
         """Unique weight-N preimage of a syndrome, or None.
 
-        A graph code decodes by matching on the graph; any other code by a
-        binary search of its sorted syndromes.  Both check the syndrome length.
+        A graph code decodes by matching on the graph; any other code by a binary
+        search of its codeword list for mitm.syndrome_key(s).  Both check the length.
         """
         if self.graph is not None:
             hit = self._graph_decoder.decode(s)
             return None if hit is None else FockState(tuple(hit))
-        s = gf2.asbits(s)
-        if s.shape != (self.qubits,):
-            raise ValueError(f"syndrome length {s.size} != {self.qubits}")
-        rows, syndromes = self._codespace
-        target = gf2.bits_to_int(s)
-        i = int(np.searchsorted(syndromes, target))
-        if i == len(syndromes) or syndromes[i] != target:
+        rows, keys = self._codespace
+        key = syndrome_key(s, self.qubits)
+        i = int(np.searchsorted(keys, key)[0])
+        if i == len(keys) or keys[i] != key[0]:
             return None
         return FockState(tuple(occupations(rows[i:i + 1], self.modes)[0]))
 
     @cached_property
     def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
-        """The codewords as rows of their modes' column indices, and their
-        syndromes, stably sorted by syndrome from lexicographic order."""
+        """mitm.syndrome_table at weight N: the codewords as rows of their
+        modes' column indices, and their syndromes' keys, in key order."""
         count = comb(self.modes, self.particles)
         if count > limits.TABLE_ENTRY_BUDGET:
             raise MemoryError(f"the codeword list needs {count} entries, "
                               f"over the budget of {limits.TABLE_ENTRY_BUDGET}")
-        combos = combinations(self.modes, self.particles)
-        syndromes = np.bitwise_xor.reduce(mask_array(self.columns, self.qubits)[combos], axis=1)
-        order = np.argsort(syndromes, kind="stable")
-        return combos[order], syndromes[order]
+        return syndrome_table(self.columns, self.qubits, self.particles)
 
     def codewords(self) -> np.ndarray:
         """C(M,N) x M occupation rows in ascending syndrome order, built on
@@ -198,8 +192,9 @@ class CodeEncoding:
         return occupations(self._codespace[0], self.modes)
 
     def syndromes(self) -> np.ndarray:
-        """Every codeword's syndrome as a pauli.mask_array, numbered as codewords()."""
-        return self._codespace[1]
+        """Every codeword's syndrome as a big-endian uint64, numbered as
+        codewords(): a view of the keys, so ValueError past 64 qubits."""
+        return self._codespace[1].view(">u8").reshape(len(self._codespace[1]))
 
     def preimage(self) -> np.ndarray:
         """Codeword number of every syndrome index, -1 off the codespace.

@@ -10,7 +10,7 @@ import os
 
 DENSE_QUBIT_CAP = 14
 BRUTE_FORCE_COLUMN_CAP = 24  # columns the brute-force injectivity check and decoder enumerate
-TABLE_ENTRY_BUDGET = 1 << 26  # entries of one mitm table pair, codeword list or diagonal buffer
+TABLE_ENTRY_BUDGET = 1 << 26  # entries of a diagonal buffer, a codeword list or a pair of mitm halves
 # qubits left after tapering for which `taper` finds sector energies: it labels each sector's
 # 2^k basis states by connected block, then diagonalizes the blocks that can hold its minimum
 SECTOR_QUBIT_CAP = 12

@@ -1,12 +1,13 @@
 """Syndrome tables and meet-in-the-middle decoding for N-injective binary matrices.
 
 A table for weight k holds the syndrome Ax of every weight-k vector x as a
-sorted key, next to x's column indices.  Keys are syndromes packed into
-big-endian uint64 words and viewed as byte strings, so they sort and
-binary-search as numbers at any Q.  Decoding splits N into halves
-((N+1)//2, N//2) and searches every first-half key XOR the syndrome in the
-second half at once.  A brute-force enumerator is kept alongside as the
-reference oracle.
+sorted key, next to x's column indices.  syndrome_table builds them all: a
+code's codeword list (k = N) and the two halves here.  Keys are syndromes
+packed into big-endian uint64 words and viewed as byte strings, so they
+sort and binary-search as numbers at any Q; syndrome_key spells a searched
+syndrome alike.  Decoding splits N into halves ((N+1)//2, N//2) and searches
+every first-half key XOR the syndrome in the second half at once.  A
+brute-force enumerator is kept alongside as the reference oracle.
 """
 
 from __future__ import annotations
@@ -60,20 +61,42 @@ def _as_keys(words: np.ndarray) -> np.ndarray:
     return words.view(f"S{8 * words.shape[1]}").ravel()
 
 
-def refuse_shared_syndromes(rows: np.ndarray, syndromes: np.ndarray, columns, q: int) -> None:
-    """Raise InjectivityViolation at the first equal neighbours of sorted syndromes,
-    with the mode sets of their rows of indices into columns as the witness."""
-    dup = np.flatnonzero(syndromes[1:] == syndromes[:-1])
+def syndrome_key(s, q: int) -> np.ndarray:
+    """A Q-bit syndrome's key, as syndrome_table spells them, in an array of
+    one; ValueError unless s has Q bits."""
+    s = gf2.asbits(s)
+    if s.shape != (q,):
+        raise ValueError(f"syndrome length {s.size} != {q}")
+    return _as_keys(gf2.uint64_words([gf2.bits_to_int(s)], max(q, 1)))
+
+
+def syndrome_table(columns, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every weight-k row of indices into columns, and its syndrome's key,
+    stably sorted by key from lexicographic order.
+
+    columns are the matrix's Q x M columns as qubit masks, row 1 most
+    significant.  Two rows with one syndrome contradict injectivity and
+    raise InjectivityViolation with their mode sets as the witness.
+    """
+    # at least one word, so that keys are never empty byte strings
+    words = gf2.uint64_words(columns, max(q, 1)).astype(np.uint64)
+    rows = combinations(len(columns), k)
+    acc = np.zeros((len(rows), words.shape[1]), dtype=np.uint64)
+    for j in range(k):
+        acc ^= words[rows[:, j]]
+    keys = _as_keys(acc)
+    del acc  # the keys are a big-endian copy
+    order = np.argsort(keys, kind="stable")
+    keys, rows = keys[order], rows[order]
+    dup = np.flatnonzero(keys[1:] == keys[:-1])
     if dup.size:
         i = int(dup[0])
-        shared = 0
-        for c in rows[i]:
-            shared ^= columns[c]
-        bits = gf2.unpack_ints([shared], q)[0]
+        bits = np.unpackbits(keys[i:i + 1].view(np.uint8))[8 * keys.itemsize - q:]
         raise InjectivityViolation(
-            f"two weight-{rows.shape[1]} vectors share syndrome {''.join(map(str, bits))}",
+            f"two weight-{k} vectors share syndrome {''.join(map(str, bits))}",
             witness=(_mode_set(rows[i]), _mode_set(rows[i + 1])),
         )
+    return rows, keys
 
 
 @dataclass(frozen=True)
@@ -81,7 +104,7 @@ class SyndromeTables:
     """Sorted keys of each half-weight's syndromes, and combos[i] their column indices."""
 
     modes: int
-    rows: int
+    qubits: int
     particles: int
     keys: tuple[np.ndarray, np.ndarray]
     combos: tuple[np.ndarray, np.ndarray]
@@ -92,33 +115,14 @@ class SyndromeTables:
 
 
 def build_tables(columns, q: int, n: int) -> SyndromeTables:
-    """Tabulate syndromes of all weight-(N+1)//2 and weight-N//2 vectors.
-
-    columns are the matrix's Q x M columns as qubit masks, row 1 most
-    significant.  Duplicate syndromes inside a table contradict injectivity
-    of the matrix and abort the build with the two mode sets as the witness.
-    """
-    m = len(columns)
+    """syndrome_table of the weight-(N+1)//2 and of the weight-N//2 vectors."""
     n1, n2 = (n + 1) // 2, n // 2
-    total = comb(m, n1) + comb(m, n2)
+    total = comb(len(columns), n1) + comb(len(columns), n2)
     if total > limits.TABLE_ENTRY_BUDGET:
         raise MemoryError(f"syndrome tables need {total} entries, "
                           f"over the budget of {limits.TABLE_ENTRY_BUDGET}")
-    # at least one word, so that keys are never empty byte strings
-    cols = gf2.uint64_words(columns, max(q, 1)).astype(np.uint64)
-    keys, combos = [], []
-    for k in (n1, n2):
-        rows = combinations(m, k)
-        acc = np.zeros((len(rows), cols.shape[1]), dtype=np.uint64)
-        for j in range(k):
-            acc ^= cols[rows[:, j]]
-        key = _as_keys(acc)
-        order = np.argsort(key, kind="stable")
-        key, rows = key[order], rows[order]
-        refuse_shared_syndromes(rows, key, columns, q)
-        keys.append(key)
-        combos.append(rows)
-    return SyndromeTables(m, q, n, (keys[0], keys[1]), (combos[0], combos[1]))
+    (combos1, keys1), (combos2, keys2) = (syndrome_table(columns, q, k) for k in (n1, n2))
+    return SyndromeTables(len(columns), q, n, (keys1, keys2), (combos1, combos2))
 
 
 def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
@@ -130,14 +134,11 @@ def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
     splitting it, so the rest are deduplicated; two distinct preimages
     raise InjectivityViolation.
     """
-    s = gf2.asbits(s)
-    if s.shape != (tables.rows,):
-        raise ValueError(f"syndrome length {s.size} != {tables.rows}")
+    key = syndrome_key(s, tables.qubits)
     first, second = tables.keys
     if not len(second):  # N2 > M: no weight-N2 vector to search for
         return None
-    words = first.view(">u8").reshape(len(first), first.itemsize // 8)
-    want = _as_keys(words ^ gf2.uint64_words([gf2.bits_to_int(s)], 64 * words.shape[1]))
+    want = _as_keys(first.view(">u8").reshape(len(first), first.itemsize // 8) ^ key.view(">u8"))
     pos = np.minimum(np.searchsorted(second, want), len(second) - 1)
     hit = np.flatnonzero(second[pos] == want)
     x = (occupations(tables.combos[0][hit], tables.modes)

@@ -205,13 +205,25 @@ class TestWideSyndromes:
         tables = build_tables(*packed(a), n)
         enc = CodeEncoding.from_matrix(a, n)
         assert tables.keys[0].dtype.itemsize == 8 * ((q + 63) // 64)
+
+        def numbers(keys):
+            # read row by row: a numpy bytes scalar drops a key's trailing NUL bytes
+            return [int.from_bytes(row.tobytes(), "big")
+                    for row in keys.view(np.uint8).reshape(len(keys), -1)]
+
         # keys read as big-endian numbers are the sorted syndromes of their combos
         cols, keys = packed(a)[0], tables.keys[0]
-        numbers = [int.from_bytes(row.tobytes(), "big")
-                   for row in keys.view(np.uint8).reshape(len(keys), -1)]
-        assert numbers == sorted(numbers)
-        assert numbers == [reduce(xor, (cols[c] for c in combo), 0) for combo in tables.combos[0]]
-        words, listed = enc.codewords(), [int(s) for s in enc.syndromes()]
+        assert numbers(keys) == sorted(numbers(keys))
+        assert numbers(keys) == [reduce(xor, (cols[c] for c in combo), 0)
+                                 for combo in tables.combos[0]]
+        # the codeword list is the weight-N table, held in fixed-width arrays at any Q
+        assert not any(array.dtype == object for array in enc._codespace)
+        words, listed = enc.codewords(), numbers(enc._codespace[1])
+        if q <= 64:
+            assert enc.syndromes().tolist() == listed
+        else:  # a syndrome past one word is not a uint64
+            with pytest.raises(ValueError):
+                enc.syndromes()
         assert words.shape == (comb(m, n), m) and (words.sum(axis=1) == n).all()
         assert listed == sorted(listed)
         assert listed == [reduce(xor, (cols[c] for c in np.flatnonzero(w)), 0) for w in words]

@@ -54,6 +54,7 @@ ORACLES = (
     "required_words",
     "codespace_isometry",
     "partition_eigenvector",
+    "OrthogonalArray.rows",
 )
 
 # The paper's one-observable simulators, r2 and r4 of a hop and a pair hop.
