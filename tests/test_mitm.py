@@ -212,10 +212,9 @@ class TestWideSyndromes:
                     for row in keys.view(np.uint8).reshape(len(keys), -1)]
 
         # keys read as big-endian numbers are the sorted syndromes of their combos
-        cols, keys = packed(a)[0], tables.keys[0]
-        assert numbers(keys) == sorted(numbers(keys))
-        assert numbers(keys) == [reduce(xor, (cols[c] for c in combo), 0)
-                                 for combo in tables.combos[0]]
+        cols, half = packed(a)[0], numbers(tables.keys[0])
+        assert half == sorted(half)
+        assert half == [reduce(xor, (cols[c] for c in combo), 0) for combo in tables.combos[0]]
         # the codeword list is the weight-N table, held in fixed-width arrays at any Q
         assert not any(array.dtype == object for array in enc._codespace)
         words, listed = enc.codewords(), numbers(enc._codespace[1])
