@@ -715,43 +715,21 @@ def load_pcm(path: str) -> np.ndarray:
     if len(lines) - 1 > q:
         raise ValueError(f"parity-check file {path} has {len(lines) - 1} rows; "
                          f"its header says {q}")
-    a = _pcm_digits(lines[1:], m)
-    if a is None:
-        _raise_first_bad_row(path, lines[1:], m)
+    digits = []
+    for r, ln in enumerate(lines[1:], 1):
+        entries = ln.split() if " " in ln else ln
+        if not {"0", "1"}.issuperset(entries):
+            bad = next(c for c, d in enumerate(entries, 1) if d not in ("0", "1"))
+            raise ValueError(f"parity-check file {path}: row {r}, column {bad} is "
+                             f"{entries[bad - 1]!r}; entries must be 0 or 1")
+        if len(entries) != m:
+            raise ValueError(f"parity-check file {path}: row {r} has {len(entries)} "
+                             f"entries; its header says {m}")
+        digits.append("".join(entries))
+    a = (np.frombuffer("".join(digits).encode(), dtype=np.uint8) - ord("0")).reshape(-1, m)
     if a.shape != (q, m):
         raise ValueError(f"parity-check body {a.shape} does not match header ({q}, {m})")
     return a
-
-
-def _pcm_digits(rows: list[str], m: int) -> np.ndarray | None:
-    """The rows as a uint8 matrix, read by numpy in one pass, or None unless
-    every row is m one-character entries 0 or 1."""
-    digits = []
-    for ln in rows:
-        entries = ln.split() if " " in ln else ln
-        joined = entries if isinstance(entries, str) else "".join(entries)
-        if len(entries) != m or len(joined) != m:
-            return None
-        digits.append(joined)
-    a = np.frombuffer("".join(digits).encode(), dtype=np.uint8) - ord("0")
-    if a.size != len(rows) * m or (a > 1).any():
-        return None
-    return a.reshape(len(rows), m)
-
-
-def _raise_first_bad_row(path: str, rows: list[str], m: int) -> None:
-    """The ValueError naming the first entry that is not 0 or 1, or the
-    first row whose entry count is not m."""
-    for r, ln in enumerate(rows, 1):
-        digits = ln.split() if " " in ln else list(ln)
-        bad = next((c for c, d in enumerate(digits, 1) if d not in ("0", "1")), None)
-        if bad is not None:
-            raise ValueError(f"parity-check file {path}: row {r}, column {bad} is "
-                             f"{digits[bad - 1]!r}; entries must be 0 or 1")
-        if len(digits) != m:
-            raise ValueError(f"parity-check file {path}: row {r} has {len(digits)} "
-                             f"entries; its header says {m}")
-    raise ValueError(f"parity-check file {path}: rows are not {m} entries 0 or 1")
 
 
 def apply_frames_to_isometry(frames, enc: CodeEncoding) -> np.ndarray:

@@ -7,9 +7,11 @@ cycle-with-chords family and a randomized greedy search), measures girth,
 and decodes syndromes by pairing syndrome vertices with shortest paths
 through a minimum-weight perfect matching.  Generation, girth and
 decoding share one data structure, the all-pairs distance matrix updated
-in place per added edge (capped at 2N+1 for weight-N work; the greedy
-search's trials update a stack of them together).  The incidence
-matrix's columns are the edges' vertex masks, vertex 1 most significant.
+in place per added edge: path_lengths' exact int16 matrix serves girth,
+maximality and decoding, and the greedy search's trials update a stack of
+them capped at _far.  One list of (neighbour, edge column) pairs per
+vertex serves two-colouring and path tracing.  The incidence matrix's
+columns are the edges' vertex masks, vertex 1 most significant.
 """
 
 from __future__ import annotations
@@ -70,19 +72,22 @@ class BipartiteGraph:
         return gf2.unpack_ints(self.edge_masks(), self.vertex_count).T
 
 
-def _adjacency(q: int, edges) -> dict[int, set]:
-    adj: dict[int, set] = {v: set() for v in range(1, q + 1)}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _neighbours(q: int, edges) -> list[list[tuple[int, int]]]:
+    """Each vertex's (neighbour, edge column) pairs, vertices 0-based, in edge order."""
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(q)]
+    for col, (u, v) in enumerate(edges):
+        nbrs[u - 1].append((v - 1, col))
+        nbrs[v - 1].append((u - 1, col))
+    return nbrs
 
 
-def _far(n: int) -> int:
-    """Distance cap for weight-n codes, 2n+1: joining vertices that far apart
-    closes no cycle shorter than 2n+2.  At n = 0 the cap is 2, so that edges
-    still differ from non-edges."""
-    return max(2 * n + 1, 2)
+def _far(n: int, q: int) -> int:
+    """Least distance at which an edge may join two of q vertices in a
+    weight-n code, 2n+1: joining vertices that far apart closes no cycle
+    shorter than 2n+2.  At n = 0 it is 2, so that edges still differ from
+    non-edges.  It is at most q, the distance path_lengths gives unconnected
+    vertices, as no path on q vertices is q long."""
+    return min(max(2 * n + 1, 2), q)
 
 
 def _unlinked(q: int, cap: int) -> np.ndarray:
@@ -114,24 +119,6 @@ def _link(dist: np.ndarray, a, b) -> None:
     np.minimum(dist, via_b[..., :, None] + via_a[..., None, :], out=dist)
 
 
-def distance_matrix(g: BipartiteGraph, n: int) -> np.ndarray:
-    """Q x Q path lengths, vertex v at index v-1, capped at 2n+1 (see _capped).
-
-    An entry at the cap means "at least 2n+1 apart, or not connected":
-    all that greedy generation (may an edge join these two?) and weight-n
-    decoding (paths of length at most n) ever ask.
-    """
-    return _capped(path_lengths(g)[0], n)
-
-
-def _capped(lengths: np.ndarray, n: int) -> np.ndarray:
-    """path_lengths' matrix capped at 2n+1; "not connected" (Q) reads as the
-    cap also where 2n+1 exceeds Q.  It is int16 while the cap fits, else int64."""
-    cap = _far(n)
-    lengths = lengths.astype(np.int16 if cap <= np.iinfo(np.int16).max else np.int64, copy=False)
-    return np.where(lengths < len(lengths), np.minimum(lengths, cap), cap)
-
-
 def path_lengths(g: BipartiteGraph) -> tuple[np.ndarray, float]:
     """Uncapped Q x Q int16 path lengths (Q where not connected) and the girth.
 
@@ -159,23 +146,25 @@ def girth(g: BipartiteGraph) -> float:
     return path_lengths(g)[1]
 
 
-def two_coloring(adj: dict[int, set]) -> tuple[set, set] | None:
-    """Color classes of a bipartition, or None when an odd cycle exists."""
-    color: dict[int, int] = {}
-    for start in adj:
-        if start in color:
+def two_coloring(neighbours: list[list[tuple[int, int]]]) -> tuple[set, set] | None:
+    """Color classes of a bipartition, as 1-based vertex sets, of the graph
+    whose _neighbours lists are given; None when an odd cycle exists."""
+    color = [-1] * len(neighbours)
+    for start in range(len(neighbours)):
+        if color[start] >= 0:
             continue
         color[start] = 0
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for w in adj[u]:
-                if w not in color:
+            for w, _ in neighbours[u]:
+                if color[w] < 0:
                     color[w] = color[u] ^ 1
                     queue.append(w)
                 elif color[w] == color[u]:
                     return None
-    return ({v for v, c in color.items() if c == 0}, {v for v, c in color.items() if c == 1})
+    return ({v + 1 for v, c in enumerate(color) if c == 0},
+            {v + 1 for v, c in enumerate(color) if c == 1})
 
 
 def graph_from_incidence(a) -> BipartiteGraph | None:
@@ -193,7 +182,7 @@ def graph_from_incidence(a) -> BipartiteGraph | None:
     edges = tuple((int(u), int(v)) for u, v in ends)
     if len(set(edges)) != m:
         return None
-    coloring = two_coloring(_adjacency(q, edges))
+    coloring = two_coloring(_neighbours(q, edges))
     if coloring is None:
         return None
     left, right = coloring
@@ -222,7 +211,7 @@ def cycle_chord_graph(cycle_length: int, n: int) -> BipartiteGraph:
         path = [a] + list(range(next_vertex, next_vertex + n - 1)) + [b]
         next_vertex += n - 1
         edges.extend((path[i], path[i + 1]) for i in range(n))
-    coloring = two_coloring(_adjacency(next_vertex - 1, edges))
+    coloring = two_coloring(_neighbours(next_vertex - 1, edges))
     if coloring is None:
         raise ValueError(
             f"cycle length {L} with chord length {n} creates odd cycles; "
@@ -266,8 +255,7 @@ def greedy_high_girth(q: int, n: int, trials: int = 1000, seed: int = 0) -> Bipa
     base = q // 2
     spread = sorted({max(1, base + d) for d in (0, -1, 1, -2, 2, -q // 6, q // 6)})
     splits = np.array([s for s in spread if 1 <= s <= q - 1])
-    # no path on q vertices is q long, so a cap past q changes no candidate
-    far = min(_far(n), q)
+    far = _far(n, q)
     chunk = max(1, limits.GREEDY_STACK_BUDGET // (q * q))
     best_left, best_edges = 0, []
     for start in range(0, trials, chunk):
@@ -359,9 +347,11 @@ def _randbelow(rng: random.Random, counts: list[int]) -> list[int]:
 
 
 def no_edge_addable(g: BipartiteGraph, n: int) -> bool:
-    """Maximality witness: every absent cross edge would close a short cycle."""
+    """Maximality witness: every absent cross edge would close a short cycle,
+    read off path_lengths' matrix by the greedy search's own rule (_far)."""
     left, right = (np.array(sorted(side), dtype=np.intp) - 1 for side in (g.left, g.right))
-    return not (distance_matrix(g, n)[np.ix_(left, right)] >= _far(n)).any()
+    far = _far(n, g.vertex_count)
+    return not (path_lengths(g)[0][np.ix_(left, right)] >= far).any()
 
 
 def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
@@ -419,21 +409,17 @@ def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
 class GraphDecoder:
     """Weight-n syndrome decoder of one graph, built once and reused.
 
-    Holds the distance matrix capped at 2n+1, each vertex's neighbours as
-    (vertex, edge column) pairs and the edges' vertex masks: everything
-    decode() reads per syndrome.  The distance matrix is the one Q x Q
-    table.  The girth comes from the same walk over the edges.
+    Holds path_lengths' exact Q x Q int16 matrix (Q where two vertices are
+    not connected) and its girth, from one walk over the edges, each
+    vertex's _neighbours list and the edges' vertex masks: everything
+    decode() reads per syndrome.  The matrix is the one Q x Q table.
     """
 
     def __init__(self, g: BipartiteGraph, n: int):
         self.graph = g
         self.particles = n
-        lengths, self.girth = path_lengths(g)
-        self.distances = _capped(lengths, n)
-        self.neighbours: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
-        for col, (u, v) in enumerate(g.edges):
-            self.neighbours[u - 1].append((v - 1, col))
-            self.neighbours[v - 1].append((u - 1, col))
+        self.distances, self.girth = path_lengths(g)
+        self.neighbours = _neighbours(g.vertex_count, g.edges)
         self.edge_masks = g.edge_masks()
 
     @classmethod
@@ -472,8 +458,10 @@ class GraphDecoder:
         marked = np.flatnonzero(syndrome)
         if len(marked) > 2 * n:
             return None
-        # pairs further apart than n cannot sit in a weight-n matching
-        weights = [[d if d <= n else None for d in row]
+        # pairs further apart than n cannot sit in a weight-n matching, and
+        # an entry of Q marks two vertices with no path between them
+        reach = min(n, self.graph.vertex_count - 1)
+        weights = [[d if d <= reach else None for d in row]
                    for row in self.distances[np.ix_(marked, marked)].tolist()]
         matched = min_weight_matching(weights)
         if matched is None or matched[0] != n:

@@ -6,7 +6,11 @@ code's codeword list (k = N) and the two halves here.  Keys are syndromes
 packed into big-endian uint64 words and viewed as byte strings, so they
 sort and binary-search as numbers at any Q; syndrome_key spells a searched
 syndrome alike.  Decoding splits N into halves ((N+1)//2, N//2) and searches
-every first-half key XOR the syndrome in the second half at once.  A
+every first-half key XOR the syndrome in the second half at once.  Each
+half table refuses two vectors with one syndrome, so a matrix decodes
+here only when its weight-(N+1)//2 and weight-N//2 syndromes are all
+distinct, which N-injectivity alone does not give: two equal columns are
+refused at N = 2 even for a syndrome with one weight-2 preimage.  A
 brute-force enumerator is kept alongside as the reference oracle.
 """
 

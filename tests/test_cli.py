@@ -1010,6 +1010,18 @@ class TestDecodeCommand:
         assert rc == 2 and out == ""
         assert err.startswith("error:") and "more than one" in err
 
+    def test_equal_half_weight_syndromes_are_refused(self, tmp_path, capsys):
+        # columns 1 and 2 are equal, so the weight-1 half table refuses the
+        # matrix, although 0011 is the one weight-2 preimage of 011
+        a = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 0, 1]], dtype=np.uint8)
+        assert brute_force_decode(a, 2, [0, 1, 1]).tolist() == [0, 0, 1, 1]
+        check = tmp_path / "a.pcm"
+        check.write_text("3 4\n1100\n1110\n0001\n")
+        rc = main(["decode", "--check", str(check), "--particles", "2", "--syndrome", "011"])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == "error: two weight-1 vectors share syndrome 110\n"
+
     @pytest.mark.parametrize("body,argv,where", [
         ("2 3\n101\n012\n", ["--syndrome", "11"], "row 2, column 3 is '2'"),
         ("2 3\n101\n011\n110\n", ["--syndrome", "11"], "has 3 rows; its header says 2"),
@@ -1236,6 +1248,59 @@ class TestVerifyCommand:
         assert captured.out == ""
         assert captured.err == (f"error: FERTAPER_MAX_DENSE_QUBITS must be a non-negative "
                                 f"integer, got {value!r}\n")
+
+
+def refusal_inputs(tmp_path) -> None:
+    """The files the refusals below read, written into tmp_path."""
+    from fertaper.fermion import random_hamiltonian
+
+    save_graph(cycle_chord_graph(8, 2), str(tmp_path / "fig3.graph"))  # 16 edges
+    files = {
+        "h4.json": random_hamiltonian(4, 2, np.random.default_rng(1)).to_json(),
+        "h5.json": random_hamiltonian(5, 4, np.random.default_rng(1)).to_json(),
+        "m0.json": '{"modes": 0, "particles": 0, "t": [], "u": []}',
+        "p0.json": '{"modes": 4, "particles": 0, "t": [], "u": []}',
+        "p3.json": '{"modes": 2, "particles": 3, "t": [], "u": []}',
+        "empty.txt": "",
+        "zz.txt": "# qubits 2\n1 0 ZZ\n",
+        "c3.pcm": "3 3\n100\n010\n001\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+
+
+REFUSALS = [
+    (["encode", "--input", "m0.json", "--map", "parity", "--output", "o.txt"],
+     "need at least one mode"),
+    (["taper", "--input", "empty.txt", "--output", "t.txt"], "no Pauli terms found"),
+    (["taper", "--input", "zz.txt", "--output", "t.txt", "--sector", "+x"],
+     "sector string must be over +/-, got '+x'"),
+    (["graphgen", "--qubits", "1", "--particles", "1", "--trials", "1", "--out", "g.graph"],
+     "need at least two vertices"),
+    (["codesim", "--graph", "fig3.graph", "--input", "h4.json", "--output", "o.json"],
+     "mode count mismatch"),
+    (["codesim", "--check", "c3.pcm", "--input", "h5.json", "--output", "o.json"],
+     "particle count out of range"),
+    (["firstq", "--input", "p0.json", "--emit-bins", "b.json"],
+     "need at least one mode and one particle"),
+    (["firstq", "--input", "p3.json", "--emit-bins", "b.json"],
+     "particle count outside 0..modes"),
+]
+
+
+@pytest.mark.parametrize("argv,message", REFUSALS, ids=[
+    "encode-no-modes", "taper-no-terms", "taper-bad-sector", "graphgen-one-vertex",
+    "codesim-mode-mismatch", "codesim-too-many-particles", "firstq-no-particles",
+    "firstq-particles-past-modes"])
+def test_refusal_is_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
+    refusal_inputs(tmp_path)
+    inputs = sorted(tmp_path.iterdir())
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == inputs  # no output file written
 
 
 class TestParser:

@@ -1090,7 +1090,11 @@ class TestPcmFile:
         ("2 3\n101\n0110\n", "row 2 has 4 entries; its header says 3"),
         ("2\n101\n011\n", "header '2' is not \"Q M\""),
         ("2 x\n101\n011\n", "header '2 x' is not \"Q M\""),
-    ], ids=["digit-2", "letter", "extra-row", "long-row", "short-header", "bad-header"])
+        ("2 3\n1\t0\t1\n011\n", r"row 1, column 2 is '\\t'; entries must be 0 or 1"),
+        ("2 2\n00 1\n01\n", "row 1, column 1 is '00'; entries must be 0 or 1"),
+        ("3 3\n101\n011\n10\n", "row 3 has 2 entries; its header says 3"),
+    ], ids=["digit-2", "letter", "extra-row", "long-row", "short-header", "bad-header",
+            "tab-separated", "spaced-two-digits", "short-row-after-good-rows"])
     def test_bad_body_names_the_position(self, tmp_path, text, where):
         path = tmp_path / "bad.pcm"
         path.write_text(text)

@@ -14,12 +14,13 @@ from fertaper.codeword import CodeEncoding, is_n_injective
 from fertaper.graphs import (
     BipartiteGraph,
     GraphDecoder,
-    _adjacency,
     _far,
+    _link,
     _lockstep,
+    _neighbours,
     _randbelow,
+    _unlinked,
     cycle_chord_graph,
-    distance_matrix,
     girth,
     graph_decode,
     graph_from_incidence,
@@ -27,6 +28,7 @@ from fertaper.graphs import (
     load_graph,
     min_weight_matching,
     no_edge_addable,
+    path_lengths,
     save_graph,
     two_coloring,
 )
@@ -275,7 +277,7 @@ class TestGreedy:
         splits = np.array(greedy_splits(q))
         for n, trials, seed in itertools.product(range(4), (1, q, 2 * q, 3 * q + 1), (0, 1)):
             left = splits[np.arange(trials) % len(splits)]
-            far = min(_far(n), q)
+            far = _far(n, q)
             rngs = random.Random(seed), random.Random(seed)
             got = [_lockstep(q, far, left, rng, trials_inner=inner)
                    for rng, inner in zip(rngs, (False, True))]
@@ -350,6 +352,34 @@ class TestGreedy:
             assert girth(g) >= 2 * n + 2
             assert no_edge_addable(g, n)
 
+    @settings(max_examples=300, deadline=None)
+    @given(bipartite_graphs(), st.integers(0, 6))
+    def test_maximality_agrees_with_adding_each_absent_edge(self, drawn, n):
+        """no_edge_addable against girth >= 2N+2 after each absent cross edge
+        is added, on girth >= 2N+2 graphs kept from the drawn edges in order;
+        up to 10 vertices, so 2N+1 passes Q from N = 5 on."""
+        g = BipartiteGraph(drawn.left, drawn.right, ())
+        for e in drawn.edges:
+            grown = BipartiteGraph(g.left, g.right, g.edges + (e,))
+            if brute_force_girth(grown) >= 2 * n + 2:
+                g = grown
+        absent = [(u, v) for u in sorted(g.left) for v in sorted(g.right)
+                  if (u, v) not in g.edges]
+        addable = [e for e in absent if brute_force_girth(
+            BipartiteGraph(g.left, g.right, g.edges + (e,))) >= 2 * n + 2]
+        assert no_edge_addable(g, n) == (not addable)
+
+    @pytest.mark.parametrize("q", [2, 3, 5, 8, 11])
+    def test_maximality_past_the_vertex_count(self, q):
+        # from N = Q/2 on, 2N+2 > Q leaves room for no cycle, so the maximal graphs
+        # are the spanning trees, and the far rule reads Q
+        for n in (q // 2, q, 3 * q):
+            g = greedy_high_girth(q, n, trials=4, seed=q)
+            assert g.edge_count == q - 1 and no_edge_addable(g, n)
+            for k in range(g.edge_count):
+                assert not no_edge_addable(
+                    BipartiteGraph(g.left, g.right, g.edges[:k] + g.edges[k + 1:]), n)
+
     def test_incidence_injectivity(self):
         g = greedy_high_girth(12, 2, trials=30, seed=4)
         assert is_n_injective(g.incidence_matrix(), 2)
@@ -358,8 +388,9 @@ class TestGreedy:
         g = greedy_high_girth(9, 2, trials=10, seed=8)
         a = g.incidence_matrix()
         assert (a.sum(axis=0) == 2).all()
-        left, right = two_coloring(_adjacency(g.vertex_count, g.edges))
+        left, right = two_coloring(_neighbours(g.vertex_count, g.edges))
         assert left | right == set(range(1, 10))
+        assert (left, right) == (set(g.left), set(g.right))
 
     def test_first_data_point(self):
         g = greedy_high_girth(12, 2, trials=200, seed=0)
@@ -368,7 +399,10 @@ class TestGreedy:
 
 
 def bfs_distances(g, source):
-    adj = _adjacency(g.vertex_count, g.edges)
+    adj = {v: set() for v in range(1, g.vertex_count + 1)}
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
     dist = {source: 0}
     queue = deque([source])
     while queue:
@@ -382,10 +416,11 @@ def bfs_distances(g, source):
 
 class TestDistanceMatrix:
     def test_vertex_cap_before_the_matrix(self, monkeypatch):
-        # girth, distance_matrix and GraphDecoder all start from path_lengths
+        # girth, no_edge_addable and GraphDecoder all start from path_lengths
         monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", 9)
         g = BipartiteGraph(frozenset(range(1, 6)), frozenset(range(6, 11)), ((1, 6),))
-        for build in (girth, lambda g: distance_matrix(g, 1), lambda g: GraphDecoder(g, 1)):
+        for build in (path_lengths, girth, lambda g: no_edge_addable(g, 1),
+                      lambda g: GraphDecoder(g, 1)):
             with pytest.raises(ValueError, match="graph on 10 vertices exceeds the cap of 9"):
                 build(g)
         monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", 10)
@@ -393,35 +428,76 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_capped_bfs_distances(self, n, fig3_graph):
-        cap = max(2 * n + 1, 2)
+        # the greedy search's matrices: _link keeps every entry within the cap
         for g in (fig3_graph, path_graph(), greedy_high_girth(15, 2, trials=3, seed=n),
                   BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3),))):
-            dist = distance_matrix(g, n)
+            cap = _far(n, g.vertex_count)
+            dist = _unlinked(g.vertex_count, cap)
+            for u, v in g.edges:
+                _link(dist, u - 1, v - 1)
             assert dist.dtype == np.int16
             for u in range(1, g.vertex_count + 1):
                 reach = bfs_distances(g, u)
                 want = [min(reach.get(v, cap), cap) for v in range(1, g.vertex_count + 1)]
                 assert dist[u - 1].tolist() == want
 
-    def test_decoder_keeps_the_girth_and_capped_distances_of_one_walk(self, fig3_graph):
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6, 12, 20000])
+    def test_decoder_distances_are_exact_at_any_particle_count(self, n, fig3_graph):
+        # BFS lengths, Q where unconnected, at N below and at or past Q
+        for g in (fig3_graph, path_graph(), greedy_high_girth(15, 2, trials=3, seed=n),
+                  BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3),)),
+                  BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3), (2, 4)))):
+            q = g.vertex_count
+            dist = GraphDecoder(g, n).distances
+            assert dist.dtype == np.int16
+            assert np.array_equal(dist, path_lengths(g)[0])
+            for u in range(1, q + 1):
+                reach = bfs_distances(g, u)
+                assert dist[u - 1].tolist() == [reach.get(v, q) for v in range(1, q + 1)]
+
+    def test_decoder_keeps_the_girth_and_exact_distances_of_one_walk(self, fig3_graph):
         for g, n in ((fig3_graph, 2), (greedy_high_girth(48, 4, trials=3, seed=6), 4)):
             decoder = GraphDecoder(g, n)
             assert decoder.girth == brute_force_girth(g)
-            cap = 2 * n + 1
-            for u in range(1, g.vertex_count + 1):
+            q = g.vertex_count
+            for u in range(1, q + 1):
                 reach = bfs_distances(g, u)
-                want = [min(reach.get(v, cap), cap) for v in range(1, g.vertex_count + 1)]
+                want = [reach.get(v, q) for v in range(1, q + 1)]
                 assert decoder.distances[u - 1].tolist() == want
 
-    def test_a_cap_past_int16_widens_the_distances(self, fig3_graph):
-        # N = 20000 caps at 40001, which int16 does not hold
-        cap = 2 * 20000 + 1
+    def test_unconnected_pair_is_no_path_at_n_past_q(self):
+        # vertices 1 and 2 lie in different components, path_lengths' Q = 4
+        # apart; at N = 4 that reads as no path, not as a path of length 4
+        g = BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3), (2, 4)))
+        assert GraphDecoder(g, 4).decode(np.array([1, 1, 0, 0], dtype=np.uint8)) is None
+
+    def test_decoder_holds_no_matrix_but_path_lengths(self):
+        """On a 512-cycle the decoder peaks no higher than path_lengths
+        itself plus the neighbour lists built after it (the matrix capped
+        at 2N+1 beside it raised the peak from 1.0 to 1.75 MiB)."""
+        q = 512
+        ring = BipartiteGraph(frozenset(range(1, q + 1, 2)), frozenset(range(2, q + 1, 2)),
+                              tuple((i, i % q + 1) for i in range(1, q + 1)))
+        peaks = []
+        for build in (path_lengths, lambda g: _neighbours(q, g.edges),
+                      lambda g: GraphDecoder(g, 3)):
+            tracemalloc.start()
+            try:
+                kept = build(ring)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del kept
+        lengths, neighbours, decoder = peaks
+        assert decoder <= lengths + neighbours
+
+    def test_a_particle_count_past_int16_decodes(self, fig3_graph):
+        # N = 20000: 2N+1 = 40001 does not fit int16, and the exact matrix needs no room for it
         decoder = GraphDecoder(fig3_graph, 20000)
-        assert decoder.distances.dtype == np.int64
-        assert np.array_equal(decoder.distances, distance_matrix(fig3_graph, 20000))
+        assert np.array_equal(decoder.distances, path_lengths(fig3_graph)[0])
         for u in range(1, fig3_graph.vertex_count + 1):
             reach = bfs_distances(fig3_graph, u)
-            want = [reach.get(v, cap) for v in range(1, fig3_graph.vertex_count + 1)]
+            want = [reach[v] for v in range(1, fig3_graph.vertex_count + 1)]
             assert decoder.distances[u - 1].tolist() == want
         occ = np.zeros(fig3_graph.edge_count, dtype=np.uint8)
         occ[:2] = 1
@@ -442,7 +518,7 @@ class TestDistanceMatrix:
         occ[:n] = 1
         assert enc.decode(syndrome(enc.matrix, occ)).occ == tuple(occ)
         assert len(links) == g.edge_count
-        assert np.array_equal(enc._graph_decoder.distances, distance_matrix(g, n))
+        assert np.array_equal(enc._graph_decoder.distances, path_lengths(g)[0])
 
     def test_particle_count_must_be_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
