@@ -473,8 +473,8 @@ class TestDistanceMatrix:
 
     def test_decoder_holds_no_matrix_but_path_lengths(self):
         """On a 512-cycle the decoder peaks no higher than path_lengths
-        itself plus the neighbour lists built after it (the matrix capped
-        at 2N+1 beside it raised the peak from 1.0 to 1.75 MiB)."""
+        itself plus the neighbour lists built after it: it holds no second
+        Q x Q matrix."""
         q = 512
         ring = BipartiteGraph(frozenset(range(1, q + 1, 2)), frozenset(range(2, q + 1, 2)),
                               tuple((i, i % q + 1) for i in range(1, q + 1)))
