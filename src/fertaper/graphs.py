@@ -6,12 +6,14 @@ the girth is at least 2N+2.  This module generates such graphs (a
 cycle-with-chords family and a randomized greedy search), measures girth,
 and decodes syndromes by pairing syndrome vertices with shortest paths
 through a minimum-weight perfect matching.  Generation, girth and
-decoding share one data structure, the all-pairs distance matrix updated
-in place per added edge: path_lengths' exact int16 matrix serves girth,
-maximality and decoding, and the greedy search's trials update a stack of
-them capped at _far.  One list of (neighbour, edge column) pairs per
-vertex serves two-colouring and path tracing.  The incidence matrix's
-columns are the edges' vertex masks, vertex 1 most significant.
+decoding share one data structure, the all-pairs distance matrix, which
+_link updates in place as an edge is added: path_lengths' exact int16
+matrix starts from a BFS spanning forest's distances and links only the
+edges outside the forest, and serves girth, maximality and decoding; the
+greedy search's trials link every edge they draw into a stack of such
+matrices capped at _far.  One list of (neighbour, edge column) pairs per
+vertex serves the forest, two-colouring and path tracing.  The incidence
+matrix's columns are the edges' vertex masks, vertex 1 most significant.
 """
 
 from __future__ import annotations
@@ -119,25 +121,82 @@ def _link(dist: np.ndarray, a, b) -> None:
     np.minimum(dist, via_b[..., :, None] + via_a[..., None, :], out=dist)
 
 
-def path_lengths(g: BipartiteGraph) -> tuple[np.ndarray, float]:
+def _forest_distances(q: int, neighbours, m: int) -> tuple[np.ndarray, list[bool]]:
+    """Path lengths within a BFS spanning forest of the graph whose
+    _neighbours lists are given (int16, q between components), and which of
+    its m edge columns are the forest's edges.
+
+    The BFS runs from each unvisited vertex in turn.  A root's row holds the
+    BFS depths of its component; any other vertex's row is its parent's
+    plus one outside its own subtree and minus one inside it, the sign read
+    off a q x q int8 ancestor mask filled level by level from the roots
+    down.  Levels are filled in slices of at most 64 vertices, so the
+    temporaries stay within 64 rows beside the matrix and the mask (3 q^2
+    bytes), and the mask is gone on return.
+    """
+    parent, depth, root = [-1] * q, [0] * q, [-1] * q
+    by_depth: list[list[int]] = [[]]  # non-root vertices by depth, from 1
+    in_tree = [False] * m
+    for start in range(q):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        queue = [start]
+        for u in queue:
+            for w, col in neighbours[u]:
+                if root[w] < 0:
+                    parent[w], depth[w], root[w] = u, depth[u] + 1, start
+                    if depth[w] == len(by_depth):
+                        by_depth.append([])
+                    by_depth[depth[w]].append(w)
+                    in_tree[col] = True
+                    queue.append(w)
+    parent = np.array(parent, dtype=np.intp)
+    levels = [(lev, parent[lev]) for ws in by_depth[1:]
+              for lev in (np.array(ws[i:i + 64]) for i in range(0, len(ws), 64))]
+    anc = np.ones((q, q), dtype=np.int8)  # anc[x, v]: -1 if v is x or an ancestor of x, else 1
+    np.fill_diagonal(anc, -1)
+    for lev, up in levels:
+        anc[lev] = anc[up]
+        anc[lev, lev] = -1
+    dist = np.full((q, q), q, dtype=np.int16)
+    dist[np.array(root, dtype=np.intp), np.arange(q)] = depth
+    for lev, up in levels:
+        rows = dist[up]
+        rows += anc[:, lev].T
+        dist[lev] = rows
+    np.minimum(dist, q, out=dist)  # rows of other components went past q, at most to 2q - 1
+    return dist, in_tree
+
+
+def path_lengths(g: BipartiteGraph, neighbours=None) -> tuple[np.ndarray, float]:
     """Uncapped Q x Q int16 path lengths (Q where not connected) and the girth.
+
+    neighbours are g's _neighbours lists, built here unless the caller has
+    them.  The matrix starts as the distances within a BFS spanning forest
+    (_forest_distances); then _link adds each edge outside the forest, one
+    per independent cycle (E - Q + C for C components), not one per edge.
 
     The girth is the length of the shortest cycle, or math.inf for a
     forest.  Every cycle closes when the last of its edges is added, at
     one more than the distance that edge then spans, and that distance
     plus one is itself a cycle's length; so the girth is the least such
-    value as the edges are added in order to a distance matrix.  Q stands
-    for "not connected": no path on Q vertices is that long.  A graph over
-    limits.GRAPH_VERTEX_CAP vertices is refused before the matrix is built.
+    value as the edges are added to a distance matrix.  No forest edge
+    closes a cycle, so adding all of them first leaves that argument
+    whole, and only the edges outside the forest are read.  Q stands for
+    "not connected": no path on Q vertices is that long.  A graph over
+    limits.GRAPH_VERTEX_CAP vertices is refused before anything is built.
     """
     q = g.vertex_count
     limits.check_graph_vertices(q)
-    dist = _unlinked(q, q)
+    if neighbours is None:
+        neighbours = _neighbours(q, g.edges)
+    dist, in_tree = _forest_distances(q, neighbours, g.edge_count)
     best = math.inf
-    for u, v in g.edges:
-        if dist[u - 1, v - 1] < q:
+    for (u, v), tree in zip(g.edges, in_tree):
+        if not tree:
             best = min(best, int(dist[u - 1, v - 1]) + 1)
-        _link(dist, u - 1, v - 1)
+            _link(dist, u - 1, v - 1)
     return dist, best
 
 
@@ -409,17 +468,18 @@ def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
 class GraphDecoder:
     """Weight-n syndrome decoder of one graph, built once and reused.
 
-    Holds path_lengths' exact Q x Q int16 matrix (Q where two vertices are
-    not connected) and its girth, from one walk over the edges, each
-    vertex's _neighbours list and the edges' vertex masks: everything
-    decode() reads per syndrome.  The matrix is the one Q x Q table.
+    Holds each vertex's _neighbours list, path_lengths' exact Q x Q int16
+    matrix (Q where two vertices are not connected) and its girth, built
+    from those lists by one BFS forest and one _link per edge outside it,
+    and the edges' vertex masks: everything decode() reads per syndrome.
+    The matrix is the one Q x Q table.
     """
 
     def __init__(self, g: BipartiteGraph, n: int):
         self.graph = g
         self.particles = n
-        self.distances, self.girth = path_lengths(g)
         self.neighbours = _neighbours(g.vertex_count, g.edges)
+        self.distances, self.girth = path_lengths(g, self.neighbours)
         self.edge_masks = g.edge_masks()
 
     @classmethod

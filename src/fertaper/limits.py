@@ -25,8 +25,9 @@ PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register s
 MODE_CAP = 1024
 # vertices of a graph that is generated, loaded or read off a parity-check matrix: its
 # girth and decoder hold one Q x Q distance matrix each (8 MiB of int16 at this cap; a
-# 2048-cycle's decoder holds 9 MiB in all), the greedy search one per trial, and each
-# added edge builds a few temporaries that size
+# 2048-cycle's decoder holds 9 MiB in all), the greedy search one per trial; the build
+# adds a Q x Q int8 ancestor mask, then one temporary the matrix's size per edge outside
+# a BFS spanning forest (a 2048-cycle's takes 0.07 s), and each greedy step one per trial
 GRAPH_VERTEX_CAP = 2048
 # entries in the (trials, Q, Q) distance stack the greedy search's trials share; more
 # trials run in consecutive stacks, and one trial runs alone past it

@@ -45,6 +45,12 @@ def path_graph():
     return BipartiteGraph(frozenset({1, 2}), frozenset({3}), ((1, 3), (2, 3)))
 
 
+def ring_graph(q):
+    """The q-cycle 1-2-...-q-1, q even."""
+    return BipartiteGraph(frozenset(range(1, q + 1, 2)), frozenset(range(2, q + 1, 2)),
+                          tuple((i, i % q + 1) for i in range(1, q + 1)))
+
+
 def brute_force_girth(g):
     """Shortest cycle, edge by edge: one plus the distance between the edge's
     ends once the edge itself is taken out (the oracle for girth)."""
@@ -82,9 +88,21 @@ class TestGirth:
     @settings(max_examples=300, deadline=None)
     @given(bipartite_graphs())
     def test_matches_brute_force_on_random_bipartite_graphs(self, g):
-        got = girth(g)
+        dist, got = path_lengths(g)
         assert got == brute_force_girth(g)
         assert got == math.inf or type(got) is int
+        q = g.vertex_count
+        assert dist.dtype == np.int16
+        for u in range(1, q + 1):
+            reach = bfs_distances(g, u)
+            assert dist[u - 1].tolist() == [reach.get(v, q) for v in range(1, q + 1)]
+
+    def test_a_cycle_at_the_vertex_cap(self):
+        q = limits.GRAPH_VERTEX_CAP
+        dist, got = path_lengths(ring_graph(q))
+        assert got == q
+        k = np.arange(q)
+        assert np.array_equal(dist[0], np.minimum(k, q - k))
 
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
     def test_long_cycles_in_any_edge_order(self, length):
@@ -476,8 +494,7 @@ class TestDistanceMatrix:
         itself plus the neighbour lists built after it: it holds no second
         Q x Q matrix."""
         q = 512
-        ring = BipartiteGraph(frozenset(range(1, q + 1, 2)), frozenset(range(2, q + 1, 2)),
-                              tuple((i, i % q + 1) for i in range(1, q + 1)))
+        ring = ring_graph(q)
         peaks = []
         for build in (path_lengths, lambda g: _neighbours(q, g.edges),
                       lambda g: GraphDecoder(g, 3)):
@@ -490,6 +507,23 @@ class TestDistanceMatrix:
             del kept
         lengths, neighbours, decoder = peaks
         assert decoder <= lengths + neighbours
+
+    def test_path_lengths_peaks_at_the_matrix_and_one_link(self):
+        """On a 512-cycle the build peaks at two Q x Q int16 arrays, the
+        matrix and one _link temporary, plus O(Q): the forest's Q x Q
+        ancestor mask is gone before the one edge outside the forest is
+        linked."""
+        q = 512
+        ring = ring_graph(q)
+        neighbours = _neighbours(q, ring.edges)
+        tracemalloc.start()
+        try:
+            kept = path_lengths(ring, neighbours)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kept[1] == q
+        assert peak <= 2 * q * q * 2 + 256 * q
 
     def test_a_particle_count_past_int16_decodes(self, fig3_graph):
         # N = 20000: 2N+1 = 40001 does not fit int16, and the exact matrix needs no room for it
@@ -517,7 +551,10 @@ class TestDistanceMatrix:
         occ = np.zeros(g.edge_count, dtype=np.uint8)
         occ[:n] = 1
         assert enc.decode(syndrome(enc.matrix, occ)).occ == tuple(occ)
-        assert len(links) == g.edge_count
+        # one walk: a _link per edge outside the BFS forest, the cycle rank E - Q + C
+        components = len({min(bfs_distances(g, u)) for u in range(1, g.vertex_count + 1)})
+        assert len(links) == g.edge_count - g.vertex_count + components
+        assert len(links) == (5 if which == "fig3" else 59 - 48 + components)
         assert np.array_equal(enc._graph_decoder.distances, path_lengths(g)[0])
 
     def test_particle_count_must_be_non_negative(self):
