@@ -121,22 +121,37 @@ def _link(dist: np.ndarray, a, b) -> None:
     np.minimum(dist, via_b[..., :, None] + via_a[..., None, :], out=dist)
 
 
-def _forest_distances(q: int, neighbours, m: int) -> tuple[np.ndarray, list[bool]]:
-    """Path lengths within a BFS spanning forest of the graph whose
-    _neighbours lists are given (int16, q between components), and which of
-    its m edge columns are the forest's edges.
+def path_lengths(g: BipartiteGraph, neighbours=None) -> tuple[np.ndarray, float]:
+    """Uncapped Q x Q int16 path lengths (Q where not connected) and the girth.
 
-    The BFS runs from each unvisited vertex in turn.  A root's row holds the
-    BFS depths of its component; any other vertex's row is its parent's
-    plus one outside its own subtree and minus one inside it, the sign read
-    off a q x q int8 ancestor mask filled level by level from the roots
-    down.  Levels are filled in slices of at most 64 vertices, so the
-    temporaries stay within 64 rows beside the matrix and the mask (3 q^2
-    bytes), and the mask is gone on return.
+    neighbours are g's _neighbours lists, built here unless the caller has
+    them.  A BFS from each unvisited vertex in turn grows a spanning
+    forest, whose distances fill the matrix level by level: a root's row
+    holds the BFS depths of its component, and any other vertex's row is
+    its parent's plus one outside its own subtree and minus one inside it,
+    the sign read off a Q x Q int8 ancestor mask.  Levels go in slices of
+    at most 64 vertices, so their temporaries stay small beside the matrix
+    and the mask, and the mask is freed before _link adds the edges
+    outside the forest: one per independent cycle, E - Q + C for C
+    components, not one per edge.
+
+    The girth is the length of the shortest cycle, or math.inf for a
+    forest.  Every cycle closes when the last of its edges is added, at
+    one more than the distance that edge then spans, and that distance
+    plus one is itself a cycle's length; so the girth is the least such
+    value as the edges are added to a distance matrix.  No forest edge
+    closes a cycle, so with all of them added first the argument holds,
+    and only the edges outside the forest are read.  Q stands for "not
+    connected": no path on Q vertices is that long.  A graph over
+    limits.GRAPH_VERTEX_CAP vertices is refused before anything is built.
     """
+    q = g.vertex_count
+    limits.check_graph_vertices(q)
+    if neighbours is None:
+        neighbours = _neighbours(q, g.edges)
     parent, depth, root = [-1] * q, [0] * q, [-1] * q
     by_depth: list[list[int]] = [[]]  # non-root vertices by depth, from 1
-    in_tree = [False] * m
+    in_tree = [False] * g.edge_count
     for start in range(q):
         if root[start] >= 0:
             continue
@@ -165,33 +180,8 @@ def _forest_distances(q: int, neighbours, m: int) -> tuple[np.ndarray, list[bool
         rows = dist[up]
         rows += anc[:, lev].T
         dist[lev] = rows
+    del anc, levels, by_depth  # the links read none of them; the mask alone is Q^2 bytes
     np.minimum(dist, q, out=dist)  # rows of other components went past q, at most to 2q - 1
-    return dist, in_tree
-
-
-def path_lengths(g: BipartiteGraph, neighbours=None) -> tuple[np.ndarray, float]:
-    """Uncapped Q x Q int16 path lengths (Q where not connected) and the girth.
-
-    neighbours are g's _neighbours lists, built here unless the caller has
-    them.  The matrix starts as the distances within a BFS spanning forest
-    (_forest_distances); then _link adds each edge outside the forest, one
-    per independent cycle (E - Q + C for C components), not one per edge.
-
-    The girth is the length of the shortest cycle, or math.inf for a
-    forest.  Every cycle closes when the last of its edges is added, at
-    one more than the distance that edge then spans, and that distance
-    plus one is itself a cycle's length; so the girth is the least such
-    value as the edges are added to a distance matrix.  No forest edge
-    closes a cycle, so adding all of them first leaves that argument
-    whole, and only the edges outside the forest are read.  Q stands for
-    "not connected": no path on Q vertices is that long.  A graph over
-    limits.GRAPH_VERTEX_CAP vertices is refused before anything is built.
-    """
-    q = g.vertex_count
-    limits.check_graph_vertices(q)
-    if neighbours is None:
-        neighbours = _neighbours(q, g.edges)
-    dist, in_tree = _forest_distances(q, neighbours, g.edge_count)
     best = math.inf
     for (u, v), tree in zip(g.edges, in_tree):
         if not tree:
