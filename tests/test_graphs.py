@@ -494,7 +494,8 @@ class TestDistanceMatrix:
         itself plus the neighbour lists built after it: it holds no second
         Q x Q matrix."""
         q = 512
-        ring = ring_graph(q)
+        ring = BipartiteGraph(frozenset(range(1, q + 1, 2)), frozenset(range(2, q + 1, 2)),
+                              tuple((i, i % q + 1) for i in range(1, q + 1)))
         peaks = []
         for build in (path_lengths, lambda g: _neighbours(q, g.edges),
                       lambda g: GraphDecoder(g, 3)):
