@@ -59,14 +59,14 @@ EMPTY_CODE = BipartiteGraph(
     ((1, 6), (1, 7), (1, 8), (2, 5), (2, 6), (3, 5), (3, 7), (4, 5), (4, 8)))
 
 
-def spin_conserving(seed: int) -> FermionHamiltonian:
-    """Seeded M=8 instance that conserves each spin species (odd modes up)."""
-    h = random_hamiltonian(MODES, 4, np.random.default_rng(seed), interaction_pairs=24)
-    spin = np.arange(1, MODES + 1) % 2
+def spin_conserving(seed: int, modes: int = MODES, pairs: int = 24) -> FermionHamiltonian:
+    """Seeded instance that conserves each spin species (odd modes up); M=8 by default."""
+    h = random_hamiltonian(modes, 4, np.random.default_rng(seed), interaction_pairs=pairs)
+    spin = np.arange(1, modes + 1) % 2
     t = np.where(spin[:, None] == spin[None, :], h.t, 0)
     u = {k: v for k, v in h.u.items()
          if sorted((spin[k[0] - 1], spin[k[1] - 1])) == sorted((spin[k[2] - 1], spin[k[3] - 1]))}
-    return FermionHamiltonian(MODES, 4, t, u)
+    return FermionHamiltonian(modes, 4, t, u)
 
 
 def digest(path: Path) -> str:
@@ -93,6 +93,25 @@ ENCODE_TAPER_DIGESTS = {
     ("bintree", 12): ("b71f31e0851c94d50682f5caf62531f8ab0b1b23c31ea4e0e79032a8577e3d48",
                       "f0c2027990fbae9c64c4fbac31b8fc6504e083f68f20ac7457420ecaf9feb6be",
                       "f952ea1dca66718a6c506a9e792beec959f72191f922dbc105085a2e271fc95f"),
+}
+
+# (encode text, taper --sector ++ text, taper report) per (map, modes, pairs), on
+# spin_conserving(modes, modes, pairs) (M=16: 493 terms; M=72: 6010 terms,
+# past the 64 qubits of a uint64 mask).  Recorded from the per-term loops of
+# encode, kernel_basis and clifford_transform that the mask-array stages replaced.
+WIDE_ENCODE_TAPER_DIGESTS = {
+    ("jw", 16, 64): ("bd7fa4f72eb10d54d05c392bbb6f8c8e5d1586be7d5fd3c2076a9fad2395672c",
+                 "19852d352584a6c35588ad0f1a3eadff0f0abaaf64321bc5c0b8cec1ff6adcab",
+                 "0175d586bd67fa632792f248d94b8589310498cfcf555202a8dab3d5a750b869"),
+    ("parity", 16, 64): ("8c68ccbeee109325939b36a5429800f51bec45df12a51e05edddb2d1e0c882e1",
+                     "3261c5c1bc023d2b3dc26398e55e20859040d9a3eb26e091f4dbdb601854de5c",
+                     "54c617a270fa1d58c259f8072c3541ae10561377b86b5db137eac62096b88541"),
+    ("bintree", 16, 64): ("130cc7cd20bcf1ae0c812ec0b8d1f49d8e1f729305877d53fbb1a1f18ca01525",
+                      "59602ec0d8afb946e3c3991025139dd0a2fbe0266d0066658768c4561f367ef1",
+                      "a6b008a72770876a2948f50b22c44beab2b4d3f8397116896f9152448d5ac654"),
+    ("jw", 72, 144): ("9e04f74844bba21bc76e7719488af9f71dbe8686107766de196e29947458bb45",
+                 "2265bbe584d1ce2cb9cd4974a03cf81dadc185dc294461a408b56ff42de6353a",
+                 "b3f749dc2c7bab058d9a2e8b5d9495a30a0a25fb27a6e8d057aae2c8b22490ef"),
 }
 
 # (qubits, particles, trials, seed) -> graphgen output file
@@ -146,6 +165,18 @@ def test_encode_and_taper_bytes(tmp_path, monkeypatch, mapping, seed):
     assert main(["taper", "--input", "q.txt", "--output", "t.txt", "--report", "r.json"]) == 0
     got = tuple(digest(Path(name)) for name in ("q.txt", "t.txt", "r.json"))
     assert got == ENCODE_TAPER_DIGESTS[(mapping, seed)]
+
+
+@pytest.mark.parametrize("spec", sorted(WIDE_ENCODE_TAPER_DIGESTS))
+def test_wide_encode_and_taper_bytes(tmp_path, monkeypatch, spec):
+    mapping, modes, pairs = spec
+    monkeypatch.chdir(tmp_path)
+    Path("h.json").write_text(spin_conserving(modes, modes, pairs).to_json())
+    assert main(["encode", "--input", "h.json", "--map", mapping, "--output", "q.txt"]) == 0
+    assert main(["taper", "--input", "q.txt", "--sector", "++", "--output", "t.txt",
+                 "--report", "r.json"]) == 0
+    got = tuple(digest(Path(name)) for name in ("q.txt", "t.txt", "r.json"))
+    assert got == WIDE_ENCODE_TAPER_DIGESTS[spec]
 
 
 def test_firstq_bins_bytes(tmp_path):
