@@ -50,6 +50,7 @@ from fertaper.pauli import (
     _labels,
     hamiltonian_from_text,
     hamiltonian_to_text,
+    mask_array,
 )
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
@@ -142,10 +143,11 @@ def _cmd_taper(args) -> int:
     report.generators = [g.label for g in plan.generators]
     report.paired_qubits = list(plan.paired_qubits)
 
-    # pauli.commutes on the packed masks: no PauliOperator per input term
+    # pauli.commutes as one array parity per generator over every input term
+    x, z = mask_array(h.x_masks, h.qubit_count), mask_array(h.z_masks, h.qubit_count)
     report.add_check("generators_commute", not any(
-        ((g.x_mask & z) ^ (g.z_mask & x)).bit_count() & 1
-        for g in plan.generators for x, z in zip(h.x_masks, h.z_masks)))
+        (gf2.popcounts((x & g.z_mask) ^ (z & g.x_mask), h.qubit_count) & 1).any()
+        for g in plan.generators))
 
     sectors = None if enumerate_all else [_parse_sector(args.sector)]
     if report.qubits_after <= limits.SECTOR_QUBIT_CAP:

@@ -49,14 +49,45 @@ def uint64_words(values, length: int) -> np.ndarray:
     the most significant word first: one word per 64 bits, rounded up.
 
     Up to 64 bits the ints go into one uint64 array; wider ones are shifted
-    and masked as a numpy object array, a word at a time.
+    and masked as a numpy object array, a word at a time (the last word is
+    not shifted, and the first, which holds the top bits, is not masked).
     """
     width = -(-length // 64)
     masks = np.asarray(values, dtype=np.uint64 if width == 1 else object).reshape(-1)
     words = np.empty((len(masks), width), dtype=">u8")
     for k in range(width):
-        words[:, k] = (masks >> 64 * (width - 1 - k)) & 0xFFFF_FFFF_FFFF_FFFF
+        shift = 64 * (width - 1 - k)
+        word = masks >> shift if shift else masks
+        words[:, k] = word & 0xFFFF_FFFF_FFFF_FFFF if k else word
     return words
+
+
+def from_uint64_words(words) -> np.ndarray:
+    """The ints that uint64_words cut into these (count, words) words.
+
+    One word gives a uint64 array, more give Python ints in an object
+    array: the layout pauli.mask_array holds masks in.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    if words.shape[1] == 1:
+        return words[:, 0].copy()
+    values = words[:, 0].astype(object)
+    for k in range(1, words.shape[1]):
+        values = values << 64 | words[:, k].astype(object)
+    return values
+
+
+def popcounts(values, length: int) -> np.ndarray:
+    """Popcount of each length-bit int of an array, as int64 in the array's shape.
+
+    np.bitwise_count reads a uint64 array (pauli.mask_array's layout up to
+    64 bits) directly; an object array of wider ints is cut into
+    uint64_words first.
+    """
+    if values.dtype != object:
+        return np.bitwise_count(values).astype(np.int64)
+    words = uint64_words(values, length)
+    return np.bitwise_count(words).sum(axis=1, dtype=np.int64).reshape(values.shape)
 
 
 def unpack_ints(values, length: int) -> np.ndarray:
@@ -121,22 +152,32 @@ def rank(rows) -> int:
 def kernel_basis(rows, width: int) -> list[int]:
     """Basis of the right kernel {v : every popcount(row & v) is even}.
 
-    Pivots are taken left to right, and basis vectors are emitted in
-    ascending order of their free column, which makes the output
-    deterministic.
+    The columns are eliminated, not the rows: column c, a T-bit int over
+    the T rows, is reduced left to right by the earlier columns that are
+    independent of those before them, its own bit c carried along.  A
+    column that reduces to zero is free, and its basis vector is e_c plus
+    the pivot columns it combined, in ascending order of the free column:
+    the same vectors, in the same order, as the free columns of the
+    row-reduced echelon form give.
     """
-    reduced, pivots = rref(rows, width)
-    pivot_set = set(pivots)
-    basis = []
-    for fc in range(width):
-        if fc in pivot_set:
-            continue
-        bit = width - 1 - fc
-        vec = 1 << bit
-        for row, pc in zip(reduced, pivots):
-            if row >> bit & 1:
-                vec |= 1 << (width - 1 - pc)
-        basis.append(vec)
+    if max(rows, default=0).bit_length() > width:
+        raise ValueError(f"row wider than {width} bits")
+    # column c as an int over the rows, row 0 most significant (and zero padding last)
+    columns = [int.from_bytes(column.tobytes(), "big")
+               for column in np.packbits(unpack_ints(rows, width), axis=0).T]
+    pivots: dict[int, int] = {}  # (column << width) | its combination, by leading bit
+    basis, combinations = [], 1 << width
+    for c, column in enumerate(columns):
+        v = column << width | 1 << (width - 1 - c)
+        while v >= combinations:  # column bits left
+            top = v.bit_length() - 1
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = v
+                break
+            v ^= pivot
+        else:
+            basis.append(v)
     return basis
 
 

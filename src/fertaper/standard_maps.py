@@ -12,6 +12,7 @@ permutation oracle.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from fertaper import gf2, limits
 from fertaper.fermion import FermionHamiltonian
-from fertaper.pauli import DEFAULT_PRUNE_TOL, _PHASE, PauliOperator, QubitHamiltonian
+from fertaper.pauli import PauliOperator, QubitHamiltonian, mask_array
 
 ENCODING_KINDS = ("jordan_wigner", "parity", "binary_tree")
 
@@ -118,69 +119,75 @@ def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamilt
     return QubitHamiltonian(m, ((0.5, first), (0.5 * sign, second)))
 
 
-def encoded_observable(enc: StandardEncoding, ops) -> QubitHamiltonian:
-    """Canonical product of encoded ladder operators, in closed form.
+def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitHamiltonian:
+    """factors[r] times the product of encoded ladder operators on row r of modes.
 
-    Ladder operator j is X(col) Z(zpar) (1 +/- Z(row)) / 2, + for a creator,
-    so a product of k of them has the one x mask XOR(col) and a term for
-    each of the 2^k choices of the row factors.  Moving X(col) of each
-    factor left past the Z's before it gives (-1)^popcount(z_so_far & col);
-    the letter phase i^-popcount(x & z) comes last.  Equal z masks are
-    merged, sorted and pruned as ``canonicalize`` does: the coefficients
-    are sums of +/-2^-k times 1 or i, exact in any order, so this equals
-    the factor-by-factor product bit for bit.
+    modes is a (K, L) array of 1-based modes, one product per row, and
+    kinds[i] is "c" where factor i is a creator (any other letter is an
+    annihilator).  Ladder operator j is X(col) Z(zpar) (1 +/- Z(row)) / 2,
+    + for a creator, so a product has the one x mask XOR(col) and a term
+    for each of the 2^L choices of the row factors: z = XOR(zpar) plus the
+    chosen rows.  Moving the X(col) of factor i left past the Z's before it
+    gives (-1)^popcount(z & col_i), which is linear in the choices: a fixed
+    sign from the zpar masks, and one more for each chosen row j per later
+    col it meets, and for an annihilator's row.  So every branch of every
+    row is a few array XORs and parities.  Each row's z masks are then
+    sorted and their signs summed as exact integers, zero sums are dropped,
+    and only then does a sum meet 2^-L, the letter phase
+    i^-popcount(x & z) and the row's factor, as factor * (0.0 +
+    complex(sum * 2^-L) * phase) does: each row's terms are the canonical
+    factor-by-factor product times its factor, bit for bit.  The rows'
+    terms come in row order, unmerged.
     """
-    if not ops:
-        return QubitHamiltonian.zero(enc.modes)
-    ladders = enc.ladder_masks
-    x = 0
-    branches = [(0, 1)]  # (z mask so far, sign) of each term
-    for kind, mode in ops:
-        masks = ladders.get(mode)  # one dict lookup per operator, not a call
-        col, zpar, row = masks if masks is not None else _ladder_masks(enc, mode)
-        flip = 1 if kind == "c" else -1
-        grown = []
-        for z, sign in branches:
-            if (z & col).bit_count() & 1:
-                sign = -sign
-            grown.append((z ^ zpar, sign))
-            grown.append((z ^ zpar ^ row, sign * flip))
-        branches = grown
-        x ^= col
-    total: dict[int, int] = {}
-    for z, sign in branches:
-        total[z] = total.get(z, 0) + sign
-    scale = 0.5 ** len(ops)
-    zs, cs = [], []
-    for z in sorted(total):
-        c = total[z] * scale
-        if abs(c) >= DEFAULT_PRUNE_TOL:
-            zs.append(z)
-            # 0.0 + turns a -0.0 part into 0.0, as canonicalize's merge does
-            cs.append(0.0 + complex(c) * _PHASE[-(x & z).bit_count() % 4])
-    return QubitHamiltonian.from_masks(enc.modes, [x] * len(zs), zs, cs, canonical=True)
+    m, size = enc.modes, len(kinds)
+    modes = np.asarray(modes, dtype=np.int64).reshape(-1, size)
+    bad = modes[(modes < 1) | (modes > m)]
+    if bad.size:
+        raise IndexError(f"mode {bad[0]} out of range 1..{m}")
+    ladders = mask_array([0, 0, 0, *itertools.chain(*enc.ladder_masks.values())], m)
+    cols, zpars, rows = (ladders.reshape(-1, 3)[modes, k] for k in range(3))
+    before, after = np.triu_indices(size, 1)  # factor pairs, one before the other
+    meets = gf2.popcounts(np.concatenate([zpars[:, before] & cols[:, after],
+                                          rows[:, before] & cols[:, after]], axis=1), m) & 1
+    chosen = np.tile(np.array([kind != "c" for kind in kinds], dtype=np.int64), (len(modes), 1))
+    for pair, j in enumerate(before.tolist()):
+        chosen[:, j] ^= meets[:, len(before) + pair]
+    z = np.bitwise_xor.reduce(zpars, axis=1)[:, None]
+    odd = np.bitwise_xor.reduce(meets[:, :len(before)], axis=1)[:, None]
+    for j in range(size):
+        z = np.concatenate([z, z ^ rows[:, j, None]], axis=1)
+        odd = np.concatenate([odd, odd ^ chosen[:, j, None]], axis=1)
+    order = np.argsort(z, axis=1)
+    z = np.take_along_axis(z, order, axis=1)
+    first = np.ones(z.shape, dtype=bool)  # the first of its z mask in its row
+    first[:, 1:] = z[:, 1:] != z[:, :-1]
+    starts = np.flatnonzero(first)
+    sums = np.add.reduceat(1 - 2 * np.take_along_axis(odd, order, axis=1).reshape(-1), starts)
+    at = starts[sums != 0]
+    row = at // z.shape[1]
+    x, z = np.bitwise_xor.reduce(cols, axis=1)[row], z.reshape(-1)[at]
+    scaled = sums[sums != 0] * 0.5 ** size
+    phase = -gf2.popcounts(x & z, m) & 3
+    value = np.where(phase & 2, -scaled, scaled)
+    # 0.0 + complex(value) * phase: the other part is 0.0, never -0.0
+    re, im = np.where(phase & 1, 0.0, value), np.where(phase & 1, value, 0.0)
+    factor = np.asarray(factors, dtype=complex)[row]
+    coeffs = np.empty(len(row), dtype=complex)  # factor * (re + i im), as Python multiplies
+    coeffs.real = factor.real * re - factor.imag * im
+    coeffs.imag = factor.real * im + factor.imag * re
+    return QubitHamiltonian.from_masks(m, x.tolist(), z.tolist(), coeffs.tolist())
 
 
 def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHamiltonian:
     """Qubit image of the full Hamiltonian under the encoding.
 
-    Every scaled part goes into one term list, which is merged once.
+    Every hop is built at once, then every pair hop, by ladder_products;
+    their terms go into one sum, which is merged once.
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch between Hamiltonian and encoding")
-    xs: list[int] = []
-    zs: list[int] = []
-    cs: list[complex] = []
-
-    def add(ops, factor) -> None:
-        part = encoded_observable(enc, ops)
-        xs.extend(part.x_masks)
-        zs.extend(part.z_masks)
-        cs.extend(complex(factor * c) for c in part.coeffs)
-
-    rows, cols = np.nonzero(h.t)
-    for a, b in zip(rows.tolist(), cols.tolist()):
-        add((("c", a + 1), ("a", b + 1)), h.t[a, b])
-    for (a, b, g, d), coeff in h.interactions.items():
-        add((("c", a), ("c", b), ("a", g), ("a", d)), coeff)
-    return QubitHamiltonian.from_masks(enc.modes, xs, zs, cs).canonicalize()
+    a, b = np.nonzero(h.t)
+    hops = ladder_products(enc, "ca", np.stack([a + 1, b + 1], axis=1), h.t[a, b])
+    u = h.interactions
+    pair_hops = ladder_products(enc, "ccaa", list(u), list(u.values()))
+    return (hops + pair_hops).canonicalize()

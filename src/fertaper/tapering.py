@@ -219,28 +219,26 @@ def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamilton
     if plan.size == 0:
         return h
     n = h.qubit_count
-    # masks of a and b, and the phase power of a*b in X^x Z^z form
-    reflections = [(a.x_mask, a.z_mask, b.x_mask, b.z_mask,
-                    a.phase_power + b.phase_power + 2 * (a.z_mask & b.x_mask).bit_count())
-                   for a, b in plan.reflections()]
-    xs, zs, cs = [], [], []
-    for x, z, c in zip(h.x_masks, h.z_masks, h.coeffs):
-        phase = (x & z).bit_count()  # letter form: i per Y
-        for ax, az, bx, bz, ab_phase in reflections:
-            anti_a = ((x & az) ^ (z & ax)).bit_count() & 1
-            anti_b = ((x & bz) ^ (z & bx)).bit_count() & 1
-            if anti_a == anti_b:
-                if anti_a:
-                    c = -c
-                continue
-            phase += ab_phase + 2 * ((x & (az ^ bz)).bit_count() + anti_b)
-            x ^= ax ^ bx
-            z ^= az ^ bz
-        shift = (phase - (x & z).bit_count()) % 4
-        xs.append(x)
-        zs.append(z)
-        cs.append(c * _PHASE[shift])
-    return QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize()
+    # every term's masks as native uint64 words, one row per term
+    x, z = (gf2.uint64_words(masks, n).astype(np.uint64) for masks in (h.x_masks, h.z_masks))
+    cs = np.array(h.coeffs, dtype=complex)
+    phase = np.bitwise_count(x & z).sum(axis=1, dtype=np.int64)  # letter form: i per Y
+    for a, b in plan.reflections():
+        ax, az, bx, bz = gf2.uint64_words([a.x_mask, a.z_mask, b.x_mask, b.z_mask],
+                                          n).astype(np.uint64)
+        anti_a = np.bitwise_count(np.bitwise_xor.reduce((x & az) ^ (z & ax), axis=1)) & 1
+        anti_b = np.bitwise_count(np.bitwise_xor.reduce((x & bz) ^ (z & bx), axis=1)) & 1
+        cs = np.where(anti_a & anti_b, -cs, cs)
+        moved = anti_a != anti_b
+        # the phase power of a*b in X^x Z^z form, and the swap past x's Z's
+        ab_phase = a.phase_power + b.phase_power + 2 * (a.z_mask & b.x_mask).bit_count()
+        swap = np.bitwise_count(x & (az ^ bz)).sum(axis=1, dtype=np.int64) + anti_b
+        phase = np.where(moved, phase + ab_phase + 2 * swap, phase)
+        x = np.where(moved[:, None], x ^ (ax ^ bx), x)
+        z = np.where(moved[:, None], z ^ (az ^ bz), z)
+    shift = (phase - np.bitwise_count(x & z).sum(axis=1, dtype=np.int64)) % 4
+    return QubitHamiltonian.merged(n, gf2.from_uint64_words(x), gf2.from_uint64_words(z),
+                                   cs * np.array(_PHASE)[shift])
 
 
 def taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) -> QubitHamiltonian:

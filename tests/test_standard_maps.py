@@ -23,7 +23,7 @@ from fertaper.standard_maps import (
     _ladder_masks,
     build_encoding,
     encode_hamiltonian,
-    encoded_observable,
+    ladder_products,
     mode_op_to_pauli,
 )
 
@@ -241,7 +241,7 @@ class TestModeOperators:
     def test_number_operator_reads_occupation(self, kind, m):
         enc = build_encoding(kind, m)
         for j in range(1, m + 1):
-            number = encoded_observable(enc, (("c", j), ("a", j)))
+            number = ladder_products(enc, "ca", [[j, j]], [1])
             dense = number.dense()
             for x in weight_n_states(m, m // 2) + weight_n_states(m, 1):
                 s = gf2.bits_to_int(enc.matrix @ x.occ % 2)
@@ -260,17 +260,41 @@ def factor_by_factor(enc, ops) -> QubitHamiltonian:
     return out
 
 
+def products_one_by_one(enc, kinds, rows, factors) -> QubitHamiltonian:
+    """Each row's factor-by-factor product times its factor, as Python multiplies
+    them term by term, the rows' terms one after another."""
+    xs, zs, cs = [], [], []
+    for row, factor in zip(rows, factors):
+        part = factor_by_factor(enc, tuple(zip(kinds, row)))
+        xs += part.x_masks
+        zs += part.z_masks
+        cs += [complex(factor * c) for c in part.coeffs]
+    return QubitHamiltonian.from_masks(enc.modes, xs, zs, cs)
+
+
 def assert_same_terms(got: QubitHamiltonian, want: QubitHamiltonian) -> None:
     assert got == want
     # repr tells 0.0 from -0.0, which == does not
     assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
 
 
+def assert_products_match(enc, kinds, rows, rng) -> QubitHamiltonian:
+    """ladder_products on every row at once against the one-by-one oracle, with unit
+    factors and with random complex ones; returns the unit-factor products."""
+    got = ladder_products(enc, kinds, rows, [1] * len(rows))
+    assert_same_terms(got, products_one_by_one(enc, kinds, rows, [1] * len(rows)))
+    factors = [complex(*rng.normal(size=2)) for _ in rows]
+    assert_same_terms(ladder_products(enc, kinds, rows, factors),
+                      products_one_by_one(enc, kinds, rows, factors))
+    return got
+
+
 class TestClosedFormProducts:
     def test_ladder_masks_are_derived_once_per_encoding(self):
         import inspect
 
-        assert list(inspect.signature(encoded_observable).parameters) == ["enc", "ops"]
+        assert list(inspect.signature(ladder_products).parameters) == \
+            ["enc", "kinds", "modes", "factors"]
         enc = build_encoding("binary_tree", 5)
         assert enc.ladder_masks is enc.ladder_masks
         assert list(enc.ladder_masks) == [1, 2, 3, 4, 5]
@@ -278,35 +302,41 @@ class TestClosedFormProducts:
             assert (col, row) == (enc.column_masks[j - 1], enc.inverse_rows[j - 1])
             assert parity == functools.reduce(operator.xor, enc.inverse_rows[:j - 1], 0)
         for mode in (0, 6):
-            with pytest.raises(IndexError, match="out of range"):
-                encoded_observable(enc, (("c", mode), ("a", 1)))
+            with pytest.raises(IndexError, match=f"mode {mode} out of range"):
+                ladder_products(enc, "ca", [[1, 2], [mode, 1]], [1, 1])
 
     @pytest.mark.parametrize("kind", ENCODING_KINDS)
     @pytest.mark.parametrize("m", range(1, 10))
     def test_hops_and_pair_hops_match_the_factor_chain(self, kind, m):
         # every index pattern up to 4 modes; on more, every (a, b, g, d) over
         # five modes, so coincident indices (zero and number operators) and
-        # the truncated binary trees of m = 3, 5, 6, 7, 9 are all covered
+        # the truncated binary trees of m = 3, 5, 6, 7, 9 are all covered;
+        # each length is one batch of every row
         enc = build_encoding(kind, m)
+        rng = np.random.default_rng(m)
         modes = sorted({1, 2, (m + 1) // 2, m - 1, m} & set(range(1, m + 1)))
-        for a, b in itertools.product(range(1, m + 1), repeat=2):
-            ops = (("c", a), ("a", b))
-            assert_same_terms(encoded_observable(enc, ops), factor_by_factor(enc, ops))
-        for a, b, g, d in itertools.product(modes, repeat=4):
-            ops = (("c", a), ("c", b), ("a", g), ("a", d))
-            assert_same_terms(encoded_observable(enc, ops), factor_by_factor(enc, ops))
+        assert_products_match(enc, "ca", list(itertools.product(range(1, m + 1), repeat=2)),
+                              rng)
+        assert_products_match(enc, "ccaa", list(itertools.product(modes, repeat=4)), rng)
 
     @pytest.mark.parametrize("kind", ENCODING_KINDS)
     def test_masks_wider_than_64_bits(self, kind):
+        # 70 modes: object masks; the batches hold coincident indices too
         enc = build_encoding(kind, 70)
-        for ops in ((("c", 70), ("a", 1)), (("c", 3), ("c", 70), ("a", 65), ("a", 1)),
-                    (("c", 69), ("c", 2), ("a", 2), ("a", 69))):
-            got = encoded_observable(enc, ops)
-            assert_same_terms(got, factor_by_factor(enc, ops))
+        rng = np.random.default_rng(70)
+        modes = (1, 2, 3, 35, 64, 65, 69, 70)
+        hops = assert_products_match(enc, "ca", list(itertools.product(modes, repeat=2)), rng)
+        pairs = [(3, 70, 65, 1), (69, 2, 2, 69), (70, 70, 1, 2), (64, 65, 65, 64)]
+        pairs += [tuple(int(v) for v in rng.choice(modes, 4)) for _ in range(40)]
+        pair_hops = assert_products_match(enc, "ccaa", pairs, rng)
+        for got in (hops, pair_hops):
             assert max(got.x_masks + got.z_masks).bit_length() > 64
 
     def test_empty_product_is_zero(self):
-        assert encoded_observable(build_encoding("parity", 3), ()) == QubitHamiltonian.zero(3)
+        # a batch of no products
+        enc = build_encoding("parity", 3)
+        assert ladder_products(enc, "ccaa", np.empty((0, 4), dtype=int), []) == \
+            QubitHamiltonian.zero(3)
 
     def test_encode_hamiltonian_multiplies_no_sums(self, h2_fermionic):
         # one merge of every part, and no factor-by-factor product
