@@ -7,7 +7,9 @@ pairwise-commuting independent subset with a symplectic Gram-Schmidt
 pass on the same ints, pair each generator tau_i with a qubit and
 a single-qubit Pauli sigma_i that anticommutes with tau_i alone (symplectic
 elimination), and conjugate the Hamiltonian by the product of
-(sigma_i + tau_i)/sqrt(2) reflections, plus a Hadamard where sigma_i is Z.
+(sigma_i + tau_i)/sqrt(2) reflections, plus a Hadamard where sigma_i is Z:
+each reflection acts on every term's mask words, phase and coefficient
+as arrays at once, and one QubitHamiltonian.merged sums the images.
 Afterwards each paired qubit carries only I or X and can be replaced by
 a sector sign, the eigenvalue of tau_i on the input Hamiltonian: a
 sector's tapered Hamiltonian is the signed transformed terms with the
@@ -207,8 +209,10 @@ def build_plan(group: SymmetryGroup, h: QubitHamiltonian | None = None) -> Taper
 def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamiltonian:
     """Rotate the Hamiltonian so each symmetry becomes a single-qubit X.
 
-    Applies the plan's reflections (a + b)/sqrt(2) in turn.  Each is
-    Hermitian and squares to one, so conjugation keeps a Pauli that
+    Applies the plan's reflections (a + b)/sqrt(2) in turn, each to every
+    term at once: the masks are (terms, words) arrays of uint64 words, so a
+    commutation test is an XOR-reduced popcount parity at any width.  A
+    reflection is Hermitian and squares to one, so conjugation keeps a Pauli that
     commutes with both a and b, negates one that anticommutes with both,
     and otherwise multiplies it by a*b (anticommutes with a) or b*a =
     -a*b (with b): an XOR of the masks with those of a*b and a phase

@@ -391,6 +391,42 @@ class TestTaperReport:
         assert data["generators"][0] == "XIII" and data["best_sector"]
         assert hamiltonian_from_text(tapered.read_text()).qubit_count == 1
 
+    def test_failed_check_past_64_qubits(self, tmp_path, monkeypatch):
+        from fertaper import cli
+
+        # each Z_q and X_q X_q+1 on 66 qubits: the one symmetry is Z on every qubit,
+        # and the reported X_1 anticommutes with the Z_1 term (object masks)
+        n = 66
+        lines = [f"# qubits {n}"]
+        lines += [f"0.5 0 {'I' * (q - 1)}Z{'I' * (n - q)}" for q in range(1, n + 1)]
+        lines += [f"0.25 0 {'I' * (q - 1)}XX{'I' * (n - q - 1)}" for q in range(1, n)]
+        wide = tmp_path / "wide.txt"
+        wide.write_text("\n".join(lines) + "\n")
+        real = {}
+
+        def broken_plan(group, h=None):
+            plan = build_plan(group, h)
+            assert plan.generators == (PauliOperator.from_label("Z" * n),)
+            bad = dataclasses.replace(plan, generators=(PauliOperator.single(n, 1, "X"),))
+            real[id(bad)] = plan
+            return bad
+
+        monkeypatch.setattr(cli, "build_plan", broken_plan)
+        for name in ("clifford_transform", "taper"):
+            stage = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda *args, stage=stage: stage(
+                *(real.get(id(a), a) for a in args)))
+        tapered, report = tmp_path / "t.txt", tmp_path / "r.json"
+        assert main(["taper", "--input", str(wide), "--output", str(tapered), "--sector", "+",
+                     "--report", str(report)]) == 1
+        assert {"name": "generators_commute", "passed": False} in \
+            json.loads(report.read_text())["checks"]
+        monkeypatch.undo()
+        assert main(["taper", "--input", str(wide), "--output", str(tapered), "--sector", "+",
+                     "--report", str(report)]) == 0
+        assert {"name": "generators_commute", "passed": True} in \
+            json.loads(report.read_text())["checks"]
+
     def test_enumerates_past_the_dense_cap_when_few_qubits_remain(self, tmp_path):
         # 15 input qubits, one past the dense cap; four chain parities leave 11
         sizes = (4, 4, 4, 3)

@@ -181,6 +181,43 @@ def test_kernel_spans_exactly_the_annihilated_vectors(matrix):
     assert gf2.rank(rows) == len(_span(rows)).bit_length() - 1
 
 
+def _row_rref_kernel(rows, width: int) -> list[int]:
+    """The kernel read off the row-reduced echelon form: for each free column
+    fc, in ascending order, e_fc plus the pivot columns whose rows have bit fc."""
+    reduced, pivots = gf2.rref(rows, width)
+    basis = []
+    for fc in sorted(set(range(width)) - set(pivots)):
+        vec = 1 << (width - 1 - fc)
+        for row, pc in zip(reduced, pivots):
+            if row >> (width - 1 - fc) & 1:
+                vec |= 1 << (width - 1 - pc)
+        basis.append(vec)
+    return basis
+
+
+@given(st.integers(0, 140).flatmap(
+    lambda width: st.tuples(st.just(width), st.lists(
+        st.integers(0, (1 << width) - 1) | st.sampled_from([0, (1 << width) - 1]),
+        max_size=40))))
+@settings(max_examples=300, deadline=None)
+def test_kernel_basis_is_the_row_rref_kernel_in_order(matrix):
+    # the column elimination against the row form, list for list, at widths
+    # past 64 bits too (several uint64 words per row)
+    width, rows = matrix
+    assert gf2.kernel_basis(rows, width) == _row_rref_kernel(rows, width)
+    doubled = rows + [a ^ b for a, b in zip(rows, rows[1:])]  # dependent rows
+    assert gf2.kernel_basis(doubled, width) == _row_rref_kernel(rows, width)
+
+
+def test_kernel_basis_rejects_a_row_wider_than_width():
+    with pytest.raises(ValueError, match="row wider than 2 bits"):
+        gf2.kernel_basis([0b01, 0b100], 2)
+    with pytest.raises(ValueError, match="row wider than 65 bits"):
+        gf2.kernel_basis([1 << 65], 65)
+    # a row on the first of 65 columns is not too wide: every other column is free
+    assert gf2.kernel_basis([1 << 64], 65) == [1 << (64 - c) for c in range(1, 65)]
+
+
 @given(_matrices)
 @settings(max_examples=100, deadline=None)
 def test_rref_keeps_the_row_span(matrix):

@@ -192,6 +192,32 @@ class TestBuildPlan:
                 assert commutes(x_op, tau) == (i != j)
 
 
+def per_term_clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamiltonian:
+    """The oracle: each term taken through the plan's reflections on Python ints.
+
+    A term keeps its masks where it commutes with both a and b, is negated
+    where it anticommutes with both, and is multiplied by a*b (b*a) where it
+    anticommutes with a (b) alone; the terms are merged once at the end.
+    """
+    h = h.canonicalize()
+    n = h.qubit_count
+    xs, zs, cs = [], [], []
+    for x, z, c in zip(h.x_masks, h.z_masks, h.coeffs):
+        op = PauliOperator.from_masks(n, x, z, (x & z).bit_count())
+        for a, b in plan.reflections():
+            anti_a, anti_b = not commutes(op, a), not commutes(op, b)
+            if anti_a and anti_b:
+                c = -c
+            elif anti_a:
+                op = pauli_multiply(pauli_multiply(a, b), op)
+            elif anti_b:
+                op = pauli_multiply(pauli_multiply(b, a), op)
+        xs.append(op.x_mask)
+        zs.append(op.z_mask)
+        cs.append(c * 1j ** ((op.phase_power - op.y_count) % 4))
+    return QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize()
+
+
 class TestCliffordTransform:
     def test_h2_transformed_table(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
@@ -221,6 +247,19 @@ class TestCliffordTransform:
         canon = h2_table.canonicalize()
         assert (out.x_masks, out.z_masks) == (canon.x_masks, canon.z_masks)
         assert out.coeffs == pytest.approx(canon.coeffs)
+
+    @pytest.mark.parametrize("n", [8, 64, 66, 70, 130])
+    def test_matches_the_reflections_term_by_term(self, n):
+        # uint64 masks up to 64 qubits, Python ints past that; complex
+        # coefficients, so every phase the reflections give shows
+        q = wide_sum(n, n)
+        rng = np.random.default_rng(n)
+        q = QubitHamiltonian.from_masks(n, q.x_masks, q.z_masks,
+                                        [complex(*rng.normal(size=2)) for _ in range(len(q))])
+        plan = build_plan(find_symmetries(q))
+        assert plan.size >= 3 and any(not sigma.z_mask for sigma, _ in plan.reflections())
+        got, want = clifford_transform(q, plan), per_term_clifford_transform(q, plan)
+        assert got == want and [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
 
     def test_reflections_square_to_identity_and_commute(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
