@@ -76,7 +76,7 @@ def from_uint64_words(words) -> np.ndarray:
     """
     words = np.asarray(words, dtype=np.uint64)
     if words.shape[1] == 1:
-        return words[:, 0].copy()
+        return words[:, 0]
     values = words[:, 0].astype(object)
     for k in range(1, words.shape[1]):
         values = values << 64 | words[:, k].astype(object)

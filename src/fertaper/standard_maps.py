@@ -171,10 +171,11 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     first[:, 1:] = z[:, 1:] != z[:, :-1]
     starts = np.flatnonzero(first)
     sums = np.add.reduceat(1 - 2 * np.take_along_axis(odd, order, axis=1).reshape(-1), starts)
-    at = starts[sums != 0]
+    kept = sums != 0
+    at = starts[kept]
     row = at // z.shape[1]
     x, z = np.bitwise_xor.reduce(cols, axis=1)[row], z.reshape(-1)[at]
-    scaled = sums[sums != 0] * 0.5 ** size
+    scaled = sums[kept] * 0.5 ** size
     phase = -gf2.popcounts(x & z, m) & 3
     value = np.where(phase & 2, -scaled, scaled)
     # 0.0 + complex(value) * phase: the other part is 0.0, never -0.0

@@ -251,15 +251,20 @@ class TestCliffordTransform:
     @pytest.mark.parametrize("n", [8, 64, 66, 70, 130])
     def test_matches_the_reflections_term_by_term(self, n):
         # uint64 masks up to 64 qubits, Python ints past that; complex
-        # coefficients, so every phase the reflections give shows
+        # coefficients, so every phase the reflections give shows.  The plan
+        # is q's, applied to q and to random Paulis that need not commute
+        # with its generators: those can anticommute with both a and b
         q = wide_sum(n, n)
-        rng = np.random.default_rng(n)
-        q = QubitHamiltonian.from_masks(n, q.x_masks, q.z_masks,
-                                        [complex(*rng.normal(size=2)) for _ in range(len(q))])
         plan = build_plan(find_symmetries(q))
         assert plan.size >= 3 and any(not sigma.z_mask for sigma, _ in plan.reflections())
-        got, want = clifford_transform(q, plan), per_term_clifford_transform(q, plan)
-        assert got == want and [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+        rng = np.random.default_rng(n)
+        xs, zs = ([*masks, *(int.from_bytes(rng.bytes(17), "big") >> (136 - n)
+                             for _ in range(100))] for masks in (q.x_masks, q.z_masks))
+        for h in (q, QubitHamiltonian.from_masks(
+                n, xs, zs, [complex(*rng.normal(size=2)) for _ in xs])):
+            got, want = clifford_transform(h, plan), per_term_clifford_transform(h, plan)
+            assert got == want
+            assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
 
     def test_reflections_square_to_identity_and_commute(self, h2_table):
         plan = build_plan(find_symmetries(h2_table), h2_table)
