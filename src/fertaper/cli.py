@@ -50,7 +50,6 @@ from fertaper.pauli import (
     _labels,
     hamiltonian_from_text,
     hamiltonian_to_text,
-    mask_array,
 )
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
 from fertaper.tapering import (
@@ -143,11 +142,13 @@ def _cmd_taper(args) -> int:
     report.generators = [g.label for g in plan.generators]
     report.paired_qubits = list(plan.paired_qubits)
 
-    # pauli.commutes as one array parity per generator over every input term
-    x, z = mask_array(h.x_masks, h.qubit_count), mask_array(h.z_masks, h.qubit_count)
+    # pauli.commutes as one array parity per generator over every input term's mask words
+    x, z = (gf2.uint64_words(masks, h.qubit_count).astype(np.uint64)
+            for masks in (h.x_masks, h.z_masks))
+    gens = gf2.uint64_words([mask for g in plan.generators for mask in (g.x_mask, g.z_mask)],
+                            h.qubit_count).astype(np.uint64)
     report.add_check("generators_commute", not any(
-        (gf2.popcounts((x & g.z_mask) ^ (z & g.x_mask), h.qubit_count) & 1).any()
-        for g in plan.generators))
+        (gf2.popcounts((x & gz) ^ (z & gx)) & 1).any() for gx, gz in zip(gens[::2], gens[1::2])))
 
     sectors = None if enumerate_all else [_parse_sector(args.sector)]
     if report.qubits_after <= limits.SECTOR_QUBIT_CAP:

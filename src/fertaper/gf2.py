@@ -11,9 +11,9 @@ qubit masks (pack_rows(A.T)), so a syndrome is an XOR of columns.  The
 numpy helpers convert between that layout and the 0/1 uint8 arrays that
 enter and leave the program: asbits and pack_rows on the way in;
 bits_to_int and unpack_ints for bit-vector views of masks.  uint64_words
-cuts ints into numpy words and from_uint64_words joins them back, as a
-uint64 array up to 64 bits and Python ints (object) past that, the
-layout of pauli.mask_array; popcounts counts the bits of such an array.
+cuts ints into numpy words, popcounts counts their bits and
+from_uint64_words joins them back, as a uint64 array up to 64 bits and
+Python ints (object) past that, the layout of pauli.mask_array.
 drop_bits deletes bit positions from ints or integer arrays.
 Row/column indices at this level are 0-based; the 1-based mode/qubit
 convention of the public API lives in the callers.
@@ -83,17 +83,9 @@ def from_uint64_words(words) -> np.ndarray:
     return values
 
 
-def popcounts(values, length: int) -> np.ndarray:
-    """Popcount of each length-bit int of an array, as int64 in the array's shape.
-
-    np.bitwise_count reads a uint64 array (pauli.mask_array's layout up to
-    64 bits) directly; an object array of wider ints is cut into
-    uint64_words first.
-    """
-    if values.dtype != object:
-        return np.bitwise_count(values).astype(np.int64)
-    words = uint64_words(values, length)
-    return np.bitwise_count(words).sum(axis=1, dtype=np.int64).reshape(values.shape)
+def popcounts(words) -> np.ndarray:
+    """Popcount of each int cut into uint64 words along the last axis, as int64."""
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def unpack_ints(values, length: int) -> np.ndarray:

@@ -11,8 +11,9 @@ permutation oracle.
 
 A Hamiltonian is encoded a product length at a time: ladder_products
 takes every hop (two ladder operators) as one row of a mode array, then
-every pair hop (four), looks up their ladder masks as arrays, and builds
-all 2^L terms of every row with array XORs and parities.  Each row's
+every pair hop (four), looks up their ladder masks as arrays of uint64
+words, and builds all 2^L terms of every row with array XORs and
+parities.  Each row's
 signs are summed as exact integers before they meet its coefficient, and
 the terms of both lengths are merged once, so the sum is bit for bit the
 one the factor-by-factor products give.
@@ -28,7 +29,7 @@ import numpy as np
 
 from fertaper import gf2, limits
 from fertaper.fermion import FermionHamiltonian
-from fertaper.pauli import PauliOperator, QubitHamiltonian, mask_array
+from fertaper.pauli import PauliOperator, QubitHamiltonian
 
 ENCODING_KINDS = ("jordan_wigner", "parity", "binary_tree")
 
@@ -152,11 +153,12 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     bad = modes[(modes < 1) | (modes > m)]
     if bad.size:
         raise IndexError(f"mode {bad[0]} out of range 1..{m}")
-    ladders = mask_array([0, 0, 0, *itertools.chain(*enc.ladder_masks.values())], m)
-    cols, zpars, rows = (ladders.reshape(-1, 3)[modes, k] for k in range(3))
+    ladders = gf2.uint64_words([0, 0, 0, *itertools.chain(*enc.ladder_masks.values())], m)
+    ladders = ladders.astype(np.uint64).reshape(m + 1, 3, -1)
+    cols, zpars, rows = (ladders[modes, k] for k in range(3))  # (rows, factors, words)
     before, after = np.triu_indices(size, 1)  # factor pairs, one before the other
     meets = gf2.popcounts(np.concatenate([zpars[:, before] & cols[:, after],
-                                          rows[:, before] & cols[:, after]], axis=1), m) & 1
+                                          rows[:, before] & cols[:, after]], axis=1)) & 1
     chosen = np.tile(np.array([kind != "c" for kind in kinds], dtype=np.int64), (len(modes), 1))
     for pair, j in enumerate(before.tolist()):
         chosen[:, j] ^= meets[:, len(before) + pair]
@@ -165,18 +167,18 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     for j in range(size):
         z = np.concatenate([z, z ^ rows[:, j, None]], axis=1)
         odd = np.concatenate([odd, odd ^ chosen[:, j, None]], axis=1)
-    order = np.argsort(z, axis=1)
-    z = np.take_along_axis(z, order, axis=1)
-    first = np.ones(z.shape, dtype=bool)  # the first of its z mask in its row
-    first[:, 1:] = z[:, 1:] != z[:, :-1]
+    order = np.lexsort(z.transpose(2, 0, 1)[::-1])  # each row by its z masks
+    z = np.take_along_axis(z, order[..., None], axis=1)
+    first = np.ones(z.shape[:2], dtype=bool)  # the first of its z mask in its row
+    first[:, 1:] = (z[:, 1:] != z[:, :-1]).any(axis=2)
     starts = np.flatnonzero(first)
     sums = np.add.reduceat(1 - 2 * np.take_along_axis(odd, order, axis=1).reshape(-1), starts)
     kept = sums != 0
     at = starts[kept]
     row = at // z.shape[1]
-    x, z = np.bitwise_xor.reduce(cols, axis=1)[row], z.reshape(-1)[at]
+    x, z = np.bitwise_xor.reduce(cols, axis=1), z.reshape(-1, z.shape[2])[at]
     scaled = sums[kept] * 0.5 ** size
-    phase = -gf2.popcounts(x & z, m) & 3
+    phase = -gf2.popcounts(x[row] & z) & 3
     value = np.where(phase & 2, -scaled, scaled)
     # 0.0 + complex(value) * phase: the other part is 0.0, never -0.0
     re, im = np.where(phase & 1, 0.0, value), np.where(phase & 1, value, 0.0)
@@ -184,7 +186,8 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     coeffs = np.empty(len(row), dtype=complex)  # factor * (re + i im), as Python multiplies
     coeffs.real = factor.real * re - factor.imag * im
     coeffs.imag = factor.real * im + factor.imag * re
-    return QubitHamiltonian.from_masks(m, x.tolist(), z.tolist(), coeffs.tolist())
+    return QubitHamiltonian.from_masks(m, gf2.from_uint64_words(x)[row].tolist(),
+                                       gf2.from_uint64_words(z).tolist(), coeffs.tolist())
 
 
 def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHamiltonian:

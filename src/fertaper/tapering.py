@@ -226,21 +226,21 @@ def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamilton
     # every term's masks as native uint64 words, one row per term
     x, z = (gf2.uint64_words(masks, n).astype(np.uint64) for masks in (h.x_masks, h.z_masks))
     cs = np.array(h.coeffs, dtype=complex)
-    phase = np.bitwise_count(x & z).sum(axis=1, dtype=np.int64)  # letter form: i per Y
+    phase = gf2.popcounts(x & z)  # letter form: i per Y
     for a, b in plan.reflections():
         ax, az, bx, bz = gf2.uint64_words([a.x_mask, a.z_mask, b.x_mask, b.z_mask],
                                           n).astype(np.uint64)
-        anti_a = np.bitwise_count(np.bitwise_xor.reduce((x & az) ^ (z & ax), axis=1)) & 1
-        anti_b = np.bitwise_count(np.bitwise_xor.reduce((x & bz) ^ (z & bx), axis=1)) & 1
+        anti_a = gf2.popcounts((x & az) ^ (z & ax)) & 1
+        anti_b = gf2.popcounts((x & bz) ^ (z & bx)) & 1
         cs = np.where(anti_a & anti_b, -cs, cs)
         moved = anti_a != anti_b
         # the phase power of a*b in X^x Z^z form, and the swap past x's Z's
         ab_phase = a.phase_power + b.phase_power + 2 * (a.z_mask & b.x_mask).bit_count()
-        swap = np.bitwise_count(x & (az ^ bz)).sum(axis=1, dtype=np.int64) + anti_b
+        swap = gf2.popcounts(x & (az ^ bz)) + anti_b
         phase = np.where(moved, phase + ab_phase + 2 * swap, phase)
         x = np.where(moved[:, None], x ^ (ax ^ bx), x)
         z = np.where(moved[:, None], z ^ (az ^ bz), z)
-    shift = (phase - np.bitwise_count(x & z).sum(axis=1, dtype=np.int64)) % 4
+    shift = (phase - gf2.popcounts(x & z)) % 4
     return QubitHamiltonian.merged(n, gf2.from_uint64_words(x), gf2.from_uint64_words(z),
                                    cs * np.array(_PHASE)[shift])
 
