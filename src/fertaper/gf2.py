@@ -5,7 +5,8 @@ the given width is bit width-1-c, the layout of pack_rows and of the
 Pauli (x|z) masks, so a row XOR is one int XOR.  rref, rank and inverse
 eliminate the rows.  kernel_basis eliminates the columns instead: each
 is one T-bit int over the T rows, cut from the rows with unpack_ints and
-np.packbits, so it takes one step per column and pivot whatever T is.
+packed eight rows to a byte, so it takes one step per column and pivot
+whatever T is.
 A parity-check matrix A is held the same way, as its columns packed into
 qubit masks (pack_rows(A.T)), so a syndrome is an XOR of columns.  The
 numpy helpers convert between that layout and the 0/1 uint8 arrays that
@@ -160,9 +161,14 @@ def kernel_basis(rows, width: int) -> list[int]:
     """
     if max(rows, default=0).bit_length() > width:
         raise ValueError(f"row wider than {width} bits")
-    # column c as an int over the rows, row 0 most significant (and zero padding last)
+    # column c as an int over the rows, row 0 most significant and zero padding last: the
+    # bytes of np.packbits(bits, axis=0).T, eight rows summed to a byte without its strided pass
+    bits = unpack_ints(rows, width)
+    bits = np.concatenate([bits, np.zeros((-len(bits) % 8, width), dtype=np.uint8)])
+    eights = bits.reshape(len(bits) // 8, 8, width)
+    weights = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)
     columns = [int.from_bytes(column.tobytes(), "big")
-               for column in np.packbits(unpack_ints(rows, width), axis=0).T]
+               for column in np.einsum("gkc,k->cg", eights, weights)]
     pivots: dict[int, int] = {}  # (column << width) | its combination, by leading bit
     basis, combinations = [], 1 << width
     for c, column in enumerate(columns):
