@@ -2,20 +2,20 @@
 
 Elimination works on rows packed into Python ints: column c of a row of
 the given width is bit width-1-c, the layout of pack_rows and of the
-Pauli (x|z) masks, so a row XOR is one int XOR.  rref, rank and inverse
-eliminate the rows.  kernel_basis eliminates the columns instead: each
-is one T-bit int over the T rows, cut from the rows with unpack_ints and
-packed eight rows to a byte, so it takes one step per column and pivot
-whatever T is.
-A parity-check matrix A is held the same way, as its columns packed into
-qubit masks (pack_rows(A.T)), so a syndrome is an XOR of columns.  The
-numpy helpers convert between that layout and the 0/1 uint8 arrays that
-enter and leave the program: asbits and pack_rows on the way in;
-bits_to_int and unpack_ints for bit-vector views of masks.  uint64_words
-cuts ints into numpy words, popcounts counts their bits and
-from_uint64_words joins them back, as a uint64 array up to 64 bits and
-Python ints (object) past that, the layout of pauli.mask_array.
-drop_bits deletes bit positions from ints or integer arrays.
+Pauli (x|z) masks, so a row XOR is one int XOR.  A parity-check matrix
+A is held the same way, as its columns packed into qubit masks
+(pack_rows(A.T)), so a syndrome is an XOR of columns.  rref, rank and
+inverse eliminate the rows.  kernel_basis eliminates the columns
+instead: each is one T-bit int over the T rows, cut from the rows with
+unpack_ints and packed eight rows to a byte, so it takes one step per
+column and pivot whatever T is.  The numpy helpers convert between that
+layout and the 0/1 uint8 arrays that enter and leave the program: asbits
+and pack_rows on the way in; bits_to_int and unpack_ints for bit-vector
+views of masks.  uint64_words cuts ints into numpy words, popcounts
+counts their bits and from_uint64_words joins them back, as a uint64
+array up to 64 bits and Python ints (object) past that, the layout of
+pauli.mask_array.  drop_bits deletes bit positions from ints or integer
+arrays.
 Row/column indices at this level are 0-based; the 1-based mode/qubit
 convention of the public API lives in the callers.
 """

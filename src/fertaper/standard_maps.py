@@ -13,10 +13,9 @@ A Hamiltonian is encoded a product length at a time: ladder_products
 takes every hop (two ladder operators) as one row of a mode array, then
 every pair hop (four), looks up their ladder masks as arrays of uint64
 words, and builds all 2^L terms of every row with array XORs and
-parities.  Each row's
-signs are summed as exact integers before they meet its coefficient, and
-the terms of both lengths are merged once, so the sum is bit for bit the
-one the factor-by-factor products give.
+parities.  Each row's signs are summed as exact integers before they
+meet its coefficient, and the terms of both lengths are merged once, so
+the sum is bit for bit the one the factor-by-factor products give.
 """
 
 from __future__ import annotations
