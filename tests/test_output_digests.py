@@ -259,3 +259,39 @@ def test_codesim_penalty_bytes(tmp_path):
     assert main(codesim_inputs(tmp_path, "check") + ["--penalty", "2"]) == 0
     assert 2.0 in [t["weight"] for t in json.loads((tmp_path / "o.json").read_text())["terms"]]
     assert digest(tmp_path / "o.json") == CODESIM_EDGE_DIGESTS["penalty"]
+
+
+# A hand-written Pauli file as a person might type it: phase prefixes, trailing
+# comments, CRLF line ends, tabs, a repeated Pauli, the header after some terms
+# and the terms out of order.  The digests (taper text, taper report) were
+# recorded from the line-by-line reader that the column reader replaced.
+UNTIDY_PAULI = (
+    "# H2-like sum on four qubits, typed by hand\r\n"
+    "\r\n"
+    "0.1712\t0\t-1ZIII   # negated by its prefix\r\n"
+    "  -0.2228 0 IIZI\r\n"
+    "0.1686 0.0 +ZZII\r\n"
+    "0 -0.0453 +iXXYY  # i times -0.0453i\r\n"
+    "0.0453 0 -YYXX\t# - flips the sign\r\n"
+    "# qubits 4\r\n"
+    "-0.0453 0 +1XYYX\r\n"
+    "\t-0.0453   0   YXXY\r\n"
+    "0.1205 0 ZIZI\r\n"
+    "0.1659 0 ZIIZ\r\n"
+    "0.1659 0 IZZI\r\n"
+    "0.1205 0 IZIZ\r\n"
+    "0.1743 0 IIZZ\r\n"
+    "-0.8105 0 IIII # identity\r\n"
+    "0.1712 0 IZII\r\n"
+    "-0.2228 0 IIIZ\r\n"
+    "0.3424 0 ZIII  # with the -1ZIII line above: 0.1712\r\n"
+)
+UNTIDY_TAPER_DIGESTS = ("e0b766004e8a1eed7980e60d6d70cf575c55a3c910927c65413bd5b8b42b153c",
+                        "248e6abce22a06136b2795d2908efa003d0b562160d89c1fbd851ea23fa93a7a")
+
+
+def test_untidy_pauli_file_bytes(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("q.txt").write_bytes(UNTIDY_PAULI.encode("ascii"))
+    assert main(["taper", "--input", "q.txt", "--output", "t.txt", "--report", "r.json"]) == 0
+    assert (digest(Path("t.txt")), digest(Path("r.json"))) == UNTIDY_TAPER_DIGESTS
