@@ -29,6 +29,15 @@ one's coefficients from 0 in the order given.  ``canonicalize`` is that
 merge on a sum's own terms; it sets the ``canonical`` flag on the result,
 so canonicalizing it again returns the same object.  ``.terms`` is a
 ``(coeff, PauliOperator)`` view built on first use.
+
+Text I/O works on whole columns.  ``hamiltonian_from_text`` cuts the text
+into rows once, parses each distinct ``re`` and ``im`` word once with
+``float``, checks every label at once (only phase-prefixed ones go through
+``_split_label``), turns the letters into x and z masks with one byte
+lookup and ``np.packbits``, and hands the arrays to one ``merged``; the
+first bad line raises the error a line-by-line read would.
+``hamiltonian_to_text`` formats each distinct float64 bit pattern of a
+coefficient column once and joins the columns row by row.
 """
 
 from __future__ import annotations
@@ -55,6 +64,9 @@ _PREFIXES = {"": 0, "+": 0, "+1": 0, "+i": 1, "i": 1, "-1": 2, "-": 2, "-i": 3}
 
 # letter codes x + 2z, and the label characters that carry an x or z bit
 _LETTERS = np.frombuffer(b"IXZY", dtype=np.uint8)
+# label byte -> its letter code, 4 for any byte that is no letter
+_CODES = np.full(256, 4, dtype=np.uint8)
+_CODES[_LETTERS] = np.arange(4)
 _X_BITS = str.maketrans("IXYZ", "0110")
 _Z_BITS = str.maketrans("IXYZ", "0011")
 
@@ -394,13 +406,28 @@ class QubitHamiltonian:
 
 
 def hamiltonian_to_text(h: QubitHamiltonian) -> str:
-    """Serialize as lines "re im PAULISTRING" (canonical order)."""
+    """Serialize as a "# qubits N" header and lines "re im PAULISTRING" (canonical order).
+
+    The text is built a column at a time: each distinct float64 bit pattern
+    of the real parts, and of the imaginary parts, is formatted once with
+    ``.17g`` (bit patterns, not float equality, so -0.0 keeps its sign),
+    one ``_labels`` call spells every label, and the rows are the columns
+    joined by single spaces.  On zero qubits the label is empty and a term
+    line is just "re im".
+    """
     h = h.canonicalize()
-    lines = [f"# qubits {h.qubit_count}"]
-    sep = " " if h.qubit_count else ""  # on zero qubits the label is empty
-    for coeff, label in zip(h.coeffs, _labels(h.qubit_count, h.x_masks, h.z_masks)):
-        lines.append(f"{coeff.real:.17g} {coeff.imag:.17g}{sep}{label}")
-    return "\n".join(lines) + "\n"
+    coeffs = np.asarray(h.coeffs, dtype=complex).reshape(-1)
+    columns = [_float_texts(coeffs.real), _float_texts(coeffs.imag)]
+    if h.qubit_count:
+        columns.append(_labels(h.qubit_count, h.x_masks, h.z_masks))
+    return "\n".join([f"# qubits {h.qubit_count}", *map(" ".join, zip(*columns))]) + "\n"
+
+
+def _float_texts(values: np.ndarray) -> list[str]:
+    """``.17g`` texts of float64 values, each distinct bit pattern formatted once."""
+    patterns, which = np.unique(values.view(np.uint64), return_inverse=True)
+    texts = [f"{v:.17g}" for v in patterns.view(np.float64).tolist()]
+    return list(map(texts.__getitem__, which.tolist()))
 
 
 def hamiltonian_from_text(text: str) -> QubitHamiltonian:
@@ -411,35 +438,155 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
     zero qubits the label is empty and a term line is just ``re im``.  A
     NaN or infinite ``re`` or ``im`` is a ValueError naming the line; a header
     or label over ``limits.MODE_CAP`` qubits is refused before any later line.
+
+    The text is cut into rows once (``str.splitlines``, then ``str.split``
+    of each line up to a ``#``) and read a column at a time: ``float`` of
+    each distinct ``re`` and ``im`` word; every label checked at once, with
+    only those that are not plain letters (a phase prefix, or an error)
+    going through ``_split_label``; one byte lookup for the letters, packed
+    into ``mask_array`` x and z masks with ``np.packbits``; and
+    one ``QubitHamiltonian.merged`` of the whole sum.  Each check flags its
+    rows, and the first flagged line raises the error it would raise read
+    line by line, unless a header before it is refused first.
     """
-    xs, zs, cs = [], [], []
-    n = None
-    for raw in text.splitlines():
-        line, _, comment = raw.partition("#")
-        parts = line.split()
-        if not parts:
-            words = comment.split()
-            if len(words) == 2 and words[0] == "qubits" and words[1].isdigit():
-                n = _same_length(n, int(words[1]))
-            continue
-        if len(parts) == 2 and n == 0:
-            parts.append("")
-        if len(parts) != 3:
-            raise ValueError(f"malformed Hamiltonian line: {raw!r}")
-        re_c, im_c, label = parts
-        prefix, letters = _split_label(label) if label else (0, "")
-        n = _same_length(n, len(letters))
-        x, z = _letter_masks(letters)
-        re_v, im_v = float(re_c), float(im_c)
-        if not (math.isfinite(re_v) and math.isfinite(im_v)):
-            raise ValueError(f"Hamiltonian line {raw!r} has a coefficient that is not finite")
-        coeff = complex(re_v, im_v)
-        xs.append(x)
-        zs.append(z)
-        cs.append(coeff * _PHASE[prefix])
-    if n is None:
+    lines = text.splitlines()
+    # at most 3 splits: a fourth part already makes a line malformed, and a split
+    # without a limit gives each row a list of 12 slots
+    rows = [raw.partition("#")[0].split(None, 3) for raw in lines]
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    heads = _headers(lines, np.flatnonzero(widths == 0))
+    del lines
+    if not heads and not widths.any():
         raise ValueError("no Pauli terms found")
-    return QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize()
+    # a header before every term gives the qubit count (refused at once over the cap)
+    n = _same_length(None, int(heads[0][1])) if heads and heads[0][0] == 0 else None
+    want = 2 if n == 0 else 3  # on zero qubits a term line is just "re im"
+    at = np.flatnonzero(widths)  # the line of each term row
+    bad = widths[at] != want
+    terms = filter(None, rows)
+    if bad.any():  # stand-ins for the flagged rows keep the columns whole
+        terms = [parts if len(parts) == want else ["0"] * want for parts in terms]
+    columns = list(zip(*terms)) or [()] * want
+    del rows, terms  # from here on one copy of each word is held, in its column
+    re, im = _floats(columns[0]), _floats(columns[1])
+    bad |= ~(np.isfinite(re) & np.isfinite(im))  # NaN also stands for a word float() refused
+    if want == 3:
+        codes, phases, n = _label_codes(columns[2], n, bad)
+    else:
+        codes, phases = np.zeros((len(at), 0), dtype=np.uint8), {}
+    del columns
+    first_bad = int(np.argmax(bad)) if bad.any() else len(at)
+    for index, (before, word) in enumerate(heads):
+        if before > first_bad:
+            break
+        _same_length(n if index or before else None, int(word))
+    if first_bad < len(at):
+        _refuse_term(text.splitlines()[at[first_bad]], n)
+    coeffs = np.empty(len(at), dtype=complex)
+    coeffs.real, coeffs.imag = re, im
+    for k, phase in phases.items():
+        coeffs[k] *= _PHASE[phase]
+    x, z = _masks(codes, 0, n), _masks(codes, 1, n)
+    del codes
+    return QubitHamiltonian.merged(n, x, z, coeffs)
+
+
+def _headers(lines: list[str], blank: np.ndarray) -> list[tuple[int, str]]:
+    """(term lines before it, count word) of each "# qubits N" line among the blank ones."""
+    heads = []
+    for index, k in enumerate(blank.tolist()):
+        words = lines[k].partition("#")[2].split()
+        if len(words) == 2 and words[0] == "qubits" and words[1].isdecimal():
+            heads.append((k - index, words[1]))
+    return heads
+
+
+def _floats(words) -> np.ndarray:
+    """float() of each word, called once per distinct word; NaN where float() refuses one."""
+    distinct = set(words)
+    try:
+        values = dict(zip(distinct, map(float, distinct)))
+    except ValueError:
+        values = dict(zip(distinct, map(_float_or_nan, distinct)))
+    return np.fromiter(map(values.__getitem__, words), np.float64, len(words))
+
+
+def _float_or_nan(word: str) -> float:
+    try:
+        return float(word)
+    except ValueError:
+        return math.nan
+
+
+def _label_codes(labels, n: int | None, bad: np.ndarray) -> tuple[np.ndarray, dict, int]:
+    """Letter codes, a (T, n) array, of labels of n letters after an optional phase prefix.
+
+    n is None when the first label sets it.  Only the labels that are not
+    n plain letters go through ``_split_label``; each that does not give n
+    letters either is flagged in bad, its row left 0.  Returns the codes,
+    the phase power of each prefixed label by row, and n.
+    """
+    if n is None:
+        try:
+            n = len(_split_label(labels[0])[1])
+        except ValueError:
+            n = len(labels[0])  # the label is refused below
+        bad[0] |= n > limits.MODE_CAP
+    try:
+        data = "".join(labels).encode("ascii")
+    except UnicodeEncodeError:
+        labels = [label if label.isascii() else "?" for label in labels]  # "?" is refused below
+        data = "".join(labels).encode("ascii")
+    data = _CODES[np.frombuffer(data, dtype=np.uint8)]
+    lengths = np.fromiter(map(len, labels), np.intp, len(labels))
+    odd = lengths != n
+    odd[np.searchsorted(np.cumsum(lengths), np.flatnonzero(data > 3), side="right")] = True
+    if not odd.any():
+        return data.reshape(-1, n), {}, n
+    codes = np.zeros((len(labels), n), dtype=np.uint8)
+    codes[~odd] = data[np.repeat(~odd, lengths)].reshape(-1, n)
+    phases = {}
+    for k in np.flatnonzero(odd).tolist():
+        try:
+            phase, letters = _split_label(labels[k])
+        except ValueError:
+            phase, letters = 0, ""
+        if len(letters) == n:
+            phases[k] = phase
+            codes[k] = _CODES[np.frombuffer(letters.encode("ascii"), dtype=np.uint8)]
+        else:
+            bad[k] = True
+    return codes, phases, n
+
+
+def _refuse_term(raw: str, n: int) -> None:
+    """Raise the ValueError of a flagged term line of an n-qubit file.
+
+    When the line is the first term and no header came before it, n is its
+    own label's length (or its stand-in's), so the length check can fail
+    there only on the cap, as it would with no length known yet.
+    """
+    parts = raw.partition("#")[0].split()
+    if len(parts) == 2 and n == 0:
+        parts.append("")
+    if len(parts) != 3:
+        raise ValueError(f"malformed Hamiltonian line: {raw!r}")
+    re_c, im_c, label = parts
+    _same_length(n, len(_split_label(label)[1]) if label else 0)
+    if not all(map(math.isfinite, [float(re_c), float(im_c)])):
+        raise ValueError(f"Hamiltonian line {raw!r} has a coefficient that is not finite")
+    raise AssertionError(f"line {raw!r} was flagged, but it reads")
+
+
+def _masks(codes: np.ndarray, bit: int, n: int) -> np.ndarray:
+    """``mask_array`` masks of bit 0 (x) or 1 (z) of (T, n) letter codes, column 0 on top."""
+    nbytes, words = -(-n // 8), max(1, -(-n // 64))
+    bits = np.zeros((len(codes), 8 * nbytes), dtype=np.uint8)
+    np.right_shift(codes, bit, out=bits[:, 8 * nbytes - n:])
+    bits &= 1
+    packed = np.zeros((len(codes), 8 * words), dtype=np.uint8)
+    packed[:, 8 * words - nbytes:] = np.packbits(bits).reshape(len(codes), nbytes)  # whole bytes
+    return gf2.from_uint64_words(packed.view(">u8"))
 
 
 def _same_length(n: int | None, length: int) -> int:

@@ -1300,9 +1300,13 @@ def refusal_inputs(tmp_path) -> None:
         "empty.txt": "",
         "zz.txt": "# qubits 2\n1 0 ZZ\n",
         "c3.pcm": "3 3\n100\n010\n001\n",
+        "nan.txt": "# qubits 2\n1 0 ZZ\nnan 0 ZZ\n",
+        "accent.txt": "1 0 Z\u00c9\n",
+        "short.txt": "# qubits 3\n1 0 ZZ\n",
+        "squared.txt": "# qubits \u00b2\n",  # a count int() refuses is a comment
     }
     for name, text in files.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_text(text, encoding="utf-8")
 
 
 REFUSALS = [
@@ -1311,6 +1315,11 @@ REFUSALS = [
     (["taper", "--input", "empty.txt", "--output", "t.txt"], "no Pauli terms found"),
     (["taper", "--input", "zz.txt", "--output", "t.txt", "--sector", "+x"],
      "sector string must be over +/-, got '+x'"),
+    (["taper", "--input", "nan.txt", "--output", "t.txt"],
+     "Hamiltonian line 'nan 0 ZZ' has a coefficient that is not finite"),
+    (["taper", "--input", "accent.txt", "--output", "t.txt"], "invalid Pauli label 'Z\u00c9'"),
+    (["taper", "--input", "short.txt", "--output", "t.txt"], "inconsistent Pauli lengths in file"),
+    (["taper", "--input", "squared.txt", "--output", "t.txt"], "no Pauli terms found"),
     (["graphgen", "--qubits", "1", "--particles", "1", "--trials", "1", "--out", "g.graph"],
      "need at least two vertices"),
     (["codesim", "--graph", "fig3.graph", "--input", "h4.json", "--output", "o.json"],
@@ -1325,7 +1334,8 @@ REFUSALS = [
 
 
 @pytest.mark.parametrize("argv,message", REFUSALS, ids=[
-    "encode-no-modes", "taper-no-terms", "taper-bad-sector", "graphgen-one-vertex",
+    "encode-no-modes", "taper-no-terms", "taper-bad-sector", "taper-nan-coefficient",
+    "taper-non-ascii-letter", "taper-short-label", "taper-superscript-count", "graphgen-one-vertex",
     "codesim-mode-mismatch", "codesim-too-many-particles", "firstq-no-particles",
     "firstq-particles-past-modes"])
 def test_refusal_is_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
