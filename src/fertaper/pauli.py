@@ -416,11 +416,13 @@ def hamiltonian_to_text(h: QubitHamiltonian) -> str:
     line is just "re im".
     """
     h = h.canonicalize()
-    coeffs = np.asarray(h.coeffs, dtype=complex).reshape(-1)
+    coeffs = np.asarray(h.coeffs, dtype=complex)
     columns = [_float_texts(coeffs.real), _float_texts(coeffs.imag)]
     if h.qubit_count:
         columns.append(_labels(h.qubit_count, h.x_masks, h.z_masks))
-    return "\n".join([f"# qubits {h.qubit_count}", *map(" ".join, zip(*columns))]) + "\n"
+    lines = [f"# qubits {h.qubit_count}", *map(" ".join, zip(*columns)), ""]
+    del columns  # the words go before the text is joined
+    return "\n".join(lines)
 
 
 def _float_texts(values: np.ndarray) -> list[str]:
@@ -444,8 +446,8 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
     each distinct ``re`` and ``im`` word; every label checked at once, with
     only those that are not plain letters (a phase prefix, or an error)
     going through ``_split_label``; one byte lookup for the letters, packed
-    into ``mask_array`` x and z masks with ``np.packbits``; and
-    one ``QubitHamiltonian.merged`` of the whole sum.  Each check flags its
+    into ``mask_array`` x and z masks with ``np.packbits``; and one
+    ``QubitHamiltonian.merged`` of the whole sum.  Each check flags its
     rows, and the first flagged line raises the error it would raise read
     line by line, unless a header before it is refused first.
     """
@@ -468,8 +470,8 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
         terms = [parts if len(parts) == want else ["0"] * want for parts in terms]
     columns = list(zip(*terms)) or [()] * want
     del rows, terms  # from here on one copy of each word is held, in its column
-    re, im = _floats(columns[0]), _floats(columns[1])
-    bad |= ~(np.isfinite(re) & np.isfinite(im))  # NaN also stands for a word float() refused
+    real, imag = _floats(columns[0]), _floats(columns[1])
+    bad |= ~(np.isfinite(real) & np.isfinite(imag))  # NaN also stands for a word float() refused
     if want == 3:
         codes, phases, n = _label_codes(columns[2], n, bad)
     else:
@@ -483,7 +485,7 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
     if first_bad < len(at):
         _refuse_term(text.splitlines()[at[first_bad]], n)
     coeffs = np.empty(len(at), dtype=complex)
-    coeffs.real, coeffs.imag = re, im
+    coeffs.real, coeffs.imag = real, imag
     for k, phase in phases.items():
         coeffs[k] *= _PHASE[phase]
     x, z = _masks(codes, 0, n), _masks(codes, 1, n)
