@@ -1335,8 +1335,8 @@ REFUSALS = [
 
 @pytest.mark.parametrize("argv,message", REFUSALS, ids=[
     "encode-no-modes", "taper-no-terms", "taper-bad-sector", "taper-nan-coefficient",
-    "taper-non-ascii-letter", "taper-short-label", "taper-superscript-count", "graphgen-one-vertex",
-    "codesim-mode-mismatch", "codesim-too-many-particles", "firstq-no-particles",
+    "taper-non-ascii-letter", "taper-short-label", "taper-superscript-count",
+    "graphgen-one-vertex", "codesim-mode-mismatch", "codesim-too-many-particles", "firstq-no-particles",
     "firstq-particles-past-modes"])
 def test_refusal_is_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
     refusal_inputs(tmp_path)

@@ -14,7 +14,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fertaper import limits
 from fertaper.cli import MAP_NAMES
 from fertaper.pauli import QubitHamiltonian, hamiltonian_from_text, hamiltonian_to_text
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
@@ -172,5 +171,5 @@ def test_reading_holds_no_extra_copy_per_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(h) == 6010 and h.qubit_count == 72 <= limits.MODE_CAP
+    assert len(h) == 6010 and h.qubit_count == 72
     assert peak < 5.5 * len(text)
