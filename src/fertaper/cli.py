@@ -124,10 +124,10 @@ def _cmd_taper(args) -> int:
     with open(args.input, encoding="utf-8") as fh:
         h = hamiltonian_from_text(fh.read())
     if not h.is_hermitian():
-        worst = max(range(len(h)), key=lambda k: abs(h.coeffs[k].imag))
+        worst = int(np.argmax(np.abs(h.coeffs.imag)))  # the first of the largest
         raise ValueError(
             f"{args.input}: Hamiltonian is not Hermitian (term {h.terms[worst][1].label} "
-            f"has coefficient {h.coeffs[worst]}); sector energies would be meaningless"
+            f"has coefficient {complex(h.coeffs[worst])}); sector energies would be meaningless"
         )
     group = find_symmetries(h)
     plan = build_plan(group, h)
@@ -269,10 +269,9 @@ def _cmd_firstq(args) -> int:
         scale = default_penalty_scale(h)
     total = parts.total(scale)  # canonical, so bin_terms indexes its terms
     groups = bin_terms(total, enc)
-    coeffs = np.array(total.coeffs, dtype=complex)
     terms = jsonout.Table({
-        "re": coeffs.real.copy(),
-        "im": coeffs.imag.copy(),
+        "re": total.coeffs.real.copy(),
+        "im": total.coeffs.imag.copy(),
         "pauli": _labels(enc.qubits, total.x_masks, total.z_masks),
     })
     payload = {

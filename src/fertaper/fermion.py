@@ -183,6 +183,14 @@ class FermionHamiltonian:
     u: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        """Check t and u a column at a time; the first flagged entry raises, in the
+        order of t's entries (row by row), then u's keys, as an entry-by-entry check would.
+
+        t must be finite and Hermitian.  u is rebuilt as mode-index tuples of
+        ints to complex values, and its keys, values and each key's conjugate
+        partner (found by one sort of the packed keys and ``searchsorted``) are
+        checked as arrays.
+        """
         t = np.asarray(self.t, dtype=complex)
         if t.shape != (self.modes, self.modes):
             raise ValueError(f"t must be {self.modes}x{self.modes}")
@@ -193,23 +201,19 @@ class FermionHamiltonian:
         if not np.allclose(t, t.conj().T, atol=1e-12):
             raise ValueError("one-body tensor is not Hermitian")
         object.__setattr__(self, "t", t)
-        u = {tuple(int(i) for i in k): complex(v) for k, v in self.u.items()}
-        for key, value in u.items():
-            if len(key) != 4 or not all(1 <= i <= self.modes for i in key):
-                raise ValueError(f"bad interaction index tuple {key}")
-            if not cmath.isfinite(value):
-                raise ValueError(f"interaction entry {key} is {value}, not finite")
-            partner = (key[3], key[2], key[1], key[0])
-            if partner not in u or abs(u[partner] - value.conjugate()) > 1e-12:
-                raise ValueError(
-                    f"interaction entry {key} lacks a conjugate partner {partner}"
-                )
+        try:
+            u, keys, values = _interaction_arrays(self.u, self.modes)
+        except (TypeError, ValueError, OverflowError):  # from int() or complex() of an entry
+            u, keys, values = _interaction_arrays(
+                {tuple(int(i) for i in k): complex(v) for k, v in self.u.items()}, self.modes)
+        lacking = _lacks_partner(keys, values, self.modes)
+        flagged = (keys == 0).any(axis=1) | ~np.isfinite(values) | lacking
+        if flagged.any():
+            _refuse_interaction(u, list(u)[np.argmax(flagged)], self.modes)
         object.__setattr__(self, "u", u)
         if not 0 <= self.particles <= self.modes:
             raise ValueError("particle count outside 0..modes")
-        top = max(
-            [abs(x) for x in np.ravel(t)] + [abs(v) for v in u.values()], default=0.0
-        )
+        top = max(_magnitudes(t).max(initial=0.0), _magnitudes(values).max(initial=0.0))
         if top > 1 + 1e-9:
             warnings.warn(
                 f"coefficient magnitude {float(top)!r} exceeds 1; the usual energy-scale "
@@ -237,7 +241,10 @@ class FermionHamiltonian:
         im]``, with integer counts and mode indices in 1..modes.  Any other
         row is a ValueError naming it, as is one whose indices repeat an
         earlier row's: summing the two, or keeping the last, would silently
-        change what the file means.
+        change what the file means.  The rows are checked a column at a time
+        (``_json_rows``) and the first flagged row raises the error a
+        row-by-row check would; ``t`` is filled by one scatter and ``u`` is
+        built from the index and coefficient arrays.
         """
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -253,9 +260,10 @@ class FermionHamiltonian:
             raise ValueError(f"Hamiltonian JSON 'modes' is {m}, over the cap of "
                              f"{limits.MODE_CAP} modes")
         t = np.zeros((m, m), dtype=complex)
-        for (a, b), value in _json_rows(data, "t", "[a, b, re, im]", m).items():
-            t[a - 1, b - 1] = value
-        u = _json_rows(data, "u", "[a, b, g, d, re, im]", m)
+        keys, values = _json_rows(data, "t", "[a, b, re, im]", m)
+        t[keys[:, 0] - 1, keys[:, 1] - 1] = values
+        keys, values = _json_rows(data, "u", "[a, b, g, d, re, im]", m)
+        u = dict(zip(map(tuple, keys.tolist()), values.tolist()))
         return cls(m, data["particles"], t, u)
 
     def to_json(self) -> str:
@@ -292,28 +300,156 @@ class FermionHamiltonian:
         return out
 
 
-def _json_rows(data: dict, name: str, shape: str, modes: int) -> dict[tuple, complex]:
-    """The t or u rows as mode indices -> coefficient; JSON integers load as type int."""
+def _json_rows(data: dict, name: str, shape: str, modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The t or u rows as an int64 array of mode indices, one row each, and their coefficients.
+
+    JSON integers load as type int.  The rows are checked a column at a
+    time: their shapes, the types and range of each index column and of the
+    re and im columns, and repeats, found by one stable sort of the packed
+    indices.  Flagged rows get stand-in entries, so the columns stay whole,
+    and the first flagged row raises the error ``_refuse_row`` words for it.
+    """
     rows = data.get(name, [])
     if not isinstance(rows, list):
         raise ValueError(f"Hamiltonian JSON {name!r} is not a list of {shape} rows")
-    out: dict[tuple, complex] = {}
-    for row in rows:
-        problem = None
-        if not isinstance(row, list) or len(row) != shape.count(",") + 1:
-            problem = f"is not {shape}"
-        elif not all(type(i) is int and 1 <= i <= modes for i in row[:-2]):
-            problem = f"has a mode index that is not an integer in 1..{modes}"
-        elif not all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
-                     for v in row[-2:]):
-            problem = "has an re or im that is not a real number in the float range"
-        if problem:
-            raise ValueError(f"Hamiltonian JSON {name} row {json.dumps(row)} {problem}")
-        key = tuple(row[:-2])
-        if key in out:
-            raise ValueError(f"Hamiltonian JSON repeats the {name} row {list(key)}")
-        out[key] = complex(*row[-2:])
-    return out
+    width = shape.count(",") + 1
+    flagged = np.zeros(len(rows), dtype=bool)
+    if not set(map(type, rows)) <= {list} or set(map(len, rows)) - {width}:
+        flagged = np.fromiter((type(row) is not list or len(row) != width for row in rows),
+                              bool, len(rows))
+        rows = [[0] * width if bad else row for row, bad in zip(rows, flagged.tolist())]
+    flat = list(itertools.chain.from_iterable(rows))
+    keys = np.stack([_index_column(flat[k::width], modes, flagged) for k in range(width - 2)],
+                    axis=1)
+    values = np.empty(len(flagged), dtype=complex)
+    values.real, values.imag = (_value_column(flat[k::width], flagged)
+                                for k in (width - 2, width - 1))
+    packed = _packed(keys, modes)
+    order = np.argsort(packed, kind="stable")
+    packed = packed[order]
+    flagged[order[1:][packed[1:] == packed[:-1]]] = True  # each repeat of an earlier row
+    if flagged.any():
+        _refuse_row(data[name][np.argmax(flagged)], name, shape, modes)
+    return keys, values
+
+
+def _index_column(column: list, modes: int, flagged: np.ndarray) -> np.ndarray:
+    """A column of mode indices as int64; entries that are not an int in 1..modes are
+    flagged and read 0."""
+    if set(map(type, column)) <= {int} and (not column or
+                                            1 <= min(column) and max(column) <= modes):
+        return np.array(column, dtype=np.int64)
+    good = np.fromiter((type(i) is int and 1 <= i <= modes for i in column), bool, len(column))
+    flagged |= ~good
+    return np.array([i if ok else 0 for i, ok in zip(column, good.tolist())], dtype=np.int64)
+
+
+def _value_column(column: list, flagged: np.ndarray) -> np.ndarray:
+    """A column of re or im numbers as float64; entries that are not a float, or an int
+    within the float range, are flagged and read 0."""
+    types = set(map(type, column))
+    if types <= {float, int}:
+        try:
+            values = np.array(column, dtype=np.float64)
+        except OverflowError:  # an int past the float range
+            pass
+        else:
+            if int not in types or not (np.abs(values) == sys.float_info.max).any():
+                return values
+    # an int just past the float range rounds to the largest float, so ints are compared exactly
+    good = np.fromiter((type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+                        for v in column), bool, len(column))
+    flagged |= ~good
+    return np.array([v if ok else 0.0 for v, ok in zip(column, good.tolist())],
+                    dtype=np.float64)
+
+
+def _packed(keys: np.ndarray, modes: int) -> np.ndarray:
+    """Each row of 0..modes indices as one int64, the first index most significant.
+
+    Four indices fit while modes + 1 < 2**15, which a modes x modes t of
+    complex entries (16 GiB there) keeps to in practice.
+    """
+    packed = np.zeros(len(keys), dtype=np.int64)
+    for column in keys.T:
+        packed = packed * (modes + 1) + column
+    return packed
+
+
+def _refuse_row(row, name: str, shape: str, modes: int) -> None:
+    """Raise the ValueError of a flagged t or u row: the first problem it has, or else
+    that its indices repeat an earlier row's."""
+    problem = None
+    if not isinstance(row, list) or len(row) != shape.count(",") + 1:
+        problem = f"is not {shape}"
+    elif not all(type(i) is int and 1 <= i <= modes for i in row[:-2]):
+        problem = f"has a mode index that is not an integer in 1..{modes}"
+    elif not all(type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+                 for v in row[-2:]):
+        problem = "has an re or im that is not a real number in the float range"
+    if problem:
+        raise ValueError(f"Hamiltonian JSON {name} row {json.dumps(row)} {problem}")
+    raise ValueError(f"Hamiltonian JSON repeats the {name} row {row[:-2]}")
+
+
+def _interaction_arrays(u: dict, modes: int) -> tuple[dict, np.ndarray, np.ndarray]:
+    """u with keys as tuples of ints and complex values, its keys as a (K, 4) int64
+    array and its values as a complex array.
+
+    A key that is not four indices in 1..modes reads as (0, 0, 0, 0), and
+    keys that become equal keep the first one's place and the last value.
+    Raises what int() or complex() raises on a key or value.
+    """
+    lengths = np.fromiter(map(len, u), np.intp, len(u))
+    flat = list(map(int, itertools.chain.from_iterable(u)))
+    values = np.fromiter(map(complex, u.values()), complex, len(u))
+    if (lengths == 4).all():
+        key_list = list(zip(*[iter(flat)] * 4))
+    else:
+        starts = np.cumsum(lengths) - lengths
+        key_list = [tuple(flat[a:a + n]) for a, n in zip(starts.tolist(), lengths.tolist())]
+    out = dict(zip(key_list, values.tolist()))
+    if len(out) < len(u):
+        return _interaction_arrays(out, modes)
+    if (lengths == 4).all() and (not flat or 1 <= min(flat) and max(flat) <= modes):
+        return out, np.array(flat, dtype=np.int64).reshape(-1, 4), values
+    good = [len(key) == 4 and all(1 <= i <= modes for i in key) for key in key_list]
+    keys = np.array([key if ok else (0,) * 4 for key, ok in zip(key_list, good)],
+                    dtype=np.int64).reshape(-1, 4)
+    return out, keys, values
+
+
+def _lacks_partner(keys: np.ndarray, values: np.ndarray, modes: int) -> np.ndarray:
+    """Whether each key's conjugate partner (d, g, b, a) is missing from keys, or holds
+    a value more than 1e-12 from its conjugate."""
+    if not len(keys):
+        return np.zeros(0, dtype=bool)
+    packed, wanted = _packed(keys, modes), _packed(keys[:, ::-1], modes)
+    order = np.argsort(packed)
+    partner = order[np.minimum(np.searchsorted(packed[order], wanted), len(keys) - 1)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        far = _magnitudes(values[partner] - values.conj()) > 1e-12
+    return (packed[partner] != wanted) | far
+
+
+def _magnitudes(values: np.ndarray) -> np.ndarray:
+    """abs() of complex entries as Python and numpy scalars take it, by ``np.hypot``
+    (``np.abs`` of a complex array can differ in the last bit); inf where it overflows."""
+    with np.errstate(over="ignore"):
+        return np.hypot(values.real, values.imag)
+
+
+def _refuse_interaction(u: dict, key: tuple, modes: int) -> None:
+    """Raise the ValueError of a flagged interaction entry."""
+    value = u[key]
+    if len(key) != 4 or not all(1 <= i <= modes for i in key):
+        raise ValueError(f"bad interaction index tuple {key}")
+    if not cmath.isfinite(value):
+        raise ValueError(f"interaction entry {key} is {value}, not finite")
+    partner = (key[3], key[2], key[1], key[0])
+    if partner not in u or abs(u[partner] - value.conjugate()) > 1e-12:
+        raise ValueError(f"interaction entry {key} lacks a conjugate partner {partner}")
+    raise AssertionError(f"interaction entry {key} was flagged, but it checks")
 
 
 def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:

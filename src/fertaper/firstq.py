@@ -42,7 +42,7 @@ import numpy as np
 from fertaper import limits
 from fertaper.fermion import FermionHamiltonian, FockState
 from fertaper.fermion import default_penalty_scale  # noqa: F401  (re-exported)
-from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian, mask_array
+from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
 
 
 @dataclass(frozen=True)
@@ -419,7 +419,7 @@ def _register_words(h: QubitHamiltonian, enc: RegisterEncoding):
     m, q = enc.register_bits, enc.qubits
     bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1  # [mask, qubit]
     value = np.where(bits[:, None, :], bits[None, :, :], 2) @ 3 ** np.arange(m - 1, -1, -1)
-    x, z = (mask_array(masks, q) for masks in (h.x_masks, h.z_masks))
+    x, z = h.x_masks, h.z_masks
     shift = (q - m * np.arange(1, enc.particles + 1)).astype(x.dtype)
     low = np.asarray((1 << m) - 1, dtype=x.dtype)
     x, z = ((v[:, None] >> shift & low).astype(np.intp) for v in (x, z))

@@ -17,18 +17,23 @@ symplectic representation of Aaronson & Gottesman (PRA 70, 052328, 2004),
 bit-packed as in Stim (Gidney, Quantum 5, 497, 2021).  ``.x`` and ``.z``
 are bit-tuple views of the masks.
 
-A ``QubitHamiltonian`` stores parallel tuples ``x_masks``, ``z_masks`` and
-``coeffs``.  Each term is its coefficient times the Hermitian letter Pauli
-of its masks (phase power = number of Y letters): the phase of any
-operator a sum is built from is folded into the coefficient on entry.  A
-sum is canonical when its masks are distinct, ordered by (x, z), and no
+A ``QubitHamiltonian`` stores its terms as three parallel read-only
+arrays: ``x_masks`` and ``z_masks`` in the ``mask_array`` layout (uint64 up
+to 64 qubits, Python ints in an object array past that) and ``coeffs`` as
+complex128, the packed-table layout of Stim.  Sums hand these arrays from
+stage to stage; a sum never shares an array a caller can still write to.
+Each term is its coefficient times the Hermitian letter Pauli of its
+masks (phase power = number of Y letters): the phase of any operator a
+sum is built from is folded into the coefficient on entry.  A sum is
+canonical when its masks are distinct, ordered by (x, z), and no
 coefficient is below the pruning tolerance.  ``QubitHamiltonian.merged``
 reaches that form from mask and coefficient arrays: one stable sort of
-the (x, z) keys ranks the distinct Paulis, and ``np.add.at`` adds each
-one's coefficients from 0 in the order given.  ``canonicalize`` is that
-merge on a sum's own terms; it sets the ``canonical`` flag on the result,
-so canonicalizing it again returns the same object.  ``.terms`` is a
-``(coeff, PauliOperator)`` view built on first use.
+the (x, z) keys, a radix sort of their 16-bit digits, ranks the distinct
+Paulis, and ``np.add.at`` adds each one's coefficients from 0 in the
+order given.  ``canonicalize`` is that merge on a sum's own terms; it
+sets the ``canonical`` flag on the result, so canonicalizing it again
+returns the same object.  ``.terms`` is a ``(coeff, PauliOperator)`` view
+built on first use, and ``dense`` and ``product`` walk ``.tolist()`` views.
 
 Text I/O works on whole columns.  ``hamiltonian_from_text`` cuts the text
 into rows once, parses each distinct ``re`` and ``im`` word once with
@@ -105,11 +110,16 @@ def mask_array(masks, n: int) -> np.ndarray:
     return np.asarray(masks, dtype=np.uint64 if n <= 64 else object).reshape(-1)
 
 
-def _words(masks: np.ndarray, n: int) -> list[np.ndarray]:
-    """A ``mask_array`` array as uint64 words, the least significant first."""
-    if masks.dtype != object:
-        return [masks]
-    return list(gf2.uint64_words(masks, n).T[::-1])
+def _digits(masks: np.ndarray, n: int) -> list[np.ndarray]:
+    """A ``mask_array`` array as the uint16 digits of its n bits, the least significant first.
+
+    As ``np.lexsort`` keys they sort by the masks, and numpy sorts each
+    uint16 key stably by one radix pass, where a uint64 key takes a merge
+    sort (ten times as long on a few thousand terms).
+    """
+    words = [masks] if masks.dtype != object else gf2.uint64_words(masks, n).T[::-1]
+    return [(word >> np.uint64(shift)).astype(np.uint16)
+            for k, word in enumerate(words) for shift in range(0, 64, 16) if 64 * k + shift < n]
 
 
 class PauliOperator:
@@ -244,7 +254,9 @@ class QubitHamiltonian:
 
     ``QubitHamiltonian(n, terms)`` takes ``(coeff, PauliOperator)`` pairs
     and folds each operator's phase into its coefficient; ``from_masks``
-    takes the packed sequences directly.
+    takes the packed masks directly.  ``x_masks`` and ``z_masks`` are
+    read-only ``mask_array`` arrays and ``coeffs`` a read-only complex128
+    array; a sum shares no array a caller can still write to.
     """
 
     __slots__ = ("qubit_count", "x_masks", "z_masks", "coeffs", "canonical", "_terms")
@@ -258,7 +270,8 @@ class QubitHamiltonian:
             zs.append(op.z_mask)
             shift = (op.phase_power - op.y_count) % 4
             cs.append(complex(coeff) * _PHASE[shift])
-        _fill_slots(self, qubit_count, tuple(xs), tuple(zs), tuple(cs), False, None)
+        _fill_sum(self, qubit_count, mask_array(xs, qubit_count), mask_array(zs, qubit_count),
+                  np.array(cs, dtype=complex), False)
 
     def __setattr__(self, name, value):
         raise AttributeError("QubitHamiltonian is immutable")
@@ -268,15 +281,18 @@ class QubitHamiltonian:
                    canonical: bool = False) -> "QubitHamiltonian":
         """Sum of coeffs[k] times the Hermitian letter Pauli of (x_masks[k], z_masks[k]).
 
-        ``canonical`` asserts the caller already holds the canonical form.
+        Masks are sequences of ints or ``mask_array`` arrays, coefficients
+        any complex sequence or array; each is copied.  ``canonical``
+        asserts the caller already holds the canonical form.
         """
-        h = object.__new__(cls)
-        _fill_slots(h, n, tuple(x_masks), tuple(z_masks), tuple(coeffs), canonical, None)
-        return h
+        dtype = np.uint64 if n <= 64 else object
+        return _new_sum(n, np.array(x_masks, dtype=dtype).reshape(-1),
+                        np.array(z_masks, dtype=dtype).reshape(-1),
+                        np.array(coeffs, dtype=complex).reshape(-1), canonical)
 
     @classmethod
     def zero(cls, n: int) -> "QubitHamiltonian":
-        return cls.from_masks(n, (), (), (), canonical=True)
+        return _new_sum(n, mask_array((), n), mask_array((), n), np.zeros(0, dtype=complex), True)
 
     @property
     def terms(self) -> tuple[tuple[complex, PauliOperator], ...]:
@@ -285,9 +301,13 @@ class QubitHamiltonian:
             n = self.qubit_count
             object.__setattr__(self, "_terms", tuple(
                 (c, PauliOperator.from_masks(n, x, z, (x & z).bit_count()))
-                for x, z, c in zip(self.x_masks, self.z_masks, self.coeffs)
+                for x, z, c in zip(*self._lists())
             ))
         return self._terms
+
+    def _lists(self) -> tuple[list, list, list]:
+        """The masks as lists of ints and the coefficients as a list of complex."""
+        return self.x_masks.tolist(), self.z_masks.tolist(), self.coeffs.tolist()
 
     @classmethod
     def merged(cls, n: int, x_masks, z_masks, coeffs) -> "QubitHamiltonian":
@@ -307,7 +327,8 @@ class QubitHamiltonian:
             raise ValueError("masks and coefficients differ in length")
         if not len(coeffs):
             return cls.zero(n)
-        order = np.lexsort([*_words(z, n), *_words(x, n)])  # by (x, z), stable
+        keys = [*_digits(z, n), *_digits(x, n)] or [np.zeros(len(x), dtype=np.uint16)]
+        order = np.lexsort(keys)  # by (x, z), stable
         xs, zs = x[order], z[order]
         new = np.ones(len(order), dtype=bool)  # first of its key in sorted order
         new[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
@@ -320,12 +341,12 @@ class QubitHamiltonian:
         bad = np.flatnonzero(~np.isfinite(sums))
         if bad.size:
             k = first[bad[:1]]
-            label = _labels(n, x[k].tolist(), z[k].tolist())[0]
+            label = _labels(n, x[k], z[k])[0]
             raise ValueError(f"the coefficient of {label!r} sums to {complex(sums[bad[0]])}, "
                              "which is not finite")
         kept = np.abs(sums) >= DEFAULT_PRUNE_TOL
-        return cls.from_masks(n, x[first[kept]].tolist(), z[first[kept]].tolist(),
-                              sums[kept].tolist(), canonical=True)
+        first = first[kept]
+        return _new_sum(n, x[first], z[first], sums[kept], True)
 
     def canonicalize(self) -> "QubitHamiltonian":
         """Merge equal Pauli strings, prune tiny coefficients, sort terms.
@@ -344,41 +365,42 @@ class QubitHamiltonian:
         limits.check_dense(dim)
         mat = np.zeros((dim, dim), dtype=complex)
         cols = np.arange(dim, dtype=np.int64)
-        for x, z, c in zip(self.x_masks, self.z_masks, self.coeffs):
+        for x, z, c in zip(*self._lists()):
             signs = 1 - 2 * (np.bitwise_count(cols & z).astype(np.int64) & 1)
             mat[cols ^ x, cols] += c * _PHASE[(x & z).bit_count() % 4] * signs
         return mat
 
     def is_hermitian(self) -> bool:
         # canonical Paulis are Hermitian, so only the coefficients can fail
-        return all(abs(c.imag) <= 1e-10 for c in self.canonicalize().coeffs)
+        return bool((np.abs(self.canonicalize().coeffs.imag) <= 1e-10).all())
 
     def operator_set(self, include_identity: bool = False) -> set[str]:
         """Labels of the distinct canonical Paulis (identity optional)."""
         h = self.canonicalize()
-        pairs = [(x, z) for x, z in zip(h.x_masks, h.z_masks) if include_identity or x | z]
-        return set(_labels(h.qubit_count, [x for x, _ in pairs], [z for _, z in pairs]))
+        x, z = h.x_masks, h.z_masks
+        if not include_identity:
+            kept = (x | z) != 0
+            x, z = x[kept], z[kept]
+        return set(_labels(h.qubit_count, x, z))
 
     def __add__(self, other: "QubitHamiltonian") -> "QubitHamiltonian":
         if other.qubit_count != self.qubit_count:
             raise ValueError("qubit count mismatch")
-        return QubitHamiltonian.from_masks(self.qubit_count, self.x_masks + other.x_masks,
-                                           self.z_masks + other.z_masks,
-                                           self.coeffs + other.coeffs)
+        return _new_sum(self.qubit_count, *(np.concatenate([a, b]) for a, b in zip(
+            (self.x_masks, self.z_masks, self.coeffs),
+            (other.x_masks, other.z_masks, other.coeffs))), False)
 
     def scaled(self, factor: complex) -> "QubitHamiltonian":
-        return QubitHamiltonian.from_masks(self.qubit_count, self.x_masks, self.z_masks,
-                                           (np.asarray(self.coeffs, dtype=complex) * factor)
-                                           .tolist())
+        return _new_sum(self.qubit_count, self.x_masks, self.z_masks, self.coeffs * factor,
+                        False)
 
     def product(self, other: "QubitHamiltonian") -> "QubitHamiltonian":
         """Term-by-term operator product, merged eagerly."""
         if other.qubit_count != self.qubit_count:
             raise ValueError("qubit count mismatch")
         xs, zs, cs = [], [], []
-        right = [(xb, zb, (xb & zb).bit_count(), cb)
-                 for xb, zb, cb in zip(other.x_masks, other.z_masks, other.coeffs)]
-        for xa, za, ca in zip(self.x_masks, self.z_masks, self.coeffs):
+        right = [(xb, zb, (xb & zb).bit_count(), cb) for xb, zb, cb in zip(*other._lists())]
+        for xa, za, ca in zip(*self._lists()):
             ya = (xa & za).bit_count()
             for xb, zb, yb, cb in right:
                 x, z = xa ^ xb, za ^ zb
@@ -387,7 +409,7 @@ class QubitHamiltonian:
                 xs.append(x)
                 zs.append(z)
                 cs.append(ca * cb * _PHASE[shift])
-        return QubitHamiltonian.from_masks(self.qubit_count, xs, zs, cs).canonicalize()
+        return QubitHamiltonian.merged(self.qubit_count, xs, zs, cs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -395,14 +417,36 @@ class QubitHamiltonian:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QubitHamiltonian):
             return NotImplemented
-        return (self.qubit_count, self.x_masks, self.z_masks, self.coeffs) == \
-            (other.qubit_count, other.x_masks, other.z_masks, other.coeffs)
+        return self.qubit_count == other.qubit_count and all(
+            np.array_equal(a, b) for a, b in zip((self.x_masks, self.z_masks, self.coeffs),
+                                                 (other.x_masks, other.z_masks, other.coeffs)))
 
     def __hash__(self) -> int:
-        return hash((self.qubit_count, self.x_masks, self.z_masks, self.coeffs))
+        return hash((self.qubit_count, *map(tuple, self._lists())))
 
     def __repr__(self) -> str:
         return f"QubitHamiltonian({self.qubit_count}, {len(self)} terms)"
+
+
+def _new_sum(n: int, x_masks: np.ndarray, z_masks: np.ndarray, coeffs: np.ndarray,
+             canonical: bool) -> QubitHamiltonian:
+    """A sum that takes the given arrays as they are, and makes them read-only.
+
+    Only for arrays no caller holds a writable reference to: new ones, or
+    the read-only arrays of another sum.
+    """
+    h = object.__new__(QubitHamiltonian)
+    _fill_sum(h, n, x_masks, z_masks, coeffs, canonical)
+    return h
+
+
+def _fill_sum(h: QubitHamiltonian, n: int, x_masks: np.ndarray, z_masks: np.ndarray,
+              coeffs: np.ndarray, canonical: bool) -> None:
+    if not len(x_masks) == len(z_masks) == len(coeffs):
+        raise ValueError("masks and coefficients differ in length")
+    for array in (x_masks, z_masks, coeffs):
+        array.flags.writeable = False
+    _fill_slots(h, n, x_masks, z_masks, coeffs, canonical, None)
 
 
 def hamiltonian_to_text(h: QubitHamiltonian) -> str:
@@ -416,8 +460,7 @@ def hamiltonian_to_text(h: QubitHamiltonian) -> str:
     line is just "re im".
     """
     h = h.canonicalize()
-    coeffs = np.asarray(h.coeffs, dtype=complex)
-    columns = [_float_texts(coeffs.real), _float_texts(coeffs.imag)]
+    columns = [_float_texts(h.coeffs.real), _float_texts(h.coeffs.imag)]
     if h.qubit_count:
         columns.append(_labels(h.qubit_count, h.x_masks, h.z_masks))
     lines = [f"# qubits {h.qubit_count}", *map(" ".join, zip(*columns)), ""]

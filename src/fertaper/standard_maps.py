@@ -28,7 +28,7 @@ import numpy as np
 
 from fertaper import gf2, limits
 from fertaper.fermion import FermionHamiltonian
-from fertaper.pauli import PauliOperator, QubitHamiltonian
+from fertaper.pauli import PauliOperator, QubitHamiltonian, _new_sum
 
 ENCODING_KINDS = ("jordan_wigner", "parity", "binary_tree")
 
@@ -185,8 +185,7 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     coeffs = np.empty(len(row), dtype=complex)  # factor * (re + i im), as Python multiplies
     coeffs.real = factor.real * re - factor.imag * im
     coeffs.imag = factor.real * im + factor.imag * re
-    return QubitHamiltonian.from_masks(m, gf2.from_uint64_words(x)[row].tolist(),
-                                       gf2.from_uint64_words(z).tolist(), coeffs.tolist())
+    return _new_sum(m, gf2.from_uint64_words(x)[row], gf2.from_uint64_words(z), coeffs, False)
 
 
 def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHamiltonian:

@@ -43,7 +43,7 @@ def check_matrix(h: QubitHamiltonian) -> list[int]:
     """
     h = h.canonicalize()
     n = h.qubit_count
-    return [(z << n) | x for x, z in zip(h.x_masks, h.z_masks)]
+    return [(z << n) | x for x, z in zip(h.x_masks.tolist(), h.z_masks.tolist())]
 
 
 def _anticommute(u: int, v: int, n: int) -> int:
@@ -225,7 +225,7 @@ def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamilton
     n = h.qubit_count
     # every term's masks as native uint64 words, one row per term
     x, z = (gf2.uint64_words(masks, n).astype(np.uint64) for masks in (h.x_masks, h.z_masks))
-    cs = np.array(h.coeffs, dtype=complex)
+    cs = h.coeffs
     phase = gf2.popcounts(x & z)  # letter form: i per Y
     for a, b in plan.reflections():
         ax, az, bx, bz = gf2.uint64_words([a.x_mask, a.z_mask, b.x_mask, b.z_mask],
@@ -273,11 +273,11 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
     h = h_transformed.canonicalize()
     n = h.qubit_count
     m = n - plan.size
-    x, z = mask_array(h.x_masks, n), mask_array(h.z_masks, n)
+    x, z = h.x_masks, h.z_masks
     paired = qubit_mask(n, plan.paired_qubits)
     bad = np.flatnonzero((z & paired) != 0)
     if len(bad):  # the first such term: its own PauliOperator, not a view of every term
-        x_k, z_k = h.x_masks[bad[0]], h.z_masks[bad[0]]
+        x_k, z_k = int(x[bad[0]]), int(z[bad[0]])
         op = PauliOperator.from_masks(n, x_k, z_k, (x_k & z_k).bit_count())
         q = next(q for q in plan.paired_qubits if op.letter_at(q) not in "IX")
         raise ValueError(
@@ -289,7 +289,7 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
     xs, zs = (mask_array(gf2.drop_bits(masks, drop), m) for masks in (x, z))
     negatives = gf2.uint64_words([qubit_mask(n, (q for q, s in zip(plan.paired_qubits, sector)
                                                  if s < 0)) for sector in sectors], n)
-    cs = np.array(h.coeffs, dtype=complex)
+    cs = h.coeffs
     out = {}
     for sector, negative in zip(sectors, negatives):
         odd = np.bitwise_count(np.bitwise_xor.reduce(flips & negative, axis=1)) & 1
@@ -346,9 +346,8 @@ class BasisBlocks:
 
         groups: dict[int, list] = {}  # x mask -> (sum, its z masks, coefficients)
         for i, h in enumerate(sums):
-            xs = np.array(h.x_masks, dtype=np.int64)
-            zs = np.array(h.z_masks, dtype=np.int64)
-            cs = np.array(h.coeffs, dtype=complex) * np.array(_PHASE)[np.bitwise_count(xs & zs) % 4]
+            xs, zs = h.x_masks.astype(np.int64), h.z_masks.astype(np.int64)
+            cs = h.coeffs * np.array(_PHASE)[np.bitwise_count(xs & zs) % 4]
             starts = np.flatnonzero(np.diff(xs, prepend=-1)).tolist()  # sorted by x
             for lo, hi in zip(starts, [*starts[1:], len(xs)]):
                 groups.setdefault(int(xs[lo]), []).append((i, zs[lo:hi], cs[lo:hi]))

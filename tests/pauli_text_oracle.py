@@ -18,7 +18,7 @@ def hamiltonian_to_text(h: QubitHamiltonian) -> str:
     h = h.canonicalize()
     lines = [f"# qubits {h.qubit_count}"]
     sep = " " if h.qubit_count else ""  # on zero qubits the label is empty
-    for coeff, label in zip(h.coeffs, _labels(h.qubit_count, h.x_masks, h.z_masks)):
+    for coeff, label in zip(h.coeffs.tolist(), _labels(h.qubit_count, h.x_masks, h.z_masks)):
         lines.append(f"{coeff.real:.17g} {coeff.imag:.17g}{sep}{label}")
     return "\n".join(lines) + "\n"
 

@@ -132,6 +132,17 @@ class TestEncodeTaper:
         assert err.startswith("error:") and "not Hermitian" in err and "ZZ" in err
         assert not report.exists()
 
+    def test_non_hermitian_error_names_the_first_worst_term(self, tmp_path, monkeypatch, capsys):
+        # ZZ and XI tie on |im|; the first in canonical (x, z) order is named, with the
+        # coefficient as Python spells a complex
+        monkeypatch.chdir(tmp_path)
+        Path("nh.txt").write_text("# qubits 2\n0.5 1 ZZ\n1 0 ZI\n-0.25 -1 XI\n")
+        assert main(["taper", "--input", "nh.txt", "--output", "t.txt"]) == 2
+        assert capsys.readouterr().err == (
+            "error: nh.txt: Hamiltonian is not Hermitian (term ZZ has coefficient (0.5+1j)); "
+            "sector energies would be meaningless\n")
+        assert not Path("t.txt").exists()
+
     @pytest.mark.parametrize("line", ["nan 0 ZZ", "1  nan ZZ", "-inf 0 ZZ", "1 1e400 ZZ"])
     def test_non_finite_coefficient_names_its_line(self, tmp_path, capsys, line):
         # read as written, before any phase is folded in: NaN times the zero
@@ -1304,6 +1315,12 @@ def refusal_inputs(tmp_path) -> None:
         "accent.txt": "1 0 Z\u00c9\n",
         "short.txt": "# qubits 3\n1 0 ZZ\n",
         "squared.txt": "# qubits \u00b2\n",  # a count int() refuses is a comment
+        "bool.json": '{"modes": 2, "particles": 1, "t": [[true, 1, 0.5, 0]], "u": []}',
+        "twice.json": ('{"modes": 2, "particles": 1, "t": [[1, 1, 0.5, 0], [2, 2, 0.5, 0], '
+                       '[1, 1, 0.25, 0]], "u": []}'),
+        "lone.json": '{"modes": 3, "particles": 1, "t": [], "u": [[1, 2, 3, 1, 0.5, 0]]}',
+        "huge.json": ('{"modes": 2, "particles": 1, "t": [[1, 1180591620717411303424, 0.5, 0]], '
+                      '"u": []}'),  # a 2**70 index
     }
     for name, text in files.items():
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -1330,6 +1347,15 @@ REFUSALS = [
      "need at least one mode and one particle"),
     (["firstq", "--input", "p3.json", "--emit-bins", "b.json"],
      "particle count outside 0..modes"),
+    (["encode", "--input", "bool.json", "--map", "parity", "--output", "o.txt"],
+     "Hamiltonian JSON t row [true, 1, 0.5, 0] has a mode index that is not an integer in 1..2"),
+    (["encode", "--input", "twice.json", "--map", "parity", "--output", "o.txt"],
+     "Hamiltonian JSON repeats the t row [1, 1]"),
+    (["encode", "--input", "lone.json", "--map", "parity", "--output", "o.txt"],
+     "interaction entry (1, 2, 3, 1) lacks a conjugate partner (1, 3, 2, 1)"),
+    (["encode", "--input", "huge.json", "--map", "parity", "--output", "o.txt"],
+     "Hamiltonian JSON t row [1, 1180591620717411303424, 0.5, 0] has a mode index that is "
+     "not an integer in 1..2"),
 ]
 
 
@@ -1337,7 +1363,8 @@ REFUSALS = [
     "encode-no-modes", "taper-no-terms", "taper-bad-sector", "taper-nan-coefficient",
     "taper-non-ascii-letter", "taper-short-label", "taper-superscript-count",
     "graphgen-one-vertex", "codesim-mode-mismatch", "codesim-too-many-particles", "firstq-no-particles",
-    "firstq-particles-past-modes"])
+    "firstq-particles-past-modes", "encode-bool-index", "encode-repeated-row",
+    "encode-lone-interaction", "encode-huge-index"])
 def test_refusal_is_one_error_line(tmp_path, monkeypatch, capsys, argv, message):
     refusal_inputs(tmp_path)
     inputs = sorted(tmp_path.iterdir())

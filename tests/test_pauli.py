@@ -231,9 +231,10 @@ class TestArrayMerge:
         for got in (QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize(),
                     QubitHamiltonian.merged(n, mask_array(xs, n), mask_array(zs, n),
                                             np.array(cs))):
-            assert (list(got.x_masks), list(got.z_masks)) == (want_x, want_z)
-            assert all(type(x) is int for x in got.x_masks + got.z_masks)
-            assert bits(got.coeffs) == bits(want_c)
+            assert (got.x_masks.tolist(), got.z_masks.tolist()) == (want_x, want_z)
+            assert got.x_masks.dtype == got.z_masks.dtype == (np.uint64 if n <= 64 else object)
+            assert all(type(x) is int for x in got.x_masks.tolist() + got.z_masks.tolist())
+            assert bits(got.coeffs.tolist()) == bits(want_c)
             assert got.canonical and got.canonicalize() is got
 
     @pytest.mark.parametrize("n", [2, 40, 70])
@@ -315,7 +316,7 @@ class TestTextFormat:
         h = QubitHamiltonian(0, ((-0.75, PauliOperator.from_masks(0, 0, 0)),))
         again = hamiltonian_from_text(hamiltonian_to_text(h))
         assert again.qubit_count == 0
-        assert again.coeffs == (-0.75 + 0j,)
+        assert again.coeffs.tolist() == [-0.75 + 0j]
         assert again.dense().tolist() == [[-0.75 + 0j]]
 
     def test_zero_qubit_line_has_no_trailing_space(self):
@@ -393,3 +394,104 @@ class TestMaskLayout:
             op.x_mask = 0
         with pytest.raises(AttributeError):
             QubitHamiltonian.zero(1).coeffs = ()
+
+
+def random_terms(n, count, seed):
+    """count random (x, z, coefficient) lists of n-qubit Python-int masks, repeats included."""
+    rng = np.random.default_rng(seed)
+    masks = [int.from_bytes(rng.bytes(17), "big") >> (136 - n) for _ in range(2 * count)]
+    xs, zs = masks[:count], masks[count:]
+    xs[1], zs[1] = xs[0], zs[0]  # one Pauli twice
+    cs = [complex(*rng.normal(size=2)) for _ in range(count)]
+    return xs, zs, cs
+
+
+def pair_product_merge(n, a, b):
+    """a.product(b) with Python-int masks: PauliOperator products, summed by key."""
+    sums = {}
+    for ca, pa in a.terms:
+        for cb, pb in b.terms:
+            p = pauli_multiply(pa, pb)
+            shift = (p.phase_power - p.y_count) % 4
+            key = (p.x_mask, p.z_mask)
+            sums[key] = sums.get(key, 0j) + ca * cb * 1j ** shift
+    keys = sorted(k for k, c in sums.items() if abs(c) >= 1e-12)
+    return keys, [sums[k] for k in keys]
+
+
+class TestArraySums:
+    """Sums hold read-only mask and coefficient arrays, which no caller can write to."""
+
+    @pytest.mark.parametrize("n", [8, 64, 66, 130])
+    def test_arrays_are_read_only_in_their_layout(self, n):
+        xs, zs, cs = random_terms(n, 6, n)
+        h = QubitHamiltonian.from_masks(n, xs, zs, cs)
+        made = [h, h.canonicalize(), h + h, h.scaled(2.0), QubitHamiltonian.zero(n),
+                QubitHamiltonian.merged(n, xs, zs, cs), h.canonicalize().product(h),
+                QubitHamiltonian(n, [(c, op) for c, op in h.terms])]
+        if n <= 8:
+            made.append(hamiltonian_from_text(hamiltonian_to_text(h)))
+        for s in made:
+            assert s.x_masks.dtype == s.z_masks.dtype == (np.uint64 if n <= 64 else object)
+            assert s.coeffs.dtype == complex
+            for array in (s.x_masks, s.z_masks, s.coeffs):
+                assert not array.flags.writeable
+                with pytest.raises(ValueError, match="read-only"):
+                    array[:1] = 0
+            if n > 64:
+                assert all(type(m) is int for m in s.x_masks.tolist() + s.z_masks.tolist())
+
+    @pytest.mark.parametrize("n", [8, 64, 66])
+    def test_a_sum_keeps_its_terms_when_the_callers_arrays_change(self, n):
+        xs, zs, cs = random_terms(n, 6, n)
+        x, z, c = mask_array(xs, n), mask_array(zs, n), np.array(cs)
+        sums = [QubitHamiltonian.from_masks(n, x, z, c),
+                QubitHamiltonian.from_masks(n, x, z, c, canonical=True),
+                QubitHamiltonian.merged(n, x, z, c)]
+        before = [(s.x_masks.tolist(), s.z_masks.tolist(), s.coeffs.tolist()) for s in sums]
+        x[:] = z[:] = 0
+        c[:] = 7
+        assert [(s.x_masks.tolist(), s.z_masks.tolist(), s.coeffs.tolist())
+                for s in sums] == before
+        assert before[0] == (xs, zs, cs)
+
+    @pytest.mark.parametrize("n", [8, 64, 66, 130])
+    def test_equal_sums_hash_equal(self, n):
+        xs, zs, cs = random_terms(n, 5, n)
+        cs[2] = complex(0.0, 1.5)
+        a = QubitHamiltonian.from_masks(n, xs, zs, cs)
+        b = QubitHamiltonian.from_masks(n, mask_array(xs, n), mask_array(zs, n),
+                                        [complex(-0.0, 1.5) if k == 2 else c
+                                         for k, c in enumerate(cs)])
+        assert a == b and hash(a) == hash(b)  # 0.0 == -0.0, as for the parts' floats
+        assert a.canonicalize() == b.canonicalize()
+        assert hash(a.canonicalize()) == hash(b.canonicalize())
+        assert a != a.scaled(2.0)
+        assert a != QubitHamiltonian.from_masks(n, xs, zs[:-1] + [zs[-1] ^ 1], cs)
+        assert a != QubitHamiltonian.from_masks(n, xs[:-1], zs[:-1], cs[:-1])
+        assert a != QubitHamiltonian.from_masks(n + 1, xs, zs, cs)
+        assert len({a, b, a.scaled(2.0)}) == 2
+
+    def test_terms_sum_scale_and_product_at_66_qubits(self):
+        n = 66
+        xs, zs, cs = random_terms(n, 6, 1)
+        h = QubitHamiltonian.from_masks(n, xs, zs, cs)
+        assert [(c, op.n, op.x_mask, op.z_mask, op.phase_power) for c, op in h.terms] == \
+            [(c, n, x, z, (x & z).bit_count() % 4) for x, z, c in zip(xs, zs, cs)]
+        assert max(xs + zs).bit_length() > 64
+        other = QubitHamiltonian.from_masks(n, *random_terms(n, 4, 2))
+        total = h + other
+        assert not total.canonical
+        assert total.x_masks.tolist() == xs + other.x_masks.tolist()
+        assert total.coeffs.tolist() == cs + other.coeffs.tolist()
+        assert total.canonicalize() == QubitHamiltonian.merged(
+            n, xs + other.x_masks.tolist(), zs + other.z_masks.tolist(),
+            cs + other.coeffs.tolist())
+        scaled = h.scaled(0.5 - 2j)
+        assert scaled.x_masks.tolist() == xs and scaled.z_masks.tolist() == zs
+        assert scaled.coeffs.tolist() == [c * (0.5 - 2j) for c in cs]
+        got = h.product(other)
+        keys, coeffs = pair_product_merge(n, h, other)
+        assert list(zip(got.x_masks.tolist(), got.z_masks.tolist())) == keys
+        assert got.coeffs.tolist() == pytest.approx(coeffs, abs=1e-12)
+        assert got.canonical

@@ -40,7 +40,8 @@ def outcome(read, text):
         h = read(text)
     except ValueError as err:
         return "error", str(err)
-    return h.qubit_count, h.x_masks, h.z_masks, [repr(c) for c in h.coeffs]
+    return (h.qubit_count, h.x_masks.dtype, h.x_masks.tolist(), h.z_masks.tolist(),
+            [repr(c) for c in h.coeffs.tolist()])
 
 
 def written(write, h):

@@ -266,16 +266,16 @@ def products_one_by_one(enc, kinds, rows, factors) -> QubitHamiltonian:
     xs, zs, cs = [], [], []
     for row, factor in zip(rows, factors):
         part = factor_by_factor(enc, tuple(zip(kinds, row)))
-        xs += part.x_masks
-        zs += part.z_masks
-        cs += [complex(factor * c) for c in part.coeffs]
+        xs += part.x_masks.tolist()
+        zs += part.z_masks.tolist()
+        cs += [complex(factor * c) for c in part.coeffs.tolist()]
     return QubitHamiltonian.from_masks(enc.modes, xs, zs, cs)
 
 
 def assert_same_terms(got: QubitHamiltonian, want: QubitHamiltonian) -> None:
     assert got == want
     # repr tells 0.0 from -0.0, which == does not
-    assert [repr(c) for c in got.coeffs] == [repr(c) for c in want.coeffs]
+    assert [repr(c) for c in got.coeffs.tolist()] == [repr(c) for c in want.coeffs.tolist()]
 
 
 def assert_products_match(enc, kinds, rows, rng) -> QubitHamiltonian:
@@ -330,7 +330,8 @@ class TestClosedFormProducts:
         pairs += [tuple(int(v) for v in rng.choice(modes, 4)) for _ in range(40)]
         pair_hops = assert_products_match(enc, "ccaa", pairs, rng)
         for got in (hops, pair_hops):
-            assert max(got.x_masks + got.z_masks).bit_length() > 64
+            assert got.x_masks.dtype == got.z_masks.dtype == object
+            assert max(got.x_masks.tolist() + got.z_masks.tolist()).bit_length() > 64
 
     def test_empty_product_is_zero(self):
         # a batch of no products
