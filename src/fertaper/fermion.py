@@ -188,8 +188,8 @@ class FermionHamiltonian:
 
         t must be finite and Hermitian.  u is rebuilt as mode-index tuples of
         ints to complex values, and its keys, values and each key's conjugate
-        partner (found by one sort of the packed keys and ``searchsorted``) are
-        checked as arrays.
+        partner (found by one sort of the packed keys and ``searchsorted``)
+        are checked as arrays.
         """
         t = np.asarray(self.t, dtype=complex)
         if t.shape != (self.modes, self.modes):
@@ -305,9 +305,9 @@ def _json_rows(data: dict, name: str, shape: str, modes: int) -> tuple[np.ndarra
 
     JSON integers load as type int.  The rows are checked a column at a
     time: their shapes, the types and range of each index column and of the
-    re and im columns, and repeats, found by one stable sort of the packed
-    indices.  Flagged rows get stand-in entries, so the columns stay whole,
-    and the first flagged row raises the error ``_refuse_row`` words for it.
+    re and im columns, and repeats, found by one sort of the packed indices.
+    Flagged rows get stand-in entries, so the columns stay whole, and the
+    first flagged row raises the error ``_refuse_row`` words for it.
     """
     rows = data.get(name, [])
     if not isinstance(rows, list):
@@ -325,9 +325,11 @@ def _json_rows(data: dict, name: str, shape: str, modes: int) -> tuple[np.ndarra
     values.real, values.imag = (_value_column(flat[k::width], flagged)
                                 for k in (width - 2, width - 1))
     packed = _packed(keys, modes)
-    order = np.argsort(packed, kind="stable")
-    packed = packed[order]
-    flagged[order[1:][packed[1:] == packed[:-1]]] = True  # each repeat of an earlier row
+    ranked = np.sort(packed)
+    if (ranked[1:] == ranked[:-1]).any():  # flag each repeat of an earlier row
+        order = np.argsort(packed, kind="stable")
+        ranked = packed[order]
+        flagged[order[1:][ranked[1:] == ranked[:-1]]] = True
     if flagged.any():
         _refuse_row(data[name][np.argmax(flagged)], name, shape, modes)
     return keys, values
@@ -421,15 +423,25 @@ def _interaction_arrays(u: dict, modes: int) -> tuple[dict, np.ndarray, np.ndarr
 
 def _lacks_partner(keys: np.ndarray, values: np.ndarray, modes: int) -> np.ndarray:
     """Whether each key's conjugate partner (d, g, b, a) is missing from keys, or holds
-    a value more than 1e-12 from its conjugate."""
+    a value more than 1e-12 from its conjugate.
+
+    The packed keys are sorted once, and ``searchsorted`` finds each key's
+    place among them, which inverts the sort, and each partner's.  Only
+    ``np.sort`` and ``searchsorted`` of int64 run, the two that writing JSON
+    output runs too: an argsort's kernels add about 0.3 MiB to the peak RSS
+    of a process that reads one file.  Keys are distinct but for the
+    (0, 0, 0, 0) of bad ones, whose partner is never a good key's.
+    """
     if not len(keys):
         return np.zeros(0, dtype=bool)
     packed, wanted = _packed(keys, modes), _packed(keys[:, ::-1], modes)
-    order = np.argsort(packed)
-    partner = order[np.minimum(np.searchsorted(packed[order], wanted), len(keys) - 1)]
+    ranked = np.sort(packed)
+    order = np.zeros(len(keys), dtype=np.intp)  # key k is ranked[i] for i where order[i] = k
+    order[np.searchsorted(ranked, packed)] = np.arange(len(keys))
+    at = np.minimum(np.searchsorted(ranked, wanted), len(keys) - 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        far = _magnitudes(values[partner] - values.conj()) > 1e-12
-    return (packed[partner] != wanted) | far
+        far = _magnitudes(values[order[at]] - values.conj()) > 1e-12
+    return (ranked[at] != wanted) | far
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:

@@ -105,7 +105,7 @@ def damaged_texts(draw):
                                      "shift", "row", "particles", "magnitude", "list"]))
         if kind == "particles":
             data["particles"] = m + draw(st.integers(1, 3))
-        elif kind == "magnitude":
+        elif kind == "magnitude" and isinstance(rows, list):
             a = draw(st.integers(1, m))
             rows.append([a, a, 1.5, 0] if name == "t" else [a, a + 1, a + 1, a, 1.5, 0])
         elif kind == "list":
