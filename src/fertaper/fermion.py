@@ -303,11 +303,12 @@ class FermionHamiltonian:
 def _json_rows(data: dict, name: str, shape: str, modes: int) -> tuple[np.ndarray, np.ndarray]:
     """The t or u rows as an int64 array of mode indices, one row each, and their coefficients.
 
-    JSON integers load as type int.  The rows are checked a column at a
-    time: their shapes, the types and range of each index column and of the
-    re and im columns, and repeats, found by one sort of the packed indices.
-    Flagged rows get stand-in entries, so the columns stay whole, and the
-    first flagged row raises the error ``_refuse_row`` words for it.
+    JSON integers load as type int.  The rows are checked as one table: the
+    row shapes, the types of the index and of the re and im entries (one
+    set each), one float64 conversion, the index range, and repeats, found
+    by one sort of the packed indices.  Only where that finds a fault is
+    each entry checked; flagged rows then read 0, so the table stays whole,
+    and the first flagged row raises the error ``_refuse_row`` words for it.
     """
     rows = data.get(name, [])
     if not isinstance(rows, list):
@@ -319,11 +320,27 @@ def _json_rows(data: dict, name: str, shape: str, modes: int) -> tuple[np.ndarra
                               bool, len(rows))
         rows = [[0] * width if bad else row for row, bad in zip(rows, flagged.tolist())]
     flat = list(itertools.chain.from_iterable(rows))
-    keys = np.stack([_index_column(flat[k::width], modes, flagged) for k in range(width - 2)],
-                    axis=1)
-    values = np.empty(len(flagged), dtype=complex)
-    values.real, values.imag = (_value_column(flat[k::width], flagged)
-                                for k in (width - 2, width - 1))
+    is_index = [True] * (width - 2) + [False, False]
+    table = None
+    if (set(map(type, itertools.compress(flat, itertools.cycle(is_index)))) <= {int} and
+            set(map(type, itertools.compress(flat, itertools.cycle(not i for i in is_index))))
+            <= {int, float}):
+        try:
+            table = np.array(flat, dtype=np.float64).reshape(len(rows), width)
+        except OverflowError:  # an int past the float range
+            pass
+    # an int just past the float range rounds to the largest float, so those are checked again
+    if (table is None or not ((table[:, :-2] >= 1) & (table[:, :-2] <= modes)).all()
+            or (np.abs(table[:, -2:]) == sys.float_info.max).any()):
+        good = np.fromiter((type(v) is int and 1 <= v <= modes if index else
+                            type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
+                            for v, index in zip(flat, itertools.cycle(is_index))),
+                           bool, len(flat))
+        flagged |= ~good.reshape(-1, width).all(axis=1)
+        flat = [v if ok else 0 for v, ok in zip(flat, good.tolist())]
+        table = np.array(flat, dtype=np.float64).reshape(len(rows), width)
+    keys = table[:, :-2].astype(np.int64)
+    values = np.ascontiguousarray(table[:, -2:]).view(complex).reshape(-1)
     packed = _packed(keys, modes)
     ranked = np.sort(packed)
     if (ranked[1:] == ranked[:-1]).any():  # flag each repeat of an earlier row
@@ -335,47 +352,13 @@ def _json_rows(data: dict, name: str, shape: str, modes: int) -> tuple[np.ndarra
     return keys, values
 
 
-def _index_column(column: list, modes: int, flagged: np.ndarray) -> np.ndarray:
-    """A column of mode indices as int64; entries that are not an int in 1..modes are
-    flagged and read 0."""
-    if set(map(type, column)) <= {int} and (not column or
-                                            1 <= min(column) and max(column) <= modes):
-        return np.array(column, dtype=np.int64)
-    good = np.fromiter((type(i) is int and 1 <= i <= modes for i in column), bool, len(column))
-    flagged |= ~good
-    return np.array([i if ok else 0 for i, ok in zip(column, good.tolist())], dtype=np.int64)
-
-
-def _value_column(column: list, flagged: np.ndarray) -> np.ndarray:
-    """A column of re or im numbers as float64; entries that are not a float, or an int
-    within the float range, are flagged and read 0."""
-    types = set(map(type, column))
-    if types <= {float, int}:
-        try:
-            values = np.array(column, dtype=np.float64)
-        except OverflowError:  # an int past the float range
-            pass
-        else:
-            if int not in types or not (np.abs(values) == sys.float_info.max).any():
-                return values
-    # an int just past the float range rounds to the largest float, so ints are compared exactly
-    good = np.fromiter((type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
-                        for v in column), bool, len(column))
-    flagged |= ~good
-    return np.array([v if ok else 0.0 for v, ok in zip(column, good.tolist())],
-                    dtype=np.float64)
-
-
 def _packed(keys: np.ndarray, modes: int) -> np.ndarray:
     """Each row of 0..modes indices as one int64, the first index most significant.
 
     Four indices fit while modes + 1 < 2**15, which a modes x modes t of
     complex entries (16 GiB there) keeps to in practice.
     """
-    packed = np.zeros(len(keys), dtype=np.int64)
-    for column in keys.T:
-        packed = packed * (modes + 1) + column
-    return packed
+    return keys @ (modes + 1) ** np.arange(keys.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 def _refuse_row(row, name: str, shape: str, modes: int) -> None:
