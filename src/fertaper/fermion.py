@@ -201,11 +201,7 @@ class FermionHamiltonian:
         if not np.allclose(t, t.conj().T, atol=1e-12):
             raise ValueError("one-body tensor is not Hermitian")
         object.__setattr__(self, "t", t)
-        try:
-            u, keys, values = _interaction_arrays(self.u, self.modes)
-        except (TypeError, ValueError, OverflowError):  # from int() or complex() of an entry
-            u, keys, values = _interaction_arrays(
-                {tuple(int(i) for i in k): complex(v) for k, v in self.u.items()}, self.modes)
+        u, keys, values = _interaction_arrays(self.u, self.modes)
         lacking = _lacks_partner(keys, values, self.modes)
         flagged = (keys == 0).any(axis=1) | ~np.isfinite(values) | lacking
         if flagged.any():
@@ -213,7 +209,7 @@ class FermionHamiltonian:
         object.__setattr__(self, "u", u)
         if not 0 <= self.particles <= self.modes:
             raise ValueError("particle count outside 0..modes")
-        top = max(_magnitudes(t).max(initial=0.0), _magnitudes(values).max(initial=0.0))
+        top = _magnitudes(np.concatenate([t.ravel(), values])).max(initial=0.0)
         if top > 1 + 1e-9:
             warnings.warn(
                 f"coefficient magnitude {float(top)!r} exceeds 1; the usual energy-scale "
@@ -378,30 +374,26 @@ def _refuse_row(row, name: str, shape: str, modes: int) -> None:
 
 
 def _interaction_arrays(u: dict, modes: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """u with keys as tuples of ints and complex values, its keys as a (K, 4) int64
-    array and its values as a complex array.
+    """u as the constructor keeps it, with keys as tuples of ints and complex values,
+    its keys as a (K, 4) int64 array and its values as a complex array.
 
-    A key that is not four indices in 1..modes reads as (0, 0, 0, 0), and
-    keys that become equal keep the first one's place and the last value.
-    Raises what int() or complex() raises on a key or value.
+    A u already in that form (as ``from_json`` builds it) is copied; any
+    other goes through ``int()`` and ``complex()`` entry by entry, which
+    raise on what they refuse.  A key that is not four indices in 1..modes
+    reads as (0, 0, 0, 0).
     """
-    lengths = np.fromiter(map(len, u), np.intp, len(u))
-    flat = list(map(int, itertools.chain.from_iterable(u)))
-    values = np.fromiter(map(complex, u.values()), complex, len(u))
-    if (lengths == 4).all():
-        key_list = list(zip(*[iter(flat)] * 4))
+    if (set(map(type, u)) <= {tuple} and set(map(type, u.values())) <= {complex}
+            and set(map(type, itertools.chain.from_iterable(u))) <= {int}):
+        u = dict(u)
     else:
-        starts = np.cumsum(lengths) - lengths
-        key_list = [tuple(flat[a:a + n]) for a, n in zip(starts.tolist(), lengths.tolist())]
-    out = dict(zip(key_list, values.tolist()))
-    if len(out) < len(u):
-        return _interaction_arrays(out, modes)
-    if (lengths == 4).all() and (not flat or 1 <= min(flat) and max(flat) <= modes):
-        return out, np.array(flat, dtype=np.int64).reshape(-1, 4), values
-    good = [len(key) == 4 and all(1 <= i <= modes for i in key) for key in key_list]
-    keys = np.array([key if ok else (0,) * 4 for key, ok in zip(key_list, good)],
-                    dtype=np.int64).reshape(-1, 4)
-    return out, keys, values
+        u = {tuple(int(i) for i in k): complex(v) for k, v in u.items()}
+    flat = list(itertools.chain.from_iterable(u))
+    if set(map(len, u)) <= {4} and (not flat or 1 <= min(flat) and max(flat) <= modes):
+        keys = np.array(flat, dtype=np.int64)
+    else:
+        keys = np.array([key if len(key) == 4 and all(1 <= i <= modes for i in key)
+                         else (0,) * 4 for key in u], dtype=np.int64)
+    return u, keys.reshape(-1, 4), np.fromiter(u.values(), complex, len(u))
 
 
 def _lacks_partner(keys: np.ndarray, values: np.ndarray, modes: int) -> np.ndarray:

@@ -206,6 +206,7 @@ def test_u_magnitude_past_the_float_range_warns():
     ({(1, 2, 2, 1): 0.5, (1.5, 2, 2, 1): 0.25, (3, 3, 3, 9): 1}, None),
     ({(np.int64(1), 2, 2, 1): np.complex64(0.5), (2, 1, 1, 2): 1}, None),
     ({(1, 2, 2, 1): "0.5"}, None),
+    ({(1, 2, 2, 1): 0.5, (2, 1, 1, 2): 1, (1, 3, 3, 1): True}, None),
     ({(1, 2, 2, "x"): 0.5}, "invalid literal for int() with base 10: 'x'"),
     ({(1, 2, 2, 1): "x", (1, 2, 2, "x"): 0.5}, "complex() arg is a malformed string"),
     ({(1, 2, 2, 1): 0.5, "2332": 1}, None),
@@ -239,3 +240,12 @@ def test_reading_holds_no_extra_copy_per_row():
         tracemalloc.stop()
     assert h.modes == 72 and len(h.u) == 119
     assert peak < 4.3 * len(text)
+
+
+def test_constructor_keeps_its_own_u():
+    # u in the kept form is copied, not shared, so the caller's dict can change
+    u = {(1, 2, 2, 1): 0.5 + 0j}
+    h = FermionHamiltonian(2, 1, np.zeros((2, 2)), u)
+    u[(1, 2, 2, 1)] = 7 + 0j
+    u[(2, 1, 1, 2)] = 7 + 0j
+    assert h.u == {(1, 2, 2, 1): 0.5 + 0j} and h.u is not u
