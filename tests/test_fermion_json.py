@@ -165,6 +165,8 @@ FAULTS = {
     "repeated row": '{"modes": 2, "particles": 1, "t": [[1, 1, 0.5, 0], [1, 1, 0.5, 0]]}',
     "lone u row": '{"modes": 3, "particles": 1, "u": [[1, 2, 3, 1, 0.5, 0]]}',
     "non-Hermitian t": '{"modes": 2, "particles": 1, "t": [[1, 2, 0.5, 0.5], [2, 1, 0.5, 0.5]]}',
+    "huge non-Hermitian t": ('{"modes": 2, "particles": 1, "t": [[1, 2, 1.7e308, 1.7e308], '
+                             '[2, 1, -1.7e308, -1.7e308]]}'),  # overflows, as the oracle does
     "particles above modes": '{"modes": 2, "particles": 3}',
     "magnitude above 1": '{"modes": 2, "particles": 1, "t": [[2, 2, -1.5, 0]]}',
     # the first fault named: the u partner, then the index, then the repeat
