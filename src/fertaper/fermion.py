@@ -183,8 +183,8 @@ class FermionHamiltonian:
     u: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        """Check t and u a column at a time; the first flagged entry raises, in the
-        order of t's entries (row by row), then u's keys, as an entry-by-entry check would.
+        """Check t and u as arrays; the first flagged entry raises, in the order of
+        t's entries (row by row), then u's keys, as an entry-by-entry check would.
 
         t must be finite and Hermitian.  u is rebuilt as mode-index tuples of
         ints to complex values, and its keys, values and each key's conjugate
@@ -238,7 +238,7 @@ class FermionHamiltonian:
         im]``, with integer counts and mode indices in 1..modes.  Any other
         row is a ValueError naming it, as is one whose indices repeat an
         earlier row's: summing the two, or keeping the last, would silently
-        change what the file means.  The rows are checked a column at a time
+        change what the file means.  The rows are checked as one table
         (``_json_rows``) and the first flagged row raises the error a
         row-by-row check would; ``t`` is filled by one scatter and ``u`` is
         built from the index and coefficient arrays.
