@@ -168,13 +168,13 @@ class CodeEncoding:
         """
         if self.graph is not None:
             hit = self._graph_decoder.decode(s)
-            return None if hit is None else FockState(tuple(hit))
+            return None if hit is None else FockState(tuple(hit.tolist()))
         rows, keys = self._codespace
         key = syndrome_key(s, self.qubits)
         i = int(np.searchsorted(keys, key)[0])
         if i == len(keys) or keys[i] != key[0]:
             return None
-        return FockState(tuple(occupations(rows[i:i + 1], self.modes)[0]))
+        return FockState(tuple(occupations(rows[i:i + 1], self.modes)[0].tolist()))
 
     @cached_property
     def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
@@ -707,7 +707,7 @@ def load_pcm(path: str) -> np.ndarray:
     if not lines:
         raise ValueError(f"parity-check file {path} is empty")
     header = lines[0].split()
-    if len(header) != 2 or not all(t.isdigit() for t in header):
+    if len(header) != 2 or not all(t.isdecimal() for t in header):
         raise ValueError(f"parity-check file {path}: header {lines[0]!r} is not \"Q M\"")
     q, m = (int(t) for t in header)
     if len(lines) == 1:
@@ -715,9 +715,24 @@ def load_pcm(path: str) -> np.ndarray:
     if len(lines) - 1 > q:
         raise ValueError(f"parity-check file {path} has {len(lines) - 1} rows; "
                          f"its header says {q}")
-    digits = []
-    for r, ln in enumerate(lines[1:], 1):
-        entries = ln.split() if " " in ln else ln
+    # every row at once: a row, spaced or not, reads when it has m entries of one
+    # character each, and strip() leaves nothing when every character is 0 or 1;
+    # _refuse_row words the first error when a row is wrong
+    rows = [ln.split() if " " in ln else ln for ln in lines[1:]]
+    digits = [row if type(row) is str else "".join(row) for row in rows]
+    text = "".join(digits)
+    if set(map(len, rows)) | set(map(len, digits)) != {m} or text.strip("01"):
+        _refuse_row(path, rows, m)
+    a = (np.frombuffer(text.encode(), dtype=np.uint8) - ord("0")).reshape(-1, m)
+    if a.shape != (q, m):
+        raise ValueError(f"parity-check body {a.shape} does not match header ({q}, {m})")
+    return a
+
+
+def _refuse_row(path: str, rows: list, m: int) -> None:
+    """Raise the ValueError of the first wrong row of a parity-check file with m
+    columns; each row is a string of one-character entries or a list of spaced ones."""
+    for r, entries in enumerate(rows, 1):
         if not {"0", "1"}.issuperset(entries):
             bad = next(c for c, d in enumerate(entries, 1) if d not in ("0", "1"))
             raise ValueError(f"parity-check file {path}: row {r}, column {bad} is "
@@ -725,11 +740,7 @@ def load_pcm(path: str) -> np.ndarray:
         if len(entries) != m:
             raise ValueError(f"parity-check file {path}: row {r} has {len(entries)} "
                              f"entries; its header says {m}")
-        digits.append("".join(entries))
-    a = (np.frombuffer("".join(digits).encode(), dtype=np.uint8) - ord("0")).reshape(-1, m)
-    if a.shape != (q, m):
-        raise ValueError(f"parity-check body {a.shape} does not match header ({q}, {m})")
-    return a
+    raise AssertionError(f"parity-check file {path} was flagged, but its rows read")
 
 
 def apply_frames_to_isometry(frames, enc: CodeEncoding) -> np.ndarray:

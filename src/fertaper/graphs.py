@@ -45,13 +45,14 @@ class BipartiteGraph:
             raise ValueError("left and right sides overlap")
         if set(range(1, q + 1)) != self.left | self.right:
             raise ValueError("vertices must be exactly 1..Q")
+        side = dict.fromkeys(self.left, 0) | dict.fromkeys(self.right, 1)
         seen = set()
         for u, v in self.edges:
-            pair = frozenset((u, v))
-            if len(pair) != 2:
+            if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            if not ((u in self.left and v in self.right) or (v in self.left and u in self.right)):
+            if side.get(u, 2) + side.get(v, 2) != 1:  # a non-vertex is on neither side
                 raise ValueError(f"edge {u}-{v} does not cross the bipartition")
+            pair = (u, v) if u < v else (v, u)
             if pair in seen:
                 raise ValueError(f"parallel edge {u}-{v}")
             seen.add(pair)
@@ -227,8 +228,8 @@ def graph_from_incidence(a) -> BipartiteGraph | None:
     q, m = a.shape
     if not (a.sum(axis=0) == 2).all():
         return None
-    ends = np.nonzero(a.T)[1].reshape(m, 2) + 1  # each column's two rows, ascending
-    edges = tuple((int(u), int(v)) for u, v in ends)
+    ends = (np.nonzero(a.T)[1].reshape(m, 2) + 1).tolist()  # each column's two rows, ascending
+    edges = tuple(map(tuple, ends))
     if len(set(edges)) != m:
         return None
     coloring = two_coloring(_neighbours(q, edges))
@@ -478,15 +479,14 @@ class GraphDecoder:
         decoder = cls(g, n)
         return decoder if decoder.girth >= 2 * n + 2 else None
 
-    def _path(self, a: int, b: int) -> list[int]:
-        """Edge columns of a shortest a-b path (0-based ends), read off the
-        distance matrix by stepping to a neighbour one closer to b.  A path
-        of length <= n is the only one when the girth is >= 2n+2: two would
-        close a cycle of length <= 2n."""
-        dist = self.distances
+    def _path(self, a: int, b: int, to_b: list[int]) -> list[int]:
+        """Edge columns of a shortest a-b path (0-based ends), read off b's
+        distance row to_b by stepping to the first listed neighbour one
+        closer to b.  A path of length <= n is the only one when the girth
+        is >= 2n+2: two would close a cycle of length <= 2n."""
         cols = []
         while a != b:
-            a, col = next(step for step in self.neighbours[a] if dist[step[0], b] < dist[a, b])
+            a, col = next(step for step in self.neighbours[a] if to_b[step[0]] < to_b[a])
             cols.append(col)
         return cols
 
@@ -500,34 +500,41 @@ class GraphDecoder:
         weight-n preimage exists exactly when that minimum equals n.  The
         reconstruction is verified against the syndrome before returning,
         making wrong answers impossible regardless of matching internals.
+        The marked vertices' distance rows, k <= 2n rows of Q, are the one
+        fetch from the matrix; pairing, paths and the check run on them as
+        Python ints.
         """
         syndrome = gf2.asbits(syndrome)
-        n = self.particles
-        if syndrome.shape != (self.graph.vertex_count,):
+        n, q = self.particles, self.graph.vertex_count
+        if syndrome.shape != (q,):
             raise ValueError("syndrome length does not match vertex count")
         marked = np.flatnonzero(syndrome)
         if len(marked) > 2 * n:
             return None
+        rows = self.distances[marked].tolist()
+        marked = marked.tolist()
         # pairs further apart than n cannot sit in a weight-n matching, and
         # an entry of Q marks two vertices with no path between them
-        reach = min(n, self.graph.vertex_count - 1)
-        weights = [[d if d <= reach else None for d in row]
-                   for row in self.distances[np.ix_(marked, marked)].tolist()]
+        reach = min(n, q - 1)
+        weights = [[row[j] if row[j] <= reach else None for j in marked] for row in rows]
         matched = min_weight_matching(weights)
         if matched is None or matched[0] != n:
             return None
-        x = np.zeros(self.graph.edge_count, dtype=np.uint8)
+        chosen = set()
         for i, j in matched[1]:
-            x[self._path(marked[i], marked[j])] ^= 1
+            chosen.symmetric_difference_update(self._path(marked[i], marked[j], rows[j]))
         # confirm weight and boundary; mismatches cannot happen at a true optimum
-        chosen = np.flatnonzero(x)
         if len(chosen) != n:
             return None
         boundary = 0
         for col in chosen:
             boundary ^= self.edge_masks[col]
-        if boundary != gf2.bits_to_int(syndrome):
+        for v in marked:
+            boundary ^= 1 << (q - 1 - v)
+        if boundary:
             return None
+        x = np.zeros(self.graph.edge_count, dtype=np.uint8)
+        x[list(chosen)] = 1
         return x
 
 
@@ -574,13 +581,30 @@ def load_graph(path: str) -> BipartiteGraph:
     if len(lines) - 1 != m:
         raise ValueError(f"graph file {path} has {len(lines) - 1} edge lines; "
                          f"its header says {m}")
-    for k, ends in lines[1:]:
-        if len(ends) != 2 or not all(t.isdecimal() and 1 <= int(t) <= ql + qr for t in ends):
-            raise ValueError(f"graph file {path}, line {k}: an edge must be \"u v\" "
-                             f"with vertices in 1..{ql + qr}")
-    edges = tuple((int(u), int(v)) for _, (u, v) in lines[1:])
+    # every line at once; _refuse_edge words the first error when a line is wrong
+    words = [ends for _, ends in lines[1:]]
+    tokens = [t for ends in words for t in ends]
+    digits = "".join(tokens)
+    vertices = None
+    if set(map(len, words)) <= {2} and (digits.isdecimal() or not digits):
+        try:
+            vertices = list(map(int, tokens))
+        except ValueError:  # past int()'s digit limit: the line loop raises it where it lies
+            pass
+    if vertices is None or (vertices and not 1 <= min(vertices) <= max(vertices) <= ql + qr):
+        _refuse_edge(path, lines[1:], ql + qr)
+    edges = tuple(zip(vertices[::2], vertices[1::2]))
     try:
         return BipartiteGraph(frozenset(range(1, ql + 1)),
                               frozenset(range(ql + 1, ql + qr + 1)), edges)
     except ValueError as err:
         raise ValueError(f"graph file {path}: {err}") from None
+
+
+def _refuse_edge(path: str, lines: list[tuple[int, list[str]]], q: int) -> None:
+    """Raise the ValueError of the first malformed edge line of a graph file on q vertices."""
+    for k, ends in lines:
+        if len(ends) != 2 or not all(t.isdecimal() and 1 <= int(t) <= q for t in ends):
+            raise ValueError(f"graph file {path}, line {k}: an edge must be \"u v\" "
+                             f"with vertices in 1..{q}")
+    raise AssertionError(f"graph file {path} was flagged, but its edges read")

@@ -1311,6 +1311,11 @@ def refusal_inputs(tmp_path) -> None:
         "empty.txt": "",
         "zz.txt": "# qubits 2\n1 0 ZZ\n",
         "c3.pcm": "3 3\n100\n010\n001\n",
+        "spaced.pcm": "2 3\n1 1 00\n011\n",  # three entries, four digits
+        "shortrow.pcm": "2 3\n101\n01\n",
+        "sup.pcm": "\u00b2 3\n101\n",  # a digit int() refuses
+        "past.graph": "2 2 1\n1 5\n",
+        "twin.graph": "2 2 2\n1 3\n3 1\n",
         "nan.txt": "# qubits 2\n1 0 ZZ\nnan 0 ZZ\n",
         "accent.txt": "1 0 Z\u00c9\n",
         "short.txt": "# qubits 3\n1 0 ZZ\n",
@@ -1343,6 +1348,16 @@ REFUSALS = [
      "mode count mismatch"),
     (["codesim", "--check", "c3.pcm", "--input", "h5.json", "--output", "o.json"],
      "particle count out of range"),
+    (["decode", "--check", "spaced.pcm", "--particles", "1", "--syndrome", "11"],
+     "parity-check file spaced.pcm: row 1, column 3 is '00'; entries must be 0 or 1"),
+    (["decode", "--check", "shortrow.pcm", "--particles", "1", "--syndrome", "11"],
+     "parity-check file shortrow.pcm: row 2 has 2 entries; its header says 3"),
+    (["decode", "--check", "sup.pcm", "--particles", "1", "--syndrome", "11"],
+     "parity-check file sup.pcm: header '\u00b2 3' is not \"Q M\""),
+    (["codesim", "--graph", "past.graph", "--input", "h4.json", "--output", "o.json"],
+     "graph file past.graph, line 2: an edge must be \"u v\" with vertices in 1..4"),
+    (["codesim", "--graph", "twin.graph", "--input", "h4.json", "--output", "o.json"],
+     "graph file twin.graph: parallel edge 3-1"),
     (["firstq", "--input", "p0.json", "--emit-bins", "b.json"],
      "need at least one mode and one particle"),
     (["firstq", "--input", "p3.json", "--emit-bins", "b.json"],
@@ -1362,7 +1377,9 @@ REFUSALS = [
 @pytest.mark.parametrize("argv,message", REFUSALS, ids=[
     "encode-no-modes", "taper-no-terms", "taper-bad-sector", "taper-nan-coefficient",
     "taper-non-ascii-letter", "taper-short-label", "taper-superscript-count",
-    "graphgen-one-vertex", "codesim-mode-mismatch", "codesim-too-many-particles", "firstq-no-particles",
+    "graphgen-one-vertex", "codesim-mode-mismatch", "codesim-too-many-particles",
+    "decode-spaced-two-digit-entry", "decode-short-row", "decode-superscript-header",
+    "codesim-vertex-past-q", "codesim-parallel-edge", "firstq-no-particles",
     "firstq-particles-past-modes", "encode-bool-index", "encode-repeated-row",
     "encode-lone-interaction", "encode-huge-index"])
 def test_refusal_is_one_error_line(tmp_path, monkeypatch, capsys, argv, message):

@@ -509,6 +509,24 @@ class TestDistanceMatrix:
         lengths, neighbours, decoder = peaks
         assert decoder <= lengths + neighbours
 
+    def test_decode_lists_the_marked_rows_only(self):
+        """On the 2048-cycle one decode holds the k marked vertices' distance
+        rows as lists, under 48 bytes an entry: k x Q, where a Q x Q list
+        would take some 150 MiB."""
+        q = limits.GRAPH_VERTEX_CAP
+        decoder = GraphDecoder(ring_graph(q), 3)
+        for marked in ([0, 1, 2, 3, 4, 5], [0, 1, 1000, 1001, 2000, 2001]):
+            s = np.zeros(q, dtype=np.uint8)
+            s[marked] = 1
+            tracemalloc.start()
+            try:
+                x = decoder.decode(s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.flatnonzero(x).tolist() == marked[::2]
+            assert peak < len(marked) * q * 48
+
     def test_path_lengths_peaks_at_the_matrix_and_one_link(self):
         """On a 512-cycle the build peaks at two Q x Q int16 arrays, the
         matrix and one _link temporary, plus O(Q): the forest's Q x Q
