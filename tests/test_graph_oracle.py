@@ -14,7 +14,7 @@ vector byte for byte, or to None for both.
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fertaper.codeword import CodeEncoding, load_pcm
@@ -140,14 +140,14 @@ def graph_texts(draw):
 
 
 @given(pcm_texts())
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400, deadline=None)
 def test_pcm_file_reads_as_the_row_by_row_reader(scratch, text):
     scratch.write_text(text, encoding="utf-8")
     assert outcome(load_pcm, scratch) == outcome(oracle.load_pcm, scratch)
 
 
 @given(graph_texts())
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=400, deadline=None)
 def test_graph_file_reads_as_the_line_by_line_reader(scratch, text):
     scratch.write_text(text, encoding="utf-8")
     assert outcome(load_graph, scratch) == outcome(oracle.load_graph, scratch)
