@@ -97,8 +97,11 @@ ENCODE_TAPER_DIGESTS = {
 
 # (encode text, taper --sector ++ text, taper report) per (map, modes, pairs), on
 # spin_conserving(modes, modes, pairs) (M=16: 493 terms; M=72: 6010 terms,
-# past the 64 qubits of a uint64 mask).  Recorded from the per-term loops of
-# encode, kernel_basis and clifford_transform that the mask-array stages replaced.
+# past the 64 qubits of one uint64 word; M=130: three words).  The M=16 and the
+# JW M=72 digests were recorded from the per-term loops of encode, kernel_basis
+# and clifford_transform that the mask-array stages replaced; the parity and
+# binary-tree M=72 and every M=130 digest from the Python-int (object array)
+# masks that sums held past 64 qubits before one word layout served every width.
 WIDE_ENCODE_TAPER_DIGESTS = {
     ("jw", 16, 64): ("bd7fa4f72eb10d54d05c392bbb6f8c8e5d1586be7d5fd3c2076a9fad2395672c",
                  "19852d352584a6c35588ad0f1a3eadff0f0abaaf64321bc5c0b8cec1ff6adcab",
@@ -112,6 +115,21 @@ WIDE_ENCODE_TAPER_DIGESTS = {
     ("jw", 72, 144): ("9e04f74844bba21bc76e7719488af9f71dbe8686107766de196e29947458bb45",
                  "2265bbe584d1ce2cb9cd4974a03cf81dadc185dc294461a408b56ff42de6353a",
                  "b3f749dc2c7bab058d9a2e8b5d9495a30a0a25fb27a6e8d057aae2c8b22490ef"),
+    ("parity", 72, 144): ("9742185a48551ba758bc5a92d6f5ab951971397e4b50a53e22d4499f513b7210",
+                     "343dc04fe4d1effeb3a37dcee00e61917f90d9b962ccc75a7750592021548220",
+                     "7ddc09fac701d9faf4150262d37ad86699af36d492080d50bc9a5f1547808adf"),
+    ("bintree", 72, 144): ("d8426e2552f29bc0f9b88f5b8070faf54b60b810e4b1d240c1d9cd87f067baf7",
+                      "62a2077e07a09cfed898ebbe0fd62d69a65958389488e3b59e8181ba78c9e7a0",
+                      "eb1e655af617130d7aae027c886abd7e848864968351410e33e105544de9e516"),
+    ("jw", 130, 260): ("509c70f7c20d7c979c0360c448a92fa29881c4ca1dfc4c5d8ee54d73cf8c4132",
+                  "283798ccc7690e23829b448112f1fda08c5fff273670166a4f8dc240351a0d5f",
+                  "0580d4642c42d2bce4c5b34b3360fe78b5e368bcc2d964b2553c18d04a58dff2"),
+    ("parity", 130, 260): ("7aeb192df7890b3033334150e2cf8fc2eb35ad9c7c8e185b06a654dadd53e2d1",
+                      "55a1855f8d8739500a639b1021e0a3bcbbe49b698c832c8347c04357ed283db5",
+                      "2393ea026453034ee04f4b24e60a6c267445745f3629af817bd40c4ace24a2b8"),
+    ("bintree", 130, 260): ("503dc1c1e01b0f4e5ce05c5fadc72350bc37b9f6eef0290165d10b5ff3ef6850",
+                       "636c3a9fd145f96c2f1c18029a6ecfc09b43eeb8f20611ebb611a678fc2c15d6",
+                       "d1a1a92bec64fc9891c333ac84efb527f6912dacef40098498c96310d3b83caa"),
 }
 
 # (qubits, particles, trials, seed) -> graphgen output file
