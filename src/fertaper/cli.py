@@ -143,10 +143,9 @@ def _cmd_taper(args) -> int:
     report.paired_qubits = list(plan.paired_qubits)
 
     # pauli.commutes as one array parity per generator over every input term's mask words
-    x, z = (gf2.uint64_words(masks, h.qubit_count).astype(np.uint64)
-            for masks in (h.x_masks, h.z_masks))
+    x, z = h.x_masks, h.z_masks
     gens = gf2.uint64_words([mask for g in plan.generators for mask in (g.x_mask, g.z_mask)],
-                            h.qubit_count).astype(np.uint64)
+                            h.qubit_count)
     report.add_check("generators_commute", not any(
         (gf2.popcounts((x & gz) ^ (z & gx)) & 1).any() for gx, gz in zip(gens[::2], gens[1::2])))
 
@@ -184,7 +183,7 @@ def _cmd_codesim(args) -> int:
     else:
         enc = CodeEncoding.from_matrix(load_pcm(args.check), h.particles)
     frames = build_simulator_hamiltonian(h, enc, _checked_penalty(args.penalty))
-    flips = gf2.unpack_ints(frames.x_masks, enc.qubits)
+    flips = gf2.unpack_words(frames.x_masks, enc.qubits)
     _, qubit = np.nonzero(flips)
     # np.split gives one piece more than there are cuts: the last one is empty
     diagonals = (["lazy"] * len(frames) if frames.buffer is None  # past the entry budget (Frames)

@@ -57,8 +57,8 @@ from fertaper.fermion import (
     weight_n_states,
 )
 from fertaper.graphs import BipartiteGraph, GraphDecoder
-from fertaper.mitm import occupations, syndrome_key, syndrome_table
-from fertaper.pauli import PauliOperator, mask_array, qubit_mask
+from fertaper.mitm import codeword_table, occupations, syndrome_key
+from fertaper.pauli import PauliOperator, qubit_mask
 
 
 def is_n_injective(a: np.ndarray, n: int) -> bool:
@@ -178,13 +178,13 @@ class CodeEncoding:
 
     @cached_property
     def _codespace(self) -> tuple[np.ndarray, np.ndarray]:
-        """mitm.syndrome_table at weight N: the codewords as rows of their
+        """mitm.codeword_table at weight N: the codewords as rows of their
         modes' column indices, and their syndromes' keys, in key order."""
         count = comb(self.modes, self.particles)
         if count > limits.TABLE_ENTRY_BUDGET:
             raise MemoryError(f"the codeword list needs {count} entries, "
                               f"over the budget of {limits.TABLE_ENTRY_BUDGET}")
-        return syndrome_table(self.columns, self.qubits, self.particles)
+        return codeword_table(self.columns, self.qubits, self.particles)
 
     def codewords(self) -> np.ndarray:
         """C(M,N) x M occupation rows in ascending syndrome order, built on
@@ -379,10 +379,11 @@ class FramedDiagonal:
 class Frames:
     """Framed terms as columns: term i is weights[i] * P_i * diag(d_i).
 
-    P_i is the frame of x_masks[i] and z_masks[i] (pauli.mask_array
-    columns), as in FramedDiagonal.  d_i is buffer[offsets[i]:offsets[i + 1]]
-    of one read-only buffer; both are None past limits.TABLE_ENTRY_BUDGET
-    entries or 63 qubits.  Indexing gives term i as a FramedDiagonal (oracle use).
+    P_i is the frame of rows i of x_masks and z_masks, as in FramedDiagonal:
+    (frames, W) uint64 word matrices in the layout of Pauli sums
+    (gf2.uint64_words).  d_i is buffer[offsets[i]:offsets[i + 1]] of one
+    read-only buffer; both are None past limits.TABLE_ENTRY_BUDGET entries
+    or 63 qubits.  Indexing gives term i as a FramedDiagonal (oracle use).
     """
 
     qubits: int
@@ -397,7 +398,7 @@ class Frames:
 
     def __getitem__(self, i: int) -> FramedDiagonal:
         i = range(len(self))[i]
-        x, z = int(self.x_masks[i]), int(self.z_masks[i])
+        (x,), (z,) = gf2.word_ints(self.x_masks[i:i + 1]), gf2.word_ints(self.z_masks[i:i + 1])
         diag = None if self.buffer is None else self.buffer[self.offsets[i]:self.offsets[i + 1]]
         return FramedDiagonal(PauliOperator.from_masks(self.qubits, x, z, z.bit_count() % 2),
                               diag, float(self.weights[i]))
@@ -507,15 +508,17 @@ def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames
     plans = [_frame_plan(enc, *term) for term in terms]
     per_term = np.array([len(zs) for _, zs, _ in plans], dtype=np.intp)
     entries = sum(len(zs) << (q - flips.bit_count()) for flips, zs, _ in plans)
-    term_x = mask_array([flips for flips, _, _ in plans], q)
-    z_masks = mask_array([z for _, zs, _ in plans for z in zs], q)
+    term_x = gf2.uint64_words([flips for flips, _, _ in plans], q)
+    z_masks = gf2.uint64_words([z for _, zs, _ in plans for z in zs], q)
     parts = np.array([count for _, _, counts in plans for count in counts], dtype=float)
     del plans  # the pass holds columns only
     # the pass indexes the basis with int64 arrays, which hold 63 qubits
     diagonals = (_diagonals(enc, terms, term_x, per_term, z_masks, parts, bool(penalty))
                  if q <= 63 and entries <= limits.TABLE_ENTRY_BUDGET else (None, None))
-    return Frames(q, np.repeat(term_x, per_term), z_masks,
-                  np.repeat(np.array(weights, dtype=float), per_term), *diagonals)
+    x_masks = np.repeat(term_x, per_term, axis=0)
+    x_masks.flags.writeable = z_masks.flags.writeable = False
+    return Frames(q, x_masks, z_masks, np.repeat(np.array(weights, dtype=float), per_term),
+                  *diagonals)
 
 
 def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
@@ -523,7 +526,7 @@ def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
     """_simulate's diagonals: one read-only buffer, and the frames' offsets in
     it followed by its length.  complement turns the last diagonal d into 1 - d."""
     q = enc.qubits
-    flips = term_x.astype(np.int64)
+    flips = term_x[:, 0].astype(np.int64)  # one word: the pass runs below 64 qubits
     flipped = np.bitwise_count(flips).astype(np.intp)
     start = np.concatenate(([0], np.cumsum(np.repeat(1 << (q - flipped), per_term))))
     first_frame = np.concatenate(([0], np.cumsum(per_term)))
@@ -545,7 +548,7 @@ def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
         # entries; one frame has at most C(M, N) pairs and 2^Q entries
         frames = slice(first_frame[lo], first_frame[hi])
         term = np.repeat(np.arange(hi - lo), per_term[lo:hi])
-        z, scale = z_masks[frames].astype(np.int64), parts[frames] / (1 << flipped[lo + term])
+        z, scale = z_masks[frames, 0].astype(np.int64), parts[frames] / (1 << flipped[lo + term])
         count = nonzero[term]
         pairs = np.concatenate(([0], np.cumsum(count)))
         ends = start[first_frame[lo]:first_frame[hi] + 1]

@@ -39,7 +39,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from fertaper import limits
+from fertaper import gf2, limits
 from fertaper.fermion import FermionHamiltonian, FockState
 from fertaper.fermion import default_penalty_scale  # noqa: F401  (re-exported)
 from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
@@ -184,9 +184,10 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     register pairs of (identity + register swap)/2, whose expansion is
     the uniform sum of matched Pauli letters on the two registers.
 
-    Each part is built as mask and coefficient arrays, register words
-    shifted into place and coefficients multiplied by broadcasting, and
-    handed to ``QubitHamiltonian.merged``.  Terms come in (matrix unit,
+    Each part is built as mask word and coefficient arrays, a register's
+    m-bit fields looked up in a table of their words in place and
+    coefficients multiplied by broadcasting, and handed to
+    ``QubitHamiltonian.merged``.  Terms come in (matrix unit,
     register, z mask) order, so repeated Paulis sum in a fixed order.
     Interaction entries that are the zero operator are skipped
     (``h.interactions``).
@@ -194,10 +195,11 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
     n, m, q = enc.particles, enc.register_bits, enc.qubits
-    dtype = np.uint64 if q <= 64 else object  # object arrays hold wider Python ints
-    shift = (q - m * np.arange(1, n + 1)).astype(dtype)  # register i sits at shift[i - 1]
+    # fields[i, v]: the mask words of the m-bit value v on register i + 1
+    fields = gf2.uint64_words([v << (q - m * i) for i in range(1, n + 1) for v in range(1 << m)],
+                              q).reshape(n, 1 << m, -1)
+    width = fields.shape[2]
     local = np.arange(1 << m)  # register z masks, in term order
-    local_masks = local.astype(dtype)
     unit = _unit_coeffs(m)  # of |a><b|, [b, z mask]
     # register factors go into a running product that starts at 1+0j; that
     # multiply can flip the sign of a zero imaginary part, and the written
@@ -205,46 +207,44 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     first = (1.0 + 0.0j) * unit
 
     def merged(x_masks, z_masks, coeffs) -> QubitHamiltonian:
-        shape = np.broadcast_shapes(x_masks.shape, z_masks.shape, coeffs.shape)
-        return QubitHamiltonian.merged(
-            q, *(np.broadcast_to(a, shape).ravel() for a in (x_masks, z_masks, coeffs)))
+        """merged of the terms broadcast from mask words (..., W) and coefficients (...)."""
+        shape = np.broadcast_shapes(x_masks.shape[:-1], z_masks.shape[:-1], coeffs.shape)
+        x, z = (np.broadcast_to(a, (*shape, width)).reshape(-1, width) for a in (x_masks, z_masks))
+        return QubitHamiltonian.merged(q, x, z, np.broadcast_to(coeffs, shape).ravel())
 
     # One-body: (a, b) entry x register x z mask
     rows, cols = np.nonzero(h.t)
     x_local = rows ^ cols
     coeffs = _hermitian_coeff(h.t[rows, cols][:, None] * first[cols],
                               x_local[:, None], local[None, :])[:, None, :]
-    one_body = merged((x_local.astype(dtype)[:, None] << shift)[:, :, None],
-                      local_masks[None, None, :] << shift[None, :, None], coeffs)
+    one_body = merged(fields[np.arange(n), x_local[:, None]][:, :, None], fields[None], coeffs)
 
     # Two-body: (a, b, g, d) entry x register pair i != j x z mask on i x z mask on j
     u = h.interactions
     keys = np.array(list(u), dtype=np.int64).reshape(-1, 4) - 1
     ordered = np.array([(i, j) for i in range(n) for j in range(n) if i != j],
                        dtype=np.intp).reshape(-1, 2)
-    s_i, s_j = shift[ordered[:, 0], None, None], shift[ordered[:, 1], None, None]
+    f_i, f_j = fields[ordered[:, 0]], fields[ordered[:, 1]]
     x_ag, x_bd = keys[:, 0] ^ keys[:, 2], keys[:, 1] ^ keys[:, 3]
     pair = first[keys[:, 2], :, None] * unit[keys[:, 3], None, :]  # [entry, z on i, z on j]
     coeffs = _hermitian_coeff(
         -np.array(list(u.values()), dtype=complex)[:, None, None] * pair,
         (x_ag | x_bd << m)[:, None, None], local[None, :, None] | local[None, None, :] << m,
     )[:, None]
-    x_ag, x_bd = (v.astype(dtype).reshape(-1, 1, 1, 1) for v in (x_ag, x_bd))
-    two_body = merged((x_ag << s_i) | (x_bd << s_j),
-                      (local_masks[:, None] << s_i) | (local_masks[None, :] << s_j), coeffs)
+    two_body = merged((f_i[:, x_ag] | f_j[:, x_bd]).transpose(1, 0, 2)[:, :, None, None],
+                      f_i[:, :, None] | f_j[:, None, :], coeffs)
 
     # Exchange: register pair i < j x (identity, then each matched letter word).
     upper = np.array([(i, j) for i in range(n) for j in range(i + 1, n)],
                      dtype=np.intp).reshape(-1, 2)
     letters = np.arange(4 ** m)[:, None] >> 2 * np.arange(m - 1, -1, -1) & 3  # I, X, Y, Z
     bit = 1 << np.arange(m - 1, -1, -1)  # first qubit most significant
-    x_word = np.concatenate([[0], ((letters ^ letters >> 1) & 1) @ bit]).astype(dtype)
-    z_word = np.concatenate([[0], (letters >> 1) @ bit]).astype(dtype)
-    s_i, s_j = shift[upper[:, 0], None], shift[upper[:, 1], None]
+    x_word = np.concatenate([[0], ((letters ^ letters >> 1) & 1) @ bit])
+    z_word = np.concatenate([[0], (letters >> 1) @ bit])
+    f_i, f_j = fields[upper[:, 0]], fields[upper[:, 1]]
     # (identity + swap)/2 with swap = 2^-m sum over matched letter words
     coeffs = np.array([0.5] + [0.5 / enc.padded_modes] * 4 ** m, dtype=complex)
-    exchange = merged((x_word << s_i) | (x_word << s_j), (z_word << s_i) | (z_word << s_j),
-                      coeffs)
+    exchange = merged(f_i[:, x_word] | f_j[:, x_word], f_i[:, z_word] | f_j[:, z_word], coeffs)
     return FirstQuantizedParts(one_body, two_body, exchange)
 
 
@@ -414,15 +414,14 @@ def _register_words(h: QubitHamiltonian, enc: RegisterEncoding):
     A qubit's digit is X, Y, Z = 0, 1, 2 with identity read as Z, the
     register's first qubit the most significant digit: the values of the
     words ``required_words`` spells.  Each register's x and z fields are
-    shifted out of the masks and looked up in a 2^m x 2^m table.
+    read off the masks' bits and looked up in a 2^m x 2^m table.
     """
     m, q = enc.register_bits, enc.qubits
     bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1  # [mask, qubit]
     value = np.where(bits[:, None, :], bits[None, :, :], 2) @ 3 ** np.arange(m - 1, -1, -1)
-    x, z = h.x_masks, h.z_masks
-    shift = (q - m * np.arange(1, enc.particles + 1)).astype(x.dtype)
-    low = np.asarray((1 << m) - 1, dtype=x.dtype)
-    x, z = ((v[:, None] >> shift & low).astype(np.intp) for v in (x, z))
+    place = 1 << np.arange(m - 1, -1, -1)
+    x, z = (gf2.unpack_words(v, q).reshape(len(h), enc.particles, m) @ place
+            for v in (h.x_masks, h.z_masks))
     return value[x, z], (x | z) != 0
 
 

@@ -6,16 +6,21 @@ Pauli (x|z) masks, so a row XOR is one int XOR.  A parity-check matrix
 A is held the same way, as its columns packed into qubit masks
 (pack_rows(A.T)), so a syndrome is an XOR of columns.  rref, rank and
 inverse eliminate the rows.  kernel_basis eliminates the columns
-instead: each is one T-bit int over the T rows, cut from the rows with
-unpack_ints and packed eight rows to a byte, so it takes one step per
-column and pivot whatever T is.  The numpy helpers convert between that
-layout and the 0/1 uint8 arrays that enter and leave the program: asbits
-and pack_rows on the way in; bits_to_int and unpack_ints for bit-vector
-views of masks.  uint64_words cuts ints into numpy words, popcounts
-counts their bits and from_uint64_words joins them back, as a uint64
-array up to 64 bits and Python ints (object) past that, the layout of
-pauli.mask_array.  drop_bits deletes bit positions from ints or integer
-arrays.
+instead: each is one T-bit int over the T rows, cut from the rows' bits
+and packed eight rows to a byte, so it takes one step per column and
+pivot whatever T is.
+
+Tables of many masks are uint64 word matrices: uint64_words cuts ints
+into a C-ordered (count, W) matrix, W = word_count(length) = max(1,
+ceil(length / 64)), the most significant word first, at every width.
+Pauli sums hold their masks so and mitm its syndrome keys.  Ints enter
+that layout only through uint64_words and leave it only through
+word_ints.  On the matrices, popcounts counts bits, shift_words shifts
+every row across word boundaries and drop_word_bits deletes bit
+positions.  unpack_words, unpack_ints, pack_words and asbits convert to
+and from the 0/1 uint8 arrays that enter and leave the program, and
+bits_to_int and pack_rows pack bit vectors into ints.  drop_bits deletes
+bit positions from an int or an int64 array.
 Row/column indices at this level are 0-based; the 1-based mode/qubit
 convention of the public API lives in the callers.
 """
@@ -51,58 +56,141 @@ def pack_rows(mat) -> list[int]:
     return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(padded, axis=1)]
 
 
+def word_count(length: int) -> int:
+    """Words per row of length-bit ints in the uint64_words layout: one per 64 bits, at least one."""
+    return max(1, -(-length // 64))
+
+
 def uint64_words(values, length: int) -> np.ndarray:
-    """length-bit ints as a (count, words) array of big-endian uint64 words,
-    the most significant word first: one word per 64 bits, rounded up.
+    """length-bit ints as a C-ordered (count, W) matrix of uint64 words, the
+    most significant word first, W = word_count(length).
 
-    Up to 64 bits the ints go into one uint64 array; wider ones are shifted
-    and masked as a numpy object array, a word at a time (the last word is
-    not shifted, and the first, which holds the top bits, is not masked).
+    A two-dimensional array is taken as such a matrix already and returned
+    as it is.  Ints that fit one word are converted by numpy; wider ones are
+    joined as big-endian bytes, one int.to_bytes each.
     """
-    width = -(-length // 64)
-    masks = np.asarray(values, dtype=np.uint64 if width == 1 else object).reshape(-1)
-    words = np.empty((len(masks), width), dtype=">u8")
-    for k in range(width):
-        shift = 64 * (width - 1 - k)
-        word = masks >> shift if shift else masks
-        words[:, k] = word & 0xFFFF_FFFF_FFFF_FFFF if k else word
-    return words
+    width = word_count(length)
+    if isinstance(values, np.ndarray) and values.ndim == 2:
+        if values.shape[1] != width:
+            raise ValueError(f"{values.shape[1]} words per row, not the {width} of {length} bits")
+        return values.astype(np.uint64, copy=False)
+    if width == 1:
+        return np.asarray(values, dtype=np.uint64).reshape(-1, 1)
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    data = b"".join([v.to_bytes(8 * width, "big") for v in values])
+    return np.frombuffer(data, dtype=">u8").reshape(-1, width).astype(np.uint64)
 
 
-def from_uint64_words(words) -> np.ndarray:
-    """The ints that uint64_words cut into these (count, words) words.
-
-    One word gives a uint64 array, more give Python ints in an object
-    array: the layout pauli.mask_array holds masks in.
-    """
+def word_ints(words) -> list[int]:
+    """The Python int of each row of a uint64_words matrix."""
     words = np.asarray(words, dtype=np.uint64)
     if words.shape[1] == 1:
-        return words[:, 0]
-    values = words[:, 0].astype(object)
-    for k in range(1, words.shape[1]):
-        values = values << 64 | words[:, k].astype(object)
-    return values
+        return words[:, 0].tolist()
+    size = 8 * words.shape[1]
+    data = words.astype(">u8").tobytes()
+    return [int.from_bytes(data[i:i + size], "big") for i in range(0, len(data), size)]
 
 
 def popcounts(words) -> np.ndarray:
-    """Popcount of each int cut into uint64 words along the last axis, as int64."""
-    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
+    """Popcount of each int cut into uint64 words along the last axis, as int64.
+
+    The words are added one at a time: numpy's sum along a short last axis
+    took seven times as long at two words.
+    """
+    counts = np.bitwise_count(words[..., 0]).astype(np.int64)
+    for k in range(1, words.shape[-1]):
+        counts += np.bitwise_count(words[..., k])
+    return counts
+
+
+def unpack_words(words, length: int) -> np.ndarray:
+    """Bit matrix with one row per row of a uint64_words matrix of length-bit ints, MSB first."""
+    data = np.ascontiguousarray(words, dtype=">u8").view(np.uint8)
+    return np.unpackbits(data, axis=1)[:, 8 * data.shape[1] - length:]
 
 
 def unpack_ints(values, length: int) -> np.ndarray:
     """Bit matrix with one row per int, MSB first: the inverse of pack_rows."""
-    words = uint64_words(values, length)
-    return np.unpackbits(words.view(np.uint8), axis=1)[:, 64 * words.shape[1] - length:]
+    return unpack_words(uint64_words(values, length), length)
+
+
+def pack_words(bits) -> np.ndarray:
+    """The uint64_words matrix of a (count, length) bit matrix's rows, MSB first.
+
+    Each row is padded to whole bytes and packed flat, then padded to whole
+    words: np.packbits along axis 1 is several times slower on short rows.
+    """
+    bits = np.asarray(bits, dtype=np.uint8)
+    count, length = bits.shape
+    nbytes, width = -(-length // 8), word_count(length)
+    padded = np.zeros((count, 8 * nbytes), dtype=np.uint8)
+    padded[:, 8 * nbytes - length:] = bits
+    packed = np.zeros((count, 8 * width), dtype=np.uint8)
+    packed[:, 8 * width - nbytes:] = np.packbits(padded).reshape(count, nbytes)
+    return packed.view(">u8").astype(np.uint64)
+
+
+def _shifted_word(words: np.ndarray, shift: int, j: int) -> np.ndarray:
+    """Word j (from the least significant) of each row shifted left by shift bits.
+
+    It takes input bits 64j - shift on: the top of one input word and the
+    bottom of the next.  numpy shifts a uint64 by 64 to 0, so a shift by
+    whole words needs no second case.
+    """
+    have = words.shape[1]
+    low, r = divmod(64 * j - shift, 64)
+    word = np.zeros(len(words), dtype=np.uint64)
+    if 0 <= low < have:
+        word |= words[:, have - 1 - low] >> np.uint64(r)
+    if r and 0 <= low + 1 < have:
+        word |= words[:, have - 2 - low] << np.uint64(64 - r)
+    return word
+
+
+def shift_words(words, shift: int, width: int) -> np.ndarray:
+    """Each row of a word matrix shifted left by shift bits (right where
+    negative), kept to its lowest width words.
+
+    Like drop_word_bits it works a word column at a time: numpy's
+    operations along a last axis of two or three words took up to ten
+    times as long.
+    """
+    words = np.asarray(words, dtype=np.uint64)
+    return np.stack([_shifted_word(words, shift, j) for j in range(width - 1, -1, -1)], axis=1)
+
+
+def drop_word_bits(words, length: int, positions) -> np.ndarray:
+    """Delete bit positions (counted from bit 0) from every row of a word
+    matrix of length-bit ints, as drop_bits does from one int.
+
+    Each run of kept bits is shifted down into place and masked, a word
+    column at a time; unpacking the bits, deleting columns and packing them
+    again took 3 to 30 times as long.
+    """
+    runs, start, placed = [], 0, 0  # (shift, mask in place) of each run of kept bits
+    for p in [*sorted(positions), length]:
+        if p > start:
+            runs.append((placed - start, ((1 << (p - start)) - 1) << placed))
+            placed += p - start
+        start = p + 1
+    columns = []
+    for j in range(word_count(placed) - 1, -1, -1):
+        word = np.zeros(len(words), dtype=np.uint64)
+        for shift, mask in runs:
+            bits = mask >> 64 * j & 0xFFFF_FFFF_FFFF_FFFF
+            if bits:
+                word |= _shifted_word(words, shift, j) & np.uint64(bits)
+        columns.append(word)
+    return np.stack(columns, axis=1)
 
 
 def drop_bits(value, positions):
     """Delete bit positions (counted from bit 0, in decreasing order) from an int.
 
     The bits above each deleted position move down one place, so the kept
-    bits stay in order.  value may also be an array, each element of which
-    is packed the same way: int64 (positions below 63), uint64 (numpy
-    shifts a uint64 by 64 to 0, so position 63 drops too) or an object
-    array of Python ints, which like a Python int may be of any width.
+    bits stay in order.  value may also be an int64 array (positions below
+    63), each element of which is packed the same way.
     """
     for p in positions:
         value = ((value >> (p + 1)) << p) | (value & ((1 << p) - 1))
@@ -151,19 +239,20 @@ def rank(rows) -> int:
 def kernel_basis(rows, width: int) -> list[int]:
     """Basis of the right kernel {v : every popcount(row & v) is even}.
 
-    The columns are eliminated, not the rows: column c, a T-bit int over
-    the T rows, is reduced left to right by the earlier columns that are
-    independent of those before them, its own bit c carried along.  A
-    column that reduces to zero is free, and its basis vector is e_c plus
-    the pivot columns it combined, in ascending order of the free column:
-    the same vectors, in the same order, as the free columns of the
-    row-reduced echelon form give.
+    rows are width-bit ints or their uint64_words matrix.  The columns are
+    eliminated, not the rows: column c, a T-bit int over the T rows, is
+    reduced left to right by the earlier columns that are independent of
+    those before them, its own bit c carried along.  A column that reduces
+    to zero is free, and its basis vector is e_c plus the pivot columns it
+    combined, in ascending order of the free column: the same vectors, in
+    the same order, as the free columns of the row-reduced echelon form give.
     """
-    if max(rows, default=0).bit_length() > width:
+    words = uint64_words(rows, width)
+    if len(words) and (words[:, 0] >> np.uint64(width - 64 * (words.shape[1] - 1))).any():
         raise ValueError(f"row wider than {width} bits")
     # column c as an int over the rows, row 0 most significant and zero padding last: the
     # bytes of np.packbits(bits, axis=0).T, eight rows summed to a byte without its strided pass
-    bits = unpack_ints(rows, width)
+    bits = unpack_words(words, width)
     bits = np.concatenate([bits, np.zeros((-len(bits) % 8, width), dtype=np.uint8)])
     eights = bits.reshape(len(bits) // 8, 8, width)
     weights = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)

@@ -2,16 +2,18 @@
 
 A table for weight k holds the syndrome Ax of every weight-k vector x as a
 sorted key, next to x's column indices.  syndrome_table builds them all: a
-code's codeword list (k = N) and the two halves here.  Keys are syndromes
-packed into big-endian uint64 words and viewed as byte strings, so they
-sort and binary-search as numbers at any Q; syndrome_key spells a searched
-syndrome alike.  Decoding splits N into halves ((N+1)//2, N//2) and searches
-every first-half key XOR the syndrome in the second half at once.  Each
-half table refuses two vectors with one syndrome, so a matrix decodes
-here only when its weight-(N+1)//2 and weight-N//2 syndromes are all
-distinct, which N-injectivity alone does not give: two equal columns are
-refused at N = 2 even for a syndrome with one weight-2 preimage.  A
-brute-force enumerator is kept alongside as the reference oracle.
+code's codeword list (k = N, codeword_table, which refuses two codewords
+with one syndrome) and the two halves here.  Keys are syndromes cut into
+uint64 words (gf2.uint64_words, the layout of the Pauli masks) and viewed
+as big-endian byte strings, so they sort and binary-search as numbers at
+any Q; syndrome_key spells a searched syndrome alike.  Decoding splits N
+into halves ((N+1)//2, N//2) and searches every first-half key XOR the
+syndrome in the second half at once.  A half table may hold equal keys:
+they sit together, and each search takes the whole run of them.  So a
+matrix is refused only for a syndrome that has two weight-N preimages,
+and equal columns do not stop a syndrome with one weight-N preimage from
+decoding.  A brute-force enumerator is kept alongside as the reference
+oracle.
 """
 
 from __future__ import annotations
@@ -71,19 +73,19 @@ def syndrome_key(s, q: int) -> np.ndarray:
     s = gf2.asbits(s)
     if s.shape != (q,):
         raise ValueError(f"syndrome length {s.size} != {q}")
-    return _as_keys(gf2.uint64_words([gf2.bits_to_int(s)], max(q, 1)))
+    return _as_keys(gf2.uint64_words([gf2.bits_to_int(s)], q))
 
 
 def syndrome_table(columns, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Every weight-k row of indices into columns, and its syndrome's key,
-    stably sorted by key from lexicographic order.
+    stably sorted by key from lexicographic order: rows with one syndrome
+    sit together.
 
     columns are the matrix's Q x M columns as qubit masks, row 1 most
-    significant.  Two rows with one syndrome contradict injectivity and
-    raise InjectivityViolation with their mode sets as the witness.
+    significant.  Keys have at least one word, so they are never empty
+    byte strings.
     """
-    # at least one word, so that keys are never empty byte strings
-    words = gf2.uint64_words(columns, max(q, 1)).astype(np.uint64)
+    words = gf2.uint64_words(columns, q)
     rows = combinations(len(columns), k)
     acc = np.zeros((len(rows), words.shape[1]), dtype=np.uint64)
     for j in range(k):
@@ -91,7 +93,16 @@ def syndrome_table(columns, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     keys = _as_keys(acc)
     del acc  # the keys are a big-endian copy
     order = np.argsort(keys, kind="stable")
-    keys, rows = keys[order], rows[order]
+    return rows[order], keys[order]
+
+
+def codeword_table(columns, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """syndrome_table, refused where two rows share a syndrome.
+
+    A code's codeword list must be injective: two rows with one syndrome
+    raise InjectivityViolation with their mode sets as the witness.
+    """
+    rows, keys = syndrome_table(columns, q, k)
     dup = np.flatnonzero(keys[1:] == keys[:-1])
     if dup.size:
         i = int(dup[0])
@@ -119,7 +130,8 @@ class SyndromeTables:
 
 
 def build_tables(columns, q: int, n: int) -> SyndromeTables:
-    """syndrome_table of the weight-(N+1)//2 and of the weight-N//2 vectors."""
+    """syndrome_table of the weight-(N+1)//2 and of the weight-N//2 vectors;
+    equal syndromes are kept."""
     n1, n2 = (n + 1) // 2, n // 2
     total = comb(len(columns), n1) + comb(len(columns), n2)
     if total > limits.TABLE_ENTRY_BUDGET:
@@ -133,30 +145,43 @@ def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
     """Unique weight-N preimage of a syndrome, or None.
 
     XORs the syndrome against every first-half key and searches all of the
-    results in the second half.  Hits whose halves overlap have weight
-    below N and are dropped.  A preimage is found once per way of
-    splitting it, so the rest are deduplicated; two distinct preimages
-    raise InjectivityViolation.
+    results in the second half, each as the run of keys equal to it, so
+    every first-half row pairs with every second-half row of its run.
+    Pairs whose halves overlap have weight below N and are dropped.  A
+    preimage is found once per way of splitting it, so the rest are
+    deduplicated; two distinct preimages raise InjectivityViolation.  The
+    pairs are taken a slice of first-half rows at a time, at most as many
+    as the larger table has rows, unless one row's run alone is longer.
     """
     key = syndrome_key(s, tables.qubits)
     first, second = tables.keys
-    if not len(second):  # N2 > M: no weight-N2 vector to search for
-        return None
     want = _as_keys(first.view(">u8").reshape(len(first), first.itemsize // 8) ^ key.view(">u8"))
-    pos = np.minimum(np.searchsorted(second, want), len(second) - 1)
-    hit = np.flatnonzero(second[pos] == want)
-    x = (occupations(tables.combos[0][hit], tables.modes)
-         ^ occupations(tables.combos[1][pos[hit]], tables.modes))
-    x = x[x.sum(axis=1) == tables.particles]
-    if not len(x):
-        return None
-    other = np.flatnonzero((x != x[0]).any(axis=1))
-    if other.size:
-        raise InjectivityViolation(
-            "syndrome has more than one weight-N preimage",
-            witness=(_mode_set(np.flatnonzero(x[0])), _mode_set(np.flatnonzero(x[other[0]]))),
-        )
-    return x[0]
+    lo = np.searchsorted(second, want, "left")
+    runs = np.searchsorted(second, want, "right") - lo
+    hit = np.flatnonzero(runs)
+    ends = np.cumsum(runs[hit])  # pairs up to each hit row
+    budget = max(len(first), len(second))
+    found, start = None, 0
+    while start < len(hit):
+        before = ends[start - 1] if start else 0
+        stop = max(start + 1, int(np.searchsorted(ends, before + budget, "right")))
+        rows, n = hit[start:stop], runs[hit[start:stop]]
+        pairs = np.arange(ends[stop - 1] - before)
+        x = (occupations(tables.combos[0][np.repeat(rows, n)], tables.modes)
+             ^ occupations(tables.combos[1][np.repeat(lo[rows] - (np.cumsum(n) - n), n) + pairs],
+                           tables.modes))
+        x = x[x.sum(axis=1) == tables.particles]
+        if len(x):
+            found = x[0] if found is None else found
+            other = np.flatnonzero((x != found).any(axis=1))
+            if other.size:
+                raise InjectivityViolation(
+                    "syndrome has more than one weight-N preimage",
+                    witness=(_mode_set(np.flatnonzero(found)),
+                             _mode_set(np.flatnonzero(x[other[0]]))),
+                )
+        start = stop
+    return found
 
 
 def brute_force_decode(a: np.ndarray, n: int, s) -> np.ndarray | None:

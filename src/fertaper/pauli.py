@@ -18,28 +18,32 @@ bit-packed as in Stim (Gidney, Quantum 5, 497, 2021).  ``.x`` and ``.z``
 are bit-tuple views of the masks.
 
 A ``QubitHamiltonian`` stores its terms as three parallel read-only
-arrays: ``x_masks`` and ``z_masks`` in the ``mask_array`` layout (uint64 up
-to 64 qubits, Python ints in an object array past that) and ``coeffs`` as
+arrays: ``x_masks`` and ``z_masks`` as C-ordered ``(terms, W)`` matrices of
+uint64 words, W = max(1, ceil(n / 64)) and the most significant word
+first (``gf2.uint64_words``, at every width), and ``coeffs`` as
 complex128, the packed-table layout of Stim.  Sums hand these arrays from
 stage to stage; a sum never shares an array a caller can still write to.
+Sequences of int masks enter through ``gf2.uint64_words``, and a row
+becomes an int again only for ``.terms`` and error messages.
 Each term is its coefficient times the Hermitian letter Pauli of its
 masks (phase power = number of Y letters): the phase of any operator a
 sum is built from is folded into the coefficient on entry.  A sum is
 canonical when its masks are distinct, ordered by (x, z), and no
 coefficient is below the pruning tolerance.  ``QubitHamiltonian.merged``
 reaches that form from mask and coefficient arrays: one stable sort of
-the (x, z) keys, a radix sort of their 16-bit digits, ranks the distinct
+the (x, z) keys, a radix sort of the 16-bit digits cut from the words, ranks the distinct
 Paulis, and ``np.add.at`` adds each one's coefficients from 0 in the
 order given.  ``canonicalize`` is that merge on a sum's own terms; it
 sets the ``canonical`` flag on the result, so canonicalizing it again
 returns the same object.  ``.terms`` is a ``(coeff, PauliOperator)`` view
-built on first use, and ``dense`` and ``product`` walk ``.tolist()`` views.
+built on first use, and ``dense`` and ``product`` walk lists of ints
+(``gf2.word_ints``).
 
 Text I/O works on whole columns.  ``hamiltonian_from_text`` cuts the text
 into rows once, parses each distinct ``re`` and ``im`` word once with
 ``float``, checks every label at once (only phase-prefixed ones go through
 ``_split_label``), turns the letters into x and z masks with one byte
-lookup and ``np.packbits``, and hands the arrays to one ``merged``; the
+lookup and ``gf2.pack_words``, and hands the words to one ``merged``; the
 first bad line raises the error a line-by-line read would.
 ``hamiltonian_to_text`` formats each distinct float64 bit pattern of a
 coefficient column once and joins the columns row by row.
@@ -99,27 +103,22 @@ def _letter(x_mask: int, z_mask: int, shift: int) -> str:
 
 
 def _labels(n: int, x_masks, z_masks) -> list[str]:
-    """Letter strings (no phase prefix) of many mask pairs at once."""
-    codes = gf2.unpack_ints(x_masks, n) + 2 * gf2.unpack_ints(z_masks, n)
+    """Letter strings (no phase prefix) of the rows of two mask word matrices."""
+    codes = gf2.unpack_words(x_masks, n) + 2 * gf2.unpack_words(z_masks, n)
     text = _LETTERS[codes].tobytes().decode("ascii")
     return [text[i : i + n] for i in range(0, len(text), n)] if n else [""] * len(x_masks)
 
 
-def mask_array(masks, n: int) -> np.ndarray:
-    """n-bit masks as an array: uint64 up to 64 qubits, Python ints (object) past that."""
-    return np.asarray(masks, dtype=np.uint64 if n <= 64 else object).reshape(-1)
-
-
-def _digits(masks: np.ndarray, n: int) -> list[np.ndarray]:
-    """A ``mask_array`` array as the uint16 digits of its n bits, the least significant first.
+def _digits(words: np.ndarray, n: int) -> list[np.ndarray]:
+    """The rows of an n-bit mask word matrix as uint16 digits, the least significant first.
 
     As ``np.lexsort`` keys they sort by the masks, and numpy sorts each
     uint16 key stably by one radix pass, where a uint64 key takes a merge
     sort (ten times as long on a few thousand terms).
     """
-    words = [masks] if masks.dtype != object else gf2.uint64_words(masks, n).T[::-1]
-    return [(word >> np.uint64(shift)).astype(np.uint16)
-            for k, word in enumerate(words) for shift in range(0, 64, 16) if 64 * k + shift < n]
+    width = words.shape[1]
+    return [(words[:, width - 1 - k] >> np.uint64(shift)).astype(np.uint16)
+            for k in range(width) for shift in range(0, 64, 16) if 64 * k + shift < n]
 
 
 class PauliOperator:
@@ -255,8 +254,9 @@ class QubitHamiltonian:
     ``QubitHamiltonian(n, terms)`` takes ``(coeff, PauliOperator)`` pairs
     and folds each operator's phase into its coefficient; ``from_masks``
     takes the packed masks directly.  ``x_masks`` and ``z_masks`` are
-    read-only ``mask_array`` arrays and ``coeffs`` a read-only complex128
-    array; a sum shares no array a caller can still write to.
+    read-only ``(terms, W)`` uint64 word matrices (``gf2.uint64_words``) and
+    ``coeffs`` a read-only complex128 array; a sum shares no array a caller
+    can still write to.
     """
 
     __slots__ = ("qubit_count", "x_masks", "z_masks", "coeffs", "canonical", "_terms")
@@ -270,8 +270,8 @@ class QubitHamiltonian:
             zs.append(op.z_mask)
             shift = (op.phase_power - op.y_count) % 4
             cs.append(complex(coeff) * _PHASE[shift])
-        _fill_sum(self, qubit_count, mask_array(xs, qubit_count), mask_array(zs, qubit_count),
-                  np.array(cs, dtype=complex), False)
+        _fill_sum(self, qubit_count, gf2.uint64_words(xs, qubit_count),
+                  gf2.uint64_words(zs, qubit_count), np.array(cs, dtype=complex), False)
 
     def __setattr__(self, name, value):
         raise AttributeError("QubitHamiltonian is immutable")
@@ -281,18 +281,19 @@ class QubitHamiltonian:
                    canonical: bool = False) -> "QubitHamiltonian":
         """Sum of coeffs[k] times the Hermitian letter Pauli of (x_masks[k], z_masks[k]).
 
-        Masks are sequences of ints or ``mask_array`` arrays, coefficients
-        any complex sequence or array; each is copied.  ``canonical``
-        asserts the caller already holds the canonical form.
+        Masks are sequences of ints or word matrices (``gf2.uint64_words``),
+        coefficients any complex sequence or array; each is copied.
+        ``canonical`` asserts the caller already holds the canonical form.
         """
-        dtype = np.uint64 if n <= 64 else object
-        return _new_sum(n, np.array(x_masks, dtype=dtype).reshape(-1),
-                        np.array(z_masks, dtype=dtype).reshape(-1),
+        return _new_sum(n, np.array(gf2.uint64_words(x_masks, n)),
+                        np.array(gf2.uint64_words(z_masks, n)),
                         np.array(coeffs, dtype=complex).reshape(-1), canonical)
 
     @classmethod
     def zero(cls, n: int) -> "QubitHamiltonian":
-        return _new_sum(n, mask_array((), n), mask_array((), n), np.zeros(0, dtype=complex), True)
+        width = gf2.word_count(n)
+        return _new_sum(n, np.zeros((0, width), dtype=np.uint64),
+                        np.zeros((0, width), dtype=np.uint64), np.zeros(0, dtype=complex), True)
 
     @property
     def terms(self) -> tuple[tuple[complex, PauliOperator], ...]:
@@ -307,21 +308,21 @@ class QubitHamiltonian:
 
     def _lists(self) -> tuple[list, list, list]:
         """The masks as lists of ints and the coefficients as a list of complex."""
-        return self.x_masks.tolist(), self.z_masks.tolist(), self.coeffs.tolist()
+        return gf2.word_ints(self.x_masks), gf2.word_ints(self.z_masks), self.coeffs.tolist()
 
     @classmethod
     def merged(cls, n: int, x_masks, z_masks, coeffs) -> "QubitHamiltonian":
         """The canonical sum of coeffs[k] times the letter Pauli of (x_masks[k], z_masks[k]).
 
-        Masks are sequences of ints or ``mask_array`` arrays; coefficients
-        any complex sequence or array.  A stable sort of the (x, z) keys
+        Masks are sequences of ints or word matrices (``gf2.uint64_words``);
+        coefficients any complex sequence or array.  A stable sort of the (x, z) keys
         ranks the distinct Paulis, and ``np.add.at`` adds each one's
         coefficients to 0+0j in the order given, as a running sum would:
         a lone term's -0.0 parts come out 0.0.  A sum that is not finite
         raises ValueError naming its Pauli; sums below DEFAULT_PRUNE_TOL are
         pruned.
         """
-        x, z = mask_array(x_masks, n), mask_array(z_masks, n)
+        x, z = gf2.uint64_words(x_masks, n), gf2.uint64_words(z_masks, n)
         coeffs = np.asarray(coeffs, dtype=complex).reshape(-1)
         if not len(x) == len(z) == len(coeffs):
             raise ValueError("masks and coefficients differ in length")
@@ -329,9 +330,13 @@ class QubitHamiltonian:
             return cls.zero(n)
         keys = [*_digits(z, n), *_digits(x, n)] or [np.zeros(len(x), dtype=np.uint16)]
         order = np.lexsort(keys)  # by (x, z), stable
-        xs, zs = x[order], z[order]
         new = np.ones(len(order), dtype=bool)  # first of its key in sorted order
-        new[1:] = (xs[1:] != xs[:-1]) | (zs[1:] != zs[:-1])
+        new[1:] = False
+        # word by word, and rows taken by np.take: on rows of two words, comparing
+        # whole rows and fancy indexing took about ten times as long
+        for words in (np.take(x, order, axis=0), np.take(z, order, axis=0)):
+            for k in range(words.shape[1]):
+                new[1:] |= words[1:, k] != words[:-1, k]
         rank = np.empty(len(order), dtype=np.intp)
         rank[order] = np.cumsum(new) - 1
         sums = np.zeros(int(rank[order[-1]]) + 1, dtype=complex)
@@ -346,7 +351,7 @@ class QubitHamiltonian:
                              "which is not finite")
         kept = np.abs(sums) >= DEFAULT_PRUNE_TOL
         first = first[kept]
-        return _new_sum(n, x[first], z[first], sums[kept], True)
+        return _new_sum(n, np.take(x, first, axis=0), np.take(z, first, axis=0), sums[kept], True)
 
     def canonicalize(self) -> "QubitHamiltonian":
         """Merge equal Pauli strings, prune tiny coefficients, sort terms.
@@ -379,7 +384,7 @@ class QubitHamiltonian:
         h = self.canonicalize()
         x, z = h.x_masks, h.z_masks
         if not include_identity:
-            kept = (x | z) != 0
+            kept = gf2.popcounts(x | z) > 0
             x, z = x[kept], z[kept]
         return set(_labels(h.qubit_count, x, z))
 
@@ -489,7 +494,7 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
     each distinct ``re`` and ``im`` word; every label checked at once, with
     only those that are not plain letters (a phase prefix, or an error)
     going through ``_split_label``; one byte lookup for the letters, packed
-    into ``mask_array`` x and z masks with ``np.packbits``; and one
+    into x and z mask words with ``gf2.pack_words``; and one
     ``QubitHamiltonian.merged`` of the whole sum.  Each check flags its
     rows, and the first flagged line raises the error it would raise read
     line by line, unless a header before it is refused first.
@@ -531,7 +536,7 @@ def hamiltonian_from_text(text: str) -> QubitHamiltonian:
     coeffs.real, coeffs.imag = real, imag
     for k, phase in phases.items():
         coeffs[k] *= _PHASE[phase]
-    x, z = _masks(codes, 0, n), _masks(codes, 1, n)
+    x, z = gf2.pack_words(codes & 1), gf2.pack_words(codes >> 1)
     del codes
     return QubitHamiltonian.merged(n, x, z, coeffs)
 
@@ -621,17 +626,6 @@ def _refuse_term(raw: str, n: int) -> None:
     if not all(map(math.isfinite, [float(re_c), float(im_c)])):
         raise ValueError(f"Hamiltonian line {raw!r} has a coefficient that is not finite")
     raise AssertionError(f"line {raw!r} was flagged, but it reads")
-
-
-def _masks(codes: np.ndarray, bit: int, n: int) -> np.ndarray:
-    """``mask_array`` masks of bit 0 (x) or 1 (z) of (T, n) letter codes, column 0 on top."""
-    nbytes, words = -(-n // 8), max(1, -(-n // 64))
-    bits = np.zeros((len(codes), 8 * nbytes), dtype=np.uint8)
-    np.right_shift(codes, bit, out=bits[:, 8 * nbytes - n:])
-    bits &= 1
-    packed = np.zeros((len(codes), 8 * words), dtype=np.uint8)
-    packed[:, 8 * words - nbytes:] = np.packbits(bits).reshape(len(codes), nbytes)  # whole bytes
-    return gf2.from_uint64_words(packed.view(">u8"))
 
 
 def _same_length(n: int | None, length: int) -> int:

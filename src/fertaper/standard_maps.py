@@ -139,7 +139,9 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     gives (-1)^popcount(z & col_i), which is linear in the choices: a fixed
     sign from the zpar masks, and one more for each chosen row j per later
     col it meets, and for an annihilator's row.  So every branch of every
-    row is a few array XORs and parities.  Each row's z masks are then
+    row is a few array XORs and parities, on the transposed mask words, one
+    plane per word, so that numpy's inner loops run over the rows and not
+    over one to three words.  Each row's z masks are then
     sorted and their signs summed as exact integers, zero sums are dropped,
     and only then does a sum meet 2^-L, the letter phase
     i^-popcount(x & z) and the row's factor, as factor * (0.0 +
@@ -153,31 +155,32 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     if bad.size:
         raise IndexError(f"mode {bad[0]} out of range 1..{m}")
     ladders = gf2.uint64_words([0, 0, 0, *itertools.chain(*enc.ladder_masks.values())], m)
-    ladders = ladders.astype(np.uint64).reshape(m + 1, 3, -1)
-    cols, zpars, rows = (ladders[modes, k] for k in range(3))  # (rows, factors, words)
+    ladders = ladders.reshape(m + 1, 3, -1).transpose(1, 2, 0).copy()  # (kind, word, mode)
+    cols, zpars, rows = (np.take(words, modes, axis=1) for words in ladders)  # (word, row, factor)
     before, after = np.triu_indices(size, 1)  # factor pairs, one before the other
-    meets = gf2.popcounts(np.concatenate([zpars[:, before] & cols[:, after],
-                                          rows[:, before] & cols[:, after]], axis=1)) & 1
+    meets = gf2.popcounts(np.concatenate([zpars[..., before] & cols[..., after],
+                                          rows[..., before] & cols[..., after]], axis=2).T).T & 1
     chosen = np.tile(np.array([kind != "c" for kind in kinds], dtype=np.int64), (len(modes), 1))
     for pair, j in enumerate(before.tolist()):
         chosen[:, j] ^= meets[:, len(before) + pair]
-    z = np.bitwise_xor.reduce(zpars, axis=1)[:, None]
+    z = np.bitwise_xor.reduce(zpars, axis=2)[..., None]
     odd = np.bitwise_xor.reduce(meets[:, :len(before)], axis=1)[:, None]
     for j in range(size):
-        z = np.concatenate([z, z ^ rows[:, j, None]], axis=1)
+        z = np.concatenate([z, z ^ rows[..., j, None]], axis=2)
         odd = np.concatenate([odd, odd ^ chosen[:, j, None]], axis=1)
-    order = np.lexsort(z.transpose(2, 0, 1)[::-1])  # each row by its z masks
-    z = np.take_along_axis(z, order[..., None], axis=1)
-    first = np.ones(z.shape[:2], dtype=bool)  # the first of its z mask in its row
-    first[:, 1:] = (z[:, 1:] != z[:, :-1]).any(axis=2)
+    order = np.lexsort(z[::-1])  # each row by its z masks
+    z = np.take_along_axis(z, order[None], axis=2)
+    first = np.ones(z.shape[1:], dtype=bool)  # the first of its z mask in its row
+    first[:, 1:] = (z[..., 1:] != z[..., :-1]).any(axis=0)
     starts = np.flatnonzero(first)
     sums = np.add.reduceat(1 - 2 * np.take_along_axis(odd, order, axis=1).reshape(-1), starts)
     kept = sums != 0
     at = starts[kept]
-    row = at // z.shape[1]
-    x, z = np.bitwise_xor.reduce(cols, axis=1), z.reshape(-1, z.shape[2])[at]
+    row = at // z.shape[2]
+    x = np.take(np.bitwise_xor.reduce(cols, axis=2), row, axis=1)
+    z = np.take(z.reshape(len(z), -1), at, axis=1)
     scaled = sums[kept] * 0.5 ** size
-    phase = -gf2.popcounts(x[row] & z) & 3
+    phase = -gf2.popcounts((x & z).T) & 3
     value = np.where(phase & 2, -scaled, scaled)
     # 0.0 + complex(value) * phase: the other part is 0.0, never -0.0
     re, im = np.where(phase & 1, 0.0, value), np.where(phase & 1, value, 0.0)
@@ -185,7 +188,7 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     coeffs = np.empty(len(row), dtype=complex)  # factor * (re + i im), as Python multiplies
     coeffs.real = factor.real * re - factor.imag * im
     coeffs.imag = factor.real * im + factor.imag * re
-    return _new_sum(m, gf2.from_uint64_words(x)[row], gf2.from_uint64_words(z), coeffs, False)
+    return _new_sum(m, np.stack(x, axis=1), np.stack(z, axis=1), coeffs, False)
 
 
 def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHamiltonian:

@@ -1,8 +1,9 @@
 """Pauli symmetry detection and qubit tapering.
 
-Workflow: turn each Pauli term's packed masks into a check-matrix row
-(z << n) | x, compute its GF(2) kernel with the packed-row eliminator
-(every commuting Pauli (x << n) | z lives there), extract a maximal
+Workflow: turn every Pauli term's mask words into a check-matrix row
+(z << n) | x of 2n bits, shifted as words, compute its GF(2) kernel with
+the column eliminator (every commuting Pauli (x << n) | z lives there),
+extract a maximal
 pairwise-commuting independent subset with a symplectic Gram-Schmidt
 pass on the same ints, pair each generator tau_i with a qubit and
 a single-qubit Pauli sigma_i that anticommutes with tau_i alone (symplectic
@@ -13,7 +14,8 @@ as arrays at once, and one QubitHamiltonian.merged sums the images.
 Afterwards each paired qubit carries only I or X and can be replaced by
 a sector sign, the eigenvalue of tau_i on the input Hamiltonian: a
 sector's tapered Hamiltonian is the signed transformed terms with the
-paired qubits dropped, merged by QubitHamiltonian.merged.
+paired qubits dropped from their words (gf2.drop_word_bits), merged by
+QubitHamiltonian.merged.
 """
 
 from __future__ import annotations
@@ -30,20 +32,21 @@ from fertaper.pauli import (
     PauliOperator,
     QubitHamiltonian,
     commutes,
-    mask_array,
     qubit_mask,
 )
 
 
-def check_matrix(h: QubitHamiltonian) -> list[int]:
-    """Rows (z << n) | x of the canonical terms, whose GF(2) kernel is the commutant.
+def check_matrix(h: QubitHamiltonian) -> np.ndarray:
+    """Rows (z << n) | x of the canonical terms, whose GF(2) kernel is the commutant,
+    as the word matrix of 2n-bit ints.
 
     A candidate Pauli is the vector v = (x' << n) | z', so popcount(row & v)
     is x.z' + z.x', the symplectic product deciding commutation.
     """
     h = h.canonicalize()
     n = h.qubit_count
-    return [(z << n) | x for x, z in zip(h.x_masks.tolist(), h.z_masks.tolist())]
+    width = gf2.word_count(2 * n)
+    return gf2.shift_words(h.z_masks, n, width) | gf2.shift_words(h.x_masks, 0, width)
 
 
 def _anticommute(u: int, v: int, n: int) -> int:
@@ -210,8 +213,10 @@ def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamilton
     """Rotate the Hamiltonian so each symmetry becomes a single-qubit X.
 
     Applies the plan's reflections (a + b)/sqrt(2) in turn, each to every
-    term at once: the masks are (terms, words) arrays of uint64 words, so a
-    commutation test is an XOR-reduced popcount parity at any width.  A
+    term at once: the masks are word matrices, so a commutation test is a
+    popcount parity at any width.  The stage works on their transposes, one
+    row of terms per word, so that numpy's inner loops run over the terms,
+    not over two or three words.  A
     reflection is Hermitian and squares to one, so conjugation keeps a Pauli that
     commutes with both a and b, negates one that anticommutes with both,
     and otherwise multiplies it by a*b (anticommutes with a) or b*a =
@@ -223,25 +228,24 @@ def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamilton
     if plan.size == 0:
         return h
     n = h.qubit_count
-    # every term's masks as native uint64 words, one row per term
-    x, z = (gf2.uint64_words(masks, n).astype(np.uint64) for masks in (h.x_masks, h.z_masks))
+    x, z = (masks.T.copy() for masks in (h.x_masks, h.z_masks))
     cs = h.coeffs
-    phase = gf2.popcounts(x & z)  # letter form: i per Y
+    phase = gf2.popcounts((x & z).T)  # letter form: i per Y
     for a, b in plan.reflections():
-        ax, az, bx, bz = gf2.uint64_words([a.x_mask, a.z_mask, b.x_mask, b.z_mask],
-                                          n).astype(np.uint64)
-        anti_a = gf2.popcounts((x & az) ^ (z & ax)) & 1
-        anti_b = gf2.popcounts((x & bz) ^ (z & bx)) & 1
+        ax, az, bx, bz = gf2.uint64_words([a.x_mask, a.z_mask, b.x_mask, b.z_mask], n)[..., None]
+        anti_a = gf2.popcounts(((x & az) ^ (z & ax)).T) & 1
+        anti_b = gf2.popcounts(((x & bz) ^ (z & bx)).T) & 1
         cs = np.where(anti_a & anti_b, -cs, cs)
         moved = anti_a != anti_b
         # the phase power of a*b in X^x Z^z form, and the swap past x's Z's
         ab_phase = a.phase_power + b.phase_power + 2 * (a.z_mask & b.x_mask).bit_count()
-        swap = gf2.popcounts(x & (az ^ bz)) + anti_b
+        swap = gf2.popcounts((x & (az ^ bz)).T) + anti_b
         phase = np.where(moved, phase + ab_phase + 2 * swap, phase)
-        x = np.where(moved[:, None], x ^ (ax ^ bx), x)
-        z = np.where(moved[:, None], z ^ (az ^ bz), z)
-    shift = (phase - gf2.popcounts(x & z)) % 4
-    return QubitHamiltonian.merged(n, gf2.from_uint64_words(x), gf2.from_uint64_words(z),
+        every = -moved.astype(np.uint64)  # all ones on the moved terms
+        x ^= (ax ^ bx) & every
+        z ^= (az ^ bz) & every
+    shift = (phase - gf2.popcounts((x & z).T)) % 4
+    return QubitHamiltonian.merged(n, np.stack(x, axis=1), np.stack(z, axis=1),
                                    cs * np.array(_PHASE)[shift])
 
 
@@ -260,7 +264,7 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
     """The tapered Hamiltonian of each sector, one QubitHamiltonian.merged each.
 
     The paired bits of every canonical term are dropped once, for all
-    sectors.  A sector negates the terms whose X's on paired qubits meet
+    sectors, from its mask words.  A sector negates the terms whose X's on paired qubits meet
     its -1 entries an odd number of times, and merged sums the signed terms
     of each tapered Pauli in term order.
     """
@@ -274,25 +278,27 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
     n = h.qubit_count
     m = n - plan.size
     x, z = h.x_masks, h.z_masks
-    paired = qubit_mask(n, plan.paired_qubits)
-    bad = np.flatnonzero((z & paired) != 0)
+    # each term's X's and Z's on the paired qubits, a word column at a time: numpy's
+    # operations along a last axis of two or three words took up to ten times as long
+    paired = gf2.uint64_words([qubit_mask(n, plan.paired_qubits)], n)[0]
+    flips = [x[:, k] & word for k, word in enumerate(paired)]
+    bad = np.flatnonzero(np.bitwise_or.reduce([z[:, k] & word for k, word in enumerate(paired)]))
     if len(bad):  # the first such term: its own PauliOperator, not a view of every term
-        x_k, z_k = int(x[bad[0]]), int(z[bad[0]])
+        (x_k,), (z_k,) = gf2.word_ints(x[bad[:1]]), gf2.word_ints(z[bad[:1]])
         op = PauliOperator.from_masks(n, x_k, z_k, (x_k & z_k).bit_count())
         q = next(q for q in plan.paired_qubits if op.letter_at(q) not in "IX")
         raise ValueError(
             f"term {op.label} acts on paired qubit {q} by {op.letter_at(q)}; "
             "run clifford_transform first"
         )
-    flips = gf2.uint64_words(x & paired, n)  # each term's X's on paired qubits
-    drop = sorted((n - q for q in plan.paired_qubits), reverse=True)
-    xs, zs = (mask_array(gf2.drop_bits(masks, drop), m) for masks in (x, z))
+    drop = [n - q for q in plan.paired_qubits]
+    xs, zs = (gf2.drop_word_bits(masks, n, drop) for masks in (x, z))
     negatives = gf2.uint64_words([qubit_mask(n, (q for q, s in zip(plan.paired_qubits, sector)
                                                  if s < 0)) for sector in sectors], n)
     cs = h.coeffs
     out = {}
     for sector, negative in zip(sectors, negatives):
-        odd = np.bitwise_count(np.bitwise_xor.reduce(flips & negative, axis=1)) & 1
+        odd = sum(np.bitwise_count(flip & word) for flip, word in zip(flips, negative)) & 1
         try:
             out[sector] = QubitHamiltonian.merged(m, xs, zs, np.where(odd, -cs, cs))
         except ValueError as err:
@@ -346,7 +352,8 @@ class BasisBlocks:
 
         groups: dict[int, list] = {}  # x mask -> (sum, its z masks, coefficients)
         for i, h in enumerate(sums):
-            xs, zs = h.x_masks.astype(np.int64), h.z_masks.astype(np.int64)
+            # the dense cap keeps n under 64 qubits: one word per mask
+            xs, zs = h.x_masks[:, 0].astype(np.int64), h.z_masks[:, 0].astype(np.int64)
             cs = h.coeffs * np.array(_PHASE)[np.bitwise_count(xs & zs) % 4]
             starts = np.flatnonzero(np.diff(xs, prepend=-1)).tolist()  # sorted by x
             for lo, hi in zip(starts, [*starts[1:], len(xs)]):

@@ -1058,16 +1058,20 @@ class TestDecodeCommand:
         assert err.startswith("error:") and "more than one" in err
 
     def test_equal_half_weight_syndromes_are_refused(self, tmp_path, capsys):
-        # columns 1 and 2 are equal, so the weight-1 half table refuses the
-        # matrix, although 0011 is the one weight-2 preimage of 011
+        # columns 1 and 2 are equal, so the weight-1 half table holds their
+        # syndrome 110 twice; 0011 is the one weight-2 preimage of 011 and
+        # decodes, while 110 + 001 = 111 has two and is refused
         a = np.array([[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 0, 1]], dtype=np.uint8)
         assert brute_force_decode(a, 2, [0, 1, 1]).tolist() == [0, 0, 1, 1]
         check = tmp_path / "a.pcm"
         check.write_text("3 4\n1100\n1110\n0001\n")
         rc = main(["decode", "--check", str(check), "--particles", "2", "--syndrome", "011"])
         captured = capsys.readouterr()
+        assert rc == 0 and captured.out == "0011\n" and captured.err == ""
+        rc = main(["decode", "--check", str(check), "--particles", "2", "--syndrome", "111"])
+        captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
-        assert captured.err == "error: two weight-1 vectors share syndrome 110\n"
+        assert captured.err == "error: syndrome has more than one weight-N preimage\n"
 
     @pytest.mark.parametrize("body,argv,where", [
         ("2 3\n101\n012\n", ["--syndrome", "11"], "row 2, column 3 is '2'"),

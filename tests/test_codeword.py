@@ -1349,7 +1349,7 @@ def test_a_table_past_the_entry_budget_has_no_buffer(fig3_encoding):
     finally:
         tracemalloc.stop()
     assert frames.buffer is None and frames.offsets is None
-    entries = sum(1 << (enc.qubits - int(x).bit_count()) for x in frames.x_masks)
+    entries = sum(1 << (enc.qubits - x.bit_count()) for x in gf2.word_ints(frames.x_masks))
     assert entries == 130_023_424 > limits.TABLE_ENTRY_BUDGET
     assert peak < 64 << 20
     with pytest.raises(ValueError, match=f"entry budget of {limits.TABLE_ENTRY_BUDGET}"):

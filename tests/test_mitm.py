@@ -60,18 +60,26 @@ class TestBuildTables:
         assert tables.sizes == (16, 16)
 
     def test_duplicate_syndrome_rejected(self):
-        a = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8)  # equal columns 1, 2
+        # equal columns 1, 2: the tables keep both, and only their shared
+        # syndrome is refused, when it is decoded
+        a = np.array([[1, 1, 0], [0, 0, 1]], dtype=np.uint8)
+        tables = build_tables(*packed(a), 1)
+        assert tables.sizes == (3, 1)
         with pytest.raises(InjectivityViolation) as err:
-            build_tables(*packed(a), 1)
+            mitm_decode(tables, [1, 0])
         assert err.value.witness is not None
+        assert mitm_decode(tables, [0, 1]).tolist() == [0, 0, 1]
 
     def test_duplicate_witness_names_both_mode_sets(self):
         a = np.array([[1, 0, 1, 0], [0, 1, 0, 0]], dtype=np.uint8)  # columns 1, 3 equal
-        # the tables and a matrix code's sorted codeword list share one check
-        for build in (lambda: build_tables(*packed(a), 1), lambda: CodeEncoding.from_matrix(a, 1)):
-            with pytest.raises(InjectivityViolation, match="share syndrome 10") as err:
-                build()
-            assert err.value.witness == ((1,), (3,))
+        # a matrix code's sorted codeword list refuses the matrix; the tables
+        # refuse the syndrome the two columns share, with the same witness
+        with pytest.raises(InjectivityViolation, match="share syndrome 10") as err:
+            CodeEncoding.from_matrix(a, 1)
+        assert err.value.witness == ((1,), (3,))
+        with pytest.raises(InjectivityViolation, match="more than one weight-N") as err:
+            mitm_decode(build_tables(*packed(a), 1), [1, 0])
+        assert err.value.witness == ((1,), (3,))
 
     def test_full_table_has_every_weight_n_vector(self, fig3_graph):
         # the full table is a matrix code's codeword list

@@ -3,17 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fertaper import limits
+from fertaper import gf2, limits
 from fertaper.pauli import (
     PauliOperator,
     QubitHamiltonian,
     commutes,
     hamiltonian_from_text,
     hamiltonian_to_text,
-    mask_array,
     pauli_matrix_naive,
     pauli_multiply,
 )
+
+
+def in_word_layout(h) -> bool:
+    """Whether a sum's masks are C-ordered (terms, W) uint64 word matrices, W = max(1, ceil(n/64))."""
+    shape = (len(h), max(1, -(-h.qubit_count // 64)))
+    return all(masks.dtype == np.uint64 and masks.shape == shape and masks.flags.c_contiguous
+               for masks in (h.x_masks, h.z_masks))
 
 
 def labels(n, max_size=None):
@@ -229,11 +235,10 @@ class TestArrayMerge:
         n, xs, zs, cs = case
         want_x, want_z, want_c = dict_merge(n, xs, zs, cs)
         for got in (QubitHamiltonian.from_masks(n, xs, zs, cs).canonicalize(),
-                    QubitHamiltonian.merged(n, mask_array(xs, n), mask_array(zs, n),
+                    QubitHamiltonian.merged(n, gf2.uint64_words(xs, n), gf2.uint64_words(zs, n),
                                             np.array(cs))):
-            assert (got.x_masks.tolist(), got.z_masks.tolist()) == (want_x, want_z)
-            assert got.x_masks.dtype == got.z_masks.dtype == (np.uint64 if n <= 64 else object)
-            assert all(type(x) is int for x in got.x_masks.tolist() + got.z_masks.tolist())
+            assert (gf2.word_ints(got.x_masks), gf2.word_ints(got.z_masks)) == (want_x, want_z)
+            assert in_word_layout(got)
             assert bits(got.coeffs.tolist()) == bits(want_c)
             assert got.canonical and got.canonicalize() is got
 
@@ -432,26 +437,25 @@ class TestArraySums:
         if n <= 8:
             made.append(hamiltonian_from_text(hamiltonian_to_text(h)))
         for s in made:
-            assert s.x_masks.dtype == s.z_masks.dtype == (np.uint64 if n <= 64 else object)
+            assert in_word_layout(s)
             assert s.coeffs.dtype == complex
             for array in (s.x_masks, s.z_masks, s.coeffs):
                 assert not array.flags.writeable
                 with pytest.raises(ValueError, match="read-only"):
                     array[:1] = 0
-            if n > 64:
-                assert all(type(m) is int for m in s.x_masks.tolist() + s.z_masks.tolist())
 
     @pytest.mark.parametrize("n", [8, 64, 66])
     def test_a_sum_keeps_its_terms_when_the_callers_arrays_change(self, n):
         xs, zs, cs = random_terms(n, 6, n)
-        x, z, c = mask_array(xs, n), mask_array(zs, n), np.array(cs)
+        x, z, c = gf2.uint64_words(xs, n), gf2.uint64_words(zs, n), np.array(cs)
         sums = [QubitHamiltonian.from_masks(n, x, z, c),
                 QubitHamiltonian.from_masks(n, x, z, c, canonical=True),
                 QubitHamiltonian.merged(n, x, z, c)]
-        before = [(s.x_masks.tolist(), s.z_masks.tolist(), s.coeffs.tolist()) for s in sums]
+        before = [(gf2.word_ints(s.x_masks), gf2.word_ints(s.z_masks), s.coeffs.tolist())
+                  for s in sums]
         x[:] = z[:] = 0
         c[:] = 7
-        assert [(s.x_masks.tolist(), s.z_masks.tolist(), s.coeffs.tolist())
+        assert [(gf2.word_ints(s.x_masks), gf2.word_ints(s.z_masks), s.coeffs.tolist())
                 for s in sums] == before
         assert before[0] == (xs, zs, cs)
 
@@ -460,7 +464,7 @@ class TestArraySums:
         xs, zs, cs = random_terms(n, 5, n)
         cs[2] = complex(0.0, 1.5)
         a = QubitHamiltonian.from_masks(n, xs, zs, cs)
-        b = QubitHamiltonian.from_masks(n, mask_array(xs, n), mask_array(zs, n),
+        b = QubitHamiltonian.from_masks(n, gf2.uint64_words(xs, n), gf2.uint64_words(zs, n),
                                         [complex(-0.0, 1.5) if k == 2 else c
                                          for k, c in enumerate(cs)])
         assert a == b and hash(a) == hash(b)  # 0.0 == -0.0, as for the parts' floats
@@ -482,16 +486,16 @@ class TestArraySums:
         other = QubitHamiltonian.from_masks(n, *random_terms(n, 4, 2))
         total = h + other
         assert not total.canonical
-        assert total.x_masks.tolist() == xs + other.x_masks.tolist()
+        assert gf2.word_ints(total.x_masks) == xs + gf2.word_ints(other.x_masks)
         assert total.coeffs.tolist() == cs + other.coeffs.tolist()
         assert total.canonicalize() == QubitHamiltonian.merged(
-            n, xs + other.x_masks.tolist(), zs + other.z_masks.tolist(),
+            n, xs + gf2.word_ints(other.x_masks), zs + gf2.word_ints(other.z_masks),
             cs + other.coeffs.tolist())
         scaled = h.scaled(0.5 - 2j)
-        assert scaled.x_masks.tolist() == xs and scaled.z_masks.tolist() == zs
+        assert gf2.word_ints(scaled.x_masks) == xs and gf2.word_ints(scaled.z_masks) == zs
         assert scaled.coeffs.tolist() == [c * (0.5 - 2j) for c in cs]
         got = h.product(other)
         keys, coeffs = pair_product_merge(n, h, other)
-        assert list(zip(got.x_masks.tolist(), got.z_masks.tolist())) == keys
+        assert list(zip(gf2.word_ints(got.x_masks), gf2.word_ints(got.z_masks))) == keys
         assert got.coeffs.tolist() == pytest.approx(coeffs, abs=1e-12)
         assert got.canonical

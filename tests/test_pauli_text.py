@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fertaper import gf2
 from fertaper.cli import MAP_NAMES
 from fertaper.pauli import QubitHamiltonian, hamiltonian_from_text, hamiltonian_to_text
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
@@ -40,7 +41,8 @@ def outcome(read, text):
         h = read(text)
     except ValueError as err:
         return "error", str(err)
-    return (h.qubit_count, h.x_masks.dtype, h.x_masks.tolist(), h.z_masks.tolist(),
+    return (h.qubit_count, h.x_masks.dtype, h.x_masks.shape, gf2.word_ints(h.x_masks),
+            gf2.word_ints(h.z_masks),
             [repr(c) for c in h.coeffs.tolist()])
 
 

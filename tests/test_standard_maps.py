@@ -266,8 +266,8 @@ def products_one_by_one(enc, kinds, rows, factors) -> QubitHamiltonian:
     xs, zs, cs = [], [], []
     for row, factor in zip(rows, factors):
         part = factor_by_factor(enc, tuple(zip(kinds, row)))
-        xs += part.x_masks.tolist()
-        zs += part.z_masks.tolist()
+        xs += gf2.word_ints(part.x_masks)
+        zs += gf2.word_ints(part.z_masks)
         cs += [complex(factor * c) for c in part.coeffs.tolist()]
     return QubitHamiltonian.from_masks(enc.modes, xs, zs, cs)
 
@@ -321,7 +321,7 @@ class TestClosedFormProducts:
 
     @pytest.mark.parametrize("kind", ENCODING_KINDS)
     def test_masks_wider_than_64_bits(self, kind):
-        # 70 modes: object masks; the batches hold coincident indices too
+        # 70 modes: two mask words; the batches hold coincident indices too
         enc = build_encoding(kind, 70)
         rng = np.random.default_rng(70)
         modes = (1, 2, 3, 35, 64, 65, 69, 70)
@@ -330,8 +330,9 @@ class TestClosedFormProducts:
         pairs += [tuple(int(v) for v in rng.choice(modes, 4)) for _ in range(40)]
         pair_hops = assert_products_match(enc, "ccaa", pairs, rng)
         for got in (hops, pair_hops):
-            assert got.x_masks.dtype == got.z_masks.dtype == object
-            assert max(got.x_masks.tolist() + got.z_masks.tolist()).bit_length() > 64
+            assert got.x_masks.dtype == got.z_masks.dtype == np.uint64
+            assert got.x_masks.shape == got.z_masks.shape == (len(got), 2)
+            assert max(gf2.word_ints(got.x_masks) + gf2.word_ints(got.z_masks)).bit_length() > 64
 
     def test_empty_product_is_zero(self):
         # a batch of no products

@@ -55,7 +55,7 @@ def _anticommute(u: int, v: int, n: int) -> int:
 
 class TestCheckMatrix:
     def test_blocks_are_swapped(self, h2_table):
-        rows = check_matrix(h2_table)
+        rows = gf2.word_ints(check_matrix(h2_table))
         # the row of each term: its z-vector in the high bits, its x-vector below
         terms = h2_table.canonicalize().terms
         assert len(rows) == len(terms)
@@ -71,7 +71,7 @@ class TestCheckMatrix:
 
     def test_zero_qubits(self):
         h = QubitHamiltonian(0, ((2.0, PauliOperator.from_masks(0, 0, 0)),))
-        assert check_matrix(h) == [0]
+        assert gf2.word_ints(check_matrix(h)) == [0]
         assert find_symmetries(h).size == 0
 
 
@@ -202,7 +202,7 @@ def per_term_clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> Qubi
     h = h.canonicalize()
     n = h.qubit_count
     xs, zs, cs = [], [], []
-    for x, z, c in zip(h.x_masks.tolist(), h.z_masks.tolist(), h.coeffs.tolist()):
+    for x, z, c in zip(*map(gf2.word_ints, (h.x_masks, h.z_masks)), h.coeffs.tolist()):
         op = PauliOperator.from_masks(n, x, z, (x & z).bit_count())
         for a, b in plan.reflections():
             anti_a, anti_b = not commutes(op, a), not commutes(op, b)
@@ -245,14 +245,15 @@ class TestCliffordTransform:
         plan = TaperingPlan(4, (), ())
         out = clifford_transform(h2_table, plan)
         canon = h2_table.canonicalize()
-        assert (out.x_masks.tolist(), out.z_masks.tolist()) == \
-            (canon.x_masks.tolist(), canon.z_masks.tolist())
+        assert (gf2.word_ints(out.x_masks), gf2.word_ints(out.z_masks)) == \
+            (gf2.word_ints(canon.x_masks), gf2.word_ints(canon.z_masks))
         assert out.x_masks.dtype == out.z_masks.dtype == np.uint64
+        assert out.x_masks.shape == out.z_masks.shape == (len(out), 1)
         assert out.coeffs.tolist() == pytest.approx(canon.coeffs.tolist())
 
     @pytest.mark.parametrize("n", [8, 64, 66, 70, 130])
     def test_matches_the_reflections_term_by_term(self, n):
-        # uint64 masks up to 64 qubits, Python ints past that; complex
+        # one mask word up to 64 qubits, two or three past that; complex
         # coefficients, so every phase the reflections give shows.  The plan
         # is q's, applied to q and to random Paulis that need not commute
         # with its generators: those can anticommute with both a and b
@@ -260,8 +261,8 @@ class TestCliffordTransform:
         plan = build_plan(find_symmetries(q))
         assert plan.size >= 3 and any(not sigma.z_mask for sigma, _ in plan.reflections())
         rng = np.random.default_rng(n)
-        xs, zs = ([*masks, *(int.from_bytes(rng.bytes(17), "big") >> (136 - n)
-                             for _ in range(100))] for masks in (q.x_masks, q.z_masks))
+        xs, zs = ([*gf2.word_ints(masks), *(int.from_bytes(rng.bytes(17), "big") >> (136 - n)
+                                            for _ in range(100))] for masks in (q.x_masks, q.z_masks))
         for h in (q, QubitHamiltonian.from_masks(
                 n, xs, zs, [complex(*rng.normal(size=2)) for _ in xs])):
             got, want = clifford_transform(h, plan), per_term_clifford_transform(h, plan)
@@ -301,8 +302,10 @@ class TestTaper:
         transformed = clifford_transform(h, plan)
         reduced = taper(transformed, plan, (1,))
         # 0.25 I + 0.5 Z on the one qubit left
-        assert (reduced.x_masks.tolist(), reduced.z_masks.tolist()) == ([0, 0], [0, 1])
+        assert gf2.word_ints(reduced.x_masks) == [0, 0]
+        assert gf2.word_ints(reduced.z_masks) == [0, 1]
         assert reduced.x_masks.dtype == reduced.z_masks.dtype == np.uint64
+        assert reduced.x_masks.shape == reduced.z_masks.shape == (2, 1)
         assert reduced.coeffs.tolist() == pytest.approx([0.25, 0.5])
 
     def test_sector_union_matches_spectrum(self):
@@ -566,7 +569,8 @@ class TestBasisBlocks:
                                                rng.normal(size=len(xs)).tolist()).canonicalize()
 
         sums = [random_sum(1), random_sum(2)]
-        narrow = {z for h in sums for x, z in zip(h.x_masks.tolist(), h.z_masks.tolist())
+        narrow = {z for h in sums
+                  for x, z in zip(gf2.word_ints(h.x_masks), gf2.word_ints(h.z_masks))
                   if x == x_narrow}
         shapes = []
         bitwise_count = np.bitwise_count
@@ -690,7 +694,7 @@ def per_term_taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) 
             negative |= 1 << (n - q)
     drop = sorted((n - q for q in plan.paired_qubits), reverse=True)
     xs, zs, cs = [], [], []
-    for x, z, c in zip(h.x_masks.tolist(), h.z_masks.tolist(), h.coeffs.tolist()):
+    for x, z, c in zip(*map(gf2.word_ints, (h.x_masks, h.z_masks)), h.coeffs.tolist()):
         if z & paired:
             op = PauliOperator.from_masks(n, x, z, (x & z).bit_count())
             q = next(q for q in plan.paired_qubits if op.letter_at(q) not in "IX")
@@ -831,16 +835,17 @@ class TestTaperSectors:
         plan = build_plan(find_symmetries(q), q)
         transformed = clifford_transform(q, plan)
         x_masks = {x for h in taper_sectors(transformed, plan, all_sectors(2)).values()
-                   for x in h.x_masks}
+                   for x in gf2.word_ints(h.x_masks)}
         drops, sign_matrices = [], []
-        drop_bits, bitwise_count = gf2.drop_bits, np.bitwise_count
+        drop_bits, bitwise_count = gf2.drop_word_bits, np.bitwise_count
 
         def count_2d(a, *args, **kwargs):
             if np.ndim(a) == 2:
                 sign_matrices.append(a.shape)
             return bitwise_count(a, *args, **kwargs)
 
-        with mock.patch.object(gf2, "drop_bits", lambda *a: drops.append(1) or drop_bits(*a)), \
+        with mock.patch.object(gf2, "drop_word_bits",
+                               lambda *a: drops.append(1) or drop_bits(*a)), \
                 mock.patch("numpy.bitwise_count", count_2d):
             sector_energies(q, plan, transformed)
         assert 0 < len(drops) <= len(transformed)
