@@ -144,7 +144,7 @@ def _cmd_taper(args) -> int:
 
     # pauli.commutes as one array parity per generator over every input term's mask words
     x, z = h.x_masks, h.z_masks
-    gens = gf2.uint64_words([mask for g in plan.generators for mask in (g.x_mask, g.z_mask)],
+    gens = gf2.uint64_words([m for g in plan.generators for m in (g.x_mask, g.z_mask)],
                             h.qubit_count)
     report.add_check("generators_commute", not any(
         (gf2.popcounts((x & gz) ^ (z & gx)) & 1).any() for gx, gz in zip(gens[::2], gens[1::2])))

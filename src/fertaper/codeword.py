@@ -8,11 +8,10 @@ that sign function splits the simulator into few terms, each diagonal in a
 single tensor-product basis (an X/Y "frame" on the flipped qubits times a
 computational-basis diagonal elsewhere).
 
-A frame is a pair of packed Pauli masks, as everywhere else in the package:
-its x mask is the flip mask, the XOR of the flipped modes' packed columns, and
-its z mask, a submask of it, is the Z-pattern.  All bit work here is mask
-arithmetic; a diagonal is indexed by the bits outside the flip mask, packed
-by gf2.drop_bits.
+A frame is a pair of packed Pauli masks: its x mask is the flip mask,
+the XOR of the flipped modes' packed columns, and its z mask, a submask of
+it, is the Z-pattern.  A diagonal is indexed by the bits outside the flip
+mask, packed by gf2.drop_bits.
 
 Diagonals are numpy arrays.  Each encoding lists its codewords once, by
 ascending syndrome, which certifies and decodes a code without a graph,
@@ -379,11 +378,10 @@ class FramedDiagonal:
 class Frames:
     """Framed terms as columns: term i is weights[i] * P_i * diag(d_i).
 
-    P_i is the frame of rows i of x_masks and z_masks, as in FramedDiagonal:
-    (frames, W) uint64 word matrices in the layout of Pauli sums
-    (gf2.uint64_words).  d_i is buffer[offsets[i]:offsets[i + 1]] of one
-    read-only buffer; both are None past limits.TABLE_ENTRY_BUDGET entries
-    or 63 qubits.  Indexing gives term i as a FramedDiagonal (oracle use).
+    P_i is the frame of row i of x_masks and z_masks, read-only word
+    matrices as a Pauli sum's.  d_i is buffer[offsets[i]:offsets[i + 1]];
+    both are None past limits.TABLE_ENTRY_BUDGET entries or 63 qubits.
+    Indexing gives term i as a FramedDiagonal (oracle use).
     """
 
     qubits: int
@@ -496,11 +494,10 @@ def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames
         count * 2^-k * sum_c v_c (-1)^{|z & s_c|}   at the rest index of s_c,
 
     over the codewords c, with v_c the term's value there and s_c the
-    syndrome: the Walsh-Hadamard transform of the values over the flipped
-    bits, times the part count (each merged part equals that transform on
-    the codespace, where a class stabilizer is (-1)^N).  The entries are
-    dyadic rationals with small numerators, so no summation order changes
-    a bit.
+    syndrome: the Walsh-Hadamard transform over the flipped bits, times the
+    part count (a class stabilizer is (-1)^N on the codespace).  The entries
+    are dyadic rationals with small numerators, so no summation order
+    changes a bit.
     """
     q = enc.qubits
     if penalty:
@@ -517,8 +514,8 @@ def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames
                  if q <= 63 and entries <= limits.TABLE_ENTRY_BUDGET else (None, None))
     x_masks = np.repeat(term_x, per_term, axis=0)
     x_masks.flags.writeable = z_masks.flags.writeable = False
-    return Frames(q, x_masks, z_masks, np.repeat(np.array(weights, dtype=float), per_term),
-                  *diagonals)
+    weights = np.repeat(np.array(weights, dtype=float), per_term)
+    return Frames(q, x_masks, z_masks, weights, *diagonals)
 
 
 def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,

@@ -9,11 +9,8 @@ registers, are grouped into measurement bases by a strength-two
 orthogonal array over the 3^m per-register letter words, so the number of
 groups never exceeds 9^m.
 
-The pipeline runs on arrays from the parts to the bins.  Each part is
-built as mask and coefficient arrays, its phases and register factors
-multiplied by numpy, and handed to the one array merge,
-``QubitHamiltonian.merged``.  GF(3^m) addition, multiplication,
-negation and inversion are lookup tables.  The Rao-Hamming array
+The pipeline runs on arrays from the parts to the bins.  GF(3^m)
+addition, multiplication, negation and inversion are lookup tables.  The Rao-Hamming array
 (Hedayat, Sloane & Stufken, Orthogonal Arrays, 1999, ch. 3) is never
 built to bin terms: binning reads each register's word value off a
 term's masks (X, Y, Z = 0, 1, 2 as base-3 digits) and computes its row
@@ -184,13 +181,10 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     register pairs of (identity + register swap)/2, whose expansion is
     the uniform sum of matched Pauli letters on the two registers.
 
-    Each part is built as mask word and coefficient arrays, a register's
-    m-bit fields looked up in a table of their words in place and
-    coefficients multiplied by broadcasting, and handed to
-    ``QubitHamiltonian.merged``.  Terms come in (matrix unit,
-    register, z mask) order, so repeated Paulis sum in a fixed order.
-    Interaction entries that are the zero operator are skipped
-    (``h.interactions``).
+    Each part is built as mask word and coefficient arrays by broadcasting,
+    and handed to ``QubitHamiltonian.merged``.  Terms come in (matrix unit,
+    register, z mask) order, so repeated Paulis sum in a fixed order.  Zero
+    interaction entries are skipped (``h.interactions``).
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
@@ -207,7 +201,6 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     first = (1.0 + 0.0j) * unit
 
     def merged(x_masks, z_masks, coeffs) -> QubitHamiltonian:
-        """merged of the terms broadcast from mask words (..., W) and coefficients (...)."""
         shape = np.broadcast_shapes(x_masks.shape[:-1], z_masks.shape[:-1], coeffs.shape)
         x, z = (np.broadcast_to(a, (*shape, width)).reshape(-1, width) for a in (x_masks, z_masks))
         return QubitHamiltonian.merged(q, x, z, np.broadcast_to(coeffs, shape).ravel())

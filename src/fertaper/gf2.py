@@ -8,19 +8,10 @@ A is held the same way, as its columns packed into qubit masks
 inverse eliminate the rows.  kernel_basis eliminates the columns
 instead: each is one T-bit int over the T rows, cut from the rows' bits
 and packed eight rows to a byte, so it takes one step per column and
-pivot whatever T is.
-
-Tables of many masks are uint64 word matrices: uint64_words cuts ints
-into a C-ordered (count, W) matrix, W = word_count(length) = max(1,
-ceil(length / 64)), the most significant word first, at every width.
-Pauli sums hold their masks so and mitm its syndrome keys.  Ints enter
-that layout only through uint64_words and leave it only through
-word_ints.  On the matrices, popcounts counts bits, shift_words shifts
-every row across word boundaries and drop_word_bits deletes bit
-positions.  unpack_words, unpack_ints, pack_words and asbits convert to
-and from the 0/1 uint8 arrays that enter and leave the program, and
-bits_to_int and pack_rows pack bit vectors into ints.  drop_bits deletes
-bit positions from an int or an int64 array.
+pivot whatever T is.  Tables of many masks (Pauli sums, mitm's keys) are
+uint64_words matrices at every width: (count, W) uint64 words, W = max(1,
+ceil(length / 64)), the most significant first, entered by uint64_words
+and left by word_ints; unpack_words and pack_words convert bit matrices.
 Row/column indices at this level are 0-based; the 1-based mode/qubit
 convention of the public API lives in the callers.
 """
@@ -28,6 +19,8 @@ convention of the public API lives in the callers.
 from __future__ import annotations
 
 import numpy as np
+
+_ALL = 0xFFFF_FFFF_FFFF_FFFF
 
 
 def asbits(data) -> np.ndarray:
@@ -44,31 +37,19 @@ def bits_to_int(bits) -> int:
 
 
 def pack_rows(mat) -> list[int]:
-    """Pack each row of a bit matrix into an int, first column most significant.
-
-    Packing the columns (pack_rows(a.T)) gives a parity-check matrix's
-    columns as qubit masks, the form the codes and decoders hold.
-    """
-    rows = asbits(mat)
-    width = rows.shape[1]
-    padded = np.zeros((rows.shape[0], -(-width // 8) * 8), dtype=np.uint8)
-    padded[:, padded.shape[1] - width:] = rows
-    return [int.from_bytes(row.tobytes(), "big") for row in np.packbits(padded, axis=1)]
+    """Each row of a bit matrix as an int, first column most significant;
+    pack_rows(a.T) gives a parity-check matrix's columns as qubit masks."""
+    return word_ints(pack_words(asbits(mat)))
 
 
 def word_count(length: int) -> int:
-    """Words per row of length-bit ints in the uint64_words layout: one per 64 bits, at least one."""
+    """Words per row of length-bit ints in the uint64_words layout."""
     return max(1, -(-length // 64))
 
 
 def uint64_words(values, length: int) -> np.ndarray:
-    """length-bit ints as a C-ordered (count, W) matrix of uint64 words, the
-    most significant word first, W = word_count(length).
-
-    A two-dimensional array is taken as such a matrix already and returned
-    as it is.  Ints that fit one word are converted by numpy; wider ones are
-    joined as big-endian bytes, one int.to_bytes each.
-    """
+    """length-bit ints as a C-ordered (count, word_count(length)) matrix of
+    uint64 words, the most significant first; a 2-D array is taken as one."""
     width = word_count(length)
     if isinstance(values, np.ndarray) and values.ndim == 2:
         if values.shape[1] != width:
@@ -76,36 +57,27 @@ def uint64_words(values, length: int) -> np.ndarray:
         return values.astype(np.uint64, copy=False)
     if width == 1:
         return np.asarray(values, dtype=np.uint64).reshape(-1, 1)
-    if isinstance(values, np.ndarray):
-        values = values.tolist()
-    data = b"".join([v.to_bytes(8 * width, "big") for v in values])
+    data = b"".join([v.to_bytes(8 * width, "big") for v in np.asarray(values, object).tolist()])
     return np.frombuffer(data, dtype=">u8").reshape(-1, width).astype(np.uint64)
 
 
 def word_ints(words) -> list[int]:
     """The Python int of each row of a uint64_words matrix."""
-    words = np.asarray(words, dtype=np.uint64)
     if words.shape[1] == 1:
         return words[:, 0].tolist()
-    size = 8 * words.shape[1]
-    data = words.astype(">u8").tobytes()
-    return [int.from_bytes(data[i:i + size], "big") for i in range(0, len(data), size)]
+    return [int.from_bytes(row.tobytes(), "big") for row in words.astype(">u8")]
 
 
 def popcounts(words) -> np.ndarray:
-    """Popcount of each int cut into uint64 words along the last axis, as int64.
-
-    The words are added one at a time: numpy's sum along a short last axis
-    took seven times as long at two words.
-    """
+    """Popcount of each int cut into uint64 words along the last axis, as int64."""
     counts = np.bitwise_count(words[..., 0]).astype(np.int64)
-    for k in range(1, words.shape[-1]):
+    for k in range(1, words.shape[-1]):  # numpy's sum along a short axis is slower
         counts += np.bitwise_count(words[..., k])
     return counts
 
 
 def unpack_words(words, length: int) -> np.ndarray:
-    """Bit matrix with one row per row of a uint64_words matrix of length-bit ints, MSB first."""
+    """The (count, length) bit matrix of a uint64_words matrix, MSB first."""
     data = np.ascontiguousarray(words, dtype=">u8").view(np.uint8)
     return np.unpackbits(data, axis=1)[:, 8 * data.shape[1] - length:]
 
@@ -116,12 +88,11 @@ def unpack_ints(values, length: int) -> np.ndarray:
 
 
 def pack_words(bits) -> np.ndarray:
-    """The uint64_words matrix of a (count, length) bit matrix's rows, MSB first.
+    """The uint64_words matrix of a (count, length) bit matrix, MSB first.
 
-    Each row is padded to whole bytes and packed flat, then padded to whole
-    words: np.packbits along axis 1 is several times slower on short rows.
+    The rows are padded to whole bytes and packed flat, several times faster
+    than np.packbits along axis 1 on short rows.
     """
-    bits = np.asarray(bits, dtype=np.uint8)
     count, length = bits.shape
     nbytes, width = -(-length // 8), word_count(length)
     padded = np.zeros((count, 8 * nbytes), dtype=np.uint8)
@@ -131,13 +102,10 @@ def pack_words(bits) -> np.ndarray:
     return packed.view(">u8").astype(np.uint64)
 
 
-def _shifted_word(words: np.ndarray, shift: int, j: int) -> np.ndarray:
-    """Word j (from the least significant) of each row shifted left by shift bits.
-
-    It takes input bits 64j - shift on: the top of one input word and the
-    bottom of the next.  numpy shifts a uint64 by 64 to 0, so a shift by
-    whole words needs no second case.
-    """
+def _shifted(words: np.ndarray, shift: int, j: int) -> np.ndarray:
+    """Word j, from the least significant, of each row shifted left by shift
+    bits (numpy shifts a uint64 by 64 to 0).  Whole word columns at a time:
+    numpy's operations along an axis of two or three words are slow."""
     have = words.shape[1]
     low, r = divmod(64 * j - shift, 64)
     word = np.zeros(len(words), dtype=np.uint64)
@@ -149,49 +117,29 @@ def _shifted_word(words: np.ndarray, shift: int, j: int) -> np.ndarray:
 
 
 def shift_words(words, shift: int, width: int) -> np.ndarray:
-    """Each row of a word matrix shifted left by shift bits (right where
-    negative), kept to its lowest width words.
-
-    Like drop_word_bits it works a word column at a time: numpy's
-    operations along a last axis of two or three words took up to ten
-    times as long.
-    """
-    words = np.asarray(words, dtype=np.uint64)
-    return np.stack([_shifted_word(words, shift, j) for j in range(width - 1, -1, -1)], axis=1)
+    """Each row shifted left by shift bits (right if negative), in width words."""
+    return np.stack([_shifted(words, shift, j) for j in range(width - 1, -1, -1)], axis=1)
 
 
 def drop_word_bits(words, length: int, positions) -> np.ndarray:
-    """Delete bit positions (counted from bit 0) from every row of a word
-    matrix of length-bit ints, as drop_bits does from one int.
-
-    Each run of kept bits is shifted down into place and masked, a word
-    column at a time; unpacking the bits, deleting columns and packing them
-    again took 3 to 30 times as long.
-    """
+    """drop_bits on every row of a matrix of length-bit ints: each run of kept
+    bits shifted down into place and masked (unpacking the bits, deleting
+    columns and packing them took 3 to 30 times as long)."""
     runs, start, placed = [], 0, 0  # (shift, mask in place) of each run of kept bits
     for p in [*sorted(positions), length]:
         if p > start:
             runs.append((placed - start, ((1 << (p - start)) - 1) << placed))
             placed += p - start
         start = p + 1
-    columns = []
-    for j in range(word_count(placed) - 1, -1, -1):
-        word = np.zeros(len(words), dtype=np.uint64)
-        for shift, mask in runs:
-            bits = mask >> 64 * j & 0xFFFF_FFFF_FFFF_FFFF
-            if bits:
-                word |= _shifted_word(words, shift, j) & np.uint64(bits)
-        columns.append(word)
-    return np.stack(columns, axis=1)
+    return np.stack([sum((_shifted(words, shift, j) & np.uint64(mask >> 64 * j & _ALL)
+                          for shift, mask in runs), np.zeros(len(words), dtype=np.uint64))
+                     for j in range(word_count(placed) - 1, -1, -1)], axis=1)
 
 
 def drop_bits(value, positions):
-    """Delete bit positions (counted from bit 0, in decreasing order) from an int.
-
-    The bits above each deleted position move down one place, so the kept
-    bits stay in order.  value may also be an int64 array (positions below
-    63), each element of which is packed the same way.
-    """
+    """Delete bit positions (counted from bit 0, in decreasing order) from an
+    int, or from each element of an int64 array (positions below 63): the
+    bits above each deleted position move down one place."""
     for p in positions:
         value = ((value >> (p + 1)) << p) | (value & ((1 << p) - 1))
     return value
@@ -237,15 +185,14 @@ def rank(rows) -> int:
 
 
 def kernel_basis(rows, width: int) -> list[int]:
-    """Basis of the right kernel {v : every popcount(row & v) is even}.
+    """Basis of the right kernel {v : every popcount(row & v) is even} of
+    width-bit ints or their uint64_words matrix.
 
-    rows are width-bit ints or their uint64_words matrix.  The columns are
-    eliminated, not the rows: column c, a T-bit int over the T rows, is
-    reduced left to right by the earlier columns that are independent of
-    those before them, its own bit c carried along.  A column that reduces
-    to zero is free, and its basis vector is e_c plus the pivot columns it
-    combined, in ascending order of the free column: the same vectors, in
-    the same order, as the free columns of the row-reduced echelon form give.
+    Column c, a T-bit int over the T rows, is reduced left to right by the
+    earlier independent columns, its own bit c carried along.  A column
+    that reduces to zero is free, and its basis vector is e_c plus the pivot
+    columns it combined: the vectors, in order, that the free columns of
+    the row-reduced echelon form give.
     """
     words = uint64_words(rows, width)
     if len(words) and (words[:, 0] >> np.uint64(width - 64 * (words.shape[1] - 1))).any():

@@ -1,19 +1,15 @@
 """Syndrome tables and meet-in-the-middle decoding for N-injective binary matrices.
 
 A table for weight k holds the syndrome Ax of every weight-k vector x as a
-sorted key, next to x's column indices.  syndrome_table builds them all: a
-code's codeword list (k = N, codeword_table, which refuses two codewords
-with one syndrome) and the two halves here.  Keys are syndromes cut into
-uint64 words (gf2.uint64_words, the layout of the Pauli masks) and viewed
-as big-endian byte strings, so they sort and binary-search as numbers at
-any Q; syndrome_key spells a searched syndrome alike.  Decoding splits N
-into halves ((N+1)//2, N//2) and searches every first-half key XOR the
-syndrome in the second half at once.  A half table may hold equal keys:
-they sit together, and each search takes the whole run of them.  So a
-matrix is refused only for a syndrome that has two weight-N preimages,
-and equal columns do not stop a syndrome with one weight-N preimage from
-decoding.  A brute-force enumerator is kept alongside as the reference
-oracle.
+sorted key, next to x's column indices: a code's codeword list (k = N,
+codeword_table, which refuses equal syndromes) and the two halves here.
+Keys are syndromes in the gf2.uint64_words layout, viewed as big-endian
+byte strings, so they sort and binary-search as numbers at any Q;
+syndrome_key spells a searched syndrome alike.  Decoding splits N into
+halves ((N+1)//2, N//2) and searches every first-half key XOR the
+syndrome in the second half at once, as the run of keys equal to it, so
+only a syndrome with two weight-N preimages is refused.  A brute-force
+enumerator is kept alongside as the reference oracle.
 """
 
 from __future__ import annotations
@@ -77,14 +73,9 @@ def syndrome_key(s, q: int) -> np.ndarray:
 
 
 def syndrome_table(columns, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every weight-k row of indices into columns, and its syndrome's key,
-    stably sorted by key from lexicographic order: rows with one syndrome
-    sit together.
-
-    columns are the matrix's Q x M columns as qubit masks, row 1 most
-    significant.  Keys have at least one word, so they are never empty
-    byte strings.
-    """
+    """Every weight-k row of indices into columns, and its syndrome's key
+    (never empty bytes), stably sorted by key from lexicographic order;
+    columns are the Q x M matrix's columns as qubit masks, row 1 first."""
     words = gf2.uint64_words(columns, q)
     rows = combinations(len(columns), k)
     acc = np.zeros((len(rows), words.shape[1]), dtype=np.uint64)
@@ -97,11 +88,8 @@ def syndrome_table(columns, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def codeword_table(columns, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """syndrome_table, refused where two rows share a syndrome.
-
-    A code's codeword list must be injective: two rows with one syndrome
-    raise InjectivityViolation with their mode sets as the witness.
-    """
+    """syndrome_table; two rows with one syndrome contradict injectivity and
+    raise InjectivityViolation with their mode sets as the witness."""
     rows, keys = syndrome_table(columns, q, k)
     dup = np.flatnonzero(keys[1:] == keys[:-1])
     if dup.size:
@@ -130,8 +118,7 @@ class SyndromeTables:
 
 
 def build_tables(columns, q: int, n: int) -> SyndromeTables:
-    """syndrome_table of the weight-(N+1)//2 and of the weight-N//2 vectors;
-    equal syndromes are kept."""
+    """syndrome_table of the weight-(N+1)//2 and of the weight-N//2 vectors."""
     n1, n2 = (n + 1) // 2, n // 2
     total = comb(len(columns), n1) + comb(len(columns), n2)
     if total > limits.TABLE_ENTRY_BUDGET:
@@ -144,14 +131,11 @@ def build_tables(columns, q: int, n: int) -> SyndromeTables:
 def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
     """Unique weight-N preimage of a syndrome, or None.
 
-    XORs the syndrome against every first-half key and searches all of the
-    results in the second half, each as the run of keys equal to it, so
-    every first-half row pairs with every second-half row of its run.
-    Pairs whose halves overlap have weight below N and are dropped.  A
-    preimage is found once per way of splitting it, so the rest are
-    deduplicated; two distinct preimages raise InjectivityViolation.  The
-    pairs are taken a slice of first-half rows at a time, at most as many
-    as the larger table has rows, unless one row's run alone is longer.
+    Each first-half row pairs with every second-half row in the run of keys
+    equal to its key XOR the syndrome, in slices of about as many pairs as
+    the larger table has rows.  Pairs whose halves overlap have weight
+    below N and are dropped.  A preimage is found once per way of splitting
+    it; two distinct ones raise InjectivityViolation.
     """
     key = syndrome_key(s, tables.qubits)
     first, second = tables.keys
@@ -159,17 +143,13 @@ def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
     lo = np.searchsorted(second, want, "left")
     runs = np.searchsorted(second, want, "right") - lo
     hit = np.flatnonzero(runs)
-    ends = np.cumsum(runs[hit])  # pairs up to each hit row
-    budget = max(len(first), len(second))
-    found, start = None, 0
-    while start < len(hit):
-        before = ends[start - 1] if start else 0
-        stop = max(start + 1, int(np.searchsorted(ends, before + budget, "right")))
-        rows, n = hit[start:stop], runs[hit[start:stop]]
-        pairs = np.arange(ends[stop - 1] - before)
+    slices = (np.cumsum(runs[hit]) - 1) // max(len(first), len(second))
+    found = None
+    for rows in np.split(hit, np.flatnonzero(np.diff(slices)) + 1):
+        n = runs[rows]
+        pairs = np.repeat(lo[rows] - (np.cumsum(n) - n), n) + np.arange(n.sum())
         x = (occupations(tables.combos[0][np.repeat(rows, n)], tables.modes)
-             ^ occupations(tables.combos[1][np.repeat(lo[rows] - (np.cumsum(n) - n), n) + pairs],
-                           tables.modes))
+             ^ occupations(tables.combos[1][pairs], tables.modes))
         x = x[x.sum(axis=1) == tables.particles]
         if len(x):
             found = x[0] if found is None else found
@@ -180,7 +160,6 @@ def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
                     witness=(_mode_set(np.flatnonzero(found)),
                              _mode_set(np.flatnonzero(x[other[0]]))),
                 )
-        start = stop
     return found
 
 

@@ -11,11 +11,11 @@ permutation oracle.
 
 A Hamiltonian is encoded a product length at a time: ladder_products
 takes every hop (two ladder operators) as one row of a mode array, then
-every pair hop (four), looks up their ladder masks as arrays of uint64
-words, and builds all 2^L terms of every row with array XORs and
-parities.  Each row's signs are summed as exact integers before they
-meet its coefficient, and the terms of both lengths are merged once, so
-the sum is bit for bit the one the factor-by-factor products give.
+every pair hop (four), looks up their ladder masks as uint64 words, and
+builds all 2^L terms of every row with array XORs and parities.  Each
+row's signs are summed as exact integers before they meet its
+coefficient, and the terms of both lengths are merged once, so the sum is
+bit for bit the one the factor-by-factor products give.
 """
 
 from __future__ import annotations
@@ -138,16 +138,13 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
     chosen rows.  Moving the X(col) of factor i left past the Z's before it
     gives (-1)^popcount(z & col_i), which is linear in the choices: a fixed
     sign from the zpar masks, and one more for each chosen row j per later
-    col it meets, and for an annihilator's row.  So every branch of every
-    row is a few array XORs and parities, on the transposed mask words, one
-    plane per word, so that numpy's inner loops run over the rows and not
-    over one to three words.  Each row's z masks are then
-    sorted and their signs summed as exact integers, zero sums are dropped,
-    and only then does a sum meet 2^-L, the letter phase
+    col it meets, and for an annihilator's row.  So every branch is a few
+    XORs and parities of arrays held one plane per mask word.  Each row's
+    z masks are then sorted and their signs summed as exact integers, zero
+    sums dropped, and only then does a sum meet 2^-L, the letter phase
     i^-popcount(x & z) and the row's factor, as factor * (0.0 +
-    complex(sum * 2^-L) * phase) does: each row's terms are the canonical
-    factor-by-factor product times its factor, bit for bit.  The rows'
-    terms come in row order, unmerged.
+    complex(sum * 2^-L) * phase) does: the canonical factor-by-factor
+    product times its factor, bit for bit, in row order, unmerged.
     """
     m, size = enc.modes, len(kinds)
     modes = np.asarray(modes, dtype=np.int64).reshape(-1, size)

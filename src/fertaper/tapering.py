@@ -1,21 +1,18 @@
 """Pauli symmetry detection and qubit tapering.
 
-Workflow: turn every Pauli term's mask words into a check-matrix row
-(z << n) | x of 2n bits, shifted as words, compute its GF(2) kernel with
-the column eliminator (every commuting Pauli (x << n) | z lives there),
-extract a maximal
+Workflow: shift every Pauli term's mask words into a check-matrix row
+(z << n) | x, compute its GF(2) kernel with the column eliminator (every
+commuting Pauli (x << n) | z lives there), extract a maximal
 pairwise-commuting independent subset with a symplectic Gram-Schmidt
-pass on the same ints, pair each generator tau_i with a qubit and
-a single-qubit Pauli sigma_i that anticommutes with tau_i alone (symplectic
-elimination), and conjugate the Hamiltonian by the product of
-(sigma_i + tau_i)/sqrt(2) reflections, plus a Hadamard where sigma_i is Z:
-each reflection acts on every term's mask words, phase and coefficient
-as arrays at once, and one QubitHamiltonian.merged sums the images.
-Afterwards each paired qubit carries only I or X and can be replaced by
-a sector sign, the eigenvalue of tau_i on the input Hamiltonian: a
-sector's tapered Hamiltonian is the signed transformed terms with the
-paired qubits dropped from their words (gf2.drop_word_bits), merged by
-QubitHamiltonian.merged.
+pass, pair each generator tau_i with a qubit and a single-qubit Pauli
+sigma_i that anticommutes with tau_i alone (symplectic elimination), and
+conjugate the Hamiltonian by the product of (sigma_i + tau_i)/sqrt(2)
+reflections, plus a Hadamard where sigma_i is Z, each on every term's
+mask words at once.  Afterwards each paired qubit carries only I or X
+and can be replaced by a sector sign, the eigenvalue of tau_i on the
+input Hamiltonian: a sector's tapered Hamiltonian is the signed
+transformed terms with the paired bits dropped from their words, merged
+by QubitHamiltonian.merged.
 """
 
 from __future__ import annotations
@@ -37,8 +34,7 @@ from fertaper.pauli import (
 
 
 def check_matrix(h: QubitHamiltonian) -> np.ndarray:
-    """Rows (z << n) | x of the canonical terms, whose GF(2) kernel is the commutant,
-    as the word matrix of 2n-bit ints.
+    """Words of the rows (z << n) | x of the canonical terms, whose GF(2) kernel is the commutant.
 
     A candidate Pauli is the vector v = (x' << n) | z', so popcount(row & v)
     is x.z' + z.x', the symplectic product deciding commutation.
@@ -213,16 +209,14 @@ def clifford_transform(h: QubitHamiltonian, plan: TaperingPlan) -> QubitHamilton
     """Rotate the Hamiltonian so each symmetry becomes a single-qubit X.
 
     Applies the plan's reflections (a + b)/sqrt(2) in turn, each to every
-    term at once: the masks are word matrices, so a commutation test is a
-    popcount parity at any width.  The stage works on their transposes, one
-    row of terms per word, so that numpy's inner loops run over the terms,
-    not over two or three words.  A
-    reflection is Hermitian and squares to one, so conjugation keeps a Pauli that
-    commutes with both a and b, negates one that anticommutes with both,
-    and otherwise multiplies it by a*b (anticommutes with a) or b*a =
-    -a*b (with b): an XOR of the masks with those of a*b and a phase
-    update.  The result has the same spectrum and the same number of
-    Pauli terms, and acts on every paired qubit by I or X only.
+    term at once, on the transposed mask words (one row of terms per word,
+    so numpy's inner loops run over the terms).  A reflection is Hermitian
+    and squares to one, so conjugation keeps a Pauli that commutes with
+    both a and b, negates one that anticommutes with both, and otherwise
+    multiplies it by a*b (anticommutes with a) or b*a = -a*b (with b): an
+    XOR of the masks with those of a*b and a phase update.  The result has
+    the same spectrum and number of terms, and acts on every paired qubit
+    by I or X only.
     """
     h = h.canonicalize()
     if plan.size == 0:
@@ -263,10 +257,10 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
                   sectors) -> dict[tuple, QubitHamiltonian]:
     """The tapered Hamiltonian of each sector, one QubitHamiltonian.merged each.
 
-    The paired bits of every canonical term are dropped once, for all
-    sectors, from its mask words.  A sector negates the terms whose X's on paired qubits meet
-    its -1 entries an odd number of times, and merged sums the signed terms
-    of each tapered Pauli in term order.
+    The paired bits of every canonical term are dropped from its mask words
+    once, for all sectors.  A sector negates the terms whose X's on paired
+    qubits meet its -1 entries an odd number of times, and merged sums the
+    signed terms of each tapered Pauli in term order.
     """
     sectors = [tuple(int(s) for s in sector) for sector in sectors]
     for sector in sectors:
@@ -276,10 +270,8 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
             raise ValueError("sector entries must be +1 or -1")
     h = h_transformed.canonicalize()
     n = h.qubit_count
-    m = n - plan.size
     x, z = h.x_masks, h.z_masks
-    # each term's X's and Z's on the paired qubits, a word column at a time: numpy's
-    # operations along a last axis of two or three words took up to ten times as long
+    # each term's X's and Z's on the paired qubits, a word column at a time
     paired = gf2.uint64_words([qubit_mask(n, plan.paired_qubits)], n)[0]
     flips = [x[:, k] & word for k, word in enumerate(paired)]
     bad = np.flatnonzero(np.bitwise_or.reduce([z[:, k] & word for k, word in enumerate(paired)]))
@@ -300,7 +292,7 @@ def taper_sectors(h_transformed: QubitHamiltonian, plan: TaperingPlan,
     for sector, negative in zip(sectors, negatives):
         odd = sum(np.bitwise_count(flip & word) for flip, word in zip(flips, negative)) & 1
         try:
-            out[sector] = QubitHamiltonian.merged(m, xs, zs, np.where(odd, -cs, cs))
+            out[sector] = QubitHamiltonian.merged(n - plan.size, xs, zs, np.where(odd, -cs, cs))
         except ValueError as err:
             raise ValueError(f"in sector {sector_label(sector)} {err}") from None
     return out
@@ -324,17 +316,15 @@ class BasisBlocks:
     """Sums on one register over their 2^n basis states, split into connected blocks.
 
     Sum i's states are offset by i * 2^n, so one labelling covers every
-    sum and no block crosses from one sum to another; the dense cap holds
-    for all of them together.  The canonical terms of a sum sharing an x
-    mask sum to one value per state s, the matrix element <s^x|H|s>, built
-    one x mask at a time.  Every nonzero value is an edge s - s^x.  It
-    must be the summed value: on a pair of modes whose occupation number
-    would change, XX and YY cancel, so the x masks alone would join
-    particle numbers.  Only edges with s^x >= s are kept, the lower
-    triangle that eigvalsh reads, and min-label propagation runs along
-    them both ways, labelling each state by the least state of its
-    component.  On tapered molecular sectors these are their
-    particle-number and spin blocks, found from the matrices alone.
+    sum and no block crosses between sums; the dense cap holds for all of
+    them together.  The canonical terms of a sum sharing an x mask sum to
+    one value per state s, the matrix element <s^x|H|s>, built one x mask
+    at a time, and every nonzero value is an edge s - s^x (the summed
+    value: XX and YY cancel on a pair of modes whose occupation would
+    change).  Edges with s^x >= s, the lower triangle eigvalsh reads, carry
+    min-label propagation both ways, labelling each state by the least
+    state of its component: on tapered molecular sectors, their
+    particle-number and spin blocks.
     """
 
     def __init__(self, sums):

@@ -5,6 +5,8 @@ from operator import xor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fertaper import gf2, limits
 from fertaper.codeword import CodeEncoding
@@ -164,6 +166,33 @@ class TestDecode:
             x = np.zeros(m, dtype=np.uint8)
             x[cols] = 1
             assert np.array_equal(mitm_decode(tables, syndrome(a, x)), x)
+
+    @given(st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_every_syndrome_matches_brute_force_with_repeated_and_zero_columns(self, data):
+        # half tables with equal keys: each syndrome is answered as the brute
+        # force answers it, a refusal only where it has two weight-N preimages
+        q, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+        column = st.integers(0, (1 << q) - 1)
+        pool = data.draw(st.lists(column, min_size=1, max_size=3)) + [0]
+        columns = data.draw(st.lists(st.sampled_from(pool) | column, min_size=m, max_size=m))
+        n = data.draw(st.integers(0, m))
+        a = gf2.unpack_ints(columns, q).T
+        tables = build_tables(columns, q, n)
+        for s in gf2.unpack_ints(range(1 << q), q):
+            answers = []
+            for decode in (lambda: brute_force_decode(a, n, s), lambda: mitm_decode(tables, s)):
+                try:
+                    hit = decode()
+                    answers.append(None if hit is None else hit.tolist())
+                except InjectivityViolation as err:
+                    assert err.witness[0] != err.witness[1]
+                    for modes in err.witness:
+                        assert len(modes) == n
+                        syndrome = reduce(xor, (columns[j - 1] for j in modes), 0)
+                        assert syndrome == gf2.bits_to_int(s)
+                    answers.append("refused")
+            assert answers[0] == answers[1]
 
     @pytest.mark.parametrize("n", [3, 5, 6])
     def test_more_particles_than_modes_has_no_preimage(self, n):

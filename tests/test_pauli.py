@@ -16,7 +16,7 @@ from fertaper.pauli import (
 
 
 def in_word_layout(h) -> bool:
-    """Whether a sum's masks are C-ordered (terms, W) uint64 word matrices, W = max(1, ceil(n/64))."""
+    """Whether a sum's masks are C-ordered (terms, W) uint64 words, W = max(1, ceil(n / 64))."""
     shape = (len(h), max(1, -(-h.qubit_count // 64)))
     return all(masks.dtype == np.uint64 and masks.shape == shape and masks.flags.c_contiguous
                for masks in (h.x_masks, h.z_masks))

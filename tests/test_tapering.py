@@ -261,8 +261,10 @@ class TestCliffordTransform:
         plan = build_plan(find_symmetries(q))
         assert plan.size >= 3 and any(not sigma.z_mask for sigma, _ in plan.reflections())
         rng = np.random.default_rng(n)
-        xs, zs = ([*gf2.word_ints(masks), *(int.from_bytes(rng.bytes(17), "big") >> (136 - n)
-                                            for _ in range(100))] for masks in (q.x_masks, q.z_masks))
+        extra = [[int.from_bytes(rng.bytes(17), "big") >> (136 - n) for _ in range(100)]
+                 for _ in range(2)]
+        xs, zs = (gf2.word_ints(masks) + more
+                  for masks, more in zip((q.x_masks, q.z_masks), extra))
         for h in (q, QubitHamiltonian.from_masks(
                 n, xs, zs, [complex(*rng.normal(size=2)) for _ in xs])):
             got, want = clifford_transform(h, plan), per_term_clifford_transform(h, plan)
