@@ -57,7 +57,8 @@ def uint64_words(values, length: int) -> np.ndarray:
         return values.astype(np.uint64, copy=False)
     if width == 1:
         return np.asarray(values, dtype=np.uint64).reshape(-1, 1)
-    data = b"".join([v.to_bytes(8 * width, "big") for v in np.asarray(values, object).tolist()])
+    values = values.tolist() if isinstance(values, np.ndarray) else values  # Python ints
+    data = b"".join([v.to_bytes(8 * width, "big") for v in values])
     return np.frombuffer(data, dtype=">u8").reshape(-1, width).astype(np.uint64)
 
 
