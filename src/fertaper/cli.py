@@ -183,7 +183,7 @@ def _cmd_codesim(args) -> int:
     else:
         enc = CodeEncoding.from_matrix(load_pcm(args.check), h.particles)
     frames = build_simulator_hamiltonian(h, enc, _checked_penalty(args.penalty))
-    flips = gf2.unpack_words(frames.x_masks, enc.qubits)
+    flips = gf2.unpack_ints(frames.x_masks, enc.qubits)
     _, qubit = np.nonzero(flips)
     # np.split gives one piece more than there are cuts: the last one is empty
     diagonals = (["lazy"] * len(frames) if frames.buffer is None  # past the entry budget (Frames)

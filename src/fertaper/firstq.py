@@ -413,7 +413,7 @@ def _register_words(h: QubitHamiltonian, enc: RegisterEncoding):
     bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1  # [mask, qubit]
     value = np.where(bits[:, None, :], bits[None, :, :], 2) @ 3 ** np.arange(m - 1, -1, -1)
     place = 1 << np.arange(m - 1, -1, -1)
-    x, z = (gf2.unpack_words(v, q).reshape(len(h), enc.particles, m) @ place
+    x, z = (gf2.unpack_ints(v, q).reshape(len(h), enc.particles, m) @ place
             for v in (h.x_masks, h.z_masks))
     return value[x, z], (x | z) != 0
 

@@ -11,7 +11,7 @@ and packed eight rows to a byte, so it takes one step per column and
 pivot whatever T is.  Tables of many masks (Pauli sums, mitm's keys) are
 uint64_words matrices at every width: (count, W) uint64 words, W = max(1,
 ceil(length / 64)), the most significant first, entered by uint64_words
-and left by word_ints; unpack_words and pack_words convert bit matrices.
+and left by word_ints; unpack_ints and pack_words convert bit matrices.
 Row/column indices at this level are 0-based; the 1-based mode/qubit
 convention of the public API lives in the callers.
 """
@@ -77,15 +77,11 @@ def popcounts(words) -> np.ndarray:
     return counts
 
 
-def unpack_words(words, length: int) -> np.ndarray:
-    """The (count, length) bit matrix of a uint64_words matrix, MSB first."""
-    data = np.ascontiguousarray(words, dtype=">u8").view(np.uint8)
-    return np.unpackbits(data, axis=1)[:, 8 * data.shape[1] - length:]
-
-
 def unpack_ints(values, length: int) -> np.ndarray:
-    """Bit matrix with one row per int, MSB first: the inverse of pack_rows."""
-    return unpack_words(uint64_words(values, length), length)
+    """The (count, length) bit matrix of length-bit ints or their uint64_words
+    matrix, MSB first: the inverse of pack_rows and of pack_words."""
+    data = np.ascontiguousarray(uint64_words(values, length), dtype=">u8").view(np.uint8)
+    return np.unpackbits(data, axis=1)[:, 8 * data.shape[1] - length:]
 
 
 def pack_words(bits) -> np.ndarray:
@@ -103,23 +99,18 @@ def pack_words(bits) -> np.ndarray:
     return packed.view(">u8").astype(np.uint64)
 
 
-def _shifted(words: np.ndarray, shift: int, j: int) -> np.ndarray:
-    """Word j, from the least significant, of each row shifted left by shift
-    bits (numpy shifts a uint64 by 64 to 0).  Whole word columns at a time:
-    numpy's operations along an axis of two or three words are slow."""
-    have = words.shape[1]
-    low, r = divmod(64 * j - shift, 64)
-    word = np.zeros(len(words), dtype=np.uint64)
-    if 0 <= low < have:
-        word |= words[:, have - 1 - low] >> np.uint64(r)
-    if r and 0 <= low + 1 < have:
-        word |= words[:, have - 2 - low] << np.uint64(64 - r)
-    return word
-
-
-def shift_words(words, shift: int, width: int) -> np.ndarray:
-    """Each row shifted left by shift bits (right if negative), in width words."""
-    return np.stack([_shifted(words, shift, j) for j in range(width - 1, -1, -1)], axis=1)
+def or_shifted(out: np.ndarray, words: np.ndarray, shift: int, mask: int = -1) -> None:
+    """out |= (each row of words shifted left by shift bits, right if negative)
+    & mask, a word column at a time: numpy's operations along an axis of two
+    or three words are slow, and words the mask clears are skipped."""
+    have, width = words.shape[1], out.shape[1]
+    for j in range(width):  # from the least significant word
+        word = np.uint64(mask >> 64 * j & _ALL)
+        low, r = divmod(64 * j - shift, 64)  # word j's bits start at bit r of word low
+        if word and 0 <= low < have:
+            out[:, width - 1 - j] |= words[:, have - 1 - low] >> np.uint64(r) & word
+        if word and r and 0 <= low + 1 < have:
+            out[:, width - 1 - j] |= words[:, have - 2 - low] << np.uint64(64 - r) & word
 
 
 def drop_word_bits(words, length: int, positions) -> np.ndarray:
@@ -132,9 +123,10 @@ def drop_word_bits(words, length: int, positions) -> np.ndarray:
             runs.append((placed - start, ((1 << (p - start)) - 1) << placed))
             placed += p - start
         start = p + 1
-    return np.stack([sum((_shifted(words, shift, j) & np.uint64(mask >> 64 * j & _ALL)
-                          for shift, mask in runs), np.zeros(len(words), dtype=np.uint64))
-                     for j in range(word_count(placed) - 1, -1, -1)], axis=1)
+    out = np.zeros((len(words), word_count(placed)), dtype=np.uint64)
+    for shift, mask in runs:
+        or_shifted(out, words, shift, mask)
+    return out
 
 
 def drop_bits(value, positions):
@@ -200,7 +192,7 @@ def kernel_basis(rows, width: int) -> list[int]:
         raise ValueError(f"row wider than {width} bits")
     # column c as an int over the rows, row 0 most significant and zero padding last: the
     # bytes of np.packbits(bits, axis=0).T, eight rows summed to a byte without its strided pass
-    bits = unpack_words(words, width)
+    bits = unpack_ints(words, width)
     bits = np.concatenate([bits, np.zeros((-len(bits) % 8, width), dtype=np.uint8)])
     eights = bits.reshape(len(bits) // 8, 8, width)
     weights = np.array([128, 64, 32, 16, 8, 4, 2, 1], dtype=np.uint8)

@@ -41,8 +41,10 @@ def check_matrix(h: QubitHamiltonian) -> np.ndarray:
     """
     h = h.canonicalize()
     n = h.qubit_count
-    width = gf2.word_count(2 * n)
-    return gf2.shift_words(h.z_masks, n, width) | gf2.shift_words(h.x_masks, 0, width)
+    rows = np.zeros((len(h), gf2.word_count(2 * n)), dtype=np.uint64)
+    gf2.or_shifted(rows, h.z_masks, n)
+    gf2.or_shifted(rows, h.x_masks, 0)
+    return rows
 
 
 def _anticommute(u: int, v: int, n: int) -> int:
