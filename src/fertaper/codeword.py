@@ -494,10 +494,11 @@ def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames
         count * 2^-k * sum_c v_c (-1)^{|z & s_c|}   at the rest index of s_c,
 
     over the codewords c, with v_c the term's value there and s_c the
-    syndrome: the Walsh-Hadamard transform over the flipped bits, times the
-    part count (a class stabilizer is (-1)^N on the codespace).  The entries
-    are dyadic rationals with small numerators, so no summation order
-    changes a bit.
+    syndrome: the Walsh-Hadamard transform of the values over the flipped
+    bits, times the part count (each merged part equals that transform on
+    the codespace, where a class stabilizer is (-1)^N).  The entries are
+    dyadic rationals with small numerators, so no summation order changes
+    a bit.
     """
     q = enc.qubits
     if penalty:

@@ -9,8 +9,11 @@ registers, are grouped into measurement bases by a strength-two
 orthogonal array over the 3^m per-register letter words, so the number of
 groups never exceeds 9^m.
 
-The pipeline runs on arrays from the parts to the bins.  GF(3^m)
-addition, multiplication, negation and inversion are lookup tables.  The Rao-Hamming array
+The pipeline runs on arrays from the parts to the bins.  Each part is
+built as mask-word and coefficient arrays, its phases and register
+factors multiplied by numpy, and handed to the one array merge,
+``QubitHamiltonian.merged``.  GF(3^m) addition, multiplication,
+negation and inversion are lookup tables.  The Rao-Hamming array
 (Hedayat, Sloane & Stufken, Orthogonal Arrays, 1999, ch. 3) is never
 built to bin terms: binning reads each register's word value off a
 term's masks (X, Y, Z = 0, 1, 2 as base-3 digits) and computes its row

@@ -54,7 +54,7 @@ def uint64_words(values, length: int) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.ndim == 2:
         if values.shape[1] != width:
             raise ValueError(f"{values.shape[1]} words per row, not the {width} of {length} bits")
-        return values.astype(np.uint64, copy=False)
+        return np.ascontiguousarray(values, dtype=np.uint64)
     if width == 1:
         return np.asarray(values, dtype=np.uint64).reshape(-1, 1)
     values = values.tolist() if isinstance(values, np.ndarray) else values  # Python ints
@@ -71,10 +71,7 @@ def word_ints(words) -> list[int]:
 
 def popcounts(words) -> np.ndarray:
     """Popcount of each int cut into uint64 words along the last axis, as int64."""
-    counts = np.bitwise_count(words[..., 0]).astype(np.int64)
-    for k in range(1, words.shape[-1]):  # numpy's sum along a short axis is slower
-        counts += np.bitwise_count(words[..., k])
-    return counts
+    return np.bitwise_count(words).sum(axis=-1, dtype=np.int64)
 
 
 def unpack_ints(values, length: int) -> np.ndarray:
@@ -114,18 +111,17 @@ def or_shifted(out: np.ndarray, words: np.ndarray, shift: int, mask: int = -1) -
 
 
 def drop_word_bits(words, length: int, positions) -> np.ndarray:
-    """drop_bits on every row of a matrix of length-bit ints: each run of kept
-    bits shifted down into place and masked (unpacking the bits, deleting
-    columns and packing them took 3 to 30 times as long)."""
-    runs, start, placed = [], 0, 0  # (shift, mask in place) of each run of kept bits
-    for p in [*sorted(positions), length]:
+    """drop_bits, at distinct positions in any order, on every row of a matrix
+    of length-bit ints: each run of kept bits shifted down into place and
+    masked (unpacking the bits, deleting columns and packing them took 3 to
+    30 times as long)."""
+    out = np.zeros((len(words), word_count(length - len(positions))), dtype=np.uint64)
+    start = placed = 0  # the next bit to read, and where it goes
+    for p in [*sorted(positions), length]:  # each run of kept bits, shifted into place
         if p > start:
-            runs.append((placed - start, ((1 << (p - start)) - 1) << placed))
+            or_shifted(out, words, placed - start, ((1 << (p - start)) - 1) << placed)
             placed += p - start
         start = p + 1
-    out = np.zeros((len(words), word_count(placed)), dtype=np.uint64)
-    for shift, mask in runs:
-        or_shifted(out, words, shift, mask)
     return out
 
 

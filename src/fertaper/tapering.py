@@ -318,15 +318,17 @@ class BasisBlocks:
     """Sums on one register over their 2^n basis states, split into connected blocks.
 
     Sum i's states are offset by i * 2^n, so one labelling covers every
-    sum and no block crosses between sums; the dense cap holds for all of
-    them together.  The canonical terms of a sum sharing an x mask sum to
-    one value per state s, the matrix element <s^x|H|s>, built one x mask
-    at a time, and every nonzero value is an edge s - s^x (the summed
-    value: XX and YY cancel on a pair of modes whose occupation would
-    change).  Edges with s^x >= s, the lower triangle eigvalsh reads, carry
-    min-label propagation both ways, labelling each state by the least
-    state of its component: on tapered molecular sectors, their
-    particle-number and spin blocks.
+    sum and no block crosses from one sum to another; the dense cap holds
+    for all of them together.  The canonical terms of a sum sharing an x
+    mask sum to one value per state s, the matrix element <s^x|H|s>, built
+    one x mask at a time.  Every nonzero value is an edge s - s^x.  It
+    must be the summed value: on a pair of modes whose occupation number
+    would change, XX and YY cancel, so the x masks alone would join
+    particle numbers.  Only edges with s^x >= s are kept, the lower
+    triangle that eigvalsh reads, and min-label propagation runs along
+    them both ways, labelling each state by the least state of its
+    component.  On tapered molecular sectors these are their
+    particle-number and spin blocks, found from the matrices alone.
     """
 
     def __init__(self, sums):
