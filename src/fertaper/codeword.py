@@ -665,11 +665,11 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
     """Framed-term simulator of the full Hamiltonian plus codespace penalty.
 
     Every term is a coefficient block's key and a sign choice: (a, b) of
-    the one-body tensor or (a, b, g, d) of the interactions, one key of
-    each Hermitian pair.  A self-adjoint block, (a, a) or (a, b, b, a), is
-    an occupation product, choice 0, weighted by its real part; any other
-    gives the plus and i*(minus) terms, choice +1 and -1, weighted by its
-    real and imaginary parts.  Interaction entries with a repeated creator
+    the one-body tensor or (a, b, g, d) of ``h.interactions``, in u's order,
+    one key of each Hermitian pair.  A self-adjoint block, (a, a) or
+    (a, b, b, a), is an occupation product, choice 0, weighted by its real
+    part; any other gives the plus and i*(minus) terms, choice +1 and -1,
+    weighted by its real and imaginary parts.  Interaction entries with a repeated creator
     or annihilator index, which are the zero operator, are skipped.  All
     terms are framed in one pass (_simulate).  The penalty term is
     g*(identity - codespace projector), which vanishes on the codespace
@@ -682,8 +682,12 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
     t = h.t
     blocks = [((int(a) + 1,) * 2, t[a, a]) for a in np.flatnonzero(np.diag(t))]
     blocks += [((int(a) + 1, int(b) + 1), t[a, b]) for a, b in zip(*np.nonzero(np.triu(t, 1)))]
-    # a block and its partner key[::-1] are one Hermitian pair: take the lesser
-    blocks += [(key, coeff) for key, coeff in sorted(h.interactions.items()) if key[::-1] >= key]
+    # a block and its partner key[::-1] are one Hermitian pair: take the lesser,
+    # (d, g, b, a) >= (a, b, g, d) in u's lexicographic order
+    keys, values = h.interactions
+    a, b, g, d = keys.T
+    lesser = (d > a) | (d == a) & (g >= b)
+    blocks += zip(map(tuple, keys[lesser].tolist()), values[lesser].tolist())
     terms, weights = [], []
     for indices, coeff in blocks:
         if indices == indices[::-1]:  # self-adjoint: an occupation product

@@ -1,15 +1,15 @@
 """Second-quantized target systems and their dense Fock-space oracle.
 
 A Hamiltonian is a pair of coefficient tensors: a Hermitian one-body matrix
-t[a, b] multiplying a'_a a_b, and a sparse four-index map u[(a, b, g, d)]
-multiplying a'_a a'_b a_g a_d, with modes numbered 1..M.  Occupation
+t[a, b] multiplying a'_a a_b, and a sparse four-index u[(a, b, g, d)]
+multiplying a'_a a'_b a_g a_d, held as sorted (K, 4) keys and K values,
+with modes numbered 1..M.  Occupation
 convention: |1> = occupied, mode 1 is the leftmost bit of a basis label and
 the most significant bit of a basis index.
 """
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import json
 import math
@@ -180,16 +180,18 @@ class FermionHamiltonian:
     modes: int
     particles: int
     t: np.ndarray
-    u: dict = field(default_factory=dict)
+    u: dict | tuple = field(default_factory=dict)
 
     def __post_init__(self):
         """Check t and u as arrays; the first flagged entry raises, in the order of
-        t's entries (row by row), then u's keys, as an entry-by-entry check would.
+        t's entries (row by row), then u's as given, as an entry-by-entry check would.
 
-        t must be finite and Hermitian.  u is rebuilt as mode-index tuples of
-        ints to complex values, and its keys, values and each key's conjugate
-        partner (found by one sort of the packed keys and ``searchsorted``)
-        are checked as arrays.
+        t must be finite and Hermitian.  u, a dict from mode-index tuples to
+        values or a ``(keys, values)`` pair as u is kept, needs keys of four
+        indices in 1..modes, each given once and with its conjugate partner
+        (d, g, b, a) at the conjugate value, and finite values.  Only then is
+        u kept as read-only arrays of its own, (K, 4) int64 keys and K
+        complex128 values, sorted by packed key: lexicographic (a, b, g, d).
         """
         t = np.asarray(self.t, dtype=complex)
         if t.shape != (self.modes, self.modes):
@@ -202,12 +204,23 @@ class FermionHamiltonian:
         if not (np.abs(t - t.conj().T) <= 1e-12 + 1e-5 * np.abs(t.conj().T)).all():
             raise ValueError("one-body tensor is not Hermitian")
         object.__setattr__(self, "t", t)
-        u, keys, values = _interaction_arrays(self.u, self.modes)
-        lacking = _lacks_partner(keys, values, self.modes)
-        flagged = (keys == 0).any(axis=1) | ~np.isfinite(values) | lacking
+        given, keys, values = _interaction_arrays(self.u, self.modes)
+        order, repeated, lacking = _ranks(keys, values, self.modes)
+        bad, finite = (keys == 0).any(axis=1), np.isfinite(values)
+        flagged = bad | ~finite | repeated | lacking
         if flagged.any():
-            _refuse_interaction(u, list(u)[np.argmax(flagged)], self.modes)
-        object.__setattr__(self, "u", u)
+            k = int(np.argmax(flagged))
+            key = tuple(map(int, next(itertools.islice(given, k, None))))  # as given
+            if bad[k]:
+                raise ValueError(f"bad interaction index tuple {key}")
+            if not finite[k]:
+                raise ValueError(f"interaction entry {key} is {complex(values[k])}, not finite")
+            if repeated[k]:
+                raise ValueError(f"interaction entry {key} is given twice")
+            raise ValueError(f"interaction entry {key} lacks a conjugate partner {key[::-1]}")
+        keys, values = keys[order], values[order]
+        keys.flags.writeable = values.flags.writeable = False
+        object.__setattr__(self, "u", (keys, values))
         if not 0 <= self.particles <= self.modes:
             raise ValueError("particle count outside 0..modes")
         top = _magnitudes(np.concatenate([t.ravel(), values])).max(initial=0.0)
@@ -219,14 +232,22 @@ class FermionHamiltonian:
             )
 
     @property
-    def interactions(self) -> dict:
-        """The u entries that are not the zero operator.
+    def interactions(self) -> tuple[np.ndarray, np.ndarray]:
+        """The u keys and values that are not the zero operator, in u's order.
 
         An entry with a repeated creator (a == b) or annihilator (g == d)
         index is zero, because the ladder operator squares to zero; its
         conjugate partner repeats the other pair, so both go together.
         """
-        return {k: v for k, v in self.u.items() if k[0] != k[1] and k[2] != k[3]}
+        keys, values = self.u
+        kept = (keys[:, 0] != keys[:, 1]) & (keys[:, 2] != keys[:, 3])
+        return keys[kept], values[kept]
+
+    @property
+    def hopping(self) -> tuple[np.ndarray, np.ndarray]:
+        """The nonzero t entries row by row, as u is held: (K, 2) mode indices and values."""
+        a, b = np.nonzero(self.t)
+        return np.stack([a + 1, b + 1], axis=1), self.t[a, b]
 
     # -- JSON interchange ---------------------------------------------------
 
@@ -240,8 +261,8 @@ class FermionHamiltonian:
         earlier row's: summing the two, or keeping the last, would silently
         change what the file means.  The rows are checked as one table
         (``_json_rows``) and the first flagged row raises the error a
-        row-by-row check would; ``t`` is filled by one scatter and ``u`` is
-        built from the index and coefficient arrays.
+        row-by-row check would; ``t`` is filled by one scatter and ``u``'s
+        index and coefficient arrays go to the constructor as they are.
         """
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -259,18 +280,13 @@ class FermionHamiltonian:
         t = np.zeros((m, m), dtype=complex)
         keys, values = _json_rows(data, "t", "[a, b, re, im]", m)
         t[keys[:, 0] - 1, keys[:, 1] - 1] = values
-        keys, values = _json_rows(data, "u", "[a, b, g, d, re, im]", m)
-        u = dict(zip(map(tuple, keys.tolist()), values.tolist()))
-        return cls(m, data["particles"], t, u)
+        return cls(m, data["particles"], t, _json_rows(data, "u", "[a, b, g, d, re, im]", m))
 
     def to_json(self) -> str:
-        t_rows = [
-            [a + 1, b + 1, self.t[a, b].real, self.t[a, b].imag]
-            for a in range(self.modes)
-            for b in range(self.modes)
-            if self.t[a, b] != 0
-        ]
-        u_rows = [[*key, val.real, val.imag] for key, val in sorted(self.u.items())]
+        """The hopping entries, then u's in the order u keeps."""
+        t_rows, u_rows = ([[*key, value.real, value.imag]
+                           for key, value in zip(keys.tolist(), values.tolist())]
+                          for keys, values in (self.hopping, self.u))
         return json.dumps(
             {"modes": self.modes, "particles": self.particles, "t": t_rows, "u": u_rows},
             indent=1,
@@ -281,19 +297,12 @@ class FermionHamiltonian:
     def apply_to_state(self, x: FockState) -> dict[tuple[int, ...], complex]:
         """Image of a basis state as a map occupation -> amplitude."""
         out: dict[tuple[int, ...], complex] = {}
-        rows, cols = np.nonzero(self.t)
-        for a, b in zip(rows, cols):
-            hit = apply_op_string(x, (("c", a + 1), ("a", b + 1)))
-            if hit is None:
-                continue
-            sign, state = hit
-            out[state.occ] = out.get(state.occ, 0.0) + self.t[a, b] * sign
-        for (a, b, g, d), coeff in self.u.items():
-            hit = apply_op_string(x, (("c", a), ("c", b), ("a", g), ("a", d)))
-            if hit is None:
-                continue
-            sign, state = hit
-            out[state.occ] = out.get(state.occ, 0.0) + coeff * sign
+        for kinds, (keys, values) in (("ca", self.hopping), ("ccaa", self.u)):
+            for key, coeff in zip(keys.tolist(), values.tolist()):
+                hit = apply_op_string(x, tuple(zip(kinds, key)))
+                if hit is not None:
+                    sign, state = hit
+                    out[state.occ] = out.get(state.occ, 0.0) + coeff * sign
         return out
 
 
@@ -374,50 +383,48 @@ def _refuse_row(row, name: str, shape: str, modes: int) -> None:
     raise ValueError(f"Hamiltonian JSON repeats the {name} row {row[:-2]}")
 
 
-def _interaction_arrays(u: dict, modes: int) -> tuple[dict, np.ndarray, np.ndarray]:
-    """u as the constructor keeps it, with keys as tuples of ints and complex values,
-    its keys as a (K, 4) int64 array and its values as a complex array.
+def _interaction_arrays(u, modes: int) -> tuple:
+    """u's keys as given, its keys as a (K, 4) int64 array and its values as a
+    complex array, in u's order.
 
-    A u already in that form (as ``from_json`` builds it) is copied; any
-    other goes through ``int()`` and ``complex()`` entry by entry, which
-    raise on what they refuse.  A key that is not four indices in 1..modes
-    reads as (0, 0, 0, 0).
+    A dict goes through ``int()`` and ``complex()`` entry by entry, which
+    raise on what they refuse, and its keys are given as tuples of ints; a
+    ``(keys, values)`` pair's keys are given as its key rows.  A key that is
+    not four indices in 1..modes reads as (0, 0, 0, 0) in the array.
     """
-    if (set(map(type, u)) <= {tuple} and set(map(type, u.values())) <= {complex}
-            and set(map(type, itertools.chain.from_iterable(u))) <= {int}):
-        u = dict(u)
-    else:
+    if isinstance(u, dict):
         u = {tuple(int(i) for i in k): complex(v) for k, v in u.items()}
-    flat = list(itertools.chain.from_iterable(u))
-    if set(map(len, u)) <= {4} and (not flat or 1 <= min(flat) and max(flat) <= modes):
-        keys = np.array(flat, dtype=np.int64)
-    else:
-        keys = np.array([key if len(key) == 4 and all(1 <= i <= modes for i in key)
-                         else (0,) * 4 for key in u], dtype=np.int64)
-    return u, keys.reshape(-1, 4), np.fromiter(u.values(), complex, len(u))
+        keys = [k if len(k) == 4 and all(1 <= i <= modes for i in k) else (0,) * 4 for k in u]
+        return u, np.array(keys, dtype=np.int64).reshape(-1, 4), np.fromiter(u.values(), complex)
+    given, values = np.asarray(u[0], dtype=np.int64), np.asarray(u[1], dtype=complex)
+    if given.ndim != 2 or given.shape[1] != 4 or values.shape != given.shape[:1]:
+        raise ValueError("interactions must be a dict or a (K, 4) key array and K values")
+    inside = ((given >= 1) & (given <= modes)).all(axis=1, keepdims=True)
+    return given, np.where(inside, given, 0), values
 
 
-def _lacks_partner(keys: np.ndarray, values: np.ndarray, modes: int) -> np.ndarray:
-    """Whether each key's conjugate partner (d, g, b, a) is missing from keys, or holds
-    a value more than 1e-12 from its conjugate.
+def _ranks(keys: np.ndarray, values: np.ndarray, modes: int) -> tuple:
+    """The order that sorts the keys by packed key; whether each key repeats another;
+    and whether its conjugate partner (d, g, b, a) is missing, or holds a value
+    more than 1e-12 from its conjugate.
 
     The packed keys are sorted once, and ``searchsorted`` finds each key's
-    place among them, which inverts the sort, and each partner's.  Only
-    ``np.sort`` and ``searchsorted`` of int64 run, the two that writing JSON
-    output runs too: an argsort's kernels add about 0.3 MiB to the peak RSS
-    of a process that reads one file.  Keys are distinct but for the
-    (0, 0, 0, 0) of bad ones, whose partner is never a good key's.
+    place among them, which inverts the sort while no key repeats, and each
+    partner's.  Only ``np.sort`` and ``searchsorted`` of int64 run, the two
+    that writing JSON output runs too: an argsort's kernels add about 0.3 MiB
+    to the peak RSS of a process that reads one file.  Bad keys read
+    (0, 0, 0, 0), whose partner is never a good key's.
     """
-    if not len(keys):
-        return np.zeros(0, dtype=bool)
     packed, wanted = _packed(keys, modes), _packed(keys[:, ::-1], modes)
     ranked = np.sort(packed)
+    place = np.searchsorted(ranked, packed)
+    repeated = np.searchsorted(ranked, packed, side="right") - place > 1
     order = np.zeros(len(keys), dtype=np.intp)  # key k is ranked[i] for i where order[i] = k
-    order[np.searchsorted(ranked, packed)] = np.arange(len(keys))
-    at = np.minimum(np.searchsorted(ranked, wanted), len(keys) - 1)
+    order[place] = np.arange(len(keys))
+    at = np.minimum(np.searchsorted(ranked, wanted), max(len(keys) - 1, 0))
     with np.errstate(over="ignore", invalid="ignore"):
         far = _magnitudes(values[order[at]] - values.conj()) > 1e-12
-    return (ranked[at] != wanted) | far
+    return order, repeated, (ranked[at] != wanted) | far
 
 
 def _magnitudes(values: np.ndarray) -> np.ndarray:
@@ -425,19 +432,6 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
     (``np.abs`` of a complex array can differ in the last bit); inf where it overflows."""
     with np.errstate(over="ignore"):
         return np.hypot(values.real, values.imag)
-
-
-def _refuse_interaction(u: dict, key: tuple, modes: int) -> None:
-    """Raise the ValueError of a flagged interaction entry."""
-    value = u[key]
-    if len(key) != 4 or not all(1 <= i <= modes for i in key):
-        raise ValueError(f"bad interaction index tuple {key}")
-    if not cmath.isfinite(value):
-        raise ValueError(f"interaction entry {key} is {value}, not finite")
-    partner = (key[3], key[2], key[1], key[0])
-    if partner not in u or abs(u[partner] - value.conjugate()) > 1e-12:
-        raise ValueError(f"interaction entry {key} lacks a conjugate partner {partner}")
-    raise AssertionError(f"interaction entry {key} was flagged, but it checks")
 
 
 def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:
@@ -514,7 +508,7 @@ def default_penalty_scale(h: FermionHamiltonian) -> float:
     ValueError rather than an infinite penalty.
     """
     with np.errstate(over="ignore"):
-        total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.interactions.values())
+        total = float(np.abs(h.t).sum()) + sum(abs(v) for v in h.interactions[1].tolist())
     scale = 4.0 * total / max(1, h.particles)
     if not math.isfinite(scale):
         raise ValueError("coefficients too large: the default penalty scale is not finite")

@@ -186,8 +186,9 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
 
     Each part is built as mask word and coefficient arrays by broadcasting,
     and handed to ``QubitHamiltonian.merged``.  Terms come in (matrix unit,
-    register, z mask) order, so repeated Paulis sum in a fixed order.  Zero
-    interaction entries are skipped (``h.interactions``).
+    register, z mask) order, t row by row and u in its order, so repeated
+    Paulis sum in a fixed order.  Zero interaction entries are skipped
+    (the arrays of ``h.interactions``).
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch")
@@ -216,15 +217,15 @@ def first_quantized_parts(h: FermionHamiltonian, enc: RegisterEncoding) -> First
     one_body = merged(fields[np.arange(n), x_local[:, None]][:, :, None], fields[None], coeffs)
 
     # Two-body: (a, b, g, d) entry x register pair i != j x z mask on i x z mask on j
-    u = h.interactions
-    keys = np.array(list(u), dtype=np.int64).reshape(-1, 4) - 1
+    keys, values = h.interactions
+    keys = keys - 1
     ordered = np.array([(i, j) for i in range(n) for j in range(n) if i != j],
                        dtype=np.intp).reshape(-1, 2)
     f_i, f_j = fields[ordered[:, 0]], fields[ordered[:, 1]]
     x_ag, x_bd = keys[:, 0] ^ keys[:, 2], keys[:, 1] ^ keys[:, 3]
     pair = first[keys[:, 2], :, None] * unit[keys[:, 3], None, :]  # [entry, z on i, z on j]
     coeffs = _hermitian_coeff(
-        -np.array(list(u.values()), dtype=complex)[:, None, None] * pair,
+        -values[:, None, None] * pair,
         (x_ag | x_bd << m)[:, None, None], local[None, :, None] | local[None, None, :] << m,
     )[:, None]
     two_body = merged((f_i[:, x_ag] | f_j[:, x_bd]).transpose(1, 0, 2)[:, :, None, None],

@@ -191,13 +191,12 @@ def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitH
 def encode_hamiltonian(h: FermionHamiltonian, enc: StandardEncoding) -> QubitHamiltonian:
     """Qubit image of the full Hamiltonian under the encoding.
 
-    Every hop is built at once, then every pair hop, by ladder_products;
-    their terms go into one sum, which is merged once.
+    Every hop (``h.hopping``) is built at once, then every pair hop
+    (``h.interactions``, in u's sorted order), by ladder_products; their
+    terms go into one sum, which is merged once.
     """
     if h.modes != enc.modes:
         raise ValueError("mode count mismatch between Hamiltonian and encoding")
-    a, b = np.nonzero(h.t)
-    hops = ladder_products(enc, "ca", np.stack([a + 1, b + 1], axis=1), h.t[a, b])
-    u = h.interactions
-    pair_hops = ladder_products(enc, "ccaa", list(u), list(u.values()))
+    hops = ladder_products(enc, "ca", *h.hopping)
+    pair_hops = ladder_products(enc, "ccaa", *h.interactions)
     return (hops + pair_hops).canonicalize()

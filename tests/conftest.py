@@ -22,6 +22,14 @@ def h2_table() -> QubitHamiltonian:
     )
 
 
+def u_dict(pair) -> dict:
+    """A (keys, values) pair of interaction arrays, as FermionHamiltonian.u and
+    .interactions hold them, as a dict from tuples of ints to complex values in
+    the arrays' order."""
+    keys, values = pair
+    return dict(zip(map(tuple, keys.tolist()), values.tolist()))
+
+
 def packed(a) -> tuple[list[int], int]:
     """A 0/1 matrix's columns as qubit masks, and its row count."""
     a = np.asarray(a)

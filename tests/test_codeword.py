@@ -51,6 +51,7 @@ from tests.conftest import (
     packed,
     syndrome,
     syndrome_map,
+    u_dict,
     weight3_column,
 )
 
@@ -173,7 +174,7 @@ def reference_hamiltonian(h, enc, penalty):
     for alpha, beta in itertools.combinations(range(1, h.modes + 1), 2):
         block((alpha, beta), h.t[alpha - 1, beta - 1])
     done = set()
-    for key, coeff in sorted(h.interactions.items()):
+    for key, coeff in sorted(u_dict(h.interactions).items()):
         partner = (key[3], key[2], key[1], key[0])
         if key in done:
             continue
@@ -1183,7 +1184,7 @@ def varied_hamiltonian(m: int, n: int, seed: int) -> FermionHamiltonian:
     conjugate partner."""
     rng = np.random.default_rng(seed)
     h = random_hamiltonian(m, n, rng, interaction_pairs=6)
-    u = dict(h.u)
+    u = u_dict(h.u)
     for _ in range(4):
         a, b, *d = (int(v) + 1 for v in rng.choice(m, size=min(m, 3), replace=False))  # no d if m = 2
         value = complex(rng.normal(), rng.normal()) / 4

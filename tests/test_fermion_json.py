@@ -2,7 +2,8 @@
 
 Random valid files (int and float parts, -0.0, +/-1e308, indices 1 and M,
 empty or missing ``t`` and ``u``, rows in any order) must give equal ``t``
-arrays bit for bit, equal ``u`` dicts (key order, Python-int keys, the
+arrays bit for bit, equal ``u`` entries (the reader's int64 key rows in
+the order it keeps them against the oracle's dict sorted by key, and the
 ``repr`` of each value) and the same warnings; damaged files (bad index
 types and ranges, bad values, short or long rows, repeated rows, a ``u``
 row without its partner, a non-Hermitian ``t``, too many particles, a large
@@ -46,10 +47,20 @@ def outcome(read, text):
         except ValueError as err:
             result = ("error", str(err))
         else:
-            assert all(type(i) is int for key in u for i in key)
-            result = (modes, particles, t.dtype, t.shape, t.tobytes(),
-                      [(key, repr(value)) for key, value in u.items()])
+            result = (modes, particles, t.dtype, t.shape, t.tobytes(), entries(u))
     return result, [(w.category.__name__, str(w.message)) for w in caught]
+
+
+def entries(u):
+    """u's (key, repr(value)) list: the oracle's dict sorted by key, and the reader's
+    (keys, values) arrays in the order it keeps them, which must be that order."""
+    if isinstance(u, dict):
+        assert all(type(i) is int for key in u for i in key)
+        return [(key, repr(value)) for key, value in sorted(u.items())]
+    keys, values = u
+    assert keys.dtype == np.int64 and keys.shape == (len(values), 4)
+    assert values.dtype == np.complex128
+    return [(tuple(key), repr(value)) for key, value in zip(keys.tolist(), values.tolist())]
 
 
 def read_new(text):
@@ -240,14 +251,61 @@ def test_reading_holds_no_extra_copy_per_row():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert h.modes == 72 and len(h.u) == 119
+    assert h.modes == 72 and len(h.u[0]) == 119
     assert peak < 4.3 * len(text)
 
 
 def test_constructor_keeps_its_own_u():
-    # u in the kept form is copied, not shared, so the caller's dict can change
+    # u is kept as read-only arrays of the constructor's own, so the caller's
+    # dict or arrays can change
     u = {(1, 2, 2, 1): 0.5 + 0j}
     h = FermionHamiltonian(2, 1, np.zeros((2, 2)), u)
     u[(1, 2, 2, 1)] = 7 + 0j
     u[(2, 1, 1, 2)] = 7 + 0j
-    assert h.u == {(1, 2, 2, 1): 0.5 + 0j} and h.u is not u
+    keys, values = h.u
+    assert keys.tolist() == [[1, 2, 2, 1]] and values.tolist() == [0.5 + 0j]
+    assert not keys.flags.writeable and not values.flags.writeable
+    pair = (np.array([[2, 1, 1, 2], [1, 2, 2, 1]]), np.array([0.5 + 0j, 0.5 + 0j]))
+    for given in (pair, h.u):
+        kept = FermionHamiltonian(2, 1, np.zeros((2, 2)), given).u
+        assert not any(np.shares_memory(a, b) for a in kept for b in given)
+        assert not kept[0].flags.writeable and not kept[1].flags.writeable
+
+
+@given(hamiltonian_data(), st.data())
+@settings(max_examples=200, deadline=None)
+@pytest.mark.filterwarnings("ignore:coefficient magnitude")
+def test_u_in_any_order_is_kept_as_the_file_gives_it(data, draw):
+    # a dict and a (keys, values) pair of the file's u rows, each in a drawn
+    # order, give the arrays that from_json gives
+    text = text_of(data)
+    h = FermionHamiltonian.from_json(text)
+    rows = json.loads(text).get("u", [])
+    for form in ("dict", "pair"):
+        shuffled = draw.draw(st.permutations(rows))
+        if form == "dict":
+            u = {tuple(row[:-2]): complex(*row[-2:]) for row in shuffled}
+        else:
+            u = (np.array([row[:-2] for row in shuffled], dtype=np.int64).reshape(-1, 4),
+                 np.array([complex(*row[-2:]) for row in shuffled], dtype=complex))
+        built = FermionHamiltonian(h.modes, h.particles, h.t, u)
+        for got, want in ((built.u, h.u), (built.interactions, h.interactions)):
+            assert [(a.dtype, a.shape) for a in got] == [(a.dtype, a.shape) for a in want]
+            assert got[0].tolist() == want[0].tolist()
+            assert list(map(repr, got[1].tolist())) == list(map(repr, want[1].tolist()))
+        assert not any(a.flags.writeable for a in (*built.u, *h.u))
+
+
+def test_constructor_refuses_a_repeated_or_misshapen_pair():
+    t = np.zeros((3, 3))
+    keys = np.array([[1, 2, 3, 1], [1, 2, 2, 1], [1, 2, 2, 1]])
+    with pytest.raises(ValueError, match=r"entry \(1, 2, 3, 1\) lacks a conjugate partner"):
+        FermionHamiltonian(3, 1, t, (keys, np.full(3, 0.5)))
+    with pytest.raises(ValueError, match=r"entry \(1, 2, 2, 1\) is given twice"):
+        FermionHamiltonian(3, 1, t, (keys[1:], np.full(2, 0.5)))
+    with pytest.raises(ValueError, match=r"bad interaction index tuple \(4, 2, 2, 1\)"):
+        FermionHamiltonian(3, 1, t, ([[1, 2, 2, 1], [4, 2, 2, 1]], [0.5, np.nan]))
+    with pytest.raises(ValueError, match=r"a \(K, 4\) key array and K values"):
+        FermionHamiltonian(3, 1, t, (keys[:, :3], np.full(3, 0.5)))
+    with pytest.raises(ValueError, match=r"a \(K, 4\) key array and K values"):
+        FermionHamiltonian(3, 1, t, (keys, np.full(2, 0.5)))

@@ -28,6 +28,7 @@ from fertaper.firstq import (
     required_words,
     spectrum_matches_partitions,
 )
+from tests.conftest import u_dict
 
 
 class TestEncoding:
@@ -141,7 +142,7 @@ class TestSimulatorParts:
         t = np.zeros((4, 4))
         t[0, 1] = t[1, 0] = 0.3
         plain = FermionHamiltonian(4, 2, t, {(1, 2, 3, 4): 0.2, (4, 3, 2, 1): 0.2})
-        padded = FermionHamiltonian(4, 2, t, {**plain.u, (1, 1, 1, 1): 0.5,
+        padded = FermionHamiltonian(4, 2, t, {**u_dict(plain.u), (1, 1, 1, 1): 0.5,
                                               (1, 1, 2, 3): 0.1j, (3, 2, 1, 1): -0.1j})
         enc = RegisterEncoding(4, 2)
         want, got = first_quantized_parts(plain, enc), first_quantized_parts(padded, enc)

@@ -43,6 +43,7 @@ from fertaper import limits
 from fertaper.cli import main
 from fertaper.fermion import FermionHamiltonian, random_hamiltonian
 from fertaper.graphs import BipartiteGraph, cycle_chord_graph, save_graph
+from tests.conftest import u_dict
 
 MODES = 8
 
@@ -64,7 +65,7 @@ def spin_conserving(seed: int, modes: int = MODES, pairs: int = 24) -> FermionHa
     h = random_hamiltonian(modes, 4, np.random.default_rng(seed), interaction_pairs=pairs)
     spin = np.arange(1, modes + 1) % 2
     t = np.where(spin[:, None] == spin[None, :], h.t, 0)
-    u = {k: v for k, v in h.u.items()
+    u = {k: v for k, v in u_dict(h.u).items()
          if sorted((spin[k[0] - 1], spin[k[1] - 1])) == sorted((spin[k[2] - 1], spin[k[3] - 1]))}
     return FermionHamiltonian(modes, 4, t, u)
 
@@ -277,6 +278,47 @@ def test_codesim_penalty_bytes(tmp_path):
     assert main(codesim_inputs(tmp_path, "check") + ["--penalty", "2"]) == 0
     assert 2.0 in [t["weight"] for t in json.loads((tmp_path / "o.json").read_text())["terms"]]
     assert digest(tmp_path / "o.json") == CODESIM_EDGE_DIGESTS["penalty"]
+
+
+def reversed_u(text: str) -> str:
+    """A Hamiltonian JSON text with its u rows in reverse order."""
+    data = json.loads(text)
+    data["u"].reverse()
+    return json.dumps(data, indent=1)
+
+
+# the CLI runs of each order case, and the files they write
+ROW_ORDER_RUNS = {
+    "firstq": ([["firstq", "--input", "h.json", "--emit-bins", "b.json"]], ["b.json"]),
+    "encode_taper": ([["encode", "--input", "h.json", "--map", "jw", "--output", "q.txt"],
+                      ["taper", "--input", "q.txt", "--output", "t.txt", "--report", "r.json"]],
+                     ["q.txt", "t.txt", "r.json"]),
+    "codesim": ([["codesim", "--graph", "g.graph", "--input", "h.json", "--output", "o.json"]],
+                ["o.json"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROW_ORDER_RUNS))
+def test_u_row_order_leaves_the_output_bytes(tmp_path, monkeypatch, case):
+    # the same Hamiltonian, its u rows as to_json writes them and reversed; codesim
+    # on the Fig-3 code already sorted its terms, and guards that it still does
+    if case == "codesim":
+        h = random_hamiltonian(16, 2, np.random.default_rng(21), interaction_pairs=6)
+    else:
+        h = spin_conserving(11, 8, 24) if case == "firstq" else spin_conserving(7, 12, 60)
+    texts = (h.to_json(), reversed_u(h.to_json()))
+    assert texts[0] != texts[1]
+    runs, written = ROW_ORDER_RUNS[case]
+    outputs = []
+    for order, text in zip(("written", "reversed"), texts):
+        (tmp_path / order).mkdir()
+        monkeypatch.chdir(tmp_path / order)  # relative paths: the taper report records its input
+        Path("h.json").write_text(text)
+        save_graph(cycle_chord_graph(8, 2), "g.graph")
+        for argv in runs:
+            assert main(argv) == 0
+        outputs.append([Path(name).read_bytes() for name in written])
+    assert outputs[0] == outputs[1]
 
 
 # A hand-written Pauli file as a person might type it: phase prefixes, trailing

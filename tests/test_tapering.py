@@ -33,6 +33,7 @@ from fertaper.tapering import (
     taper,
     taper_sectors,
 )
+from tests.conftest import u_dict
 
 
 def pauli_group(labels):
@@ -931,7 +932,7 @@ def blocked_spin_hydrogen(h2_fermionic):
     inverse = {old: new + 1 for new, old in enumerate(perm)}
     u = {
         (inverse[a], inverse[b], inverse[g], inverse[d]): v
-        for (a, b, g, d), v in h2_fermionic.u.items()
+        for (a, b, g, d), v in u_dict(h2_fermionic.u).items()
     }
     return FermionHamiltonian(4, 2, t, u)
 
