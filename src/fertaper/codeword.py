@@ -11,7 +11,7 @@ computational-basis diagonal elsewhere).
 A frame is a pair of packed Pauli masks: its x mask is the flip mask,
 the XOR of the flipped modes' packed columns, and its z mask, a submask of
 it, is the Z-pattern.  A diagonal is indexed by the bits outside the flip
-mask, packed by gf2.drop_bits.
+mask, packed most significant first by _rest_index.
 
 Diagonals are numpy arrays.  Each encoding lists its codewords once, by
 ascending syndrome, which certifies and decodes a code without a graph,
@@ -308,9 +308,9 @@ class FramedDiagonal:
     pauli is the frame, the Hermitian Pauli i^|z| X(x) Z(z) with z a
     submask of x: x marks the flipped qubits and z the frame's Z-pattern.
     The diagonal is a read-only vector over the other qubits, indexed by
-    their bits packed most-significant-first (gf2.drop_bits of a basis
-    index at the flipped positions), or None when the table it came from
-    has no buffer (see Frames).  weight scales the whole term.
+    their bits packed most-significant-first (a basis index with its
+    flipped bits deleted, by _rest_index), or None when the table it came
+    from has no buffer (see Frames).  weight scales the whole term.
     """
 
     pauli: PauliOperator
@@ -352,7 +352,7 @@ class FramedDiagonal:
     def apply_to_indices(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """apply_to_index over an int64 array of basis indices at once."""
         frame = self.pauli
-        rest = gf2.drop_bits(states, _positions(frame.x_mask))
+        rest = _rest_index(states, frame.x_mask, frame.n)
         signs = 1.0 - 2.0 * (np.bitwise_count(states & frame.z_mask) & 1)
         values = self.weight * (1j if frame.phase_power else 1.0) * signs
         return states ^ frame.x_mask, values * self.materialize()[rest]
@@ -403,7 +403,7 @@ class Frames:
 
 
 def _positions(mask: int) -> list[int]:
-    """Set bit positions of a mask, highest first, as gf2.drop_bits takes them."""
+    """Set bit positions of a mask, highest first."""
     return [p for p in range(mask.bit_length() - 1, -1, -1) if mask >> p & 1]
 
 
@@ -470,8 +470,9 @@ def _frame_plan(enc: CodeEncoding, indices: tuple[int, ...],
     return flips, zs, [counts[z] for z in zs]
 
 
-def _rest_index(states: np.ndarray, flips: np.ndarray, q: int) -> np.ndarray:
-    """gf2.drop_bits of each state at the set bits of its own flip mask."""
+def _rest_index(states: np.ndarray, flips: np.ndarray | int, q: int) -> np.ndarray:
+    """Each state with the set bits of its own flip mask (or of one mask for
+    all) deleted, the bits above each moving down: the rest index of q qubits."""
     rest = np.zeros_like(states)
     for p in range(q - 1, -1, -1):
         keep = ~flips >> p & 1
@@ -629,8 +630,9 @@ def bipartite_improve(frames: list[FramedDiagonal], enc: CodeEncoding) -> list[F
     drop = _positions(flips)
     # per class: the chosen qubit's bit (its highest on the frame), its rows on
     # the frame, its rows on the rest index
-    classes = [(1 << (on_frame.bit_length() - 1), on_frame, gf2.drop_bits(rows, drop))
-               for on_frame, rows in zip(on_frames, enc.class_masks)]
+    on_rests = gf2.word_ints(gf2.drop_word_bits(gf2.uint64_words(enc.class_masks, q), q, drop))
+    classes = [(1 << (on_frame.bit_length() - 1), on_frame, on_rest)
+               for on_frame, on_rest in zip(on_frames, on_rests)]
 
     merged: dict[int, list] = {}
     for frame in frames:

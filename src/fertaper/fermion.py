@@ -173,9 +173,10 @@ def observable_action(term, x: FockState) -> list[tuple[complex, FockState]]:
     return [(amp, FockState(occ)) for occ, amp in acc.items() if amp != 0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FermionHamiltonian:
-    """Coefficient tensors of the target Hamiltonian plus the particle count."""
+    """Coefficient tensors of the target Hamiltonian plus the particle count,
+    compared and hashed by identity, as their arrays give no truth value."""
 
     modes: int
     particles: int

@@ -4,14 +4,16 @@ Elimination works on rows packed into Python ints: column c of a row of
 the given width is bit width-1-c, the layout of pack_rows and of the
 Pauli (x|z) masks, so a row XOR is one int XOR.  A parity-check matrix
 A is held the same way, as its columns packed into qubit masks
-(pack_rows(A.T)), so a syndrome is an XOR of columns.  rref, rank and
-inverse eliminate the rows.  kernel_basis eliminates the columns
-instead: each is one T-bit int over the T rows, cut from the rows' bits
-and packed eight rows to a byte, so it takes one step per column and
-pivot whatever T is.  Tables of many masks (Pauli sums, mitm's keys) are
-uint64_words matrices at every width: (count, W) uint64 words, W = max(1,
-ceil(length / 64)), the most significant first, entered by uint64_words
-and left by word_ints; unpack_ints and pack_words convert bit matrices.
+(pack_rows(A.T)), so a syndrome is an XOR of columns.  kernel_basis is
+the one eliminator: it eliminates the columns, each one T-bit int over
+the T rows, cut from the rows' bits and packed eight rows to a byte, so
+it takes one step per column and pivot whatever T is.  rank and same_span
+read the kernel's dimension, and standard_maps reads an encoding's
+inverse off the kernel of [A^T | I].  Tables of many masks (Pauli sums,
+mitm's keys) are uint64_words matrices at every width: (count, W) uint64
+words, W = max(1, ceil(length / 64)), the most significant first, entered
+by uint64_words and left by word_ints; unpack_ints and pack_words, the
+one bit packer (pack_rows wraps it), convert bit matrices.
 Row/column indices at this level are 0-based; the 1-based mode/qubit
 convention of the public API lives in the callers.
 """
@@ -26,14 +28,6 @@ _ALL = 0xFFFF_FFFF_FFFF_FFFF
 def asbits(data) -> np.ndarray:
     """Coerce a bit sequence / matrix to a uint8 array, reducing mod 2."""
     return np.asarray(data, dtype=np.uint8) % 2
-
-
-def bits_to_int(bits) -> int:
-    """Pack a bit vector into an integer, first entry most significant."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | int(b)
-    return value
 
 
 def pack_rows(mat) -> list[int]:
@@ -111,10 +105,10 @@ def or_shifted(out: np.ndarray, words: np.ndarray, shift: int, mask: int = -1) -
 
 
 def drop_word_bits(words, length: int, positions) -> np.ndarray:
-    """drop_bits, at distinct positions in any order, on every row of a matrix
-    of length-bit ints: each run of kept bits shifted down into place and
-    masked (unpacking the bits, deleting columns and packing them took 3 to
-    30 times as long)."""
+    """Delete bit positions (counted from bit 0, distinct, in any order) from
+    every row of a matrix of length-bit ints, the bits above each moving down:
+    each run of kept bits shifted down into place and masked (unpacking the
+    bits, deleting columns and packing them took 3 to 30 times as long)."""
     out = np.zeros((len(words), word_count(length - len(positions))), dtype=np.uint64)
     start = placed = 0  # the next bit to read, and where it goes
     for p in [*sorted(positions), length]:  # each run of kept bits, shifted into place
@@ -123,54 +117,6 @@ def drop_word_bits(words, length: int, positions) -> np.ndarray:
             placed += p - start
         start = p + 1
     return out
-
-
-def drop_bits(value, positions):
-    """Delete bit positions (counted from bit 0, in decreasing order) from an
-    int, or from each element of an int64 array (positions below 63): the
-    bits above each deleted position move down one place."""
-    for p in positions:
-        value = ((value >> (p + 1)) << p) | (value & ((1 << p) - 1))
-    return value
-
-
-def _echelon(rows) -> dict[int, int]:
-    """Row echelon basis of the span, keyed by each row's leading bit."""
-    basis: dict[int, int] = {}
-    for row in rows:
-        while row:
-            top = row.bit_length() - 1
-            pivot = basis.get(top)
-            if pivot is None:
-                basis[top] = row
-                break
-            row ^= pivot
-    return basis
-
-
-def rref(rows, width: int) -> tuple[list[int], list[int]]:
-    """Reduced row-echelon form over GF(2) of int rows of the given width.
-
-    Column c is bit width-1-c, so pivots are sought left to right.
-
-    Returns:
-        (nonzero reduced rows, their pivot columns), both in ascending
-        pivot column order.
-    """
-    basis = _echelon(rows)
-    if basis and max(basis) >= width:
-        raise ValueError(f"row wider than {width} bits")
-    tops = sorted(basis)  # lowest pivot first: rows are cleared by reduced rows
-    for k, top in enumerate(tops):
-        for low in tops[:k]:
-            if basis[top] >> low & 1:
-                basis[top] ^= basis[low]
-    tops.reverse()
-    return [basis[t] for t in tops], [width - 1 - t for t in tops]
-
-
-def rank(rows) -> int:
-    return len(_echelon(rows))
 
 
 def kernel_basis(rows, width: int) -> list[int]:
@@ -210,16 +156,10 @@ def kernel_basis(rows, width: int) -> list[int]:
     return basis
 
 
-def inverse(rows, n: int) -> list[int]:
-    """Inverse of a square invertible n x n matrix given as n int rows."""
-    if len(rows) != n:
-        raise ValueError("matrix is not square")
-    augmented = [(r << n) | (1 << (n - 1 - i)) for i, r in enumerate(rows)]
-    reduced, pivots = rref(augmented, 2 * n)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular over GF(2)")
-    low = (1 << n) - 1
-    return [r & low for r in reduced]
+def rank(rows) -> int:
+    """Rank of int rows: their width less the dimension of their kernel."""
+    width = max((row.bit_length() for row in rows), default=0)
+    return width - len(kernel_basis(rows, width))
 
 
 def same_span(a, b) -> bool:

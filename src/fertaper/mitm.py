@@ -69,7 +69,7 @@ def syndrome_key(s, q: int) -> np.ndarray:
     s = gf2.asbits(s)
     if s.shape != (q,):
         raise ValueError(f"syndrome length {s.size} != {q}")
-    return _as_keys(gf2.uint64_words([gf2.bits_to_int(s)], q))
+    return _as_keys(gf2.pack_words(s[None]))
 
 
 def syndrome_table(columns, q: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -176,7 +176,7 @@ def brute_force_decode(a: np.ndarray, n: int, s) -> np.ndarray | None:
     s = gf2.asbits(s)
     if s.shape[0] != q:
         raise ValueError(f"syndrome length {s.shape[0]} != {q}")
-    target = gf2.bits_to_int(s)
+    (target,) = gf2.pack_rows(s[None])
     cols = gf2.pack_rows(a.T)
     found = None
     for combo in itertools.combinations(range(m), n):

@@ -123,8 +123,8 @@ class PauliOperator:
     def __init__(self, x, z, phase_power: int = 0):
         if len(x) != len(z):
             raise ValueError("x and z bit vectors differ in length")
-        _fill_slots(self, len(x), gf2.bits_to_int(int(b) & 1 for b in x),
-                    gf2.bits_to_int(int(b) & 1 for b in z), int(phase_power) % 4)
+        x_mask, z_mask = gf2.pack_rows([[int(b) & 1 for b in bits] for bits in (x, z)])
+        _fill_slots(self, len(x), x_mask, z_mask, int(phase_power) % 4)
 
     def __setattr__(self, name, value):
         raise AttributeError("PauliOperator is immutable")

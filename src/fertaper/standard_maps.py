@@ -7,7 +7,8 @@ only as qubit masks, the Pauli mask layout (row or column 1 most
 significant): its columns are the X masks of the ladder operators and the
 rows of its inverse the Z masks that read occupations, so a single
 construction covers all three encodings and is checked against the dense
-permutation oracle.
+permutation oracle.  A^-1 is read off gf2.kernel_basis of [A^T | I]: its
+free columns are the last M, and column M+j gives row j of A^-1.
 
 A Hamiltonian is encoded a product length at a time: ladder_products
 takes every hop (two ladder operators) as one row of a mode array, then
@@ -97,10 +98,11 @@ def build_encoding(kind: str, m_modes: int) -> StandardEncoding:
     if m_modes < 1:
         raise ValueError("need at least one mode")
     m = m_modes
-    rows = _matrix_rows(kind, m)
-    columns = tuple(sum((r >> (m - c) & 1) << (m - 1 - i) for i, r in enumerate(rows))
-                    for c in range(1, m + 1))
-    return StandardEncoding(kind, m, columns, tuple(gf2.inverse(rows, m)))
+    columns = gf2.pack_rows(gf2.unpack_ints(_matrix_rows(kind, m), m).T)
+    basis = gf2.kernel_basis([col << m | 1 << (m - 1 - j) for j, col in enumerate(columns)], 2 * m)
+    if [v & ((1 << m) - 1) for v in basis] != [1 << (m - 1 - j) for j in range(m)]:
+        raise AssertionError(f"{kind} matrix on {m} modes is singular")
+    return StandardEncoding(kind, m, tuple(columns), tuple(v >> m for v in basis))
 
 
 def _ladder_masks(enc: StandardEncoding, j: int) -> tuple[int, int, int]:

@@ -18,6 +18,7 @@ import numpy as np
 
 from fertaper import gf2, limits
 from fertaper.graphs import min_weight_matching
+from tests.gf2_oracle import bits_int
 
 
 def check_graph(left: frozenset, right: frozenset, edges):
@@ -134,6 +135,6 @@ def decode(decoder, syndrome) -> np.ndarray | None:
     boundary = 0
     for col in chosen:
         boundary ^= decoder.edge_masks[col]
-    if boundary != gf2.bits_to_int(syndrome):
+    if boundary != bits_int(syndrome):
         return None
     return x

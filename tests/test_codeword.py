@@ -54,6 +54,7 @@ from tests.conftest import (
     u_dict,
     weight3_column,
 )
+from tests.gf2_oracle import bits_int
 
 
 @pytest.fixture
@@ -1308,7 +1309,7 @@ def test_codewords_are_in_decode_table_order(fig3_graph):
     enc = CodeEncoding.from_matrix(fig3_graph.incidence_matrix(), 2)
     want = syndrome_map(enc.matrix, 2)
     assert enc.syndromes().tolist() == sorted(want)
-    assert [gf2.bits_to_int(w) for w in enc.codewords()] == [want[s] for s in sorted(want)]
+    assert [bits_int(w) for w in enc.codewords()] == [want[s] for s in sorted(want)]
 
 
 def test_the_codeword_list_is_bounded_by_the_entry_budget(fig3_graph, monkeypatch):

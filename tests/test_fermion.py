@@ -234,6 +234,13 @@ class TestSectors:
 
 
 class TestValidation:
+    def test_hamiltonians_compare_and_hash_by_identity(self):
+        # their tensors are arrays, so two equal-valued instances are not ==
+        a, b = (random_hamiltonian(4, 2, np.random.default_rng(1)) for _ in range(2))
+        assert not a == b and a != b
+        assert a == a
+        assert len({a, b}) == 2 and hash(a) == hash(a)
+
     def test_non_hermitian_t(self):
         t = np.zeros((2, 2), dtype=complex)
         t[0, 1] = 1.0

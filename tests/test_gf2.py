@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fertaper import gf2
+from fertaper.codeword import _rest_index
 from tests.conftest import syndrome
+from tests.gf2_oracle import bits_int, drop_bits, rref
 
 
 @settings(max_examples=60, deadline=None)
@@ -13,7 +15,7 @@ def test_pack_rows_reads_each_row_most_significant_first(rows, width, rnd):
     mat = np.array([[rnd.getrandbits(1) for _ in range(width)] for _ in range(rows)],
                    dtype=np.uint8).reshape(rows, width)
     packed = gf2.pack_rows(mat)
-    assert packed == [gf2.bits_to_int(row) for row in mat]
+    assert packed == [bits_int(row) for row in mat]
     assert np.array_equal(gf2.unpack_ints(packed, width), mat)
 
 
@@ -110,28 +112,17 @@ def test_kernel_matches_the_uint8_layout():
 
 
 def test_rref_is_reduced():
+    # the oracle row reduction that kernel_basis is judged against
     rows = [0b1100, 0b1010, 0b1001]
-    reduced, pivots = gf2.rref(rows, 4)
+    reduced, pivots = rref(rows, 4)
     assert pivots == [0, 1, 2]
     assert reduced == [0b1001, 0b0101, 0b0011]
-    assert gf2.rref([0, 0], 3) == ([], [])
+    assert rref([0, 0], 3) == ([], [])
 
 
 def test_rref_rejects_a_row_wider_than_width():
     with pytest.raises(ValueError):
-        gf2.rref([0b100], 2)
-
-
-def test_inverse_round_trip():
-    mat = [0b100, 0b110, 0b111]
-    assert _product(mat, gf2.inverse(mat, 3), 3) == [0b100, 0b010, 0b001]
-
-
-def test_inverse_singular():
-    with pytest.raises(ValueError, match="singular"):
-        gf2.inverse([0b11, 0b11], 2)
-    with pytest.raises(ValueError, match="square"):
-        gf2.inverse([0b11], 2)
+        rref([0b100], 2)
 
 
 def test_span_helpers():
@@ -142,18 +133,6 @@ def test_span_helpers():
 
 
 # -- brute-force oracles for the packed eliminator ---------------------------
-
-
-def _product(a: list[int], b: list[int], width: int) -> list[int]:
-    """Row i of a*b over GF(2): the XOR of the rows of b that row i of a selects."""
-    out = []
-    for row in a:
-        acc = 0
-        for k, b_row in enumerate(b):
-            if row >> (width - 1 - k) & 1:
-                acc ^= b_row
-        out.append(acc)
-    return out
 
 
 def _span(rows) -> set[int]:
@@ -184,7 +163,7 @@ def test_kernel_spans_exactly_the_annihilated_vectors(matrix):
 def _row_rref_kernel(rows, width: int) -> list[int]:
     """The kernel read off the row-reduced echelon form: for each free column
     fc, in ascending order, e_fc plus the pivot columns whose rows have bit fc."""
-    reduced, pivots = gf2.rref(rows, width)
+    reduced, pivots = rref(rows, width)
     basis = []
     for fc in sorted(set(range(width)) - set(pivots)):
         vec = 1 << (width - 1 - fc)
@@ -222,7 +201,7 @@ def test_kernel_basis_rejects_a_row_wider_than_width():
 @settings(max_examples=100, deadline=None)
 def test_rref_keeps_the_row_span(matrix):
     width, rows = matrix
-    reduced, pivots = gf2.rref(rows, width)
+    reduced, pivots = rref(rows, width)
     assert _span(reduced) == _span(rows)
     assert pivots == sorted(pivots) and len(pivots) == len(reduced)
     for row, pc in zip(reduced, pivots):
@@ -231,46 +210,30 @@ def test_rref_keeps_the_row_span(matrix):
             assert (other >> (width - 1 - pc) & 1) == (other == row)
 
 
-@given(st.integers(1, 10).flatmap(
-    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1),
-                                             min_size=n, max_size=n))))
-@settings(max_examples=150, deadline=None)
-def test_inverse_round_trips_or_reports_singular(square):
-    n, rows = square
-    identity = [1 << (n - 1 - i) for i in range(n)]
-    if len(_span(rows)) < 1 << n:
-        with pytest.raises(ValueError, match="singular"):
-            gf2.inverse(rows, n)
-        return
-    inv = gf2.inverse(rows, n)
-    assert _product(rows, inv, n) == identity == _product(inv, rows, n)
-
-
 @given(st.integers(2, 16), st.integers(0, 2**20), st.integers(0, 2**20))
 @settings(max_examples=60, deadline=None)
 def test_bits_int_round_trip(length, a, b):
     a %= 1 << length
-    assert gf2.bits_to_int(gf2.unpack_ints([a], length)[0]) == a
-
-
-def _drop_oracle(value: int, positions) -> int:
-    """drop_bits spelled out on the binary string, least significant bit first."""
-    low_first = bin(value)[2:][::-1]
-    kept = [bit for pos, bit in enumerate(low_first) if pos not in set(positions)]
-    return int("".join(reversed(kept)) or "0", 2)
+    assert bits_int(gf2.unpack_ints([a], length)[0]) == a
 
 
 def test_drop_bits_on_int64_arrays_matches_python_ints():
+    # the two droppers on int64 states: _rest_index, by one mask for all or a
+    # mask per state, and drop_word_bits on their uint64 words
     rng = np.random.default_rng(9)
     values = rng.integers(0, 1 << 62, size=200, dtype=np.int64)
     for positions in ([], [0], [61, 40, 3, 2, 0], list(range(61, -1, -3))):
-        got = gf2.drop_bits(values, positions)
-        assert got.dtype == np.int64
-        want = [gf2.drop_bits(int(v), positions) for v in values]
-        assert got.tolist() == want == [_drop_oracle(int(v), positions) for v in values]
+        want = [drop_bits(int(v), positions) for v in values]
+        mask = sum(1 << p for p in positions)
+        got = _rest_index(values, mask, 62)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert _rest_index(values, np.full(len(values), mask), 62).tolist() == want
+        words = gf2.drop_word_bits(gf2.uint64_words(values, 62), 62, positions)
+        assert gf2.word_ints(words) == want
 
 
 def test_drop_bits_on_a_wide_python_int():
+    # drop_word_bits on a 101-bit int, two words in and out
     value = (1 << 100) | (1 << 70) | (1 << 64) | 0b1011
-    got = gf2.drop_bits(value, [70, 1])
-    assert got == (1 << 98) | (1 << 63) | 0b101 == _drop_oracle(value, [70, 1])
+    got = gf2.word_ints(gf2.drop_word_bits(gf2.uint64_words([value], 101), 101, [70, 1]))
+    assert got == [(1 << 98) | (1 << 63) | 0b101] == [drop_bits(value, [70, 1])]

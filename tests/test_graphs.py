@@ -33,6 +33,7 @@ from fertaper.graphs import (
     two_coloring,
 )
 from tests.conftest import syndrome, syndrome_map
+from tests.gf2_oracle import bits_int
 
 
 def four_cycle():
@@ -685,7 +686,7 @@ class TestDecode:
             if want is None:
                 assert got is None
             else:
-                assert got is not None and gf2.bits_to_int(got) == want
+                assert got is not None and bits_int(got) == want
 
     @pytest.mark.parametrize("q,n,seed", [(10, 2, 0), (12, 2, 1), (14, 3, 2), (16, 3, 3)])
     def test_random_graphs_match_brute_force(self, q, n, seed):
@@ -697,15 +698,15 @@ class TestDecode:
         for syn, mask in list(reference.items())[:200]:
             bits = gf2.unpack_ints([syn], q)[0]
             got = graph_decode(g, bits, n)
-            assert got is not None and gf2.bits_to_int(got) == mask
+            assert got is not None and bits_int(got) == mask
         for _ in range(200):
             bits = rng.integers(0, 2, size=q).astype(np.uint8)
             got = graph_decode(g, bits, n)
-            want = reference.get(gf2.bits_to_int(bits))
+            want = reference.get(bits_int(bits))
             if want is None:
                 assert got is None
             else:
-                assert gf2.bits_to_int(got) == want
+                assert bits_int(got) == want
 
 
     def test_decoder_reuse_matches_one_off_calls(self):

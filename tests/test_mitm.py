@@ -18,6 +18,7 @@ from fertaper.mitm import (
     mitm_decode,
 )
 from tests.conftest import packed, syndrome, syndrome_map
+from tests.gf2_oracle import bits_int
 
 
 def random_injective_matrix(rng, q, m, n):
@@ -47,8 +48,8 @@ class TestBuildTables:
         assert tables.sizes == (3, 1)  # weights 1 and 0
         # keys are sorted big-endian words; combos give each key's columns
         keys = tables.keys[0].view(">u8").tolist()
-        assert keys == sorted(gf2.bits_to_int(a[:, c]) for c in range(3))
-        assert [gf2.bits_to_int(a[:, c]) for c in tables.combos[0][:, 0]] == keys
+        assert keys == sorted(bits_int(a[:, c]) for c in range(3))
+        assert [bits_int(a[:, c]) for c in tables.combos[0][:, 0]] == keys
         # the empty half: one zero syndrome with an empty preimage
         assert tables.keys[1].view(">u8").tolist() == [0]
         assert tables.combos[1].shape == (1, 0)
@@ -91,7 +92,7 @@ class TestBuildTables:
         keys = enc.syndromes().tolist()
         assert keys == sorted(want)
         for key, word in zip(keys, enc.codewords()):
-            assert want[key] == gf2.bits_to_int(word)
+            assert want[key] == bits_int(word)
 
     def test_entry_budget(self, monkeypatch):
         monkeypatch.setattr(limits, "TABLE_ENTRY_BUDGET", 100)
@@ -144,7 +145,7 @@ class TestDecode:
             if want is None:
                 assert got is None
             else:
-                assert got is not None and gf2.bits_to_int(got) == want
+                assert got is not None and bits_int(got) == want
 
     @pytest.mark.parametrize("m,n", [(10, 2), (14, 3), (20, 2)])
     def test_random_codes_sampled_syndromes(self, m, n):
@@ -190,7 +191,7 @@ class TestDecode:
                     for modes in err.witness:
                         assert len(modes) == n
                         syndrome = reduce(xor, (columns[j - 1] for j in modes), 0)
-                        assert syndrome == gf2.bits_to_int(s)
+                        assert syndrome == bits_int(s)
                     answers.append("refused")
             assert answers[0] == answers[1]
 

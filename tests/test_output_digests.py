@@ -355,3 +355,31 @@ def test_untidy_pauli_file_bytes(tmp_path, monkeypatch):
     Path("q.txt").write_bytes(UNTIDY_PAULI.encode("ascii"))
     assert main(["taper", "--input", "q.txt", "--output", "t.txt", "--report", "r.json"]) == 0
     assert (digest(Path("t.txt")), digest(Path("r.json"))) == UNTIDY_TAPER_DIGESTS
+
+
+def mode_cap_chain() -> str:
+    """Hamiltonian JSON at limits.MODE_CAP modes: a nearest-neighbour hopping chain
+    and one pair hop, (1, M, M-1, 2) with its conjugate, across the whole register."""
+    m = limits.MODE_CAP
+    t = [row for j in range(1, m) for row in ([j, j + 1, -1.0, 0.0], [j + 1, j, -1.0, 0.0])]
+    u = [[1, m, m - 1, 2, 0.25, 0.5], [2, m - 1, m, 1, 0.25, -0.5]]
+    return json.dumps({"modes": m, "particles": 2, "t": t, "u": u})
+
+
+# encode text per map at M = limits.MODE_CAP (1024 qubits, 17 mask words), on
+# mode_cap_chain(); recorded from the row-echelon inverse of the encoding matrix
+# that kernel_basis replaced
+MODE_CAP_ENCODE_DIGESTS = {
+    "jw": "e8067969cfa74fa913376546fe3c5738caaa1eb6d836e45afb3d0718638e72d4",
+    "parity": "34d63cf60852d4035f98a4d2560c1045e58cb6f40c869f0082f0d3de9bb90751",
+    "bintree": "0b138fc0924f664197e2585d427b3dee550cffe67075f2fd725e3c41dc5f181c",
+}
+
+
+@pytest.mark.parametrize("mapping", sorted(MODE_CAP_ENCODE_DIGESTS))
+def test_mode_cap_encode_bytes(tmp_path, mapping):
+    (tmp_path / "h.json").write_text(mode_cap_chain())
+    out = tmp_path / "q.txt"
+    assert main(["encode", "--input", str(tmp_path / "h.json"), "--map", mapping,
+                 "--output", str(out)]) == 0
+    assert digest(out) == MODE_CAP_ENCODE_DIGESTS[mapping]

@@ -26,6 +26,7 @@ from fertaper.standard_maps import (
     ladder_products,
     mode_op_to_pauli,
 )
+from tests.gf2_oracle import bits_int
 
 BINARY_TREE_4 = [
     [1, 0, 0, 0],
@@ -72,6 +73,21 @@ class TestMatrices:
         product = [[(row & col).bit_count() & 1 for col in enc.column_masks]
                    for row in enc.inverse_rows]
         assert product == np.eye(m, dtype=int).tolist()
+
+    @pytest.mark.parametrize("kind", ENCODING_KINDS)
+    def test_inverse_rows_invert_the_column_masks(self, kind):
+        # A from its column masks and A^-1 from its rows, unpacked by to_bytes and
+        # multiplied by numpy (in float64, exact at these sizes), up to the mode cap
+        def bits(masks, m):
+            nbytes = -(-m // 8)
+            data = np.frombuffer(b"".join(v.to_bytes(nbytes, "big") for v in masks), np.uint8)
+            return np.unpackbits(data.reshape(m, nbytes), axis=1)[:, 8 * nbytes - m:]
+
+        for m in [*range(1, 141), 256, 1024]:
+            enc = build_encoding(kind, m)
+            a, inverse = bits(enc.column_masks, m).T * 1.0, bits(enc.inverse_rows, m) * 1.0
+            assert np.array_equal(inverse @ a % 2, np.eye(m)), m
+            assert np.array_equal(a @ inverse % 2, np.eye(m)), m
 
     @pytest.mark.parametrize("kind", ENCODING_KINDS)
     def test_encodings_compare_and_hash_by_value(self, kind):
@@ -244,7 +260,7 @@ class TestModeOperators:
             number = ladder_products(enc, "ca", [[j, j]], [1])
             dense = number.dense()
             for x in weight_n_states(m, m // 2) + weight_n_states(m, 1):
-                s = gf2.bits_to_int(enc.matrix @ x.occ % 2)
+                s = bits_int(enc.matrix @ x.occ % 2)
                 col = dense[:, s]
                 expected = np.zeros(1 << m)
                 expected[s] = x.occ[j - 1]

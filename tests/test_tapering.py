@@ -34,6 +34,7 @@ from fertaper.tapering import (
     taper_sectors,
 )
 from tests.conftest import u_dict
+from tests.gf2_oracle import drop_bits
 
 
 def pauli_group(labels):
@@ -705,8 +706,8 @@ def per_term_taper(h_transformed: QubitHamiltonian, plan: TaperingPlan, sector) 
                 f"term {op.label} acts on paired qubit {q} by {op.letter_at(q)}; "
                 "run clifford_transform first"
             )
-        xs.append(gf2.drop_bits(x, drop))
-        zs.append(gf2.drop_bits(z, drop))
+        xs.append(drop_bits(x, drop))
+        zs.append(drop_bits(z, drop))
         cs.append(-c if (x & negative).bit_count() & 1 else c)
     return QubitHamiltonian.from_masks(n - plan.size, xs, zs, cs).canonicalize()
 
