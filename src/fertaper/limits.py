@@ -23,11 +23,10 @@ PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register s
 # a file may declare or spell, the widest that `encode` writes, since `taper`'s
 # symmetry search is quadratic or worse in the qubit count
 MODE_CAP = 1024
-# vertices of a graph that is generated, loaded or read off a parity-check matrix: its
-# girth and decoder hold one Q x Q distance matrix each (8 MiB of int16 at this cap; a
-# 2048-cycle's decoder holds 9 MiB in all), the greedy search one per trial; the build
-# adds a Q x Q int8 ancestor mask, then one temporary the matrix's size per edge outside
-# a BFS spanning forest (a 2048-cycle's takes 0.07 s), and each greedy step one per trial
+# vertices of a graph that is generated, loaded or read off a parity-check matrix: the
+# greedy search holds one Q x Q distance matrix per trial (8 MiB of int16 at this cap)
+# and each of its steps one temporary per trial; girth, the certificate and the decoder
+# walk radius-N balls of the neighbour lists and hold no Q x Q array
 GRAPH_VERTEX_CAP = 2048
 # entries in the (trials, Q, Q) distance stack the greedy search's trials share; more
 # trials run in consecutive stacks, and one trial runs alone past it
@@ -54,4 +53,4 @@ def check_graph_vertices(q: int) -> None:
     """Refuse a graph over more than GRAPH_VERTEX_CAP vertices."""
     if q > GRAPH_VERTEX_CAP:
         raise ValueError(f"graph on {q} vertices exceeds the cap of {GRAPH_VERTEX_CAP}; "
-                         "its girth, decoding and search hold Q x Q distance matrices")
+                         "its greedy search holds Q x Q distance matrices")

@@ -1,11 +1,16 @@
-"""Line-by-line graph and parity-check readers and the numpy-indexed decoder,
-the oracles of the whole-file checks and of the list-based decoder.
+"""Line-by-line graph and parity-check readers, the distance matrix and
+the numpy-indexed decoder: the oracles of the whole-file checks, of the
+ball certificate and girth, and of the ball decoder.
 
-These are ``codeword.load_pcm``, ``graphs.load_graph``,
+``load_pcm``, ``load_graph``, ``check_graph`` and ``decode`` are
+``codeword.load_pcm``, ``graphs.load_graph``,
 ``graphs.BipartiteGraph.__post_init__`` and ``graphs.GraphDecoder.decode``
 as they were before the files came to be checked at once and the decoder
 came to read Python lists: one check per row, line, token and edge, and a
 decoder that reads the distance matrix one numpy entry at a time.
+``path_lengths`` is the exact all-pairs matrix and girth that
+``graphs`` built before girth, the certificate and the decoder came to
+walk radius-N balls; ``decode`` reads its own copy of that matrix.
 
 ``check_graph`` returns ``(left, right, edges)`` rather than a
 ``BipartiteGraph``, so the new edge checks never run on it, and
@@ -14,10 +19,12 @@ test, ``str.isdigit``, so it takes a header such as ``"² 3"`` for digits and
 then fails in ``int()``; the reader now refuses such a header by name.
 """
 
+import math
+
 import numpy as np
 
 from fertaper import gf2, limits
-from fertaper.graphs import min_weight_matching
+from fertaper.graphs import _link, min_weight_matching
 from tests.gf2_oracle import bits_int
 
 
@@ -102,33 +109,94 @@ def load_pcm(path: str) -> np.ndarray:
     return a
 
 
-def _path(decoder, a: int, b: int) -> list[int]:
-    dist = decoder.distances
+def _neighbours(g) -> list[list[tuple[int, int]]]:
+    """Each vertex's (neighbour, edge column) pairs, vertices 0-based, in edge order."""
+    nbrs: list[list[tuple[int, int]]] = [[] for _ in range(g.vertex_count)]
+    for col, (u, v) in enumerate(g.edges):
+        nbrs[u - 1].append((v - 1, col))
+        nbrs[v - 1].append((u - 1, col))
+    return nbrs
+
+
+def path_lengths(g) -> tuple[np.ndarray, float]:
+    """Uncapped Q x Q int16 path lengths (Q where not connected) and the girth.
+
+    A BFS from each unvisited vertex in turn grows a spanning forest, whose
+    distances fill the matrix level by level: a root's row holds the BFS
+    depths of its component, and any other vertex's row is its parent's
+    plus one outside its own subtree and minus one inside it, the sign read
+    off a Q x Q int8 ancestor mask.  Then _link adds the edges outside the
+    forest.  Every cycle closes when the last of its edges is added, at one
+    more than the distance that edge then spans, and that distance plus one
+    is itself a cycle's length; so the girth is the least such value, or
+    math.inf for a forest.
+    """
+    q = g.vertex_count
+    neighbours = _neighbours(g)
+    parent, depth, root = [-1] * q, [0] * q, [-1] * q
+    by_depth: list[list[int]] = [[]]  # non-root vertices by depth, from 1
+    in_tree = [False] * g.edge_count
+    for start in range(q):
+        if root[start] >= 0:
+            continue
+        root[start] = start
+        queue = [start]
+        for u in queue:
+            for w, col in neighbours[u]:
+                if root[w] < 0:
+                    parent[w], depth[w], root[w] = u, depth[u] + 1, start
+                    if depth[w] == len(by_depth):
+                        by_depth.append([])
+                    by_depth[depth[w]].append(w)
+                    in_tree[col] = True
+                    queue.append(w)
+    parent = np.array(parent, dtype=np.intp)
+    levels = [(np.array(ws), parent[ws]) for ws in by_depth[1:]]
+    anc = np.ones((q, q), dtype=np.int8)  # anc[x, v]: -1 if v is x or an ancestor of x, else 1
+    np.fill_diagonal(anc, -1)
+    for lev, up in levels:
+        anc[lev] = anc[up]
+        anc[lev, lev] = -1
+    dist = np.full((q, q), q, dtype=np.int16)
+    dist[np.array(root, dtype=np.intp), np.arange(q)] = depth
+    for lev, up in levels:
+        dist[lev] = dist[up] + anc[:, lev].T
+    np.minimum(dist, q, out=dist)  # rows of other components went past q, at most to 2q - 1
+    best = math.inf
+    for (u, v), tree in zip(g.edges, in_tree):
+        if not tree:
+            best = min(best, int(dist[u - 1, v - 1]) + 1)
+            _link(dist, u - 1, v - 1)
+    return dist, best
+
+
+def _path(neighbours, dist, a: int, b: int) -> list[int]:
     cols = []
     while a != b:
-        a, col = next(step for step in decoder.neighbours[a] if dist[step[0], b] < dist[a, b])
+        a, col = next(step for step in neighbours[a] if dist[step[0], b] < dist[a, b])
         cols.append(col)
     return cols
 
 
 def decode(decoder, syndrome) -> np.ndarray | None:
-    """decoder.decode(syndrome) on the decoder's numpy matrix, entry by entry."""
+    """decoder.decode(syndrome) on path_lengths' numpy matrix, entry by entry."""
     syndrome = gf2.asbits(syndrome)
-    n = decoder.particles
-    if syndrome.shape != (decoder.graph.vertex_count,):
+    n, g = decoder.particles, decoder.graph
+    if syndrome.shape != (g.vertex_count,):
         raise ValueError("syndrome length does not match vertex count")
     marked = np.flatnonzero(syndrome)
     if len(marked) > 2 * n:
         return None
-    reach = min(n, decoder.graph.vertex_count - 1)
+    dist, neighbours = path_lengths(g)[0], _neighbours(g)
+    reach = min(n, g.vertex_count - 1)
     weights = [[d if d <= reach else None for d in row]
-               for row in decoder.distances[np.ix_(marked, marked)].tolist()]
+               for row in dist[np.ix_(marked, marked)].tolist()]
     matched = min_weight_matching(weights)
     if matched is None or matched[0] != n:
         return None
-    x = np.zeros(decoder.graph.edge_count, dtype=np.uint8)
+    x = np.zeros(g.edge_count, dtype=np.uint8)
     for i, j in matched[1]:
-        x[_path(decoder, marked[i], marked[j])] ^= 1
+        x[_path(neighbours, dist, marked[i], marked[j])] ^= 1
     chosen = np.flatnonzero(x)
     if len(chosen) != n:
         return None

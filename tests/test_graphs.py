@@ -14,6 +14,7 @@ from fertaper.codeword import CodeEncoding, is_n_injective
 from fertaper.graphs import (
     BipartiteGraph,
     GraphDecoder,
+    _ball,
     _far,
     _link,
     _lockstep,
@@ -28,12 +29,13 @@ from fertaper.graphs import (
     load_graph,
     min_weight_matching,
     no_edge_addable,
-    path_lengths,
     save_graph,
     two_coloring,
 )
+from fertaper.mitm import InjectivityViolation, brute_force_decode
 from tests.conftest import syndrome, syndrome_map
 from tests.gf2_oracle import bits_int
+from tests.graph_oracle import path_lengths
 
 
 def four_cycle():
@@ -64,6 +66,40 @@ def brute_force_girth(g):
     return best
 
 
+def heawood_graph():
+    """The Heawood graph: a 14-cycle plus a chord from each odd vertex to the
+    vertex five on; cubic, with girth 6."""
+    edges = ring_graph(14).edges + tuple((i, (i + 4) % 14 + 1) for i in range(1, 15, 2))
+    return BipartiteGraph(frozenset(range(1, 15, 2)), frozenset(range(2, 15, 2)), edges)
+
+
+def parity_graph(edges):
+    """The graph of edges on 1..max vertex, odd vertices on the left."""
+    q = max(map(max, edges))
+    return BipartiteGraph(frozenset(range(1, q + 1, 2)), frozenset(range(2, q + 1, 2)),
+                          tuple(edges))
+
+
+# graphs of girth 4 to 30 and infinity, built when a test asks for them
+NAMED_GRAPHS = {
+    "ring4": lambda: ring_graph(4),
+    "ring10": lambda: ring_graph(10),
+    "ring14": lambda: ring_graph(14),
+    "ring30": lambda: ring_graph(30),
+    "rings6-and-10": lambda: parity_graph(ring_graph(6).edges + tuple(
+        (u + 6, v + 6) for u, v in ring_graph(10).edges)),
+    "ring8-with-a-tail": lambda: parity_graph(ring_graph(8).edges + ((8, 9), (9, 10), (10, 11))),
+    "path": path_graph,
+    "heawood": heawood_graph,
+    "chord-8-2": lambda: cycle_chord_graph(8, 2),
+    "chord-12-2": lambda: cycle_chord_graph(12, 2),
+    "chord-10-3": lambda: cycle_chord_graph(10, 3),
+    "chord-12-4": lambda: cycle_chord_graph(12, 4),
+    "chord-14-5": lambda: cycle_chord_graph(14, 5),
+    "chord-16-6": lambda: cycle_chord_graph(16, 6),
+}
+
+
 @st.composite
 def bipartite_graphs(draw):
     """Up to 5 + 5 vertices, any set of cross edges in any order."""
@@ -89,8 +125,9 @@ class TestGirth:
     @settings(max_examples=300, deadline=None)
     @given(bipartite_graphs())
     def test_matches_brute_force_on_random_bipartite_graphs(self, g):
-        dist, got = path_lengths(g)
-        assert got == brute_force_girth(g)
+        got = girth(g)
+        dist, judged = path_lengths(g)
+        assert got == judged == brute_force_girth(g)
         assert got == math.inf or type(got) is int
         q = g.vertex_count
         assert dist.dtype == np.int16
@@ -100,10 +137,13 @@ class TestGirth:
 
     def test_a_cycle_at_the_vertex_cap(self):
         q = limits.GRAPH_VERTEX_CAP
-        dist, got = path_lengths(ring_graph(q))
-        assert got == q
+        ring = ring_graph(q)
+        assert girth(ring) == q
+        # the first ball reaches the far vertex twice, at depth q/2
+        ball, twice = _ball(_neighbours(q, ring.edges), 0, q)
+        assert twice == q // 2
         k = np.arange(q)
-        assert np.array_equal(dist[0], np.minimum(k, q - k))
+        assert [ball[v][0] for v in range(q)] == np.minimum(k, q - k).tolist()
 
     @pytest.mark.parametrize("length", [4, 6, 8, 10, 12])
     def test_long_cycles_in_any_edge_order(self, length):
@@ -118,6 +158,20 @@ class TestGirth:
                 order = tuple(g.edges[i] for i in rng.permutation(g.edge_count))
                 shuffled = BipartiteGraph(g.left, g.right, order)
                 assert girth(shuffled) == brute_force_girth(shuffled) == want
+
+
+class TestNamedGraphs:
+    @pytest.mark.parametrize("which", NAMED_GRAPHS)
+    def test_girth_matches_brute_force(self, which):
+        g = NAMED_GRAPHS[which]()
+        assert girth(g) == brute_force_girth(g) == path_lengths(g)[1]
+
+    @pytest.mark.parametrize("which", NAMED_GRAPHS)
+    def test_certificate_agrees_with_the_judged_girth(self, which):
+        g = NAMED_GRAPHS[which]()
+        judged = path_lengths(g)[1]
+        for n in range(1, 7):
+            assert (GraphDecoder.certified(g, n) is not None) == (judged >= 2 * n + 2)
 
 
 class TestInjectivityFromGirth:
@@ -161,6 +215,13 @@ class TestInjectivityFromGirth:
             for n in (0, 1, 2, 3):
                 certified = GraphDecoder.certified(g, n) is not None
                 assert certified == (brute_force_girth(g) >= 2 * n + 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bipartite_graphs())
+    def test_agrees_with_the_judged_girth_on_random_graphs(self, g):
+        judged = path_lengths(g)[1]
+        for n in range(1, 7):
+            assert (GraphDecoder.certified(g, n) is not None) == (judged >= 2 * n + 2)
 
 
 class TestCycleChord:
@@ -434,11 +495,14 @@ def bfs_distances(g, source):
 
 
 class TestDistanceMatrix:
+    """The greedy search's capped distance matrices, and the distances and
+    paths the girth, the certificate and the decoder read off balls."""
+
     def test_vertex_cap_before_the_matrix(self, monkeypatch):
-        # girth, no_edge_addable and GraphDecoder all start from path_lengths
+        # girth, no_edge_addable and GraphDecoder each refuse before building anything
         monkeypatch.setattr(limits, "GRAPH_VERTEX_CAP", 9)
         g = BipartiteGraph(frozenset(range(1, 6)), frozenset(range(6, 11)), ((1, 6),))
-        for build in (path_lengths, girth, lambda g: no_edge_addable(g, 1),
+        for build in (girth, lambda g: no_edge_addable(g, 1),
                       lambda g: GraphDecoder(g, 1)):
             with pytest.raises(ValueError, match="graph on 10 vertices exceeds the cap of 9"):
                 build(g)
@@ -462,58 +526,59 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6, 12, 20000])
     def test_decoder_distances_are_exact_at_any_particle_count(self, n, fig3_graph):
-        # BFS lengths, Q where unconnected, at N below and at or past Q
+        # the radius-N ball the decoder reads, at N below and at or past Q: BFS
+        # lengths up to N, nothing past N or unconnected, and parents by the
+        # lowest-numbered edge one step nearer, as path_lengths' rows give them
         for g in (fig3_graph, path_graph(), greedy_high_girth(15, 2, trials=3, seed=n),
                   BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3),)),
                   BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3), (2, 4)))):
             q = g.vertex_count
-            dist = GraphDecoder(g, n).distances
-            assert dist.dtype == np.int16
-            assert np.array_equal(dist, path_lengths(g)[0])
-            for u in range(1, q + 1):
-                reach = bfs_distances(g, u)
-                assert dist[u - 1].tolist() == [reach.get(v, q) for v in range(1, q + 1)]
-
-    def test_decoder_keeps_the_girth_and_exact_distances_of_one_walk(self, fig3_graph):
-        for g, n in ((fig3_graph, 2), (greedy_high_girth(48, 4, trials=3, seed=6), 4)):
             decoder = GraphDecoder(g, n)
-            assert decoder.girth == brute_force_girth(g)
-            q = g.vertex_count
+            dist = path_lengths(g)[0]
             for u in range(1, q + 1):
                 reach = bfs_distances(g, u)
-                want = [reach.get(v, q) for v in range(1, q + 1)]
-                assert decoder.distances[u - 1].tolist() == want
+                ball = _ball(decoder.neighbours, u - 1, n)[0]
+                assert {v: d for v, (d, _, _) in ball.items()} == {
+                    v - 1: d for v, d in reach.items() if d <= n}
+                for v, (d, parent, col) in ball.items():
+                    if v == u - 1:
+                        assert (d, parent, col) == (0, -1, -1)
+                        continue
+                    nearer = [c for c, ends in enumerate(g.edges) if v + 1 in ends
+                              and dist[sum(ends) - v - 2, u - 1] == d - 1]
+                    assert col == min(nearer) and {parent + 1, v + 1} == set(g.edges[col])
 
     def test_unconnected_pair_is_no_path_at_n_past_q(self):
-        # vertices 1 and 2 lie in different components, path_lengths' Q = 4
-        # apart; at N = 4 that reads as no path, not as a path of length 4
+        # vertices 1 and 2 lie in different components; at N = 4, past Q, that
+        # reads as no path, not as a path of any length
         g = BipartiteGraph(frozenset({1, 2}), frozenset({3, 4}), ((1, 3), (2, 4)))
         assert GraphDecoder(g, 4).decode(np.array([1, 1, 0, 0], dtype=np.uint8)) is None
 
-    def test_decoder_holds_no_matrix_but_path_lengths(self):
-        """On a 512-cycle the decoder peaks no higher than path_lengths
-        itself plus the neighbour lists built after it: it holds no second
-        Q x Q matrix."""
-        q = 512
-        ring = BipartiteGraph(frozenset(range(1, q + 1, 2)), frozenset(range(2, q + 1, 2)),
-                              tuple((i, i % q + 1) for i in range(1, q + 1)))
-        peaks = []
-        for build in (path_lengths, lambda g: _neighbours(q, g.edges),
-                      lambda g: GraphDecoder(g, 3)):
-            tracemalloc.start()
-            try:
-                kept = build(ring)
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            del kept
-        lengths, neighbours, decoder = peaks
-        assert decoder <= lengths + neighbours
+    @pytest.mark.parametrize("n", [3, 1023])
+    def test_decoder_holds_no_q_by_q_array(self, n):
+        """On the 2048-cycle the certificate, the decoder and one decode peak
+        under Q x Q bytes, half of one int16 Q x Q matrix: at N = 3, and at
+        N = 1023, where each ball the certificate and the decode walk is
+        nearly the whole cycle."""
+        q = limits.GRAPH_VERTEX_CAP
+        ring = ring_graph(q)
+        marked = [0, 1, 2, 3, 4, 5] if n == 3 else [0, n]  # edges 1, 3, 5 or 1..n
+        s = np.zeros(q, dtype=np.uint8)
+        s[marked] = 1
+        tracemalloc.start()
+        try:
+            decoder = GraphDecoder.certified(ring, n)
+            x = decoder.decode(s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.flatnonzero(x).tolist() == (marked[::2] if n == 3 else list(range(n)))
+        assert peak < q * q
 
     def test_decode_lists_the_marked_rows_only(self):
-        """On the 2048-cycle one decode holds the k marked vertices' distance
-        rows as lists, under 48 bytes an entry: k x Q, where a Q x Q list
-        would take some 150 MiB."""
+        """On the 2048-cycle one decode holds the k marked vertices' balls,
+        under 48 bytes a vertex and Q vertices a ball: k x Q at most, where a
+        Q x Q list would take some 150 MiB."""
         q = limits.GRAPH_VERTEX_CAP
         decoder = GraphDecoder(ring_graph(q), 3)
         for marked in ([0, 1, 2, 3, 4, 5], [0, 1, 1000, 1001, 2000, 2001]):
@@ -528,31 +593,14 @@ class TestDistanceMatrix:
             assert np.flatnonzero(x).tolist() == marked[::2]
             assert peak < len(marked) * q * 48
 
-    def test_path_lengths_peaks_at_the_matrix_and_one_link(self):
-        """On a 512-cycle the build peaks at two Q x Q int16 arrays, the
-        matrix and one _link temporary, plus O(Q): the forest's Q x Q
-        ancestor mask is gone before the one edge outside the forest is
-        linked."""
-        q = 512
-        ring = ring_graph(q)
-        neighbours = _neighbours(q, ring.edges)
-        tracemalloc.start()
-        try:
-            kept = path_lengths(ring, neighbours)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert kept[1] == q
-        assert peak <= 2 * q * q * 2 + 256 * q
-
     def test_a_particle_count_past_int16_decodes(self, fig3_graph):
-        # N = 20000: 2N+1 = 40001 does not fit int16, and the exact matrix needs no room for it
+        # N = 20000: 2N+1 = 40001 does not fit int16, and a ball holds Python ints
         decoder = GraphDecoder(fig3_graph, 20000)
-        assert np.array_equal(decoder.distances, path_lengths(fig3_graph)[0])
         for u in range(1, fig3_graph.vertex_count + 1):
             reach = bfs_distances(fig3_graph, u)
-            want = [reach[v] for v in range(1, fig3_graph.vertex_count + 1)]
-            assert decoder.distances[u - 1].tolist() == want
+            ball = _ball(decoder.neighbours, u - 1, 20000)[0]
+            assert {v: d for v, (d, _, _) in ball.items()} == {
+                v - 1: d for v, d in reach.items()}
         occ = np.zeros(fig3_graph.edge_count, dtype=np.uint8)
         occ[:2] = 1
         assert decoder.decode(syndrome(fig3_graph.incidence_matrix(), occ)) is None
@@ -560,22 +608,20 @@ class TestDistanceMatrix:
 
     @pytest.mark.parametrize("which", ["fig3", "greedy48"])
     def test_graph_encoding_walks_its_edges_once(self, monkeypatch, fig3_graph, which):
-        import fertaper.graphs as graphs
-
+        # the edge list is read once, into the decoder's neighbour lists, which
+        # the certificate and the decode then walk; no distance matrix is built
         g, n = ((fig3_graph, 2) if which == "fig3"
                 else (greedy_high_girth(48, 4, trials=3, seed=6), 4))
-        links = []
-        link = graphs._link
-        monkeypatch.setattr(graphs, "_link", lambda dist, a, b: links.append(a) or link(dist, a, b))
+        calls = []
+        for name in ("_neighbours", "_link", "_unlinked"):
+            built = getattr(graphs, name)
+            monkeypatch.setattr(graphs, name, lambda *args, name=name, built=built:
+                                calls.append(name) or built(*args))
         enc = CodeEncoding.from_graph(g, n)
         occ = np.zeros(g.edge_count, dtype=np.uint8)
         occ[:n] = 1
         assert enc.decode(syndrome(enc.matrix, occ)).occ == tuple(occ)
-        # one walk: a _link per edge outside the BFS forest, the cycle rank E - Q + C
-        components = len({min(bfs_distances(g, u)) for u in range(1, g.vertex_count + 1)})
-        assert len(links) == g.edge_count - g.vertex_count + components
-        assert len(links) == (5 if which == "fig3" else 59 - 48 + components)
-        assert np.array_equal(enc._graph_decoder.distances, path_lengths(g)[0])
+        assert calls == ["_neighbours"]
 
     def test_particle_count_must_be_non_negative(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -657,7 +703,52 @@ class TestGraphFromIncidence:
         assert graph_from_incidence(np.array(a, dtype=np.uint8)) is None
 
 
+@st.composite
+def small_codes(draw):
+    """A graph on up to 4 + 4 vertices with up to 9 cross edges, in any
+    order, and a particle count from 0 to Q + 1."""
+    nl, nr = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    left, right = range(1, nl + 1), range(nl + 1, nl + nr + 1)
+    cross = [(u, v) for u in left for v in right]
+    edges = draw(st.lists(st.sampled_from(cross), unique=True, max_size=9))
+    g = BipartiteGraph(frozenset(left), frozenset(right), tuple(edges))
+    return g, draw(st.integers(0, nl + nr + 1))
+
+
 class TestDecode:
+    @settings(max_examples=100, deadline=None)
+    @given(small_codes())
+    def test_every_syndrome_agrees_with_brute_force(self, code):
+        """Certified or not, and at N past Q: the decoder answers exactly
+        when the lightest preimage has weight N, with a weight-N preimage,
+        and with brute_force_decode's one preimage wherever there is one."""
+        g, n = code
+        a = g.incidence_matrix()
+        q, m = a.shape
+        masks = g.edge_masks()
+        lightest = {}  # syndrome mask: least weight of a preimage
+        for subset in range(1 << m):
+            s = 0
+            for col in range(m):
+                if subset >> col & 1:
+                    s ^= masks[col]
+            lightest[s] = min(lightest.get(s, m), subset.bit_count())
+        decoder = GraphDecoder(g, n)
+        certified = GraphDecoder.certified(g, n) is not None
+        for s in range(1 << q):
+            bits = gf2.unpack_ints([s], q)[0]
+            got = decoder.decode(bits)
+            try:
+                want, several = brute_force_decode(a, n, bits), False
+            except InjectivityViolation:
+                want, several = None, True
+            assert (got is None) == (lightest.get(s) != n)
+            if got is not None:
+                assert int(got.sum()) == n and np.array_equal(syndrome(a, got), bits)
+                assert several or np.array_equal(got, want)
+            if certified:
+                assert not several and (got is None) == (want is None)
+
     def test_single_edge_boundary(self):
         g = four_cycle()
         syndrome = np.zeros(4, dtype=np.uint8)
@@ -771,8 +862,8 @@ class TestFileFormat:
         finally:
             tracemalloc.stop()
         assert str(err.value) == (f"graph file {path}, line 1: graph on {q} vertices exceeds "
-                                  f"the cap of {limits.GRAPH_VERTEX_CAP}; its girth, decoding "
-                                  "and search hold Q x Q distance matrices")
+                                  f"the cap of {limits.GRAPH_VERTEX_CAP}; its greedy search "
+                                  "holds Q x Q distance matrices")
         assert peak < 1 << 20  # no vertex set of the header's size
 
     def test_isolated_vertices_survive(self, tmp_path):
