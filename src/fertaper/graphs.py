@@ -149,7 +149,7 @@ def _ball(neighbours, source: int, radius) -> tuple[dict[int, tuple[int, int, in
                 if seen is None:
                     found[w] = (depth, u, col)
                     reached.append(w)
-                elif seen[0] == depth:  # reached twice (bipartite: never from its own depth)
+                elif seen[0] == depth:  # w is reached twice; one two levels up was counted at u
                     twice = min(twice, depth)
                     if col < seen[2]:
                         found[w] = (depth, u, col)
