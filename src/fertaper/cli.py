@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
@@ -184,16 +185,17 @@ def _cmd_codesim(args) -> int:
         enc = CodeEncoding.from_matrix(load_pcm(args.check), h.particles)
     frames = build_simulator_hamiltonian(h, enc, _checked_penalty(args.penalty))
     flips = gf2.unpack_ints(frames.x_masks, enc.qubits)
-    _, qubit = np.nonzero(flips)
-    # np.split gives one piece more than there are cuts: the last one is empty
+    qubit = np.nonzero(flips)[1] + 1  # 1-based
+    # a frame's flipped qubits and its diagonal are slices of one array each
+    ends = [0, *np.cumsum(flips.sum(axis=1)).tolist()]
     diagonals = (["lazy"] * len(frames) if frames.buffer is None  # past the entry budget (Frames)
-                 else np.split(frames.buffer, frames.offsets[1:])[:-1])
+                 else [frames.buffer[a:b] for a, b in itertools.pairwise(frames.offsets.tolist())])
     terms = jsonout.Table({  # built before the file opens: it rejects NaN and inf
         # frame i^|z| X(x) Z(z) is spelled -1 when |z|, its Y count, is 2 or 3 mod 4
         "frame": ["-1" + label if label.count("Y") & 2 else label
                   for label in _labels(enc.qubits, frames.x_masks, frames.z_masks)],
         "weight": frames.weights,
-        "flip_qubits": np.split(qubit + 1, np.cumsum(flips.sum(axis=1)))[:-1],  # 1-based
+        "flip_qubits": [qubit[a:b] for a, b in itertools.pairwise(ends)],
         "diagonal": diagonals,
     })
     with open(args.output, "w", encoding="utf-8") as fh:

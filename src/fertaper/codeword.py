@@ -24,7 +24,10 @@ rows' prefix parities; plans the frames on masks, as x mask, z mask and
 weight columns; and adds every diagonal, the Walsh-Hadamard transform of
 one term's values over its flipped bits, by np.add.at into one read-only
 buffer at the frame's offset.  It works in chunks, so no intermediate
-array outgrows a fixed multiple of 2^Q entries.  The buffer's size,
+array outgrows max(4 * 2^Q, 2^14) entries of 8 bytes: a fixed multiple of
+2^Q, with a floor of 128 KiB that frames a small code in few chunks (an
+N=2 greedy code on 8 qubits in one).  Terms with one flip mask, parity
+and length share one frame plan.  The buffer's size,
 2^(Q - flipped qubits) entries per frame, is summed from the frame plans
 before anything is allocated: past limits.TABLE_ENTRY_BUDGET entries, or
 past 63 qubits, the table has its columns but no buffer.
@@ -41,7 +44,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 
 import numpy as np
@@ -266,14 +269,18 @@ def _codeword_signs(words: np.ndarray, terms) -> np.ndarray:
     by_length: dict[int, list[int]] = {}
     for i, (indices, _) in enumerate(terms):
         by_length.setdefault(len(indices), []).append(i)
-    for rows in by_length.values():
+    for length, rows in by_length.items():
+        choice = np.array([terms[i][1] for i in rows], dtype=np.int8)
+        if not length:  # the empty product is 1 on every row, as is its reverse
+            values[rows] = 1 + choice[:, None]
+            continue
         modes = np.array([terms[i][0] for i in rows], dtype=np.intp) - 1
         bad = (modes < 0) | (modes >= m)
         if bad.any():
             raise IndexError(f"mode {modes[bad][0] + 1} out of range 1..{m}")
-        choice = np.array([terms[i][1] for i in rows], dtype=np.int8)
-        values[rows] = (_ladder_signs(cols, prefix, modes)
-                        + choice[:, None] * _ladder_signs(cols, prefix, modes[:, ::-1]))
+        # the products and their reverses in one ladder pass
+        signs = _ladder_signs(cols, prefix, np.concatenate((modes, modes[:, ::-1])))
+        values[rows] = signs[:len(rows)] + choice[:, None] * signs[len(rows):]
     return values
 
 
@@ -288,14 +295,14 @@ def _ladder_signs(cols: np.ndarray, prefix: np.ndarray, modes: np.ndarray) -> np
     operator on j, and multiplies in (-1)**(prefix at j + earlier operators
     on modes below j).  Returns a (products, rows) int8 array.
     """
-    length = modes.shape[1]
-    full = np.zeros(modes.shape, dtype=np.int8)
-    full[:, length // 2:] = 1
-    below = np.zeros(len(modes), dtype=np.int8)
-    for i in range(length):
-        earlier, mode = modes[:, i + 1:], modes[:, i:i + 1]
-        full[:, i] ^= (earlier == mode).sum(axis=1, dtype=np.int8) & 1
-        below += (earlier < mode).sum(axis=1, dtype=np.int8)
+    position = np.arange(modes.shape[1])
+    # [product, i, j]: whether operator j comes after operator i in its
+    # product, so is applied before it, on the same mode or on a lower one
+    after = position > position[:, None]
+    same = (modes[:, None, :] == modes[:, :, None]) & after
+    lower = (modes[:, None, :] < modes[:, :, None]) & after
+    full = (position >= len(position) // 2) ^ (same.sum(axis=2, dtype=np.int8) & 1)
+    below = lower.sum(axis=(1, 2), dtype=np.int8)
     ok = (cols[modes] == full[:, :, None]).all(axis=1)
     odd = (prefix[modes].sum(axis=1, dtype=np.int8) + below[:, None]) & 1
     return ok * (1 - 2 * odd)
@@ -412,17 +419,23 @@ def _qubit_order(mask: int) -> list[int]:
     return [-p for p in _positions(mask)]
 
 
-# A pass takes terms in chunks of at most this many times 2^Q term-codeword
-# values, and a chunk's frames in pieces of at most as many pairs plus
-# entries, so apart from per-frame columns none of its arrays takes more than
-# _PASS_ENTRIES * 2^Q * 8 bytes.  Measured on the Fig-3 code (1,281 frames),
-# the peak above the table it returns is 0.21 MB, within twice that bound.
+# A pass takes terms in chunks of at most budget = max(_PASS_ENTRIES * 2^Q,
+# _PASS_FLOOR) term-codeword values, and a chunk's frames in pieces of at most
+# as many pairs plus entries, so apart from per-frame columns none of its
+# arrays takes more than budget * 8 bytes.  Measured on the Fig-3 code (Q=12,
+# 1,281 frames), the peak above the table it returns is 0.21 MB, within twice
+# that bound, and on a Q=8 greedy code 0.13 MB.
 _PASS_ENTRIES = 4
+# The floor, 2^14 entries or 128 KiB of float64 as jsonout._RUN_ENTRIES: below
+# Q = 12 the chunks' and pieces' arrays would take a few KiB each and the pass
+# would pay their fixed numpy cost many times over; with it a Q=8 code is
+# framed in one chunk and one piece, and a Q=10 code in one chunk.  From Q = 12
+# on _PASS_ENTRIES * 2^Q sets the budget alone.
+_PASS_FLOOR = 1 << 14
 
 
-def _frame_plan(enc: CodeEncoding, indices: tuple[int, ...],
-                choice: int) -> tuple[int, list[int], list[int]]:
-    """Flip mask of one term, its frames' Z masks, and each frame's part count.
+def _frame_plan(enc: CodeEncoding, flips: int, odd: bool, length: int) -> tuple[list[int], int]:
+    """Z masks of the frames of a term with flip mask flips, and their part count.
 
     The flip mask is the XOR of the term's packed columns, so a mode named
     twice cancels.  One frame per Z-pattern of the right parity inside it
@@ -431,53 +444,82 @@ def _frame_plan(enc: CodeEncoding, indices: tuple[int, ...],
     code is a graph's and the flip mask meets both of its row classes, the
     frames merge as bipartite_improve merges them: the patterns clear on
     the chosen qubits remain, in qubit order, each counting the frames
-    that land on it.  A product of k ladder operators on columns of weight
-    at most w never takes more than 2^(k*w - 1) frames, or its one
-    identity frame when k*w = 0; more raises AssertionError.
+    that land on it, which are as many for every pattern.  A product of
+    length ladder operators on columns of weight at most w never takes
+    more than 2^(length*w - 1) frames, or its one identity frame when
+    length*w = 0; more raises AssertionError.
     """
-    flips = 0
-    for alpha in indices:
-        flips ^= enc.columns[alpha - 1]
+    if not flips:
+        return [0], 1
     on_frames = [rows & flips for rows in enc.class_masks]  # none without a graph
     if not all(on_frames):
         on_frames = []  # a flip mask that misses a row class stays unmerged
-    # the chosen qubits are the first flipped qubit of each row class
-    picked = sum(1 << (rows.bit_length() - 1) for rows in on_frames)
-    stabilizers = [0]
+    # the frames landing on pattern z are z ^ s for the stabilizers s of the
+    # term's parity, s a product of the k row classes on the flip mask: when
+    # some class has odd weight there (mixed), half of the 2^k products are
+    # odd and every pattern counts 2^(k-1); else all are even, and only the
+    # patterns of the term's parity remain, each counting 2^k.  The patterns
+    # live on the flipped qubits but the chosen ones, the first of each row
+    # class, and are built a qubit at a time from the last; flag marks odd weight
+    flag, free, mixed = 1 << enc.qubits, flips, 0
     for rows in on_frames:
-        stabilizers += [s ^ rows for s in stabilizers]
-    # the frames landing on z are its products z ^ s of the term's parity
-    by_parity = [sum(s.bit_count() % 2 == p for s in stabilizers) for p in (0, 1)]
-    free = flips & ~picked
-    counts: dict[int, int] = {}
-    epsilon = choice == -1
-    z = 0
-    while True:
-        # z walks the submasks of free upwards
-        count = by_parity[(z.bit_count() + epsilon) % 2]
-        if count or not flips:
-            counts[z] = count or 1
-        if z == free:
-            break
-        z = (z - free) & free
-    zs = sorted(counts, key=_qubit_order) if on_frames else list(counts)
-    if any(z & picked for z in zs):
-        raise AssertionError("improvement left a Z on the chosen qubits")
-    flipped = len(indices) * enc.max_column_weight
+        free ^= 1 << (rows.bit_length() - 1)
+        mixed |= rows.bit_count() & 1
+    zs = [0]
+    while free:
+        bit = free & -free
+        free ^= bit
+        with_bit = [z ^ bit ^ flag for z in zs]
+        # qubit order puts a pattern with a qubit before those without it
+        # but the empty one; mask order puts it after all of them
+        zs = [0, *with_bit, *zs[1:]] if on_frames else zs + with_bit
+    if mixed:
+        zs = [z & ~flag for z in zs]
+    else:
+        zs = [z ^ flag for z in zs if z > flag] if odd else [z for z in zs if z < flag]
+    flipped = length * enc.max_column_weight
     cap = 1 << (flipped - 1) if flipped else 1
     if len(zs) > cap:
-        raise AssertionError(f"{len(indices)}-index sparsity {len(zs)} over the bound {cap}")
-    return flips, zs, [counts[z] for z in zs]
+        raise AssertionError(f"{length}-index sparsity {len(zs)} over the bound {cap}")
+    return zs, 1 << (len(on_frames) - mixed)
+
+
+@cache
+def _byte_rests() -> np.ndarray:
+    """Entry 256 * keep + byte: the bits of byte that keep marks, moved down
+    over the others, as uint8 (64 KiB): the rest index of one byte of qubits."""
+    keep, byte = (np.arange(256, dtype=np.uint8).reshape(shape) for shape in ((256, 1), (1, 256)))
+    rest = np.zeros((256, 256), dtype=np.uint8)
+    for p in range(7, -1, -1):
+        bit = keep >> p & 1
+        rest <<= bit
+        rest |= byte >> p & bit
+    rest.flags.writeable = False  # one table for every caller
+    return rest.ravel()
 
 
 def _rest_index(states: np.ndarray, flips: np.ndarray | int, q: int) -> np.ndarray:
     """Each state with the set bits of its own flip mask (or of one mask for
-    all) deleted, the bits above each moving down: the rest index of q qubits."""
-    rest = np.zeros_like(states)
-    for p in range(q - 1, -1, -1):
-        keep = ~flips >> p & 1
-        rest <<= keep  # in place: the pass keeps few arrays of the states' size
-        rest |= states >> p & keep
+    all) deleted, the bits above each moving down: the rest index of q qubits.
+
+    It takes a byte of qubits at a time, from the highest, from _byte_rests.
+    Its arrays are int64 and updated in place: the pass keeps few arrays of
+    the states' size, and numpy buffers an operation that mixes types.
+    """
+    table, flips = _byte_rests(), np.asarray(flips)
+    rest, part = np.zeros_like(states), np.empty_like(states)
+    for low in range(8 * ((q - 1) // 8), -1, -8):
+        index = np.invert(flips)
+        index >>= low
+        index &= 255  # the byte's kept bits
+        part[...] = np.bitwise_count(index)
+        rest <<= part
+        index <<= 8
+        np.right_shift(states, low, out=part)
+        part &= 255
+        index |= part
+        part[...] = table[index]
+        rest |= part
     return rest
 
 
@@ -504,13 +546,22 @@ def _simulate(enc: CodeEncoding, terms, weights, penalty: float = 0.0) -> Frames
     q = enc.qubits
     if penalty:
         terms, weights = [*terms, ((), 0)], [*weights, penalty]
-    plans = [_frame_plan(enc, *term) for term in terms]
+    plans, memo = [], {}  # one plan per distinct (flip mask, parity, index count)
+    for indices, choice in terms:
+        flips = 0
+        for alpha in indices:
+            flips ^= enc.columns[alpha - 1]
+        key = (flips, choice == -1, len(indices))
+        plan = memo.get(key)
+        if plan is None:
+            plan = memo[key] = (flips, *_frame_plan(enc, *key))
+        plans.append(plan)
     per_term = np.array([len(zs) for _, zs, _ in plans], dtype=np.intp)
     entries = sum(len(zs) << (q - flips.bit_count()) for flips, zs, _ in plans)
     term_x = gf2.uint64_words([flips for flips, _, _ in plans], q)
     z_masks = gf2.uint64_words([z for _, zs, _ in plans for z in zs], q)
-    parts = np.array([count for _, _, counts in plans for count in counts], dtype=float)
-    del plans  # the pass holds columns only
+    parts = np.repeat(np.array([count for _, _, count in plans], dtype=float), per_term)
+    del plans, memo  # the pass holds columns only
     # the pass indexes the basis with int64 arrays, which hold 63 qubits
     diagonals = (_diagonals(enc, terms, term_x, per_term, z_masks, parts, bool(penalty))
                  if q <= 63 and entries <= limits.TABLE_ENTRY_BUDGET else (None, None))
@@ -531,7 +582,7 @@ def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
     first_frame = np.concatenate(([0], np.cumsum(per_term)))
     flat = np.zeros(start[-1])
     words, syndromes = enc.codewords(), enc.syndromes().astype(np.int64)
-    budget = _PASS_ENTRIES << q
+    budget = max(_PASS_ENTRIES << q, _PASS_FLOOR)
 
     def add_chunk(lo: int, hi: int) -> None:
         """Add the frames of terms lo..hi-1 to flat; the chunk's arrays go on return."""
@@ -682,8 +733,11 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
     if penalty is None:
         penalty = default_penalty_scale(h)
     t = h.t
-    blocks = [((int(a) + 1,) * 2, t[a, a]) for a in np.flatnonzero(np.diag(t))]
-    blocks += [((int(a) + 1, int(b) + 1), t[a, b]) for a, b in zip(*np.nonzero(np.triu(t, 1)))]
+    # the diagonal, then the upper triangle row by row
+    diagonal = np.flatnonzero(np.diag(t))
+    upper = np.nonzero(np.triu(t, 1))
+    a, b = np.concatenate((diagonal, upper[0])), np.concatenate((diagonal, upper[1]))
+    blocks = list(zip(zip((a + 1).tolist(), (b + 1).tolist()), t[a, b].tolist()))
     # a block and its partner key[::-1] are one Hermitian pair: take the lesser,
     # (d, g, b, a) >= (a, b, g, d) in u's lexicographic order
     keys, values = h.interactions
@@ -693,12 +747,13 @@ def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
     terms, weights = [], []
     for indices, coeff in blocks:
         if indices == indices[::-1]:  # self-adjoint: an occupation product
-            parts = [(0, coeff.real)]
-        else:
-            parts = [(choice, part) for choice, part in ((1, coeff.real), (-1, coeff.imag)) if part]
-        for choice, part in parts:
-            terms.append((indices, choice))
-            weights.append(part)
+            terms.append((indices, 0))
+            weights.append(coeff.real)
+            continue
+        for choice, part in ((1, coeff.real), (-1, coeff.imag)):
+            if part:
+                terms.append((indices, choice))
+                weights.append(part)
     return _simulate(enc, terms, weights, penalty)
 
 

@@ -466,7 +466,8 @@ class GraphDecoder:
     Holds each vertex's _neighbours list, the edges' vertex masks and a
     cache of balls: the radius-n _ball of each vertex that a syndrome has
     marked, built on first use, so a batch of syndromes walks each ball
-    once.  It holds no table over all vertices.
+    once.  It holds no table over all vertices: the cache is emptied before
+    a new ball would take it past limits.BALL_CACHE_VERTICES vertices.
     """
 
     def __init__(self, g: BipartiteGraph, n: int):
@@ -476,6 +477,7 @@ class GraphDecoder:
         self.neighbours = _neighbours(g.vertex_count, g.edges)
         self.edge_masks = g.edge_masks()
         self.balls: dict[int, dict[int, tuple[int, int, int]]] = {}
+        self.ball_vertices = 0  # vertices in the cached balls
 
     @classmethod
     def certified(cls, g: BipartiteGraph, n: int) -> "GraphDecoder | None":
@@ -509,7 +511,12 @@ class GraphDecoder:
         for v in marked:
             ball = self.balls.get(v)
             if ball is None:
-                ball = self.balls[v] = _ball(self.neighbours, v, n)[0]
+                ball = _ball(self.neighbours, v, n)[0]
+                if self.ball_vertices + len(ball) > limits.BALL_CACHE_VERTICES:
+                    self.balls.clear()
+                    self.ball_vertices = 0
+                self.balls[v] = ball
+                self.ball_vertices += len(ball)
             balls.append(ball)
         weights = [[ball[j][0] if j in ball else None for j in marked] for ball in balls]
         matched = min_weight_matching(weights)

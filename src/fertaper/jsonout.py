@@ -24,6 +24,7 @@ Infinity are not JSON.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from json.encoder import encode_basestring_ascii
@@ -210,40 +211,39 @@ def _float_texts(arrays) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]
     first run, with the run count appended.  A run breaks where adjacent
     patterns differ and at every array's start.  Arrays are read together
     in chunks of at most _RUN_ENTRIES entries, so the pass copies at most
-    that many beside them; a larger array is read in place.
+    that many beside them; a larger array is read in place.  The callers
+    check the arrays' type.
     """
-    starts, heads, keys = [], [], []  # each array's first entry; each chunk's run heads
-    chunk, begin, end = [], 0, 0  # the arrays not yet read, their entries begin:end
-    for values in arrays:
-        if values.dtype != np.float64 or values.ndim != 1:
-            raise TypeError(f"only 1-D float64 arrays are written, not {values.dtype} "
-                            f"of shape {values.shape}")
-        if chunk and end - begin + len(values) > _RUN_ENTRIES:
-            _chunk_runs(chunk, starts, begin, heads, keys)
-            chunk, begin = [], end
-        chunk.append(values)
-        starts.append(end)
-        end += len(values)
-    _chunk_runs(chunk or [np.empty(0)], starts or [0], begin, heads, keys)
+    starts = list(itertools.accumulate(map(len, arrays), initial=0))  # then the entry count
+    heads, keys = [], []  # each chunk's run heads and their bit patterns
+    first = 0
+    while True:
+        # the chunk: arrays first to last - 1, as many as fit, and at least one
+        last = max(first + 1, bisect.bisect_right(starts, starts[first] + _RUN_ENTRIES) - 1)
+        _chunk_runs(arrays[first:last] or [np.empty(0)], starts[first:last], heads, keys)
+        first = last
+        if first >= len(arrays):
+            break
+    end = starts[-1]
     heads, keys = np.concatenate([*heads, [end]]), np.concatenate(keys)
     distinct = _distinct_bits(keys)
     numbers = distinct.view(np.float64)
     if not np.isfinite(numbers).all():
         raise ValueError("array holds a value that is not a JSON number")
     texts = np.array([float.__repr__(v) for v in numbers.tolist()], dtype=object)
-    starts.append(end)
     return (texts, np.searchsorted(distinct, keys), heads[1:] - heads[:-1],
             np.searchsorted(heads, starts).tolist())
 
 
-def _chunk_runs(chunk, starts: list, begin: int, heads: list, keys: list) -> None:
+def _chunk_runs(chunk, starts: list, heads: list, keys: list) -> None:
     """Append the run heads of the arrays in chunk to heads, as positions in
-    the column, and their bit patterns to keys; the chunk's entries start at
-    begin, and its arrays' starts end the list starts."""
+    the column, and their bit patterns to keys; starts are the arrays'
+    positions in the column."""
     bits = (np.concatenate(chunk) if len(chunk) > 1 else chunk[0]).view(np.int64)
     head = np.empty(len(bits) + 1, dtype=bool)  # the last slot takes empty arrays' starts
     np.not_equal(bits[1:], bits[:-1], out=head[1:-1])
-    head[[start - begin for start in starts[-len(chunk):]]] = True
+    begin = starts[0]
+    head[np.subtract(starts, begin)] = True
     where = head[:-1].nonzero()[0]
     heads.append(where + begin)
     keys.append(bits[where])
@@ -261,6 +261,9 @@ def _distinct_bits(values: np.ndarray) -> np.ndarray:
 def _cell_texts(column) -> np.ndarray | _Lists:
     """The JSON texts of a table column, as an object array, or its list cells."""
     if isinstance(column, np.ndarray):
+        if column.dtype != np.float64 or column.ndim != 1:
+            raise TypeError(f"only 1-D float64 arrays are written, not {column.dtype} "
+                            f"of shape {column.shape}")
         texts, which, counts, _ = _float_texts([column])
         return texts[which].repeat(counts)
     if len(column) and isinstance(column[0], (np.ndarray, list, tuple, Table)):

@@ -28,6 +28,11 @@ MODE_CAP = 1024
 # and each of its steps one temporary per trial; girth, the certificate and the decoder
 # walk radius-N balls of the neighbour lists and hold no Q x Q array
 GRAPH_VERTEX_CAP = 2048
+# vertices in the radius-N balls a graph decoder keeps for its next syndromes, some 100 B
+# each (about 25 MiB at this cap); a new ball that would pass it empties the cache first.
+# A graph at the vertex cap and N near Q/2 would otherwise keep every vertex's ball, Q^2
+# vertices, about 430 MiB
+BALL_CACHE_VERTICES = 1 << 18
 # entries in the (trials, Q, Q) distance stack the greedy search's trials share; more
 # trials run in consecutive stacks, and one trial runs alone past it
 GREEDY_STACK_BUDGET = 1 << 17

@@ -1339,6 +1339,61 @@ def test_pass_memory_stays_within_its_chunk_bound(fig3_encoding):
     assert peak - kept < 8 * (8 << enc.qubits)
 
 
+
+def _greedy_code(q: int, graph: bool) -> CodeEncoding:
+    """A greedy N=2 code on q qubits, with its graph or as a bare --check matrix."""
+    g = greedy_high_girth(q, 2, 50, 1)
+    return CodeEncoding.from_graph(g, 2) if graph else CodeEncoding.from_matrix(g.incidence_matrix(), 2)
+
+
+@pytest.mark.parametrize("graph", [True, False], ids=["graph", "check"])
+@pytest.mark.parametrize("q", [8, 10])
+def test_chunking_changes_no_bit(q, graph, monkeypatch):
+    # a budget of 2^Q entries cuts the pass into many chunks of a few terms,
+    # and their frames into many pieces: the table is the one-chunk pass's
+    import fertaper.codeword as cw
+    enc = _greedy_code(q, graph)
+    h = random_hamiltonian(enc.modes, 2, np.random.default_rng(q), interaction_pairs=4)
+    want = build_simulator_hamiltonian(h, enc)
+    chunks = []
+    signs = cw._codeword_signs
+    monkeypatch.setattr(cw, "_codeword_signs", lambda words, terms: chunks.append(terms) or signs(words, terms))
+    monkeypatch.setattr(cw, "_PASS_ENTRIES", 1)
+    monkeypatch.setattr(cw, "_PASS_FLOOR", 0)
+    got = build_simulator_hamiltonian(h, enc)
+    assert len(chunks) > 4 and want.offsets[-1] > 4 << q
+    for column in ("x_masks", "z_masks", "weights", "offsets"):
+        assert np.array_equal(getattr(got, column), getattr(want, column))
+    assert got.buffer.tobytes() == want.buffer.tobytes()
+
+
+def test_a_small_code_is_framed_in_one_chunk(monkeypatch):
+    # at Q=8 the budget's floor holds every term's values at once
+    import fertaper.codeword as cw
+    enc = _greedy_code(8, True)
+    h = random_hamiltonian(enc.modes, 2, np.random.default_rng(8), interaction_pairs=4)
+    chunks = []
+    signs = cw._codeword_signs
+    monkeypatch.setattr(cw, "_codeword_signs", lambda words, terms: chunks.append(terms) or signs(words, terms))
+    frames = build_simulator_hamiltonian(h, enc)
+    assert len(chunks) == 1 and len(frames) > 20
+
+
+def test_pass_memory_stays_within_its_floor():
+    # a Q=8 build's peak above what it returns stays within twice the
+    # pass's per-array bound at the floor, 2 * 2^14 * 8 bytes
+    enc = _greedy_code(8, True)
+    h = random_hamiltonian(enc.modes, 2, np.random.default_rng(3), interaction_pairs=4)
+    build_simulator_hamiltonian(h, enc)  # the codewords and the rest-index table are cached
+    tracemalloc.start()
+    try:
+        frames = build_simulator_hamiltonian(h, enc)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(frames) > 20
+    assert peak - kept < 2 * (1 << 14) * 8
+
 def test_a_table_past_the_entry_budget_has_no_buffer(fig3_encoding):
     # greedy Q=20, N=3: its diagonals would hold 130,023,424 entries, about
     # 1 GiB of float64, counted from the frames before anything is allocated

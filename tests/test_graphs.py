@@ -593,6 +593,33 @@ class TestDistanceMatrix:
             assert np.flatnonzero(x).tolist() == marked[::2]
             assert peak < len(marked) * q * 48
 
+    def test_the_ball_cache_is_bounded(self, monkeypatch):
+        """On the 256-cycle at N = 127, a length-N path syndrome from each
+        vertex marks two vertices whose balls hold 255 vertices each.  With
+        the cache capped at four balls every decode is the path, the cache
+        never holds more than the cap, and the traced memory stays under 300
+        bytes a vertex of the cap (a ball's vertex takes some 100 to 150,
+        and two balls of a decode are held beside the cache), where keeping
+        every ball takes some 6.6 MB."""
+        q, n = 256, 127
+        cap = 4 * (2 * n + 1)
+        monkeypatch.setattr(limits, "BALL_CACHE_VERTICES", cap)
+        decoder = GraphDecoder(ring_graph(q), n)
+        held = []
+        tracemalloc.start()
+        try:
+            for v in range(q):
+                s = np.zeros(q, dtype=np.uint8)
+                s[[v, (v + n) % q]] = 1
+                x = decoder.decode(s)
+                assert sorted(np.flatnonzero(x).tolist()) == sorted((v + i) % q for i in range(n))
+                held.append(decoder.ball_vertices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert max(held) <= cap and len(decoder.balls) <= 4
+        assert peak < cap * 300
+
     def test_a_particle_count_past_int16_decodes(self, fig3_graph):
         # N = 20000: 2N+1 = 40001 does not fit int16, and a ball holds Python ints
         decoder = GraphDecoder(fig3_graph, 20000)
