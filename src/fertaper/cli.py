@@ -126,8 +126,9 @@ def _cmd_taper(args) -> int:
         h = hamiltonian_from_text(fh.read())
     if not h.is_hermitian():
         worst = int(np.argmax(np.abs(h.coeffs.imag)))  # the first of the largest
+        label = _labels(h.qubit_count, h.x_masks[worst:worst + 1], h.z_masks[worst:worst + 1])[0]
         raise ValueError(
-            f"{args.input}: Hamiltonian is not Hermitian (term {h.terms[worst][1].label} "
+            f"{args.input}: Hamiltonian is not Hermitian (term {label} "
             f"has coefficient {complex(h.coeffs[worst])}); sector energies would be meaningless"
         )
     group = find_symmetries(h)
@@ -152,7 +153,7 @@ def _cmd_taper(args) -> int:
 
     sectors = None if enumerate_all else [_parse_sector(args.sector)]
     if report.qubits_after <= limits.SECTOR_QUBIT_CAP:
-        energies = sector_energies(h, plan, transformed, sectors)
+        energies = sector_energies(transformed, plan, sectors)
         report.sector_energies = {sector_label(s): float(e) for s, e in energies.items()}
         # the first sector at the minimum, so last-bit noise cannot change the choice
         lowest = min(energies.values())
@@ -372,7 +373,7 @@ def verify_suite(suite: str, modes: int = 5, particles: int = 2, seed: int = 7,
                              float(np.abs(full - ref).max()))
             plan = build_plan(find_symmetries(q), q)
             transformed = clifford_transform(q, plan)
-            energies = sector_energies(q, plan, transformed)
+            energies = sector_energies(transformed, plan)
             spectra = [np.linalg.eigvalsh(taper(transformed, plan, s).dense()) for s in energies]
             union = np.sort(np.concatenate(spectra))
             report.add_check(f"{kind}_sector_union", bool(np.allclose(union, ref, atol=1e-9)),

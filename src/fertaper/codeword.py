@@ -42,7 +42,6 @@ its part count times its own transform, and the merge is mask arithmetic.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
@@ -50,42 +49,10 @@ from math import comb
 import numpy as np
 
 from fertaper import gf2, limits
-from fertaper.fermion import (
-    FermionHamiltonian,
-    FockState,
-    check_term,
-    default_penalty_scale,
-    observable_action,
-    weight_n_states,
-)
+from fertaper.fermion import FermionHamiltonian, FockState, default_penalty_scale
 from fertaper.graphs import BipartiteGraph, GraphDecoder
 from fertaper.mitm import codeword_table, occupations, syndrome_key
 from fertaper.pauli import PauliOperator, qubit_mask
-
-
-def is_n_injective(a: np.ndarray, n: int) -> bool:
-    """Whether distinct weight-n vectors always get distinct syndromes.
-
-    Two weight-n vectors differ in an even number of places, at most
-    2*min(n, m-n), so this holds exactly when the kernel has no vector of
-    even weight from 2 to that bound, which is what gets enumerated here.
-    """
-    a = gf2.asbits(a)
-    q, m = a.shape
-    if m > limits.BRUTE_FORCE_COLUMN_CAP:
-        raise ValueError(
-            f"brute-force injectivity check capped at {limits.BRUTE_FORCE_COLUMN_CAP} columns; "
-            "certify structurally (girth) instead"
-        )
-    cols = gf2.pack_rows(a.T)
-    for w in range(2, 2 * min(n, m - n) + 1, 2):
-        for combo in itertools.combinations(range(m), w):
-            acc = 0
-            for c in combo:
-                acc ^= cols[c]
-            if acc == 0:
-                return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -133,11 +100,6 @@ class CodeEncoding:
     def modes(self) -> int:
         return len(self.columns)
 
-    @property
-    def matrix(self) -> np.ndarray:
-        """A as a 0/1 uint8 array, derived from the column masks (oracle use)."""
-        return gf2.unpack_ints(self.columns, self.qubits).T
-
     @cached_property
     def class_masks(self) -> tuple[int, ...]:
         """The graph's two sides as qubit masks: the row classes every column
@@ -149,16 +111,6 @@ class CodeEncoding:
     @cached_property
     def max_column_weight(self) -> int:
         return max((col.bit_count() for col in self.columns), default=0)
-
-    def encode_state(self, x: FockState) -> int:
-        """Syndrome mask of a weight-N occupation vector: the XOR of its modes' columns."""
-        if x.weight != self.particles:
-            raise ValueError(f"state weight {x.weight} != {self.particles}")
-        syndrome = 0
-        for col, occupied in zip(self.columns, x.occ):
-            if occupied:
-                syndrome ^= col
-        return syndrome
 
     # -- decoding -----------------------------------------------------------
 
@@ -198,55 +150,6 @@ class CodeEncoding:
         codewords(): a view of the keys, so ValueError past 64 qubits."""
         return self._codespace[1].view(">u8").reshape(len(self._codespace[1]))
 
-    def preimage(self) -> np.ndarray:
-        """Codeword number of every syndrome index, -1 off the codespace.
-
-        A 2^Q array, built on each call (oracle use): the simulators index
-        codewords by number and never need it.
-        """
-        limits.check_dense(1 << self.qubits)
-        syndromes = self.syndromes()
-        preimage = np.full(1 << self.qubits, -1, dtype=np.int64)
-        preimage[syndromes] = np.arange(len(syndromes))
-        return preimage
-
-    def isometry(self) -> np.ndarray:
-        """Dense 2^Q x C(M,N) isometry with columns |Ax> (oracle use)."""
-        limits.check_dense(1 << self.qubits)
-        states = weight_n_states(self.modes, self.particles)
-        iso = np.zeros((1 << self.qubits, len(states)))
-        for k, st in enumerate(states):
-            iso[self.encode_state(st), k] = 1.0
-        return iso
-
-
-def transition_sign(enc: CodeEncoding, term, s) -> int:
-    """Sign of the (indices, choice) term's transition out of the decoded preimage of s.
-
-    Zero when the syndrome has no weight-N preimage or the occupation
-    pattern blocks the transition.  For choice -1 the i is stripped, so the
-    result is -1, 0 or +1, or +/-2 where the forward and reversed products
-    reach the same state (the hop (a, a)).
-    """
-    x = enc.decode(s)
-    return 0 if x is None else _stripped_sign(term, x)
-
-
-def _stripped_sign(term, x: FockState) -> int:
-    """Transition sign out of one occupation state, with the i stripped.
-
-    The one-state oracle of _codeword_signs, which simulators use.  A term
-    reaches at most one state: its product and the reversed one flip the same modes.
-    """
-    hits = observable_action(term, x)
-    if not hits:
-        return 0
-    amp, _ = hits[0]
-    value = amp / (1j if term[1] == -1 else 1.0)
-    if value.imag != 0 or value.real not in (-1.0, 1.0, -2.0, 2.0):
-        raise AssertionError(f"unexpected transition amplitude {amp}")
-    return int(value.real)
-
 
 def _codeword_signs(words: np.ndarray, terms) -> np.ndarray:
     """Values of (indices, choice) terms on every occupation row.
@@ -254,10 +157,9 @@ def _codeword_signs(words: np.ndarray, terms) -> np.ndarray:
     A term's value is the sign of its product, creators on the first half
     of indices and annihilators on the second, plus choice times the sign
     of the reversed indices, its conjugate transpose, which flips the same
-    modes.  Where both reach a state their signs add (to +/-2 or 0), as in
-    observable_action, and the i of the i*(minus) observable (choice -1)
-    is never applied; choice 0 takes the product alone.  Returns a
-    (terms, rows) int8 array.
+    modes.  Where both reach a state their signs add (to +/-2 or 0), and
+    the i of the i*(minus) observable (choice -1) is never applied; choice
+    0 takes the product alone.  Returns a (terms, rows) int8 array.
     """
     words = np.asarray(words, dtype=np.int8)
     m = words.shape[1]
@@ -340,45 +242,12 @@ class FramedDiagonal:
                 diag.flags.writeable = False
             self.diagonal = diag
 
-    def apply_to_index(self, state: int) -> tuple[int, complex]:
-        """Image basis index and amplitude of |state> under this term.
-
-        The one-index oracle for apply_to_indices, packing the rest index
-        bit by bit.
-        """
-        frame = self.pauli
-        rest = 0
-        for shift in range(frame.n - 1, -1, -1):
-            if not frame.x_mask >> shift & 1:
-                rest = (rest << 1) | (state >> shift & 1)
-        sign = -1.0 if (state & frame.z_mask).bit_count() % 2 else 1.0
-        value = self.weight * (1j if frame.phase_power else 1.0) * sign
-        value *= float(self.materialize()[rest])
-        return state ^ frame.x_mask, value
-
-    def apply_to_indices(self, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """apply_to_index over an int64 array of basis indices at once."""
-        frame = self.pauli
-        rest = _rest_index(states, frame.x_mask, frame.n)
-        signs = 1.0 - 2.0 * (np.bitwise_count(states & frame.z_mask) & 1)
-        values = self.weight * (1j if frame.phase_power else 1.0) * signs
-        return states ^ frame.x_mask, values * self.materialize()[rest]
-
     def materialize(self) -> np.ndarray:
         """Dense diagonal over the non-flipped qubits."""
         if self.diagonal is None:
             raise ValueError("no diagonal buffer past the entry budget of "
                              f"{limits.TABLE_ENTRY_BUDGET} or 63 qubits")
         return self.diagonal
-
-    def to_dense(self) -> np.ndarray:
-        """Full 2^Q matrix (oracle use)."""
-        limits.check_dense(1 << self.pauli.n)
-        cols = np.arange(1 << self.pauli.n, dtype=np.int64)
-        rows, values = self.apply_to_indices(cols)
-        mat = np.zeros((len(cols), len(cols)), dtype=complex)
-        mat[rows, cols] += values
-        return mat
 
 
 @dataclass(frozen=True, eq=False)
@@ -388,7 +257,7 @@ class Frames:
     P_i is the frame of row i of x_masks and z_masks, read-only word
     matrices as a Pauli sum's.  d_i is buffer[offsets[i]:offsets[i + 1]];
     both are None past limits.TABLE_ENTRY_BUDGET entries or 63 qubits.
-    Indexing gives term i as a FramedDiagonal (oracle use).
+    Indexing gives term i as a FramedDiagonal.
     """
 
     qubits: int
@@ -407,16 +276,6 @@ class Frames:
         diag = None if self.buffer is None else self.buffer[self.offsets[i]:self.offsets[i + 1]]
         return FramedDiagonal(PauliOperator.from_masks(self.qubits, x, z, z.bit_count() % 2),
                               diag, float(self.weights[i]))
-
-
-def _positions(mask: int) -> list[int]:
-    """Set bit positions of a mask, highest first."""
-    return [p for p in range(mask.bit_length() - 1, -1, -1) if mask >> p & 1]
-
-
-def _qubit_order(mask: int) -> list[int]:
-    """Sort key ordering masks as the ascending tuples of their 1-based qubits."""
-    return [-p for p in _positions(mask)]
 
 
 # A pass takes terms in chunks of at most budget = max(_PASS_ENTRIES * 2^Q,
@@ -442,9 +301,10 @@ def _frame_plan(enc: CodeEncoding, flips: int, odd: bool, length: int) -> tuple[
     (odd for the i*(minus) observable, choice -1, else even), in ascending
     mask order; a diagonal term keeps its one identity frame.  When the
     code is a graph's and the flip mask meets both of its row classes, the
-    frames merge as bipartite_improve merges them: the patterns clear on
-    the chosen qubits remain, in qubit order, each counting the frames
-    that land on it, which are as many for every pattern.  A product of
+    frames merge as multiplying them by the class stabilizers merges them
+    (the tests' bipartite_improve does that frame by frame): the patterns
+    clear on the chosen qubits remain, in qubit order, each counting the
+    frames that land on it, which are as many for every pattern.  A product of
     length ladder operators on columns of weight at most w never takes
     more than 2^(length*w - 1) frames, or its one identity frame when
     length*w = 0; more raises AssertionError.
@@ -624,95 +484,6 @@ def _diagonals(enc: CodeEncoding, terms, term_x, per_term, z_masks, parts,
     return flat, start
 
 
-def observable_simulator(enc: CodeEncoding, term) -> list[FramedDiagonal]:
-    """Framed decomposition of one encoded term (indices, choice): the one-term pass.
-
-    _frame_plan lists its frames and bounds their number; _simulate
-    computes their diagonals.
-    """
-    check_term(term)
-    return list(_simulate(enc, [term], [1.0]))
-
-
-def two_body_simulator(enc: CodeEncoding, alpha: int, beta: int,
-                       choice: int = 1) -> list[FramedDiagonal]:
-    """Simulator of the Hermitian hop between two distinct modes."""
-    if alpha == beta:
-        raise ValueError("two-body simulator needs distinct modes")
-    return observable_simulator(enc, ((alpha, beta), choice))
-
-
-def four_body_simulator(enc: CodeEncoding, alpha: int, beta: int, gamma: int,
-                        delta: int, choice: int = 1) -> list[FramedDiagonal]:
-    """Simulator of the Hermitian two-pair transition.
-
-    Coincident creator/annihilator indices cancel out of the flip pattern,
-    so such inputs reduce to smaller flip sets (hops gated on occupations,
-    or pure diagonals) before frames are built.
-    """
-    if alpha == beta or gamma == delta:
-        raise ValueError("pair indices must be distinct within each pair")
-    return observable_simulator(enc, ((alpha, beta, gamma, delta), choice))
-
-
-def bipartite_improve(frames: list[FramedDiagonal], enc: CodeEncoding) -> list[FramedDiagonal]:
-    """Merge frames by multiplying with codespace stabilizers (oracle use).
-
-    The reference for the merge that _frame_plan does by counting parts.
-
-    The chosen qubits are the first flipped qubit of each row class.
-    Frames with a Z at either are multiplied by (-1)^N Z(class): the
-    class's rows on the flip mask XOR into the frame's Z mask, which
-    clears the chosen qubit, and its rows on the rest index become a sign
-    mask on the diagonal.  Frames that land on the same Z mask merge.  The
-    codespace action is unchanged because the stabilizers act there as
-    identity.  One term's frames whose flip mask misses a row class are returned unmerged.
-    """
-    if enc.graph is None:
-        raise ValueError("encoding has no graph, so no bipartition")
-    if not frames:
-        return frames
-    q = enc.qubits
-    flips = frames[0].pauli.x_mask
-    on_frames = [rows & flips for rows in enc.class_masks]
-    if not all(on_frames):
-        return frames
-    n_sign = -1.0 if enc.particles % 2 else 1.0
-    drop = _positions(flips)
-    # per class: the chosen qubit's bit (its highest on the frame), its rows on
-    # the frame, its rows on the rest index
-    on_rests = gf2.word_ints(gf2.drop_word_bits(gf2.uint64_words(enc.class_masks, q), q, drop))
-    classes = [(1 << (on_frame.bit_length() - 1), on_frame, on_rest)
-               for on_frame, on_rest in zip(on_frames, on_rests)]
-
-    merged: dict[int, list] = {}
-    for frame in frames:
-        z, factor, sign_mask = frame.pauli.z_mask, frame.weight, 0
-        for pick, on_frame, on_rest in classes:
-            if frame.pauli.z_mask & pick:
-                z ^= on_frame
-                sign_mask ^= on_rest
-                factor *= n_sign
-        merged.setdefault(z, []).append((frame, factor, sign_mask))
-
-    out = []
-    for z in sorted(merged, key=_qubit_order):
-        parts = merged[z]
-        diag = None
-        if parts[0][0].diagonal is not None:
-            rest_index = np.arange(1 << (q - len(drop)), dtype=np.int64)
-            diag = np.zeros(len(rest_index))
-            for frame, factor, mask in parts:
-                sign = 1.0 - 2.0 * (np.bitwise_count(rest_index & mask) & 1)
-                diag += factor * sign * frame.diagonal
-        out.append(FramedDiagonal(PauliOperator.from_masks(q, flips, z, z.bit_count() % 2),
-                                  diag))
-    picked = classes[0][0] | classes[1][0]
-    if any(frame.pauli.z_mask & picked for frame in out):
-        raise AssertionError("improvement left a Z on the chosen qubits")
-    return out
-
-
 def build_simulator_hamiltonian(h: FermionHamiltonian, enc: CodeEncoding,
                                 penalty: float | None = None) -> Frames:
     """Framed-term simulator of the full Hamiltonian plus codespace penalty.
@@ -803,16 +574,3 @@ def _refuse_row(path: str, rows: list, m: int) -> None:
             raise ValueError(f"parity-check file {path}: row {r} has {len(entries)} "
                              f"entries; its header says {m}")
     raise AssertionError(f"parity-check file {path} was flagged, but its rows read")
-
-
-def apply_frames_to_isometry(frames, enc: CodeEncoding) -> np.ndarray:
-    """Columns of (sum of framed terms) applied to each encoded basis state."""
-    limits.check_dense(1 << enc.qubits)
-    codes = np.array([enc.encode_state(st) for st in weight_n_states(enc.modes, enc.particles)],
-                     dtype=np.int64)
-    cols = np.arange(len(codes))
-    out = np.zeros((1 << enc.qubits, len(codes)), dtype=complex)
-    for frame in frames:
-        rows, values = frame.apply_to_indices(codes)
-        out[rows, cols] += values
-    return out

@@ -1,11 +1,13 @@
-"""Second-quantized target systems and their dense Fock-space oracle.
+"""Second-quantized target systems and their exact matrices.
 
 A Hamiltonian is a pair of coefficient tensors: a Hermitian one-body matrix
 t[a, b] multiplying a'_a a_b, and a sparse four-index u[(a, b, g, d)]
 multiplying a'_a a'_b a_g a_d, held as sorted (K, 4) keys and K values,
-with modes numbered 1..M.  Occupation
-convention: |1> = occupied, mode 1 is the leftmost bit of a basis label and
-the most significant bit of a basis index.
+with modes numbered 1..M.  Occupation convention: |1> = occupied, mode 1
+is the leftmost bit of a basis label and the most significant bit of a
+basis index.  One ladder-action kernel, apply_op_string_rows, applies a
+t or u entry to every basis row at once; the dense Fock matrix and the
+sector matrices are built on it.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from fertaper import limits
+from fertaper import gf2, limits
+from fertaper.mitm import _as_keys
 
 
 @dataclass(frozen=True)
@@ -38,17 +41,9 @@ class FockState:
             bits[a - 1] = 1
         return cls(tuple(bits))
 
-    @classmethod
-    def from_index(cls, m: int, index: int) -> "FockState":
-        return cls(tuple((index >> (m - 1 - i)) & 1 for i in range(m)))
-
     @property
     def modes(self) -> int:
         return len(self.occ)
-
-    @property
-    def weight(self) -> int:
-        return sum(self.occ)
 
     @property
     def index(self) -> int:
@@ -56,9 +51,6 @@ class FockState:
         for b in self.occ:
             value = (value << 1) | b
         return value
-
-    def occupied_modes(self) -> tuple[int, ...]:
-        return tuple(i + 1 for i, b in enumerate(self.occ) if b)
 
     def __repr__(self) -> str:
         return "FockState(" + "".join(str(b) for b in self.occ) + ")"
@@ -71,58 +63,16 @@ def weight_n_states(m: int, n: int) -> list[FockState]:
     return out
 
 
-def apply_annihilate(x: FockState, alpha: int):
-    """Act with the annihilator of the given mode.
-
-    Returns (sign, new state) with sign (-1)**(occupied modes before alpha),
-    or None when the mode is empty.
-    """
-    if not 1 <= alpha <= x.modes:
-        raise IndexError(f"mode {alpha} out of range 1..{x.modes}")
-    if x.occ[alpha - 1] == 0:
-        return None
-    sign = -1 if sum(x.occ[: alpha - 1]) % 2 else 1
-    bits = list(x.occ)
-    bits[alpha - 1] = 0
-    return sign, FockState(tuple(bits))
-
-
-def apply_create(x: FockState, alpha: int):
-    """Act with the creator of the given mode; None when already occupied."""
-    if not 1 <= alpha <= x.modes:
-        raise IndexError(f"mode {alpha} out of range 1..{x.modes}")
-    if x.occ[alpha - 1] == 1:
-        return None
-    sign = -1 if sum(x.occ[: alpha - 1]) % 2 else 1
-    bits = list(x.occ)
-    bits[alpha - 1] = 1
-    return sign, FockState(tuple(bits))
-
-
-def apply_op_string(x: FockState, ops) -> tuple[int, FockState] | None:
-    """Apply a product of ladder operators, rightmost first.
+def apply_op_string_rows(occ: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
+    """Apply a product of ladder operators, rightmost first, to every row of a
+    (states, M) 0/1 occupation array.
 
     ops is a sequence of ("c", mode) / ("a", mode) pairs in left-to-right
-    operator order, matching how a product is written on paper.
-    """
-    sign = 1
-    state = x
-    for kind, mode in reversed(list(ops)):
-        step = apply_create(state, mode) if kind == "c" else apply_annihilate(state, mode)
-        if step is None:
-            return None
-        s, state = step
-        sign *= s
-    return sign, state
-
-
-def apply_op_string_rows(occ: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
-    """apply_op_string on every row of a (states, M) 0/1 occupation array.
-
-    Returns the signs, 0 where the product annihilates the row, and the
-    image rows, which are meaningful only where the sign is nonzero.
-    Each ladder operator checks its mode's column, multiplies in
-    (-1)**(occupied modes before it) and flips the column.
+    operator order, as a product is written on paper.  Returns the signs, 0
+    where the product annihilates the row, and the image rows, which are
+    meaningful only where the sign is nonzero.  Each ladder operator checks
+    its mode's column, multiplies in (-1)**(occupied modes before it) and
+    flips the column.
     """
     occ = np.array(occ, dtype=np.int8)
     signs = np.ones(len(occ), dtype=np.int8)
@@ -134,43 +84,6 @@ def apply_op_string_rows(occ: np.ndarray, ops) -> tuple[np.ndarray, np.ndarray]:
         signs *= 1 - 2 * (occ[:, : mode - 1].sum(axis=1, dtype=np.int8) & 1)
         col ^= 1
     return signs, occ
-
-
-def check_term(term) -> None:
-    """ValueError unless term = (indices, choice) is the Hermitian observable
-    i**eps (T + choice T_reversed), T the product of creators on the first
-    half of indices and annihilators on the second, eps 1 exactly for choice
-    -1; choice 0 takes a self-adjoint T alone, its indices a palindrome."""
-    indices, choice = term
-    if len(indices) % 2:
-        raise ValueError(f"a term needs an even number of indices, not {len(indices)}")
-    if choice not in (1, -1, 0):
-        raise ValueError(f"a term's choice must be 1, -1 or 0, not {choice!r}")
-    if choice == 0 and tuple(indices) != tuple(indices[::-1]):
-        raise ValueError(f"choice 0 needs a self-adjoint product, not {tuple(indices)}")
-
-
-def product_ops(indices) -> tuple:
-    """The ladder operators of a product, creators on the first half of indices."""
-    half = len(indices) // 2
-    return tuple(("c" if i < half else "a", mode) for i, mode in enumerate(indices))
-
-
-def observable_action(term, x: FockState) -> list[tuple[complex, FockState]]:
-    """Exact sparse action of a check_term term: (amplitude, state) pairs with
-    distinct states.  T_reversed is the product of indices[::-1]."""
-    check_term(term)
-    indices, choice = term
-    phase = 1j if choice == -1 else 1.0
-    products = [(indices, 1), (indices[::-1], choice)] if choice else [(indices, 1)]
-    acc: dict[tuple[int, ...], complex] = {}
-    for product, pref in products:
-        hit = apply_op_string(x, product_ops(product))
-        if hit is None:
-            continue
-        sign, state = hit
-        acc[state.occ] = acc.get(state.occ, 0.0) + phase * pref * sign
-    return [(amp, FockState(occ)) for occ, amp in acc.items() if amp != 0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,19 +205,6 @@ class FermionHamiltonian:
             {"modes": self.modes, "particles": self.particles, "t": t_rows, "u": u_rows},
             indent=1,
         )
-
-    # -- exact action ---------------------------------------------------
-
-    def apply_to_state(self, x: FockState) -> dict[tuple[int, ...], complex]:
-        """Image of a basis state as a map occupation -> amplitude."""
-        out: dict[tuple[int, ...], complex] = {}
-        for kinds, (keys, values) in (("ca", self.hopping), ("ccaa", self.u)):
-            for key, coeff in zip(keys.tolist(), values.tolist()):
-                hit = apply_op_string(x, tuple(zip(kinds, key)))
-                if hit is not None:
-                    sign, state = hit
-                    out[state.occ] = out.get(state.occ, 0.0) + coeff * sign
-        return out
 
 
 def _json_rows(data: dict, name: str, shape: str, modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -435,71 +335,43 @@ def _magnitudes(values: np.ndarray) -> np.ndarray:
         return np.hypot(values.real, values.imag)
 
 
-def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:
-    """Exact 2^M x 2^M matrix of the Hamiltonian on Fock space."""
-    m = h.modes
-    dim = 1 << m
-    limits.check_dense(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        x = FockState.from_index(m, col)
-        for occ, amp in h.apply_to_state(x).items():
-            mat[FockState(occ).index, col] += amp
-    return mat
+def _basis_matrix(h: FermionHamiltonian, occ: np.ndarray) -> np.ndarray:
+    """Matrix of the Hamiltonian on the basis of 0/1 occupation rows, given in
+    lexicographic order.
 
-
-def observable_matrix(term, m: int) -> np.ndarray:
-    """Dense Fock-space matrix of a single term (see check_term)."""
-    dim = 1 << m
-    limits.check_dense(dim)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for col in range(dim):
-        for amp, state in observable_action(term, FockState.from_index(m, col)):
-            mat[state.index, col] += amp
-    return mat
-
-
-def restrict_to_sector(matrix: np.ndarray, n: int) -> np.ndarray:
-    """Block of a Fock-space matrix on the weight-n subspace.
-
-    Rows and columns follow the lexicographic order of the occupation
-    strings, matching :func:`weight_n_states`.
+    Each t entry, then each u entry, acts on every row at once by
+    apply_op_string_rows and is added where its sign is nonzero, so every
+    matrix entry sums its terms in that order.  An image row's position is
+    a binary search of its key among the rows' keys: the packed row as a
+    byte string, as mitm spells its syndrome keys, which the order keeps
+    sorted at any mode count.
     """
-    dim = matrix.shape[0]
-    m = dim.bit_length() - 1
-    if 1 << m != dim:
-        raise ValueError("matrix dimension is not a power of two")
-    idx = [s.index for s in weight_n_states(m, n)]
-    return matrix[np.ix_(idx, idx)]
+    keys = _as_keys(gf2.pack_words(occ))
+    mat = np.zeros((len(occ), len(occ)), dtype=complex)
+    for kinds, (modes, values) in (("ca", h.hopping), ("ccaa", h.u)):
+        for key, coeff in zip(modes.tolist(), values.tolist()):
+            signs, images = apply_op_string_rows(occ, tuple(zip(kinds, key)))
+            cols = np.flatnonzero(signs)
+            rows = np.searchsorted(keys, _as_keys(gf2.pack_words(images[cols])))
+            mat[rows, cols] += coeff * signs[cols]
+    return mat
 
 
-def number_operator_matrix(m: int) -> np.ndarray:
-    diag = [FockState.from_index(m, i).weight for i in range(1 << m)]
-    return np.diag(np.array(diag, dtype=complex))
-
-
-def sector_matrix(h: FermionHamiltonian, n: int | None = None) -> np.ndarray:
-    """Dense matrix of the Hamiltonian restricted to a particle sector."""
-    if n is None:
-        n = h.particles
-    return restrict_to_sector(dense_fock_matrix(h), n)
+def dense_fock_matrix(h: FermionHamiltonian) -> np.ndarray:
+    """Exact 2^M x 2^M matrix of the Hamiltonian on Fock space, refused over the dense cap."""
+    limits.check_dense(1 << h.modes)
+    return _basis_matrix(h, gf2.unpack_ints(np.arange(1 << h.modes), h.modes))
 
 
 def sector_matrix_direct(h: FermionHamiltonian, n: int | None = None) -> np.ndarray:
-    """Sector matrix built from sparse actions, bypassing the 2^M oracle.
+    """Matrix of the Hamiltonian on the n-particle sector (h.particles by default),
+    rows and columns in weight_n_states order.
 
-    Same basis order as :func:`sector_matrix`; usable for mode counts past
-    the dense Fock cap as long as the sector itself is enumerable.
+    It never builds the 2^M Fock space, so it serves mode counts past the
+    dense cap as long as the sector itself is enumerable.
     """
-    if n is None:
-        n = h.particles
-    states = weight_n_states(h.modes, n)
-    index = {s.occ: i for i, s in enumerate(states)}
-    mat = np.zeros((len(states), len(states)), dtype=complex)
-    for col, st in enumerate(states):
-        for occ, amp in h.apply_to_state(st).items():
-            mat[index[occ], col] += amp
-    return mat
+    states = weight_n_states(h.modes, h.particles if n is None else n)
+    return _basis_matrix(h, np.array([s.occ for s in states], dtype=np.uint8).reshape(-1, h.modes))
 
 
 def default_penalty_scale(h: FermionHamiltonian) -> float:

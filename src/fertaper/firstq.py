@@ -35,14 +35,14 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
 from fertaper import gf2, limits
-from fertaper.fermion import FermionHamiltonian, FockState
+from fertaper.fermion import FermionHamiltonian
 from fertaper.fermion import default_penalty_scale  # noqa: F401  (re-exported)
-from fertaper.pauli import _PHASE, PauliOperator, QubitHamiltonian
+from fertaper.pauli import _PHASE, QubitHamiltonian, _labels
 
 
 @dataclass(frozen=True)
@@ -67,67 +67,6 @@ class RegisterEncoding:
     @property
     def qubits(self) -> int:
         return self.register_bits * self.particles
-
-    def register_qubits(self, i: int) -> tuple[int, ...]:
-        """1-based qubit indices of register i (1-based)."""
-        m = self.register_bits
-        return tuple(range((i - 1) * m + 1, i * m + 1))
-
-    def label_index(self, labels) -> int:
-        """Basis index of |labels...> with register 1 most significant."""
-        idx = 0
-        for a in labels:
-            idx = idx * self.padded_modes + (a - 1)
-        return idx
-
-
-def encode_first_quantized(x: FockState, enc: RegisterEncoding) -> np.ndarray:
-    """Antisymmetrized register state of a weight-N occupation vector."""
-    if x.weight != enc.particles:
-        raise ValueError(f"state weight {x.weight} != {enc.particles}")
-    if x.modes != enc.modes:
-        raise ValueError("mode count mismatch")
-    n = enc.particles
-    if factorial(n) > limits.PERMUTATION_CAP:
-        raise ValueError(f"antisymmetrizing {n} particles sums {n}! = {factorial(n)} orderings, "
-                         f"over the cap of {limits.PERMUTATION_CAP}")
-    dim = enc.padded_modes ** n
-    limits.check_dense(dim)
-    occupied = x.occupied_modes()
-    vec = np.zeros(dim)
-    norm = 1.0 / np.sqrt(factorial(n))
-    for perm in itertools.permutations(range(n)):
-        sign = _perm_sign(perm)
-        labels = [occupied[perm[i]] for i in range(n)]
-        vec[enc.label_index(labels)] += sign * norm
-    return vec
-
-
-def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def codespace_isometry(enc: RegisterEncoding) -> np.ndarray:
-    """Columns are encoded weight-N states in lexicographic occupation order."""
-    from fertaper.fermion import weight_n_states
-
-    states = weight_n_states(enc.modes, enc.particles)
-    cols = [encode_first_quantized(s, enc) for s in states]
-    return np.stack(cols, axis=1)
-
 
 # -- Pauli assembly ----------------------------------------------------------
 
@@ -336,11 +275,6 @@ class OrthogonalArray:
         object.__setattr__(self, "values", values)
 
     @property
-    def rows(self) -> tuple[tuple[str, ...], ...]:
-        words = letter_words(self.register_bits)
-        return tuple(tuple(words[v] for v in row) for row in self.values.tolist())
-
-    @property
     def row_count(self) -> int:
         return self.values.shape[0]
 
@@ -393,25 +327,13 @@ class UnassignableTerm(RuntimeError):
     terms supported on at most two registers)."""
 
 
-def required_words(op: PauliOperator, enc: RegisterEncoding) -> dict[int, str]:
-    """Per-register letter words of a term, identity qubits resolved to Z."""
-    words: dict[int, str] = {}
-    for reg in range(1, enc.particles + 1):
-        qubits = enc.register_qubits(reg)
-        letters = [op.letter_at(qb) for qb in qubits]
-        if all(c == "I" for c in letters):
-            continue
-        words[reg] = "".join("Z" if c == "I" else c for c in letters)
-    return words
-
-
 def _register_words(h: QubitHamiltonian, enc: RegisterEncoding):
     """(word values, touched) per term and register, both terms x registers.
 
     A qubit's digit is X, Y, Z = 0, 1, 2 with identity read as Z, the
-    register's first qubit the most significant digit: the values of the
-    words ``required_words`` spells.  Each register's x and z fields are
-    read off the masks' bits and looked up in a 2^m x 2^m table.
+    register's first qubit the most significant digit.  Each register's x
+    and z fields are read off the masks' bits and looked up in a 2^m x 2^m
+    table.
     """
     m, q = enc.register_bits, enc.qubits
     bits = np.arange(1 << m)[:, None] >> np.arange(m - 1, -1, -1) & 1  # [mask, qubit]
@@ -452,16 +374,18 @@ def bin_terms(h: QubitHamiltonian, enc: RegisterEncoding):
     count = touched.sum(axis=1)
     wide = np.flatnonzero(count > 2)
     if wide.size:
-        raise UnassignableTerm(
-            f"term {h.terms[wide[0]][1].label} touches {count[wide[0]]} registers"
-        )
+        k = wide[:1]
+        raise UnassignableTerm(f"term {_labels(h.qubit_count, h.x_masks[k], h.z_masks[k])[0]} "
+                               f"touches {count[k[0]]} registers")
     n = enc.particles
     terms = np.arange(len(h))
     c1 = np.argmax(touched, axis=1)  # first and last touched register, 0-based
     c2 = n - 1 - np.argmax(touched[:, ::-1], axis=1)
     lost = np.flatnonzero((count > 0) & (c2 > size))
     if lost.size:  # a register past the last column
-        raise UnassignableTerm(f"no array row diagonalizes {h.terms[lost[0]][1].label}")
+        k = lost[:1]
+        raise UnassignableTerm("no array row diagonalizes "
+                               f"{_labels(h.qubit_count, h.x_masks[k], h.z_masks[k])[0]}")
     v1, v2 = words[terms, c1], words[terms, c2]
     a, b = np.zeros((2, len(h)), dtype=np.intp)
     one = np.flatnonzero(count == 1)
@@ -509,38 +433,6 @@ def partition_eigenvalue(partition) -> Fraction:
     n = sum(parts)
     cross = sum(parts[b] for a in range(len(parts)) for b in range(a + 1, len(parts)))
     return Fraction(comb(n, 2) - sum(comb(p, 2) for p in parts) + cross, 2)
-
-
-def partition_eigenvector(partition, modes: int) -> np.ndarray:
-    """Integer eigenvector: tensor product of antisymmetric column states.
-
-    Column of length u contributes the signed sum over orderings of the
-    labels 1..u; entries are -1/0/+1 and the vector is unnormalized.
-    """
-    parts = tuple(partition)
-    n = sum(parts)
-    if parts and parts[0] > modes:
-        raise ValueError("longest column exceeds the mode count")
-    dim = modes ** n
-    limits.check_dense(dim)
-    vec = np.zeros(dim, dtype=np.int64)
-    pieces = []
-    for u in parts:
-        block = []
-        for perm in itertools.permutations(range(1, u + 1)):
-            block.append((_perm_sign(tuple(p - 1 for p in perm)), perm))
-        pieces.append(block)
-    for combo in itertools.product(*pieces):
-        sign = 1
-        labels: list[int] = []
-        for s, perm in combo:
-            sign *= s
-            labels.extend(perm)
-        idx = 0
-        for a in labels:
-            idx = idx * modes + (a - 1)
-        vec[idx] += sign
-    return vec
 
 
 def apply_exchange_penalty_doubled(vec: np.ndarray, n: int, modes: int) -> np.ndarray:

@@ -394,20 +394,6 @@ def _randbelow(rng: random.Random, counts: list[int]) -> list[int]:
     return draws
 
 
-def no_edge_addable(g: BipartiteGraph, n: int) -> bool:
-    """Maximality witness: every absent cross edge would close a short cycle,
-    read off distances capped at the greedy search's own rule (_far), which
-    are built as the search builds them: _unlinked, then one _link per edge."""
-    q = g.vertex_count
-    limits.check_graph_vertices(q)
-    far = _far(n, q)
-    dist = _unlinked(q, far)
-    for u, v in g.edges:
-        _link(dist, u - 1, v - 1)
-    left, right = (np.array(sorted(side), dtype=np.intp) - 1 for side in (g.left, g.right))
-    return not (dist[np.ix_(left, right)] >= far).any()
-
-
 def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
     """Exact minimum-weight perfect matching of k vertices, or None if none exists.
 

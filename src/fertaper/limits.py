@@ -1,6 +1,6 @@
 """Every size cap of the package, read as ``limits.NAME`` at call time.
 
-Dense oracles share one ceiling: check_dense refuses an array over more
+Dense builders share one ceiling: check_dense refuses an array over more
 than 2^DENSE_QUBIT_CAP basis states, or 2^FERTAPER_MAX_DENSE_QUBITS when
 that environment variable is set, so label spaces of modes ** n states
 obey it too.
@@ -9,14 +9,14 @@ obey it too.
 import os
 
 DENSE_QUBIT_CAP = 14
-BRUTE_FORCE_COLUMN_CAP = 24  # columns the brute-force injectivity check and decoder enumerate
+BRUTE_FORCE_COLUMN_CAP = 24  # columns the brute-force judges of the tests enumerate
 TABLE_ENTRY_BUDGET = 1 << 26  # entries of a diagonal buffer, a codeword list or a pair of mitm halves
 # qubits left after tapering for which `taper` finds sector energies: it labels each sector's
 # 2^k basis states by connected block, then diagonalizes the blocks that can hold its minimum
 SECTOR_QUBIT_CAP = 12
 # sectors of k symmetries enumerated at once, 2^k of them: each is a tapered sum and an energy
 SECTOR_COUNT_CAP = 1 << 10
-PERMUTATION_CAP = 10_000  # orderings summed into one antisymmetrized register state
+PERMUTATION_CAP = 10_000  # orderings the tests sum into one antisymmetrized register state
 # modes a Hamiltonian file may declare: reading one allocates its M x M complex
 # hop matrix (16 MiB at this cap), and Jordan-Wigner would need M qubits, far
 # past anything the encoders here can simulate.  It is also the widest Pauli sum

@@ -8,13 +8,11 @@ byte strings, so they sort and binary-search as numbers at any Q;
 syndrome_key spells a searched syndrome alike.  Decoding splits N into
 halves ((N+1)//2, N//2) and searches every first-half key XOR the
 syndrome in the second half at once, as the run of keys equal to it, so
-only a syndrome with two weight-N preimages is refused.  A brute-force
-enumerator is kept alongside as the reference oracle.
+only a syndrome with two weight-N preimages is refused.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from math import comb
 
@@ -161,33 +159,3 @@ def mitm_decode(tables: SyndromeTables, s) -> np.ndarray | None:
                              _mode_set(np.flatnonzero(x[other[0]]))),
                 )
     return found
-
-
-def brute_force_decode(a: np.ndarray, n: int, s) -> np.ndarray | None:
-    """Exhaustive reference decoder over all weight-N vectors.
-
-    Raises InjectivityViolation with the two colliding mode sets if more
-    than one preimage exists.
-    """
-    a = gf2.asbits(a)
-    q, m = a.shape
-    if m > limits.BRUTE_FORCE_COLUMN_CAP:
-        raise ValueError(f"brute-force decode capped at {limits.BRUTE_FORCE_COLUMN_CAP} modes")
-    s = gf2.asbits(s)
-    if s.shape[0] != q:
-        raise ValueError(f"syndrome length {s.shape[0]} != {q}")
-    (target,) = gf2.pack_rows(s[None])
-    cols = gf2.pack_rows(a.T)
-    found = None
-    for combo in itertools.combinations(range(m), n):
-        syn = 0
-        for c in combo:
-            syn ^= cols[c]
-        if syn == target:
-            if found is not None:
-                raise InjectivityViolation(
-                    "matrix is not injective at this weight",
-                    witness=(_mode_set(found), _mode_set(combo)),
-                )
-            found = combo
-    return None if found is None else occupations(np.array([found], dtype=np.intp), m)[0]

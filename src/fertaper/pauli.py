@@ -34,8 +34,8 @@ coefficient arrays: one stable sort of the (x, z) keys, a radix sort of
 ``canonicalize`` is that merge on a sum's own terms; it sets the
 ``canonical`` flag on the result, so canonicalizing it again returns the
 same object.  A row becomes an int only in the ``.terms`` view of
-``(coeff, PauliOperator)`` pairs, built on first use, the int lists
-``dense`` and ``product`` walk, and error messages.
+``(coeff, PauliOperator)`` pairs, built on first use, and the int lists
+``dense`` walks; an error message spells its one row with ``_labels``.
 
 Text I/O (``hamiltonian_from_text``, ``hamiltonian_to_text``) works on
 whole columns, with the messages and bytes of a line-by-line read.
@@ -44,20 +44,12 @@ whole columns, with the messages and bytes of a line-by-line read.
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 import numpy as np
 
 from fertaper import gf2, limits
 
 DEFAULT_PRUNE_TOL = 1e-12
-
-_SINGLE = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _PHASE = (1, 1j, -1, -1j)
 
@@ -178,7 +170,7 @@ class PauliOperator:
     def is_hermitian(self) -> bool:
         return (self.phase_power - self.y_count) % 2 == 0
 
-    # -- dense oracle ------------------------------------------------
+    # -- dense matrix ------------------------------------------------
 
     def dense(self) -> np.ndarray:
         """Exact 2^n x 2^n matrix; qubit 1 is the most significant factor."""
@@ -380,23 +372,6 @@ class QubitHamiltonian:
     def scaled(self, factor: complex) -> "QubitHamiltonian":
         return _new_sum(self.qubit_count, self.x_masks, self.z_masks, self.coeffs * factor,
                         False)
-
-    def product(self, other: "QubitHamiltonian") -> "QubitHamiltonian":
-        """Term-by-term operator product, merged eagerly."""
-        if other.qubit_count != self.qubit_count:
-            raise ValueError("qubit count mismatch")
-        xs, zs, cs = [], [], []
-        right = [(xb, zb, (xb & zb).bit_count(), cb) for xb, zb, cb in zip(*other._lists())]
-        for xa, za, ca in zip(*self._lists()):
-            ya = (xa & za).bit_count()
-            for xb, zb, yb, cb in right:
-                x, z = xa ^ xb, za ^ zb
-                # letter phases i^ya, i^yb, the swap sign, minus the product's own Y count
-                shift = (ya + yb + 2 * (za & xb).bit_count() - (x & z).bit_count()) % 4
-                xs.append(x)
-                zs.append(z)
-                cs.append(ca * cb * _PHASE[shift])
-        return QubitHamiltonian.merged(self.qubit_count, xs, zs, cs)
 
     def __len__(self) -> int:
         return len(self.coeffs)
@@ -612,9 +587,3 @@ def _same_length(n: int | None, length: int) -> int:
     if n is not None and length != n:
         raise ValueError("inconsistent Pauli lengths in file")
     return length
-
-
-def pauli_matrix_naive(label: str) -> np.ndarray:
-    """Independent dense oracle: literal Kronecker product of letters."""
-    prefix, letters = _split_label(label)
-    return _PHASE[prefix] * reduce(np.kron, [_SINGLE[c] for c in letters])

@@ -6,9 +6,9 @@ matrix (parity), or the recursively built binary-tree matrix.  A is kept
 only as qubit masks, the Pauli mask layout (row or column 1 most
 significant): its columns are the X masks of the ladder operators and the
 rows of its inverse the Z masks that read occupations, so a single
-construction covers all three encodings and is checked against the dense
-permutation oracle.  A^-1 is read off gf2.kernel_basis of [A^T | I]: its
-free columns are the last M, and column M+j gives row j of A^-1.
+construction covers all three encodings.  A^-1 is read off
+gf2.kernel_basis of [A^T | I]: its free columns are the last M, and
+column M+j gives row j of A^-1.
 
 A Hamiltonian is encoded a product length at a time: ladder_products
 takes every hop (two ladder operators) as one row of a mode array, then
@@ -27,9 +27,9 @@ from functools import cached_property
 
 import numpy as np
 
-from fertaper import gf2, limits
+from fertaper import gf2
 from fertaper.fermion import FermionHamiltonian
-from fertaper.pauli import PauliOperator, QubitHamiltonian, _new_sum
+from fertaper.pauli import QubitHamiltonian, _new_sum
 
 ENCODING_KINDS = ("jordan_wigner", "parity", "binary_tree")
 
@@ -57,23 +57,6 @@ class StandardEncoding:
             masks[j] = (col, parity, row)
             parity ^= row
         return masks
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """A as a 0/1 uint8 array, derived from the column masks."""
-        return gf2.unpack_ints(self.column_masks, self.modes).T
-
-    def permutation_matrix(self) -> np.ndarray:
-        """Dense basis permutation |x> -> |Ax> (oracle use only)."""
-        dim = 1 << self.modes
-        limits.check_dense(dim)
-        cols = np.arange(dim, dtype=np.int64)
-        images = 0  # A x packed, the XOR of the columns of x's occupied modes
-        for c, col in enumerate(self.column_masks):
-            images ^= (cols >> (self.modes - 1 - c) & 1) * col
-        perm = np.zeros((dim, dim))
-        perm[images, cols] = 1.0
-        return perm
 
 
 def _matrix_rows(kind: str, m: int) -> list[int]:
@@ -103,30 +86,6 @@ def build_encoding(kind: str, m_modes: int) -> StandardEncoding:
     if [v & ((1 << m) - 1) for v in basis] != [1 << (m - 1 - j) for j in range(m)]:
         raise AssertionError(f"{kind} matrix on {m} modes is singular")
     return StandardEncoding(kind, m, tuple(columns), tuple(v >> m for v in basis))
-
-
-def _ladder_masks(enc: StandardEncoding, j: int) -> tuple[int, int, int]:
-    """enc.ladder_masks[j], or IndexError naming a mode outside 1..M."""
-    masks = enc.ladder_masks.get(j)
-    if masks is None:
-        raise IndexError(f"mode {j} out of range 1..{enc.modes}")
-    return masks
-
-
-def mode_op_to_pauli(enc: StandardEncoding, j: int, dagger: bool) -> QubitHamiltonian:
-    """Encoded ladder operator as a two-term Pauli sum.
-
-    The encoded annihilator acts as: flip the qubits in column j of the
-    encoding matrix, read the sign of the preceding-mode parity, and
-    project onto mode j being occupied; the projector turns into the
-    difference of two Pauli strings.  The creator flips the projector sign.
-    """
-    m = enc.modes
-    col, z_parity, row = _ladder_masks(enc, j)
-    first = PauliOperator.from_masks(m, col, z_parity)
-    second = PauliOperator.from_masks(m, col, z_parity ^ row)
-    sign = 1.0 if dagger else -1.0
-    return QubitHamiltonian(m, ((0.5, first), (0.5 * sign, second)))
 
 
 def ladder_products(enc: StandardEncoding, kinds: str, modes, factors) -> QubitHamiltonian:

@@ -440,10 +440,10 @@ class BasisBlocks:
         return energies
 
 
-def sector_energies(h: QubitHamiltonian, plan: TaperingPlan,
-                    transformed: QubitHamiltonian | None = None,
+def sector_energies(transformed: QubitHamiltonian, plan: TaperingPlan,
                     sectors=None) -> dict[tuple, float]:
-    """Lowest energy of each sector's tapered Hamiltonian.
+    """Lowest energy of each sector's tapered Hamiltonian, from the plan's
+    clifford_transform of the Hamiltonian.
 
     sectors defaults to all 2^k sign choices; the result keeps their order.
     Each energy is the least over the tapered sector's blocks: the
@@ -453,8 +453,6 @@ def sector_energies(h: QubitHamiltonian, plan: TaperingPlan,
     dense cap holds together.  A sector with no qubits left is a 1x1
     matrix, its one coefficient.
     """
-    if transformed is None:
-        transformed = clifford_transform(h, plan)
     sectors = all_sectors(plan.size) if sectors is None else list(sectors)
     batch = max(1, (1 << limits.dense_cap()) >> (transformed.qubit_count - plan.size))
     energies = {}

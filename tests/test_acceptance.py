@@ -12,23 +12,11 @@ import numpy as np
 
 from fertaper import gf2
 from fertaper.cli import H2_TABLE, H2_TRANSFORMED
-from fertaper.codeword import (
-    CodeEncoding,
-    apply_frames_to_isometry,
-    four_body_simulator,
-    two_body_simulator,
-)
-from fertaper.fermion import (
-    dense_fock_matrix,
-    observable_action,
-    random_hamiltonian,
-    sector_matrix,
-    weight_n_states,
-)
+from fertaper.codeword import CodeEncoding
+from fertaper.fermion import dense_fock_matrix, random_hamiltonian
 from fertaper.firstq import (
     RegisterEncoding,
     bin_terms,
-    codespace_isometry,
     column_partitions,
     default_penalty_scale,
     exchange_penalty_dense,
@@ -43,7 +31,7 @@ from fertaper.graphs import (
     graph_decode,
     greedy_high_girth,
 )
-from fertaper.mitm import brute_force_decode, build_tables, mitm_decode
+from fertaper.mitm import build_tables, mitm_decode
 from fertaper.pauli import PauliOperator, QubitHamiltonian
 from fertaper.standard_maps import ENCODING_KINDS, build_encoding, encode_hamiltonian
 from fertaper.tapering import (
@@ -55,6 +43,16 @@ from fertaper.tapering import (
 )
 from tests.conftest import packed, syndrome_map
 from tests.gf2_oracle import bits_int
+from tests.oracles import (
+    brute_force_decode,
+    codespace_isometry,
+    four_body_simulator,
+    is_n_injective,
+    matrix,
+    sector_matrix,
+    simulation_condition_exact,
+    two_body_simulator,
+)
 
 
 class Stopwatch:
@@ -113,8 +111,8 @@ def test_a2_hydrogen_transform_and_taper():
 
 def test_a3_standard_encoding_matrices():
     watch = Stopwatch(1.0)
-    tree = build_encoding("binary_tree", 4).matrix
-    parity = build_encoding("parity", 4).matrix
+    tree = matrix(build_encoding("binary_tree", 4))
+    parity = matrix(build_encoding("parity", 4))
     assert tree.tolist() == [
         [1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [1, 1, 1, 1]]
     assert parity.tolist() == [
@@ -182,16 +180,6 @@ def _random_certified_encodings(rng):
     return encodings
 
 
-def _simulation_condition_exact(frames, term, enc) -> bool:
-    got = apply_frames_to_isometry(frames, enc)
-    want = np.zeros_like(got)
-    states = weight_n_states(enc.modes, enc.particles)
-    for col, st in enumerate(states):
-        for amp, out in observable_action(term, st):
-            want[enc.encode_state(out), col] += amp
-    return np.array_equal(got, want)
-
-
 def test_a7_codeword_simulation_condition():
     watch = Stopwatch(300.0)
     rng = np.random.default_rng(777)
@@ -205,7 +193,7 @@ def test_a7_codeword_simulation_condition():
             choice = 1 if rng.integers(2) else -1
             frames = two_body_simulator(enc, a, b, choice)
             r2_seen = max(r2_seen, len(frames))
-            assert _simulation_condition_exact(frames, ((a, b), choice), enc)
+            assert simulation_condition_exact(frames, ((a, b), choice), enc)
             for frame in frames:
                 diag = frame.materialize()
                 assert np.all(np.abs(diag) <= 1.0)
@@ -214,7 +202,7 @@ def test_a7_codeword_simulation_condition():
             choice = 1 if rng.integers(2) else -1
             frames = four_body_simulator(enc, *picks, choice)
             r4_seen = max(r4_seen, len(frames))
-            assert _simulation_condition_exact(frames, (tuple(picks), choice), enc)
+            assert simulation_condition_exact(frames, (tuple(picks), choice), enc)
             for frame in frames:
                 diag = frame.materialize()
                 assert np.all(np.abs(diag) <= 1.0)
@@ -244,8 +232,6 @@ def test_a8_decoder_equivalence():
             assert via_graph is not None and bits_int(via_graph) == want
 
     rng = np.random.default_rng(888)
-    from fertaper.codeword import is_n_injective
-
     for m, n, q in ((14, 2, 10), (17, 2, 12), (20, 3, 16)):
         while True:
             mat = rng.integers(0, 2, size=(q, m)).astype(np.uint8)

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,22 +8,27 @@ import pytest
 from fertaper.fermion import (
     FermionHamiltonian,
     FockState,
-    apply_annihilate,
-    apply_create,
-    apply_op_string,
     apply_op_string_rows,
-    check_term,
     default_penalty_scale,
     dense_fock_matrix,
-    number_operator_matrix,
-    observable_action,
-    observable_matrix,
     random_hamiltonian,
-    restrict_to_sector,
-    sector_matrix,
+    sector_matrix_direct,
     weight_n_states,
 )
 from tests.conftest import u_dict
+from tests.oracles import (
+    apply_annihilate,
+    apply_create,
+    apply_op_string,
+    check_term,
+    fock_state,
+    number_operator_matrix,
+    observable_action,
+    observable_matrix,
+    per_state_matrix,
+    restrict_to_sector,
+    sector_matrix,
+)
 
 
 class TestLadderOps:
@@ -47,7 +53,7 @@ class TestLadderOps:
         m = 6
         for a, b in itertools.product(range(1, m + 1), repeat=2):
             for idx in range(1 << m):
-                x = FockState.from_index(m, idx)
+                x = fock_state(m, idx)
                 acc = 0
                 for first, second in ((b, a), (a, b)):
                     r1 = apply_annihilate(x, first)
@@ -67,7 +73,7 @@ class TestOpStringRows:
 
     @staticmethod
     def assert_matches(ops, m=4):
-        states = [FockState.from_index(m, i) for i in range(1 << m)]
+        states = [fock_state(m, i) for i in range(1 << m)]
         signs, images = apply_op_string_rows(np.array([x.occ for x in states]), ops)
         for x, sign, image in zip(states, signs.tolist(), images.tolist()):
             hit = apply_op_string(x, ops)
@@ -132,7 +138,7 @@ class TestObservableAction:
         # choice 0 applies the product alone: (a, a) is n_a, (a, b, b, a)
         # is n_a n_b, and () the identity
         m = 4
-        occupation = [np.diag([float(FockState.from_index(m, i).occ[a]) for i in range(1 << m)])
+        occupation = [np.diag([float(fock_state(m, i).occ[a]) for i in range(1 << m)])
                       for a in range(m)]
         for a in range(1, m + 1):
             assert np.array_equal(observable_matrix(((a, a), 0), m), occupation[a - 1])
@@ -151,7 +157,7 @@ class TestObservableAction:
             mat = observable_matrix(term, m)
             assert np.allclose(mat, mat.conj().T)
             for state_idx in range(1 << m):
-                x = FockState.from_index(m, state_idx)
+                x = fock_state(m, state_idx)
                 col = np.zeros(1 << m, dtype=complex)
                 for amp, y in observable_action(term, x):
                     col[y.index] += amp
@@ -162,7 +168,7 @@ class TestDenseFock:
     def test_identity_t_counts_particles(self):
         h = FermionHamiltonian(3, 1, np.eye(3))
         mat = dense_fock_matrix(h)
-        weights = [FockState.from_index(3, i).weight for i in range(8)]
+        weights = [sum(fock_state(3, i).occ) for i in range(8)]
         assert np.array_equal(mat, np.diag(np.array(weights, dtype=complex)))
 
     def test_commutes_with_particle_number(self):
@@ -193,15 +199,22 @@ class TestDenseFock:
         mat = dense_fock_matrix(h)
         for i in range(16):
             for j in range(16):
-                wi = FockState.from_index(4, i).weight
-                wj = FockState.from_index(4, j).weight
+                wi = sum(fock_state(4, i).occ)
+                wj = sum(fock_state(4, j).occ)
                 if wi != wj:
                     assert mat[i, j] == 0
 
     def test_mode_cap(self, monkeypatch):
         monkeypatch.delenv("FERTAPER_MAX_DENSE_QUBITS", raising=False)
-        with pytest.raises(ValueError, match="exceeds the cap of 14"):
-            dense_fock_matrix(FermionHamiltonian(15, 1, np.eye(15) * 0.1))
+        h = FermionHamiltonian(15, 1, np.eye(15) * 0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds the cap of 14"):
+                dense_fock_matrix(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 10  # refused before the 2^15 occupation rows (480 KiB) exist
         monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "12")
         with pytest.raises(ValueError, match="exceeds the cap of 12"):
             dense_fock_matrix(FermionHamiltonian(13, 1, np.eye(13) * 0.1))
@@ -225,12 +238,37 @@ class TestSectors:
         assert occs == sorted(occs)
 
     def test_direct_sector_matrix_matches_restriction(self):
-        from fertaper.fermion import sector_matrix_direct
-
         rng = np.random.default_rng(53)
         for m, n in ((4, 2), (5, 3), (6, 1)):
             h = random_hamiltonian(m, n, rng)
             assert np.allclose(sector_matrix_direct(h), sector_matrix(h), atol=1e-12)
+
+
+class TestRowKernelBuilders:
+    """The builders against the per-state build, byte for byte: every entry
+    sums its t terms, then its u terms, in their order."""
+
+    def test_every_sector_of_random_hamiltonians(self):
+        rng = np.random.default_rng(59)
+        for m in range(1, 9):
+            h = random_hamiltonian(m, 0, rng, interaction_pairs=3)
+            states = [fock_state(m, i) for i in range(1 << m)]
+            assert dense_fock_matrix(h).tobytes() == per_state_matrix(h, states).tobytes()
+            for n in range(m + 1):
+                want = per_state_matrix(h, weight_n_states(m, n))
+                assert sector_matrix_direct(h, n).tobytes() == want.tobytes(), (m, n)
+
+    def test_past_63_modes(self):
+        # rows of two key words; hops and a pair hop cross the 64-mode boundary
+        m = 70
+        t = np.zeros((m, m), dtype=complex)
+        for a, b, v in ((1, 1, 0.4), (64, 64, -0.3), (1, 70, 0.3), (63, 66, 0.2j), (64, 65, -0.1)):
+            t[a - 1, b - 1], t[b - 1, a - 1] = v, np.conj(v)
+        u = {(1, 64, 65, 70): 0.25 + 0.1j, (70, 65, 64, 1): 0.25 - 0.1j, (63, 2, 2, 63): 0.5}
+        h = FermionHamiltonian(m, 2, t, u)
+        got = sector_matrix_direct(h)
+        assert got.shape == (2415, 2415) and got.any()
+        assert got.tobytes() == per_state_matrix(h, weight_n_states(m, 2)).tobytes()
 
 
 class TestValidation:

@@ -69,7 +69,8 @@ def read_new(text):
 
 
 def negated(value):
-    return -value if not isinstance(value, str) else value
+    # a damaged entry may already hold a string or a list, which stays as it is
+    return value if isinstance(value, (str, list)) else -value
 
 
 @st.composite

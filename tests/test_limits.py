@@ -6,22 +6,28 @@ import pytest
 
 import fertaper
 from fertaper import limits, tapering
-from fertaper.codeword import CodeEncoding, FramedDiagonal, apply_frames_to_isometry
-from fertaper.fermion import (
-    FermionHamiltonian,
-    FockState,
-    dense_fock_matrix,
-    observable_matrix,
-)
-from fertaper.firstq import (
-    RegisterEncoding,
-    encode_first_quantized,
-    exchange_penalty_dense,
-    partition_eigenvector,
-)
+from fertaper.codeword import CodeEncoding, FramedDiagonal
+from fertaper.fermion import FermionHamiltonian, FockState, dense_fock_matrix
+from fertaper.firstq import RegisterEncoding, exchange_penalty_dense
 from fertaper.pauli import PauliOperator, QubitHamiltonian
 from fertaper.standard_maps import build_encoding, encode_hamiltonian
-from fertaper.tapering import BasisBlocks, build_plan, find_symmetries, sector_energies
+from fertaper.tapering import (
+    BasisBlocks,
+    build_plan,
+    clifford_transform,
+    find_symmetries,
+    sector_energies,
+)
+from tests.oracles import (
+    apply_frames_to_isometry,
+    encode_first_quantized,
+    isometry,
+    observable_matrix,
+    partition_eigenvector,
+    permutation_matrix,
+    preimage,
+    to_dense,
+)
 from tests.test_tapering import spin_conserving_hamiltonian
 
 # every dense builder, each on a basis of 16 to 81 states
@@ -29,13 +35,13 @@ DENSE_BUILDERS = {
     "QubitHamiltonian.dense":
         lambda: QubitHamiltonian(4, ((1.0, PauliOperator.from_label("XZIY")),)).dense(),
     "PauliOperator.dense": lambda: PauliOperator.from_label("XZIY").dense(),
-    "permutation_matrix": lambda: build_encoding("parity", 4).permutation_matrix(),
-    "CodeEncoding.isometry": lambda: CodeEncoding.from_matrix(np.eye(4), 1).isometry(),
-    "CodeEncoding.preimage": lambda: CodeEncoding.from_matrix(np.eye(4), 1).preimage(),
+    "permutation_matrix": lambda: permutation_matrix(build_encoding("parity", 4)),
+    "CodeEncoding.isometry": lambda: isometry(CodeEncoding.from_matrix(np.eye(4), 1)),
+    "CodeEncoding.preimage": lambda: preimage(CodeEncoding.from_matrix(np.eye(4), 1)),
     "apply_frames_to_isometry":
         lambda: apply_frames_to_isometry([], CodeEncoding.from_matrix(np.eye(4), 1)),
     "FramedDiagonal.to_dense":
-        lambda: FramedDiagonal(PauliOperator.from_masks(4, 0b1000, 0), np.ones(8)).to_dense(),
+        lambda: to_dense(FramedDiagonal(PauliOperator.from_masks(4, 0b1000, 0), np.ones(8))),
     "dense_fock_matrix": lambda: dense_fock_matrix(FermionHamiltonian(4, 1, np.eye(4))),
     "observable_matrix": lambda: observable_matrix(((1, 2), 1), 4),
     "exchange_penalty_dense": lambda: exchange_penalty_dense(3, 4),
@@ -112,7 +118,8 @@ def test_sector_spectra_take_as_many_sectors_as_the_cap_holds(monkeypatch, cap):
     plan = build_plan(find_symmetries(q), q)
     assert (plan.size, q.qubit_count - plan.size) == (2, 4)
     monkeypatch.delenv("FERTAPER_MAX_DENSE_QUBITS", raising=False)
-    whole = sector_energies(q, plan)
+    transformed = clifford_transform(q, plan)
+    whole = sector_energies(transformed, plan)
     batches = []
     blocks = tapering.BasisBlocks
 
@@ -123,7 +130,7 @@ def test_sector_spectra_take_as_many_sectors_as_the_cap_holds(monkeypatch, cap):
 
     monkeypatch.setattr(tapering, "BasisBlocks", counted)
     monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", str(cap))
-    energies = sector_energies(q, plan)
+    energies = sector_energies(transformed, plan)
     assert batches == [1 << (cap - 4)] * (4 >> (cap - 4))
     assert list(energies) == list(whole)
     assert all(energies[s] == whole[s] for s in whole)

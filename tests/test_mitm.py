@@ -12,19 +12,17 @@ from fertaper import gf2, limits
 from fertaper.codeword import CodeEncoding
 from fertaper.mitm import (
     InjectivityViolation,
-    brute_force_decode,
     build_tables,
     combinations,
     mitm_decode,
 )
 from tests.conftest import packed, syndrome, syndrome_map
 from tests.gf2_oracle import bits_int
+from tests.oracles import brute_force_decode, is_n_injective
 
 
 def random_injective_matrix(rng, q, m, n):
     """Rejection-sample a weight-n injective matrix."""
-    from fertaper.codeword import is_n_injective
-
     while True:
         a = rng.integers(0, 2, size=(q, m)).astype(np.uint8)
         if is_n_injective(a, n):

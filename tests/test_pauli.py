@@ -10,9 +10,9 @@ from fertaper.pauli import (
     commutes,
     hamiltonian_from_text,
     hamiltonian_to_text,
-    pauli_matrix_naive,
     pauli_multiply,
 )
+from tests.oracles import pauli_matrix_naive, product
 
 
 def in_word_layout(h) -> bool:
@@ -412,7 +412,7 @@ def random_terms(n, count, seed):
 
 
 def pair_product_merge(n, a, b):
-    """a.product(b) with Python-int masks: PauliOperator products, summed by key."""
+    """product(a, b) with Python-int masks: PauliOperator products, summed by key."""
     sums = {}
     for ca, pa in a.terms:
         for cb, pb in b.terms:
@@ -432,7 +432,7 @@ class TestArraySums:
         xs, zs, cs = random_terms(n, 6, n)
         h = QubitHamiltonian.from_masks(n, xs, zs, cs)
         made = [h, h.canonicalize(), h + h, h.scaled(2.0), QubitHamiltonian.zero(n),
-                QubitHamiltonian.merged(n, xs, zs, cs), h.canonicalize().product(h),
+                QubitHamiltonian.merged(n, xs, zs, cs), product(h.canonicalize(), h),
                 QubitHamiltonian(n, [(c, op) for c, op in h.terms])]
         if n <= 8:
             made.append(hamiltonian_from_text(hamiltonian_to_text(h)))
@@ -494,7 +494,7 @@ class TestArraySums:
         scaled = h.scaled(0.5 - 2j)
         assert gf2.word_ints(scaled.x_masks) == xs and gf2.word_ints(scaled.z_masks) == zs
         assert scaled.coeffs.tolist() == [c * (0.5 - 2j) for c in cs]
-        got = h.product(other)
+        got = product(h, other)
         keys, coeffs = pair_product_merge(n, h, other)
         assert list(zip(gf2.word_ints(got.x_masks), gf2.word_ints(got.z_masks))) == keys
         assert got.coeffs.tolist() == pytest.approx(coeffs, abs=1e-12)

@@ -10,8 +10,6 @@ from fertaper import gf2
 from fertaper.fermion import (
     FermionHamiltonian,
     FockState,
-    apply_annihilate,
-    apply_create,
     dense_fock_matrix,
     random_hamiltonian,
     weight_n_states,
@@ -20,13 +18,22 @@ from fertaper.pauli import PauliOperator, QubitHamiltonian, qubit_mask
 from fertaper.pauli import pauli_multiply as pauli_mul
 from fertaper.standard_maps import (
     ENCODING_KINDS,
-    _ladder_masks,
     build_encoding,
     encode_hamiltonian,
     ladder_products,
-    mode_op_to_pauli,
 )
 from tests.gf2_oracle import bits_int
+from tests.oracles import (
+    apply_annihilate,
+    apply_create,
+    fock_state,
+    ladder_masks,
+    matrix,
+    mode_op_to_pauli,
+    permutation_matrix,
+    product,
+    sector_matrix,
+)
 
 BINARY_TREE_4 = [
     [1, 0, 0, 0],
@@ -47,7 +54,7 @@ def fock_ladder_matrix(m: int, j: int, dagger: bool) -> np.ndarray:
     dim = 1 << m
     mat = np.zeros((dim, dim), dtype=complex)
     for col in range(dim):
-        x = FockState.from_index(m, col)
+        x = fock_state(m, col)
         hit = apply_create(x, j) if dagger else apply_annihilate(x, j)
         if hit is not None:
             sign, y = hit
@@ -57,14 +64,14 @@ def fock_ladder_matrix(m: int, j: int, dagger: bool) -> np.ndarray:
 
 class TestMatrices:
     def test_binary_tree_4(self):
-        assert build_encoding("binary_tree", 4).matrix.tolist() == BINARY_TREE_4
+        assert matrix(build_encoding("binary_tree", 4)).tolist() == BINARY_TREE_4
 
     def test_parity_4(self):
-        assert build_encoding("parity", 4).matrix.tolist() == PARITY_4
+        assert matrix(build_encoding("parity", 4)).tolist() == PARITY_4
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
     def test_jordan_wigner_identity(self, m):
-        assert np.array_equal(build_encoding("jordan_wigner", m).matrix, np.eye(m))
+        assert np.array_equal(matrix(build_encoding("jordan_wigner", m)), np.eye(m))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 8])
     def test_truncated_tree_invertible(self, m):
@@ -104,15 +111,15 @@ class TestMatrices:
     def test_matvec_reads_tree_column(self):
         enc = build_encoding("binary_tree", 4)
         assert enc.column_masks[1] == 0b0101
-        assert (enc.matrix @ [0, 1, 0, 0]).tolist() == [0, 1, 0, 1]
+        assert (matrix(enc) @ [0, 1, 0, 0]).tolist() == [0, 1, 0, 1]
 
     def test_permutation_matrix_guarded(self, monkeypatch):
         enc = build_encoding("parity", 4)
         monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "3")
         with pytest.raises(ValueError, match="exceeds the cap"):
-            enc.permutation_matrix()
+            permutation_matrix(enc)
         monkeypatch.setenv("FERTAPER_MAX_DENSE_QUBITS", "4")
-        assert enc.permutation_matrix().shape == (16, 16)
+        assert permutation_matrix(enc).shape == (16, 16)
 
 
 def recursive_tree_sets(m: int):
@@ -156,15 +163,15 @@ def recursive_tree_sets(m: int):
 class TestUpdateParityFlip:
     """The update, parity and flip sets of a mode, read off its ladder masks.
 
-    _ladder_masks(enc, j) is (column j of A, the parity Z mask of modes
+    ladder_masks(enc, j) is (column j of A, the parity Z mask of modes
     1..j-1, row j of A^-1): the column is the update set plus qubit j, and
     the row the flip set plus qubit j.
     """
 
     def test_two_modes(self):
         enc = build_encoding("binary_tree", 2)
-        assert _ladder_masks(enc, 1) == (qubit_mask(2, {1, 2}), 0, qubit_mask(2, {1}))
-        assert _ladder_masks(enc, 2) == (qubit_mask(2, {2}), qubit_mask(2, {1}),
+        assert ladder_masks(enc, 1) == (qubit_mask(2, {1, 2}), 0, qubit_mask(2, {1}))
+        assert ladder_masks(enc, 2) == (qubit_mask(2, {2}), qubit_mask(2, {1}),
                                          qubit_mask(2, {1, 2}))
 
     def test_four_modes_classic_table(self):
@@ -177,7 +184,7 @@ class TestUpdateParityFlip:
         }
         enc = build_encoding("binary_tree", 4)
         for j, (u, p, f) in want.items():
-            assert _ladder_masks(enc, j) == (qubit_mask(4, u | {j}), qubit_mask(4, p),
+            assert ladder_masks(enc, j) == (qubit_mask(4, u | {j}), qubit_mask(4, p),
                                              qubit_mask(4, f | {j})), j
 
     @pytest.mark.parametrize("m", [2, 4, 8, 16])
@@ -186,14 +193,14 @@ class TestUpdateParityFlip:
         enc = build_encoding("binary_tree", m)
         for j in range(1, m + 1):
             u, p, f = recursive[j]
-            assert _ladder_masks(enc, j) == (qubit_mask(m, u | {j}), qubit_mask(m, p),
+            assert ladder_masks(enc, j) == (qubit_mask(m, u | {j}), qubit_mask(m, p),
                                              qubit_mask(m, f | {j})), (m, j)
 
     @pytest.mark.parametrize("m", [2, 4, 8])
     def test_remainder_is_set_difference(self, m):
         enc = build_encoding("binary_tree", m)
         for j in range(1, m + 1):
-            _, parity, row = _ladder_masks(enc, j)
+            _, parity, row = ladder_masks(enc, j)
             flip = row & ~qubit_mask(m, {j})
             # flip sets sit inside parity sets, so the remainder parity - flip
             # is also their symmetric difference
@@ -204,7 +211,7 @@ class TestUpdateParityFlip:
     def test_parity_encoding_sets(self, m):
         enc = build_encoding("parity", m)
         for j in range(2, m + 1):
-            column, parity, row = _ladder_masks(enc, j)
+            column, parity, row = ladder_masks(enc, j)
             assert parity == qubit_mask(m, {j - 1})
             assert row == qubit_mask(m, {j - 1, j})
             assert column == qubit_mask(m, range(j, m + 1))
@@ -215,7 +222,7 @@ class TestModeOperators:
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_dense_equality(self, kind, m):
         enc = build_encoding(kind, m)
-        perm = enc.permutation_matrix()
+        perm = permutation_matrix(enc)
         for j in range(1, m + 1):
             for dagger in (False, True):
                 got = mode_op_to_pauli(enc, j, dagger).dense()
@@ -260,7 +267,7 @@ class TestModeOperators:
             number = ladder_products(enc, "ca", [[j, j]], [1])
             dense = number.dense()
             for x in weight_n_states(m, m // 2) + weight_n_states(m, 1):
-                s = bits_int(enc.matrix @ x.occ % 2)
+                s = bits_int(matrix(enc) @ x.occ % 2)
                 col = dense[:, s]
                 expected = np.zeros(1 << m)
                 expected[s] = x.occ[j - 1]
@@ -272,7 +279,7 @@ def factor_by_factor(enc, ops) -> QubitHamiltonian:
     out = None
     for kind, mode in ops:
         factor = mode_op_to_pauli(enc, mode, dagger=kind == "c")
-        out = factor if out is None else out.product(factor)
+        out = factor if out is None else product(out, factor)
     return out
 
 
@@ -357,12 +364,11 @@ class TestClosedFormProducts:
             QubitHamiltonian.zero(3)
 
     def test_encode_hamiltonian_multiplies_no_sums(self, h2_fermionic):
-        # one merge of every part, and no factor-by-factor product
+        # one merge of every part (a sum has no product method to multiply factor by factor)
         calls = []
         canonicalize = QubitHamiltonian.canonicalize
-        with mock.patch.object(QubitHamiltonian, "product", side_effect=AssertionError), \
-                mock.patch.object(QubitHamiltonian, "canonicalize",
-                                  lambda h, *a: calls.append(len(h)) or canonicalize(h, *a)):
+        with mock.patch.object(QubitHamiltonian, "canonicalize",
+                               lambda h, *a: calls.append(len(h)) or canonicalize(h, *a)):
             out = encode_hamiltonian(h2_fermionic, build_encoding("binary_tree", 4))
         assert len(calls) == 1 and len(out) == 15
 
@@ -378,7 +384,7 @@ class TestEncodeHamiltonian:
         rng = np.random.default_rng(41)
         h = random_hamiltonian(4, 2, rng)
         enc = build_encoding(kind, 4)
-        perm = enc.permutation_matrix()
+        perm = permutation_matrix(enc)
         got = encode_hamiltonian(h, enc).dense()
         want = perm @ dense_fock_matrix(h) @ perm.T
         assert np.allclose(got, want, atol=1e-12)
@@ -403,8 +409,6 @@ class TestEncodeHamiltonian:
         assert out.operator_set(include_identity=True) == set(H2_TABLE) | {"IIII"}
 
     def test_hydrogen_ground_energy(self, h2_fermionic):
-        from fertaper.fermion import sector_matrix
-
         out = encode_hamiltonian(h2_fermionic, build_encoding("jordan_wigner", 4))
         qubit_ground = np.linalg.eigvalsh(out.dense())[0]
         sector_ground = np.linalg.eigvalsh(sector_matrix(h2_fermionic, 2))[0]
@@ -424,6 +428,6 @@ class TestEncodedStates:
         enc = build_encoding(kind, m)
         for n in range(m + 1):
             for x in weight_n_states(m, n):
-                s_bits = enc.matrix @ x.occ % 2
+                s_bits = matrix(enc) @ x.occ % 2
                 inverse = gf2.unpack_ints(enc.inverse_rows, m)
                 assert np.array_equal(inverse @ s_bits % 2, np.array(x.occ))

@@ -3,20 +3,21 @@
 An AST scan of src/fertaper lists every top-level function and class, and
 every method and property of a top-level class, private ones included
 (dunders aside).  One that nothing under src/ reads outside its own
-definition must be a dense or brute-force oracle the tests judge the
-program by (listed below), or a name the benchmark under perfbench/ uses.
-Only reads count, not assignments.  A top-level name f is reached by a
-bare name f, an import of f, or an attribute read .f (gf2.drop_bits).  A
-member C.x is reached by an attribute read .x or an import of x, or by
-self.x or cls.x inside C; a bare name x, such as a local or a parameter,
-does not reach it.  An attribute read on an imported module from outside
-the package (np.product, itertools.product) reaches nothing.  The
-benchmark's reads follow the same rules, and a dotted string there (the
-tracer's "QubitHamiltonian.canonicalize") reads each of its parts as an
-attribute; a plain string such as a dict key reads nothing.  The scan can
-miss an unused member that shares its name with some other attribute
-read.  It would flag a used one only if a subclass read an inherited
-member through self, and no class in the package subclasses another.
+definition must be a name the benchmark under perfbench/ uses; the dense
+and brute-force judges the tests compare the program against live in
+tests/oracles.py, which no program module imports.  Only reads count, not
+assignments.  A top-level name f is reached by a bare name f, an import of
+f, or an attribute read .f (gf2.drop_bits).  A member C.x is reached by an
+attribute read .x or an import of x, or by self.x or cls.x inside C; a
+bare name x, such as a local or a parameter, does not reach it.  An
+attribute read on an imported module from outside the package
+(np.product, itertools.product) reaches nothing.  The benchmark's reads
+follow the same rules, and a dotted string there (the tracer's
+"QubitHamiltonian.canonicalize") reads each of its parts as an attribute;
+a plain string such as a dict key reads nothing.  The scan can miss an
+unused member that shares its name with some other attribute read.  It
+would flag a used one only if a subclass read an inherited member through
+self, and no class in the package subclasses another.
 """
 
 import ast
@@ -27,41 +28,6 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "fertaper"
 BENCH = ROOT / "perfbench"
-
-# Reference implementations that tests compare the program against.
-ORACLES = (
-    "pauli_matrix_naive",
-    "QubitHamiltonian.product",
-    "mode_op_to_pauli",
-    "StandardEncoding.matrix",
-    "StandardEncoding.permutation_matrix",
-    "apply_op_string_rows",
-    "transition_sign",
-    "FramedDiagonal.apply_to_index",
-    "FramedDiagonal.to_dense",
-    "CodeEncoding.matrix",
-    "CodeEncoding.isometry",
-    "CodeEncoding.preimage",
-    "apply_frames_to_isometry",
-    "bipartite_improve",
-    "is_n_injective",
-    "observable_matrix",
-    "number_operator_matrix",
-    "sector_matrix",
-    "sector_matrix_direct",
-    "brute_force_decode",
-    "no_edge_addable",
-    "required_words",
-    "codespace_isometry",
-    "partition_eigenvector",
-    "OrthogonalArray.rows",
-)
-
-# The paper's one-observable simulators, r2 and r4 of a hop and a pair hop.
-# The program frames a whole Hamiltonian in one pass; the tests check the
-# simulation condition and the sparsity bounds on these, one term at a time.
-PER_OBSERVABLE = ("two_body_simulator", "four_body_simulator")
-
 
 def _definitions(tree: ast.Module):
     """(qualified name, node) of each top-level def and class, and of each
@@ -214,16 +180,28 @@ def test_the_function_scan_sees_stored_functions():
         "object.__setattr__(self, '_frozen', spell)", "setattr(self, '_set', lambda: 0)"]
 
 
-def test_every_unreached_name_is_an_oracle_or_benchmarked():
+def test_every_unreached_name_is_benchmarked():
     bench = _benchmark_names()
-    stray = [q for q in _unreached()
-             if q not in ORACLES + PER_OBSERVABLE and not _reached(q, bench)]
+    stray = [q for q in _unreached() if not _reached(q, bench)]
     assert stray == [], f"names no program path reaches: {stray}"
 
 
-def test_every_listed_oracle_is_defined_and_unreached():
-    # an oracle the program starts to call, or deletes, leaves the list
-    assert set(ORACLES + PER_OBSERVABLE) <= set(_unreached())
+def test_no_program_module_imports_the_tests():
+    imported = {(path.name, alias.name if isinstance(node, ast.Import) else node.module)
+                for path in sorted(SRC.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert [pair for pair in imported if (pair[1] or "").split(".")[0] == "tests"] == []
+
+
+def test_every_judge_is_read_by_the_tests():
+    # a judge no test reads, directly or through another judge, is dead code
+    oracles = ast.parse((ROOT / "tests" / "oracles.py").read_text(encoding="utf-8"))
+    tests = [ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((ROOT / "tests").glob("test_*.py"))]
+    judges = {name for name, node in _definitions(oracles) if "." not in name}
+    assert judges and set(_unreached_in([oracles, *tests])).isdisjoint(judges)
 
 
 def test_the_scan_sees_a_stray_name():
