@@ -244,6 +244,10 @@ def _cmd_decode(args) -> int:
         raise ValueError(f"--syndrome has {len(args.syndrome)} bits, {args.check} has {q} rows")
     if not 0 <= args.particles <= m:
         raise ValueError(f"--particles {args.particles} is outside 0..{m}, the column count")
+    # N columns of weight at most w flip at most N*w rows: a heavier syndrome has no preimage
+    if args.syndrome.count("1") > args.particles * int(a.sum(axis=0).max(initial=0)):
+        print("no weight-matching preimage")
+        return 1
     syndrome = np.array([int(c) for c in args.syndrome], dtype=np.uint8)
     # a graph's incidence matrix with girth >= 2N+2 decodes by matching, up to the vertex cap
     g = graph_from_incidence(a)

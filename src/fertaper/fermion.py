@@ -27,12 +27,19 @@ from fertaper.mitm import _as_keys
 
 @dataclass(frozen=True)
 class FockState:
-    """Occupation-number basis state of M modes."""
+    """Occupation-number basis state of M modes.
+
+    occ is kept as a tuple of Python ints 0 and 1; any other entry (a bool,
+    a numpy integer, 2) is normalized to int(b) & 1.
+    """
 
     occ: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "occ", tuple(int(b) & 1 for b in self.occ))
+        occ = self.occ
+        # a tuple of plain 0/1 ints, what the decoders hand over, skips the per-bit pass
+        if type(occ) is not tuple or not set(map(type, occ)) <= {int} or not set(occ) <= {0, 1}:
+            object.__setattr__(self, "occ", tuple(int(b) & 1 for b in occ))
 
     @classmethod
     def from_modes(cls, m: int, occupied) -> "FockState":

@@ -402,11 +402,14 @@ def min_weight_matching(weights) -> tuple[int, list[tuple[int, int]]] | None:
     vertices pairs the lowest one with each other j in turn.  Only the
     masks reached that way are visited, at most F(k+1) (Fibonacci): 233,
     1,597 and 10,946 at k = 12, 16 and 20, against the 2^k masks of a
-    bottom-up subset DP.  That is still exponential: a weight-N graph code
-    matches up to 2N vertices, and on a 100-cycle the memo took 0.026 / 1.07
-    / 6.6 s at k = 24 / 32 / 36 (F(k+1) = 75,025 / 3.5M / 24M), `decode
-    --check` 0.22 / 1.16 / 14.3 s at N = 12 / 16 / 18 (ROADMAP direction
-    10).  Returns the total and the pairs (i, j), i < j, lowest i first.
+    bottom-up subset DP.  That is still exponential when every pair may
+    be matched: on a 100-cycle with all pairs within N allowed the memo
+    took 0.026 / 1.07 / 6.6 s at k = 24 / 32 / 36 (F(k+1) = 75,025 / 3.5M
+    / 24M).  GraphDecoder.decode calls it on one component of marked
+    vertices at a time, each pair no further apart than 1 + N - k/2, so
+    the bound applies to the largest such component, not to all 2N
+    marked vertices (ROADMAP direction 10).  Returns the total and the
+    pairs (i, j), i < j, lowest i first.
     """
     k = len(weights)
     if k % 2:
@@ -450,10 +453,12 @@ class GraphDecoder:
     """Weight-n syndrome decoder of one graph, built once and reused.
 
     Holds each vertex's _neighbours list, the edges' vertex masks and a
-    cache of balls: the radius-n _ball of each vertex that a syndrome has
-    marked, built on first use, so a batch of syndromes walks each ball
-    once.  It holds no table over all vertices: the cache is emptied before
-    a new ball would take it past limits.BALL_CACHE_VERTICES vertices.
+    cache of balls: {vertex: (radius, _ball)} for each vertex that a
+    syndrome has marked, built on first use at the radius that syndrome
+    needs (see decode) and rebuilt only when a later syndrome needs a
+    larger one, so a batch of syndromes walks each ball about once.  It
+    holds no table over all vertices: the cache is emptied before a new
+    ball would take it past limits.BALL_CACHE_VERTICES vertices.
     """
 
     def __init__(self, g: BipartiteGraph, n: int):
@@ -462,7 +467,7 @@ class GraphDecoder:
         self.particles = n
         self.neighbours = _neighbours(g.vertex_count, g.edges)
         self.edge_masks = g.edge_masks()
-        self.balls: dict[int, dict[int, tuple[int, int, int]]] = {}
+        self.balls: dict[int, tuple[int, dict[int, tuple[int, int, int]]]] = {}
         self.ball_vertices = 0  # vertices in the cached balls
 
     @classmethod
@@ -471,6 +476,23 @@ class GraphDecoder:
         None: when no ball of radius n reaches a vertex twice (_half_girth)."""
         decoder = cls(g, n)
         return decoder if _half_girth(g, decoder.neighbours, n) > n else None
+
+    def _cached_ball(self, v: int, radius: int) -> dict[int, tuple[int, int, int]]:
+        """v's cached ball if its radius is at least radius, else v's _ball
+        at radius, which replaces it in the cache; callers read only
+        depths up to radius."""
+        held = self.balls.get(v)
+        if held is not None:
+            if held[0] >= radius:
+                return held[1]
+            self.ball_vertices -= len(held[1])
+        ball = _ball(self.neighbours, v, radius)[0]
+        if self.ball_vertices + len(ball) > limits.BALL_CACHE_VERTICES:
+            self.balls.clear()
+            self.ball_vertices = 0
+        self.balls[v] = (radius, ball)
+        self.ball_vertices += len(ball)
+        return ball
 
     def decode(self, syndrome) -> np.ndarray | None:
         """Weight-n edge set whose boundary is the given vertex subset.
@@ -482,8 +504,25 @@ class GraphDecoder:
         weight-n preimage exists exactly when that minimum equals n.  The
         reconstruction is verified against the syndrome before returning,
         making wrong answers impossible regardless of matching internals.
-        The k <= 2n marked vertices' radius-n balls hold every pair weight a
-        weight-n matching can use, and each pair's path by parent edges;
+
+        All the work stays within reach = 1 + n - k/2 of the k marked
+        vertices (k even and at most 2n, else there is no answer).  In a
+        perfect matching of weight <= n each of the k/2 pairs is at
+        distance >= 1, so no pair is further apart than reach.  Hence:
+        (a) every matching of weight <= n pairs only within reach, so the
+        minimum over within-reach pairs is the full minimum when that is
+        <= n, and both exceed n otherwise; (b) the memo's choice is the
+        same: a candidate that ties the optimum at a node on the way back
+        extends to a weight-n matching, so it is within reach, and the
+        restricted memo tries the same candidates in the same ascending
+        order with the same strict <; (c) matching each component of the
+        within-reach graph on its own, vertices kept ascending, gives the
+        memo's pairs over all of them, as a candidate's rest differs only
+        inside its own component; (d) a path of length d <= reach lies in
+        the far end's radius-reach ball, and parents, the lowest-numbered
+        nearer edge, are the same at every radius.  So each marked
+        vertex's ball is read at radius reach, a two-vertex component is
+        its own pair, and only a larger one goes to min_weight_matching;
         pairing, paths and the check run on Python ints.
         """
         syndrome = gf2.asbits(syndrome)
@@ -491,25 +530,49 @@ class GraphDecoder:
         if syndrome.shape != (q,):
             raise ValueError("syndrome length does not match vertex count")
         marked = np.flatnonzero(syndrome).tolist()
-        if len(marked) > 2 * n:
+        k = len(marked)
+        if k > 2 * n or k % 2:
             return None
-        balls = []
-        for v in marked:
-            ball = self.balls.get(v)
-            if ball is None:
-                ball = _ball(self.neighbours, v, n)[0]
-                if self.ball_vertices + len(ball) > limits.BALL_CACHE_VERTICES:
-                    self.balls.clear()
-                    self.ball_vertices = 0
-                self.balls[v] = ball
-                self.ball_vertices += len(ball)
-            balls.append(ball)
-        weights = [[ball[j][0] if j in ball else None for j in marked] for ball in balls]
-        matched = min_weight_matching(weights)
-        if matched is None or matched[0] != n:
+        reach = 1 + n - k // 2
+        balls = [self._cached_ball(v, reach) for v in marked]
+        near: list[dict[int, int]] = [{} for _ in marked]  # within-reach partner: distance
+        for i, ball in enumerate(balls):
+            for j in range(i + 1, k):
+                hit = ball.get(marked[j])
+                if hit is not None and hit[0] <= reach:
+                    near[i][j] = near[j][i] = hit[0]
+        total, pairs = 0, []
+        seen = [False] * k
+        for start in range(k):
+            if seen[start]:
+                continue
+            seen[start] = True
+            component, todo = [], [start]
+            while todo:
+                i = todo.pop()
+                component.append(i)
+                for j in near[i]:
+                    if not seen[j]:
+                        seen[j] = True
+                        todo.append(j)
+            component.sort()
+            if len(component) == 2:
+                i, j = component
+                total += near[i][j]
+                pairs.append((i, j))
+            else:
+                matched = min_weight_matching([[near[i].get(j) for j in component]
+                                               for i in component])
+                if matched is None:
+                    return None
+                total += matched[0]
+                pairs += [(component[i], component[j]) for i, j in matched[1]]
+            if total > n:
+                return None
+        if total != n:
             return None
         chosen = set()
-        for i, j in matched[1]:
+        for i, j in pairs:
             v, ball = marked[i], balls[j]
             while v != marked[j]:
                 _, v, col = ball[v]

@@ -1071,6 +1071,46 @@ class TestDecodeCommand:
         assert rc == 2 and captured.out == ""
         assert captured.err == "error: syndrome has more than one weight-N preimage\n"
 
+    @pytest.mark.parametrize("kind", ["graph", "mixed column weights"])
+    def test_a_syndrome_past_n_times_the_column_weight_builds_no_decoder(
+            self, tmp_path, capsys, monkeypatch, kind):
+        # N columns of weight at most w flip at most N*w rows
+        import fertaper.cli as cli
+
+        def built(*args):
+            raise AssertionError("built a decoder")
+
+        for name in ("graph_from_incidence", "GraphDecoder", "build_tables"):
+            monkeypatch.setattr(cli, name, built)
+        if kind == "graph":
+            a = cycle_chord_graph(8, 2).incidence_matrix()
+        else:
+            a = np.zeros((10, 6), dtype=np.uint8)
+            for col, rows in enumerate(([0], [1, 2], [3, 4, 5], [6], [7, 8], [0, 4, 9])):
+                a[rows, col] = 1
+        (q, m), n, w = a.shape, 2, int(a.sum(axis=0).max())
+        check = tmp_path / "a.pcm"
+        np.savetxt(check, a, fmt="%d", header="%d %d" % a.shape, comments="")
+        heavy = "1" * (n * w + 1) + "0" * (q - n * w - 1)
+
+        def run(bits, particles=n):
+            return main(["decode", "--check", str(check), "--particles", str(particles),
+                         "--syndrome", bits])
+
+        assert run(heavy) == 1
+        assert capsys.readouterr() == ("no weight-matching preimage\n", "")
+        assert run("1" + "0" * (q - 1), particles=0) == 1
+        assert capsys.readouterr() == ("no weight-matching preimage\n", "")
+        with pytest.raises(AssertionError, match="built a decoder"):
+            run("1" * (n * w) + "0" * (q - n * w))
+        for bits, particles, where in ((heavy[:-1] + "2", n, f"'2' at position {q}"),
+                                       (heavy + "1", n, f"has {q + 1} bits"),
+                                       (heavy, m + 1, f"{m + 1} is outside 0..{m}")):
+            assert run(bits, particles) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("error: --")
+            assert where in captured.err
+
     @pytest.mark.parametrize("body,argv,where", [
         ("2 3\n101\n012\n", ["--syndrome", "11"], "row 2, column 3 is '2'"),
         ("2 3\n101\n011\n110\n", ["--syndrome", "11"], "has 3 rows; its header says 2"),

@@ -31,6 +31,25 @@ from tests.oracles import (
 )
 
 
+class TestFockState:
+    @pytest.mark.parametrize("occ", [
+        (True, False, True),
+        (np.int64(1), np.uint8(0), np.int64(1)),
+        (3, 2, 1),
+        (1, False, 1),
+        [1, 0, 1],
+        np.array([1, 0, 1], dtype=np.uint8),
+    ], ids=["bools", "numpy-ints", "past-one", "int-and-bool", "list", "array"])
+    def test_entries_normalize_to_a_tuple_of_python_zero_one_ints(self, occ):
+        state = FockState(occ)
+        assert type(state.occ) is tuple and state.occ == (1, 0, 1)
+        assert all(type(b) is int for b in state.occ)
+
+    def test_a_tuple_of_zero_one_ints_is_kept_as_it_is(self):
+        occ = (0, 1, 1, 0)
+        assert FockState(occ).occ is occ
+
+
 class TestLadderOps:
     def test_annihilate_first_mode(self):
         assert apply_annihilate(FockState((1, 0, 0, 0)), 1) == (1, FockState((0, 0, 0, 0)))

@@ -252,9 +252,27 @@ def decode_cases(draw):
                           frozenset(range(ql + 1, ql + qr + 1)), edges), n, rng
 
 
+def touching_edges(g, n, rng) -> list[int]:
+    """Up to n edge columns grown from a random one, each new edge sharing an
+    endpoint with those already chosen, so that fewer than 2n vertices are
+    marked."""
+    chosen = [int(rng.integers(g.edge_count))]
+    ends = set(g.edges[chosen[0]])
+    while len(chosen) < n:
+        nxt = [c for c, (u, v) in enumerate(g.edges)
+               if c not in chosen and (u in ends or v in ends)]
+        if not nxt:
+            break
+        chosen.append(nxt[int(rng.integers(len(nxt)))])
+        ends.update(g.edges[chosen[-1]])
+    return chosen
+
+
 @given(decode_cases())
 @settings(max_examples=120, deadline=None)
 def test_decode_matches_the_entry_by_entry_decoder(case):
+    """Planted vectors, with their edges apart or sharing endpoints; random
+    even sets of marked vertices, scattered or consecutive; random words."""
     g, n, rng = case
     decoder = GraphDecoder(g, n)
     a = g.incidence_matrix()
@@ -265,9 +283,17 @@ def test_decode_matches_the_entry_by_entry_decoder(case):
             x = np.zeros(m, dtype=np.uint8)
             x[rng.choice(m, n, replace=False)] = 1
             syndromes.append(syndrome(a, x))
-        marked = rng.choice(q, min(q, 2 * int(rng.integers(0, n + 1))), replace=False)
+        if m:  # planted, with edges that share endpoints
+            x = np.zeros(m, dtype=np.uint8)
+            x[touching_edges(g, n, rng)] = 1
+            syndromes.append(syndrome(a, x))
+        k = min(q, 2 * int(rng.integers(0, n + 1)))
+        marked = rng.choice(q, k, replace=False)
         s = np.zeros(q, dtype=np.uint8)
         s[marked] = 1
+        syndromes.append(s)
+        s = np.zeros(q, dtype=np.uint8)  # clustered: k consecutive vertices
+        s[(int(rng.integers(q)) + np.arange(k)) % q] = 1
         syndromes.append(s)
         syndromes.append(rng.integers(0, 2, q).astype(np.uint8))
     for s in syndromes:

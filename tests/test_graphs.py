@@ -620,6 +620,27 @@ class TestDistanceMatrix:
         assert max(held) <= cap and len(decoder.balls) <= 4
         assert peak < cap * 300
 
+    def test_a_ball_is_rebuilt_at_a_larger_radius(self):
+        """On the 30-cycle at N = 4, a syndrome of k = 2N consecutive
+        vertices needs balls of radius 1 + N - k/2 = 1, and a length-N path
+        from vertex 0 then needs vertex 0's at radius N: it is rebuilt, and
+        ball_vertices counts the balls the cache holds."""
+        q, n = 30, 4
+        decoder = GraphDecoder(ring_graph(q), n)
+
+        def decodes(marked, want):
+            s = np.zeros(q, dtype=np.uint8)
+            s[marked] = 1
+            assert np.flatnonzero(decoder.decode(s)).tolist() == want
+            assert decoder.ball_vertices == sum(len(b) for _, b in decoder.balls.values())
+
+        decodes(list(range(2 * n)), list(range(0, 2 * n, 2)))
+        assert decoder.balls[0][0] == 1 and len(decoder.balls[0][1]) == 3
+        decodes([0, n], list(range(n)))
+        assert decoder.balls[0][0] == n and len(decoder.balls[0][1]) == 2 * n + 1
+        decodes(list(range(2 * n)), list(range(0, 2 * n, 2)))  # the larger ball serves
+        assert decoder.balls[0][0] == n
+
     def test_a_particle_count_past_int16_decodes(self, fig3_graph):
         # N = 20000: 2N+1 = 40001 does not fit int16, and a ball holds Python ints
         decoder = GraphDecoder(fig3_graph, 20000)
@@ -826,6 +847,26 @@ class TestDecode:
             else:
                 assert bits_int(got) == want
 
+
+    @pytest.mark.parametrize("n", [20, 30, 49])
+    def test_clustered_syndromes_on_the_100_cycle(self, n):
+        """Every other edge of the first 2N marks 2N consecutive vertices of
+        the 100-cycle (girth 100, certified for every N <= 49), all within
+        distance N of their neighbours; with balls of radius 1 + N - k/2 = 1
+        the memo sees a path of within-reach pairs, not all 2N vertices.
+        Two-edge paths at every fourth edge mark k = N vertices, within
+        reach 1 + N/2 of each other.  The entry-by-entry judge's memo is
+        exponential here, so the planted vectors are the reference."""
+        g = ring_graph(100)
+        a = g.incidence_matrix()
+        decoder = GraphDecoder.certified(g, n)
+        x = np.zeros(100, dtype=np.uint8)
+        x[0:2 * n:2] = 1
+        assert np.array_equal(decoder.decode(syndrome(a, x)), x)
+        if n % 2 == 0 and 2 * n <= 100:
+            x = np.zeros(100, dtype=np.uint8)
+            x[[c for i in range(0, 2 * n, 4) for c in (i, i + 1)]] = 1
+            assert np.array_equal(decoder.decode(syndrome(a, x)), x)
 
     def test_decoder_reuse_matches_one_off_calls(self):
         g = greedy_high_girth(20, 3, trials=5, seed=7)
